@@ -992,108 +992,3 @@ impl Drop for SubscribeHandle<'_> {
         }
     }
 }
-
-/// The pre-reactor client: strict request/response, flat per-query
-/// methods. A thin shim over [`Session`] kept for downstream code; it
-/// cannot subscribe. New code should use [`Session`] directly.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Session` — `session.query(id)` sub-handles and `session.subscribe(id)` push delivery"
-)]
-pub struct Client {
-    inner: Session,
-}
-
-#[allow(deprecated)]
-impl Client {
-    /// See [`Session::connect`].
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Ok(Client {
-            inner: Session::connect(addr)?,
-        })
-    }
-
-    /// See [`Session::connect_with`].
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        config: ClientConfig,
-    ) -> Result<Client, ClientError> {
-        Ok(Client {
-            inner: Session::connect_with(addr, config)?,
-        })
-    }
-
-    /// See [`Session::reconnect`].
-    pub fn reconnect(&mut self) -> Result<(), ClientError> {
-        self.inner.reconnect()
-    }
-
-    /// See [`Session::submit`].
-    pub fn submit(&mut self, text: &str) -> Result<Submitted, ClientError> {
-        self.inner.submit(text)
-    }
-
-    /// See [`Session::detect`].
-    pub fn detect(&mut self, text: &str) -> Result<u64, ClientError> {
-        self.inner.detect(text)
-    }
-
-    /// See [`Session::feed`].
-    pub fn feed(&mut self, stream: &str, points: &[Point]) -> Result<(), ClientError> {
-        self.inner.feed(stream, points)
-    }
-
-    /// See [`QueryHandle::poll`].
-    pub fn poll(
-        &mut self,
-        query: u64,
-        max: u32,
-    ) -> Result<Vec<(WindowId, WindowOutput)>, ClientError> {
-        self.inner.poll_inner(query, max)
-    }
-
-    /// See [`QueryHandle::stats`].
-    pub fn stats(&mut self, query: u64) -> Result<WireQuery, ClientError> {
-        self.inner.stats_inner(query)
-    }
-
-    /// See [`Session::metrics`].
-    pub fn metrics(&mut self) -> Result<Vec<WireMetric>, ClientError> {
-        self.inner.metrics()
-    }
-
-    /// See [`Session::queries`].
-    pub fn queries(&mut self) -> Result<Vec<WireQuery>, ClientError> {
-        self.inner.queries()
-    }
-
-    /// See [`QueryHandle::pause`].
-    pub fn pause(&mut self, query: u64) -> Result<(), ClientError> {
-        self.inner.query(query).pause()
-    }
-
-    /// See [`QueryHandle::resume`].
-    pub fn resume(&mut self, query: u64) -> Result<(), ClientError> {
-        self.inner.query(query).resume()
-    }
-
-    /// See [`QueryHandle::cancel`].
-    pub fn cancel(&mut self, query: u64) -> Result<WireStats, ClientError> {
-        self.inner.query(query).cancel()
-    }
-
-    /// See [`Session::bind`].
-    pub fn bind(&mut self, name: &str, sgs: &Sgs) -> Result<(), ClientError> {
-        self.inner.bind(name, sgs)
-    }
-
-    /// See [`Session::quiesce`].
-    pub fn quiesce(&mut self) -> Result<(), ClientError> {
-        self.inner.quiesce()
-    }
-
-    /// See [`Session::goodbye`].
-    pub fn goodbye(self) -> Result<(), ClientError> {
-        self.inner.goodbye()
-    }
-}

@@ -25,10 +25,14 @@
 //! their groups; the full representation is derived object-level (cores by
 //! career watermark, edges via their live core neighbors).
 //!
-//! **Sharding** (`DESIGN.md` §6): with `S > 1`
-//! ([`ClusterQuery::shards`]), the extraction state is partitioned by
-//! hashed grid region across `S` shards, and each between-boundary
-//! batch of arrivals runs insertion as five fork-join phases on the
+//! **Sharding** (`DESIGN.md` §6): the extraction state is partitioned by
+//! hashed grid region across `S` shards ([`ClusterQuery::shards`]), and
+//! the steps above are written once, over routed shards
+//! (`shards[owner]`, `cell_stores[owner]`), as [`WindowConsumer::insert`].
+//! That one sequential rendering serves `S = 1` (every point routes to
+//! shard 0), single-point insertion, and small batches. A between-boundary
+//! batch that is worth forking — `S > 1` and at least `PAR_BATCH_MIN`
+//! arrivals — instead runs the same steps as five fork-join phases on the
 //! shared [`sgs_exec::Pool`] (`DESIGN.md` §8; persistent workers, no
 //! per-batch thread spawns) —
 //! load, discover (the RQS, read-only across shards), apply (career and
@@ -38,26 +42,25 @@
 //! quantities depend only on its final within-batch neighbor set, the
 //! phased execution reaches exactly the observable state of sequential
 //! insertion — which is why [`WindowOutput`] is byte-identical for every
-//! shard count, `S = 1` runs the original single-threaded code verbatim,
-//! and each object still costs exactly one range-query search.
+//! shard count and batch size, and each object still costs exactly one
+//! range-query search.
 
-use sgs_core::{kernel, CellCoord, ClusterQuery, GridGeometry, Point, PointId, WindowId};
+use sgs_core::{CellCoord, ClusterQuery, GridGeometry, Point, PointId, WindowId};
 use sgs_exec::Pool;
-use sgs_index::grid::CellSlab;
-use sgs_index::ShardRouter;
+use sgs_index::{ReachWalker, ShardRouter};
 use sgs_stream::{ExpiryHistogram, WindowConsumer};
 
 use crate::cell_store::CellStore;
 use crate::merge;
 use crate::output::WindowOutput;
 use crate::shard::{
-    for_each_par, for_each_par2, for_each_par3, resolve, HistMsg, LinkMsg, NewPointPlan,
-    PointState, Shard,
+    fork_each, raise_pairs, resolve, HistMsg, LinkMsg, NewPointPlan, PointState, Shard,
 };
 
-/// Batches smaller than this run the sharded phases inline on the calling
-/// thread: the phase semantics are identical, but even pool fork-join has
-/// enqueue/wake overhead that is not worth paying for a handful of points.
+/// Batches smaller than this are inserted point by point on the calling
+/// thread: the observable state is identical, but the phases' bucketing,
+/// mailboxes and pool fork-join are not worth paying for a handful of
+/// points.
 const PAR_BATCH_MIN: usize = 32;
 
 /// Adaptive sharding ([`ShardCount::Auto`]): one shard per this many live
@@ -94,9 +97,17 @@ pub struct CSgs {
     /// boundaries from observed grid occupancy instead of holding a
     /// static shard count.
     adaptive: bool,
-    /// Upper bound for adaptive shard counts (derived from available
-    /// parallelism at construction).
+    /// Upper bound for adaptive shard counts (derived from the pool's
+    /// worker count at construction).
     max_shards: usize,
+    /// Range-query walker of the sequential path (each parallel discover
+    /// task builds its own).
+    walker: ReachWalker,
+    /// Scratch of the sequential path, reused across inserts: the new
+    /// point's neighbors, and those whose core career it extended, each
+    /// with its owning shard.
+    found: Vec<(PointId, u32)>,
+    extended: Vec<(PointId, u32)>,
     /// Number of range query searches executed (one per object, §5.3 —
     /// regardless of shard count).
     pub rqs_count: u64,
@@ -122,13 +133,11 @@ impl CSgs {
             sgs_core::ShardCount::Fixed(n) => ((n as usize).max(1), false),
             sgs_core::ShardCount::Auto => (1, true),
         };
-        // Mild over-sharding (2× the worker count) improves fork-join
-        // load balance; the floor of 4 keeps adaptation observable — and
-        // useful for balance — even on low-core hosts.
-        let max_shards = std::thread::available_parallelism()
-            .map(|p| p.get() * 2)
-            .unwrap_or(1)
-            .max(4);
+        // Mild over-sharding (2× the worker count of the pool the phases
+        // fork onto) improves fork-join load balance; the floor of 4 keeps
+        // adaptation observable — and useful for balance — even on small
+        // pools.
+        let max_shards = (pool.threads() * 2).max(4);
         // Region width ≥ the range-query reach, so a point's neighborhood
         // spans at most the regions adjacent to its own. Using a full
         // block width (2·reach + 1) keeps most of a point's neighborhood
@@ -137,6 +146,9 @@ impl CSgs {
         let router = ShardRouter::new(2 * geometry.reach().max(1) + 1, s);
         let shards = (0..s).map(|_| Shard::new(geometry.clone())).collect();
         CSgs {
+            walker: ReachWalker::new(&geometry, &router),
+            found: Vec::new(),
+            extended: Vec::new(),
             query,
             geometry,
             router,
@@ -176,6 +188,7 @@ impl CSgs {
         let old_shards = std::mem::take(&mut self.shards);
         let old_stores = std::mem::take(&mut self.cell_stores);
         self.router = ShardRouter::new(2 * self.geometry.reach().max(1) + 1, new_s);
+        self.walker = ReachWalker::new(&self.geometry, &self.router);
         self.shards = (0..new_s)
             .map(|_| Shard::new(self.geometry.clone()))
             .collect();
@@ -236,134 +249,11 @@ impl CSgs {
                 .sum::<usize>()
     }
 
-    /// Single-point insertion with S > 1 (the per-point [`WindowConsumer`]
-    /// path): a batch of one can never parallelize, so this runs the
-    /// sequential insertion steps directly against the routed shard state
-    /// instead of paying the five-phase scaffolding. The event sequence is
-    /// exactly [`Shard::insert_sequential`]'s, with each touched point and
-    /// cell resolved to its owning shard.
-    fn insert_one_sharded(&mut self, id: PointId, point: &Point, expires_at: WindowId) {
-        let CSgs {
-            ref query,
-            ref geometry,
-            ref router,
-            ref mut shards,
-            ref mut cell_stores,
-            current: now,
-            ..
-        } = *self;
-        let theta_c = query.theta_c;
-        let theta_sq = query.theta_r_sq();
-        let home = router.shard_of_coords(&point.coords, geometry.side());
-
-        // 1 + 2. Load, then the one range query search across shards.
-        shards[home].load(&mut cell_stores[home], id, point, expires_at);
-        let center = shards[home].points[&id].cell.clone();
-        let mut hist = ExpiryHistogram::new();
-        let mut neighbors: Vec<(PointId, u32)> = Vec::new();
-        {
-            let shards = &*shards;
-            let mut walker = NeighborCellWalker::new(geometry, router);
-            walker.visit(
-                shards,
-                router,
-                &center,
-                &point.coords,
-                theta_sq,
-                |owner, slab| {
-                    // Whole-cell batch distance pass; the self-exclusion
-                    // branch runs once per match, not once per candidate.
-                    kernel::for_each_within(&point.coords, slab.coords(), theta_sq, |j| {
-                        let e_id = slab.id(j);
-                        if e_id != id {
-                            // Expiry rides inline in the cell slab — no
-                            // point-map lookup on the discovery hot path.
-                            hist.add(slab.expires_at(j));
-                            neighbors.push((e_id, owner));
-                        }
-                    });
-                },
-            );
-        }
-        self.rqs_count += 1;
-
-        // 3. The new object's own career → status promotion.
-        let p_cu = hist.core_until(expires_at, now, theta_c).0;
-        {
-            let st = shards[home].points.get_mut(&id).expect("just loaded");
-            st.neighbors = neighbors.iter().map(|(q, _)| *q).collect();
-            st.hist = hist;
-            st.core_until = p_cu;
-        }
-        if p_cu > now.0 {
-            cell_stores[home].raise_core_until(&center, p_cu);
-        }
-
-        // 4. Neighbors gain the new object; extended careers prolong.
-        let mut extended: Vec<(PointId, u32)> = Vec::new();
-        for &(q_id, owner) in &neighbors {
-            let q = shards[owner as usize]
-                .points
-                .get_mut(&q_id)
-                .expect("live neighbor");
-            q.neighbors.push(id);
-            q.hist.add(expires_at);
-            let new_cu = q.hist.core_until(q.expires_at, now, theta_c).0;
-            if new_cu > q.core_until {
-                q.core_until = new_cu;
-                let q_cell = q.cell.clone();
-                cell_stores[owner as usize].raise_core_until(&q_cell, new_cu);
-                extended.push((q_id, owner));
-            }
-        }
-
-        // 5. Pair links for (p, q) pairs, both sides routed.
-        for &(q_id, owner) in &neighbors {
-            let q = &shards[owner as usize].points[&q_id];
-            if q.cell == center {
-                continue; // intra-cell pairs: Lemma 4.1
-            }
-            let cc = p_cu.min(q.core_until);
-            let q_attach = q.core_until.min(expires_at.0);
-            let p_attach = p_cu.min(q.expires_at.0);
-            let q_cell = q.cell.clone();
-            cell_stores[home].raise_link(&center, &q_cell, cc, p_attach);
-            cell_stores[owner as usize].raise_link(&q_cell, &center, cc, q_attach);
-        }
-
-        // 6. Connection prolong: extended careers touch all their pairs.
-        for (q_id, owner) in extended {
-            let (q_cell, q_cu, q_exp, q_nbrs) = {
-                let q = &shards[owner as usize].points[&q_id];
-                (
-                    q.cell.clone(),
-                    q.core_until,
-                    q.expires_at.0,
-                    q.neighbors.clone(),
-                )
-            };
-            for r_id in q_nbrs {
-                let Some((r_owner, r)) = resolve(shards, r_id) else {
-                    continue; // pruned-late id of an expired point
-                };
-                if r.cell == q_cell {
-                    continue;
-                }
-                let (r_cell, r_cu, r_exp) = (r.cell.clone(), r.core_until, r.expires_at.0);
-                let cc = q_cu.min(r_cu);
-                cell_stores[owner as usize].raise_link(&q_cell, &r_cell, cc, q_cu.min(r_exp));
-                cell_stores[r_owner].raise_link(&r_cell, &q_cell, cc, r_cu.min(q_exp));
-            }
-        }
-    }
-
-    /// Phased parallel insertion of one between-boundary batch (S > 1).
-    /// `items` arrive in id order, with ids greater than every previously
-    /// inserted id (the window engine's arrival numbering).
-    fn sharded_batch(&mut self, items: &[(PointId, &Point, WindowId)]) {
-        if items.is_empty() {
-            return;
-        }
+    /// Phased parallel insertion of one between-boundary batch (`S > 1`,
+    /// at least [`PAR_BATCH_MIN`] points). `items` arrive in id order, with
+    /// ids greater than every previously inserted id (the window engine's
+    /// arrival numbering).
+    fn sharded_batch(&mut self, items: &[(PointId, Point, WindowId)]) {
         let CSgs {
             ref query,
             ref geometry,
@@ -378,7 +268,6 @@ impl CSgs {
         let theta_c = query.theta_c;
         let theta_sq = query.theta_r_sq();
         let batch_first = items[0].0;
-        let parallel = items.len() >= PAR_BATCH_MIN;
 
         // Bucket the batch by owning shard (allocation-free routing).
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); s];
@@ -386,14 +275,17 @@ impl CSgs {
             buckets[router.shard_of_coords(&point.coords, geometry.side())].push(ix as u32);
         }
 
-        // Phase A — load: each shard inserts its own points (grid bucket,
-        // population, expiry, arena slot, placeholder career state).
-        for_each_par2(pool, parallel, shards, cell_stores, |i, sh, cells| {
-            for &ix in &buckets[i] {
-                let (id, point, expires) = items[ix as usize];
-                sh.load(cells, id, point, expires);
-            }
-        });
+        // Phase A — load: each shard enters its own points.
+        fork_each(
+            pool,
+            shards.iter_mut().zip(cell_stores.iter_mut()),
+            |i, (sh, cells)| {
+                for &ix in &buckets[i] {
+                    let (id, ref point, expires) = items[ix as usize];
+                    sh.load(cells, id, point, expires);
+                }
+            },
+        );
 
         // Phase B — discover (read-only over all shards): the one range
         // query search per new point, across its own and adjacent regions'
@@ -413,36 +305,29 @@ impl CSgs {
             .collect();
         {
             let shards = &*shards;
-            for_each_par(pool, parallel, &mut disc, |i, sc| {
-                let mut walker = NeighborCellWalker::new(geometry, router);
+            fork_each(pool, disc.iter_mut(), |i, sc| {
+                let mut walker = ReachWalker::new(geometry, router);
                 for &ix in &buckets[i] {
-                    let (p_id, point, p_exp) = items[ix as usize];
+                    let (p_id, ref point, p_exp) = items[ix as usize];
                     let center = &shards[i].points[&p_id].cell;
                     let mut hist = ExpiryHistogram::new();
                     let mut neighbors = Vec::new();
-                    walker.visit(
-                        shards,
-                        router,
+                    walker.for_each_neighbor(
+                        |o| &shards[o].index,
                         center,
                         &point.coords,
                         theta_sq,
-                        |owner, slab| {
-                            kernel::for_each_within(&point.coords, slab.coords(), theta_sq, |j| {
-                                let e_id = slab.id(j);
-                                if e_id != p_id {
-                                    // Inline slab expiry: no point-map lookup
-                                    // per neighbor in the discover phase.
-                                    hist.add(slab.expires_at(j));
-                                    neighbors.push((e_id, owner));
-                                    if e_id < batch_first {
-                                        sc.out[owner as usize].push(HistMsg {
-                                            q: e_id,
-                                            p: p_id,
-                                            p_expires: p_exp,
-                                        });
-                                    }
-                                }
-                            });
+                        p_id,
+                        |owner, q, q_exp| {
+                            hist.add(q_exp);
+                            neighbors.push((q, owner as u32));
+                            if q < batch_first {
+                                sc.out[owner].push(HistMsg {
+                                    q,
+                                    p: p_id,
+                                    p_expires: p_exp,
+                                });
+                            }
                         },
                     );
                     let core_until = hist.core_until(p_exp, now, theta_c).0;
@@ -482,13 +367,13 @@ impl CSgs {
 
         // Phase C — apply (shard-local writes): install the new points'
         // career state, drain the histogram inbox, record extensions.
-        for_each_par3(
+        fork_each(
             pool,
-            parallel,
-            shards,
-            cell_stores,
-            &mut apply,
-            |_, sh, cells, ap| {
+            shards
+                .iter_mut()
+                .zip(cell_stores.iter_mut())
+                .zip(apply.iter_mut()),
+            |_, ((sh, cells), ap)| {
                 ap.extended = sh.apply_batch(cells, &mut ap.plans, &mut ap.inbox, now, theta_c);
             },
         );
@@ -504,71 +389,29 @@ impl CSgs {
         {
             let shards = &*shards;
             let apply = &apply;
-            for_each_par2(
+            fork_each(
                 pool,
-                parallel,
-                cell_stores,
-                &mut link_out,
-                |i, cells, out| {
+                cell_stores.iter_mut().zip(link_out.iter_mut()),
+                |i, (cells, out)| {
                     out.resize_with(s, Vec::new);
+                    let mut raise =
+                        |owner: usize, at: &CellCoord, other: &CellCoord, core_core, attach| {
+                            if owner == i {
+                                cells.raise_link(at, other, core_core, attach);
+                            } else {
+                                out[owner].push(LinkMsg {
+                                    at: at.clone(),
+                                    other: other.clone(),
+                                    core_core,
+                                    attach,
+                                });
+                            }
+                        };
                     for plan in &apply[i].plans {
-                        let p = &shards[i].points[&plan.id];
-                        for &(q_id, owner) in &plan.neighbors {
-                            let q = shards[owner as usize]
-                                .points
-                                .get(&q_id)
-                                .expect("batch neighbors are live");
-                            if q.cell == p.cell {
-                                continue; // intra-cell pairs: Lemma 4.1
-                            }
-                            let cc = p.core_until.min(q.core_until);
-                            cells.raise_link(
-                                &p.cell,
-                                &q.cell,
-                                cc,
-                                p.core_until.min(q.expires_at.0),
-                            );
-                            let q_attach = q.core_until.min(p.expires_at.0);
-                            if owner as usize == i {
-                                cells.raise_link(&q.cell, &p.cell, cc, q_attach);
-                            } else {
-                                out[owner as usize].push(LinkMsg {
-                                    at: q.cell.clone(),
-                                    other: p.cell.clone(),
-                                    core_core: cc,
-                                    attach: q_attach,
-                                });
-                            }
-                        }
+                        link_new(shards, i, plan.id, &plan.neighbors, &mut raise);
                     }
-                    for q_id in &apply[i].extended {
-                        let q = &shards[i].points[q_id];
-                        for &r_id in &q.neighbors {
-                            let Some((r_owner, r)) = resolve(shards, r_id) else {
-                                continue; // pruned-late id of an expired point
-                            };
-                            if r.cell == q.cell {
-                                continue;
-                            }
-                            let cc = q.core_until.min(r.core_until);
-                            cells.raise_link(
-                                &q.cell,
-                                &r.cell,
-                                cc,
-                                q.core_until.min(r.expires_at.0),
-                            );
-                            let r_attach = r.core_until.min(q.expires_at.0);
-                            if r_owner == i {
-                                cells.raise_link(&r.cell, &q.cell, cc, r_attach);
-                            } else {
-                                out[r_owner].push(LinkMsg {
-                                    at: r.cell.clone(),
-                                    other: q.cell.clone(),
-                                    core_core: cc,
-                                    attach: r_attach,
-                                });
-                            }
-                        }
+                    for &q in &apply[i].extended {
+                        link_extended(shards, i, q, &mut raise);
                     }
                 },
             );
@@ -581,12 +424,10 @@ impl CSgs {
         }
 
         // Phase E — raise: drain the cross-shard link mailboxes.
-        for_each_par2(
+        fork_each(
             pool,
-            parallel,
-            cell_stores,
-            &mut link_in,
-            |_, cells, inbox| {
+            cell_stores.iter_mut().zip(link_in.iter_mut()),
+            |_, (cells, inbox)| {
                 for msg in inbox.drain(..) {
                     cells.raise_link(&msg.at, &msg.other, msg.core_core, msg.attach);
                 }
@@ -597,169 +438,116 @@ impl CSgs {
     }
 }
 
-/// Reusable range-query walker over sharded grids.
-///
-/// Enumerates the `(2·reach + 1)^d` reachability block of a cell —
-/// the same cells [`GridGeometry::reachable_cells`] yields — but grouped
-/// by *region*, so each region of the block is routed to its owning shard
-/// once instead of hashing every cell (the region width is ≥ the reach,
-/// so a block spans at most 3 regions per dimension). The cell coordinate
-/// buffer is reused across the whole walk: no allocation per visited
-/// cell.
-struct NeighborCellWalker {
-    reach: i32,
-    width: i32,
-    side: f64,
-    /// Reused buffers: cell bounds, region bounds, odometers.
-    lo: Vec<i32>,
-    hi: Vec<i32>,
-    rlo: Vec<i32>,
-    rhi: Vec<i32>,
-    reg: Vec<i32>,
-    clo: Vec<i32>,
-    chi: Vec<i32>,
-    cell: CellCoord,
+/// §5.4 step 5: raise the pair links between new point `p` (owned by shard
+/// `home`) and each neighbor its range query found.
+fn link_new(
+    shards: &[Shard],
+    home: usize,
+    p: PointId,
+    found: &[(PointId, u32)],
+    raise: &mut impl FnMut(usize, &CellCoord, &CellCoord, u64, u64),
+) {
+    let nbrs = found
+        .iter()
+        .map(|&(q, owner)| (owner as usize, &shards[owner as usize].points[&q]));
+    raise_pairs(home, &shards[home].points[&p], nbrs, raise);
 }
 
-impl NeighborCellWalker {
-    fn new(geometry: &GridGeometry, router: &ShardRouter) -> Self {
-        let d = geometry.dim();
-        NeighborCellWalker {
-            reach: geometry.reach(),
-            width: router.width(),
-            side: geometry.side(),
-            lo: vec![0; d],
-            hi: vec![0; d],
-            rlo: vec![0; d],
-            rhi: vec![0; d],
-            reg: vec![0; d],
-            clo: vec![0; d],
-            chi: vec![0; d],
-            cell: CellCoord::new(vec![0; d]),
-        }
-    }
-
-    /// Call `f(owner, slab)` for every non-empty grid cell within reach
-    /// of `center`, across all shards — skipping, before the per-cell
-    /// hash probe, any cell whose bounding box provably lies farther
-    /// than `theta_sq` from `coords` (same conservative 16 ε margin as
-    /// the single-grid walk in `sgs-index`; the skip can only drop cells
-    /// with no possible match, so sharded discovery stays byte-identical).
-    fn visit<'a>(
-        &mut self,
-        shards: &'a [Shard],
-        router: &ShardRouter,
-        center: &CellCoord,
-        coords: &[f64],
-        theta_sq: f64,
-        mut f: impl FnMut(u32, &'a CellSlab),
-    ) {
-        let prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
-        let side = self.side;
-        let d = center.0.len();
-        for i in 0..d {
-            self.lo[i] = center.0[i] - self.reach;
-            self.hi[i] = center.0[i] + self.reach;
-            self.rlo[i] = self.lo[i].div_euclid(self.width);
-            self.rhi[i] = self.hi[i].div_euclid(self.width);
-            self.reg[i] = self.rlo[i];
-        }
-        'regions: loop {
-            let owner = router.shard_of_region(&self.reg);
-            let index = &shards[owner].index;
-            if !index.is_empty() {
-                // The block of cells falling in this region.
-                for i in 0..d {
-                    self.clo[i] = self.lo[i].max(self.reg[i] * self.width);
-                    self.chi[i] = self.hi[i].min(self.reg[i] * self.width + self.width - 1);
-                    self.cell.0[i] = self.clo[i];
-                }
-                'cells: loop {
-                    let mut min_sq = 0.0;
-                    for (&ci, &c) in self.cell.0.iter().zip(coords) {
-                        let lo_edge = ci as f64 * side;
-                        let hi_edge = lo_edge + side;
-                        let delta = if c < lo_edge {
-                            lo_edge - c
-                        } else if c > hi_edge {
-                            c - hi_edge
-                        } else {
-                            0.0
-                        };
-                        min_sq += delta * delta;
-                    }
-                    if min_sq <= prune {
-                        let bucket = index.cell_points(&self.cell);
-                        if !bucket.is_empty() {
-                            f(owner as u32, bucket);
-                        }
-                    }
-                    let mut i = 0;
-                    loop {
-                        if i == d {
-                            break 'cells;
-                        }
-                        self.cell.0[i] += 1;
-                        if self.cell.0[i] <= self.chi[i] {
-                            break;
-                        }
-                        self.cell.0[i] = self.clo[i];
-                        i += 1;
-                    }
-                }
-            }
-            let mut i = 0;
-            loop {
-                if i == d {
-                    break 'regions;
-                }
-                self.reg[i] += 1;
-                if self.reg[i] <= self.rhi[i] {
-                    break;
-                }
-                self.reg[i] = self.rlo[i];
-                i += 1;
-            }
-        }
-    }
+/// §5.4 step 6 (connection prolong): `q`'s core career extended, so every
+/// pair it belongs to is re-evaluated. Listed ids that no longer resolve
+/// belong to expired points, pruned at the next slide.
+fn link_extended(
+    shards: &[Shard],
+    owner: usize,
+    q: PointId,
+    raise: &mut impl FnMut(usize, &CellCoord, &CellCoord, u64, u64),
+) {
+    let q = &shards[owner].points[&q];
+    let nbrs = q.neighbors.iter().filter_map(|&r| resolve(shards, r));
+    raise_pairs(owner, q, nbrs, raise);
 }
 
 impl WindowConsumer for CSgs {
     type Output = WindowOutput;
 
+    /// §5.4 steps 1–6 for one arrival, each touched point and cell
+    /// resolved to its owning shard.
     fn insert(&mut self, id: PointId, point: &Point, expires_at: WindowId) {
-        if self.shards.len() == 1 {
-            let (now, theta_r, theta_c) = (self.current, self.query.theta_r, self.query.theta_c);
-            self.shards[0].insert_sequential(
-                &mut self.cell_stores[0],
+        let CSgs {
+            ref query,
+            ref geometry,
+            ref router,
+            ref mut shards,
+            ref mut cell_stores,
+            ref mut walker,
+            ref mut found,
+            ref mut extended,
+            ref mut rqs_count,
+            current: now,
+            ..
+        } = *self;
+        let theta_c = query.theta_c;
+        let home = router.shard_of_coords(&point.coords, geometry.side());
+
+        // 1 + 2. Load, then the one range query search across shards.
+        shards[home].load(&mut cell_stores[home], id, point, expires_at);
+        let mut hist = ExpiryHistogram::new();
+        found.clear();
+        {
+            let shards = &*shards;
+            walker.for_each_neighbor(
+                |o| &shards[o].index,
+                &shards[home].points[&id].cell,
+                &point.coords,
+                query.theta_r_sq(),
                 id,
-                point,
-                expires_at,
-                now,
-                theta_r,
-                theta_c,
+                |owner, q, q_exp| {
+                    hist.add(q_exp);
+                    found.push((q, owner as u32));
+                },
             );
-            self.rqs_count += 1;
-        } else {
-            self.insert_one_sharded(id, point, expires_at);
+        }
+        *rqs_count += 1;
+
+        // 3. The new object's own career → status promotion.
+        let p_cu = hist.core_until(expires_at, now, theta_c).0;
+        shards[home].install(&mut cell_stores[home], id, found, hist, p_cu, now);
+
+        // 4. Neighbors gain the new object; extended careers prolong.
+        extended.clear();
+        for &(q, owner) in found.iter() {
+            let (sh, cells) = (
+                &mut shards[owner as usize],
+                &mut cell_stores[owner as usize],
+            );
+            if sh.gain_neighbor(cells, q, id, expires_at, now, theta_c) {
+                extended.push((q, owner));
+            }
+        }
+
+        // 5 + 6. With every career final, raise the pair links of the new
+        // object and of each extended neighbor, both sides routed.
+        let mut raise = |owner: usize, at: &CellCoord, other: &CellCoord, core_core, attach| {
+            cell_stores[owner].raise_link(at, other, core_core, attach);
+        };
+        link_new(shards, home, id, found, &mut raise);
+        for &(q, owner) in extended.iter() {
+            link_extended(shards, owner as usize, q, &mut raise);
         }
     }
 
     fn insert_batch(&mut self, items: &[(PointId, Point, WindowId)]) {
-        if self.shards.len() == 1 {
+        if self.shards.len() > 1 && items.len() >= PAR_BATCH_MIN {
+            self.sharded_batch(items);
+        } else {
             for (id, point, expires_at) in items {
                 self.insert(*id, point, *expires_at);
             }
-        } else {
-            let refs: Vec<(PointId, &Point, WindowId)> =
-                items.iter().map(|(id, p, e)| (*id, p, *e)).collect();
-            self.sharded_batch(&refs);
         }
     }
 
     fn slide(&mut self, completed: WindowId) -> WindowOutput {
         debug_assert_eq!(completed, self.current);
-        let parallel = self.shards.len() > 1;
         let out = merge::emit(
             self.query.dim,
             self.geometry.side(),
@@ -768,43 +556,32 @@ impl WindowConsumer for CSgs {
             &self.shards,
             &self.cell_stores,
             completed,
-            parallel,
         );
 
         // Advance and drop expired raw data (no watermark maintenance —
         // the paper's zero-cost expiration property). Dead points' ids are
-        // pruned from their neighbors' lists eagerly, so lists stay
-        // bounded by the live population.
+        // pruned from their neighbors' lists eagerly, across shards, so
+        // lists stay bounded by the live population.
         self.current = completed.next();
         let now = self.current;
-        if !parallel {
-            let (sh, cells) = (&mut self.shards[0], &mut self.cell_stores[0]);
-            sh.expire_local(cells, now);
-            sh.maintain(cells, now);
-        } else {
-            let mut dead: Vec<Vec<(PointId, Vec<PointId>)>> = vec![Vec::new(); self.shards.len()];
-            for_each_par3(
-                &self.pool,
-                true,
-                &mut self.shards,
-                &mut self.cell_stores,
-                &mut dead,
-                |_, sh, cells, d| {
-                    *d = sh.remove_expired(cells, now);
-                },
-            );
-            let dead_all: Vec<(PointId, Vec<PointId>)> = dead.into_iter().flatten().collect();
-            for_each_par2(
-                &self.pool,
-                true,
-                &mut self.shards,
-                &mut self.cell_stores,
-                |_, sh, cells| {
-                    sh.prune_dead(&dead_all);
-                    sh.maintain(cells, now);
-                },
-            );
-        }
+        let mut dead: Vec<Vec<(PointId, Vec<PointId>)>> = vec![Vec::new(); self.shards.len()];
+        fork_each(
+            &self.pool,
+            self.shards
+                .iter_mut()
+                .zip(self.cell_stores.iter_mut())
+                .zip(dead.iter_mut()),
+            |_, ((sh, cells), d)| *d = sh.remove_expired(cells, now),
+        );
+        let dead: Vec<(PointId, Vec<PointId>)> = dead.into_iter().flatten().collect();
+        fork_each(
+            &self.pool,
+            self.shards.iter_mut().zip(self.cell_stores.iter_mut()),
+            |_, (sh, cells)| {
+                sh.prune_dead(&dead);
+                sh.maintain(cells, now);
+            },
+        );
 
         // Adaptive mode: with the window's churn settled, re-partition if
         // the observed occupancy asks for a different shard count.

@@ -102,37 +102,12 @@ impl CellStore {
         cell.core_until = cell.core_until.max(until);
     }
 
-    /// Update the pair watermarks between two distinct cells after
-    /// discovering (or re-evaluating) a neighbor pair `(a ∈ pa, b ∈ pb)`:
-    ///
-    /// * `a_core_until`, `b_core_until` — the pair's core careers,
-    /// * `a_expires`, `b_expires` — their lifespans.
-    ///
-    /// Core-core: live while both are core → `min(core, core)`.
-    /// Attachment pa→pb: live while `a` is core and `b` alive.
-    /// Attachment pb→pa: live while `b` is core and `a` alive.
-    #[allow(clippy::too_many_arguments)]
-    pub fn update_pair(
-        &mut self,
-        pa: &CellCoord,
-        pb: &CellCoord,
-        a_core_until: u64,
-        a_expires: u64,
-        b_core_until: u64,
-        b_expires: u64,
-    ) {
-        debug_assert_ne!(pa, pb, "intra-cell pairs carry no link");
-        let cc = a_core_until.min(b_core_until);
-        self.raise_link(pa, pb, cc, a_core_until.min(b_expires));
-        self.raise_link(pb, pa, cc, b_core_until.min(a_expires));
-    }
-
     /// Raise one *side* of a pair link: the watermarks stored at `at` for
-    /// its relation to `other`. This is the mailbox entry point of sharded
-    /// extraction (`DESIGN.md` §6): when the two cells of a neighbor pair
-    /// live in different shards, each shard raises its own side from an
-    /// event computed by the discovering shard — the two raises together
-    /// are exactly one [`update_pair`](Self::update_pair).
+    /// its relation to `other` (Lemma 5.2; the values come from
+    /// `shard::raise_pairs`). A neighbor pair in distinct cells raises
+    /// both sides, each in the store of the shard owning that cell
+    /// (`DESIGN.md` §6) — directly, or from a mailbox event computed by
+    /// the discovering shard.
     pub fn raise_link(&mut self, at: &CellCoord, other: &CellCoord, core_core: u64, attach: u64) {
         debug_assert_ne!(at, other, "intra-cell pairs carry no link");
         // Fast path: both the cell and the link already exist (the common
@@ -236,37 +211,39 @@ mod tests {
     }
 
     #[test]
-    fn pair_update_sets_both_sides() {
+    fn raise_link_writes_one_side_only() {
         let mut store = CellStore::new();
-        // a: core until 4, expires 6; b: core until 2, expires 9.
-        store.update_pair(&cc(0, 0), &cc(1, 0), 4, 6, 2, 9);
-        let a = store.get(&cc(0, 0)).unwrap();
-        let b = store.get(&cc(1, 0)).unwrap();
-        let ab = a.links[&cc(1, 0)];
-        let ba = b.links[&cc(0, 0)];
-        assert_eq!(ab.core_core_until, 2); // min(4, 2)
-        assert_eq!(ba.core_core_until, 2);
-        assert_eq!(ab.attach_until, 4); // a core (4) ∧ b alive (9)
-        assert_eq!(ba.attach_until, 2); // b core (2) ∧ a alive (6)
+        store.raise_link(&cc(0, 0), &cc(1, 0), 2, 4);
+        let ab = store.get(&cc(0, 0)).unwrap().links[&cc(1, 0)];
+        assert_eq!((ab.core_core_until, ab.attach_until), (2, 4));
+        assert!(
+            store.get(&cc(1, 0)).is_none(),
+            "the far side is its owner's"
+        );
     }
 
     #[test]
-    fn pair_update_is_monotone() {
+    fn raise_link_is_monotone_per_watermark() {
         let mut store = CellStore::new();
-        store.update_pair(&cc(0, 0), &cc(1, 0), 4, 6, 2, 9);
-        store.update_pair(&cc(0, 0), &cc(1, 0), 1, 6, 1, 9);
+        store.raise_link(&cc(0, 0), &cc(1, 0), 2, 4);
+        store.raise_link(&cc(0, 0), &cc(1, 0), 1, 1);
         let ab = store.get(&cc(0, 0)).unwrap().links[&cc(1, 0)];
-        assert_eq!(ab.core_core_until, 2, "must not regress");
-        store.update_pair(&cc(0, 0), &cc(1, 0), 8, 9, 7, 9);
+        assert_eq!(
+            (ab.core_core_until, ab.attach_until),
+            (2, 4),
+            "must not regress"
+        );
+        store.raise_link(&cc(0, 0), &cc(1, 0), 7, 3);
         let ab = store.get(&cc(0, 0)).unwrap().links[&cc(1, 0)];
-        assert_eq!(ab.core_core_until, 7);
+        assert_eq!((ab.core_core_until, ab.attach_until), (7, 4));
     }
 
     #[test]
     fn gc_drops_dead_state() {
         let mut store = CellStore::new();
         store.increment_population(&cc(0, 0));
-        store.update_pair(&cc(0, 0), &cc(1, 0), 3, 3, 3, 3);
+        store.raise_link(&cc(0, 0), &cc(1, 0), 3, 3);
+        store.raise_link(&cc(1, 0), &cc(0, 0), 3, 3);
         store.decrement_population(&cc(0, 0));
         store.gc(WindowId(5));
         assert!(store.is_empty(), "dead cells should be collected");
@@ -276,7 +253,8 @@ mod tests {
     fn gc_keeps_live_state() {
         let mut store = CellStore::new();
         store.increment_population(&cc(0, 0));
-        store.update_pair(&cc(0, 0), &cc(1, 0), 9, 9, 9, 9);
+        store.raise_link(&cc(0, 0), &cc(1, 0), 9, 9);
+        store.raise_link(&cc(1, 0), &cc(0, 0), 9, 9);
         store.gc(WindowId(5));
         // The populated cell survives with its live link; the empty cell
         // with no core career is dropped (its watermarks are provably dead:

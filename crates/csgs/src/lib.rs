@@ -26,12 +26,12 @@
 //!   a neighbor expires. The retained meta-data is still independent of
 //!   `win/slide`, which is the memory property Fig. 7 measures.
 //! * Extraction is **sharded by grid region** (`DESIGN.md` §6): the state
-//!   lives in `S` shards (`ClusterQuery::shards`), insertion of each
-//!   between-boundary batch runs as parallel fork-join phases on the
-//!   shared [`sgs_exec::Pool`] (`DESIGN.md` §8), and the output stage
+//!   lives in `S` shards (`ClusterQuery::shards`). Insertion is written
+//!   once, over routed shards; with `S > 1` a between-boundary batch large
+//!   enough to fork runs the same steps as parallel fork-join phases on
+//!   the shared [`sgs_exec::Pool`] (`DESIGN.md` §8), and the output stage
 //!   merges per-shard DFS fragments across region borders with
-//!   union-find. The per-window output is byte-identical for every `S`;
-//!   `S = 1` runs the original single-threaded code.
+//!   union-find. The per-window output is byte-identical for every `S`.
 
 pub mod algorithm;
 pub mod cell_store;

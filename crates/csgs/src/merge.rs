@@ -29,7 +29,7 @@ use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
 
 use crate::cell_store::{CellState, CellStore};
 use crate::output::{ExtractedCluster, WindowOutput};
-use crate::shard::{for_each_par, Shard};
+use crate::shard::{fork_each, Shard};
 
 /// Routed cell lookup across the per-shard cell stores.
 fn cell_state<'a>(
@@ -53,7 +53,6 @@ struct LocalDfs<'a> {
 }
 
 /// Build the window's output from the live watermarks of all shards.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn emit(
     dim: usize,
     side: f64,
@@ -62,13 +61,12 @@ pub(crate) fn emit(
     shards: &[Shard],
     stores: &[CellStore],
     w: WindowId,
-    parallel: bool,
 ) -> WindowOutput {
     let s = shards.len();
 
     // ---- 1. Local DFS per shard (read-only over all shards).
     let mut locals: Vec<LocalDfs> = (0..s).map(|_| LocalDfs::default()).collect();
-    for_each_par(pool, parallel, &mut locals, |i, loc| {
+    fork_each(pool, locals.iter_mut(), |i, loc| {
         let store = &stores[i];
         loc.core = store
             .iter()
@@ -188,7 +186,7 @@ pub(crate) fn emit(
             edges: vec![Vec::new(); n_groups],
         })
         .collect();
-    for_each_par(pool, parallel, &mut partials, |i, part| {
+    fork_each(pool, partials.iter_mut(), |i, part| {
         let shard = &shards[i];
         // Cells: own core cells plus their attached edge cells. Status is
         // cluster-relative (Def. 4.2): a cell holding cores of another

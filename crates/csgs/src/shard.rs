@@ -5,16 +5,16 @@
 //! ([`sgs_index::ShardRouter`]). Each [`Shard`] owns the extraction
 //! state for its regions — grid index, point states (with coordinates in
 //! a per-shard [`CoordArena`]), and expiry lists, plus an index-aligned
-//! [`CellStore`] held by the extractor — so a slide's batch of arrivals
-//! can be processed by all shards in parallel, with cross-border effects
-//! exchanged through typed mailbox messages ([`HistMsg`] for
-//! neighbor/histogram updates, [`LinkMsg`] for cell-pair watermark
-//! raises) applied only by the owning shard.
+//! [`CellStore`] held by the extractor.
 //!
-//! With `S = 1` the extractor bypasses the phase machinery entirely and
-//! runs [`Shard::insert_sequential`] — the original single-threaded C-SGS
-//! insertion — so a one-shard configuration is bit-identical to the
-//! unsharded implementation.
+//! The methods here are the *steps* of §5.4 insertion and of expiry, each
+//! touching one shard only; the extractor sequences them. Its sequential
+//! path calls them per point against `shards[owner]`; its parallel path
+//! calls the same steps per phase for a whole batch, with cross-border
+//! effects exchanged through typed mailbox messages ([`HistMsg`] for
+//! neighbor/histogram updates, [`LinkMsg`] for cell-pair watermark
+//! raises) applied only by the owning shard. With `S = 1` every point
+//! routes to shard 0 and no batch is parallel.
 //!
 //! Parallel phases execute as fork-join scopes on the shared
 //! [`sgs_exec::Pool`] (`DESIGN.md` §8) — persistent workers, no
@@ -156,8 +156,6 @@ pub(crate) struct Shard {
     /// Points to drop when each window becomes current.
     pub expiry: FxHashMap<u64, Vec<PointId>>,
     pub arena: CoordArena,
-    /// Range-query scratch for the sequential path.
-    scratch: Vec<(PointId, CellCoord, WindowId)>,
 }
 
 impl Shard {
@@ -168,7 +166,6 @@ impl Shard {
             points: FxHashMap::default(),
             expiry: FxHashMap::default(),
             arena: CoordArena::new(dim),
-            scratch: Vec::new(),
         }
     }
 
@@ -183,11 +180,9 @@ impl Shard {
         pts + self.arena.heap_bytes() + HeapSize::heap_size(&self.index)
     }
 
-    // ------------------------------------------------------------------
-    // Sharded phases (S > 1). Phase A: load the point into the shard's
-    // structures with placeholder career state; discovery fills it in.
-    // ------------------------------------------------------------------
-
+    /// §5.4 step 1 (load): enter the point into the grid bucket, cell
+    /// population, expiry list and arena, with placeholder career state
+    /// that [`install`](Self::install) fills in after discovery.
     pub(crate) fn load(
         &mut self,
         cells: &mut CellStore,
@@ -212,7 +207,52 @@ impl Shard {
         );
     }
 
-    /// Phase C: install discovery results for this shard's new points and
+    /// §5.4 step 3: install a loaded point's discovery results — neighbor
+    /// list, expiry histogram and core career (Obs. 5.4) — and promote
+    /// its cell's status if the career is live.
+    pub(crate) fn install(
+        &mut self,
+        cells: &mut CellStore,
+        id: PointId,
+        neighbors: &[(PointId, u32)],
+        hist: ExpiryHistogram,
+        core_until: u64,
+        now: WindowId,
+    ) {
+        let st = self.points.get_mut(&id).expect("installed after load");
+        st.neighbors = neighbors.iter().map(|(q, _)| *q).collect();
+        st.hist = hist;
+        st.core_until = core_until;
+        if core_until > now.0 {
+            cells.raise_core_until(&st.cell, core_until);
+        }
+    }
+
+    /// §5.4 step 4: live point `q` gains new neighbor `p`. Returns whether
+    /// `q`'s core career extended — its cell's status is prolonged here;
+    /// the caller re-evaluates its pair links.
+    pub(crate) fn gain_neighbor(
+        &mut self,
+        cells: &mut CellStore,
+        q: PointId,
+        p: PointId,
+        p_expires: WindowId,
+        now: WindowId,
+        theta_c: u32,
+    ) -> bool {
+        let st = self.points.get_mut(&q).expect("indexed points are live");
+        st.neighbors.push(p);
+        st.hist.add(p_expires);
+        let new_cu = st.hist.core_until(st.expires_at, now, theta_c).0;
+        let extended = new_cu > st.core_until;
+        if extended {
+            st.core_until = new_cu;
+            cells.raise_core_until(&st.cell, new_cu);
+        }
+        extended
+    }
+
+    /// Phase C: [`install`](Self::install) this shard's new points and
     /// drain the histogram inbox for its pre-existing points. The plans
     /// are left in place (minus their histograms) for the link phase.
     /// Returns the sorted, deduplicated set of points whose core career
@@ -226,26 +266,12 @@ impl Shard {
         theta_c: u32,
     ) -> Vec<PointId> {
         for plan in plans.iter_mut() {
-            let cu = plan.core_until;
-            let st = self.points.get_mut(&plan.id).expect("loaded in phase A");
-            st.neighbors = plan.neighbors.iter().map(|(q, _)| *q).collect();
-            st.hist = std::mem::take(&mut plan.hist);
-            st.core_until = cu;
-            if cu > now.0 {
-                cells.raise_core_until(&st.cell, cu);
-            }
+            let hist = std::mem::take(&mut plan.hist);
+            self.install(cells, plan.id, &plan.neighbors, hist, plan.core_until, now);
         }
         let mut extended = Vec::new();
         for msg in inbox.drain(..) {
-            let Some(st) = self.points.get_mut(&msg.q) else {
-                continue; // defensively skip; senders only target live points
-            };
-            st.neighbors.push(msg.p);
-            st.hist.add(msg.p_expires);
-            let new_cu = st.hist.core_until(st.expires_at, now, theta_c).0;
-            if new_cu > st.core_until {
-                st.core_until = new_cu;
-                cells.raise_core_until(&st.cell, new_cu);
+            if self.gain_neighbor(cells, msg.q, msg.p, msg.p_expires, now, theta_c) {
                 extended.push(msg.q);
             }
         }
@@ -317,120 +343,6 @@ impl Shard {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // The sequential path (S = 1): the original per-point C-SGS insertion,
-    // §5.4 steps 1–6, entirely shard-local.
-    // ------------------------------------------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert_sequential(
-        &mut self,
-        cells: &mut CellStore,
-        id: PointId,
-        point: &Point,
-        expires_at: WindowId,
-        now: WindowId,
-        theta_r: f64,
-        theta_c: u32,
-    ) {
-        // 1. One range query search.
-        self.scratch.clear();
-        self.index
-            .range_query_with_cells(&point.coords, theta_r, id, &mut self.scratch);
-        let neighbors_found = std::mem::take(&mut self.scratch);
-
-        // 2. Load into the grid and the cell store.
-        let cell = self.index.insert_expiring(id, point, expires_at);
-        cells.increment_population(&cell);
-        self.expiry.entry(expires_at.0).or_default().push(id);
-        let slot = self.arena.alloc(&point.coords);
-
-        // 3. The new object's own career (Obs. 5.4) → status promotion.
-        // Neighbor expiries ride inline in the grid entries, so the
-        // histogram is built without touching the point map.
-        let mut hist = ExpiryHistogram::new();
-        let mut neighbor_ids = Vec::with_capacity(neighbors_found.len());
-        for (q_id, _, q_exp) in &neighbors_found {
-            hist.add(*q_exp);
-            neighbor_ids.push(*q_id);
-        }
-        let p_core_until = hist.core_until(expires_at, now, theta_c).0;
-        if p_core_until > now.0 {
-            cells.raise_core_until(&cell, p_core_until);
-        }
-
-        // 4. Neighbors gain the new object; extended careers prolong their
-        //    cells' status and re-evaluate their links.
-        let mut extended: Vec<PointId> = Vec::new();
-        for (q_id, q_cell, _) in &neighbors_found {
-            let q = self.points.get_mut(q_id).expect("live neighbor");
-            q.neighbors.push(id);
-            q.hist.add(expires_at);
-            let new_cu = q.hist.core_until(q.expires_at, now, theta_c).0;
-            if new_cu > q.core_until {
-                q.core_until = new_cu;
-                cells.raise_core_until(q_cell, new_cu);
-                extended.push(*q_id);
-            }
-        }
-
-        // 5. Store the point, then raise pair links for (p, q) pairs.
-        self.points.insert(
-            id,
-            PointState {
-                slot,
-                cell: cell.clone(),
-                expires_at,
-                core_until: p_core_until,
-                hist,
-                neighbors: neighbor_ids,
-            },
-        );
-        for (q_id, q_cell, _) in &neighbors_found {
-            if *q_cell == cell {
-                continue; // intra-cell pairs are connected by Lemma 4.1
-            }
-            let q = &self.points[q_id];
-            let (q_cu, q_exp) = (q.core_until, q.expires_at.0);
-            cells.update_pair(&cell, q_cell, p_core_until, expires_at.0, q_cu, q_exp);
-        }
-
-        // 6. Connection prolong: extended careers touch all their pairs.
-        for q_id in extended {
-            self.propagate_extension(cells, q_id);
-        }
-        self.scratch = neighbors_found;
-    }
-
-    /// Re-evaluate all cell-pair links of `q` after its core career
-    /// extended (the connection-prolong path; sequential only).
-    fn propagate_extension(&mut self, cells: &mut CellStore, q_id: PointId) {
-        let (q_cell, q_cu, q_exp, q_neighbors) = {
-            let q = &self.points[&q_id];
-            (
-                q.cell.clone(),
-                q.core_until,
-                q.expires_at.0,
-                q.neighbors.clone(),
-            )
-        };
-        for r_id in q_neighbors {
-            let Some(r) = self.points.get(&r_id) else {
-                continue; // expired; lists are pruned at the next slide
-            };
-            if r.cell != q_cell {
-                let (r_cell, r_cu, r_exp) = (r.cell.clone(), r.core_until, r.expires_at.0);
-                cells.update_pair(&q_cell, &r_cell, q_cu, q_exp, r_cu, r_exp);
-            }
-        }
-    }
-
-    /// Slide for the sequential path: expiry plus local eager pruning.
-    pub(crate) fn expire_local(&mut self, cells: &mut CellStore, now: WindowId) {
-        let removed = self.remove_expired(cells, now);
-        self.prune_dead(&removed);
-    }
 }
 
 /// The live state of a point and its owning shard's index. Ownership is
@@ -442,77 +354,54 @@ pub(crate) fn resolve(shards: &[Shard], id: PointId) -> Option<(usize, &PointSta
         .find_map(|(i, sh)| sh.points.get(&id).map(|p| (i, p)))
 }
 
-/// Run `f(i, &mut items[i])` for every element — forked onto `pool` (one
-/// scope task per element) when `parallel`, inline otherwise. The
-/// building block of every sharded phase: phases either mutate only
-/// their own shard's state (elements are the shards) or only their own
-/// scratch while reading all shards (elements are per-shard scratches).
-/// Fork-join on the persistent pool replaces the former per-batch
-/// `std::thread::scope` spawns (`DESIGN.md` §8).
-pub(crate) fn for_each_par<T: Send>(
-    pool: &Pool,
-    parallel: bool,
-    items: &mut [T],
-    f: impl Fn(usize, &mut T) + Sync,
+/// Lemma 5.2, the one place it is written: for each neighbor pair
+/// `(a, b)`, `b ∈ nbrs`, in distinct cells (intra-cell pairs are connected
+/// by Lemma 4.1 and carry no link), hand `raise(owner, at, other,
+/// core_core, attach)` the watermarks of both sides of the cell-pair link —
+///
+/// * core-core: live while both are core → `min(core, core)`, both sides;
+/// * attachment `at → other`: live while the point in `at` is core and
+///   the point in `other` alive.
+///
+/// `raise` applies one side to the store of shard `owner` (directly, or
+/// through a [`LinkMsg`] when another task owns it); raises are monotone
+/// max-updates, so re-evaluating a pair is harmless.
+pub(crate) fn raise_pairs<'a>(
+    a_owner: usize,
+    a: &PointState,
+    nbrs: impl Iterator<Item = (usize, &'a PointState)>,
+    raise: &mut impl FnMut(usize, &CellCoord, &CellCoord, u64, u64),
 ) {
-    if !parallel || items.len() <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
+    for (b_owner, b) in nbrs {
+        if b.cell == a.cell {
+            continue;
+        }
+        let (a_cu, b_cu) = (a.core_until, b.core_until);
+        let cc = a_cu.min(b_cu);
+        raise(a_owner, &a.cell, &b.cell, cc, a_cu.min(b.expires_at.0));
+        raise(b_owner, &b.cell, &a.cell, cc, b_cu.min(a.expires_at.0));
+    }
+}
+
+/// Run `f(i, item)` for the `i`-th of `items`, forked onto `pool` (one
+/// scope task per item; inline when there is at most one). The building
+/// block of every sharded phase: items are the shards' own state (zipped
+/// with their cell stores and mailboxes), which each task mutates
+/// exclusively, or per-shard scratches filled while reading all shards.
+pub(crate) fn fork_each<I: Send>(
+    pool: &Pool,
+    items: impl ExactSizeIterator<Item = I>,
+    f: impl Fn(usize, I) + Sync,
+) {
+    if items.len() <= 1 {
+        for (i, item) in items.enumerate() {
             f(i, item);
         }
     } else {
         let f = &f;
         pool.scope(|scope| {
-            for (i, item) in items.iter_mut().enumerate() {
+            for (i, item) in items.enumerate() {
                 scope.spawn(move || f(i, item));
-            }
-        });
-    }
-}
-
-/// Like [`for_each_par`] but over three parallel slices (e.g. shards,
-/// their cell stores, and their inboxes).
-pub(crate) fn for_each_par3<A: Send, B: Send, C: Send>(
-    pool: &Pool,
-    parallel: bool,
-    a: &mut [A],
-    b: &mut [B],
-    c: &mut [C],
-    f: impl Fn(usize, &mut A, &mut B, &mut C) + Sync,
-) {
-    debug_assert!(a.len() == b.len() && b.len() == c.len());
-    if !parallel || a.len() <= 1 {
-        for (i, ((x, y), z)) in a.iter_mut().zip(b.iter_mut()).zip(c.iter_mut()).enumerate() {
-            f(i, x, y, z);
-        }
-    } else {
-        let f = &f;
-        pool.scope(|scope| {
-            for (i, ((x, y), z)) in a.iter_mut().zip(b.iter_mut()).zip(c.iter_mut()).enumerate() {
-                scope.spawn(move || f(i, x, y, z));
-            }
-        });
-    }
-}
-
-/// Like [`for_each_par`] but over two parallel slices (e.g. shards plus
-/// their inboxes).
-pub(crate) fn for_each_par2<A: Send, B: Send>(
-    pool: &Pool,
-    parallel: bool,
-    a: &mut [A],
-    b: &mut [B],
-    f: impl Fn(usize, &mut A, &mut B) + Sync,
-) {
-    debug_assert_eq!(a.len(), b.len());
-    if !parallel || a.len() <= 1 {
-        for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            f(i, x, y);
-        }
-    } else {
-        let f = &f;
-        pool.scope(|scope| {
-            for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-                scope.spawn(move || f(i, x, y));
             }
         });
     }
@@ -541,11 +430,51 @@ mod tests {
     }
 
     #[test]
-    fn for_each_par_runs_all_indices() {
-        for parallel in [false, true] {
-            let mut items = vec![0usize; 7];
-            for_each_par(sgs_exec::global(), parallel, &mut items, |i, v| *v = i + 1);
-            assert_eq!(items, vec![1, 2, 3, 4, 5, 6, 7]);
+    fn fork_each_runs_all_indices() {
+        for n in [0usize, 1, 7] {
+            let mut items = vec![0usize; n];
+            fork_each(sgs_exec::global(), items.iter_mut(), |i, v| *v = i + 1);
+            assert_eq!(items, (1..=n).collect::<Vec<_>>());
         }
+    }
+
+    fn state(cell: [i32; 2], core_until: u64, expires_at: u64) -> PointState {
+        PointState {
+            slot: 0,
+            cell: CellCoord::new(cell.to_vec()),
+            expires_at: WindowId(expires_at),
+            core_until,
+            hist: ExpiryHistogram::new(),
+            neighbors: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn raise_pairs_computes_both_sides_and_skips_intra_cell_pairs() {
+        // a: core until 4, expires 6; b: core until 2, expires 9; c shares
+        // a's cell.
+        let (a, b, c) = (
+            state([0, 0], 4, 6),
+            state([1, 0], 2, 9),
+            state([0, 0], 9, 9),
+        );
+        let mut raised = Vec::new();
+        raise_pairs(
+            0,
+            &a,
+            [(1, &b), (0, &c)].into_iter(),
+            &mut |owner, at: &CellCoord, other: &CellCoord, cc, attach| {
+                raised.push((owner, at.clone(), other.clone(), cc, attach));
+            },
+        );
+        assert_eq!(
+            raised,
+            vec![
+                // core-core min(4, 2); a core (4) ∧ b alive (9).
+                (0, a.cell.clone(), b.cell.clone(), 2, 4),
+                // b core (2) ∧ a alive (6), routed to b's owner.
+                (1, b.cell.clone(), a.cell.clone(), 2, 2),
+            ]
+        );
     }
 }

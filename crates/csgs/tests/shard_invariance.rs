@@ -1,8 +1,9 @@
 //! The determinism contract of sharded extraction (`DESIGN.md` §6):
-//! for arbitrary random streams, window geometries, and batch sizes, the
-//! per-window [`WindowOutput`] of C-SGS is **byte-identical** for every
-//! shard count, and each object costs exactly one range-query search
-//! regardless of sharding.
+//! for arbitrary random streams, dimensionalities, window geometries, and
+//! batch sizes — per-point pushes, batches the sequential path takes, and
+//! batches the parallel phases take — the per-window [`WindowOutput`] of
+//! C-SGS is **byte-identical** for every shard count, and each object
+//! costs exactly one range-query search regardless of sharding.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -10,38 +11,52 @@ use sgs_core::{ClusterQuery, Point, ShardCount, WindowId, WindowSpec};
 use sgs_csgs::{CSgs, WindowOutput};
 use sgs_stream::WindowEngine;
 
-fn random_stream(seed: u64, n: usize, extent: f64) -> Vec<Point> {
+/// `n` points of `dim` dimensions: the first two coordinates uniform over
+/// `0..extent`, any further ones over `0..thin` — a slab a few cells
+/// thick, so higher-dimensional streams stay dense enough to cluster.
+fn random_stream(seed: u64, n: usize, dim: usize, extent: f64, thin: f64) -> Vec<Point> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            Point::new(
-                vec![rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)],
-                0,
-            )
+            let coords: Vec<f64> = (0..dim)
+                .map(|i| rng.gen_range(0.0..if i < 2 { extent } else { thin }))
+                .collect();
+            Point::new(coords, 0)
         })
         .collect()
 }
 
 /// Run the stream through a fresh extractor with `shards`, pushing
-/// `chunk`-sized batches, returning all windows plus the extractor.
+/// `chunk`-sized batches (`None`: one [`WindowEngine::push`] per point),
+/// returning all windows plus the extractor.
 fn run_full(
     pts: &[Point],
     spec: WindowSpec,
     theta_r: f64,
     theta_c: u32,
     shards: ShardCount,
-    chunk: usize,
+    chunk: Option<usize>,
 ) -> (Vec<(WindowId, WindowOutput)>, CSgs) {
-    let query = ClusterQuery::new(theta_r, theta_c, 2, spec)
+    let dim = pts[0].dim();
+    let query = ClusterQuery::new(theta_r, theta_c, dim, spec)
         .unwrap()
         .with_shards(shards);
     let mut csgs = CSgs::new(query);
-    let mut engine = WindowEngine::new(spec, 2);
+    let mut engine = WindowEngine::new(spec, dim);
     let mut outs = Vec::new();
-    for c in pts.chunks(chunk) {
-        engine
-            .push_batch(c.iter().cloned(), &mut csgs, &mut outs)
-            .unwrap();
+    match chunk {
+        Some(chunk) => {
+            for c in pts.chunks(chunk) {
+                engine
+                    .push_batch(c.iter().cloned(), &mut csgs, &mut outs)
+                    .unwrap();
+            }
+        }
+        None => {
+            for p in pts {
+                engine.push(p.clone(), &mut csgs, &mut outs).unwrap();
+            }
+        }
     }
     (outs, csgs)
 }
@@ -53,7 +68,7 @@ fn run(
     theta_r: f64,
     theta_c: u32,
     shards: ShardCount,
-    chunk: usize,
+    chunk: Option<usize>,
 ) -> (Vec<(WindowId, WindowOutput)>, u64) {
     let (outs, csgs) = run_full(pts, spec, theta_r, theta_c, shards, chunk);
     (outs, csgs.rqs_count)
@@ -66,8 +81,8 @@ fn run(
 #[test]
 fn adaptive_shards_are_byte_identical_to_every_fixed_count() {
     let spec = WindowSpec::count(1200, 300).unwrap();
-    let (theta_r, theta_c, chunk) = (0.25f64, 3u32, 64usize);
-    let pts = random_stream(4242, 2600, 3.0);
+    let (theta_r, theta_c, chunk) = (0.25f64, 3u32, Some(64usize));
+    let pts = random_stream(4242, 2600, 2, 3.0, 0.0);
     let (auto_out, auto_csgs) = run_full(&pts, spec, theta_r, theta_c, ShardCount::Auto, chunk);
     assert!(
         auto_csgs.shard_count() > 1,
@@ -88,27 +103,33 @@ fn adaptive_shards_are_byte_identical_to_every_fixed_count() {
 }
 
 proptest! {
-    /// `WindowOutput` with `S = 1` equals `S ∈ {2, 4}` byte-for-byte, and
-    /// `rqs_count` stays exactly one per object for every shard count.
+    /// `WindowOutput` with `S = 1` equals `S ∈ {2, 4}` byte-for-byte —
+    /// whether a batch falls below `PAR_BATCH_MIN` (32, the sequential
+    /// path), above it (the parallel phases), or every point is pushed on
+    /// its own — in 2-d and in the 4-d `stt_insert` shape, and `rqs_count`
+    /// stays exactly one per object throughout.
     #[test]
     fn window_output_is_shard_invariant(
         seed in 0u64..10_000,
         n in 150usize..400,
+        dim_sel in 0usize..2,
         extent in 0.8f64..3.0,
         theta_r in 0.15f64..0.45,
         theta_c in 2u32..5,
         slide_sel in 0usize..3,
-        chunk in 16usize..160,
+        chunk in 1usize..160,
     ) {
         let slide = [10u64, 20, 40][slide_sel];
         let spec = WindowSpec::count(4 * slide, slide).unwrap();
-        let pts = random_stream(seed, n, extent);
-        let (base, base_rqs) = run(&pts, spec, theta_r, theta_c, ShardCount::Fixed(1), chunk);
+        let pts = random_stream(seed, n, [2, 4][dim_sel], extent, theta_r);
+        let (base, base_rqs) =
+            run(&pts, spec, theta_r, theta_c, ShardCount::Fixed(1), Some(chunk));
         prop_assert_eq!(base_rqs, n as u64, "one RQS per object at S = 1");
-        for s in [2u32, 4] {
+        let batched = Some(chunk);
+        for (s, chunk) in [(1u32, None), (2, batched), (2, None), (4, batched), (4, None)] {
             let (out, rqs) = run(&pts, spec, theta_r, theta_c, ShardCount::Fixed(s), chunk);
-            prop_assert_eq!(rqs, n as u64, "one RQS per object at S = {}", s);
-            prop_assert_eq!(&base, &out, "WindowOutput diverged at S = {}", s);
+            prop_assert_eq!(rqs, n as u64, "one RQS per object at S = {}, {:?}", s, chunk);
+            prop_assert_eq!(&base, &out, "WindowOutput diverged at S = {}, {:?}", s, chunk);
         }
     }
 }

@@ -7,6 +7,11 @@
 //! all points co-located in a cell are mutual neighbors (Lemma 4.1) — the
 //! index exposes per-cell buckets so algorithms can exploit that.
 //!
+//! There is one reachability walk, [`ReachWalker`]: box-pruned,
+//! region-routed, allocation-free once built. [`GridIndex::range_query`]
+//! runs it over its own grid; sharded C-SGS runs the same walker over the
+//! grids of all its shards.
+//!
 //! Cell storage is structure-of-arrays ([`CellSlab`]): each cell keeps one
 //! contiguous coordinate slab plus parallel id/expiry columns, so the
 //! distance pruning of an RQS feeds whole cells into the batched
@@ -15,6 +20,7 @@
 use sgs_core::{kernel, CellCoord, GridGeometry, HeapSize, Point, PointId, WindowId};
 
 use crate::fx::FxHashMap;
+use crate::region::ShardRouter;
 
 /// The points of one grid cell, stored column-wise: `coords` holds the
 /// cell's points back to back (`dim` consecutive `f64`s per point, the
@@ -245,84 +251,13 @@ impl GridIndex {
         self.cells.iter()
     }
 
-    /// Visit every non-empty cell of the reachability block around the
-    /// cell containing `coords`, in the same order
-    /// [`GridGeometry::reachable_cells`] enumerates — but walking one
-    /// reused coordinate buffer instead of materializing `(2·reach+1)^d`
-    /// cell allocations per query (this enumeration is the hottest loop
-    /// of C-SGS insertion).
-    ///
-    /// Cells whose bounding box provably sits farther than `theta_sq`
-    /// from the query are skipped *before* the hash probe: the
-    /// reachability block over-covers the θr-ball (its corner cells
-    /// mostly lie outside it), and a few flops of box-clamping are much
-    /// cheaper than a map lookup. The skip threshold carries a 16 ε
-    /// relative margin so floating-point rounding in the box arithmetic
-    /// can only ever err toward *visiting* a cell — pruning never changes
-    /// the match set.
-    fn for_each_reachable_bucket(
-        &self,
-        coords: &[f64],
-        theta_sq: f64,
-        mut f: impl FnMut(&CellCoord, &CellSlab),
-    ) {
-        let d = self.geometry.dim();
-        let side = self.geometry.side();
-        let reach = self.geometry.reach();
-        debug_assert_eq!(coords.len(), d);
-        let prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
-        let mut lo = vec![0i32; d];
-        let mut hi = vec![0i32; d];
-        for i in 0..d {
-            let c = (coords[i] / side).floor() as i32;
-            lo[i] = c - reach;
-            hi[i] = c + reach;
-        }
-        let mut cell = CellCoord::new(lo.clone());
-        loop {
-            // Minimum squared distance from the query to the cell's box.
-            let mut min_sq = 0.0;
-            for (&ci, &c) in cell.0.iter().zip(coords) {
-                let lo_edge = ci as f64 * side;
-                let hi_edge = lo_edge + side;
-                let delta = if c < lo_edge {
-                    lo_edge - c
-                } else if c > hi_edge {
-                    c - hi_edge
-                } else {
-                    0.0
-                };
-                min_sq += delta * delta;
-            }
-            if min_sq <= prune {
-                if let Some(bucket) = self.cells.get(&cell) {
-                    f(&cell, bucket);
-                }
-            }
-            // Odometer increment, dimension 0 fastest (the
-            // `reachable_cells` order).
-            let mut i = 0;
-            loop {
-                if i == d {
-                    return;
-                }
-                cell.0[i] += 1;
-                if cell.0[i] <= hi[i] {
-                    break;
-                }
-                cell.0[i] = lo[i];
-                i += 1;
-            }
-        }
-    }
-
     /// Range query search: every indexed point within `theta_r` of `coords`,
     /// excluding `exclude` (the querying point itself, per Def. 3.1 a point
     /// is not its own neighbor). Results are appended to `out`.
     ///
-    /// Each visited cell's slab is fed whole into the batched distance
-    /// kernel; the self-exclusion check runs once per *match*, not once
-    /// per candidate.
+    /// This is the single-grid form of [`ReachWalker::for_each_neighbor`];
+    /// it builds a walker per call, so callers issuing one query per
+    /// arriving object (C-SGS) hold a [`ReachWalker`] instead.
     pub fn range_query(
         &self,
         coords: &[f64],
@@ -330,33 +265,189 @@ impl GridIndex {
         exclude: PointId,
         out: &mut Vec<PointId>,
     ) {
-        let theta_sq = theta_r * theta_r;
-        self.for_each_reachable_bucket(coords, theta_sq, |_, slab| {
-            kernel::for_each_within(coords, &slab.coords, theta_sq, |j| {
-                let id = slab.ids[j];
-                if id != exclude {
-                    out.push(id);
-                }
-            });
-        });
+        // `GridGeometry::cell_of`, over a coordinate slice: building a
+        // `Point` to call it costs 7–8 % of a 4-d query.
+        let side = self.geometry.side();
+        let center = CellCoord(coords.iter().map(|&x| (x / side).floor() as i32).collect());
+        ReachWalker::new(&self.geometry, &ShardRouter::new(1, 1)).for_each_neighbor(
+            |_| self,
+            &center,
+            coords,
+            theta_r * theta_r,
+            exclude,
+            |_, id, _| out.push(id),
+        );
+    }
+}
+
+/// The box-pruned walk over a cell's reachability block — the one
+/// enumeration behind every range query search, over one grid
+/// ([`GridIndex::range_query`]) or over the region-routed grids of sharded
+/// C-SGS (`DESIGN.md` §6, §13).
+///
+/// It visits the `(2·reach + 1)^d` cells [`GridGeometry::reachable_cells`]
+/// yields, grouped by *region* so each region of the block is routed to
+/// its owning shard once instead of hashing every cell (a region is at
+/// least as wide as the reach, so a block spans at most 3 regions per
+/// dimension; with one shard the whole block is one region). The odometer
+/// state is reused across queries: a walk allocates nothing.
+#[derive(Clone, Debug)]
+pub struct ReachWalker {
+    reach: i32,
+    side: f64,
+    router: ShardRouter,
+    /// Odometer over the cells of the current region's sub-block.
+    cell: CellCoord,
+    /// Five `d`-vectors in one buffer: the odometer over the block's
+    /// regions and its inclusive lower and upper bounds, then the
+    /// inclusive lower and upper cell bounds of the current region's
+    /// sub-block.
+    odo: Vec<i32>,
+}
+
+/// Advance `cur` one position through the integer box whose per-dimension
+/// inclusive bounds `bounds` yields, dimension 0 fastest (the
+/// [`GridGeometry::reachable_cells`] order). Returns `false` once the box
+/// is exhausted, leaving `cur` back at its first position.
+#[inline]
+fn odometer_step(cur: &mut [i32], bounds: impl Fn(usize) -> (i32, i32)) -> bool {
+    for (i, c) in cur.iter_mut().enumerate() {
+        let (lo, hi) = bounds(i);
+        if *c < hi {
+            *c += 1;
+            return true;
+        }
+        *c = lo;
+    }
+    false
+}
+
+impl ReachWalker {
+    /// Walker for grids of `geometry` whose cells `router` assigns to
+    /// shards.
+    pub fn new(geometry: &GridGeometry, router: &ShardRouter) -> Self {
+        let d = geometry.dim();
+        ReachWalker {
+            reach: geometry.reach(),
+            side: geometry.side(),
+            router: router.clone(),
+            cell: CellCoord::new(vec![0; d]),
+            odo: vec![0; 5 * d],
+        }
     }
 
-    /// Like [`range_query`](Self::range_query) but yields
-    /// `(id, cell, expires_at)` triples so callers can update per-cell
-    /// and per-lifespan state without a second lookup.
-    pub fn range_query_with_cells(
-        &self,
+    /// Call `f(owner, cell, slab)` for every non-empty cell of the
+    /// reachability block around `center` (the cell containing `coords`,
+    /// from [`GridGeometry::cell_of`]), reading shard `owner`'s cells from
+    /// `grids(owner)`.
+    ///
+    /// Cells whose bounding box provably sits farther than `theta_sq`
+    /// from the query are skipped *before* the hash probe: the block
+    /// over-covers the θr-ball (its corner cells mostly lie outside it),
+    /// and a few flops of box-clamping are much cheaper than a map lookup.
+    /// The skip threshold carries a 16 ε relative margin so floating-point
+    /// rounding in the box arithmetic can only ever err toward *visiting*
+    /// a cell — pruning never changes the match set.
+    fn for_each_slab<'a>(
+        &mut self,
+        grids: impl Fn(usize) -> &'a GridIndex,
+        center: &CellCoord,
         coords: &[f64],
-        theta_r: f64,
-        exclude: PointId,
-        out: &mut Vec<(PointId, CellCoord, WindowId)>,
+        theta_sq: f64,
+        mut f: impl FnMut(usize, &CellCoord, &'a CellSlab),
     ) {
-        let theta_sq = theta_r * theta_r;
-        self.for_each_reachable_bucket(coords, theta_sq, |cell, slab| {
+        let ReachWalker {
+            reach,
+            side,
+            ref router,
+            ref mut cell,
+            ref mut odo,
+        } = *self;
+        let d = cell.0.len();
+        debug_assert_eq!(coords.len(), d);
+        let mut parts = odo.chunks_exact_mut(d);
+        let [reg, rlo, rhi, lo, hi] = std::array::from_fn(|_| parts.next().expect("5·d buffer"));
+        let prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
+        // One shard owns every region: walk the block as a single region.
+        let width = (router.shards() > 1).then(|| router.width());
+        let block = |i: usize| (center.0[i] - reach, center.0[i] + reach);
+        for i in 0..d {
+            (rlo[i], rhi[i]) = match width {
+                Some(w) => (block(i).0.div_euclid(w), block(i).1.div_euclid(w)),
+                None => (0, 0),
+            };
+            reg[i] = rlo[i];
+        }
+        loop {
+            let owner = router.shard_of_region(reg);
+            let grid = grids(owner);
+            if !grid.is_empty() {
+                // The cells of the block that fall in this region.
+                for i in 0..d {
+                    let (b_lo, b_hi) = block(i);
+                    (lo[i], hi[i]) = match width {
+                        Some(w) => (b_lo.max(reg[i] * w), b_hi.min(reg[i] * w + w - 1)),
+                        None => (b_lo, b_hi),
+                    };
+                    cell.0[i] = lo[i];
+                }
+                loop {
+                    // Minimum squared distance from the query to the
+                    // cell's box.
+                    let mut min_sq = 0.0;
+                    for (&ci, &c) in cell.0.iter().zip(coords) {
+                        let lo_edge = ci as f64 * side;
+                        let hi_edge = lo_edge + side;
+                        let delta = if c < lo_edge {
+                            lo_edge - c
+                        } else if c > hi_edge {
+                            c - hi_edge
+                        } else {
+                            0.0
+                        };
+                        min_sq += delta * delta;
+                    }
+                    if min_sq <= prune {
+                        if let Some(slab) = grid.cells.get(cell) {
+                            f(owner, cell, slab);
+                        }
+                    }
+                    if !odometer_step(&mut cell.0, |i| (lo[i], hi[i])) {
+                        break;
+                    }
+                }
+            }
+            if !odometer_step(reg, |i| (rlo[i], rhi[i])) {
+                break;
+            }
+        }
+    }
+
+    /// The range query search: call `found(owner, id, expires_at)` for
+    /// every indexed point within `theta_sq` (squared distance) of
+    /// `coords`, excluding `exclude` — the querying point itself, which
+    /// Def. 3.1 does not count as its own neighbor. `center` is the cell
+    /// containing `coords` (from [`GridGeometry::cell_of`]) and
+    /// `grids(owner)` the grid of shard `owner`.
+    ///
+    /// Each visited cell's slab is fed whole into the batched distance
+    /// kernel; the self-exclusion check runs once per *match*, not once
+    /// per candidate, and the expiry rides inline in the slab, so
+    /// discovery touches no point map.
+    pub fn for_each_neighbor<'a>(
+        &mut self,
+        grids: impl Fn(usize) -> &'a GridIndex,
+        center: &CellCoord,
+        coords: &[f64],
+        theta_sq: f64,
+        exclude: PointId,
+        mut found: impl FnMut(usize, PointId, WindowId),
+    ) {
+        self.for_each_slab(grids, center, coords, theta_sq, |owner, _, slab| {
             kernel::for_each_within(coords, &slab.coords, theta_sq, |j| {
                 let id = slab.ids[j];
                 if id != exclude {
-                    out.push((id, cell.clone(), slab.expires[j]));
+                    found(owner, id, slab.expires[j]);
                 }
             });
         });
@@ -476,17 +567,72 @@ mod tests {
         }
     }
 
+    /// The walker visits exactly the occupied cells of
+    /// [`GridGeometry::reachable_cells`] whose box lies within the pruning
+    /// radius of the query — for one grid and for region-routed grids, in
+    /// the benchmark's two dimensionalities — and reports each cell's
+    /// points with their owning shard and inline expiry.
     #[test]
-    fn with_cells_variant_reports_owning_cell_and_expiry() {
-        let mut g = index2d(1.0);
-        g.insert(PointId(0), &pt(0.0, 0.0));
-        let cell1 = g.insert_expiring(PointId(1), &pt(0.9, 0.0), WindowId(42));
-        let mut out = Vec::new();
-        g.range_query_with_cells(&[0.0, 0.0], 1.0, PointId(0), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, PointId(1));
-        assert_eq!(out[0].1, cell1);
-        assert_eq!(out[0].2, WindowId(42));
+    fn walker_visits_exactly_the_reachable_cells_that_survive_the_box_prune() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let theta = 0.5;
+        for (dim, shards) in [(2, 1), (2, 4), (4, 1), (4, 3)] {
+            let geometry = GridGeometry::basic(dim, theta);
+            let (side, theta_sq) = (geometry.side(), theta * theta);
+            let router = ShardRouter::new(2 * geometry.reach() + 1, shards);
+            let mut walker = ReachWalker::new(&geometry, &router);
+            for _ in 0..20 {
+                let q: Vec<f64> = (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let center = geometry.cell_of(&Point::new(q.clone(), 0));
+                // One point in the middle of every cell of a box one cell
+                // wider than the reachability block, in its owner's grid.
+                let mut grids: Vec<GridIndex> = (0..shards)
+                    .map(|_| GridIndex::new(geometry.clone()))
+                    .collect();
+                let wide = GridGeometry::with_side(dim, theta + side, side);
+                for (n, cell) in wide.reachable_cells(&center).iter().enumerate() {
+                    let at = Point::new(geometry.center(cell), 0);
+                    grids[router.shard_of(cell)].insert_expiring(
+                        PointId(n as u32),
+                        &at,
+                        WindowId(n as u64),
+                    );
+                }
+                let mut want: Vec<CellCoord> = geometry
+                    .reachable_cells(&center)
+                    .into_iter()
+                    .filter(|cell| {
+                        let min_sq: f64 = cell
+                            .0
+                            .iter()
+                            .zip(&q)
+                            .map(|(&ci, &c)| {
+                                let lo = ci as f64 * side;
+                                (c.clamp(lo, lo + side) - c).powi(2)
+                            })
+                            .sum();
+                        min_sq <= theta_sq + theta_sq * 16.0 * f64::EPSILON
+                    })
+                    .collect();
+                want.sort();
+                let mut got = Vec::new();
+                walker.for_each_slab(
+                    |o| &grids[o],
+                    &center,
+                    &q,
+                    theta_sq,
+                    |owner, cell, slab| {
+                        assert_eq!(owner, router.shard_of(cell));
+                        assert_eq!(slab.len(), 1);
+                        assert_eq!(slab.expires_at(0).0, slab.id(0).0 as u64);
+                        got.push(cell.clone());
+                    },
+                );
+                got.sort();
+                assert_eq!(got, want, "dim {dim}, S = {shards}, query {q:?}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod union_find;
 
 pub use feature_grid::FeatureGrid;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use grid::{CellSlab, GridIndex};
+pub use grid::{CellSlab, GridIndex, ReachWalker};
 pub use region::ShardRouter;
 pub use rtree::{RTree, Rect};
 pub use union_find::UnionFind;

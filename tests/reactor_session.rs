@@ -214,25 +214,3 @@ fn quota_refusal_is_typed_and_recoverable() {
 
     handle.shutdown();
 }
-
-/// The deprecated `Client` shim still drives a full session through the
-/// reactor — one release of migration runway for pre-reactor callers.
-#[test]
-#[allow(deprecated)]
-fn deprecated_client_shim_still_works_against_the_reactor() {
-    use streamsum::client::Client;
-
-    let (addr, handle) = start_server(ServerConfig::default());
-    let mut client = Client::connect(addr).unwrap();
-    let q = client.detect(DETECT).unwrap();
-    client.feed("gmti", &gmti(300)).unwrap();
-    client.quiesce().unwrap();
-    let windows = client.poll(q, 0).unwrap();
-    assert!(!windows.is_empty());
-    let stats = client.stats(q).unwrap();
-    assert_eq!(stats.stats.windows, windows.len() as u64);
-    let report = client.cancel(q).unwrap();
-    assert_eq!(report.points, 300);
-    client.goodbye().unwrap();
-    handle.shutdown();
-}
