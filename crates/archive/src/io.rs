@@ -36,7 +36,8 @@ pub trait ArchiveIo: Send + Sync {
     /// Flush and `fsync` `name` — the commit point of the WAL.
     fn sync(&mut self, name: &str) -> io::Result<()>;
 
-    /// Truncate `name` to `len` bytes (discarding a torn tail).
+    /// Truncate `name` to `len` bytes (discarding a torn tail). A missing
+    /// file is left missing.
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()>;
 
     /// Replace `name` with `bytes` atomically (tmp file + `fsync` +
@@ -48,7 +49,7 @@ pub trait ArchiveIo: Send + Sync {
 /// and fsynced, renamed over the target, and the parent directory is
 /// fsynced so the rename itself is durable. A crash at any point leaves
 /// the previous `path` content intact.
-pub fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp_name = path
         .file_name()
         .map(|n| n.to_os_string())
@@ -155,9 +156,15 @@ impl ArchiveIo for DiskIo {
         // Drop the cached appender first: append-mode positions would
         // otherwise be stale after the length change.
         self.appenders.remove(name);
-        let file = OpenOptions::new().write(true).open(self.path(name))?;
-        file.set_len(len)?;
-        file.sync_all()
+        match OpenOptions::new().write(true).open(self.path(name)) {
+            Ok(file) => {
+                file.set_len(len)?;
+                file.sync_all()
+            }
+            // Nothing to cut (a checkpoint before the first WAL append).
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(e),
+        }
     }
 
     fn write_file_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
@@ -526,6 +533,10 @@ mod tests {
         // No tmp residue after a successful atomic write.
         assert!(!dir.join("base.store.tmp").exists());
         assert_eq!(io.read_file("missing").unwrap(), None);
+        assert_eq!(io.file_len("missing").unwrap(), None);
+        // Truncating what was never written is a no-op, not an error, and
+        // does not create the file.
+        io.truncate("missing", 0).unwrap();
         assert_eq!(io.file_len("missing").unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }

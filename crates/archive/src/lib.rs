@@ -31,9 +31,9 @@ use std::sync::Arc;
 pub use archiver::{choose_level, ArchivePolicy, PatternArchiver};
 pub use durable::{DurableConfig, DurablePatternBase};
 pub use io::{ArchiveIo, DiskIo};
-pub use pager::{BufferPool, PoolStats};
+pub use pager::PoolStats;
 pub use pattern_base::{ArchivedPattern, MatchOutcome, MatchResult, PatternBase, PatternId};
-pub use persist::{load, save, PersistError};
+pub use persist::PersistError;
 
 #[cfg(any(test, feature = "test-util"))]
 pub use io::{FaultFs, FaultMode, FaultPlan};

@@ -1,7 +1,6 @@
 //! Construction-time metric handles of the durable archive tier
 //! (`DESIGN.md` §11). Process-wide: every durable base in the process
-//! shares these (per-replacer buffer-pool counters carry a label and
-//! live in [`crate::pager`]).
+//! shares these.
 
 use std::sync::{Arc, OnceLock};
 

@@ -1,19 +1,14 @@
-//! Page-based store file and buffer pool (`DESIGN.md` §10).
+//! Page-structured store file and its sequential reader (`DESIGN.md` §10).
 //!
 //! The checkpointed pattern base lives in a page-structured store file:
 //! page 0 is a checksummed header (magic, page size, the WAL sequence
 //! number the snapshot has applied, payload length), pages 1… carry the
-//! `persist` byte stream zero-padded to the page size. Readers go through
-//! a [`BufferPool`] bounded by a byte budget, with a pluggable
-//! [`Replacer`] — SIEVE by default, which keeps a repeatedly-probed hot
-//! set resident where LRU lets one cold scan flush it (the scan-heavy
-//! MATCH probe pattern; see the `sieve_survives_scans_where_lru_thrashes`
-//! test).
+//! `persist` byte stream zero-padded to the page size. The only reader is
+//! recovery, which scans the payload once front to back through a
+//! [`StoreReader`] holding a single page; nothing re-reads a page, so
+//! there is no cache to manage.
 
-use std::collections::HashMap;
 use std::io::{self, Read};
-
-use sgs_core::ReplacementPolicy;
 
 use crate::io::ArchiveIo;
 
@@ -89,339 +84,71 @@ pub fn read_header(io: &mut dyn ArchiveIo, name: &str) -> io::Result<Option<Stor
     }))
 }
 
-/// Page-replacement policy of a [`BufferPool`]: tracks resident pages and
-/// nominates eviction victims. The pool guarantees `victim` is only
-/// called when at least one page is resident.
-pub trait Replacer: Send + Sync {
-    /// A page became resident.
-    fn record_insert(&mut self, page: u64);
-    /// A resident page was hit.
-    fn record_access(&mut self, page: u64);
-    /// Choose the page to evict.
-    fn victim(&mut self) -> Option<u64>;
-}
-
-/// SIEVE: FIFO order, one visited bit per page, and a lazily moving hand
-/// that sweeps from the oldest page, clearing visited bits until it finds
-/// an unvisited page to evict. No bookkeeping on hit beyond setting the
-/// bit, and one cold scan cannot displace pages that keep getting hit.
-struct SieveReplacer {
-    /// Resident pages, oldest first.
-    order: Vec<u64>,
-    visited: HashMap<u64, bool>,
-    /// Index into `order` where the last sweep stopped.
-    hand: usize,
-}
-
-impl Replacer for SieveReplacer {
-    fn record_insert(&mut self, page: u64) {
-        self.order.push(page);
-        self.visited.insert(page, false);
-    }
-
-    fn record_access(&mut self, page: u64) {
-        if let Some(v) = self.visited.get_mut(&page) {
-            *v = true;
-        }
-    }
-
-    fn victim(&mut self) -> Option<u64> {
-        if self.order.is_empty() {
-            return None;
-        }
-        loop {
-            if self.hand >= self.order.len() {
-                self.hand = 0;
-            }
-            let page = self.order[self.hand];
-            let v = self.visited.get_mut(&page).unwrap();
-            if *v {
-                *v = false;
-                self.hand += 1;
-            } else {
-                self.order.remove(self.hand);
-                self.visited.remove(&page);
-                return Some(page);
-            }
-        }
-    }
-}
-
-/// Clock (second chance): circular sweep with one reference bit. New
-/// pages enter with the bit **clear** — they earn their second chance by
-/// being re-referenced, which is what keeps a one-shot scan from pushing
-/// out the re-hit working set.
-struct ClockReplacer {
-    order: Vec<u64>,
-    referenced: HashMap<u64, bool>,
-    hand: usize,
-}
-
-impl Replacer for ClockReplacer {
-    fn record_insert(&mut self, page: u64) {
-        self.order.push(page);
-        self.referenced.insert(page, false);
-    }
-
-    fn record_access(&mut self, page: u64) {
-        if let Some(r) = self.referenced.get_mut(&page) {
-            *r = true;
-        }
-    }
-
-    fn victim(&mut self) -> Option<u64> {
-        if self.order.is_empty() {
-            return None;
-        }
-        loop {
-            if self.hand >= self.order.len() {
-                self.hand = 0;
-            }
-            let page = self.order[self.hand];
-            let r = self.referenced.get_mut(&page).unwrap();
-            if *r {
-                *r = false;
-                self.hand += 1;
-            } else {
-                self.order.remove(self.hand);
-                self.referenced.remove(&page);
-                return Some(page);
-            }
-        }
-    }
-}
-
-/// Least-recently-used — the baseline policy.
-struct LruReplacer {
-    /// Resident pages, least recently used first.
-    order: Vec<u64>,
-}
-
-impl Replacer for LruReplacer {
-    fn record_insert(&mut self, page: u64) {
-        self.order.push(page);
-    }
-
-    fn record_access(&mut self, page: u64) {
-        if let Some(pos) = self.order.iter().position(|&p| p == page) {
-            let p = self.order.remove(pos);
-            self.order.push(p);
-        }
-    }
-
-    fn victim(&mut self) -> Option<u64> {
-        if self.order.is_empty() {
-            None
-        } else {
-            Some(self.order.remove(0))
-        }
-    }
-}
-
-fn make_replacer(policy: ReplacementPolicy) -> Box<dyn Replacer> {
-    match policy {
-        ReplacementPolicy::Sieve => Box::new(SieveReplacer {
-            order: Vec::new(),
-            visited: HashMap::new(),
-            hand: 0,
-        }),
-        ReplacementPolicy::Clock => Box::new(ClockReplacer {
-            order: Vec::new(),
-            referenced: HashMap::new(),
-            hand: 0,
-        }),
-        ReplacementPolicy::Lru => Box::new(LruReplacer { order: Vec::new() }),
-    }
-}
-
-/// Hit/miss/eviction counters of a [`BufferPool`].
+/// Read counters of one [`StoreReader`] pass. The names predate the
+/// reader (the frozen benchmark reads them as `pool_stats()`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Requests served from resident pages.
+    /// `read` calls served from the page already in hand.
     pub hits: u64,
-    /// Requests that had to fetch the page.
+    /// Store pages fetched through [`ArchiveIo::read_at`].
     pub misses: u64,
-    /// Pages pushed out to stay under budget.
-    pub evictions: u64,
 }
 
-/// Per-replacer observability counters of a [`BufferPool`], registered
-/// at construction with a `replacer="…"` label (`DESIGN.md` §11). The
-/// process-wide registry aggregates pools sharing a policy; `lookups`
-/// exists so scrapers can check `hits + misses == lookups` without
-/// racing two separate reads.
-struct PoolObs {
-    lookups: std::sync::Arc<sgs_obs::Counter>,
-    hits: std::sync::Arc<sgs_obs::Counter>,
-    misses: std::sync::Arc<sgs_obs::Counter>,
-    evictions: std::sync::Arc<sgs_obs::Counter>,
-}
-
-impl PoolObs {
-    fn new(policy: ReplacementPolicy) -> PoolObs {
-        let name = match policy {
-            ReplacementPolicy::Sieve => "sieve",
-            ReplacementPolicy::Clock => "clock",
-            ReplacementPolicy::Lru => "lru",
-        };
-        let labels = [("replacer", name)];
-        let r = sgs_obs::registry();
-        PoolObs {
-            lookups: r.counter(&sgs_obs::labeled("sgs_archive_pool_lookups_total", &labels)),
-            hits: r.counter(&sgs_obs::labeled("sgs_archive_pool_hits_total", &labels)),
-            misses: r.counter(&sgs_obs::labeled("sgs_archive_pool_misses_total", &labels)),
-            evictions: r.counter(&sgs_obs::labeled(
-                "sgs_archive_pool_evictions_total",
-                &labels,
-            )),
-        }
-    }
-}
-
-/// A byte-budget-bounded cache of store pages with a pluggable
-/// [`Replacer`]. Storage-agnostic: the caller supplies a fetch closure,
-/// so the pool fronts any [`ArchiveIo`] (or a synthetic page source in
-/// policy tests).
-pub struct BufferPool {
-    pages: HashMap<u64, Vec<u8>>,
-    replacer: Box<dyn Replacer>,
-    /// Maximum resident page count (budget / page size, at least one).
-    capacity: usize,
-    /// Counters exposed for benches and policy tests.
-    pub stats: PoolStats,
-    /// Registry twins of `stats`, labeled by replacer.
-    obs: PoolObs,
-}
-
-impl BufferPool {
-    /// Pool bounded by `budget_bytes` of page data under `policy`. The
-    /// budget is rounded down to whole pages but never below one page —
-    /// a reader must always be able to pin the page it is decoding.
-    pub fn new(policy: ReplacementPolicy, budget_bytes: usize) -> BufferPool {
-        BufferPool {
-            pages: HashMap::new(),
-            replacer: make_replacer(policy),
-            capacity: (budget_bytes / PAGE_SIZE).max(1),
-            stats: PoolStats::default(),
-            obs: PoolObs::new(policy),
-        }
-    }
-
-    /// Number of resident pages.
-    pub fn resident(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Resident page bytes (the working set the budget bounds).
-    pub fn resident_bytes(&self) -> usize {
-        self.pages.values().map(Vec::len).sum()
-    }
-
-    /// Drop every resident page (a checkpoint replaced the store file).
-    pub fn clear(&mut self) {
-        let policy_pages: Vec<u64> = self.pages.keys().copied().collect();
-        self.pages.clear();
-        // Rebuild the replacer by draining victims — cheaper than a
-        // policy-recreation API and exact for all three policies.
-        for _ in policy_pages {
-            let _ = self.replacer.victim();
-        }
-    }
-
-    /// Get page `page`, fetching it through `fetch` on a miss and
-    /// evicting per policy to stay within budget.
-    pub fn get(
-        &mut self,
-        page: u64,
-        fetch: impl FnOnce(u64) -> io::Result<Vec<u8>>,
-    ) -> io::Result<&[u8]> {
-        self.obs.lookups.inc();
-        if self.pages.contains_key(&page) {
-            self.stats.hits += 1;
-            self.obs.hits.inc();
-            self.replacer.record_access(page);
-        } else {
-            self.stats.misses += 1;
-            self.obs.misses.inc();
-            let data = fetch(page)?;
-            while self.pages.len() >= self.capacity {
-                match self.replacer.victim() {
-                    Some(victim) => {
-                        self.pages.remove(&victim);
-                        self.stats.evictions += 1;
-                        self.obs.evictions.inc();
-                    }
-                    None => break,
-                }
-            }
-            self.replacer.record_insert(page);
-            self.pages.insert(page, data);
-        }
-        Ok(self.pages.get(&page).unwrap().as_slice())
-    }
-}
-
-/// Streaming [`Read`] over a store file's payload pages through a
-/// [`BufferPool`] — `persist::load_from` runs on top of this, so loading
-/// a checkpoint never holds more than the pool budget in cache.
-pub struct PagedReader<'a> {
+/// Sequential [`Read`] over a store file's payload — `persist` decodes a
+/// checkpoint on top of this, front to back, so recovery never buffers
+/// more than one store page however large the archive is.
+pub struct StoreReader<'a> {
     io: &'a mut dyn ArchiveIo,
     name: &'a str,
-    pool: &'a mut BufferPool,
     payload_len: u64,
     pos: u64,
+    /// The payload page `pos` lies in, once fetched.
+    page: Box<[u8; PAGE_SIZE]>,
+    /// Counters of this pass.
+    pub stats: PoolStats,
 }
 
-impl<'a> PagedReader<'a> {
+impl<'a> StoreReader<'a> {
     /// Reader over the payload of store `name` described by `header`.
-    pub fn new(
-        io: &'a mut dyn ArchiveIo,
-        name: &'a str,
-        pool: &'a mut BufferPool,
-        header: StoreHeader,
-    ) -> PagedReader<'a> {
-        PagedReader {
+    pub fn new(io: &'a mut dyn ArchiveIo, name: &'a str, header: StoreHeader) -> StoreReader<'a> {
+        StoreReader {
             io,
             name,
-            pool,
             payload_len: header.payload_len,
             pos: 0,
+            page: Box::new([0u8; PAGE_SIZE]),
+            stats: PoolStats::default(),
         }
     }
 }
 
-impl Read for PagedReader<'_> {
+impl Read for StoreReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if self.pos >= self.payload_len || buf.is_empty() {
             return Ok(0);
         }
-        // Payload byte `pos` lives in store page `1 + pos / PAGE_SIZE`.
-        let page = 1 + self.pos / PAGE_SIZE as u64;
         let offset = (self.pos % PAGE_SIZE as u64) as usize;
-        let io = &mut *self.io;
-        let name = self.name;
-        let data = self.pool.get(page, |p| {
-            let mut page_buf = vec![0u8; PAGE_SIZE];
-            let n = io.read_at(name, p * PAGE_SIZE as u64, &mut page_buf)?;
-            if n == 0 {
+        let page_start = self.pos - offset as u64;
+        let in_page = (self.payload_len - page_start).min(PAGE_SIZE as u64) as usize;
+        // The scan only moves forward and no read crosses a page, so
+        // `pos` sits on a page boundary exactly when the page in hand is
+        // used up.
+        if offset == 0 {
+            // The payload starts after the header page.
+            let at = PAGE_SIZE as u64 + page_start;
+            let n = self.io.read_at(self.name, at, &mut self.page[..in_page])?;
+            if n < in_page {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "store page missing",
+                    "store shorter than header payload length",
                 ));
             }
-            page_buf.truncate(n);
-            Ok(page_buf)
-        })?;
-        let in_page = data.len().saturating_sub(offset);
-        let remaining = (self.payload_len - self.pos) as usize;
-        let n = buf.len().min(in_page).min(remaining);
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "store shorter than header payload length",
-            ));
+            self.stats.misses += 1;
+        } else {
+            self.stats.hits += 1;
         }
-        buf[..n].copy_from_slice(&data[offset..offset + n]);
+        let n = buf.len().min(in_page - offset);
+        buf[..n].copy_from_slice(&self.page[offset..offset + n]);
         self.pos += n as u64;
         Ok(n)
     }
@@ -458,75 +185,30 @@ mod tests {
         assert!(read_header(&mut fs, "bad").is_err());
     }
 
+    /// The reader streams: whatever the payload size, every store page
+    /// is fetched exactly once, in order, into the one page buffer.
     #[test]
-    fn paged_reader_streams_payload_through_bounded_pool() {
-        let payload: Vec<u8> = (0..3 * PAGE_SIZE + 123).map(|i| (i % 253) as u8).collect();
-        let mut fs = FaultFs::new();
-        fs.write_file_atomic("base.store", &encode_store(0, &payload))
-            .unwrap();
-        let header = read_header(&mut fs, "base.store").unwrap().unwrap();
-        // Budget of one page: the pool may never hold more.
-        let mut pool = BufferPool::new(ReplacementPolicy::Sieve, PAGE_SIZE);
-        let mut out = Vec::new();
-        PagedReader::new(&mut fs, "base.store", &mut pool, header)
-            .read_to_end(&mut out)
-            .unwrap();
-        assert_eq!(out, payload);
-        assert!(pool.resident() <= 1);
-        assert!(pool.resident_bytes() <= PAGE_SIZE);
-        assert_eq!(pool.stats.misses, 4);
-    }
-
-    /// Drive a pool of `capacity` pages through rounds of a hot set that
-    /// fits comfortably, interleaved with a one-shot cold scan; return
-    /// the hit count.
-    fn run_hot_and_scan(policy: ReplacementPolicy) -> u64 {
-        let mut pool = BufferPool::new(policy, 8 * PAGE_SIZE);
-        let fetch = |_p: u64| Ok(vec![0u8; PAGE_SIZE]);
-        let mut scan_page = 100u64;
-        for _round in 0..64 {
-            // Hot pages are probed twice per round (the MATCH refine
-            // phase re-reads candidate pages), which is what marks them
-            // as worth keeping.
-            for hot in 0..4u64 {
-                pool.get(hot, fetch).unwrap();
-                pool.get(hot, fetch).unwrap();
+    fn store_reader_streams_payload_one_page_at_a_time() {
+        for len in [3 * PAGE_SIZE + 123, 2 * PAGE_SIZE, 1, 0] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+            let mut fs = FaultFs::new();
+            fs.write_file_atomic("base.store", &encode_store(0, &payload))
+                .unwrap();
+            let header = read_header(&mut fs, "base.store").unwrap().unwrap();
+            let mut reader = StoreReader::new(&mut fs, "base.store", header);
+            // A read size that does not divide the page, so reads get cut
+            // at page boundaries.
+            let mut out = Vec::new();
+            let mut chunk = [0u8; 1000];
+            loop {
+                let n = reader.read(&mut chunk).unwrap();
+                if n == 0 {
+                    break;
+                }
+                out.extend_from_slice(&chunk[..n]);
             }
-            // A capacity-sized burst of fresh scan pages per round, never
-            // touched again — under LRU this flushes the whole pool.
-            for _ in 0..8 {
-                pool.get(scan_page, fetch).unwrap();
-                scan_page += 1;
-            }
+            assert_eq!(out, payload);
+            assert_eq!(reader.stats.misses, len.div_ceil(PAGE_SIZE) as u64);
         }
-        pool.stats.hits
-    }
-
-    #[test]
-    fn sieve_survives_scans_where_lru_thrashes() {
-        let sieve = run_hot_and_scan(ReplacementPolicy::Sieve);
-        let clock = run_hot_and_scan(ReplacementPolicy::Clock);
-        let lru = run_hot_and_scan(ReplacementPolicy::Lru);
-        // The hot set is re-hit every round; scan-resistant policies keep
-        // it resident. LRU ranks old hot pages below fresh scan pages and
-        // thrashes.
-        assert!(sieve > lru, "sieve hits {sieve} should beat lru hits {lru}");
-        assert!(clock > lru, "clock hits {clock} should beat lru hits {lru}");
-    }
-
-    #[test]
-    fn pool_respects_budget_and_counts_evictions() {
-        let mut pool = BufferPool::new(ReplacementPolicy::Lru, 2 * PAGE_SIZE);
-        let fetch = |_p: u64| Ok(vec![0u8; PAGE_SIZE]);
-        for p in 0..10u64 {
-            pool.get(p, fetch).unwrap();
-        }
-        assert_eq!(pool.resident(), 2);
-        assert_eq!(pool.stats.evictions, 8);
-        assert_eq!(pool.stats.misses, 10);
-        pool.clear();
-        assert_eq!(pool.resident(), 0);
-        pool.get(3, fetch).unwrap();
-        assert_eq!(pool.resident(), 1);
     }
 }

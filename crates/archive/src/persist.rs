@@ -8,14 +8,16 @@
 //! serialized and can evolve freely.
 
 use std::io::{self, Read, Write};
-use std::path::Path;
 
 use sgs_core::WindowId;
-use sgs_summarize::packed;
+use sgs_summarize::{packed, Sgs};
 
 use crate::pattern_base::PatternBase;
 
 const MAGIC: &[u8; 8] = b"SGSBASE\x01";
+/// Most a record's length field may reserve before its bytes have
+/// actually been read (a packed summary is a few hundred bytes).
+const MAX_RECORD_PREALLOC: usize = 64 << 10;
 
 /// Errors raised by archive persistence.
 #[derive(Debug)]
@@ -59,8 +61,14 @@ pub fn save_to(base: &PatternBase, mut w: impl Write) -> Result<(), PersistError
     Ok(())
 }
 
-/// Deserialize a pattern base from a reader, rebuilding all indexes.
-pub fn load_from(mut r: impl Read) -> Result<PatternBase, PersistError> {
+/// Decode the record stream into `(summary, window)` entries without
+/// building any index — what recovery needs before it replays the WAL.
+///
+/// The stream comes from disk and carries no checksum, so the declared
+/// sizes are checked rather than trusted: a record is read through
+/// `take(len)` (never allocated up front from its length field), must be
+/// exactly as long as its own packed header implies, and must be non-empty.
+pub(crate) fn load_entries(mut r: impl Read) -> Result<Vec<(Sgs, WindowId)>, PersistError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -70,40 +78,41 @@ pub fn load_from(mut r: impl Read) -> Result<PatternBase, PersistError> {
     r.read_exact(&mut count_buf)?;
     let count = u64::from_le_bytes(count_buf);
 
-    let mut base = PatternBase::new();
+    let mut entries = Vec::new();
     for i in 0..count {
-        let mut window_buf = [0u8; 8];
-        r.read_exact(&mut window_buf)?;
-        let window = WindowId(u64::from_le_bytes(window_buf));
-        let mut len_buf = [0u8; 4];
-        r.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body)?;
+        let mut head = [0u8; 12];
+        r.read_exact(&mut head)?;
+        let window = WindowId(u64::from_le_bytes(head[..8].try_into().unwrap()));
+        let len = u32::from_le_bytes(head[8..].try_into().unwrap()) as usize;
+        let mut body = Vec::with_capacity(len.min(MAX_RECORD_PREALLOC));
+        r.by_ref().take(len as u64).read_to_end(&mut body)?;
+        // A short body (the stream ended first) fails the same test as a
+        // wrong length field: what decodes is not `len` bytes long.
         let sgs = packed::decode(bytes::Bytes::from(body))
-            .ok_or_else(|| PersistError::Corrupt(format!("pattern {i} undecodable")))?;
-        base.insert(sgs, window)
-            .ok_or_else(|| PersistError::Corrupt(format!("pattern {i} empty")))?;
+            .filter(|sgs| packed::archived_bytes(sgs) == len)
+            .ok_or_else(|| {
+                PersistError::Corrupt(format!("pattern {i} is not a {len}-byte packed summary"))
+            })?;
+        if sgs.cells.is_empty() {
+            return Err(PersistError::Corrupt(format!("pattern {i} empty")));
+        }
+        entries.push((sgs, window));
     }
-    Ok(base)
+    Ok(entries)
 }
 
-/// Save the base to a file path, atomically: the bytes are staged in a
-/// sibling `.tmp` file, fsynced, renamed over the target, and the parent
-/// directory fsynced — a crash at any point leaves the previous archive
-/// intact (the pre-durability version wrote straight to the target, so a
-/// mid-save crash corrupted the only copy).
-pub fn save(base: &PatternBase, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    let mut buf = Vec::new();
-    save_to(base, &mut buf)?;
-    crate::io::atomic_write_bytes(path.as_ref(), &buf)?;
-    Ok(())
+/// Index decoded entries into a pattern base, in order.
+pub(crate) fn base_of(entries: Vec<(Sgs, WindowId)>) -> PatternBase {
+    let mut base = PatternBase::new();
+    for (sgs, window) in entries {
+        base.insert(sgs, window);
+    }
+    base
 }
 
-/// Load a base from a file path.
-pub fn load(path: impl AsRef<Path>) -> Result<PatternBase, PersistError> {
-    let file = std::fs::File::open(path)?;
-    load_from(io::BufReader::new(file))
+/// Deserialize a pattern base from a reader, rebuilding all indexes.
+pub fn load_from(r: impl Read) -> Result<PatternBase, PersistError> {
+    load_entries(r).map(base_of)
 }
 
 #[cfg(test)]
@@ -111,7 +120,7 @@ mod tests {
     use super::*;
     use sgs_core::GridGeometry;
     use sgs_matching::MatchConfig;
-    use sgs_summarize::{MemberSet, Sgs};
+    use sgs_summarize::MemberSet;
 
     fn sample_base(n: usize) -> PatternBase {
         let g = GridGeometry::basic(2, 1.0);
@@ -181,14 +190,10 @@ mod tests {
         let base = sample_base(5);
         let path =
             std::env::temp_dir().join(format!("sgs_persist_test_{}.bin", std::process::id()));
-        save(&base, &path).unwrap();
-        let loaded = load(&path).unwrap();
+        save_to(&base, std::fs::File::create(&path).unwrap()).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let loaded = load_from(io::BufReader::new(file)).unwrap();
         assert_eq!(loaded.len(), 5);
-        // Atomic save leaves no staging residue behind.
-        assert!(!path.with_extension("bin.tmp").exists());
-        // Overwriting an existing archive goes through the same tmp+rename.
-        save(&base, &path).unwrap();
-        assert_eq!(load(&path).unwrap().len(), 5);
         std::fs::remove_file(&path).ok();
     }
 

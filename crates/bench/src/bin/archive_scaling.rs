@@ -2,11 +2,11 @@
 //! tier costs over the memory-only pattern base, and how fast recovery
 //! replays an archive back into memory.
 //!
-//! For every mode — `memory` (the pre-durability baseline) and `durable`
-//! with each buffer-pool replacement policy — the harness inserts N and
-//! 2N study summaries, then (durable modes) checkpoints and reopens the
-//! directory, timing the recovery replay and reporting the buffer pool's
-//! hit/miss counters for the paged store read.
+//! For both modes — `memory` (the pre-durability baseline) and `durable`
+//! — the harness inserts N and 2N study summaries, then (durable)
+//! checkpoints and reopens the directory, timing the recovery replay and
+//! reporting the store reader's counters: reads served from the page in
+//! hand / store pages fetched.
 //!
 //! ```text
 //! cargo run --release -p sgs-bench --bin archive_scaling -- [--scale 0.1] [--json]
@@ -23,7 +23,7 @@ use sgs_bench::json::JsonObject;
 use sgs_bench::obs_report::{metrics_json, parse_metrics};
 use sgs_bench::table::print_table;
 use sgs_bench::workload::parse_scale;
-use sgs_core::{GridGeometry, ReplacementPolicy, WindowId};
+use sgs_core::{GridGeometry, WindowId};
 use sgs_summarize::{MemberSet, Sgs};
 
 struct Row {
@@ -62,21 +62,18 @@ fn bench_dir(mode: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sgs_bench_archive_{}_{mode}", std::process::id()))
 }
 
-fn run_mode(mode: &'static str, policy: Option<ReplacementPolicy>, summaries: &[Sgs]) -> Row {
-    let cfg = DurableConfig {
-        replacement: policy.unwrap_or_default(),
-        ..DurableConfig::default()
-    };
-    let (mut base, dir) = match policy {
-        None => (DurablePatternBase::memory(), None),
-        Some(_) => {
-            let dir = bench_dir(mode);
-            let _ = std::fs::remove_dir_all(&dir);
-            (
-                DurablePatternBase::open(&dir, cfg.clone()).expect("open archive dir"),
-                Some(dir),
-            )
-        }
+fn run_mode(durable: bool, summaries: &[Sgs]) -> Row {
+    let mode = if durable { "durable" } else { "memory" };
+    let cfg = DurableConfig::default();
+    let (mut base, dir) = if durable {
+        let dir = bench_dir(mode);
+        let _ = std::fs::remove_dir_all(&dir);
+        (
+            DurablePatternBase::open(&dir, cfg.clone()).expect("open archive dir"),
+            Some(dir),
+        )
+    } else {
+        (DurablePatternBase::memory(), None)
     };
 
     let start = Instant::now();
@@ -102,7 +99,7 @@ fn run_mode(mode: &'static str, policy: Option<ReplacementPolicy>, summaries: &[
             let recovered = DurablePatternBase::open(dir, cfg).expect("recover archive dir");
             let secs = start.elapsed().as_secs_f64();
             assert_eq!(recovered.len(), summaries.len(), "recovery lost patterns");
-            let stats = recovered.pool_stats().expect("durable pool stats");
+            let stats = recovered.pool_stats().expect("durable reader stats");
             (summaries.len() as f64 / secs, stats.hits, stats.misses)
         }
     };
@@ -129,17 +126,11 @@ fn main() {
     let metrics = parse_metrics(&args);
     let n = ((2_000.0 * scale) as usize).max(100);
 
-    let modes: [(&'static str, Option<ReplacementPolicy>); 4] = [
-        ("memory", None),
-        ("durable-sieve", Some(ReplacementPolicy::Sieve)),
-        ("durable-clock", Some(ReplacementPolicy::Clock)),
-        ("durable-lru", Some(ReplacementPolicy::Lru)),
-    ];
     let mut rows = Vec::new();
     for count in [n, 2 * n] {
         let summaries = study_summaries(count);
-        for (mode, policy) in modes {
-            rows.push(run_mode(mode, policy, &summaries));
+        for durable in [false, true] {
+            rows.push(run_mode(durable, &summaries));
         }
     }
 
@@ -189,7 +180,7 @@ fn main() {
                 "inserts/s",
                 "checkpoint ms",
                 "recovered/s",
-                "pool hit/miss",
+                "reader hit/miss",
                 "archived bytes",
             ],
             &table,

@@ -3,7 +3,7 @@
 //! through S ∈ {1, 2, 4, 8}, on the Fig. 7 workload (win = 10K tuples,
 //! slide = 1K, pattern case 2 of §8.1).
 //!
-//! Where `runtime_throughput` scales *across* concurrent queries, this
+//! Where `pool_scaling` scales *across* concurrent queries, this
 //! harness scales *within* one hot query: the same stream, the same
 //! window geometry, only `ClusterQuery::shards` varies. The per-window
 //! outputs are byte-identical across S (the sharded-extraction

@@ -1,9 +1,10 @@
 //! # sgs-bench
 //!
 //! Benchmark harnesses reproducing every table and figure of the paper's
-//! evaluation (§8). Each binary in `src/bin/` regenerates one artifact:
+//! evaluation (§8), plus the scaling sweeps of this repo's own layers.
+//! Each binary in `src/bin/` regenerates one artifact:
 //!
-//! | binary | paper artifact |
+//! | binary | artifact |
 //! |---|---|
 //! | `fig7_cpu` | Fig. 7 (top): per-window CPU time of Extra-N, C-SGS, Extra-N+CRD/+RSP/+SkPS |
 //! | `fig7_memory` | Fig. 7 (bottom): memory footprints of the same |
@@ -12,8 +13,11 @@
 //! | `fig8_storage` | Fig. 8 (right): summary storage vs full representation (~98 % compression) |
 //! | `fig9_quality` | Fig. 9: matching quality ("similar rate") via the ground-truth retrieval study |
 //! | `multires` | tech-report extension: multi-resolution matching efficiency/effectiveness |
-//! | `runtime_throughput` | fan-out scaling of the `sgs-runtime` engine: tuples/sec for 1–8 concurrent queries |
+//! | `ablation` | integrated vs two-phase summarization, filter-and-refine vs exhaustive matching, alignment budget |
 //! | `shard_scaling` | sharded extraction (`DESIGN.md` §6): single-query tuples/sec for S ∈ {1, 2, 4, 8} |
+//! | `pool_scaling` | scheduler pool (`DESIGN.md` §8): tuples/sec over queries {1, 4, 8} × workers {1, 2, 4} |
+//! | `archive_scaling` | durable archive (`DESIGN.md` §10): inserts/s, checkpoint and recovery cost, memory vs durable |
+//! | `session_fanout` | reactor front-end (`DESIGN.md` §14): 8 → 128 TCP sessions with server-push on a fixed worker budget |
 //!
 //! This support library holds the shared workload definitions, timing
 //! harness, quality-study cluster shapes, the table printer, and the

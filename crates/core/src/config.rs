@@ -101,22 +101,6 @@ pub enum ArchiveRetention {
     WindowHorizon(u64),
 }
 
-/// Buffer-pool page-replacement policy of a durable pattern base's store
-/// reader (see `DESIGN.md` §10). SIEVE is the default: on scan-heavy
-/// matching probes it keeps the hot set where LRU would thrash it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// FIFO queue with a visited bit and a lazily moving eviction hand
-    /// (the SIEVE algorithm) — scan-resistant, no per-hit bookkeeping.
-    #[default]
-    Sieve,
-    /// Classic clock (second-chance) sweep over a circular frame list.
-    Clock,
-    /// Least-recently-used — the baseline the other two are measured
-    /// against; kept selectable for comparison runs.
-    Lru,
-}
-
 /// Parameters of a continuous density-based clustering query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterQuery {

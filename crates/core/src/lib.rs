@@ -42,7 +42,7 @@ pub mod point;
 pub mod window;
 
 pub use cell::{CellCoord, GridGeometry};
-pub use config::{ArchiveRetention, ClusterQuery, PoolThreads, ReplacementPolicy, ShardCount};
+pub use config::{ArchiveRetention, ClusterQuery, PoolThreads, ShardCount};
 pub use error::{Error, Result};
 pub use ids::{ClusterId, PointId, WindowId};
 pub use memsize::HeapSize;

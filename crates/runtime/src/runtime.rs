@@ -35,7 +35,7 @@ const BATCH_CHUNK: usize = 256;
 pub struct DurableArchive {
     /// Root directory; each dimensionality gets a `dim{N}` subdirectory.
     pub dir: PathBuf,
-    /// WAL/retention/buffer-pool settings shared by every history base.
+    /// Retention and checkpoint settings shared by every history base.
     pub config: DurableConfig,
 }
 

@@ -6,7 +6,6 @@
 //!                  [--channel-capacity N] [--output-policy unbounded|block:N|drop-oldest:N]
 //!                  [--pool-threads N] [--shards N] [--seed N]
 //!                  [--archive-dir PATH] [--archive-budget BYTES]
-//!                  [--archive-replacer sieve|clock|lru]
 //!                  [--metrics-addr HOST:PORT]
 //!                  [--idle-timeout SECS] [--drain-timeout SECS]
 //!                  [--owner-max-queries N] [--owner-max-queue-bytes N]
@@ -27,7 +26,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use sgs_core::{ArchiveRetention, PoolThreads, ReplacementPolicy, ShardCount};
+use sgs_core::{ArchiveRetention, PoolThreads, ShardCount};
 use sgs_runtime::{DurableArchive, OutputPolicy, RuntimeConfig};
 use sgs_server::{AuthToken, Server, ServerConfig};
 
@@ -44,8 +43,6 @@ usage: streamsum-server [options]
                             recovers on restart; default: memory-only)
   --archive-budget BYTES    retention byte budget — over it, the oldest patterns
                             are coarsened, never dropped (default: unbounded)
-  --archive-replacer P      buffer-pool replacement: sieve | clock | lru
-                            (default sieve)
   --metrics-addr HOST:PORT  also serve Prometheus text exposition over HTTP
                             there (port 0 = OS-assigned; enables metrics)
   --idle-timeout SECS       close sessions with no complete request for SECS
@@ -164,7 +161,6 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
     let mut streams: Vec<(String, usize)> = Vec::new();
     let mut archive_dir: Option<String> = None;
     let mut archive_budget: Option<usize> = None;
-    let mut archive_replacer = ReplacementPolicy::Sieve;
     let mut idle_timeout: Option<Duration> = None;
     let mut drain_timeout = Duration::from_secs(10);
     let mut owner_max_queries: Option<usize> = None;
@@ -280,19 +276,6 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
                         .map_err(|_| "bad --archive-budget".to_string())?,
                 );
             }
-            "--archive-replacer" => {
-                let spec = value("--archive-replacer")?;
-                archive_replacer = match spec.to_ascii_lowercase().as_str() {
-                    "sieve" => ReplacementPolicy::Sieve,
-                    "clock" => ReplacementPolicy::Clock,
-                    "lru" => ReplacementPolicy::Lru,
-                    _ => {
-                        return Err(format!(
-                            "bad --archive-replacer {spec:?} (sieve | clock | lru)"
-                        ))
-                    }
-                };
-            }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -302,7 +285,6 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
             if let Some(budget) = archive_budget {
                 durable.config.retention = ArchiveRetention::ByteBudget(budget);
             }
-            durable.config.replacement = archive_replacer;
             runtime.durable_archive = Some(durable);
         }
         None if archive_budget.is_some() => {

@@ -276,32 +276,6 @@ fn checkpoint_crash_sweep_preserves_state() {
     }
 }
 
-/// Regression for the `persist::save` durability hole: a process killed
-/// mid-save leaves only a torn sibling tmp file — the archive written by
-/// the previous save must stay loadable, and the next save must replace
-/// both atomically.
-#[test]
-fn torn_tmp_from_killed_save_does_not_break_load() {
-    use streamsum::archive::{load, save};
-    let dir = std::env::temp_dir().join(format!("sgs_persist_kill_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("base.bin");
-
-    let mut archiver = PatternArchiver::new(ArchivePolicy::All, 0);
-    archiver.observe(WindowId(0), study_summaries(8).iter());
-    let base = archiver.into_base();
-    save(&base, &path).unwrap();
-
-    std::fs::write(dir.join("base.bin.tmp"), b"torn half-written garbage").unwrap();
-    assert_eq!(load(&path).unwrap().len(), base.len());
-
-    save(&base, &path).unwrap();
-    assert_eq!(load(&path).unwrap().len(), base.len());
-    assert!(!dir.join("base.bin.tmp").exists());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Retention property: under a byte budget the base never exceeds it
 /// (unless every pattern is already at the coarsest level), never drops
 /// a pattern, demotes oldest-first, keeps every pattern findable by
