@@ -278,13 +278,6 @@ mod fault {
         pub fn contents(&self, name: &str) -> Option<Vec<u8>> {
             self.state.lock().unwrap().files.get(name).cloned()
         }
-
-        /// Names of existing files, sorted (test inspection).
-        pub fn file_names(&self) -> Vec<String> {
-            let mut names: Vec<String> = self.state.lock().unwrap().files.keys().cloned().collect();
-            names.sort();
-            names
-        }
     }
 
     impl Default for FaultFs {

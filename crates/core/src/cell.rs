@@ -163,6 +163,18 @@ impl GridGeometry {
         self.side.powi(self.dim as i32)
     }
 
+    /// The largest coordinate magnitude this grid addresses with
+    /// head-room: cell indices up to ±2³⁰, half the `i32` range, which
+    /// keeps `± reach`, region widths and adjacency offsets far from
+    /// overflow. Far enough beyond it [`cell_of`](Self::cell_of)
+    /// saturates distant points into one cell; ingestion rejects such
+    /// points instead
+    /// ([`Error::InvalidCoordinate`](crate::Error::InvalidCoordinate)).
+    #[inline]
+    pub fn coord_limit(&self) -> f64 {
+        self.side * f64::from(1u32 << 30)
+    }
+
     /// Map a point to the coordinates of the cell containing it.
     pub fn cell_of(&self, p: &Point) -> CellCoord {
         debug_assert_eq!(p.dim(), self.dim, "point dimensionality mismatch");

@@ -16,6 +16,10 @@ pub enum Error {
         /// Dimensionality of the offending point.
         got: usize,
     },
+    /// A point carried a coordinate that is not finite, or whose grid
+    /// cell index would not fit the cell arithmetic of the query it was
+    /// fed to (the message names the value, the axis and the bound).
+    InvalidCoordinate(String),
     /// Timestamps must be non-decreasing for time-based windows.
     OutOfOrderTimestamp {
         /// Most recent accepted timestamp.
@@ -40,6 +44,7 @@ impl fmt::Display for Error {
             Error::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
+            Error::InvalidCoordinate(msg) => write!(f, "invalid coordinate: {msg}"),
             Error::OutOfOrderTimestamp { last, got } => {
                 write!(f, "out-of-order timestamp {got} (last accepted {last})")
             }

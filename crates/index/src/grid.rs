@@ -370,7 +370,15 @@ impl ReachWalker {
         let prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
         // One shard owns every region: walk the block as a single region.
         let width = (router.shards() > 1).then(|| router.width());
-        let block = |i: usize| (center.0[i] - reach, center.0[i] + reach);
+        // Saturating: a centre cell at the edge of the `i32` range (a
+        // coordinate `cell_of` saturated) clips its block instead of
+        // wrapping it to the far side of the grid.
+        let block = |i: usize| {
+            (
+                center.0[i].saturating_sub(reach),
+                center.0[i].saturating_add(reach),
+            )
+        };
         for i in 0..d {
             (rlo[i], rhi[i]) = match width {
                 Some(w) => (block(i).0.div_euclid(w), block(i).1.div_euclid(w)),
@@ -386,7 +394,17 @@ impl ReachWalker {
                 for i in 0..d {
                     let (b_lo, b_hi) = block(i);
                     (lo[i], hi[i]) = match width {
-                        Some(w) => (b_lo.max(reg[i] * w), b_hi.min(reg[i] * w + w - 1)),
+                        Some(w) => {
+                            // In `i64`: the region holding a clipped
+                            // block's edge can start below `i32::MIN`;
+                            // the clamped bounds lie within the block.
+                            let first = i64::from(reg[i]) * i64::from(w);
+                            let last = first + i64::from(w) - 1;
+                            (
+                                i64::from(b_lo).max(first) as i32,
+                                i64::from(b_hi).min(last) as i32,
+                            )
+                        }
                         None => (b_lo, b_hi),
                     };
                     cell.0[i] = lo[i];
@@ -632,6 +650,40 @@ mod tests {
                 got.sort();
                 assert_eq!(got, want, "dim {dim}, S = {shards}, query {q:?}");
             }
+        }
+    }
+
+    /// A block around a cell on the rim of the `i32` range is clipped to
+    /// the range, for one grid and for region-routed grids (whose rim
+    /// region starts below `i32::MIN`): no overflow, and the centre cell
+    /// is still visited exactly once, under its owner.
+    #[test]
+    fn walk_on_the_rim_of_the_cell_range_clips_instead_of_wrapping() {
+        let geometry = GridGeometry::basic(2, 0.5);
+        let side = geometry.side();
+        let q = [
+            (f64::from(i32::MAX) + 0.5) * side,
+            (f64::from(i32::MIN) + 0.5) * side,
+        ];
+        let at = Point::new(q.to_vec(), 0);
+        let corner = geometry.cell_of(&at);
+        assert_eq!(*corner.0, [i32::MAX, i32::MIN]);
+        for shards in [1, 3] {
+            let router = ShardRouter::new(2 * geometry.reach() + 1, shards);
+            let mut grids: Vec<GridIndex> = (0..shards)
+                .map(|_| GridIndex::new(geometry.clone()))
+                .collect();
+            grids[router.shard_of(&corner)].insert(PointId(7), &at);
+            let mut seen = Vec::new();
+            ReachWalker::new(&geometry, &router).for_each_slab(
+                |o| &grids[o],
+                &corner,
+                &q,
+                0.25,
+                |owner, cell, slab| seen.push((owner, cell.clone(), slab.id(0))),
+            );
+            let want = (router.shard_of(&corner), corner.clone(), PointId(7));
+            assert_eq!(seen, [want], "S = {shards}");
         }
     }
 

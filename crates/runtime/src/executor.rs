@@ -4,8 +4,8 @@
 //!
 //! Each query owns a `QueryCell`: a **bounded** input queue plus the
 //! query's private [`StreamPipeline`]. Bounded input is the backpressure
-//! mechanism: when a query falls behind, [`Runtime::push`] blocks on its
-//! queue instead of buffering unboundedly, throttling ingestion to the
+//! mechanism: when a query falls behind, [`Runtime::push_batch`] blocks on
+//! its queue instead of buffering unboundedly, throttling ingestion to the
 //! slowest running query. An *idle* query is parked — no task exists for
 //! it, so hundreds of registered-but-quiet queries cost zero threads.
 //! The first message enqueued schedules a `Normal`-priority pool task
@@ -31,7 +31,7 @@
 //! [`QueryState::Failed`] and later input is drained and dropped, while
 //! the pool worker — and every other query — carries on.
 //!
-//! [`Runtime::push`]: crate::runtime::Runtime::push
+//! [`Runtime::push_batch`]: crate::runtime::Runtime::push_batch
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,13 +50,11 @@ use crate::pipeline::StreamPipeline;
 use crate::plan::DetectPlan;
 use crate::registry::{QueryState, SharedStatus};
 
-/// Control/data messages sent to a query's input queue. Data messages
-/// carry their enqueue instant so the executor can attribute the full
+/// Control/data messages sent to a query's input queue. The data message
+/// carries its enqueue instant so the executor can attribute the full
 /// ingest→window-emit latency (`sgs_runtime_ingest_to_emit_nanos`), not
 /// just pipeline time.
 pub(crate) enum Msg {
-    /// One point to process.
-    Point(Point, Instant),
     /// A batch of points to process as one unit. Shared (`Arc`) so the
     /// ingest thread materializes each broadcast chunk once, not once per
     /// query; tasks pay the per-point clone on the pool.
@@ -97,7 +95,6 @@ const TASK_QUANTUM: usize = 16;
 fn msg_bytes(msg: &Msg) -> usize {
     const POINT: usize = 16;
     match msg {
-        Msg::Point(p, _) => POINT + 8 * p.dim(),
         Msg::Batch(b, _) => b.iter().map(|p| POINT + 8 * p.dim()).sum(),
         Msg::Barrier(_) | Msg::Stop(_) => 0,
     }
@@ -342,7 +339,6 @@ fn run(cell: Arc<QueryCell>) {
         };
         quantum -= 1;
         match msg {
-            Msg::Point(p, enqueued) => cell.process(std::slice::from_ref(&p), enqueued),
             Msg::Batch(b, enqueued) => cell.process(&b, enqueued),
             Msg::Barrier(ack) => {
                 // Sender may have given up waiting; a dead ack is fine.
@@ -362,7 +358,6 @@ fn run(cell: Arc<QueryCell>) {
 
 /// The batch-processing body (unchanged semantics from the
 /// thread-per-query executor).
-#[allow(clippy::too_many_arguments)]
 fn process_batch(
     pipeline: &mut StreamPipeline,
     points: &[Point],

@@ -25,9 +25,13 @@
 //!   drop-oldest) instead of growing without limit.
 //! * [`pipeline`] — the single-query [`StreamPipeline`] (window engine →
 //!   C-SGS → archiver), the execution unit each query task drives.
-//! * [`runtime`] — the **session API**: [`Runtime::submit`] accepts
-//!   query-language text; results arrive through [`Runtime::poll`] or a
-//!   per-window callback.
+//! * [`runtime`] — the one **runtime surface**: [`Runtime::submit`]
+//!   accepts query-language text, [`Runtime::submit_detect`] registers a
+//!   plan under an optional [`OwnerId`] tag, points enter through one
+//!   ingestion path ([`StreamFeeder::push_batch`], behind
+//!   [`Runtime::push_batch`] / [`Runtime::push_stream`] and
+//!   [`Runtime::feeder`] snapshots), and results arrive through
+//!   [`Runtime::poll`] or a per-window callback.
 //!
 //! ## Determinism guarantee
 //!
@@ -54,6 +58,6 @@ pub use pipeline::StreamPipeline;
 pub use plan::{DetectPlan, MatchPlan, PlanError, Planner, QueryPlan, StreamCatalog};
 pub use registry::{OwnerId, QueryDescriptor, QueryId, QueryState, QueryStats};
 pub use runtime::{
-    DurableArchive, PendingCancel, QueryReport, Runtime, RuntimeConfig, RuntimeError,
-    RuntimeSession, StreamFeeder, Submission,
+    DurableArchive, PendingCancel, QueryReport, Runtime, RuntimeConfig, RuntimeError, StreamFeeder,
+    Submission,
 };

@@ -40,7 +40,7 @@ pub enum OutputPolicy {
     /// [`Runtime::poll`] drains the buffer below capacity. Backpressure
     /// thus propagates all the way to ingestion (the blocked task stops
     /// consuming its input channel, which eventually blocks
-    /// [`Runtime::push`]). While blocked, the task occupies one pool
+    /// [`Runtime::push_batch`]). While blocked, the task occupies one pool
     /// worker — on a small pool, enough blocked queries can starve
     /// every other query (and their teardown) of workers — so a drain
     /// must be able to proceed concurrently:
@@ -56,7 +56,7 @@ pub enum OutputPolicy {
     /// so on small pools drain (or cancel) the stalled queries first.
     ///
     /// [`Runtime::poll`]: crate::runtime::Runtime::poll
-    /// [`Runtime::push`]: crate::runtime::Runtime::push
+    /// [`Runtime::push_batch`]: crate::runtime::Runtime::push_batch
     /// [`Runtime::quiesce`]: crate::runtime::Runtime::quiesce
     /// [`Runtime::cancel`]: crate::runtime::Runtime::cancel
     /// [`RuntimeConfig::channel_capacity`]: crate::runtime::RuntimeConfig::channel_capacity

@@ -25,8 +25,6 @@ pub struct StreamPipeline {
     engine: WindowEngine,
     extractor: CSgs,
     archiver: PatternArchiver,
-    last_output: WindowOutput,
-    scratch: Vec<(WindowId, WindowOutput)>,
 }
 
 impl StreamPipeline {
@@ -50,14 +48,15 @@ impl StreamPipeline {
         seed: u64,
         pool: sgs_exec::Pool,
     ) -> Result<Self> {
-        let engine = WindowEngine::new(query.window, query.dim);
+        // The one place a point's coordinates are checked against what
+        // this query's grid can address (`DESIGN.md` §5).
+        let engine = WindowEngine::new(query.window, query.dim)
+            .with_coord_limit(query.basic_grid().coord_limit());
         let extractor = CSgs::with_pool(query, pool);
         Ok(StreamPipeline {
             engine,
             extractor,
             archiver: PatternArchiver::new(policy, seed),
-            last_output: Vec::new(),
-            scratch: Vec::new(),
         })
     }
 
@@ -73,24 +72,24 @@ impl StreamPipeline {
         self
     }
 
-    /// Feed one point; returns the outputs of any windows that completed
+    /// Feed one point — [`push_batch`](Self::push_batch) of a single
+    /// element; returns the outputs of any windows that completed
     /// (time-based streams can complete several per push).
     pub fn push(&mut self, point: Point) -> Result<Vec<(WindowId, WindowOutput)>> {
-        self.scratch.clear();
-        self.engine
-            .push(point, &mut self.extractor, &mut self.scratch)?;
-        self.archive_scratch();
-        Ok(std::mem::take(&mut self.scratch))
+        self.push_batch([point])
     }
 
-    /// Feed a batch of points through the window engine's batch path
-    /// ([`WindowEngine::push_batch`]), amortizing per-point overhead.
-    /// Outputs — and the archive state — are identical to pushing the same
-    /// points one at a time.
+    /// Feed a batch of points through the window engine
+    /// ([`WindowEngine::push_batch`]); returns the outputs of the windows
+    /// they completed, oldest first — the last element is the most
+    /// recently completed window. Outputs — and the archive state — do
+    /// not depend on how a stream is cut into batches.
     ///
-    /// On error, windows completed by the points *before* the failing one
-    /// are still archived (matching the per-point path, where those pushes
-    /// had already succeeded); their outputs are dropped with the error.
+    /// On error (dimension mismatch, a non-finite coordinate or one
+    /// beyond [`GridGeometry::coord_limit`](sgs_core::GridGeometry::coord_limit),
+    /// out-of-order timestamp) the points *before* the failing one are
+    /// inserted and the windows they completed are archived; their
+    /// outputs are dropped with the error.
     pub fn push_batch(
         &mut self,
         points: impl IntoIterator<Item = Point>,
@@ -107,36 +106,15 @@ impl StreamPipeline {
         &mut self,
         points: impl IntoIterator<Item = Point>,
     ) -> (Vec<(WindowId, WindowOutput)>, Result<u64>) {
-        self.scratch.clear();
+        let mut outputs = Vec::new();
         let fed = self
             .engine
-            .push_batch(points, &mut self.extractor, &mut self.scratch);
-        self.archive_scratch();
-        (std::mem::take(&mut self.scratch), fed)
-    }
-
-    /// Offer every window currently in `scratch` to the archiver, in
-    /// completion order, updating `last_output`.
-    fn archive_scratch(&mut self) {
-        for (window, output) in &self.scratch {
+            .push_batch(points, &mut self.extractor, &mut outputs);
+        for (window, output) in &outputs {
             self.archiver
                 .observe(*window, output.iter().map(|c| &c.sgs));
-            self.last_output = output.clone();
         }
-    }
-
-    /// Feed many points, collecting all completed windows. Equivalent to
-    /// [`push_batch`](Self::push_batch).
-    pub fn extend(
-        &mut self,
-        points: impl IntoIterator<Item = Point>,
-    ) -> Result<Vec<(WindowId, WindowOutput)>> {
-        self.push_batch(points)
-    }
-
-    /// The clusters of the most recently completed window.
-    pub fn last_output(&self) -> &WindowOutput {
-        &self.last_output
+        (outputs, fed)
     }
 
     /// The pattern base accumulated so far.
@@ -200,20 +178,20 @@ mod tests {
     #[test]
     fn pipeline_extracts_and_archives() {
         let mut p = pipeline();
-        let outs = p.extend(blob_stream(200)).unwrap();
+        let outs = p.push_batch(blob_stream(200)).unwrap();
         assert!(!outs.is_empty());
         assert!(!p.base().is_empty());
         let (offered, archived) = p.archive_stats();
         assert_eq!(offered, archived);
-        assert!(!p.last_output().is_empty());
+        assert!(!outs.last().unwrap().1.is_empty());
     }
 
     #[test]
     fn pipeline_matching_roundtrip() {
         use sgs_matching::MatchConfig;
         let mut p = pipeline();
-        p.extend(blob_stream(200)).unwrap();
-        let query_sgs = &p.last_output()[0].sgs;
+        let outs = p.push_batch(blob_stream(200)).unwrap();
+        let query_sgs = &outs.last().unwrap().1[0].sgs;
         let outcome = p
             .base()
             .match_query(query_sgs, &MatchConfig::equal_weights(true, 0.2));
@@ -230,7 +208,7 @@ mod tests {
         let mut p = StreamPipeline::new(q, ArchivePolicy::All, 0)
             .unwrap()
             .with_archive_level(2, 1);
-        p.extend(blob_stream(200)).unwrap();
+        p.push_batch(blob_stream(200)).unwrap();
         assert!(p.base().iter().all(|a| a.sgs.level == 1));
     }
 

@@ -16,14 +16,13 @@ use parking_lot::RwLock;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub u64);
 
-/// Opaque handle of one registration session (a network connection, a
-/// notebook, ...) for **owner-scoped registry views**: queries submitted
-/// through a [`Runtime::session`] handle are tagged with their session's
-/// `OwnerId`, and the handle's listings, feeds, and lifecycle methods
-/// see only that owner's queries. Mint one per session with
-/// [`Runtime::new_owner`].
+/// Opaque tag of one registration session (a network connection, a
+/// notebook, ...): queries registered with it
+/// ([`Runtime::submit_detect`]) are the ones the owner-aware listings,
+/// feeders, teardown steps and byte gauges of the runtime select. Mint
+/// one per session with [`Runtime::new_owner`].
 ///
-/// [`Runtime::session`]: crate::runtime::Runtime::session
+/// [`Runtime::submit_detect`]: crate::runtime::Runtime::submit_detect
 /// [`Runtime::new_owner`]: crate::runtime::Runtime::new_owner
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OwnerId(pub u64);

@@ -1,6 +1,8 @@
-//! The session API: [`Runtime`] binds the query-language front-end to
+//! The runtime surface: [`Runtime`] binds the query-language front-end to
 //! running pipelines — submit statements as text, fan one ingested stream
 //! out to every registered query, control lifecycles, and read stats.
+//! Tenancy is a tag, not a second surface: a registration may carry an
+//! [`OwnerId`], and the owner-aware operations select by it.
 
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
@@ -205,8 +207,8 @@ struct QueryEntry {
     text: String,
     /// The `FROM` stream this query reads (for stream-routed ingestion).
     stream: String,
-    /// The session that registered this query (`None` for queries
-    /// submitted through the unscoped API).
+    /// The owner tag this query was registered with
+    /// ([`Runtime::submit_detect`]).
     owner: Option<OwnerId>,
     shared: SharedStatus,
     /// The executor-side cell: input queue + pipeline + scheduling flag.
@@ -324,30 +326,20 @@ impl Runtime {
         }
     }
 
-    /// Mint a fresh session handle for the owner-scoped API
-    /// ([`session`](Self::session)). Each network session of
-    /// `streamsum-server` holds one, which is what keeps concurrent
-    /// analysts' query namespaces isolated on a shared runtime.
+    /// Mint a fresh owner tag. Registrations made with it
+    /// ([`submit_detect`](Self::submit_detect)) are what the owner-aware
+    /// operations select by: [`queries_for`](Self::queries_for),
+    /// [`feeder`](Self::feeder), [`close_outputs`](Self::close_outputs),
+    /// [`evict_cancelled`](Self::evict_cancelled) and the per-owner byte
+    /// gauges. Each network session of `streamsum-server` holds one,
+    /// which is what keeps concurrent analysts' feeds and listings apart
+    /// on a shared runtime. Id-taking methods are *not* owner-checked: a
+    /// tenant-facing embedder keeps ids private per tenant, as the
+    /// server's per-connection id table does.
     pub fn new_owner(&mut self) -> OwnerId {
         let owner = OwnerId(self.next_owner);
         self.next_owner += 1;
         owner
-    }
-
-    /// The owner-scoped submission surface: a [`RuntimeSession`] handle
-    /// through which everything `owner` does — submitting, feeding,
-    /// polling, lifecycle — is tagged with and checked against that
-    /// owner. This is the seam the network server's per-connection state
-    /// machine drives, and the one in-process embedders building their
-    /// own tenancy should use; the unscoped [`submit`](Self::submit) /
-    /// [`push_batch`](Self::push_batch) family remains the single-user
-    /// convenience surface.
-    ///
-    /// The handle borrows the runtime exclusively; it is a view, not a
-    /// registration — constructing one is free, and a caller guarding
-    /// the runtime behind a lock takes a fresh one per operation.
-    pub fn session(&mut self, owner: OwnerId) -> RuntimeSession<'_> {
-        RuntimeSession { rt: self, owner }
     }
 
     /// Set the fair-share weight of an owner's query tasks (clamped to
@@ -366,7 +358,7 @@ impl Runtime {
     }
 
     /// The `(fair key, weight)` scheduler tag of one owner's query
-    /// tasks. Key 0 is the unscoped class shared with plain spawns, so
+    /// tasks. Key 0 is the unowned class shared with plain spawns, so
     /// owner keys are offset by one.
     fn fair_tag(&self, owner: Option<OwnerId>) -> (u64, u32) {
         match owner {
@@ -411,24 +403,30 @@ impl Runtime {
 
     /// Submit one statement of either template.
     ///
-    /// * DETECT → registers a continuous query and returns its
+    /// * DETECT → registers an unowned continuous query and returns its
     ///   [`QueryId`]; drain its windows with [`poll`](Self::poll).
     /// * GIVEN/SELECT → resolves the `GIVEN` name against the cluster
     ///   bindings and executes against the shared history immediately.
     pub fn submit(&mut self, text: &str) -> Result<Submission, RuntimeError> {
         match self.plan(text)? {
-            QueryPlan::Detect(plan) => self.submit_detect(*plan).map(Submission::Continuous),
+            QueryPlan::Detect(plan) => self.submit_detect(*plan, None).map(Submission::Continuous),
             QueryPlan::Match(plan) => self.run_match(&plan).map(Submission::Matches),
         }
     }
 
-    /// Register a planned DETECT query; completed windows are buffered for
+    /// Register a planned DETECT query, tagged with `owner` (`None` =
+    /// unowned, the single-user case); completed windows are buffered for
     /// [`poll`](Self::poll) under the configured
-    /// [`OutputPolicy`](RuntimeConfig::output_policy). Owner-tagged
-    /// registration goes through [`session`](Self::session).
-    pub fn submit_detect(&mut self, plan: DetectPlan) -> Result<QueryId, RuntimeError> {
+    /// [`OutputPolicy`](RuntimeConfig::output_policy). The query's tasks
+    /// run under the owner's fair-share weight as set at this moment
+    /// ([`set_owner_weight`](Self::set_owner_weight)).
+    pub fn submit_detect(
+        &mut self,
+        plan: DetectPlan,
+        owner: Option<OwnerId>,
+    ) -> Result<QueryId, RuntimeError> {
         let buffer = Arc::new(OutputBuffer::new(self.config.output_policy));
-        self.spawn(plan, Sink::Buffer(buffer.clone()), Some(buffer), None)
+        self.spawn(plan, Sink::Buffer(buffer.clone()), Some(buffer), owner)
     }
 
     /// Register a planned DETECT query with a results callback, invoked on
@@ -507,65 +505,39 @@ impl Runtime {
             .map(|(_, s)| s)
     }
 
-    /// Names of all bound clusters, in binding order.
-    pub fn bindings(&self) -> impl Iterator<Item = &str> {
-        self.bindings.iter().map(|(n, _)| n.as_str())
-    }
-
-    /// Fan one point out to every running query, regardless of which
-    /// `FROM` stream it reads — a convenience for single-stream setups.
-    /// When queries over *different* streams coexist, use
+    /// Fan a batch of points out to every running query, regardless of
+    /// which `FROM` stream it reads — a convenience for single-stream
+    /// setups. When queries over *different* streams coexist, use
     /// [`push_stream`](Self::push_stream) so each query only sees its own
     /// source.
     ///
-    /// Blocks when a query's bounded input queue is full (backpressure).
-    /// Paused and failed queries are skipped — for them the point is a
+    /// The batch travels in bounded chunks, each materialized once and
+    /// shared (`Arc`) across the queries, and the call blocks while a
+    /// query's bounded input queue is full (backpressure), so ingestion
+    /// is throttled to the slowest running query even within one call.
+    /// Paused and failed queries are skipped — for them the points are a
     /// gap in the stream, not buffered work. A query that fails later
-    /// (e.g. a panicking results callback) is moved to
-    /// [`QueryState::Failed`] by its own executor task and skipped from
-    /// then on; ingestion continues for the healthy queries.
+    /// (a point it cannot accept, a panicking results callback) is moved
+    /// to [`QueryState::Failed`] by its own executor task and skipped
+    /// from then on; ingestion continues for the healthy queries.
     ///
     /// The `push` family currently never errors (failures surface
     /// per-query through [`QueryState`] / [`QueryStats::error`]); the
     /// `Result` is kept for forward compatibility with fallible
     /// ingestion paths (e.g. network sources).
-    pub fn push(&self, point: Point) -> Result<(), RuntimeError> {
-        for entry in &self.entries {
-            if entry.shared.read().state != QueryState::Running {
-                continue;
-            }
-            entry
-                .cell
-                .send(Msg::Point(point.clone(), std::time::Instant::now()));
-        }
-        Ok(())
-    }
-
-    /// Fan a batch of points out to every running query (all streams), in
-    /// bounded chunks so backpressure still applies within one call. Each
-    /// chunk is materialized once and shared (`Arc`) across the queries.
-    /// Use [`push_stream`](Self::push_stream) when multiple source
-    /// streams coexist.
     pub fn push_batch(&self, points: &[Point]) -> Result<(), RuntimeError> {
-        self.fan_chunks(points, None, None)
+        self.feeder(None, None).push_batch(points);
+        Ok(())
     }
 
     /// Fan a batch of points from the named source stream out to exactly
     /// the running queries whose `FROM` clause reads that stream (name
     /// match is case-insensitive, like the catalog). Queries over other
     /// streams are untouched — this is the ingestion entry point for
-    /// runtimes serving differently-dimensioned streams at once.
+    /// runtimes serving differently-dimensioned streams at once. Blocking
+    /// and skipping are as for [`push_batch`](Self::push_batch).
     pub fn push_stream(&self, stream: &str, points: &[Point]) -> Result<(), RuntimeError> {
-        self.fan_chunks(points, Some(stream), None)
-    }
-
-    fn fan_chunks(
-        &self,
-        points: &[Point],
-        stream: Option<&str>,
-        owner: Option<OwnerId>,
-    ) -> Result<(), RuntimeError> {
-        self.feeder(owner, stream).push_batch(points);
+        self.feeder(None, Some(stream)).push_batch(points);
         Ok(())
     }
 
@@ -773,9 +745,9 @@ impl Runtime {
         self.descriptors(None)
     }
 
-    /// Snapshot of the queries registered by one session — the
-    /// owner-scoped registry view a server session lists, so concurrent
-    /// analysts never see (or enumerate) each other's queries.
+    /// Snapshot of the queries registered under one owner tag — the
+    /// view a server session lists, so concurrent analysts never see (or
+    /// enumerate) each other's queries.
     pub fn queries_for(&self, owner: OwnerId) -> Vec<QueryDescriptor> {
         self.descriptors(Some(owner))
     }
@@ -796,15 +768,6 @@ impl Runtime {
             .collect()
     }
 
-    /// The session that registered a query (`None` for queries submitted
-    /// through the unscoped API) — for embedders building their own
-    /// scoping atop raw [`QueryId`]s. The bundled network server does
-    /// not need it: its per-session id table means a foreign query
-    /// cannot even be named.
-    pub fn owner_of(&self, id: QueryId) -> Result<Option<OwnerId>, RuntimeError> {
-        Ok(self.entry(id)?.owner)
-    }
-
     /// Current lifecycle state of a query.
     pub fn state(&self, id: QueryId) -> Result<QueryState, RuntimeError> {
         Ok(self.entry(id)?.shared.read().state)
@@ -823,8 +786,8 @@ impl Runtime {
     ///
     /// **Lock hazard:** query executor tasks take the *write* side of
     /// this lock to mirror newly archived summaries. Drop any `read()`
-    /// guard before calling [`push`](Self::push),
-    /// [`push_batch`](Self::push_batch), or [`quiesce`](Self::quiesce) —
+    /// guard before calling [`push_batch`](Self::push_batch),
+    /// [`push_stream`](Self::push_stream), or [`quiesce`](Self::quiesce) —
     /// holding it across those calls can deadlock (a task blocks on the
     /// lock, the runtime blocks on the task).
     pub fn history(&self, dim: usize) -> Option<&SharedPatternBase> {
@@ -935,203 +898,6 @@ impl Runtime {
             .find(|e| e.id == id)
             .ok_or(RuntimeError::UnknownQuery(id))
     }
-
-    /// [`entry`](Self::entry), additionally requiring that the query is
-    /// owned by `owner`. A foreign query resolves to
-    /// [`RuntimeError::UnknownQuery`] — indistinguishable from a query
-    /// that does not exist, so the scoped API never even confirms
-    /// another session's ids.
-    fn entry_for(&self, owner: OwnerId, id: QueryId) -> Result<&QueryEntry, RuntimeError> {
-        let entry = self.entry(id)?;
-        if entry.owner != Some(owner) {
-            return Err(RuntimeError::UnknownQuery(id));
-        }
-        Ok(entry)
-    }
-}
-
-/// The owner-scoped submission surface of one session, from
-/// [`Runtime::session`] — everything a tenant (a network connection, a
-/// notebook) may do, tagged with and checked against its [`OwnerId`]:
-///
-/// * registrations are owner-tagged, so listings, feeds, and teardown
-///   see exactly this session's queries;
-/// * every id-taking method resolves the id *within the owner's scope* —
-///   a foreign session's [`QueryId`] answers
-///   [`RuntimeError::UnknownQuery`], exactly as if it did not exist;
-/// * matching statements still read the shared history (every analyst
-///   matches against the union of all archives, by design).
-///
-/// The handle holds `&mut Runtime`; callers guarding the runtime behind
-/// a lock (the network server) construct one per operation under the
-/// lock and use the snapshot/handle methods ([`feeder`](Self::feeder),
-/// [`cancel_begin`](Self::cancel_begin), [`Runtime::poll_batch`]) to
-/// move any blocking wait outside it.
-pub struct RuntimeSession<'rt> {
-    rt: &'rt mut Runtime,
-    owner: OwnerId,
-}
-
-impl RuntimeSession<'_> {
-    /// The session's owner tag.
-    pub fn owner(&self) -> OwnerId {
-        self.owner
-    }
-
-    /// Submit one statement of either template — [`Runtime::submit`],
-    /// with DETECT registrations owned by this session.
-    pub fn submit(&mut self, text: &str) -> Result<Submission, RuntimeError> {
-        match self.rt.plan(text)? {
-            QueryPlan::Detect(plan) => self.submit_detect(*plan).map(Submission::Continuous),
-            QueryPlan::Match(plan) => self.rt.run_match(&plan).map(Submission::Matches),
-        }
-    }
-
-    /// Register a planned DETECT query owned by this session; completed
-    /// windows are buffered for [`poll`](Self::poll) under the runtime's
-    /// configured [`OutputPolicy`](RuntimeConfig::output_policy).
-    pub fn submit_detect(&mut self, plan: DetectPlan) -> Result<QueryId, RuntimeError> {
-        let buffer = Arc::new(OutputBuffer::new(self.rt.config.output_policy));
-        self.rt.spawn(
-            plan,
-            Sink::Buffer(buffer.clone()),
-            Some(buffer),
-            Some(self.owner),
-        )
-    }
-
-    /// Fan a batch from the named source stream out to this session's
-    /// queries reading that stream — the server's `Feed` path, which is
-    /// what keeps two sessions replaying the same stream byte-identical
-    /// to solo runs instead of double-feeding each other. Blocks under
-    /// per-query backpressure; lock-guarding callers should snapshot a
-    /// [`feeder`](Self::feeder) instead and block outside the lock.
-    pub fn feed(&self, stream: &str, points: &[Point]) -> Result<(), RuntimeError> {
-        self.feeder(Some(stream)).push_batch(points);
-        Ok(())
-    }
-
-    /// An owner-scoped [`Runtime::feeder`] snapshot (`None` = all of
-    /// this session's queries, regardless of stream).
-    pub fn feeder(&self, stream: Option<&str>) -> StreamFeeder {
-        self.rt.feeder(Some(self.owner), stream)
-    }
-
-    /// Block until every live query of this session has processed all
-    /// input queued so far ([`Runtime::quiesce`], owner-scoped).
-    pub fn quiesce(&self) -> Result<(), RuntimeError> {
-        self.feeder(None).quiesce();
-        Ok(())
-    }
-
-    /// Drain a query's buffered completed windows
-    /// ([`Runtime::poll`], owner-checked).
-    pub fn poll(&self, id: QueryId) -> Result<Vec<(WindowId, WindowOutput)>, RuntimeError> {
-        self.rt.entry_for(self.owner, id)?;
-        self.rt.poll(id)
-    }
-
-    /// Drain up to `max` buffered completed windows as an iterator
-    /// ([`Runtime::poll_batch`], owner-checked).
-    pub fn poll_batch(&self, id: QueryId, max: usize) -> Result<PollBatch, RuntimeError> {
-        self.rt.entry_for(self.owner, id)?;
-        self.rt.poll_batch(id, max)
-    }
-
-    /// Install or clear a query's output-readiness hook
-    /// ([`Runtime::set_output_notify`], owner-checked) — the server-push
-    /// seam.
-    pub fn set_output_notify(
-        &self,
-        id: QueryId,
-        notify: Option<OutputNotify>,
-    ) -> Result<(), RuntimeError> {
-        self.rt.entry_for(self.owner, id)?;
-        self.rt.set_output_notify(id, notify)
-    }
-
-    /// Snapshot of this session's queries ([`Runtime::queries_for`]).
-    pub fn queries(&self) -> Vec<QueryDescriptor> {
-        self.rt.queries_for(self.owner)
-    }
-
-    /// Current lifecycle state of one of this session's queries.
-    pub fn state(&self, id: QueryId) -> Result<QueryState, RuntimeError> {
-        Ok(self.rt.entry_for(self.owner, id)?.shared.read().state)
-    }
-
-    /// Current statistics of one of this session's queries.
-    pub fn stats(&self, id: QueryId) -> Result<QueryStats, RuntimeError> {
-        Ok(self
-            .rt
-            .entry_for(self.owner, id)?
-            .shared
-            .read()
-            .stats
-            .clone())
-    }
-
-    /// The canonical statement text of one of this session's queries.
-    pub fn text_of(&self, id: QueryId) -> Result<&str, RuntimeError> {
-        Ok(&self.rt.entry_for(self.owner, id)?.text)
-    }
-
-    /// Pause a running query ([`Runtime::pause`], owner-checked).
-    pub fn pause(&mut self, id: QueryId) -> Result<(), RuntimeError> {
-        self.rt.entry_for(self.owner, id)?;
-        self.rt.pause(id)
-    }
-
-    /// Resume a paused query ([`Runtime::resume`], owner-checked).
-    pub fn resume(&mut self, id: QueryId) -> Result<(), RuntimeError> {
-        self.rt.entry_for(self.owner, id)?;
-        self.rt.resume(id)
-    }
-
-    /// Cancel a query and return its final report
-    /// ([`Runtime::cancel`], owner-checked).
-    pub fn cancel(&mut self, id: QueryId) -> Result<QueryReport, RuntimeError> {
-        self.rt.entry_for(self.owner, id)?;
-        self.rt.cancel(id)
-    }
-
-    /// The non-blocking half of [`cancel`](Self::cancel)
-    /// ([`Runtime::cancel_begin`], owner-checked): begin under the
-    /// caller's lock, [`PendingCancel::wait`] outside it.
-    pub fn cancel_begin(&mut self, id: QueryId) -> Result<PendingCancel, RuntimeError> {
-        self.rt.entry_for(self.owner, id)?;
-        self.rt.cancel_begin(id)
-    }
-
-    /// Set this session's fair-share scheduling weight
-    /// ([`Runtime::set_owner_weight`]).
-    pub fn set_weight(&mut self, weight: u32) {
-        self.rt.set_owner_weight(self.owner, weight);
-    }
-
-    /// Bytes of admitted-but-unprocessed input across this session's
-    /// live queries ([`Runtime::input_queue_bytes_for`]).
-    pub fn input_queue_bytes(&self) -> usize {
-        self.rt.input_queue_bytes_for(self.owner)
-    }
-
-    /// Wire-encoded bytes of completed-but-unpolled windows across this
-    /// session's live queries ([`Runtime::output_bytes_for`]).
-    pub fn output_bytes(&self) -> usize {
-        self.rt.output_bytes_for(self.owner)
-    }
-
-    /// Close this session's output buffers
-    /// ([`Runtime::close_outputs`]) — the disconnect lever.
-    pub fn close_outputs(&self) -> usize {
-        self.rt.close_outputs(self.owner)
-    }
-
-    /// Remove this session's cancelled queries from the registry
-    /// ([`Runtime::evict_cancelled`]) — the teardown step.
-    pub fn evict_cancelled(&mut self) -> usize {
-        self.rt.evict_cancelled(self.owner)
-    }
 }
 
 /// An in-flight cancellation from [`Runtime::cancel_begin`]: the stop is
@@ -1185,10 +951,9 @@ pub struct StreamFeeder {
 
 impl StreamFeeder {
     /// Fan a batch out to every snapshot query currently `Running`, in
-    /// bounded chunks (the same backpressure path as
-    /// [`Runtime::push_batch`]: blocks while a targeted query's bounded
-    /// input queue is full). Paused and failed queries are skipped — for
-    /// them the batch is a gap in the stream.
+    /// bounded chunks — the one ingestion path, behind
+    /// [`Runtime::push_batch`] and [`Runtime::push_stream`] too (see the
+    /// former for the blocking and skipping contract).
     pub fn push_batch(&self, points: &[Point]) {
         for chunk in points.chunks(BATCH_CHUNK) {
             let chunk: Arc<[Point]> = chunk.into();
@@ -1219,16 +984,6 @@ impl StreamFeeder {
             let _ = rx.recv();
         }
     }
-
-    /// How many queries the snapshot targets.
-    pub fn len(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// True when the snapshot matched no queries.
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -1253,6 +1008,14 @@ mod tests {
         let mut rt = Runtime::new();
         rt.register_stream("gmti", 2);
         rt
+    }
+
+    /// Register [`DETECT`] tagged with `owner`.
+    fn submit_as(rt: &mut Runtime, owner: OwnerId) -> QueryId {
+        let QueryPlan::Detect(plan) = rt.plan(DETECT).unwrap() else {
+            panic!("expected detect");
+        };
+        rt.submit_detect(*plan, Some(owner)).unwrap()
     }
 
     #[test]
@@ -1349,7 +1112,7 @@ mod tests {
         assert_eq!(report.base.len() as u64, report.stats.archived);
         assert_eq!(rt.state(id).unwrap(), QueryState::Cancelled);
         // Cancelled queries are skipped by ingestion and re-cancel fails.
-        rt.push(Point::new(vec![0.0, 0.0], 0)).unwrap();
+        rt.push_batch(&[Point::new(vec![0.0, 0.0], 0)]).unwrap();
         assert!(matches!(rt.cancel(id), Err(RuntimeError::Disconnected(_))));
         // The descriptor listing still shows it.
         let descs = rt.queries();
@@ -1742,50 +1505,24 @@ mod tests {
         let alice = rt.new_owner();
         let bob = rt.new_owner();
         assert_ne!(alice, bob);
-        let Submission::Continuous(qa) = rt.session(alice).submit(DETECT).unwrap() else {
-            panic!()
-        };
-        let Submission::Continuous(qb) = rt.session(bob).submit(DETECT).unwrap() else {
-            panic!()
-        };
-        // Unscoped query for contrast.
+        let qa = submit_as(&mut rt, alice);
+        let qb = submit_as(&mut rt, bob);
+        // Unowned query for contrast.
         let Submission::Continuous(qu) = rt.submit(DETECT).unwrap() else {
             panic!()
         };
 
-        assert_eq!(rt.owner_of(qa).unwrap(), Some(alice));
-        assert_eq!(rt.owner_of(qb).unwrap(), Some(bob));
-        assert_eq!(rt.owner_of(qu).unwrap(), None);
-        let alice_view = rt.queries_for(alice);
-        assert_eq!(alice_view.len(), 1);
-        assert_eq!(alice_view[0].id, qa);
-        assert_eq!(rt.queries_for(bob).len(), 1);
-        assert_eq!(rt.queries().len(), 3, "the unscoped view still sees all");
+        let ids = |view: Vec<QueryDescriptor>| view.iter().map(|d| d.id).collect::<Vec<_>>();
+        assert_eq!(ids(rt.queries_for(alice)), [qa]);
+        assert_eq!(ids(rt.queries_for(bob)), [qb]);
+        assert_eq!(ids(rt.queries()), [qa, qb, qu], "the full view sees all");
 
         // Owner-scoped ingestion feeds exactly the owner's queries.
-        rt.session(alice).feed("gmti", &gmti(1000)).unwrap();
+        rt.feeder(Some(alice), Some("gmti")).push_batch(&gmti(1000));
         rt.quiesce().unwrap();
         assert_eq!(rt.stats(qa).unwrap().points, 1000);
         assert_eq!(rt.stats(qb).unwrap().points, 0);
         assert_eq!(rt.stats(qu).unwrap().points, 0);
-
-        // A session handle cannot even name another owner's query: every
-        // id-taking method answers UnknownQuery for a foreign id.
-        let mut alice_session = rt.session(alice);
-        assert!(matches!(
-            alice_session.stats(qb),
-            Err(RuntimeError::UnknownQuery(_))
-        ));
-        assert!(matches!(
-            alice_session.poll(qb),
-            Err(RuntimeError::UnknownQuery(_))
-        ));
-        assert!(matches!(
-            alice_session.cancel(qb),
-            Err(RuntimeError::UnknownQuery(_))
-        ));
-        assert_eq!(alice_session.queries().len(), 1);
-        assert!(alice_session.stats(qa).is_ok());
     }
 
     #[test]
@@ -1793,16 +1530,11 @@ mod tests {
         let mut rt = runtime();
         let session = rt.new_owner();
         let other = rt.new_owner();
-        let Submission::Continuous(dead) = rt.session(session).submit(DETECT).unwrap() else {
-            panic!()
-        };
-        let Submission::Continuous(live) = rt.session(session).submit(DETECT).unwrap() else {
-            panic!()
-        };
-        let Submission::Continuous(foreign) = rt.session(other).submit(DETECT).unwrap() else {
-            panic!()
-        };
-        rt.session(session).feed("gmti", &gmti(1500)).unwrap();
+        let dead = submit_as(&mut rt, session);
+        let live = submit_as(&mut rt, session);
+        let foreign = submit_as(&mut rt, other);
+        rt.feeder(Some(session), Some("gmti"))
+            .push_batch(&gmti(1500));
         rt.quiesce().unwrap();
         rt.cancel(dead).unwrap();
         assert_eq!(rt.evict_cancelled(session), 1);
@@ -1824,9 +1556,7 @@ mod tests {
         });
         rt.register_stream("gmti", 2);
         let owner = rt.new_owner();
-        let Submission::Continuous(id) = rt.session(owner).submit(DETECT).unwrap() else {
-            panic!()
-        };
+        let id = submit_as(&mut rt, owner);
         let stream = gmti(6000);
         let rt_ref = &rt;
         std::thread::scope(|s| {
@@ -1866,8 +1596,8 @@ mod tests {
         let mut rt = runtime();
         let mine = rt.new_owner();
         let theirs = rt.new_owner();
-        rt.session(mine).submit(DETECT).unwrap();
-        rt.session(theirs).submit(DETECT).unwrap();
+        submit_as(&mut rt, mine);
+        submit_as(&mut rt, theirs);
         assert_eq!(rt.close_outputs(mine), 1, "only the owner's buffer");
         assert_eq!(rt.close_outputs(OwnerId(999)), 0);
     }

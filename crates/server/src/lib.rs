@@ -29,12 +29,12 @@
 //!   through the session's table and tagged with a runtime
 //!   [`OwnerId`] — another session cannot name, list, poll, or cancel
 //!   them;
-//! * feeds only its own queries: `Feed` frames route through the
-//!   owner-scoped [`Runtime::session`] seam, so two sessions replaying
-//!   the same stream each see exactly their own data (byte-identical to
-//!   a solo run), while both archives still merge into the **shared
-//!   history** that matching statements query — the paper's
-//!   many-analysts / one-history arrangement;
+//! * feeds only its own queries: `Feed` frames route through an
+//!   owner-filtered [`Runtime::feeder`] snapshot, so two sessions
+//!   replaying the same stream each see exactly their own data
+//!   (byte-identical to a solo run), while both archives still merge
+//!   into the **shared history** that matching statements query — the
+//!   paper's many-analysts / one-history arrangement;
 //! * consumes results by poll **or** push: `Subscribe` turns a query's
 //!   output buffer into unsolicited `Windows` frames, sent only when
 //!   the socket is write-ready (an unread socket exerts plain TCP flow
@@ -56,7 +56,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
@@ -258,6 +258,9 @@ struct Shared {
     /// finished, so an empty registry means the runtime holds no
     /// session state.
     seats: Mutex<HashMap<u64, Seat>>,
+    /// Notified, with `seats` held, whenever a seat is removed and once
+    /// `drain_done` is set — what [`Shared::wait_until`] sleeps on.
+    seats_changed: Condvar,
     next_token: AtomicU64,
     limits: Limits,
     auth: Vec<AuthToken>,
@@ -268,6 +271,35 @@ struct Shared {
     dispatch: sgs_exec::Pool,
     mailbox: Mailbox,
     metrics: ServerMetrics,
+}
+
+impl Shared {
+    /// Block until `done(seats)` holds or `deadline` (if any) passes —
+    /// the control path's one wait, woken through `seats_changed`.
+    /// Conditions over state other than the seat map (`drain_done`) are
+    /// safe as long as their writer notifies while holding `seats`.
+    fn wait_until(&self, deadline: Option<Instant>, done: impl Fn(&HashMap<u64, Seat>) -> bool) {
+        let mut seats = self.seats.lock().unwrap();
+        while !done(&seats) {
+            seats = match deadline {
+                None => self.seats_changed.wait(seats).unwrap(),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return;
+                    }
+                    self.seats_changed.wait_timeout(seats, left).unwrap().0
+                }
+            };
+        }
+    }
+
+    /// Drop a finished session's seat and wake the control path.
+    fn vacate(&self, token: u64) {
+        let mut seats = self.seats.lock().unwrap();
+        seats.remove(&token);
+        self.seats_changed.notify_all();
+    }
 }
 
 /// The listening server. Construct with [`Server::bind`], then either
@@ -326,13 +358,7 @@ impl ServerHandle {
         // Phase 1: the reactor notices the flag at its next wakeup,
         // sends GoAway everywhere, and tears sessions down. Wait out
         // the grace window.
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if shared.seats.lock().unwrap().is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        shared.wait_until(Some(Instant::now() + timeout), HashMap::is_empty);
 
         // Phase 2: force-close whoever is left. Shutting the socket
         // surfaces as a hangup in the reactor; releasing the owner's
@@ -349,13 +375,10 @@ impl ServerHandle {
         };
         // Forced sessions unwind through normal teardown; give that a
         // bounded grace so the checkpoint below sees their cancels.
-        let grace = Instant::now() + Duration::from_secs(5);
-        while forced > 0 && Instant::now() < grace {
-            if shared.seats.lock().unwrap().is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        shared.wait_until(
+            Some(Instant::now() + Duration::from_secs(5)),
+            HashMap::is_empty,
+        );
 
         // Phase 3: make the archive durable *now*. Teardown only
         // cancels pipelines; the WAL would recover without this, but a
@@ -370,6 +393,8 @@ impl ServerHandle {
         }
         drop(rt);
         shared.drain_done.store(true, Ordering::SeqCst);
+        let _seats = shared.seats.lock().unwrap();
+        shared.seats_changed.notify_all();
         forced
     }
 }
@@ -393,6 +418,7 @@ impl Server {
                 drain_done: AtomicBool::new(false),
                 drain_millis: AtomicU64::new(0),
                 seats: Mutex::new(HashMap::new()),
+                seats_changed: Condvar::new(),
                 next_token: AtomicU64::new(0),
                 limits: Limits {
                     idle_timeout: config.idle_timeout,
@@ -430,17 +456,16 @@ impl Server {
         reactor::run(self.listener, &shared)?;
         // Session teardown (cancel + evict) runs on the dispatch pool;
         // wait for the seats to empty so "run returned" keeps meaning
-        // "no session state remains in the runtime".
-        while !shared.seats.lock().unwrap().is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // A drain wakes the reactor long before its final checkpoint.
-        // Honor the documented contract — `run` returns once the drain
+        // "no session state remains in the runtime". And a drain wakes
+        // the reactor long before its final checkpoint: honor the
+        // documented contract — `run` returns once the drain
         // *completes* — so a `main` that exits right after us cannot
         // kill the checkpoint midway.
-        while shared.draining.load(Ordering::SeqCst) && !shared.drain_done.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        shared.wait_until(None, |seats| {
+            seats.is_empty()
+                && (!shared.draining.load(Ordering::SeqCst)
+                    || shared.drain_done.load(Ordering::SeqCst))
+        });
         Ok(())
     }
 }
@@ -507,7 +532,7 @@ fn dispatch(shared: &Shared, view: &SessionView, frame: Frame) -> (Frame, Effect
                             );
                         }
                     }
-                    match rt.session(view.owner).submit_detect(*plan) {
+                    match rt.submit_detect(*plan, Some(view.owner)) {
                         Ok(id) => {
                             return (
                                 Frame::Registered {

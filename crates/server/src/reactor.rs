@@ -917,7 +917,7 @@ impl Reactor<'_> {
             shared.rt.write().evict_cancelled(owner);
             // Leave the seat last: an empty registry tells the drain
             // that no session state remains in the runtime.
-            shared.seats.lock().unwrap().remove(&token);
+            shared.vacate(token);
         });
     }
 }

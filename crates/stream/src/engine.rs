@@ -1,9 +1,10 @@
 //! The window engine: drives a clustering algorithm over a stream.
 //!
 //! The engine owns nothing but the window bookkeeping. Algorithms implement
-//! [`WindowConsumer`]; the engine calls
-//! [`insert`](WindowConsumer::insert) for every arriving point (tagged with
-//! its pre-computed expiry window, Obs. 5.2) and
+//! [`WindowConsumer`]; the engine hands every run of arriving points
+//! between two window boundaries to
+//! [`insert_batch`](WindowConsumer::insert_batch) (each point tagged with
+//! its pre-computed expiry window, Obs. 5.2) and calls
 //! [`slide`](WindowConsumer::slide) whenever a window completes, collecting
 //! the per-window outputs.
 
@@ -45,6 +46,9 @@ pub trait WindowConsumer {
 pub struct WindowEngine {
     spec: WindowSpec,
     dim: usize,
+    /// Largest accepted coordinate magnitude (see
+    /// [`with_coord_limit`](Self::with_coord_limit)).
+    coord_limit: f64,
     /// Next point id / arrival sequence number.
     seq: u32,
     /// Smallest not-yet-completed window.
@@ -55,16 +59,32 @@ pub struct WindowEngine {
 }
 
 impl WindowEngine {
-    /// New engine for a `dim`-dimensional stream.
+    /// New engine for a `dim`-dimensional stream. Any finite coordinate is
+    /// accepted until [`with_coord_limit`](Self::with_coord_limit) narrows
+    /// the domain.
     pub fn new(spec: WindowSpec, dim: usize) -> Self {
         WindowEngine {
             spec,
             dim,
+            coord_limit: f64::MAX,
             seq: 0,
             current: 0,
             last_ts: 0,
             started: false,
         }
+    }
+
+    /// Reject points with a coordinate whose magnitude exceeds `limit`
+    /// ([`Error::InvalidCoordinate`]). A consumer that buckets points
+    /// into integer grid cells passes the largest magnitude its cell
+    /// arithmetic can address
+    /// ([`GridGeometry::coord_limit`](sgs_core::GridGeometry::coord_limit)),
+    /// so an oversized value is a typed error at the door instead of a
+    /// saturated or wrapped cell index inside. Non-finite coordinates are
+    /// rejected under every limit.
+    pub fn with_coord_limit(mut self, limit: f64) -> Self {
+        self.coord_limit = limit;
+        self
     }
 
     /// The smallest window that has not yet completed.
@@ -94,20 +114,26 @@ impl WindowEngine {
         }
     }
 
-    /// Feed one point. Completes any windows that close *before* this point
-    /// (time-based streams can close several at once), pushing their outputs
-    /// into `outputs`, then inserts the point into the consumer.
-    pub fn push<C: WindowConsumer>(
-        &mut self,
-        point: Point,
-        consumer: &mut C,
-        outputs: &mut Vec<(WindowId, C::Output)>,
-    ) -> Result<PointId> {
+    /// The admission checks every arriving point passes, in order:
+    /// dimensionality, coordinate domain, timestamp order (time-based
+    /// windows; an admitted point becomes the new high-water mark).
+    fn admit(&mut self, point: &Point) -> Result<()> {
         if point.dim() != self.dim {
             return Err(Error::DimensionMismatch {
                 expected: self.dim,
                 got: point.dim(),
             });
+        }
+        let limit = self.coord_limit;
+        if let Some(axis) = point
+            .coords
+            .iter()
+            .position(|x| x.is_nan() || x.abs() > limit)
+        {
+            return Err(Error::InvalidCoordinate(format!(
+                "{:e} on axis {axis} is not finite or lies beyond ±{limit:e}",
+                point.coords[axis]
+            )));
         }
         if self.spec.kind == WindowKind::Time {
             if self.started && point.ts < self.last_ts {
@@ -119,33 +145,35 @@ impl WindowEngine {
             self.last_ts = point.ts;
             self.started = true;
         }
-        let t = self.logical_time(&point);
-        // Complete every window that ends at or before this point's time.
-        while t >= self.spec.window_end(self.current) {
-            let out = consumer.slide(WindowId(self.current));
-            outputs.push((WindowId(self.current), out));
-            self.current += 1;
-        }
-        let id = PointId(self.seq);
-        self.seq += 1;
-        consumer.insert(id, &point, expires_at(&self.spec, t));
-        Ok(id)
+        Ok(())
     }
 
-    /// Feed a batch of points, amortizing the per-point call overhead of
-    /// [`push`](Self::push). Returns the number of points accepted.
+    /// Feed one point: [`push_batch`](Self::push_batch) of a single
+    /// element. Completes any windows that close *before* this point
+    /// (time-based streams can close several at once), pushing their outputs
+    /// into `outputs`, then inserts the point into the consumer.
+    pub fn push<C: WindowConsumer>(
+        &mut self,
+        point: Point,
+        consumer: &mut C,
+        outputs: &mut Vec<(WindowId, C::Output)>,
+    ) -> Result<PointId> {
+        self.push_batch([point], consumer, outputs)?;
+        Ok(PointId(self.seq - 1))
+    }
+
+    /// Feed a batch of points. Returns the number of points accepted.
     ///
     /// The batch is cut into *segments* — maximal runs of points between
     /// two window boundaries — and each segment is handed to the consumer
     /// in one [`insert_batch`](WindowConsumer::insert_batch) call, which
     /// is what lets sharded consumers parallelize within a segment. The
     /// sequence of consumer `insert`/`slide` effects — and thus every
-    /// output — is **identical** to pushing the same points one at a
-    /// time.
+    /// output — does not depend on how a stream is cut into batches.
     ///
-    /// On error (dimension mismatch, out-of-order timestamp), points
-    /// before the failing one are already inserted and any windows they
-    /// completed are already in `outputs`.
+    /// On error (dimension mismatch, invalid coordinate, out-of-order
+    /// timestamp), points before the failing one are already inserted and
+    /// any windows they completed are already in `outputs`.
     pub fn push_batch<C: WindowConsumer>(
         &mut self,
         points: impl IntoIterator<Item = Point>,
@@ -153,41 +181,14 @@ impl WindowEngine {
         outputs: &mut Vec<(WindowId, C::Output)>,
     ) -> Result<u64> {
         let mut accepted = 0u64;
-        let time_based = self.spec.kind == WindowKind::Time;
         let mut boundary = self.spec.window_end(self.current);
         let mut segment: Vec<(PointId, Point, WindowId)> = Vec::new();
-        // On any error, points before the failing one must be inserted,
-        // exactly as if pushed one at a time (their slides already ran).
-        macro_rules! fail {
-            ($seg:expr, $err:expr) => {{
-                if !$seg.is_empty() {
-                    consumer.insert_batch(&$seg);
-                }
-                return Err($err);
-            }};
-        }
         for point in points {
-            if point.dim() != self.dim {
-                fail!(
-                    segment,
-                    Error::DimensionMismatch {
-                        expected: self.dim,
-                        got: point.dim(),
-                    }
-                );
-            }
-            if time_based {
-                if self.started && point.ts < self.last_ts {
-                    fail!(
-                        segment,
-                        Error::OutOfOrderTimestamp {
-                            last: self.last_ts,
-                            got: point.ts,
-                        }
-                    );
+            if let Err(e) = self.admit(&point) {
+                if !segment.is_empty() {
+                    consumer.insert_batch(&segment);
                 }
-                self.last_ts = point.ts;
-                self.started = true;
+                return Err(e);
             }
             let t = self.logical_time(&point);
             if t >= boundary {
@@ -440,6 +441,33 @@ mod tests {
             Error::OutOfOrderTimestamp { last: 7, got: 6 }
         ));
         // The two in-order points before the failure were accepted.
+        assert_eq!(eng.accepted(), 2);
+    }
+
+    #[test]
+    fn push_batch_rejects_out_of_domain_coordinates_mid_batch() {
+        let spec = WindowSpec::count(4, 2).unwrap();
+        // No limit set: every finite value passes, no other does.
+        let mut eng = WindowEngine::new(spec, 1);
+        let mut rec = Recorder::default();
+        let mut outs = Vec::new();
+        let batch = vec![pt(f64::MAX, 0), pt(-1e300, 0), pt(f64::NAN, 0), pt(0.0, 0)];
+        let err = eng.push_batch(batch, &mut rec, &mut outs).unwrap_err();
+        assert!(matches!(err, Error::InvalidCoordinate(_)), "{err}");
+        assert_eq!(eng.accepted(), 2);
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            let err = eng.push(pt(bad, 0), &mut rec, &mut outs).unwrap_err();
+            assert!(matches!(err, Error::InvalidCoordinate(_)), "{err}");
+        }
+        // A limit is inclusive and symmetric.
+        let mut eng = WindowEngine::new(spec, 1).with_coord_limit(10.0);
+        for ok in [10.0, -10.0] {
+            eng.push(pt(ok, 0), &mut rec, &mut outs).unwrap();
+        }
+        for bad in [10.000001, -10.000001, f64::NAN] {
+            let err = eng.push(pt(bad, 0), &mut rec, &mut outs).unwrap_err();
+            assert!(matches!(err, Error::InvalidCoordinate(_)), "{err}");
+        }
         assert_eq!(eng.accepted(), 2);
     }
 

@@ -101,7 +101,11 @@ fn face_mask(sgs: &Sgs, cell: &SkeletalCell) -> u16 {
 /// Decode an archived summary. Connections are reconstructed from the face
 /// bitmask (only face-adjacent connections are archived; see module docs).
 ///
-/// Returns `None` if the buffer is truncated or malformed.
+/// Returns `None` if the buffer is truncated or malformed: a `dim`
+/// outside `1..=8` (what [`encode`] writes — the face mask has 16 bits),
+/// a side length that is not a positive finite number, or fewer bytes
+/// than the cell count announces. A face bit pointing past the `i32`
+/// range names no cell and is dropped, like one naming an absent cell.
 pub fn decode(mut buf: Bytes) -> Option<Sgs> {
     if buf.remaining() < HEADER_BYTES {
         return None;
@@ -110,7 +114,11 @@ pub fn decode(mut buf: Bytes) -> Option<Sgs> {
     let level = buf.get_u8();
     let count = buf.get_u32_le() as usize;
     let side = buf.get_f64_le();
-    if dim == 0 || side <= 0.0 || side.is_nan() || buf.remaining() < count * bytes_per_cell(dim) {
+    if !(1..=8).contains(&dim)
+        || !side.is_finite()
+        || side <= 0.0
+        || buf.remaining() < count * bytes_per_cell(dim)
+    {
         return None;
     }
     let mut packed = Vec::with_capacity(count);
@@ -138,12 +146,16 @@ pub fn decode(mut buf: Bytes) -> Option<Sgs> {
             let mut connections = Vec::new();
             for k in 0..dim {
                 for (bit, dir) in [(2 * k, -1i32), (2 * k + 1, 1)] {
-                    if p.connections & (1 << bit) != 0 {
-                        let mut nb = p.coord.to_vec();
-                        nb[k] += dir;
-                        if let Some(&j) = index_of.get(nb.as_slice()) {
-                            connections.push(j);
-                        }
+                    if p.connections & (1 << bit) == 0 {
+                        continue;
+                    }
+                    let Some(shifted) = p.coord[k].checked_add(dir) else {
+                        continue;
+                    };
+                    let mut nb = p.coord.to_vec();
+                    nb[k] = shifted;
+                    if let Some(&j) = index_of.get(nb.as_slice()) {
+                        connections.push(j);
                     }
                 }
             }
@@ -233,6 +245,40 @@ mod tests {
         assert!(decode(bytes.slice(0..bytes.len() - 1)).is_none());
         assert!(decode(bytes.slice(0..4)).is_none());
         assert!(decode(Bytes::new()).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_what_encode_cannot_write_without_panicking() {
+        let s = sample();
+        let bytes = encode(&s).to_vec();
+        // Every dimensionality the 16-bit face mask cannot describe.
+        // Padded so the announced cells fit whatever `dim` claims.
+        for dim in 9..=255u8 {
+            let mut patched = bytes.clone();
+            patched[0] = dim;
+            patched.resize(
+                HEADER_BYTES + s.cells.len() * bytes_per_cell(dim as usize),
+                0xff,
+            );
+            assert!(decode(Bytes::from(patched)).is_none(), "dim {dim}");
+        }
+        for side in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
+            let mut patched = bytes.clone();
+            patched[6..14].copy_from_slice(&side.to_le_bytes());
+            assert!(decode(Bytes::from(patched)).is_none(), "side {side}");
+        }
+        // A cell on the last column of the grid claiming a `+1`
+        // neighbour on that axis (and its mirror image): no such cell
+        // can exist, so the bits resolve to nothing.
+        for (edge, bit) in [(i32::MAX, 0b10u16), (i32::MIN, 0b01)] {
+            let mut patched = bytes.clone();
+            patched[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&edge.to_le_bytes());
+            let mask_at = HEADER_BYTES + bytes_per_cell(s.dim) - 2;
+            patched[mask_at..mask_at + 2].copy_from_slice(&bit.to_le_bytes());
+            let decoded = decode(Bytes::from(patched)).expect("structurally valid");
+            assert_eq!(decoded.cells[0].coord.0[0], edge);
+            assert!(decoded.cells[0].connections.is_empty());
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ fn main() -> Result<()> {
 
     // A toy stream: two drifting blobs plus uniform noise.
     let mut printed = 0;
+    let mut last_window = Vec::new();
     for i in 0..1500u64 {
         let t = i as f64 / 1500.0;
         let p = match i % 3 {
@@ -42,6 +43,7 @@ fn main() -> Result<()> {
                 }
                 printed += 1;
             }
+            last_window = clusters;
         }
     }
 
@@ -49,7 +51,7 @@ fn main() -> Result<()> {
 
     // Cluster matching query (Fig. 3): find history clusters similar to the
     // most recent one, ignoring absolute position.
-    let recent = &pipeline.last_output()[0].sgs;
+    let recent = &last_window[0].sgs;
     let config = MatchConfig::equal_weights(false, 0.25);
     let outcome = pipeline.base().match_query(recent, &config);
     println!(

@@ -1,10 +1,11 @@
-//! Remote analyst console: the `runtime_console` workflow over a real
-//! TCP socket — DETECT statements register continuous queries on a
+//! The interactive multi-query analyst console, over a real TCP socket —
+//! DETECT statements register continuous queries on a
 //! `streamsum-server`, `feed` generates stream data client-side and
 //! ships it over the wire, windows come back as `sgs-wire` frames, and
 //! GIVEN statements match bound clusters against the server's shared
-//! history. `subscribe` switches a query to server-push delivery: the
-//! server sends `Windows` frames as they are produced, no polling.
+//! history (whose size is the sum of the `archived` column of `stats`).
+//! `subscribe` switches a query to server-push delivery: the server
+//! sends `Windows` frames as they are produced, no polling.
 //!
 //! Point it at a running server:
 //!
@@ -18,9 +19,10 @@
 //!
 //! With no `REMOTE_CONSOLE_ADDR` (or `--addr`) it spins up an
 //! in-process server on a loopback port and talks to that — still
-//! through the full TCP + wire-protocol path.
+//! through the full TCP + wire-protocol path, so there is no separate
+//! in-process console.
 //!
-//! Scriptable from a pipe exactly like `runtime_console`, e.g.:
+//! Scriptable from a pipe, e.g.:
 //!
 //! ```text
 //! printf 'DETECT DensityBasedClusters f+s FROM gmti USING theta_range = 0.6 \

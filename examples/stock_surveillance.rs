@@ -23,6 +23,7 @@ fn main() -> Result<()> {
 
     let mut windows = 0;
     let mut total_clusters = 0;
+    let mut last_window = Vec::new();
     for p in stream {
         for (window, clusters) in pipeline.push(p)? {
             windows += 1;
@@ -41,6 +42,7 @@ fn main() -> Result<()> {
                     );
                 }
             }
+            last_window = clusters;
         }
     }
     println!(
@@ -49,7 +51,7 @@ fn main() -> Result<()> {
         pipeline.base().len()
     );
 
-    let Some(current) = pipeline.last_output().iter().max_by_key(|c| c.population()) else {
+    let Some(current) = last_window.iter().max_by_key(|c| c.population()) else {
         println!("no pattern in the last window");
         return Ok(());
     };

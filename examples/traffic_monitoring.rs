@@ -47,7 +47,10 @@ fn main() -> Result<()> {
 
     // A new congestion was just detected — has this area been congested
     // with a similar structure before? (position-sensitive: ps = 1)
-    let Some(current) = pipeline.last_output().iter().max_by_key(|c| c.population()) else {
+    let Some(current) = last_windows
+        .last()
+        .and_then(|(_, clusters)| clusters.iter().max_by_key(|c| c.population()))
+    else {
         println!("no clusters in the last window");
         return Ok(());
     };

@@ -22,6 +22,7 @@
 //!
 //! // Feed a stream; completed windows yield clusters in full + SGS form
 //! // and are archived automatically.
+//! let mut last_window = Vec::new();
 //! for i in 0..400u64 {
 //!     let x = (i % 20) as f64 * 0.1;
 //!     let y = ((i / 20) % 3) as f64 * 0.1;
@@ -32,12 +33,13 @@
 //!             assert!(c.sgs.volume() > 0);
 //!             let _ = (window, c);
 //!         }
+//!         last_window = clusters;
 //!     }
 //! }
 //!
 //! // Match a cluster of interest against the stream history.
 //! let config = MatchConfig::equal_weights(false, 0.2);
-//! if let Some(recent) = pipeline.last_output().first() {
+//! if let Some(recent) = last_window.first() {
 //!     let outcome = pipeline.base().match_query(&recent.sgs, &config);
 //!     assert!(!outcome.matches.is_empty());
 //! }
@@ -57,7 +59,7 @@
 //! | [`matching`] | distance metric, alignment search, GED, Chamfer |
 //! | [`archive`] | pattern archiver + pattern base |
 //! | [`query`] | DETECT/MATCH query language (lexer, parser, AST) |
-//! | [`runtime`] | multi-query planner, registry, pool-multiplexed executor, `Runtime` session API |
+//! | [`runtime`] | multi-query planner, registry, pool-multiplexed executor, the `Runtime` surface |
 //! | [`wire`] | length-prefixed, versioned binary protocol of the network front-end |
 //! | [`client`] | blocking TCP client for a `streamsum-server` |
 //! | [`server`] | the TCP server multiplexing remote sessions onto one shared `Runtime` |
@@ -65,7 +67,7 @@
 //!
 //! ## Serving many queries at once
 //!
-//! The [`runtime::Runtime`] session API executes query-language text
+//! The [`runtime::Runtime`] executes query-language text
 //! directly, fanning one ingested stream out to any number of concurrent
 //! continuous queries — multiplexed over the shared work-stealing
 //! scheduler pool ([`exec`]) behind bounded, backpressured input queues,

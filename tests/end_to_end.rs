@@ -12,7 +12,7 @@ fn run_pipeline(n_records: usize) -> (StreamPipeline, Vec<(WindowId, WindowOutpu
         n_records,
         ..GmtiConfig::default()
     });
-    let outs = pipeline.extend(stream).unwrap();
+    let outs = pipeline.push_batch(stream).unwrap();
     (pipeline, outs)
 }
 
@@ -85,7 +85,7 @@ fn archived_patterns_are_retrievable_and_compact() {
         n_records: 25_000,
         ..SttConfig::default()
     });
-    let outs = pipeline.extend(stream).unwrap();
+    let outs = pipeline.push_batch(stream).unwrap();
     let base = pipeline.base();
     assert!(base.len() > 10);
 
@@ -109,7 +109,7 @@ fn archived_patterns_are_retrievable_and_compact() {
     );
 
     // Self-matching: the most recent cluster finds its archived twin.
-    let recent = &pipeline.last_output()[0].sgs;
+    let recent = &outs.last().unwrap().1[0].sgs;
     let outcome = base.match_query(recent, &MatchConfig::equal_weights(true, 0.2));
     assert!(!outcome.matches.is_empty());
     assert!(outcome.matches[0].distance < 1e-9);
@@ -157,7 +157,7 @@ fn sampling_policy_archives_fraction() {
         n_records: 10_000,
         ..GmtiConfig::default()
     });
-    pipeline.extend(stream).unwrap();
+    pipeline.push_batch(stream).unwrap();
     let (offered, archived) = pipeline.archive_stats();
     assert!(offered > 50);
     let frac = archived as f64 / offered as f64;

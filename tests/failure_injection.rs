@@ -109,13 +109,15 @@ fn huge_theta_r_gives_one_cluster() {
 fn negative_coordinates_work_end_to_end() {
     let query = ClusterQuery::new(0.5, 3, 2, WindowSpec::count(20, 10).unwrap()).unwrap();
     let mut pipeline = StreamPipeline::new(query, ArchivePolicy::All, 0).unwrap();
-    for i in 0..60u64 {
-        let x = -10.0 + (i % 5) as f64 * 0.1;
-        let y = -20.0 + (i % 7) as f64 * 0.1;
-        pipeline.push(Point::new(vec![x, y], i)).unwrap();
-    }
+    let outs = pipeline
+        .push_batch((0..60u64).map(|i| {
+            let x = -10.0 + (i % 5) as f64 * 0.1;
+            let y = -20.0 + (i % 7) as f64 * 0.1;
+            Point::new(vec![x, y], i)
+        }))
+        .unwrap();
     assert!(!pipeline.base().is_empty());
-    let recent = &pipeline.last_output()[0].sgs;
+    let recent = &outs.last().unwrap().1[0].sgs;
     assert!(recent
         .cells
         .iter()
@@ -131,7 +133,7 @@ fn window_larger_than_stream_emits_nothing() {
     let query = ClusterQuery::new(0.5, 2, 2, WindowSpec::count(1000, 100).unwrap()).unwrap();
     let mut pipeline = StreamPipeline::new(query, ArchivePolicy::All, 0).unwrap();
     let outs = pipeline
-        .extend((0..50).map(|i| Point::new(vec![i as f64, 0.0], i)))
+        .push_batch((0..50).map(|i| Point::new(vec![i as f64, 0.0], i)))
         .unwrap();
     assert!(outs.is_empty());
     assert_eq!(pipeline.base().len(), 0);
@@ -180,5 +182,119 @@ fn three_dimensional_streams_work() {
                 .collect(),
         );
         assert_eq!(ca, cb);
+    }
+}
+
+/// Coordinates whose cell index leaves no `i32` head-room at θr = 0.5
+/// (`1.5e9` is an epoch-seconds-sized value), and the non-finite ones.
+const UNADDRESSABLE: [f64; 5] = [1.5e9, 1e300, -1e300, f64::INFINITY, f64::NAN];
+
+/// A 5 × 4 lattice of 0.2-spaced points around `(origin, -origin)`,
+/// revisited forever.
+fn lattice(origin: f64, i: u64) -> Point {
+    let (x, y) = ((i % 5) as f64 * 0.2, ((i / 5) % 4) as f64 * 0.2);
+    Point::new(vec![origin + x, y - origin], i)
+}
+
+#[test]
+fn unaddressable_coordinates_are_a_typed_error_never_a_wrapped_cell() {
+    let pipeline = || {
+        let query = ClusterQuery::new(0.5, 2, 2, WindowSpec::count(40, 10).unwrap()).unwrap();
+        StreamPipeline::new(query, ArchivePolicy::All, 0).unwrap()
+    };
+    let clean = pipeline()
+        .push_batch((0..200).map(|i| lattice(0.0, i)))
+        .unwrap();
+    assert!(clean.iter().any(|(_, clusters)| !clusters.is_empty()));
+
+    for bad in UNADDRESSABLE {
+        let mut p = pipeline();
+        // Mid-batch, like a dimension mismatch: the points before the
+        // bad one are inserted, the rest of the batch is not.
+        let mut batch: Vec<Point> = (0..25).map(|i| lattice(0.0, i)).collect();
+        batch.push(Point::new(vec![0.1, bad], 25));
+        batch.extend((26..30).map(|i| lattice(0.0, i)));
+        let err = p.push_batch(batch).unwrap_err();
+        assert!(matches!(err, Error::InvalidCoordinate(_)), "{bad}: {err}");
+        assert_eq!(p.accepted(), 25);
+        // Per point, on the other axis.
+        let err = p.push(Point::new(vec![bad, 0.1], 25)).unwrap_err();
+        assert!(matches!(err, Error::InvalidCoordinate(_)), "{bad}: {err}");
+        // The rejected points left no trace: the rest of the stream
+        // extracts exactly what a run that never saw them extracts.
+        let outs = p.push_batch((25..200).map(|i| lattice(0.0, i))).unwrap();
+        assert_eq!(outs, clean, "{bad}");
+    }
+
+    // Inside the limit the grid really is addressable: the same lattice
+    // 3e8 out (cell index ≈ 8.5e8) clusters as it does at the origin.
+    let far = pipeline()
+        .push_batch((0..200).map(|i| lattice(3.0e8, i)))
+        .unwrap();
+    let populations = |outs: &[(WindowId, WindowOutput)]| -> Vec<Vec<usize>> {
+        outs.iter()
+            .map(|(_, clusters)| clusters.iter().map(|c| c.population()).collect())
+            .collect()
+    };
+    assert_eq!(populations(&far), populations(&clean));
+}
+
+#[test]
+fn an_unaddressable_coordinate_fails_only_the_queries_that_cannot_hold_it() {
+    let detect = |stream: &str, theta_r: f64| {
+        format!(
+            "DETECT DensityBasedClusters f+s FROM {stream} \
+             USING theta_range = {theta_r} AND theta_cnt = 2 \
+             IN Windows WITH win = 40 AND slide = 10"
+        )
+    };
+    let submit = |rt: &mut Runtime, text: String| match rt.submit(&text).unwrap() {
+        Submission::Continuous(id) => id,
+        Submission::Matches(_) => panic!("expected a continuous registration"),
+    };
+    for bad in UNADDRESSABLE {
+        let mut rt = Runtime::new();
+        rt.register_stream("s", 2);
+        rt.register_stream("other", 2);
+        let fine = submit(&mut rt, detect("s", 0.5));
+        // Same stream, 10 000× the cell side: 1.5e9 is addressable here.
+        let coarse = submit(&mut rt, detect("s", 5000.0));
+        let bystander = submit(&mut rt, detect("other", 0.5));
+
+        let mut batch: Vec<Point> = (0..100).map(|i| lattice(0.0, i)).collect();
+        batch.push(Point::new(vec![bad, 0.1], 100));
+        batch.extend((101..200).map(|i| lattice(0.0, i)));
+        rt.push_stream("s", &batch).unwrap();
+        rt.push_stream("other", &batch[..100]).unwrap();
+        rt.quiesce().unwrap();
+
+        assert_eq!(rt.state(fine).unwrap(), QueryState::Failed, "{bad}");
+        let stats = rt.stats(fine).unwrap();
+        let message = stats.error.as_deref().unwrap_or("");
+        assert!(message.contains("invalid coordinate"), "{bad}: {message:?}");
+        assert_eq!(stats.points, 100, "the prefix was accepted");
+        // Windows completed before the failure were still delivered.
+        assert_eq!(rt.poll(fine).unwrap().len() as u64, stats.windows);
+        assert!(stats.windows > 0);
+
+        let (state, points) = if bad == 1.5e9 {
+            (QueryState::Running, 200)
+        } else {
+            (QueryState::Failed, 100)
+        };
+        assert_eq!(rt.state(coarse).unwrap(), state, "{bad}");
+        assert_eq!(rt.stats(coarse).unwrap().points, points, "{bad}");
+
+        // Other queries keep running and keep accepting good points.
+        assert_eq!(rt.state(bystander).unwrap(), QueryState::Running);
+        rt.push_stream("other", &batch[101..]).unwrap();
+        rt.push_stream("s", &batch[101..]).unwrap();
+        rt.quiesce().unwrap();
+        assert_eq!(rt.stats(bystander).unwrap().points, 199);
+        assert_eq!(
+            rt.stats(fine).unwrap().points,
+            100,
+            "a failed query stays failed"
+        );
     }
 }

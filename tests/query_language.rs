@@ -19,7 +19,7 @@ fn detect_statement_drives_the_pipeline() {
         n_records: 6_000,
         ..GmtiConfig::default()
     });
-    let outs = pipeline.extend(stream).unwrap();
+    let outs = pipeline.push_batch(stream).unwrap();
     assert!(!outs.is_empty());
     assert!(outs.iter().any(|(_, cs)| !cs.is_empty()));
 }
@@ -36,8 +36,8 @@ fn match_statement_drives_the_analyzer() {
     .to_cluster_query(2)
     .unwrap();
     let mut pipeline = StreamPipeline::new(query, ArchivePolicy::All, 1).unwrap();
-    pipeline
-        .extend(generate_gmti(&GmtiConfig {
+    let outs = pipeline
+        .push_batch(generate_gmti(&GmtiConfig {
             n_records: 8_000,
             ..GmtiConfig::default()
         }))
@@ -53,7 +53,7 @@ fn match_statement_drives_the_analyzer() {
     let config = ast.to_match_config().unwrap();
     assert!(config.position_sensitive);
 
-    let query_cluster = &pipeline.last_output()[0].sgs;
+    let query_cluster = &outs.last().unwrap().1[0].sgs;
     let outcome = pipeline.base().match_query(query_cluster, &config);
     // The cluster's own archived copy must be found at distance ~0.
     assert!(!outcome.matches.is_empty());
@@ -75,7 +75,7 @@ fn time_based_detect_statement() {
     // predictably.
     let mut pipeline = StreamPipeline::new(query, ArchivePolicy::All, 1).unwrap();
     let outs = pipeline
-        .extend(generate_gmti(&GmtiConfig {
+        .push_batch(generate_gmti(&GmtiConfig {
             n_records: 5_000,
             ..GmtiConfig::default()
         }))
@@ -87,13 +87,13 @@ fn time_based_detect_statement() {
 fn weighted_match_statement_changes_results() {
     let query = ClusterQuery::new(0.6, 6, 2, WindowSpec::count(2000, 500).unwrap()).unwrap();
     let mut pipeline = StreamPipeline::new(query, ArchivePolicy::All, 1).unwrap();
-    pipeline
-        .extend(generate_gmti(&GmtiConfig {
+    let outs = pipeline
+        .push_batch(generate_gmti(&GmtiConfig {
             n_records: 8_000,
             ..GmtiConfig::default()
         }))
         .unwrap();
-    let q = &pipeline.last_output()[0].sgs;
+    let q = &outs.last().unwrap().1[0].sgs;
 
     let volume_only = parse_match(
         "GIVEN DensityBasedClusters C SELECT DensityBasedClusters FROM History \

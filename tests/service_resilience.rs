@@ -481,7 +481,7 @@ fn output_buffer_byte_accounting_matches_the_wire_encoding() {
     let QueryPlan::Detect(plan) = rt.plan(DETECT).unwrap() else {
         panic!("expected a DETECT plan");
     };
-    let id = rt.session(owner).submit_detect(*plan).unwrap();
+    let id = rt.submit_detect(*plan, Some(owner)).unwrap();
     rt.push_batch(&gmti(3000)).unwrap();
     rt.quiesce().unwrap();
 
