@@ -175,15 +175,19 @@ impl GridGeometry {
         self.side * f64::from(1u32 << 30)
     }
 
+    /// The cell index of coordinate `x` along any one dimension — the one
+    /// place the cell arithmetic is written. The cast saturates: a
+    /// coordinate beyond the `i32` cell range lands in the outermost cell
+    /// (and NaN in cell 0); see [`coord_limit`](Self::coord_limit).
+    #[inline]
+    pub fn cell_index(&self, x: f64) -> i32 {
+        (x / self.side).floor() as i32
+    }
+
     /// Map a point to the coordinates of the cell containing it.
     pub fn cell_of(&self, p: &Point) -> CellCoord {
         debug_assert_eq!(p.dim(), self.dim, "point dimensionality mismatch");
-        CellCoord(
-            p.coords
-                .iter()
-                .map(|&x| (x / self.side).floor() as i32)
-                .collect(),
-        )
+        CellCoord(p.coords.iter().map(|&x| self.cell_index(x)).collect())
     }
 
     /// The minimum corner (location vector of Def. 4.4) of a cell.

@@ -272,7 +272,7 @@ impl CSgs {
         // Bucket the batch by owning shard (allocation-free routing).
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); s];
         for (ix, (_, point, _)) in items.iter().enumerate() {
-            buckets[router.shard_of_coords(&point.coords, geometry.side())].push(ix as u32);
+            buckets[router.shard_of_coords(&point.coords, geometry)].push(ix as u32);
         }
 
         // Phase A — load: each shard enters its own points.
@@ -487,7 +487,7 @@ impl WindowConsumer for CSgs {
             ..
         } = *self;
         let theta_c = query.theta_c;
-        let home = router.shard_of_coords(&point.coords, geometry.side());
+        let home = router.shard_of_coords(&point.coords, geometry);
 
         // 1 + 2. Load, then the one range query search across shards.
         shards[home].load(&mut cell_stores[home], id, point, expires_at);

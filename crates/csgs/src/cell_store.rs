@@ -37,7 +37,7 @@ impl Link {
 }
 
 /// Mutable state of one skeletal grid cell.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellState {
     /// Objects currently in the cell (all live objects, not only cluster
     /// members — noise objects count until they expire).
@@ -59,7 +59,7 @@ impl CellState {
 }
 
 /// The store of all touched cells.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellStore {
     cells: FxHashMap<CellCoord, CellState>,
 }
@@ -80,9 +80,16 @@ impl CellStore {
         self.cells.is_empty()
     }
 
-    /// Get or create the state for `coord`.
+    /// Get or create the state for `coord`. Established cells (every
+    /// call but a cell's first) are found by reference: the key is cloned
+    /// only when the cell is created.
     pub fn entry(&mut self, coord: &CellCoord) -> &mut CellState {
-        self.cells.entry(coord.clone()).or_default()
+        // `contains_key`, not `get_mut`-and-return: a borrow returned from
+        // one arm would keep the map borrowed in the inserting one.
+        if !self.cells.contains_key(coord) {
+            self.cells.insert(coord.clone(), CellState::default());
+        }
+        self.cells.get_mut(coord).expect("present or just created")
     }
 
     /// Look up a cell.

@@ -365,21 +365,39 @@ pub(crate) fn resolve(shards: &[Shard], id: PointId) -> Option<(usize, &PointSta
 ///
 /// `raise` applies one side to the store of shard `owner` (directly, or
 /// through a [`LinkMsg`] when another task owns it); raises are monotone
-/// max-updates, so re-evaluating a pair is harmless.
+/// max-updates, so re-evaluating a pair is harmless — and a *run* of
+/// consecutive neighbors in one cell (a range query reports its matches
+/// cell by cell) folds into one raise per side carrying the run's maxima.
+/// Non-adjacent runs of the same cell are raised separately.
 pub(crate) fn raise_pairs<'a>(
     a_owner: usize,
     a: &PointState,
     nbrs: impl Iterator<Item = (usize, &'a PointState)>,
     raise: &mut impl FnMut(usize, &CellCoord, &CellCoord, u64, u64),
 ) {
-    for (b_owner, b) in nbrs {
-        if b.cell == a.cell {
-            continue;
-        }
+    // One pair's [core-core, attach a → b, attach b → a].
+    let marks = |b: &PointState| {
         let (a_cu, b_cu) = (a.core_until, b.core_until);
-        let cc = a_cu.min(b_cu);
-        raise(a_owner, &a.cell, &b.cell, cc, a_cu.min(b.expires_at.0));
-        raise(b_owner, &b.cell, &a.cell, cc, b_cu.min(a.expires_at.0));
+        [
+            a_cu.min(b_cu),
+            a_cu.min(b.expires_at.0),
+            b_cu.min(a.expires_at.0),
+        ]
+    };
+    let mut nbrs = nbrs.peekable();
+    while let Some((b_owner, b)) = nbrs.next() {
+        let mut run = marks(b);
+        // Same cell ⇒ same owner.
+        while let Some((_, next)) = nbrs.next_if(|(_, next)| next.cell == b.cell) {
+            for (mark, pair) in run.iter_mut().zip(marks(next)) {
+                *mark = (*mark).max(pair);
+            }
+        }
+        if b.cell != a.cell {
+            let [cc, a_attach, b_attach] = run;
+            raise(a_owner, &a.cell, &b.cell, cc, a_attach);
+            raise(b_owner, &b.cell, &a.cell, cc, b_attach);
+        }
     }
 }
 
@@ -447,6 +465,69 @@ mod tests {
             hist: ExpiryHistogram::new(),
             neighbors: Vec::new(),
         }
+    }
+
+    /// Folding a run of same-cell neighbors into one raise per side
+    /// leaves the stores exactly as raising pair by pair does — for runs,
+    /// for a cell that comes back after another (x, y, x: three runs), and
+    /// for neighbors in `a`'s own cell — in fewer calls whenever a run
+    /// exists.
+    #[test]
+    fn raise_pairs_folds_runs_to_the_pair_by_pair_result() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let owner_of = |cell: &CellCoord| (cell.0[0] % 2) as usize;
+        let point = |rng: &mut rand::rngs::StdRng| {
+            state(
+                [rng.gen_range(0..3), rng.gen_range(0..2)],
+                rng.gen_range(0..10),
+                rng.gen_range(0..10),
+            )
+        };
+        let (mut with_run, mut interleaved) = (0, 0);
+        for _ in 0..200 {
+            let a = point(&mut rng);
+            let len = rng.gen_range(0..12);
+            let nbrs: Vec<PointState> = (0..len).map(|_| point(&mut rng)).collect();
+
+            let mut reference = [CellStore::new(), CellStore::new()];
+            let mut pairs = 0;
+            for b in nbrs.iter().filter(|b| b.cell != a.cell) {
+                let cc = a.core_until.min(b.core_until);
+                let a_attach = a.core_until.min(b.expires_at.0);
+                let b_attach = b.core_until.min(a.expires_at.0);
+                reference[owner_of(&a.cell)].raise_link(&a.cell, &b.cell, cc, a_attach);
+                reference[owner_of(&b.cell)].raise_link(&b.cell, &a.cell, cc, b_attach);
+                pairs += 1;
+            }
+
+            let mut folded = [CellStore::new(), CellStore::new()];
+            let mut calls = 0;
+            raise_pairs(
+                owner_of(&a.cell),
+                &a,
+                nbrs.iter().map(|b| (owner_of(&b.cell), b)),
+                &mut |owner, at: &CellCoord, other: &CellCoord, cc, attach| {
+                    assert_eq!(owner, owner_of(at));
+                    folded[owner].raise_link(at, other, cc, attach);
+                    calls += 1;
+                },
+            );
+            assert_eq!(folded, reference);
+
+            let foreign = |b: &PointState| b.cell != a.cell;
+            let runs = nbrs
+                .windows(2)
+                .filter(|w| w[0].cell == w[1].cell && foreign(&w[0]))
+                .count();
+            assert_eq!(calls, 2 * (pairs - runs), "one raise per side per run");
+            with_run += usize::from(runs > 0);
+            interleaved += usize::from(
+                nbrs.windows(3)
+                    .any(|w| w[0].cell == w[2].cell && w[0].cell != w[1].cell && foreign(&w[0])),
+            );
+        }
+        assert!(with_run > 20 && interleaved > 20, "the cases cover both");
     }
 
     #[test]

@@ -1,0 +1,65 @@
+//! `CellStore` updates to an established cell allocate nothing: the cell
+//! key (a boxed coordinate) is cloned only when a cell or a link is
+//! created. Counted with a wrapping global allocator, per thread so the
+//! harness's other threads do not disturb the count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sgs_core::CellCoord;
+use sgs_csgs::cell_store::CellStore;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is passed to `System` unchanged, so its contract
+// is `System`'s. The counter is a const-initialized thread-local `Cell`
+// with no destructor: touching it neither allocates nor re-enters the
+// allocator, and `try_with` declines instead of panicking during thread
+// teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn updates_to_established_cells_do_not_allocate() {
+    let (cell, other) = (
+        CellCoord::new(vec![3, -1, 4, 1]),
+        CellCoord::new(vec![3, -1, 4, 2]),
+    );
+    let mut store = CellStore::new();
+    let before = allocations();
+    store.increment_population(&cell);
+    store.raise_link(&cell, &other, 1, 1);
+    assert!(allocations() > before, "creating a cell clones its key");
+
+    let before = allocations();
+    for w in 2..100 {
+        store.increment_population(&cell);
+        store.raise_core_until(&cell, w);
+        store.raise_link(&cell, &other, w, w);
+        store.entry(&cell).population -= 1;
+    }
+    assert_eq!(allocations() - before, 0);
+    let state = store.get(&cell).expect("established");
+    assert_eq!((state.population, state.core_until), (1, 99));
+}

@@ -12,6 +12,12 @@
 //! runs it over its own grid; sharded C-SGS runs the same walker over the
 //! grids of all its shards.
 //!
+//! Occupied cells are kept by *row* — the cells that agree on every
+//! coordinate but dimension 0, sorted by that coordinate — so the walk
+//! makes one hash probe per row of the block and then scans only cells
+//! that exist, instead of probing every cell of the block (`DESIGN.md`
+//! §13).
+//!
 //! Cell storage is structure-of-arrays ([`CellSlab`]): each cell keeps one
 //! contiguous coordinate slab plus parallel id/expiry columns, so the
 //! distance pruning of an RQS feeds whole cells into the batched
@@ -130,11 +136,30 @@ impl CellSlab {
     }
 }
 
+/// One row of the grid: the occupied cells that agree on every coordinate
+/// except dimension 0, each with its dimension-0 coordinate, sorted by it.
+/// Grown one cell at a time at exact capacity — most rows of a
+/// high-dimensional grid hold a single cell, and a `Vec`'s default first
+/// growth would reserve four.
+type Row = Vec<(i32, CellSlab)>;
+
+/// Where the cell with dimension-0 coordinate `x` sits in `row`, or where
+/// it would be inserted.
+#[inline]
+fn slot_of(row: &Row, x: i32) -> Result<usize, usize> {
+    row.binary_search_by_key(&x, |&(at, _)| at)
+}
+
 /// Uniform grid over the data space, bucketing live points by cell.
 #[derive(Clone, Debug)]
 pub struct GridIndex {
     geometry: GridGeometry,
-    cells: FxHashMap<CellCoord, CellSlab>,
+    /// The occupied cells, by row: cell `c` lives in `rows[&c.0[1..]]`
+    /// under `c.0[0]`. No row is empty and no listed cell is empty. A
+    /// 1-d grid is the single row keyed by the empty slice.
+    rows: FxHashMap<Box<[i32]>, Row>,
+    /// Number of occupied cells (the sum of the rows' lengths).
+    cells: usize,
     len: usize,
 }
 
@@ -143,7 +168,8 @@ impl GridIndex {
     pub fn new(geometry: GridGeometry) -> Self {
         GridIndex {
             geometry,
-            cells: FxHashMap::default(),
+            rows: FxHashMap::default(),
+            cells: 0,
             len: 0,
         }
     }
@@ -169,7 +195,7 @@ impl GridIndex {
     /// Number of non-empty cells.
     #[inline]
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.cells
     }
 
     /// Insert a non-expiring point (entry expiry pinned to the maximum
@@ -188,17 +214,7 @@ impl GridIndex {
         expires_at: WindowId,
     ) -> CellCoord {
         let cell = self.geometry.cell_of(point);
-        // Established cells (the overwhelmingly common case) take the
-        // `get_mut` fast path; the key is cloned only when the insert
-        // actually creates a new cell.
-        if let Some(slab) = self.cells.get_mut(&cell) {
-            slab.push(id, &point.coords, expires_at);
-        } else {
-            let mut slab = CellSlab::default();
-            slab.push(id, &point.coords, expires_at);
-            self.cells.insert(cell.clone(), slab);
-        }
-        self.len += 1;
+        self.insert_at(&cell, id, &point.coords, expires_at);
         cell
     }
 
@@ -212,28 +228,53 @@ impl GridIndex {
         coords: &[f64],
         expires_at: WindowId,
     ) {
-        if let Some(slab) = self.cells.get_mut(cell) {
-            slab.push(id, coords, expires_at);
-        } else {
+        let (x, key) = (cell.0[0], &cell.0[1..]);
+        let fresh = || {
             let mut slab = CellSlab::default();
             slab.push(id, coords, expires_at);
-            self.cells.insert(cell.clone(), slab);
+            (x, slab)
+        };
+        // Established rows are found by slice — the key is cloned only
+        // when the insert creates the row — and an established cell takes
+        // the point with no allocation beyond its slab's own growth.
+        if let Some(row) = self.rows.get_mut(key) {
+            match slot_of(row, x) {
+                Ok(i) => row[i].1.push(id, coords, expires_at),
+                Err(i) => {
+                    row.reserve_exact(1);
+                    row.insert(i, fresh());
+                    self.cells += 1;
+                }
+            }
+        } else {
+            self.rows.insert(key.into(), vec![fresh()]);
+            self.cells += 1;
         }
         self.len += 1;
     }
 
     /// Remove a point from the cell it was inserted into. Returns `true`
-    /// if it was present.
+    /// if it was present. Removing a cell's last point removes the cell,
+    /// and removing a row's last cell removes the row.
     pub fn remove(&mut self, id: PointId, cell: &CellCoord) -> bool {
-        let Some(slab) = self.cells.get_mut(cell) else {
+        let (x, key) = (cell.0[0], &cell.0[1..]);
+        let Some(row) = self.rows.get_mut(key) else {
             return false;
         };
+        let Ok(i) = slot_of(row, x) else {
+            return false;
+        };
+        let slab = &mut row[i].1;
         let Some(pos) = slab.ids.iter().position(|&e| e == id) else {
             return false;
         };
         slab.swap_remove(pos);
         if slab.is_empty() {
-            self.cells.remove(cell);
+            row.remove(i);
+            self.cells -= 1;
+            if row.is_empty() {
+                self.rows.remove(key);
+            }
         }
         self.len -= 1;
         true
@@ -241,14 +282,11 @@ impl GridIndex {
 
     /// The live points currently bucketed in `cell` (an empty slab when
     /// the cell has none).
-    #[inline]
     pub fn cell_points(&self, cell: &CellCoord) -> &CellSlab {
-        self.cells.get(cell).unwrap_or(&EMPTY_SLAB)
-    }
-
-    /// Iterate over all non-empty cells.
-    pub fn cells(&self) -> impl Iterator<Item = (&CellCoord, &CellSlab)> {
-        self.cells.iter()
+        self.rows
+            .get(&cell.0[1..])
+            .and_then(|row| Some(&row[slot_of(row, cell.0[0]).ok()?].1))
+            .unwrap_or(&EMPTY_SLAB)
     }
 
     /// Range query search: every indexed point within `theta_r` of `coords`,
@@ -267,8 +305,12 @@ impl GridIndex {
     ) {
         // `GridGeometry::cell_of`, over a coordinate slice: building a
         // `Point` to call it costs 7–8 % of a 4-d query.
-        let side = self.geometry.side();
-        let center = CellCoord(coords.iter().map(|&x| (x / side).floor() as i32).collect());
+        let center = CellCoord(
+            coords
+                .iter()
+                .map(|&x| self.geometry.cell_index(x))
+                .collect(),
+        );
         ReachWalker::new(&self.geometry, &ShardRouter::new(1, 1)).for_each_neighbor(
             |_| self,
             &center,
@@ -285,24 +327,35 @@ impl GridIndex {
 /// ([`GridIndex::range_query`]) or over the region-routed grids of sharded
 /// C-SGS (`DESIGN.md` §6, §13).
 ///
-/// It visits the `(2·reach + 1)^d` cells [`GridGeometry::reachable_cells`]
-/// yields, grouped by *region* so each region of the block is routed to
-/// its owning shard once instead of hashing every cell (a region is at
-/// least as wide as the reach, so a block spans at most 3 regions per
-/// dimension; with one shard the whole block is one region). The odometer
-/// state is reused across queries: a walk allocates nothing.
+/// It visits the occupied cells among the `(2·reach + 1)^d` that
+/// [`GridGeometry::reachable_cells`] yields, in that order, grouped by
+/// *region* so each region of the block is routed to its owning shard once
+/// instead of hashing every cell (a region is at least as wide as the
+/// reach, so a block spans at most 3 regions per dimension; with one shard
+/// the whole block is one region). The walk is driven by occupancy: it
+/// steps through the block's `(2·reach + 1)^(d−1)` *rows*, probes the row
+/// map once per row and scans the cells the row actually holds. The
+/// odometer state and the gap table are reused across queries: a walk
+/// allocates nothing.
 #[derive(Clone, Debug)]
 pub struct ReachWalker {
     reach: i32,
     side: f64,
     router: ShardRouter,
-    /// Odometer over the cells of the current region's sub-block.
+    /// The cell being visited: dimensions `1..` are the odometer over the
+    /// rows of the current region's sub-block, dimension 0 the cell the
+    /// row scan is at.
     cell: CellCoord,
     /// Five `d`-vectors in one buffer: the odometer over the block's
     /// regions and its inclusive lower and upper bounds, then the
     /// inclusive lower and upper cell bounds of the current region's
     /// sub-block.
     odo: Vec<i32>,
+    /// `d` rows of `2·reach + 1`: `gaps[i·(2·reach+1) + k]` is the squared
+    /// distance along dimension `i` from the query to the interval of the
+    /// block's `k`-th cell in that dimension (0 where the query lies
+    /// inside it). Filled once per query.
+    gaps: Vec<f64>,
 }
 
 /// Advance `cur` one position through the integer box whose per-dimension
@@ -327,12 +380,14 @@ impl ReachWalker {
     /// shards.
     pub fn new(geometry: &GridGeometry, router: &ShardRouter) -> Self {
         let d = geometry.dim();
+        let reach = geometry.reach();
         ReachWalker {
-            reach: geometry.reach(),
+            reach,
             side: geometry.side(),
             router: router.clone(),
             cell: CellCoord::new(vec![0; d]),
             odo: vec![0; 5 * d],
+            gaps: vec![0.0; d * (2 * reach as usize + 1)],
         }
     }
 
@@ -341,13 +396,18 @@ impl ReachWalker {
     /// from [`GridGeometry::cell_of`]), reading shard `owner`'s cells from
     /// `grids(owner)`.
     ///
-    /// Cells whose bounding box provably sits farther than `theta_sq`
-    /// from the query are skipped *before* the hash probe: the block
-    /// over-covers the θr-ball (its corner cells mostly lie outside it),
-    /// and a few flops of box-clamping are much cheaper than a map lookup.
-    /// The skip threshold carries a 16 ε relative margin so floating-point
-    /// rounding in the box arithmetic can only ever err toward *visiting*
-    /// a cell — pruning never changes the match set.
+    /// Rows and cells whose bounding box provably sits farther than
+    /// `theta_sq` from the query are skipped — a row *before* its hash
+    /// probe: the block over-covers the θr-ball (its corner cells mostly
+    /// lie outside it), and a table lookup per dimension is much cheaper
+    /// than a map lookup. A cell's squared distance is the sum of its
+    /// per-dimension gaps, taken as `(g₁ + … + g_{d−1}) + g₀` so that the
+    /// row's share is summed once. The skip threshold carries a 16 ε
+    /// relative margin so floating-point rounding in the box arithmetic
+    /// can only ever err toward *visiting* a cell: a sum of `d`
+    /// non-negative terms is within `(d − 1) ε` relative of exact in any
+    /// order, far inside the margin for every dimensionality in use.
+    /// Pruning never changes the match set.
     fn for_each_slab<'a>(
         &mut self,
         grids: impl Fn(usize) -> &'a GridIndex,
@@ -362,6 +422,7 @@ impl ReachWalker {
             ref router,
             ref mut cell,
             ref mut odo,
+            ref mut gaps,
         } = *self;
         let d = cell.0.len();
         debug_assert_eq!(coords.len(), d);
@@ -379,13 +440,31 @@ impl ReachWalker {
                 center.0[i].saturating_add(reach),
             )
         };
+        let stride = gaps.len() / d;
         for i in 0..d {
+            let (b_lo, b_hi) = block(i);
+            let c = coords[i];
+            for (g, ci) in gaps[i * stride..].iter_mut().zip(b_lo..=b_hi) {
+                let lo_edge = ci as f64 * side;
+                let hi_edge = lo_edge + side;
+                let delta = if c < lo_edge {
+                    lo_edge - c
+                } else if c > hi_edge {
+                    c - hi_edge
+                } else {
+                    0.0
+                };
+                *g = delta * delta;
+            }
             (rlo[i], rhi[i]) = match width {
-                Some(w) => (block(i).0.div_euclid(w), block(i).1.div_euclid(w)),
+                Some(w) => (b_lo.div_euclid(w), b_hi.div_euclid(w)),
                 None => (0, 0),
             };
             reg[i] = rlo[i];
         }
+        // A clipped block is narrower than the table's stride: entries are
+        // indexed by offset from the clipped lower bound.
+        let gap = |i: usize, ci: i32| gaps[i * stride + (ci - block(i).0) as usize];
         loop {
             let owner = router.shard_of_region(reg);
             let grid = grids(owner);
@@ -411,26 +490,26 @@ impl ReachWalker {
                 }
                 loop {
                     // Minimum squared distance from the query to the
-                    // cell's box.
-                    let mut min_sq = 0.0;
-                    for (&ci, &c) in cell.0.iter().zip(coords) {
-                        let lo_edge = ci as f64 * side;
-                        let hi_edge = lo_edge + side;
-                        let delta = if c < lo_edge {
-                            lo_edge - c
-                        } else if c > hi_edge {
-                            c - hi_edge
-                        } else {
-                            0.0
-                        };
-                        min_sq += delta * delta;
+                    // row's box, then to each of its cells.
+                    let mut outer = 0.0;
+                    for i in 1..d {
+                        outer += gap(i, cell.0[i]);
                     }
-                    if min_sq <= prune {
-                        if let Some(slab) = grid.cells.get(cell) {
-                            f(owner, cell, slab);
+                    if outer <= prune {
+                        if let Some(row) = grid.rows.get(&cell.0[1..]) {
+                            let first = row.partition_point(|&(x, _)| x < lo[0]);
+                            for (x, slab) in &row[first..] {
+                                if *x > hi[0] {
+                                    break;
+                                }
+                                if outer + gap(0, *x) <= prune {
+                                    cell.0[0] = *x;
+                                    f(owner, cell, slab);
+                                }
+                            }
                         }
                     }
-                    if !odometer_step(&mut cell.0, |i| (lo[i], hi[i])) {
+                    if !odometer_step(&mut cell.0[1..], |i| (lo[i + 1], hi[i + 1])) {
                         break;
                     }
                 }
@@ -474,10 +553,11 @@ impl ReachWalker {
 
 impl HeapSize for GridIndex {
     fn heap_size(&self) -> usize {
-        let mut bytes = self.cells.capacity() * (core::mem::size_of::<(CellCoord, CellSlab)>() + 1);
-        for (c, slab) in &self.cells {
-            bytes += c.heap_size();
-            bytes += slab.heap_bytes();
+        let mut bytes = self.rows.capacity() * (core::mem::size_of::<(Box<[i32]>, Row)>() + 1);
+        for (key, row) in &self.rows {
+            bytes += core::mem::size_of_val::<[i32]>(key);
+            bytes += row.capacity() * core::mem::size_of::<(i32, CellSlab)>();
+            bytes += row.iter().map(|(_, slab)| slab.heap_bytes()).sum::<usize>();
         }
         bytes
     }
@@ -486,6 +566,7 @@ impl HeapSize for GridIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert, prop_assert_eq};
     use sgs_core::GridGeometry;
 
     fn index2d(theta_r: f64) -> GridIndex {
@@ -587,20 +668,23 @@ mod tests {
 
     /// The walker visits exactly the occupied cells of
     /// [`GridGeometry::reachable_cells`] whose box lies within the pruning
-    /// radius of the query — for one grid and for region-routed grids, in
-    /// the benchmark's two dimensionalities — and reports each cell's
-    /// points with their owning shard and inline expiry.
+    /// radius of the query (summed the way the walk sums it: the row's
+    /// dimensions first, dimension 0 last) — for one grid, where the visit
+    /// order is the `reachable_cells` order, and for region-routed grids,
+    /// in one to five dimensions — and reports each cell's points with
+    /// their owning shard and inline expiry.
     #[test]
     fn walker_visits_exactly_the_reachable_cells_that_survive_the_box_prune() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let theta = 0.5;
-        for (dim, shards) in [(2, 1), (2, 4), (4, 1), (4, 3)] {
+        for (dim, shards) in [(1, 1), (2, 1), (2, 4), (3, 1), (4, 1), (4, 3), (5, 1)] {
             let geometry = GridGeometry::basic(dim, theta);
             let (side, theta_sq) = (geometry.side(), theta * theta);
             let router = ShardRouter::new(2 * geometry.reach() + 1, shards);
             let mut walker = ReachWalker::new(&geometry, &router);
-            for _ in 0..20 {
+            // A 5-d round loads 9⁵ cells: a few rounds suffice there.
+            for _ in 0..if dim < 5 { 20 } else { 3 } {
                 let q: Vec<f64> = (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
                 let center = geometry.cell_of(&Point::new(q.clone(), 0));
                 // One point in the middle of every cell of a box one cell
@@ -617,23 +701,19 @@ mod tests {
                         WindowId(n as u64),
                     );
                 }
+                let gap = |i: usize, cell: &CellCoord| {
+                    let lo = cell.0[i] as f64 * side;
+                    let delta = q[i].clamp(lo, lo + side) - q[i];
+                    delta * delta
+                };
                 let mut want: Vec<CellCoord> = geometry
                     .reachable_cells(&center)
                     .into_iter()
                     .filter(|cell| {
-                        let min_sq: f64 = cell
-                            .0
-                            .iter()
-                            .zip(&q)
-                            .map(|(&ci, &c)| {
-                                let lo = ci as f64 * side;
-                                (c.clamp(lo, lo + side) - c).powi(2)
-                            })
-                            .sum();
-                        min_sq <= theta_sq + theta_sq * 16.0 * f64::EPSILON
+                        let outer = (1..dim).fold(0.0, |sum, i| sum + gap(i, cell));
+                        outer + gap(0, cell) <= theta_sq + theta_sq * 16.0 * f64::EPSILON
                     })
                     .collect();
-                want.sort();
                 let mut got = Vec::new();
                 walker.for_each_slab(
                     |o| &grids[o],
@@ -647,7 +727,11 @@ mod tests {
                         got.push(cell.clone());
                     },
                 );
-                got.sort();
+                if shards > 1 {
+                    // Regions are walked one after another, each in order.
+                    want.sort();
+                    got.sort();
+                }
                 assert_eq!(got, want, "dim {dim}, S = {shards}, query {q:?}");
             }
         }
@@ -684,6 +768,99 @@ mod tests {
             );
             let want = (router.shard_of(&corner), corner.clone(), PointId(7));
             assert_eq!(seen, [want], "S = {shards}");
+        }
+    }
+
+    /// The `Vec`-scan model of the index: the occupied cells in no
+    /// particular order, each with its points in slab order.
+    type Model = Vec<(CellCoord, Vec<PointId>)>;
+
+    /// Remove a live point from the index and from the model.
+    fn remove_from_both(index: &mut GridIndex, model: &mut Model, id: PointId, cell: &CellCoord) {
+        assert!(index.remove(id, cell));
+        assert!(!index.remove(id, cell), "already removed");
+        let at = model.iter().position(|(c, _)| c == cell).expect("occupied");
+        let ids = &mut model[at].1;
+        ids.swap_remove(ids.iter().position(|p| *p == id).expect("present"));
+        if ids.is_empty() {
+            model.swap_remove(at);
+        }
+    }
+
+    proptest::proptest! {
+        /// Random insert / remove / query scripts against the model:
+        /// counts and cell contents agree after every step, a query
+        /// reports the model's neighbours in `reachable_cells` order then
+        /// slab order, and removing everything leaves no cell and no row
+        /// behind.
+        #[test]
+        fn scripts_agree_with_a_vec_scan_model(
+            dim in 1usize..6,
+            script in proptest::prop::collection::vec(
+                (0u8..4, 0usize..1000, proptest::prop::collection::vec(-1.0f64..1.0, 5)),
+                1..80,
+            ),
+        ) {
+            let theta = 1.0;
+            let geometry = GridGeometry::basic(dim, theta);
+            let mut index = GridIndex::new(geometry.clone());
+            let mut model = Model::new();
+            // Coordinates of every point ever inserted, by id.
+            let mut placed: Vec<Vec<f64>> = Vec::new();
+            let mut live: Vec<(PointId, CellCoord)> = Vec::new();
+            for (op, pick, unit) in &script {
+                // About three cells per dimension, astride the origin:
+                // cells repeat, rows fill and drain, coordinates go
+                // negative.
+                let coords: Vec<f64> =
+                    unit[..dim].iter().map(|u| u * 1.6 * geometry.side()).collect();
+                match op {
+                    0 | 1 => {
+                        let id = PointId(placed.len() as u32);
+                        let cell = index.insert(id, &Point::new(coords.clone(), 0));
+                        placed.push(coords);
+                        match model.iter_mut().find(|(c, _)| *c == cell) {
+                            Some((_, ids)) => ids.push(id),
+                            None => model.push((cell.clone(), vec![id])),
+                        }
+                        live.push((id, cell));
+                    }
+                    2 if !live.is_empty() => {
+                        let (id, cell) = live.swap_remove(pick % live.len());
+                        remove_from_both(&mut index, &mut model, id, &cell);
+                    }
+                    _ => {
+                        let exclude = PointId((pick % 80) as u32);
+                        let center = geometry.cell_of(&Point::new(coords.clone(), 0));
+                        let mut want = Vec::new();
+                        for cell in geometry.reachable_cells(&center) {
+                            let Some((_, ids)) = model.iter().find(|(c, _)| *c == cell) else {
+                                continue;
+                            };
+                            for id in ids {
+                                let d_sq = sgs_core::dist_sq(&coords, &placed[id.0 as usize]);
+                                if d_sq <= theta * theta && *id != exclude {
+                                    want.push(*id);
+                                }
+                            }
+                        }
+                        let mut got = Vec::new();
+                        index.range_query(&coords, theta, exclude, &mut got);
+                        prop_assert_eq!(got, want, "dim {}", dim);
+                    }
+                }
+                prop_assert_eq!(index.len(), live.len());
+                prop_assert_eq!(index.cell_count(), model.len());
+                for (cell, ids) in &model {
+                    prop_assert_eq!(index.cell_points(cell).ids(), &ids[..]);
+                }
+            }
+            for (id, cell) in live.drain(..) {
+                remove_from_both(&mut index, &mut model, id, &cell);
+            }
+            prop_assert!(index.is_empty());
+            prop_assert_eq!(index.cell_count(), 0);
+            prop_assert!(index.rows.is_empty(), "a drained row was left behind");
         }
     }
 

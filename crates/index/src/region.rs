@@ -14,7 +14,7 @@
 
 use std::hash::Hasher;
 
-use sgs_core::CellCoord;
+use sgs_core::{CellCoord, GridGeometry};
 
 use crate::fx::FxHasher;
 
@@ -86,18 +86,18 @@ impl ShardRouter {
         (h.finish() % self.shards as u64) as usize
     }
 
-    /// The shard owning the cell a *point* falls in, given the grid's cell
-    /// side length — equivalent to `shard_of(geometry.cell_of(point))` but
-    /// without materializing the cell coordinate (batch bucketing runs
-    /// this once per arriving object).
+    /// The shard owning the cell a *point* falls in — equivalent to
+    /// `shard_of(geometry.cell_of(point))` but without materializing the
+    /// cell coordinate (batch bucketing runs this once per arriving
+    /// object).
     #[inline]
-    pub fn shard_of_coords(&self, coords: &[f64], side: f64) -> usize {
+    pub fn shard_of_coords(&self, coords: &[f64], geometry: &GridGeometry) -> usize {
         if self.shards == 1 {
             return 0;
         }
         let mut h = FxHasher::default();
         for &x in coords {
-            let cell = (x / side).floor() as i32;
+            let cell = geometry.cell_index(x);
             h.write_u32(cell.div_euclid(self.width) as u32);
         }
         (h.finish() % self.shards as u64) as usize
@@ -149,13 +149,13 @@ mod tests {
 
     #[test]
     fn shard_of_coords_matches_cell_routing() {
-        use sgs_core::{GridGeometry, Point};
+        use sgs_core::Point;
         let g = GridGeometry::basic(2, 0.7);
         let r = ShardRouter::new(g.reach(), 4);
         for i in 0..200 {
             let coords = vec![(i as f64 * 0.37) - 20.0, (i as f64 * 0.91) - 30.0];
             let cell = g.cell_of(&Point::new(coords.clone(), 0));
-            assert_eq!(r.shard_of_coords(&coords, g.side()), r.shard_of(&cell));
+            assert_eq!(r.shard_of_coords(&coords, &g), r.shard_of(&cell));
         }
     }
 

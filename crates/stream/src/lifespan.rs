@@ -147,11 +147,19 @@ impl ExpiryHistogram {
     /// which fewer than `theta_c` recorded neighbors are alive, capped by
     /// `own_expires`. Returns `now` itself if the point is not core even at
     /// `now`.
+    ///
+    /// One pass: the alive count at `now` is carried forward, losing one
+    /// bucket per window.
     pub fn core_until(&self, own_expires: WindowId, now: WindowId, theta_c: u32) -> WindowId {
         let mut w = now.0;
-        let cap = own_expires.0;
-        while w < cap && self.alive_at(WindowId(w)) >= theta_c {
+        let mut alive = self.alive_at(now);
+        while w < own_expires.0 && alive >= theta_c {
             w += 1;
+            // Neighbors expiring at `w` are dead from `w` on.
+            let bucket = w
+                .checked_sub(self.base)
+                .and_then(|i| self.counts.get(i as usize));
+            alive -= bucket.copied().unwrap_or(0);
         }
         WindowId(w)
     }
