@@ -55,8 +55,11 @@ pub fn choose_level(sgs: &Sgs, theta: u32, budget_bytes: usize, max_level: u8) -
     max_level
 }
 
-/// The archiver: owns the pattern base and applies policy + resolution on
-/// every window's output.
+/// Where an archiver stores a selected summary, when not in its own base.
+pub type PatternSink<'a> = dyn FnMut(Sgs, WindowId) -> Option<PatternId> + 'a;
+
+/// The archiver: applies policy + resolution on every window's output and
+/// stores what it keeps, in the pattern base it owns unless told otherwise.
 #[derive(Debug)]
 pub struct PatternArchiver {
     policy: ArchivePolicy,
@@ -127,6 +130,17 @@ impl PatternArchiver {
         window: WindowId,
         summaries: impl IntoIterator<Item = &'a Sgs>,
     ) -> Vec<PatternId> {
+        self.observe_into(window, summaries, None)
+    }
+
+    /// [`observe`](Self::observe) storing through `dest` (`None`: the own
+    /// base) — same selection, same counters, same random draws.
+    pub fn observe_into<'a>(
+        &mut self,
+        window: WindowId,
+        summaries: impl IntoIterator<Item = &'a Sgs>,
+        mut dest: Option<&mut PatternSink<'_>>,
+    ) -> Vec<PatternId> {
         let mut out = Vec::new();
         for sgs in summaries {
             self.offered += 1;
@@ -141,7 +155,11 @@ impl PatternArchiver {
             for _ in 0..level {
                 stored = multires::coarsen(&stored, self.theta);
             }
-            if let Some(id) = self.base.insert(stored, window) {
+            let id = match &mut dest {
+                Some(insert) => insert(stored, window),
+                None => self.base.insert(stored, window),
+            };
+            if let Some(id) = id {
                 self.archived += 1;
                 out.push(id);
             }
@@ -182,6 +200,34 @@ mod tests {
         }
         let frac = a.archived as f64 / a.offered as f64;
         assert!((0.15..0.45).contains(&frac), "fraction {frac}");
+    }
+
+    #[test]
+    fn observe_into_selects_like_observe_and_stores_elsewhere() {
+        let s = blob(60);
+        let mut own = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11).with_level(3, 1);
+        let mut routed = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11).with_level(3, 1);
+        let mut elsewhere = PatternBase::new();
+        for w in 0..40 {
+            let a = own.observe(WindowId(w), [&s, &s]);
+            let mut insert = |sgs, window| elsewhere.insert(sgs, window);
+            let b = routed.observe_into(WindowId(w), [&s, &s], Some(&mut insert));
+            assert_eq!(a, b, "window {w}: the same draws admit the same clusters");
+        }
+        assert_eq!(
+            (own.offered, own.archived),
+            (routed.offered, routed.archived)
+        );
+        assert!(0 < own.archived && own.archived < own.offered);
+        assert!(routed.base().is_empty(), "the own base is not written");
+        assert_eq!(elsewhere.len() as u64, routed.archived);
+        for (a, b) in own.base().iter().zip(elsewhere.iter()) {
+            assert_eq!((a.window, a.sgs.level), (b.window, 1));
+            assert_eq!(
+                sgs_summarize::packed::encode(&a.sgs),
+                sgs_summarize::packed::encode(&b.sgs)
+            );
+        }
     }
 
     #[test]

@@ -328,7 +328,7 @@ impl DurablePatternBase {
         match storage.cfg.retention {
             ArchiveRetention::Unbounded => {}
             ArchiveRetention::ByteBudget(budget) => {
-                let mut total: usize = entries.iter().map(|(s, _)| packed::archived_bytes(s)).sum();
+                let mut total = self.base.archived_bytes();
                 // Oldest-first passes; each pass demotes each pattern at
                 // most one level, so resolution degrades evenly from the
                 // old end instead of one pattern collapsing to dust.
@@ -720,44 +720,51 @@ mod tests {
     }
 
     /// A durable insert costs the same into a large base as into an empty
-    /// one: under `Unbounded` retention nothing may touch the patterns
-    /// already archived. (A ratio, so machine speed cancels; copying the
-    /// base per insert put it near 8.)
+    /// one: while retention has nothing to demote — `Unbounded`, or a byte
+    /// budget not yet reached — nothing may touch the patterns already
+    /// archived. (A ratio, so machine speed cancels; copying the base per
+    /// insert put it near 8.)
     #[test]
     fn insert_cost_does_not_grow_with_the_base() {
-        let mut base = DurablePatternBase::open_with(
-            Box::new(FaultFs::new()),
-            DurableConfig {
-                checkpoint_wal_bytes: u64::MAX,
-                ..DurableConfig::default()
-            },
-        )
-        .unwrap();
-        // Seconds per insert over the quietest 100-insert stretch of
-        // `range`: a shared box only ever adds time, so the minimum is the
-        // estimate least disturbed by it.
-        let mut cost = |range: std::ops::Range<u64>| {
-            let mut best = f64::INFINITY;
-            for chunk in range.step_by(100) {
-                let summaries: Vec<Sgs> = (chunk..chunk + 100)
-                    .map(|k| blob(k as f64 * 9.0, 20 + (k % 7) as usize))
-                    .collect();
-                let start = std::time::Instant::now();
-                for (k, sgs) in (chunk..).zip(summaries) {
-                    base.try_insert(sgs, WindowId(k)).unwrap();
+        for retention in [
+            ArchiveRetention::Unbounded,
+            ArchiveRetention::ByteBudget(usize::MAX / 2),
+        ] {
+            let mut base = DurablePatternBase::open_with(
+                Box::new(FaultFs::new()),
+                DurableConfig {
+                    retention,
+                    checkpoint_wal_bytes: u64::MAX,
+                    ..DurableConfig::default()
+                },
+            )
+            .unwrap();
+            // Seconds per insert over the quietest 100-insert stretch of
+            // `range`: a shared box only ever adds time, so the minimum is
+            // the estimate least disturbed by it.
+            let mut cost = |range: std::ops::Range<u64>| {
+                let mut best = f64::INFINITY;
+                for chunk in range.step_by(100) {
+                    let summaries: Vec<Sgs> = (chunk..chunk + 100)
+                        .map(|k| blob(k as f64 * 9.0, 20 + (k % 7) as usize))
+                        .collect();
+                    let start = std::time::Instant::now();
+                    for (k, sgs) in (chunk..).zip(summaries) {
+                        base.try_insert(sgs, WindowId(k)).unwrap();
+                    }
+                    best = best.min(start.elapsed().as_secs_f64() / 100.0);
                 }
-                best = best.min(start.elapsed().as_secs_f64() / 100.0);
-            }
-            best
-        };
-        let early = cost(0..500);
-        cost(500..2000);
-        let late = cost(2000..2500);
-        assert!(
-            late < 3.0 * early,
-            "insert {:.1} us into a 2k base vs {:.1} us into an empty one",
-            late * 1e6,
-            early * 1e6
-        );
+                best
+            };
+            let early = cost(0..500);
+            cost(500..2000);
+            let late = cost(2000..2500);
+            assert!(
+                late < 3.0 * early,
+                "{retention:?}: insert {:.1} us into a 2k base vs {:.1} us into an empty one",
+                late * 1e6,
+                early * 1e6
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@ pub mod wal;
 use std::path::Path;
 use std::sync::Arc;
 
-pub use archiver::{choose_level, ArchivePolicy, PatternArchiver};
+pub use archiver::{choose_level, ArchivePolicy, PatternArchiver, PatternSink};
 pub use durable::{DurableConfig, DurablePatternBase};
 pub use io::{ArchiveIo, DiskIo};
 pub use pager::PoolStats;

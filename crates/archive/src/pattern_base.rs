@@ -17,7 +17,7 @@
 //! the "only 6 % needed the grid-level match" claim of §8.2.
 
 use sgs_core::WindowId;
-use sgs_index::{FeatureGrid, RTree, Rect};
+use sgs_index::{FeatureGrid, RTree};
 use sgs_matching::{
     best_alignment, cluster_distance, feature_ranges, grid_level_distance, MatchConfig,
 };
@@ -67,6 +67,11 @@ pub struct PatternBase {
     patterns: Vec<ArchivedPattern>,
     locational: RTree<u64>,
     non_locational: FeatureGrid<u64>,
+    /// Packed bytes of every archived summary, summed on insert.
+    archived_bytes: usize,
+    /// Maximum archived value per feature dimension, never below 1.0
+    /// (bounds the open search ranges of a position-insensitive MATCH).
+    feature_caps: [f64; 4],
 }
 
 impl Default for PatternBase {
@@ -83,6 +88,8 @@ impl PatternBase {
             patterns: Vec::new(),
             locational: RTree::new(),
             non_locational: FeatureGrid::new(vec![16.0, 8.0, 2.0, 1.0]),
+            archived_bytes: 0,
+            feature_caps: [1.0; 4],
         }
     }
 
@@ -105,6 +112,10 @@ impl PatternBase {
         let features = sgs.features();
         self.locational.insert(mbr, id.0);
         self.non_locational.insert(&features, id.0);
+        self.archived_bytes += packed::archived_bytes(&sgs);
+        for (cap, feature) in self.feature_caps.iter_mut().zip(features.iter()) {
+            *cap = cap.max(*feature);
+        }
         self.patterns.push(ArchivedPattern {
             id,
             window,
@@ -127,10 +138,7 @@ impl PatternBase {
     /// Total bytes of the archived summaries in packed form (the §8.2
     /// storage accounting).
     pub fn archived_bytes(&self) -> usize {
-        self.patterns
-            .iter()
-            .map(|p| packed::archived_bytes(&p.sgs))
-            .sum()
+        self.archived_bytes
     }
 
     /// Bytes of in-memory index structures (R-tree + feature grid).
@@ -157,10 +165,9 @@ impl PatternBase {
             let lo: Vec<f64> = ranges.iter().map(|r| r.0).collect();
             // The feature grid needs finite bounds; cap unbounded ranges by
             // the maximum archived feature value per dimension.
-            let caps = self.feature_caps();
             let hi: Vec<f64> = ranges
                 .iter()
-                .zip(caps.iter())
+                .zip(self.feature_caps.iter())
                 .map(|(r, cap)| if r.1.is_finite() { r.1 } else { *cap })
                 .collect();
             let mut hits: Vec<&u64> = Vec::new();
@@ -198,18 +205,6 @@ impl PatternBase {
         outcome
     }
 
-    /// Maximum archived value per feature dimension (used to bound open
-    /// search ranges).
-    fn feature_caps(&self) -> [f64; 4] {
-        let mut caps = [1.0f64; 4];
-        for p in &self.patterns {
-            for (cap, feature) in caps.iter_mut().zip(p.features.iter()) {
-                *cap = cap.max(*feature);
-            }
-        }
-        caps
-    }
-
     /// Brute-force matching (no indexes, every pattern refined) — the
     /// correctness oracle for `match_query` and the baseline that shows
     /// what the filter saves.
@@ -240,15 +235,6 @@ impl PatternBase {
             .matches
             .sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
         outcome
-    }
-
-    /// All archived MBRs overlapping `rect` (diagnostic / visualization).
-    pub fn overlapping(&self, rect: &Rect) -> Vec<PatternId> {
-        let mut hits: Vec<&u64> = Vec::new();
-        self.locational.search(rect, &mut hits);
-        let mut ids: Vec<PatternId> = hits.into_iter().map(|&i| PatternId(i)).collect();
-        ids.sort_unstable();
-        ids
     }
 }
 
@@ -391,10 +377,48 @@ mod tests {
         assert!(base.index_bytes() > 0);
     }
 
-    #[test]
-    fn overlapping_query() {
-        let base = base_with(vec![blob(0.0, 0.0, 12), blob(100.0, 100.0, 12)]);
-        let hits = base.overlapping(&Rect::new(vec![-1.0, -1.0], vec![1.0, 1.0]));
-        assert_eq!(hits, vec![PatternId(0)]);
+    /// What `insert` maintains, recomputed by the scans it replaced.
+    fn scanned_bytes_and_caps(base: &PatternBase) -> (usize, [f64; 4]) {
+        let bytes = base.iter().map(|p| packed::archived_bytes(&p.sgs)).sum();
+        let mut caps = [1.0f64; 4];
+        for p in base.iter() {
+            for (cap, feature) in caps.iter_mut().zip(p.features.iter()) {
+                *cap = cap.max(*feature);
+            }
+        }
+        (bytes, caps)
+    }
+
+    fn bits(caps: [f64; 4]) -> [u64; 4] {
+        caps.map(f64::to_bits)
+    }
+
+    proptest::proptest! {
+        /// After any insert script — and again after a `save_to` →
+        /// `load_from` round trip, which is how recovery and retention
+        /// rebuild a base — the maintained byte total and feature caps
+        /// are bit-equal to a fresh scan of the patterns.
+        #[test]
+        fn maintained_bytes_and_caps_equal_a_fresh_scan(
+            script in proptest::prop::collection::vec((0u8..40, 0u8..40, 0usize..50), 0..40),
+        ) {
+            let side = GridGeometry::basic(2, 1.0).side();
+            let mut base = PatternBase::new();
+            for (k, (x, y, n)) in script.iter().enumerate() {
+                // n == 0 is an empty summary: rejected, so it must leave
+                // both totals alone.
+                base.insert(blob(*x as f64 * side, *y as f64 * side, *n), WindowId(k as u64));
+                let (bytes, caps) = scanned_bytes_and_caps(&base);
+                proptest::prop_assert_eq!(base.archived_bytes(), bytes);
+                proptest::prop_assert_eq!(bits(base.feature_caps), bits(caps));
+            }
+            let mut image = Vec::new();
+            crate::persist::save_to(&base, &mut image).unwrap();
+            let loaded = crate::persist::load_from(&image[..]).unwrap();
+            proptest::prop_assert_eq!(loaded.len(), base.len());
+            let (bytes, caps) = scanned_bytes_and_caps(&loaded);
+            proptest::prop_assert_eq!(loaded.archived_bytes(), bytes);
+            proptest::prop_assert_eq!(bits(loaded.feature_caps), bits(caps));
+        }
     }
 }

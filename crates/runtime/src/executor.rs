@@ -3,7 +3,7 @@
 //! §8) — replacing the former thread-per-query fan-out.
 //!
 //! Each query owns a `QueryCell`: a **bounded** input queue plus the
-//! query's private [`StreamPipeline`]. Bounded input is the backpressure
+//! query's own [`StreamPipeline`]. Bounded input is the backpressure
 //! mechanism: when a query falls behind, [`Runtime::push_batch`] blocks on
 //! its queue instead of buffering unboundedly, throttling ingestion to the
 //! slowest running query. An *idle* query is parked — no task exists for
@@ -20,11 +20,12 @@
 //! are byte-identical to a solo pipeline run over the same points, no
 //! matter how tasks interleave across workers.
 //!
-//! Tasks also mirror every newly archived summary into the runtime's
-//! shared history base ([`SharedPatternBase`], a `parking_lot`-locked
-//! [`sgs_archive::PatternBase`]) so matching queries observe the union of
-//! all queries' archives while extraction continues — Fig. 4's concurrent
-//! archiver/analyst arrangement.
+//! A query's archiver writes straight into the runtime's shared history
+//! base ([`SharedPatternBase`], a `parking_lot`-locked
+//! [`sgs_archive::PatternBase`]) — the only base it fills, write-locked
+//! for a batch's archive step and never across extraction — so matching
+//! queries observe the union of all queries' archives while extraction
+//! continues: Fig. 4's concurrent archiver/analyst arrangement.
 //!
 //! A panic inside query processing (a failing analyst callback, say) is
 //! caught at the task boundary: the query moves to
@@ -39,10 +40,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use sgs_archive::SharedPatternBase;
+use sgs_archive::{PatternId, SharedPatternBase};
 use sgs_core::{Point, WindowId};
 use sgs_csgs::WindowOutput;
 use sgs_exec::Pool;
+use sgs_summarize::Sgs;
 
 use crate::metrics::metrics;
 use crate::output::OutputBuffer;
@@ -62,9 +64,9 @@ pub(crate) enum Msg {
     /// Synchronization barrier: acked once every message queued before
     /// this one has been fully processed.
     Barrier(mpsc::Sender<()>),
-    /// Stop the query: hand its pipeline back through the channel and
-    /// drop any input queued behind this message.
-    Stop(mpsc::Sender<StreamPipeline>),
+    /// Stop the query: drop its pipeline, send back the handles of what it
+    /// archived, and drop any input queued behind this message.
+    Stop(mpsc::Sender<Vec<PatternId>>),
 }
 
 /// A per-window results callback (boxed: sinks are stored uniformly in
@@ -163,14 +165,14 @@ impl InputQueue {
 }
 
 /// Execution state a query task needs exclusive access to. `pipeline`
-/// becomes `None` once [`Msg::Stop`] hands it back to the runtime;
-/// messages drained after that are dropped.
+/// becomes `None` once [`Msg::Stop`] has been processed; messages drained
+/// after that are dropped.
 struct ExecState {
     pipeline: Option<StreamPipeline>,
     sink: Sink,
-    /// Patterns of the pipeline's base already mirrored into the shared
-    /// history.
-    mirrored: usize,
+    /// Handles, in the shared history, of the patterns this query
+    /// archived — in archive order, so strictly increasing.
+    archived: Vec<PatternId>,
 }
 
 /// One registered query's executor-side record: input queue, pipeline,
@@ -224,7 +226,7 @@ impl QueryCell {
             exec: Mutex::new(ExecState {
                 pipeline: Some(pipeline),
                 sink,
-                mirrored: 0,
+                archived: Vec::new(),
             }),
             scheduled: AtomicBool::new(false),
             pool,
@@ -269,8 +271,8 @@ impl QueryCell {
             .spawn_fair(self.fair.0, self.fair.1, move || run(cell));
     }
 
-    /// Process one batch: run the pipeline, mirror new archive entries
-    /// into the shared history, emit outputs, update the stats cell. A
+    /// Process one batch: run the pipeline (which archives into the
+    /// shared history), emit outputs, update the stats cell. A
     /// panic (e.g. in an analyst callback) fails the query instead of
     /// poisoning the worker.
     fn process(&self, points: &[Point], enqueued: Instant) {
@@ -278,21 +280,8 @@ impl QueryCell {
             return; // Drop points that were in flight when the query failed.
         }
         let mut exec = self.exec.lock().unwrap();
-        let exec = &mut *exec;
-        let Some(pipeline) = exec.pipeline.as_mut() else {
-            return; // Stopped: drain-and-drop whatever was queued behind.
-        };
-        let (sink, mirrored) = (&mut exec.sink, &mut exec.mirrored);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            process_batch(
-                pipeline,
-                points,
-                enqueued,
-                &self.shared,
-                &self.history,
-                sink,
-                mirrored,
-            )
+            process_batch(self, &mut exec, points, enqueued)
         }));
         if caught.is_err() {
             let mut status = self.shared.write();
@@ -345,9 +334,9 @@ fn run(cell: Arc<QueryCell>) {
                 let _ = ack.send(());
             }
             Msg::Stop(give) => {
-                let pipeline = cell.exec.lock().unwrap().pipeline.take();
-                if let Some(p) = pipeline {
-                    let _ = give.send(p);
+                let mut exec = cell.exec.lock().unwrap();
+                if exec.pipeline.take().is_some() {
+                    let _ = give.send(std::mem::take(&mut exec.archived));
                 }
                 // Keep draining: queued input behind the stop is dropped,
                 // and any blocked producers get unstuck.
@@ -356,37 +345,34 @@ fn run(cell: Arc<QueryCell>) {
     }
 }
 
-/// The batch-processing body (unchanged semantics from the
-/// thread-per-query executor).
-fn process_batch(
-    pipeline: &mut StreamPipeline,
-    points: &[Point],
-    enqueued: Instant,
-    shared: &SharedStatus,
-    history: &SharedPatternBase,
-    sink: &mut Sink,
-    mirrored: &mut usize,
-) {
+/// The batch-processing body, under the cell's `exec` lock.
+fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enqueued: Instant) {
+    let (Some(pipeline), sink, archived) = (&mut exec.pipeline, &mut exec.sink, &mut exec.archived)
+    else {
+        return; // Stopped: drain-and-drop whatever was queued behind.
+    };
     let start = Instant::now();
-    let (outputs, result) = pipeline.push_batch_collect(points.iter().cloned());
+    let mut new_bytes = 0usize;
+    let (outputs, result) = {
+        // The history's write lock: taken at the first pattern the batch
+        // archives — extraction is over by then — and released with it.
+        let mut locked = None;
+        let mut insert = |sgs: Sgs, window: WindowId| {
+            let bytes = sgs_summarize::packed::archived_bytes(&sgs);
+            let id = locked
+                .get_or_insert_with(|| cell.history.write())
+                .insert(sgs, window)?;
+            new_bytes += bytes;
+            archived.push(id);
+            Some(id)
+        };
+        pipeline.push_batch_into(points.iter().cloned(), Some(&mut insert))
+    };
     let busy = start.elapsed().as_nanos() as u64;
 
-    // Mirror newly archived patterns into the shared history (even on
-    // error: windows completed before the failing point were archived).
-    let base = pipeline.base();
-    let mut new_bytes = 0usize;
-    if base.len() > *mirrored {
-        let mut h = history.write();
-        for p in base.iter().skip(*mirrored) {
-            new_bytes += sgs_summarize::packed::archived_bytes(&p.sgs);
-            h.insert(p.sgs.clone(), p.window);
-        }
-        *mirrored = base.len();
-    }
-
     // Windows completed before a mid-batch failure are delivered too —
-    // they are already archived and mirrored, so dropping them would lose
-    // results that History can serve.
+    // they are already archived, so dropping them would lose results that
+    // History can serve.
     let n_windows = outputs.len() as u64;
     let n_clusters: u64 = outputs.iter().map(|(_, o)| o.len() as u64).sum();
     let mut n_dropped = 0u64;
@@ -422,12 +408,12 @@ fn process_batch(
     // stay consistent with the pattern base even when the batch failed
     // partway (points already accepted and windows already archived count).
     let error = result.err().map(|e| e.to_string());
-    let mut status = shared.write();
+    let mut status = cell.shared.write();
     status.stats.points = pipeline.accepted();
     status.stats.windows += n_windows;
     status.stats.clusters += n_clusters;
     status.stats.windows_dropped += n_dropped;
-    status.stats.archived = *mirrored as u64;
+    status.stats.archived = pipeline.archive_stats().1;
     status.stats.archive_bytes += new_bytes;
     status.stats.busy_nanos += busy;
     if let Some(msg) = error {

@@ -18,13 +18,14 @@
 //! * [`executor`] — the **query executor**: every continuous query is
 //!   multiplexed onto the shared [`sgs_exec::Pool`] as a task-per-ready-
 //!   query behind a *bounded* input queue (backpressure; idle queries
-//!   cost zero threads), mirroring archived summaries into a shared
+//!   cost zero threads), its archiver writing into the shared
 //!   `parking_lot`-locked history base. See `DESIGN.md` §8.
 //! * [`output`] — **output-side flow control**: the buffer `poll`-mode
 //!   results land in, bounded by an [`OutputPolicy`] (block or
 //!   drop-oldest) instead of growing without limit.
 //! * [`pipeline`] — the single-query [`StreamPipeline`] (window engine →
-//!   C-SGS → archiver), the execution unit each query task drives.
+//!   C-SGS → archiver), the execution unit each query task drives; on its
+//!   own it fills a pattern base it owns, in a runtime the shared history.
 //! * [`runtime`] — the one **runtime surface**: [`Runtime::submit`]
 //!   accepts query-language text, [`Runtime::submit_detect`] registers a
 //!   plan under an optional [`OwnerId`] tag, points enter through one
@@ -38,8 +39,9 @@
 //! Every query runs its own [`StreamPipeline`] serialized over the
 //! ingestion order (one live executor task per query, ever), so for any
 //! set of concurrently registered queries the per-query outputs and
-//! archived summaries are **byte-identical** to a solo pipeline run of
-//! the same plan over the same points — scheduling changes wall-clock
+//! archived summaries (those its [`QueryReport`] names in the shared
+//! history) are **byte-identical** to a solo pipeline run of the same
+//! plan over the same points — scheduling changes wall-clock
 //! interleaving, never results. The facade tests
 //! `tests/runtime_determinism.rs` and `tests/scheduler_stress.rs` pin
 //! this down (the latter with 32 concurrent queries on a two-worker

@@ -6,11 +6,11 @@
 //! continuous query, serialized onto the shared scheduler pool, which is
 //! what makes the runtime's per-query output byte-identical to a solo
 //! pipeline run: both paths execute exactly this code over the same
-//! point sequence.
+//! point sequence and differ only in where the archiver stores.
 //!
 //! [`Runtime`]: crate::runtime::Runtime
 
-use sgs_archive::{ArchivePolicy, PatternArchiver, PatternBase, PatternId};
+use sgs_archive::{ArchivePolicy, PatternArchiver, PatternBase, PatternId, PatternSink};
 use sgs_core::{ClusterQuery, Point, Result, WindowId};
 use sgs_csgs::{CSgs, WindowOutput};
 use sgs_stream::WindowEngine;
@@ -94,25 +94,28 @@ impl StreamPipeline {
         &mut self,
         points: impl IntoIterator<Item = Point>,
     ) -> Result<Vec<(WindowId, WindowOutput)>> {
-        let (outputs, fed) = self.push_batch_collect(points);
+        let (outputs, fed) = self.push_batch_into(points, None);
         fed.map(|_| outputs)
     }
 
-    /// Like [`push_batch`](Self::push_batch), but hands back the windows
-    /// completed before a mid-batch failure alongside the error, instead
-    /// of dropping them — for drivers (like the runtime's workers) that
-    /// must deliver every archived window even when the batch fails.
-    pub fn push_batch_collect(
+    /// Like [`push_batch`](Self::push_batch), but what the archiver keeps is
+    /// stored through `dest` (`None`: the pipeline's own base), which is not
+    /// called before the whole batch is through the extractor, and windows
+    /// completed before a mid-batch failure come back alongside the error:
+    /// the runtime's workers must deliver every archived window.
+    pub(crate) fn push_batch_into(
         &mut self,
         points: impl IntoIterator<Item = Point>,
+        mut dest: Option<&mut PatternSink<'_>>,
     ) -> (Vec<(WindowId, WindowOutput)>, Result<u64>) {
         let mut outputs = Vec::new();
         let fed = self
             .engine
             .push_batch(points, &mut self.extractor, &mut outputs);
         for (window, output) in &outputs {
+            let summaries = output.iter().map(|c| &c.sgs);
             self.archiver
-                .observe(*window, output.iter().map(|c| &c.sgs));
+                .observe_into(*window, summaries, dest.as_deref_mut());
         }
         (outputs, fed)
     }

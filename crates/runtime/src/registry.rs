@@ -71,9 +71,9 @@ pub struct QueryStats {
     ///
     /// [`OutputPolicy::DropOldest`]: crate::output::OutputPolicy::DropOldest
     pub windows_dropped: u64,
-    /// Clusters admitted to this query's pattern base.
+    /// Clusters this query's archiver admitted to the shared history.
     pub archived: u64,
-    /// Packed bytes of this query's archived summaries.
+    /// Packed bytes of those summaries as archived (before any retention).
     pub archive_bytes: usize,
     /// Worker-side processing time (extraction + summarization +
     /// archival), in nanoseconds. Excludes time spent waiting for input.

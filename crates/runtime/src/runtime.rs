@@ -9,7 +9,7 @@ use std::sync::{mpsc, Arc};
 
 use sgs_archive::{
     shared_durable_base, shared_pattern_base, ArchivePolicy, DurableConfig, MatchOutcome,
-    PatternBase, PersistError, SharedPatternBase,
+    PatternId, PersistError, SharedPatternBase,
 };
 use sgs_core::{Point, PoolThreads, ShardCount, WindowId};
 use sgs_csgs::WindowOutput;
@@ -132,10 +132,11 @@ pub struct QueryReport {
     pub text: String,
     /// Final statistics.
     pub stats: QueryStats,
-    /// The query's private pattern base (its archived history), exactly as
-    /// a solo [`StreamPipeline`](crate::StreamPipeline) run of the same
-    /// plan would have built it.
-    pub base: PatternBase,
+    /// Handles, strictly increasing, of what this query archived: each
+    /// resolves in the shared history MATCH reads ([`Runtime::history`])
+    /// to the summary a solo [`StreamPipeline`](crate::StreamPipeline) run
+    /// of the same plan archives, as retention has since left it.
+    pub archived: Vec<PatternId>,
 }
 
 /// Runtime operation failures.
@@ -157,7 +158,7 @@ pub enum RuntimeError {
         /// Its current state.
         from: QueryState,
     },
-    /// The query's pipeline has already been handed back by a previous
+    /// The query's pipeline has already been stopped by a previous
     /// [`Runtime::cancel`](crate::runtime::Runtime::cancel).
     Disconnected(QueryId),
     /// The durable archive could not be opened or recovered.
@@ -215,7 +216,7 @@ struct QueryEntry {
     cell: Arc<QueryCell>,
     /// Output buffer (`None` in callback mode).
     outputs: Option<Arc<OutputBuffer>>,
-    /// Set once [`Runtime::cancel`] has taken the pipeline back.
+    /// Set once [`Runtime::cancel`] has queued the stop.
     stopped: bool,
 }
 
@@ -253,7 +254,8 @@ struct QueryEntry {
 /// rt.quiesce().unwrap();
 /// assert!(!rt.poll(id).unwrap().is_empty());
 /// let report = rt.cancel(id).unwrap();
-/// assert!(report.stats.windows > 0 && !report.base.is_empty());
+/// assert!(report.stats.windows > 0 && !report.archived.is_empty());
+/// assert!(rt.history(2).unwrap().read().get(report.archived[0]).is_some());
 /// ```
 pub struct Runtime {
     planner: Planner,
@@ -669,9 +671,9 @@ impl Runtime {
 
     /// Cancel a query: stop it after the input queued so far is
     /// processed, and return its final [`QueryReport`] (stats + the
-    /// private pattern base a solo pipeline run would have built).
+    /// handles of what it archived into the shared history, which stays).
     ///
-    /// Failed and paused queries can be cancelled too; the report carries
+    /// Failed and paused queries can be cancelled too; the report names
     /// whatever they archived before stopping. Safe under
     /// [`OutputPolicy::Block`] with the cancelled query's own buffer
     /// undrained: the buffer is closed (blocking ends, losslessly)
@@ -785,8 +787,8 @@ impl Runtime {
     /// registered.
     ///
     /// **Lock hazard:** query executor tasks take the *write* side of
-    /// this lock to mirror newly archived summaries. Drop any `read()`
-    /// guard before calling [`push_batch`](Self::push_batch),
+    /// this lock to archive each batch's completed windows. Drop any
+    /// `read()` guard before calling [`push_batch`](Self::push_batch),
     /// [`push_stream`](Self::push_stream), or [`quiesce`](Self::quiesce) —
     /// holding it across those calls can deadlock (a task blocks on the
     /// lock, the runtime blocks on the task).
@@ -910,7 +912,7 @@ pub struct PendingCancel {
     id: QueryId,
     text: String,
     shared: SharedStatus,
-    rx: mpsc::Receiver<crate::pipeline::StreamPipeline>,
+    rx: mpsc::Receiver<Vec<PatternId>>,
 }
 
 impl PendingCancel {
@@ -920,10 +922,10 @@ impl PendingCancel {
     }
 
     /// Block until the executor task has processed everything queued
-    /// before the stop and handed the pipeline back, then assemble the
-    /// final report (moving the query to [`QueryState::Cancelled`]).
+    /// before the stop and dropped the pipeline, then assemble the final
+    /// report (moving the query to [`QueryState::Cancelled`]).
     pub fn wait(self) -> Result<QueryReport, RuntimeError> {
-        let pipeline = self
+        let archived = self
             .rx
             .recv()
             .map_err(|_| RuntimeError::Disconnected(self.id))?;
@@ -935,7 +937,7 @@ impl PendingCancel {
             id: self.id,
             text: self.text,
             stats,
-            base: pipeline.into_base(),
+            archived,
         })
     }
 }
@@ -1010,6 +1012,17 @@ mod tests {
         rt
     }
 
+    /// The patterns a report names, resolved in the 2-d shared history —
+    /// the base MATCH reads.
+    fn resolve(rt: &Runtime, report: &QueryReport) -> Vec<sgs_archive::ArchivedPattern> {
+        let history = rt.history(2).unwrap().read();
+        report
+            .archived
+            .iter()
+            .map(|id| history.get(*id).expect("a reported id resolves").clone())
+            .collect()
+    }
+
     /// Register [`DETECT`] tagged with `owner`.
     fn submit_as(rt: &mut Runtime, owner: OwnerId) -> QueryId {
         let QueryPlan::Detect(plan) = rt.plan(DETECT).unwrap() else {
@@ -1034,7 +1047,7 @@ mod tests {
         assert!(stats.archived > 0);
         assert!(stats.archive_bytes > 0);
         assert!(stats.busy_nanos > 0);
-        // The shared history mirrors the single query's archive exactly.
+        // The shared history is the single query's archive, exactly.
         assert_eq!(rt.history(2).unwrap().read().len() as u64, stats.archived);
     }
 
@@ -1109,7 +1122,8 @@ mod tests {
         let report = rt.cancel(id).unwrap();
         assert_eq!(report.id, id);
         assert_eq!(report.stats.points, 3000);
-        assert_eq!(report.base.len() as u64, report.stats.archived);
+        assert_eq!(report.archived.len() as u64, report.stats.archived);
+        assert_eq!(resolve(&rt, &report).len(), report.archived.len());
         assert_eq!(rt.state(id).unwrap(), QueryState::Cancelled);
         // Cancelled queries are skipped by ingestion and re-cancel fails.
         rt.push_batch(&[Point::new(vec![0.0, 0.0], 0)]).unwrap();
@@ -1146,17 +1160,16 @@ mod tests {
         rt.quiesce().unwrap();
         assert_eq!(rt.stats(id).unwrap().points, 2500);
         // Still cancellable for a final report, whose stats stay
-        // consistent with the pattern base despite the mid-batch failure.
+        // consistent with the history despite the mid-batch failure.
         let report = rt.cancel(id).unwrap();
         assert!(
-            !report.base.is_empty(),
+            !report.archived.is_empty(),
             "windows before the failure archived"
         );
-        assert_eq!(report.base.len() as u64, report.stats.archived);
+        assert_eq!(report.archived.len() as u64, report.stats.archived);
         assert_eq!(
             report.stats.archive_bytes,
-            report
-                .base
+            resolve(&rt, &report)
                 .iter()
                 .map(|p| sgs_summarize::packed::archived_bytes(&p.sgs))
                 .sum::<usize>()
@@ -1465,7 +1478,8 @@ mod tests {
             rt.push_batch(&stream).unwrap();
             rt.quiesce().unwrap();
             polled.push(rt.poll(id).unwrap());
-            bases.push(rt.cancel(id).unwrap().base);
+            let report = rt.cancel(id).unwrap();
+            bases.push(resolve(&rt, &report));
         }
         assert!(!polled[0].is_empty());
         assert_eq!(polled[0], polled[1], "windows diverged across shard counts");

@@ -2,7 +2,8 @@
 //! concurrent DETECT queries fanned out from one stream, each query's
 //! archived summaries are **byte-identical** (packed encoding) to a solo
 //! `StreamPipeline` run of the same query over the same points — the
-//! fan-out changes scheduling, never results.
+//! fan-out changes scheduling, never results. A query's summaries are the
+//! ones its report names in the shared history, the only copy there is.
 
 use streamsum::prelude::*;
 use streamsum::summarize::packed;
@@ -56,15 +57,28 @@ fn concurrent_queries_archive_byte_identically_to_solo_runs() {
     rt.push_batch(&stream).unwrap();
     rt.quiesce().unwrap();
 
+    let mut named = Vec::new();
     for (id, solo) in ids.into_iter().zip(&solo_bases) {
         let report = rt.cancel(id).unwrap();
+        let history = rt.history(2).unwrap().read();
         assert!(!solo.is_empty(), "reference run must archive something");
         assert_eq!(
-            report.base.len(),
+            report.archived.len(),
             solo.len(),
             "{id}: archived pattern count differs from solo run"
         );
-        for (concurrent, reference) in report.base.iter().zip(solo.iter()) {
+        assert_eq!(report.archived.len() as u64, report.stats.archived, "{id}");
+        assert_eq!(
+            report.stats.archive_bytes,
+            solo.archived_bytes(),
+            "{id}: archive bytes differ from solo run"
+        );
+        assert!(
+            report.archived.windows(2).all(|w| w[0] < w[1]),
+            "{id}: pattern ids not strictly increasing"
+        );
+        for (pattern, reference) in report.archived.iter().zip(solo.iter()) {
+            let concurrent = history.get(*pattern).expect("a reported id resolves");
             assert_eq!(
                 concurrent.window, reference.window,
                 "{id}: window id differs"
@@ -76,11 +90,18 @@ fn concurrent_queries_archive_byte_identically_to_solo_runs() {
                 reference.window
             );
         }
+        named.extend(report.archived);
     }
 
-    // The shared 2-d history holds the union of all three archives.
+    // The shared 2-d history holds the union of all three archives, each
+    // pattern named by exactly one report.
     let total: usize = solo_bases.iter().map(|b| b.len()).sum();
     assert_eq!(rt.history(2).unwrap().read().len(), total);
+    named.sort_unstable();
+    assert!(
+        named.iter().map(|id| id.0).eq(0..total as u64),
+        "the three id lists do not partition the history"
+    );
 }
 
 /// With no retention pressure, a durable-backed shared history is

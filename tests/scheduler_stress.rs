@@ -80,11 +80,20 @@ fn thirty_two_queries_on_two_workers_archive_byte_identically() {
     }
     rt.quiesce().unwrap();
 
+    let mut named = Vec::new();
     for (id, solo) in ids.into_iter().zip(&solo_bases) {
         let report = rt.cancel(id).unwrap();
+        let history = rt.history(2).unwrap().read();
         assert_eq!(report.stats.points, stream.len() as u64, "{id}");
-        assert_eq!(report.base.len(), solo.len(), "{id}: archive count");
-        for (concurrent, reference) in report.base.iter().zip(solo.iter()) {
+        assert_eq!(report.archived.len(), solo.len(), "{id}: archive count");
+        assert_eq!(report.archived.len() as u64, report.stats.archived, "{id}");
+        assert_eq!(report.stats.archive_bytes, solo.archived_bytes(), "{id}");
+        assert!(
+            report.archived.windows(2).all(|w| w[0] < w[1]),
+            "{id}: pattern ids not strictly increasing"
+        );
+        for (pattern, reference) in report.archived.iter().zip(solo.iter()) {
+            let concurrent = history.get(*pattern).expect("a reported id resolves");
             assert_eq!(concurrent.window, reference.window, "{id}");
             assert_eq!(
                 packed::encode(&concurrent.sgs),
@@ -93,7 +102,16 @@ fn thirty_two_queries_on_two_workers_archive_byte_identically() {
                 reference.window
             );
         }
+        named.extend(report.archived);
     }
+
+    // Each pattern of the shared history is named by exactly one report.
+    named.sort_unstable();
+    let total = rt.history(2).unwrap().read().len();
+    assert!(
+        named.iter().map(|id| id.0).eq(0..total as u64),
+        "the 32 id lists do not partition the history"
+    );
 }
 
 /// Pause/resume while input is still queued and the pool is saturated:
@@ -159,8 +177,13 @@ fn pause_resume_under_load_keeps_exact_gap_semantics() {
         (stream.len() - (b - a)) as u64
     );
     let report = rt.cancel(id).unwrap();
-    assert_eq!(report.base.len(), solo_base.len());
-    for (concurrent, reference) in report.base.iter().zip(solo_base.iter()) {
+    assert_eq!(report.archived.len(), solo_base.len());
+    assert_eq!(report.archived.len() as u64, report.stats.archived);
+    assert_eq!(report.stats.archive_bytes, solo_base.archived_bytes());
+    assert!(report.archived.windows(2).all(|w| w[0] < w[1]));
+    let history = rt.history(2).unwrap().read();
+    for (pattern, reference) in report.archived.iter().zip(solo_base.iter()) {
+        let concurrent = history.get(*pattern).expect("a reported id resolves");
         assert_eq!(concurrent.window, reference.window);
         assert_eq!(
             packed::encode(&concurrent.sgs),
