@@ -20,10 +20,13 @@
 //! handler only drops expired objects' raw data (eagerly pruning their ids
 //! from neighbor lists) and emits the output.
 //!
-//! **Output** (§5.4 output stage): DFS over live core cells through live
-//! core-core links forms the cluster skeletons; attached edge cells join
-//! their groups; the full representation is derived object-level (cores by
-//! career watermark, edges via their live core neighbors).
+//! **Output** (§5.4 output stage; `merge::emit`): the live core cells,
+//! connected through their live core-core links, form the cluster
+//! skeletons; attached edge cells join their groups; the full
+//! representation is listed cell by cell from the skeleton (cores by
+//! career watermark, edges via their live core neighbors). A cluster none
+//! of whose cells was written since the previous window is not derived
+//! again: the extractor keeps the previous output and carries it over.
 //!
 //! **Sharding** (`DESIGN.md` §6): the extraction state is partitioned by
 //! hashed grid region across `S` shards ([`ClusterQuery::shards`]), and
@@ -45,7 +48,7 @@
 //! shard count and batch size, and each object still costs exactly one
 //! range-query search.
 
-use sgs_core::{CellCoord, ClusterQuery, GridGeometry, Point, PointId, WindowId};
+use sgs_core::{CellCoord, ClusterQuery, GridGeometry, HeapSize, Point, PointId, WindowId};
 use sgs_exec::Pool;
 use sgs_index::{ReachWalker, ShardRouter};
 use sgs_stream::{ExpiryHistogram, WindowConsumer};
@@ -108,9 +111,16 @@ pub struct CSgs {
     /// with its owning shard.
     found: Vec<(PointId, u32)>,
     extended: Vec<(PointId, u32)>,
+    /// The previous window's output: what the output stage carries the
+    /// untouched clusters over from (`DESIGN.md` §6).
+    retained: WindowOutput,
     /// Number of range query searches executed (one per object, §5.3 —
     /// regardless of shard count).
     pub rqs_count: u64,
+    /// Clusters emitted by carrying the previous window's over unchanged.
+    pub carried_count: u64,
+    /// Clusters emitted by rebuilding them from the skeletal cells.
+    pub rebuilt_count: u64,
 }
 
 impl CSgs {
@@ -158,7 +168,10 @@ impl CSgs {
             current: WindowId(0),
             adaptive,
             max_shards,
+            retained: Vec::new(),
             rqs_count: 0,
+            carried_count: 0,
+            rebuilt_count: 0,
         }
     }
 
@@ -193,6 +206,9 @@ impl CSgs {
             .map(|_| Shard::new(self.geometry.clone()))
             .collect();
         self.cell_stores = (0..new_s).map(|_| CellStore::new()).collect();
+        for store in &mut self.cell_stores {
+            store.set_window(self.current);
+        }
 
         let mut moving: Vec<(PointId, PointState, usize)> = Vec::new();
         let mut coords: Vec<f64> = Vec::new();
@@ -238,8 +254,9 @@ impl CSgs {
             .find_map(|sh| sh.points.get(&id).map(|p| sh.arena.get(p.slot)))
     }
 
-    /// Approximate bytes of retained meta-data. Unlike Extra-N this is
-    /// independent of `win/slide` — no per-view state exists.
+    /// Approximate bytes of retained meta-data, the previous window's
+    /// output included. Unlike Extra-N this is independent of `win/slide`
+    /// — no per-view state exists.
     pub fn meta_bytes(&self) -> usize {
         self.shards.iter().map(Shard::meta_bytes).sum::<usize>()
             + self
@@ -247,6 +264,20 @@ impl CSgs {
                 .iter()
                 .map(CellStore::heap_bytes)
                 .sum::<usize>()
+            + self.retained.iter().map(HeapSize::heap_size).sum::<usize>()
+    }
+
+    /// The output stage for window `w`, carrying over from `prev`.
+    fn emit(&self, w: WindowId, prev: WindowOutput) -> (WindowOutput, usize) {
+        merge::emit(
+            &self.geometry,
+            &self.router,
+            &self.pool,
+            &self.shards,
+            &self.cell_stores,
+            w,
+            prev,
+        )
     }
 
     /// Phased parallel insertion of one between-boundary batch (`S > 1`,
@@ -398,7 +429,8 @@ impl CSgs {
                         |owner: usize, at: &CellCoord, other: &CellCoord, core_core, attach| {
                             if owner == i {
                                 cells.raise_link(at, other, core_core, attach);
-                            } else {
+                            } else if core_core > now.0 || attach > now.0 {
+                                // (What `raise_link` would drop is not sent.)
                                 out[owner].push(LinkMsg {
                                     at: at.clone(),
                                     other: other.clone(),
@@ -548,22 +580,29 @@ impl WindowConsumer for CSgs {
 
     fn slide(&mut self, completed: WindowId) -> WindowOutput {
         debug_assert_eq!(completed, self.current);
-        let out = merge::emit(
-            self.query.dim,
-            self.geometry.side(),
-            &self.router,
-            &self.pool,
-            &self.shards,
-            &self.cell_stores,
-            completed,
+        let prev = std::mem::take(&mut self.retained);
+        let (out, carried) = self.emit(completed, prev);
+        // Release builds trust a carried cluster; debug builds — every
+        // test suite — rebuild the window from the cells and compare.
+        debug_assert_eq!(
+            out,
+            self.emit(completed, Vec::new()).0,
+            "carried clusters diverged from a from-scratch emit at {completed}"
         );
+        self.carried_count += carried as u64;
+        self.rebuilt_count += (out.len() - carried) as u64;
+        self.retained = out.clone();
 
         // Advance and drop expired raw data (no watermark maintenance —
         // the paper's zero-cost expiration property). Dead points' ids are
         // pruned from their neighbors' lists eagerly, across shards, so
-        // lists stay bounded by the live population.
+        // lists stay bounded by the live population. From here on every
+        // write to a cell is stamped with the new window.
         self.current = completed.next();
         let now = self.current;
+        for store in &mut self.cell_stores {
+            store.set_window(now);
+        }
         let mut dead: Vec<Vec<(PointId, Vec<PointId>)>> = vec![Vec::new(); self.shards.len()];
         fork_each(
             &self.pool,
@@ -870,6 +909,248 @@ mod tests {
                 // population, far below the 600 points streamed through.
                 assert!(sh.arena.slots() <= 2 * 50 + 10);
             }
+        }
+    }
+
+    /// A hand-driven 1-d extractor with θr = 1 — the cell of `x` is `⌊x⌋`
+    /// and two objects are neighbors within distance 1 — plus a bystander
+    /// cluster far away that nothing ever touches. Every slide is checked
+    /// against an emit that carries nothing over: the comparison `slide`
+    /// makes itself in debug builds, made here in release builds too.
+    struct Driven {
+        csgs: CSgs,
+        next_id: u32,
+    }
+
+    /// Expiry of the objects a scenario does not let expire.
+    const LATE: u64 = 40;
+
+    impl Driven {
+        fn new(theta_c: u32, shards: ShardCount) -> Self {
+            let spec = WindowSpec::count(100, 10).unwrap();
+            let q = ClusterQuery::new(1.0, theta_c, 1, spec)
+                .unwrap()
+                .with_shards(shards);
+            let mut driven = Driven {
+                csgs: CSgs::new(q),
+                next_id: 0,
+            };
+            for x in [50.1, 50.2, 50.3, 50.4, 50.5] {
+                driven.put(x, LATE);
+            }
+            driven
+        }
+
+        /// Insert an object at `x` that is dropped when window `expires`
+        /// becomes current.
+        fn put(&mut self, x: f64, expires: u64) -> PointId {
+            let id = PointId(self.next_id);
+            self.next_id += 1;
+            self.csgs
+                .insert(id, &Point::new(vec![x], 0), WindowId(expires));
+            id
+        }
+
+        /// Complete the current window. Returns its clusters but the
+        /// bystander (always the last), and how many of the others were
+        /// carried over; the bystander must have been, once it exists.
+        fn slide(&mut self) -> (WindowOutput, u64) {
+            let w = self.csgs.current;
+            let fresh = self.csgs.emit(w, Vec::new()).0;
+            let before = self.csgs.carried_count;
+            let mut out = self.csgs.slide(w);
+            assert_eq!(out, fresh, "window {w}");
+            let bystander = out.pop().expect("the bystander cluster");
+            assert_eq!(cells_of(&bystander), [(50, CellStatus::Core, 5)]);
+            let carried = self.csgs.carried_count - before;
+            assert!(w.0 == 0 || carried >= 1, "bystander rebuilt at {w}");
+            (out, carried.saturating_sub(1))
+        }
+
+        fn cell(&self, cell: i32) -> &crate::cell_store::CellState {
+            let coord = CellCoord::new(vec![cell]);
+            let found = self.csgs.cell_stores.iter().find_map(|s| s.get(&coord));
+            found.expect("cell exists")
+        }
+    }
+
+    /// `(cell, status, population)` of each skeletal cell of a 1-d cluster.
+    fn cells_of(cluster: &crate::ExtractedCluster) -> Vec<(i32, CellStatus, u32)> {
+        let cells = cluster.sgs.cells.iter();
+        cells
+            .map(|c| (c.coord.0[0], c.status, c.population))
+            .collect()
+    }
+
+    fn ids(ids: &[PointId]) -> Vec<u32> {
+        ids.iter().map(|id| id.0).collect()
+    }
+
+    const BOTH: [ShardCount; 2] = [ShardCount::Fixed(1), ShardCount::Fixed(3)];
+    use CellStatus::{Core, Edge};
+
+    /// A core career that ends because a neighbor expires — no write to
+    /// the object's own cell, which stays a core cell — still rebuilds its
+    /// cluster: the neighbor's cell is a cell of the same skeleton, and it
+    /// was written (here: emptied, and collected).
+    #[test]
+    fn a_career_lapsing_with_a_neighbors_expiry_rebuilds_the_cluster() {
+        for shards in BOTH {
+            let mut d = Driven::new(2, shards);
+            let p = d.put(1.1, LATE); // neighbors: p2, q — core while q lives
+            let p2 = d.put(1.9, LATE); // p, t: core
+            let q = d.put(0.15, 3); // p
+            let t = d.put(2.5, LATE); // p2
+            let (w0, _) = d.slide();
+            assert_eq!(w0.len(), 1);
+            assert_eq!(
+                (ids(&w0[0].cores), ids(&w0[0].edges)),
+                (vec![p.0, p2.0], vec![q.0, t.0])
+            );
+            assert_eq!(cells_of(&w0[0]), [(0, Edge, 1), (1, Core, 2), (2, Edge, 1)]);
+            for _ in 1..3 {
+                assert_eq!(d.slide(), (w0.clone(), 1), "nothing changed: carried");
+            }
+            let (w3, carried) = d.slide();
+            assert_eq!(carried, 0);
+            assert_eq!(
+                [1, 2].map(|c| d.cell(c).touched),
+                [0; 2],
+                "the cells left are unwritten"
+            );
+            assert_eq!(
+                (ids(&w3[0].cores), ids(&w3[0].edges)),
+                (vec![p2.0], vec![p.0, t.0])
+            );
+            assert_eq!(cells_of(&w3[0]), [(1, Core, 2), (2, Edge, 1)]);
+            assert_eq!(d.slide(), (w3, 1));
+        }
+    }
+
+    /// An object turns core by a career no longer than its cell's: the
+    /// cell's watermark stays where it is, its stamp does not.
+    #[test]
+    fn an_object_turning_core_under_an_unmoved_cell_watermark_rebuilds() {
+        for shards in BOTH {
+            let mut d = Driven::new(2, shards);
+            let p1 = d.put(0.9, LATE); // e, p2: core until e expires
+            let e = d.put(0.05, 10); // p1
+            let p2 = d.put(1.5, LATE); // p1
+            let (w0, _) = d.slide();
+            assert_eq!(
+                (ids(&w0[0].cores), ids(&w0[0].edges)),
+                (vec![p1.0], vec![e.0, p2.0])
+            );
+            assert_eq!(d.slide(), (w0, 1));
+            assert_eq!(d.cell(0).core_until, 10);
+            let z = d.put(-0.5, 10); // e, which turns core until 10
+            assert_eq!(d.cell(0).core_until, 10);
+            let (w2, carried) = d.slide();
+            assert_eq!(carried, 0);
+            assert_eq!(
+                (ids(&w2[0].cores), ids(&w2[0].edges)),
+                (vec![p1.0, e.0], vec![p2.0, z.0])
+            );
+            assert_eq!(
+                cells_of(&w2[0]),
+                [(-1, Edge, 1), (0, Core, 2), (1, Edge, 1)]
+            );
+        }
+    }
+
+    /// A noise object arriving in an edge cell, or expiring there, changes
+    /// nothing of the cluster but that cell's population — which the
+    /// summary prints.
+    #[test]
+    fn noise_coming_and_going_in_an_edge_cell_rebuilds_for_its_population() {
+        for shards in BOTH {
+            let mut d = Driven::new(3, shards);
+            let cores = [0.4, 0.5, 0.6, 0.7].map(|x| d.put(x, LATE).0);
+            let e = d.put(1.65, LATE); // the object at 0.7
+            let (w0, _) = d.slide();
+            assert_eq!(cells_of(&w0[0]), [(0, Core, 4), (1, Edge, 1)]);
+            assert_eq!(d.slide(), (w0.clone(), 1));
+            let links = |d: &Driven| (d.cell(0).clone(), d.cell(1).links.clone());
+            let before = links(&d);
+            d.put(1.99, 4); // e alone: noise
+            assert_eq!(links(&d), before, "one population moved, nothing else");
+            let (w2, carried) = d.slide();
+            assert_eq!(carried, 0);
+            assert_eq!(
+                (ids(&w2[0].cores), ids(&w2[0].edges)),
+                (cores.to_vec(), vec![e.0])
+            );
+            assert_eq!(cells_of(&w2[0]), [(0, Core, 4), (1, Edge, 2)]);
+            // And so does its expiry.
+            assert_eq!(d.slide(), (w2, 1));
+            assert_eq!(links(&d), before);
+            assert_eq!(d.slide(), (w0, 0));
+        }
+    }
+
+    /// Two clusters, each carried, become one through a single new link;
+    /// the expiry of the object that made the link splits them again.
+    #[test]
+    fn clusters_merge_through_one_new_link_and_split_on_its_expiry() {
+        for shards in BOTH {
+            let mut d = Driven::new(2, shards);
+            for x in [0.1, 0.2, 0.3, 1.7, 1.8, 1.9] {
+                d.put(x, LATE);
+            }
+            let (w0, _) = d.slide();
+            assert_eq!(w0.len(), 2);
+            assert_eq!(cells_of(&w0[0]), [(0, Core, 3)]);
+            assert_eq!(cells_of(&w0[1]), [(1, Core, 3)]);
+            assert_eq!(d.slide(), (w0.clone(), 2));
+            d.put(0.95, 4); // a neighbor of all six
+            let (w2, carried) = d.slide();
+            assert_eq!((w2.len(), carried), (1, 0));
+            assert_eq!(cells_of(&w2[0]), [(0, Core, 4), (1, Core, 3)]);
+            assert_eq!(w2[0].sgs.cells[0].connections, [1]);
+            assert_eq!(w2[0].cores.len(), 7);
+            assert_eq!(d.slide(), (w2, 1));
+            // Window 4: the bridge is gone.
+            assert_eq!(d.slide(), (w0.clone(), 0));
+            assert_eq!(d.slide(), (w0, 2));
+        }
+    }
+
+    /// A rebuilt cluster's edge cell can be a core cell of a *carried*
+    /// cluster, whose member pass no longer visits it: the rebuilt one has
+    /// to list that cell's objects itself.
+    #[test]
+    fn an_edge_cell_inside_a_carried_cluster_is_still_listed() {
+        for shards in BOTH {
+            let mut d = Driven::new(3, shards);
+            // Left cluster: core cells −1 and 0.
+            let left = [-0.5, -0.6, -0.7, -0.8, 0.1].map(|x| d.put(x, LATE).0);
+            // Right cluster: core cells 1 and 2. `e` has two neighbors, the
+            // left's object at 0.1 and the right's at 1.9: an edge object
+            // of both, in a core cell of the right.
+            let e = d.put(1.05, LATE);
+            let right = [1.9, 2.3, 2.5, 2.7].map(|x| d.put(x, LATE).0);
+            let (w0, _) = d.slide();
+            assert_eq!(w0.len(), 2);
+            assert_eq!(
+                (ids(&w0[0].cores), ids(&w0[0].edges)),
+                (left.to_vec(), vec![e.0])
+            );
+            assert_eq!(
+                cells_of(&w0[0]),
+                [(-1, Core, 4), (0, Core, 1), (1, Edge, 2)]
+            );
+            assert_eq!(
+                (ids(&w0[1].cores), ids(&w0[1].edges)),
+                (right.to_vec(), vec![e.0])
+            );
+            assert_eq!(d.slide(), (w0.clone(), 2));
+            // The left gains an edge object at its far end; the right is
+            // not written.
+            let x = d.put(-1.75, LATE);
+            let (w2, carried) = d.slide();
+            assert_eq!(carried, 1);
+            assert_eq!(w2[1], w0[1]);
+            assert_eq!(ids(&w2[0].edges), [e.0, x.0]);
         }
     }
 }

@@ -6,6 +6,13 @@
 //! and only ever move *later* on insertion; a cell attribute is live at
 //! window `w` iff `w < watermark`. Nothing is updated on expiration —
 //! that is the heart of C-SGS.
+//!
+//! The store knows the current window ([`CellStore::set_window`]) for two
+//! reasons. A link raise whose watermarks do not reach past it is dropped
+//! before it costs a lookup — such a link could never be live. And every
+//! mutator stamps the cell it writes with it ([`CellState::touched`]), so
+//! the output stage can tell which clusters it has to rebuild and which
+//! it can carry over from the previous window (`DESIGN.md` §6).
 
 use sgs_core::{CellCoord, WindowId};
 use sgs_index::FxHashMap;
@@ -48,6 +55,8 @@ pub struct CellState {
     /// Link watermarks to other cells this cell's objects have neighbors
     /// in.
     pub links: FxHashMap<CellCoord, Link>,
+    /// The window that was current when the cell was last written.
+    pub touched: u64,
 }
 
 impl CellState {
@@ -62,6 +71,9 @@ impl CellState {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellStore {
     cells: FxHashMap<CellCoord, CellState>,
+    /// The current window: the stamp of every write, and the bar a link
+    /// watermark has to pass to be worth storing.
+    now: u64,
 }
 
 impl CellStore {
@@ -80,9 +92,16 @@ impl CellStore {
         self.cells.is_empty()
     }
 
+    /// Move to window `now` (the extractor calls this on every store as
+    /// soon as the previous window's output is out).
+    pub fn set_window(&mut self, now: WindowId) {
+        self.now = now.0;
+    }
+
     /// Get or create the state for `coord`. Established cells (every
     /// call but a cell's first) are found by reference: the key is cloned
-    /// only when the cell is created.
+    /// only when the cell is created. The mutators below are built on it
+    /// and add the stamp; a direct write through it leaves none.
     pub fn entry(&mut self, coord: &CellCoord) -> &mut CellState {
         // `contains_key`, not `get_mut`-and-return: a borrow returned from
         // one arm would keep the map borrowed in the inserting one.
@@ -97,16 +116,16 @@ impl CellStore {
         self.cells.get(coord)
     }
 
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, coord: &CellCoord) -> Option<&mut CellState> {
-        self.cells.get_mut(coord)
-    }
-
     /// Raise the cell's core watermark (status promotion / prolong,
     /// Fig. 6 of the paper).
+    ///
+    /// Stamps the cell even when its maximum does not move: a member
+    /// turned core, or stays core longer, either way.
     pub fn raise_core_until(&mut self, coord: &CellCoord, until: u64) {
+        let now = self.now;
         let cell = self.entry(coord);
         cell.core_until = cell.core_until.max(until);
+        cell.touched = now;
     }
 
     /// Raise one *side* of a pair link: the watermarks stored at `at` for
@@ -115,20 +134,31 @@ impl CellStore {
     /// both sides, each in the store of the shard owning that cell
     /// (`DESIGN.md` §6) — directly, or from a mailbox event computed by
     /// the discovering shard.
+    ///
+    /// A raise that reaches no window past the current one (a pair of
+    /// non-core objects: `min(0, ·) = 0`) is dropped outright — it can
+    /// make nothing live, now or later, and most raises are of that kind.
     pub fn raise_link(&mut self, at: &CellCoord, other: &CellCoord, core_core: u64, attach: u64) {
         debug_assert_ne!(at, other, "intra-cell pairs carry no link");
+        let now = self.now;
+        if core_core <= now && attach <= now {
+            return;
+        }
         // Fast path: both the cell and the link already exist (the common
         // case for established pairs) — no key clones.
         if let Some(cell) = self.cells.get_mut(at) {
             if let Some(link) = cell.links.get_mut(other) {
                 link.raise_core_core(core_core);
                 link.raise_attach(attach);
+                cell.touched = now;
                 return;
             }
         }
-        let link = self.entry(at).links.entry(other.clone()).or_default();
+        let cell = self.entry(at);
+        let link = cell.links.entry(other.clone()).or_default();
         link.raise_core_core(core_core);
         link.raise_attach(attach);
+        cell.touched = now;
     }
 
     /// Decrement a cell's population (object expiry).
@@ -136,12 +166,16 @@ impl CellStore {
         if let Some(cell) = self.cells.get_mut(coord) {
             debug_assert!(cell.population > 0);
             cell.population -= 1;
+            cell.touched = self.now;
         }
     }
 
     /// Increment a cell's population (object arrival).
     pub fn increment_population(&mut self, coord: &CellCoord) {
-        self.entry(coord).population += 1;
+        let now = self.now;
+        let cell = self.entry(coord);
+        cell.population += 1;
+        cell.touched = now;
     }
 
     /// Drop dead watermarks and empty cells. `now` is the current window;

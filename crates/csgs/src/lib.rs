@@ -11,7 +11,10 @@
 //!
 //! Each slide outputs clusters in **both** representations (Fig. 2):
 //! the full representation (member objects with core/edge labels) and the
-//! Skeletal Grid Summarization, derived together from the same cell store.
+//! Skeletal Grid Summarization, derived together from the same cell store
+//! — by reading what the clusters hold, not what the window holds, and
+//! only for the clusters a write has touched since the previous window;
+//! the others are carried over from it (`DESIGN.md` §6).
 //!
 //! Design notes relative to the paper (also in `DESIGN.md`):
 //!
@@ -30,7 +33,7 @@
 //!   once, over routed shards; with `S > 1` a between-boundary batch large
 //!   enough to fork runs the same steps as parallel fork-join phases on
 //!   the shared [`sgs_exec::Pool`] (`DESIGN.md` §8), and the output stage
-//!   merges per-shard DFS fragments across region borders with
+//!   connects the shards' core cells across region borders with
 //!   union-find. The per-window output is byte-identical for every `S`.
 
 pub mod algorithm;

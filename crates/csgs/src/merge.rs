@@ -1,35 +1,68 @@
-//! The merge layer of sharded C-SGS: per-shard output DFS plus border
-//! merge (`DESIGN.md` §6).
+//! The output stage of C-SGS (§5.4 of the paper; `DESIGN.md` §6): a read
+//! of the skeletal cells whose work follows what the clusters hold and
+//! what changed since the previous window, not what the window holds.
 //!
-//! The output stage (§5.4 of the paper) forms cluster skeletons by DFS
-//! over live core cells through live core-core links. Under sharding that
-//! graph is distributed: each shard owns the cells of its regions, and
-//! pair links can cross region borders. The merge layer therefore runs in
-//! three steps:
+//! One path for every shard count:
 //!
-//! 1. **Local DFS** (parallel, read-only): each shard forms the connected
-//!    components of *its own* live core cells, recording every live
-//!    core-core link whose far endpoint is a core cell of another shard
-//!    (a *border edge*).
-//! 2. **Border merge** (sequential): all shards' components are unioned
-//!    through the border edges with [`sgs_index::UnionFind`], and the
-//!    merged clusters are numbered **by their smallest core cell** in the
-//!    global cell ordering — exactly the numbering the unsharded DFS
-//!    produces, which is what makes `WindowOutput` byte-identical across
-//!    shard counts.
-//! 3. **Classification + assembly** (parallel, then sequential): each
-//!    shard classifies its own cells and points into the numbered
-//!    clusters; the partial results are concatenated, sorted, and
-//!    deduplicated into the final [`WindowOutput`].
+//! 1. **Live core cells** (per shard, forked): each store is filtered for
+//!    the cells that are core at `w`; the union, sorted, is the window's
+//!    *dense index* — a core cell is a position from here on.
+//! 2. **Link resolution** (once): every live link of every live core cell
+//!    is read exactly once and its far end looked up exactly once, into a
+//!    flat per-cell list of [`Resolved`] entries. Nothing after this step
+//!    looks a link up by coordinate.
+//! 3. **Components**: union-find over the resolved core-core edges; the
+//!    clusters are numbered **by their smallest core cell** — the
+//!    numbering an unsharded DFS in cell order produces, which is what
+//!    makes `WindowOutput` byte-identical across shard counts.
+//! 4. **Carry-over**: a component that has the core cells of a cluster of
+//!    the previous window, none of which — and none of that cluster's
+//!    edge cells — was stamped since ([`CellState::touched`]), *is* that
+//!    cluster, and is moved to the output as it stands.
+//! 5. **Skeletons** of the rest: a cluster's cell list is its core cells
+//!    merged with its sorted attached cells; every connection index falls
+//!    out of that one sort.
+//! 6. **Members** of the rest (per shard, forked), cell by cell through
+//!    the grid index: core objects from the clusters' core cells, edge
+//!    candidates from those and from the attached cells. Lemma 4.1 and
+//!    the `attach_until` watermark put every edge object of a cluster in
+//!    one of its skeletal cells, so no other point is looked at.
 
-use sgs_core::{CellCoord, PointId, WindowId};
+use sgs_core::{CellCoord, GridGeometry, PointId, WindowId};
 use sgs_exec::Pool;
 use sgs_index::{FxHashMap, ShardRouter, UnionFind};
 use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
 
 use crate::cell_store::{CellState, CellStore};
 use crate::output::{ExtractedCluster, WindowOutput};
-use crate::shard::{fork_each, Shard};
+use crate::shard::{fork_each, PointState, Shard};
+
+/// In place of a dense index or a cluster number: none.
+const NONE: u32 = u32::MAX;
+
+/// A live core cell of the window; its position in the sorted list of
+/// them is its dense index.
+struct CoreCell<'a> {
+    coord: &'a CellCoord,
+    state: &'a CellState,
+    shard: u32,
+}
+
+/// One live link of a live core cell, resolved once per window.
+struct Resolved<'a> {
+    other: &'a CellCoord,
+    /// Dense index of `other` if it is a live core cell, else [`NONE`].
+    idx: u32,
+    /// Both ends are core cells and the core-core watermark is live: an
+    /// edge of the component graph.
+    core_core: bool,
+    /// The attachment watermark is live: `other` holds an object that
+    /// neighbors a core object here.
+    attach: bool,
+    /// Position of `other` in the cell list of this cell's cluster, once
+    /// the cluster's skeleton has placed it as an edge cell.
+    local: u32,
+}
 
 /// Routed cell lookup across the per-shard cell stores.
 fn cell_state<'a>(
@@ -40,272 +73,314 @@ fn cell_state<'a>(
     stores[router.shard_of(coord)].get(coord)
 }
 
-/// Per-shard result of the local DFS step.
-#[derive(Default)]
-struct LocalDfs<'a> {
-    /// This shard's live core cells, sorted.
-    core: Vec<&'a CellCoord>,
-    /// Local component representative (index into `core`) per core cell.
-    comp: Vec<u32>,
-    /// Live core-core links to core cells owned by other shards, as
-    /// (local core index, remote coordinate).
-    border: Vec<(u32, &'a CellCoord)>,
+/// The smallest core cell of a cluster: what numbers it among the
+/// clusters of its window, and what ties it to its successor in the next.
+fn key_of(cluster: &ExtractedCluster) -> Option<&CellCoord> {
+    let is_core = |c: &&SkeletalCell| c.status == CellStatus::Core;
+    cluster.sgs.cells.iter().find(is_core).map(|c| &c.coord)
 }
 
-/// Build the window's output from the live watermarks of all shards.
+/// Whether the component with core cells `group` is `prev`, a cluster of
+/// window `w − 1`, unchanged: the same core cells, and no cell of the
+/// previous skeleton written since (a cell that is gone was written when
+/// it emptied). Every change to a cluster stamps one of those cells
+/// (`DESIGN.md` §6).
+fn unchanged(
+    prev: &ExtractedCluster,
+    group: &[u32],
+    cores: &[CoreCell],
+    stores: &[CellStore],
+    router: &ShardRouter,
+    w: WindowId,
+) -> bool {
+    let mut group = group.iter();
+    for cell in &prev.sgs.cells {
+        let state = match cell.status {
+            CellStatus::Core => group
+                .next()
+                .map(|&d| &cores[d as usize])
+                .filter(|core| *core.coord == cell.coord)
+                .map(|core| core.state),
+            _ => cell_state(stores, router, &cell.coord),
+        };
+        if state.is_none_or(|state| state.touched >= w.0) {
+            return false;
+        }
+    }
+    group.next().is_none()
+}
+
+/// Build window `w`'s output from the live watermarks of all shards.
+/// `prev` is the output of window `w − 1` (empty to build every cluster
+/// from the cells); the second result counts the clusters carried over
+/// from it.
 pub(crate) fn emit(
-    dim: usize,
-    side: f64,
+    geometry: &GridGeometry,
     router: &ShardRouter,
     pool: &Pool,
     shards: &[Shard],
     stores: &[CellStore],
     w: WindowId,
-) -> WindowOutput {
+    prev: WindowOutput,
+) -> (WindowOutput, usize) {
     let s = shards.len();
 
-    // ---- 1. Local DFS per shard (read-only over all shards).
-    let mut locals: Vec<LocalDfs> = (0..s).map(|_| LocalDfs::default()).collect();
-    fork_each(pool, locals.iter_mut(), |i, loc| {
-        let store = &stores[i];
-        loc.core = store
-            .iter()
-            .filter(|(_, c)| c.is_core_at(w))
-            .map(|(coord, _)| coord)
-            .collect();
-        loc.core.sort_unstable();
-        let index_of: FxHashMap<&CellCoord, u32> = loc
-            .core
-            .iter()
-            .enumerate()
-            .map(|(k, c)| (*c, k as u32))
-            .collect();
-        loc.comp = vec![u32::MAX; loc.core.len()];
-        let mut stack = Vec::new();
-        for start in 0..loc.core.len() {
-            if loc.comp[start] != u32::MAX {
-                continue;
-            }
-            loc.comp[start] = start as u32;
-            stack.push(start);
-            while let Some(k) = stack.pop() {
-                let state = store.get(loc.core[k]).expect("core cell exists");
-                for (other, link) in &state.links {
-                    if link.core_core_until <= w.0 {
-                        continue;
-                    }
-                    if let Some(&j) = index_of.get(other) {
-                        if loc.comp[j as usize] == u32::MAX {
-                            loc.comp[j as usize] = start as u32;
-                            stack.push(j as usize);
-                        }
-                    } else if s > 1 {
-                        // Not one of our core cells: a border edge iff it
-                        // is a live core cell of another shard.
-                        let owner = router.shard_of(other);
-                        if owner != i && stores[owner].get(other).is_some_and(|st| st.is_core_at(w))
-                        {
-                            loc.border.push((k as u32, other));
-                        }
-                    }
-                }
-            }
-        }
+    // ---- 1. Live core cells, in cell order.
+    let mut found: Vec<Vec<CoreCell>> = (0..s).map(|_| Vec::new()).collect();
+    fork_each(pool, found.iter_mut().zip(stores), |i, (found, store)| {
+        let core = store.iter().filter(|(_, state)| state.is_core_at(w));
+        found.extend(core.map(|(coord, state)| CoreCell {
+            coord,
+            state,
+            shard: i as u32,
+        }));
     });
-
-    // ---- 2. Border merge: global ordering + union-find + deterministic
-    // cluster numbering by smallest member cell.
-    let mut all: Vec<(&CellCoord, u32, u32)> = Vec::new(); // (coord, shard, local idx)
-    for (i, loc) in locals.iter().enumerate() {
-        for (k, c) in loc.core.iter().enumerate() {
-            all.push((c, i as u32, k as u32));
-        }
+    let mut cores: Vec<CoreCell> = found.into_iter().flatten().collect();
+    if cores.is_empty() {
+        return (Vec::new(), 0);
     }
-    all.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    if all.is_empty() {
-        return Vec::new();
-    }
-    let gidx: FxHashMap<&CellCoord, u32> = all
+    cores.sort_unstable_by(|a, b| a.coord.cmp(b.coord));
+    let n = cores.len();
+    let dense: FxHashMap<&CellCoord, u32> = cores
         .iter()
         .enumerate()
-        .map(|(g, (c, _, _))| (*c, g as u32))
+        .map(|(d, cell)| (cell.coord, d as u32))
         .collect();
-    let mut uf = UnionFind::with_len(all.len());
-    for (g, (_, i, k)) in all.iter().enumerate() {
-        let loc = &locals[*i as usize];
-        let rep = loc.core[loc.comp[*k as usize] as usize];
-        uf.union(g, gidx[rep] as usize);
-    }
-    for loc in &locals {
-        for (k, other) in &loc.border {
-            uf.union(gidx[loc.core[*k as usize]] as usize, gidx[*other] as usize);
-        }
-    }
-    // First-seen roots in global cell order number the merged clusters —
-    // the id of a cluster is set by its lowest member cell.
-    let mut gid = vec![usize::MAX; all.len()];
-    let mut n_groups = 0usize;
-    for g in 0..all.len() {
-        let root = uf.find(g);
-        if gid[root] == usize::MAX {
-            gid[root] = n_groups;
-            n_groups += 1;
-        }
-        gid[g] = gid[root];
-    }
-    let gid_of: FxHashMap<&CellCoord, usize> = all
-        .iter()
-        .enumerate()
-        .map(|(g, (c, _, _))| (*c, gid[g]))
-        .collect();
-    // Live core objects and their cluster, across all shards: one lookup
-    // per neighbor reference during edge classification instead of a
-    // liveness-and-career check against the owning shard's point map.
-    let mut core_gid: FxHashMap<PointId, u32> = FxHashMap::default();
-    for shard in shards {
-        for (&id, p) in &shard.points {
-            if p.expires_at > w && p.core_until > w.0 {
-                if let Some(&g) = gid_of.get(&p.cell) {
-                    core_gid.insert(id, g as u32);
-                }
-            }
-        }
-    }
 
-    // ---- 3. Per-shard classification: cells and member objects of each
-    // numbered cluster (read-only over all shards).
-    struct Partial<'a> {
-        cells: Vec<Vec<(&'a CellCoord, CellStatus)>>,
-        cores: Vec<Vec<PointId>>,
-        edges: Vec<Vec<PointId>>,
-    }
-    let mut partials: Vec<Partial> = (0..s)
-        .map(|_| Partial {
-            cells: vec![Vec::new(); n_groups],
-            cores: vec![Vec::new(); n_groups],
-            edges: vec![Vec::new(); n_groups],
-        })
-        .collect();
-    fork_each(pool, partials.iter_mut(), |i, part| {
-        let shard = &shards[i];
-        // Cells: own core cells plus their attached edge cells. Status is
-        // cluster-relative (Def. 4.2): a cell holding cores of another
-        // cluster can still be an edge cell of this one.
-        for coord in &locals[i].core {
-            let g = gid_of[*coord];
-            part.cells[g].push((*coord, CellStatus::Core));
-            let state = stores[i].get(coord).unwrap();
-            for (other, link) in &state.links {
-                if link.attach_until <= w.0 {
-                    continue;
-                }
-                let Some(other_state) = cell_state(stores, router, other) else {
-                    continue;
-                };
-                if other_state.population == 0 || gid_of.get(other) == Some(&g) {
-                    continue;
-                }
-                part.cells[g].push((other, CellStatus::Edge));
-            }
-        }
-        // Members: own live points, object-level.
-        for (&id, p) in &shard.points {
-            if p.expires_at <= w {
+    // ---- 2. Link resolution: `links[starts[d]..starts[d + 1]]` are the
+    // live links of core cell `d`.
+    let mut links: Vec<Resolved> = Vec::new();
+    let mut starts: Vec<usize> = Vec::with_capacity(n + 1);
+    starts.push(0);
+    for cell in &cores {
+        for (other, link) in &cell.state.links {
+            let (core_core, attach) = (link.core_core_until > w.0, link.attach_until > w.0);
+            if !(core_core || attach) {
                 continue;
             }
-            if p.core_until > w.0 {
-                // Core object: its cell is a live core cell by Lemma 5.1.
-                if let Some(&g) = gid_of.get(&p.cell) {
-                    part.cores[g].push(id);
+            let idx = dense.get(other).copied().unwrap_or(NONE);
+            links.push(Resolved {
+                other,
+                idx,
+                core_core: core_core && idx != NONE,
+                attach,
+                local: NONE,
+            });
+        }
+        starts.push(links.len());
+    }
+    let links_of = |d: u32| starts[d as usize]..starts[d as usize + 1];
+
+    // ---- 3. Components, numbered by first-seen root in cell order — the
+    // number of a cluster is set by its smallest core cell.
+    let mut uf = UnionFind::with_len(n);
+    for d in 0..n {
+        for link in &links[links_of(d as u32)] {
+            if link.core_core {
+                uf.union(d, link.idx as usize);
+            }
+        }
+    }
+    let mut gid = vec![NONE; n];
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    for d in 0..n {
+        let root = uf.find(d);
+        if gid[root] == NONE {
+            gid[root] = groups.len() as u32;
+            groups.push(Vec::new());
+        }
+        gid[d] = gid[root];
+        groups[gid[d] as usize].push(d as u32);
+    }
+
+    // ---- 4. Carry-over. Both the previous clusters and the components
+    // are in key order, so one walk pairs them.
+    let mut prev = prev.into_iter().peekable();
+    let mut carried: Vec<Option<ExtractedCluster>> = Vec::with_capacity(groups.len());
+    for group in &groups {
+        let key = Some(cores[group[0] as usize].coord);
+        while prev.next_if(|p| key_of(p) < key).is_some() {}
+        let same_key = prev.next_if(|p| key_of(p) == key);
+        carried.push(same_key.filter(|p| unchanged(p, group, &cores, stores, router, w)));
+    }
+    let n_carried = carried.iter().flatten().count();
+
+    // ---- 5. Skeletons of the clusters to rebuild.
+    let mut skeletons: Vec<Vec<SkeletalCell>> = vec![Vec::new(); groups.len()];
+    // Dense index → position in its cluster's cell list.
+    let mut local_of = vec![NONE; n];
+    // The cells, beside the rebuilt clusters' own core cells, whose
+    // objects the member pass has to list.
+    let mut edge_cells: Vec<&CellCoord> = Vec::new();
+    let skeletal = |coord: &CellCoord, state: &CellState, status| SkeletalCell {
+        coord: coord.clone(),
+        population: state.population,
+        status,
+        connections: Vec::new(),
+    };
+    for (g, group) in groups.iter().enumerate() {
+        if carried[g].is_some() {
+            continue;
+        }
+        // Attached cells: what a core cell of the cluster reaches through
+        // a live attachment, unless it is a core cell of the same cluster.
+        // Status is cluster-relative (Def. 4.2): a cell holding cores of
+        // another cluster is an edge cell of this one.
+        let mut attached: Vec<(&CellCoord, usize)> = Vec::new();
+        for &d in group {
+            for at in links_of(d) {
+                let link = &links[at];
+                if link.attach && (link.idx == NONE || gid[link.idx as usize] != g as u32) {
+                    attached.push((link.other, at));
                 }
+            }
+        }
+        attached.sort_unstable_by(|a, b| a.0.cmp(b.0));
+
+        // The cell list: core cells and attached cells merged in cell
+        // order, each reference to an attached cell learning its position.
+        let cells = &mut skeletons[g];
+        let mut place_core = |d: u32, cells: &mut Vec<SkeletalCell>| {
+            local_of[d as usize] = cells.len() as u32;
+            let core = &cores[d as usize];
+            cells.push(skeletal(core.coord, core.state, CellStatus::Core));
+        };
+        let mut group_cells = group.iter().peekable();
+        for run in attached.chunk_by(|a, b| a.0 == b.0) {
+            let (coord, first) = run[0];
+            while let Some(&d) = group_cells.next_if(|&&d| cores[d as usize].coord < coord) {
+                place_core(d, cells);
+            }
+            for &(_, at) in run {
+                links[at].local = cells.len() as u32;
+            }
+            // An attachment is live while the object it reaches is alive,
+            // so the cell exists and is populated.
+            let idx = links[first].idx;
+            let state = if idx != NONE {
+                cores[idx as usize].state
             } else {
-                // Edge object iff it has a live core neighbor; may attach
-                // to several groups.
-                let mut gs: Vec<u32> = p
-                    .neighbors
-                    .iter()
-                    .filter_map(|nb| core_gid.get(nb).copied())
-                    .collect();
-                gs.sort_unstable();
-                gs.dedup();
-                for g in gs {
-                    part.edges[g as usize].push(id);
+                cell_state(stores, router, coord).expect("a live attachment reaches a live object")
+            };
+            debug_assert!(state.population > 0);
+            cells.push(skeletal(coord, state, CellStatus::Edge));
+            // Its objects are edge candidates. A core cell of another
+            // rebuilt cluster is listed on that cluster's account; one of
+            // a carried cluster is not listed at all unless it is here.
+            if idx == NONE || carried[gid[idx as usize] as usize].is_some() {
+                edge_cells.push(coord);
+            }
+        }
+        for &d in group_cells {
+            place_core(d, cells);
+        }
+
+        // Connections of each core cell: to a core cell of the cluster
+        // through a live core-core link, to any other cell of the list
+        // through a live attachment.
+        for &d in group {
+            let conns = &mut cells[local_of[d as usize] as usize].connections;
+            for link in &links[links_of(d)] {
+                if link.idx != NONE && gid[link.idx as usize] == g as u32 {
+                    if link.core_core {
+                        conns.push(local_of[link.idx as usize]);
+                    }
+                } else if link.attach {
+                    conns.push(link.local);
+                }
+            }
+            conns.sort_unstable();
+        }
+    }
+
+    // ---- 6. Members of the clusters to rebuild, cell by cell. Every
+    // indexed point is live at `w`: the others were dropped when their
+    // window became current.
+    // The cells each shard lists: its core cells of rebuilt clusters with
+    // the cluster's number, and its share of `edge_cells` with none.
+    let mut visit: Vec<Vec<(&CellCoord, u32)>> = vec![Vec::new(); s];
+    for (d, cell) in cores.iter().enumerate() {
+        if carried[gid[d] as usize].is_none() {
+            visit[cell.shard as usize].push((cell.coord, gid[d]));
+        }
+    }
+    edge_cells.sort_unstable();
+    edge_cells.dedup();
+    for coord in edge_cells {
+        visit[router.shard_of(coord)].push((coord, NONE));
+    }
+    #[derive(Default)]
+    struct Listed<'a> {
+        /// Core objects, each with its cluster.
+        cores: Vec<(u32, PointId)>,
+        /// Non-core objects: edge objects of the clusters that hold a
+        /// core neighbor of theirs.
+        candidates: Vec<(PointId, &'a PointState)>,
+        /// Edge objects, each with its cluster (one entry per cluster).
+        edges: Vec<(u32, PointId)>,
+    }
+    let mut listed: Vec<Listed> = (0..s).map(|_| Listed::default()).collect();
+    fork_each(pool, listed.iter_mut(), |i, out| {
+        let shard = &shards[i];
+        for &(coord, g) in &visit[i] {
+            for &id in shard.index.cell_points(coord).ids() {
+                let p = &shard.points[&id];
+                if p.core_until <= w.0 {
+                    out.candidates.push((id, p));
+                } else if g != NONE {
+                    // Core objects of a carried cluster's cell stay its.
+                    out.cores.push((g, id));
                 }
             }
         }
     });
+    // The live core objects of the rebuilt clusters: one lookup per
+    // neighbor reference during edge attachment.
+    let core_gid: FxHashMap<PointId, u32> = listed
+        .iter()
+        .flat_map(|l| l.cores.iter().map(|&(g, id)| (id, g)))
+        .collect();
+    fork_each(pool, listed.iter_mut(), |_, out| {
+        let mut gs: Vec<u32> = Vec::new();
+        for (id, p) in &out.candidates {
+            gs.clear();
+            gs.extend(p.neighbors.iter().filter_map(|nb| core_gid.get(nb)));
+            gs.sort_unstable();
+            gs.dedup();
+            out.edges.extend(gs.iter().map(|&g| (g, *id)));
+        }
+    });
 
-    // ---- 4. Assembly: concatenate the partials, normalize ordering, and
-    // derive each cluster's SGS.
-    let mut out = Vec::with_capacity(n_groups);
-    for g in 0..n_groups {
-        let mut cells: Vec<(CellCoord, CellStatus)> = partials
-            .iter()
-            .flat_map(|p| p.cells[g].iter().map(|(c, st)| ((*c).clone(), *st)))
-            .collect();
-        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        cells.dedup_by(|a, b| a.0 == b.0);
-        let local: FxHashMap<&CellCoord, u32> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, (c, _))| (c, i as u32))
-            .collect();
-        let skeletal: Vec<SkeletalCell> = cells
-            .iter()
-            .map(|(coord, status)| {
-                let state = cell_state(stores, router, coord).unwrap();
-                let connections = if *status == CellStatus::Core {
-                    let mut conns: Vec<u32> = state
-                        .links
-                        .iter()
-                        .filter_map(|(other, link)| {
-                            let &j = local.get(other)?;
-                            // Group-relative status: core-core liveness
-                            // applies only to cells of this group; every
-                            // other in-summary cell is an edge cell here
-                            // and connects through its attachment.
-                            let live = if gid_of.get(other) == Some(&g) {
-                                link.core_core_until > w.0
-                            } else {
-                                link.attach_until > w.0
-                            };
-                            live.then_some(j)
-                        })
-                        .collect();
-                    conns.sort_unstable();
-                    conns.dedup();
-                    conns
-                } else {
-                    Vec::new()
-                };
-                SkeletalCell {
-                    coord: coord.clone(),
-                    population: state.population,
-                    status: *status,
-                    connections,
+    // ---- 7. Assembly, in cluster order.
+    let mut members: Vec<(Vec<PointId>, Vec<PointId>)> = vec![Default::default(); groups.len()];
+    for l in &listed {
+        for &(g, id) in &l.cores {
+            members[g as usize].0.push(id);
+        }
+        for &(g, id) in &l.edges {
+            members[g as usize].1.push(id);
+        }
+    }
+    let out = carried
+        .into_iter()
+        .zip(skeletons)
+        .zip(members)
+        .map(|((carried, cells), (mut cores, mut edges))| {
+            carried.unwrap_or_else(|| {
+                cores.sort_unstable();
+                edges.sort_unstable();
+                ExtractedCluster {
+                    cores,
+                    edges,
+                    sgs: Sgs {
+                        dim: geometry.dim(),
+                        side: geometry.side(),
+                        level: 0,
+                        cells,
+                    },
                 }
             })
-            .collect();
-        let mut cores: Vec<PointId> = partials
-            .iter()
-            .flat_map(|p| p.cores[g].iter().copied())
-            .collect();
-        let mut edges: Vec<PointId> = partials
-            .iter()
-            .flat_map(|p| p.edges[g].iter().copied())
-            .collect();
-        cores.sort_unstable();
-        edges.sort_unstable();
-        out.push(ExtractedCluster {
-            cores,
-            edges,
-            sgs: Sgs {
-                dim,
-                side,
-                level: 0,
-                cells: skeletal,
-            },
-        });
-    }
-    out
+        })
+        .collect();
+    (out, n_carried)
 }

@@ -172,12 +172,18 @@ impl Shard {
     /// Retained meta-data bytes of this shard (its cell store is accounted
     /// separately by the extractor).
     pub(crate) fn meta_bytes(&self) -> usize {
+        use core::mem::size_of;
         let pts: usize = self
             .points
             .values()
             .map(|p| p.cell.0.len() * 4 + p.neighbors.capacity() * 4 + p.hist.heap_bytes())
             .sum();
-        pts + self.arena.heap_bytes() + HeapSize::heap_size(&self.index)
+        let expiry: usize = self.expiry.values().map(|ids| ids.capacity() * 4).sum();
+        pts + self.points.capacity() * (size_of::<(PointId, PointState)>() + 1)
+            + expiry
+            + self.expiry.capacity() * (size_of::<(u64, Vec<PointId>)>() + 1)
+            + self.arena.heap_bytes()
+            + HeapSize::heap_size(&self.index)
     }
 
     /// §5.4 step 1 (load): enter the point into the grid bucket, cell
@@ -244,7 +250,9 @@ impl Shard {
         st.neighbors.push(p);
         st.hist.add(p_expires);
         let new_cu = st.hist.core_until(st.expires_at, now, theta_c).0;
-        let extended = new_cu > st.core_until;
+        // `new_cu == now` says "not core even now": no career to extend,
+        // however stale the recorded end is.
+        let extended = new_cu > st.core_until.max(now.0);
         if extended {
             st.core_until = new_cu;
             cells.raise_core_until(&st.cell, new_cu);

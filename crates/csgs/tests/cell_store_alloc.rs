@@ -1,12 +1,13 @@
 //! `CellStore` updates to an established cell allocate nothing: the cell
 //! key (a boxed coordinate) is cloned only when a cell or a link is
-//! created. Counted with a wrapping global allocator, per thread so the
-//! harness's other threads do not disturb the count.
+//! created — and a link is created only if it can ever be live. Counted
+//! with a wrapping global allocator, per thread so the harness's other
+//! threads do not disturb the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sgs_core::CellCoord;
+use sgs_core::{CellCoord, WindowId};
 use sgs_csgs::cell_store::CellStore;
 
 thread_local! {
@@ -62,4 +63,30 @@ fn updates_to_established_cells_do_not_allocate() {
     assert_eq!(allocations() - before, 0);
     let state = store.get(&cell).expect("established");
     assert_eq!((state.population, state.core_until), (1, 99));
+}
+
+/// A raise that reaches no window past the current one — a pair of
+/// non-core objects, most pairs of a sparse stream — creates neither the
+/// link nor the cell: nothing is cloned, inserted, or left for `gc`.
+#[test]
+fn a_born_dead_raise_allocates_nothing() {
+    let (cell, other) = (
+        CellCoord::new(vec![3, -1, 4, 1]),
+        CellCoord::new(vec![3, -1, 4, 2]),
+    );
+    let mut store = CellStore::new();
+    store.set_window(WindowId(7));
+    let before = allocations();
+    store.raise_link(&cell, &other, 0, 7);
+    store.raise_link(&other, &cell, 7, 0);
+    assert_eq!(allocations() - before, 0);
+    assert!(store.is_empty());
+
+    // One watermark past the window is a link.
+    store.raise_link(&cell, &other, 0, 8);
+    assert!(allocations() > before);
+    assert_eq!(
+        store.get(&cell).expect("created").links[&other].attach_until,
+        8
+    );
 }
