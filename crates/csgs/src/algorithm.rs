@@ -57,7 +57,7 @@ use crate::cell_store::CellStore;
 use crate::merge;
 use crate::output::WindowOutput;
 use crate::shard::{
-    fork_each, raise_pairs, resolve, HistMsg, LinkMsg, NewPointPlan, PointState, Shard,
+    fork_each, raise_pairs, resolve, Found, HistMsg, LinkMsg, NewPointPlan, PointState, Shard,
 };
 
 /// Batches smaller than this are inserted point by point on the calling
@@ -109,7 +109,7 @@ pub struct CSgs {
     /// Scratch of the sequential path, reused across inserts: the new
     /// point's neighbors, and those whose core career it extended, each
     /// with its owning shard.
-    found: Vec<(PointId, u32)>,
+    found: Vec<Found>,
     extended: Vec<(PointId, u32)>,
     /// The previous window's output: what the output stage carries the
     /// untouched clusters over from (`DESIGN.md` §6).
@@ -351,7 +351,7 @@ impl CSgs {
                         p_id,
                         |owner, q, q_exp| {
                             hist.add(q_exp);
-                            neighbors.push((q, owner as u32));
+                            neighbors.push((q, owner as u32, q_exp));
                             if q < batch_first {
                                 sc.out[owner].push(HistMsg {
                                     q,
@@ -476,18 +476,18 @@ fn link_new(
     shards: &[Shard],
     home: usize,
     p: PointId,
-    found: &[(PointId, u32)],
+    found: &[Found],
     raise: &mut impl FnMut(usize, &CellCoord, &CellCoord, u64, u64),
 ) {
     let nbrs = found
         .iter()
-        .map(|&(q, owner)| (owner as usize, &shards[owner as usize].points[&q]));
+        .map(|&(q, owner, _)| (owner as usize, &shards[owner as usize].points[&q]));
     raise_pairs(home, &shards[home].points[&p], nbrs, raise);
 }
 
 /// §5.4 step 6 (connection prolong): `q`'s core career extended, so every
-/// pair it belongs to is re-evaluated. Listed ids that no longer resolve
-/// belong to expired points, pruned at the next slide.
+/// pair it belongs to is re-evaluated. Every listed id resolves: a slide
+/// drops the ids of the points it expires from every list.
 fn link_extended(
     shards: &[Shard],
     owner: usize,
@@ -495,7 +495,10 @@ fn link_extended(
     raise: &mut impl FnMut(usize, &CellCoord, &CellCoord, u64, u64),
 ) {
     let q = &shards[owner].points[&q];
-    let nbrs = q.neighbors.iter().filter_map(|&r| resolve(shards, r));
+    let nbrs = q
+        .neighbors
+        .iter()
+        .map(|&r| resolve(shards, r).expect("a listed neighbor is live between slides"));
     raise_pairs(owner, q, nbrs, raise);
 }
 
@@ -535,7 +538,7 @@ impl WindowConsumer for CSgs {
                 id,
                 |owner, q, q_exp| {
                     hist.add(q_exp);
-                    found.push((q, owner as u32));
+                    found.push((q, owner as u32, q_exp));
                 },
             );
         }
@@ -547,7 +550,7 @@ impl WindowConsumer for CSgs {
 
         // 4. Neighbors gain the new object; extended careers prolong.
         extended.clear();
-        for &(q, owner) in found.iter() {
+        for &(q, owner, _) in found.iter() {
             let (sh, cells) = (
                 &mut shards[owner as usize],
                 &mut cell_stores[owner as usize],
@@ -596,29 +599,30 @@ impl WindowConsumer for CSgs {
         // Advance and drop expired raw data (no watermark maintenance —
         // the paper's zero-cost expiration property). Dead points' ids are
         // pruned from their neighbors' lists eagerly, across shards, so
-        // lists stay bounded by the live population. From here on every
-        // write to a cell is stamped with the new window.
+        // lists stay bounded by the live population, and the cells written
+        // since the last slide are collected. From here on every write to
+        // a cell is stamped with the new window.
         self.current = completed.next();
         let now = self.current;
         for store in &mut self.cell_stores {
             store.set_window(now);
         }
-        let mut dead: Vec<Vec<(PointId, Vec<PointId>)>> = vec![Vec::new(); self.shards.len()];
+        let mut listed_by: Vec<Vec<PointId>> = vec![Vec::new(); self.shards.len()];
         fork_each(
             &self.pool,
             self.shards
                 .iter_mut()
                 .zip(self.cell_stores.iter_mut())
-                .zip(dead.iter_mut()),
-            |_, ((sh, cells), d)| *d = sh.remove_expired(cells, now),
+                .zip(listed_by.iter_mut()),
+            |_, ((sh, cells), l)| *l = sh.remove_expired(cells, now),
         );
-        let dead: Vec<(PointId, Vec<PointId>)> = dead.into_iter().flatten().collect();
+        let listed_by: Vec<PointId> = listed_by.concat();
         fork_each(
             &self.pool,
             self.shards.iter_mut().zip(self.cell_stores.iter_mut()),
             |_, (sh, cells)| {
-                sh.prune_dead(&dead);
-                sh.maintain(cells, now);
+                sh.prune_dead(&listed_by, now);
+                cells.gc(now);
             },
         );
 
@@ -637,6 +641,7 @@ impl WindowConsumer for CSgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell_store::CellState;
     use rand::{Rng, SeedableRng};
     use sgs_cluster::{CanonicalClustering, ExtraN, FullCluster, NaiveClusterer};
     use sgs_core::{ShardCount, WindowSpec};
@@ -888,6 +893,117 @@ mod tests {
                             "point {id:?} references expired neighbor {nb:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Every point's neighbor list is in non-decreasing expiry order, its
+    /// histogram counts exactly the list's expiries, and no listed
+    /// neighbor is dead at the current window.
+    fn assert_lists_in_expiry_order(csgs: &CSgs) {
+        let now = csgs.current;
+        for sh in &csgs.shards {
+            for (id, st) in &sh.points {
+                let expiries: Vec<WindowId> = st
+                    .neighbors
+                    .iter()
+                    .map(|&nb| {
+                        let (_, nb) = resolve(&csgs.shards, nb).expect("listed neighbors live");
+                        nb.expires_at
+                    })
+                    .collect();
+                assert!(expiries.is_sorted(), "{id:?} at {now}: {expiries:?}");
+                assert!(expiries.first().is_none_or(|&e| e > now), "{id:?} at {now}");
+                assert_eq!(st.hist.total() as usize, expiries.len(), "{id:?} at {now}");
+                for run in expiries.chunk_by(|a, b| a == b) {
+                    let count = st.hist.expiring_at(run[0]) as usize;
+                    assert_eq!(count, run.len(), "{id:?} at {now}, expiry {}", run[0]);
+                }
+            }
+        }
+    }
+
+    /// Each store holds the cells a full sweep over it would keep — `gc`
+    /// visits the written cells only — and no cell more links than it has
+    /// cells within the range-query reach.
+    fn assert_gc_keeps_what_a_sweep_keeps(csgs: &CSgs) {
+        let now = csgs.current.0;
+        let width = 2 * csgs.geometry.reach() as usize + 1;
+        let bound = width.pow(csgs.geometry.dim() as u32) - 1;
+        for store in &csgs.cell_stores {
+            let cells = |keep: &dyn Fn(&CellState) -> bool| {
+                let kept = store.iter().filter(|(_, cell)| keep(cell));
+                let mut cells: Vec<&CellCoord> = kept.map(|(c, _)| c).collect();
+                cells.sort_unstable();
+                cells
+            };
+            let swept = cells(&|cell| cell.population > 0 || cell.core_until > now);
+            assert_eq!(cells(&|_| true), swept, "at {now}");
+            for (coord, cell) in store.iter() {
+                assert!(cell.links.len() <= bound, "{coord:?}: {}", cell.links.len());
+            }
+        }
+    }
+
+    /// The extractor, checked after every slide.
+    struct Checked(CSgs);
+
+    impl WindowConsumer for Checked {
+        type Output = WindowOutput;
+
+        fn insert(&mut self, id: PointId, point: &Point, expires_at: WindowId) {
+            self.0.insert(id, point, expires_at);
+        }
+
+        fn insert_batch(&mut self, items: &[(PointId, Point, WindowId)]) {
+            self.0.insert_batch(items);
+        }
+
+        fn slide(&mut self, completed: WindowId) -> WindowOutput {
+            let out = self.0.slide(completed);
+            assert_lists_in_expiry_order(&self.0);
+            assert_gc_keeps_what_a_sweep_keeps(&self.0);
+            out
+        }
+    }
+
+    fn random_points(seed: u64, n: usize, dim: usize, extent: f64) -> Vec<Point> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let coords: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..extent)).collect();
+                Point::new(coords, 0)
+            })
+            .collect()
+    }
+
+    /// After every slide, for one, three and adaptive shards over 2-d and
+    /// 4-d streams (slides of 40 take the phased path where S > 1): the
+    /// neighbor lists are in expiry order with exact histograms, and the
+    /// stores hold what a full `gc` sweep would keep.
+    #[test]
+    fn slides_keep_lists_in_expiry_order_and_collect_what_a_sweep_would() {
+        let spec = WindowSpec::count(600, 40).unwrap();
+        for (dim, extent) in [(2, 4.0), (4, 1.6)] {
+            let pts = random_points(31, 1400, dim, extent);
+            for shards in [ShardCount::Fixed(1), ShardCount::Fixed(3), ShardCount::Auto] {
+                let q = ClusterQuery::new(0.25, 4, dim, spec)
+                    .unwrap()
+                    .with_shards(shards);
+                let mut checked = Checked(CSgs::new(q));
+                let mut engine = sgs_stream::WindowEngine::new(spec, dim);
+                let mut outs = Vec::new();
+                for c in pts.chunks(97) {
+                    engine
+                        .push_batch(c.iter().cloned(), &mut checked, &mut outs)
+                        .unwrap();
+                }
+                assert!(outs.iter().any(|(_, o)| !o.is_empty()), "{dim}-d clusters");
+                let lists: usize = checked.0.shards.iter().map(|sh| sh.points.len()).sum();
+                assert!(lists > 0);
+                if shards == ShardCount::Auto {
+                    assert!(checked.0.shard_count() > 1, "{dim}-d: the stream re-shards");
                 }
             }
         }
@@ -1151,6 +1267,112 @@ mod tests {
             assert_eq!(carried, 1);
             assert_eq!(w2[1], w0[1]);
             assert_eq!(ids(&w2[0].edges), [e.0, x.0]);
+        }
+    }
+
+    /// The mirror image, from the carried side: the carried cluster comes
+    /// first, and its core cell, which the rebuilt one holds as an edge
+    /// cell, is in no dense index — its edge object is still the rebuilt
+    /// one's, and the carried cluster is merged back in ahead of it.
+    #[test]
+    fn a_carried_clusters_core_cell_is_listed_as_a_rebuilt_ones_edge_cell() {
+        for shards in BOTH {
+            let mut d = Driven::new(3, shards);
+            // Left cluster: core cells −1 and 0.
+            let left = [-0.2, -0.3, -0.4, -0.5, 0.1].map(|x| d.put(x, LATE).0);
+            // `e` neighbors the left's object at 0.1 and the right's at
+            // 1.9 only: an edge object of both, in a core cell of the left.
+            let e = d.put(0.95, LATE);
+            let right = [1.9, 2.3, 2.5, 2.7].map(|x| d.put(x, LATE).0);
+            let (w0, _) = d.slide();
+            assert_eq!(w0.len(), 2);
+            assert_eq!(
+                (ids(&w0[0].cores), ids(&w0[0].edges)),
+                (left.to_vec(), vec![e.0])
+            );
+            assert_eq!(cells_of(&w0[0]), [(-1, Core, 4), (0, Core, 2)]);
+            assert_eq!(
+                (ids(&w0[1].cores), ids(&w0[1].edges)),
+                (right.to_vec(), vec![e.0])
+            );
+            assert_eq!(cells_of(&w0[1]), [(0, Edge, 2), (1, Core, 1), (2, Core, 3)]);
+            assert_eq!(d.slide(), (w0.clone(), 2));
+            // The right gains an edge object at its far end; the left is
+            // not written.
+            let x = d.put(3.6, LATE);
+            let (w2, carried) = d.slide();
+            assert_eq!(carried, 1);
+            assert!([-1, 0].iter().all(|&c| d.cell(c).touched < 2));
+            assert_eq!(w2[0], w0[0]);
+            assert_eq!(ids(&w2[1].edges), [e.0, x.0]);
+            assert_eq!(
+                cells_of(&w2[1]),
+                [(0, Edge, 2), (1, Core, 1), (2, Core, 3), (3, Edge, 1)]
+            );
+        }
+    }
+
+    /// A new object in a new cell becomes core with neighbors in a carried
+    /// cluster's core cell: the raise on that cell's side of the new
+    /// core-core link is its only write, and it alone rebuilds the cluster.
+    #[test]
+    fn a_new_core_core_link_to_a_carried_core_cell_rebuilds_its_cluster() {
+        for shards in BOTH {
+            let mut d = Driven::new(2, shards);
+            let left = [0.1, 0.2, 0.3].map(|x| d.put(x, LATE).0);
+            let (w0, _) = d.slide();
+            assert_eq!(cells_of(&w0[0]), [(0, Core, 3)]);
+            assert_eq!(d.slide(), (w0.clone(), 1));
+            let z = d.put(1.05, LATE); // neighbors all three: core
+            assert_eq!(d.cell(0).population, 3);
+            assert_eq!(d.cell(0).touched, 2, "stamped by the link raise");
+            let (w2, carried) = d.slide();
+            assert_eq!((w2.len(), carried), (1, 0));
+            assert_eq!(cells_of(&w2[0]), [(0, Core, 3), (1, Core, 1)]);
+            assert_eq!(ids(&w2[0].cores), [left.as_slice(), &[z.0]].concat());
+        }
+    }
+
+    /// Neighbors arriving with expiries out of order are inserted inside
+    /// the list, not appended; two neighbors dying together leave each
+    /// other's lists as the prefix they are, and every slide leaves every
+    /// list in expiry order with an exact histogram.
+    #[test]
+    fn out_of_order_expiries_keep_neighbor_lists_in_expiry_order() {
+        for shards in BOTH {
+            let mut d = Driven::new(2, shards);
+            let list = |d: &Driven, id: PointId| {
+                let (_, st) = resolve(&d.csgs.shards, id).expect("live");
+                st.neighbors.clone()
+            };
+            let q = d.put(0.5, LATE);
+            let a = d.put(0.6, 6);
+            let b = d.put(0.7, 4); // before `a` in `q`'s list
+            let c = d.put(0.8, 4); // after `b`, before `a`: dies with `b`
+            let e = d.put(0.9, 2); // at the front of every list
+            assert_eq!(list(&d, q), [e, b, c, a]);
+            assert_eq!(list(&d, a), [e, b, c, q]);
+            assert_eq!(list(&d, b), [e, c, a, q]);
+            assert_eq!(list(&d, e)[2..], [a, q]);
+            assert_lists_in_expiry_order(&d.csgs);
+            // Per window: clusters besides the bystander, and `q`'s list
+            // once the next window is current.
+            let windows = [
+                (1, vec![e, b, c, a]),
+                (1, vec![b, c, a]), // `e` died: a one-entry prefix
+                (1, vec![b, c, a]),
+                (1, vec![a]), // `b` and `c` died together
+                (0, vec![a]),
+                (0, vec![]),
+            ];
+            for (w, (clusters, q_list)) in windows.into_iter().enumerate() {
+                if w == 3 {
+                    assert_eq!(list(&d, b), [c, a, q], "`c` dies with `b`");
+                }
+                let (out, _) = d.slide();
+                assert_lists_in_expiry_order(&d.csgs);
+                assert_eq!((out.len(), list(&d, q)), (clusters, q_list), "window {w}");
+            }
         }
     }
 }

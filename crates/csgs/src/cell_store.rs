@@ -13,6 +13,12 @@
 //! mutator stamps the cell it writes with it ([`CellState::touched`]), so
 //! the output stage can tell which clusters it has to rebuild and which
 //! it can carry over from the previous window (`DESIGN.md` §6).
+//!
+//! The first stamp a cell takes in a window also lists it, and
+//! [`CellStore::gc`] visits the listed cells only: a cell empties by an
+//! expiry, which stamps it, so every empty cell is collected at the slide
+//! it empties, while a link that lapses in a cell nobody writes waits for
+//! that cell's next write.
 
 use sgs_core::{CellCoord, WindowId};
 use sgs_index::FxHashMap;
@@ -68,12 +74,50 @@ impl CellState {
 }
 
 /// The store of all touched cells.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct CellStore {
     cells: FxHashMap<CellCoord, CellState>,
+    /// The cells [`gc`](Self::gc) visits next: each cell whose stamp moved
+    /// to the current window since the last `gc`, listed when it moved.
+    written: Written,
     /// The current window: the stamp of every write, and the bar a link
     /// watermark has to pass to be worth storing.
     now: u64,
+}
+
+/// Two stores are equal when they hold the same cells in the same states;
+/// the order in which they were written is not part of it.
+impl PartialEq for CellStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells == other.cells
+    }
+}
+
+/// A list of cell coordinates laid back to back in one buffer, so listing
+/// a cell copies its indices and allocates nothing once the buffer has
+/// grown to a window's worth.
+#[derive(Clone, Debug, Default)]
+struct Written {
+    coords: Vec<i32>,
+    /// Dimensionality of the listed coordinates (0 until the first).
+    dim: usize,
+}
+
+impl Written {
+    fn push(&mut self, coord: &CellCoord) {
+        self.dim = coord.dim();
+        self.coords.extend_from_slice(&coord.0);
+    }
+
+    /// Stamp `cell`, at `coord`, with window `now`, listing it if this is
+    /// its first stamp of the window.
+    #[inline]
+    fn stamp(&mut self, cell: &mut CellState, coord: &CellCoord, now: u64) {
+        if cell.touched != now {
+            cell.touched = now;
+            self.push(coord);
+        }
+    }
 }
 
 impl CellStore {
@@ -100,15 +144,34 @@ impl CellStore {
 
     /// Get or create the state for `coord`. Established cells (every
     /// call but a cell's first) are found by reference: the key is cloned
-    /// only when the cell is created. The mutators below are built on it
-    /// and add the stamp; a direct write through it leaves none.
+    /// only when the cell is created. Creating a cell stamps and lists it;
+    /// the mutators below are built on it and add the stamp, while a
+    /// direct write through it to an established cell leaves none.
     pub fn entry(&mut self, coord: &CellCoord) -> &mut CellState {
+        self.stamped_entry(coord).0
+    }
+
+    /// [`entry`](Self::entry), with the list a mutator stamps through.
+    fn stamped_entry(&mut self, coord: &CellCoord) -> (&mut CellState, &mut Written) {
+        let CellStore {
+            cells,
+            written,
+            now,
+        } = self;
         // `contains_key`, not `get_mut`-and-return: a borrow returned from
         // one arm would keep the map borrowed in the inserting one.
-        if !self.cells.contains_key(coord) {
-            self.cells.insert(coord.clone(), CellState::default());
+        if !cells.contains_key(coord) {
+            let fresh = CellState {
+                touched: *now,
+                ..CellState::default()
+            };
+            cells.insert(coord.clone(), fresh);
+            written.push(coord);
         }
-        self.cells.get_mut(coord).expect("present or just created")
+        (
+            cells.get_mut(coord).expect("present or just created"),
+            written,
+        )
     }
 
     /// Look up a cell.
@@ -123,9 +186,9 @@ impl CellStore {
     /// turned core, or stays core longer, either way.
     pub fn raise_core_until(&mut self, coord: &CellCoord, until: u64) {
         let now = self.now;
-        let cell = self.entry(coord);
+        let (cell, written) = self.stamped_entry(coord);
         cell.core_until = cell.core_until.max(until);
-        cell.touched = now;
+        written.stamp(cell, coord, now);
     }
 
     /// Raise one *side* of a pair link: the watermarks stored at `at` for
@@ -150,15 +213,15 @@ impl CellStore {
             if let Some(link) = cell.links.get_mut(other) {
                 link.raise_core_core(core_core);
                 link.raise_attach(attach);
-                cell.touched = now;
+                self.written.stamp(cell, at, now);
                 return;
             }
         }
-        let cell = self.entry(at);
+        let (cell, written) = self.stamped_entry(at);
         let link = cell.links.entry(other.clone()).or_default();
         link.raise_core_core(core_core);
         link.raise_attach(attach);
-        cell.touched = now;
+        written.stamp(cell, at, now);
     }
 
     /// Decrement a cell's population (object expiry).
@@ -166,27 +229,43 @@ impl CellStore {
         if let Some(cell) = self.cells.get_mut(coord) {
             debug_assert!(cell.population > 0);
             cell.population -= 1;
-            cell.touched = self.now;
+            self.written.stamp(cell, coord, self.now);
         }
     }
 
     /// Increment a cell's population (object arrival).
     pub fn increment_population(&mut self, coord: &CellCoord) {
         let now = self.now;
-        let cell = self.entry(coord);
+        let (cell, written) = self.stamped_entry(coord);
         cell.population += 1;
-        cell.touched = now;
+        written.stamp(cell, coord, now);
     }
 
-    /// Drop dead watermarks and empty cells. `now` is the current window;
-    /// links whose two watermarks are both `<= now` can never fire again,
-    /// and empty cells with no future core career hold no information.
+    /// Drop dead watermarks and empty cells among the cells written since
+    /// the last `gc`. `now` is the current window; links whose two
+    /// watermarks are both `<= now` can never fire again, and empty cells
+    /// with no future core career hold no information.
+    ///
+    /// A cell that is not visited keeps its links as they are: a lapsed
+    /// one is dead weight, not a wrong answer (every reader tests
+    /// liveness), and a cell holds at most one link per other cell within
+    /// the range-query reach. An empty cell is always visited — the expiry
+    /// that emptied it stamped it, and ended its core career with it.
     pub fn gc(&mut self, now: WindowId) {
-        self.cells.retain(|_, cell| {
-            cell.links
-                .retain(|_, l| l.core_core_until > now.0 || l.attach_until > now.0);
-            cell.population > 0 || cell.core_until > now.0
-        });
+        let CellStore { cells, written, .. } = self;
+        if written.dim > 0 {
+            for coord in written.coords.chunks_exact(written.dim) {
+                let Some(cell) = cells.get_mut(coord) else {
+                    continue; // listed twice, and collected at the first
+                };
+                cell.links
+                    .retain(|_, l| l.core_core_until > now.0 || l.attach_until > now.0);
+                if cell.population == 0 && cell.core_until <= now.0 {
+                    cells.remove(coord);
+                }
+            }
+        }
+        written.coords.clear();
     }
 
     /// Iterate over all cells.
@@ -204,16 +283,23 @@ impl CellStore {
 
     /// Install a cell's state wholesale (the receiving side of a
     /// re-shard move). Each cell is owned by exactly one store, so the
-    /// coord must not already be present.
+    /// coord must not already be present. A cell stamped in the current
+    /// window is listed again: its next stamp in this window would not
+    /// list it, and the list it may still be on stays with the store it
+    /// left.
     pub fn insert_state(&mut self, coord: CellCoord, state: CellState) {
         debug_assert!(!self.cells.contains_key(&coord), "cell owned twice");
+        if state.touched == self.now {
+            self.written.push(&coord);
+        }
         self.cells.insert(coord, state);
     }
 
     /// Approximate retained heap bytes.
     pub fn heap_bytes(&self) -> usize {
-        let mut bytes =
-            self.cells.capacity() * (core::mem::size_of::<(CellCoord, CellState)>() + 1);
+        let mut bytes = self.cells.capacity()
+            * (core::mem::size_of::<(CellCoord, CellState)>() + 1)
+            + self.written.coords.capacity() * core::mem::size_of::<i32>();
         for (coord, cell) in &self.cells {
             bytes += coord.0.len() * 4;
             bytes += cell.links.capacity() * (core::mem::size_of::<(CellCoord, Link)>() + 1);

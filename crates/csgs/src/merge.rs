@@ -4,33 +4,36 @@
 //!
 //! One path for every shard count:
 //!
-//! 1. **Live core cells** (per shard, forked): each store is filtered for
-//!    the cells that are core at `w`; the union, sorted, is the window's
-//!    *dense index* — a core cell is a position from here on.
-//! 2. **Link resolution** (once): every live link of every live core cell
-//!    is read exactly once and its far end looked up exactly once, into a
-//!    flat per-cell list of [`Resolved`] entries. Nothing after this step
-//!    looks a link up by coordinate.
-//! 3. **Components**: union-find over the resolved core-core edges; the
+//! 1. **Carry-over**: a cluster of the previous window none of whose
+//!    skeleton cells, core or edge, was stamped since
+//!    ([`CellState::touched`]) *is* a cluster of this one, and is moved to
+//!    the output as it stands. Nothing below sees its core cells.
+//! 2. **Live core cells** of the rest (per shard, forked): each store is
+//!    filtered for the cells that are core at `w` and not carried; the
+//!    union, sorted, is the window's *dense index* — a core cell is a
+//!    position from here on.
+//! 3. **Link resolution** (once): every live link of every indexed core
+//!    cell is read exactly once and its far end looked up exactly once,
+//!    into a flat per-cell list of [`Resolved`] entries. Nothing after
+//!    this step looks a link up by coordinate.
+//! 4. **Components**: union-find over the resolved core-core edges; the
 //!    clusters are numbered **by their smallest core cell** — the
 //!    numbering an unsharded DFS in cell order produces, which is what
 //!    makes `WindowOutput` byte-identical across shard counts.
-//! 4. **Carry-over**: a component that has the core cells of a cluster of
-//!    the previous window, none of which — and none of that cluster's
-//!    edge cells — was stamped since ([`CellState::touched`]), *is* that
-//!    cluster, and is moved to the output as it stands.
-//! 5. **Skeletons** of the rest: a cluster's cell list is its core cells
-//!    merged with its sorted attached cells; every connection index falls
-//!    out of that one sort.
-//! 6. **Members** of the rest (per shard, forked), cell by cell through
-//!    the grid index: core objects from the clusters' core cells, edge
-//!    candidates from those and from the attached cells. Lemma 4.1 and
-//!    the `attach_until` watermark put every edge object of a cluster in
-//!    one of its skeletal cells, so no other point is looked at.
+//! 5. **Skeletons**: a cluster's cell list is its core cells merged with
+//!    its sorted attached cells; every connection index falls out of that
+//!    one sort.
+//! 6. **Members** (per shard, forked), cell by cell through the grid
+//!    index: core objects from the clusters' core cells, edge candidates
+//!    from those and from the attached cells. Lemma 4.1 and the
+//!    `attach_until` watermark put every edge object of a cluster in one
+//!    of its skeletal cells, so no other point is looked at.
+//! 7. **Assembly**: the carried clusters are merged back in among the
+//!    rebuilt ones by smallest core cell.
 
 use sgs_core::{CellCoord, GridGeometry, PointId, WindowId};
 use sgs_exec::Pool;
-use sgs_index::{FxHashMap, ShardRouter, UnionFind};
+use sgs_index::{FxHashMap, FxHashSet, ShardRouter, UnionFind};
 use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
 
 use crate::cell_store::{CellState, CellStore};
@@ -40,8 +43,8 @@ use crate::shard::{fork_each, PointState, Shard};
 /// In place of a dense index or a cluster number: none.
 const NONE: u32 = u32::MAX;
 
-/// A live core cell of the window; its position in the sorted list of
-/// them is its dense index.
+/// A live core cell of a cluster to rebuild; its position in the sorted
+/// list of them is its dense index.
 struct CoreCell<'a> {
     coord: &'a CellCoord,
     state: &'a CellState,
@@ -74,40 +77,34 @@ fn cell_state<'a>(
 }
 
 /// The smallest core cell of a cluster: what numbers it among the
-/// clusters of its window, and what ties it to its successor in the next.
+/// clusters of its window.
 fn key_of(cluster: &ExtractedCluster) -> Option<&CellCoord> {
-    let is_core = |c: &&SkeletalCell| c.status == CellStatus::Core;
-    cluster.sgs.cells.iter().find(is_core).map(|c| &c.coord)
+    core_cells(cluster).next()
 }
 
-/// Whether the component with core cells `group` is `prev`, a cluster of
-/// window `w − 1`, unchanged: the same core cells, and no cell of the
-/// previous skeleton written since (a cell that is gone was written when
-/// it emptied). Every change to a cluster stamps one of those cells
-/// (`DESIGN.md` §6).
+/// The core cells of a cluster, in cell order.
+fn core_cells(cluster: &ExtractedCluster) -> impl Iterator<Item = &CellCoord> {
+    let cells = cluster.sgs.cells.iter();
+    cells
+        .filter(|c| c.status == CellStatus::Core)
+        .map(|c| &c.coord)
+}
+
+/// Whether `prev`, a cluster of window `w − 1`, is a cluster of `w` as it
+/// stands: no cell of its skeleton, core or edge, was written since (a
+/// cell that is gone was written when it emptied). Every change to a
+/// cluster stamps one of those cells, so its core cells are then still
+/// core, still connected, and connected to no other core cell — exactly
+/// one component of `w` (`DESIGN.md` §6).
 fn unchanged(
     prev: &ExtractedCluster,
-    group: &[u32],
-    cores: &[CoreCell],
     stores: &[CellStore],
     router: &ShardRouter,
     w: WindowId,
 ) -> bool {
-    let mut group = group.iter();
-    for cell in &prev.sgs.cells {
-        let state = match cell.status {
-            CellStatus::Core => group
-                .next()
-                .map(|&d| &cores[d as usize])
-                .filter(|core| *core.coord == cell.coord)
-                .map(|core| core.state),
-            _ => cell_state(stores, router, &cell.coord),
-        };
-        if state.is_none_or(|state| state.touched >= w.0) {
-            return false;
-        }
-    }
-    group.next().is_none()
+    prev.sgs.cells.iter().all(|cell| {
+        cell_state(stores, router, &cell.coord).is_some_and(|state| state.touched < w.0)
+    })
 }
 
 /// Build window `w`'s output from the live watermarks of all shards.
@@ -125,10 +122,21 @@ pub(crate) fn emit(
 ) -> (WindowOutput, usize) {
     let s = shards.len();
 
-    // ---- 1. Live core cells, in cell order.
+    // ---- 1. Carry-over, decided by the stamps alone.
+    let carried: Vec<ExtractedCluster> = prev
+        .into_iter()
+        .filter(|p| unchanged(p, stores, router, w))
+        .collect();
+    let n_carried = carried.len();
+    let carried_cores: FxHashSet<&CellCoord> = carried.iter().flat_map(core_cells).collect();
+
+    // ---- 2. Live core cells of the clusters to rebuild, in cell order. A
+    // cell written since `w − 1` belongs to no carried cluster.
     let mut found: Vec<Vec<CoreCell>> = (0..s).map(|_| Vec::new()).collect();
     fork_each(pool, found.iter_mut().zip(stores), |i, (found, store)| {
-        let core = store.iter().filter(|(_, state)| state.is_core_at(w));
+        let core = store.iter().filter(|(coord, state)| {
+            state.is_core_at(w) && (state.touched >= w.0 || !carried_cores.contains(coord))
+        });
         found.extend(core.map(|(coord, state)| CoreCell {
             coord,
             state,
@@ -137,7 +145,7 @@ pub(crate) fn emit(
     });
     let mut cores: Vec<CoreCell> = found.into_iter().flatten().collect();
     if cores.is_empty() {
-        return (Vec::new(), 0);
+        return (carried, n_carried);
     }
     cores.sort_unstable_by(|a, b| a.coord.cmp(b.coord));
     let n = cores.len();
@@ -147,8 +155,10 @@ pub(crate) fn emit(
         .map(|(d, cell)| (cell.coord, d as u32))
         .collect();
 
-    // ---- 2. Link resolution: `links[starts[d]..starts[d + 1]]` are the
-    // live links of core cell `d`.
+    // ---- 3. Link resolution: `links[starts[d]..starts[d + 1]]` are the
+    // live links of core cell `d`. A far end that is a carried cluster's
+    // core cell is not in the dense index, and resolves as a cell that is
+    // not a live core cell here: an edge cell, if attached.
     let mut links: Vec<Resolved> = Vec::new();
     let mut starts: Vec<usize> = Vec::with_capacity(n + 1);
     starts.push(0);
@@ -171,7 +181,7 @@ pub(crate) fn emit(
     }
     let links_of = |d: u32| starts[d as usize]..starts[d as usize + 1];
 
-    // ---- 3. Components, numbered by first-seen root in cell order — the
+    // ---- 4. Components, numbered by first-seen root in cell order — the
     // number of a cluster is set by its smallest core cell.
     let mut uf = UnionFind::with_len(n);
     for d in 0..n {
@@ -193,18 +203,6 @@ pub(crate) fn emit(
         groups[gid[d] as usize].push(d as u32);
     }
 
-    // ---- 4. Carry-over. Both the previous clusters and the components
-    // are in key order, so one walk pairs them.
-    let mut prev = prev.into_iter().peekable();
-    let mut carried: Vec<Option<ExtractedCluster>> = Vec::with_capacity(groups.len());
-    for group in &groups {
-        let key = Some(cores[group[0] as usize].coord);
-        while prev.next_if(|p| key_of(p) < key).is_some() {}
-        let same_key = prev.next_if(|p| key_of(p) == key);
-        carried.push(same_key.filter(|p| unchanged(p, group, &cores, stores, router, w)));
-    }
-    let n_carried = carried.iter().flatten().count();
-
     // ---- 5. Skeletons of the clusters to rebuild.
     let mut skeletons: Vec<Vec<SkeletalCell>> = vec![Vec::new(); groups.len()];
     // Dense index → position in its cluster's cell list.
@@ -219,9 +217,6 @@ pub(crate) fn emit(
         connections: Vec::new(),
     };
     for (g, group) in groups.iter().enumerate() {
-        if carried[g].is_some() {
-            continue;
-        }
         // Attached cells: what a core cell of the cluster reaches through
         // a live attachment, unless it is a core cell of the same cluster.
         // Status is cluster-relative (Def. 4.2): a cell holding cores of
@@ -265,9 +260,10 @@ pub(crate) fn emit(
             debug_assert!(state.population > 0);
             cells.push(skeletal(coord, state, CellStatus::Edge));
             // Its objects are edge candidates. A core cell of another
-            // rebuilt cluster is listed on that cluster's account; one of
-            // a carried cluster is not listed at all unless it is here.
-            if idx == NONE || carried[gid[idx as usize] as usize].is_some() {
+            // rebuilt cluster is listed on that cluster's account; any
+            // other cell — a carried cluster's core cell among them — is
+            // listed by no one unless it is listed here.
+            if idx == NONE {
                 edge_cells.push(coord);
             }
         }
@@ -296,13 +292,11 @@ pub(crate) fn emit(
     // ---- 6. Members of the clusters to rebuild, cell by cell. Every
     // indexed point is live at `w`: the others were dropped when their
     // window became current.
-    // The cells each shard lists: its core cells of rebuilt clusters with
-    // the cluster's number, and its share of `edge_cells` with none.
+    // The cells each shard lists: its core cells with the cluster's
+    // number, and its share of `edge_cells` with none.
     let mut visit: Vec<Vec<(&CellCoord, u32)>> = vec![Vec::new(); s];
     for (d, cell) in cores.iter().enumerate() {
-        if carried[gid[d] as usize].is_none() {
-            visit[cell.shard as usize].push((cell.coord, gid[d]));
-        }
+        visit[cell.shard as usize].push((cell.coord, gid[d]));
     }
     edge_cells.sort_unstable();
     edge_cells.dedup();
@@ -351,7 +345,8 @@ pub(crate) fn emit(
         }
     });
 
-    // ---- 7. Assembly, in cluster order.
+    // ---- 7. Assembly: the rebuilt clusters in component order, the
+    // carried ones merged back in by smallest core cell.
     let mut members: Vec<(Vec<PointId>, Vec<PointId>)> = vec![Default::default(); groups.len()];
     for l in &listed {
         for &(g, id) in &l.cores {
@@ -361,26 +356,31 @@ pub(crate) fn emit(
             members[g as usize].1.push(id);
         }
     }
-    let out = carried
+    let rebuilt = skeletons
         .into_iter()
-        .zip(skeletons)
         .zip(members)
-        .map(|((carried, cells), (mut cores, mut edges))| {
-            carried.unwrap_or_else(|| {
-                cores.sort_unstable();
-                edges.sort_unstable();
-                ExtractedCluster {
-                    cores,
-                    edges,
-                    sgs: Sgs {
-                        dim: geometry.dim(),
-                        side: geometry.side(),
-                        level: 0,
-                        cells,
-                    },
-                }
-            })
-        })
-        .collect();
+        .map(|(cells, (mut cores, mut edges))| {
+            cores.sort_unstable();
+            edges.sort_unstable();
+            ExtractedCluster {
+                cores,
+                edges,
+                sgs: Sgs {
+                    dim: geometry.dim(),
+                    side: geometry.side(),
+                    level: 0,
+                    cells,
+                },
+            }
+        });
+    let mut out = Vec::with_capacity(n_carried + groups.len());
+    let mut carried = carried.into_iter().peekable();
+    for cluster in rebuilt {
+        while let Some(c) = carried.next_if(|c| key_of(c) < key_of(&cluster)) {
+            out.push(c);
+        }
+        out.push(cluster);
+    }
+    out.extend(carried);
     (out, n_carried)
 }

@@ -103,18 +103,21 @@ pub(crate) struct PointState {
     pub expires_at: WindowId,
     /// End of the core career (absolute window index); only ever raised.
     pub core_until: u64,
-    /// Histogram of neighbor expiries — answers Obs. 5.4 queries in
-    /// O(views).
+    /// Histogram of the expiries of exactly the points in `neighbors` —
+    /// answers Obs. 5.4 queries in O(views), and says how long each
+    /// expiry's run in the list is.
     pub hist: ExpiryHistogram,
-    /// Current neighbor ids. Pruned *eagerly* when a neighbor expires (the
-    /// expiring point's own list names exactly the live points that
-    /// reference it, since neighborship is symmetric), so the list length
-    /// is bounded by the live population at all times.
+    /// Current neighbor ids, in non-decreasing order of expiry. Between
+    /// slides every listed id is live: at a slide the ids dying with it
+    /// form the list's prefix, which is dropped *eagerly* — the expiring
+    /// point's own list names exactly the live points that list it, since
+    /// neighborship is symmetric — so the list is bounded by the live
+    /// population at all times.
     pub neighbors: Vec<PointId>,
 }
 
 /// Cross-shard message: new point `p` is a neighbor of pre-existing point
-/// `q`; `q`'s owner appends `p` to `q`'s neighbor list and histogram.
+/// `q`; `q`'s owner adds `p` to `q`'s neighbor list and histogram.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct HistMsg {
     pub q: PointId,
@@ -132,13 +135,16 @@ pub(crate) struct LinkMsg {
     pub attach: u64,
 }
 
+/// A neighbor a range query found: its id, its owning shard (so the link
+/// phase reads its final state with one lookup instead of probing), and
+/// its expiry (so the finder's list can be put in expiry order).
+pub(crate) type Found = (PointId, u32, WindowId);
+
 /// Discovery result for one new point (phase B of the sharded batch).
-/// Neighbor entries carry their owning shard so the link phase can read
-/// each neighbor's final state with one lookup instead of probing.
 #[derive(Debug)]
 pub(crate) struct NewPointPlan {
     pub id: PointId,
-    pub neighbors: Vec<(PointId, u32)>,
+    pub neighbors: Vec<Found>,
     pub hist: ExpiryHistogram,
     pub core_until: u64,
 }
@@ -214,19 +220,24 @@ impl Shard {
     }
 
     /// §5.4 step 3: install a loaded point's discovery results — neighbor
-    /// list, expiry histogram and core career (Obs. 5.4) — and promote
-    /// its cell's status if the career is live.
+    /// list (put in expiry order), expiry histogram and core career
+    /// (Obs. 5.4) — and promote its cell's status if the career is live.
     pub(crate) fn install(
         &mut self,
         cells: &mut CellStore,
         id: PointId,
-        neighbors: &[(PointId, u32)],
+        neighbors: &[Found],
         hist: ExpiryHistogram,
         core_until: u64,
         now: WindowId,
     ) {
         let st = self.points.get_mut(&id).expect("installed after load");
-        st.neighbors = neighbors.iter().map(|(q, _)| *q).collect();
+        let mut by_expiry: Vec<(WindowId, PointId)> = neighbors
+            .iter()
+            .map(|&(q, _, expires)| (expires, q))
+            .collect();
+        by_expiry.sort_unstable_by_key(|&(expires, _)| expires);
+        st.neighbors = by_expiry.into_iter().map(|(_, q)| q).collect();
         st.hist = hist;
         st.core_until = core_until;
         if core_until > now.0 {
@@ -247,7 +258,10 @@ impl Shard {
         theta_c: u32,
     ) -> bool {
         let st = self.points.get_mut(&q).expect("indexed points are live");
-        st.neighbors.push(p);
+        // After every listed neighbor that expires no later: at the end,
+        // unless `p` expires before some of them.
+        let later = st.hist.alive_at(p_expires) as usize;
+        st.neighbors.insert(st.neighbors.len() - later, p);
         st.hist.add(p_expires);
         let new_cu = st.hist.core_until(st.expires_at, now, theta_c).0;
         // `new_cu == now` says "not core even now": no career to extend,
@@ -300,54 +314,46 @@ impl Shard {
         self.points.insert(id, state);
     }
 
-    /// Slide: drop this shard's points expiring at `now`, returning each
-    /// dead point's id and neighbor list (the input to eager cross-shard
-    /// neighbor pruning).
-    pub(crate) fn remove_expired(
-        &mut self,
-        cells: &mut CellStore,
-        now: WindowId,
-    ) -> Vec<(PointId, Vec<PointId>)> {
+    /// Slide: drop this shard's points expiring at `now`, returning the
+    /// live points that listed them (the input to eager cross-shard
+    /// neighbor pruning; a point with several dead neighbors appears once
+    /// per each). A dead point's neighbors dying with it are its list's
+    /// prefix, skipped without a lookup.
+    pub(crate) fn remove_expired(&mut self, cells: &mut CellStore, now: WindowId) -> Vec<PointId> {
         let Some(dead) = self.expiry.remove(&now.0) else {
             return Vec::new();
         };
-        let mut removed = Vec::with_capacity(dead.len());
+        let mut listed_by = Vec::new();
         for id in dead {
             if let Some(p) = self.points.remove(&id) {
                 self.index.remove(id, &p.cell);
                 cells.decrement_population(&p.cell);
                 self.arena.release(p.slot);
-                removed.push((id, p.neighbors));
+                let co_dying = p.hist.expiring_at(now) as usize;
+                debug_assert_eq!(
+                    p.hist.alive_at(now) as usize,
+                    p.neighbors.len() - co_dying,
+                    "only the prefix dies at {now}"
+                );
+                listed_by.extend_from_slice(&p.neighbors[co_dying..]);
             }
         }
-        removed
+        listed_by
     }
 
-    /// Eagerly remove the ids of dead points from this shard's neighbor
-    /// lists. `dead` is the union of all shards' [`remove_expired`]
-    /// results; entries referencing other shards' points are skipped by
-    /// the ownership lookup itself.
+    /// Eagerly drop the ids of points dead at `now` from this shard's
+    /// neighbor lists: each is its list's prefix, as long as what its
+    /// histogram gives up. `listed_by` is the union of all shards'
+    /// [`remove_expired`] results; ids of other shards' points are
+    /// skipped by the ownership lookup itself, and a point visited again
+    /// has nothing left to drop.
     ///
     /// [`remove_expired`]: Self::remove_expired
-    pub(crate) fn prune_dead(&mut self, dead: &[(PointId, Vec<PointId>)]) {
-        for (dead_id, nbs) in dead {
-            for nb in nbs {
-                if let Some(st) = self.points.get_mut(nb) {
-                    if let Some(pos) = st.neighbors.iter().position(|x| x == dead_id) {
-                        st.neighbors.swap_remove(pos);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Post-slide maintenance: collect dead cell-store state; periodically
-    /// trim histogram buckets that can no longer affect any query.
-    pub(crate) fn maintain(&mut self, cells: &mut CellStore, now: WindowId) {
-        cells.gc(now);
-        if now.0.is_multiple_of(8) {
-            for st in self.points.values_mut() {
-                st.hist.prune(now);
+    pub(crate) fn prune_dead(&mut self, listed_by: &[PointId], now: WindowId) {
+        for nb in listed_by {
+            if let Some(st) = self.points.get_mut(nb) {
+                let dead = st.hist.prune(now.next());
+                st.neighbors.drain(..dead as usize);
             }
         }
     }

@@ -80,6 +80,14 @@ fn long_lived_clusters_are_carried_and_every_window_is_still_exact() {
             assert!(sharded.shard_count() > 1, "the stream is to re-shard");
         }
     }
+    // Nor on how the arrivals were batched: one point at a time, S = 3.
+    let mut per_point = CSgs::new(query.clone().with_shards(ShardCount::Fixed(3)));
+    let out = replay(spec, pts.clone(), 2, &mut per_point).unwrap();
+    assert_eq!(out.into_iter().map(|(_, o)| o).collect::<Vec<_>>(), base);
+    assert_eq!(
+        (per_point.carried_count, per_point.rebuilt_count),
+        (csgs.carried_count, csgs.rebuilt_count)
+    );
 
     // The clustering: a from-scratch DBSCAN of every window.
     let mut naive = NaiveClusterer::new(query.clone());

@@ -90,3 +90,31 @@ fn a_born_dead_raise_allocates_nothing() {
         8
     );
 }
+
+/// A cell's first stamp in a window lists it for `gc`, and the list keeps
+/// its buffer across `gc`: once it has held a window's worth, first
+/// stamps of established cells, re-stamps of cells already written this
+/// window, and the `gc` that walks them allocate nothing.
+#[test]
+fn stamping_established_cells_allocates_nothing_once_the_list_is_warm() {
+    let cells: Vec<CellCoord> = (0..8).map(|i| CellCoord::new(vec![i, -1, 4, 1])).collect();
+    let mut store = CellStore::new();
+    for cell in &cells {
+        store.increment_population(cell);
+    }
+    store.gc(WindowId(0));
+
+    for w in 1..50 {
+        store.set_window(WindowId(w));
+        let before = allocations();
+        for cell in &cells {
+            store.increment_population(cell); // the window's first stamp
+            store.raise_core_until(cell, w + 5); // stamped again
+            store.decrement_population(cell);
+        }
+        store.gc(WindowId(w));
+        assert_eq!(allocations() - before, 0, "window {w}");
+    }
+    assert_eq!(store.len(), cells.len());
+    assert!(cells.iter().all(|c| store.get(c).unwrap().touched == 49));
+}

@@ -120,27 +120,37 @@ impl ExpiryHistogram {
         if w.0 < self.base {
             return self.total;
         }
+        // Neighbors expiring after `w`: the buckets past its own. Summed
+        // from the tail, which is short for the recent windows C-SGS asks
+        // about.
         let idx = (w.0 - self.base) as usize;
-        if idx >= self.counts.len() {
-            return 0;
-        }
-        // Neighbors expiring at base..=w are dead at w; alive = total - dead.
-        let dead: u32 = self.counts[..=idx].iter().sum();
-        self.total - dead
+        self.counts
+            .get(idx + 1..)
+            .map_or(0, |alive| alive.iter().sum())
+    }
+
+    /// Number of recorded neighbors that expire exactly at window `w`.
+    pub fn expiring_at(&self, w: WindowId) -> u32 {
+        w.0.checked_sub(self.base)
+            .and_then(|i| self.counts.get(i as usize))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Drop buckets for windows `< now` (their neighbors have expired and
-    /// can no longer affect any query at or after `now`). Keeps the
-    /// structure O(views).
-    pub fn prune(&mut self, now: WindowId) {
+    /// can no longer affect any query at or after `now`), returning how
+    /// many neighbors they held. Keeps the structure O(views); a second
+    /// call with the same `now` drops nothing.
+    pub fn prune(&mut self, now: WindowId) -> u32 {
         if self.counts.is_empty() || now.0 <= self.base {
-            return;
+            return 0;
         }
         let cut = ((now.0 - self.base) as usize).min(self.counts.len());
         let dead: u32 = self.counts[..cut].iter().sum();
         self.counts.drain(..cut);
         self.total -= dead;
         self.base = now.0;
+        dead
     }
 
     /// End of the core career (Obs. 5.4): the first window `w ≥ now` at
@@ -276,6 +286,43 @@ mod tests {
         assert_eq!(h.alive_at(w(3)), 1);
         assert_eq!(h.alive_at(w(9)), 1);
         assert_eq!(h.alive_at(w(10)), 0);
+    }
+
+    /// `expiring_at`, `alive_at`, `total` and the count `prune` gives up
+    /// agree with a plain multiset of expiries, under adds in any order
+    /// (before the base, inside, past the end) and repeated prunes.
+    #[test]
+    fn histogram_operations_agree_with_a_multiset() {
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % n
+        };
+        for _ in 0..50 {
+            let (mut h, mut model, mut now) = (ExpiryHistogram::new(), Vec::<u64>::new(), 0);
+            for _ in 0..200 {
+                if next(4) == 0 {
+                    now += next(3);
+                    let before = model.len();
+                    model.retain(|&e| e >= now);
+                    assert_eq!(h.prune(w(now)) as usize, before - model.len());
+                    assert_eq!(h.prune(w(now)), 0, "a second prune drops nothing");
+                } else {
+                    let e = now + next(12);
+                    model.push(e);
+                    h.add(w(e));
+                }
+                assert_eq!(h.total() as usize, model.len());
+                let count =
+                    |keep: &dyn Fn(u64) -> bool| model.iter().filter(|&&e| keep(e)).count() as u32;
+                for q in now.saturating_sub(2)..now + 14 {
+                    assert_eq!(h.expiring_at(w(q)), count(&|e| e == q), "at {q}");
+                    assert_eq!(h.alive_at(w(q)), count(&|e| e > q), "after {q}");
+                }
+            }
+        }
     }
 
     #[test]
