@@ -1,7 +1,8 @@
 //! Scheduler-pool scaling (`DESIGN.md` §8): sustained ingest throughput
 //! of the `sgs-runtime` multiplexer as **queries × workers** varies —
-//! the sweep that shows concurrent queries sharing one work-stealing
-//! pool instead of one OS thread each.
+//! the sweep that shows concurrent queries sharing one pool instead of
+//! one OS thread each. The query is the unit of parallelism: each query's
+//! extraction is one sequential pass.
 //!
 //! For every worker count W ∈ {1, 2, 4} a dedicated pool
 //! (`RuntimeConfig::pool_threads = Fixed(W)`) runs each query count

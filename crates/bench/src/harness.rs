@@ -69,12 +69,7 @@ pub struct RunStats {
 pub fn run_csgs(query: &ClusterQuery, points: &[Point]) -> RunStats {
     let spec = query.window;
     let mut engine = WindowEngine::new(spec, query.dim);
-    // The figure harnesses replicate the paper's *single-threaded*
-    // C-SGS-vs-Extra-N comparison, so extraction is pinned to one shard
-    // (the `ShardCount::Auto` default would adaptively re-shard from
-    // observed grid occupancy mid-run); the `shard_scaling` binary
-    // measures the sharded path.
-    let mut csgs = CSgs::new(query.clone().with_shards(sgs_core::ShardCount::Fixed(1)));
+    let mut csgs = CSgs::new(query.clone());
     let mut outputs = Vec::new();
     let mut windows = 0usize;
     let mut clusters = 0usize;

@@ -90,19 +90,19 @@ mod tests {
     #[test]
     fn renders_nested_report() {
         let rows = vec![
-            JsonObject::new().u64("shards", 1).f64("rate", 1234.5678),
-            JsonObject::new().u64("shards", 2).f64("rate", f64::NAN),
+            JsonObject::new().u64("workers", 1).f64("rate", 1234.5678),
+            JsonObject::new().u64("workers", 2).f64("rate", f64::NAN),
         ];
         let report = JsonObject::new()
-            .str("bench", "shard_scaling")
+            .str("bench", "pool_scaling")
             .str("note", "line\nbreak \"quoted\"")
             .array("rows", &rows)
             .render();
         assert_eq!(
             report,
-            "{\"bench\":\"shard_scaling\",\
+            "{\"bench\":\"pool_scaling\",\
              \"note\":\"line\\nbreak \\\"quoted\\\"\",\
-             \"rows\":[{\"shards\":1,\"rate\":1234.568},{\"shards\":2,\"rate\":null}]}"
+             \"rows\":[{\"workers\":1,\"rate\":1234.568},{\"workers\":2,\"rate\":null}]}"
         );
     }
 }

@@ -14,7 +14,6 @@
 //! | `fig9_quality` | Fig. 9: matching quality ("similar rate") via the ground-truth retrieval study |
 //! | `multires` | tech-report extension: multi-resolution matching efficiency/effectiveness |
 //! | `ablation` | integrated vs two-phase summarization, filter-and-refine vs exhaustive matching, alignment budget |
-//! | `shard_scaling` | sharded extraction (`DESIGN.md` §6): single-query tuples/sec for S ∈ {1, 2, 4, 8} |
 //! | `pool_scaling` | scheduler pool (`DESIGN.md` §8): tuples/sec over queries {1, 4, 8} × workers {1, 2, 4} |
 //! | `archive_scaling` | durable archive (`DESIGN.md` §10): inserts/s, checkpoint and recovery cost, memory vs durable |
 //! | `session_fanout` | reactor front-end (`DESIGN.md` §14): 8 → 128 TCP sessions with server-push on a fixed worker budget |

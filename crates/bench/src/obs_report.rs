@@ -1,7 +1,7 @@
 //! Registry snapshot → `--json` report rows, so every CI bench run
 //! carries the engine's own observability counters alongside its
 //! throughput numbers (the longitudinal `dev/bench` series can then
-//! correlate a regression with, say, a steal-rate or eviction change).
+//! correlate a regression with, say, a park-rate or eviction change).
 
 use sgs_obs::MetricValue;
 

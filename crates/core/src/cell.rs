@@ -174,8 +174,7 @@ impl GridGeometry {
 
     /// The largest coordinate magnitude this grid addresses with
     /// head-room: cell indices up to ±2³⁰, half the `i32` range, which
-    /// keeps `± reach`, region widths and adjacency offsets far from
-    /// overflow. Far enough beyond it [`cell_of`](Self::cell_of)
+    /// keeps `± reach` and adjacency offsets far from overflow. Far enough beyond it [`cell_of`](Self::cell_of)
     /// saturates distant points into one cell; ingestion rejects such
     /// points instead
     /// ([`Error::InvalidCoordinate`](crate::Error::InvalidCoordinate)).

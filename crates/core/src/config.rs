@@ -12,48 +12,25 @@ use crate::cell::GridGeometry;
 use crate::error::{Error, Result};
 use crate::window::WindowSpec;
 
-/// How many grid-region shards a query's extractor partitions its state
-/// into (see `DESIGN.md` §6, "Sharded extraction").
-///
-/// The extraction state is hashed by coarsened cell coordinate into `S`
-/// shards whose insertions run in parallel; the per-window output is
-/// byte-identical for every `S`, so this is purely a performance knob.
+/// Configures nothing. Kept solely because the frozen benchmark's
+/// `e2ebench/src/workloads.rs` compiles against it: every query's
+/// extractor is one sequential pass (`DESIGN.md` §6), and
+/// [`ClusterQuery::with_shards`] and `RuntimeConfig::default_shards`
+/// accept a value and ignore it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShardCount {
-    /// *Adaptive*: the extractor starts single-sharded and re-partitions
-    /// at window boundaries, picking the shard count from the observed
-    /// grid occupancy (live points and occupied cells) bounded by the
-    /// host's parallelism — instead of a static core count. The output
-    /// contract is unchanged: every window's output is byte-identical to
-    /// every fixed shard count.
+    /// Ignored.
     #[default]
     Auto,
-    /// Exactly this many shards, always. `Fixed(0)` and `Fixed(1)` both
-    /// resolve to the single-threaded extractor.
+    /// Ignored.
     Fixed(u32),
 }
 
-impl ShardCount {
-    /// A concrete static shard count (always ≥ 1) for consumers that
-    /// cannot adapt at runtime: `Auto` falls back to one shard per
-    /// available CPU. The adaptive extractor does **not** use this — it
-    /// observes occupancy instead.
-    pub fn resolve(self) -> usize {
-        match self {
-            ShardCount::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            ShardCount::Fixed(n) => (n as usize).max(1),
-        }
-    }
-}
-
 /// How many worker threads the shared scheduler pool runs (see
-/// `DESIGN.md` §8, "The shared scheduler pool"). Every unit of
-/// parallelism — concurrent queries and intra-query shard phases alike —
-/// multiplexes over these workers, so this is the system's *one* thread
-/// budget: idle queries cost zero threads regardless of how many are
-/// registered.
+/// `DESIGN.md` §8, "The shared scheduler pool"). The unit of parallelism
+/// is the query: concurrent queries multiplex over these workers, so this
+/// is the system's *one* thread budget: idle queries cost zero threads
+/// regardless of how many are registered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PoolThreads {
     /// One worker per available CPU
@@ -114,9 +91,6 @@ pub struct ClusterQuery {
     pub dim: usize,
     /// Sliding-window specification.
     pub window: WindowSpec,
-    /// Extraction-state shard count (performance only: the output contract
-    /// is shard-invariant). Defaults to [`ShardCount::Auto`].
-    pub shards: ShardCount,
 }
 
 impl ClusterQuery {
@@ -144,13 +118,13 @@ impl ClusterQuery {
             theta_c,
             dim,
             window,
-            shards: ShardCount::default(),
         })
     }
 
-    /// Set the extraction shard count (builder style).
-    pub fn with_shards(mut self, shards: ShardCount) -> Self {
-        self.shards = shards;
+    /// Returns `self` unchanged. Kept solely because the frozen
+    /// benchmark's `e2ebench/src/workloads.rs` calls it; see
+    /// [`ShardCount`].
+    pub fn with_shards(self, _: ShardCount) -> Self {
         self
     }
 
@@ -208,20 +182,5 @@ mod tests {
         assert_eq!(PoolThreads::Fixed(0).resolve(), 1);
         assert_eq!(PoolThreads::Fixed(3).resolve(), 3);
         assert_eq!(PoolThreads::default(), PoolThreads::Auto);
-    }
-
-    #[test]
-    fn shard_count_resolution() {
-        assert!(ShardCount::Auto.resolve() >= 1);
-        assert_eq!(ShardCount::Fixed(0).resolve(), 1);
-        assert_eq!(ShardCount::Fixed(4).resolve(), 4);
-        let q = ClusterQuery::new(0.5, 4, 2, spec())
-            .unwrap()
-            .with_shards(ShardCount::Fixed(2));
-        assert_eq!(q.shards, ShardCount::Fixed(2));
-        assert_eq!(
-            ClusterQuery::new(0.5, 4, 2, spec()).unwrap().shards,
-            ShardCount::Auto
-        );
     }
 }

@@ -17,9 +17,8 @@
 //! to the scalar path, and NaN arises exactly where it would there (IEEE
 //! 754 leaves NaN sign/payload bits unspecified and no consumer reads
 //! them — a NaN distance simply fails every threshold), which is what
-//! lets the sharded
-//! extractor keep its byte-identical `WindowOutput` contract while the
-//! index layer switches to batched scans (`DESIGN.md` §13). The speedup
+//! lets the extractor keep its byte-identical `WindowOutput` contract
+//! while the index layer switches to batched scans (`DESIGN.md` §13). The speedup
 //! comes from instruction-level parallelism and cache-friendly slab
 //! layout, not from changing the arithmetic.
 

@@ -1,5 +1,5 @@
-//! The C-SGS algorithm (§5.4): integrated extraction + summarization,
-//! sharded by grid region.
+//! The C-SGS algorithm (§5.4): integrated extraction + summarization in
+//! one sequential pass over the stream.
 //!
 //! **Insertion** (the only place structural work happens):
 //!
@@ -28,94 +28,38 @@
 //! of whose cells was written since the previous window is not derived
 //! again: the extractor keeps the previous output and carries it over.
 //!
-//! **Sharding** (`DESIGN.md` §6): the extraction state is partitioned by
-//! hashed grid region across `S` shards ([`ClusterQuery::shards`]), and
-//! the steps above are written once, over routed shards
-//! (`shards[owner]`, `cell_stores[owner]`), as [`WindowConsumer::insert`].
-//! That one sequential rendering serves `S = 1` (every point routes to
-//! shard 0), single-point insertion, and small batches. A between-boundary
-//! batch that is worth forking — `S > 1` and at least `PAR_BATCH_MIN`
-//! arrivals — instead runs the same steps as five fork-join phases on the
-//! shared [`sgs_exec::Pool`] (`DESIGN.md` §8; persistent workers, no
-//! per-batch thread spawns) —
-//! load, discover (the RQS, read-only across shards), apply (career and
-//! histogram updates, shard-local plus a histogram mailbox), link (pair
-//! watermark events, read-only), raise (link mailbox drain). Because every
-//! watermark update is a monotone max-raise and all of a point's derived
-//! quantities depend only on its final within-batch neighbor set, the
-//! phased execution reaches exactly the observable state of sequential
-//! insertion — which is why [`WindowOutput`] is byte-identical for every
-//! shard count and batch size, and each object still costs exactly one
-//! range-query search.
+//! The extractor is one sequential pass per query; the query is the unit
+//! of parallelism (`DESIGN.md` §6, §8).
 
 use sgs_core::{CellCoord, ClusterQuery, GridGeometry, HeapSize, Point, PointId, WindowId};
-use sgs_exec::Pool;
-use sgs_index::{ReachWalker, ShardRouter};
+use sgs_index::ReachWalker;
 use sgs_stream::{ExpiryHistogram, WindowConsumer};
 
 use crate::cell_store::CellStore;
 use crate::merge;
 use crate::output::WindowOutput;
-use crate::shard::{
-    fork_each, raise_pairs, resolve, Found, HistMsg, LinkMsg, NewPointPlan, PointState, Shard,
-};
-
-/// Batches smaller than this are inserted point by point on the calling
-/// thread: the observable state is identical, but the phases' bucketing,
-/// mailboxes and pool fork-join are not worth paying for a handful of
-/// points.
-const PAR_BATCH_MIN: usize = 32;
-
-/// Adaptive sharding ([`ShardCount::Auto`]): one shard per this many live
-/// points. Below it, a shard's batch slices are too small for the phase
-/// fork-join to pay for itself.
-const POINTS_PER_SHARD: usize = 256;
-
-/// Adaptive sharding: one shard per this many occupied grid cells. Cells
-/// are the unit of routing (via their regions), so fewer occupied cells
-/// than this per shard cannot balance load no matter how many points the
-/// cells hold.
-const CELLS_PER_SHARD: usize = 16;
+use crate::point_store::{raise_pairs, Found, PointStore};
 
 /// The integrated C-SGS extractor. Implements [`WindowConsumer`]; each
 /// slide returns the window's clusters in full + SGS representation.
-///
-/// The extractor is sharded by grid region when the query asks for more
-/// than one shard (see [`ClusterQuery::shards`] and the module docs); the
-/// per-window output is byte-identical across shard counts.
 pub struct CSgs {
     query: ClusterQuery,
     geometry: GridGeometry,
-    router: ShardRouter,
-    /// Scheduler the parallel phases fork onto (`DESIGN.md` §8); shared
-    /// with every other extractor on the same pool.
-    pool: Pool,
-    shards: Vec<Shard>,
-    /// Per-shard skeletal cell stores, index-aligned with `shards` (kept
-    /// outside [`Shard`] so the link phase can write its own store while
-    /// reading every shard's points).
-    cell_stores: Vec<CellStore>,
+    /// The live objects: grid index, point states, expiry lists.
+    points: PointStore,
+    /// The skeletal cells and their watermarks.
+    cells: CellStore,
     current: WindowId,
-    /// Adaptive mode ([`ShardCount::Auto`]): re-partition at window
-    /// boundaries from observed grid occupancy instead of holding a
-    /// static shard count.
-    adaptive: bool,
-    /// Upper bound for adaptive shard counts (derived from the pool's
-    /// worker count at construction).
-    max_shards: usize,
-    /// Range-query walker of the sequential path (each parallel discover
-    /// task builds its own).
+    /// The range-query walker, reused across inserts.
     walker: ReachWalker,
-    /// Scratch of the sequential path, reused across inserts: the new
-    /// point's neighbors, and those whose core career it extended, each
-    /// with its owning shard.
+    /// Scratch reused across inserts: the new point's neighbors, and
+    /// those whose core career it extended.
     found: Vec<Found>,
-    extended: Vec<(PointId, u32)>,
+    extended: Vec<PointId>,
     /// The previous window's output: what the output stage carries the
     /// untouched clusters over from (`DESIGN.md` §6).
     retained: WindowOutput,
-    /// Number of range query searches executed (one per object, §5.3 —
-    /// regardless of shard count).
+    /// Number of range query searches executed (one per object, §5.3).
     pub rqs_count: u64,
     /// Clusters emitted by carrying the previous window's over unchanged.
     pub carried_count: u64,
@@ -124,111 +68,22 @@ pub struct CSgs {
 }
 
 impl CSgs {
-    /// New extractor for `query`, scheduling its parallel phases on the
-    /// process-wide [`sgs_exec::global`] pool.
+    /// New extractor for `query`.
     pub fn new(query: ClusterQuery) -> Self {
-        Self::with_pool(query, sgs_exec::global().clone())
-    }
-
-    /// New extractor for `query` on an explicit scheduler pool (the
-    /// runtime passes its own so every query's phases share one set of
-    /// workers).
-    pub fn with_pool(query: ClusterQuery, pool: Pool) -> Self {
         let geometry = query.basic_grid();
-        // Adaptive mode starts single-sharded: a cold extractor has no
-        // occupancy to partition by, and S = 1 is the cheapest
-        // configuration for a small live set. `maybe_reshard` raises S
-        // once the observed grid justifies it.
-        let (s, adaptive) = match query.shards {
-            sgs_core::ShardCount::Fixed(n) => ((n as usize).max(1), false),
-            sgs_core::ShardCount::Auto => (1, true),
-        };
-        // Mild over-sharding (2× the worker count of the pool the phases
-        // fork onto) improves fork-join load balance; the floor of 4 keeps
-        // adaptation observable — and useful for balance — even on small
-        // pools.
-        let max_shards = (pool.threads() * 2).max(4);
-        // Region width ≥ the range-query reach, so a point's neighborhood
-        // spans at most the regions adjacent to its own. Using a full
-        // block width (2·reach + 1) keeps most of a point's neighborhood
-        // in one region: discovery routes fewer regions per search and
-        // most pair raises stay shard-local.
-        let router = ShardRouter::new(2 * geometry.reach().max(1) + 1, s);
-        let shards = (0..s).map(|_| Shard::new(geometry.clone())).collect();
         CSgs {
-            walker: ReachWalker::new(&geometry, &router),
+            walker: ReachWalker::new(&geometry),
+            points: PointStore::new(geometry.clone()),
+            cells: CellStore::new(),
             found: Vec::new(),
             extended: Vec::new(),
             query,
             geometry,
-            router,
-            pool,
-            shards,
-            cell_stores: (0..s).map(|_| CellStore::new()).collect(),
             current: WindowId(0),
-            adaptive,
-            max_shards,
             retained: Vec::new(),
             rqs_count: 0,
             carried_count: 0,
             rebuilt_count: 0,
-        }
-    }
-
-    /// The shard count the adaptive policy wants for the current grid
-    /// occupancy: enough live points *and* enough occupied cells per
-    /// shard to keep every phase slice worth forking, capped by the
-    /// host's parallelism budget.
-    fn adaptive_target(&self) -> usize {
-        let live: usize = self.shards.iter().map(|sh| sh.points.len()).sum();
-        let cells: usize = self.shards.iter().map(|sh| sh.index.cell_count()).sum();
-        (live / POINTS_PER_SHARD)
-            .min(cells / CELLS_PER_SHARD)
-            .clamp(1, self.max_shards)
-    }
-
-    /// Re-partition all live extraction state onto `new_s` shards.
-    ///
-    /// Every watermark, histogram, and neighbor list is independent of
-    /// which shard holds it — sharding is pure routing — so the move is
-    /// wholesale: points re-index under the new router in id order
-    /// (matching the arrival order a fixed-`new_s` run would have used),
-    /// and each cell's state transfers untouched to its new owning
-    /// store. The observable output stays byte-identical to every fixed
-    /// shard count (the `shard_invariance` contract).
-    fn reshard(&mut self, new_s: usize) {
-        let dim = self.query.dim;
-        let old_shards = std::mem::take(&mut self.shards);
-        let old_stores = std::mem::take(&mut self.cell_stores);
-        self.router = ShardRouter::new(2 * self.geometry.reach().max(1) + 1, new_s);
-        self.walker = ReachWalker::new(&self.geometry, &self.router);
-        self.shards = (0..new_s)
-            .map(|_| Shard::new(self.geometry.clone()))
-            .collect();
-        self.cell_stores = (0..new_s).map(|_| CellStore::new()).collect();
-        for store in &mut self.cell_stores {
-            store.set_window(self.current);
-        }
-
-        let mut moving: Vec<(PointId, PointState, usize)> = Vec::new();
-        let mut coords: Vec<f64> = Vec::new();
-        for mut sh in old_shards {
-            for (id, st) in sh.points.drain() {
-                let at = coords.len();
-                coords.extend_from_slice(sh.arena.get(st.slot));
-                moving.push((id, st, at));
-            }
-        }
-        moving.sort_unstable_by_key(|(id, _, _)| *id);
-        for (id, st, at) in moving {
-            let home = self.router.shard_of(&st.cell);
-            self.shards[home].adopt(id, &coords[at..at + dim], st);
-        }
-        for mut store in old_stores {
-            for (coord, state) in store.drain() {
-                let home = self.router.shard_of(&coord);
-                self.cell_stores[home].insert_state(coord, state);
-            }
         }
     }
 
@@ -237,283 +92,66 @@ impl CSgs {
         &self.query
     }
 
-    /// The number of extraction shards in use.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of live points.
     pub fn live_len(&self) -> usize {
-        self.shards.iter().map(|sh| sh.points.len()).sum()
+        self.points.states.len()
     }
 
     /// Coordinates of a live point (for building member sets from output).
     pub fn coords_of(&self, id: PointId) -> Option<&[f64]> {
-        self.shards
-            .iter()
-            .find_map(|sh| sh.points.get(&id).map(|p| sh.arena.get(p.slot)))
+        let state = self.points.states.get(&id)?;
+        Some(self.points.arena.get(state.slot))
     }
 
     /// Approximate bytes of retained meta-data, the previous window's
     /// output included. Unlike Extra-N this is independent of `win/slide`
     /// — no per-view state exists.
     pub fn meta_bytes(&self) -> usize {
-        self.shards.iter().map(Shard::meta_bytes).sum::<usize>()
-            + self
-                .cell_stores
-                .iter()
-                .map(CellStore::heap_bytes)
-                .sum::<usize>()
+        self.points.meta_bytes()
+            + self.cells.heap_bytes()
             + self.retained.iter().map(HeapSize::heap_size).sum::<usize>()
     }
 
     /// The output stage for window `w`, carrying over from `prev`.
     fn emit(&self, w: WindowId, prev: WindowOutput) -> (WindowOutput, usize) {
-        merge::emit(
-            &self.geometry,
-            &self.router,
-            &self.pool,
-            &self.shards,
-            &self.cell_stores,
-            w,
-            prev,
-        )
-    }
-
-    /// Phased parallel insertion of one between-boundary batch (`S > 1`,
-    /// at least [`PAR_BATCH_MIN`] points). `items` arrive in id order, with
-    /// ids greater than every previously inserted id (the window engine's
-    /// arrival numbering).
-    fn sharded_batch(&mut self, items: &[(PointId, Point, WindowId)]) {
-        let CSgs {
-            ref query,
-            ref geometry,
-            ref router,
-            ref pool,
-            ref mut shards,
-            ref mut cell_stores,
-            current: now,
-            ..
-        } = *self;
-        let s = shards.len();
-        let theta_c = query.theta_c;
-        let theta_sq = query.theta_r_sq();
-        let batch_first = items[0].0;
-
-        // Bucket the batch by owning shard (allocation-free routing).
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); s];
-        for (ix, (_, point, _)) in items.iter().enumerate() {
-            buckets[router.shard_of_coords(&point.coords, geometry)].push(ix as u32);
-        }
-
-        // Phase A — load: each shard enters its own points.
-        fork_each(
-            pool,
-            shards.iter_mut().zip(cell_stores.iter_mut()),
-            |i, (sh, cells)| {
-                for &ix in &buckets[i] {
-                    let (id, ref point, expires) = items[ix as usize];
-                    sh.load(cells, id, point, expires);
-                }
-            },
-        );
-
-        // Phase B — discover (read-only over all shards): the one range
-        // query search per new point, across its own and adjacent regions'
-        // grids. Produces each point's full within-batch neighbor set,
-        // histogram, and final core career, plus histogram messages for
-        // pre-existing neighbors (new neighbors discover each other
-        // symmetrically and need no message).
-        struct Discover {
-            plans: Vec<NewPointPlan>,
-            out: Vec<Vec<HistMsg>>,
-        }
-        let mut disc: Vec<Discover> = (0..s)
-            .map(|_| Discover {
-                plans: Vec::new(),
-                out: vec![Vec::new(); s],
-            })
-            .collect();
-        {
-            let shards = &*shards;
-            fork_each(pool, disc.iter_mut(), |i, sc| {
-                let mut walker = ReachWalker::new(geometry, router);
-                for &ix in &buckets[i] {
-                    let (p_id, ref point, p_exp) = items[ix as usize];
-                    let center = &shards[i].points[&p_id].cell;
-                    let mut hist = ExpiryHistogram::new();
-                    let mut neighbors = Vec::new();
-                    walker.for_each_neighbor(
-                        |o| &shards[o].index,
-                        center,
-                        &point.coords,
-                        theta_sq,
-                        p_id,
-                        |owner, q, q_exp| {
-                            hist.add(q_exp);
-                            neighbors.push((q, owner as u32, q_exp));
-                            if q < batch_first {
-                                sc.out[owner].push(HistMsg {
-                                    q,
-                                    p: p_id,
-                                    p_expires: p_exp,
-                                });
-                            }
-                        },
-                    );
-                    let core_until = hist.core_until(p_exp, now, theta_c).0;
-                    sc.plans.push(NewPointPlan {
-                        id: p_id,
-                        neighbors,
-                        hist,
-                        core_until,
-                    });
-                }
-            });
-        }
-        // Route the histogram mailboxes (senders in shard order, each
-        // sender's messages in discovery order — deterministic).
-        struct Apply {
-            plans: Vec<NewPointPlan>,
-            inbox: Vec<HistMsg>,
-            /// Pre-existing points whose core career extended (phase C
-            /// output, consumed by phase D).
-            extended: Vec<PointId>,
-        }
-        let mut apply: Vec<Apply> = (0..s)
-            .map(|_| Apply {
-                plans: Vec::new(),
-                inbox: Vec::new(),
-                extended: Vec::new(),
-            })
-            .collect();
-        for sc in &mut disc {
-            for (dst, msgs) in sc.out.iter_mut().enumerate() {
-                apply[dst].inbox.append(msgs);
-            }
-        }
-        for (i, sc) in disc.into_iter().enumerate() {
-            apply[i].plans = sc.plans;
-        }
-
-        // Phase C — apply (shard-local writes): install the new points'
-        // career state, drain the histogram inbox, record extensions.
-        fork_each(
-            pool,
-            shards
-                .iter_mut()
-                .zip(cell_stores.iter_mut())
-                .zip(apply.iter_mut()),
-            |_, ((sh, cells), ap)| {
-                ap.extended = sh.apply_batch(cells, &mut ap.plans, &mut ap.inbox, now, theta_c);
-            },
-        );
-
-        // Phase D — link: with every career now final, raise the pair
-        // watermarks for all new pairs and all extended points' pairs.
-        // Each task owns its shard's cell store and applies locally-owned
-        // sides in place (allocation-free for established links); only
-        // sides owned by *other* shards become mailbox messages. Raises
-        // are idempotent max-updates, so symmetric double-discovery of a
-        // new-new pair is harmless.
-        let mut link_out: Vec<Vec<Vec<LinkMsg>>> = vec![Vec::new(); s];
-        {
-            let shards = &*shards;
-            let apply = &apply;
-            fork_each(
-                pool,
-                cell_stores.iter_mut().zip(link_out.iter_mut()),
-                |i, (cells, out)| {
-                    out.resize_with(s, Vec::new);
-                    let mut raise =
-                        |owner: usize, at: &CellCoord, other: &CellCoord, core_core, attach| {
-                            if owner == i {
-                                cells.raise_link(at, other, core_core, attach);
-                            } else if core_core > now.0 || attach > now.0 {
-                                // (What `raise_link` would drop is not sent.)
-                                out[owner].push(LinkMsg {
-                                    at: at.clone(),
-                                    other: other.clone(),
-                                    core_core,
-                                    attach,
-                                });
-                            }
-                        };
-                    for plan in &apply[i].plans {
-                        link_new(shards, i, plan.id, &plan.neighbors, &mut raise);
-                    }
-                    for &q in &apply[i].extended {
-                        link_extended(shards, i, q, &mut raise);
-                    }
-                },
-            );
-        }
-        let mut link_in: Vec<Vec<LinkMsg>> = vec![Vec::new(); s];
-        for out in &mut link_out {
-            for (dst, msgs) in out.iter_mut().enumerate() {
-                link_in[dst].append(msgs);
-            }
-        }
-
-        // Phase E — raise: drain the cross-shard link mailboxes.
-        fork_each(
-            pool,
-            cell_stores.iter_mut().zip(link_in.iter_mut()),
-            |_, (cells, inbox)| {
-                for msg in inbox.drain(..) {
-                    cells.raise_link(&msg.at, &msg.other, msg.core_core, msg.attach);
-                }
-            },
-        );
-
-        self.rqs_count += items.len() as u64;
+        merge::emit(&self.geometry, &self.points, &self.cells, w, prev)
     }
 }
 
-/// §5.4 step 5: raise the pair links between new point `p` (owned by shard
-/// `home`) and each neighbor its range query found.
+/// §5.4 step 5: raise the pair links between new point `p` and each
+/// neighbor its range query found.
 fn link_new(
-    shards: &[Shard],
-    home: usize,
+    points: &PointStore,
     p: PointId,
     found: &[Found],
-    raise: &mut impl FnMut(usize, &CellCoord, &CellCoord, u64, u64),
+    raise: &mut impl FnMut(&CellCoord, &CellCoord, u64, u64),
 ) {
-    let nbrs = found
-        .iter()
-        .map(|&(q, owner, _)| (owner as usize, &shards[owner as usize].points[&q]));
-    raise_pairs(home, &shards[home].points[&p], nbrs, raise);
+    let nbrs = found.iter().map(|(q, _)| &points.states[q]);
+    raise_pairs(&points.states[&p], nbrs, raise);
 }
 
 /// §5.4 step 6 (connection prolong): `q`'s core career extended, so every
 /// pair it belongs to is re-evaluated. Every listed id resolves: a slide
 /// drops the ids of the points it expires from every list.
 fn link_extended(
-    shards: &[Shard],
-    owner: usize,
+    points: &PointStore,
     q: PointId,
-    raise: &mut impl FnMut(usize, &CellCoord, &CellCoord, u64, u64),
+    raise: &mut impl FnMut(&CellCoord, &CellCoord, u64, u64),
 ) {
-    let q = &shards[owner].points[&q];
-    let nbrs = q
-        .neighbors
-        .iter()
-        .map(|&r| resolve(shards, r).expect("a listed neighbor is live between slides"));
-    raise_pairs(owner, q, nbrs, raise);
+    let q = &points.states[&q];
+    let nbrs = q.neighbors.iter().map(|r| &points.states[r]);
+    raise_pairs(q, nbrs, raise);
 }
 
 impl WindowConsumer for CSgs {
     type Output = WindowOutput;
 
-    /// §5.4 steps 1–6 for one arrival, each touched point and cell
-    /// resolved to its owning shard.
+    /// §5.4 steps 1–6 for one arrival.
     fn insert(&mut self, id: PointId, point: &Point, expires_at: WindowId) {
         let CSgs {
             ref query,
-            ref geometry,
-            ref router,
-            ref mut shards,
-            ref mut cell_stores,
+            ref mut points,
+            ref mut cells,
             ref mut walker,
             ref mut found,
             ref mut extended,
@@ -522,62 +160,44 @@ impl WindowConsumer for CSgs {
             ..
         } = *self;
         let theta_c = query.theta_c;
-        let home = router.shard_of_coords(&point.coords, geometry);
 
-        // 1 + 2. Load, then the one range query search across shards.
-        shards[home].load(&mut cell_stores[home], id, point, expires_at);
+        // 1 + 2. Load, then the one range query search.
+        points.load(cells, id, point, expires_at);
         let mut hist = ExpiryHistogram::new();
         found.clear();
-        {
-            let shards = &*shards;
-            walker.for_each_neighbor(
-                |o| &shards[o].index,
-                &shards[home].points[&id].cell,
-                &point.coords,
-                query.theta_r_sq(),
-                id,
-                |owner, q, q_exp| {
-                    hist.add(q_exp);
-                    found.push((q, owner as u32, q_exp));
-                },
-            );
-        }
+        walker.for_each_neighbor(
+            &points.index,
+            &points.states[&id].cell,
+            &point.coords,
+            query.theta_r_sq(),
+            id,
+            |q, q_exp| {
+                hist.add(q_exp);
+                found.push((q, q_exp));
+            },
+        );
         *rqs_count += 1;
 
         // 3. The new object's own career → status promotion.
         let p_cu = hist.core_until(expires_at, now, theta_c).0;
-        shards[home].install(&mut cell_stores[home], id, found, hist, p_cu, now);
+        points.install(cells, id, found, hist, p_cu, now);
 
         // 4. Neighbors gain the new object; extended careers prolong.
         extended.clear();
-        for &(q, owner, _) in found.iter() {
-            let (sh, cells) = (
-                &mut shards[owner as usize],
-                &mut cell_stores[owner as usize],
-            );
-            if sh.gain_neighbor(cells, q, id, expires_at, now, theta_c) {
-                extended.push((q, owner));
+        for &(q, _) in found.iter() {
+            if points.gain_neighbor(cells, q, id, expires_at, now, theta_c) {
+                extended.push(q);
             }
         }
 
         // 5 + 6. With every career final, raise the pair links of the new
-        // object and of each extended neighbor, both sides routed.
-        let mut raise = |owner: usize, at: &CellCoord, other: &CellCoord, core_core, attach| {
-            cell_stores[owner].raise_link(at, other, core_core, attach);
+        // object and of each extended neighbor.
+        let mut raise = |at: &CellCoord, other: &CellCoord, core_core, attach| {
+            cells.raise_link(at, other, core_core, attach);
         };
-        link_new(shards, home, id, found, &mut raise);
-        for &(q, owner) in extended.iter() {
-            link_extended(shards, owner as usize, q, &mut raise);
-        }
-    }
-
-    fn insert_batch(&mut self, items: &[(PointId, Point, WindowId)]) {
-        if self.shards.len() > 1 && items.len() >= PAR_BATCH_MIN {
-            self.sharded_batch(items);
-        } else {
-            for (id, point, expires_at) in items {
-                self.insert(*id, point, *expires_at);
-            }
+        link_new(points, id, found, &mut raise);
+        for &q in extended.iter() {
+            link_extended(points, q, &mut raise);
         }
     }
 
@@ -598,42 +218,16 @@ impl WindowConsumer for CSgs {
 
         // Advance and drop expired raw data (no watermark maintenance —
         // the paper's zero-cost expiration property). Dead points' ids are
-        // pruned from their neighbors' lists eagerly, across shards, so
-        // lists stay bounded by the live population, and the cells written
-        // since the last slide are collected. From here on every write to
-        // a cell is stamped with the new window.
+        // pruned from their neighbors' lists eagerly, so lists stay
+        // bounded by the live population, and the cells written since the
+        // last slide are collected. From here on every write to a cell is
+        // stamped with the new window.
         self.current = completed.next();
         let now = self.current;
-        for store in &mut self.cell_stores {
-            store.set_window(now);
-        }
-        let mut listed_by: Vec<Vec<PointId>> = vec![Vec::new(); self.shards.len()];
-        fork_each(
-            &self.pool,
-            self.shards
-                .iter_mut()
-                .zip(self.cell_stores.iter_mut())
-                .zip(listed_by.iter_mut()),
-            |_, ((sh, cells), l)| *l = sh.remove_expired(cells, now),
-        );
-        let listed_by: Vec<PointId> = listed_by.concat();
-        fork_each(
-            &self.pool,
-            self.shards.iter_mut().zip(self.cell_stores.iter_mut()),
-            |_, (sh, cells)| {
-                sh.prune_dead(&listed_by, now);
-                cells.gc(now);
-            },
-        );
-
-        // Adaptive mode: with the window's churn settled, re-partition if
-        // the observed occupancy asks for a different shard count.
-        if self.adaptive {
-            let target = self.adaptive_target();
-            if target != self.shards.len() {
-                self.reshard(target);
-            }
-        }
+        self.cells.set_window(now);
+        let listed_by = self.points.remove_expired(&mut self.cells, now);
+        self.points.prune_dead(&listed_by, now);
+        self.cells.gc(now);
         out
     }
 }
@@ -644,7 +238,7 @@ mod tests {
     use crate::cell_store::CellState;
     use rand::{Rng, SeedableRng};
     use sgs_cluster::{CanonicalClustering, ExtraN, FullCluster, NaiveClusterer};
-    use sgs_core::{ShardCount, WindowSpec};
+    use sgs_core::WindowSpec;
     use sgs_stream::replay;
     use sgs_summarize::{CellStatus, MemberSet, Sgs};
 
@@ -762,6 +356,28 @@ mod tests {
         let mut csgs = CSgs::new(q);
         replay(spec, pts, 2, &mut csgs).unwrap();
         assert_eq!(csgs.rqs_count, 200);
+
+        // A 4-d stream pushed in uneven chunks, cut at window boundaries
+        // and between them.
+        let spec = WindowSpec::count(120, 30).unwrap();
+        let q = ClusterQuery::new(0.25, 3, 4, spec).unwrap();
+        let pts = random_points(2, 700, 4, 1.2);
+        let mut csgs = CSgs::new(q);
+        let mut engine = sgs_stream::WindowEngine::new(spec, 4);
+        let mut outs = Vec::new();
+        let mut rest = &pts[..];
+        for chunk in [1, 7, 64, 33, 150].into_iter().cycle() {
+            let (batch, tail) = rest.split_at(chunk.min(rest.len()));
+            engine
+                .push_batch(batch.iter().cloned(), &mut csgs, &mut outs)
+                .unwrap();
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        assert!(outs.iter().any(|(_, o)| !o.is_empty()), "4-d clusters");
+        assert_eq!(csgs.rqs_count, 700);
     }
 
     #[test]
@@ -814,17 +430,14 @@ mod tests {
         }
     }
 
-    /// Run a stream through the extractor with `shards`, via batched
-    /// pushes, collecting every window's output.
-    fn run_sharded(
+    /// Run a 2-d stream through the extractor via batched pushes,
+    /// collecting every window's output.
+    fn run_batched(
         pts: &[Point],
         spec: WindowSpec,
-        shards: ShardCount,
         chunk: usize,
     ) -> (Vec<(WindowId, WindowOutput)>, CSgs) {
-        let q = ClusterQuery::new(0.25, 4, 2, spec)
-            .unwrap()
-            .with_shards(shards);
+        let q = ClusterQuery::new(0.25, 4, 2, spec).unwrap();
         let mut csgs = CSgs::new(q);
         let mut engine = sgs_stream::WindowEngine::new(spec, 2);
         let mut outs = Vec::new();
@@ -837,63 +450,26 @@ mod tests {
     }
 
     #[test]
-    fn sharded_output_is_byte_identical_to_single_shard() {
-        let spec = WindowSpec::count(120, 30).unwrap();
-        let pts = random_stream(99, 700, 3.0);
-        let (base, base_csgs) = run_sharded(&pts, spec, ShardCount::Fixed(1), 64);
-        assert!(base.iter().any(|(_, o)| !o.is_empty()), "workload clusters");
-        for s in [2usize, 3, 5] {
-            let (out, csgs) = run_sharded(&pts, spec, ShardCount::Fixed(s as u32), 64);
-            assert_eq!(csgs.shard_count(), s);
-            assert_eq!(base, out, "S = {s} diverged from S = 1");
-            assert_eq!(csgs.rqs_count, base_csgs.rqs_count);
-            assert_eq!(csgs.live_len(), base_csgs.live_len());
-        }
-    }
-
-    #[test]
-    fn sharded_per_point_inserts_match_batched() {
-        // The trait `insert` path (batch of one) must agree with segments.
-        let spec = WindowSpec::count(60, 20).unwrap();
-        let pts = random_stream(3, 240, 2.0);
-        let q = ClusterQuery::new(0.25, 4, 2, spec)
-            .unwrap()
-            .with_shards(ShardCount::Fixed(3));
-        let mut csgs = CSgs::new(q);
-        let per_point = replay(spec, pts.clone(), 2, &mut csgs).unwrap();
-        let (batched, _) = run_sharded(&pts, spec, ShardCount::Fixed(3), 31);
-        assert_eq!(per_point, batched);
-    }
-
-    #[test]
     fn neighbor_lists_stay_bounded_by_live_population() {
         // Eager pruning: after any number of windows, no point's neighbor
         // list may reference an expired point or exceed the live count.
         let spec = WindowSpec::count(40, 8).unwrap();
         let pts = random_stream(17, 800, 1.2); // dense → large neighbor lists
-        for shards in [ShardCount::Fixed(1), ShardCount::Fixed(3)] {
-            let (_, csgs) = run_sharded(&pts, spec, shards, 57);
-            let live = csgs.live_len();
-            assert!(live > 0);
-            let all_live: std::collections::HashSet<PointId> = csgs
-                .shards
-                .iter()
-                .flat_map(|sh| sh.points.keys().copied())
-                .collect();
-            for sh in &csgs.shards {
-                for (id, st) in &sh.points {
-                    assert!(
-                        st.neighbors.len() < live,
-                        "point {id:?} holds {} neighbor ids with only {live} live points",
-                        st.neighbors.len()
-                    );
-                    for nb in &st.neighbors {
-                        assert!(
-                            all_live.contains(nb),
-                            "point {id:?} references expired neighbor {nb:?}"
-                        );
-                    }
-                }
+        let (_, csgs) = run_batched(&pts, spec, 57);
+        let live = csgs.live_len();
+        assert!(live > 0);
+        let states = &csgs.points.states;
+        for (id, st) in states {
+            assert!(
+                st.neighbors.len() < live,
+                "point {id:?} holds {} neighbor ids with only {live} live points",
+                st.neighbors.len()
+            );
+            for nb in &st.neighbors {
+                assert!(
+                    states.contains_key(nb),
+                    "point {id:?} references expired neighbor {nb:?}"
+                );
             }
         }
     }
@@ -903,46 +479,41 @@ mod tests {
     /// neighbor is dead at the current window.
     fn assert_lists_in_expiry_order(csgs: &CSgs) {
         let now = csgs.current;
-        for sh in &csgs.shards {
-            for (id, st) in &sh.points {
-                let expiries: Vec<WindowId> = st
-                    .neighbors
-                    .iter()
-                    .map(|&nb| {
-                        let (_, nb) = resolve(&csgs.shards, nb).expect("listed neighbors live");
-                        nb.expires_at
-                    })
-                    .collect();
-                assert!(expiries.is_sorted(), "{id:?} at {now}: {expiries:?}");
-                assert!(expiries.first().is_none_or(|&e| e > now), "{id:?} at {now}");
-                assert_eq!(st.hist.total() as usize, expiries.len(), "{id:?} at {now}");
-                for run in expiries.chunk_by(|a, b| a == b) {
-                    let count = st.hist.expiring_at(run[0]) as usize;
-                    assert_eq!(count, run.len(), "{id:?} at {now}, expiry {}", run[0]);
-                }
+        let states = &csgs.points.states;
+        for (id, st) in states {
+            let expiries: Vec<WindowId> = st
+                .neighbors
+                .iter()
+                .map(|nb| states.get(nb).expect("listed neighbors live").expires_at)
+                .collect();
+            assert!(expiries.is_sorted(), "{id:?} at {now}: {expiries:?}");
+            assert!(expiries.first().is_none_or(|&e| e > now), "{id:?} at {now}");
+            assert_eq!(st.hist.total() as usize, expiries.len(), "{id:?} at {now}");
+            for run in expiries.chunk_by(|a, b| a == b) {
+                let count = st.hist.expiring_at(run[0]) as usize;
+                assert_eq!(count, run.len(), "{id:?} at {now}, expiry {}", run[0]);
             }
         }
     }
 
-    /// Each store holds the cells a full sweep over it would keep — `gc`
+    /// The store holds the cells a full sweep over it would keep — `gc`
     /// visits the written cells only — and no cell more links than it has
     /// cells within the range-query reach.
     fn assert_gc_keeps_what_a_sweep_keeps(csgs: &CSgs) {
         let now = csgs.current.0;
         let width = 2 * csgs.geometry.reach() as usize + 1;
         let bound = width.pow(csgs.geometry.dim() as u32) - 1;
-        for store in &csgs.cell_stores {
-            let cells = |keep: &dyn Fn(&CellState) -> bool| {
-                let kept = store.iter().filter(|(_, cell)| keep(cell));
-                let mut cells: Vec<&CellCoord> = kept.map(|(c, _)| c).collect();
-                cells.sort_unstable();
-                cells
-            };
-            let swept = cells(&|cell| cell.population > 0 || cell.core_until > now);
-            assert_eq!(cells(&|_| true), swept, "at {now}");
-            for (coord, cell) in store.iter() {
-                assert!(cell.links.len() <= bound, "{coord:?}: {}", cell.links.len());
-            }
+        let store = &csgs.cells;
+        let cells = |keep: &dyn Fn(&CellState) -> bool| {
+            let kept = store.iter().filter(|(_, cell)| keep(cell));
+            let mut cells: Vec<&CellCoord> = kept.map(|(c, _)| c).collect();
+            cells.sort_unstable();
+            cells
+        };
+        let swept = cells(&|cell| cell.population > 0 || cell.core_until > now);
+        assert_eq!(cells(&|_| true), swept, "at {now}");
+        for (coord, cell) in store.iter() {
+            assert!(cell.links.len() <= bound, "{coord:?}: {}", cell.links.len());
         }
     }
 
@@ -954,10 +525,6 @@ mod tests {
 
         fn insert(&mut self, id: PointId, point: &Point, expires_at: WindowId) {
             self.0.insert(id, point, expires_at);
-        }
-
-        fn insert_batch(&mut self, items: &[(PointId, Point, WindowId)]) {
-            self.0.insert_batch(items);
         }
 
         fn slide(&mut self, completed: WindowId) -> WindowOutput {
@@ -978,34 +545,25 @@ mod tests {
             .collect()
     }
 
-    /// After every slide, for one, three and adaptive shards over 2-d and
-    /// 4-d streams (slides of 40 take the phased path where S > 1): the
+    /// After every slide, over 2-d and 4-d streams pushed in batches: the
     /// neighbor lists are in expiry order with exact histograms, and the
-    /// stores hold what a full `gc` sweep would keep.
+    /// store holds what a full `gc` sweep would keep.
     #[test]
     fn slides_keep_lists_in_expiry_order_and_collect_what_a_sweep_would() {
         let spec = WindowSpec::count(600, 40).unwrap();
         for (dim, extent) in [(2, 4.0), (4, 1.6)] {
             let pts = random_points(31, 1400, dim, extent);
-            for shards in [ShardCount::Fixed(1), ShardCount::Fixed(3), ShardCount::Auto] {
-                let q = ClusterQuery::new(0.25, 4, dim, spec)
-                    .unwrap()
-                    .with_shards(shards);
-                let mut checked = Checked(CSgs::new(q));
-                let mut engine = sgs_stream::WindowEngine::new(spec, dim);
-                let mut outs = Vec::new();
-                for c in pts.chunks(97) {
-                    engine
-                        .push_batch(c.iter().cloned(), &mut checked, &mut outs)
-                        .unwrap();
-                }
-                assert!(outs.iter().any(|(_, o)| !o.is_empty()), "{dim}-d clusters");
-                let lists: usize = checked.0.shards.iter().map(|sh| sh.points.len()).sum();
-                assert!(lists > 0);
-                if shards == ShardCount::Auto {
-                    assert!(checked.0.shard_count() > 1, "{dim}-d: the stream re-shards");
-                }
+            let q = ClusterQuery::new(0.25, 4, dim, spec).unwrap();
+            let mut checked = Checked(CSgs::new(q));
+            let mut engine = sgs_stream::WindowEngine::new(spec, dim);
+            let mut outs = Vec::new();
+            for c in pts.chunks(97) {
+                engine
+                    .push_batch(c.iter().cloned(), &mut checked, &mut outs)
+                    .unwrap();
             }
+            assert!(outs.iter().any(|(_, o)| !o.is_empty()), "{dim}-d clusters");
+            assert!(checked.0.live_len() > 0);
         }
     }
 
@@ -1013,19 +571,16 @@ mod tests {
     fn arena_slots_track_live_points_exactly() {
         let spec = WindowSpec::count(50, 10).unwrap();
         let pts = random_stream(23, 600, 2.0);
-        for shards in [ShardCount::Fixed(1), ShardCount::Fixed(4)] {
-            let (_, csgs) = run_sharded(&pts, spec, shards, 64);
-            for sh in &csgs.shards {
-                assert_eq!(
-                    sh.arena.live(),
-                    sh.points.len(),
-                    "arena live slots must equal live points"
-                );
-                // Recycling bounds total slots by the shard's peak
-                // population, far below the 600 points streamed through.
-                assert!(sh.arena.slots() <= 2 * 50 + 10);
-            }
-        }
+        let (_, csgs) = run_batched(&pts, spec, 64);
+        let points = &csgs.points;
+        assert_eq!(
+            points.arena.live(),
+            points.states.len(),
+            "arena live slots must equal live points"
+        );
+        // Recycling bounds total slots by the peak population, far below
+        // the 600 points streamed through.
+        assert!(points.arena.slots() <= 2 * 50 + 10);
     }
 
     /// A hand-driven 1-d extractor with θr = 1 — the cell of `x` is `⌊x⌋`
@@ -1042,11 +597,9 @@ mod tests {
     const LATE: u64 = 40;
 
     impl Driven {
-        fn new(theta_c: u32, shards: ShardCount) -> Self {
+        fn new(theta_c: u32) -> Self {
             let spec = WindowSpec::count(100, 10).unwrap();
-            let q = ClusterQuery::new(1.0, theta_c, 1, spec)
-                .unwrap()
-                .with_shards(shards);
+            let q = ClusterQuery::new(1.0, theta_c, 1, spec).unwrap();
             let mut driven = Driven {
                 csgs: CSgs::new(q),
                 next_id: 0,
@@ -1085,8 +638,7 @@ mod tests {
 
         fn cell(&self, cell: i32) -> &crate::cell_store::CellState {
             let coord = CellCoord::new(vec![cell]);
-            let found = self.csgs.cell_stores.iter().find_map(|s| s.get(&coord));
-            found.expect("cell exists")
+            self.csgs.cells.get(&coord).expect("cell exists")
         }
     }
 
@@ -1102,7 +654,6 @@ mod tests {
         ids.iter().map(|id| id.0).collect()
     }
 
-    const BOTH: [ShardCount; 2] = [ShardCount::Fixed(1), ShardCount::Fixed(3)];
     use CellStatus::{Core, Edge};
 
     /// A core career that ends because a neighbor expires — no write to
@@ -1111,67 +662,63 @@ mod tests {
     /// was written (here: emptied, and collected).
     #[test]
     fn a_career_lapsing_with_a_neighbors_expiry_rebuilds_the_cluster() {
-        for shards in BOTH {
-            let mut d = Driven::new(2, shards);
-            let p = d.put(1.1, LATE); // neighbors: p2, q — core while q lives
-            let p2 = d.put(1.9, LATE); // p, t: core
-            let q = d.put(0.15, 3); // p
-            let t = d.put(2.5, LATE); // p2
-            let (w0, _) = d.slide();
-            assert_eq!(w0.len(), 1);
-            assert_eq!(
-                (ids(&w0[0].cores), ids(&w0[0].edges)),
-                (vec![p.0, p2.0], vec![q.0, t.0])
-            );
-            assert_eq!(cells_of(&w0[0]), [(0, Edge, 1), (1, Core, 2), (2, Edge, 1)]);
-            for _ in 1..3 {
-                assert_eq!(d.slide(), (w0.clone(), 1), "nothing changed: carried");
-            }
-            let (w3, carried) = d.slide();
-            assert_eq!(carried, 0);
-            assert_eq!(
-                [1, 2].map(|c| d.cell(c).touched),
-                [0; 2],
-                "the cells left are unwritten"
-            );
-            assert_eq!(
-                (ids(&w3[0].cores), ids(&w3[0].edges)),
-                (vec![p2.0], vec![p.0, t.0])
-            );
-            assert_eq!(cells_of(&w3[0]), [(1, Core, 2), (2, Edge, 1)]);
-            assert_eq!(d.slide(), (w3, 1));
+        let mut d = Driven::new(2);
+        let p = d.put(1.1, LATE); // neighbors: p2, q — core while q lives
+        let p2 = d.put(1.9, LATE); // p, t: core
+        let q = d.put(0.15, 3); // p
+        let t = d.put(2.5, LATE); // p2
+        let (w0, _) = d.slide();
+        assert_eq!(w0.len(), 1);
+        assert_eq!(
+            (ids(&w0[0].cores), ids(&w0[0].edges)),
+            (vec![p.0, p2.0], vec![q.0, t.0])
+        );
+        assert_eq!(cells_of(&w0[0]), [(0, Edge, 1), (1, Core, 2), (2, Edge, 1)]);
+        for _ in 1..3 {
+            assert_eq!(d.slide(), (w0.clone(), 1), "nothing changed: carried");
         }
+        let (w3, carried) = d.slide();
+        assert_eq!(carried, 0);
+        assert_eq!(
+            [1, 2].map(|c| d.cell(c).touched),
+            [0; 2],
+            "the cells left are unwritten"
+        );
+        assert_eq!(
+            (ids(&w3[0].cores), ids(&w3[0].edges)),
+            (vec![p2.0], vec![p.0, t.0])
+        );
+        assert_eq!(cells_of(&w3[0]), [(1, Core, 2), (2, Edge, 1)]);
+        assert_eq!(d.slide(), (w3, 1));
     }
 
     /// An object turns core by a career no longer than its cell's: the
     /// cell's watermark stays where it is, its stamp does not.
     #[test]
     fn an_object_turning_core_under_an_unmoved_cell_watermark_rebuilds() {
-        for shards in BOTH {
-            let mut d = Driven::new(2, shards);
-            let p1 = d.put(0.9, LATE); // e, p2: core until e expires
-            let e = d.put(0.05, 10); // p1
-            let p2 = d.put(1.5, LATE); // p1
-            let (w0, _) = d.slide();
-            assert_eq!(
-                (ids(&w0[0].cores), ids(&w0[0].edges)),
-                (vec![p1.0], vec![e.0, p2.0])
-            );
-            assert_eq!(d.slide(), (w0, 1));
-            assert_eq!(d.cell(0).core_until, 10);
-            let z = d.put(-0.5, 10); // e, which turns core until 10
-            assert_eq!(d.cell(0).core_until, 10);
-            let (w2, carried) = d.slide();
-            assert_eq!(carried, 0);
-            assert_eq!(
-                (ids(&w2[0].cores), ids(&w2[0].edges)),
-                (vec![p1.0, e.0], vec![p2.0, z.0])
-            );
-            assert_eq!(
-                cells_of(&w2[0]),
-                [(-1, Edge, 1), (0, Core, 2), (1, Edge, 1)]
-            );
-        }
+        let mut d = Driven::new(2);
+        let p1 = d.put(0.9, LATE); // e, p2: core until e expires
+        let e = d.put(0.05, 10); // p1
+        let p2 = d.put(1.5, LATE); // p1
+        let (w0, _) = d.slide();
+        assert_eq!(
+            (ids(&w0[0].cores), ids(&w0[0].edges)),
+            (vec![p1.0], vec![e.0, p2.0])
+        );
+        assert_eq!(d.slide(), (w0, 1));
+        assert_eq!(d.cell(0).core_until, 10);
+        let z = d.put(-0.5, 10); // e, which turns core until 10
+        assert_eq!(d.cell(0).core_until, 10);
+        let (w2, carried) = d.slide();
+        assert_eq!(carried, 0);
+        assert_eq!(
+            (ids(&w2[0].cores), ids(&w2[0].edges)),
+            (vec![p1.0, e.0], vec![p2.0, z.0])
+        );
+        assert_eq!(
+            cells_of(&w2[0]),
+            [(-1, Edge, 1), (0, Core, 2), (1, Edge, 1)]
+        );
     }
 
     /// A noise object arriving in an edge cell, or expiring there, changes
@@ -1179,56 +726,52 @@ mod tests {
     /// summary prints.
     #[test]
     fn noise_coming_and_going_in_an_edge_cell_rebuilds_for_its_population() {
-        for shards in BOTH {
-            let mut d = Driven::new(3, shards);
-            let cores = [0.4, 0.5, 0.6, 0.7].map(|x| d.put(x, LATE).0);
-            let e = d.put(1.65, LATE); // the object at 0.7
-            let (w0, _) = d.slide();
-            assert_eq!(cells_of(&w0[0]), [(0, Core, 4), (1, Edge, 1)]);
-            assert_eq!(d.slide(), (w0.clone(), 1));
-            let links = |d: &Driven| (d.cell(0).clone(), d.cell(1).links.clone());
-            let before = links(&d);
-            d.put(1.99, 4); // e alone: noise
-            assert_eq!(links(&d), before, "one population moved, nothing else");
-            let (w2, carried) = d.slide();
-            assert_eq!(carried, 0);
-            assert_eq!(
-                (ids(&w2[0].cores), ids(&w2[0].edges)),
-                (cores.to_vec(), vec![e.0])
-            );
-            assert_eq!(cells_of(&w2[0]), [(0, Core, 4), (1, Edge, 2)]);
-            // And so does its expiry.
-            assert_eq!(d.slide(), (w2, 1));
-            assert_eq!(links(&d), before);
-            assert_eq!(d.slide(), (w0, 0));
-        }
+        let mut d = Driven::new(3);
+        let cores = [0.4, 0.5, 0.6, 0.7].map(|x| d.put(x, LATE).0);
+        let e = d.put(1.65, LATE); // the object at 0.7
+        let (w0, _) = d.slide();
+        assert_eq!(cells_of(&w0[0]), [(0, Core, 4), (1, Edge, 1)]);
+        assert_eq!(d.slide(), (w0.clone(), 1));
+        let links = |d: &Driven| (d.cell(0).clone(), d.cell(1).links.clone());
+        let before = links(&d);
+        d.put(1.99, 4); // e alone: noise
+        assert_eq!(links(&d), before, "one population moved, nothing else");
+        let (w2, carried) = d.slide();
+        assert_eq!(carried, 0);
+        assert_eq!(
+            (ids(&w2[0].cores), ids(&w2[0].edges)),
+            (cores.to_vec(), vec![e.0])
+        );
+        assert_eq!(cells_of(&w2[0]), [(0, Core, 4), (1, Edge, 2)]);
+        // And so does its expiry.
+        assert_eq!(d.slide(), (w2, 1));
+        assert_eq!(links(&d), before);
+        assert_eq!(d.slide(), (w0, 0));
     }
 
     /// Two clusters, each carried, become one through a single new link;
     /// the expiry of the object that made the link splits them again.
     #[test]
     fn clusters_merge_through_one_new_link_and_split_on_its_expiry() {
-        for shards in BOTH {
-            let mut d = Driven::new(2, shards);
-            for x in [0.1, 0.2, 0.3, 1.7, 1.8, 1.9] {
-                d.put(x, LATE);
-            }
-            let (w0, _) = d.slide();
-            assert_eq!(w0.len(), 2);
-            assert_eq!(cells_of(&w0[0]), [(0, Core, 3)]);
-            assert_eq!(cells_of(&w0[1]), [(1, Core, 3)]);
-            assert_eq!(d.slide(), (w0.clone(), 2));
-            d.put(0.95, 4); // a neighbor of all six
-            let (w2, carried) = d.slide();
-            assert_eq!((w2.len(), carried), (1, 0));
-            assert_eq!(cells_of(&w2[0]), [(0, Core, 4), (1, Core, 3)]);
-            assert_eq!(w2[0].sgs.cells[0].connections, [1]);
-            assert_eq!(w2[0].cores.len(), 7);
-            assert_eq!(d.slide(), (w2, 1));
-            // Window 4: the bridge is gone.
-            assert_eq!(d.slide(), (w0.clone(), 0));
-            assert_eq!(d.slide(), (w0, 2));
+        let mut d = Driven::new(2);
+        for x in [0.1, 0.2, 0.3, 1.7, 1.8, 1.9] {
+            d.put(x, LATE);
         }
+        let (w0, _) = d.slide();
+        assert_eq!(w0.len(), 2);
+        assert_eq!(cells_of(&w0[0]), [(0, Core, 3)]);
+        assert_eq!(cells_of(&w0[1]), [(1, Core, 3)]);
+        assert_eq!(d.slide(), (w0.clone(), 2));
+        d.put(0.95, 4); // a neighbor of all six
+        let (w2, carried) = d.slide();
+        assert_eq!((w2.len(), carried), (1, 0));
+        assert_eq!(cells_of(&w2[0]), [(0, Core, 4), (1, Core, 3)]);
+        assert_eq!(w2[0].sgs.cells[0].connections, [1]);
+        assert_eq!(w2[0].cores.len(), 7);
+        assert_eq!(d.slide(), (w2, 1));
+        // Window 4: the bridge is gone.
+        assert_eq!(d.slide(), (w0.clone(), 0));
+        assert_eq!(d.slide(), (w0, 2));
     }
 
     /// A rebuilt cluster's edge cell can be a core cell of a *carried*
@@ -1236,38 +779,36 @@ mod tests {
     /// to list that cell's objects itself.
     #[test]
     fn an_edge_cell_inside_a_carried_cluster_is_still_listed() {
-        for shards in BOTH {
-            let mut d = Driven::new(3, shards);
-            // Left cluster: core cells −1 and 0.
-            let left = [-0.5, -0.6, -0.7, -0.8, 0.1].map(|x| d.put(x, LATE).0);
-            // Right cluster: core cells 1 and 2. `e` has two neighbors, the
-            // left's object at 0.1 and the right's at 1.9: an edge object
-            // of both, in a core cell of the right.
-            let e = d.put(1.05, LATE);
-            let right = [1.9, 2.3, 2.5, 2.7].map(|x| d.put(x, LATE).0);
-            let (w0, _) = d.slide();
-            assert_eq!(w0.len(), 2);
-            assert_eq!(
-                (ids(&w0[0].cores), ids(&w0[0].edges)),
-                (left.to_vec(), vec![e.0])
-            );
-            assert_eq!(
-                cells_of(&w0[0]),
-                [(-1, Core, 4), (0, Core, 1), (1, Edge, 2)]
-            );
-            assert_eq!(
-                (ids(&w0[1].cores), ids(&w0[1].edges)),
-                (right.to_vec(), vec![e.0])
-            );
-            assert_eq!(d.slide(), (w0.clone(), 2));
-            // The left gains an edge object at its far end; the right is
-            // not written.
-            let x = d.put(-1.75, LATE);
-            let (w2, carried) = d.slide();
-            assert_eq!(carried, 1);
-            assert_eq!(w2[1], w0[1]);
-            assert_eq!(ids(&w2[0].edges), [e.0, x.0]);
-        }
+        let mut d = Driven::new(3);
+        // Left cluster: core cells −1 and 0.
+        let left = [-0.5, -0.6, -0.7, -0.8, 0.1].map(|x| d.put(x, LATE).0);
+        // Right cluster: core cells 1 and 2. `e` has two neighbors, the
+        // left's object at 0.1 and the right's at 1.9: an edge object
+        // of both, in a core cell of the right.
+        let e = d.put(1.05, LATE);
+        let right = [1.9, 2.3, 2.5, 2.7].map(|x| d.put(x, LATE).0);
+        let (w0, _) = d.slide();
+        assert_eq!(w0.len(), 2);
+        assert_eq!(
+            (ids(&w0[0].cores), ids(&w0[0].edges)),
+            (left.to_vec(), vec![e.0])
+        );
+        assert_eq!(
+            cells_of(&w0[0]),
+            [(-1, Core, 4), (0, Core, 1), (1, Edge, 2)]
+        );
+        assert_eq!(
+            (ids(&w0[1].cores), ids(&w0[1].edges)),
+            (right.to_vec(), vec![e.0])
+        );
+        assert_eq!(d.slide(), (w0.clone(), 2));
+        // The left gains an edge object at its far end; the right is
+        // not written.
+        let x = d.put(-1.75, LATE);
+        let (w2, carried) = d.slide();
+        assert_eq!(carried, 1);
+        assert_eq!(w2[1], w0[1]);
+        assert_eq!(ids(&w2[0].edges), [e.0, x.0]);
     }
 
     /// The mirror image, from the carried side: the carried cluster comes
@@ -1276,40 +817,38 @@ mod tests {
     /// one's, and the carried cluster is merged back in ahead of it.
     #[test]
     fn a_carried_clusters_core_cell_is_listed_as_a_rebuilt_ones_edge_cell() {
-        for shards in BOTH {
-            let mut d = Driven::new(3, shards);
-            // Left cluster: core cells −1 and 0.
-            let left = [-0.2, -0.3, -0.4, -0.5, 0.1].map(|x| d.put(x, LATE).0);
-            // `e` neighbors the left's object at 0.1 and the right's at
-            // 1.9 only: an edge object of both, in a core cell of the left.
-            let e = d.put(0.95, LATE);
-            let right = [1.9, 2.3, 2.5, 2.7].map(|x| d.put(x, LATE).0);
-            let (w0, _) = d.slide();
-            assert_eq!(w0.len(), 2);
-            assert_eq!(
-                (ids(&w0[0].cores), ids(&w0[0].edges)),
-                (left.to_vec(), vec![e.0])
-            );
-            assert_eq!(cells_of(&w0[0]), [(-1, Core, 4), (0, Core, 2)]);
-            assert_eq!(
-                (ids(&w0[1].cores), ids(&w0[1].edges)),
-                (right.to_vec(), vec![e.0])
-            );
-            assert_eq!(cells_of(&w0[1]), [(0, Edge, 2), (1, Core, 1), (2, Core, 3)]);
-            assert_eq!(d.slide(), (w0.clone(), 2));
-            // The right gains an edge object at its far end; the left is
-            // not written.
-            let x = d.put(3.6, LATE);
-            let (w2, carried) = d.slide();
-            assert_eq!(carried, 1);
-            assert!([-1, 0].iter().all(|&c| d.cell(c).touched < 2));
-            assert_eq!(w2[0], w0[0]);
-            assert_eq!(ids(&w2[1].edges), [e.0, x.0]);
-            assert_eq!(
-                cells_of(&w2[1]),
-                [(0, Edge, 2), (1, Core, 1), (2, Core, 3), (3, Edge, 1)]
-            );
-        }
+        let mut d = Driven::new(3);
+        // Left cluster: core cells −1 and 0.
+        let left = [-0.2, -0.3, -0.4, -0.5, 0.1].map(|x| d.put(x, LATE).0);
+        // `e` neighbors the left's object at 0.1 and the right's at
+        // 1.9 only: an edge object of both, in a core cell of the left.
+        let e = d.put(0.95, LATE);
+        let right = [1.9, 2.3, 2.5, 2.7].map(|x| d.put(x, LATE).0);
+        let (w0, _) = d.slide();
+        assert_eq!(w0.len(), 2);
+        assert_eq!(
+            (ids(&w0[0].cores), ids(&w0[0].edges)),
+            (left.to_vec(), vec![e.0])
+        );
+        assert_eq!(cells_of(&w0[0]), [(-1, Core, 4), (0, Core, 2)]);
+        assert_eq!(
+            (ids(&w0[1].cores), ids(&w0[1].edges)),
+            (right.to_vec(), vec![e.0])
+        );
+        assert_eq!(cells_of(&w0[1]), [(0, Edge, 2), (1, Core, 1), (2, Core, 3)]);
+        assert_eq!(d.slide(), (w0.clone(), 2));
+        // The right gains an edge object at its far end; the left is
+        // not written.
+        let x = d.put(3.6, LATE);
+        let (w2, carried) = d.slide();
+        assert_eq!(carried, 1);
+        assert!([-1, 0].iter().all(|&c| d.cell(c).touched < 2));
+        assert_eq!(w2[0], w0[0]);
+        assert_eq!(ids(&w2[1].edges), [e.0, x.0]);
+        assert_eq!(
+            cells_of(&w2[1]),
+            [(0, Edge, 2), (1, Core, 1), (2, Core, 3), (3, Edge, 1)]
+        );
     }
 
     /// A new object in a new cell becomes core with neighbors in a carried
@@ -1317,20 +856,18 @@ mod tests {
     /// core-core link is its only write, and it alone rebuilds the cluster.
     #[test]
     fn a_new_core_core_link_to_a_carried_core_cell_rebuilds_its_cluster() {
-        for shards in BOTH {
-            let mut d = Driven::new(2, shards);
-            let left = [0.1, 0.2, 0.3].map(|x| d.put(x, LATE).0);
-            let (w0, _) = d.slide();
-            assert_eq!(cells_of(&w0[0]), [(0, Core, 3)]);
-            assert_eq!(d.slide(), (w0.clone(), 1));
-            let z = d.put(1.05, LATE); // neighbors all three: core
-            assert_eq!(d.cell(0).population, 3);
-            assert_eq!(d.cell(0).touched, 2, "stamped by the link raise");
-            let (w2, carried) = d.slide();
-            assert_eq!((w2.len(), carried), (1, 0));
-            assert_eq!(cells_of(&w2[0]), [(0, Core, 3), (1, Core, 1)]);
-            assert_eq!(ids(&w2[0].cores), [left.as_slice(), &[z.0]].concat());
-        }
+        let mut d = Driven::new(2);
+        let left = [0.1, 0.2, 0.3].map(|x| d.put(x, LATE).0);
+        let (w0, _) = d.slide();
+        assert_eq!(cells_of(&w0[0]), [(0, Core, 3)]);
+        assert_eq!(d.slide(), (w0.clone(), 1));
+        let z = d.put(1.05, LATE); // neighbors all three: core
+        assert_eq!(d.cell(0).population, 3);
+        assert_eq!(d.cell(0).touched, 2, "stamped by the link raise");
+        let (w2, carried) = d.slide();
+        assert_eq!((w2.len(), carried), (1, 0));
+        assert_eq!(cells_of(&w2[0]), [(0, Core, 3), (1, Core, 1)]);
+        assert_eq!(ids(&w2[0].cores), [left.as_slice(), &[z.0]].concat());
     }
 
     /// Neighbors arriving with expiries out of order are inserted inside
@@ -1339,40 +876,35 @@ mod tests {
     /// list in expiry order with an exact histogram.
     #[test]
     fn out_of_order_expiries_keep_neighbor_lists_in_expiry_order() {
-        for shards in BOTH {
-            let mut d = Driven::new(2, shards);
-            let list = |d: &Driven, id: PointId| {
-                let (_, st) = resolve(&d.csgs.shards, id).expect("live");
-                st.neighbors.clone()
-            };
-            let q = d.put(0.5, LATE);
-            let a = d.put(0.6, 6);
-            let b = d.put(0.7, 4); // before `a` in `q`'s list
-            let c = d.put(0.8, 4); // after `b`, before `a`: dies with `b`
-            let e = d.put(0.9, 2); // at the front of every list
-            assert_eq!(list(&d, q), [e, b, c, a]);
-            assert_eq!(list(&d, a), [e, b, c, q]);
-            assert_eq!(list(&d, b), [e, c, a, q]);
-            assert_eq!(list(&d, e)[2..], [a, q]);
-            assert_lists_in_expiry_order(&d.csgs);
-            // Per window: clusters besides the bystander, and `q`'s list
-            // once the next window is current.
-            let windows = [
-                (1, vec![e, b, c, a]),
-                (1, vec![b, c, a]), // `e` died: a one-entry prefix
-                (1, vec![b, c, a]),
-                (1, vec![a]), // `b` and `c` died together
-                (0, vec![a]),
-                (0, vec![]),
-            ];
-            for (w, (clusters, q_list)) in windows.into_iter().enumerate() {
-                if w == 3 {
-                    assert_eq!(list(&d, b), [c, a, q], "`c` dies with `b`");
-                }
-                let (out, _) = d.slide();
-                assert_lists_in_expiry_order(&d.csgs);
-                assert_eq!((out.len(), list(&d, q)), (clusters, q_list), "window {w}");
+        let mut d = Driven::new(2);
+        let list = |d: &Driven, id: PointId| d.csgs.points.states[&id].neighbors.clone();
+        let q = d.put(0.5, LATE);
+        let a = d.put(0.6, 6);
+        let b = d.put(0.7, 4); // before `a` in `q`'s list
+        let c = d.put(0.8, 4); // after `b`, before `a`: dies with `b`
+        let e = d.put(0.9, 2); // at the front of every list
+        assert_eq!(list(&d, q), [e, b, c, a]);
+        assert_eq!(list(&d, a), [e, b, c, q]);
+        assert_eq!(list(&d, b), [e, c, a, q]);
+        assert_eq!(list(&d, e)[2..], [a, q]);
+        assert_lists_in_expiry_order(&d.csgs);
+        // Per window: clusters besides the bystander, and `q`'s list
+        // once the next window is current.
+        let windows = [
+            (1, vec![e, b, c, a]),
+            (1, vec![b, c, a]), // `e` died: a one-entry prefix
+            (1, vec![b, c, a]),
+            (1, vec![a]), // `b` and `c` died together
+            (0, vec![a]),
+            (0, vec![]),
+        ];
+        for (w, (clusters, q_list)) in windows.into_iter().enumerate() {
+            if w == 3 {
+                assert_eq!(list(&d, b), [c, a, q], "`c` dies with `b`");
             }
+            let (out, _) = d.slide();
+            assert_lists_in_expiry_order(&d.csgs);
+            assert_eq!((out.len(), list(&d, q)), (clusters, q_list), "window {w}");
         }
     }
 }

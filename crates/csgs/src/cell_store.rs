@@ -136,8 +136,8 @@ impl CellStore {
         self.cells.is_empty()
     }
 
-    /// Move to window `now` (the extractor calls this on every store as
-    /// soon as the previous window's output is out).
+    /// Move to window `now` (the extractor calls this as soon as the
+    /// previous window's output is out).
     pub fn set_window(&mut self, now: WindowId) {
         self.now = now.0;
     }
@@ -193,10 +193,8 @@ impl CellStore {
 
     /// Raise one *side* of a pair link: the watermarks stored at `at` for
     /// its relation to `other` (Lemma 5.2; the values come from
-    /// `shard::raise_pairs`). A neighbor pair in distinct cells raises
-    /// both sides, each in the store of the shard owning that cell
-    /// (`DESIGN.md` §6) — directly, or from a mailbox event computed by
-    /// the discovering shard.
+    /// `point_store::raise_pairs`). A neighbor pair in distinct cells
+    /// raises both sides, one call each.
     ///
     /// A raise that reaches no window past the current one (a pair of
     /// non-core objects: `min(0, ·) = 0`) is dropped outright — it can
@@ -224,13 +222,14 @@ impl CellStore {
         written.stamp(cell, at, now);
     }
 
-    /// Decrement a cell's population (object expiry).
+    /// Decrement a cell's population (object expiry). The cell of an
+    /// expiring object exists: it has been populated since the object's
+    /// arrival, and `gc` collects empty cells only.
     pub fn decrement_population(&mut self, coord: &CellCoord) {
-        if let Some(cell) = self.cells.get_mut(coord) {
-            debug_assert!(cell.population > 0);
-            cell.population -= 1;
-            self.written.stamp(cell, coord, self.now);
-        }
+        let cell = self.cells.get_mut(coord).expect("a populated cell exists");
+        debug_assert!(cell.population > 0);
+        cell.population -= 1;
+        self.written.stamp(cell, coord, self.now);
     }
 
     /// Increment a cell's population (object arrival).
@@ -271,28 +270,6 @@ impl CellStore {
     /// Iterate over all cells.
     pub fn iter(&self) -> impl Iterator<Item = (&CellCoord, &CellState)> {
         self.cells.iter()
-    }
-
-    /// Empty the store, yielding every cell's state for re-partitioning
-    /// (adaptive re-sharding): a cell's watermarks encode history that
-    /// cannot be rebuilt from live points, so moving a cell between
-    /// stores must move its state wholesale.
-    pub fn drain(&mut self) -> impl Iterator<Item = (CellCoord, CellState)> + '_ {
-        self.cells.drain()
-    }
-
-    /// Install a cell's state wholesale (the receiving side of a
-    /// re-shard move). Each cell is owned by exactly one store, so the
-    /// coord must not already be present. A cell stamped in the current
-    /// window is listed again: its next stamp in this window would not
-    /// list it, and the list it may still be on stays with the store it
-    /// left.
-    pub fn insert_state(&mut self, coord: CellCoord, state: CellState) {
-        debug_assert!(!self.cells.contains_key(&coord), "cell owned twice");
-        if state.touched == self.now {
-            self.written.push(&coord);
-        }
-        self.cells.insert(coord, state);
     }
 
     /// Approximate retained heap bytes.
@@ -345,7 +322,7 @@ mod tests {
         assert_eq!((ab.core_core_until, ab.attach_until), (2, 4));
         assert!(
             store.get(&cc(1, 0)).is_none(),
-            "the far side is its owner's"
+            "the far side is its own call's"
         );
     }
 

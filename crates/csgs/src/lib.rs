@@ -28,19 +28,16 @@
 //!   core-career neighbors, so we keep the full list, pruned eagerly when
 //!   a neighbor expires. The retained meta-data is still independent of
 //!   `win/slide`, which is the memory property Fig. 7 measures.
-//! * Extraction is **sharded by grid region** (`DESIGN.md` §6): the state
-//!   lives in `S` shards (`ClusterQuery::shards`). Insertion is written
-//!   once, over routed shards; with `S > 1` a between-boundary batch large
-//!   enough to fork runs the same steps as parallel fork-join phases on
-//!   the shared [`sgs_exec::Pool`] (`DESIGN.md` §8), and the output stage
-//!   connects the shards' core cells across region borders with
-//!   union-find. The per-window output is byte-identical for every `S`.
+//! * Extraction is **one sequential pass** per query, as in the paper: one
+//!   grid index, point map and cell store, each arrival inserted in
+//!   order (`DESIGN.md` §6). Parallelism comes from running queries side
+//!   by side on the runtime's scheduler pool (`DESIGN.md` §8).
 
 pub mod algorithm;
 pub mod cell_store;
 mod merge;
 pub mod output;
-mod shard;
+mod point_store;
 pub mod tracking;
 
 pub use algorithm::CSgs;

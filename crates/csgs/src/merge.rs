@@ -2,43 +2,39 @@
 //! of the skeletal cells whose work follows what the clusters hold and
 //! what changed since the previous window, not what the window holds.
 //!
-//! One path for every shard count:
-//!
 //! 1. **Carry-over**: a cluster of the previous window none of whose
 //!    skeleton cells, core or edge, was stamped since
 //!    ([`CellState::touched`]) *is* a cluster of this one, and is moved to
 //!    the output as it stands. Nothing below sees its core cells.
-//! 2. **Live core cells** of the rest (per shard, forked): each store is
-//!    filtered for the cells that are core at `w` and not carried; the
-//!    union, sorted, is the window's *dense index* — a core cell is a
-//!    position from here on.
+//! 2. **Live core cells** of the rest: the store is filtered for the
+//!    cells that are core at `w` and not carried; sorted, they are the
+//!    window's *dense index* — a core cell is a position from here on.
 //! 3. **Link resolution** (once): every live link of every indexed core
 //!    cell is read exactly once and its far end looked up exactly once,
 //!    into a flat per-cell list of [`Resolved`] entries. Nothing after
 //!    this step looks a link up by coordinate.
 //! 4. **Components**: union-find over the resolved core-core edges; the
 //!    clusters are numbered **by their smallest core cell** — the
-//!    numbering an unsharded DFS in cell order produces, which is what
-//!    makes `WindowOutput` byte-identical across shard counts.
+//!    numbering a DFS in cell order produces, whatever order the store
+//!    iterates in.
 //! 5. **Skeletons**: a cluster's cell list is its core cells merged with
 //!    its sorted attached cells; every connection index falls out of that
 //!    one sort.
-//! 6. **Members** (per shard, forked), cell by cell through the grid
-//!    index: core objects from the clusters' core cells, edge candidates
-//!    from those and from the attached cells. Lemma 4.1 and the
-//!    `attach_until` watermark put every edge object of a cluster in one
-//!    of its skeletal cells, so no other point is looked at.
+//! 6. **Members**, cell by cell through the grid index: core objects
+//!    from the clusters' core cells, edge candidates from those and from
+//!    the attached cells. Lemma 4.1 and the `attach_until` watermark put
+//!    every edge object of a cluster in one of its skeletal cells, so no
+//!    other point is looked at.
 //! 7. **Assembly**: the carried clusters are merged back in among the
 //!    rebuilt ones by smallest core cell.
 
 use sgs_core::{CellCoord, GridGeometry, PointId, WindowId};
-use sgs_exec::Pool;
-use sgs_index::{FxHashMap, FxHashSet, ShardRouter, UnionFind};
+use sgs_index::{FxHashMap, FxHashSet, UnionFind};
 use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
 
 use crate::cell_store::{CellState, CellStore};
 use crate::output::{ExtractedCluster, WindowOutput};
-use crate::shard::{fork_each, PointState, Shard};
+use crate::point_store::{PointState, PointStore};
 
 /// In place of a dense index or a cluster number: none.
 const NONE: u32 = u32::MAX;
@@ -48,7 +44,6 @@ const NONE: u32 = u32::MAX;
 struct CoreCell<'a> {
     coord: &'a CellCoord,
     state: &'a CellState,
-    shard: u32,
 }
 
 /// One live link of a live core cell, resolved once per window.
@@ -65,15 +60,6 @@ struct Resolved<'a> {
     /// Position of `other` in the cell list of this cell's cluster, once
     /// the cluster's skeleton has placed it as an edge cell.
     local: u32,
-}
-
-/// Routed cell lookup across the per-shard cell stores.
-fn cell_state<'a>(
-    stores: &'a [CellStore],
-    router: &ShardRouter,
-    coord: &CellCoord,
-) -> Option<&'a CellState> {
-    stores[router.shard_of(coord)].get(coord)
 }
 
 /// The smallest core cell of a cluster: what numbers it among the
@@ -96,54 +82,42 @@ fn core_cells(cluster: &ExtractedCluster) -> impl Iterator<Item = &CellCoord> {
 /// cluster stamps one of those cells, so its core cells are then still
 /// core, still connected, and connected to no other core cell — exactly
 /// one component of `w` (`DESIGN.md` §6).
-fn unchanged(
-    prev: &ExtractedCluster,
-    stores: &[CellStore],
-    router: &ShardRouter,
-    w: WindowId,
-) -> bool {
+fn unchanged(prev: &ExtractedCluster, cells: &CellStore, w: WindowId) -> bool {
     prev.sgs.cells.iter().all(|cell| {
-        cell_state(stores, router, &cell.coord).is_some_and(|state| state.touched < w.0)
+        cells
+            .get(&cell.coord)
+            .is_some_and(|state| state.touched < w.0)
     })
 }
 
-/// Build window `w`'s output from the live watermarks of all shards.
-/// `prev` is the output of window `w − 1` (empty to build every cluster
-/// from the cells); the second result counts the clusters carried over
-/// from it.
+/// Build window `w`'s output from the live watermarks of `cells`, listing
+/// members from `points`. `prev` is the output of window `w − 1` (empty
+/// to build every cluster from the cells); the second result counts the
+/// clusters carried over from it.
 pub(crate) fn emit(
     geometry: &GridGeometry,
-    router: &ShardRouter,
-    pool: &Pool,
-    shards: &[Shard],
-    stores: &[CellStore],
+    points: &PointStore,
+    cells: &CellStore,
     w: WindowId,
     prev: WindowOutput,
 ) -> (WindowOutput, usize) {
-    let s = shards.len();
-
     // ---- 1. Carry-over, decided by the stamps alone.
     let carried: Vec<ExtractedCluster> = prev
         .into_iter()
-        .filter(|p| unchanged(p, stores, router, w))
+        .filter(|p| unchanged(p, cells, w))
         .collect();
     let n_carried = carried.len();
     let carried_cores: FxHashSet<&CellCoord> = carried.iter().flat_map(core_cells).collect();
 
     // ---- 2. Live core cells of the clusters to rebuild, in cell order. A
     // cell written since `w − 1` belongs to no carried cluster.
-    let mut found: Vec<Vec<CoreCell>> = (0..s).map(|_| Vec::new()).collect();
-    fork_each(pool, found.iter_mut().zip(stores), |i, (found, store)| {
-        let core = store.iter().filter(|(coord, state)| {
+    let mut cores: Vec<CoreCell> = cells
+        .iter()
+        .filter(|(coord, state)| {
             state.is_core_at(w) && (state.touched >= w.0 || !carried_cores.contains(coord))
-        });
-        found.extend(core.map(|(coord, state)| CoreCell {
-            coord,
-            state,
-            shard: i as u32,
-        }));
-    });
-    let mut cores: Vec<CoreCell> = found.into_iter().flatten().collect();
+        })
+        .map(|(coord, state)| CoreCell { coord, state })
+        .collect();
     if cores.is_empty() {
         return (carried, n_carried);
     }
@@ -234,20 +208,20 @@ pub(crate) fn emit(
 
         // The cell list: core cells and attached cells merged in cell
         // order, each reference to an attached cell learning its position.
-        let cells = &mut skeletons[g];
-        let mut place_core = |d: u32, cells: &mut Vec<SkeletalCell>| {
-            local_of[d as usize] = cells.len() as u32;
+        let list = &mut skeletons[g];
+        let mut place_core = |d: u32, list: &mut Vec<SkeletalCell>| {
+            local_of[d as usize] = list.len() as u32;
             let core = &cores[d as usize];
-            cells.push(skeletal(core.coord, core.state, CellStatus::Core));
+            list.push(skeletal(core.coord, core.state, CellStatus::Core));
         };
         let mut group_cells = group.iter().peekable();
         for run in attached.chunk_by(|a, b| a.0 == b.0) {
             let (coord, first) = run[0];
             while let Some(&d) = group_cells.next_if(|&&d| cores[d as usize].coord < coord) {
-                place_core(d, cells);
+                place_core(d, list);
             }
             for &(_, at) in run {
-                links[at].local = cells.len() as u32;
+                links[at].local = list.len() as u32;
             }
             // An attachment is live while the object it reaches is alive,
             // so the cell exists and is populated.
@@ -255,10 +229,12 @@ pub(crate) fn emit(
             let state = if idx != NONE {
                 cores[idx as usize].state
             } else {
-                cell_state(stores, router, coord).expect("a live attachment reaches a live object")
+                cells
+                    .get(coord)
+                    .expect("a live attachment reaches a live object")
             };
             debug_assert!(state.population > 0);
-            cells.push(skeletal(coord, state, CellStatus::Edge));
+            list.push(skeletal(coord, state, CellStatus::Edge));
             // Its objects are edge candidates. A core cell of another
             // rebuilt cluster is listed on that cluster's account; any
             // other cell — a carried cluster's core cell among them — is
@@ -268,14 +244,14 @@ pub(crate) fn emit(
             }
         }
         for &d in group_cells {
-            place_core(d, cells);
+            place_core(d, list);
         }
 
         // Connections of each core cell: to a core cell of the cluster
         // through a live core-core link, to any other cell of the list
         // through a live attachment.
         for &d in group {
-            let conns = &mut cells[local_of[d as usize] as usize].connections;
+            let conns = &mut list[local_of[d as usize] as usize].connections;
             for link in &links[links_of(d)] {
                 if link.idx != NONE && gid[link.idx as usize] == g as u32 {
                     if link.core_core {
@@ -291,71 +267,51 @@ pub(crate) fn emit(
 
     // ---- 6. Members of the clusters to rebuild, cell by cell. Every
     // indexed point is live at `w`: the others were dropped when their
-    // window became current.
-    // The cells each shard lists: its core cells with the cluster's
-    // number, and its share of `edge_cells` with none.
-    let mut visit: Vec<Vec<(&CellCoord, u32)>> = vec![Vec::new(); s];
-    for (d, cell) in cores.iter().enumerate() {
-        visit[cell.shard as usize].push((cell.coord, gid[d]));
-    }
+    // window became current. The cells listed: the core cells with their
+    // cluster's number, then `edge_cells` with none.
     edge_cells.sort_unstable();
     edge_cells.dedup();
-    for coord in edge_cells {
-        visit[router.shard_of(coord)].push((coord, NONE));
-    }
-    #[derive(Default)]
-    struct Listed<'a> {
-        /// Core objects, each with its cluster.
-        cores: Vec<(u32, PointId)>,
-        /// Non-core objects: edge objects of the clusters that hold a
-        /// core neighbor of theirs.
-        candidates: Vec<(PointId, &'a PointState)>,
-        /// Edge objects, each with its cluster (one entry per cluster).
-        edges: Vec<(u32, PointId)>,
-    }
-    let mut listed: Vec<Listed> = (0..s).map(|_| Listed::default()).collect();
-    fork_each(pool, listed.iter_mut(), |i, out| {
-        let shard = &shards[i];
-        for &(coord, g) in &visit[i] {
-            for &id in shard.index.cell_points(coord).ids() {
-                let p = &shard.points[&id];
-                if p.core_until <= w.0 {
-                    out.candidates.push((id, p));
-                } else if g != NONE {
-                    // Core objects of a carried cluster's cell stay its.
-                    out.cores.push((g, id));
-                }
+    let visit = cores
+        .iter()
+        .zip(&gid)
+        .map(|(cell, &g)| (cell.coord, g))
+        .chain(edge_cells.into_iter().map(|coord| (coord, NONE)));
+    // Core objects, each with its cluster.
+    let mut core_members: Vec<(u32, PointId)> = Vec::new();
+    // Non-core objects: edge objects of the clusters that hold a core
+    // neighbor of theirs.
+    let mut candidates: Vec<(PointId, &PointState)> = Vec::new();
+    for (coord, g) in visit {
+        for &id in points.index.cell_points(coord).ids() {
+            let p = &points.states[&id];
+            if p.core_until <= w.0 {
+                candidates.push((id, p));
+            } else if g != NONE {
+                // Core objects of a carried cluster's cell stay its.
+                core_members.push((g, id));
             }
         }
-    });
+    }
     // The live core objects of the rebuilt clusters: one lookup per
     // neighbor reference during edge attachment.
-    let core_gid: FxHashMap<PointId, u32> = listed
-        .iter()
-        .flat_map(|l| l.cores.iter().map(|&(g, id)| (id, g)))
-        .collect();
-    fork_each(pool, listed.iter_mut(), |_, out| {
-        let mut gs: Vec<u32> = Vec::new();
-        for (id, p) in &out.candidates {
-            gs.clear();
-            gs.extend(p.neighbors.iter().filter_map(|nb| core_gid.get(nb)));
-            gs.sort_unstable();
-            gs.dedup();
-            out.edges.extend(gs.iter().map(|&g| (g, *id)));
+    let core_gid: FxHashMap<PointId, u32> = core_members.iter().map(|&(g, id)| (id, g)).collect();
+    let mut members: Vec<(Vec<PointId>, Vec<PointId>)> = vec![Default::default(); groups.len()];
+    for &(g, id) in &core_members {
+        members[g as usize].0.push(id);
+    }
+    let mut gs: Vec<u32> = Vec::new();
+    for (id, p) in &candidates {
+        gs.clear();
+        gs.extend(p.neighbors.iter().filter_map(|nb| core_gid.get(nb)));
+        gs.sort_unstable();
+        gs.dedup();
+        for &g in &gs {
+            members[g as usize].1.push(*id);
         }
-    });
+    }
 
     // ---- 7. Assembly: the rebuilt clusters in component order, the
     // carried ones merged back in by smallest core cell.
-    let mut members: Vec<(Vec<PointId>, Vec<PointId>)> = vec![Default::default(); groups.len()];
-    for l in &listed {
-        for &(g, id) in &l.cores {
-            members[g as usize].0.push(id);
-        }
-        for &(g, id) in &l.edges {
-            members[g as usize].1.push(id);
-        }
-    }
     let rebuilt = skeletons
         .into_iter()
         .zip(members)

@@ -1,36 +1,21 @@
-//! The shard layer of C-SGS: per-region extraction state.
+//! The point side of C-SGS's extraction state: the live objects.
 //!
-//! Sharded extraction (`DESIGN.md` §6) hashes every grid cell to one of
-//! `S` shards by coarsened *region* coordinate
-//! ([`sgs_index::ShardRouter`]). Each [`Shard`] owns the extraction
-//! state for its regions — grid index, point states (with coordinates in
-//! a per-shard [`CoordArena`]), and expiry lists, plus an index-aligned
-//! [`CellStore`] held by the extractor.
-//!
-//! The methods here are the *steps* of §5.4 insertion and of expiry, each
-//! touching one shard only; the extractor sequences them. Its sequential
-//! path calls them per point against `shards[owner]`; its parallel path
-//! calls the same steps per phase for a whole batch, with cross-border
-//! effects exchanged through typed mailbox messages ([`HistMsg`] for
-//! neighbor/histogram updates, [`LinkMsg`] for cell-pair watermark
-//! raises) applied only by the owning shard. With `S = 1` every point
-//! routes to shard 0 and no batch is parallel.
-//!
-//! Parallel phases execute as fork-join scopes on the shared
-//! [`sgs_exec::Pool`] (`DESIGN.md` §8) — persistent workers, no
-//! per-batch thread spawns.
+//! A [`PointStore`] holds the grid index the range query searches, each
+//! live point's state (with coordinates in a [`CoordArena`]), and the
+//! expiry lists; the [`CellStore`] beside it in the extractor holds the
+//! skeletal cells. The methods here are the *steps* of §5.4 insertion
+//! and of expiry; the extractor sequences them.
 
 use sgs_core::{CellCoord, GridGeometry, HeapSize, Point, PointId, WindowId};
-use sgs_exec::Pool;
 use sgs_index::{FxHashMap, GridIndex};
 use sgs_stream::ExpiryHistogram;
 
 use crate::cell_store::CellStore;
 
-/// Slab of point coordinates for one shard: `dim` consecutive `f64`s per
-/// slot, recycled through a free list. Replaces the former per-point
-/// `Box<[f64]>`, so steady-state insertion allocates no per-object
-/// coordinate buffer (growth is amortized like a `Vec`).
+/// Slab of point coordinates: `dim` consecutive `f64`s per slot, recycled
+/// through a free list. Replaces the former per-point `Box<[f64]>`, so
+/// steady-state insertion allocates no per-object coordinate buffer
+/// (growth is amortized like a `Vec`).
 #[derive(Clone, Debug)]
 pub(crate) struct CoordArena {
     dim: usize,
@@ -97,7 +82,7 @@ impl CoordArena {
 /// Per-point state retained by C-SGS.
 #[derive(Clone, Debug)]
 pub(crate) struct PointState {
-    /// Coordinate slot in the owning shard's [`CoordArena`].
+    /// Coordinate slot in the [`CoordArena`].
     pub slot: u32,
     pub cell: CellCoord,
     pub expires_at: WindowId,
@@ -116,76 +101,42 @@ pub(crate) struct PointState {
     pub neighbors: Vec<PointId>,
 }
 
-/// Cross-shard message: new point `p` is a neighbor of pre-existing point
-/// `q`; `q`'s owner adds `p` to `q`'s neighbor list and histogram.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct HistMsg {
-    pub q: PointId,
-    pub p: PointId,
-    pub p_expires: WindowId,
-}
+/// A neighbor a range query found, with its expiry (so the finder's list
+/// can be put in expiry order).
+pub(crate) type Found = (PointId, WindowId);
 
-/// Cross-shard message: raise the pair-link watermarks stored `at` a cell
-/// (owned by the receiving shard) for its relation to `other`.
-#[derive(Clone, Debug)]
-pub(crate) struct LinkMsg {
-    pub at: CellCoord,
-    pub other: CellCoord,
-    pub core_core: u64,
-    pub attach: u64,
-}
-
-/// A neighbor a range query found: its id, its owning shard (so the link
-/// phase reads its final state with one lookup instead of probing), and
-/// its expiry (so the finder's list can be put in expiry order).
-pub(crate) type Found = (PointId, u32, WindowId);
-
-/// Discovery result for one new point (phase B of the sharded batch).
+/// The live points of one query's window.
 #[derive(Debug)]
-pub(crate) struct NewPointPlan {
-    pub id: PointId,
-    pub neighbors: Vec<Found>,
-    pub hist: ExpiryHistogram,
-    pub core_until: u64,
-}
-
-/// One extraction shard: the C-SGS state for the grid regions it owns.
-///
-/// The shard's *skeletal cell store* lives outside this struct (in a
-/// parallel vector owned by the extractor): the link phase reads every
-/// shard's points while writing its own cell store, and splitting the two
-/// lets the borrow checker prove that safe.
-#[derive(Debug)]
-pub(crate) struct Shard {
+pub(crate) struct PointStore {
     pub index: GridIndex,
-    pub points: FxHashMap<PointId, PointState>,
+    pub states: FxHashMap<PointId, PointState>,
     /// Points to drop when each window becomes current.
     pub expiry: FxHashMap<u64, Vec<PointId>>,
     pub arena: CoordArena,
 }
 
-impl Shard {
+impl PointStore {
     pub(crate) fn new(geometry: GridGeometry) -> Self {
         let dim = geometry.dim();
-        Shard {
+        PointStore {
             index: GridIndex::new(geometry),
-            points: FxHashMap::default(),
+            states: FxHashMap::default(),
             expiry: FxHashMap::default(),
             arena: CoordArena::new(dim),
         }
     }
 
-    /// Retained meta-data bytes of this shard (its cell store is accounted
-    /// separately by the extractor).
+    /// Retained meta-data bytes (the cell store is accounted separately
+    /// by the extractor).
     pub(crate) fn meta_bytes(&self) -> usize {
         use core::mem::size_of;
         let pts: usize = self
-            .points
+            .states
             .values()
             .map(|p| p.cell.0.len() * 4 + p.neighbors.capacity() * 4 + p.hist.heap_bytes())
             .sum();
         let expiry: usize = self.expiry.values().map(|ids| ids.capacity() * 4).sum();
-        pts + self.points.capacity() * (size_of::<(PointId, PointState)>() + 1)
+        pts + self.states.capacity() * (size_of::<(PointId, PointState)>() + 1)
             + expiry
             + self.expiry.capacity() * (size_of::<(u64, Vec<PointId>)>() + 1)
             + self.arena.heap_bytes()
@@ -206,7 +157,7 @@ impl Shard {
         cells.increment_population(&cell);
         self.expiry.entry(expires_at.0).or_default().push(id);
         let slot = self.arena.alloc(&point.coords);
-        self.points.insert(
+        self.states.insert(
             id,
             PointState {
                 slot,
@@ -231,11 +182,9 @@ impl Shard {
         core_until: u64,
         now: WindowId,
     ) {
-        let st = self.points.get_mut(&id).expect("installed after load");
-        let mut by_expiry: Vec<(WindowId, PointId)> = neighbors
-            .iter()
-            .map(|&(q, _, expires)| (expires, q))
-            .collect();
+        let st = self.states.get_mut(&id).expect("installed after load");
+        let mut by_expiry: Vec<(WindowId, PointId)> =
+            neighbors.iter().map(|&(q, expires)| (expires, q)).collect();
         by_expiry.sort_unstable_by_key(|&(expires, _)| expires);
         st.neighbors = by_expiry.into_iter().map(|(_, q)| q).collect();
         st.hist = hist;
@@ -257,7 +206,7 @@ impl Shard {
         now: WindowId,
         theta_c: u32,
     ) -> bool {
-        let st = self.points.get_mut(&q).expect("indexed points are live");
+        let st = self.states.get_mut(&q).expect("indexed points are live");
         // After every listed neighbor that expires no later: at the end,
         // unless `p` expires before some of them.
         let later = st.hist.alive_at(p_expires) as usize;
@@ -274,120 +223,70 @@ impl Shard {
         extended
     }
 
-    /// Phase C: [`install`](Self::install) this shard's new points and
-    /// drain the histogram inbox for its pre-existing points. The plans
-    /// are left in place (minus their histograms) for the link phase.
-    /// Returns the sorted, deduplicated set of points whose core career
-    /// extended.
-    pub(crate) fn apply_batch(
-        &mut self,
-        cells: &mut CellStore,
-        plans: &mut [NewPointPlan],
-        inbox: &mut Vec<HistMsg>,
-        now: WindowId,
-        theta_c: u32,
-    ) -> Vec<PointId> {
-        for plan in plans.iter_mut() {
-            let hist = std::mem::take(&mut plan.hist);
-            self.install(cells, plan.id, &plan.neighbors, hist, plan.core_until, now);
-        }
-        let mut extended = Vec::new();
-        for msg in inbox.drain(..) {
-            if self.gain_neighbor(cells, msg.q, msg.p, msg.p_expires, now, theta_c) {
-                extended.push(msg.q);
-            }
-        }
-        extended.sort_unstable();
-        extended.dedup();
-        extended
-    }
-
-    /// Adopt a live point moved from another shard during adaptive
-    /// re-sharding: re-index its coordinates and expiry here and take
-    /// over its career state unchanged (watermarks, histogram, and
-    /// neighbor list are shard-placement-independent).
-    pub(crate) fn adopt(&mut self, id: PointId, coords: &[f64], mut state: PointState) {
-        self.index
-            .insert_at(&state.cell, id, coords, state.expires_at);
-        self.expiry.entry(state.expires_at.0).or_default().push(id);
-        state.slot = self.arena.alloc(coords);
-        self.points.insert(id, state);
-    }
-
-    /// Slide: drop this shard's points expiring at `now`, returning the
-    /// live points that listed them (the input to eager cross-shard
-    /// neighbor pruning; a point with several dead neighbors appears once
-    /// per each). A dead point's neighbors dying with it are its list's
-    /// prefix, skipped without a lookup.
+    /// Slide: drop the points expiring at `now`, returning the live
+    /// points that listed them (the input to eager neighbor pruning; a
+    /// point with several dead neighbors appears once per each). A dead
+    /// point's neighbors dying with it are its list's prefix, skipped
+    /// without a lookup.
     pub(crate) fn remove_expired(&mut self, cells: &mut CellStore, now: WindowId) -> Vec<PointId> {
         let Some(dead) = self.expiry.remove(&now.0) else {
             return Vec::new();
         };
         let mut listed_by = Vec::new();
         for id in dead {
-            if let Some(p) = self.points.remove(&id) {
-                self.index.remove(id, &p.cell);
-                cells.decrement_population(&p.cell);
-                self.arena.release(p.slot);
-                let co_dying = p.hist.expiring_at(now) as usize;
-                debug_assert_eq!(
-                    p.hist.alive_at(now) as usize,
-                    p.neighbors.len() - co_dying,
-                    "only the prefix dies at {now}"
-                );
-                listed_by.extend_from_slice(&p.neighbors[co_dying..]);
-            }
+            let p = self.states.remove(&id).expect("an expiring id is live");
+            self.index.remove(id, &p.cell);
+            cells.decrement_population(&p.cell);
+            self.arena.release(p.slot);
+            let co_dying = p.hist.expiring_at(now) as usize;
+            debug_assert_eq!(
+                p.hist.alive_at(now) as usize,
+                p.neighbors.len() - co_dying,
+                "only the prefix dies at {now}"
+            );
+            listed_by.extend_from_slice(&p.neighbors[co_dying..]);
         }
         listed_by
     }
 
-    /// Eagerly drop the ids of points dead at `now` from this shard's
-    /// neighbor lists: each is its list's prefix, as long as what its
-    /// histogram gives up. `listed_by` is the union of all shards'
-    /// [`remove_expired`] results; ids of other shards' points are
-    /// skipped by the ownership lookup itself, and a point visited again
-    /// has nothing left to drop.
+    /// Eagerly drop the ids of points dead at `now` from the neighbor
+    /// lists of the points in `listed_by` ([`remove_expired`]'s result):
+    /// each is its list's prefix, as long as what its histogram gives up.
+    /// Every listed point outlives `now` — it was past the dead point's
+    /// co-dying prefix — and a point visited again has nothing left to
+    /// drop.
     ///
     /// [`remove_expired`]: Self::remove_expired
     pub(crate) fn prune_dead(&mut self, listed_by: &[PointId], now: WindowId) {
         for nb in listed_by {
-            if let Some(st) = self.points.get_mut(nb) {
-                let dead = st.hist.prune(now.next());
-                st.neighbors.drain(..dead as usize);
-            }
+            let st = self
+                .states
+                .get_mut(nb)
+                .expect("a listed neighbor is live between slides");
+            let dead = st.hist.prune(now.next());
+            st.neighbors.drain(..dead as usize);
         }
     }
 }
 
-/// The live state of a point and its owning shard's index. Ownership is
-/// resolved by probing each shard's map; a point exists in exactly one.
-pub(crate) fn resolve(shards: &[Shard], id: PointId) -> Option<(usize, &PointState)> {
-    shards
-        .iter()
-        .enumerate()
-        .find_map(|(i, sh)| sh.points.get(&id).map(|p| (i, p)))
-}
-
 /// Lemma 5.2, the one place it is written: for each neighbor pair
 /// `(a, b)`, `b ∈ nbrs`, in distinct cells (intra-cell pairs are connected
-/// by Lemma 4.1 and carry no link), hand `raise(owner, at, other,
-/// core_core, attach)` the watermarks of both sides of the cell-pair link —
+/// by Lemma 4.1 and carry no link), hand `raise(at, other, core_core,
+/// attach)` the watermarks of both sides of the cell-pair link —
 ///
 /// * core-core: live while both are core → `min(core, core)`, both sides;
 /// * attachment `at → other`: live while the point in `at` is core and
 ///   the point in `other` alive.
 ///
-/// `raise` applies one side to the store of shard `owner` (directly, or
-/// through a [`LinkMsg`] when another task owns it); raises are monotone
+/// `raise` applies one side to the cell store; raises are monotone
 /// max-updates, so re-evaluating a pair is harmless — and a *run* of
 /// consecutive neighbors in one cell (a range query reports its matches
 /// cell by cell) folds into one raise per side carrying the run's maxima.
 /// Non-adjacent runs of the same cell are raised separately.
 pub(crate) fn raise_pairs<'a>(
-    a_owner: usize,
     a: &PointState,
-    nbrs: impl Iterator<Item = (usize, &'a PointState)>,
-    raise: &mut impl FnMut(usize, &CellCoord, &CellCoord, u64, u64),
+    nbrs: impl Iterator<Item = &'a PointState>,
+    raise: &mut impl FnMut(&CellCoord, &CellCoord, u64, u64),
 ) {
     // One pair's [core-core, attach a → b, attach b → a].
     let marks = |b: &PointState| {
@@ -399,43 +298,18 @@ pub(crate) fn raise_pairs<'a>(
         ]
     };
     let mut nbrs = nbrs.peekable();
-    while let Some((b_owner, b)) = nbrs.next() {
+    while let Some(b) = nbrs.next() {
         let mut run = marks(b);
-        // Same cell ⇒ same owner.
-        while let Some((_, next)) = nbrs.next_if(|(_, next)| next.cell == b.cell) {
+        while let Some(next) = nbrs.next_if(|next| next.cell == b.cell) {
             for (mark, pair) in run.iter_mut().zip(marks(next)) {
                 *mark = (*mark).max(pair);
             }
         }
         if b.cell != a.cell {
             let [cc, a_attach, b_attach] = run;
-            raise(a_owner, &a.cell, &b.cell, cc, a_attach);
-            raise(b_owner, &b.cell, &a.cell, cc, b_attach);
+            raise(&a.cell, &b.cell, cc, a_attach);
+            raise(&b.cell, &a.cell, cc, b_attach);
         }
-    }
-}
-
-/// Run `f(i, item)` for the `i`-th of `items`, forked onto `pool` (one
-/// scope task per item; inline when there is at most one). The building
-/// block of every sharded phase: items are the shards' own state (zipped
-/// with their cell stores and mailboxes), which each task mutates
-/// exclusively, or per-shard scratches filled while reading all shards.
-pub(crate) fn fork_each<I: Send>(
-    pool: &Pool,
-    items: impl ExactSizeIterator<Item = I>,
-    f: impl Fn(usize, I) + Sync,
-) {
-    if items.len() <= 1 {
-        for (i, item) in items.enumerate() {
-            f(i, item);
-        }
-    } else {
-        let f = &f;
-        pool.scope(|scope| {
-            for (i, item) in items.enumerate() {
-                scope.spawn(move || f(i, item));
-            }
-        });
     }
 }
 
@@ -461,15 +335,6 @@ mod tests {
         assert_eq!((a.slots(), a.live()), (2, 2));
     }
 
-    #[test]
-    fn fork_each_runs_all_indices() {
-        for n in [0usize, 1, 7] {
-            let mut items = vec![0usize; n];
-            fork_each(sgs_exec::global(), items.iter_mut(), |i, v| *v = i + 1);
-            assert_eq!(items, (1..=n).collect::<Vec<_>>());
-        }
-    }
-
     fn state(cell: [i32; 2], core_until: u64, expires_at: u64) -> PointState {
         PointState {
             slot: 0,
@@ -482,7 +347,7 @@ mod tests {
     }
 
     /// Folding a run of same-cell neighbors into one raise per side
-    /// leaves the stores exactly as raising pair by pair does — for runs,
+    /// leaves the store exactly as raising pair by pair does — for runs,
     /// for a cell that comes back after another (x, y, x: three runs), and
     /// for neighbors in `a`'s own cell — in fewer calls whenever a run
     /// exists.
@@ -490,7 +355,6 @@ mod tests {
     fn raise_pairs_folds_runs_to_the_pair_by_pair_result() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let owner_of = |cell: &CellCoord| (cell.0[0] % 2) as usize;
         let point = |rng: &mut rand::rngs::StdRng| {
             state(
                 [rng.gen_range(0..3), rng.gen_range(0..2)],
@@ -504,26 +368,24 @@ mod tests {
             let len = rng.gen_range(0..12);
             let nbrs: Vec<PointState> = (0..len).map(|_| point(&mut rng)).collect();
 
-            let mut reference = [CellStore::new(), CellStore::new()];
+            let mut reference = CellStore::new();
             let mut pairs = 0;
             for b in nbrs.iter().filter(|b| b.cell != a.cell) {
                 let cc = a.core_until.min(b.core_until);
                 let a_attach = a.core_until.min(b.expires_at.0);
                 let b_attach = b.core_until.min(a.expires_at.0);
-                reference[owner_of(&a.cell)].raise_link(&a.cell, &b.cell, cc, a_attach);
-                reference[owner_of(&b.cell)].raise_link(&b.cell, &a.cell, cc, b_attach);
+                reference.raise_link(&a.cell, &b.cell, cc, a_attach);
+                reference.raise_link(&b.cell, &a.cell, cc, b_attach);
                 pairs += 1;
             }
 
-            let mut folded = [CellStore::new(), CellStore::new()];
+            let mut folded = CellStore::new();
             let mut calls = 0;
             raise_pairs(
-                owner_of(&a.cell),
                 &a,
-                nbrs.iter().map(|b| (owner_of(&b.cell), b)),
-                &mut |owner, at: &CellCoord, other: &CellCoord, cc, attach| {
-                    assert_eq!(owner, owner_of(at));
-                    folded[owner].raise_link(at, other, cc, attach);
+                nbrs.iter(),
+                &mut |at: &CellCoord, other: &CellCoord, cc, attach| {
+                    folded.raise_link(at, other, cc, attach);
                     calls += 1;
                 },
             );
@@ -555,20 +417,19 @@ mod tests {
         );
         let mut raised = Vec::new();
         raise_pairs(
-            0,
             &a,
-            [(1, &b), (0, &c)].into_iter(),
-            &mut |owner, at: &CellCoord, other: &CellCoord, cc, attach| {
-                raised.push((owner, at.clone(), other.clone(), cc, attach));
+            [&b, &c].into_iter(),
+            &mut |at: &CellCoord, other: &CellCoord, cc, attach| {
+                raised.push((at.clone(), other.clone(), cc, attach));
             },
         );
         assert_eq!(
             raised,
             vec![
                 // core-core min(4, 2); a core (4) ∧ b alive (9).
-                (0, a.cell.clone(), b.cell.clone(), 2, 4),
-                // b core (2) ∧ a alive (6), routed to b's owner.
-                (1, b.cell.clone(), a.cell.clone(), 2, 2),
+                (a.cell.clone(), b.cell.clone(), 2, 4),
+                // b core (2) ∧ a alive (6).
+                (b.cell.clone(), a.cell.clone(), 2, 2),
             ]
         );
     }

@@ -2,15 +2,15 @@
 //! others are right all the same (`DESIGN.md` §6): on a stream of
 //! separated clusters that each live untouched for many windows, with
 //! noise arriving elsewhere, most emitted clusters are carried over from
-//! the previous window — for every shard count — and every window is
-//! still the clustering a from-scratch DBSCAN finds, summarized as
-//! `Sgs::from_members` summarizes it.
+//! the previous window — however the arrivals are batched — and every
+//! window is still the clustering a from-scratch DBSCAN finds, summarized
+//! as `Sgs::from_members` summarizes it.
 
 use std::collections::HashMap;
 
 use rand::{Rng, SeedableRng};
 use sgs_cluster::{CanonicalClustering, FullCluster, NaiveClusterer};
-use sgs_core::{ClusterQuery, Point, PointId, ShardCount, WindowSpec};
+use sgs_core::{ClusterQuery, Point, PointId, WindowSpec};
 use sgs_csgs::{CSgs, WindowOutput};
 use sgs_stream::{replay, WindowEngine};
 use sgs_summarize::{CellStatus, MemberSet, Sgs};
@@ -42,11 +42,10 @@ fn stream(n: usize) -> Vec<Point> {
     pts
 }
 
-fn run(pts: &[Point], query: &ClusterQuery, shards: ShardCount) -> (Vec<WindowOutput>, CSgs) {
-    let mut csgs = CSgs::new(query.clone().with_shards(shards));
+fn run(pts: &[Point], query: &ClusterQuery) -> (Vec<WindowOutput>, CSgs) {
+    let mut csgs = CSgs::new(query.clone());
     let mut engine = WindowEngine::new(query.window, 2);
     let mut outs = Vec::new();
-    // Runs long enough for the phased insertion path where S > 1.
     for chunk in pts.chunks(64) {
         engine
             .push_batch(chunk.iter().cloned(), &mut csgs, &mut outs)
@@ -61,7 +60,7 @@ fn long_lived_clusters_are_carried_and_every_window_is_still_exact() {
     let query = ClusterQuery::new(1.0, 4, 2, spec).unwrap();
     let pts = stream(4000);
 
-    let (base, csgs) = run(&pts, &query, ShardCount::Fixed(1));
+    let (base, csgs) = run(&pts, &query);
     let emitted = base.iter().map(|out| out.len() as u64).sum::<u64>();
     assert_eq!(csgs.carried_count + csgs.rebuilt_count, emitted);
     assert!(
@@ -70,18 +69,9 @@ fn long_lived_clusters_are_carried_and_every_window_is_still_exact() {
         csgs.carried_count,
         csgs.rebuilt_count
     );
-    for shards in [ShardCount::Fixed(2), ShardCount::Fixed(4), ShardCount::Auto] {
-        let (out, sharded) = run(&pts, &query, shards);
-        assert_eq!(out, base, "{shards:?} diverged from S = 1");
-        // Whether a cluster changed does not depend on where its cells are.
-        let counts = |c: &CSgs| (c.carried_count, c.rebuilt_count);
-        assert_eq!(counts(&sharded), counts(&csgs), "{shards:?}");
-        if shards == ShardCount::Auto {
-            assert!(sharded.shard_count() > 1, "the stream is to re-shard");
-        }
-    }
-    // Nor on how the arrivals were batched: one point at a time, S = 3.
-    let mut per_point = CSgs::new(query.clone().with_shards(ShardCount::Fixed(3)));
+    // Whether a cluster changed does not depend on how the arrivals were
+    // batched: one point at a time.
+    let mut per_point = CSgs::new(query.clone());
     let out = replay(spec, pts.clone(), 2, &mut per_point).unwrap();
     assert_eq!(out.into_iter().map(|(_, o)| o).collect::<Vec<_>>(), base);
     assert_eq!(

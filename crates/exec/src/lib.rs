@@ -1,51 +1,36 @@
 //! # sgs-exec
 //!
-//! The shared work-stealing scheduler pool that carries **all**
-//! parallelism in streamsum (`DESIGN.md` §8). One persistent [`Pool`] of
-//! worker threads replaces both thread-per-query fan-out (`sgs-runtime`)
-//! and per-batch scoped-thread spawning (`sgs-csgs`'s sharded phases):
+//! The shared scheduler pool that carries **all** parallelism in
+//! streamsum (`DESIGN.md` §8). One persistent [`Pool`] of worker threads
+//! replaces thread-per-query fan-out: a parked query costs zero threads
+//! until input arrives, and the query is the unit of parallelism — each
+//! query's C-SGS extraction is one sequential pass.
 //!
 //! * [`Pool::spawn`] — fire-and-forget tasks at two [`Priority`] levels.
-//!   `Normal` carries query-ingestion tasks (a parked query costs zero
-//!   threads until input arrives); `High` carries intra-query shard
-//!   phases, which sit on the critical path of a blocked fork-join
-//!   caller.
-//! * [`Pool::scope`] — scoped fork-join over **borrowed** data, the
-//!   `std::thread::scope` replacement. Spawned closures may borrow from
-//!   the caller's stack; the scope does not return until every one of
-//!   them has finished, and the waiting caller *helps execute* queued
-//!   high-priority tasks instead of blocking, so fork-join makes
-//!   progress even on a single-worker pool (and when invoked from
-//!   within a pool task — nested fork-join is fully supported).
+//!   `Normal` carries query-ingestion tasks; `High` carries short work
+//!   someone is waiting on (the server's dispatch pool spawns session
+//!   teardown there).
+//! * [`Pool::spawn_fair`] — `Normal` tasks under a tenancy key, dispatched
+//!   in proportion to per-key weights (`DESIGN.md` §14).
 //! * [`global`] — the process-wide default pool, sized to
 //!   `std::thread::available_parallelism`, created lazily on first use
-//!   and never torn down. Components that are not handed an explicit
-//!   pool (e.g. a standalone [`CSgs`] extractor) schedule here, which is
-//!   what makes the scheduler *shared*: concurrent queries and their
-//!   intra-query shard phases multiplex over one set of OS threads.
+//!   and never torn down. A runtime that is not given a dedicated pool
+//!   schedules here, which is what makes the scheduler *shared*:
+//!   concurrent queries multiplex over one set of OS threads.
 //!
 //! ## Scheduling model
 //!
-//! Each worker owns a private deque; a task spawned from a worker thread
-//! of the same pool (the fork of a fork-join phase) is pushed onto that
-//! worker's own deque. Everything else lands in a global two-priority
-//! injector. A worker looks for work in order: own deque (newest first —
-//! fork-join children run hot), injector `High`, stealing the *oldest*
-//! task from a sibling's deque (deques hold only `High` forks), and
-//! `Normal` injector work last — so high-priority work is exhausted
-//! pool-wide before any ingestion task is picked up. Idle workers sleep
-//! on a condvar and are woken per push.
+//! Every task lands in one two-priority injector. A worker takes the
+//! oldest `High` task first, and `Normal` work only when no `High` task
+//! is queued. Idle workers sleep on a condvar and are woken per push.
 //!
 //! Scheduling never affects results: streamsum's parallel consumers are
 //! designed so their outputs are independent of task interleaving (the
-//! sharded C-SGS phase protocol of `DESIGN.md` §6, the per-query
-//! serialization of `sgs-runtime`'s executor) — the pool only decides
-//! *where and when* work runs, never what it computes.
-//!
-//! [`CSgs`]: ../sgs_csgs/struct.CSgs.html
+//! per-query serialization of `sgs-runtime`'s executor) — the pool only
+//! decides *where and when* work runs, never what it computes.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -61,19 +46,12 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 struct PoolMetrics {
     /// Tasks executed, labeled by the worker that ran them.
     tasks: Vec<Arc<Counter>>,
-    /// Tasks help-executed by a blocked [`Pool::scope`] caller that is
-    /// not a pool worker (`worker="caller"`).
-    tasks_caller: Arc<Counter>,
-    /// Successful steals from a sibling worker's deque.
-    steals: Arc<Counter>,
     /// Times a worker went to sleep on the wake condvar.
     parks: Arc<Counter>,
     /// Times a sleeping worker was woken.
     unparks: Arc<Counter>,
-    /// Tasks currently queued in the two-priority global injector.
+    /// Tasks currently queued in the two-priority injector.
     injector_depth: Arc<Gauge>,
-    /// Tasks currently queued across all per-worker deques.
-    deque_depth: Arc<Gauge>,
     /// Task execution latency (nanoseconds), by priority.
     task_nanos_high: Arc<Histogram>,
     task_nanos_normal: Arc<Histogram>,
@@ -91,12 +69,9 @@ impl PoolMetrics {
                     ))
                 })
                 .collect(),
-            tasks_caller: r.counter(&labeled("sgs_exec_tasks_total", &[("worker", "caller")])),
-            steals: r.counter("sgs_exec_steals_total"),
             parks: r.counter("sgs_exec_parks_total"),
             unparks: r.counter("sgs_exec_unparks_total"),
             injector_depth: r.gauge("sgs_exec_injector_depth"),
-            deque_depth: r.gauge("sgs_exec_deque_depth"),
             task_nanos_high: r.histogram(&labeled("sgs_exec_task_nanos", &[("priority", "high")])),
             task_nanos_normal: r
                 .histogram(&labeled("sgs_exec_task_nanos", &[("priority", "normal")])),
@@ -109,28 +84,19 @@ impl PoolMetrics {
             Priority::Normal => &self.task_nanos_normal,
         }
     }
-
-    /// Count a task execution against the worker that ran it.
-    fn count_task(&self, me: Option<usize>) {
-        match me {
-            Some(w) => self.tasks[w].inc(),
-            None => self.tasks_caller.inc(),
-        }
-    }
 }
 
 /// Scheduling class of a [`Pool::spawn`]ed task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Priority {
-    /// Intra-query work on the critical path of a blocked fork-join
-    /// caller (shard phases). Always dispatched before `Normal`.
+    /// Short work a caller is waiting on. Always dispatched before
+    /// `Normal`.
     High,
     /// Query-ingestion tasks: independent units of multiplexed progress.
     Normal,
 }
 
-/// The global two-priority task queue (spawns from non-worker threads,
-/// plus every `Normal`-priority spawn). The `Normal` class is a set of
+/// The global two-priority task queue. The `Normal` class is a set of
 /// weighted fair queues (see [`FairNormal`]); `High` stays strict FIFO.
 #[derive(Default)]
 struct Injector {
@@ -222,14 +188,13 @@ struct SleepState {
 
 struct Inner {
     injector: Mutex<Injector>,
-    /// Per-worker deques: owner pushes/pops the back, thieves pop the
-    /// front.
-    deques: Vec<Mutex<VecDeque<Task>>>,
+    /// Number of worker threads.
+    threads: usize,
     sleep: Mutex<SleepState>,
     wake: Condvar,
-    /// Tasks currently queued anywhere (injector + deques). Checked
-    /// under the `sleep` lock before a worker waits, which is what makes
-    /// wakeups race-free: a producer increments *before* notifying.
+    /// Tasks currently queued. Checked under the `sleep` lock before a
+    /// worker waits, which is what makes wakeups race-free: a producer
+    /// increments *before* notifying.
     queued: AtomicUsize,
     /// Workers currently waiting on `wake` (registered under the `sleep`
     /// lock). Producers skip the lock-and-notify entirely while this is
@@ -240,40 +205,24 @@ struct Inner {
     metrics: PoolMetrics,
 }
 
-std::thread_local! {
-    /// Identity of the current thread when it is a pool worker: the pool
-    /// it belongs to and its worker index (for own-deque pushes).
-    static WORKER: std::cell::RefCell<Option<(Arc<Inner>, usize)>> =
-        const { std::cell::RefCell::new(None) };
-}
-
 impl Inner {
-    /// Push a task and wake one sleeping worker. `worker` routes to that
-    /// worker's own deque; otherwise the task joins the injector at
-    /// `priority`. `fair` is the `(key, weight)` tenancy tag of `Normal`
-    /// work (ignored for `High`); plain spawns use `(0, 1)`.
-    fn push(&self, worker: Option<usize>, priority: Priority, fair: (u64, u32), task: Task) {
-        // Count before enqueueing: were the order reversed, a thief could
-        // pop the task and decrement first, wrapping the counter to
+    /// Push a task at `priority` and wake one sleeping worker. `fair` is
+    /// the `(key, weight)` tenancy tag of `Normal` work (ignored for
+    /// `High`); plain spawns use `(0, 1)`.
+    fn push(&self, priority: Priority, fair: (u64, u32), task: Task) {
+        // Count before enqueueing: were the order reversed, a worker
+        // could pop the task and decrement first, wrapping the counter to
         // `usize::MAX` and sending every idle worker into a busy-spin
         // until this increment landed. Counting early only makes workers
         // rescan a touch sooner than the task is visible.
         self.queued.fetch_add(1, Ordering::SeqCst);
-        match worker {
-            Some(w) => {
-                self.deques[w].lock().unwrap().push_back(task);
-                self.metrics.deque_depth.inc();
-            }
-            None => {
-                let mut inj = self.injector.lock().unwrap();
-                match priority {
-                    Priority::High => inj.high.push_back(task),
-                    Priority::Normal => inj.normal.push(fair.0, fair.1, task),
-                }
-                drop(inj);
-                self.metrics.injector_depth.inc();
-            }
+        let mut inj = self.injector.lock().unwrap();
+        match priority {
+            Priority::High => inj.high.push_back(task),
+            Priority::Normal => inj.normal.push(fair.0, fair.1, task),
         }
+        drop(inj);
+        self.metrics.injector_depth.inc();
         // Wake a sleeper if there is one. The order is what makes this
         // race-free without locking on every push: a worker registers in
         // `sleepers` *before* its final `queued` re-check (both SeqCst).
@@ -286,58 +235,29 @@ impl Inner {
         }
     }
 
-    /// Take one task, exhausting every high-priority source before
-    /// touching `Normal` work: the hot end of `me`'s own deque, the
-    /// injector's `High` queue, the cold end of a sibling's deque (worker
-    /// deques only ever hold `High` fork-join tasks), and finally — iff
-    /// `include_normal` — the injector's `Normal` queue. Stealing before
-    /// `Normal` is what gives a blocked fork-join caller's phases
-    /// cross-worker parallelism even while ingestion work is queued.
-    fn find_task(&self, me: Option<usize>, include_normal: bool) -> Option<(Task, Priority)> {
-        if let Some(w) = me {
-            if let Some(t) = self.deques[w].lock().unwrap().pop_back() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.metrics.deque_depth.dec();
-                return Some((t, Priority::High));
-            }
-        }
-        if let Some(t) = self.injector.lock().unwrap().high.pop_front() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            self.metrics.injector_depth.dec();
-            return Some((t, Priority::High));
-        }
-        let n = self.deques.len();
-        let start = me.map_or(0, |w| w + 1);
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(t) = self.deques[victim].lock().unwrap().pop_front() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.metrics.deque_depth.dec();
-                self.metrics.steals.inc();
-                return Some((t, Priority::High));
-            }
-        }
-        if include_normal {
-            if let Some(t) = self.injector.lock().unwrap().normal.pop() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.metrics.injector_depth.dec();
-                return Some((t, Priority::Normal));
-            }
-        }
-        None
+    /// Take one task: the oldest `High` task, else the next `Normal` task
+    /// in fair-share order.
+    fn find_task(&self) -> Option<(Task, Priority)> {
+        let mut inj = self.injector.lock().unwrap();
+        let claimed = match inj.high.pop_front() {
+            Some(t) => (t, Priority::High),
+            None => (inj.normal.pop()?, Priority::Normal),
+        };
+        drop(inj);
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        self.metrics.injector_depth.dec();
+        Some(claimed)
     }
 
-    /// Execute one claimed task with its observability bookkeeping: the
-    /// per-worker task count and the per-priority latency histogram.
-    fn run_task(&self, me: Option<usize>, task: Task, priority: Priority) {
-        self.metrics.count_task(me);
+    /// Execute one claimed task on worker `me` with its observability
+    /// bookkeeping: the per-worker task count and the per-priority
+    /// latency histogram.
+    fn run_task(&self, me: usize, task: Task, priority: Priority) {
+        self.metrics.tasks[me].inc();
         let _span = SpanGuard::new(self.metrics.task_nanos(priority));
         // A detached task must never take its thread down: panics are
-        // contained here (task owners that care — scopes, the runtime
-        // executor — install their own handlers underneath).
+        // contained here (task owners that care — the runtime executor —
+        // install their own handlers underneath).
         let _ = catch_unwind(AssertUnwindSafe(task));
     }
 }
@@ -345,10 +265,9 @@ impl Inner {
 /// The persistent worker main loop: run tasks until the pool shuts down
 /// and no queued work remains.
 fn worker_loop(inner: Arc<Inner>, me: usize) {
-    WORKER.with(|w| *w.borrow_mut() = Some((inner.clone(), me)));
     loop {
-        if let Some((task, priority)) = inner.find_task(Some(me), true) {
-            inner.run_task(Some(me), task, priority);
+        if let Some((task, priority)) = inner.find_task() {
+            inner.run_task(me, task, priority);
             continue;
         }
         let mut sleep = inner.sleep.lock().unwrap();
@@ -390,9 +309,9 @@ impl Drop for ShutdownGuard {
     }
 }
 
-/// A handle to a persistent work-stealing thread pool. Cheap to clone;
-/// the pool shuts down (after draining queued tasks) when the last
-/// handle drops. See the crate docs for the scheduling model.
+/// A handle to a persistent thread pool. Cheap to clone; the pool shuts
+/// down (after draining queued tasks) when the last handle drops. See the
+/// crate docs for the scheduling model.
 #[derive(Clone)]
 pub struct Pool {
     inner: Arc<Inner>,
@@ -413,7 +332,7 @@ impl Pool {
         let threads = threads.max(1);
         let inner = Arc::new(Inner {
             injector: Mutex::new(Injector::default()),
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            threads,
             sleep: Mutex::new(SleepState { shutdown: false }),
             wake: Condvar::new(),
             queued: AtomicUsize::new(0),
@@ -437,16 +356,7 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.inner.deques.len()
-    }
-
-    /// The current thread's worker index **in this pool**, if it is one
-    /// of this pool's workers.
-    fn worker_index(&self) -> Option<usize> {
-        WORKER.with(|w| match &*w.borrow() {
-            Some((inner, me)) if Arc::ptr_eq(inner, &self.inner) => Some(*me),
-            _ => None,
-        })
+        self.inner.threads
     }
 
     /// Submit a detached task. A panicking task is contained by its
@@ -455,7 +365,7 @@ impl Pool {
     /// this way shares fair-share key 0 at weight 1; multi-tenant
     /// callers use [`spawn_fair`](Self::spawn_fair).
     pub fn spawn(&self, priority: Priority, f: impl FnOnce() + Send + 'static) {
-        self.inner.push(None, priority, (0, 1), Box::new(f));
+        self.inner.push(priority, (0, 1), Box::new(f));
     }
 
     /// Submit a detached `Normal`-priority task under a tenancy `key`
@@ -469,67 +379,7 @@ impl Pool {
     /// plain [`spawn`](Self::spawn).
     pub fn spawn_fair(&self, key: u64, weight: u32, f: impl FnOnce() + Send + 'static) {
         self.inner
-            .push(None, Priority::Normal, (key, weight), Box::new(f));
-    }
-
-    /// Scoped fork-join: run `f` with a [`Scope`] whose spawned closures
-    /// may borrow non-`'static` data from the enclosing frame, exactly
-    /// like `std::thread::scope` — but executed by the persistent pool
-    /// workers instead of freshly spawned OS threads. `scope` returns
-    /// only after every spawned closure has finished; while waiting, the
-    /// calling thread executes queued high-priority tasks itself, so the
-    /// construct is deadlock-free from any thread (including pool
-    /// workers — fork-join nests).
-    ///
-    /// If `f` or any spawned closure panics, `scope` panics after all
-    /// spawned closures have completed (borrowed data is never released
-    /// early).
-    pub fn scope<'env, F, T>(&self, f: F) -> T
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
-    {
-        let scope = Scope {
-            pool: self,
-            state: Arc::new(ScopeState {
-                pending: AtomicUsize::new(0),
-                done: Mutex::new(()),
-                done_cv: Condvar::new(),
-                panic: Mutex::new(None),
-            }),
-            _scope: std::marker::PhantomData,
-            _env: std::marker::PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Help-then-wait until every spawned task is done. This must run
-        // even when `f` panicked: tasks borrow from `'env` and must not
-        // outlive this frame.
-        let me = self.worker_index();
-        while scope.state.pending.load(Ordering::SeqCst) > 0 {
-            // Only high-priority work is safe to help with: `Normal`
-            // ingestion tasks may block (bounded output) and would stall
-            // this scope on an unrelated query.
-            if let Some((task, priority)) = self.inner.find_task(me, false) {
-                self.inner.run_task(me, task, priority);
-                continue;
-            }
-            let guard = scope.state.done.lock().unwrap();
-            if scope.state.pending.load(Ordering::SeqCst) > 0 {
-                // Completion is signalled under `done` (so the plain
-                // wait would already be race-free); the long timeout is
-                // only defense-in-depth against a missed help
-                // opportunity, rare enough not to cost lock traffic.
-                let _ = scope
-                    .state
-                    .done_cv
-                    .wait_timeout(guard, std::time::Duration::from_millis(50))
-                    .unwrap();
-            }
-        }
-        let task_panic = scope.state.panic.lock().unwrap().take();
-        match (result, task_panic) {
-            (Ok(v), None) => v,
-            (Err(p), _) | (Ok(_), Some(p)) => resume_unwind(p),
-        }
+            .push(Priority::Normal, (key, weight), Box::new(f));
     }
 }
 
@@ -544,63 +394,6 @@ pub fn global() -> &'static Pool {
                 .unwrap_or(1),
         )
     })
-}
-
-/// Completion accounting of one [`Pool::scope`] call.
-struct ScopeState {
-    pending: AtomicUsize,
-    done: Mutex<()>,
-    done_cv: Condvar,
-    /// First panic payload from a spawned task (re-thrown at scope exit).
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-/// A fork-join scope created by [`Pool::scope`]. Mirrors
-/// `std::thread::Scope`: `'scope` is the lifetime of the scope itself,
-/// `'env` the environment it may borrow from.
-pub struct Scope<'scope, 'env: 'scope> {
-    pool: &'scope Pool,
-    state: Arc<ScopeState>,
-    _scope: std::marker::PhantomData<&'scope mut &'scope ()>,
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Fork one closure into the pool at high priority. From a pool
-    /// worker the task goes to that worker's own deque (run next, stolen
-    /// last); from any other thread it joins the global high-priority
-    /// injector.
-    pub fn spawn<F>(&'scope self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.state.pending.fetch_add(1, Ordering::SeqCst);
-        let state = self.state.clone();
-        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                let mut slot = state.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            if state.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Signal under `done` so the owner's check-then-wait in
-                // `Pool::scope` cannot miss the last completion.
-                let _guard = state.done.lock().unwrap();
-                state.done_cv.notify_all();
-            }
-        });
-        // SAFETY: erasing `'scope` to `'static` is sound because
-        // `Pool::scope` does not return (or unwind) until `pending`
-        // reaches zero, i.e. until this closure — and everything it
-        // borrows from `'scope`/`'env` — has run to completion. The
-        // completion decrement above runs even if `f` panics.
-        let task: Task =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
-        self.pool
-            .inner
-            .push(self.pool.worker_index(), Priority::High, (0, 1), task);
-    }
 }
 
 #[cfg(test)]
@@ -634,57 +427,18 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_borrowing_tasks_to_completion() {
-        let pool = Pool::new(2);
-        let mut items = vec![0usize; 64];
-        pool.scope(|sc| {
-            for (i, item) in items.iter_mut().enumerate() {
-                sc.spawn(move || *item = i + 1);
-            }
-        });
-        assert!(items.iter().enumerate().all(|(i, &v)| v == i + 1));
-    }
-
-    #[test]
-    fn scope_makes_progress_on_single_worker_pool() {
-        // More forks than workers: the caller must help execute.
-        let pool = Pool::new(1);
-        let mut items = [0u8; 32];
-        pool.scope(|sc| {
-            for item in items.iter_mut() {
-                sc.spawn(move || *item = 1);
-            }
-        });
-        assert!(items.iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    fn nested_scopes_from_pool_tasks() {
-        // A Normal task on a 1-worker pool opens a scope that forks
-        // again: the worker helps itself through both levels.
+    fn spawned_task_panic_leaves_the_worker_alive() {
+        // One worker: the task after the panicking one can only run if
+        // the panic was contained on that worker's thread.
         let pool = Pool::new(1);
         let (tx, rx) = mpsc::channel();
-        let inner_pool = pool.clone();
-        pool.spawn(Priority::Normal, move || {
-            let mut outer = vec![0u64; 4];
-            inner_pool.scope(|sc| {
-                for (i, slot) in outer.iter_mut().enumerate() {
-                    let p = &inner_pool;
-                    sc.spawn(move || {
-                        let mut inner = [0u64; 3];
-                        p.scope(|sc2| {
-                            for v in inner.iter_mut() {
-                                sc2.spawn(move || *v = 1);
-                            }
-                        });
-                        *slot = i as u64 + inner.iter().sum::<u64>();
-                    });
-                }
-            });
-            tx.send(outer).unwrap();
-        });
-        let outer = rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
-        assert_eq!(outer, vec![3, 4, 5, 6]);
+        pool.spawn(Priority::Normal, || panic!("detached task failure"));
+        pool.spawn(Priority::Normal, move || tx.send(7).unwrap());
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(10)),
+            Ok(7),
+            "the worker died with the panicking task"
+        );
     }
 
     #[test]
@@ -770,58 +524,6 @@ mod tests {
         fair.push(9, 1, noop()); // late arrival: starts at `clock`
         let late = fair.queues.iter().find(|q| q.key == 9).unwrap();
         assert_eq!(late.pass, clock);
-    }
-
-    #[test]
-    fn scope_task_panic_propagates_after_completion() {
-        let pool = Pool::new(2);
-        let finished = Arc::new(AtomicU64::new(0));
-        let fin = finished.clone();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|sc| {
-                sc.spawn(|| panic!("forked task failure"));
-                for _ in 0..8 {
-                    let fin = &fin;
-                    sc.spawn(move || {
-                        fin.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        }));
-        assert!(result.is_err(), "scope must re-throw the task panic");
-        // Sibling tasks all completed before the scope unwound.
-        assert_eq!(finished.load(Ordering::SeqCst), 8);
-        // The pool survives panicking tasks.
-        let mut v = [0u8; 4];
-        pool.scope(|sc| {
-            for slot in v.iter_mut() {
-                sc.spawn(move || *slot = 7);
-            }
-        });
-        assert_eq!(v, [7; 4]);
-    }
-
-    #[test]
-    fn concurrent_scopes_from_many_threads() {
-        let pool = Pool::new(2);
-        std::thread::scope(|s| {
-            for t in 0..6 {
-                let pool = pool.clone();
-                s.spawn(move || {
-                    for round in 0..20 {
-                        let mut items = [0usize; 8];
-                        pool.scope(|sc| {
-                            for (i, item) in items.iter_mut().enumerate() {
-                                sc.spawn(move || *item = t * 1000 + round * 10 + i);
-                            }
-                        });
-                        for (i, &v) in items.iter().enumerate() {
-                            assert_eq!(v, t * 1000 + round * 10 + i);
-                        }
-                    }
-                });
-            }
-        });
     }
 
     #[test]

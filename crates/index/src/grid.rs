@@ -7,10 +7,9 @@
 //! all points co-located in a cell are mutual neighbors (Lemma 4.1) — the
 //! index exposes per-cell buckets so algorithms can exploit that.
 //!
-//! There is one reachability walk, [`ReachWalker`]: box-pruned,
-//! region-routed, allocation-free once built. [`GridIndex::range_query`]
-//! runs it over its own grid; sharded C-SGS runs the same walker over the
-//! grids of all its shards.
+//! There is one reachability walk, [`ReachWalker`]: box-pruned and
+//! allocation-free once built. [`GridIndex::range_query`] builds one per
+//! call; C-SGS holds one for its one range query per arriving object.
 //!
 //! Occupied cells are kept by *row* — the cells that agree on every
 //! coordinate but dimension 0, sorted by that coordinate — so the walk
@@ -26,7 +25,6 @@
 use sgs_core::{kernel, CellCoord, GridGeometry, HeapSize, Point, PointId, WindowId};
 
 use crate::fx::FxHashMap;
-use crate::region::ShardRouter;
 
 /// The points of one grid cell, stored column-wise: `coords` holds the
 /// cell's points back to back (`dim` consecutive `f64`s per point, the
@@ -214,24 +212,10 @@ impl GridIndex {
         expires_at: WindowId,
     ) -> CellCoord {
         let cell = self.geometry.cell_of(point);
-        self.insert_at(&cell, id, &point.coords, expires_at);
-        cell
-    }
-
-    /// Insert a point whose cell is already known (the re-shard move
-    /// path): same effect as [`insert_expiring`](Self::insert_expiring)
-    /// without recomputing the cell from the geometry.
-    pub fn insert_at(
-        &mut self,
-        cell: &CellCoord,
-        id: PointId,
-        coords: &[f64],
-        expires_at: WindowId,
-    ) {
         let (x, key) = (cell.0[0], &cell.0[1..]);
         let fresh = || {
             let mut slab = CellSlab::default();
-            slab.push(id, coords, expires_at);
+            slab.push(id, &point.coords, expires_at);
             (x, slab)
         };
         // Established rows are found by slice — the key is cloned only
@@ -239,7 +223,7 @@ impl GridIndex {
         // the point with no allocation beyond its slab's own growth.
         if let Some(row) = self.rows.get_mut(key) {
             match slot_of(row, x) {
-                Ok(i) => row[i].1.push(id, coords, expires_at),
+                Ok(i) => row[i].1.push(id, &point.coords, expires_at),
                 Err(i) => {
                     row.reserve_exact(1);
                     row.insert(i, fresh());
@@ -251,6 +235,7 @@ impl GridIndex {
             self.cells += 1;
         }
         self.len += 1;
+        cell
     }
 
     /// Remove a point from the cell it was inserted into. Returns `true`
@@ -293,9 +278,9 @@ impl GridIndex {
     /// excluding `exclude` (the querying point itself, per Def. 3.1 a point
     /// is not its own neighbor). Results are appended to `out`.
     ///
-    /// This is the single-grid form of [`ReachWalker::for_each_neighbor`];
-    /// it builds a walker per call, so callers issuing one query per
-    /// arriving object (C-SGS) hold a [`ReachWalker`] instead.
+    /// This is [`ReachWalker::for_each_neighbor`] with a walker built per
+    /// call; callers issuing one query per arriving object (C-SGS) hold a
+    /// [`ReachWalker`] instead.
     pub fn range_query(
         &self,
         coords: &[f64],
@@ -311,46 +296,33 @@ impl GridIndex {
                 .map(|&x| self.geometry.cell_index(x))
                 .collect(),
         );
-        ReachWalker::new(&self.geometry, &ShardRouter::new(1, 1)).for_each_neighbor(
-            |_| self,
+        ReachWalker::new(&self.geometry).for_each_neighbor(
+            self,
             &center,
             coords,
             theta_r * theta_r,
             exclude,
-            |_, id, _| out.push(id),
+            |id, _| out.push(id),
         );
     }
 }
 
 /// The box-pruned walk over a cell's reachability block — the one
-/// enumeration behind every range query search, over one grid
-/// ([`GridIndex::range_query`]) or over the region-routed grids of sharded
-/// C-SGS (`DESIGN.md` §6, §13).
+/// enumeration behind every range query search (`DESIGN.md` §13).
 ///
 /// It visits the occupied cells among the `(2·reach + 1)^d` that
-/// [`GridGeometry::reachable_cells`] yields, in that order, grouped by
-/// *region* so each region of the block is routed to its owning shard once
-/// instead of hashing every cell (a region is at least as wide as the
-/// reach, so a block spans at most 3 regions per dimension; with one shard
-/// the whole block is one region). The walk is driven by occupancy: it
-/// steps through the block's `(2·reach + 1)^(d−1)` *rows*, probes the row
-/// map once per row and scans the cells the row actually holds. The
-/// odometer state and the gap table are reused across queries: a walk
-/// allocates nothing.
+/// [`GridGeometry::reachable_cells`] yields, in that order. The walk is
+/// driven by occupancy: it steps through the block's `(2·reach + 1)^(d−1)`
+/// *rows*, probes the row map once per row and scans the cells the row
+/// actually holds. The odometer state and the gap table are reused across
+/// queries: a walk allocates nothing.
 #[derive(Clone, Debug)]
 pub struct ReachWalker {
     reach: i32,
     side: f64,
-    router: ShardRouter,
     /// The cell being visited: dimensions `1..` are the odometer over the
-    /// rows of the current region's sub-block, dimension 0 the cell the
-    /// row scan is at.
+    /// block's rows, dimension 0 the cell the row scan is at.
     cell: CellCoord,
-    /// Five `d`-vectors in one buffer: the odometer over the block's
-    /// regions and its inclusive lower and upper bounds, then the
-    /// inclusive lower and upper cell bounds of the current region's
-    /// sub-block.
-    odo: Vec<i32>,
     /// `d` rows of `2·reach + 1`: `gaps[i·(2·reach+1) + k]` is the squared
     /// distance along dimension `i` from the query to the interval of the
     /// block's `k`-th cell in that dimension (0 where the query lies
@@ -376,25 +348,21 @@ fn odometer_step(cur: &mut [i32], bounds: impl Fn(usize) -> (i32, i32)) -> bool 
 }
 
 impl ReachWalker {
-    /// Walker for grids of `geometry` whose cells `router` assigns to
-    /// shards.
-    pub fn new(geometry: &GridGeometry, router: &ShardRouter) -> Self {
+    /// Walker for grids of `geometry`.
+    pub fn new(geometry: &GridGeometry) -> Self {
         let d = geometry.dim();
         let reach = geometry.reach();
         ReachWalker {
             reach,
             side: geometry.side(),
-            router: router.clone(),
             cell: CellCoord::new(vec![0; d]),
-            odo: vec![0; 5 * d],
             gaps: vec![0.0; d * (2 * reach as usize + 1)],
         }
     }
 
-    /// Call `f(owner, cell, slab)` for every non-empty cell of the
+    /// Call `f(cell, slab)` for every non-empty cell of `grid` in the
     /// reachability block around `center` (the cell containing `coords`,
-    /// from [`GridGeometry::cell_of`]), reading shard `owner`'s cells from
-    /// `grids(owner)`.
+    /// from [`GridGeometry::cell_of`]).
     ///
     /// Rows and cells whose bounding box provably sits farther than
     /// `theta_sq` from the query are skipped — a row *before* its hash
@@ -410,27 +378,24 @@ impl ReachWalker {
     /// Pruning never changes the match set.
     fn for_each_slab<'a>(
         &mut self,
-        grids: impl Fn(usize) -> &'a GridIndex,
+        grid: &'a GridIndex,
         center: &CellCoord,
         coords: &[f64],
         theta_sq: f64,
-        mut f: impl FnMut(usize, &CellCoord, &'a CellSlab),
+        mut f: impl FnMut(&CellCoord, &'a CellSlab),
     ) {
+        if grid.is_empty() {
+            return;
+        }
         let ReachWalker {
             reach,
             side,
-            ref router,
             ref mut cell,
-            ref mut odo,
             ref mut gaps,
         } = *self;
         let d = cell.0.len();
         debug_assert_eq!(coords.len(), d);
-        let mut parts = odo.chunks_exact_mut(d);
-        let [reg, rlo, rhi, lo, hi] = std::array::from_fn(|_| parts.next().expect("5·d buffer"));
         let prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
-        // One shard owns every region: walk the block as a single region.
-        let width = (router.shards() > 1).then(|| router.width());
         // Saturating: a centre cell at the edge of the `i32` range (a
         // coordinate `cell_of` saturated) clips its block instead of
         // wrapping it to the far side of the grid.
@@ -456,95 +421,63 @@ impl ReachWalker {
                 };
                 *g = delta * delta;
             }
-            (rlo[i], rhi[i]) = match width {
-                Some(w) => (b_lo.div_euclid(w), b_hi.div_euclid(w)),
-                None => (0, 0),
-            };
-            reg[i] = rlo[i];
+            cell.0[i] = b_lo;
         }
         // A clipped block is narrower than the table's stride: entries are
         // indexed by offset from the clipped lower bound.
         let gap = |i: usize, ci: i32| gaps[i * stride + (ci - block(i).0) as usize];
+        let (lo0, hi0) = block(0);
         loop {
-            let owner = router.shard_of_region(reg);
-            let grid = grids(owner);
-            if !grid.is_empty() {
-                // The cells of the block that fall in this region.
-                for i in 0..d {
-                    let (b_lo, b_hi) = block(i);
-                    (lo[i], hi[i]) = match width {
-                        Some(w) => {
-                            // In `i64`: the region holding a clipped
-                            // block's edge can start below `i32::MIN`;
-                            // the clamped bounds lie within the block.
-                            let first = i64::from(reg[i]) * i64::from(w);
-                            let last = first + i64::from(w) - 1;
-                            (
-                                i64::from(b_lo).max(first) as i32,
-                                i64::from(b_hi).min(last) as i32,
-                            )
+            // Minimum squared distance from the query to the row's box,
+            // then to each of its cells.
+            let mut outer = 0.0;
+            for i in 1..d {
+                outer += gap(i, cell.0[i]);
+            }
+            if outer <= prune {
+                if let Some(row) = grid.rows.get(&cell.0[1..]) {
+                    let first = row.partition_point(|&(x, _)| x < lo0);
+                    for (x, slab) in &row[first..] {
+                        if *x > hi0 {
+                            break;
                         }
-                        None => (b_lo, b_hi),
-                    };
-                    cell.0[i] = lo[i];
-                }
-                loop {
-                    // Minimum squared distance from the query to the
-                    // row's box, then to each of its cells.
-                    let mut outer = 0.0;
-                    for i in 1..d {
-                        outer += gap(i, cell.0[i]);
-                    }
-                    if outer <= prune {
-                        if let Some(row) = grid.rows.get(&cell.0[1..]) {
-                            let first = row.partition_point(|&(x, _)| x < lo[0]);
-                            for (x, slab) in &row[first..] {
-                                if *x > hi[0] {
-                                    break;
-                                }
-                                if outer + gap(0, *x) <= prune {
-                                    cell.0[0] = *x;
-                                    f(owner, cell, slab);
-                                }
-                            }
+                        if outer + gap(0, *x) <= prune {
+                            cell.0[0] = *x;
+                            f(cell, slab);
                         }
-                    }
-                    if !odometer_step(&mut cell.0[1..], |i| (lo[i + 1], hi[i + 1])) {
-                        break;
                     }
                 }
             }
-            if !odometer_step(reg, |i| (rlo[i], rhi[i])) {
+            if !odometer_step(&mut cell.0[1..], |i| block(i + 1)) {
                 break;
             }
         }
     }
 
-    /// The range query search: call `found(owner, id, expires_at)` for
-    /// every indexed point within `theta_sq` (squared distance) of
-    /// `coords`, excluding `exclude` — the querying point itself, which
-    /// Def. 3.1 does not count as its own neighbor. `center` is the cell
-    /// containing `coords` (from [`GridGeometry::cell_of`]) and
-    /// `grids(owner)` the grid of shard `owner`.
+    /// The range query search: call `found(id, expires_at)` for every
+    /// point of `grid` within `theta_sq` (squared distance) of `coords`,
+    /// excluding `exclude` — the querying point itself, which Def. 3.1
+    /// does not count as its own neighbor. `center` is the cell containing
+    /// `coords` (from [`GridGeometry::cell_of`]).
     ///
     /// Each visited cell's slab is fed whole into the batched distance
     /// kernel; the self-exclusion check runs once per *match*, not once
     /// per candidate, and the expiry rides inline in the slab, so
     /// discovery touches no point map.
-    pub fn for_each_neighbor<'a>(
+    pub fn for_each_neighbor(
         &mut self,
-        grids: impl Fn(usize) -> &'a GridIndex,
+        grid: &GridIndex,
         center: &CellCoord,
         coords: &[f64],
         theta_sq: f64,
         exclude: PointId,
-        mut found: impl FnMut(usize, PointId, WindowId),
+        mut found: impl FnMut(PointId, WindowId),
     ) {
-        self.for_each_slab(grids, center, coords, theta_sq, |owner, _, slab| {
+        self.for_each_slab(grid, center, coords, theta_sq, |_, slab| {
             kernel::for_each_within(coords, &slab.coords, theta_sq, |j| {
                 let id = slab.ids[j];
                 if id != exclude {
-                    found(owner, id, slab.expires[j]);
+                    found(id, slab.expires[j]);
                 }
             });
         });
@@ -669,44 +602,36 @@ mod tests {
     /// The walker visits exactly the occupied cells of
     /// [`GridGeometry::reachable_cells`] whose box lies within the pruning
     /// radius of the query (summed the way the walk sums it: the row's
-    /// dimensions first, dimension 0 last) — for one grid, where the visit
-    /// order is the `reachable_cells` order, and for region-routed grids,
-    /// in one to five dimensions — and reports each cell's points with
-    /// their owning shard and inline expiry.
+    /// dimensions first, dimension 0 last), in the `reachable_cells`
+    /// order, in one to five dimensions — and reports each cell's points
+    /// with their inline expiry.
     #[test]
     fn walker_visits_exactly_the_reachable_cells_that_survive_the_box_prune() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let theta = 0.5;
-        for (dim, shards) in [(1, 1), (2, 1), (2, 4), (3, 1), (4, 1), (4, 3), (5, 1)] {
+        for dim in 1..=5 {
             let geometry = GridGeometry::basic(dim, theta);
             let (side, theta_sq) = (geometry.side(), theta * theta);
-            let router = ShardRouter::new(2 * geometry.reach() + 1, shards);
-            let mut walker = ReachWalker::new(&geometry, &router);
+            let mut walker = ReachWalker::new(&geometry);
             // A 5-d round loads 9⁵ cells: a few rounds suffice there.
             for _ in 0..if dim < 5 { 20 } else { 3 } {
                 let q: Vec<f64> = (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
                 let center = geometry.cell_of(&Point::new(q.clone(), 0));
                 // One point in the middle of every cell of a box one cell
-                // wider than the reachability block, in its owner's grid.
-                let mut grids: Vec<GridIndex> = (0..shards)
-                    .map(|_| GridIndex::new(geometry.clone()))
-                    .collect();
+                // wider than the reachability block.
+                let mut grid = GridIndex::new(geometry.clone());
                 let wide = GridGeometry::with_side(dim, theta + side, side);
                 for (n, cell) in wide.reachable_cells(&center).iter().enumerate() {
                     let at = Point::new(geometry.center(cell), 0);
-                    grids[router.shard_of(cell)].insert_expiring(
-                        PointId(n as u32),
-                        &at,
-                        WindowId(n as u64),
-                    );
+                    grid.insert_expiring(PointId(n as u32), &at, WindowId(n as u64));
                 }
                 let gap = |i: usize, cell: &CellCoord| {
                     let lo = cell.0[i] as f64 * side;
                     let delta = q[i].clamp(lo, lo + side) - q[i];
                     delta * delta
                 };
-                let mut want: Vec<CellCoord> = geometry
+                let want: Vec<CellCoord> = geometry
                     .reachable_cells(&center)
                     .into_iter()
                     .filter(|cell| {
@@ -715,32 +640,19 @@ mod tests {
                     })
                     .collect();
                 let mut got = Vec::new();
-                walker.for_each_slab(
-                    |o| &grids[o],
-                    &center,
-                    &q,
-                    theta_sq,
-                    |owner, cell, slab| {
-                        assert_eq!(owner, router.shard_of(cell));
-                        assert_eq!(slab.len(), 1);
-                        assert_eq!(slab.expires_at(0).0, slab.id(0).0 as u64);
-                        got.push(cell.clone());
-                    },
-                );
-                if shards > 1 {
-                    // Regions are walked one after another, each in order.
-                    want.sort();
-                    got.sort();
-                }
-                assert_eq!(got, want, "dim {dim}, S = {shards}, query {q:?}");
+                walker.for_each_slab(&grid, &center, &q, theta_sq, |cell, slab| {
+                    assert_eq!(slab.len(), 1);
+                    assert_eq!(slab.expires_at(0).0, slab.id(0).0 as u64);
+                    got.push(cell.clone());
+                });
+                assert_eq!(got, want, "dim {dim}, query {q:?}");
             }
         }
     }
 
     /// A block around a cell on the rim of the `i32` range is clipped to
-    /// the range, for one grid and for region-routed grids (whose rim
-    /// region starts below `i32::MIN`): no overflow, and the centre cell
-    /// is still visited exactly once, under its owner.
+    /// the range: no overflow, and the centre cell is still visited
+    /// exactly once.
     #[test]
     fn walk_on_the_rim_of_the_cell_range_clips_instead_of_wrapping() {
         let geometry = GridGeometry::basic(2, 0.5);
@@ -752,23 +664,13 @@ mod tests {
         let at = Point::new(q.to_vec(), 0);
         let corner = geometry.cell_of(&at);
         assert_eq!(*corner.0, [i32::MAX, i32::MIN]);
-        for shards in [1, 3] {
-            let router = ShardRouter::new(2 * geometry.reach() + 1, shards);
-            let mut grids: Vec<GridIndex> = (0..shards)
-                .map(|_| GridIndex::new(geometry.clone()))
-                .collect();
-            grids[router.shard_of(&corner)].insert(PointId(7), &at);
-            let mut seen = Vec::new();
-            ReachWalker::new(&geometry, &router).for_each_slab(
-                |o| &grids[o],
-                &corner,
-                &q,
-                0.25,
-                |owner, cell, slab| seen.push((owner, cell.clone(), slab.id(0))),
-            );
-            let want = (router.shard_of(&corner), corner.clone(), PointId(7));
-            assert_eq!(seen, [want], "S = {shards}");
-        }
+        let mut grid = GridIndex::new(geometry.clone());
+        grid.insert(PointId(7), &at);
+        let mut seen = Vec::new();
+        ReachWalker::new(&geometry).for_each_slab(&grid, &corner, &q, 0.25, |cell, slab| {
+            seen.push((cell.clone(), slab.id(0)))
+        });
+        assert_eq!(seen, [(corner, PointId(7))]);
     }
 
     /// The `Vec`-scan model of the index: the occupied cells in no

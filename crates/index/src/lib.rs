@@ -11,9 +11,7 @@
 //!   (§7.1): a multi-dimensional grid over (volume, core-cell count, average
 //!   density, average connectivity),
 //! * [`UnionFind`] — disjoint sets with path compression, used by Extra-N's
-//!   per-view cluster formation and by sharded C-SGS's border merge,
-//! * [`ShardRouter`] — deterministic cell → shard routing by coarsened
-//!   grid-region coordinate (sharded extraction, `DESIGN.md` §6), and
+//!   per-view cluster formation and by C-SGS's output stage, and
 //! * [`FxHashMap`]/[`FxHashSet`] — hash containers with a fast
 //!   multiply-xor hasher (FxHash), since cell-coordinate hashing is on the
 //!   hot path of every insertion.
@@ -21,13 +19,11 @@
 pub mod feature_grid;
 pub mod fx;
 pub mod grid;
-pub mod region;
 pub mod rtree;
 pub mod union_find;
 
 pub use feature_grid::FeatureGrid;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use grid::{CellSlab, GridIndex, ReachWalker};
-pub use region::ShardRouter;
 pub use rtree::{RTree, Rect};
 pub use union_find::UnionFind;

@@ -197,8 +197,7 @@ pub(crate) struct QueryCell {
 
 impl QueryCell {
     /// Build the cell for one DETECT plan, its pipeline scheduled on
-    /// `pool` (the C-SGS shard phases fork there too, so one set of
-    /// workers carries both levels of parallelism).
+    /// `pool`.
     pub(crate) fn new(
         plan: &DetectPlan,
         shared: SharedStatus,
@@ -208,12 +207,7 @@ impl QueryCell {
         pool: Pool,
         fair: (u64, u32),
     ) -> sgs_core::Result<Arc<QueryCell>> {
-        let pipeline = StreamPipeline::with_pool(
-            plan.query.clone(),
-            plan.policy.clone(),
-            plan.seed,
-            pool.clone(),
-        )?;
+        let pipeline = StreamPipeline::new(plan.query.clone(), plan.policy.clone(), plan.seed)?;
         Ok(Arc::new(QueryCell {
             shared,
             history,

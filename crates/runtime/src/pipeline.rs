@@ -29,30 +29,13 @@ pub struct StreamPipeline {
 
 impl StreamPipeline {
     /// Build a pipeline for `query`, archiving per `policy` (seeded for
-    /// reproducible sampling policies). Extraction parallelism (if the
-    /// query shards) runs on the process-wide [`sgs_exec::global`] pool.
+    /// reproducible sampling policies).
     pub fn new(query: ClusterQuery, policy: ArchivePolicy, seed: u64) -> Result<Self> {
-        Self::with_pool(query, policy, seed, sgs_exec::global().clone())
-    }
-
-    /// Like [`new`](Self::new), but scheduling the extractor's parallel
-    /// phases on an explicit pool — how the [`Runtime`] keeps every
-    /// query's intra-query parallelism on its one configured scheduler.
-    /// The choice of pool never affects outputs, only where they are
-    /// computed.
-    ///
-    /// [`Runtime`]: crate::runtime::Runtime
-    pub fn with_pool(
-        query: ClusterQuery,
-        policy: ArchivePolicy,
-        seed: u64,
-        pool: sgs_exec::Pool,
-    ) -> Result<Self> {
         // The one place a point's coordinates are checked against what
         // this query's grid can address (`DESIGN.md` §5).
         let engine = WindowEngine::new(query.window, query.dim)
             .with_coord_limit(query.basic_grid().coord_limit());
-        let extractor = CSgs::with_pool(query, pool);
+        let extractor = CSgs::new(query);
         Ok(StreamPipeline {
             engine,
             extractor,

@@ -9,7 +9,7 @@
 //! planner → executor shape of classic query engines.
 
 use sgs_archive::ArchivePolicy;
-use sgs_core::{ClusterQuery, ShardCount};
+use sgs_core::ClusterQuery;
 use sgs_matching::MatchConfig;
 use sgs_query::{parse_any, DetectQuery, MatchQueryAst, ParseError, QueryAst};
 
@@ -148,25 +148,16 @@ pub struct Planner {
     pub default_policy: ArchivePolicy,
     /// Archiver RNG seed given to DETECT plans.
     pub default_seed: u64,
-    /// Extraction shard count given to DETECT plans. Defaults to
-    /// [`ShardCount::Auto`] — adaptive: each extractor starts
-    /// single-sharded and re-partitions from observed grid occupancy, so
-    /// small queries stay on the cheap sequential path while hot ones
-    /// grow shards (`DESIGN.md` §6 and §13). Output is shard-invariant
-    /// either way; pin `Fixed(n)` to opt out of adaptation.
-    pub default_shards: ShardCount,
 }
 
 impl Planner {
     /// Planner over `catalog` with default archive settings
-    /// ([`ArchivePolicy::All`], seed 0) and adaptive extraction
-    /// sharding.
+    /// ([`ArchivePolicy::All`], seed 0).
     pub fn new(catalog: StreamCatalog) -> Self {
         Planner {
             catalog,
             default_policy: ArchivePolicy::All,
             default_seed: 0,
-            default_shards: ShardCount::Auto,
         }
     }
 
@@ -200,10 +191,7 @@ impl Planner {
                 stream: ast.stream.clone(),
                 known: self.catalog.names().map(str::to_string).collect(),
             })?;
-        let query = ast
-            .to_cluster_query(dim)
-            .map_err(PlanError::Invalid)?
-            .with_shards(self.default_shards);
+        let query = ast.to_cluster_query(dim).map_err(PlanError::Invalid)?;
         Ok(DetectPlan {
             ast,
             query,
@@ -243,19 +231,6 @@ mod tests {
         assert_eq!(plan.query.dim, 2);
         assert_eq!(plan.query.theta_c, 8);
         assert_eq!(plan.policy, ArchivePolicy::All);
-        // Runtime queries default to adaptive sharding: cold extractors
-        // run single-sharded and grow with observed occupancy.
-        assert_eq!(plan.query.shards, ShardCount::Auto);
-    }
-
-    #[test]
-    fn planner_default_shards_flow_into_plans() {
-        let mut p = planner();
-        p.default_shards = ShardCount::Fixed(4);
-        let QueryPlan::Detect(plan) = p.plan(DETECT).unwrap() else {
-            panic!("expected a detect plan");
-        };
-        assert_eq!(plan.query.shards, ShardCount::Fixed(4));
     }
 
     #[test]

@@ -65,21 +65,16 @@ pub struct RuntimeConfig {
     /// reproduced solo by `StreamPipeline::new(plan.query, plan.policy,
     /// base_seed)`.
     pub base_seed: u64,
-    /// Extraction shard count handed to DETECT statements submitted as
-    /// text. Defaults to [`ShardCount::Auto`] — adaptive: each extractor
-    /// starts single-sharded and re-partitions from the grid occupancy
-    /// it observes, so cold/small queries pay nothing while hot ones
-    /// parallelize *within* one stream pass (`DESIGN.md` §6 and §13).
-    /// Shard phases fork on the same scheduler pool the queries multiplex
-    /// over, and the per-window output is shard-invariant, so this never
-    /// changes results; pin `Fixed(n)` to opt out of adaptation.
+    /// Read by nothing. Kept solely because the frozen benchmark's
+    /// `e2ebench/src/workloads.rs` sets it; see [`ShardCount`].
     pub default_shards: ShardCount,
-    /// Size of the scheduler pool every query task — and every sharded
-    /// extraction phase — runs on (`DESIGN.md` §8).
-    /// [`PoolThreads::Auto`] (the default) uses the process-wide shared
-    /// pool, one worker per CPU; [`PoolThreads::Fixed`] gives this
-    /// runtime a dedicated pool of exactly that many workers.
-    /// Scheduling never affects results, only wall-clock.
+    /// Size of the scheduler pool every query task runs on (`DESIGN.md`
+    /// §8). Each query is one sequential pass, so this bounds how many
+    /// queries make progress at once. [`PoolThreads::Auto`] (the
+    /// default) uses the process-wide shared pool, one worker per CPU;
+    /// [`PoolThreads::Fixed`] gives this runtime a dedicated pool of
+    /// exactly that many workers. Scheduling never affects results, only
+    /// wall-clock.
     pub pool_threads: PoolThreads,
     /// Output-side flow control for `poll`-mode queries: what a query's
     /// completed-window buffer does when [`Runtime::poll`] is not
@@ -259,7 +254,7 @@ struct QueryEntry {
 /// ```
 pub struct Runtime {
     planner: Planner,
-    /// The scheduler pool all query tasks and shard phases run on.
+    /// The scheduler pool all query tasks run on.
     pool: Pool,
     entries: Vec<QueryEntry>,
     /// Shared history bases, one per pattern dimensionality (a
@@ -310,7 +305,6 @@ impl Runtime {
         let mut planner = Planner::new(StreamCatalog::new());
         planner.default_policy = config.default_policy.clone();
         planner.default_seed = config.base_seed;
-        planner.default_shards = config.default_shards;
         let pool = match config.pool_threads {
             PoolThreads::Auto => sgs_exec::global().clone(),
             fixed @ PoolThreads::Fixed(_) => Pool::new(fixed.resolve()),
@@ -376,8 +370,7 @@ impl Runtime {
         }
     }
 
-    /// The scheduler pool this runtime multiplexes its queries (and
-    /// their sharded extraction phases) over.
+    /// The scheduler pool this runtime multiplexes its queries over.
     pub fn pool(&self) -> &Pool {
         &self.pool
     }
@@ -1457,40 +1450,6 @@ mod tests {
             rt.submit(&unbound),
             Err(RuntimeError::UnknownBinding(_))
         ));
-    }
-
-    #[test]
-    fn sharded_query_archives_identically_to_single_shard() {
-        // The same DETECT text, run with 1-shard and 3-shard extraction:
-        // every polled window and the archive must be byte-identical.
-        let stream = gmti(5000);
-        let mut polled = Vec::new();
-        let mut bases = Vec::new();
-        for shards in [ShardCount::Fixed(1), ShardCount::Fixed(3)] {
-            let mut rt = Runtime::with_config(RuntimeConfig {
-                default_shards: shards,
-                ..RuntimeConfig::default()
-            });
-            rt.register_stream("gmti", 2);
-            let Submission::Continuous(id) = rt.submit(DETECT).unwrap() else {
-                panic!()
-            };
-            rt.push_batch(&stream).unwrap();
-            rt.quiesce().unwrap();
-            polled.push(rt.poll(id).unwrap());
-            let report = rt.cancel(id).unwrap();
-            bases.push(resolve(&rt, &report));
-        }
-        assert!(!polled[0].is_empty());
-        assert_eq!(polled[0], polled[1], "windows diverged across shard counts");
-        assert_eq!(bases[0].len(), bases[1].len());
-        for (a, b) in bases[0].iter().zip(bases[1].iter()) {
-            assert_eq!(a.window, b.window);
-            assert_eq!(
-                sgs_summarize::packed::encode(&a.sgs),
-                sgs_summarize::packed::encode(&b.sgs)
-            );
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ```text
 //! streamsum-server [--addr 127.0.0.1:7878] [--stream name:dim]...
 //!                  [--channel-capacity N] [--output-policy unbounded|block:N|drop-oldest:N]
-//!                  [--pool-threads N] [--shards N] [--seed N]
+//!                  [--pool-threads N] [--seed N]
 //!                  [--archive-dir PATH] [--archive-budget BYTES]
 //!                  [--metrics-addr HOST:PORT]
 //!                  [--idle-timeout SECS] [--drain-timeout SECS]
@@ -26,7 +26,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use sgs_core::{ArchiveRetention, PoolThreads, ShardCount};
+use sgs_core::{ArchiveRetention, PoolThreads};
 use sgs_runtime::{DurableArchive, OutputPolicy, RuntimeConfig};
 use sgs_server::{AuthToken, Server, ServerConfig};
 
@@ -37,7 +37,6 @@ usage: streamsum-server [options]
   --channel-capacity N      per-query bounded input queue, in messages (default 1024)
   --output-policy P         unbounded | block:N | drop-oldest:N (default unbounded)
   --pool-threads N          dedicated scheduler pool of N workers (default: shared auto pool)
-  --shards N                extraction shards per query (default 1)
   --seed N                  archiver RNG seed (default 0)
   --archive-dir PATH        persist the shared history there (WAL + checkpoints;
                             recovers on restart; default: memory-only)
@@ -204,12 +203,6 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
                     .parse()
                     .map_err(|_| "bad --pool-threads".to_string())?;
                 runtime.pool_threads = PoolThreads::Fixed(n.max(1));
-            }
-            "--shards" => {
-                let n: u32 = value("--shards")?
-                    .parse()
-                    .map_err(|_| "bad --shards".to_string())?;
-                runtime.default_shards = ShardCount::Fixed(n.max(1));
             }
             "--seed" => {
                 runtime.base_seed = value("--seed")?

@@ -23,11 +23,8 @@ pub trait WindowConsumer {
 
     /// A run of points that all arrive between two window boundaries (no
     /// slide occurs inside the batch), in arrival order. The default
-    /// implementation loops over [`insert`](Self::insert); consumers whose
-    /// final state is insertion-order-independent within a window — like
-    /// the sharded C-SGS extractor — override this to process the run in
-    /// parallel (as fork-join phases on the shared scheduler pool; see
-    /// `DESIGN.md` §8).
+    /// implementation loops over [`insert`](Self::insert); a consumer that
+    /// can take a run at once overrides it.
     fn insert_batch(&mut self, items: &[(PointId, Point, WindowId)]) {
         for (id, point, expires_at) in items {
             self.insert(*id, point, *expires_at);
@@ -166,8 +163,7 @@ impl WindowEngine {
     ///
     /// The batch is cut into *segments* — maximal runs of points between
     /// two window boundaries — and each segment is handed to the consumer
-    /// in one [`insert_batch`](WindowConsumer::insert_batch) call, which
-    /// is what lets sharded consumers parallelize within a segment. The
+    /// in one [`insert_batch`](WindowConsumer::insert_batch) call. The
     /// sequence of consumer `insert`/`slide` effects — and thus every
     /// output — does not depend on how a stream is cut into batches.
     ///

@@ -50,7 +50,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`core`] | points, grid geometry, windows, queries, memory accounting |
-//! | [`exec`] | shared work-stealing scheduler pool (task priorities, fork-join scopes) |
+//! | [`exec`] | shared scheduler pool (task priorities, weighted fair queues) |
 //! | [`stream`] | window engine, lifespan analysis (Obs. 5.2–5.4) |
 //! | [`index`] | grid index, R-tree, feature grid, union-find |
 //! | [`cluster`] | DBSCAN ground truth, Extra-N baseline |
@@ -69,8 +69,8 @@
 //!
 //! The [`runtime::Runtime`] executes query-language text
 //! directly, fanning one ingested stream out to any number of concurrent
-//! continuous queries — multiplexed over the shared work-stealing
-//! scheduler pool ([`exec`]) behind bounded, backpressured input queues,
+//! continuous queries — multiplexed over the shared scheduler pool
+//! ([`exec`]) behind bounded, backpressured input queues,
 //! so idle queries cost zero threads — while matching statements run
 //! against their shared history:
 //!
@@ -123,7 +123,7 @@ pub mod prelude {
     };
     pub use sgs_cluster::{cluster_snapshot, CanonicalClustering, ExtraN, NaiveClusterer};
     pub use sgs_core::{
-        ClusterQuery, Error, Point, PointId, PoolThreads, Result, ShardCount, WindowId, WindowSpec,
+        ClusterQuery, Error, Point, PointId, PoolThreads, Result, WindowId, WindowSpec,
     };
     pub use sgs_csgs::{CSgs, ClusterTracker, ExtractedCluster, TrackId, WindowOutput};
     pub use sgs_datagen::{generate_gmti, generate_stt, GmtiConfig, SttConfig};
