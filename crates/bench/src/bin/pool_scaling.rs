@@ -6,8 +6,10 @@
 //!
 //! For every worker count W ∈ {1, 2, 4} a dedicated pool
 //! (`RuntimeConfig::pool_threads = Fixed(W)`) runs each query count
-//! k ∈ {1, 4, 8} over the same stream (callback sinks, so no output
-//! buffering distorts memory), quiescing before the clock stops. With
+//! k ∈ {1, 4, 8} over the same stream, quiescing before the clock stops.
+//! Windows are delivered the way served queries receive them, into each
+//! query's output buffer; a `DropOldest(1)` policy keeps that buffer at
+//! one window, so undrained output does not distort memory. With
 //! k ≫ W the workers multiplex; expect the processed rate to grow with
 //! W up to the machine's core count, and to stay flat (not collapse) as
 //! k grows at fixed W.
@@ -19,8 +21,6 @@
 //! `--json` prints one machine-readable report object to stdout instead
 //! of the table (CI uploads it as `BENCH_pool_scaling.json`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use sgs_bench::json::JsonObject;
@@ -28,7 +28,7 @@ use sgs_bench::obs_report::{metrics_json, parse_metrics};
 use sgs_bench::table::print_table;
 use sgs_bench::workload::{parse_dataset, parse_scale, Dataset};
 use sgs_core::PoolThreads;
-use sgs_runtime::{QueryPlan, Runtime, RuntimeConfig};
+use sgs_runtime::{OutputPolicy, Runtime, RuntimeConfig, Submission};
 
 struct Row {
     workers: u64,
@@ -61,11 +61,11 @@ fn main() {
             let mut rt = Runtime::with_config(RuntimeConfig {
                 channel_capacity: 64,
                 pool_threads: PoolThreads::Fixed(workers as u32),
+                output_policy: OutputPolicy::DropOldest(1),
                 ..RuntimeConfig::default()
             });
             rt.register_stream(stream_name, dataset.dim());
-            let windows = Arc::new(AtomicU64::new(0));
-            let clusters = Arc::new(AtomicU64::new(0));
+            let mut ids = Vec::with_capacity(k);
             for i in 0..k {
                 let (theta_r, theta_c) = dataset.cases()[i % 3];
                 let text = format!(
@@ -73,21 +73,23 @@ fn main() {
                      USING theta_range = {theta_r} AND theta_cnt = {theta_c} \
                      IN Windows WITH win = {win} AND slide = {slide}"
                 );
-                let QueryPlan::Detect(plan) = rt.plan(&text).expect("plannable statement") else {
-                    unreachable!("DETECT text plans to a detect plan");
+                let Submission::Continuous(id) = rt.submit(&text).expect("query registers") else {
+                    unreachable!("DETECT text registers a continuous query");
                 };
-                let (w, c) = (windows.clone(), clusters.clone());
-                rt.submit_detect_with(*plan, move |_, out| {
-                    w.fetch_add(1, Ordering::Relaxed);
-                    c.fetch_add(out.len() as u64, Ordering::Relaxed);
-                })
-                .expect("query registers");
+                ids.push(id);
             }
 
             let start = Instant::now();
             rt.push_batch(&points).expect("ingest succeeds");
             rt.quiesce().expect("all queries drain");
             let secs = start.elapsed().as_secs_f64();
+            // Stats count every emitted window, dropped ones included.
+            let (mut windows, mut clusters) = (0, 0);
+            for id in ids {
+                let stats = rt.stats(id).expect("registered query");
+                windows += stats.windows;
+                clusters += stats.clusters;
+            }
             rt.shutdown();
 
             rows.push(Row {
@@ -95,8 +97,8 @@ fn main() {
                 queries: k as u64,
                 ingest_per_sec: n as f64 / secs,
                 processed_per_sec: (n * k) as f64 / secs,
-                windows: windows.load(Ordering::Relaxed),
-                clusters: clusters.load(Ordering::Relaxed),
+                windows,
+                clusters,
             });
         }
     }

@@ -38,8 +38,6 @@ pub mod cell_store;
 mod merge;
 pub mod output;
 mod point_store;
-pub mod tracking;
 
 pub use algorithm::CSgs;
 pub use output::{ExtractedCluster, WindowOutput};
-pub use tracking::{ClusterTracker, Event, TrackId, TrackedWindow};

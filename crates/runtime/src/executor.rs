@@ -27,12 +27,17 @@
 //! queries observe the union of all queries' archives while extraction
 //! continues: Fig. 4's concurrent archiver/analyst arrangement.
 //!
-//! A panic inside query processing (a failing analyst callback, say) is
+//! Completed windows go into the query's output buffer, the one
+//! delivery path: [`Runtime::poll`] and the server's push subscriptions
+//! both drain it.
+//!
+//! A panic inside query processing (a failing readiness hook, say) is
 //! caught at the task boundary: the query moves to
 //! [`QueryState::Failed`] and later input is drained and dropped, while
 //! the pool worker — and every other query — carries on.
 //!
 //! [`Runtime::push_batch`]: crate::runtime::Runtime::push_batch
+//! [`Runtime::poll`]: crate::runtime::Runtime::poll
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,7 +47,6 @@ use std::time::Instant;
 
 use sgs_archive::{PatternId, SharedPatternBase};
 use sgs_core::{Point, WindowId};
-use sgs_csgs::WindowOutput;
 use sgs_exec::Pool;
 use sgs_summarize::Sgs;
 
@@ -67,21 +71,6 @@ pub(crate) enum Msg {
     /// Stop the query: drop its pipeline, send back the handles of what it
     /// archived, and drop any input queued behind this message.
     Stop(mpsc::Sender<Vec<PatternId>>),
-}
-
-/// A per-window results callback (boxed: sinks are stored uniformly in
-/// the query cell).
-pub(crate) type WindowCallback = Box<dyn FnMut(WindowId, &WindowOutput) + Send>;
-
-/// Where a query delivers completed windows.
-pub(crate) enum Sink {
-    /// Buffer for [`Runtime::poll`], governed by the runtime's
-    /// [`OutputPolicy`](crate::output::OutputPolicy).
-    ///
-    /// [`Runtime::poll`]: crate::runtime::Runtime::poll
-    Buffer(Arc<OutputBuffer>),
-    /// Invoke a callback on the executing pool worker (no buffering).
-    Callback(WindowCallback),
 }
 
 /// Messages one task activation processes before re-queueing itself
@@ -169,17 +158,19 @@ impl InputQueue {
 /// after that are dropped.
 struct ExecState {
     pipeline: Option<StreamPipeline>,
-    sink: Sink,
     /// Handles, in the shared history, of the patterns this query
     /// archived — in archive order, so strictly increasing.
     archived: Vec<PatternId>,
 }
 
 /// One registered query's executor-side record: input queue, pipeline,
-/// and the scheduling flag that serializes its processing.
+/// output buffer, and the scheduling flag that serializes its processing.
 pub(crate) struct QueryCell {
     shared: SharedStatus,
     history: SharedPatternBase,
+    /// Where completed windows go, governed by the runtime's
+    /// [`OutputPolicy`](crate::output::OutputPolicy).
+    outputs: Arc<OutputBuffer>,
     input: InputQueue,
     exec: Mutex<ExecState>,
     /// True while a pool task owns this query (queued or running). The
@@ -203,7 +194,7 @@ impl QueryCell {
         shared: SharedStatus,
         history: SharedPatternBase,
         capacity: usize,
-        sink: Sink,
+        outputs: Arc<OutputBuffer>,
         pool: Pool,
         fair: (u64, u32),
     ) -> sgs_core::Result<Arc<QueryCell>> {
@@ -211,6 +202,7 @@ impl QueryCell {
         Ok(Arc::new(QueryCell {
             shared,
             history,
+            outputs,
             input: InputQueue {
                 capacity: capacity.max(1),
                 queue: Mutex::new(VecDeque::new()),
@@ -219,7 +211,6 @@ impl QueryCell {
             },
             exec: Mutex::new(ExecState {
                 pipeline: Some(pipeline),
-                sink,
                 archived: Vec::new(),
             }),
             scheduled: AtomicBool::new(false),
@@ -266,9 +257,9 @@ impl QueryCell {
     }
 
     /// Process one batch: run the pipeline (which archives into the
-    /// shared history), emit outputs, update the stats cell. A
-    /// panic (e.g. in an analyst callback) fails the query instead of
-    /// poisoning the worker.
+    /// shared history), buffer outputs, update the stats cell. A panic
+    /// (e.g. in a readiness hook) fails the query instead of poisoning
+    /// the worker.
     fn process(&self, points: &[Point], enqueued: Instant) {
         if self.shared.read().state == QueryState::Failed {
             return; // Drop points that were in flight when the query failed.
@@ -341,8 +332,7 @@ fn run(cell: Arc<QueryCell>) {
 
 /// The batch-processing body, under the cell's `exec` lock.
 fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enqueued: Instant) {
-    let (Some(pipeline), sink, archived) = (&mut exec.pipeline, &mut exec.sink, &mut exec.archived)
-    else {
+    let (Some(pipeline), archived) = (&mut exec.pipeline, &mut exec.archived) else {
         return; // Stopped: drain-and-drop whatever was queued behind.
     };
     let start = Instant::now();
@@ -370,17 +360,8 @@ fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enque
     let n_windows = outputs.len() as u64;
     let n_clusters: u64 = outputs.iter().map(|(_, o)| o.len() as u64).sum();
     let mut n_dropped = 0u64;
-    match sink {
-        Sink::Buffer(buf) => {
-            for (window, out) in outputs {
-                n_dropped += buf.push(window, out);
-            }
-        }
-        Sink::Callback(cb) => {
-            for (window, out) in &outputs {
-                cb(*window, out);
-            }
-        }
+    for (window, out) in outputs {
+        n_dropped += cell.outputs.push(window, out);
     }
 
     // Process-wide runtime metrics, one update per batch. The
@@ -398,9 +379,10 @@ fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enque
         }
     }
 
-    // One stats write per batch, identical on both paths so the counters
-    // stay consistent with the pattern base even when the batch failed
-    // partway (points already accepted and windows already archived count).
+    // One stats write per batch, on success and failure alike, so the
+    // counters stay consistent with the pattern base even when the batch
+    // failed partway (points already accepted and windows already
+    // archived count).
     let error = result.err().map(|e| e.to_string());
     let mut status = cell.shared.write();
     status.stats.points = pipeline.accepted();

@@ -20,7 +20,7 @@
 //!   query behind a *bounded* input queue (backpressure; idle queries
 //!   cost zero threads), its archiver writing into the shared
 //!   `parking_lot`-locked history base. See `DESIGN.md` §8.
-//! * [`output`] — **output-side flow control**: the buffer `poll`-mode
+//! * [`output`] — **output-side flow control**: the buffer every query's
 //!   results land in, bounded by an [`OutputPolicy`] (block or
 //!   drop-oldest) instead of growing without limit.
 //! * [`pipeline`] — the single-query [`StreamPipeline`] (window engine →
@@ -31,8 +31,9 @@
 //!   plan under an optional [`OwnerId`] tag, points enter through one
 //!   ingestion path ([`StreamFeeder::push_batch`], behind
 //!   [`Runtime::push_batch`] / [`Runtime::push_stream`] and
-//!   [`Runtime::feeder`] snapshots), and results arrive through
-//!   [`Runtime::poll`] or a per-window callback.
+//!   [`Runtime::feeder`] snapshots), and results arrive through one
+//!   output buffer per query, drained by [`Runtime::poll`] /
+//!   [`Runtime::poll_batch`].
 //!
 //! ## Determinism guarantee
 //!

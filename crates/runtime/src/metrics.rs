@@ -13,8 +13,8 @@ pub(crate) struct RuntimeMetrics {
     pub input_queue_depth: Arc<Gauge>,
     /// Points handed to query pipelines.
     pub points: Arc<Counter>,
-    /// Windows emitted by all queries (buffered or delivered to
-    /// callbacks, before any drop).
+    /// Windows emitted by all queries (pushed into their output buffers,
+    /// before any drop).
     pub windows_emitted: Arc<Counter>,
     /// Windows discarded unread by the `DropOldest` output policy.
     pub windows_dropped: Arc<Counter>,

@@ -1,7 +1,7 @@
-//! Output-side flow control for `poll`-mode queries.
+//! Output-side flow control.
 //!
-//! A `poll`-mode query's completed windows land in an `OutputBuffer`
-//! shared between its executor task (producer) and [`Runtime::poll`]
+//! Every query's completed windows land in an `OutputBuffer` shared
+//! between its executor task (producer) and [`Runtime::poll`]
 //! (consumer). The buffer's [`OutputPolicy`] decides what happens when
 //! the caller does not drain fast enough — previously the buffer grew
 //! without bound (still available as [`OutputPolicy::Unbounded`], the
@@ -21,14 +21,12 @@ use sgs_csgs::WindowOutput;
 /// consumer — the server's reactor, which turns buffered windows into
 /// pushed `Windows` frames — learns "this buffer has news" without
 /// polling. The callback must not block and must not call back into the
-/// runtime.
+/// runtime; `Runtime::set_output_notify` lists the threads it runs on.
 pub type OutputNotify = Arc<dyn Fn() + Send + Sync>;
 
-/// What a `poll`-mode query does when its output buffer is full.
+/// What a query does when its output buffer is full.
 ///
 /// Capacities are in completed windows and are clamped to ≥ 1.
-/// Callback-mode queries never buffer, so the policy does not apply to
-/// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OutputPolicy {
     /// Buffer every completed window until polled (the historical
@@ -70,7 +68,7 @@ pub enum OutputPolicy {
     DropOldest(usize),
 }
 
-/// The buffered completed windows of one `poll`-mode query.
+/// The buffered completed windows of one query.
 pub(crate) struct OutputBuffer {
     policy: OutputPolicy,
     queue: Mutex<Buffered>,
@@ -251,7 +249,7 @@ impl OutputBuffer {
 /// [`Runtime::poll`]: crate::runtime::Runtime::poll
 /// [`Runtime::poll_batch`]: crate::runtime::Runtime::poll_batch
 pub struct PollBatch {
-    pub(crate) buffer: Option<std::sync::Arc<OutputBuffer>>,
+    pub(crate) buffer: Arc<OutputBuffer>,
     pub(crate) remaining: usize,
 }
 
@@ -262,10 +260,8 @@ impl PollBatch {
     /// preserved; the window is yielded again by the next drain (or by
     /// this iterator, which steps its bound back too).
     pub fn put_back(&mut self, window: WindowId, out: WindowOutput) {
-        if let Some(buffer) = &self.buffer {
-            buffer.push_front(window, out);
-            self.remaining = self.remaining.saturating_add(1);
-        }
+        self.buffer.push_front(window, out);
+        self.remaining = self.remaining.saturating_add(1);
     }
 }
 
@@ -276,7 +272,7 @@ impl Iterator for PollBatch {
         if self.remaining == 0 {
             return None;
         }
-        let item = self.buffer.as_ref()?.pop()?;
+        let item = self.buffer.pop()?;
         self.remaining -= 1;
         Some(item)
     }
@@ -354,7 +350,7 @@ mod tests {
             buf.push(window(n).0, window(n).1);
         }
         let batch = PollBatch {
-            buffer: Some(buf.clone()),
+            buffer: buf.clone(),
             remaining: 2,
         };
         let ids: Vec<u64> = batch.map(|(w, _)| w.0).collect();

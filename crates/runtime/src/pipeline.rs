@@ -43,18 +43,6 @@ impl StreamPipeline {
         })
     }
 
-    /// Configure the archiver to store at a fixed coarser resolution.
-    pub fn with_archive_level(mut self, theta: u32, level: u8) -> Self {
-        self.archiver = self.archiver.with_level(theta, level);
-        self
-    }
-
-    /// Configure the archiver for budget-aware resolution selection.
-    pub fn with_archive_budget(mut self, theta: u32, budget_bytes: usize, max_level: u8) -> Self {
-        self.archiver = self.archiver.with_budget(theta, budget_bytes, max_level);
-        self
-    }
-
     /// Feed one point — [`push_batch`](Self::push_batch) of a single
     /// element; returns the outputs of any windows that completed
     /// (time-based streams can complete several per push).
@@ -186,16 +174,6 @@ mod tests {
             "the archived twin of the query must match"
         );
         assert!(outcome.matches[0].distance < 1e-9);
-    }
-
-    #[test]
-    fn coarse_archive_level_applies() {
-        let q = ClusterQuery::new(0.5, 2, 2, WindowSpec::count(40, 10).unwrap()).unwrap();
-        let mut p = StreamPipeline::new(q, ArchivePolicy::All, 0)
-            .unwrap()
-            .with_archive_level(2, 1);
-        p.push_batch(blob_stream(200)).unwrap();
-        assert!(p.base().iter().all(|a| a.sgs.level == 1));
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub struct QueryStats {
     pub clusters: u64,
     /// Completed windows discarded unread by the
     /// [`OutputPolicy::DropOldest`] flow-control policy (always 0 under
-    /// the other policies and in callback mode).
+    /// the other policies).
     ///
     /// [`OutputPolicy::DropOldest`]: crate::output::OutputPolicy::DropOldest
     pub windows_dropped: u64,

@@ -16,7 +16,7 @@ use sgs_csgs::WindowOutput;
 use sgs_exec::Pool;
 use sgs_summarize::Sgs;
 
-use crate::executor::{Msg, QueryCell, Sink};
+use crate::executor::{Msg, QueryCell};
 use crate::output::{OutputBuffer, OutputNotify, OutputPolicy, PollBatch};
 use crate::plan::{DetectPlan, MatchPlan, PlanError, Planner, QueryPlan, StreamCatalog};
 use crate::registry::{
@@ -76,10 +76,9 @@ pub struct RuntimeConfig {
     /// exactly that many workers. Scheduling never affects results, only
     /// wall-clock.
     pub pool_threads: PoolThreads,
-    /// Output-side flow control for `poll`-mode queries: what a query's
-    /// completed-window buffer does when [`Runtime::poll`] is not
-    /// draining fast enough. Defaults to the historical
-    /// [`OutputPolicy::Unbounded`].
+    /// Output-side flow control: what a query's completed-window buffer
+    /// does when [`Runtime::poll`] is not draining fast enough. Defaults
+    /// to the historical [`OutputPolicy::Unbounded`].
     pub output_policy: OutputPolicy,
     /// When set, shared history bases are durable: WAL-backed,
     /// checkpointed, and retention-bounded under this directory
@@ -209,8 +208,9 @@ struct QueryEntry {
     shared: SharedStatus,
     /// The executor-side cell: input queue + pipeline + scheduling flag.
     cell: Arc<QueryCell>,
-    /// Output buffer (`None` in callback mode).
-    outputs: Option<Arc<OutputBuffer>>,
+    /// Where the query's completed windows wait to be polled; the same
+    /// buffer its executor cell pushes into.
+    outputs: Arc<OutputBuffer>,
     /// Set once [`Runtime::cancel`] has queued the stop.
     stopped: bool,
 }
@@ -284,9 +284,7 @@ impl Drop for Runtime {
     /// without blocking and parks for good.
     fn drop(&mut self) {
         for entry in &self.entries {
-            if let Some(buffer) = &entry.outputs {
-                buffer.close();
-            }
+            entry.outputs.close();
         }
     }
 }
@@ -420,37 +418,16 @@ impl Runtime {
         plan: DetectPlan,
         owner: Option<OwnerId>,
     ) -> Result<QueryId, RuntimeError> {
-        let buffer = Arc::new(OutputBuffer::new(self.config.output_policy));
-        self.spawn(plan, Sink::Buffer(buffer.clone()), Some(buffer), owner)
-    }
-
-    /// Register a planned DETECT query with a results callback, invoked on
-    /// the executing pool worker per completed window (no output
-    /// buffering — the output policy does not apply).
-    pub fn submit_detect_with(
-        &mut self,
-        plan: DetectPlan,
-        callback: impl FnMut(WindowId, &WindowOutput) + Send + 'static,
-    ) -> Result<QueryId, RuntimeError> {
-        self.spawn(plan, Sink::Callback(Box::new(callback)), None, None)
-    }
-
-    fn spawn(
-        &mut self,
-        plan: DetectPlan,
-        sink: Sink,
-        outputs: Option<Arc<OutputBuffer>>,
-        owner: Option<OwnerId>,
-    ) -> Result<QueryId, RuntimeError> {
         let id = QueryId(self.next_id);
         let shared = new_shared_status();
         let history = self.history_for_dim(plan.query.dim)?;
+        let outputs = Arc::new(OutputBuffer::new(self.config.output_policy));
         let cell = QueryCell::new(
             &plan,
             shared.clone(),
             history,
             self.config.channel_capacity,
-            sink,
+            outputs.clone(),
             self.pool.clone(),
             self.fair_tag(owner),
         )
@@ -512,7 +489,7 @@ impl Runtime {
     /// is throttled to the slowest running query even within one call.
     /// Paused and failed queries are skipped — for them the points are a
     /// gap in the stream, not buffered work. A query that fails later
-    /// (a point it cannot accept, a panicking results callback) is moved
+    /// (a point it cannot accept, a panicking readiness hook) is moved
     /// to [`QueryState::Failed`] by its own executor task and skipped
     /// from then on; ingestion continues for the healthy queries.
     ///
@@ -573,19 +550,14 @@ impl Runtime {
     }
 
     /// Drain the buffered completed windows of a query (non-blocking),
-    /// waking it if it was blocked on [`OutputPolicy::Block`]. Always
-    /// empty for callback-mode queries.
+    /// waking it if it was blocked on [`OutputPolicy::Block`].
     ///
     /// Takes `&self` — like the `push` family — so a drainer thread can
     /// run concurrently with ingestion (share `&Runtime` under
     /// `std::thread::scope`), which is how [`OutputPolicy::Block`] is
     /// meant to be consumed.
     pub fn poll(&self, id: QueryId) -> Result<Vec<(WindowId, WindowOutput)>, RuntimeError> {
-        let entry = self.entry(id)?;
-        Ok(match &entry.outputs {
-            Some(buffer) => buffer.drain(),
-            None => Vec::new(),
-        })
+        Ok(self.entry(id)?.outputs.drain())
     }
 
     /// Drain up to `max` buffered completed windows of a query as an
@@ -594,13 +566,11 @@ impl Runtime {
     /// yielded window frees buffer capacity immediately (so an
     /// [`OutputPolicy::Block`]-stalled producer resumes after the first
     /// item, not the last), and windows not consumed stay buffered for
-    /// the next call. Always empty for callback-mode queries. Like
-    /// [`poll`](Self::poll), takes `&self` so drainers run concurrently
-    /// with ingestion.
+    /// the next call. Like [`poll`](Self::poll), takes `&self` so
+    /// drainers run concurrently with ingestion.
     pub fn poll_batch(&self, id: QueryId, max: usize) -> Result<PollBatch, RuntimeError> {
-        let entry = self.entry(id)?;
         Ok(PollBatch {
-            buffer: entry.outputs.clone(),
+            buffer: self.entry(id)?.outputs.clone(),
             remaining: if max == 0 { usize::MAX } else { max },
         })
     }
@@ -611,19 +581,27 @@ impl Runtime {
     /// already buffered when it is installed. This is the server-push
     /// seam: the reactor registers a waker here so a completed window
     /// turns into an unsolicited `Windows` frame without any polling
-    /// thread. The hook runs on the executor worker that completed the
-    /// window (outside the buffer lock) and must not block or call back
-    /// into the runtime. No-op (but `Ok`) for callback-mode queries,
-    /// which have no buffer.
+    /// thread.
+    ///
+    /// The hook always runs outside the buffer lock, but on one of three
+    /// threads:
+    /// * the executor worker that completed the window, after each push
+    ///   (a panic there fails the query like any other processing panic);
+    /// * the thread calling this method, for the immediate fire when
+    ///   windows are already buffered;
+    /// * whichever thread closes the buffer: the caller of
+    ///   [`cancel_begin`](Self::cancel_begin) (and so
+    ///   [`cancel`](Self::cancel)), [`close_outputs`](Self::close_outputs)
+    ///   or [`shutdown`](Self::shutdown), or the thread dropping the
+    ///   `Runtime`.
+    ///
+    /// It must therefore not block or call back into the runtime.
     pub fn set_output_notify(
         &self,
         id: QueryId,
         notify: Option<OutputNotify>,
     ) -> Result<(), RuntimeError> {
-        let entry = self.entry(id)?;
-        if let Some(buffer) = &entry.outputs {
-            buffer.set_notify(notify);
-        }
+        self.entry(id)?.outputs.set_notify(notify);
         Ok(())
     }
 
@@ -696,9 +674,7 @@ impl Runtime {
             return Err(RuntimeError::Disconnected(id));
         }
         entry.stopped = true;
-        if let Some(buffer) = &entry.outputs {
-            buffer.close();
-        }
+        entry.outputs.close();
         let (tx, rx) = mpsc::channel();
         // Past the capacity bound: the stop must be deliverable even
         // while the input queue is full (this method is documented as
@@ -720,9 +696,7 @@ impl Runtime {
     /// being scheduled).
     pub fn shutdown(mut self) -> Vec<QueryReport> {
         for entry in &self.entries {
-            if let Some(buffer) = &entry.outputs {
-                buffer.close();
-            }
+            entry.outputs.close();
         }
         let ids: Vec<QueryId> = self
             .entries
@@ -843,14 +817,9 @@ impl Runtime {
     /// [`StreamFeeder::push_batch`].
     pub fn close_outputs(&self, owner: OwnerId) -> usize {
         let mut closed = 0;
-        for entry in &self.entries {
-            if entry.owner != Some(owner) {
-                continue;
-            }
-            if let Some(buffer) = &entry.outputs {
-                buffer.close();
-                closed += 1;
-            }
+        for entry in self.entries.iter().filter(|e| e.owner == Some(owner)) {
+            entry.outputs.close();
+            closed += 1;
         }
         closed
     }
@@ -875,8 +844,7 @@ impl Runtime {
         self.entries
             .iter()
             .filter(|e| e.owner == Some(owner) && !e.stopped)
-            .filter_map(|e| e.outputs.as_ref())
-            .map(|b| b.buffered_bytes())
+            .map(|e| e.outputs.buffered_bytes())
             .sum()
     }
 
@@ -985,8 +953,6 @@ impl StreamFeeder {
 mod tests {
     use super::*;
     use sgs_datagen::{generate_gmti, GmtiConfig};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     const DETECT: &str = "DETECT DensityBasedClusters f+s FROM gmti \
                           USING theta_range = 0.6 AND theta_cnt = 6 \
@@ -1042,33 +1008,6 @@ mod tests {
         assert!(stats.busy_nanos > 0);
         // The shared history is the single query's archive, exactly.
         assert_eq!(rt.history(2).unwrap().read().len() as u64, stats.archived);
-    }
-
-    #[test]
-    fn callback_mode_delivers_on_worker() {
-        let mut rt = runtime();
-        let windows = Arc::new(AtomicU64::new(0));
-        let clusters = Arc::new(AtomicU64::new(0));
-        let (w, c) = (windows.clone(), clusters.clone());
-        let QueryPlan::Detect(plan) = rt.plan(DETECT).unwrap() else {
-            panic!("expected detect");
-        };
-        let id = rt
-            .submit_detect_with(*plan, move |_, out| {
-                w.fetch_add(1, Ordering::Relaxed);
-                c.fetch_add(out.len() as u64, Ordering::Relaxed);
-            })
-            .unwrap();
-        rt.push_batch(&gmti(4000)).unwrap();
-        rt.quiesce().unwrap();
-        let stats = rt.stats(id).unwrap();
-        assert!(stats.windows > 0);
-        assert_eq!(windows.load(Ordering::Relaxed), stats.windows);
-        assert_eq!(clusters.load(Ordering::Relaxed), stats.clusters);
-        assert!(
-            rt.poll(id).unwrap().is_empty(),
-            "callback mode buffers nothing"
-        );
     }
 
     #[test]
@@ -1223,29 +1162,43 @@ mod tests {
         let Submission::Continuous(healthy) = rt.submit(DETECT).unwrap() else {
             panic!()
         };
-        // A query whose results callback panics on the first window. The
-        // executor task catches the panic at the cell boundary: the
-        // query fails, the pool worker survives.
-        let QueryPlan::Detect(plan) = rt.plan(DETECT).unwrap() else {
+        let Submission::Continuous(doomed) = rt.submit(DETECT).unwrap() else {
             panic!()
         };
-        let doomed = rt
-            .submit_detect_with(*plan, |_, _| panic!("analyst callback bug"))
+        // A readiness hook that panics on the first buffered window. It
+        // fires inside the batch, on the executor worker, so the task
+        // catches the panic at the cell boundary: the query fails, the
+        // pool worker survives.
+        rt.set_output_notify(doomed, Some(Arc::new(|| panic!("subscriber hook bug"))))
             .unwrap();
 
-        let stream = gmti(1000);
-        // Keep feeding until the failure is observed (the panic fires on
-        // the first completed window).
-        let mut rounds = 0;
-        for _ in 0..100 {
-            rounds += 1;
-            rt.push_batch(&stream).unwrap();
-            rt.quiesce().unwrap();
-            if rt.state(doomed).unwrap() == QueryState::Failed {
-                break;
+        // Feed on a separate thread: a panic escaping the cell would leave
+        // the doomed query's barrier unacknowledged, and the wait below
+        // turns that hang into a failure.
+        let (done, finished) = mpsc::channel();
+        let feeding = std::thread::spawn(move || {
+            let stream = gmti(1000);
+            // Keep feeding until the failure is observed (the panic fires
+            // on the first completed window).
+            let mut rounds = 0;
+            for _ in 0..100 {
+                rounds += 1;
+                rt.push_batch(&stream).unwrap();
+                rt.quiesce().unwrap();
+                if rt.state(doomed).unwrap() == QueryState::Failed {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
             }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+            let _ = done.send(());
+            (rt, rounds)
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(
+            !matches!(waited, Err(mpsc::RecvTimeoutError::Timeout)),
+            "ingestion wedged behind the panicking query"
+        );
+        let (mut rt, rounds) = feeding.join().unwrap();
         assert_eq!(rt.state(doomed).unwrap(), QueryState::Failed);
         assert!(rt.stats(doomed).unwrap().error.is_some());
         // The healthy query received every complete round exactly once —
@@ -1253,7 +1206,9 @@ mod tests {
         let healthy_stats = rt.stats(healthy).unwrap();
         assert_eq!(healthy_stats.points, rounds * 1000);
         // A failed query still cancels cleanly: its pipeline survives
-        // behind the caught panic.
+        // behind the caught panic. The hook is cleared first, because
+        // closing the buffer fires it on the cancelling thread.
+        rt.set_output_notify(doomed, None).unwrap();
         let report = rt.cancel(doomed).unwrap();
         assert_eq!(
             report.stats.error.as_deref(),

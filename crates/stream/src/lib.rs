@@ -23,4 +23,4 @@ pub mod source;
 
 pub use engine::{WindowConsumer, WindowEngine};
 pub use lifespan::{core_until, ExpiryHistogram};
-pub use source::{replay, VecSource};
+pub use source::replay;

@@ -1,64 +1,7 @@
-//! Stream sources and replay helpers.
+//! Replaying a finite stream through a window engine.
 
 use crate::engine::{WindowConsumer, WindowEngine};
 use sgs_core::{Point, Result, WindowId, WindowSpec};
-
-/// A finite, in-memory stream source.
-///
-/// The generators in `sgs-datagen` produce `Vec<Point>`; wrapping them in a
-/// `VecSource` documents the dimensionality and gives an owning iterator.
-#[derive(Clone, Debug)]
-pub struct VecSource {
-    points: Vec<Point>,
-    dim: usize,
-}
-
-impl VecSource {
-    /// Wrap a point buffer.
-    ///
-    /// # Panics
-    /// Panics if the points do not all share one dimensionality.
-    pub fn new(points: Vec<Point>) -> Self {
-        let dim = points.first().map_or(0, Point::dim);
-        assert!(
-            points.iter().all(|p| p.dim() == dim),
-            "mixed dimensionality in source"
-        );
-        VecSource { points, dim }
-    }
-
-    /// Dimensionality of the stream.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the source is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Borrow the underlying points.
-    pub fn points(&self) -> &[Point] {
-        &self.points
-    }
-}
-
-impl IntoIterator for VecSource {
-    type Item = Point;
-    type IntoIter = std::vec::IntoIter<Point>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.points.into_iter()
-    }
-}
 
 /// Run a consumer over an entire finite stream, returning every completed
 /// window's output. Does **not** flush the final partial window — the
@@ -93,23 +36,6 @@ mod tests {
             self.0.push(self.1);
             self.1
         }
-    }
-
-    #[test]
-    fn vec_source_validates_dim() {
-        let src = VecSource::new(vec![Point::new(vec![1.0, 2.0], 0)]);
-        assert_eq!(src.dim(), 2);
-        assert_eq!(src.len(), 1);
-        assert!(!src.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "mixed dimensionality")]
-    fn vec_source_rejects_mixed_dims() {
-        VecSource::new(vec![
-            Point::new(vec![1.0], 0),
-            Point::new(vec![1.0, 2.0], 0),
-        ]);
     }
 
     #[test]

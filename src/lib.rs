@@ -107,16 +107,10 @@ pub use sgs_runtime as runtime;
 pub use sgs_server as server;
 pub use sgs_stream as stream;
 pub use sgs_summarize as summarize;
-pub use sgs_viz as viz;
 pub use sgs_wire as wire;
-
-pub mod pipeline;
-
-pub use pipeline::StreamPipeline;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::pipeline::StreamPipeline;
     pub use sgs_archive::{ArchivePolicy, MatchOutcome, MatchResult, PatternBase, PatternId};
     pub use sgs_client::{
         ClientConfig, ClientError, QueryHandle, Session, Submitted, SubscribeHandle,
@@ -125,7 +119,7 @@ pub mod prelude {
     pub use sgs_core::{
         ClusterQuery, Error, Point, PointId, PoolThreads, Result, WindowId, WindowSpec,
     };
-    pub use sgs_csgs::{CSgs, ClusterTracker, ExtractedCluster, TrackId, WindowOutput};
+    pub use sgs_csgs::{CSgs, ExtractedCluster, WindowOutput};
     pub use sgs_datagen::{generate_gmti, generate_stt, GmtiConfig, SttConfig};
     pub use sgs_matching::MatchConfig;
     pub use sgs_query::{
@@ -133,7 +127,7 @@ pub mod prelude {
     };
     pub use sgs_runtime::{
         DetectPlan, MatchPlan, OutputPolicy, OwnerId, PollBatch, QueryId, QueryPlan, QueryReport,
-        QueryState, QueryStats, Runtime, RuntimeConfig, RuntimeError, Submission,
+        QueryState, QueryStats, Runtime, RuntimeConfig, RuntimeError, StreamPipeline, Submission,
     };
     pub use sgs_server::{AuthToken, Server, ServerConfig, ServerHandle};
     pub use sgs_stream::{replay, WindowConsumer, WindowEngine};
