@@ -21,8 +21,8 @@
 //!   cost zero threads), its archiver writing into the shared
 //!   `parking_lot`-locked history base. See `DESIGN.md` §8.
 //! * [`output`] — **output-side flow control**: the buffer every query's
-//!   results land in, bounded by an [`OutputPolicy`] (block or
-//!   drop-oldest) instead of growing without limit.
+//!   results land in, unbounded or capped by an [`OutputPolicy`] that
+//!   drops the oldest window; the executor never waits on a reader.
 //! * [`pipeline`] — the single-query [`StreamPipeline`] (window engine →
 //!   C-SGS → archiver), the execution unit each query task drives; on its
 //!   own it fills a pattern base it owns, in a runtime the shared history.

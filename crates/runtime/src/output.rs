@@ -3,62 +3,36 @@
 //! Every query's completed windows land in an `OutputBuffer` shared
 //! between its executor task (producer) and [`Runtime::poll`]
 //! (consumer). The buffer's [`OutputPolicy`] decides what happens when
-//! the caller does not drain fast enough — previously the buffer grew
-//! without bound (still available as [`OutputPolicy::Unbounded`], the
-//! default), which is exactly the ROADMAP's "output-side flow control"
-//! gap this module closes.
+//! the caller does not drain fast enough. The producer never waits on
+//! the consumer: a push either grows the buffer or evicts its oldest
+//! window.
 //!
 //! [`Runtime::poll`]: crate::runtime::Runtime::poll
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use sgs_core::WindowId;
 use sgs_csgs::WindowOutput;
 
-/// Readiness callback attached to a query's output buffer: invoked (outside
-/// the buffer lock) after every push and on close, so an external
-/// consumer — the server's reactor, which turns buffered windows into
-/// pushed `Windows` frames — learns "this buffer has news" without
-/// polling. The callback must not block and must not call back into the
-/// runtime; `Runtime::set_output_notify` lists the threads it runs on.
+/// Readiness callback attached to a query's output buffer: invoked
+/// (outside the buffer lock) after every push, so an external consumer —
+/// the server's reactor, which turns buffered windows into pushed
+/// `Windows` frames — learns "this buffer has news" without polling. The
+/// callback must not block and must not call back into the runtime;
+/// `Runtime::set_output_notify` lists the threads it runs on.
 pub type OutputNotify = Arc<dyn Fn() + Send + Sync>;
 
 /// What a query does when its output buffer is full.
 ///
-/// Capacities are in completed windows and are clamped to ≥ 1.
+/// The `DropOldest` capacity is in completed windows and is clamped to
+/// ≥ 1.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OutputPolicy {
-    /// Buffer every completed window until polled (the historical
-    /// behavior): simple, lossless, but unbounded memory if the caller
-    /// never drains.
+    /// Buffer every completed window until polled: simple, lossless,
+    /// but unbounded memory if the caller never drains.
     #[default]
     Unbounded,
-    /// Lossless and bounded: the query's executor task **blocks** until
-    /// [`Runtime::poll`] drains the buffer below capacity. Backpressure
-    /// thus propagates all the way to ingestion (the blocked task stops
-    /// consuming its input channel, which eventually blocks
-    /// [`Runtime::push_batch`]). While blocked, the task occupies one pool
-    /// worker — on a small pool, enough blocked queries can starve
-    /// every other query (and their teardown) of workers — so a drain
-    /// must be able to proceed concurrently:
-    /// [`Runtime::poll`] takes `&self`, so share the runtime reference
-    /// with a drainer thread (e.g. under `std::thread::scope`), or keep
-    /// each push small enough for the input queues to absorb
-    /// ([`RuntimeConfig::channel_capacity`] messages per query) and poll
-    /// between pushes. Do not call [`Runtime::quiesce`] before draining —
-    /// the barrier waits on the blocked query. [`Runtime::cancel`]
-    /// closes the cancelled query's own buffer, which stops its blocking
-    /// (losslessly) for teardown — but it can still wait behind *other*
-    /// `Block`-stalled queries if their tasks occupy every pool worker,
-    /// so on small pools drain (or cancel) the stalled queries first.
-    ///
-    /// [`Runtime::poll`]: crate::runtime::Runtime::poll
-    /// [`Runtime::push_batch`]: crate::runtime::Runtime::push_batch
-    /// [`Runtime::quiesce`]: crate::runtime::Runtime::quiesce
-    /// [`Runtime::cancel`]: crate::runtime::Runtime::cancel
-    /// [`RuntimeConfig::channel_capacity`]: crate::runtime::RuntimeConfig::channel_capacity
-    Block(usize),
     /// Bounded and non-blocking: the **oldest** buffered window is
     /// discarded to admit the newest, so a slow consumer always sees the
     /// most recent results. Discards are counted in
@@ -72,7 +46,6 @@ pub enum OutputPolicy {
 pub(crate) struct OutputBuffer {
     policy: OutputPolicy,
     queue: Mutex<Buffered>,
-    not_full: Condvar,
     /// Readiness hook ([`OutputNotify`]), swapped in by
     /// `Runtime::set_output_notify` when a subscriber attaches.
     notify: Mutex<Option<OutputNotify>>,
@@ -84,10 +57,6 @@ struct Buffered {
     /// Wire-encoded size of every buffered window (the
     /// [`window_cost`] sum) — what per-owner output quotas meter.
     bytes: usize,
-    /// Set when the query is being cancelled: [`OutputPolicy::Block`]
-    /// stops blocking (overflow is admitted losslessly) so teardown can
-    /// never hang behind an undrained buffer.
-    closed: bool,
 }
 
 /// Encoded size of one buffered window — the same formula as
@@ -115,9 +84,7 @@ impl OutputBuffer {
             queue: Mutex::new(Buffered {
                 windows: VecDeque::new(),
                 bytes: 0,
-                closed: false,
             }),
-            not_full: Condvar::new(),
             notify: Mutex::new(None),
         }
     }
@@ -150,29 +117,17 @@ impl OutputBuffer {
     }
 
     /// Append one completed window per the policy. Returns the number of
-    /// windows dropped to admit it (0 or 1). Blocks under
-    /// [`OutputPolicy::Block`] while the buffer is at capacity, until
-    /// drained or [`close`](Self::close)d.
+    /// windows dropped to admit it (0 or 1). Never blocks.
     pub(crate) fn push(&self, window: WindowId, out: WindowOutput) -> u64 {
         let cost = window_cost(&out);
         let mut q = self.queue.lock().unwrap();
         let mut dropped = 0;
-        match self.policy {
-            OutputPolicy::Unbounded => {}
-            OutputPolicy::Block(cap) => {
-                let cap = cap.max(1);
-                while q.windows.len() >= cap && !q.closed {
-                    q = self.not_full.wait(q).unwrap();
+        if let OutputPolicy::DropOldest(cap) = self.policy {
+            while q.windows.len() >= cap.max(1) {
+                if let Some((_, old)) = q.windows.pop_front() {
+                    q.bytes -= window_cost(&old);
                 }
-            }
-            OutputPolicy::DropOldest(cap) => {
-                let cap = cap.max(1);
-                while q.windows.len() >= cap {
-                    if let Some((_, old)) = q.windows.pop_front() {
-                        q.bytes -= window_cost(&old);
-                    }
-                    dropped += 1;
-                }
+                dropped += 1;
             }
         }
         q.windows.push_back((window, out));
@@ -182,45 +137,27 @@ impl OutputBuffer {
         dropped
     }
 
-    /// Stop [`OutputPolicy::Block`] from ever blocking again (the query
-    /// is being torn down; the buffer stays pollable). Idempotent.
-    pub(crate) fn close(&self) {
-        self.queue.lock().unwrap().closed = true;
-        self.not_full.notify_all();
-        // A subscriber learns about the close too: what is buffered is
-        // final, and its final drain should happen now.
-        self.fire_notify();
-    }
-
-    /// Take everything buffered so far (completion order preserved) and
-    /// wake any producer blocked on capacity.
+    /// Take everything buffered so far (completion order preserved).
     pub(crate) fn drain(&self) -> Vec<(WindowId, WindowOutput)> {
         let mut q = self.queue.lock().unwrap();
-        let out: Vec<_> = q.windows.drain(..).collect();
         q.bytes = 0;
-        if !out.is_empty() {
-            self.not_full.notify_all();
-        }
-        out
+        q.windows.drain(..).collect()
     }
 
-    /// Take the oldest buffered window, waking any producer blocked on
-    /// capacity — the incremental unit [`PollBatch`] is built on.
+    /// Take the oldest buffered window — the incremental unit
+    /// [`PollBatch`] is built on.
     pub(crate) fn pop(&self) -> Option<(WindowId, WindowOutput)> {
         let mut q = self.queue.lock().unwrap();
         let out = q.windows.pop_front();
         if let Some((_, clusters)) = &out {
             q.bytes -= window_cost(clusters);
-            self.not_full.notify_all();
         }
         out
     }
 
     /// Return a just-popped window to the **front** of the buffer
     /// (undoing one [`pop`](Self::pop); completion order is preserved
-    /// for the next drain). May transiently hold the buffer one past a
-    /// `Block` capacity if a producer slipped in since the pop —
-    /// harmless, since producers only wait before their own push.
+    /// for the next drain).
     pub(crate) fn push_front(&self, window: WindowId, out: WindowOutput) {
         let cost = window_cost(&out);
         let mut q = self.queue.lock().unwrap();
@@ -240,11 +177,10 @@ impl OutputBuffer {
 /// oldest first, popping each from the buffer as it is yielded.
 ///
 /// Unlike [`Runtime::poll`] (which drains everything into one `Vec`),
-/// this frees buffer capacity window by window — an
-/// [`OutputPolicy::Block`]-stalled producer wakes after the *first*
-/// `next()`, and a consumer that stops early (a network writer hitting
-/// its own backpressure, say) leaves the rest buffered for the next
-/// call. Dropping the iterator keeps undrained windows intact.
+/// this frees buffer capacity window by window, so a consumer that stops
+/// early (a network writer hitting its own backpressure, say) leaves the
+/// rest buffered for the next call. Dropping the iterator keeps
+/// undrained windows intact.
 ///
 /// [`Runtime::poll`]: crate::runtime::Runtime::poll
 /// [`Runtime::poll_batch`]: crate::runtime::Runtime::poll_batch
@@ -324,19 +260,12 @@ mod tests {
     }
 
     #[test]
-    fn pop_yields_oldest_first_and_unblocks_a_producer() {
-        use std::sync::Arc;
-        let buf = Arc::new(OutputBuffer::new(OutputPolicy::Block(2)));
-        buf.push(window(0).0, window(0).1);
-        buf.push(window(1).0, window(1).1);
-        let producer = {
-            let buf = buf.clone();
-            std::thread::spawn(move || {
-                buf.push(window(2).0, window(2).1); // blocks until one pop
-            })
-        };
+    fn pop_yields_oldest_first() {
+        let buf = OutputBuffer::new(OutputPolicy::Unbounded);
+        for n in 0..3 {
+            buf.push(window(n).0, window(n).1);
+        }
         assert_eq!(buf.pop().unwrap().0, WindowId(0));
-        producer.join().unwrap();
         assert_eq!(buf.pop().unwrap().0, WindowId(1));
         assert_eq!(buf.pop().unwrap().0, WindowId(2));
         assert!(buf.pop().is_none());
@@ -344,7 +273,6 @@ mod tests {
 
     #[test]
     fn poll_batch_is_bounded_and_leaves_the_rest() {
-        use std::sync::Arc;
         let buf = Arc::new(OutputBuffer::new(OutputPolicy::Unbounded));
         for n in 0..5 {
             buf.push(window(n).0, window(n).1);
@@ -384,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn notify_fires_on_push_close_and_late_attach() {
+    fn notify_fires_on_push_and_late_attach() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let buf = OutputBuffer::new(OutputPolicy::Unbounded);
         let fired = Arc::new(AtomicU64::new(0));
@@ -396,8 +324,6 @@ mod tests {
         buf.push(window(0).0, window(0).1);
         buf.push(window(1).0, window(1).1);
         assert_eq!(fired.load(Ordering::SeqCst), 2, "one wake per push");
-        buf.close();
-        assert_eq!(fired.load(Ordering::SeqCst), 3, "close wakes too");
 
         // A subscriber attaching after windows buffered gets one
         // immediate wake for the backlog.
@@ -410,23 +336,5 @@ mod tests {
         buf.set_notify(None);
         buf.push(window(2).0, window(2).1);
         assert_eq!(late.load(Ordering::SeqCst), 1, "cleared hook stays quiet");
-    }
-
-    #[test]
-    fn block_unblocks_on_drain() {
-        use std::sync::Arc;
-        let buf = Arc::new(OutputBuffer::new(OutputPolicy::Block(2)));
-        buf.push(window(0).0, window(0).1);
-        buf.push(window(1).0, window(1).1);
-        let producer = {
-            let buf = buf.clone();
-            std::thread::spawn(move || {
-                buf.push(window(2).0, window(2).1); // blocks until drained
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(buf.drain().len(), 2);
-        producer.join().unwrap();
-        assert_eq!(buf.drain().len(), 1);
     }
 }

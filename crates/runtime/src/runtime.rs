@@ -78,12 +78,12 @@ pub struct RuntimeConfig {
     pub pool_threads: PoolThreads,
     /// Output-side flow control: what a query's completed-window buffer
     /// does when [`Runtime::poll`] is not draining fast enough. Defaults
-    /// to the historical [`OutputPolicy::Unbounded`].
+    /// to [`OutputPolicy::Unbounded`].
     pub output_policy: OutputPolicy,
     /// When set, shared history bases are durable: WAL-backed,
     /// checkpointed, and retention-bounded under this directory
-    /// (`DESIGN.md` §10). `None` (the default) keeps the historical
-    /// memory-only behavior.
+    /// (`DESIGN.md` §10). `None` (the default) keeps them in memory
+    /// only.
     pub durable_archive: Option<DurableArchive>,
     /// Turn on metric recording (`DESIGN.md` §11) for the whole process.
     /// Off by default: instrumented hot paths then cost a single relaxed
@@ -277,18 +277,6 @@ impl Default for Runtime {
     }
 }
 
-impl Drop for Runtime {
-    /// Close every query's output buffer so an executor task blocked on
-    /// [`OutputPolicy::Block`] never outlives the runtime holding a pool
-    /// worker hostage: after the close it drains its remaining input
-    /// without blocking and parks for good.
-    fn drop(&mut self) {
-        for entry in &self.entries {
-            entry.outputs.close();
-        }
-    }
-}
-
 impl Runtime {
     /// Runtime with default configuration and an empty stream catalog.
     pub fn new() -> Self {
@@ -323,11 +311,10 @@ impl Runtime {
     /// Mint a fresh owner tag. Registrations made with it
     /// ([`submit_detect`](Self::submit_detect)) are what the owner-aware
     /// operations select by: [`queries_for`](Self::queries_for),
-    /// [`feeder`](Self::feeder), [`close_outputs`](Self::close_outputs),
-    /// [`evict_cancelled`](Self::evict_cancelled) and the per-owner byte
-    /// gauges. Each network session of `streamsum-server` holds one,
-    /// which is what keeps concurrent analysts' feeds and listings apart
-    /// on a shared runtime. Id-taking methods are *not* owner-checked: a
+    /// [`feeder`](Self::feeder), [`evict_cancelled`](Self::evict_cancelled)
+    /// and the per-owner byte gauges. Each network session of
+    /// `streamsum-server` holds one, which is what keeps concurrent
+    /// analysts' feeds and listings apart on a shared runtime. Id-taking methods are *not* owner-checked: a
     /// tenant-facing embedder keeps ids private per tenant, as the
     /// server's per-connection id table does.
     pub fn new_owner(&mut self) -> OwnerId {
@@ -540,22 +527,14 @@ impl Runtime {
     /// (a barrier through each query's input queue). After `quiesce`,
     /// stats and [`poll`](Self::poll) reflect every point pushed before
     /// the call.
-    ///
-    /// Under [`OutputPolicy::Block`], drain with [`poll`](Self::poll)
-    /// *before* quiescing: the barrier waits behind any query blocked on
-    /// a full output buffer.
     pub fn quiesce(&self) -> Result<(), RuntimeError> {
         self.feeder(None, None).quiesce();
         Ok(())
     }
 
-    /// Drain the buffered completed windows of a query (non-blocking),
-    /// waking it if it was blocked on [`OutputPolicy::Block`].
-    ///
+    /// Drain the buffered completed windows of a query (non-blocking).
     /// Takes `&self` — like the `push` family — so a drainer thread can
-    /// run concurrently with ingestion (share `&Runtime` under
-    /// `std::thread::scope`), which is how [`OutputPolicy::Block`] is
-    /// meant to be consumed.
+    /// run concurrently with ingestion.
     pub fn poll(&self, id: QueryId) -> Result<Vec<(WindowId, WindowOutput)>, RuntimeError> {
         Ok(self.entry(id)?.outputs.drain())
     }
@@ -563,11 +542,10 @@ impl Runtime {
     /// Drain up to `max` buffered completed windows of a query as an
     /// iterator (`max == 0` means no bound), oldest first — the unit the
     /// network server turns into one `Windows` response frame. Each
-    /// yielded window frees buffer capacity immediately (so an
-    /// [`OutputPolicy::Block`]-stalled producer resumes after the first
-    /// item, not the last), and windows not consumed stay buffered for
-    /// the next call. Like [`poll`](Self::poll), takes `&self` so
-    /// drainers run concurrently with ingestion.
+    /// yielded window leaves the buffer as it is yielded, and windows not
+    /// consumed stay buffered for the next call. Like
+    /// [`poll`](Self::poll), takes `&self` so drainers run concurrently
+    /// with ingestion.
     pub fn poll_batch(&self, id: QueryId, max: usize) -> Result<PollBatch, RuntimeError> {
         Ok(PollBatch {
             buffer: self.entry(id)?.outputs.clone(),
@@ -576,24 +554,18 @@ impl Runtime {
     }
 
     /// Install (or, with `None`, clear) the readiness hook of a query's
-    /// output buffer: `notify` fires after every buffered window push
-    /// and on buffer close — and immediately, once, if windows are
-    /// already buffered when it is installed. This is the server-push
-    /// seam: the reactor registers a waker here so a completed window
-    /// turns into an unsolicited `Windows` frame without any polling
-    /// thread.
+    /// output buffer: `notify` fires after every buffered window push —
+    /// and immediately, once, if windows are already buffered when it is
+    /// installed. This is the server-push seam: the reactor registers a
+    /// waker here so a completed window turns into an unsolicited
+    /// `Windows` frame without any polling thread.
     ///
-    /// The hook always runs outside the buffer lock, but on one of three
+    /// The hook always runs outside the buffer lock, but on one of two
     /// threads:
     /// * the executor worker that completed the window, after each push
     ///   (a panic there fails the query like any other processing panic);
     /// * the thread calling this method, for the immediate fire when
-    ///   windows are already buffered;
-    /// * whichever thread closes the buffer: the caller of
-    ///   [`cancel_begin`](Self::cancel_begin) (and so
-    ///   [`cancel`](Self::cancel)), [`close_outputs`](Self::close_outputs)
-    ///   or [`shutdown`](Self::shutdown), or the thread dropping the
-    ///   `Runtime`.
+    ///   windows are already buffered.
     ///
     /// It must therefore not block or call back into the runtime.
     pub fn set_output_notify(
@@ -645,22 +617,17 @@ impl Runtime {
     /// handles of what it archived into the shared history, which stays).
     ///
     /// Failed and paused queries can be cancelled too; the report names
-    /// whatever they archived before stopping. Safe under
-    /// [`OutputPolicy::Block`] with the cancelled query's own buffer
-    /// undrained: the buffer is closed (blocking ends, losslessly)
-    /// before the stop is queued, and remains pollable afterwards. It
-    /// can still wait behind *other* `Block`-policy queries if their
-    /// blocked tasks occupy every pool worker — drain or cancel those
-    /// first on small pools.
+    /// whatever they archived before stopping. The query's output buffer
+    /// stays pollable afterwards.
     pub fn cancel(&mut self, id: QueryId) -> Result<QueryReport, RuntimeError> {
         self.cancel_begin(id)?.wait()
     }
 
     /// The non-blocking half of [`cancel`](Self::cancel): mark the query
-    /// stopped, close its output buffer, and queue the stop — then hand
-    /// back a [`PendingCancel`] whose [`wait`](PendingCancel::wait)
-    /// blocks (without touching the `Runtime`) until the backlog is
-    /// drained and the final report is ready. For callers that guard the
+    /// stopped and queue the stop — then hand back a [`PendingCancel`]
+    /// whose [`wait`](PendingCancel::wait) blocks (without touching the
+    /// `Runtime`) until the backlog is drained and the final report is
+    /// ready. For callers that guard the
     /// runtime behind a lock (the network server), this is what keeps a
     /// long cancel drain from stalling every other runtime operation:
     /// begin under the lock, wait outside it.
@@ -674,7 +641,6 @@ impl Runtime {
             return Err(RuntimeError::Disconnected(id));
         }
         entry.stopped = true;
-        entry.outputs.close();
         let (tx, rx) = mpsc::channel();
         // Past the capacity bound: the stop must be deliverable even
         // while the input queue is full (this method is documented as
@@ -688,16 +654,8 @@ impl Runtime {
         })
     }
 
-    /// Cancel every live query and return their final reports. Unlike a
-    /// one-at-a-time [`cancel`](Self::cancel) loop, this first closes
-    /// *every* query's output buffer, so it cannot deadlock when several
-    /// [`OutputPolicy::Block`]-stalled queries are hogging a small pool's
-    /// workers (each would otherwise keep the next one's stop from ever
-    /// being scheduled).
+    /// Cancel every live query and return their final reports.
     pub fn shutdown(mut self) -> Vec<QueryReport> {
-        for entry in &self.entries {
-            entry.outputs.close();
-        }
         let ids: Vec<QueryId> = self
             .entries
             .iter()
@@ -801,27 +759,6 @@ impl Runtime {
         self.entries
             .retain(|e| e.owner != Some(owner) || !e.stopped);
         before - self.entries.len()
-    }
-
-    /// Close the output buffers of every query registered by `owner`,
-    /// returning how many buffers were closed. Closing ends
-    /// [`OutputPolicy::Block`] blocking permanently (losslessly — the
-    /// buffers stay pollable), so an executor task wedged on a full
-    /// buffer drains its input and parks instead of holding a feeder
-    /// hostage. This is the server's disconnect lever: when a session's
-    /// peer vanishes mid-`Feed`, nobody will ever poll again, and the
-    /// blocked feeder must unwedge *now* — before teardown, which needs
-    /// the very locks the feeder's caller may hold. Takes `&self` (like
-    /// [`poll`](Self::poll)) so a watcher thread can fire it while
-    /// another thread is blocked inside
-    /// [`StreamFeeder::push_batch`].
-    pub fn close_outputs(&self, owner: OwnerId) -> usize {
-        let mut closed = 0;
-        for entry in self.entries.iter().filter(|e| e.owner == Some(owner)) {
-            entry.outputs.close();
-            closed += 1;
-        }
-        closed
     }
 
     /// Bytes of admitted-but-unprocessed input across every live query
@@ -932,8 +869,7 @@ impl StreamFeeder {
 
     /// Block until every snapshot query has processed all input queued
     /// so far (the per-query barrier of [`Runtime::quiesce`], scoped to
-    /// this feeder's targets). The [`OutputPolicy::Block`] caveat of
-    /// [`Runtime::quiesce`] applies: drain before quiescing.
+    /// this feeder's targets).
     pub fn quiesce(&self) {
         let mut acks = Vec::new();
         for (_, cell) in &self.targets {
@@ -1206,9 +1142,7 @@ mod tests {
         let healthy_stats = rt.stats(healthy).unwrap();
         assert_eq!(healthy_stats.points, rounds * 1000);
         // A failed query still cancels cleanly: its pipeline survives
-        // behind the caught panic. The hook is cleared first, because
-        // closing the buffer fires it on the cancelling thread.
-        rt.set_output_notify(doomed, None).unwrap();
+        // behind the caught panic.
         let report = rt.cancel(doomed).unwrap();
         assert_eq!(
             report.stats.error.as_deref(),
@@ -1237,119 +1171,6 @@ mod tests {
         let ids: Vec<u64> = polled.iter().map(|(w, _)| w.0).collect();
         let last = stats.windows - 1;
         assert_eq!(ids, vec![last - 2, last - 1, last]);
-    }
-
-    #[test]
-    fn block_output_delivers_everything_to_a_concurrent_drainer() {
-        let mut rt = Runtime::with_config(RuntimeConfig {
-            output_policy: crate::output::OutputPolicy::Block(2),
-            channel_capacity: 2, // force ingestion to feel the backpressure
-            ..RuntimeConfig::default()
-        });
-        rt.register_stream("gmti", 2);
-        let Submission::Continuous(id) = rt.submit(DETECT).unwrap() else {
-            panic!()
-        };
-        // The documented Block usage: `push` and `poll` take `&self`, so
-        // a drainer thread runs concurrently with a large blocking push.
-        let stream = gmti(6000);
-        let rt_ref = &rt;
-        let polled = std::thread::scope(|s| {
-            let drainer = s.spawn(move || {
-                let mut polled = Vec::new();
-                loop {
-                    polled.extend(rt_ref.poll(id).unwrap());
-                    if rt_ref.stats(id).unwrap().points == 6000 {
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                polled
-            });
-            rt_ref.push_batch(&stream).unwrap();
-            drainer.join().unwrap()
-        });
-        rt.quiesce().unwrap();
-        let mut polled = polled;
-        polled.extend(rt.poll(id).unwrap());
-        let stats = rt.stats(id).unwrap();
-        assert_eq!(stats.windows_dropped, 0, "Block is lossless");
-        assert_eq!(polled.len() as u64, stats.windows);
-        assert!(polled.windows(2).all(|w| w[0].0 < w[1].0), "in order");
-    }
-
-    #[test]
-    fn dropping_runtime_frees_a_block_stalled_pool_worker() {
-        let rt = {
-            let mut rt = Runtime::with_config(RuntimeConfig {
-                pool_threads: sgs_core::PoolThreads::Fixed(1),
-                output_policy: crate::output::OutputPolicy::Block(1),
-                ..RuntimeConfig::default()
-            });
-            rt.register_stream("gmti", 2);
-            let Submission::Continuous(_) = rt.submit(DETECT).unwrap() else {
-                panic!()
-            };
-            rt
-        };
-        let pool = rt.pool().clone();
-        // Fill the never-polled buffer: the query's task ends up blocked
-        // in OutputBuffer::push, occupying the pool's only worker.
-        rt.push_batch(&gmti(4000)).unwrap();
-        drop(rt); // must close the buffer, unblocking the task
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.spawn(sgs_exec::Priority::Normal, move || tx.send(()).unwrap());
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("worker still hostage to the dropped runtime's query");
-    }
-
-    #[test]
-    fn shutdown_with_multiple_block_stalled_queries_does_not_hang() {
-        // Two never-polled Block queries on a one-worker pool: each
-        // stalled task can hold the worker hostage, so shutdown must
-        // close every buffer before waiting on any stop.
-        let mut rt = Runtime::with_config(RuntimeConfig {
-            pool_threads: sgs_core::PoolThreads::Fixed(1),
-            output_policy: crate::output::OutputPolicy::Block(1),
-            ..RuntimeConfig::default()
-        });
-        rt.register_stream("gmti", 2);
-        for _ in 0..2 {
-            let Submission::Continuous(_) = rt.submit(DETECT).unwrap() else {
-                panic!()
-            };
-        }
-        rt.push_batch(&gmti(4000)).unwrap();
-        let reports = rt.shutdown();
-        assert_eq!(reports.len(), 2);
-        for r in &reports {
-            assert_eq!(r.stats.points, 4000);
-            assert!(r.stats.windows > 1);
-            assert_eq!(r.stats.windows_dropped, 0, "closing is lossless");
-        }
-    }
-
-    #[test]
-    fn cancel_with_undrained_block_buffer_does_not_hang() {
-        let mut rt = Runtime::with_config(RuntimeConfig {
-            output_policy: crate::output::OutputPolicy::Block(1),
-            ..RuntimeConfig::default()
-        });
-        rt.register_stream("gmti", 2);
-        let Submission::Continuous(id) = rt.submit(DETECT).unwrap() else {
-            panic!()
-        };
-        // Enough for several windows, never polled: the executor task is
-        // blocked on the full output buffer when the cancel arrives.
-        rt.push_batch(&gmti(4000)).unwrap();
-        let report = rt.cancel(id).unwrap();
-        assert_eq!(report.stats.points, 4000);
-        assert!(report.stats.windows > 1);
-        // Nothing was lost: closing the buffer admits the overflow, and
-        // it stays pollable after cancellation.
-        let polled = rt.poll(id).unwrap();
-        assert_eq!(polled.len() as u64, report.stats.windows);
-        assert_eq!(report.stats.windows_dropped, 0);
     }
 
     #[test]
@@ -1476,58 +1297,40 @@ mod tests {
     }
 
     #[test]
-    fn close_outputs_unblocks_an_owners_wedged_feeder() {
+    fn owner_gauges_track_queued_input_and_unpolled_output() {
         let mut rt = Runtime::with_config(RuntimeConfig {
-            output_policy: crate::output::OutputPolicy::Block(1),
-            channel_capacity: 2, // small, so the wedge reaches the feeder
+            pool_threads: sgs_core::PoolThreads::Fixed(1),
             ..RuntimeConfig::default()
         });
         rt.register_stream("gmti", 2);
         let owner = rt.new_owner();
-        let id = submit_as(&mut rt, owner);
-        let stream = gmti(6000);
-        let rt_ref = &rt;
-        std::thread::scope(|s| {
-            let feeder = s.spawn(move || {
-                // Wedges: the never-polled Block(1) buffer fills, the
-                // executor task blocks, the input queue backs up, and
-                // this push stalls — the disconnected-session shape.
-                rt_ref.feeder(Some(owner), Some("gmti")).push_batch(&stream);
-            });
-            // Wait for the wedge to back up into the input queue, which
-            // is also when the owner's input-byte gauge must be visible.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while rt_ref.input_queue_bytes_for(owner) == 0 {
-                assert!(std::time::Instant::now() < deadline, "feeder never wedged");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            assert_eq!(rt_ref.close_outputs(owner), 1);
-            feeder.join().unwrap(); // must return promptly after the close
+        let other = rt.new_owner();
+        // A window short enough to complete within the 1 000 points fed.
+        let QueryPlan::Detect(plan) = rt.plan(&DETECT.replace("win = 1000", "win = 500")).unwrap()
+        else {
+            panic!("expected detect");
+        };
+        let id = rt.submit_detect(*plan, Some(owner)).unwrap();
+        submit_as(&mut rt, other);
+        // Hold the pool's only worker, so what is fed stays queued.
+        let (held, holding) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
+        rt.pool().spawn(sgs_exec::Priority::Normal, move || {
+            held.send(()).unwrap();
+            let _ = gate.recv();
         });
-        rt.quiesce().unwrap();
-        // Closing is lossless: everything fed was processed and buffered.
-        let stats = rt.stats(id).unwrap();
-        assert_eq!(stats.points, 6000);
-        assert_eq!(stats.windows_dropped, 0);
-        assert!(rt.output_bytes_for(owner) > 0);
-        assert_eq!(rt.poll(id).unwrap().len() as u64, stats.windows);
-        assert_eq!(rt.output_bytes_for(owner), 0, "polling releases the quota");
-        assert_eq!(
-            rt.input_queue_bytes_for(owner),
-            0,
-            "quiesced queue is empty"
-        );
-    }
+        holding.recv().unwrap();
+        rt.feeder(Some(owner), Some("gmti")).push_batch(&gmti(1000));
+        // 1 000 points at 16 + 8·dim = 32 bytes each, all still queued.
+        assert_eq!(rt.input_queue_bytes_for(owner), 32_000);
+        assert_eq!(rt.input_queue_bytes_for(other), 0, "fed by owner only");
 
-    #[test]
-    fn close_outputs_scopes_to_the_owner() {
-        let mut rt = runtime();
-        let mine = rt.new_owner();
-        let theirs = rt.new_owner();
-        submit_as(&mut rt, mine);
-        submit_as(&mut rt, theirs);
-        assert_eq!(rt.close_outputs(mine), 1, "only the owner's buffer");
-        assert_eq!(rt.close_outputs(OwnerId(999)), 0);
+        release.send(()).unwrap();
+        rt.quiesce().unwrap();
+        assert_eq!(rt.input_queue_bytes_for(owner), 0, "processed input");
+        assert!(rt.output_bytes_for(owner) > 0, "completed windows wait");
+        rt.poll(id).unwrap();
+        assert_eq!(rt.output_bytes_for(owner), 0, "polling releases it");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! streamsum-server [--addr 127.0.0.1:7878] [--stream name:dim]...
-//!                  [--channel-capacity N] [--output-policy unbounded|block:N|drop-oldest:N]
+//!                  [--channel-capacity N] [--output-policy unbounded|drop-oldest:N]
 //!                  [--pool-threads N] [--seed N]
 //!                  [--archive-dir PATH] [--archive-budget BYTES]
 //!                  [--metrics-addr HOST:PORT]
@@ -35,7 +35,8 @@ usage: streamsum-server [options]
   --addr HOST:PORT          listen address (default 127.0.0.1:7878; port 0 = OS-assigned)
   --stream NAME:DIM         register a source stream (repeatable; default gmti:2 stt:4)
   --channel-capacity N      per-query bounded input queue, in messages (default 1024)
-  --output-policy P         unbounded | block:N | drop-oldest:N (default unbounded)
+  --output-policy P         unbounded | drop-oldest:N (default unbounded); for a
+                            lossless bound use --owner-max-buffer-bytes
   --pool-threads N          dedicated scheduler pool of N workers (default: shared auto pool)
   --seed N                  archiver RNG seed (default 0)
   --archive-dir PATH        persist the shared history there (WAL + checkpoints;
@@ -339,17 +340,36 @@ fn parse_policy(spec: &str) -> Result<OutputPolicy, String> {
     if spec.eq_ignore_ascii_case("unbounded") {
         return Ok(OutputPolicy::Unbounded);
     }
-    let parse_cap = |rest: &str, what: &str| -> Result<usize, String> {
-        rest.parse::<usize>()
-            .map_err(|_| format!("bad capacity in --output-policy {what}"))
-    };
-    if let Some(rest) = spec.strip_prefix("block:") {
-        return Ok(OutputPolicy::Block(parse_cap(rest, spec)?));
-    }
-    if let Some(rest) = spec.strip_prefix("drop-oldest:") {
-        return Ok(OutputPolicy::DropOldest(parse_cap(rest, spec)?));
+    if let Some(cap) = spec
+        .strip_prefix("drop-oldest:")
+        .and_then(|rest| rest.parse().ok())
+    {
+        return Ok(OutputPolicy::DropOldest(cap));
     }
     Err(format!(
-        "bad --output-policy {spec:?} (unbounded | block:N | drop-oldest:N)"
+        "bad --output-policy {spec:?} (unbounded | drop-oldest:N)"
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_policy_accepts_the_listed_forms() {
+        assert_eq!(parse_policy("unbounded"), Ok(OutputPolicy::Unbounded));
+        assert_eq!(
+            parse_policy("drop-oldest:3"),
+            Ok(OutputPolicy::DropOldest(3))
+        );
+    }
+
+    #[test]
+    fn parse_policy_refuses_block_and_bad_capacities() {
+        for spec in ["block:1", "drop-oldest:x"] {
+            let message = parse_policy(spec).unwrap_err();
+            assert!(message.contains("bad --output-policy"), "{message}");
+            assert!(message.contains("unbounded | drop-oldest:N"), "{message}");
+        }
+    }
 }

@@ -90,10 +90,10 @@ pub struct AuthToken {
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Configuration of the shared [`Runtime`] all sessions multiplex
-    /// onto. Note that [`RuntimeConfig::output_policy`] governs every
-    /// session's poll buffers; `Block` requires clients to interleave
-    /// polls with feeds (see `DESIGN.md` §9) — prefer `DropOldest` for
-    /// slow remote consumers.
+    /// onto. Its [`RuntimeConfig::output_policy`] governs every
+    /// session's poll buffers: `DropOldest` bounds them by discarding,
+    /// [`owner_max_buffer_bytes`](Self::owner_max_buffer_bytes) bounds
+    /// them losslessly by refusing further feeds.
     pub runtime: RuntimeConfig,
     /// Source streams to register (name, dimensionality). Defaults to
     /// the two generator streams: `gmti` (2-d) and `stt` (4-d).
@@ -102,7 +102,7 @@ pub struct ServerConfig {
     /// this window (counted from the previous complete frame).
     /// Sessions holding an active subscription are exempt — a
     /// subscriber is legitimately silent. `None` (the default) keeps
-    /// sessions open indefinitely — the historical behavior.
+    /// sessions open indefinitely.
     pub idle_timeout: Option<Duration>,
     /// Per-owner admission control: maximum live (non-cancelled)
     /// queries one session may hold. A `Submit` of a DETECT statement
@@ -169,12 +169,9 @@ struct Limits {
 }
 
 /// One live session's entry in the drain registry: a socket clone to
-/// force-close stragglers with, and the owner whose output buffers must
-/// be released when that happens (a force-closed session may be wedged
-/// mid-`Feed` behind a full `Block`-policy buffer).
+/// force-close stragglers with.
 struct Seat {
     socket: TcpStream,
-    owner: OwnerId,
 }
 
 /// What a dispatch asks the reactor to do to the session state it owns
@@ -339,12 +336,11 @@ impl ServerHandle {
 
     /// Gracefully drain the server (`DESIGN.md` §12): stop accepting,
     /// announce `GoAway` to every session, wait up to `timeout` for
-    /// sessions to finish voluntarily, force-close the stragglers
-    /// (socket shutdown + releasing their owners' output buffers, so
-    /// even a session wedged mid-`Feed` unblocks), and finally
-    /// checkpoint every durable history base so a restarted server
-    /// recovers the archive from a clean store file. Returns the number
-    /// of sessions that had to be force-closed (0 = fully graceful).
+    /// sessions to finish voluntarily, shut the stragglers' sockets, and
+    /// finally checkpoint every durable history base so a restarted
+    /// server recovers the archive from a clean store file. Returns the
+    /// number of sessions that had to be force-closed (0 = fully
+    /// graceful).
     /// [`Server::run`] returns once the drain completes.
     pub fn drain(&self, timeout: Duration) -> usize {
         let shared = &self.shared;
@@ -361,15 +357,12 @@ impl ServerHandle {
         shared.wait_until(Some(Instant::now() + timeout), HashMap::is_empty);
 
         // Phase 2: force-close whoever is left. Shutting the socket
-        // surfaces as a hangup in the reactor; releasing the owner's
-        // output buffers breaks a Feed wedged behind a full
-        // Block-policy buffer (its dispatch then completes and the
-        // session unwinds).
+        // surfaces as a hangup in the reactor, which tears the session
+        // down once any request it is executing completes.
         let forced = {
             let seats = shared.seats.lock().unwrap();
             for seat in seats.values() {
                 let _ = seat.socket.shutdown(Shutdown::Both);
-                shared.rt.read().close_outputs(seat.owner);
             }
             seats.len()
         };
@@ -789,7 +782,7 @@ fn feed(shared: &Shared, view: &SessionView, stream: &str, points: &[Point]) -> 
         // (charged at the runtime's per-point queue cost) must fit
         // under the owner's queued-input cap. Output-side: a session
         // sitting on too many unpolled windows must poll before it may
-        // feed more — the non-blocking counterpart of `Block`.
+        // feed more, so the bound is lossless without any task waiting.
         if let Some(max) = shared.limits.owner_max_queue_bytes {
             let incoming: usize = points.iter().map(|p| 16 + 8 * p.dim()).sum();
             let queued = rt.input_queue_bytes_for(view.owner);

@@ -61,9 +61,9 @@ pub(crate) struct ServerMetrics {
     ///
     /// [`ServerHandle::drain`]: crate::ServerHandle::drain
     pub drains: Arc<Counter>,
-    /// Vanished peers detected by the reactor's hangup readiness while a
-    /// request was executing (each one force-released the owner's output
-    /// buffers so a wedged `Feed` unblocks).
+    /// Peers that vanished while one of their requests was executing
+    /// (detected by the reactor's hangup readiness; the session is torn
+    /// down when the request completes).
     pub disconnect_reaps: Arc<Counter>,
     /// Malformed frames received (sessions ended with a typed Protocol
     /// error rather than a hang or a panic).

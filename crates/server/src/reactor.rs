@@ -15,9 +15,8 @@
 //! * while a request executes, the connection's read interest is
 //!   dropped (at most one in-flight request per session — the same
 //!   serial semantics the thread-per-session server had) but hangup
-//!   readiness stays on, so a vanished peer force-releases its owner's
-//!   output buffers and unwedges a `Feed` blocked behind a full
-//!   `Block`-policy buffer;
+//!   readiness stays on, so a vanished peer is noticed mid-request and
+//!   torn down once the request completes;
 //! * subscription pushes are gated by write readiness: a page of
 //!   windows is encoded only when the write buffer is empty, so a slow
 //!   reader holds its own windows in the runtime's bounded output
@@ -306,21 +305,17 @@ impl Reactor<'_> {
         }
     }
 
-    /// The peer vanished while a request executes: release the owner's
-    /// output buffers out of band (the request may be a `Feed` wedged
-    /// behind a full `Block`-policy buffer — this is what unwedges it)
-    /// and let the completion handler run the teardown.
+    /// The peer vanished while a request executes: flag the connection
+    /// so the completion handler runs the teardown. Every request
+    /// finishes on its own (a `Feed` once the bounded input queues
+    /// drain), so nothing needs forcing.
     fn mark_gone(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if conn.gone {
-            return;
-        }
-        conn.gone = true;
-        self.shared.metrics.disconnect_reaps.inc();
-        if let Some(owner) = conn.owner {
-            self.shared.rt.read().close_outputs(owner);
+        if !conn.gone {
+            conn.gone = true;
+            self.shared.metrics.disconnect_reaps.inc();
         }
     }
 
@@ -467,7 +462,7 @@ impl Reactor<'_> {
                     .seats
                     .lock()
                     .unwrap()
-                    .insert(token, Seat { socket, owner });
+                    .insert(token, Seat { socket });
             }
         }
         self.send(
