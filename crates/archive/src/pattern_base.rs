@@ -10,16 +10,22 @@
 //!   admissible ranges of §7.2.
 //!
 //! A matching query runs **filter-and-refine**: the index narrows the base
-//! to candidates, the cluster-level feature metric discards most of them,
-//! and only the survivors pay for the grid-cell-level match (with the
-//! anytime alignment search when position-insensitive). [`MatchOutcome`]
-//! reports how many candidates reached each phase — the statistic behind
-//! the "only 6 % needed the grid-level match" claim of §8.2.
+//! to candidates, the cluster-level feature metric (on the cached feature
+//! vectors) discards most of them, and only the survivors pay for the
+//! grid-cell-level match. When position-insensitive, a survivor first
+//! meets [`AlignmentFilter`]: a sound lower bound on the grid-level
+//! distance over every alignment, from the cell counts and the histogram
+//! of cell offsets. A candidate whose bound exceeds the threshold cannot
+//! match at any shift, so it skips the anytime alignment search and the
+//! answer is the one the search would give. [`MatchOutcome`] reports how
+//! many candidates reached each phase — the statistic behind the "only
+//! 6 % needed the grid-level match" claim of §8.2.
 
 use sgs_core::WindowId;
 use sgs_index::{FeatureGrid, RTree};
+use sgs_matching::metric::feature_distance;
 use sgs_matching::{
-    best_alignment, cluster_distance, feature_ranges, grid_level_distance, MatchConfig,
+    best_alignment, feature_ranges, grid_level_distance, AlignmentFilter, MatchConfig,
 };
 use sgs_summarize::{packed, Sgs};
 
@@ -57,7 +63,8 @@ pub struct MatchOutcome {
     /// Candidates produced by the index search.
     pub candidates: usize,
     /// Candidates that survived the cluster-level filter and paid for the
-    /// grid-level match.
+    /// grid-level match: position-insensitive ones also survived the
+    /// alignment bound and paid for the alignment search.
     pub refined: usize,
 }
 
@@ -178,16 +185,30 @@ impl PatternBase {
         candidate_ids.dedup();
         outcome.candidates = candidate_ids.len();
 
-        // ---- Cluster-level filter, then grid-level refine.
+        // ---- Cluster-level filter, the alignment bound, then grid-level
+        // refine. A position-sensitive candidate is an R-tree hit, so it
+        // already overlaps the query and only the features are compared.
+        let zero = vec![0i32; query.dim];
+        let mut alignments = AlignmentFilter::default();
         for id in candidate_ids {
             let pattern = &self.patterns[id as usize];
-            let coarse = cluster_distance(&pattern.sgs, query, config);
+            let coarse = feature_distance(&pattern.features, &query_features, &config.weights);
             if coarse > config.threshold {
+                continue;
+            }
+            if !config.position_sensitive
+                && !alignments.may_match(
+                    query,
+                    &query_features,
+                    &pattern.sgs,
+                    &pattern.features,
+                    config,
+                )
+            {
                 continue;
             }
             outcome.refined += 1;
             let distance = if config.position_sensitive {
-                let zero = vec![0i32; query.dim];
                 grid_level_distance(query, &pattern.sgs, &zero)
             } else {
                 best_alignment(query, &pattern.sgs, config.alignment_budget).distance
@@ -205,9 +226,9 @@ impl PatternBase {
         outcome
     }
 
-    /// Brute-force matching (no indexes, every pattern refined) — the
-    /// correctness oracle for `match_query` and the baseline that shows
-    /// what the filter saves.
+    /// Brute-force matching (no indexes, no alignment bound, every pattern
+    /// refined) — the correctness oracle for `match_query` and the
+    /// baseline that shows what the filter saves.
     pub fn match_query_exhaustive(&self, query: &Sgs, config: &MatchConfig) -> MatchOutcome {
         let mut outcome = MatchOutcome {
             candidates: self.patterns.len(),
@@ -241,8 +262,9 @@ impl PatternBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgs_core::GridGeometry;
-    use sgs_summarize::MemberSet;
+    use sgs_core::{CellCoord, GridGeometry};
+    use sgs_matching::cluster_distance;
+    use sgs_summarize::{CellStatus, MemberSet, SkeletalCell};
 
     fn blob(x0: f64, y0: f64, n: usize) -> Sgs {
         let cores: Vec<Box<[f64]>> = (0..n)
@@ -420,5 +442,86 @@ mod tests {
             proptest::prop_assert_eq!(loaded.archived_bytes(), bytes);
             proptest::prop_assert_eq!(bits(loaded.feature_caps), bits(caps));
         }
+
+        /// The alignment bound removes no match. Over archives of
+        /// translated, trimmed variants of a few generated shapes,
+        /// `match_query` answers exactly what the exhaustive scan answers
+        /// among the patterns the cluster-level filter keeps, down to the
+        /// distance bits.
+        #[test]
+        fn pruning_removes_no_match(
+            shapes in proptest::prop::collection::vec(
+                proptest::prop::collection::vec((0i32..5, 0i32..4, 1u32..5, 0u8..4), 1..12),
+                3,
+            ),
+            archive in proptest::prop::collection::vec((0usize..3, -6i32..7, -6i32..7, 0usize..4), 1..40),
+            query in (0usize..3, 0usize..4),
+            threshold in 0.05f64..0.6,
+        ) {
+            let variant = |shape: usize, trim: usize, at: (i32, i32)| {
+                let script = &shapes[shape];
+                scripted(&script[trim.min(script.len() - 1)..], at)
+            };
+            let base = base_with(
+                archive.iter().map(|&(shape, x, y, trim)| variant(shape, trim, (x, y))).collect(),
+            );
+            let query = variant(query.0, query.1, (0, 0));
+            for ps in [true, false] {
+                let cfg = MatchConfig::equal_weights(ps, threshold);
+                let mut expect = base.match_query_exhaustive(&query, &cfg).matches;
+                expect.retain(|m| {
+                    cluster_distance(&base.get(m.id).unwrap().sgs, &query, &cfg) <= threshold
+                });
+                let got = base.match_query(&query, &cfg).matches;
+                proptest::prop_assert_eq!(answer(&got), answer(&expect), "ps={}", ps);
+            }
+        }
+    }
+
+    /// A 2-d summary from `(x, y, population, kind)` cells translated by
+    /// `at`: kind 0 is an edge cell, `k ≥ 1` a core cell linked to the
+    /// next `k − 1` cells in canonical order. Cells on one coordinate
+    /// collapse to the first.
+    fn scripted(script: &[(i32, i32, u32, u8)], at: (i32, i32)) -> Sgs {
+        let mut cells: Vec<(SkeletalCell, u8)> = script
+            .iter()
+            .map(|&(x, y, population, kind)| {
+                let cell = SkeletalCell {
+                    coord: CellCoord::new(vec![x + at.0, y + at.1]),
+                    population,
+                    status: if kind == 0 {
+                        CellStatus::Edge
+                    } else {
+                        CellStatus::Core
+                    },
+                    connections: Vec::new(),
+                };
+                (cell, kind)
+            })
+            .collect();
+        cells.sort_by(|p, q| p.0.coord.cmp(&q.0.coord));
+        cells.dedup_by(|p, q| p.0.coord == q.0.coord);
+        let n = cells.len();
+        for (i, (cell, kind)) in cells.iter_mut().enumerate() {
+            if cell.status == CellStatus::Core {
+                let links = usize::from(*kind - 1).min(n - 1);
+                cell.connections = (1..=links).map(|k| ((i + k) % n) as u32).collect();
+                cell.connections.sort_unstable();
+            }
+        }
+        Sgs {
+            dim: 2,
+            side: 1.0,
+            level: 0,
+            cells: cells.into_iter().map(|(cell, _)| cell).collect(),
+        }
+    }
+
+    /// Ids and distance bits of an answer.
+    fn answer(matches: &[MatchResult]) -> Vec<(PatternId, u64)> {
+        matches
+            .iter()
+            .map(|m| (m.id, m.distance.to_bits()))
+            .collect()
     }
 }

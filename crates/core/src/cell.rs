@@ -53,19 +53,6 @@ impl CellCoord {
     pub fn is_adjacent(&self, other: &CellCoord) -> bool {
         self.chebyshev(other) == 1
     }
-
-    /// Translate by an integer shift vector (used by the alignment search of
-    /// the matcher, §7.2).
-    pub fn shifted(&self, shift: &[i32]) -> CellCoord {
-        debug_assert_eq!(self.dim(), shift.len());
-        CellCoord(
-            self.0
-                .iter()
-                .zip(shift.iter())
-                .map(|(c, s)| c + s)
-                .collect(),
-        )
-    }
 }
 
 /// A coordinate hashes and compares as its slice of indices, so a map keyed
@@ -407,12 +394,6 @@ mod tests {
         assert_eq!(g.min_cell_dist(&a, &b), 0.0);
         let far = CellCoord::new(vec![3, 0]);
         assert!((g.min_cell_dist(&a, &far) - 2.0 * g.side()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shifted_translates() {
-        let c = CellCoord::new(vec![1, 2]);
-        assert_eq!(c.shifted(&[3, -5]), CellCoord::new(vec![4, -3]));
     }
 
     #[test]

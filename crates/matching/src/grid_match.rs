@@ -26,6 +26,20 @@ fn cell_diff(a: &SkeletalCell, b: &SkeletalCell) -> f64 {
     (status + density + conn) / 3.0
 }
 
+/// Index of the cell of `b` at `coord + shift`, found without building the
+/// shifted coordinate (`b.cells` is sorted by coordinate).
+fn index_of_shifted(b: &Sgs, coord: &[i32], shift: &[i32]) -> Option<usize> {
+    b.cells
+        .binary_search_by(|c| {
+            c.coord
+                .0
+                .iter()
+                .copied()
+                .cmp(coord.iter().zip(shift).map(|(x, s)| x + s))
+        })
+        .ok()
+}
+
 /// Grid-level distance between two summaries under alignment `shift`
 /// (a cell at coordinate `x` in `a` corresponds to `x + shift` in `b`,
 /// per the alignment footnote of §7.2). Symmetric: unmatched cells on
@@ -38,22 +52,21 @@ pub fn grid_level_distance(a: &Sgs, b: &Sgs, shift: &[i32]) -> f64 {
         return 1.0;
     }
     let mut total = 0.0;
-    let mut matched_b = vec![false; b.cells.len()];
-    let mut terms = 0usize;
+    // The cells of `a` are distinct, so a translation lands on each cell
+    // of `b` at most once: the cells of `b` left unmatched are the rest.
+    let mut matched = 0usize;
     for cell in &a.cells {
-        let target = cell.coord.shifted(shift);
-        match b.index_of(&target) {
+        match index_of_shifted(b, &cell.coord.0, shift) {
             Some(j) => {
-                matched_b[j] = true;
+                matched += 1;
                 total += cell_diff(cell, &b.cells[j]);
             }
             None => total += 1.0,
         }
-        terms += 1;
     }
-    let unmatched_b = matched_b.iter().filter(|m| !**m).count();
+    let unmatched_b = b.cells.len() - matched;
     total += unmatched_b as f64;
-    terms += unmatched_b;
+    let terms = a.cells.len() + unmatched_b;
     total / terms as f64
 }
 

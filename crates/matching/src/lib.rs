@@ -7,7 +7,8 @@
 //! compares against:
 //!
 //! * SGS — [`metric`] (cluster-level features) + [`grid_match`] /
-//!   [`alignment`] (cell-level refine),
+//!   [`alignment`] (cell-level refine), with [`bound`] proving before the
+//!   alignment search when no alignment can match,
 //! * CRD — the subtraction metric lives on
 //!   [`sgs_summarize::Crd::distance`],
 //! * RSP — [`pointset`] (symmetric Chamfer set distance, standing in for
@@ -17,6 +18,7 @@
 //!   solver.
 
 pub mod alignment;
+pub mod bound;
 pub mod candidate;
 pub mod ged;
 pub mod grid_match;
@@ -25,6 +27,7 @@ pub mod metric;
 pub mod pointset;
 
 pub use alignment::{best_alignment, AlignmentResult};
+pub use bound::AlignmentFilter;
 pub use candidate::feature_ranges;
 pub use ged::graph_edit_distance;
 pub use grid_match::grid_level_distance;
