@@ -96,8 +96,8 @@ pub enum ClientError {
     /// The request's deadline expired before the reply arrived
     /// ([`ClientConfig::request_timeout`]). The connection is shut down
     /// — a late reply must not desync the next request — so further
-    /// calls fail with [`ClientError::ConnectionLost`] until
-    /// [`Session::reconnect`].
+    /// calls fail with [`ClientError::ConnectionLost`]; open a new
+    /// [`Session`] to continue.
     Timeout,
     /// The connection dropped mid-exchange (reset, broken pipe, EOF
     /// inside a frame). The request's fate on the server is unknown.
@@ -223,58 +223,8 @@ impl From<RecvError> for ClientError {
     }
 }
 
-/// Capped exponential backoff with jitter, governing how the client
-/// re-issues idempotent requests after a transient transport failure.
-/// Opt-in via [`ClientConfig::retry`].
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Re-issue attempts per request (0 disables retries).
-    pub max_retries: u32,
-    /// Delay before the first retry; doubles each attempt.
-    pub base_delay: Duration,
-    /// Upper bound on any single delay.
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before retry number `attempt` (0-based): capped
-    /// exponential, then jittered to 50–100% so a fleet of clients does
-    /// not reconnect in lockstep.
-    fn delay(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base_delay
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.max_delay);
-        let jitter_permille = 500 + (jitter_seed() % 501); // 500..=1000
-        exp.mul_f64(jitter_permille as f64 / 1000.0)
-    }
-}
-
-/// Cheap per-call jitter source (no RNG dependency): the sub-second
-/// clock reading scrambled by a xorshift round.
-fn jitter_seed() -> u64 {
-    let mut x = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64)
-        .unwrap_or(0)
-        | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
-
-/// Resilience and identity knobs for a [`Session`].
+/// Deadline and identity knobs for a [`Session`]. There is no retry:
+/// a caller that wants to reconnect opens a new `Session`.
 #[derive(Clone, Debug, Default)]
 pub struct ClientConfig {
     /// Socket read/write deadline for every request/response exchange.
@@ -286,9 +236,6 @@ pub struct ClientConfig {
     /// instead of hanging. [`ClientConfig::new`] sets 10 s;
     /// `Default::default()` leaves it unset (wait indefinitely).
     pub connect_timeout: Option<Duration>,
-    /// Reconnect-and-retry policy for idempotent requests. `None` (the
-    /// default): every transport failure surfaces to the caller.
-    pub retry: Option<RetryPolicy>,
     /// Shared-secret credential sent with `Hello`. Required when the
     /// server was started with `--auth-token`; a missing or unknown
     /// secret fails the handshake with a typed `Unauthorized` error
@@ -298,7 +245,7 @@ pub struct ClientConfig {
 
 impl ClientConfig {
     /// The recommended starting point: a 10 s connect deadline, no
-    /// request deadline, no retries, no credential.
+    /// request deadline, no credential.
     pub fn new() -> ClientConfig {
         ClientConfig {
             connect_timeout: Some(Duration::from_secs(10)),
@@ -341,9 +288,6 @@ pub enum Submitted {
 /// [`Session::subscribe`] switches a query to server-push delivery.
 pub struct Session {
     stream: TcpStream,
-    /// The resolved address the handshake succeeded against, for
-    /// [`Session::reconnect`].
-    peer: SocketAddr,
     config: ClientConfig,
     /// Queries currently in push delivery — the demux key: a `Windows`
     /// frame for one of these is never a reply.
@@ -356,7 +300,6 @@ pub struct Session {
 impl core::fmt::Debug for Session {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Session")
-            .field("peer", &self.peer)
             .field("subscribed", &self.subscribed)
             .field("stashed_batches", &self.stash.len())
             .finish_non_exhaustive()
@@ -405,7 +348,6 @@ impl Session {
         stream.set_write_timeout(config.connect_timeout)?;
         let mut session = Session {
             stream,
-            peer,
             config,
             subscribed: HashSet::new(),
             stash: VecDeque::new(),
@@ -427,20 +369,6 @@ impl Session {
             Frame::HelloAck { .. } => Err(ClientError::Unexpected("protocol version mismatch")),
             _ => Err(ClientError::Unexpected("handshake reply was not HelloAck")),
         }
-    }
-
-    /// Drop the current connection and open a fresh session to the same
-    /// address (same config). Session-local state — query ids, unpolled
-    /// windows, subscriptions, stashed pushes — does not carry over;
-    /// server-wide state (bindings, the shared history) does.
-    pub fn reconnect(&mut self) -> Result<(), ClientError> {
-        let _ = self.stream.shutdown(Shutdown::Both);
-        let fresh = Session::connect_one(self.peer, self.config.clone())?;
-        metrics().reconnects.inc();
-        self.stream = fresh.stream;
-        self.subscribed.clear();
-        self.stash.clear();
-        Ok(())
     }
 
     /// Read the next *reply* frame, stashing any pushed `Windows`
@@ -491,36 +419,6 @@ impl Session {
                     let _ = self.stream.shutdown(Shutdown::Both);
                 }
                 Err(e)
-            }
-        }
-    }
-
-    /// [`Session::call`] plus the opt-in reconnect policy, for requests
-    /// that are **idempotent** (poll / stats / queries / metrics): on a
-    /// transient failure, back off (capped exponential + jitter),
-    /// reconnect, and re-issue. Non-idempotent requests (submit, feed,
-    /// lifecycle transitions) never take this path — their fate on the
-    /// server is unknown, so the failure surfaces to the caller.
-    fn call_idempotent(&mut self, request: Frame) -> Result<Frame, ClientError> {
-        let Some(policy) = self.config.retry else {
-            return self.call(request);
-        };
-        let mut attempt = 0u32;
-        loop {
-            let err = match self.call(request.clone()) {
-                Err(e) if e.is_transient() => e,
-                other => return other,
-            };
-            if attempt >= policy.max_retries {
-                return Err(err);
-            }
-            std::thread::sleep(policy.delay(attempt));
-            attempt += 1;
-            metrics().retries.inc();
-            if let Err(e) = self.reconnect() {
-                if attempt > policy.max_retries || !e.is_transient() {
-                    return Err(e);
-                }
             }
         }
     }
@@ -712,7 +610,7 @@ impl Session {
     }
 
     fn stats_inner(&mut self, query: u64) -> Result<WireQuery, ClientError> {
-        match self.call_idempotent(Frame::StatsReq { query })? {
+        match self.call(Frame::StatsReq { query })? {
             Frame::StatsReply(q) => Ok(q),
             _ => Err(ClientError::Unexpected("stats reply")),
         }
@@ -758,7 +656,7 @@ impl Session {
         query: u64,
         max: u32,
     ) -> Result<Vec<(WindowId, WindowOutput)>, ClientError> {
-        match self.call_idempotent(Frame::Poll { query, max })? {
+        match self.call(Frame::Poll { query, max })? {
             Frame::Windows { query: q, windows } if q == query => Ok(windows
                 .into_iter()
                 .map(|w| (w.window, w.clusters))
@@ -771,7 +669,7 @@ impl Session {
     /// and layers — unlike [`QueryHandle::stats`], which is one query).
     /// Sorted by metric name. Empty until the server enables metrics.
     pub fn metrics(&mut self) -> Result<Vec<WireMetric>, ClientError> {
-        match self.call_idempotent(Frame::MetricsReq)? {
+        match self.call(Frame::MetricsReq)? {
             Frame::MetricsReply(metrics) => Ok(metrics),
             _ => Err(ClientError::Unexpected("metrics reply")),
         }
@@ -780,7 +678,7 @@ impl Session {
     /// List this session's queries (never another session's — the server
     /// scopes the registry view to this connection).
     pub fn queries(&mut self) -> Result<Vec<WireQuery>, ClientError> {
-        match self.call_idempotent(Frame::ListQueries)? {
+        match self.call(Frame::ListQueries)? {
             Frame::Queries(qs) => Ok(qs),
             _ => Err(ClientError::Unexpected("list reply")),
         }

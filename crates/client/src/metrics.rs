@@ -14,10 +14,6 @@ pub(crate) struct ClientMetrics {
     /// Connections lost mid-exchange
     /// ([`crate::ClientError::ConnectionLost`]).
     pub connections_lost: Arc<Counter>,
-    /// Idempotent requests re-issued by the retry policy.
-    pub retries: Arc<Counter>,
-    /// Successful [`crate::Session::reconnect`] handshakes.
-    pub reconnects: Arc<Counter>,
     /// `GoAway` frames received (server draining).
     pub goaways: Arc<Counter>,
     /// `Subscribe` requests acknowledged by the server.
@@ -33,8 +29,6 @@ pub(crate) fn metrics() -> &'static ClientMetrics {
         ClientMetrics {
             timeouts: r.counter("sgs_client_timeouts_total"),
             connections_lost: r.counter("sgs_client_connections_lost_total"),
-            retries: r.counter("sgs_client_retries_total"),
-            reconnects: r.counter("sgs_client_reconnects_total"),
             goaways: r.counter("sgs_client_goaways_total"),
             subscribes: r.counter("sgs_client_subscribes_total"),
             pushed_windows: r.counter("sgs_client_pushed_windows_total"),

@@ -6,12 +6,7 @@
 //! until input arrives, and the query is the unit of parallelism — each
 //! query's C-SGS extraction is one sequential pass.
 //!
-//! * [`Pool::spawn`] — fire-and-forget tasks at two [`Priority`] levels.
-//!   `Normal` carries query-ingestion tasks; `High` carries short work
-//!   someone is waiting on (the server's dispatch pool spawns session
-//!   teardown there).
-//! * [`Pool::spawn_fair`] — `Normal` tasks under a tenancy key, dispatched
-//!   in proportion to per-key weights (`DESIGN.md` §14).
+//! * [`Pool::spawn`] — fire-and-forget tasks, run in spawn order.
 //! * [`global`] — the process-wide default pool, sized to
 //!   `std::thread::available_parallelism`, created lazily on first use
 //!   and never torn down. A runtime that is not given a dedicated pool
@@ -20,9 +15,11 @@
 //!
 //! ## Scheduling model
 //!
-//! Every task lands in one two-priority injector. A worker takes the
-//! oldest `High` task first, and `Normal` work only when no `High` task
-//! is queued. Idle workers sleep on a condvar and are woken per push.
+//! Every task lands in one FIFO injector and workers take the oldest
+//! task first. Idle workers sleep on a condvar and are woken per push.
+//! No task outranks another: a query has at most one live task and a
+//! connection at most one request in flight, so FIFO is already
+//! round-robin over ready queries and sessions (`DESIGN.md` §8).
 //!
 //! Scheduling never affects results: streamsum's parallel consumers are
 //! designed so their outputs are independent of task interleaving (the
@@ -50,11 +47,10 @@ struct PoolMetrics {
     parks: Arc<Counter>,
     /// Times a sleeping worker was woken.
     unparks: Arc<Counter>,
-    /// Tasks currently queued in the two-priority injector.
+    /// Tasks currently queued in the injector.
     injector_depth: Arc<Gauge>,
-    /// Task execution latency (nanoseconds), by priority.
-    task_nanos_high: Arc<Histogram>,
-    task_nanos_normal: Arc<Histogram>,
+    /// Task execution latency (nanoseconds).
+    task_nanos: Arc<Histogram>,
 }
 
 impl PoolMetrics {
@@ -72,112 +68,8 @@ impl PoolMetrics {
             parks: r.counter("sgs_exec_parks_total"),
             unparks: r.counter("sgs_exec_unparks_total"),
             injector_depth: r.gauge("sgs_exec_injector_depth"),
-            task_nanos_high: r.histogram(&labeled("sgs_exec_task_nanos", &[("priority", "high")])),
-            task_nanos_normal: r
-                .histogram(&labeled("sgs_exec_task_nanos", &[("priority", "normal")])),
+            task_nanos: r.histogram("sgs_exec_task_nanos"),
         }
-    }
-
-    fn task_nanos(&self, priority: Priority) -> &Histogram {
-        match priority {
-            Priority::High => &self.task_nanos_high,
-            Priority::Normal => &self.task_nanos_normal,
-        }
-    }
-}
-
-/// Scheduling class of a [`Pool::spawn`]ed task.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Priority {
-    /// Short work a caller is waiting on. Always dispatched before
-    /// `Normal`.
-    High,
-    /// Query-ingestion tasks: independent units of multiplexed progress.
-    Normal,
-}
-
-/// The global two-priority task queue. The `Normal` class is a set of
-/// weighted fair queues (see [`FairNormal`]); `High` stays strict FIFO.
-#[derive(Default)]
-struct Injector {
-    high: VecDeque<Task>,
-    normal: FairNormal,
-}
-
-/// Numerator of the stride computation: a queue of weight `w` advances
-/// its pass by `STRIDE1 / w` per dispatched task, so dispatch frequency
-/// is proportional to weight. Large enough that integer division keeps
-/// resolution for any plausible weight.
-const STRIDE1: u64 = 1 << 20;
-
-/// One fair queue of the `Normal` injector class: the tasks of one
-/// tenancy key, dispatched at a rate proportional to `weight`.
-struct FairQueue {
-    key: u64,
-    weight: u32,
-    /// Virtual time at which this queue's next task is due. The queue
-    /// with the minimum pass is dispatched next (stride scheduling).
-    pass: u64,
-    tasks: VecDeque<Task>,
-}
-
-/// Stride-scheduled weighted fair queues over tenancy keys — the
-/// multi-tenant half of the scheduler (`DESIGN.md` §14). Each key (the
-/// server maps one per authenticated owner; plain [`Pool::spawn`] uses
-/// key 0 at weight 1) gets its own FIFO; dispatch picks the queue with
-/// the minimum virtual `pass` and advances it by `STRIDE1 / weight`, so
-/// over any busy interval each key receives pool slots in proportion to
-/// its weight. A queue created (or refilled) while others ran starts at
-/// the scheduler's current clock — an idle tenant accrues no credit to
-/// burst with later. Ties break toward the lowest key, keeping dispatch
-/// order deterministic for tests.
-#[derive(Default)]
-struct FairNormal {
-    /// Live queues; keys are few (one per connected owner), so linear
-    /// scans beat a map. Empty queues are dropped on pop — weight is
-    /// re-supplied with every [`Pool::spawn_fair`] call, so nothing is
-    /// lost and the set cannot grow with owner churn.
-    queues: Vec<FairQueue>,
-    /// Virtual clock: the pass of the most recently dispatched queue.
-    clock: u64,
-}
-
-impl FairNormal {
-    fn push(&mut self, key: u64, weight: u32, task: Task) {
-        let weight = weight.max(1);
-        match self.queues.iter_mut().find(|q| q.key == key) {
-            Some(q) => {
-                // Latest spawn wins: a weight change applies from the
-                // queue's next dispatch onward.
-                q.weight = weight;
-                q.tasks.push_back(task);
-            }
-            None => {
-                self.queues.push(FairQueue {
-                    key,
-                    weight,
-                    pass: self.clock,
-                    tasks: VecDeque::from([task]),
-                });
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Task> {
-        let next = self
-            .queues
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| (q.pass, q.key))?
-            .0;
-        let q = &mut self.queues[next];
-        let task = q.tasks.pop_front().expect("fair queues are never empty");
-        self.clock = q.pass;
-        q.pass = q.pass.saturating_add(STRIDE1 / u64::from(q.weight));
-        if q.tasks.is_empty() {
-            self.queues.swap_remove(next);
-        }
-        Some(task)
     }
 }
 
@@ -187,7 +79,7 @@ struct SleepState {
 }
 
 struct Inner {
-    injector: Mutex<Injector>,
+    injector: Mutex<VecDeque<Task>>,
     /// Number of worker threads.
     threads: usize,
     sleep: Mutex<SleepState>,
@@ -206,22 +98,16 @@ struct Inner {
 }
 
 impl Inner {
-    /// Push a task at `priority` and wake one sleeping worker. `fair` is
-    /// the `(key, weight)` tenancy tag of `Normal` work (ignored for
-    /// `High`); plain spawns use `(0, 1)`.
-    fn push(&self, priority: Priority, fair: (u64, u32), task: Task) {
+    /// Push a task onto the back of the injector and wake one sleeping
+    /// worker.
+    fn push(&self, task: Task) {
         // Count before enqueueing: were the order reversed, a worker
         // could pop the task and decrement first, wrapping the counter to
         // `usize::MAX` and sending every idle worker into a busy-spin
         // until this increment landed. Counting early only makes workers
         // rescan a touch sooner than the task is visible.
         self.queued.fetch_add(1, Ordering::SeqCst);
-        let mut inj = self.injector.lock().unwrap();
-        match priority {
-            Priority::High => inj.high.push_back(task),
-            Priority::Normal => inj.normal.push(fair.0, fair.1, task),
-        }
-        drop(inj);
+        self.injector.lock().unwrap().push_back(task);
         self.metrics.injector_depth.inc();
         // Wake a sleeper if there is one. The order is what makes this
         // race-free without locking on every push: a worker registers in
@@ -235,26 +121,19 @@ impl Inner {
         }
     }
 
-    /// Take one task: the oldest `High` task, else the next `Normal` task
-    /// in fair-share order.
-    fn find_task(&self) -> Option<(Task, Priority)> {
-        let mut inj = self.injector.lock().unwrap();
-        let claimed = match inj.high.pop_front() {
-            Some(t) => (t, Priority::High),
-            None => (inj.normal.pop()?, Priority::Normal),
-        };
-        drop(inj);
+    /// Take the oldest queued task.
+    fn find_task(&self) -> Option<Task> {
+        let task = self.injector.lock().unwrap().pop_front()?;
         self.queued.fetch_sub(1, Ordering::SeqCst);
         self.metrics.injector_depth.dec();
-        Some(claimed)
+        Some(task)
     }
 
     /// Execute one claimed task on worker `me` with its observability
-    /// bookkeeping: the per-worker task count and the per-priority
-    /// latency histogram.
-    fn run_task(&self, me: usize, task: Task, priority: Priority) {
+    /// bookkeeping: the per-worker task count and the latency histogram.
+    fn run_task(&self, me: usize, task: Task) {
         self.metrics.tasks[me].inc();
-        let _span = SpanGuard::new(self.metrics.task_nanos(priority));
+        let _span = SpanGuard::new(&self.metrics.task_nanos);
         // A detached task must never take its thread down: panics are
         // contained here (task owners that care — the runtime executor —
         // install their own handlers underneath).
@@ -266,8 +145,8 @@ impl Inner {
 /// and no queued work remains.
 fn worker_loop(inner: Arc<Inner>, me: usize) {
     loop {
-        if let Some((task, priority)) = inner.find_task() {
-            inner.run_task(me, task, priority);
+        if let Some(task) = inner.find_task() {
+            inner.run_task(me, task);
             continue;
         }
         let mut sleep = inner.sleep.lock().unwrap();
@@ -331,7 +210,7 @@ impl Pool {
     pub fn new(threads: usize) -> Pool {
         let threads = threads.max(1);
         let inner = Arc::new(Inner {
-            injector: Mutex::new(Injector::default()),
+            injector: Mutex::new(VecDeque::new()),
             threads,
             sleep: Mutex::new(SleepState { shutdown: false }),
             wake: Condvar::new(),
@@ -361,25 +240,10 @@ impl Pool {
 
     /// Submit a detached task. A panicking task is contained by its
     /// worker (the worker survives; the payload is dropped) — tasks that
-    /// need panic visibility must catch their own. `Normal` work spawned
-    /// this way shares fair-share key 0 at weight 1; multi-tenant
-    /// callers use [`spawn_fair`](Self::spawn_fair).
-    pub fn spawn(&self, priority: Priority, f: impl FnOnce() + Send + 'static) {
-        self.inner.push(priority, (0, 1), Box::new(f));
-    }
-
-    /// Submit a detached `Normal`-priority task under a tenancy `key`
-    /// with a fair-share `weight` (clamped to ≥ 1). When several keys
-    /// have work queued, the pool dispatches their tasks in proportion
-    /// to their weights (stride scheduling over per-key FIFOs) instead
-    /// of global FIFO order, so one owner's backlog cannot starve
-    /// another's — the scheduler half of the server's tenancy model.
-    /// Tasks under one key still dispatch in their spawn order, and the
-    /// weight supplied with the latest spawn wins. Key 0 is shared with
-    /// plain [`spawn`](Self::spawn).
-    pub fn spawn_fair(&self, key: u64, weight: u32, f: impl FnOnce() + Send + 'static) {
-        self.inner
-            .push(Priority::Normal, (key, weight), Box::new(f));
+    /// need panic visibility must catch their own. Tasks are dispatched
+    /// in spawn order.
+    pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
+        self.inner.push(Box::new(f));
     }
 }
 
@@ -409,7 +273,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for _ in 0..100 {
             let (c, tx) = (counter.clone(), tx.clone());
-            pool.spawn(Priority::Normal, move || {
+            pool.spawn(move || {
                 c.fetch_add(1, Ordering::SeqCst);
                 tx.send(()).unwrap();
             });
@@ -432,8 +296,8 @@ mod tests {
         // the panic was contained on that worker's thread.
         let pool = Pool::new(1);
         let (tx, rx) = mpsc::channel();
-        pool.spawn(Priority::Normal, || panic!("detached task failure"));
-        pool.spawn(Priority::Normal, move || tx.send(7).unwrap());
+        pool.spawn(|| panic!("detached task failure"));
+        pool.spawn(move || tx.send(7).unwrap());
         assert_eq!(
             rx.recv_timeout(std::time::Duration::from_secs(10)),
             Ok(7),
@@ -442,53 +306,24 @@ mod tests {
     }
 
     #[test]
-    fn high_priority_dispatches_before_normal() {
+    fn spawned_tasks_run_in_spawn_order() {
+        // The executor's fairness quantum relies on this: a query that
+        // re-queues itself lands behind every task already waiting.
         let pool = Pool::new(1);
         let order = Arc::new(Mutex::new(Vec::new()));
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (done_tx, done_rx) = mpsc::channel::<()>();
-        // Occupy the only worker…
-        pool.spawn(Priority::Normal, move || {
+        // Occupy the only worker so every spawn below queues up behind
+        // the gate and is dispatched in one deterministic burst.
+        pool.spawn(move || {
             gate_rx.recv().unwrap();
         });
-        // …queue Normal before High while it is blocked…
-        for (pri, tag) in [(Priority::Normal, "normal"), (Priority::High, "high")] {
+        for tag in 0..8 {
             let (order, done_tx) = (order.clone(), done_tx.clone());
-            pool.spawn(pri, move || {
+            pool.spawn(move || {
                 order.lock().unwrap().push(tag);
                 done_tx.send(()).unwrap();
             });
-        }
-        // …then release the gate: the worker must pick High first.
-        gate_tx.send(()).unwrap();
-        done_rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .unwrap();
-        done_rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .unwrap();
-        assert_eq!(*order.lock().unwrap(), vec!["high", "normal"]);
-    }
-
-    #[test]
-    fn fair_spawns_dispatch_in_weight_proportion() {
-        let pool = Pool::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        // Occupy the only worker so every fair spawn below queues up
-        // behind the gate and is dispatched in one deterministic burst.
-        pool.spawn(Priority::Normal, move || {
-            gate_rx.recv().unwrap();
-        });
-        for (key, weight, tag, n) in [(1u64, 1u32, "a", 4usize), (2, 2, "b", 4)] {
-            for _ in 0..n {
-                let (order, done_tx) = (order.clone(), done_tx.clone());
-                pool.spawn_fair(key, weight, move || {
-                    order.lock().unwrap().push(tag);
-                    done_tx.send(()).unwrap();
-                });
-            }
         }
         gate_tx.send(()).unwrap();
         for _ in 0..8 {
@@ -496,34 +331,7 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(10))
                 .unwrap();
         }
-        // Stride scheduling at weights 1:2 (ties toward the lower key):
-        // key 2 receives two dispatch slots for each of key 1's, instead
-        // of the strict spawn-order burst a FIFO would produce.
-        assert_eq!(
-            *order.lock().unwrap(),
-            vec!["a", "b", "b", "a", "b", "b", "a", "a"]
-        );
-    }
-
-    #[test]
-    fn idle_fair_keys_accrue_no_credit() {
-        // A key that sat idle while another ran must re-enter at the
-        // current virtual clock, not at zero — otherwise it would burst
-        // ahead of the key that kept the pool busy.
-        let mut fair = FairNormal::default();
-        let noop = || Box::new(|| {}) as Task;
-        for _ in 0..3 {
-            fair.push(7, 1, noop());
-        }
-        // Two dispatches with the queue still backlogged: the clock
-        // follows key 7's growing pass.
-        assert!(fair.pop().is_some());
-        assert!(fair.pop().is_some());
-        let clock = fair.clock;
-        assert!(clock > 0);
-        fair.push(9, 1, noop()); // late arrival: starts at `clock`
-        let late = fair.queues.iter().find(|q| q.key == 9).unwrap();
-        assert_eq!(late.pass, clock);
+        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -541,7 +349,7 @@ mod tests {
             let pool = Pool::new(1);
             for i in 0..16 {
                 let tx = tx.clone();
-                pool.spawn(Priority::Normal, move || {
+                pool.spawn(move || {
                     tx.send(i).unwrap();
                 });
             }

@@ -8,10 +8,10 @@
 //! its queue instead of buffering unboundedly, throttling ingestion to the
 //! slowest running query. An *idle* query is parked — no task exists for
 //! it, so hundreds of registered-but-quiet queries cost zero threads.
-//! The first message enqueued schedules a `Normal`-priority pool task
-//! (guarded by the cell's `scheduled` flag, so at most one task per
-//! query is ever live); the task drains the queue in bounded quanta,
-//! re-queueing itself behind other ready queries for fairness, and
+//! The first message enqueued schedules a pool task (guarded by the
+//! cell's `scheduled` flag, so at most one task per query is ever live);
+//! the task drains the queue in bounded quanta, re-queueing itself at the
+//! back of the pool's FIFO behind other ready queries for fairness, and
 //! parks the query again when the queue runs dry.
 //!
 //! Per-query execution therefore remains single-threaded over the
@@ -178,12 +178,6 @@ pub(crate) struct QueryCell {
     /// single-threaded in ingestion order.
     scheduled: AtomicBool,
     pool: Pool,
-    /// The `(fair key, weight)` tenancy tag this query's tasks are
-    /// spawned under ([`Pool::spawn_fair`]): the runtime derives it from
-    /// the query's owner, so a contended pool dispatches owners' work in
-    /// proportion to their configured weights. `(0, 1)` for unowned
-    /// queries.
-    fair: (u64, u32),
 }
 
 impl QueryCell {
@@ -196,7 +190,6 @@ impl QueryCell {
         capacity: usize,
         outputs: Arc<OutputBuffer>,
         pool: Pool,
-        fair: (u64, u32),
     ) -> sgs_core::Result<Arc<QueryCell>> {
         let pipeline = StreamPipeline::new(plan.query.clone(), plan.policy.clone(), plan.seed)?;
         Ok(Arc::new(QueryCell {
@@ -215,7 +208,6 @@ impl QueryCell {
             }),
             scheduled: AtomicBool::new(false),
             pool,
-            fair,
         }))
     }
 
@@ -248,12 +240,11 @@ impl QueryCell {
         }
     }
 
-    /// Spawn the executor task under this query's fair-share tag (the
-    /// `scheduled` flag must already be held).
+    /// Spawn the executor task (the `scheduled` flag must already be
+    /// held).
     fn respawn(self: &Arc<Self>) {
         let cell = self.clone();
-        self.pool
-            .spawn_fair(self.fair.0, self.fair.1, move || run(cell));
+        self.pool.spawn(move || run(cell));
     }
 
     /// Process one batch: run the pipeline (which archives into the

@@ -264,10 +264,6 @@ pub struct Runtime {
     bindings: Vec<(String, Sgs)>,
     next_id: u64,
     next_owner: u64,
-    /// Fair-share weights by owner (absent = weight 1): the scheduler
-    /// share each owner's query tasks receive when the pool is
-    /// contended. See [`Runtime::set_owner_weight`].
-    owner_weights: Vec<(OwnerId, u32)>,
     config: RuntimeConfig,
 }
 
@@ -303,7 +299,6 @@ impl Runtime {
             bindings: Vec::new(),
             next_id: 0,
             next_owner: 0,
-            owner_weights: Vec::new(),
             config,
         }
     }
@@ -321,38 +316,6 @@ impl Runtime {
         let owner = OwnerId(self.next_owner);
         self.next_owner += 1;
         owner
-    }
-
-    /// Set the fair-share weight of an owner's query tasks (clamped to
-    /// ≥ 1; owners never configured default to 1). When the scheduler
-    /// pool is contended, owners receive task dispatch slots in proportion to
-    /// their weights ([`sgs_exec::Pool::spawn_fair`]) instead of global
-    /// FIFO order — the scheduler half of the server's tenancy model,
-    /// fed from the authenticated principal's configured weight. The
-    /// weight is captured per query at submit time.
-    pub fn set_owner_weight(&mut self, owner: OwnerId, weight: u32) {
-        let weight = weight.max(1);
-        match self.owner_weights.iter_mut().find(|(o, _)| *o == owner) {
-            Some(slot) => slot.1 = weight,
-            None => self.owner_weights.push((owner, weight)),
-        }
-    }
-
-    /// The `(fair key, weight)` scheduler tag of one owner's query
-    /// tasks. Key 0 is the unowned class shared with plain spawns, so
-    /// owner keys are offset by one.
-    fn fair_tag(&self, owner: Option<OwnerId>) -> (u64, u32) {
-        match owner {
-            Some(o) => {
-                let weight = self
-                    .owner_weights
-                    .iter()
-                    .find(|(w, _)| *w == o)
-                    .map_or(1, |(_, w)| *w);
-                (o.0 + 1, weight)
-            }
-            None => (0, 1),
-        }
     }
 
     /// The scheduler pool this runtime multiplexes its queries over.
@@ -397,9 +360,7 @@ impl Runtime {
     /// Register a planned DETECT query, tagged with `owner` (`None` =
     /// unowned, the single-user case); completed windows are buffered for
     /// [`poll`](Self::poll) under the configured
-    /// [`OutputPolicy`](RuntimeConfig::output_policy). The query's tasks
-    /// run under the owner's fair-share weight as set at this moment
-    /// ([`set_owner_weight`](Self::set_owner_weight)).
+    /// [`OutputPolicy`](RuntimeConfig::output_policy).
     pub fn submit_detect(
         &mut self,
         plan: DetectPlan,
@@ -416,7 +377,6 @@ impl Runtime {
             self.config.channel_capacity,
             outputs.clone(),
             self.pool.clone(),
-            self.fair_tag(owner),
         )
         .map_err(RuntimeError::Query)?;
         self.next_id += 1;
@@ -1315,7 +1275,7 @@ mod tests {
         // Hold the pool's only worker, so what is fed stays queued.
         let (held, holding) = mpsc::channel();
         let (release, gate) = mpsc::channel::<()>();
-        rt.pool().spawn(sgs_exec::Priority::Normal, move || {
+        rt.pool().spawn(move || {
             held.send(()).unwrap();
             let _ = gate.recv();
         });

@@ -10,7 +10,7 @@
 //!                  [--idle-timeout SECS] [--drain-timeout SECS]
 //!                  [--owner-max-queries N] [--owner-max-queue-bytes N]
 //!                  [--owner-max-buffer-bytes N]
-//!                  [--auth-token SECRET | NAME:WEIGHT:SECRET]...
+//!                  [--auth-token SECRET]...
 //!                  [--dispatch-threads N]
 //! ```
 //!
@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use sgs_core::{ArchiveRetention, PoolThreads};
 use sgs_runtime::{DurableArchive, OutputPolicy, RuntimeConfig};
-use sgs_server::{AuthToken, Server, ServerConfig};
+use sgs_server::{Server, ServerConfig};
 
 const USAGE: &str = "\
 usage: streamsum-server [options]
@@ -56,10 +56,8 @@ usage: streamsum-server [options]
   --owner-max-buffer-bytes N per-session cap on completed-but-unpolled window
                             bytes; over it, Feed is refused until polled
                             (default: unlimited)
-  --auth-token SPEC         require Hello to carry one of these shared secrets
-                            (repeatable). SPEC is SECRET (weight 1) or
-                            NAME:WEIGHT:SECRET to set the principal's
-                            fair-share weight. Default: open access
+  --auth-token SECRET       require Hello to carry one of these shared secrets
+                            (repeatable; taken verbatim). Default: open access
   --dispatch-threads N      workers on the request dispatch pool (default 4)
   --help                    this text";
 
@@ -166,7 +164,7 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
     let mut owner_max_queries: Option<usize> = None;
     let mut owner_max_queue_bytes: Option<usize> = None;
     let mut owner_max_buffer_bytes: Option<usize> = None;
-    let mut auth_tokens: Vec<AuthToken> = Vec::new();
+    let mut auth_tokens: Vec<String> = Vec::new();
     let mut dispatch_threads: Option<usize> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -254,7 +252,11 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
                 );
             }
             "--auth-token" => {
-                auth_tokens.push(parse_auth_token(&value("--auth-token")?)?);
+                let secret = value("--auth-token")?;
+                if secret.is_empty() {
+                    return Err("--auth-token secret must be non-empty".into());
+                }
+                auth_tokens.push(secret);
             }
             "--dispatch-threads" => {
                 let n: usize = value("--dispatch-threads")?
@@ -302,38 +304,6 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
         config.streams = streams;
     }
     Ok(Some((addr, metrics_addr, config, drain_timeout)))
-}
-
-/// `--auth-token` spec: either a bare `SECRET` (anonymous principal,
-/// weight 1) or `NAME:WEIGHT:SECRET`. The secret is everything after
-/// the second colon, so secrets may themselves contain colons.
-fn parse_auth_token(spec: &str) -> Result<AuthToken, String> {
-    if spec.is_empty() {
-        return Err("--auth-token secret must be non-empty".into());
-    }
-    if let Some((name, rest)) = spec.split_once(':') {
-        if let Some((weight, secret)) = rest.split_once(':') {
-            let weight: u32 = weight
-                .parse()
-                .map_err(|_| format!("bad weight in --auth-token {spec:?}"))?;
-            if name.is_empty() || secret.is_empty() {
-                return Err(format!("bad --auth-token {spec:?} (NAME:WEIGHT:SECRET)"));
-            }
-            return Ok(AuthToken {
-                name: name.to_string(),
-                secret: secret.to_string(),
-                weight: weight.max(1),
-            });
-        }
-        return Err(format!(
-            "bad --auth-token {spec:?} (expected SECRET or NAME:WEIGHT:SECRET)"
-        ));
-    }
-    Ok(AuthToken {
-        name: "token".to_string(),
-        secret: spec.to_string(),
-        weight: 1,
-    })
 }
 
 fn parse_policy(spec: &str) -> Result<OutputPolicy, String> {

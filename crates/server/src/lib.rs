@@ -15,15 +15,14 @@
 //! each advanced through an explicit per-connection state machine
 //! (reading → executing → writing / pushing). Idle sessions park for
 //! free — no thread, no timer, just an epoll registration. Request
-//! execution hops onto a bounded `sgs-exec` dispatch pool, spawned with
-//! the session principal's fair-share weight, so the reactor never
-//! blocks and one tenant's backlog cannot starve another's dispatches.
-//! A session:
+//! execution hops onto a bounded `sgs-exec` dispatch pool, so the
+//! reactor never blocks; with one request in flight per session, that
+//! pool's FIFO is round-robin over sessions. A session:
 //!
 //! * authenticates at `Hello`: a server configured with auth tokens
 //!   refuses a missing or unknown token with
-//!   [`sgs_wire::ErrorCode::Unauthorized`] and closes; the matching
-//!   token names the session's principal and fair-share weight;
+//!   [`sgs_wire::ErrorCode::Unauthorized`] and closes — the token
+//!   decides who, the per-owner quotas decide how much;
 //! * owns its query namespace: ids on the wire are session-local
 //!   (`Q0, Q1, ...` per connection), mapped to runtime [`QueryId`]s
 //!   through the session's table and tagged with a runtime
@@ -71,21 +70,6 @@ use sgs_wire::{
 pub use metrics::spawn_metrics_listener;
 use metrics::ServerMetrics;
 
-/// One shared-secret credential a [`Server`] accepts at `Hello`
-/// ([`ServerConfig::auth_tokens`]).
-#[derive(Clone, Debug)]
-pub struct AuthToken {
-    /// Principal name, for logs and diagnostics.
-    pub name: String,
-    /// The secret a client's `Hello` must carry verbatim.
-    pub secret: String,
-    /// Fair-share weight of this principal's dispatches on the server's
-    /// dispatch pool and of its queries on the runtime scheduler
-    /// (stride scheduling: a weight-2 principal is dispatched twice as
-    /// often as a weight-1 one under contention). Clamped to ≥ 1.
-    pub weight: u32,
-}
-
 /// Construction-time settings of a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -122,12 +106,11 @@ pub struct ServerConfig {
     /// [`ErrorCode::QuotaExceeded`] until the session polls (or its
     /// subscription drains them). `None` (the default) is unlimited.
     pub owner_max_buffer_bytes: Option<usize>,
-    /// Accepted `Hello` credentials. Empty (the default) means open
-    /// access: every session is anonymous with fair-share weight 1. Non-
-    /// empty means a `Hello` carrying no token, or a token matching no
-    /// entry, is refused with [`ErrorCode::Unauthorized`] and the
+    /// Accepted `Hello` secrets. Empty (the default) means open access.
+    /// Non-empty means a `Hello` carrying no token, or a token equal to
+    /// no entry, is refused with [`ErrorCode::Unauthorized`] and the
     /// connection is closed.
-    pub auth_tokens: Vec<AuthToken>,
+    pub auth_tokens: Vec<String>,
     /// Workers on the server's dispatch pool — the threads request
     /// execution hops onto so the reactor never blocks. Blocking
     /// requests (a backpressured `Feed`, a `Cancel` draining a deep
@@ -211,28 +194,18 @@ struct Mailbox {
     /// (connection token, session-local query id) pairs whose output
     /// buffer has news — fed by the notify hooks subscriptions install.
     pushes: Mutex<BTreeSet<(u64, u64)>>,
-    /// Write end of the reactor's self-pipe (the read end is registered
-    /// with epoll). `None` until [`Server::run`] starts the reactor.
-    waker: Mutex<Option<UnixStream>>,
+    /// Write end of the reactor's self-pipe, created with the server so
+    /// a wake before [`Server::run`] waits in the pipe for the reactor.
+    waker: UnixStream,
 }
 
 impl Mailbox {
-    fn new() -> Mailbox {
-        Mailbox {
-            completions: Mutex::new(Vec::new()),
-            pushes: Mutex::new(BTreeSet::new()),
-            waker: Mutex::new(None),
-        }
-    }
-
     /// Nudge the reactor out of its readiness wait. Best-effort: a full
-    /// pipe means wakes are already pending, and a missing pipe means
-    /// the reactor is not running (nothing to wake).
+    /// pipe means wakes are already pending, and a closed one means the
+    /// reactor has exited (nothing to wake).
     fn wake(&self) {
         use std::io::Write;
-        if let Some(pipe) = &*self.waker.lock().unwrap() {
-            let _ = (&*pipe).write(&[1u8]);
-        }
+        let _ = (&self.waker).write(&[1u8]);
     }
 }
 
@@ -260,7 +233,7 @@ struct Shared {
     seats_changed: Condvar,
     next_token: AtomicU64,
     limits: Limits,
-    auth: Vec<AuthToken>,
+    auth: Vec<String>,
     /// The dispatch pool request execution hops onto
     /// (deliberately separate from the runtime's scheduler pool: a
     /// blocking `Feed` must not occupy a worker the queries it is
@@ -304,6 +277,8 @@ impl Shared {
 /// one (tests drive an in-process server exactly that way).
 pub struct Server {
     listener: TcpListener,
+    /// Read end of the reactor's self-pipe ([`Mailbox::waker`]).
+    waker: UnixStream,
     shared: Arc<Shared>,
 }
 
@@ -312,7 +287,6 @@ pub struct Server {
 #[derive(Clone)]
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    addr: SocketAddr,
 }
 
 impl ServerHandle {
@@ -320,17 +294,6 @@ impl ServerHandle {
     /// the sessions alive at this moment have ended. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Wake the reactor with a throwaway connection. An unspecified
-        // bind address (0.0.0.0 / ::) is not connectable — rewrite it
-        // to the matching loopback, same port.
-        let mut addr = self.addr;
-        if addr.ip().is_unspecified() {
-            match &mut addr {
-                SocketAddr::V4(v4) => v4.set_ip(std::net::Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(v6) => v6.set_ip(std::net::Ipv6Addr::LOCALHOST),
-            }
-        }
-        let _ = TcpStream::connect(addr);
         self.shared.mailbox.wake();
     }
 
@@ -398,12 +361,16 @@ impl Server {
     /// [`local_addr`](Self::local_addr)).
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let (waker_rx, waker_tx) = UnixStream::pair()?;
+        waker_rx.set_nonblocking(true)?;
+        waker_tx.set_nonblocking(true)?;
         let mut rt = Runtime::with_config(config.runtime);
         for (name, dim) in &config.streams {
             rt.register_stream(name, *dim);
         }
         Ok(Server {
             listener,
+            waker: waker_rx,
             shared: Arc::new(Shared {
                 rt: RwLock::new(rt),
                 shutting_down: AtomicBool::new(false),
@@ -421,7 +388,11 @@ impl Server {
                 },
                 auth: config.auth_tokens,
                 dispatch: sgs_exec::Pool::new(config.dispatch_threads.max(1)),
-                mailbox: Mailbox::new(),
+                mailbox: Mailbox {
+                    completions: Mutex::new(Vec::new()),
+                    pushes: Mutex::new(BTreeSet::new()),
+                    waker: waker_tx,
+                },
                 metrics: ServerMetrics::new(),
             }),
         })
@@ -436,7 +407,6 @@ impl Server {
     pub fn handle(&self) -> io::Result<ServerHandle> {
         Ok(ServerHandle {
             shared: self.shared.clone(),
-            addr: self.local_addr()?,
         })
     }
 
@@ -446,7 +416,7 @@ impl Server {
     /// has finished.
     pub fn run(self) -> io::Result<()> {
         let shared = self.shared;
-        reactor::run(self.listener, &shared)?;
+        reactor::run(self.listener, self.waker, &shared)?;
         // Session teardown (cancel + evict) runs on the dispatch pool;
         // wait for the seats to empty so "run returned" keeps meaning
         // "no session state remains in the runtime". And a drain wakes

@@ -9,9 +9,8 @@
 //! anything but `epoll_wait`:
 //!
 //! * request execution hops onto the server's bounded `sgs-exec`
-//!   dispatch pool via `spawn_fair` with the session principal's
-//!   weight, and comes back through the [`Mailbox`] plus a self-pipe
-//!   waker byte;
+//!   dispatch pool and comes back through the [`Mailbox`] plus a
+//!   self-pipe waker byte;
 //! * while a request executes, the connection's read interest is
 //!   dropped (at most one in-flight request per session — the same
 //!   serial semantics the thread-per-session server had) but hangup
@@ -38,7 +37,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use epoll::{ControlOptions, Event, Events};
-use sgs_exec::Priority;
 use sgs_runtime::{OwnerId, QueryId, QueryState};
 use sgs_wire::{decode, write_frame, ErrorCode, Frame};
 
@@ -86,8 +84,6 @@ struct Conn {
     phase: Phase,
     /// Minted at a successful `Hello`; `None` before the handshake.
     owner: Option<OwnerId>,
-    /// The principal's fair-share weight (1 until authenticated).
-    weight: u32,
     /// Session-local id (the index) → runtime query id.
     queries: Vec<QueryId>,
     /// Local ids currently in push delivery.
@@ -118,13 +114,14 @@ impl Conn {
     }
 }
 
-/// Run the reactor until shutdown. The calling thread is the reactor.
-pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()> {
+/// Run the reactor until shutdown. The calling thread is the reactor;
+/// `waker_rx` is the read end of the [`Mailbox`]'s self-pipe.
+pub(crate) fn run(
+    listener: TcpListener,
+    waker_rx: UnixStream,
+    shared: &Arc<Shared>,
+) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let (waker_rx, waker_tx) = UnixStream::pair()?;
-    waker_rx.set_nonblocking(true)?;
-    waker_tx.set_nonblocking(true)?;
-    *shared.mailbox.waker.lock().unwrap() = Some(waker_tx);
 
     let epfd = epoll::create(true)?;
     let setup = epoll::ctl(
@@ -153,7 +150,6 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
         }
         Err(e) => Err(e),
     };
-    *shared.mailbox.waker.lock().unwrap() = None;
     let _ = epoll::close(epfd);
     result
 }
@@ -218,9 +214,9 @@ impl Reactor<'_> {
         loop {
             match listener.accept() {
                 Ok((sock, _)) => {
-                    // Includes ServerHandle::shutdown's throwaway wake
-                    // connection: accepted and dropped, loop exits via
-                    // the flag check in `event_loop`.
+                    // A connection racing shutdown is accepted and
+                    // dropped; the loop exits via the flag check in
+                    // `event_loop`.
                     if self.shared.shutting_down.load(Ordering::SeqCst) {
                         continue;
                     }
@@ -265,7 +261,6 @@ impl Reactor<'_> {
                 write_pos: 0,
                 phase: Phase::Hello,
                 owner: None,
-                weight: 1,
                 queries: Vec::new(),
                 subscribed: HashSet::new(),
                 pending_push: BTreeSet::new(),
@@ -422,40 +417,25 @@ impl Reactor<'_> {
             self.close_after_flush(token);
             return;
         };
-        let weight = if self.shared.auth.is_empty() {
-            1
-        } else {
-            let found = secret
-                .as_deref()
-                .and_then(|s| self.shared.auth.iter().find(|t| t.secret == s));
-            match found {
-                Some(entry) => entry.weight.max(1),
-                None => {
-                    self.shared.metrics.auth_failures.inc();
-                    self.send(
-                        token,
-                        &error_frame(
-                            ErrorCode::Unauthorized,
-                            "unknown or missing auth token".into(),
-                        ),
-                    );
-                    self.close_after_flush(token);
-                    return;
-                }
-            }
-        };
-        let owner = {
-            let mut rt = self.shared.rt.write();
-            let owner = rt.new_owner();
-            rt.set_owner_weight(owner, weight);
-            owner
-        };
+        let auth = &self.shared.auth;
+        if !auth.is_empty() && !secret.is_some_and(|s| auth.contains(&s)) {
+            self.shared.metrics.auth_failures.inc();
+            self.send(
+                token,
+                &error_frame(
+                    ErrorCode::Unauthorized,
+                    "unknown or missing auth token".into(),
+                ),
+            );
+            self.close_after_flush(token);
+            return;
+        }
+        let owner = self.shared.rt.write().new_owner();
         {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
             conn.owner = Some(owner);
-            conn.weight = weight;
             conn.phase = Phase::Ready;
             if let Ok(socket) = conn.sock.try_clone() {
                 self.shared
@@ -474,11 +454,10 @@ impl Reactor<'_> {
         );
     }
 
-    /// Hand one request to the dispatch pool under the session
-    /// principal's fair-share weight. The connection stops reading until
-    /// the completion comes back through the mailbox.
+    /// Hand one request to the dispatch pool. The connection stops
+    /// reading until the completion comes back through the mailbox.
     fn begin_dispatch(&mut self, token: u64, frame: Frame) {
-        let (owner, weight, view) = {
+        let view = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
@@ -486,30 +465,24 @@ impl Reactor<'_> {
                 return;
             };
             conn.phase = Phase::Executing;
-            (
+            SessionView {
                 owner,
-                conn.weight,
-                SessionView {
-                    owner,
-                    queries: conn.queries.clone(),
-                    subscribed: conn.subscribed.clone(),
-                },
-            )
+                queries: conn.queries.clone(),
+                subscribed: conn.subscribed.clone(),
+            }
         };
         let shared = self.shared.clone();
         let goodbye = matches!(frame, Frame::Goodbye);
-        self.shared
-            .dispatch
-            .spawn_fair(owner.0 + 1, weight, move || {
-                let (reply, effect) = dispatch(&shared, &view, frame);
-                shared.mailbox.completions.lock().unwrap().push(Completion {
-                    token,
-                    reply,
-                    effect,
-                    goodbye,
-                });
-                shared.mailbox.wake();
+        self.shared.dispatch.spawn(move || {
+            let (reply, effect) = dispatch(&shared, &view, frame);
+            shared.mailbox.completions.lock().unwrap().push(Completion {
+                token,
+                reply,
+                effect,
+                goodbye,
             });
+            shared.mailbox.wake();
+        });
     }
 
     /// Apply every queued dispatch completion: session-state effects,
@@ -889,7 +862,7 @@ impl Reactor<'_> {
             return;
         };
         let shared = self.shared.clone();
-        self.shared.dispatch.spawn(Priority::High, move || {
+        self.shared.dispatch.spawn(move || {
             // Begin every cancel under one short write-lock hold, then
             // wait for the drains with the lock released — a big
             // backlog must not stall the other sessions (the same

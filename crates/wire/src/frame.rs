@@ -247,9 +247,9 @@ pub enum Frame {
     ///
     /// Body grammar: `client:string token:opt_str`. A server configured
     /// with `--auth-token` rejects a missing or unknown token with
-    /// [`ErrorCode::Unauthorized`] and closes the connection; the token
-    /// names the session's principal (its fair-share weight and quota
-    /// identity attach here).
+    /// [`ErrorCode::Unauthorized`] and closes the connection. An
+    /// admitted `Hello` gets its own owner, the identity per-owner
+    /// quotas attach to.
     Hello {
         /// Client software name, for the server log.
         client: String,

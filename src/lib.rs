@@ -50,7 +50,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`core`] | points, grid geometry, windows, queries, memory accounting |
-//! | [`exec`] | shared scheduler pool (task priorities, weighted fair queues) |
+//! | [`exec`] | shared scheduler pool (persistent workers, one FIFO task queue) |
 //! | [`stream`] | window engine, lifespan analysis (Obs. 5.2–5.4) |
 //! | [`index`] | grid index, R-tree, feature grid, union-find |
 //! | [`cluster`] | DBSCAN ground truth, Extra-N baseline |
@@ -129,7 +129,7 @@ pub mod prelude {
         DetectPlan, MatchPlan, OutputPolicy, OwnerId, PollBatch, QueryId, QueryPlan, QueryReport,
         QueryState, QueryStats, Runtime, RuntimeConfig, RuntimeError, StreamPipeline, Submission,
     };
-    pub use sgs_server::{AuthToken, Server, ServerConfig, ServerHandle};
+    pub use sgs_server::{Server, ServerConfig, ServerHandle};
     pub use sgs_stream::{replay, WindowConsumer, WindowEngine};
     pub use sgs_summarize::{Crd, MemberSet, Rsp, Sgs, SkPs};
     pub use sgs_wire::{

@@ -63,7 +63,6 @@ fn scripted_session(
     let config = ClientConfig {
         request_timeout: Some(timeout),
         connect_timeout: Some(timeout.max(Duration::from_secs(2))),
-        retry: None,
         auth_token: None,
     };
     let mut client = Session::connect_with(addr, config)?;

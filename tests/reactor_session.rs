@@ -149,11 +149,7 @@ fn fanout_256_idle_subscribers_push_byte_identical_windows() {
 #[test]
 fn auth_refusals_are_typed_and_the_right_token_is_accepted() {
     let config = ServerConfig {
-        auth_tokens: vec![AuthToken {
-            name: "ops".into(),
-            secret: "sesame".into(),
-            weight: 2,
-        }],
+        auth_tokens: vec!["sesame".into()],
         ..ServerConfig::default()
     };
     let (addr, handle) = start_server(config);

@@ -231,3 +231,19 @@ fn poll_max_pages_through_buffered_windows() {
     client.goodbye().unwrap();
     handle.shutdown();
 }
+
+/// A shutdown issued before `run` starts is not lost: the wake waits in
+/// the reactor's self-pipe, so `run` returns at once instead of at the
+/// reactor's 500 ms heartbeat.
+#[test]
+fn shutdown_before_run_returns_promptly() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    server.handle().unwrap().shutdown();
+    let started = std::time::Instant::now();
+    server.run().unwrap();
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(500),
+        "run took {took:?} to notice a pending shutdown"
+    );
+}
