@@ -2,10 +2,10 @@
 //!
 //! [`DurablePatternBase`] wraps the in-memory [`PatternBase`] with a
 //! write-ahead log, periodic page-store checkpoints, and retention that
-//! **coarsens instead of dropping** (§6.1): when a byte budget or window
-//! horizon is exceeded, the oldest patterns are demoted one
-//! multi-resolution level at a time, so MATCH keeps answering over the
-//! full history at degraded granularity.
+//! **coarsens instead of dropping** (§6.1): when a byte budget is
+//! exceeded, the oldest patterns are demoted one multi-resolution level at
+//! a time, so MATCH keeps answering over the full history at degraded
+//! granularity.
 //!
 //! The recovery invariant — *replay ⇒ byte-identical* — rests on three
 //! rules:
@@ -302,19 +302,11 @@ impl DurablePatternBase {
 
         // Most inserts demote nothing: settle that on the live base before
         // paying for a scratch copy of it.
-        let stale =
-            |newest: u64, window: WindowId, horizon: u64| newest.saturating_sub(window.0) > horizon;
-        let due = match storage.cfg.retention {
-            ArchiveRetention::Unbounded => false,
-            ArchiveRetention::ByteBudget(budget) => self.base.archived_bytes() > budget,
-            ArchiveRetention::WindowHorizon(horizon) => {
-                let newest = self.base.iter().map(|p| p.window.0).max().unwrap_or(0);
-                self.base
-                    .iter()
-                    .any(|p| stale(newest, p.window, horizon) && p.sgs.level < max_level)
-            }
+        let ArchiveRetention::ByteBudget(budget) = storage.cfg.retention else {
+            return Ok(());
         };
-        if !due {
+        let mut total = self.base.archived_bytes();
+        if total <= budget {
             return Ok(());
         }
 
@@ -325,47 +317,29 @@ impl DurablePatternBase {
             .map(|p| (p.sgs.clone(), p.window))
             .collect();
         let mut demoted: Vec<u64> = Vec::new();
-        match storage.cfg.retention {
-            ArchiveRetention::Unbounded => {}
-            ArchiveRetention::ByteBudget(budget) => {
-                let mut total = self.base.archived_bytes();
-                // Oldest-first passes; each pass demotes each pattern at
-                // most one level, so resolution degrades evenly from the
-                // old end instead of one pattern collapsing to dust.
-                'outer: while total > budget {
-                    let mut progressed = false;
-                    for (i, (sgs, _)) in entries.iter_mut().enumerate() {
-                        if total <= budget {
-                            break 'outer;
-                        }
-                        if sgs.level >= max_level {
-                            continue;
-                        }
-                        let before = packed::archived_bytes(sgs);
-                        let Some(coarse) = demote(sgs, theta) else {
-                            continue;
-                        };
-                        total = total - before + packed::archived_bytes(&coarse);
-                        *sgs = coarse;
-                        demoted.push(i as u64);
-                        progressed = true;
-                    }
-                    if !progressed {
-                        break; // everything is at max_level already
-                    }
+        // Oldest-first passes; each pass demotes each pattern at most one
+        // level, so resolution degrades evenly from the old end instead of
+        // one pattern collapsing to dust.
+        'outer: while total > budget {
+            let mut progressed = false;
+            for (i, (sgs, _)) in entries.iter_mut().enumerate() {
+                if total <= budget {
+                    break 'outer;
                 }
+                if sgs.level >= max_level {
+                    continue;
+                }
+                let before = packed::archived_bytes(sgs);
+                let Some(coarse) = demote(sgs, theta) else {
+                    continue;
+                };
+                total = total - before + packed::archived_bytes(&coarse);
+                *sgs = coarse;
+                demoted.push(i as u64);
+                progressed = true;
             }
-            ArchiveRetention::WindowHorizon(horizon) => {
-                let newest = entries.iter().map(|(_, w)| w.0).max().unwrap_or(0);
-                for (i, (sgs, window)) in entries.iter_mut().enumerate() {
-                    if !stale(newest, *window, horizon) || sgs.level >= max_level {
-                        continue;
-                    }
-                    if let Some(coarse) = demote(sgs, theta) {
-                        *sgs = coarse;
-                        demoted.push(i as u64);
-                    }
-                }
+            if !progressed {
+                break; // everything is at max_level already
             }
         }
         if demoted.is_empty() {
@@ -558,27 +532,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(b.snapshot_bytes(), want);
-    }
-
-    #[test]
-    fn window_horizon_coarsens_stale_patterns() {
-        let fs = FaultFs::new();
-        let mut base = DurablePatternBase::open_with(
-            Box::new(fs),
-            DurableConfig {
-                retention: ArchiveRetention::WindowHorizon(3),
-                ..DurableConfig::default()
-            },
-        )
-        .unwrap();
-        for k in 0..8 {
-            base.try_insert(blob(k as f64 * 9.0, 30), WindowId(k))
-                .unwrap();
-        }
-        assert_eq!(base.len(), 8);
-        // Window 0 is 7 behind: repeatedly demoted. Recent windows stay basic.
-        assert!(base.iter().next().unwrap().sgs.level > 0);
-        assert_eq!(base.iter().last().unwrap().sgs.level, 0);
     }
 
     #[test]

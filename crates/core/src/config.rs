@@ -71,11 +71,6 @@ pub enum ArchiveRetention {
     /// first) until the base fits again or everything has reached the
     /// coarsest allowed level.
     ByteBudget(usize),
-    /// Bound by stream age, in windows: a pattern whose window is more
-    /// than this many windows behind the newest insert is coarsened one
-    /// level per enforcement pass until it reaches the coarsest allowed
-    /// level.
-    WindowHorizon(u64),
 }
 
 /// Parameters of a continuous density-based clustering query.

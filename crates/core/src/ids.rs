@@ -8,7 +8,10 @@
 use core::fmt;
 
 /// Identifier of a stream object. Assigned densely in arrival order by the
-/// stream engine, so it doubles as an arrival sequence number.
+/// stream engine, which counts arrivals in a `u64` and hands out that count
+/// truncated to 32 bits: ids wrap after 2^32 arrivals, so they are distinct
+/// among the live points while a window holds fewer than 2^32 arrivals,
+/// but their order is not arrival order across a wrap.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PointId(pub u32);

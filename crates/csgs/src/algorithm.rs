@@ -8,8 +8,8 @@
 //! 2. the object's core career is derived from its neighbors' lifespans
 //!    (Obs. 5.4) and pushed into its cell's `core_until` watermark
 //!    (status *promotion*, Fig. 6 case 1);
-//! 3. each neighbor's expiry histogram gains the new object; careers that
-//!    extend push their cells' watermarks (status *prolong* / neighbor
+//! 3. each neighbor's expiry-ordered list gains the new object; careers
+//!    that extend push their cells' watermarks (status *prolong* / neighbor
 //!    *upgrade*, Fig. 6 case 2) and re-evaluate that neighbor's cell-pair
 //!    links;
 //! 4. cell-pair links between the new object's cell and each neighbor's
@@ -33,7 +33,7 @@
 
 use sgs_core::{CellCoord, ClusterQuery, GridGeometry, HeapSize, Point, PointId, WindowId};
 use sgs_index::ReachWalker;
-use sgs_stream::{ExpiryHistogram, WindowConsumer};
+use sgs_stream::WindowConsumer;
 
 use crate::cell_store::CellStore;
 use crate::merge;
@@ -163,7 +163,6 @@ impl WindowConsumer for CSgs {
 
         // 1 + 2. Load, then the one range query search.
         points.load(cells, id, point, expires_at);
-        let mut hist = ExpiryHistogram::new();
         found.clear();
         walker.for_each_neighbor(
             &points.index,
@@ -171,16 +170,12 @@ impl WindowConsumer for CSgs {
             &point.coords,
             query.theta_r_sq(),
             id,
-            |q, q_exp| {
-                hist.add(q_exp);
-                found.push((q, q_exp));
-            },
+            |q, q_exp| found.push((q, q_exp)),
         );
         *rqs_count += 1;
 
         // 3. The new object's own career → status promotion.
-        let p_cu = hist.core_until(expires_at, now, theta_c).0;
-        points.install(cells, id, found, hist, p_cu, now);
+        points.install(cells, id, found, now, theta_c);
 
         // 4. Neighbors gain the new object; extended careers prolong.
         extended.clear();
@@ -225,8 +220,8 @@ impl WindowConsumer for CSgs {
         self.current = completed.next();
         let now = self.current;
         self.cells.set_window(now);
-        let listed_by = self.points.remove_expired(&mut self.cells, now);
-        self.points.prune_dead(&listed_by, now);
+        let (dead, listed_by) = self.points.remove_expired(&mut self.cells, now);
+        self.points.prune_dead(&listed_by, &dead);
         self.cells.gc(now);
         out
     }
@@ -391,10 +386,10 @@ mod tests {
             replay(spec, pts.clone(), 2, &mut csgs).unwrap();
             sizes.push(csgs.meta_bytes() as f64);
         }
-        // C-SGS meta-data must not blow up with view count: allow noise but
-        // reject the Extra-N-style multiplicative growth (50/2 = 25 views).
+        // C-SGS meta-data must not grow with view count (Fig. 7): allow
+        // noise, reject any per-view state (2 → 50 views).
         assert!(
-            sizes[2] < sizes[0] * 3.0,
+            sizes[2] < sizes[0] * 1.25,
             "meta bytes grew with views: {sizes:?}"
         );
     }
@@ -474,11 +469,12 @@ mod tests {
         }
     }
 
-    /// Every point's neighbor list is in non-decreasing expiry order, its
-    /// histogram counts exactly the list's expiries, and no listed
-    /// neighbor is dead at the current window.
+    /// Every point's neighbor list is in non-decreasing expiry order, no
+    /// listed neighbor is dead at the current window, and the career read
+    /// off the list is the one-shot one (Obs. 5.4) — or over, when fewer
+    /// than θc neighbors are listed.
     fn assert_lists_in_expiry_order(csgs: &CSgs) {
-        let now = csgs.current;
+        let (now, theta_c) = (csgs.current, csgs.query.theta_c);
         let states = &csgs.points.states;
         for (id, st) in states {
             let expiries: Vec<WindowId> = st
@@ -488,10 +484,11 @@ mod tests {
                 .collect();
             assert!(expiries.is_sorted(), "{id:?} at {now}: {expiries:?}");
             assert!(expiries.first().is_none_or(|&e| e > now), "{id:?} at {now}");
-            assert_eq!(st.hist.total() as usize, expiries.len(), "{id:?} at {now}");
-            for run in expiries.chunk_by(|a, b| a == b) {
-                let count = st.hist.expiring_at(run[0]) as usize;
-                assert_eq!(count, run.len(), "{id:?} at {now}, expiry {}", run[0]);
+            if expiries.len() >= theta_c as usize {
+                let oneshot = sgs_stream::core_until(st.expires_at, &expiries, theta_c);
+                assert_eq!(st.core_until, oneshot.0, "{id:?} at {now}: {expiries:?}");
+            } else {
+                assert!(st.core_until <= now.0, "{id:?} at {now}: {expiries:?}");
             }
         }
     }
@@ -546,8 +543,8 @@ mod tests {
     }
 
     /// After every slide, over 2-d and 4-d streams pushed in batches: the
-    /// neighbor lists are in expiry order with exact histograms, and the
-    /// store holds what a full `gc` sweep would keep.
+    /// neighbor lists are in expiry order with the careers they imply, and
+    /// the store holds what a full `gc` sweep would keep.
     #[test]
     fn slides_keep_lists_in_expiry_order_and_collect_what_a_sweep_would() {
         let spec = WindowSpec::count(600, 40).unwrap();
@@ -873,7 +870,7 @@ mod tests {
     /// Neighbors arriving with expiries out of order are inserted inside
     /// the list, not appended; two neighbors dying together leave each
     /// other's lists as the prefix they are, and every slide leaves every
-    /// list in expiry order with an exact histogram.
+    /// list in expiry order with the career it implies.
     #[test]
     fn out_of_order_expiries_keep_neighbor_lists_in_expiry_order() {
         let mut d = Driven::new(2);

@@ -26,8 +26,10 @@
 //!   extends an existing point's core career, which can extend its cell's
 //!   connections — the "details omitted" part of §5.4) additionally needs
 //!   core-career neighbors, so we keep the full list, pruned eagerly when
-//!   a neighbor expires. The retained meta-data is still independent of
-//!   `win/slide`, which is the memory property Fig. 7 measures.
+//!   a neighbor expires. It is kept in expiry order, so the core career
+//!   (Obs. 5.4) is one index into it. The retained meta-data is still
+//!   independent of `win/slide`, which is the memory property Fig. 7
+//!   measures.
 //! * Extraction is **one sequential pass** per query, as in the paper: one
 //!   grid index, point map and cell store, each arrival inserted in
 //!   order (`DESIGN.md` §6). Parallelism comes from running queries side

@@ -7,8 +7,7 @@
 //! and of expiry; the extractor sequences them.
 
 use sgs_core::{CellCoord, GridGeometry, HeapSize, Point, PointId, WindowId};
-use sgs_index::{FxHashMap, GridIndex};
-use sgs_stream::ExpiryHistogram;
+use sgs_index::{FxHashMap, FxHashSet, GridIndex};
 
 use crate::cell_store::CellStore;
 
@@ -88,16 +87,14 @@ pub(crate) struct PointState {
     pub expires_at: WindowId,
     /// End of the core career (absolute window index); only ever raised.
     pub core_until: u64,
-    /// Histogram of the expiries of exactly the points in `neighbors` —
-    /// answers Obs. 5.4 queries in O(views), and says how long each
-    /// expiry's run in the list is.
-    pub hist: ExpiryHistogram,
-    /// Current neighbor ids, in non-decreasing order of expiry. Between
-    /// slides every listed id is live: at a slide the ids dying with it
-    /// form the list's prefix, which is dropped *eagerly* — the expiring
-    /// point's own list names exactly the live points that list it, since
-    /// neighborship is symmetric — so the list is bounded by the live
-    /// population at all times.
+    /// Current neighbor ids, in non-decreasing order of expiry: the one
+    /// record of who the point's neighbors are and when they die (each
+    /// expiry is read from the neighbor's own state). Between slides every
+    /// listed id is live: at a slide the ids dying with it form the list's
+    /// prefix, which is dropped *eagerly* — the expiring point's own list
+    /// names exactly the live points that list it, since neighborship is
+    /// symmetric — so the list is bounded by the live population at all
+    /// times.
     pub neighbors: Vec<PointId>,
 }
 
@@ -133,7 +130,7 @@ impl PointStore {
         let pts: usize = self
             .states
             .values()
-            .map(|p| p.cell.0.len() * 4 + p.neighbors.capacity() * 4 + p.hist.heap_bytes())
+            .map(|p| p.cell.0.len() * 4 + p.neighbors.capacity() * 4)
             .sum();
         let expiry: usize = self.expiry.values().map(|ids| ids.capacity() * 4).sum();
         pts + self.states.capacity() * (size_of::<(PointId, PointState)>() + 1)
@@ -164,33 +161,32 @@ impl PointStore {
                 cell,
                 expires_at,
                 core_until: 0,
-                hist: ExpiryHistogram::new(),
                 neighbors: Vec::new(),
             },
         );
     }
 
     /// §5.4 step 3: install a loaded point's discovery results — neighbor
-    /// list (put in expiry order), expiry histogram and core career
-    /// (Obs. 5.4) — and promote its cell's status if the career is live.
+    /// list (put in expiry order) and the core career read off it — and
+    /// promote its cell's status if the career is live.
     pub(crate) fn install(
         &mut self,
         cells: &mut CellStore,
         id: PointId,
         neighbors: &[Found],
-        hist: ExpiryHistogram,
-        core_until: u64,
         now: WindowId,
+        theta_c: u32,
     ) {
         let st = self.states.get_mut(&id).expect("installed after load");
         let mut by_expiry: Vec<(WindowId, PointId)> =
             neighbors.iter().map(|&(q, expires)| (expires, q)).collect();
         by_expiry.sort_unstable_by_key(|&(expires, _)| expires);
+        let kth = by_expiry.len().checked_sub(theta_c as usize);
+        let kth = kth.map(|i| by_expiry[i].0);
+        st.core_until = career(st.expires_at, kth, now);
         st.neighbors = by_expiry.into_iter().map(|(_, q)| q).collect();
-        st.hist = hist;
-        st.core_until = core_until;
-        if core_until > now.0 {
-            cells.raise_core_until(&st.cell, core_until);
+        if st.core_until > now.0 {
+            cells.raise_core_until(&st.cell, st.core_until);
         }
     }
 
@@ -207,12 +203,21 @@ impl PointStore {
         theta_c: u32,
     ) -> bool {
         let st = self.states.get_mut(&q).expect("indexed points are live");
+        let (own, mut nbrs) = (st.expires_at, std::mem::take(&mut st.neighbors));
+        let expiry = |r: &PointId| self.states[r].expires_at;
         // After every listed neighbor that expires no later: at the end,
-        // unless `p` expires before some of them.
-        let later = st.hist.alive_at(p_expires) as usize;
-        st.neighbors.insert(st.neighbors.len() - later, p);
-        st.hist.add(p_expires);
-        let new_cu = st.hist.core_until(st.expires_at, now, theta_c).0;
+        // unless `p` expires before the last one (the engine hands out
+        // expiries in arrival order, so only hand-driven streams do that).
+        let at = if nbrs.last().is_some_and(|last| expiry(last) > p_expires) {
+            nbrs.partition_point(|r| expiry(r) <= p_expires)
+        } else {
+            nbrs.len()
+        };
+        nbrs.insert(at, p);
+        let kth = nbrs.len().checked_sub(theta_c as usize);
+        let new_cu = career(own, kth.map(|i| expiry(&nbrs[i])), now);
+        let st = self.states.get_mut(&q).expect("indexed points are live");
+        st.neighbors = nbrs;
         // `new_cu == now` says "not core even now": no career to extend,
         // however stale the recorded end is.
         let extended = new_cu > st.core_until.max(now.0);
@@ -223,50 +228,66 @@ impl PointStore {
         extended
     }
 
-    /// Slide: drop the points expiring at `now`, returning the live
-    /// points that listed them (the input to eager neighbor pruning; a
-    /// point with several dead neighbors appears once per each). A dead
-    /// point's neighbors dying with it are its list's prefix, skipped
-    /// without a lookup.
-    pub(crate) fn remove_expired(&mut self, cells: &mut CellStore, now: WindowId) -> Vec<PointId> {
+    /// Slide: drop the points expiring at `now`. Returns their ids, and
+    /// the live points that listed them (the input to eager neighbor
+    /// pruning; a point with several dead neighbors appears once per
+    /// each). A dead point's neighbors dying with it are its list's
+    /// prefix, skipped without a lookup in the point map.
+    pub(crate) fn remove_expired(
+        &mut self,
+        cells: &mut CellStore,
+        now: WindowId,
+    ) -> (FxHashSet<PointId>, Vec<PointId>) {
         let Some(dead) = self.expiry.remove(&now.0) else {
-            return Vec::new();
+            return Default::default();
         };
+        let dead_set: FxHashSet<PointId> = dead.iter().copied().collect();
         let mut listed_by = Vec::new();
         for id in dead {
             let p = self.states.remove(&id).expect("an expiring id is live");
             self.index.remove(id, &p.cell);
             cells.decrement_population(&p.cell);
             self.arena.release(p.slot);
-            let co_dying = p.hist.expiring_at(now) as usize;
-            debug_assert_eq!(
-                p.hist.alive_at(now) as usize,
-                p.neighbors.len() - co_dying,
+            let co_dying = dead_prefix(&p.neighbors, &dead_set);
+            debug_assert!(
+                !p.neighbors[co_dying..].iter().any(|r| dead_set.contains(r)),
                 "only the prefix dies at {now}"
             );
             listed_by.extend_from_slice(&p.neighbors[co_dying..]);
         }
-        listed_by
+        (dead_set, listed_by)
     }
 
-    /// Eagerly drop the ids of points dead at `now` from the neighbor
-    /// lists of the points in `listed_by` ([`remove_expired`]'s result):
-    /// each is its list's prefix, as long as what its histogram gives up.
-    /// Every listed point outlives `now` — it was past the dead point's
-    /// co-dying prefix — and a point visited again has nothing left to
-    /// drop.
+    /// Eagerly drop the `dead` ids from the neighbor lists of the points
+    /// in `listed_by` ([`remove_expired`]'s results): in each list they
+    /// are the prefix. Every listed point outlives the slide — it was
+    /// past the dead point's co-dying prefix — and a point visited again
+    /// has nothing left to drop.
     ///
     /// [`remove_expired`]: Self::remove_expired
-    pub(crate) fn prune_dead(&mut self, listed_by: &[PointId], now: WindowId) {
+    pub(crate) fn prune_dead(&mut self, listed_by: &[PointId], dead: &FxHashSet<PointId>) {
         for nb in listed_by {
             let st = self
                 .states
                 .get_mut(nb)
                 .expect("a listed neighbor is live between slides");
-            let dead = st.hist.prune(now.next());
-            st.neighbors.drain(..dead as usize);
+            let prefix = dead_prefix(&st.neighbors, dead);
+            st.neighbors.drain(..prefix);
         }
     }
+}
+
+/// Length of the prefix of an expiry-ordered neighbor list that is `dead`.
+fn dead_prefix(neighbors: &[PointId], dead: &FxHashSet<PointId>) -> usize {
+    neighbors.iter().take_while(|r| dead.contains(r)).count()
+}
+
+/// Obs. 5.4 read off an expiry-ordered neighbor list: a point is core
+/// while θc of its neighbors live, so its career ends at the θc-th latest
+/// expiry `kth` (index `len − θc`), capped by its own — or at `now`, not
+/// core even now, when fewer than θc are listed.
+fn career(own: WindowId, kth: Option<WindowId>, now: WindowId) -> u64 {
+    kth.map_or(now.0, |kth| kth.0.min(own.0).max(now.0))
 }
 
 /// Lemma 5.2, the one place it is written: for each neighbor pair
@@ -341,7 +362,6 @@ mod tests {
             cell: CellCoord::new(cell.to_vec()),
             expires_at: WindowId(expires_at),
             core_until,
-            hist: ExpiryHistogram::new(),
             neighbors: Vec::new(),
         }
     }

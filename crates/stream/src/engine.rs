@@ -46,8 +46,9 @@ pub struct WindowEngine {
     /// Largest accepted coordinate magnitude (see
     /// [`with_coord_limit`](Self::with_coord_limit)).
     coord_limit: f64,
-    /// Next point id / arrival sequence number.
-    seq: u32,
+    /// Arrivals so far: the next point's arrival sequence number, the
+    /// count-window logical time, and (truncated) its [`PointId`].
+    seq: u64,
     /// Smallest not-yet-completed window.
     current: u64,
     /// Last accepted timestamp (time-based ordering check).
@@ -93,7 +94,7 @@ impl WindowEngine {
     /// Number of points accepted so far.
     #[inline]
     pub fn accepted(&self) -> u64 {
-        self.seq as u64
+        self.seq
     }
 
     /// The window spec this engine runs.
@@ -106,7 +107,7 @@ impl WindowEngine {
     #[inline]
     fn logical_time(&self, p: &Point) -> u64 {
         match self.spec.kind {
-            WindowKind::Count => self.seq as u64,
+            WindowKind::Count => self.seq,
             WindowKind::Time => p.ts,
         }
     }
@@ -156,7 +157,7 @@ impl WindowEngine {
         outputs: &mut Vec<(WindowId, C::Output)>,
     ) -> Result<PointId> {
         self.push_batch([point], consumer, outputs)?;
-        Ok(PointId(self.seq - 1))
+        Ok(PointId((self.seq - 1) as u32))
     }
 
     /// Feed a batch of points. Returns the number of points accepted.
@@ -199,7 +200,7 @@ impl WindowEngine {
                     boundary = self.spec.window_end(self.current);
                 }
             }
-            let id = PointId(self.seq);
+            let id = PointId(self.seq as u32);
             self.seq += 1;
             segment.push((id, point, expires_at(&self.spec, t)));
             accepted += 1;
@@ -274,6 +275,34 @@ mod tests {
             outs[1].1,
             vec![PointId(2), PointId(3), PointId(4), PointId(5)]
         );
+    }
+
+    /// Past 2^32 arrivals count windows keep completing on schedule and
+    /// expiries stay ahead of the current window; only the ids wrap.
+    #[test]
+    fn count_windows_run_past_two_to_the_32_arrivals() {
+        let spec = WindowSpec::count(4, 2).unwrap();
+        let mut eng = WindowEngine::new(spec, 1);
+        // As if 2^32 − 4 points had arrived: window 2^31 − 4 covers
+        // t ∈ [2^32 − 8, 2^32 − 4) and completes at the next arrival.
+        let (start, first): (u64, u64) = ((1 << 32) - 4, (1 << 31) - 4);
+        eng.seq = start;
+        eng.current = first;
+        let mut rec = Recorder::default();
+        let mut outs = Vec::new();
+        for i in 0..8 {
+            eng.push(pt(i as f64, 0), &mut rec, &mut outs).unwrap();
+        }
+        let windows: Vec<WindowId> = outs.iter().map(|(w, _)| *w).collect();
+        assert_eq!(
+            windows,
+            (first..first + 4).map(WindowId).collect::<Vec<_>>()
+        );
+        assert_eq!(eng.accepted(), start + 8);
+        assert!(eng.accepted() > u64::from(u32::MAX));
+        // Window 2^31 − 1 holds t ∈ [2^32 − 2, 2^32 + 2): the ids wrap.
+        let ids = [u32::MAX - 1, u32::MAX, 0, 1].map(PointId);
+        assert_eq!(outs[3].1, ids);
     }
 
     #[test]

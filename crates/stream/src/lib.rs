@@ -13,14 +13,15 @@
 //!
 //! * [`WindowEngine`] drives a [`WindowConsumer`] (a clustering algorithm)
 //!   over a stream, signalling window completions,
-//! * [`lifespan::ExpiryHistogram`] maintains "how many of this point's
-//!   neighbors are still alive at window w" and answers core-career queries
-//!   (Obs. 5.4) in O(views).
+//! * [`lifespan::core_until`] is the one-shot core career (Obs. 5.4): the
+//!   θc-th largest neighbor expiry, capped by the point's own. No per-view
+//!   state is kept — a consumer that holds a point's neighbors in expiry
+//!   order reads the career off one index of that list.
 
 pub mod engine;
 pub mod lifespan;
 pub mod source;
 
 pub use engine::{WindowConsumer, WindowEngine};
-pub use lifespan::{core_until, ExpiryHistogram};
+pub use lifespan::core_until;
 pub use source::replay;

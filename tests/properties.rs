@@ -1,11 +1,10 @@
 //! Property-based tests (proptest) on the core invariants.
 
 use proptest::prelude::*;
-use streamsum::core::{dist, CellCoord, GridGeometry, Point, WindowId, WindowSpec};
+use streamsum::core::{dist, CellCoord, GridGeometry, Point, WindowSpec};
 use streamsum::index::UnionFind;
 use streamsum::matching::hungarian;
 use streamsum::matching::metric::rel_diff;
-use streamsum::stream::{core_until, ExpiryHistogram};
 use streamsum::summarize::{coarsen, MemberSet, Sgs};
 
 proptest! {
@@ -77,38 +76,6 @@ proptest! {
         prop_assert_eq!(last - first + 1, views);
         prop_assert!(spec.window_start(first) <= t && t < spec.window_end(first));
         prop_assert!(spec.window_start(last) <= t && t < spec.window_end(last));
-    }
-
-    /// Obs. 5.4: the histogram's incremental core career, asked at any
-    /// window `now` and with or without the buckets before `now` pruned
-    /// (C-SGS asks at the current window, between its every-8-windows
-    /// prunes), is the per-window definition — the first window from `now`
-    /// on with fewer than θc neighbors alive, capped by the point's own
-    /// expiry — and equals the one-shot k-th-largest computation.
-    #[test]
-    fn core_career_incremental_equals_oneshot(
-        expiries in prop::collection::vec(1u64..40, 1..60),
-        own in 1u64..40,
-        theta_c in 1u32..10,
-        now in 0u64..45,
-        pruned in 0u8..2,
-    ) {
-        let ws: Vec<WindowId> = expiries.iter().map(|e| WindowId(*e)).collect();
-        let mut h = ExpiryHistogram::new();
-        for w in &ws { h.add(*w); }
-        if pruned == 1 {
-            h.prune(WindowId(now));
-        }
-        let mut by_window = now;
-        while by_window < own && h.alive_at(WindowId(by_window)) >= theta_c {
-            by_window += 1;
-        }
-        let incr = h.core_until(WindowId(own), WindowId(now), theta_c);
-        prop_assert_eq!(incr.0, by_window);
-        // One-shot returns 0 for "never core"; a career already over at
-        // `now` reads as `now`.
-        let oneshot = core_until(WindowId(own), &ws, theta_c);
-        prop_assert_eq!(incr.0, oneshot.0.max(now));
     }
 
     /// rel_diff is a bounded, symmetric dissimilarity.
