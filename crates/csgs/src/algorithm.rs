@@ -97,12 +97,6 @@ impl CSgs {
         self.points.states.len()
     }
 
-    /// Coordinates of a live point (for building member sets from output).
-    pub fn coords_of(&self, id: PointId) -> Option<&[f64]> {
-        let state = self.points.states.get(&id)?;
-        Some(self.points.arena.get(state.slot))
-    }
-
     /// Approximate bytes of retained meta-data, the previous window's
     /// output included. Unlike Extra-N this is independent of `win/slide`
     /// — no per-view state exists.
@@ -562,22 +556,6 @@ mod tests {
             assert!(outs.iter().any(|(_, o)| !o.is_empty()), "{dim}-d clusters");
             assert!(checked.0.live_len() > 0);
         }
-    }
-
-    #[test]
-    fn arena_slots_track_live_points_exactly() {
-        let spec = WindowSpec::count(50, 10).unwrap();
-        let pts = random_stream(23, 600, 2.0);
-        let (_, csgs) = run_batched(&pts, spec, 64);
-        let points = &csgs.points;
-        assert_eq!(
-            points.arena.live(),
-            points.states.len(),
-            "arena live slots must equal live points"
-        );
-        // Recycling bounds total slots by the peak population, far below
-        // the 600 points streamed through.
-        assert!(points.arena.slots() <= 2 * 50 + 10);
     }
 
     /// A hand-driven 1-d extractor with θr = 1 — the cell of `x` is `⌊x⌋`

@@ -1,88 +1,19 @@
 //! The point side of C-SGS's extraction state: the live objects.
 //!
-//! A [`PointStore`] holds the grid index the range query searches, each
-//! live point's state (with coordinates in a [`CoordArena`]), and the
-//! expiry lists; the [`CellStore`] beside it in the extractor holds the
-//! skeletal cells. The methods here are the *steps* of §5.4 insertion
-//! and of expiry; the extractor sequences them.
+//! A [`PointStore`] holds the grid index the range query searches (the
+//! one copy of each live point's coordinates, in its cell's slab), each
+//! live point's state, and the expiry lists; the [`CellStore`] beside it
+//! in the extractor holds the skeletal cells. The methods here are the
+//! *steps* of §5.4 insertion and of expiry; the extractor sequences them.
 
 use sgs_core::{CellCoord, GridGeometry, HeapSize, Point, PointId, WindowId};
 use sgs_index::{FxHashMap, FxHashSet, GridIndex};
 
 use crate::cell_store::CellStore;
 
-/// Slab of point coordinates: `dim` consecutive `f64`s per slot, recycled
-/// through a free list. Replaces the former per-point `Box<[f64]>`, so
-/// steady-state insertion allocates no per-object coordinate buffer
-/// (growth is amortized like a `Vec`).
-#[derive(Clone, Debug)]
-pub(crate) struct CoordArena {
-    dim: usize,
-    data: Vec<f64>,
-    free: Vec<u32>,
-}
-
-impl CoordArena {
-    pub(crate) fn new(dim: usize) -> Self {
-        assert!(dim > 0);
-        CoordArena {
-            dim,
-            data: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Store `coords`, returning the slot to read them back from.
-    pub(crate) fn alloc(&mut self, coords: &[f64]) -> u32 {
-        debug_assert_eq!(coords.len(), self.dim);
-        if let Some(slot) = self.free.pop() {
-            let at = slot as usize * self.dim;
-            self.data[at..at + self.dim].copy_from_slice(coords);
-            slot
-        } else {
-            let slot = (self.data.len() / self.dim) as u32;
-            self.data.extend_from_slice(coords);
-            slot
-        }
-    }
-
-    /// The coordinates stored in `slot`.
-    #[inline]
-    pub(crate) fn get(&self, slot: u32) -> &[f64] {
-        let at = slot as usize * self.dim;
-        &self.data[at..at + self.dim]
-    }
-
-    /// Return `slot` to the free list for reuse.
-    pub(crate) fn release(&mut self, slot: u32) {
-        debug_assert!((slot as usize + 1) * self.dim <= self.data.len());
-        self.free.push(slot);
-    }
-
-    /// Total slots ever allocated (live + free).
-    #[cfg(test)]
-    pub(crate) fn slots(&self) -> usize {
-        self.data.len() / self.dim
-    }
-
-    /// Slots currently holding a live point.
-    #[cfg(test)]
-    pub(crate) fn live(&self) -> usize {
-        self.slots() - self.free.len()
-    }
-
-    /// Retained heap bytes.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.data.capacity() * core::mem::size_of::<f64>()
-            + self.free.capacity() * core::mem::size_of::<u32>()
-    }
-}
-
 /// Per-point state retained by C-SGS.
 #[derive(Clone, Debug)]
 pub(crate) struct PointState {
-    /// Coordinate slot in the [`CoordArena`].
-    pub slot: u32,
     pub cell: CellCoord,
     pub expires_at: WindowId,
     /// End of the core career (absolute window index); only ever raised.
@@ -109,17 +40,14 @@ pub(crate) struct PointStore {
     pub states: FxHashMap<PointId, PointState>,
     /// Points to drop when each window becomes current.
     pub expiry: FxHashMap<u64, Vec<PointId>>,
-    pub arena: CoordArena,
 }
 
 impl PointStore {
     pub(crate) fn new(geometry: GridGeometry) -> Self {
-        let dim = geometry.dim();
         PointStore {
             index: GridIndex::new(geometry),
             states: FxHashMap::default(),
             expiry: FxHashMap::default(),
-            arena: CoordArena::new(dim),
         }
     }
 
@@ -136,13 +64,12 @@ impl PointStore {
         pts + self.states.capacity() * (size_of::<(PointId, PointState)>() + 1)
             + expiry
             + self.expiry.capacity() * (size_of::<(u64, Vec<PointId>)>() + 1)
-            + self.arena.heap_bytes()
             + HeapSize::heap_size(&self.index)
     }
 
     /// §5.4 step 1 (load): enter the point into the grid bucket, cell
-    /// population, expiry list and arena, with placeholder career state
-    /// that [`install`](Self::install) fills in after discovery.
+    /// population and expiry list, with placeholder career state that
+    /// [`install`](Self::install) fills in after discovery.
     pub(crate) fn load(
         &mut self,
         cells: &mut CellStore,
@@ -153,11 +80,9 @@ impl PointStore {
         let cell = self.index.insert_expiring(id, point, expires_at);
         cells.increment_population(&cell);
         self.expiry.entry(expires_at.0).or_default().push(id);
-        let slot = self.arena.alloc(&point.coords);
         self.states.insert(
             id,
             PointState {
-                slot,
                 cell,
                 expires_at,
                 core_until: 0,
@@ -247,7 +172,6 @@ impl PointStore {
             let p = self.states.remove(&id).expect("an expiring id is live");
             self.index.remove(id, &p.cell);
             cells.decrement_population(&p.cell);
-            self.arena.release(p.slot);
             let co_dying = dead_prefix(&p.neighbors, &dead_set);
             debug_assert!(
                 !p.neighbors[co_dying..].iter().any(|r| dead_set.contains(r)),
@@ -338,27 +262,8 @@ pub(crate) fn raise_pairs<'a>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn arena_recycles_slots() {
-        let mut a = CoordArena::new(2);
-        let s0 = a.alloc(&[1.0, 2.0]);
-        let s1 = a.alloc(&[3.0, 4.0]);
-        assert_eq!(a.get(s0), &[1.0, 2.0]);
-        assert_eq!(a.get(s1), &[3.0, 4.0]);
-        assert_eq!((a.slots(), a.live()), (2, 2));
-        a.release(s0);
-        assert_eq!(a.live(), 1);
-        // The freed slot is reused: no growth.
-        let s2 = a.alloc(&[5.0, 6.0]);
-        assert_eq!(s2, s0);
-        assert_eq!(a.get(s2), &[5.0, 6.0]);
-        assert_eq!(a.get(s1), &[3.0, 4.0], "other slots untouched");
-        assert_eq!((a.slots(), a.live()), (2, 2));
-    }
-
     fn state(cell: [i32; 2], core_until: u64, expires_at: u64) -> PointState {
         PointState {
-            slot: 0,
             cell: CellCoord::new(cell.to_vec()),
             expires_at: WindowId(expires_at),
             core_until,

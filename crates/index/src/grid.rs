@@ -13,9 +13,12 @@
 //!
 //! Occupied cells are kept by *row* — the cells that agree on every
 //! coordinate but dimension 0, sorted by that coordinate — so the walk
-//! makes one hash probe per row of the block and then scans only cells
-//! that exist, instead of probing every cell of the block (`DESIGN.md`
-//! §13).
+//! scans only cells that exist, instead of probing every cell of the
+//! block. Most rows of a block hold nothing, and a map lookup is the
+//! walk's dearest step, so a row filter — a count of
+//! occupied rows per hash bucket — answers "empty" for most of them
+//! first: the walk probes the row map only for a row whose bucket is
+//! non-zero (`DESIGN.md` §13).
 //!
 //! Cell storage is structure-of-arrays ([`CellSlab`]): each cell keeps one
 //! contiguous coordinate slab plus parallel id/expiry columns, so the
@@ -148,6 +151,87 @@ fn slot_of(row: &Row, x: i32) -> Result<usize, usize> {
     row.binary_search_by_key(&x, |&(at, _)| at)
 }
 
+/// The multiplier of the row hash: 2⁶⁴/φ, rounded to odd.
+const ROW_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of the row hash: fold coordinate `c` into `h`.
+#[inline]
+fn row_hash_step(h: u64, c: i32) -> u64 {
+    h.wrapping_add(u64::from(c as u32)).wrapping_mul(ROW_MUL)
+}
+
+/// The row hash of a row key `c₁ … c_{d−1}`: `Σᵢ cᵢ·Kᵢ` with
+/// `Kᵢ = ROW_MUL^(d−i)`, summed by Horner's rule — one add and one
+/// multiply per coordinate, which the walk runs beside the row's gap sum
+/// instead of hashing the key slice.
+fn row_hash(key: &[i32]) -> u64 {
+    key.iter().fold(0, |h, &c| row_hash_step(h, c))
+}
+
+/// Buckets the [`RowFilter`] keeps per occupied row, at least.
+const BUCKETS_PER_ROW: usize = 8;
+
+/// How many occupied rows hash to each bucket, by the top bits of the
+/// [`row_hash`] (its last multiply is the Fibonacci-hashing step). A zero
+/// proves the row absent, so the walk skips its map probe; a non-zero
+/// bucket only admits one. A count that reaches `u8::MAX` sticks there
+/// until the next rebuild: it can only admit a probe, never hide a row.
+#[derive(Clone, Debug)]
+struct RowFilter {
+    /// A power of two of at least `BUCKETS_PER_ROW` per occupied row.
+    counts: Vec<u8>,
+    /// `64 − log₂(counts.len())`.
+    shift: u32,
+}
+
+impl RowFilter {
+    fn with_buckets(buckets: usize) -> Self {
+        debug_assert!(buckets.is_power_of_two() && buckets > 1);
+        RowFilter {
+            counts: vec![0; buckets],
+            shift: 64 - buckets.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    fn bucket(&self, h: u64) -> usize {
+        (h >> self.shift) as usize
+    }
+
+    /// Whether a row of hash `h` may be occupied.
+    #[inline]
+    fn may_hold(&self, h: u64) -> bool {
+        self.counts[self.bucket(h)] != 0
+    }
+
+    fn add(&mut self, h: u64) {
+        let at = self.bucket(h);
+        self.counts[at] = self.counts[at].saturating_add(1);
+    }
+
+    fn remove(&mut self, h: u64) {
+        let at = self.bucket(h);
+        let count = &mut self.counts[at];
+        debug_assert_ne!(*count, 0, "removing a row the filter never counted");
+        if *count != u8::MAX {
+            *count -= 1;
+        }
+    }
+
+    /// Count a new row, `rows` the occupied rows with it among `keys`:
+    /// when they outgrow the ratio, recount `keys` into twice the buckets.
+    fn add_row<'k>(&mut self, h: u64, rows: usize, keys: impl Iterator<Item = &'k [i32]>) {
+        if rows * BUCKETS_PER_ROW <= self.counts.len() {
+            self.add(h);
+            return;
+        }
+        *self = RowFilter::with_buckets((rows * BUCKETS_PER_ROW).next_power_of_two());
+        for key in keys {
+            self.add(row_hash(key));
+        }
+    }
+}
+
 /// Uniform grid over the data space, bucketing live points by cell.
 #[derive(Clone, Debug)]
 pub struct GridIndex {
@@ -156,6 +240,8 @@ pub struct GridIndex {
     /// under `c.0[0]`. No row is empty and no listed cell is empty. A
     /// 1-d grid is the single row keyed by the empty slice.
     rows: FxHashMap<Box<[i32]>, Row>,
+    /// Which rows may be occupied; every key of `rows` counts in it.
+    filter: RowFilter,
     /// Number of occupied cells (the sum of the rows' lengths).
     cells: usize,
     len: usize,
@@ -167,6 +253,7 @@ impl GridIndex {
         GridIndex {
             geometry,
             rows: FxHashMap::default(),
+            filter: RowFilter::with_buckets(BUCKETS_PER_ROW),
             cells: 0,
             len: 0,
         }
@@ -233,6 +320,8 @@ impl GridIndex {
         } else {
             self.rows.insert(key.into(), vec![fresh()]);
             self.cells += 1;
+            let keys = self.rows.keys().map(|key| &key[..]);
+            self.filter.add_row(row_hash(key), self.rows.len(), keys);
         }
         self.len += 1;
         cell
@@ -259,6 +348,7 @@ impl GridIndex {
             self.cells -= 1;
             if row.is_empty() {
                 self.rows.remove(key);
+                self.filter.remove(row_hash(key));
             }
         }
         self.len -= 1;
@@ -313,9 +403,10 @@ impl GridIndex {
 /// It visits the occupied cells among the `(2·reach + 1)^d` that
 /// [`GridGeometry::reachable_cells`] yields, in that order. The walk is
 /// driven by occupancy: it steps through the block's `(2·reach + 1)^(d−1)`
-/// *rows*, probes the row map once per row and scans the cells the row
-/// actually holds. The odometer state and the gap table are reused across
-/// queries: a walk allocates nothing.
+/// *rows*, probes the row map only for a row the grid's row filter does
+/// not rule out, and scans the cells the row actually holds. The odometer
+/// state and the gap table are reused across queries: a walk allocates
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct ReachWalker {
     reach: i32,
@@ -368,7 +459,8 @@ impl ReachWalker {
     /// `theta_sq` from the query are skipped — a row *before* its hash
     /// probe: the block over-covers the θr-ball (its corner cells mostly
     /// lie outside it), and a table lookup per dimension is much cheaper
-    /// than a map lookup. A cell's squared distance is the sum of its
+    /// than a map lookup. So is a row whose filter bucket is zero: no
+    /// occupied row hashes there. A cell's squared distance is the sum of its
     /// per-dimension gaps, taken as `(g₁ + … + g_{d−1}) + g₀` so that the
     /// row's share is summed once. The skip threshold carries a 16 ε
     /// relative margin so floating-point rounding in the box arithmetic
@@ -429,12 +521,13 @@ impl ReachWalker {
         let (lo0, hi0) = block(0);
         loop {
             // Minimum squared distance from the query to the row's box,
-            // then to each of its cells.
-            let mut outer = 0.0;
+            // then to each of its cells; beside it, the row's hash.
+            let (mut outer, mut h) = (0.0, 0);
             for i in 1..d {
                 outer += gap(i, cell.0[i]);
+                h = row_hash_step(h, cell.0[i]);
             }
-            if outer <= prune {
+            if outer <= prune && grid.filter.may_hold(h) {
                 if let Some(row) = grid.rows.get(&cell.0[1..]) {
                     let first = row.partition_point(|&(x, _)| x < lo0);
                     for (x, slab) in &row[first..] {
@@ -486,7 +579,8 @@ impl ReachWalker {
 
 impl HeapSize for GridIndex {
     fn heap_size(&self) -> usize {
-        let mut bytes = self.rows.capacity() * (core::mem::size_of::<(Box<[i32]>, Row)>() + 1);
+        let mut bytes = self.rows.capacity() * (core::mem::size_of::<(Box<[i32]>, Row)>() + 1)
+            + self.filter.counts.capacity();
         for (key, row) in &self.rows {
             bytes += core::mem::size_of_val::<[i32]>(key);
             bytes += row.capacity() * core::mem::size_of::<(i32, CellSlab)>();
@@ -756,6 +850,12 @@ mod tests {
                 for (cell, ids) in &model {
                     prop_assert_eq!(index.cell_points(cell).ids(), &ids[..]);
                 }
+                let buckets = index.filter.counts.len();
+                prop_assert!(buckets.is_power_of_two());
+                prop_assert!(buckets >= BUCKETS_PER_ROW * index.rows.len());
+                for key in index.rows.keys() {
+                    prop_assert!(index.filter.may_hold(row_hash(key)), "row {:?} hidden", key);
+                }
             }
             for (id, cell) in live.drain(..) {
                 remove_from_both(&mut index, &mut model, id, &cell);
@@ -764,6 +864,32 @@ mod tests {
             prop_assert_eq!(index.cell_count(), 0);
             prop_assert!(index.rows.is_empty(), "a drained row was left behind");
         }
+    }
+
+    /// A bucket driven past `u8::MAX` sticks there: removing every row it
+    /// counted leaves it admitting probes until a rebuild recounts it.
+    #[test]
+    fn a_saturated_filter_bucket_sticks_until_a_rebuild() {
+        let key: &[i32] = &[3, -1];
+        let h = row_hash(key);
+        let mut filter = RowFilter::with_buckets(BUCKETS_PER_ROW);
+        for _ in 0..300 {
+            filter.add(h);
+        }
+        for _ in 0..299 {
+            filter.remove(h);
+            assert!(filter.may_hold(h));
+        }
+        // One row is left. A second arrives: two rows outgrow 8 buckets,
+        // and the rebuild reads their true count.
+        filter.add_row(h, 2, [key; 2].into_iter());
+        assert_eq!(filter.counts.len(), 16);
+        assert_eq!(filter.counts[filter.bucket(h)], 2);
+        for _ in 0..2 {
+            assert!(filter.may_hold(h));
+            filter.remove(h);
+        }
+        assert!(!filter.may_hold(h));
     }
 
     #[test]

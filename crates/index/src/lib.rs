@@ -3,7 +3,9 @@
 //! Index substrates for streamsum, all built from scratch:
 //!
 //! * [`GridIndex`] — the uniform in-memory grid the pattern extractor uses
-//!   for range-query searches (one per new object, §5.4),
+//!   for range-query searches (one per new object, §5.4): occupied cells
+//!   kept by row, walked by [`ReachWalker`], which a per-bucket count of
+//!   occupied rows spares the map probe of most empty rows,
 //! * [`RTree`] — the locational feature index of the pattern base (§7.1):
 //!   an R-tree over cluster minimum bounding rectangles with quadratic
 //!   split,

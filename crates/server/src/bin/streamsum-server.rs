@@ -23,7 +23,10 @@
 //! `--drain-timeout` for them to finish, force-closes stragglers,
 //! checkpoints durable archives, and exits 0.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, Read};
+use std::os::unix::io::IntoRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Duration;
 
 use sgs_core::{ArchiveRetention, PoolThreads};
@@ -61,26 +64,34 @@ usage: streamsum-server [options]
   --dispatch-threads N      workers on the request dispatch pool (default 4)
   --help                    this text";
 
-/// Set (asynchronously, from the signal handler) when SIGTERM arrives.
-static TERM: AtomicBool = AtomicBool::new(false);
+/// Write end of the SIGTERM pipe, which the signal handler writes one
+/// byte to (−1 before the handler is installed).
+static TERM_PIPE: AtomicI32 = AtomicI32::new(-1);
 
-/// The SIGTERM disposition: an async-signal-safe handler that only
-/// stores a flag; a watcher thread does the actual drain. Installed via
-/// the platform C library's `signal` (already linked — no new
-/// dependency); `SIG_ERR` is ignored because the fallback (no graceful
-/// drain, plain process kill) is the pre-signal behavior anyway.
-fn install_sigterm_handler() {
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+}
+
+/// The SIGTERM disposition: the handler only `write`s one byte, which is
+/// async-signal-safe, to a pipe — a `UnixStream` pair, like the reactor's
+/// self-pipe. Returns the pipe's read end, on which the drain thread
+/// blocks. Installed via the platform C library's `signal` (already
+/// linked — no new dependency); `SIG_ERR` is ignored because the fallback
+/// (no graceful drain, plain process kill) is the pre-signal behavior
+/// anyway.
+fn install_sigterm_handler() -> io::Result<UnixStream> {
     extern "C" fn on_term(_signum: i32) {
-        TERM.store(true, Ordering::SeqCst);
+        // SAFETY: a one-byte write from a live buffer; the fd is the
+        // pipe's write end, never closed.
+        unsafe { write(TERM_PIPE.load(Ordering::SeqCst), [1u8].as_ptr(), 1) };
     }
-    #[cfg(unix)]
-    unsafe {
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGTERM: i32 = 15;
-        signal(SIGTERM, on_term as *const () as usize);
-    }
+    let (term_rx, term_tx) = UnixStream::pair()?;
+    TERM_PIPE.store(term_tx.into_raw_fd(), Ordering::SeqCst);
+    const SIGTERM: i32 = 15;
+    // SAFETY: `on_term` is async-signal-safe.
+    unsafe { signal(SIGTERM, on_term as *const () as usize) };
+    Ok(term_rx)
 }
 
 fn main() {
@@ -103,23 +114,21 @@ fn main() {
             std::process::exit(1);
         }
     };
-    install_sigterm_handler();
-    if let Ok(handle) = server.handle() {
-        // The drain watcher: SIGTERM's handler only sets a flag; this
-        // thread turns it into a graceful drain. `Server::run` below
-        // returns once the drain completes, and main exits 0.
+    if let (Ok(handle), Ok(mut term_rx)) = (server.handle(), install_sigterm_handler()) {
+        // The drain thread: SIGTERM's handler only writes a byte; this
+        // thread, woken by it, turns it into a graceful drain.
+        // `Server::run` below returns once the drain completes, and main
+        // exits 0.
         std::thread::Builder::new()
             .name("sgs-drain-watch".into())
-            .spawn(move || loop {
-                if TERM.load(Ordering::SeqCst) {
+            .spawn(move || {
+                if term_rx.read_exact(&mut [0]).is_ok() {
                     println!("streamsum-server draining (SIGTERM, {drain_timeout:?} grace)");
                     let forced = handle.drain(drain_timeout);
                     if forced > 0 {
                         println!("streamsum-server drain force-closed {forced} session(s)");
                     }
-                    return;
                 }
-                std::thread::sleep(Duration::from_millis(100));
             })
             .ok();
     }
