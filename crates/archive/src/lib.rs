@@ -6,11 +6,10 @@
 //!   feature-based selection, §6.2) and *at which resolution* (§6.1,
 //!   budget/accuracy-aware level selection on the multi-resolution SGS
 //!   hierarchy),
-//! * [`PatternBase`] — stores the archived summaries behind two feature
-//!   indexes: an R-tree over cluster MBRs (locational) and a 4-d feature
-//!   grid over (volume, core-cell count, average density, average
-//!   connectivity), and executes **cluster matching queries** with the
-//!   filter-and-refine strategy of §7.2,
+//! * [`PatternBase`] — stores the archived summaries with each one's MBR
+//!   and 4-d feature vector (volume, core-cell count, average density,
+//!   average connectivity), and executes **cluster matching queries** with
+//!   the filter-and-refine strategy of §7.2, filtering in one scan,
 //! * [`SharedPatternBase`] — a `parking_lot`-locked handle for the
 //!   extractor → archiver → analyst pipeline (the system diagram of
 //!   Fig. 4, where matching queries run against a base that is being

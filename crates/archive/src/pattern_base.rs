@@ -1,15 +1,15 @@
 //! The Pattern Base (§7.1) and the cluster matching query execution (§7.2).
 //!
-//! Archived SGSs are organized under two indexes:
+//! Each archived SGS keeps its two search keys beside it: its MBR (the
+//! locational feature) and its 4-d feature vector (volume, core-cell
+//! count, avg density, avg connectivity). The filter phase is one scan
+//! over them. A position-sensitive MATCH keeps the patterns whose MBR
+//! overlaps the query's; a position-insensitive one keeps those whose
+//! features all lie in the per-dimension admissible ranges of §7.2. The
+//! scan's cost is in proportion to the base, whatever the threshold
+//! (DESIGN.md §3 item 2).
 //!
-//! * the **locational feature index** — an R-tree over cluster MBRs,
-//!   driving position-sensitive candidate search, and
-//! * the **non-locational feature index** — a grid over the 4-d feature
-//!   vector (volume, core-cell count, avg density, avg connectivity),
-//!   driving non-position-sensitive candidate search via the per-dimension
-//!   admissible ranges of §7.2.
-//!
-//! A matching query runs **filter-and-refine**: the index narrows the base
+//! A matching query runs **filter-and-refine**: the scan narrows the base
 //! to candidates, the cluster-level feature metric (on the cached feature
 //! vectors) discards most of them, and only the survivors pay for the
 //! grid-cell-level match. When position-insensitive, a survivor first
@@ -21,8 +21,8 @@
 //! many candidates reached each phase — the statistic behind the "only
 //! 6 % needed the grid-level match" claim of §8.2.
 
-use sgs_core::WindowId;
-use sgs_index::{FeatureGrid, RTree};
+use sgs_core::{HeapSize, WindowId};
+use sgs_index::Rect;
 use sgs_matching::metric::feature_distance;
 use sgs_matching::{
     best_alignment, feature_ranges, grid_level_distance, AlignmentFilter, MatchConfig,
@@ -60,7 +60,7 @@ pub struct MatchResult {
 pub struct MatchOutcome {
     /// Matches with distance ≤ threshold, sorted ascending by distance.
     pub matches: Vec<MatchResult>,
-    /// Candidates produced by the index search.
+    /// Candidates produced by the filter scan.
     pub candidates: usize,
     /// Candidates that survived the cluster-level filter and paid for the
     /// grid-level match: position-insensitive ones also survived the
@@ -68,36 +68,20 @@ pub struct MatchOutcome {
     pub refined: usize,
 }
 
-/// The archive of extracted cluster summaries with its two feature indexes.
-#[derive(Debug)]
+/// The archive of extracted cluster summaries with their MBRs.
+#[derive(Debug, Default)]
 pub struct PatternBase {
     patterns: Vec<ArchivedPattern>,
-    locational: RTree<u64>,
-    non_locational: FeatureGrid<u64>,
+    /// Data-space MBR of each pattern, indexed by pattern id.
+    mbrs: Vec<Rect>,
     /// Packed bytes of every archived summary, summed on insert.
     archived_bytes: usize,
-    /// Maximum archived value per feature dimension, never below 1.0
-    /// (bounds the open search ranges of a position-insensitive MATCH).
-    feature_caps: [f64; 4],
-}
-
-impl Default for PatternBase {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PatternBase {
-    /// Empty base. Feature-grid bucket widths follow the scale of typical
-    /// summaries (tens of cells, a handful of cores, unit-scale densities).
+    /// Empty base.
     pub fn new() -> Self {
-        PatternBase {
-            patterns: Vec::new(),
-            locational: RTree::new(),
-            non_locational: FeatureGrid::new(vec![16.0, 8.0, 2.0, 1.0]),
-            archived_bytes: 0,
-            feature_caps: [1.0; 4],
-        }
+        Self::default()
     }
 
     /// Number of archived patterns.
@@ -117,12 +101,8 @@ impl PatternBase {
         let mbr = sgs.mbr()?;
         let id = PatternId(self.patterns.len() as u64);
         let features = sgs.features();
-        self.locational.insert(mbr, id.0);
-        self.non_locational.insert(&features, id.0);
+        self.mbrs.push(mbr);
         self.archived_bytes += packed::archived_bytes(&sgs);
-        for (cap, feature) in self.feature_caps.iter_mut().zip(features.iter()) {
-            *cap = cap.max(*feature);
-        }
         self.patterns.push(ArchivedPattern {
             id,
             window,
@@ -148,9 +128,10 @@ impl PatternBase {
         self.archived_bytes
     }
 
-    /// Bytes of in-memory index structures (R-tree + feature grid).
+    /// Heap bytes the filter scan keeps beside the patterns: the MBR
+    /// column (the feature vectors live in the patterns themselves).
     pub fn index_bytes(&self) -> usize {
-        self.locational.heap_bytes() + self.non_locational.heap_bytes()
+        self.mbrs.heap_size()
     }
 
     /// Execute a cluster matching query (§7.2) for `query` under `config`.
@@ -160,38 +141,30 @@ impl PatternBase {
             return outcome;
         };
         let query_features = query.features();
-
-        // ---- Filter phase: index-driven candidate search.
-        let mut candidate_ids: Vec<u64> = Vec::new();
-        if config.position_sensitive {
-            let mut hits: Vec<&u64> = Vec::new();
-            self.locational.search(&query_mbr, &mut hits);
-            candidate_ids.extend(hits.into_iter().copied());
-        } else {
-            let ranges = feature_ranges(&query_features, &config.weights, config.threshold);
-            let lo: Vec<f64> = ranges.iter().map(|r| r.0).collect();
-            // The feature grid needs finite bounds; cap unbounded ranges by
-            // the maximum archived feature value per dimension.
-            let hi: Vec<f64> = ranges
-                .iter()
-                .zip(self.feature_caps.iter())
-                .map(|(r, cap)| if r.1.is_finite() { r.1 } else { *cap })
-                .collect();
-            let mut hits: Vec<&u64> = Vec::new();
-            self.non_locational.range_search(&lo, &hi, &mut hits);
-            candidate_ids.extend(hits.into_iter().copied());
-        }
-        candidate_ids.sort_unstable();
-        candidate_ids.dedup();
-        outcome.candidates = candidate_ids.len();
-
-        // ---- Cluster-level filter, the alignment bound, then grid-level
-        // refine. A position-sensitive candidate is an R-tree hit, so it
-        // already overlaps the query and only the features are compared.
+        let ranges = feature_ranges(&query_features, &config.weights, config.threshold);
         let zero = vec![0i32; query.dim];
         let mut alignments = AlignmentFilter::default();
-        for id in candidate_ids {
-            let pattern = &self.patterns[id as usize];
+        for (pattern, mbr) in self.patterns.iter().zip(&self.mbrs) {
+            // ---- Filter phase: the MBR overlaps the query's, or every
+            // feature lies in its closed admissible range (an unbounded
+            // range admits every value).
+            let candidate = if config.position_sensitive {
+                mbr.intersects(&query_mbr)
+            } else {
+                pattern
+                    .features
+                    .iter()
+                    .zip(&ranges)
+                    .all(|(x, (lo, hi))| lo <= x && x <= hi)
+            };
+            if !candidate {
+                continue;
+            }
+            outcome.candidates += 1;
+
+            // ---- Cluster-level filter, the alignment bound, then
+            // grid-level refine. A position-sensitive candidate already
+            // overlaps the query, so only the features are compared.
             let coarse = feature_distance(&pattern.features, &query_features, &config.weights);
             if coarse > config.threshold {
                 continue;
@@ -226,7 +199,7 @@ impl PatternBase {
         outcome
     }
 
-    /// Brute-force matching (no indexes, no alignment bound, every pattern
+    /// Brute-force matching (no filter, no alignment bound, every pattern
     /// refined) — the correctness oracle for `match_query` and the
     /// baseline that shows what the filter saves.
     pub fn match_query_exhaustive(&self, query: &Sgs, config: &MatchConfig) -> MatchOutcome {
@@ -399,27 +372,16 @@ mod tests {
         assert!(base.index_bytes() > 0);
     }
 
-    /// What `insert` maintains, recomputed by the scans it replaced.
-    fn scanned_bytes_and_caps(base: &PatternBase) -> (usize, [f64; 4]) {
-        let bytes = base.iter().map(|p| packed::archived_bytes(&p.sgs)).sum();
-        let mut caps = [1.0f64; 4];
-        for p in base.iter() {
-            for (cap, feature) in caps.iter_mut().zip(p.features.iter()) {
-                *cap = cap.max(*feature);
-            }
-        }
-        (bytes, caps)
-    }
-
-    fn bits(caps: [f64; 4]) -> [u64; 4] {
-        caps.map(f64::to_bits)
+    /// What `insert` maintains, recomputed by the scan it replaced.
+    fn scanned_bytes(base: &PatternBase) -> usize {
+        base.iter().map(|p| packed::archived_bytes(&p.sgs)).sum()
     }
 
     proptest::proptest! {
         /// After any insert script — and again after a `save_to` →
         /// `load_from` round trip, which is how recovery and retention
-        /// rebuild a base — the maintained byte total and feature caps
-        /// are bit-equal to a fresh scan of the patterns.
+        /// rebuild a base — the maintained byte total equals a fresh scan
+        /// of the patterns.
         #[test]
         fn maintained_bytes_and_caps_equal_a_fresh_scan(
             script in proptest::prop::collection::vec((0u8..40, 0u8..40, 0usize..50), 0..40),
@@ -428,19 +390,15 @@ mod tests {
             let mut base = PatternBase::new();
             for (k, (x, y, n)) in script.iter().enumerate() {
                 // n == 0 is an empty summary: rejected, so it must leave
-                // both totals alone.
+                // the total alone.
                 base.insert(blob(*x as f64 * side, *y as f64 * side, *n), WindowId(k as u64));
-                let (bytes, caps) = scanned_bytes_and_caps(&base);
-                proptest::prop_assert_eq!(base.archived_bytes(), bytes);
-                proptest::prop_assert_eq!(bits(base.feature_caps), bits(caps));
+                proptest::prop_assert_eq!(base.archived_bytes(), scanned_bytes(&base));
             }
             let mut image = Vec::new();
             crate::persist::save_to(&base, &mut image).unwrap();
             let loaded = crate::persist::load_from(&image[..]).unwrap();
             proptest::prop_assert_eq!(loaded.len(), base.len());
-            let (bytes, caps) = scanned_bytes_and_caps(&loaded);
-            proptest::prop_assert_eq!(loaded.archived_bytes(), bytes);
-            proptest::prop_assert_eq!(bits(loaded.feature_caps), bits(caps));
+            proptest::prop_assert_eq!(loaded.archived_bytes(), scanned_bytes(&loaded));
         }
 
         /// The alignment bound removes no match. Over archives of

@@ -3,9 +3,9 @@
 //! §6's premise is that patterns are kept "for long-term analysis" — the
 //! archive must survive the process. The format is deliberately simple and
 //! self-describing: a magic/version header, then one record per pattern
-//! (window id + packed SGS, §8.2's byte layout). Loading rebuilds both
-//! feature indexes from the summaries, so index structures are never
-//! serialized and can evolve freely.
+//! (window id + packed SGS, §8.2's byte layout). Loading recomputes each
+//! pattern's MBR and feature vector from its summary, so the search keys
+//! are never serialized and can evolve freely.
 
 use std::io::{self, Read, Write};
 

@@ -4,7 +4,7 @@
 //!    connection derivation on extraction; the two-phase alternative
 //!    re-derives every window's SGS from the full representations.
 //! 2. **Filter-and-refine vs exhaustive matching** (§7.2): what the
-//!    feature indexes save over refining every archived pattern.
+//!    feature filter saves over refining every archived pattern.
 //! 3. **Anytime alignment budget** (§7.2): match quality and cost as the
 //!    A*-style search is given more evaluations.
 //!
@@ -62,7 +62,7 @@ fn main() {
         ],
     );
 
-    // ---- Ablation 2: indexed filter vs exhaustive refine.
+    // ---- Ablation 2: feature filter vs exhaustive refine.
     let n_archive = (600.0 * scale).max(60.0) as usize;
     let bundle = build_archive(
         &query,
@@ -73,11 +73,11 @@ fn main() {
     let cfg = MatchConfig::equal_weights(false, 0.25);
     if !bundle.queries.is_empty() && bundle.base.len() >= n_archive / 2 {
         let t = Instant::now();
-        let mut refined_indexed = 0usize;
+        let mut refined_filtered = 0usize;
         for q in &bundle.queries {
-            refined_indexed += bundle.base.match_query(&q.sgs, &cfg).refined;
+            refined_filtered += bundle.base.match_query(&q.sgs, &cfg).refined;
         }
-        let indexed_ms = t.elapsed().as_secs_f64() * 1e3 / bundle.queries.len() as f64;
+        let filtered_ms = t.elapsed().as_secs_f64() * 1e3 / bundle.queries.len() as f64;
         let t = Instant::now();
         let mut refined_exhaustive = 0usize;
         for q in &bundle.queries {
@@ -92,11 +92,11 @@ fn main() {
             &["strategy", "avg query time", "grid matches/query"],
             &[
                 vec![
-                    "indexed filter + refine".into(),
-                    fmt_ms(indexed_ms),
+                    "feature filter + refine".into(),
+                    fmt_ms(filtered_ms),
                     format!(
                         "{:.1}",
-                        refined_indexed as f64 / bundle.queries.len() as f64
+                        refined_filtered as f64 / bundle.queries.len() as f64
                     ),
                 ],
                 vec![

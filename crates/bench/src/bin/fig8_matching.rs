@@ -55,7 +55,7 @@ fn main() {
             continue;
         }
 
-        // SGS: indexed filter-and-refine.
+        // SGS: filter-and-refine.
         let t = Instant::now();
         let mut total_candidates = 0usize;
         let mut total_refined = 0usize;
@@ -107,7 +107,7 @@ fn main() {
             &rows,
         );
         println!(
-            "SGS filter effectiveness: {:.1} candidates/query from index, \
+            "SGS filter effectiveness: {:.1} candidates/query from the filter scan, \
              {:.1} refined/query ({:.1}% of archive), {:.1} matches/query",
             total_candidates as f64 / bundle.queries.len() as f64,
             total_refined as f64 / bundle.queries.len() as f64,

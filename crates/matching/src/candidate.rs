@@ -4,8 +4,9 @@
 //! distance threshold, each feature dimension admits a closed interval
 //! outside of which a candidate *cannot* be a match — because a single
 //! feature's weighted relative difference already exceeds the threshold
-//! (every other term of the metric is non-negative). These intervals drive
-//! the range search on the pattern base's non-locational feature index.
+//! (every other term of the metric is non-negative). A position-insensitive
+//! MATCH keeps as candidates the archived patterns whose features all lie
+//! in these intervals.
 
 /// Interval of admissible candidate values on one feature dimension.
 ///

@@ -257,9 +257,9 @@ pub struct Runtime {
     /// The scheduler pool all query tasks run on.
     pool: Pool,
     entries: Vec<QueryEntry>,
-    /// Shared history bases, one per pattern dimensionality (a
-    /// `PatternBase`'s locational index is dimension-specific, so
-    /// differently-dimensioned streams archive into separate bases).
+    /// Shared history bases, one per pattern dimensionality (a MATCH
+    /// compares summaries of one dimensionality, so differently-
+    /// dimensioned streams archive into separate bases).
     histories: Vec<(usize, SharedPatternBase)>,
     bindings: Vec<(String, Sgs)>,
     next_id: u64,

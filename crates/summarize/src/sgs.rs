@@ -231,8 +231,10 @@ impl Sgs {
         ]
     }
 
-    /// Minimum bounding rectangle in data space (for the locational index).
-    /// `None` for an empty summary.
+    /// Minimum bounding rectangle in data space (the locational feature a
+    /// position-sensitive MATCH filters on). `None` for an empty summary.
+    /// The upper corner is computed in `f64`, so a cell at `i32::MAX`
+    /// yields a finite, non-inverted rectangle.
     pub fn mbr(&self) -> Option<Rect> {
         let first = self.cells.first()?;
         let dim = first.coord.dim();
@@ -247,7 +249,7 @@ impl Sgs {
         Some(Rect::new(
             lo.iter().map(|&v| v as f64 * self.side).collect::<Vec<_>>(),
             hi.iter()
-                .map(|&v| (v + 1) as f64 * self.side)
+                .map(|&v| (f64::from(v) + 1.0) * self.side)
                 .collect::<Vec<_>>(),
         ))
     }
@@ -422,6 +424,26 @@ mod tests {
         let side = geo().side();
         assert_eq!(mbr.min.as_ref(), &[0.0, 0.0][..]);
         assert!((mbr.max[0] - 3.0 * side).abs() < 1e-12);
+
+        // A cell at either end of the coordinate range, as `Bind` accepts
+        // over the wire: the rectangle is finite and not inverted.
+        for v in [i32::MAX, i32::MIN] {
+            let edge = Sgs {
+                dim: 2,
+                side,
+                level: 0,
+                cells: vec![SkeletalCell {
+                    coord: CellCoord::new(vec![v, 0]),
+                    population: 1,
+                    status: CellStatus::Edge,
+                    connections: Vec::new(),
+                }],
+            };
+            let mbr = edge.mbr().unwrap();
+            assert!(mbr.min.iter().chain(mbr.max.iter()).all(|c| c.is_finite()));
+            assert!(mbr.min.iter().zip(mbr.max.iter()).all(|(a, b)| a < b));
+            assert_eq!(mbr.min[0], f64::from(v) * side);
+        }
     }
 
     #[test]

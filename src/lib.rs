@@ -4,8 +4,8 @@
 //! Density-Based Clusters in Streaming Environments"* (Yang, Rundensteiner,
 //! Ward — VLDB 2011): the Skeletal Grid Summarization (SGS), the integrated
 //! C-SGS extraction + summarization algorithm with lifespan analysis, the
-//! pattern archive with its locational and non-locational feature indexes,
-//! and the filter-and-refine cluster matching engine — together with every
+//! pattern archive, and the filter-and-refine cluster matching engine that
+//! filters it on locational and non-locational features — together with every
 //! baseline the paper evaluates against (Extra-N, CRD, RSP, SkPS).
 //!
 //! ## Quick start
@@ -52,7 +52,7 @@
 //! | [`core`] | points, grid geometry, windows, queries, memory accounting |
 //! | [`exec`] | shared scheduler pool (persistent workers, one FIFO task queue) |
 //! | [`stream`] | window engine, lifespan analysis (Obs. 5.2–5.4) |
-//! | [`index`] | grid index, R-tree, feature grid, union-find |
+//! | [`index`] | grid index, bounding rectangles, union-find |
 //! | [`cluster`] | DBSCAN ground truth, Extra-N baseline |
 //! | [`summarize`] | SGS, CRD, RSP, SkPS, multi-resolution, packed layout |
 //! | [`csgs`] | the integrated C-SGS algorithm |

@@ -162,10 +162,9 @@ fn cross_session_handles_do_not_resolve_and_bad_requests_fail_cleanly() {
     handle.shutdown();
 }
 
-#[test]
-fn matching_statements_run_against_the_shared_history_over_the_wire() {
-    let (addr, handle) = start_server();
-    let mut client = Session::connect(addr).unwrap();
+/// Run `DETECT` over 5 000 GMTI points and bind the largest cluster of
+/// the latest windows as `Cnow`; its twin is in the shared history.
+fn bind_an_archived_cluster(client: &mut Session) {
     let q = client.detect(DETECT).unwrap();
     client.feed("gmti", &gmti(5000)).unwrap();
     client.quiesce().unwrap();
@@ -179,6 +178,13 @@ fn matching_statements_run_against_the_shared_history_over_the_wire() {
         .sgs
         .clone();
     client.bind("Cnow", &cluster).unwrap();
+}
+
+#[test]
+fn matching_statements_run_against_the_shared_history_over_the_wire() {
+    let (addr, handle) = start_server();
+    let mut client = Session::connect(addr).unwrap();
+    bind_an_archived_cluster(&mut client);
     let Submitted::Matches {
         candidates,
         matches,
@@ -209,6 +215,81 @@ fn matching_statements_run_against_the_shared_history_over_the_wire() {
         }
         other => panic!("expected UnknownBinding, got {other:?}"),
     }
+    client.goodbye().unwrap();
+    handle.shutdown();
+}
+
+/// A session whose every request fails with `Timeout` after 10 s instead
+/// of waiting forever.
+fn connect_with_deadline(addr: std::net::SocketAddr) -> Session {
+    Session::connect_with(
+        addr,
+        ClientConfig {
+            request_timeout: Some(std::time::Duration::from_secs(10)),
+            ..ClientConfig::new()
+        },
+    )
+    .unwrap()
+}
+
+/// Just below 0.25, under equal weights, every admissible feature range
+/// is bounded but reaches 2 500 times the query's own value: the
+/// filter's cost must not follow the width of the ranges.
+#[test]
+fn a_loose_threshold_answers_promptly_over_the_wire() {
+    let (addr, handle) = start_server();
+    let mut client = connect_with_deadline(addr);
+    bind_an_archived_cluster(&mut client);
+    let Submitted::Matches { matches, .. } = client
+        .submit(
+            "GIVEN DensityBasedClusters Cnow \
+             SELECT DensityBasedClusters Cpast FROM History \
+             WHERE Distance(Cnow, Cpast) <= 0.2499",
+        )
+        .unwrap()
+    else {
+        panic!("expected immediate match execution");
+    };
+    assert!(
+        matches.iter().any(|m| m.distance == 0.0),
+        "the archived twin of the bound cluster must match"
+    );
+    client.goodbye().unwrap();
+    handle.shutdown();
+}
+
+/// A bound summary at the edge of the coordinate range is matched, not
+/// panicked on: the MATCH gets its reply and the session stays usable.
+#[test]
+fn a_summary_at_the_coordinate_limit_matches_without_wedging_the_session() {
+    use streamsum::core::CellCoord;
+    use streamsum::summarize::{CellStatus, SkeletalCell};
+
+    let (addr, handle) = start_server();
+    let mut client = connect_with_deadline(addr);
+    client.detect(DETECT).unwrap();
+    let edge = Sgs {
+        dim: 2,
+        side: 1.0,
+        level: 0,
+        cells: vec![SkeletalCell {
+            coord: CellCoord::new(vec![i32::MAX, 0]),
+            population: 1,
+            status: CellStatus::Edge,
+            connections: Vec::new(),
+        }],
+    };
+    client.bind("Cedge", &edge).unwrap();
+    let reply = client.submit(
+        "GIVEN DensityBasedClusters Cedge \
+         SELECT DensityBasedClusters Cpast FROM History \
+         WHERE Distance(Cedge, Cpast) <= 0.2 USING ps = 1",
+    );
+    assert!(
+        matches!(reply, Ok(Submitted::Matches { .. })),
+        "expected a match reply, got {reply:?}"
+    );
+    assert_eq!(client.queries().unwrap().len(), 1);
     client.goodbye().unwrap();
     handle.shutdown();
 }
