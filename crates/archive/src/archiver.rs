@@ -1,13 +1,14 @@
-//! The Pattern Archiver (§6): selective archival and budget/accuracy-aware
-//! resolution selection.
+//! The Pattern Archiver (§6): selective archival.
 //!
 //! The archiver sits between the extractor and the pattern base (Fig. 4).
 //! Per §6.2 it supports sampling-based selection (archive a fraction of the
 //! detected clusters) and feature-based selection (archive only clusters
-//! reaching a population or volume bar). Per §6.1 it can archive at a
-//! coarser resolution, either fixed or chosen per cluster to fit a byte
-//! budget — the space cost of any level is exactly computable without
-//! materializing it.
+//! reaching a population or volume bar). It stores every selected summary
+//! at full resolution (level 0): §6.1 coarsening happens in one place, the
+//! durable base's byte-budget retention (`durable.rs`), which demotes the
+//! oldest patterns first. [`choose_level`] is the §6.1 budget computation
+//! for a caller that coarsens a summary itself — the space cost of any
+//! level is exactly computable without materializing it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,19 +59,12 @@ pub fn choose_level(sgs: &Sgs, theta: u32, budget_bytes: usize, max_level: u8) -
 /// Where an archiver stores a selected summary, when not in its own base.
 pub type PatternSink<'a> = dyn FnMut(Sgs, WindowId) -> Option<PatternId> + 'a;
 
-/// The archiver: applies policy + resolution on every window's output and
-/// stores what it keeps, in the pattern base it owns unless told otherwise.
+/// The archiver: applies the selection policy to every window's output
+/// and stores what it keeps, in the pattern base it owns unless told
+/// otherwise.
 #[derive(Debug)]
 pub struct PatternArchiver {
     policy: ArchivePolicy,
-    /// Compression rate θ between resolution levels (§6.1).
-    theta: u32,
-    /// Fixed archive level (0 = basic SGS) when `budget_bytes` is `None`.
-    level: u8,
-    /// Per-cluster byte budget enabling budget-aware level selection.
-    budget_bytes: Option<usize>,
-    /// Coarsest level the budget search may fall back to.
-    max_level: u8,
     base: PatternBase,
     rng: StdRng,
     /// Clusters offered / archived counters.
@@ -84,33 +78,11 @@ impl PatternArchiver {
     pub fn new(policy: ArchivePolicy, seed: u64) -> Self {
         PatternArchiver {
             policy,
-            theta: 3,
-            level: 0,
-            budget_bytes: None,
-            max_level: 3,
             base: PatternBase::new(),
             rng: StdRng::seed_from_u64(seed),
             offered: 0,
             archived: 0,
         }
-    }
-
-    /// Archive at a fixed coarser resolution.
-    pub fn with_level(mut self, theta: u32, level: u8) -> Self {
-        assert!(theta >= 2);
-        self.theta = theta;
-        self.level = level;
-        self
-    }
-
-    /// Enable budget-aware resolution selection (§6.1): per cluster, the
-    /// finest level fitting `budget_bytes` is archived.
-    pub fn with_budget(mut self, theta: u32, budget_bytes: usize, max_level: u8) -> Self {
-        assert!(theta >= 2);
-        self.theta = theta;
-        self.budget_bytes = Some(budget_bytes);
-        self.max_level = max_level;
-        self
     }
 
     /// The underlying pattern base.
@@ -147,17 +119,9 @@ impl PatternArchiver {
             if !self.policy.admits(sgs, &mut self.rng) {
                 continue;
             }
-            let level = match self.budget_bytes {
-                Some(budget) => choose_level(sgs, self.theta, budget, self.max_level),
-                None => self.level,
-            };
-            let mut stored = sgs.clone();
-            for _ in 0..level {
-                stored = multires::coarsen(&stored, self.theta);
-            }
             let id = match &mut dest {
-                Some(insert) => insert(stored, window),
-                None => self.base.insert(stored, window),
+                Some(insert) => insert(sgs.clone(), window),
+                None => self.base.insert(sgs.clone(), window),
             };
             if let Some(id) = id {
                 self.archived += 1;
@@ -205,8 +169,8 @@ mod tests {
     #[test]
     fn observe_into_selects_like_observe_and_stores_elsewhere() {
         let s = blob(60);
-        let mut own = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11).with_level(3, 1);
-        let mut routed = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11).with_level(3, 1);
+        let mut own = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11);
+        let mut routed = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11);
         let mut elsewhere = PatternBase::new();
         for w in 0..40 {
             let a = own.observe(WindowId(w), [&s, &s]);
@@ -222,7 +186,7 @@ mod tests {
         assert!(routed.base().is_empty(), "the own base is not written");
         assert_eq!(elsewhere.len() as u64, routed.archived);
         for (a, b) in own.base().iter().zip(elsewhere.iter()) {
-            assert_eq!((a.window, a.sgs.level), (b.window, 1));
+            assert_eq!((a.window, a.sgs.level), (b.window, 0));
             assert_eq!(
                 sgs_summarize::packed::encode(&a.sgs),
                 sgs_summarize::packed::encode(&b.sgs)
@@ -245,17 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_level_archives_coarse() {
-        let mut a = PatternArchiver::new(ArchivePolicy::All, 0).with_level(3, 1);
-        let s = blob(60);
-        let ids = a.observe(WindowId(0), [&s]);
-        let stored = &a.base().get(ids[0]).unwrap().sgs;
-        assert_eq!(stored.level, 1);
-        assert!(stored.volume() < s.volume());
-        assert_eq!(stored.population(), s.population());
-    }
-
-    #[test]
     fn budget_selection_picks_finest_fitting() {
         let s = blob(60);
         let level0 = multires::archived_bytes_at_level(&s, 3, 0);
@@ -265,15 +218,5 @@ mod tests {
         assert!(picked >= 1);
         // Hopeless budget falls back to the coarsest allowed level.
         assert_eq!(choose_level(&s, 3, 1, 2), 2);
-    }
-
-    #[test]
-    fn budget_archiver_stores_within_budget() {
-        let s = blob(60);
-        let budget = multires::archived_bytes_at_level(&s, 3, 1);
-        let mut a = PatternArchiver::new(ArchivePolicy::All, 0).with_budget(3, budget, 3);
-        let ids = a.observe(WindowId(0), [&s]);
-        let stored = &a.base().get(ids[0]).unwrap().sgs;
-        assert!(sgs_summarize::packed::archived_bytes(stored) <= budget);
     }
 }

@@ -39,8 +39,8 @@ pub const STORE_FILE: &str = "base.store";
 /// WAL file name inside the archive directory.
 pub const WAL_FILE: &str = "base.wal";
 
-/// Configuration of a durable pattern base: when to coarsen, how, and
-/// when to checkpoint. Recovery itself has no knobs — it is one
+/// Configuration of a durable pattern base: when to coarsen and when to
+/// checkpoint. Recovery itself has no knobs — it is one
 /// sequential pass over the checkpoint, then the WAL tail.
 #[derive(Clone, Debug)]
 pub struct DurableConfig {
@@ -48,11 +48,6 @@ pub struct DurableConfig {
     pub retention: ArchiveRetention,
     /// Checkpoint once the WAL exceeds this many bytes.
     pub checkpoint_wal_bytes: u64,
-    /// Multi-resolution compression rate θ used when retention coarsens
-    /// (θ ≥ 2, §6.1).
-    pub theta: u32,
-    /// Coarsest level retention may demote a pattern to.
-    pub max_level: u8,
 }
 
 impl Default for DurableConfig {
@@ -60,11 +55,16 @@ impl Default for DurableConfig {
         DurableConfig {
             retention: ArchiveRetention::Unbounded,
             checkpoint_wal_bytes: 1 << 20,
-            theta: 2,
-            max_level: 4,
         }
     }
 }
+
+/// Multi-resolution compression rate θ retention coarsens by (§6.1). A
+/// constant, not a setting: WAL replay must demote exactly as the live
+/// base did, so the θ a store was written with is the one it replays with.
+const RETENTION_THETA: u32 = 2;
+/// Coarsest level retention demotes a pattern to.
+pub const RETENTION_MAX_LEVEL: u8 = 4;
 
 struct Storage {
     io: Box<dyn ArchiveIo>,
@@ -111,8 +111,8 @@ fn canonical(sgs: &Sgs) -> Option<(bytes::Bytes, Sgs)> {
 /// canonical form. Live retention and WAL replay both go through here, so
 /// a replayed `Coarsen` reproduces the live result bit for bit. `None` if
 /// coarsening left nothing to archive.
-fn demote(sgs: &Sgs, theta: u32) -> Option<Sgs> {
-    canonical(&multires::coarsen(sgs, theta)).map(|(_, canon)| canon)
+fn demote(sgs: &Sgs) -> Option<Sgs> {
+    canonical(&multires::coarsen(sgs, RETENTION_THETA)).map(|(_, canon)| canon)
 }
 
 impl Default for DurablePatternBase {
@@ -141,8 +141,6 @@ impl DurablePatternBase {
     /// Open over an explicit [`ArchiveIo`] — the seam the crash-injection
     /// tests use (`FaultFs`).
     pub fn open_with(mut io: Box<dyn ArchiveIo>, cfg: DurableConfig) -> Result<Self, PersistError> {
-        assert!(cfg.theta >= 2, "compression rate must be at least 2");
-
         // 1. The last checkpoint, if any — decoded to bare entries; the
         // indexes are built once, after the WAL has had its say.
         let (mut entries, applied_seq, open_reads) =
@@ -179,7 +177,7 @@ impl DurablePatternBase {
                             "WAL coarsen {seq} targets missing pattern {index}"
                         ))
                     })?;
-                    *sgs = demote(sgs, cfg.theta).ok_or_else(|| {
+                    *sgs = demote(sgs).ok_or_else(|| {
                         PersistError::Corrupt(format!("WAL coarsen {seq} emptied pattern {index}"))
                     })?;
                 }
@@ -297,9 +295,6 @@ impl DurablePatternBase {
         let Some(storage) = &mut self.storage else {
             return Ok(());
         };
-        let theta = storage.cfg.theta;
-        let max_level = storage.cfg.max_level;
-
         // Most inserts demote nothing: settle that on the live base before
         // paying for a scratch copy of it.
         let ArchiveRetention::ByteBudget(budget) = storage.cfg.retention else {
@@ -326,11 +321,11 @@ impl DurablePatternBase {
                 if total <= budget {
                     break 'outer;
                 }
-                if sgs.level >= max_level {
+                if sgs.level >= RETENTION_MAX_LEVEL {
                     continue;
                 }
                 let before = packed::archived_bytes(sgs);
-                let Some(coarse) = demote(sgs, theta) else {
+                let Some(coarse) = demote(sgs) else {
                     continue;
                 };
                 total = total - before + packed::archived_bytes(&coarse);
@@ -339,7 +334,7 @@ impl DurablePatternBase {
                 progressed = true;
             }
             if !progressed {
-                break; // everything is at max_level already
+                break; // everything is at the coarsest level already
             }
         }
         if demoted.is_empty() {
@@ -688,7 +683,6 @@ mod tests {
                 DurableConfig {
                     retention,
                     checkpoint_wal_bytes: u64::MAX,
-                    ..DurableConfig::default()
                 },
             )
             .unwrap();

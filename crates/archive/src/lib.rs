@@ -3,9 +3,9 @@
 //! The **Pattern Archiver** (§6) and **Pattern Base** (§7.1):
 //!
 //! * [`PatternArchiver`] — decides *which* clusters to keep (sampling- or
-//!   feature-based selection, §6.2) and *at which resolution* (§6.1,
-//!   budget/accuracy-aware level selection on the multi-resolution SGS
-//!   hierarchy),
+//!   feature-based selection, §6.2), storing each at full resolution —
+//!   §6.1's multi-resolution coarsening is [`DurablePatternBase`]'s
+//!   byte-budget retention,
 //! * [`PatternBase`] — stores the archived summaries with each one's MBR
 //!   and 4-d feature vector (volume, core-cell count, average density,
 //!   average connectivity), and executes **cluster matching queries** with

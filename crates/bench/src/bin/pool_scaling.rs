@@ -8,8 +8,8 @@
 //! (`RuntimeConfig::pool_threads = Fixed(W)`) runs each query count
 //! k ∈ {1, 4, 8} over the same stream, quiescing before the clock stops.
 //! Windows are delivered the way served queries receive them, into each
-//! query's output buffer; a `DropOldest(1)` policy keeps that buffer at
-//! one window, so undrained output does not distort memory. With
+//! query's output buffer, and left there unread: the sweep reports
+//! throughput, not memory. With
 //! k ≫ W the workers multiplex; expect the processed rate to grow with
 //! W up to the machine's core count, and to stay flat (not collapse) as
 //! k grows at fixed W.
@@ -28,7 +28,7 @@ use sgs_bench::obs_report::{metrics_json, parse_metrics};
 use sgs_bench::table::print_table;
 use sgs_bench::workload::{parse_dataset, parse_scale, Dataset};
 use sgs_core::PoolThreads;
-use sgs_runtime::{OutputPolicy, Runtime, RuntimeConfig, Submission};
+use sgs_runtime::{Runtime, RuntimeConfig, Submission};
 
 struct Row {
     workers: u64,
@@ -61,7 +61,6 @@ fn main() {
             let mut rt = Runtime::with_config(RuntimeConfig {
                 channel_capacity: 64,
                 pool_threads: PoolThreads::Fixed(workers as u32),
-                output_policy: OutputPolicy::DropOldest(1),
                 ..RuntimeConfig::default()
             });
             rt.register_stream(stream_name, dataset.dim());
@@ -83,7 +82,6 @@ fn main() {
             rt.push_batch(&points).expect("ingest succeeds");
             rt.quiesce().expect("all queries drain");
             let secs = start.elapsed().as_secs_f64();
-            // Stats count every emitted window, dropped ones included.
             let (mut windows, mut clusters) = (0, 0);
             for id in ids {
                 let stats = rt.stats(id).expect("registered query");

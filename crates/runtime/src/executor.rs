@@ -168,8 +168,7 @@ struct ExecState {
 pub(crate) struct QueryCell {
     shared: SharedStatus,
     history: SharedPatternBase,
-    /// Where completed windows go, governed by the runtime's
-    /// [`OutputPolicy`](crate::output::OutputPolicy).
+    /// Where completed windows wait until they are read.
     outputs: Arc<OutputBuffer>,
     input: InputQueue,
     exec: Mutex<ExecState>,
@@ -350,9 +349,8 @@ fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enque
     // History can serve.
     let n_windows = outputs.len() as u64;
     let n_clusters: u64 = outputs.iter().map(|(_, o)| o.len() as u64).sum();
-    let mut n_dropped = 0u64;
     for (window, out) in outputs {
-        n_dropped += cell.outputs.push(window, out);
+        cell.outputs.push(window, out);
     }
 
     // Process-wide runtime metrics, one update per batch. The
@@ -364,7 +362,6 @@ fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enque
         m.points.add(points.len() as u64);
         m.batch_nanos.record(busy);
         m.windows_emitted.add(n_windows);
-        m.windows_dropped.add(n_dropped);
         if n_windows > 0 {
             m.ingest_to_emit_nanos.record_since(enqueued);
         }
@@ -379,7 +376,6 @@ fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enque
     status.stats.points = pipeline.accepted();
     status.stats.windows += n_windows;
     status.stats.clusters += n_clusters;
-    status.stats.windows_dropped += n_dropped;
     status.stats.archived = pipeline.archive_stats().1;
     status.stats.archive_bytes += new_bytes;
     status.stats.busy_nanos += busy;

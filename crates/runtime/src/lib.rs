@@ -20,9 +20,9 @@
 //!   query behind a *bounded* input queue (backpressure; idle queries
 //!   cost zero threads), its archiver writing into the shared
 //!   `parking_lot`-locked history base. See `DESIGN.md` §8.
-//! * [`output`] — **output-side flow control**: the buffer every query's
-//!   results land in, unbounded or capped by an [`OutputPolicy`] that
-//!   drops the oldest window; the executor never waits on a reader.
+//! * [`output`] — the **output buffer** every query's results land in:
+//!   one lossless FIFO per query, holding each completed window until it
+//!   is read; the executor never waits on a reader.
 //! * [`pipeline`] — the single-query [`StreamPipeline`] (window engine →
 //!   C-SGS → archiver), the execution unit each query task drives; on its
 //!   own it fills a pattern base it owns, in a runtime the shared history.
@@ -56,7 +56,7 @@ pub mod plan;
 pub mod registry;
 pub mod runtime;
 
-pub use output::{OutputNotify, OutputPolicy, PollBatch};
+pub use output::{OutputNotify, PollBatch};
 pub use pipeline::StreamPipeline;
 pub use plan::{DetectPlan, MatchPlan, PlanError, Planner, QueryPlan, StreamCatalog};
 pub use registry::{OwnerId, QueryDescriptor, QueryId, QueryState, QueryStats};

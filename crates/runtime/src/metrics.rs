@@ -13,11 +13,8 @@ pub(crate) struct RuntimeMetrics {
     pub input_queue_depth: Arc<Gauge>,
     /// Points handed to query pipelines.
     pub points: Arc<Counter>,
-    /// Windows emitted by all queries (pushed into their output buffers,
-    /// before any drop).
+    /// Windows emitted by all queries (pushed into their output buffers).
     pub windows_emitted: Arc<Counter>,
-    /// Windows discarded unread by the `DropOldest` output policy.
-    pub windows_dropped: Arc<Counter>,
     /// Per-batch pipeline processing latency (extraction +
     /// summarization + archival), nanoseconds.
     pub batch_nanos: Arc<Histogram>,
@@ -37,7 +34,6 @@ pub(crate) fn metrics() -> &'static RuntimeMetrics {
             input_queue_depth: r.gauge("sgs_runtime_input_queue_depth"),
             points: r.counter("sgs_runtime_points_total"),
             windows_emitted: r.counter("sgs_runtime_windows_emitted_total"),
-            windows_dropped: r.counter("sgs_runtime_windows_dropped_total"),
             batch_nanos: r.histogram("sgs_runtime_batch_nanos"),
             ingest_to_emit_nanos: r.histogram("sgs_runtime_ingest_to_emit_nanos"),
             pauses: r.counter("sgs_runtime_pauses_total"),

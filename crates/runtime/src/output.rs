@@ -1,11 +1,11 @@
-//! Output-side flow control.
+//! Output-side buffering.
 //!
 //! Every query's completed windows land in an `OutputBuffer` shared
 //! between its executor task (producer) and [`Runtime::poll`]
-//! (consumer). The buffer's [`OutputPolicy`] decides what happens when
-//! the caller does not drain fast enough. The producer never waits on
-//! the consumer: a push either grows the buffer or evicts its oldest
-//! window.
+//! (consumer). The buffer is one lossless FIFO: every completed window
+//! stays until it is read, and the producer never waits on the consumer.
+//! A caller that must bound it refuses input instead (the server's
+//! per-owner buffer quota).
 //!
 //! [`Runtime::poll`]: crate::runtime::Runtime::poll
 
@@ -23,28 +23,8 @@ use sgs_csgs::WindowOutput;
 /// `Runtime::set_output_notify` lists the threads it runs on.
 pub type OutputNotify = Arc<dyn Fn() + Send + Sync>;
 
-/// What a query does when its output buffer is full.
-///
-/// The `DropOldest` capacity is in completed windows and is clamped to
-/// ≥ 1.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OutputPolicy {
-    /// Buffer every completed window until polled: simple, lossless,
-    /// but unbounded memory if the caller never drains.
-    #[default]
-    Unbounded,
-    /// Bounded and non-blocking: the **oldest** buffered window is
-    /// discarded to admit the newest, so a slow consumer always sees the
-    /// most recent results. Discards are counted in
-    /// [`QueryStats::windows_dropped`].
-    ///
-    /// [`QueryStats::windows_dropped`]: crate::registry::QueryStats::windows_dropped
-    DropOldest(usize),
-}
-
 /// The buffered completed windows of one query.
 pub(crate) struct OutputBuffer {
-    policy: OutputPolicy,
     queue: Mutex<Buffered>,
     /// Readiness hook ([`OutputNotify`]), swapped in by
     /// `Runtime::set_output_notify` when a subscriber attaches.
@@ -78,9 +58,8 @@ pub(crate) fn window_cost(clusters: &WindowOutput) -> usize {
 }
 
 impl OutputBuffer {
-    pub(crate) fn new(policy: OutputPolicy) -> Self {
+    pub(crate) fn new() -> Self {
         OutputBuffer {
-            policy,
             queue: Mutex::new(Buffered {
                 windows: VecDeque::new(),
                 bytes: 0,
@@ -116,25 +95,14 @@ impl OutputBuffer {
         }
     }
 
-    /// Append one completed window per the policy. Returns the number of
-    /// windows dropped to admit it (0 or 1). Never blocks.
-    pub(crate) fn push(&self, window: WindowId, out: WindowOutput) -> u64 {
+    /// Append one completed window. Never blocks.
+    pub(crate) fn push(&self, window: WindowId, out: WindowOutput) {
         let cost = window_cost(&out);
         let mut q = self.queue.lock().unwrap();
-        let mut dropped = 0;
-        if let OutputPolicy::DropOldest(cap) = self.policy {
-            while q.windows.len() >= cap.max(1) {
-                if let Some((_, old)) = q.windows.pop_front() {
-                    q.bytes -= window_cost(&old);
-                }
-                dropped += 1;
-            }
-        }
         q.windows.push_back((window, out));
         q.bytes += cost;
         drop(q);
         self.fire_notify();
-        dropped
     }
 
     /// Take everything buffered so far (completion order preserved).
@@ -228,9 +196,9 @@ mod tests {
 
     #[test]
     fn unbounded_keeps_everything_in_order() {
-        let buf = OutputBuffer::new(OutputPolicy::Unbounded);
+        let buf = OutputBuffer::new();
         for n in 0..100 {
-            assert_eq!(buf.push(window(n).0, window(n).1), 0);
+            buf.push(window(n).0, window(n).1);
         }
         let got = buf.drain();
         assert_eq!(got.len(), 100);
@@ -239,29 +207,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_keeps_newest_and_counts() {
-        let buf = OutputBuffer::new(OutputPolicy::DropOldest(4));
-        let mut dropped = 0;
-        for n in 0..10 {
-            dropped += buf.push(window(n).0, window(n).1);
-        }
-        assert_eq!(dropped, 6);
-        let got = buf.drain();
-        let ids: Vec<u64> = got.iter().map(|(w, _)| w.0).collect();
-        assert_eq!(ids, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn zero_capacity_clamps_to_one() {
-        let buf = OutputBuffer::new(OutputPolicy::DropOldest(0));
-        buf.push(window(0).0, window(0).1);
-        assert_eq!(buf.push(window(1).0, window(1).1), 1);
-        assert_eq!(buf.drain().len(), 1);
-    }
-
-    #[test]
     fn pop_yields_oldest_first() {
-        let buf = OutputBuffer::new(OutputPolicy::Unbounded);
+        let buf = OutputBuffer::new();
         for n in 0..3 {
             buf.push(window(n).0, window(n).1);
         }
@@ -273,7 +220,7 @@ mod tests {
 
     #[test]
     fn poll_batch_is_bounded_and_leaves_the_rest() {
-        let buf = Arc::new(OutputBuffer::new(OutputPolicy::Unbounded));
+        let buf = Arc::new(OutputBuffer::new());
         for n in 0..5 {
             buf.push(window(n).0, window(n).1);
         }
@@ -288,7 +235,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_tracks_every_mutation() {
-        let buf = OutputBuffer::new(OutputPolicy::Unbounded);
+        let buf = OutputBuffer::new();
         assert_eq!(buf.buffered_bytes(), 0);
         let per_window = window_cost(&Vec::new());
         assert_eq!(per_window, 12, "empty window: id + cluster count");
@@ -302,19 +249,12 @@ mod tests {
         assert_eq!(buf.buffered_bytes(), 3 * per_window);
         buf.drain();
         assert_eq!(buf.buffered_bytes(), 0);
-
-        // DropOldest releases the evicted window's bytes.
-        let buf = OutputBuffer::new(OutputPolicy::DropOldest(2));
-        for n in 0..5 {
-            buf.push(window(n).0, window(n).1);
-        }
-        assert_eq!(buf.buffered_bytes(), 2 * per_window);
     }
 
     #[test]
     fn notify_fires_on_push_and_late_attach() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let buf = OutputBuffer::new(OutputPolicy::Unbounded);
+        let buf = OutputBuffer::new();
         let fired = Arc::new(AtomicU64::new(0));
         let counter = fired.clone();
         buf.set_notify(Some(Arc::new(move || {

@@ -65,12 +65,6 @@ pub struct QueryStats {
     pub windows: u64,
     /// Clusters extracted across all emitted windows.
     pub clusters: u64,
-    /// Completed windows discarded unread by the
-    /// [`OutputPolicy::DropOldest`] flow-control policy (always 0 under
-    /// the other policies).
-    ///
-    /// [`OutputPolicy::DropOldest`]: crate::output::OutputPolicy::DropOldest
-    pub windows_dropped: u64,
     /// Clusters this query's archiver admitted to the shared history.
     pub archived: u64,
     /// Packed bytes of those summaries as archived (before any retention).

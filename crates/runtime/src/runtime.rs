@@ -17,7 +17,7 @@ use sgs_exec::Pool;
 use sgs_summarize::Sgs;
 
 use crate::executor::{Msg, QueryCell};
-use crate::output::{OutputBuffer, OutputNotify, OutputPolicy, PollBatch};
+use crate::output::{OutputBuffer, OutputNotify, PollBatch};
 use crate::plan::{DetectPlan, MatchPlan, PlanError, Planner, QueryPlan, StreamCatalog};
 use crate::registry::{
     new_shared_status, OwnerId, QueryDescriptor, QueryId, QueryState, QueryStats, SharedStatus,
@@ -76,10 +76,6 @@ pub struct RuntimeConfig {
     /// exactly that many workers. Scheduling never affects results, only
     /// wall-clock.
     pub pool_threads: PoolThreads,
-    /// Output-side flow control: what a query's completed-window buffer
-    /// does when [`Runtime::poll`] is not draining fast enough. Defaults
-    /// to [`OutputPolicy::Unbounded`].
-    pub output_policy: OutputPolicy,
     /// When set, shared history bases are durable: WAL-backed,
     /// checkpointed, and retention-bounded under this directory
     /// (`DESIGN.md` §10). `None` (the default) keeps them in memory
@@ -101,7 +97,6 @@ impl Default for RuntimeConfig {
             base_seed: 0,
             default_shards: ShardCount::Auto,
             pool_threads: PoolThreads::Auto,
-            output_policy: OutputPolicy::Unbounded,
             durable_archive: None,
             metrics: false,
         }
@@ -358,9 +353,8 @@ impl Runtime {
     }
 
     /// Register a planned DETECT query, tagged with `owner` (`None` =
-    /// unowned, the single-user case); completed windows are buffered for
-    /// [`poll`](Self::poll) under the configured
-    /// [`OutputPolicy`](RuntimeConfig::output_policy).
+    /// unowned, the single-user case); every completed window is buffered
+    /// for [`poll`](Self::poll).
     pub fn submit_detect(
         &mut self,
         plan: DetectPlan,
@@ -369,7 +363,7 @@ impl Runtime {
         let id = QueryId(self.next_id);
         let shared = new_shared_status();
         let history = self.history_for_dim(plan.query.dim)?;
-        let outputs = Arc::new(OutputBuffer::new(self.config.output_policy));
+        let outputs = Arc::new(OutputBuffer::new());
         let cell = QueryCell::new(
             &plan,
             shared.clone(),
@@ -1111,11 +1105,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_output_keeps_newest_windows() {
-        let mut rt = Runtime::with_config(RuntimeConfig {
-            output_policy: crate::output::OutputPolicy::DropOldest(3),
-            ..RuntimeConfig::default()
-        });
+    fn unpolled_output_keeps_every_window() {
+        let mut rt = Runtime::new();
         rt.register_stream("gmti", 2);
         let Submission::Continuous(id) = rt.submit(DETECT).unwrap() else {
             panic!()
@@ -1123,14 +1114,11 @@ mod tests {
         rt.push_batch(&gmti(6000)).unwrap();
         rt.quiesce().unwrap();
         let stats = rt.stats(id).unwrap();
-        assert!(stats.windows > 3, "workload must overflow the buffer");
-        let polled = rt.poll(id).unwrap();
-        assert_eq!(polled.len(), 3, "buffer holds exactly its capacity");
-        assert_eq!(stats.windows_dropped, stats.windows - 3);
-        // The retained windows are the *newest*, in completion order.
-        let ids: Vec<u64> = polled.iter().map(|(w, _)| w.0).collect();
-        let last = stats.windows - 1;
-        assert_eq!(ids, vec![last - 2, last - 1, last]);
+        assert!(stats.windows > 3, "workload must complete several windows");
+        // Nothing was read while they completed, yet every one is
+        // buffered, in completion order.
+        let ids: Vec<u64> = rt.poll(id).unwrap().iter().map(|(w, _)| w.0).collect();
+        assert_eq!(ids, (0..stats.windows).collect::<Vec<_>>());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! streamsum-server [--addr 127.0.0.1:7878] [--stream name:dim]...
-//!                  [--channel-capacity N] [--output-policy unbounded|drop-oldest:N]
-//!                  [--pool-threads N] [--seed N]
+//!                  [--channel-capacity N] [--pool-threads N] [--seed N]
 //!                  [--archive-dir PATH] [--archive-budget BYTES]
 //!                  [--metrics-addr HOST:PORT]
 //!                  [--idle-timeout SECS] [--drain-timeout SECS]
@@ -30,7 +29,7 @@ use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Duration;
 
 use sgs_core::{ArchiveRetention, PoolThreads};
-use sgs_runtime::{DurableArchive, OutputPolicy, RuntimeConfig};
+use sgs_runtime::{DurableArchive, RuntimeConfig};
 use sgs_server::{Server, ServerConfig};
 
 const USAGE: &str = "\
@@ -38,8 +37,6 @@ usage: streamsum-server [options]
   --addr HOST:PORT          listen address (default 127.0.0.1:7878; port 0 = OS-assigned)
   --stream NAME:DIM         register a source stream (repeatable; default gmti:2 stt:4)
   --channel-capacity N      per-query bounded input queue, in messages (default 1024)
-  --output-policy P         unbounded | drop-oldest:N (default unbounded); for a
-                            lossless bound use --owner-max-buffer-bytes
   --pool-threads N          dedicated scheduler pool of N workers (default: shared auto pool)
   --seed N                  archiver RNG seed (default 0)
   --archive-dir PATH        persist the shared history there (WAL + checkpoints;
@@ -203,9 +200,6 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
                     .parse()
                     .map_err(|_| "bad --channel-capacity".to_string())?;
             }
-            "--output-policy" => {
-                runtime.output_policy = parse_policy(&value("--output-policy")?)?;
-            }
             "--pool-threads" => {
                 let n: u32 = value("--pool-threads")?
                     .parse()
@@ -228,7 +222,10 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
                 if !(secs > 0.0 && secs.is_finite()) {
                     return Err("--idle-timeout must be a positive number of seconds".into());
                 }
-                idle_timeout = Some(Duration::from_secs_f64(secs));
+                idle_timeout = Some(
+                    Duration::try_from_secs_f64(secs)
+                        .map_err(|_| "--idle-timeout is too large".to_string())?,
+                );
             }
             "--drain-timeout" => {
                 let secs: f64 = value("--drain-timeout")?
@@ -237,7 +234,8 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
                 if !(secs >= 0.0 && secs.is_finite()) {
                     return Err("--drain-timeout must be a number of seconds".into());
                 }
-                drain_timeout = Duration::from_secs_f64(secs);
+                drain_timeout = Duration::try_from_secs_f64(secs)
+                    .map_err(|_| "--drain-timeout is too large".to_string())?;
             }
             "--owner-max-queries" => {
                 owner_max_queries = Some(
@@ -315,40 +313,35 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
     Ok(Some((addr, metrics_addr, config, drain_timeout)))
 }
 
-fn parse_policy(spec: &str) -> Result<OutputPolicy, String> {
-    if spec.eq_ignore_ascii_case("unbounded") {
-        return Ok(OutputPolicy::Unbounded);
-    }
-    if let Some(cap) = spec
-        .strip_prefix("drop-oldest:")
-        .and_then(|rest| rest.parse().ok())
-    {
-        return Ok(OutputPolicy::DropOldest(cap));
-    }
-    Err(format!(
-        "bad --output-policy {spec:?} (unbounded | drop-oldest:N)"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_policy_accepts_the_listed_forms() {
-        assert_eq!(parse_policy("unbounded"), Ok(OutputPolicy::Unbounded));
-        assert_eq!(
-            parse_policy("drop-oldest:3"),
-            Ok(OutputPolicy::DropOldest(3))
-        );
+    fn parse(args: &[&str]) -> Result<Option<Parsed>, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
-    fn parse_policy_refuses_block_and_bad_capacities() {
+    fn the_removed_output_flag_is_unknown() {
+        for spec in ["unbounded", "drop-oldest:3"] {
+            let message = parse(&["--output-policy", spec]).unwrap_err();
+            assert!(message.contains("unknown flag"), "{message}");
+        }
+    }
+
+    #[test]
+    fn the_removed_output_flag_is_refused_before_its_value_is_read() {
         for spec in ["block:1", "drop-oldest:x"] {
-            let message = parse_policy(spec).unwrap_err();
-            assert!(message.contains("bad --output-policy"), "{message}");
-            assert!(message.contains("unbounded | drop-oldest:N"), "{message}");
+            let message = parse(&["--output-policy", spec]).unwrap_err();
+            assert!(message.contains("unknown flag"), "{message}");
+            assert!(!message.contains("bad --output-policy"), "{message}");
+        }
+    }
+
+    #[test]
+    fn a_timeout_past_the_clock_is_refused() {
+        for flag in ["--idle-timeout", "--drain-timeout"] {
+            assert!(parse(&[flag, "1e20"]).is_err(), "{flag} 1e20 parsed");
         }
     }
 }

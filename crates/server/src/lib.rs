@@ -74,10 +74,10 @@ use metrics::ServerMetrics;
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Configuration of the shared [`Runtime`] all sessions multiplex
-    /// onto. Its [`RuntimeConfig::output_policy`] governs every
-    /// session's poll buffers: `DropOldest` bounds them by discarding,
+    /// onto. Every completed window waits in its query's output buffer
+    /// until it is polled or pushed;
     /// [`owner_max_buffer_bytes`](Self::owner_max_buffer_bytes) bounds
-    /// them losslessly by refusing further feeds.
+    /// those buffers without losing a window, by refusing further feeds.
     pub runtime: RuntimeConfig,
     /// Source streams to register (name, dimensionality). Defaults to
     /// the two generator streams: `gmti` (2-d) and `stt` (4-d).
@@ -308,16 +308,18 @@ impl ServerHandle {
     pub fn drain(&self, timeout: Duration) -> usize {
         let shared = &self.shared;
         shared.metrics.drains.inc();
-        shared
-            .drain_millis
-            .store(timeout.as_millis() as u64, Ordering::SeqCst);
+        shared.drain_millis.store(
+            u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX),
+            Ordering::SeqCst,
+        );
         shared.draining.store(true, Ordering::SeqCst);
         self.shutdown();
 
         // Phase 1: the reactor notices the flag at its next wakeup,
         // sends GoAway everywhere, and tears sessions down. Wait out
-        // the grace window.
-        shared.wait_until(Some(Instant::now() + timeout), HashMap::is_empty);
+        // the grace window — all of it, with no deadline, when `timeout`
+        // reaches past what the clock can represent.
+        shared.wait_until(Instant::now().checked_add(timeout), HashMap::is_empty);
 
         // Phase 2: force-close whoever is left. Shutting the socket
         // surfaces as a hangup in the reactor, which tears the session
@@ -840,7 +842,6 @@ fn wire_stats(stats: &QueryStats) -> WireStats {
         points: stats.points,
         windows: stats.windows,
         clusters: stats.clusters,
-        windows_dropped: stats.windows_dropped,
         archived: stats.archived,
         archive_bytes: stats.archive_bytes as u64,
         busy_nanos: stats.busy_nanos,

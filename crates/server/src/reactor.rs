@@ -34,7 +34,7 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use epoll::{ControlOptions, Event, Events};
 use sgs_runtime::{OwnerId, QueryId, QueryState};
@@ -106,11 +106,20 @@ impl Conn {
         self.write_pos >= self.write_buf.len()
     }
 
-    /// Idle-timeout exemptions: subscribers are legitimately silent,
-    /// executing requests are already making progress, and closing
-    /// connections are on their way out regardless.
-    fn idle_exempt(&self) -> bool {
-        self.closing || self.gone || self.phase == Phase::Executing || !self.subscribed.is_empty()
+    /// When this session's idle window closes. `None` for the exempt —
+    /// subscribers are legitimately silent, executing requests are
+    /// already making progress, and closing connections are on their
+    /// way out regardless — and when `idle` reaches past what the clock
+    /// can represent (no deadline).
+    fn idle_deadline(&self, idle: Duration) -> Option<Instant> {
+        let exempt = self.closing
+            || self.gone
+            || self.phase == Phase::Executing
+            || !self.subscribed.is_empty();
+        if exempt {
+            return None;
+        }
+        self.last_frame.checked_add(idle)
     }
 }
 
@@ -199,12 +208,9 @@ impl Reactor<'_> {
         let mut ms = HEARTBEAT_MS;
         if let Some(idle) = self.shared.limits.idle_timeout {
             let now = Instant::now();
-            for conn in self.conns.values() {
-                if conn.idle_exempt() {
-                    continue;
-                }
-                let left = (conn.last_frame + idle).saturating_duration_since(now);
-                ms = ms.min((left.as_millis() as u64).max(1));
+            for deadline in self.conns.values().filter_map(|c| c.idle_deadline(idle)) {
+                let left = deadline.saturating_duration_since(now).as_millis();
+                ms = ms.min(u64::try_from(left).unwrap_or(u64::MAX).max(1));
             }
         }
         ms.min(i32::MAX as u64) as i32
@@ -812,7 +818,7 @@ impl Reactor<'_> {
         let expired: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| !c.idle_exempt() && now >= c.last_frame + idle)
+            .filter(|(_, c)| c.idle_deadline(idle).is_some_and(|d| now >= d))
             .map(|(&t, _)| t)
             .collect();
         for token in expired {

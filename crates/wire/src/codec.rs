@@ -146,7 +146,6 @@ fn put_stats(out: &mut Vec<u8>, s: &WireStats) {
     put_u64(out, s.points);
     put_u64(out, s.windows);
     put_u64(out, s.clusters);
-    put_u64(out, s.windows_dropped);
     put_u64(out, s.archived);
     put_u64(out, s.archive_bytes);
     put_u64(out, s.busy_nanos);
@@ -350,7 +349,6 @@ impl<'a> Rd<'a> {
             points: self.u64()?,
             windows: self.u64()?,
             clusters: self.u64()?,
-            windows_dropped: self.u64()?,
             archived: self.u64()?,
             archive_bytes: self.u64()?,
             busy_nanos: self.u64()?,
@@ -667,9 +665,13 @@ mod tests {
 
     #[test]
     fn version_and_kind_are_validated() {
-        let mut bytes = Frame::Quiesce.encode();
-        bytes[4] = WIRE_VERSION + 1;
-        assert_eq!(decode(&bytes), Err(WireError::Version(WIRE_VERSION + 1)));
+        // A version-4 peer (whose `WireStats` carried a seventh `u64`) is
+        // refused, not misparsed, and so is any later version.
+        for version in [4, WIRE_VERSION + 1] {
+            let mut bytes = Frame::Quiesce.encode();
+            bytes[4] = version;
+            assert_eq!(decode(&bytes), Err(WireError::Version(version)));
+        }
         let mut bytes = Frame::Quiesce.encode();
         bytes[5] = 0x60;
         assert_eq!(decode(&bytes), Err(WireError::UnknownKind(0x60)));

@@ -8,7 +8,7 @@ use sgs_summarize::Sgs;
 /// protocol's stable mirror of `sgs_runtime::QueryStats` (the runtime
 /// struct can evolve; this one only changes with [`crate::WIRE_VERSION`]).
 ///
-/// Body grammar: 7 × `u64` in field order, then `error` as an
+/// Body grammar: 6 × `u64` in field order, then `error` as an
 /// option-flagged string (`u8` 0 = absent; 1 = present, followed by the
 /// string).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -19,8 +19,6 @@ pub struct WireStats {
     pub windows: u64,
     /// Clusters extracted across all windows.
     pub clusters: u64,
-    /// Windows discarded by a `DropOldest` output policy.
-    pub windows_dropped: u64,
     /// Summaries archived into the pattern base.
     pub archived: u64,
     /// Packed bytes of the archived summaries.

@@ -65,8 +65,9 @@ pub use io::{read_frame, write_frame, RecvError};
 /// [`Frame::Hello`] gained an option-flagged auth token, and
 /// [`Frame::Subscribe`] / [`Frame::Unsubscribe`] switched a query to
 /// server-push delivery ([`ErrorCode::Unauthorized`] rejects a bad
-/// credential).
-pub const WIRE_VERSION: u8 = 4;
+/// credential); `5` — [`WireStats`] lost its dropped-window count
+/// (every completed window is delivered).
+pub const WIRE_VERSION: u8 = 5;
 
 /// Hard cap on one frame's payload length (64 MiB). Applied before any
 /// allocation, so a corrupt or hostile length prefix cannot balloon

@@ -89,7 +89,6 @@ fn rand_stats(rng: &mut StdRng) -> WireStats {
         points: rng.gen_range(0u64..1 << 50),
         windows: rng.gen_range(0u64..1 << 30),
         clusters: rng.gen_range(0u64..1 << 30),
-        windows_dropped: rng.gen_range(0u64..1 << 20),
         archived: rng.gen_range(0u64..1 << 30),
         archive_bytes: rng.gen_range(0u64..1 << 40),
         busy_nanos: rng.gen_range(0u64..1 << 60),

@@ -399,8 +399,8 @@ fn print_stats(queries: &[WireQuery]) {
         return;
     }
     println!(
-        "{:<5} {:<10} {:>9} {:>8} {:>8} {:>9} {:>9} {:>12} {:>11}",
-        "id", "state", "points", "windows", "dropped", "clusters", "archived", "bytes", "ms/window"
+        "{:<5} {:<10} {:>9} {:>8} {:>9} {:>9} {:>12} {:>11}",
+        "id", "state", "points", "windows", "clusters", "archived", "bytes", "ms/window"
     );
     for q in queries {
         let ms_per_window = if q.stats.windows == 0 {
@@ -409,12 +409,11 @@ fn print_stats(queries: &[WireQuery]) {
             q.stats.busy_nanos as f64 / 1e6 / q.stats.windows as f64
         };
         println!(
-            "{:<5} {:<10} {:>9} {:>8} {:>8} {:>9} {:>9} {:>12} {:>11.2}",
+            "{:<5} {:<10} {:>9} {:>8} {:>9} {:>9} {:>12} {:>11.2}",
             format!("Q{}", q.query),
             format!("{:?}", q.state),
             q.stats.points,
             q.stats.windows,
-            q.stats.windows_dropped,
             q.stats.clusters,
             q.stats.archived,
             q.stats.archive_bytes,

@@ -5,8 +5,9 @@
 //! atomic, and retention coarsens instead of dropping.
 
 use proptest::prelude::*;
+use sgs_archive::durable::RETENTION_MAX_LEVEL;
 use sgs_archive::{DurableConfig, DurablePatternBase, FaultFs, FaultMode, FaultPlan};
-use streamsum::archive::{choose_level, shared_pattern_base, ArchivePolicy, PatternArchiver};
+use streamsum::archive::{choose_level, shared_pattern_base};
 use streamsum::core::ArchiveRetention;
 use streamsum::matching::MatchConfig;
 use streamsum::prelude::*;
@@ -36,9 +37,12 @@ fn study_summaries(n: usize) -> Vec<Sgs> {
 fn archiver_levels_respect_budget_end_to_end() {
     let summaries = study_summaries(30);
     let budget = 200usize;
-    let mut archiver = PatternArchiver::new(ArchivePolicy::All, 0).with_budget(3, budget, 3);
-    archiver.observe(WindowId(0), summaries.iter());
-    let base = archiver.into_base();
+    let mut base = PatternBase::new();
+    for s in &summaries {
+        let level = choose_level(s, 3, budget, 3);
+        let stored = (0..level).fold(s.clone(), |sgs, _| coarsen(&sgs, 3));
+        base.insert(stored, WindowId(0));
+    }
     assert_eq!(base.len(), 30);
     for p in base.iter() {
         let bytes = packed::archived_bytes(&p.sgs);
@@ -69,9 +73,10 @@ fn coarse_archive_still_matches_translated_twin() {
     // Archive everything at level 1; a translated twin of a summary must
     // still be found by non-position-sensitive matching at that level.
     let summaries = study_summaries(12);
-    let mut archiver = PatternArchiver::new(ArchivePolicy::All, 0).with_level(3, 1);
-    archiver.observe(WindowId(0), summaries.iter());
-    let base = archiver.into_base();
+    let mut base = PatternBase::new();
+    for s in &summaries {
+        base.insert(coarsen(s, 3), WindowId(0));
+    }
 
     let query = coarsen(&summaries[4], 3);
     let outcome = base.match_query(&query, &MatchConfig::equal_weights(false, 0.2));
@@ -289,8 +294,6 @@ fn byte_budget_eviction_coarsens_and_stays_matchable() {
     let fs = FaultFs::new();
     let cfg = DurableConfig {
         retention: ArchiveRetention::ByteBudget(budget),
-        theta: 3,
-        max_level: 3,
         ..DurableConfig::default()
     };
     let mut base = durable_open(&fs, &cfg);
@@ -298,7 +301,7 @@ fn byte_budget_eviction_coarsens_and_stays_matchable() {
         base.try_insert(s.clone(), WindowId(k as u64)).unwrap();
         assert_eq!(base.len(), k + 1, "eviction must never drop a pattern");
         let within = base.archived_bytes() <= budget;
-        let exhausted = base.iter().all(|p| p.sgs.level >= cfg.max_level);
+        let exhausted = base.iter().all(|p| p.sgs.level >= RETENTION_MAX_LEVEL);
         assert!(
             within || exhausted,
             "after insert {k}: {} bytes over budget {budget}",

@@ -241,6 +241,26 @@ fn idle_sessions_are_closed_with_a_typed_error() {
     handle.shutdown();
 }
 
+#[test]
+fn an_idle_timeout_past_the_clock_means_no_deadline() {
+    // No `Instant` lies `Duration::MAX` after a frame: the session never
+    // idles out, and the reactor keeps serving it.
+    let config = ServerConfig {
+        idle_timeout: Some(Duration::MAX),
+        ..ServerConfig::default()
+    };
+    let (addr, handle, _join) = start_server(config);
+    let client_config = ClientConfig {
+        connect_timeout: Some(Duration::from_secs(5)),
+        request_timeout: Some(Duration::from_secs(5)),
+        ..ClientConfig::default()
+    };
+    let mut client = Session::connect_with(addr, client_config).expect("Hello is answered");
+    client.detect(DETECT).expect("the detect is answered");
+    client.goodbye().unwrap();
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Graceful drain
 // ---------------------------------------------------------------------------
@@ -276,6 +296,13 @@ fn draining_notifies_idle_sessions_with_goaway_and_completes() {
     let forced = drainer.join().unwrap();
     assert_eq!(forced, 0, "an idle session must drain voluntarily");
     // Server::run returns once the drain completes.
+    join.join().unwrap();
+}
+
+#[test]
+fn draining_an_idle_server_with_an_unbounded_grace_returns_zero() {
+    let (_addr, handle, join) = start_server(ServerConfig::default());
+    assert_eq!(handle.drain(Duration::MAX), 0);
     join.join().unwrap();
 }
 
