@@ -1,14 +1,15 @@
 //! The durable tiered pattern base (`DESIGN.md` §10).
 //!
 //! [`DurablePatternBase`] wraps the in-memory [`PatternBase`] with a
-//! write-ahead log, periodic page-store checkpoints, and retention that
-//! **coarsens instead of dropping** (§6.1): when a byte budget is
-//! exceeded, the oldest patterns are demoted one multi-resolution level at
-//! a time, so MATCH keeps answering over the full history at degraded
-//! granularity.
+//! write-ahead log, periodic checkpoints, and retention that **coarsens
+//! instead of dropping** (§6.1): when a byte budget is exceeded, the
+//! oldest patterns are demoted one multi-resolution level at a time, so
+//! MATCH keeps answering over the full history at degraded granularity.
 //!
-//! The recovery invariant — *replay ⇒ byte-identical* — rests on three
-//! rules:
+//! Both files speak one format, the CRC'd frames of [`wal`]: the WAL
+//! logs every mutation, and a checkpoint store is that log compacted —
+//! one `Insert` frame per pattern in insertion order, then a `Seal`. The
+//! recovery invariant — *replay ⇒ byte-identical* — rests on four rules:
 //!
 //! 1. every mutation is a WAL record fsynced **before** it is applied in
 //!    memory (an insert logs the pattern's packed bytes; a retention
@@ -17,27 +18,56 @@
 //!    `packed::decode(packed::encode(sgs))` — which is exactly what WAL
 //!    replay reconstructs, so live state and replayed state coarsen
 //!    identically;
-//! 3. a checkpoint atomically replaces the store file (whose header
-//!    records `applied_seq`) before truncating the log, and recovery
-//!    skips WAL records older than `applied_seq` — a crash between the
-//!    two steps merely replays records that are already in the snapshot,
-//!    and the skip makes that a no-op.
+//! 3. a checkpoint atomically replaces the store file before truncating
+//!    the log. The store's frames are numbered so its seal carries the
+//!    sequence number the next WAL record will carry (`applied_seq`), and
+//!    recovery skips WAL records below it — a crash between the two steps
+//!    merely replays records that are already in the snapshot, and the
+//!    skip makes that a no-op;
+//! 4. after a failed write the base refuses every later mutation until it
+//!    is reopened: the torn bytes stay in the log, replay stops at them,
+//!    and a record appended behind them would be acknowledged and lost.
 
+use std::io;
 use std::path::Path;
 
 use sgs_core::{ArchiveRetention, WindowId};
 use sgs_summarize::{multires, packed, Sgs};
 
 use crate::io::{ArchiveIo, DiskIo};
-use crate::pager::{self, PoolStats, StoreReader};
 use crate::pattern_base::{PatternBase, PatternId};
-use crate::persist::{self, PersistError};
 use crate::wal::{self, WalRecord};
 
 /// Store file name inside the archive directory.
 pub const STORE_FILE: &str = "base.store";
 /// WAL file name inside the archive directory.
 pub const WAL_FILE: &str = "base.wal";
+
+/// Errors raised by the durable archive.
+#[derive(Debug)]
+pub enum PersistError {
+    /// Underlying I/O failure, or a base refusing writes after one.
+    Io(io::Error),
+    /// The store is damaged, or a stored record could not be decoded.
+    Corrupt(String),
+}
+
+impl From<io::Error> for PersistError {
+    fn from(e: io::Error) -> Self {
+        PersistError::Io(e)
+    }
+}
+
+impl core::fmt::Display for PersistError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            PersistError::Io(e) => write!(f, "archive I/O error: {e}"),
+            PersistError::Corrupt(msg) => write!(f, "corrupt archive: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for PersistError {}
 
 /// Configuration of a durable pattern base: when to coarsen and when to
 /// checkpoint. Recovery itself has no knobs — it is one
@@ -59,6 +89,18 @@ impl Default for DurableConfig {
     }
 }
 
+/// Counts nothing. Kept solely because the frozen benchmark's
+/// `e2ebench/src/stages.rs` reads it through
+/// [`DurablePatternBase::pool_stats`]: recovery reads the store whole, so
+/// there is no page reader left to count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+}
+
 /// Multi-resolution compression rate θ retention coarsens by (§6.1). A
 /// constant, not a setting: WAL replay must demote exactly as the live
 /// base did, so the θ a store was written with is the one it replays with.
@@ -69,12 +111,53 @@ pub const RETENTION_MAX_LEVEL: u8 = 4;
 struct Storage {
     io: Box<dyn ArchiveIo>,
     cfg: DurableConfig,
-    /// What the checkpoint scan at `open` read.
-    open_reads: PoolStats,
     /// Sequence number the next WAL record will carry.
     next_seq: u64,
     /// Current WAL length in bytes (checkpoint trigger).
     wal_len: u64,
+    /// A write failed: the files may end in torn bytes, so nothing more
+    /// is written until the base is reopened.
+    failed: bool,
+}
+
+impl Storage {
+    /// Refuse to write once a write has failed.
+    fn usable(&self) -> Result<(), PersistError> {
+        if self.failed {
+            return Err(PersistError::Io(io::Error::other(
+                "an earlier archive write failed; reopen the base to recover",
+            )));
+        }
+        Ok(())
+    }
+
+    /// Pass `result` through, remembering a failure.
+    fn check(&mut self, result: io::Result<()>) -> Result<(), PersistError> {
+        self.failed |= result.is_err();
+        Ok(result?)
+    }
+
+    /// Append `records` to the WAL as one batch and fsync it — the commit
+    /// point of every mutation.
+    fn commit(&mut self, records: &[WalRecord]) -> Result<(), PersistError> {
+        self.usable()?;
+        let mut batch = Vec::new();
+        for (seq, record) in (self.next_seq..).zip(records) {
+            batch.extend_from_slice(&wal::encode_frame(seq, record));
+        }
+        let m = crate::metrics::metrics();
+        let start = std::time::Instant::now();
+        let appended = self.io.append(WAL_FILE, &batch);
+        m.wal_append_nanos.record_since(start);
+        self.check(appended)?;
+        let start = std::time::Instant::now();
+        let synced = self.io.sync(WAL_FILE);
+        m.wal_fsync_nanos.record_since(start);
+        self.check(synced)?;
+        self.next_seq += records.len() as u64;
+        self.wal_len += batch.len() as u64;
+        Ok(())
+    }
 }
 
 /// A pattern base whose mutations survive process crashes.
@@ -115,6 +198,59 @@ fn demote(sgs: &Sgs) -> Option<Sgs> {
     canonical(&multires::coarsen(sgs, RETENTION_THETA)).map(|(_, canon)| canon)
 }
 
+/// Index decoded entries into a pattern base, in order.
+pub(crate) fn base_of(entries: Vec<(Sgs, WindowId)>) -> PatternBase {
+    let mut base = PatternBase::new();
+    for (sgs, window) in entries {
+        base.insert(sgs, window);
+    }
+    base
+}
+
+/// The store image of `base`: one `Insert` frame per pattern in
+/// insertion order, numbered from `first_seq`, then the `Seal`.
+fn store_image(base: &PatternBase, first_seq: u64) -> Vec<u8> {
+    let mut image = Vec::new();
+    for (seq, pattern) in (first_seq..).zip(base.iter()) {
+        let record = WalRecord::Insert {
+            window: pattern.window,
+            packed: packed::encode(&pattern.sgs),
+        };
+        image.extend_from_slice(&wal::encode_frame(seq, &record));
+    }
+    let seal_seq = first_seq + base.len() as u64;
+    image.extend_from_slice(&wal::encode_frame(seal_seq, &WalRecord::Seal));
+    image
+}
+
+/// Apply one logged record to the entries being recovered.
+fn apply(
+    entries: &mut Vec<(Sgs, WindowId)>,
+    seq: u64,
+    record: WalRecord,
+) -> Result<(), PersistError> {
+    match record {
+        WalRecord::Insert { window, packed } => {
+            let sgs = packed::decode(packed)
+                .filter(|sgs| !sgs.cells.is_empty())
+                .ok_or_else(|| PersistError::Corrupt(format!("insert {seq} undecodable")))?;
+            entries.push((sgs, window));
+        }
+        WalRecord::Coarsen { index } => {
+            let (sgs, _) = entries.get_mut(index as usize).ok_or_else(|| {
+                PersistError::Corrupt(format!("coarsen {seq} targets missing pattern {index}"))
+            })?;
+            *sgs = demote(sgs).ok_or_else(|| {
+                PersistError::Corrupt(format!("coarsen {seq} emptied pattern {index}"))
+            })?;
+        }
+        WalRecord::Seal => {
+            return Err(PersistError::Corrupt(format!("seal {seq} inside a log")));
+        }
+    }
+    Ok(())
+}
+
 impl Default for DurablePatternBase {
     fn default() -> Self {
         Self::memory()
@@ -141,17 +277,26 @@ impl DurablePatternBase {
     /// Open over an explicit [`ArchiveIo`] — the seam the crash-injection
     /// tests use (`FaultFs`).
     pub fn open_with(mut io: Box<dyn ArchiveIo>, cfg: DurableConfig) -> Result<Self, PersistError> {
-        // 1. The last checkpoint, if any — decoded to bare entries; the
-        // indexes are built once, after the WAL has had its say.
-        let (mut entries, applied_seq, open_reads) =
-            match pager::read_header(io.as_mut(), STORE_FILE)? {
-                Some(header) => {
-                    let mut reader = StoreReader::new(io.as_mut(), STORE_FILE, header);
-                    let entries = persist::load_entries(&mut reader)?;
-                    (entries, header.applied_seq, reader.stats)
-                }
-                None => (Vec::new(), 0, PoolStats::default()),
+        // 1. The last checkpoint, if any: a log that must replay to its
+        // last byte and end in its seal — anything less is damage, never
+        // a shorter base. The indexes are built once, after the WAL has
+        // had its say.
+        let mut entries = Vec::new();
+        let mut applied_seq = 0;
+        if let Some(store) = io.read_file(STORE_FILE)? {
+            let mut replayed = wal::replay(&store);
+            let whole = replayed.durable_len == store.len() as u64;
+            let Some((seal_seq, WalRecord::Seal)) = replayed.records.pop().filter(|_| whole) else {
+                return Err(PersistError::Corrupt(format!(
+                    "{STORE_FILE} is damaged after byte {}",
+                    replayed.durable_len
+                )));
             };
+            for (seq, record) in replayed.records {
+                apply(&mut entries, seq, record)?;
+            }
+            applied_seq = seal_seq;
+        }
 
         // 2. Replay the WAL tail, discarding torn bytes.
         let wal_bytes = io.read_file(WAL_FILE)?.unwrap_or_default();
@@ -164,35 +309,18 @@ impl DurablePatternBase {
             if seq < applied_seq {
                 continue; // already in the checkpoint
             }
-            match record {
-                WalRecord::Insert { window, packed } => {
-                    let sgs = packed::decode(packed).ok_or_else(|| {
-                        PersistError::Corrupt(format!("WAL insert {seq} undecodable"))
-                    })?;
-                    entries.push((sgs, window));
-                }
-                WalRecord::Coarsen { index } => {
-                    let (sgs, _) = entries.get_mut(index as usize).ok_or_else(|| {
-                        PersistError::Corrupt(format!(
-                            "WAL coarsen {seq} targets missing pattern {index}"
-                        ))
-                    })?;
-                    *sgs = demote(sgs).ok_or_else(|| {
-                        PersistError::Corrupt(format!("WAL coarsen {seq} emptied pattern {index}"))
-                    })?;
-                }
-            }
+            apply(&mut entries, seq, record)?;
             next_seq = seq + 1;
         }
 
         Ok(DurablePatternBase {
-            base: persist::base_of(entries),
+            base: base_of(entries),
             storage: Some(Storage {
                 io,
                 cfg,
-                open_reads,
                 next_seq,
                 wal_len: replayed.durable_len,
+                failed: false,
             }),
         })
     }
@@ -202,11 +330,10 @@ impl DurablePatternBase {
         self.storage.is_some()
     }
 
-    /// Read counters of the checkpoint scan that opened this base
-    /// (durable mode only): store pages fetched, and reads served from
-    /// the page in hand.
+    /// `Some(PoolStats::default())` on a durable base, `None` on a
+    /// memory-only one: an inert shim (see [`PoolStats`]).
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.storage.as_ref().map(|s| s.open_reads)
+        self.storage.as_ref().map(|_| PoolStats::default())
     }
 
     /// Current WAL length in bytes (durable mode only).
@@ -216,7 +343,8 @@ impl DurablePatternBase {
 
     /// Archive a summary, surviving a crash at any point: on `Ok`, the
     /// insert is durable; on `Err`, recovery yields either the previous
-    /// state or — if the crash hit after the WAL commit — this state.
+    /// state or — if the crash hit after the WAL commit — this state, and
+    /// this base refuses every later write until it is reopened.
     /// Empty summaries return `Ok(None)` without logging.
     pub fn try_insert(
         &mut self,
@@ -231,17 +359,7 @@ impl DurablePatternBase {
         };
 
         // WAL first, memory second.
-        let frame = wal::encode_frame(storage.next_seq, &WalRecord::Insert { window, packed });
-        let m = crate::metrics::metrics();
-        let start = std::time::Instant::now();
-        storage.io.append(WAL_FILE, &frame)?;
-        m.wal_append_nanos.record_since(start);
-        let start = std::time::Instant::now();
-        storage.io.sync(WAL_FILE)?;
-        m.wal_fsync_nanos.record_since(start);
-        storage.next_seq += 1;
-        storage.wal_len += frame.len() as u64;
-
+        storage.commit(&[WalRecord::Insert { window, packed }])?;
         let id = self.base.insert(canon, window);
         self.enforce_retention()?;
         self.maybe_checkpoint()?;
@@ -259,20 +377,24 @@ impl DurablePatternBase {
             .expect("durable pattern base: WAL write failed")
     }
 
-    /// Force a checkpoint: snapshot the base into the store file
-    /// atomically, then truncate the WAL.
+    /// Force a checkpoint: write the base as a compacted log into the
+    /// store file atomically, then truncate the WAL.
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
         let Some(storage) = &mut self.storage else {
             return Ok(());
         };
+        storage.usable()?;
         let m = crate::metrics::metrics();
         let _span = sgs_obs::SpanGuard::new(&m.checkpoint_nanos);
         m.checkpoints.inc();
-        let mut payload = Vec::new();
-        persist::save_to(&self.base, &mut payload)?;
-        let image = pager::encode_store(storage.next_seq, &payload);
-        storage.io.write_file_atomic(STORE_FILE, &image)?;
-        storage.io.truncate(WAL_FILE, 0)?;
+        // Every pattern cost at least one logged record, so
+        // `next_seq ≥ len`, and the seal carries `next_seq`.
+        let image = store_image(&self.base, storage.next_seq - self.base.len() as u64);
+        let written = storage
+            .io
+            .write_file_atomic(STORE_FILE, &image)
+            .and_then(|()| storage.io.truncate(WAL_FILE, 0));
+        storage.check(written)?;
         storage.wal_len = 0;
         Ok(())
     }
@@ -311,7 +433,7 @@ impl DurablePatternBase {
             .iter()
             .map(|p| (p.sgs.clone(), p.window))
             .collect();
-        let mut demoted: Vec<u64> = Vec::new();
+        let mut demoted: Vec<WalRecord> = Vec::new();
         // Oldest-first passes; each pass demotes each pattern at most one
         // level, so resolution degrades evenly from the old end instead of
         // one pattern collapsing to dust.
@@ -330,7 +452,7 @@ impl DurablePatternBase {
                 };
                 total = total - before + packed::archived_bytes(&coarse);
                 *sgs = coarse;
-                demoted.push(i as u64);
+                demoted.push(WalRecord::Coarsen { index: i as u64 });
                 progressed = true;
             }
             if !progressed {
@@ -342,41 +464,28 @@ impl DurablePatternBase {
         }
 
         // Log the whole demotion batch, commit, then apply in memory.
-        let mut batch = Vec::new();
-        for &index in &demoted {
-            batch.extend_from_slice(&wal::encode_frame(
-                storage.next_seq,
-                &WalRecord::Coarsen { index },
-            ));
-            storage.next_seq += 1;
-        }
-        let m = crate::metrics::metrics();
-        let start = std::time::Instant::now();
-        storage.io.append(WAL_FILE, &batch)?;
-        m.wal_append_nanos.record_since(start);
-        let start = std::time::Instant::now();
-        storage.io.sync(WAL_FILE)?;
-        m.wal_fsync_nanos.record_since(start);
-        m.coarsenings.add(demoted.len() as u64);
-        storage.wal_len += batch.len() as u64;
-        self.base = persist::base_of(entries);
+        storage.commit(&demoted)?;
+        crate::metrics::metrics()
+            .coarsenings
+            .add(demoted.len() as u64);
+        self.base = base_of(entries);
         Ok(())
     }
 
-    /// The base's persist-format byte image — the oracle the recovery
-    /// tests compare: two bases are equivalent iff these bytes match.
+    /// The base's store image with its frames numbered from 0 — the
+    /// oracle the recovery tests compare: two bases are equivalent iff
+    /// these bytes match.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        persist::save_to(&self.base, &mut buf).expect("Vec write cannot fail");
-        buf
+        store_image(&self.base, 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::FaultFs;
+    use crate::io::{FaultFs, FaultMode, FaultPlan};
     use sgs_core::GridGeometry;
+    use sgs_matching::MatchConfig;
     use sgs_summarize::MemberSet;
 
     fn blob(x0: f64, n: usize) -> Sgs {
@@ -434,9 +543,7 @@ mod tests {
         }
         assert!(!durable.is_durable());
         assert_eq!(durable.len(), plain.len());
-        let mut plain_bytes = Vec::new();
-        persist::save_to(&plain, &mut plain_bytes).unwrap();
-        assert_eq!(durable.snapshot_bytes(), plain_bytes);
+        assert_eq!(durable.snapshot_bytes(), store_image(&plain, 0));
     }
 
     #[test]
@@ -588,83 +695,79 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Recovery is one pass: every payload page is fetched exactly once,
-    /// whether or not the payload ends on a page boundary.
-    #[test]
-    fn open_fetches_each_store_page_exactly_once() {
-        // 16 B stream header + 15 × (12 B record header + 14 B packed
-        // header) + 246 cells × 15 B = exactly one page.
-        let mut summaries: Vec<Sgs> = (0..14).map(|k| row(k * 40, 16)).collect();
-        summaries.push(row(14 * 40, 22));
-        let one_page = checkpointed(&summaries);
-        assert_eq!(one_page.1.snapshot_bytes().len(), pager::PAGE_SIZE);
-        summaries.extend((15..40).map(|k| row(k * 40, 30)));
-        let ragged = checkpointed(&summaries);
-        assert_ne!(ragged.1.snapshot_bytes().len() % pager::PAGE_SIZE, 0);
-
-        for (fs, written) in [one_page, ragged] {
-            let payload = written.snapshot_bytes();
-            let reopened =
-                DurablePatternBase::open_with(Box::new(fs), DurableConfig::default()).unwrap();
-            assert_eq!(reopened.snapshot_bytes(), payload);
-            assert_eq!(
-                reopened.pool_stats().unwrap().misses,
-                payload.len().div_ceil(pager::PAGE_SIZE) as u64
-            );
-        }
-    }
-
-    /// The store payload carries no checksum, so a damaged one must be
-    /// caught by the decoder: a typed error, never a panic, an oversized
-    /// allocation, or a silently shorter base.
+    /// The store is a log whose every byte is under a CRC and whose seal
+    /// closes it, so a damaged store is an error: every truncation and
+    /// every single-bit flip, never a panic and never a base.
     #[test]
     fn damaged_store_is_an_error_never_a_shorter_base() {
-        let summaries: Vec<Sgs> = (0..40).map(|k| row(k * 40, 20 + k as usize % 7)).collect();
+        let summaries: Vec<Sgs> = (0..10).map(|k| row(k * 40, 3 + k as usize % 4)).collect();
         let (fs, base) = checkpointed(&summaries);
-        let want = base.snapshot_bytes();
         let image = fs.contents(STORE_FILE).unwrap();
-        let payload_end = pager::PAGE_SIZE + want.len();
-        assert!(
-            image.len() >= 4 * pager::PAGE_SIZE,
-            "want a multi-page store"
-        );
         let open_image = |image: &[u8]| {
             let mut fs = FaultFs::new();
             fs.write_file_atomic(STORE_FILE, image).unwrap();
             DurablePatternBase::open_with(Box::new(fs), DurableConfig::default())
         };
-
-        // (a) Cut at every page boundary and one byte either side.
-        for boundary in (0..=image.len()).step_by(pager::PAGE_SIZE) {
-            for cut in [boundary.wrapping_sub(1), boundary, boundary + 1] {
-                if cut >= image.len() {
-                    continue;
-                }
-                let opened = open_image(&image[..cut]);
-                if cut < pager::PAGE_SIZE {
-                    assert!(opened.is_err(), "header page cut at {cut} unnoticed");
-                } else if cut < payload_end {
-                    let short = matches!(&opened, Err(PersistError::Io(e))
-                        if e.kind() == std::io::ErrorKind::UnexpectedEof);
-                    assert!(short, "cut at {cut} lost payload unnoticed");
-                } else {
-                    // Only zero padding is gone.
-                    assert_eq!(opened.unwrap().snapshot_bytes(), want);
-                }
+        assert_eq!(
+            open_image(&image).unwrap().snapshot_bytes(),
+            base.snapshot_bytes()
+        );
+        for cut in 0..image.len() {
+            assert!(open_image(&image[..cut]).is_err(), "cut at {cut} unnoticed");
+        }
+        for byte in 0..image.len() {
+            for bit in 0..8 {
+                let mut damaged = image.clone();
+                damaged[byte] ^= 1 << bit;
+                assert!(
+                    open_image(&damaged).is_err(),
+                    "byte {byte} bit {bit} flipped unnoticed"
+                );
             }
         }
+    }
 
-        // (b) Flip each bit of record 0's length field (after the 16 B
-        // stream header and the record's 8 B window id).
-        let len_field = pager::PAGE_SIZE + 16 + 8;
-        for bit in 0..32 {
-            let mut damaged = image.clone();
-            damaged[len_field + bit / 8] ^= 1 << (bit % 8);
-            assert!(
-                matches!(open_image(&damaged), Err(PersistError::Corrupt(_))),
-                "length bit {bit} flipped unnoticed"
-            );
-        }
+    /// A failed WAL write leaves torn bytes that replay stops at. An
+    /// insert appended behind them would return `Ok` and vanish on
+    /// reopen, so the base refuses every later write instead.
+    #[test]
+    fn a_failed_wal_write_refuses_every_later_write() {
+        let fs = FaultFs::new();
+        let mut base =
+            DurablePatternBase::open_with(Box::new(fs.clone()), DurableConfig::default()).unwrap();
+        base.try_insert(blob(0.0, 20), WindowId(0)).unwrap();
+        fs.arm(FaultPlan {
+            at: fs.total_written() + 10,
+            mode: FaultMode::Truncate,
+        });
+        assert!(base.try_insert(blob(9.0, 20), WindowId(1)).is_err());
+        fs.disarm();
+        assert!(
+            base.try_insert(blob(18.0, 20), WindowId(2)).is_err(),
+            "an insert behind a torn write was acknowledged"
+        );
+        assert!(base.checkpoint().is_err());
+        assert_eq!(base.len(), 1);
+
+        let mut reopened =
+            DurablePatternBase::open_with(Box::new(fs), DurableConfig::default()).unwrap();
+        assert_eq!(reopened.snapshot_bytes(), base.snapshot_bytes());
+        reopened.try_insert(blob(18.0, 20), WindowId(2)).unwrap();
+        assert_eq!(reopened.len(), 2);
+    }
+
+    /// A checkpointed and reopened base answers MATCH as the live one did.
+    #[test]
+    fn loaded_base_answers_matching_queries() {
+        let summaries: Vec<Sgs> = (0..10).map(|k| blob(k as f64 * 7.0, 30 + k * 3)).collect();
+        let (fs, base) = checkpointed(&summaries);
+        let loaded = DurablePatternBase::open_with(Box::new(fs), DurableConfig::default()).unwrap();
+        let query = base.iter().nth(4).unwrap().sgs.clone();
+        let cfg = MatchConfig::equal_weights(true, 0.2);
+        let live = base.match_query(&query, &cfg);
+        let redo = loaded.match_query(&query, &cfg);
+        assert_eq!(redo.matches[0].id, live.matches[0].id);
+        assert!(redo.matches[0].distance < 1e-9);
     }
 
     /// A durable insert costs the same into a large base as into an empty

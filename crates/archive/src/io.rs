@@ -1,6 +1,6 @@
 //! The durable pattern base's I/O seam.
 //!
-//! Everything the WAL, the pager, and the checkpointer do to disk goes
+//! Everything the WAL and the checkpointer do to disk goes
 //! through [`ArchiveIo`] — a deliberately narrow, directory-scoped file
 //! interface. Production uses [`DiskIo`] (real files, real `fsync`, and
 //! tmp+rename+fsync atomic replacement). Tests use `FaultFs` (behind the
@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Directory-scoped file operations of a durable archive. Implementors
@@ -21,13 +21,6 @@ use std::path::{Path, PathBuf};
 pub trait ArchiveIo: Send + Sync {
     /// Entire content of `name`, or `None` if it does not exist.
     fn read_file(&mut self, name: &str) -> io::Result<Option<Vec<u8>>>;
-
-    /// Read into `buf` starting at `offset`; returns bytes read (short
-    /// reads at EOF are normal). Reading a missing file is an error.
-    fn read_at(&mut self, name: &str, offset: u64, buf: &mut [u8]) -> io::Result<usize>;
-
-    /// Current length of `name`, or `None` if it does not exist.
-    fn file_len(&mut self, name: &str) -> io::Result<Option<u64>>;
 
     /// Append bytes to `name`, creating it if needed. Durable only after
     /// [`sync`](Self::sync).
@@ -116,27 +109,6 @@ impl ArchiveIo for DiskIo {
     fn read_file(&mut self, name: &str) -> io::Result<Option<Vec<u8>>> {
         match std::fs::read(self.path(name)) {
             Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn read_at(&mut self, name: &str, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        let mut file = File::open(self.path(name))?;
-        file.seek(SeekFrom::Start(offset))?;
-        let mut total = 0;
-        while total < buf.len() {
-            match file.read(&mut buf[total..])? {
-                0 => break,
-                n => total += n,
-            }
-        }
-        Ok(total)
-    }
-
-    fn file_len(&mut self, name: &str) -> io::Result<Option<u64>> {
-        match std::fs::metadata(self.path(name)) {
-            Ok(meta) => Ok(Some(meta.len())),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
@@ -325,25 +297,6 @@ mod fault {
             Ok(s.files.get(name).cloned())
         }
 
-        fn read_at(&mut self, name: &str, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-            let s = self.state.lock().unwrap();
-            s.check_alive()?;
-            let data = s
-                .files
-                .get(name)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_string()))?;
-            let start = (offset as usize).min(data.len());
-            let n = buf.len().min(data.len() - start);
-            buf[..n].copy_from_slice(&data[start..start + n]);
-            Ok(n)
-        }
-
-        fn file_len(&mut self, name: &str) -> io::Result<Option<u64>> {
-            let s = self.state.lock().unwrap();
-            s.check_alive()?;
-            Ok(s.files.get(name).map(|d| d.len() as u64))
-        }
-
         fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
             let mut s = self.state.lock().unwrap();
             s.check_alive()?;
@@ -422,10 +375,6 @@ mod fault {
             fs.append("wal", b"world").unwrap();
             fs.sync("wal").unwrap();
             assert_eq!(fs.read_file("wal").unwrap().unwrap(), b"hello world");
-            assert_eq!(fs.file_len("wal").unwrap(), Some(11));
-            let mut buf = [0u8; 5];
-            assert_eq!(fs.read_at("wal", 6, &mut buf).unwrap(), 5);
-            assert_eq!(&buf, b"world");
             fs.truncate("wal", 5).unwrap();
             assert_eq!(fs.read_file("wal").unwrap().unwrap(), b"hello");
             assert_eq!(fs.total_written(), 12); // 11 data + 1 truncate
@@ -505,14 +454,10 @@ mod tests {
         io.append("wal.log", b"record-a").unwrap();
         io.append("wal.log", b"record-b").unwrap();
         io.sync("wal.log").unwrap();
-        assert_eq!(io.file_len("wal.log").unwrap(), Some(16));
         assert_eq!(
             io.read_file("wal.log").unwrap().unwrap(),
             b"record-arecord-b"
         );
-        let mut buf = [0u8; 8];
-        assert_eq!(io.read_at("wal.log", 8, &mut buf).unwrap(), 8);
-        assert_eq!(&buf, b"record-b");
 
         io.truncate("wal.log", 8).unwrap();
         assert_eq!(io.read_file("wal.log").unwrap().unwrap(), b"record-a");
@@ -526,11 +471,10 @@ mod tests {
         // No tmp residue after a successful atomic write.
         assert!(!dir.join("base.store.tmp").exists());
         assert_eq!(io.read_file("missing").unwrap(), None);
-        assert_eq!(io.file_len("missing").unwrap(), None);
         // Truncating what was never written is a no-op, not an error, and
         // does not create the file.
         io.truncate("missing", 0).unwrap();
-        assert_eq!(io.file_len("missing").unwrap(), None);
+        assert_eq!(io.read_file("missing").unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,26 +13,26 @@
 //! * [`SharedPatternBase`] — a `parking_lot`-locked handle for the
 //!   extractor → archiver → analyst pipeline (the system diagram of
 //!   Fig. 4, where matching queries run against a base that is being
-//!   appended to concurrently).
+//!   appended to concurrently),
+//! * [`DurablePatternBase`] — the durable tier (`DESIGN.md` §10): a
+//!   CRC-framed write-ahead log whose checkpoint is the same log
+//!   compacted, so every stored byte is checksummed and recovery is one
+//!   replay of the store and then of the log's tail.
 
 pub mod archiver;
 pub mod durable;
 pub mod io;
 pub(crate) mod metrics;
-pub mod pager;
 pub mod pattern_base;
-pub mod persist;
 pub mod wal;
 
 use std::path::Path;
 use std::sync::Arc;
 
 pub use archiver::{choose_level, ArchivePolicy, PatternArchiver, PatternSink};
-pub use durable::{DurableConfig, DurablePatternBase};
+pub use durable::{DurableConfig, DurablePatternBase, PersistError, PoolStats};
 pub use io::{ArchiveIo, DiskIo};
-pub use pager::PoolStats;
 pub use pattern_base::{ArchivedPattern, MatchOutcome, MatchResult, PatternBase, PatternId};
-pub use persist::PersistError;
 
 #[cfg(any(test, feature = "test-util"))]
 pub use io::{FaultFs, FaultMode, FaultPlan};

@@ -378,10 +378,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// After any insert script — and again after a `save_to` →
-        /// `load_from` round trip, which is how recovery and retention
-        /// rebuild a base — the maintained byte total equals a fresh scan
-        /// of the patterns.
+        /// After any insert script — and again after `base_of` rebuilds
+        /// it, which is how recovery and retention build a base — the
+        /// maintained byte total equals a fresh scan of the patterns.
         #[test]
         fn maintained_bytes_and_caps_equal_a_fresh_scan(
             script in proptest::prop::collection::vec((0u8..40, 0u8..40, 0usize..50), 0..40),
@@ -394,9 +393,8 @@ mod tests {
                 base.insert(blob(*x as f64 * side, *y as f64 * side, *n), WindowId(k as u64));
                 proptest::prop_assert_eq!(base.archived_bytes(), scanned_bytes(&base));
             }
-            let mut image = Vec::new();
-            crate::persist::save_to(&base, &mut image).unwrap();
-            let loaded = crate::persist::load_from(&image[..]).unwrap();
+            let loaded =
+                crate::durable::base_of(base.iter().map(|p| (p.sgs.clone(), p.window)).collect());
             proptest::prop_assert_eq!(loaded.len(), base.len());
             proptest::prop_assert_eq!(loaded.archived_bytes(), scanned_bytes(&loaded));
         }

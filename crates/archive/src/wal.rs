@@ -9,13 +9,15 @@
 //! payload = seq: u64le | kind: u8 | body
 //! ```
 //!
-//! with two record kinds: `Insert { window, packed SGS }` (an archived
-//! pattern) and `Coarsen { pattern index }` (retention demoted a pattern
-//! one multi-resolution level). The CRC plus a strictly increasing `seq`
-//! give torn-write protection: replay stops at the first frame whose
-//! length, checksum, or sequence is wrong and truncates the log there —
-//! everything before that point is the longest durable prefix, everything
-//! after is a torn tail a crash left behind.
+//! with three record kinds: `Insert { window, packed SGS }` (an archived
+//! pattern), `Coarsen { pattern index }` (retention demoted a pattern
+//! one multi-resolution level) and `Seal` (the end of a checkpoint
+//! store, which is this same log compacted to one `Insert` per pattern).
+//! The CRC plus a strictly increasing `seq` give torn-write protection:
+//! replay stops at the first frame whose length, checksum, or sequence is
+//! wrong and truncates the log there — everything before that point is
+//! the longest durable prefix, everything after is a torn tail a crash
+//! left behind.
 
 use bytes::Bytes;
 use sgs_core::WindowId;
@@ -31,6 +33,7 @@ const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 const KIND_INSERT: u8 = 1;
 const KIND_COARSEN: u8 = 2;
+const KIND_SEAL: u8 = 3;
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time so
 /// the offline workspace needs no checksum dependency.
@@ -78,6 +81,10 @@ pub enum WalRecord {
         /// Index of the pattern in insertion order.
         index: u64,
     },
+    /// The last frame of a checkpoint store: every pattern precedes it,
+    /// and its `seq` is the one the next WAL record carries. Never
+    /// appended to the WAL itself.
+    Seal,
 }
 
 /// Serialize one record into its on-disk frame, stamped with `seq`.
@@ -94,6 +101,7 @@ pub fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
             payload.push(KIND_COARSEN);
             payload.extend_from_slice(&index.to_le_bytes());
         }
+        WalRecord::Seal => payload.push(KIND_SEAL),
     }
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -149,6 +157,7 @@ pub fn replay(bytes: &[u8]) -> Replay {
             KIND_COARSEN if body.len() == 8 => WalRecord::Coarsen {
                 index: u64::from_le_bytes(body[..8].try_into().unwrap()),
             },
+            KIND_SEAL if body.is_empty() => WalRecord::Seal,
             _ => break, // unknown kind or malformed body
         };
         out.records.push((seq, record));
@@ -174,6 +183,7 @@ mod tests {
                 window: WindowId(8),
                 packed: Bytes::from(b"packed-sgs-bytes-beta".to_vec()),
             },
+            WalRecord::Seal,
         ]
     }
 

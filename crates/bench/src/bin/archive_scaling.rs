@@ -4,9 +4,7 @@
 //!
 //! For both modes — `memory` (the pre-durability baseline) and `durable`
 //! — the harness inserts N and 2N study summaries, then (durable)
-//! checkpoints and reopens the directory, timing the recovery replay and
-//! reporting the store reader's counters: reads served from the page in
-//! hand / store pages fetched.
+//! checkpoints and reopens the directory, timing the recovery replay.
 //!
 //! ```text
 //! cargo run --release -p sgs-bench --bin archive_scaling -- [--scale 0.1] [--json]
@@ -32,8 +30,6 @@ struct Row {
     insert_per_sec: f64,
     checkpoint_ms: f64,
     recover_per_sec: f64,
-    pool_hits: u64,
-    pool_misses: u64,
     archived_bytes: u64,
 }
 
@@ -92,15 +88,14 @@ fn run_mode(durable: bool, summaries: &[Sgs]) -> Row {
     let archived_bytes = base.archived_bytes() as u64;
     drop(base);
 
-    let (recover_per_sec, pool_hits, pool_misses) = match &dir {
-        None => (0.0, 0, 0),
+    let recover_per_sec = match &dir {
+        None => 0.0,
         Some(dir) => {
             let start = Instant::now();
             let recovered = DurablePatternBase::open(dir, cfg).expect("recover archive dir");
             let secs = start.elapsed().as_secs_f64();
             assert_eq!(recovered.len(), summaries.len(), "recovery lost patterns");
-            let stats = recovered.pool_stats().expect("durable reader stats");
-            (summaries.len() as f64 / secs, stats.hits, stats.misses)
+            summaries.len() as f64 / secs
         }
     };
     if let Some(dir) = dir {
@@ -113,8 +108,6 @@ fn run_mode(durable: bool, summaries: &[Sgs]) -> Row {
         insert_per_sec: summaries.len() as f64 / insert_secs,
         checkpoint_ms,
         recover_per_sec,
-        pool_hits,
-        pool_misses,
         archived_bytes,
     }
 }
@@ -144,8 +137,6 @@ fn main() {
                     .f64("insert_per_sec", r.insert_per_sec)
                     .f64("checkpoint_ms", r.checkpoint_ms)
                     .f64("recover_per_sec", r.recover_per_sec)
-                    .u64("pool_hits", r.pool_hits)
-                    .u64("pool_misses", r.pool_misses)
                     .u64("archived_bytes", r.archived_bytes)
             })
             .collect();
@@ -167,7 +158,6 @@ fn main() {
                     format!("{:.0}", r.insert_per_sec),
                     format!("{:.2}", r.checkpoint_ms),
                     format!("{:.0}", r.recover_per_sec),
-                    format!("{}/{}", r.pool_hits, r.pool_misses),
                     r.archived_bytes.to_string(),
                 ]
             })
@@ -180,7 +170,6 @@ fn main() {
                 "inserts/s",
                 "checkpoint ms",
                 "recovered/s",
-                "reader hit/miss",
                 "archived bytes",
             ],
             &table,

@@ -249,6 +249,10 @@ fn crash_sweep_recovers_longest_durable_prefix() {
 /// A crash at any byte of a checkpoint — mid store swap or between the
 /// swap and the WAL truncate — must leave the recovered state identical
 /// to the pre-checkpoint state (atomic replace + `applied_seq` skip).
+///
+/// By default 16 offsets per fault mode are sampled;
+/// `SGS_FAULT_SWEEP=full` (the CI recovery step) crashes at every byte of
+/// the checkpoint's write range in every mode.
 #[test]
 fn checkpoint_crash_sweep_preserves_state() {
     let summaries = study_summaries(5);
@@ -263,21 +267,41 @@ fn checkpoint_crash_sweep_preserves_state() {
     let w1 = dry.total_written();
     assert!(w1 > w0, "checkpoint must write something");
 
-    let stride = ((w1 - w0) / 16).max(1);
-    for at in (w0..w1).step_by(stride as usize) {
-        let fs = FaultFs::new();
-        assert_eq!(run_workload(&fs, &cfg, &summaries), summaries.len());
-        fs.arm(FaultPlan {
-            at,
-            mode: FaultMode::Truncate,
-        });
-        let _ = durable_open(&fs, &cfg).checkpoint(); // killed mid-flight
-        fs.disarm();
-        let recovered = durable_open(&fs, &cfg);
-        assert!(
-            recovered.snapshot_bytes() == want,
-            "checkpoint crash @{at}: recovered state diverged"
-        );
+    let full = std::env::var("SGS_FAULT_SWEEP").as_deref() == Ok("full");
+    let stride = if full { 1 } else { ((w1 - w0) / 16).max(1) };
+    let mut offsets: Vec<u64> = (w0..w1).step_by(stride as usize).collect();
+    offsets.push(w1 - 1);
+    for mode in [
+        FaultMode::Truncate,
+        FaultMode::ShortWrite,
+        FaultMode::BitFlip,
+    ] {
+        for &at in &offsets {
+            let fs = FaultFs::new();
+            assert_eq!(run_workload(&fs, &cfg, &summaries), summaries.len());
+            fs.arm(FaultPlan { at, mode });
+            let killed = durable_open(&fs, &cfg).checkpoint();
+            assert!(killed.is_err(), "{mode:?}@{at}: fault must fire");
+            fs.disarm();
+            let mut recovered = durable_open(&fs, &cfg);
+            assert!(
+                recovered.snapshot_bytes() == want,
+                "{mode:?}@{at}: checkpoint crash, recovered state diverged"
+            );
+            // Recovery must leave a live, writable base.
+            assert!(
+                recovered
+                    .try_insert(summaries[0].clone(), WindowId(99))
+                    .unwrap()
+                    .is_some(),
+                "{mode:?}@{at}: post-recovery insert rejected"
+            );
+            // ...whose next insert survives another restart.
+            assert!(
+                durable_open(&fs, &cfg).snapshot_bytes() == recovered.snapshot_bytes(),
+                "{mode:?}@{at}: post-recovery insert lost on reopen"
+            );
+        }
     }
 }
 
