@@ -14,9 +14,11 @@
 //! vectors) discards most of them, and only the survivors pay for the
 //! grid-cell-level match. When position-insensitive, a survivor first
 //! meets [`AlignmentFilter`]: a sound lower bound on the grid-level
-//! distance over every alignment, from the cell counts and the histogram
-//! of cell offsets. A candidate whose bound exceeds the threshold cannot
-//! match at any shift, so it skips the anytime alignment search and the
+//! distance over every alignment. It checks the cell counts, then the
+//! projection bound from per-column cell counts (the query's counted once
+//! per MATCH), then the histogram of cell offsets, and only then does the
+//! anytime alignment search run. A candidate whose bound exceeds the
+//! threshold cannot match at any shift, so it skips the search and the
 //! answer is the one the search would give. [`MatchOutcome`] reports how
 //! many candidates reached each phase — the statistic behind the "only
 //! 6 % needed the grid-level match" claim of §8.2.
@@ -143,7 +145,7 @@ impl PatternBase {
         let query_features = query.features();
         let ranges = feature_ranges(&query_features, &config.weights, config.threshold);
         let zero = vec![0i32; query.dim];
-        let mut alignments = AlignmentFilter::default();
+        let mut alignments = AlignmentFilter::new(query);
         for (pattern, mbr) in self.patterns.iter().zip(&self.mbrs) {
             // ---- Filter phase: the MBR overlaps the query's, or every
             // feature lies in its closed admissible range (an unbounded
@@ -170,13 +172,7 @@ impl PatternBase {
                 continue;
             }
             if !config.position_sensitive
-                && !alignments.may_match(
-                    query,
-                    &query_features,
-                    &pattern.sgs,
-                    &pattern.features,
-                    config,
-                )
+                && !alignments.may_match(&pattern.sgs, &pattern.features, config)
             {
                 continue;
             }

@@ -129,7 +129,7 @@ pub fn best_alignment(a: &Sgs, b: &Sgs, budget: usize) -> AlignmentResult {
                     break;
                 }
                 let mut next = cur.shift.clone();
-                next[d] += delta;
+                next[d] = next[d].saturating_add(delta);
                 evaluate(next, &mut seen, &mut heap, &mut best, &mut evaluated);
             }
         }
@@ -209,5 +209,21 @@ mod tests {
         assert_eq!(r.distance, 1.0);
         let r = best_alignment(&e, &e, 16);
         assert_eq!(r.distance, 0.0);
+    }
+
+    #[test]
+    fn cells_at_the_ends_of_i32_never_overflow() {
+        use crate::testkit::cells_at;
+        let wide = cells_at(&[[i32::MIN, 0], [i32::MAX, 0]]);
+        let one = cells_at(&[[0, 0]]);
+        let far = cells_at(&[[i32::MAX, i32::MAX]]);
+        for (a, b) in [(&wide, &one), (&one, &wide), (&one, &far), (&far, &one)] {
+            let r = best_alignment(a, b, 64);
+            assert!((0.0..=1.0).contains(&r.distance), "{}", r.distance);
+        }
+        // The seed lands on the far cell at once; the steps past it
+        // saturate instead of overflowing.
+        assert_eq!(best_alignment(&one, &far, 64).distance, 0.0);
+        assert_eq!(best_alignment(&one, &far, 64).shift, vec![i32::MAX, i32::MAX]);
     }
 }

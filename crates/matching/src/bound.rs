@@ -27,7 +27,29 @@
 //! whichever the search evaluates, and `g(min(|A|, |B|))` is a weaker
 //! bound that needs only the cell and core-cell counts.
 //!
+//! The histogram hashes all `|A|·|B|` cell pairs. Before it, the
+//! *projection bound* caps `M*` from per-column cell counts. Under a
+//! shift `t` in dimension `d`, the cells of `A` in column `v` can pair
+//! only with cells of `B` in column `v + t`, and with at most as many as
+//! that column holds. So, with `cA_d[v]` the number of cells of `A` whose
+//! `d`-th coordinate is `v`,
+//!
+//! ```text
+//! M* ≤ min_d max_t Σ_v min(cA_d[v], cB_d[v + t]),
+//! ```
+//!
+//! which costs a pass over each summary's cells and a product of the two
+//! summaries' spans rather than of their cell counts. A dimension in
+//! which either summary spans more than `|A| + |B|` columns is left out
+//! (the bound is a minimum, so dropping a dimension keeps it sound), which
+//! keeps a summary with cells at both ends of `i32` from costing a counter
+//! per column. [`AlignmentFilter::may_match`] decides by the counts, then
+//! the projection bound, then the histogram, and only then does the
+//! search run.
+//!
 //! [`grid_level_distance`]: crate::grid_level_distance
+
+use std::ops::Range;
 
 use sgs_index::FxHashMap;
 use sgs_summarize::Sgs;
@@ -86,37 +108,145 @@ fn offset_key(a: &[i32], b: &[i32]) -> u64 {
     })
 }
 
-/// The bound with its offset histogram kept for reuse, so one query
-/// allocates it once across all its candidates.
+/// A summary's cells counted per column: in dimension `d`, how many
+/// cells have each coordinate from `lo[d]` to `hi[d]`. Coordinates are
+/// widened to `i64`, so no span overflows.
 #[derive(Debug, Default)]
-pub struct AlignmentFilter {
+struct Columns {
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    /// Where each dimension's counts lie in `counts`; empty until counted.
+    at: Vec<Range<usize>>,
+    counts: Vec<u32>,
+}
+
+impl Columns {
+    /// The first pass over `s`: each dimension's least and greatest
+    /// coordinate. Forgets every count.
+    fn measure(&mut self, s: &Sgs) {
+        self.lo.clear();
+        self.lo.resize(s.dim, i64::MAX);
+        self.hi.clear();
+        self.hi.resize(s.dim, i64::MIN);
+        for cell in &s.cells {
+            for ((lo, hi), &x) in self.lo.iter_mut().zip(&mut self.hi).zip(&*cell.coord.0) {
+                *lo = (*lo).min(x.into());
+                *hi = (*hi).max(x.into());
+            }
+        }
+        self.at.clear();
+        self.at.resize(s.dim, 0..0);
+        self.counts.clear();
+    }
+
+    /// Columns from the least coordinate of dimension `d` to the greatest;
+    /// `u64::MAX` past the summary's dimensions, or if it has no cells.
+    fn span(&self, d: usize) -> u64 {
+        match (self.lo.get(d), self.hi.get(d)) {
+            (Some(&lo), Some(&hi)) if lo <= hi => (hi - lo + 1) as u64,
+            _ => u64::MAX,
+        }
+    }
+
+    /// The second pass over `s`, the summary last measured: counts the
+    /// cells of each column in every dimension not yet counted whose span
+    /// is at most `limit` and for which `wanted` holds. No pass runs if
+    /// there is no such dimension.
+    fn count(&mut self, s: &Sgs, limit: u64, wanted: impl Fn(usize) -> bool) {
+        let fresh = self.counts.len();
+        for d in 0..self.at.len() {
+            let span = self.span(d);
+            if self.at[d].is_empty() && span <= limit && wanted(d) {
+                self.at[d] = self.counts.len()..self.counts.len() + span as usize;
+                self.counts.resize(self.at[d].end, 0);
+            }
+        }
+        if self.counts.len() == fresh {
+            return;
+        }
+        for cell in &s.cells {
+            for ((at, &lo), &x) in self.at.iter().zip(&self.lo).zip(&*cell.coord.0) {
+                if at.start >= fresh && !at.is_empty() {
+                    self.counts[at.start + (i64::from(x) - lo) as usize] += 1;
+                }
+            }
+        }
+    }
+
+    /// Dimension `d`'s counts, lowest coordinate first; empty if not
+    /// counted.
+    fn of(&self, d: usize) -> &[u32] {
+        self.at.get(d).map_or(&[], |at| &self.counts[at.clone()])
+    }
+}
+
+/// The most cells one shift can pair in a single dimension: the largest
+/// `Σ_v min(a[v], b[v + t])` over every shift `t` under which the column
+/// ranges overlap, or a sum of at least `enough` as soon as one reaches it.
+fn best_overlap(a: &[u32], b: &[u32], enough: usize) -> usize {
+    let mut best = 0;
+    for t in 1 - a.len() as isize..b.len() as isize {
+        let (a, b) = if t < 0 {
+            (&a[t.unsigned_abs()..], b)
+        } else {
+            (a, &b[t.unsigned_abs()..])
+        };
+        let pairs: usize = a.iter().zip(b).map(|(&x, &y)| x.min(y) as usize).sum();
+        best = best.max(pairs);
+        if best >= enough {
+            break;
+        }
+    }
+    best
+}
+
+/// The bound for one query against many candidates. The query's column
+/// counts are kept across candidates, and the candidate's counts and the
+/// offset histogram are rebuilt in buffers kept for reuse, so one query
+/// allocates each once.
+#[derive(Debug)]
+pub struct AlignmentFilter<'q> {
+    query: &'q Sgs,
+    /// The query's cell and core-cell counts.
+    query_counts: (usize, usize),
+    /// The query's column counts, each dimension counted on first use.
+    query_columns: Columns,
+    candidate: Columns,
     offsets: FxHashMap<u64, u32>,
 }
 
-impl AlignmentFilter {
-    /// Whether some alignment may bring `a` within `config.threshold` of
-    /// `b`. `false` only when the bound proves none can, so
-    /// [`best_alignment`](crate::best_alignment) would find no match.
-    /// `a_features` and `b_features` are the summaries'
-    /// [`Sgs::features`].
+impl<'q> AlignmentFilter<'q> {
+    /// The filter for candidates of `query`.
+    pub fn new(query: &'q Sgs) -> Self {
+        let mut query_columns = Columns::default();
+        query_columns.measure(query);
+        AlignmentFilter {
+            query,
+            query_counts: (query.volume(), query.core_count()),
+            query_columns,
+            candidate: Columns::default(),
+            offsets: FxHashMap::default(),
+        }
+    }
+
+    /// Whether some alignment may bring the query within
+    /// `config.threshold` of `b`. `false` only when the bound proves none
+    /// can, so [`best_alignment`](crate::best_alignment) would find no
+    /// match. `b_features` is `b`'s [`Sgs::features`].
     ///
     /// The counts alone decide first. The offset histogram is built only
     /// when its `|A|·|B|` steps cost less than the search they can save,
-    /// which touches both summaries once per evaluated alignment.
-    pub fn may_match(
-        &mut self,
-        a: &Sgs,
-        a_features: &[f64; 4],
-        b: &Sgs,
-        b_features: &[f64; 4],
-        config: &MatchConfig,
-    ) -> bool {
-        let floor = Floor::new(counts(a_features), counts(b_features));
+    /// which touches both summaries once per evaluated alignment, and
+    /// only when the projection bound leaves room for a match. The
+    /// projection bound is at least `M*`, so it prunes only candidates
+    /// the histogram would prune.
+    pub fn may_match(&mut self, b: &Sgs, b_features: &[f64; 4], config: &MatchConfig) -> bool {
+        let floor = Floor::new(self.query_counts, counts(b_features));
         let limit = config.threshold + SLACK;
         if floor.at(floor.max_pairs) > limit {
             return false;
         }
-        let (na, nb) = (a.cells.len(), b.cells.len());
+        let (na, nb) = (self.query.cells.len(), b.cells.len());
         if na * nb > config.alignment_budget.saturating_mul(na + nb) {
             return true;
         }
@@ -130,14 +260,41 @@ impl AlignmentFilter {
                 need = mid + 1;
             }
         }
-        self.max_offset_count(a, b, need) >= need
+        self.projection_bound(b, need) >= need && self.max_offset_count(b, need) >= need
+    }
+
+    /// The projection bound on `M*` (module docs), or a count of at least
+    /// `enough` as soon as every dimension's reaches it.
+    fn projection_bound(&mut self, b: &Sgs, enough: usize) -> usize {
+        let Self {
+            query,
+            query_columns,
+            candidate,
+            ..
+        } = self;
+        let mut bound = query.cells.len().min(b.cells.len());
+        let limit = (query.cells.len() + b.cells.len()) as u64;
+        candidate.measure(b);
+        candidate.count(b, limit, |d| query_columns.span(d) <= limit);
+        query_columns.count(query, limit, |d| !candidate.of(d).is_empty());
+        for d in 0..query.dim.min(b.dim) {
+            let (a, b) = (query_columns.of(d), candidate.of(d));
+            if a.is_empty() || b.is_empty() {
+                continue;
+            }
+            bound = bound.min(best_overlap(a, b, enough));
+            if bound < enough {
+                break;
+            }
+        }
+        bound
     }
 
     /// `M*`, or a count of at least `enough` as soon as one reaches it.
-    fn max_offset_count(&mut self, a: &Sgs, b: &Sgs, enough: usize) -> usize {
+    fn max_offset_count(&mut self, b: &Sgs, enough: usize) -> usize {
         self.offsets.clear();
         let mut best = 0;
-        for ca in &a.cells {
+        for ca in &self.query.cells {
             for cb in &b.cells {
                 let count = self
                     .offsets
@@ -157,94 +314,14 @@ impl AlignmentFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{cell_script, cells_at, shift_box, summary};
     use crate::{best_alignment, grid_level_distance};
     use proptest::prop::collection::vec;
-    use sgs_core::CellCoord;
-    use sgs_summarize::{CellStatus, SkeletalCell};
 
     /// `g(M*)` itself, with no threshold to stop the histogram early.
     fn lower_bound(a: &Sgs, b: &Sgs) -> f64 {
         let floor = Floor::new((a.volume(), a.core_count()), (b.volume(), b.core_count()));
-        floor.at(AlignmentFilter::default().max_offset_count(a, b, floor.max_pairs))
-    }
-
-    /// One generated cell: coordinates (the first `dim` are used),
-    /// population, and a kind — 0 or 1 is an edge cell, `k ≥ 2` a core
-    /// cell linked to the next `k − 2` cells in canonical order.
-    type CellScript = (i32, i32, i32, i32, u32, u8);
-
-    fn cell_script() -> impl proptest::strategy::Strategy<Value = CellScript> {
-        (0i32..5, 0i32..5, 0i32..3, 0i32..3, 1u32..6, 0u8..6)
-    }
-
-    /// The summary a script describes, translated by `at`; cells on one
-    /// coordinate collapse to the first.
-    fn summary(dim: usize, script: &[CellScript], at: [i32; 4]) -> Sgs {
-        let mut cells: Vec<(SkeletalCell, u8)> = script
-            .iter()
-            .map(|&(x, y, z, w, population, kind)| {
-                let coord: Vec<i32> = [x, y, z, w]
-                    .iter()
-                    .zip(at)
-                    .map(|(c, s)| c + s)
-                    .take(dim)
-                    .collect();
-                let status = if kind < 2 {
-                    CellStatus::Edge
-                } else {
-                    CellStatus::Core
-                };
-                let cell = SkeletalCell {
-                    coord: CellCoord::new(coord),
-                    population,
-                    status,
-                    connections: Vec::new(),
-                };
-                (cell, kind)
-            })
-            .collect();
-        cells.sort_by(|x, y| x.0.coord.cmp(&y.0.coord));
-        cells.dedup_by(|x, y| x.0.coord == y.0.coord);
-        let n = cells.len();
-        for (i, (cell, kind)) in cells.iter_mut().enumerate() {
-            if cell.status == CellStatus::Core {
-                let links = usize::from(kind.saturating_sub(2)).min(n - 1);
-                cell.connections = (1..=links).map(|k| ((i + k) % n) as u32).collect();
-                cell.connections.sort_unstable();
-            }
-        }
-        let sgs = Sgs {
-            dim,
-            side: 1.0,
-            level: 0,
-            cells: cells.into_iter().map(|(cell, _)| cell).collect(),
-        };
-        sgs.validate().unwrap();
-        sgs
-    }
-
-    /// Every shift under which a cell of `a` can land on or next to `b`,
-    /// plus one ring of shifts with no overlap at all.
-    fn shift_box(a: &Sgs, b: &Sgs) -> Vec<Vec<i32>> {
-        let span = |s: &Sgs, d: usize| {
-            let v = s.cells.iter().map(|c| c.coord.0[d]);
-            (v.clone().min().unwrap_or(0), v.max().unwrap_or(0))
-        };
-        let mut shifts = vec![Vec::new()];
-        for d in 0..a.dim {
-            let ((lo_a, hi_a), (lo_b, hi_b)) = (span(a, d), span(b, d));
-            shifts = shifts
-                .into_iter()
-                .flat_map(|s| {
-                    (lo_b - hi_a - 1..=hi_b - lo_a + 1).map(move |v| {
-                        let mut next = s.clone();
-                        next.push(v);
-                        next
-                    })
-                })
-                .collect();
-        }
-        shifts
+        floor.at(AlignmentFilter::new(a).max_offset_count(b, floor.max_pairs))
     }
 
     #[test]
@@ -271,6 +348,36 @@ mod tests {
         let a = summary(2, &[(0, 0, 0, 0, 1, 2)], [0; 4]);
         assert_eq!(lower_bound(&e, &e), 0.0);
         assert_eq!(lower_bound(&a, &e), 1.0);
+    }
+
+    #[test]
+    fn projection_sees_what_the_histogram_sees_in_one_dimension() {
+        // An L against a strip of three: the L's row holds two cells, so
+        // no shift pairs more than two, in either order.
+        let l = cells_at(&[[0, 0], [0, 1], [1, 0]]);
+        let strip = cells_at(&[[5, 5], [6, 5], [7, 5]]);
+        for (a, b) in [(&l, &strip), (&strip, &l)] {
+            let mut filter = AlignmentFilter::new(a);
+            assert_eq!(filter.projection_bound(b, usize::MAX), 2);
+            assert_eq!(filter.max_offset_count(b, usize::MAX), 2);
+        }
+    }
+
+    #[test]
+    fn a_dimension_wider_than_both_summaries_is_left_out() {
+        // Dimension 0 spans 2³² columns: counting it would allocate a
+        // counter per column. It is left out, and dimension 1 alone
+        // bounds the pairs at one.
+        let wide = cells_at(&[[i32::MIN, 0], [i32::MAX, 0]]);
+        let one = cells_at(&[[0, 0]]);
+        for (a, b) in [(&wide, &one), (&one, &wide)] {
+            let mut filter = AlignmentFilter::new(a);
+            assert_eq!(filter.projection_bound(b, usize::MAX), 1);
+            assert!(filter.query_columns.counts.len() + filter.candidate.counts.len() <= 3);
+            assert!(filter.projection_bound(b, usize::MAX) >= filter.max_offset_count(b, usize::MAX));
+            let config = MatchConfig::equal_weights(false, 0.5);
+            assert!(filter.may_match(b, &b.features(), &config));
+        }
     }
 
     proptest::proptest! {
@@ -307,10 +414,37 @@ mod tests {
             let config = MatchConfig::equal_weights(false, threshold);
             let best = best_alignment(&a, &b, config.alignment_budget).distance;
             proptest::prop_assert!(bound <= best + 1e-12, "bound {} > search {}", bound, best);
-            let may = AlignmentFilter::default().may_match(&a, &a.features(), &b, &b.features(), &config);
+            let may = AlignmentFilter::new(&a).may_match(&b, &b.features(), &config);
             proptest::prop_assert_eq!(may, bound <= threshold + SLACK);
             if !may {
                 proptest::prop_assert!(best > threshold);
+            }
+        }
+
+        /// The projection bound is at least `M*` and at most
+        /// `min(|A|, |B|)`, and reaches `min(|A|, |B|)` for translated
+        /// twins. One filter serves every candidate, as in a MATCH, so
+        /// the query's columns counted for one candidate serve the next.
+        #[test]
+        fn projection_bound_is_at_least_the_histogram_max(
+            four_d in 0u8..2,
+            script_a in vec(cell_script(), 0..12),
+            scripts_b in vec((vec(cell_script(), 0..12), 0u8..2), 1..4),
+            at in (-3i32..4, -3i32..4, -2i32..3, -2i32..3),
+        ) {
+            let dim = if four_d == 1 { 4 } else { 2 };
+            let at = [at.0, at.1, at.2, at.3];
+            let a = summary(dim, &script_a, [0; 4]);
+            let mut filter = AlignmentFilter::new(&a);
+            for (script_b, twin) in &scripts_b {
+                let b = summary(dim, if *twin == 1 { &script_a } else { script_b }, at);
+                let m = filter.max_offset_count(&b, usize::MAX);
+                let bound = filter.projection_bound(&b, usize::MAX);
+                let most = a.volume().min(b.volume());
+                proptest::prop_assert!(m <= bound && bound <= most, "M* {} bound {} most {}", m, bound, most);
+                if *twin == 1 {
+                    proptest::prop_assert_eq!(bound, most);
+                }
             }
         }
     }

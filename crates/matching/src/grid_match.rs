@@ -6,6 +6,15 @@
 //! the cell of `Cb` covering the corresponding sub-region and their
 //! status, density and connectivity are compared. A cell with no
 //! counterpart is "compared against an empty grid" — maximum difference.
+//!
+//! Both cell lists are sorted by coordinate, and a translation keeps that
+//! order, so one distance is a single merge walk over the two lists. A
+//! position-insensitive MATCH evaluates it once per alignment the search
+//! visits, and only for candidates that pass the cell counts, the
+//! projection bound and the offset histogram of [`bound`](crate::bound),
+//! in that order.
+
+use std::cmp::Ordering;
 
 use sgs_core::kernel::rel_diff;
 use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
@@ -26,18 +35,16 @@ fn cell_diff(a: &SkeletalCell, b: &SkeletalCell) -> f64 {
     (status + density + conn) / 3.0
 }
 
-/// Index of the cell of `b` at `coord + shift`, found without building the
-/// shifted coordinate (`b.cells` is sorted by coordinate).
-fn index_of_shifted(b: &Sgs, coord: &[i32], shift: &[i32]) -> Option<usize> {
-    b.cells
-        .binary_search_by(|c| {
-            c.coord
-                .0
-                .iter()
-                .copied()
-                .cmp(coord.iter().zip(shift).map(|(x, s)| x + s))
-        })
-        .ok()
+/// How `b`'s coordinate orders against `a`'s translated by `shift`. The
+/// sum is taken in `i64`: a shifted coordinate may leave `i32`, and then
+/// it matches no cell, where a wrapped sum could match one and would break
+/// the order the walk in [`grid_level_distance`] relies on.
+fn cmp_shifted(b: &[i32], a: &[i32], shift: &[i32]) -> Ordering {
+    b.iter().map(|&y| i64::from(y)).cmp(
+        a.iter()
+            .zip(shift)
+            .map(|(&x, &s)| i64::from(x) + i64::from(s)),
+    )
 }
 
 /// Grid-level distance between two summaries under alignment `shift`
@@ -54,15 +61,25 @@ pub fn grid_level_distance(a: &Sgs, b: &Sgs, shift: &[i32]) -> f64 {
     let mut total = 0.0;
     // The cells of `a` are distinct, so a translation lands on each cell
     // of `b` at most once: the cells of `b` left unmatched are the rest.
+    // It also keeps `a`'s canonical order, so one forward walk over `b`
+    // meets every counterpart in turn.
     let mut matched = 0usize;
+    let mut j = 0;
     for cell in &a.cells {
-        match index_of_shifted(b, &cell.coord.0, shift) {
-            Some(j) => {
-                matched += 1;
-                total += cell_diff(cell, &b.cells[j]);
+        let mut diff = 1.0;
+        while let Some(other) = b.cells.get(j) {
+            match cmp_shifted(&other.coord.0, &cell.coord.0, shift) {
+                Ordering::Less => j += 1,
+                Ordering::Equal => {
+                    matched += 1;
+                    j += 1;
+                    diff = cell_diff(cell, other);
+                    break;
+                }
+                Ordering::Greater => break,
             }
-            None => total += 1.0,
         }
+        total += diff;
     }
     let unmatched_b = b.cells.len() - matched;
     total += unmatched_b as f64;
@@ -73,8 +90,49 @@ pub fn grid_level_distance(a: &Sgs, b: &Sgs, shift: &[i32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{cell_script, cells_at, shift_box, summary};
+    use proptest::prop::collection::vec;
     use sgs_core::GridGeometry;
     use sgs_summarize::MemberSet;
+
+    /// The distance as it was computed before the merge walk, with a
+    /// binary search of `b` per cell of `a`: the oracle the walk must
+    /// match bit for bit. Its `x + s` overflows at the ends of `i32`, so
+    /// it is run only on small coordinates.
+    fn binary_search_distance(a: &Sgs, b: &Sgs, shift: &[i32]) -> f64 {
+        let index_of_shifted = |coord: &[i32]| {
+            b.cells
+                .binary_search_by(|c| {
+                    c.coord
+                        .0
+                        .iter()
+                        .copied()
+                        .cmp(coord.iter().zip(shift).map(|(x, s)| x + s))
+                })
+                .ok()
+        };
+        if a.cells.is_empty() && b.cells.is_empty() {
+            return 0.0;
+        }
+        if a.cells.is_empty() || b.cells.is_empty() {
+            return 1.0;
+        }
+        let mut total = 0.0;
+        let mut matched = 0usize;
+        for cell in &a.cells {
+            match index_of_shifted(&cell.coord.0) {
+                Some(j) => {
+                    matched += 1;
+                    total += cell_diff(cell, &b.cells[j]);
+                }
+                None => total += 1.0,
+            }
+        }
+        let unmatched_b = b.cells.len() - matched;
+        total += unmatched_b as f64;
+        let terms = a.cells.len() + unmatched_b;
+        total / terms as f64
+    }
 
     fn strip(x0: f64, y0: f64, n: usize) -> Sgs {
         let cores: Vec<Box<[f64]>> = (0..n)
@@ -136,5 +194,55 @@ mod tests {
         assert_eq!(grid_level_distance(&e, &e, &[0, 0]), 0.0);
         assert_eq!(grid_level_distance(&a, &e, &[0, 0]), 1.0);
         assert_eq!(grid_level_distance(&e, &a, &[0, 0]), 1.0);
+    }
+
+    #[test]
+    fn cells_at_the_ends_of_i32_never_overflow() {
+        let wide = cells_at(&[[i32::MIN, 0], [i32::MAX, 0]]);
+        let one = cells_at(&[[0, 0]]);
+        for shift in [
+            [0, 0],
+            [1, 0],
+            [-1, 0],
+            [i32::MAX, 0],
+            [i32::MIN, 0],
+            [i32::MAX, i32::MIN],
+        ] {
+            for (a, b) in [(&wide, &one), (&one, &wide), (&wide, &wide)] {
+                let d = grid_level_distance(a, b, &shift);
+                assert!((0.0..=1.0).contains(&d), "{d} at {shift:?}");
+            }
+        }
+        // A shifted cell pairs only where the true sum lands: `MAX + 1`
+        // would wrap onto the cell at `MIN`.
+        assert_eq!(grid_level_distance(&wide, &wide, &[0, 0]), 0.0);
+        assert_eq!(grid_level_distance(&wide, &wide, &[1, 0]), 1.0);
+        assert_eq!(grid_level_distance(&wide, &one, &[-i32::MAX, 0]), 0.5);
+        assert_eq!(grid_level_distance(&wide, &one, &[i32::MAX, 0]), 1.0);
+        assert_eq!(grid_level_distance(&one, &wide, &[i32::MAX, 0]), 0.5);
+    }
+
+    proptest::proptest! {
+        /// The merge walk returns the binary-search distance bit for bit,
+        /// over 2-d and 4-d summaries and every shift in a box around
+        /// them, shifts with no overlap included.
+        #[test]
+        fn merge_walk_keeps_every_distance_bit(
+            four_d in 0u8..2,
+            script_a in vec(cell_script(), 0..12),
+            script_b in vec(cell_script(), 0..12),
+            at in (-3i32..4, -3i32..4, -2i32..3, -2i32..3),
+        ) {
+            let dim = if four_d == 1 { 4 } else { 2 };
+            let a = summary(dim, &script_a, [0; 4]);
+            let b = summary(dim, &script_b, [at.0, at.1, at.2, at.3]);
+            for shift in shift_box(&a, &b) {
+                proptest::prop_assert_eq!(
+                    grid_level_distance(&a, &b, &shift).to_bits(),
+                    binary_search_distance(&a, &b, &shift).to_bits(),
+                    "at {:?}", shift
+                );
+            }
+        }
     }
 }

@@ -25,6 +25,8 @@ pub mod grid_match;
 pub mod hungarian;
 pub mod metric;
 pub mod pointset;
+#[cfg(test)]
+mod testkit;
 
 pub use alignment::{best_alignment, AlignmentResult};
 pub use bound::AlignmentFilter;

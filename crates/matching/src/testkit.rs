@@ -1,0 +1,105 @@
+//! Generated summaries and shift boxes shared by the proptests of
+//! [`bound`](crate::bound) and [`grid_match`](crate::grid_match).
+
+use sgs_core::CellCoord;
+use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
+
+/// One generated cell: coordinates (the first `dim` are used),
+/// population, and a kind — 0 or 1 is an edge cell, `k ≥ 2` a core
+/// cell linked to the next `k − 2` cells in canonical order.
+pub type CellScript = (i32, i32, i32, i32, u32, u8);
+
+pub fn cell_script() -> impl proptest::strategy::Strategy<Value = CellScript> {
+    (0i32..5, 0i32..5, 0i32..3, 0i32..3, 1u32..6, 0u8..6)
+}
+
+/// The summary a script describes, translated by `at`; cells on one
+/// coordinate collapse to the first.
+pub fn summary(dim: usize, script: &[CellScript], at: [i32; 4]) -> Sgs {
+    let mut cells: Vec<(SkeletalCell, u8)> = script
+        .iter()
+        .map(|&(x, y, z, w, population, kind)| {
+            let coord: Vec<i32> = [x, y, z, w]
+                .iter()
+                .zip(at)
+                .map(|(c, s)| c + s)
+                .take(dim)
+                .collect();
+            let status = if kind < 2 {
+                CellStatus::Edge
+            } else {
+                CellStatus::Core
+            };
+            let cell = SkeletalCell {
+                coord: CellCoord::new(coord),
+                population,
+                status,
+                connections: Vec::new(),
+            };
+            (cell, kind)
+        })
+        .collect();
+    cells.sort_by(|x, y| x.0.coord.cmp(&y.0.coord));
+    cells.dedup_by(|x, y| x.0.coord == y.0.coord);
+    let n = cells.len();
+    for (i, (cell, kind)) in cells.iter_mut().enumerate() {
+        if cell.status == CellStatus::Core {
+            let links = usize::from(kind.saturating_sub(2)).min(n - 1);
+            cell.connections = (1..=links).map(|k| ((i + k) % n) as u32).collect();
+            cell.connections.sort_unstable();
+        }
+    }
+    let sgs = Sgs {
+        dim,
+        side: 1.0,
+        level: 0,
+        cells: cells.into_iter().map(|(cell, _)| cell).collect(),
+    };
+    sgs.validate().unwrap();
+    sgs
+}
+
+/// A summary of one status-`Core`, population-1 cell at each of
+/// `coords`, which must be sorted and distinct.
+pub fn cells_at(coords: &[[i32; 2]]) -> Sgs {
+    let sgs = Sgs {
+        dim: 2,
+        side: 1.0,
+        level: 0,
+        cells: coords
+            .iter()
+            .map(|c| SkeletalCell {
+                coord: CellCoord::new(c.to_vec()),
+                population: 1,
+                status: CellStatus::Core,
+                connections: Vec::new(),
+            })
+            .collect(),
+    };
+    sgs.validate().unwrap();
+    sgs
+}
+
+/// Every shift under which a cell of `a` can land on or next to `b`,
+/// plus one ring of shifts with no overlap at all.
+pub fn shift_box(a: &Sgs, b: &Sgs) -> Vec<Vec<i32>> {
+    let span = |s: &Sgs, d: usize| {
+        let v = s.cells.iter().map(|c| c.coord.0[d]);
+        (v.clone().min().unwrap_or(0), v.max().unwrap_or(0))
+    };
+    let mut shifts = vec![Vec::new()];
+    for d in 0..a.dim {
+        let ((lo_a, hi_a), (lo_b, hi_b)) = (span(a, d), span(b, d));
+        shifts = shifts
+            .into_iter()
+            .flat_map(|s| {
+                (lo_b - hi_a - 1..=hi_b - lo_a + 1).map(move |v| {
+                    let mut next = s.clone();
+                    next.push(v);
+                    next
+                })
+            })
+            .collect();
+    }
+    shifts
+}
