@@ -1,14 +1,15 @@
 //! The Pattern Archiver (§6): selective archival.
 //!
-//! The archiver sits between the extractor and the pattern base (Fig. 4).
-//! Per §6.2 it supports sampling-based selection (archive a fraction of the
-//! detected clusters) and feature-based selection (archive only clusters
-//! reaching a population or volume bar). It stores every selected summary
-//! at full resolution (level 0): §6.1 coarsening happens in one place, the
-//! durable base's byte-budget retention (`durable.rs`), which demotes the
-//! oldest patterns first. [`choose_level`] is the §6.1 budget computation
-//! for a caller that coarsens a summary itself — the space cost of any
-//! level is exactly computable without materializing it.
+//! The archiver sits between the extractor and the pattern base (Fig. 4),
+//! and selecting is its one job. Per §6.2 it supports sampling-based
+//! selection (archive a fraction of the detected clusters) and
+//! feature-based selection (archive only clusters reaching a population
+//! or volume bar). What it selects is stored at full resolution (level
+//! 0): §6.1 coarsening happens in one place, the durable base's
+//! byte-budget retention (`durable.rs`), which demotes the oldest
+//! patterns first. [`choose_level`] is the §6.1 budget computation for a
+//! caller that coarsens a summary itself — the space cost of any level
+//! is exactly computable without materializing it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,12 +57,10 @@ pub fn choose_level(sgs: &Sgs, theta: u32, budget_bytes: usize, max_level: u8) -
     max_level
 }
 
-/// Where an archiver stores a selected summary, when not in its own base.
-pub type PatternSink<'a> = dyn FnMut(Sgs, WindowId) -> Option<PatternId> + 'a;
-
-/// The archiver: applies the selection policy to every window's output
-/// and stores what it keeps, in the pattern base it owns unless told
-/// otherwise.
+/// The archiver: [`select`](Self::select) applies the selection policy to
+/// a window's output and leaves storing to the caller (the runtime commits
+/// a batch's selection to the shared history in one write);
+/// [`observe`](Self::observe) also stores it in the archiver's own base.
 #[derive(Debug)]
 pub struct PatternArchiver {
     policy: ArchivePolicy,
@@ -69,7 +68,7 @@ pub struct PatternArchiver {
     rng: StdRng,
     /// Clusters offered / archived counters.
     pub offered: u64,
-    /// Clusters actually archived.
+    /// Clusters the policy kept (stored by `observe` or by the caller).
     pub archived: u64,
 }
 
@@ -95,40 +94,32 @@ impl PatternArchiver {
         self.base
     }
 
-    /// Offer one window's extracted summaries; returns the handles of the
-    /// archived ones.
+    /// Offer one window's extracted summaries; returns the ones the
+    /// policy keeps, in order. Empty summaries, which no base stores,
+    /// are offered but never kept.
+    pub fn select<'a>(&mut self, summaries: impl IntoIterator<Item = &'a Sgs>) -> Vec<&'a Sgs> {
+        let mut kept = Vec::new();
+        for sgs in summaries {
+            self.offered += 1;
+            if self.policy.admits(sgs, &mut self.rng) && !sgs.cells.is_empty() {
+                self.archived += 1;
+                kept.push(sgs);
+            }
+        }
+        kept
+    }
+
+    /// [`select`](Self::select), storing what it keeps in the archiver's
+    /// own base; returns the handles of the archived summaries.
     pub fn observe<'a>(
         &mut self,
         window: WindowId,
         summaries: impl IntoIterator<Item = &'a Sgs>,
     ) -> Vec<PatternId> {
-        self.observe_into(window, summaries, None)
-    }
-
-    /// [`observe`](Self::observe) storing through `dest` (`None`: the own
-    /// base) — same selection, same counters, same random draws.
-    pub fn observe_into<'a>(
-        &mut self,
-        window: WindowId,
-        summaries: impl IntoIterator<Item = &'a Sgs>,
-        mut dest: Option<&mut PatternSink<'_>>,
-    ) -> Vec<PatternId> {
-        let mut out = Vec::new();
-        for sgs in summaries {
-            self.offered += 1;
-            if !self.policy.admits(sgs, &mut self.rng) {
-                continue;
-            }
-            let id = match &mut dest {
-                Some(insert) => insert(sgs.clone(), window),
-                None => self.base.insert(sgs.clone(), window),
-            };
-            if let Some(id) = id {
-                self.archived += 1;
-                out.push(id);
-            }
-        }
-        out
+        let kept = self.select(summaries);
+        kept.into_iter()
+            .filter_map(|sgs| self.base.insert(sgs.clone(), window))
+            .collect()
     }
 }
 
@@ -167,24 +158,32 @@ mod tests {
     }
 
     #[test]
-    fn observe_into_selects_like_observe_and_stores_elsewhere() {
+    fn select_draws_like_observe_and_stores_nothing() {
         let s = blob(60);
+        let empty = Sgs {
+            cells: vec![],
+            ..s.clone()
+        };
         let mut own = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11);
-        let mut routed = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11);
+        let mut selecting = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11);
         let mut elsewhere = PatternBase::new();
         for w in 0..40 {
-            let a = own.observe(WindowId(w), [&s, &s]);
-            let mut insert = |sgs, window| elsewhere.insert(sgs, window);
-            let b = routed.observe_into(WindowId(w), [&s, &s], Some(&mut insert));
+            let a = own.observe(WindowId(w), [&s, &empty, &s]);
+            let b: Vec<PatternId> = selecting
+                .select([&s, &empty, &s])
+                .into_iter()
+                .filter_map(|sgs| elsewhere.insert(sgs.clone(), WindowId(w)))
+                .collect();
             assert_eq!(a, b, "window {w}: the same draws admit the same clusters");
         }
         assert_eq!(
             (own.offered, own.archived),
-            (routed.offered, routed.archived)
+            (selecting.offered, selecting.archived)
         );
         assert!(0 < own.archived && own.archived < own.offered);
-        assert!(routed.base().is_empty(), "the own base is not written");
-        assert_eq!(elsewhere.len() as u64, routed.archived);
+        assert!(selecting.base().is_empty(), "select stores nothing");
+        assert_eq!(own.base().len() as u64, own.archived);
+        assert_eq!(elsewhere.len() as u64, selecting.archived);
         for (a, b) in own.base().iter().zip(elsewhere.iter()) {
             assert_eq!((a.window, a.sgs.level), (b.window, 0));
             assert_eq!(

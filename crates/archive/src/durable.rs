@@ -13,7 +13,9 @@
 //!
 //! 1. every mutation is a WAL record fsynced **before** it is applied in
 //!    memory (an insert logs the pattern's packed bytes; a retention
-//!    demotion logs the pattern's index);
+//!    demotion logs the pattern's index). A batch of inserts and the
+//!    demotions it causes is one commit — one append, one `fsync` — so a
+//!    torn commit recovers as a prefix of its records;
 //! 2. the in-memory base stores the *canonical* form of every pattern —
 //!    `packed::decode(packed::encode(sgs))` — which is exactly what WAL
 //!    replay reconstructs, so live state and replayed state coarsen
@@ -28,6 +30,7 @@
 //!    is reopened: the torn bytes stay in the log, replay stops at them,
 //!    and a record appended behind them would be acknowledged and lost.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -67,7 +70,14 @@ impl core::fmt::Display for PersistError {
     }
 }
 
-impl std::error::Error for PersistError {}
+impl std::error::Error for PersistError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PersistError::Io(e) => Some(e),
+            PersistError::Corrupt(_) => None,
+        }
+    }
+}
 
 /// Configuration of a durable pattern base: when to coarsen and when to
 /// checkpoint. Recovery itself has no knobs — it is one
@@ -163,8 +173,9 @@ impl Storage {
 /// A pattern base whose mutations survive process crashes.
 ///
 /// Dereferences to [`PatternBase`] for all read paths (`len`, `get`,
-/// `match_query`, …); mutation goes through [`insert`](Self::insert),
-/// which write-ahead-logs before touching memory. With no storage
+/// `match_query`, …); mutation goes through
+/// [`try_insert_all`](Self::try_insert_all), which write-ahead-logs
+/// before touching memory. With no storage
 /// attached ([`memory`](Self::memory)) it behaves exactly like the plain
 /// in-memory base.
 pub struct DurablePatternBase {
@@ -198,18 +209,57 @@ fn demote(sgs: &Sgs) -> Option<Sgs> {
     canonical(&multires::coarsen(sgs, RETENTION_THETA)).map(|(_, canon)| canon)
 }
 
-/// Index decoded entries into a pattern base, in order.
-pub(crate) fn base_of(entries: Vec<(Sgs, WindowId)>) -> PatternBase {
-    let mut base = PatternBase::new();
-    for (sgs, window) in entries {
-        base.insert(sgs, window);
+/// The demotions that bring `base` plus `staged` within `retention`'s
+/// budget: `Coarsen` records onto `records`, each demoted pattern's final
+/// form by index. Oldest-first passes demote a pattern at most one level
+/// each, so resolution degrades evenly; a batch within budget copies nothing.
+fn plan_retention(
+    base: &PatternBase,
+    staged: &[(Sgs, WindowId)],
+    retention: &ArchiveRetention,
+    records: &mut Vec<WalRecord>,
+) -> BTreeMap<usize, Sgs> {
+    let mut demoted = BTreeMap::new();
+    let ArchiveRetention::ByteBudget(budget) = *retention else {
+        return demoted;
+    };
+    let mut total = base.archived_bytes();
+    for (sgs, _) in staged {
+        total += packed::archived_bytes(sgs);
     }
-    base
+    'outer: while total > budget {
+        let mut progressed = false;
+        for i in 0..base.len() + staged.len() {
+            if total <= budget {
+                break 'outer;
+            }
+            let sgs = match (demoted.get(&i), base.get(PatternId(i as u64))) {
+                (Some(sgs), _) => sgs,
+                (None, Some(pattern)) => &pattern.sgs,
+                (None, None) => &staged[i - base.len()].0,
+            };
+            if sgs.level >= RETENTION_MAX_LEVEL {
+                continue;
+            }
+            let before = packed::archived_bytes(sgs);
+            let Some(coarse) = demote(sgs) else {
+                continue;
+            };
+            total = total - before + packed::archived_bytes(&coarse);
+            demoted.insert(i, coarse);
+            records.push(WalRecord::Coarsen { index: i as u64 });
+            progressed = true;
+        }
+        if !progressed {
+            break; // everything is at the coarsest level already
+        }
+    }
+    demoted
 }
 
 /// The store image of `base`: one `Insert` frame per pattern in
 /// insertion order, numbered from `first_seq`, then the `Seal`.
-fn store_image(base: &PatternBase, first_seq: u64) -> Vec<u8> {
+pub(crate) fn store_image(base: &PatternBase, first_seq: u64) -> Vec<u8> {
     let mut image = Vec::new();
     for (seq, pattern) in (first_seq..).zip(base.iter()) {
         let record = WalRecord::Insert {
@@ -223,26 +273,22 @@ fn store_image(base: &PatternBase, first_seq: u64) -> Vec<u8> {
     image
 }
 
-/// Apply one logged record to the entries being recovered.
-fn apply(
-    entries: &mut Vec<(Sgs, WindowId)>,
-    seq: u64,
-    record: WalRecord,
-) -> Result<(), PersistError> {
+/// Apply one logged record to the base being recovered.
+fn apply(base: &mut PatternBase, seq: u64, record: WalRecord) -> Result<(), PersistError> {
     match record {
         WalRecord::Insert { window, packed } => {
-            let sgs = packed::decode(packed)
-                .filter(|sgs| !sgs.cells.is_empty())
+            packed::decode(packed)
+                .and_then(|sgs| base.insert(sgs, window))
                 .ok_or_else(|| PersistError::Corrupt(format!("insert {seq} undecodable")))?;
-            entries.push((sgs, window));
         }
         WalRecord::Coarsen { index } => {
-            let (sgs, _) = entries.get_mut(index as usize).ok_or_else(|| {
+            let pattern = base.get(PatternId(index)).ok_or_else(|| {
                 PersistError::Corrupt(format!("coarsen {seq} targets missing pattern {index}"))
             })?;
-            *sgs = demote(sgs).ok_or_else(|| {
+            let coarse = demote(&pattern.sgs).ok_or_else(|| {
                 PersistError::Corrupt(format!("coarsen {seq} emptied pattern {index}"))
             })?;
+            base.replace(PatternId(index), coarse);
         }
         WalRecord::Seal => {
             return Err(PersistError::Corrupt(format!("seal {seq} inside a log")));
@@ -279,9 +325,8 @@ impl DurablePatternBase {
     pub fn open_with(mut io: Box<dyn ArchiveIo>, cfg: DurableConfig) -> Result<Self, PersistError> {
         // 1. The last checkpoint, if any: a log that must replay to its
         // last byte and end in its seal — anything less is damage, never
-        // a shorter base. The indexes are built once, after the WAL has
-        // had its say.
-        let mut entries = Vec::new();
+        // a shorter base.
+        let mut base = PatternBase::new();
         let mut applied_seq = 0;
         if let Some(store) = io.read_file(STORE_FILE)? {
             let mut replayed = wal::replay(&store);
@@ -293,7 +338,7 @@ impl DurablePatternBase {
                 )));
             };
             for (seq, record) in replayed.records {
-                apply(&mut entries, seq, record)?;
+                apply(&mut base, seq, record)?;
             }
             applied_seq = seal_seq;
         }
@@ -309,12 +354,12 @@ impl DurablePatternBase {
             if seq < applied_seq {
                 continue; // already in the checkpoint
             }
-            apply(&mut entries, seq, record)?;
+            apply(&mut base, seq, record)?;
             next_seq = seq + 1;
         }
 
         Ok(DurablePatternBase {
-            base: base_of(entries),
+            base,
             storage: Some(Storage {
                 io,
                 cfg,
@@ -341,40 +386,60 @@ impl DurablePatternBase {
         self.storage.as_ref().map(|s| s.wal_len)
     }
 
-    /// Archive a summary, surviving a crash at any point: on `Ok`, the
-    /// insert is durable; on `Err`, recovery yields either the previous
-    /// state or — if the crash hit after the WAL commit — this state, and
-    /// this base refuses every later write until it is reopened.
-    /// Empty summaries return `Ok(None)` without logging.
+    /// Archive a batch as one commit — one WAL append and one `fsync` for
+    /// it and the demotions it causes — and return the handles, skipping
+    /// empty summaries. On `Ok` the batch is durable. On `Err` memory is
+    /// untouched, recovery yields the previous state plus a prefix of the
+    /// batch (all of it if the checkpoint after the commit failed), and the
+    /// base refuses every write until it is reopened.
+    pub fn try_insert_all(
+        &mut self,
+        batch: impl IntoIterator<Item = (Sgs, WindowId)>,
+    ) -> Result<Vec<PatternId>, PersistError> {
+        let Some(storage) = &mut self.storage else {
+            let inserted = batch
+                .into_iter()
+                .map(|(sgs, window)| self.base.insert(sgs, window));
+            return Ok(inserted.flatten().collect());
+        };
+        let mut records = Vec::new();
+        let mut staged = Vec::new();
+        for (sgs, window) in batch {
+            if let Some((packed, canon)) = canonical(&sgs) {
+                records.push(WalRecord::Insert { window, packed });
+                staged.push((canon, window));
+            }
+        }
+        if staged.is_empty() {
+            return Ok(Vec::new());
+        }
+        let demoted = plan_retention(&self.base, &staged, &storage.cfg.retention, &mut records);
+
+        // WAL first, memory second.
+        storage.commit(&records)?;
+        let checkpoint_due = storage.wal_len >= storage.cfg.checkpoint_wal_bytes;
+        let coarsenings = (records.len() - staged.len()) as u64;
+        crate::metrics::metrics().coarsenings.add(coarsenings);
+        let inserted = staged
+            .into_iter()
+            .map(|(sgs, window)| self.base.insert(sgs, window));
+        let ids = inserted.flatten().collect();
+        for (index, sgs) in demoted {
+            self.base.replace(PatternId(index as u64), sgs);
+        }
+        if checkpoint_due {
+            self.checkpoint()?;
+        }
+        Ok(ids)
+    }
+
+    /// [`try_insert_all`](Self::try_insert_all) of one summary.
     pub fn try_insert(
         &mut self,
         sgs: Sgs,
         window: WindowId,
     ) -> Result<Option<PatternId>, PersistError> {
-        let Some(storage) = &mut self.storage else {
-            return Ok(self.base.insert(sgs, window));
-        };
-        let Some((packed, canon)) = canonical(&sgs) else {
-            return Ok(None);
-        };
-
-        // WAL first, memory second.
-        storage.commit(&[WalRecord::Insert { window, packed }])?;
-        let id = self.base.insert(canon, window);
-        self.enforce_retention()?;
-        self.maybe_checkpoint()?;
-        Ok(id)
-    }
-
-    /// Infallible [`try_insert`](Self::try_insert) for the runtime's
-    /// archiving hot path.
-    ///
-    /// # Panics
-    /// Panics if the underlying storage fails — a durable archive that
-    /// cannot log can no longer honor its recovery contract.
-    pub fn insert(&mut self, sgs: Sgs, window: WindowId) -> Option<PatternId> {
-        self.try_insert(sgs, window)
-            .expect("durable pattern base: WAL write failed")
+        Ok(self.try_insert_all([(sgs, window)])?.pop())
     }
 
     /// Force a checkpoint: write the base as a compacted log into the
@@ -396,79 +461,6 @@ impl DurablePatternBase {
             .and_then(|()| storage.io.truncate(WAL_FILE, 0));
         storage.check(written)?;
         storage.wal_len = 0;
-        Ok(())
-    }
-
-    fn maybe_checkpoint(&mut self) -> Result<(), PersistError> {
-        let due = self
-            .storage
-            .as_ref()
-            .is_some_and(|s| s.wal_len >= s.cfg.checkpoint_wal_bytes);
-        if due {
-            self.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Apply the retention policy by coarsening — never dropping —
-    /// patterns, oldest first, one level per pass, logging each demotion
-    /// to the WAL before rebuilding the in-memory base.
-    fn enforce_retention(&mut self) -> Result<(), PersistError> {
-        let Some(storage) = &mut self.storage else {
-            return Ok(());
-        };
-        // Most inserts demote nothing: settle that on the live base before
-        // paying for a scratch copy of it.
-        let ArchiveRetention::ByteBudget(budget) = storage.cfg.retention else {
-            return Ok(());
-        };
-        let mut total = self.base.archived_bytes();
-        if total <= budget {
-            return Ok(());
-        }
-
-        // Decide the demotions on a scratch copy of the entries.
-        let mut entries: Vec<(Sgs, WindowId)> = self
-            .base
-            .iter()
-            .map(|p| (p.sgs.clone(), p.window))
-            .collect();
-        let mut demoted: Vec<WalRecord> = Vec::new();
-        // Oldest-first passes; each pass demotes each pattern at most one
-        // level, so resolution degrades evenly from the old end instead of
-        // one pattern collapsing to dust.
-        'outer: while total > budget {
-            let mut progressed = false;
-            for (i, (sgs, _)) in entries.iter_mut().enumerate() {
-                if total <= budget {
-                    break 'outer;
-                }
-                if sgs.level >= RETENTION_MAX_LEVEL {
-                    continue;
-                }
-                let before = packed::archived_bytes(sgs);
-                let Some(coarse) = demote(sgs) else {
-                    continue;
-                };
-                total = total - before + packed::archived_bytes(&coarse);
-                *sgs = coarse;
-                demoted.push(WalRecord::Coarsen { index: i as u64 });
-                progressed = true;
-            }
-            if !progressed {
-                break; // everything is at the coarsest level already
-            }
-        }
-        if demoted.is_empty() {
-            return Ok(());
-        }
-
-        // Log the whole demotion batch, commit, then apply in memory.
-        storage.commit(&demoted)?;
-        crate::metrics::metrics()
-            .coarsenings
-            .add(demoted.len() as u64);
-        self.base = base_of(entries);
         Ok(())
     }
 
@@ -537,7 +529,7 @@ mod tests {
         for k in 0..6 {
             let sgs = blob(k as f64 * 9.0, 18 + k);
             assert_eq!(
-                durable.insert(sgs.clone(), WindowId(k as u64)),
+                durable.try_insert(sgs.clone(), WindowId(k as u64)).unwrap(),
                 plain.insert(sgs, WindowId(k as u64))
             );
         }
@@ -754,6 +746,87 @@ mod tests {
         assert_eq!(reopened.snapshot_bytes(), base.snapshot_bytes());
         reopened.try_insert(blob(18.0, 20), WindowId(2)).unwrap();
         assert_eq!(reopened.len(), 2);
+    }
+
+    /// A `FaultFs` that counts WAL appends and fsyncs.
+    struct Counting(FaultFs, std::sync::Arc<[std::sync::atomic::AtomicUsize; 2]>);
+
+    impl ArchiveIo for Counting {
+        fn read_file(&mut self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            self.0.read_file(name)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.1[0].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> io::Result<()> {
+            self.1[1].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.sync(name)
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
+            self.0.truncate(name, len)
+        }
+        fn write_file_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.0.write_file_atomic(name, bytes)
+        }
+    }
+
+    /// A batch is one commit — one append, one fsync — for its inserts
+    /// and the demotions they cause, and the base it leaves is the one
+    /// recovery rebuilds. Without retention it logs exactly the bytes the
+    /// same inserts make one at a time.
+    #[test]
+    fn a_batch_is_one_commit() {
+        let summaries: Vec<Sgs> = (0..6).map(|k| blob(k as f64 * 9.0, 20 + k)).collect();
+        let batch = || {
+            (0..)
+                .map(WindowId)
+                .zip(summaries.clone())
+                .map(|(w, s)| (s, w))
+        };
+        let budget = summaries.iter().map(packed::archived_bytes).sum::<usize>() / 2;
+        for retention in [
+            ArchiveRetention::Unbounded,
+            ArchiveRetention::ByteBudget(budget),
+        ] {
+            let cfg = DurableConfig {
+                retention,
+                ..DurableConfig::default()
+            };
+            let fs = FaultFs::new();
+            let counts = std::sync::Arc::new([0, 0].map(std::sync::atomic::AtomicUsize::new));
+            let io = Counting(fs.clone(), counts.clone());
+            let mut base = DurablePatternBase::open_with(Box::new(io), cfg.clone()).unwrap();
+            let empty = Sgs {
+                cells: vec![],
+                ..summaries[0].clone()
+            };
+            assert!(base
+                .try_insert_all([(empty, WindowId(9))])
+                .unwrap()
+                .is_empty());
+            let ids = base.try_insert_all(batch()).unwrap();
+            assert_eq!(ids, (0..6).map(PatternId).collect::<Vec<_>>());
+            let counted = counts
+                .each_ref()
+                .map(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+            assert_eq!(counted, [1, 1], "{retention:?}: (appends, fsyncs)");
+            let reopened =
+                DurablePatternBase::open_with(Box::new(fs.clone()), cfg.clone()).unwrap();
+            assert_eq!(reopened.snapshot_bytes(), base.snapshot_bytes());
+            if retention == ArchiveRetention::Unbounded {
+                let one_by_one = FaultFs::new();
+                let mut single =
+                    DurablePatternBase::open_with(Box::new(one_by_one.clone()), cfg).unwrap();
+                for (sgs, window) in batch() {
+                    single.try_insert(sgs, window).unwrap();
+                }
+                assert_eq!(one_by_one.contents(WAL_FILE), fs.contents(WAL_FILE));
+            } else {
+                assert!(base.archived_bytes() <= budget);
+                assert!(base.iter().any(|p| p.sgs.level > 0), "nothing demoted");
+            }
+        }
     }
 
     /// A checkpointed and reopened base answers MATCH as the live one did.

@@ -2,10 +2,9 @@
 //!
 //! The **Pattern Archiver** (§6) and **Pattern Base** (§7.1):
 //!
-//! * [`PatternArchiver`] — decides *which* clusters to keep (sampling- or
-//!   feature-based selection, §6.2), storing each at full resolution —
-//!   §6.1's multi-resolution coarsening is [`DurablePatternBase`]'s
-//!   byte-budget retention,
+//! * [`PatternArchiver`] — only decides *which* clusters to keep
+//!   (sampling- or feature-based selection, §6.2); §6.1's coarsening is
+//!   [`DurablePatternBase`]'s byte-budget retention,
 //! * [`PatternBase`] — stores the archived summaries with each one's MBR
 //!   and 4-d feature vector (volume, core-cell count, average density,
 //!   average connectivity), and executes **cluster matching queries** with
@@ -17,7 +16,8 @@
 //! * [`DurablePatternBase`] — the durable tier (`DESIGN.md` §10): a
 //!   CRC-framed write-ahead log whose checkpoint is the same log
 //!   compacted, so every stored byte is checksummed and recovery is one
-//!   replay of the store and then of the log's tail.
+//!   replay of the store and then of the log's tail. Its one write,
+//!   [`DurablePatternBase::try_insert_all`], commits a batch in one `fsync`.
 
 pub mod archiver;
 pub mod durable;
@@ -29,7 +29,7 @@ pub mod wal;
 use std::path::Path;
 use std::sync::Arc;
 
-pub use archiver::{choose_level, ArchivePolicy, PatternArchiver, PatternSink};
+pub use archiver::{choose_level, ArchivePolicy, PatternArchiver};
 pub use durable::{DurableConfig, DurablePatternBase, PersistError, PoolStats};
 pub use io::{ArchiveIo, DiskIo};
 pub use pattern_base::{ArchivedPattern, MatchOutcome, MatchResult, PatternBase, PatternId};

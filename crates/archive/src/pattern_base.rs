@@ -114,6 +114,18 @@ impl PatternBase {
         Some(id)
     }
 
+    /// Swap the summary under `id` for `sgs` (a retention demotion) in place,
+    /// keeping handle and window; an unknown `id` or empty `sgs` is ignored.
+    pub fn replace(&mut self, id: PatternId, sgs: Sgs) {
+        if let (Some(pattern), Some(mbr)) = (self.patterns.get_mut(id.0 as usize), sgs.mbr()) {
+            self.archived_bytes -= packed::archived_bytes(&pattern.sgs);
+            self.archived_bytes += packed::archived_bytes(&sgs);
+            self.mbrs[id.0 as usize] = mbr;
+            pattern.features = sgs.features();
+            pattern.sgs = sgs;
+        }
+    }
+
     /// Look up an archived pattern.
     pub fn get(&self, id: PatternId) -> Option<&ArchivedPattern> {
         self.patterns.get(id.0 as usize)
@@ -368,31 +380,58 @@ mod tests {
         assert!(base.index_bytes() > 0);
     }
 
+    /// A fresh base of `base`'s patterns and windows, inserted in order.
+    fn base_of(base: &PatternBase) -> PatternBase {
+        let mut fresh = PatternBase::new();
+        for p in base.iter() {
+            fresh.insert(p.sgs.clone(), p.window);
+        }
+        fresh
+    }
+
     /// What `insert` maintains, recomputed by the scan it replaced.
     fn scanned_bytes(base: &PatternBase) -> usize {
         base.iter().map(|p| packed::archived_bytes(&p.sgs)).sum()
     }
 
     proptest::proptest! {
-        /// After any insert script — and again after `base_of` rebuilds
-        /// it, which is how recovery and retention build a base — the
-        /// maintained byte total equals a fresh scan of the patterns.
+        /// After every step of a script of inserts and in-place
+        /// demotions (`replace`), the maintained byte total equals a
+        /// fresh scan of the patterns, and the byte total, MBRs, features
+        /// and store image equal those of a fresh rebuild (`base_of`).
         #[test]
         fn maintained_bytes_and_caps_equal_a_fresh_scan(
-            script in proptest::prop::collection::vec((0u8..40, 0u8..40, 0usize..50), 0..40),
+            script in proptest::prop::collection::vec((0u8..4, 0u8..40, 0u8..40, 0usize..50), 0..40),
         ) {
             let side = GridGeometry::basic(2, 1.0).side();
             let mut base = PatternBase::new();
-            for (k, (x, y, n)) in script.iter().enumerate() {
-                // n == 0 is an empty summary: rejected, so it must leave
-                // the total alone.
-                base.insert(blob(*x as f64 * side, *y as f64 * side, *n), WindowId(k as u64));
+            for (k, &(op, x, y, n)) in script.iter().enumerate() {
+                if op == 0 && !base.is_empty() {
+                    // Demote one pattern a level, as retention does.
+                    let id = PatternId(x as u64 % base.len() as u64);
+                    let coarse = sgs_summarize::coarsen(&base.get(id).unwrap().sgs, 2);
+                    base.replace(id, coarse);
+                } else {
+                    // n == 0 is an empty summary: rejected, so it must
+                    // leave the total alone.
+                    base.insert(blob(x as f64 * side, y as f64 * side, n), WindowId(k as u64));
+                }
                 proptest::prop_assert_eq!(base.archived_bytes(), scanned_bytes(&base));
+                let rebuilt = base_of(&base);
+                proptest::prop_assert_eq!(rebuilt.archived_bytes(), base.archived_bytes());
+                proptest::prop_assert_eq!(&rebuilt.mbrs, &base.mbrs);
+                proptest::prop_assert!(rebuilt.iter().zip(base.iter()).all(|(a, b)| a.features == b.features));
+                proptest::prop_assert_eq!(
+                    crate::durable::store_image(&rebuilt, 0),
+                    crate::durable::store_image(&base, 0)
+                );
             }
-            let loaded =
-                crate::durable::base_of(base.iter().map(|p| (p.sgs.clone(), p.window)).collect());
-            proptest::prop_assert_eq!(loaded.len(), base.len());
-            proptest::prop_assert_eq!(loaded.archived_bytes(), scanned_bytes(&loaded));
+            // An empty summary or an unknown id changes nothing.
+            let image = crate::durable::store_image(&base, 0);
+            base.replace(PatternId(0), Sgs { cells: vec![], ..blob(0.0, 0.0, 1) });
+            base.replace(PatternId(base.len() as u64), blob(0.0, 0.0, 1));
+            proptest::prop_assert_eq!(crate::durable::store_image(&base, 0), image);
+            proptest::prop_assert_eq!(base.archived_bytes(), scanned_bytes(&base));
         }
 
         /// The alignment bound removes no match. Over archives of

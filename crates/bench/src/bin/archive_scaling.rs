@@ -74,7 +74,8 @@ fn run_mode(durable: bool, summaries: &[Sgs]) -> Row {
 
     let start = Instant::now();
     for (k, s) in summaries.iter().enumerate() {
-        base.insert(s.clone(), WindowId(k as u64));
+        base.try_insert(s.clone(), WindowId(k as u64))
+            .expect("durable insert");
     }
     let insert_secs = start.elapsed().as_secs_f64();
 

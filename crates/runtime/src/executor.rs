@@ -20,12 +20,12 @@
 //! are byte-identical to a solo pipeline run over the same points, no
 //! matter how tasks interleave across workers.
 //!
-//! A query's archiver writes straight into the runtime's shared history
-//! base ([`SharedPatternBase`], a `parking_lot`-locked
-//! [`sgs_archive::PatternBase`]) — the only base it fills, write-locked
-//! for a batch's archive step and never across extraction — so matching
-//! queries observe the union of all queries' archives while extraction
-//! continues: Fig. 4's concurrent archiver/analyst arrangement.
+//! A query's archiver only selects. Its task commits a batch's selection
+//! to the shared history ([`SharedPatternBase`], a locked
+//! [`sgs_archive::DurablePatternBase`]), the only base it fills, in one
+//! write under one lock taken after extraction — Fig. 4's concurrent
+//! archiver/analyst arrangement. A failed commit fails the query with its
+//! error; the batch's windows are still delivered.
 //!
 //! Completed windows go into the query's output buffer, the one
 //! delivery path: [`Runtime::poll`] and the server's push subscriptions
@@ -46,9 +46,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use sgs_archive::{PatternId, SharedPatternBase};
-use sgs_core::{Point, WindowId};
+use sgs_core::Point;
 use sgs_exec::Pool;
-use sgs_summarize::Sgs;
+use sgs_summarize::packed;
 
 use crate::metrics::metrics;
 use crate::output::OutputBuffer;
@@ -246,8 +246,8 @@ impl QueryCell {
         self.pool.spawn(move || run(cell));
     }
 
-    /// Process one batch: run the pipeline (which archives into the
-    /// shared history), buffer outputs, update the stats cell. A panic
+    /// Process one batch: run the pipeline, commit what it selects to
+    /// the shared history, buffer outputs, update the stats cell. A panic
     /// (e.g. in a readiness hook) fails the query instead of poisoning
     /// the worker.
     fn process(&self, points: &[Point], enqueued: Instant) {
@@ -326,27 +326,21 @@ fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enque
         return; // Stopped: drain-and-drop whatever was queued behind.
     };
     let start = Instant::now();
-    let mut new_bytes = 0usize;
-    let (outputs, result) = {
-        // The history's write lock: taken at the first pattern the batch
-        // archives — extraction is over by then — and released with it.
-        let mut locked = None;
-        let mut insert = |sgs: Sgs, window: WindowId| {
-            let bytes = sgs_summarize::packed::archived_bytes(&sgs);
-            let id = locked
-                .get_or_insert_with(|| cell.history.write())
-                .insert(sgs, window)?;
-            new_bytes += bytes;
-            archived.push(id);
-            Some(id)
-        };
-        pipeline.push_batch_into(points.iter().cloned(), Some(&mut insert))
+    let (outputs, selected, fed) = pipeline.push_batch_selecting(points.iter().cloned());
+    // One commit under one write lock, taken once extraction is over.
+    let bytes: usize = selected
+        .iter()
+        .map(|(sgs, _)| packed::archived_bytes(sgs))
+        .sum();
+    let committed = if selected.is_empty() {
+        Ok(Vec::new())
+    } else {
+        cell.history.write().try_insert_all(selected)
     };
     let busy = start.elapsed().as_nanos() as u64;
 
-    // Windows completed before a mid-batch failure are delivered too —
-    // they are already archived, so dropping them would lose results that
-    // History can serve.
+    // Every completed window is delivered, also those of a batch that
+    // failed partway or whose archive commit failed.
     let n_windows = outputs.len() as u64;
     let n_clusters: u64 = outputs.iter().map(|(_, o)| o.len() as u64).sum();
     for (window, out) in outputs {
@@ -371,12 +365,18 @@ fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enque
     // counters stay consistent with the pattern base even when the batch
     // failed partway (points already accepted and windows already
     // archived count).
-    let error = result.err().map(|e| e.to_string());
+    let (new_bytes, error) = match committed {
+        Ok(ids) => {
+            archived.extend(ids);
+            (bytes, fed.err().map(|e| e.to_string()))
+        }
+        Err(e) => (0, Some(crate::RuntimeError::Archive(e).to_string())),
+    };
     let mut status = cell.shared.write();
     status.stats.points = pipeline.accepted();
     status.stats.windows += n_windows;
     status.stats.clusters += n_clusters;
-    status.stats.archived = pipeline.archive_stats().1;
+    status.stats.archived = archived.len() as u64;
     status.stats.archive_bytes += new_bytes;
     status.stats.busy_nanos += busy;
     if let Some(msg) = error {

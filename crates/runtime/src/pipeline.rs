@@ -6,14 +6,18 @@
 //! continuous query, serialized onto the shared scheduler pool, which is
 //! what makes the runtime's per-query output byte-identical to a solo
 //! pipeline run: both paths execute exactly this code over the same
-//! point sequence and differ only in where the archiver stores.
+//! point sequence and differ only in who stores what the archiver selects.
 //!
 //! [`Runtime`]: crate::runtime::Runtime
 
-use sgs_archive::{ArchivePolicy, PatternArchiver, PatternBase, PatternId, PatternSink};
+use sgs_archive::{ArchivePolicy, PatternArchiver, PatternBase, PatternId};
 use sgs_core::{ClusterQuery, Point, Result, WindowId};
 use sgs_csgs::{CSgs, WindowOutput};
 use sgs_stream::WindowEngine;
+use sgs_summarize::Sgs;
+
+/// Completed windows with their outputs, oldest first.
+type Windows = Vec<(WindowId, WindowOutput)>;
 
 /// A running continuous clustering query with automatic archival.
 ///
@@ -65,30 +69,34 @@ impl StreamPipeline {
         &mut self,
         points: impl IntoIterator<Item = Point>,
     ) -> Result<Vec<(WindowId, WindowOutput)>> {
-        let (outputs, fed) = self.push_batch_into(points, None);
-        fed.map(|_| outputs)
-    }
-
-    /// Like [`push_batch`](Self::push_batch), but what the archiver keeps is
-    /// stored through `dest` (`None`: the pipeline's own base), which is not
-    /// called before the whole batch is through the extractor, and windows
-    /// completed before a mid-batch failure come back alongside the error:
-    /// the runtime's workers must deliver every archived window.
-    pub(crate) fn push_batch_into(
-        &mut self,
-        points: impl IntoIterator<Item = Point>,
-        mut dest: Option<&mut PatternSink<'_>>,
-    ) -> (Vec<(WindowId, WindowOutput)>, Result<u64>) {
         let mut outputs = Vec::new();
         let fed = self
             .engine
             .push_batch(points, &mut self.extractor, &mut outputs);
         for (window, output) in &outputs {
-            let summaries = output.iter().map(|c| &c.sgs);
             self.archiver
-                .observe_into(*window, summaries, dest.as_deref_mut());
+                .observe(*window, output.iter().map(|c| &c.sgs));
         }
-        (outputs, fed)
+        fed.map(|_| outputs)
+    }
+
+    /// [`push_batch`](Self::push_batch) whose archiver only selects: what
+    /// it keeps comes back for the caller to store, and the windows come
+    /// back alongside an error, since a runtime delivers every window.
+    pub(crate) fn push_batch_selecting(
+        &mut self,
+        points: impl IntoIterator<Item = Point>,
+    ) -> (Windows, Vec<(Sgs, WindowId)>, Result<u64>) {
+        let mut outputs = Vec::new();
+        let fed = self
+            .engine
+            .push_batch(points, &mut self.extractor, &mut outputs);
+        let mut selected = Vec::new();
+        for (window, output) in &outputs {
+            let kept = self.archiver.select(output.iter().map(|c| &c.sgs));
+            selected.extend(kept.into_iter().map(|sgs| (sgs.clone(), *window)));
+        }
+        (outputs, selected, fed)
     }
 
     /// The pattern base accumulated so far.
@@ -109,11 +117,6 @@ impl StreamPipeline {
     /// Resolve an archived pattern id.
     pub fn archived(&self, id: PatternId) -> Option<&sgs_archive::ArchivedPattern> {
         self.base().get(id)
-    }
-
-    /// The extractor (for instrumentation: RQS counts, live size, …).
-    pub fn extractor(&self) -> &CSgs {
-        &self.extractor
     }
 
     /// Number of windows completed so far.

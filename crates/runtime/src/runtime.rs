@@ -150,7 +150,7 @@ pub enum RuntimeError {
     /// The query's pipeline has already been stopped by a previous
     /// [`Runtime::cancel`](crate::runtime::Runtime::cancel).
     Disconnected(QueryId),
-    /// The durable archive could not be opened or recovered.
+    /// The durable archive failed to open, recover, write or checkpoint.
     Archive(PersistError),
 }
 
@@ -1308,5 +1308,24 @@ mod tests {
         for r in &reports {
             assert_eq!(r.stats.points, 2000);
         }
+    }
+
+    /// An archive failure's error chain reaches the I/O error under it.
+    #[test]
+    fn archive_error_chain_reaches_the_io_error() {
+        use std::error::Error as _;
+        let io = std::io::Error::new(std::io::ErrorKind::StorageFull, "disk full");
+        let err = RuntimeError::Archive(PersistError::Io(io));
+        let mut chain: Vec<&dyn std::error::Error> = vec![&err];
+        let mut next = err.source();
+        while let Some(source) = next {
+            chain.push(source);
+            next = source.source();
+        }
+        assert_eq!(chain.len(), 3, "RuntimeError -> PersistError -> io::Error");
+        let cause = chain[2].downcast_ref::<std::io::Error>().unwrap();
+        assert_eq!(cause.kind(), std::io::ErrorKind::StorageFull);
+        assert!(chain[1].is::<PersistError>());
+        assert!(PersistError::Corrupt("x".into()).source().is_none());
     }
 }

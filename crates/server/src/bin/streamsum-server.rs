@@ -20,7 +20,8 @@
 //! `SIGTERM` triggers a graceful drain (`DESIGN.md` §12): the server
 //! stops accepting, sends `GoAway` to every session, waits up to
 //! `--drain-timeout` for them to finish, force-closes stragglers,
-//! checkpoints durable archives, and exits 0.
+//! checkpoints durable archives, and exits 0 — or prints the failed
+//! checkpoint's error and exits 1.
 
 use std::io::{self, Read};
 use std::os::unix::io::IntoRawFd;
@@ -111,21 +112,22 @@ fn main() {
             std::process::exit(1);
         }
     };
+    let mut drain_watch = None;
     if let (Ok(handle), Ok(mut term_rx)) = (server.handle(), install_sigterm_handler()) {
         // The drain thread: SIGTERM's handler only writes a byte; this
         // thread, woken by it, turns it into a graceful drain.
         // `Server::run` below returns once the drain completes, and main
-        // exits 0.
-        std::thread::Builder::new()
+        // exits 0 — or 1 if a final checkpoint failed.
+        drain_watch = std::thread::Builder::new()
             .name("sgs-drain-watch".into())
             .spawn(move || {
-                if term_rx.read_exact(&mut [0]).is_ok() {
-                    println!("streamsum-server draining (SIGTERM, {drain_timeout:?} grace)");
-                    let forced = handle.drain(drain_timeout);
-                    if forced > 0 {
-                        println!("streamsum-server drain force-closed {forced} session(s)");
-                    }
+                term_rx.read_exact(&mut [0]).ok()?;
+                println!("streamsum-server draining (SIGTERM, {drain_timeout:?} grace)");
+                let drained = handle.drain(drain_timeout);
+                if let Ok(forced @ 1..) = drained {
+                    println!("streamsum-server drain force-closed {forced} session(s)");
                 }
+                drained.err()
             })
             .ok();
     }
@@ -152,6 +154,12 @@ fn main() {
     }
     if let Err(e) = server.run() {
         eprintln!("error: accept loop failed: {e}");
+        std::process::exit(1);
+    }
+    // Only a drain stops the server, so the drain thread is done or about
+    // to be.
+    if let Some(Ok(Some(e))) = drain_watch.map(std::thread::JoinHandle::join) {
+        eprintln!("error: drain failed: {e}");
         std::process::exit(1);
     }
 }

@@ -303,9 +303,10 @@ impl ServerHandle {
     /// finally checkpoint every durable history base so a restarted
     /// server recovers the archive from a clean store file. Returns the
     /// number of sessions that had to be force-closed (0 = fully
-    /// graceful).
+    /// graceful), or the first checkpoint that failed — every base is
+    /// still tried.
     /// [`Server::run`] returns once the drain completes.
-    pub fn drain(&self, timeout: Duration) -> usize {
+    pub fn drain(&self, timeout: Duration) -> Result<usize, RuntimeError> {
         let shared = &self.shared;
         shared.metrics.drains.inc();
         shared.drain_millis.store(
@@ -343,17 +344,18 @@ impl ServerHandle {
         // checkpointed store file makes restart recovery instant and
         // exercises the same path as the periodic checkpointer.
         let rt = shared.rt.read();
-        for (_dim, history) in rt.histories() {
-            let mut base = history.write();
-            if base.is_durable() {
-                let _ = base.checkpoint();
-            }
-        }
+        let checkpoints: Vec<_> = rt
+            .histories()
+            .map(|(_dim, h)| h.write().checkpoint())
+            .collect();
         drop(rt);
         shared.drain_done.store(true, Ordering::SeqCst);
         let _seats = shared.seats.lock().unwrap();
         shared.seats_changed.notify_all();
-        forced
+        match checkpoints.into_iter().find_map(Result::err) {
+            Some(e) => Err(RuntimeError::Archive(e)),
+            None => Ok(forced),
+        }
     }
 }
 

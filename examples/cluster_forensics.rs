@@ -57,6 +57,7 @@ fn main() -> Result<()> {
         let mut archived = 0usize;
         let mut coarse = 0usize;
         for (w, summaries) in rx {
+            let mut batch = Vec::new();
             for sgs in summaries {
                 let level = streamsum::archive::choose_level(&sgs, 3, 600, 2);
                 let mut stored = sgs;
@@ -66,10 +67,11 @@ fn main() -> Result<()> {
                 if level > 0 {
                     coarse += 1;
                 }
-                if archive_base.write().insert(stored, w).is_some() {
-                    archived += 1;
-                }
+                batch.push((stored, w));
             }
+            // One write per window; a memory-only base cannot fail it.
+            let ids = archive_base.write().try_insert_all(batch);
+            archived += ids.expect("memory-only insert").len();
         }
         (archived, coarse)
     });

@@ -95,7 +95,10 @@ fn shared_base_supports_concurrent_writers_and_readers() {
     let writer_base = base.clone();
     let writer = std::thread::spawn(move || {
         for (i, s) in summaries.into_iter().enumerate() {
-            writer_base.write().insert(s, WindowId(i as u64));
+            writer_base
+                .write()
+                .try_insert(s, WindowId(i as u64))
+                .unwrap();
         }
     });
     let reader = {
@@ -241,6 +244,97 @@ fn crash_sweep_recovers_longest_durable_prefix() {
                     .unwrap()
                     .is_some(),
                 "{mode:?}@{at}: post-recovery insert rejected"
+            );
+        }
+    }
+}
+
+/// The crash sweep through multi-pattern commits: a checkpointed
+/// pre-batch state, then two `try_insert_all` batches of three patterns,
+/// each one WAL append and one `fsync`. For a crash at every enumerated
+/// byte of the batches' writes, in every fault mode, recovery yields the
+/// pre-batch state, every batch that returned `Ok` whole, and a prefix of
+/// the batch that failed — then commits a batch that survives reopen.
+///
+/// Offsets are stride-sampled by default; `SGS_FAULT_SWEEP=full` (the CI
+/// recovery step) sweeps every byte.
+#[test]
+fn crash_sweep_through_a_multi_pattern_commit() {
+    const BATCH: usize = 3;
+    let summaries = study_summaries(8);
+    let (pre, batched) = summaries.split_at(2);
+    let cfg = DurableConfig::default();
+    let prefixes = prefix_snapshots(&cfg, &summaries);
+    let batch = |b: usize| {
+        let first = pre.len() + b * BATCH;
+        (first..)
+            .zip(&batched[b * BATCH..(b + 1) * BATCH])
+            .map(|(k, s)| (s.clone(), WindowId(k as u64)))
+    };
+    // Runs the workload until a write fails; returns the batches that
+    // committed and the bytes written when the pre-batch state was
+    // checkpointed and after each committed batch.
+    let run = |fs: &FaultFs| {
+        let mut base = durable_open(fs, &cfg);
+        for (k, s) in pre.iter().enumerate() {
+            base.try_insert(s.clone(), WindowId(k as u64)).unwrap();
+        }
+        base.checkpoint().unwrap();
+        let mut marks = vec![fs.total_written()];
+        for b in 0..batched.len() / BATCH {
+            if base.try_insert_all(batch(b)).is_err() {
+                break;
+            }
+            marks.push(fs.total_written());
+        }
+        marks
+    };
+
+    let dry = run(&FaultFs::new());
+    assert_eq!(dry.len(), 3, "both batches commit without a fault");
+    let full = std::env::var("SGS_FAULT_SWEEP").as_deref() == Ok("full");
+    let stride = if full {
+        1
+    } else {
+        ((dry[2] - dry[0]) / 32).max(1)
+    };
+    let mut offsets: Vec<u64> = (dry[0]..dry[2]).step_by(stride as usize).collect();
+    offsets.extend([dry[1], dry[2] - 1]);
+
+    for mode in [
+        FaultMode::Truncate,
+        FaultMode::ShortWrite,
+        FaultMode::BitFlip,
+    ] {
+        for &at in &offsets {
+            let fs = FaultFs::new();
+            fs.arm(FaultPlan { at, mode });
+            let committed = run(&fs).len() - 1;
+            assert!(fs.crashed(), "{mode:?}@{at}: fault must fire");
+            fs.disarm();
+
+            let mut recovered = durable_open(&fs, &cfg);
+            let snap = recovered.snapshot_bytes();
+            let whole = pre.len() + committed * BATCH;
+            let prefix = (whole..whole + BATCH).find(|&n| snap == prefixes[n]);
+            // A bit flip at the failing batch's first byte lands on the
+            // last byte already on disk — the previous batch's tail, which
+            // its fsync had made durable. That is damage to stored bytes,
+            // not a crash, and it costs exactly that one frame.
+            let boundary_flip = mode == FaultMode::BitFlip
+                && committed > 0
+                && at == dry[committed]
+                && snap == prefixes[whole - 1];
+            assert!(
+                prefix.is_some() || boundary_flip,
+                "{mode:?}@{at}: recovered base is not the {committed} committed \
+                 batches plus a prefix of the failing one"
+            );
+            // The recovered base commits a batch that survives reopen.
+            assert_eq!(recovered.try_insert_all(batch(0)).unwrap().len(), BATCH);
+            assert!(
+                durable_open(&fs, &cfg).snapshot_bytes() == recovered.snapshot_bytes(),
+                "{mode:?}@{at}: a committed batch was lost on reopen"
             );
         }
     }

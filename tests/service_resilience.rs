@@ -273,7 +273,7 @@ fn draining_notifies_idle_sessions_with_goaway_and_completes() {
 
     let drainer = {
         let handle = handle.clone();
-        std::thread::spawn(move || handle.drain(Duration::from_secs(5)))
+        std::thread::spawn(move || handle.drain(Duration::from_secs(5)).unwrap())
     };
     // The session notices the drain flag within one read tick and sends
     // GoAway unprompted; the client surfaces it on its next exchange.
@@ -302,7 +302,7 @@ fn draining_notifies_idle_sessions_with_goaway_and_completes() {
 #[test]
 fn draining_an_idle_server_with_an_unbounded_grace_returns_zero() {
     let (_addr, handle, join) = start_server(ServerConfig::default());
-    assert_eq!(handle.drain(Duration::MAX), 0);
+    assert_eq!(handle.drain(Duration::MAX).unwrap(), 0);
     join.join().unwrap();
 }
 
@@ -344,7 +344,7 @@ fn drain_checkpoints_the_durable_archive_byte_identically() {
         .expect("pre-drain recovery")
         .snapshot_bytes();
 
-    let forced = handle.drain(Duration::from_secs(10));
+    let forced = handle.drain(Duration::from_secs(10)).unwrap();
     assert_eq!(forced, 0);
     join.join().unwrap();
 
@@ -359,6 +359,51 @@ fn drain_checkpoints_the_durable_archive_byte_identically() {
         want,
         "checkpointed recovery diverged from WAL-replay recovery"
     );
+    assert_eq!(recovered.len() as u64, archived);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A final checkpoint that fails reaches the drain's caller, after every
+/// other dimension's base has still been checkpointed: a directory
+/// squatting on the 2-d store's staging file fails its atomic write.
+#[test]
+fn a_failed_drain_checkpoint_reaches_the_caller() {
+    let dir = std::env::temp_dir().join(format!("sgs-drain-fail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = ServerConfig::default();
+    config.runtime.durable_archive = Some(DurableArchive::at(&dir));
+    let (addr, handle, join) = start_server(config);
+
+    let mut client = Session::connect(addr).unwrap();
+    let q = client.detect(DETECT).unwrap();
+    client
+        .detect(
+            "DETECT DensityBasedClusters f+s FROM stt USING theta_range = 0.6 \
+             AND theta_cnt = 6 IN Windows WITH win = 1000 AND slide = 250",
+        )
+        .unwrap();
+    client.feed("gmti", &gmti(3000)).unwrap();
+    client.quiesce().unwrap();
+    let archived = client.query(q).stats().unwrap().stats.archived;
+    assert!(archived > 0, "workload must archive patterns");
+    client.goodbye().unwrap();
+
+    let squat = dir.join("dim2/base.store.tmp");
+    std::fs::create_dir_all(&squat).unwrap();
+    let err = handle
+        .drain(Duration::from_secs(10))
+        .expect_err("the failed checkpoint must reach the caller");
+    assert!(matches!(err, RuntimeError::Archive(_)), "{err:?}");
+    assert!(err.to_string().contains("archive I/O error"), "{err}");
+    join.join().unwrap();
+    assert!(
+        dir.join("dim4/base.store").exists(),
+        "the other dimension was not checkpointed"
+    );
+
+    // Nothing was lost: the WAL still holds every archived pattern.
+    std::fs::remove_dir_all(&squat).unwrap();
+    let recovered = DurablePatternBase::open(dir.join("dim2"), DurableConfig::default()).unwrap();
     assert_eq!(recovered.len() as u64, archived);
     let _ = std::fs::remove_dir_all(&dir);
 }
