@@ -8,25 +8,26 @@
 //!
 //! Both files speak one format, the CRC'd frames of [`wal`]: the WAL
 //! logs every mutation, and a checkpoint store is that log compacted —
-//! one `Insert` frame per pattern in insertion order, then a `Seal`. The
-//! recovery invariant — *replay ⇒ byte-identical* — rests on four rules:
+//! one `Insert` frame per pattern in insertion order, then a `Seal`. An
+//! insert logs the summary in the lossless encoding the wire sends
+//! (`sgs_summarize::codec`), and the base stores exactly the summary it
+//! was given, so a durable base holds — and MATCH answers over — what a
+//! memory-only one does, and the live and the replayed base hold the same
+//! summaries by construction. The recovery invariant — *replay ⇒
+//! byte-identical* — rests on three rules:
 //!
 //! 1. every mutation is a WAL record fsynced **before** it is applied in
-//!    memory (an insert logs the pattern's packed bytes; a retention
-//!    demotion logs the pattern's index). A batch of inserts and the
-//!    demotions it causes is one commit — one append, one `fsync` — so a
-//!    torn commit recovers as a prefix of its records;
-//! 2. the in-memory base stores the *canonical* form of every pattern —
-//!    `packed::decode(packed::encode(sgs))` — which is exactly what WAL
-//!    replay reconstructs, so live state and replayed state coarsen
-//!    identically;
-//! 3. a checkpoint atomically replaces the store file before truncating
+//!    memory (an insert logs the pattern's summary; a retention demotion
+//!    logs the pattern's index). A batch of inserts and the demotions it
+//!    causes is one commit — one append, one `fsync` — so a torn commit
+//!    recovers as a prefix of its records;
+//! 2. a checkpoint atomically replaces the store file before truncating
 //!    the log. The store's frames are numbered so its seal carries the
 //!    sequence number the next WAL record will carry (`applied_seq`), and
 //!    recovery skips WAL records below it — a crash between the two steps
 //!    merely replays records that are already in the snapshot, and the
 //!    skip makes that a no-op;
-//! 4. after a failed write the base refuses every later mutation until it
+//! 3. after a failed write the base refuses every later mutation until it
 //!    is reopened: the torn bytes stay in the log, replay stops at them,
 //!    and a record appended behind them would be acknowledged and lost.
 
@@ -147,13 +148,22 @@ impl Storage {
         Ok(result?)
     }
 
-    /// Append `records` to the WAL as one batch and fsync it — the commit
-    /// point of every mutation.
-    fn commit(&mut self, records: &[WalRecord]) -> Result<(), PersistError> {
+    /// Append the `Insert` records of `staged`, then the `Coarsen`
+    /// records of `demotions`, to the WAL as one batch and fsync it — the
+    /// commit point of every mutation.
+    fn commit(
+        &mut self,
+        staged: &[(Sgs, WindowId)],
+        demotions: &[u64],
+    ) -> Result<(), PersistError> {
         self.usable()?;
+        let mut seqs = self.next_seq..;
         let mut batch = Vec::new();
-        for (seq, record) in (self.next_seq..).zip(records) {
-            batch.extend_from_slice(&wal::encode_frame(seq, record));
+        for ((sgs, window), seq) in staged.iter().zip(&mut seqs) {
+            batch.extend_from_slice(&wal::insert_frame(seq, *window, sgs));
+        }
+        for (&index, seq) in demotions.iter().zip(&mut seqs) {
+            batch.extend_from_slice(&wal::encode_frame(seq, &WalRecord::Coarsen { index }));
         }
         let m = crate::metrics::metrics();
         let start = std::time::Instant::now();
@@ -164,7 +174,7 @@ impl Storage {
         let synced = self.io.sync(WAL_FILE);
         m.wal_fsync_nanos.record_since(start);
         self.check(synced)?;
-        self.next_seq += records.len() as u64;
+        self.next_seq = seqs.start;
         self.wal_len += batch.len() as u64;
         Ok(())
     }
@@ -191,33 +201,24 @@ impl std::ops::Deref for DurablePatternBase {
     }
 }
 
-/// The canonical archived form: what packing keeps (face connections,
-/// sorted cells). Live inserts store this so WAL replay — which can only
-/// reconstruct from packed bytes — produces bit-for-bit the same base.
-fn canonical(sgs: &Sgs) -> Option<(bytes::Bytes, Sgs)> {
-    sgs.mbr()?;
-    let packed = packed::encode(sgs);
-    let canon = packed::decode(packed.clone())?;
-    Some((packed, canon))
-}
-
-/// One retention demotion: `sgs` a multi-resolution level coarser, in
-/// canonical form. Live retention and WAL replay both go through here, so
-/// a replayed `Coarsen` reproduces the live result bit for bit. `None` if
-/// coarsening left nothing to archive.
+/// One retention demotion: `sgs` a multi-resolution level coarser. Live
+/// retention and WAL replay both go through here, so a replayed `Coarsen`
+/// reproduces the live result bit for bit. `None` if coarsening left
+/// nothing to archive.
 fn demote(sgs: &Sgs) -> Option<Sgs> {
-    canonical(&multires::coarsen(sgs, RETENTION_THETA)).map(|(_, canon)| canon)
+    Some(multires::coarsen(sgs, RETENTION_THETA)).filter(|coarse| !coarse.cells.is_empty())
 }
 
 /// The demotions that bring `base` plus `staged` within `retention`'s
-/// budget: `Coarsen` records onto `records`, each demoted pattern's final
-/// form by index. Oldest-first passes demote a pattern at most one level
-/// each, so resolution degrades evenly; a batch within budget copies nothing.
+/// budget: the demoted indices in order onto `demotions`, each demoted
+/// pattern's final form by index. Oldest-first passes demote a pattern at
+/// most one level each, so resolution degrades evenly; a batch within
+/// budget copies nothing.
 fn plan_retention(
     base: &PatternBase,
     staged: &[(Sgs, WindowId)],
     retention: &ArchiveRetention,
-    records: &mut Vec<WalRecord>,
+    demotions: &mut Vec<u64>,
 ) -> BTreeMap<usize, Sgs> {
     let mut demoted = BTreeMap::new();
     let ArchiveRetention::ByteBudget(budget) = *retention else {
@@ -247,7 +248,7 @@ fn plan_retention(
             };
             total = total - before + packed::archived_bytes(&coarse);
             demoted.insert(i, coarse);
-            records.push(WalRecord::Coarsen { index: i as u64 });
+            demotions.push(i as u64);
             progressed = true;
         }
         if !progressed {
@@ -262,11 +263,7 @@ fn plan_retention(
 pub(crate) fn store_image(base: &PatternBase, first_seq: u64) -> Vec<u8> {
     let mut image = Vec::new();
     for (seq, pattern) in (first_seq..).zip(base.iter()) {
-        let record = WalRecord::Insert {
-            window: pattern.window,
-            packed: packed::encode(&pattern.sgs),
-        };
-        image.extend_from_slice(&wal::encode_frame(seq, &record));
+        image.extend_from_slice(&wal::insert_frame(seq, pattern.window, &pattern.sgs));
     }
     let seal_seq = first_seq + base.len() as u64;
     image.extend_from_slice(&wal::encode_frame(seal_seq, &WalRecord::Seal));
@@ -276,10 +273,9 @@ pub(crate) fn store_image(base: &PatternBase, first_seq: u64) -> Vec<u8> {
 /// Apply one logged record to the base being recovered.
 fn apply(base: &mut PatternBase, seq: u64, record: WalRecord) -> Result<(), PersistError> {
     match record {
-        WalRecord::Insert { window, packed } => {
-            packed::decode(packed)
-                .and_then(|sgs| base.insert(sgs, window))
-                .ok_or_else(|| PersistError::Corrupt(format!("insert {seq} undecodable")))?;
+        WalRecord::Insert { window, sgs } => {
+            base.insert(sgs, window)
+                .ok_or_else(|| PersistError::Corrupt(format!("insert {seq} is empty")))?;
         }
         WalRecord::Coarsen { index } => {
             let pattern = base.get(PatternId(index)).ok_or_else(|| {
@@ -329,7 +325,7 @@ impl DurablePatternBase {
         let mut base = PatternBase::new();
         let mut applied_seq = 0;
         if let Some(store) = io.read_file(STORE_FILE)? {
-            let mut replayed = wal::replay(&store);
+            let mut replayed = wal::replay(&store)?;
             let whole = replayed.durable_len == store.len() as u64;
             let Some((seal_seq, WalRecord::Seal)) = replayed.records.pop().filter(|_| whole) else {
                 return Err(PersistError::Corrupt(format!(
@@ -343,9 +339,10 @@ impl DurablePatternBase {
             applied_seq = seal_seq;
         }
 
-        // 2. Replay the WAL tail, discarding torn bytes.
+        // 2. Replay the WAL tail, discarding torn bytes. A log that does
+        // not parse is left as it is.
         let wal_bytes = io.read_file(WAL_FILE)?.unwrap_or_default();
-        let replayed = wal::replay(&wal_bytes);
+        let replayed = wal::replay(&wal_bytes)?;
         if replayed.durable_len < wal_bytes.len() as u64 {
             io.truncate(WAL_FILE, replayed.durable_len)?;
         }
@@ -402,24 +399,22 @@ impl DurablePatternBase {
                 .map(|(sgs, window)| self.base.insert(sgs, window));
             return Ok(inserted.flatten().collect());
         };
-        let mut records = Vec::new();
-        let mut staged = Vec::new();
-        for (sgs, window) in batch {
-            if let Some((packed, canon)) = canonical(&sgs) {
-                records.push(WalRecord::Insert { window, packed });
-                staged.push((canon, window));
-            }
-        }
+        let staged: Vec<_> = batch
+            .into_iter()
+            .filter(|(sgs, _)| !sgs.cells.is_empty())
+            .collect();
         if staged.is_empty() {
             return Ok(Vec::new());
         }
-        let demoted = plan_retention(&self.base, &staged, &storage.cfg.retention, &mut records);
+        let mut demotions = Vec::new();
+        let demoted = plan_retention(&self.base, &staged, &storage.cfg.retention, &mut demotions);
 
         // WAL first, memory second.
-        storage.commit(&records)?;
+        storage.commit(&staged, &demotions)?;
         let checkpoint_due = storage.wal_len >= storage.cfg.checkpoint_wal_bytes;
-        let coarsenings = (records.len() - staged.len()) as u64;
-        crate::metrics::metrics().coarsenings.add(coarsenings);
+        crate::metrics::metrics()
+            .coarsenings
+            .add(demotions.len() as u64);
         let inserted = staged
             .into_iter()
             .map(|(sgs, window)| self.base.insert(sgs, window));
@@ -581,14 +576,45 @@ mod tests {
         let fs = FaultFs::new();
         let cfg = DurableConfig::default();
         let mut a = DurablePatternBase::open_with(Box::new(fs.clone()), cfg.clone()).unwrap();
-        for k in 0..4 {
-            a.try_insert(blob(k as f64 * 9.0, 20), WindowId(k)).unwrap();
+        let inserted: Vec<Sgs> = (0..4).map(|k| blob(k as f64 * 9.0, 20 + k)).collect();
+        assert!(
+            inserted.iter().all(has_a_non_face_connection),
+            "the summaries must hold connections the face bits cannot"
+        );
+        for (k, sgs) in (0..).zip(&inserted) {
+            a.try_insert(sgs.clone(), WindowId(k)).unwrap();
         }
+        // The base returns what it was given: live, from the WAL alone,
+        // and from a checkpoint.
+        assert_holds(&a, &inserted);
+        assert_holds(&reopen(&fs, &cfg), &inserted);
         a.checkpoint().unwrap();
         assert_eq!(a.wal_bytes(), Some(0));
         let want = a.snapshot_bytes();
-        let b = DurablePatternBase::open_with(Box::new(fs), cfg).unwrap();
+        let b = reopen(&fs, &cfg);
         assert_eq!(b.snapshot_bytes(), want);
+        assert_holds(&b, &inserted);
+    }
+
+    fn reopen(fs: &FaultFs, cfg: &DurableConfig) -> DurablePatternBase {
+        DurablePatternBase::open_with(Box::new(fs.clone()), cfg.clone()).unwrap()
+    }
+
+    /// Whether `sgs` links two cells that are not face neighbours.
+    fn has_a_non_face_connection(sgs: &Sgs) -> bool {
+        sgs.cells.iter().any(|cell| {
+            cell.connections.iter().any(|&j| {
+                let other = &sgs.cells[j as usize].coord.0;
+                let steps = cell.coord.0.iter().zip(other.iter());
+                steps.map(|(a, b)| a.abs_diff(*b)).sum::<u32>() > 1
+            })
+        })
+    }
+
+    /// `base` holds exactly `inserted`, in order.
+    fn assert_holds(base: &DurablePatternBase, inserted: &[Sgs]) {
+        let held: Vec<&Sgs> = base.iter().map(|p| &p.sgs).collect();
+        assert_eq!(held, inserted.iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -602,11 +628,21 @@ mod tests {
             },
         )
         .unwrap();
-        for k in 0..10 {
-            base.try_insert(blob(k as f64 * 9.0, 30), WindowId(k))
-                .unwrap();
+        let inserted: Vec<Sgs> = (0..10).map(|k| blob(k as f64 * 9.0, 30)).collect();
+        for (k, sgs) in (0..).zip(&inserted) {
+            base.try_insert(sgs.clone(), WindowId(k)).unwrap();
         }
         assert_eq!(base.len(), 10, "retention must never drop patterns");
+        // A demoted pattern is what coarsening the inserted summary gives,
+        // one level per demotion, and nothing else.
+        let demoted: Vec<Sgs> = base
+            .iter()
+            .zip(&inserted)
+            .map(|(p, sgs)| {
+                (0..p.sgs.level).fold(sgs.clone(), |s, _| multires::coarsen(&s, RETENTION_THETA))
+            })
+            .collect();
+        assert_holds(&base, &demoted);
         assert!(base.archived_bytes() <= 700);
         // Oldest-first: the first pattern is at least as coarse as the last.
         let levels: Vec<u8> = base.iter().map(|p| p.sgs.level).collect();
@@ -626,6 +662,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(b.snapshot_bytes(), want);
+        assert_holds(&b, &demoted);
     }
 
     #[test]
@@ -746,6 +783,53 @@ mod tests {
         assert_eq!(reopened.snapshot_bytes(), base.snapshot_bytes());
         reopened.try_insert(blob(18.0, 20), WindowId(2)).unwrap();
         assert_eq!(reopened.len(), 2);
+    }
+
+    /// A frame that passes its CRC was written whole, so a record kind
+    /// this build does not know — the retired kind-1 packed insert an
+    /// older format wrote included — is corruption. Opening fails and
+    /// leaves both files as they were, instead of cutting the log at that
+    /// frame and opening as a shorter base.
+    #[test]
+    fn a_checksummed_frame_of_an_unknown_kind_is_corrupt_and_changes_nothing() {
+        let frame = |seq: u64, kind: u8, body: &[u8]| {
+            let mut payload = seq.to_le_bytes().to_vec();
+            payload.push(kind);
+            payload.extend_from_slice(body);
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&wal::crc32(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            frame
+        };
+        let mut packed_insert = 7u64.to_le_bytes().to_vec();
+        packed_insert.extend_from_slice(&packed::encode(&blob(0.0, 20)));
+        let cfg = DurableConfig::default();
+        for (kind, body) in [(0x7F, &b"future"[..]), (1, &packed_insert)] {
+            let (fs, _) = checkpointed(&[blob(9.0, 20)]);
+            let mut base = reopen(&fs, &cfg);
+            base.try_insert(blob(18.0, 20), WindowId(1)).unwrap();
+            let seq = base.storage.as_ref().unwrap().next_seq;
+            drop(base);
+            let mut io: Box<dyn ArchiveIo> = Box::new(fs.clone());
+            io.append(WAL_FILE, &frame(seq, kind, body)).unwrap();
+            let files = |fs: &FaultFs| (fs.contents(STORE_FILE), fs.contents(WAL_FILE));
+            let before = files(&fs);
+            let err = DurablePatternBase::open_with(Box::new(fs.clone()), cfg.clone());
+            assert!(
+                matches!(err, Err(PersistError::Corrupt(ref msg)) if msg.contains("kind")),
+                "kind {kind:#04x}: {:?}",
+                err.map(|b| b.len())
+            );
+            assert!(files(&fs) == before, "kind {kind:#04x}: the files changed");
+        }
+        // A store an older format wrote is refused the same way.
+        let mut store = frame(0, 1, &packed_insert);
+        store.extend_from_slice(&frame(1, 3, &[]));
+        let mut fs = FaultFs::new();
+        fs.write_file_atomic(STORE_FILE, &store).unwrap();
+        let err = DurablePatternBase::open_with(Box::new(fs.clone()), cfg);
+        assert!(matches!(err, Err(PersistError::Corrupt(_))));
+        assert_eq!(fs.contents(STORE_FILE).unwrap(), store);
     }
 
     /// A `FaultFs` that counts WAL appends and fsyncs.

@@ -9,31 +9,40 @@
 //! payload = seq: u64le | kind: u8 | body
 //! ```
 //!
-//! with three record kinds: `Insert { window, packed SGS }` (an archived
-//! pattern), `Coarsen { pattern index }` (retention demoted a pattern
-//! one multi-resolution level) and `Seal` (the end of a checkpoint
-//! store, which is this same log compacted to one `Insert` per pattern).
+//! with three record kinds: `Insert` (kind 4; body `window: u64le` then
+//! the summary in `sgs_summarize::codec`, the encoding the wire sends), an
+//! archived pattern; `Coarsen` (kind 2; body `index: u64le`), retention
+//! demoted a pattern one multi-resolution level; and `Seal` (kind 3; empty
+//! body), the end of a checkpoint store, which is this same log compacted
+//! to one `Insert` per pattern. Kind 1, an insert in the face-bit packed
+//! layout an older format wrote, is retired.
+//!
 //! The CRC plus a strictly increasing `seq` give torn-write protection:
 //! replay stops at the first frame whose length, checksum, or sequence is
-//! wrong and truncates the log there — everything before that point is
-//! the longest durable prefix, everything after is a torn tail a crash
-//! left behind.
+//! wrong — everything before that point is the longest durable prefix,
+//! everything after is a torn tail a crash left behind. A length is
+//! wrong only if it runs past the bytes read: a file is replayed from
+//! memory, so a garbage length allocates nothing, and no cap may cut off
+//! a large summary, which every record holds whole. A frame that
+//! passes its CRC but does not parse — an unknown or retired kind, a
+//! malformed body — was written whole by something else, so it is an
+//! error, never a tail to cut off.
 
-use bytes::Bytes;
 use sgs_core::WindowId;
+use sgs_summarize::{codec, Sgs};
+
+use crate::durable::PersistError;
 
 /// Frame header size: `len` + `crc`.
 const FRAME_HEADER: usize = 8;
 /// Payload prefix: `seq` + `kind`.
 const PAYLOAD_PREFIX: usize = 9;
-/// Reject absurd frame lengths up front: the largest legitimate record is
-/// one packed SGS, and a multi-megabyte "length" is a torn header read
-/// through garbage, not data.
-const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-const KIND_INSERT: u8 = 1;
+/// Retired: an insert in the face-bit packed layout.
+const KIND_PACKED_INSERT: u8 = 1;
 const KIND_COARSEN: u8 = 2;
 const KIND_SEAL: u8 = 3;
+const KIND_INSERT: u8 = 4;
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time so
 /// the offline workspace needs no checksum dependency.
@@ -67,14 +76,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// One logical WAL record (the payload body, without framing).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
-    /// A pattern was archived: its window id and packed SGS bytes.
+    /// A pattern was archived: its window id and summary.
     Insert {
         /// Window the pattern was extracted from.
         window: WindowId,
-        /// Canonical packed encoding (`sgs_summarize::packed`).
-        packed: Bytes,
+        /// The summary, exactly as archived.
+        sgs: Sgs,
     },
     /// Retention coarsened the pattern at this insertion index one level.
     Coarsen {
@@ -87,27 +96,65 @@ pub enum WalRecord {
     Seal,
 }
 
+/// Frame `seq`, `kind` and the body `body` writes.
+fn frame(seq: u64, kind: u8, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = vec![0; FRAME_HEADER];
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame.push(kind);
+    body(&mut frame);
+    let payload = &frame[FRAME_HEADER..];
+    let header = [
+        (payload.len() as u32).to_le_bytes(),
+        crc32(payload).to_le_bytes(),
+    ];
+    frame[..FRAME_HEADER].copy_from_slice(header.as_flattened());
+    frame
+}
+
+/// The `Insert` frame of `sgs`, without taking ownership of it.
+pub fn insert_frame(seq: u64, window: WindowId, sgs: &Sgs) -> Vec<u8> {
+    frame(seq, KIND_INSERT, |out| {
+        out.extend_from_slice(&window.0.to_le_bytes());
+        codec::encode(sgs, out);
+    })
+}
+
 /// Serialize one record into its on-disk frame, stamped with `seq`.
 pub fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(PAYLOAD_PREFIX + 16);
-    payload.extend_from_slice(&seq.to_le_bytes());
     match record {
-        WalRecord::Insert { window, packed } => {
-            payload.push(KIND_INSERT);
-            payload.extend_from_slice(&window.0.to_le_bytes());
-            payload.extend_from_slice(packed);
-        }
-        WalRecord::Coarsen { index } => {
-            payload.push(KIND_COARSEN);
-            payload.extend_from_slice(&index.to_le_bytes());
-        }
-        WalRecord::Seal => payload.push(KIND_SEAL),
+        WalRecord::Insert { window, sgs } => insert_frame(seq, *window, sgs),
+        WalRecord::Coarsen { index } => frame(seq, KIND_COARSEN, |out| {
+            out.extend_from_slice(&index.to_le_bytes())
+        }),
+        WalRecord::Seal => frame(seq, KIND_SEAL, |_| {}),
     }
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+}
+
+/// Parse a CRC-valid frame's record; anything unparseable is corruption.
+fn parse(seq: u64, kind: u8, body: &[u8]) -> Result<WalRecord, PersistError> {
+    let corrupt = |what: String| PersistError::Corrupt(format!("record {seq} {what}"));
+    let (head, mut rest) = match body.split_first_chunk::<8>() {
+        Some((head, rest)) => (Some(u64::from_le_bytes(*head)), rest),
+        None => (None, body),
+    };
+    let record = match (kind, head) {
+        (KIND_INSERT, Some(window)) => codec::decode(&mut rest).ok().map(|sgs| WalRecord::Insert {
+            window: WindowId(window),
+            sgs,
+        }),
+        (KIND_COARSEN, Some(index)) => Some(WalRecord::Coarsen { index }),
+        (KIND_SEAL, None) => Some(WalRecord::Seal),
+        (KIND_INSERT | KIND_COARSEN | KIND_SEAL, _) => None,
+        (KIND_PACKED_INSERT, _) => {
+            return Err(corrupt(
+                "is a retired kind-1 insert: an older format wrote it".into(),
+            ))
+        }
+        _ => return Err(corrupt(format!("has unknown kind {kind:#04x}"))),
+    };
+    record
+        .filter(|_| rest.is_empty())
+        .ok_or_else(|| corrupt(format!("has a malformed kind-{kind} body")))
 }
 
 /// Result of replaying a WAL byte stream.
@@ -122,16 +169,17 @@ pub struct Replay {
 }
 
 /// Decode frames from the start of `bytes`, stopping at the first torn,
-/// corrupt, or out-of-sequence frame. Never fails: a damaged log simply
-/// yields a shorter durable prefix.
-pub fn replay(bytes: &[u8]) -> Replay {
+/// checksum-failing, or out-of-sequence frame: a damaged tail simply
+/// yields a shorter durable prefix. A frame that passes its checksum but
+/// does not parse is [`PersistError::Corrupt`].
+pub fn replay(bytes: &[u8]) -> Result<Replay, PersistError> {
     let mut out = Replay::default();
     let mut pos = 0usize;
     let mut expect_seq: Option<u64> = None;
     while bytes.len() - pos >= FRAME_HEADER {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len < PAYLOAD_PREFIX as u32 || len > MAX_FRAME_LEN {
+        if len < PAYLOAD_PREFIX as u32 {
             break;
         }
         let end = pos + FRAME_HEADER + len as usize;
@@ -148,40 +196,43 @@ pub fn replay(bytes: &[u8]) -> Replay {
                 break; // stale or duplicated frame — not our tail
             }
         }
-        let body = &payload[PAYLOAD_PREFIX..];
-        let record = match payload[8] {
-            KIND_INSERT if body.len() >= 8 => WalRecord::Insert {
-                window: WindowId(u64::from_le_bytes(body[..8].try_into().unwrap())),
-                packed: Bytes::from(body[8..].to_vec()),
-            },
-            KIND_COARSEN if body.len() == 8 => WalRecord::Coarsen {
-                index: u64::from_le_bytes(body[..8].try_into().unwrap()),
-            },
-            KIND_SEAL if body.is_empty() => WalRecord::Seal,
-            _ => break, // unknown kind or malformed body
-        };
+        let record = parse(seq, payload[8], &payload[PAYLOAD_PREFIX..])?;
         out.records.push((seq, record));
         out.durable_len = end as u64;
         pos = end;
         expect_seq = Some(seq + 1);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn summary(window: u64) -> Sgs {
+        let g = sgs_core::GridGeometry::basic(2, 1.0);
+        let cores: Vec<Box<[f64]>> = (0..12)
+            .map(|i| {
+                vec![
+                    window as f64 * 9.0 + (i % 4) as f64 * 0.3,
+                    (i / 4) as f64 * 0.3,
+                ]
+                .into()
+            })
+            .collect();
+        Sgs::from_members(&sgs_summarize::MemberSet::new(cores, vec![]), &g)
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Insert {
                 window: WindowId(7),
-                packed: Bytes::from(b"packed-sgs-bytes-alpha".to_vec()),
+                sgs: summary(7),
             },
             WalRecord::Coarsen { index: 0 },
             WalRecord::Insert {
                 window: WindowId(8),
-                packed: Bytes::from(b"packed-sgs-bytes-beta".to_vec()),
+                sgs: summary(8),
             },
             WalRecord::Seal,
         ]
@@ -210,7 +261,7 @@ mod tests {
     fn roundtrip_clean_log() {
         let records = sample_records();
         let log = log_of(&records, 5);
-        let replayed = replay(&log);
+        let replayed = replay(&log).unwrap();
         assert_eq!(replayed.durable_len, log.len() as u64);
         assert_eq!(replayed.records.len(), records.len());
         for (i, (seq, rec)) in replayed.records.iter().enumerate() {
@@ -231,7 +282,7 @@ mod tests {
             boundaries.push(acc);
         }
         for cut in 0..log.len() {
-            let replayed = replay(&log[..cut]);
+            let replayed = replay(&log[..cut]).unwrap();
             // The durable length must be the largest boundary ≤ cut.
             let expect = *boundaries
                 .iter()
@@ -248,12 +299,12 @@ mod tests {
     fn single_bit_flip_never_extends_the_durable_prefix() {
         let records = sample_records();
         let log = log_of(&records, 0);
-        let clean = replay(&log);
+        let clean = replay(&log).unwrap();
         for byte in 0..log.len() {
             for bit in 0..8 {
                 let mut mangled = log.clone();
                 mangled[byte] ^= 1 << bit;
-                let replayed = replay(&mangled);
+                let replayed = replay(&mangled).unwrap();
                 // The flip invalidates the frame containing `byte` (or a
                 // later one if it hit its own already-validated prefix) —
                 // it can never *add* records or alter a decoded one that
@@ -273,7 +324,7 @@ mod tests {
     fn seq_discontinuity_stops_replay() {
         let mut log = encode_frame(3, &WalRecord::Coarsen { index: 1 });
         log.extend_from_slice(&encode_frame(5, &WalRecord::Coarsen { index: 2 }));
-        let replayed = replay(&log);
+        let replayed = replay(&log).unwrap();
         assert_eq!(replayed.records.len(), 1);
         assert_eq!(replayed.records[0].0, 3);
     }
@@ -284,8 +335,32 @@ mod tests {
         let good_len = log.len() as u64;
         log.extend_from_slice(&u32::MAX.to_le_bytes());
         log.extend_from_slice(&[0u8; 12]);
-        let replayed = replay(&log);
+        let replayed = replay(&log).unwrap();
         assert_eq!(replayed.durable_len, good_len);
         assert_eq!(replayed.records.len(), 1);
+    }
+
+    /// A frame that passes its CRC was written whole, so a kind replay
+    /// does not know — a retired one included — is an error, not a torn
+    /// tail to cut off with everything behind it.
+    #[test]
+    fn a_checksummed_frame_of_an_unknown_kind_is_corrupt() {
+        let good = encode_frame(0, &WalRecord::Coarsen { index: 0 });
+        for kind in [0x7F, KIND_PACKED_INSERT, 0] {
+            let mut log = good.clone();
+            log.extend_from_slice(&frame(1, kind, |out| out.extend_from_slice(&[0; 22])));
+            let err = replay(&log).unwrap_err().to_string();
+            assert!(err.contains("record 1"), "kind {kind}: {err}");
+        }
+        let mut log = good.clone();
+        log.extend_from_slice(&frame(1, KIND_COARSEN, |out| out.push(1)));
+        assert!(replay(&log).is_err(), "a malformed body of a known kind");
+        let mut log = good;
+        log.extend_from_slice(&encode_frame(1, &sample_records()[0])[..20]);
+        assert_eq!(
+            replay(&log).unwrap().records.len(),
+            1,
+            "a torn frame is a tail"
+        );
     }
 }

@@ -153,12 +153,6 @@ impl GridGeometry {
         self.reach
     }
 
-    /// Volume of one cell.
-    #[inline]
-    pub fn cell_volume(&self) -> f64 {
-        self.side.powi(self.dim as i32)
-    }
-
     /// The largest coordinate magnitude this grid addresses with
     /// head-room: cell indices up to ±2³⁰, half the `i32` range, which
     /// keeps `± reach` and adjacency offsets far from overflow. Far enough beyond it [`cell_of`](Self::cell_of)

@@ -41,18 +41,16 @@ struct Buffered {
 
 /// Encoded size of one buffered window — the same formula as
 /// `sgs_wire::WireWindow::encoded_len` (window id + cluster count, then
-/// per cluster its cores/edges/SGS cells), so a per-owner output quota
-/// meters exactly the bytes a `Windows` response would carry. Kept here
-/// (not imported) because the runtime does not depend on the wire crate;
-/// a server-side test pins the two formulas together.
+/// per cluster its cores, edges and encoded summary), so a per-owner
+/// output quota meters exactly the bytes a `Windows` response would
+/// carry. The summary's share comes from the codec both use; the framing
+/// around it is restated because the runtime does not depend on the wire
+/// crate, and a server-side test pins the two formulas together.
 pub(crate) fn window_cost(clusters: &WindowOutput) -> usize {
     let mut bytes = 8 + 4;
     for c in clusters {
         bytes += 4 + 4 * c.cores.len() + 4 + 4 * c.edges.len();
-        bytes += 2 + 1 + 8 + 4;
-        for cell in &c.sgs.cells {
-            bytes += 4 * cell.coord.0.len() + 4 + 1 + 4 + 4 * cell.connections.len();
-        }
+        bytes += sgs_summarize::codec::encoded_len(&c.sgs);
     }
     bytes
 }

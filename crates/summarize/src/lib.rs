@@ -15,11 +15,14 @@
 //!   non-deterministic across equivalent inputs, which is exactly why the
 //!   paper rejects it,
 //! * [`multires`] — the multi-resolution hierarchy of §6.1 (level-n cells
-//!   combine θ^d level-(n−1) cells), and
-//! * [`packed`] — the byte-exact archived cell layout used to reproduce the
-//!   23-bytes-per-cell / ~98 % compression accounting of §8.2.
+//!   combine θ^d level-(n−1) cells),
+//! * [`codec`] — the one lossless SGS encoding, which the wire sends and
+//!   the durable archive stores, and
+//! * [`packed`] — the paper's 23-bytes-per-cell layout, kept to reproduce
+//!   the ~98 % compression accounting of §8.2.
 
 pub mod cds;
+pub mod codec;
 pub mod crd;
 pub mod member;
 pub mod multires;
@@ -32,7 +35,6 @@ pub mod skps;
 pub use crd::Crd;
 pub use member::MemberSet;
 pub use multires::coarsen;
-pub use packed::PackedCell;
 pub use regen::{regenerate, regeneration_error, resummarize};
 pub use rsp::Rsp;
 pub use sgs::{CellStatus, Sgs, SkeletalCell};

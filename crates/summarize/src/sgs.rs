@@ -12,9 +12,9 @@
 //! still be neighbors — and §5's output stage rebuilds clusters by DFS over
 //! cell connections, which is only correct if those longer-range
 //! connections are kept. We therefore record connections between any cell
-//! pair within the grid's reach; the archived byte format
-//! ([`crate::packed`]) stores the adjacent-cell bitmask exactly as §8.2
-//! accounts it.
+//! pair within the grid's reach. The wire and the durable archive keep
+//! all of them ([`crate::codec`]); only §8.2's byte accounting
+//! ([`crate::packed`]) counts the adjacent-cell bitmask the paper stores.
 
 use sgs_core::{CellCoord, GridGeometry, HeapSize};
 use sgs_index::{FxHashMap, Rect};

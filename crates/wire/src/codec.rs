@@ -5,9 +5,9 @@
 //! allocating, so a corrupt length or count can produce only a
 //! [`WireError`], never an over-read panic or an outsized allocation.
 
-use sgs_core::{CellCoord, Point, PointId, WindowId};
+use sgs_core::{Point, PointId, WindowId};
 use sgs_csgs::ExtractedCluster;
-use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
+use sgs_summarize::codec::{self as sgs_codec, DecodeError};
 
 use crate::frame::{
     ErrorCode, Frame, WireMatch, WireMetric, WireMetricValue, WireQuery, WireQueryState, WireStats,
@@ -62,6 +62,15 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::Invalid(what) => WireError::Invalid(what),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
@@ -75,10 +84,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i32(out: &mut Vec<u8>, v: i32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -109,27 +114,6 @@ fn put_point(out: &mut Vec<u8>, p: &Point) {
     }
 }
 
-fn put_sgs(out: &mut Vec<u8>, sgs: &Sgs) {
-    put_u16(out, sgs.dim as u16);
-    out.push(sgs.level);
-    put_f64(out, sgs.side);
-    put_u32(out, sgs.cells.len() as u32);
-    for cell in &sgs.cells {
-        for &c in cell.coord.0.iter() {
-            put_i32(out, c);
-        }
-        put_u32(out, cell.population);
-        out.push(match cell.status {
-            CellStatus::Core => 1,
-            CellStatus::Edge => 0,
-        });
-        put_u32(out, cell.connections.len() as u32);
-        for &conn in &cell.connections {
-            put_u32(out, conn);
-        }
-    }
-}
-
 fn put_cluster(out: &mut Vec<u8>, c: &ExtractedCluster) {
     put_u32(out, c.cores.len() as u32);
     for id in &c.cores {
@@ -139,7 +123,7 @@ fn put_cluster(out: &mut Vec<u8>, c: &ExtractedCluster) {
     for id in &c.edges {
         put_u32(out, id.0);
     }
-    put_sgs(out, &c.sgs);
+    sgs_codec::encode(&c.sgs, out);
 }
 
 fn put_stats(out: &mut Vec<u8>, s: &WireStats) {
@@ -224,10 +208,6 @@ impl<'a> Rd<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn i32(&mut self) -> Result<i32, WireError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     fn i64(&mut self) -> Result<i64, WireError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
@@ -280,53 +260,6 @@ impl<'a> Rd<'a> {
         Ok(Point::new(coords, ts))
     }
 
-    fn sgs(&mut self) -> Result<Sgs, WireError> {
-        let dim = self.u16()? as usize;
-        if dim == 0 {
-            return Err(WireError::Invalid("zero-dimensional summary"));
-        }
-        let level = self.u8()?;
-        let side = self.f64()?;
-        if !(side.is_finite() && side > 0.0) {
-            return Err(WireError::Invalid("non-positive cell side"));
-        }
-        let n_cells = self.count(4 * dim + 4 + 1 + 4)?;
-        let mut cells = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            let mut coord = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                coord.push(self.i32()?);
-            }
-            let population = self.u32()?;
-            let status = match self.u8()? {
-                0 => CellStatus::Edge,
-                1 => CellStatus::Core,
-                _ => return Err(WireError::Invalid("cell status code")),
-            };
-            let n_conns = self.count(4)?;
-            let mut connections = Vec::with_capacity(n_conns);
-            for _ in 0..n_conns {
-                let conn = self.u32()?;
-                if conn as usize >= n_cells {
-                    return Err(WireError::Invalid("connection index out of range"));
-                }
-                connections.push(conn);
-            }
-            cells.push(SkeletalCell {
-                coord: CellCoord(coord.into()),
-                population,
-                status,
-                connections,
-            });
-        }
-        Ok(Sgs {
-            dim,
-            side,
-            level,
-            cells,
-        })
-    }
-
     fn point_ids(&mut self) -> Result<Vec<PointId>, WireError> {
         let n = self.count(4)?;
         let mut ids = Vec::with_capacity(n);
@@ -340,7 +273,7 @@ impl<'a> Rd<'a> {
         Ok(ExtractedCluster {
             cores: self.point_ids()?,
             edges: self.point_ids()?,
-            sgs: self.sgs()?,
+            sgs: sgs_codec::decode(&mut self.buf)?,
         })
     }
 
@@ -433,7 +366,7 @@ impl Frame {
             | Frame::OkAck => {}
             Frame::Bind { name, sgs } => {
                 put_str(out, name);
-                put_sgs(out, sgs);
+                sgs_codec::encode(sgs, out);
             }
             Frame::HelloAck { server, protocol } => {
                 put_str(out, server);
@@ -521,7 +454,7 @@ impl Frame {
             0x09 => Frame::Cancel { query: rd.u64()? },
             0x0A => Frame::Bind {
                 name: rd.str()?,
-                sgs: rd.sgs()?,
+                sgs: sgs_codec::decode(&mut rd.buf)?,
             },
             0x0B => Frame::Quiesce,
             0x0C => Frame::Goodbye,
@@ -639,6 +572,8 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgs_core::CellCoord;
+    use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
 
     #[test]
     fn short_header_and_split_payload_want_more_bytes() {

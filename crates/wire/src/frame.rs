@@ -94,13 +94,13 @@ pub struct WireMatch {
 
 /// One completed window of a query: the window id plus every extracted
 /// cluster (cores, edges, and the full SGS with its complete connection
-/// lists — *not* the lossy face-mask archive layout, so a polled window
-/// round-trips byte-identically).
+/// lists, so a polled window round-trips byte-identically).
 ///
 /// Body grammar: `window:u64 clusters:seq(cluster)` where
-/// `cluster := cores:seq(u32) edges:seq(u32) sgs` and
-/// `sgs := dim:u16 level:u8 side:f64 cells:seq(coord:i32×dim
-/// population:u32 status:u8 connections:seq(u32))`.
+/// `cluster := cores:seq(u32) edges:seq(u32) sgs` and `sgs` is the one
+/// summary encoding of `sgs_summarize::codec` (`dim:u16 level:u8 side:f64
+/// cells:seq(coord:i32×dim population:u32 status:u8 connections:seq(u32))`),
+/// which the durable archive stores too.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WireWindow {
     /// The window id.
@@ -118,10 +118,7 @@ impl WireWindow {
         let mut bytes = 8 + 4; // window id + cluster count
         for c in &self.clusters {
             bytes += 4 + 4 * c.cores.len() + 4 + 4 * c.edges.len();
-            bytes += 2 + 1 + 8 + 4; // SGS header: dim, level, side, cell count
-            for cell in &c.sgs.cells {
-                bytes += 4 * cell.coord.0.len() + 4 + 1 + 4 + 4 * cell.connections.len();
-            }
+            bytes += sgs_summarize::codec::encoded_len(&c.sgs);
         }
         bytes
     }
@@ -446,10 +443,5 @@ impl Frame {
             Frame::GoAway { .. } => 0x8A,
             Frame::Error { .. } => 0xFF,
         }
-    }
-
-    /// Is this a request (client → server) kind?
-    pub fn is_request(&self) -> bool {
-        self.kind() < 0x80
     }
 }

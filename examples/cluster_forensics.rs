@@ -17,7 +17,7 @@
 
 use streamsum::archive::shared_pattern_base;
 use streamsum::prelude::*;
-use streamsum::summarize::{coarsen, multires, packed};
+use streamsum::summarize::{coarsen, codec, multires, packed};
 
 fn main() -> Result<()> {
     let query = ClusterQuery::new(0.5, 6, 2, WindowSpec::count(3000, 750)?)?;
@@ -105,20 +105,23 @@ fn main() -> Result<()> {
          ({coarse} stored at a coarser resolution to meet the 600-byte budget)"
     );
 
-    // Inspect the final archive: packed sizes and multi-resolution costs.
+    // Inspect the final archive: §8.2 packed sizes, the lossless encoding
+    // summaries are sent and stored in, and multi-resolution costs.
     let guard = base.read();
     println!("total packed archive: {} bytes", guard.archived_bytes());
     if let Some(p) = guard.iter().max_by_key(|p| p.sgs.volume()) {
-        let bytes = packed::encode(&p.sgs);
-        let decoded = packed::decode(bytes.clone()).expect("roundtrip");
+        let mut bytes = Vec::new();
+        codec::encode(&p.sgs, &mut bytes);
+        let decoded = codec::decode(&mut &bytes[..]).expect("roundtrip");
         println!(
             "largest summary: {} cells at level {}, {} bytes packed \
-             ({} bytes/cell); decode roundtrip ok: {}",
+             ({} bytes/cell), {} bytes encoded; decode roundtrip ok: {}",
             p.sgs.volume(),
             p.sgs.level,
-            bytes.len(),
+            packed::archived_bytes(&p.sgs),
             packed::bytes_per_cell(p.sgs.dim),
-            decoded.volume() == p.sgs.volume(),
+            bytes.len(),
+            decoded == p.sgs,
         );
         for level in 0..=2u8 {
             println!(

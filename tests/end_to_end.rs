@@ -3,7 +3,7 @@
 //! extractor output.
 
 use streamsum::prelude::*;
-use streamsum::summarize::{packed, CellStatus};
+use streamsum::summarize::{codec, packed, CellStatus};
 
 fn run_pipeline(n_records: usize) -> (StreamPipeline, Vec<(WindowId, WindowOutput)>) {
     let query = ClusterQuery::new(0.5, 6, 2, WindowSpec::count(2000, 500).unwrap()).unwrap();
@@ -118,19 +118,17 @@ fn archived_patterns_are_retrievable_and_compact() {
 }
 
 #[test]
-fn packed_roundtrip_of_real_output() {
+fn codec_roundtrip_of_real_output() {
     let (_, outs) = run_pipeline(5_000);
     let (_, clusters) = outs.last().unwrap();
     for c in clusters {
-        let bytes = packed::encode(&c.sgs);
-        assert_eq!(bytes.len(), packed::archived_bytes(&c.sgs));
-        let decoded = packed::decode(bytes).expect("roundtrip");
-        assert_eq!(decoded.cells.len(), c.sgs.cells.len());
-        for (a, b) in c.sgs.cells.iter().zip(decoded.cells.iter()) {
-            assert_eq!(a.coord, b.coord);
-            assert_eq!(a.status, b.status);
-            assert_eq!(a.population, b.population);
-        }
+        assert_eq!(packed::encode(&c.sgs).len(), packed::archived_bytes(&c.sgs));
+        let mut bytes = Vec::new();
+        codec::encode(&c.sgs, &mut bytes);
+        assert_eq!(bytes.len(), codec::encoded_len(&c.sgs));
+        let mut rest = &bytes[..];
+        assert_eq!(codec::decode(&mut rest).as_ref(), Ok(&c.sgs), "lossless");
+        assert!(rest.is_empty());
     }
 }
 
