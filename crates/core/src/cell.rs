@@ -55,15 +55,6 @@ impl CellCoord {
     }
 }
 
-/// A coordinate hashes and compares as its slice of indices, so a map keyed
-/// by `CellCoord` can be probed with a borrowed `&[i32]` (one read out of a
-/// flat coordinate buffer, with no key to box).
-impl core::borrow::Borrow<[i32]> for CellCoord {
-    fn borrow(&self) -> &[i32] {
-        &self.0
-    }
-}
-
 impl core::fmt::Debug for CellCoord {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "⟨")?;

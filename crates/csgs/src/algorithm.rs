@@ -31,11 +31,11 @@
 //! The extractor is one sequential pass per query; the query is the unit
 //! of parallelism (`DESIGN.md` §6, §8).
 
-use sgs_core::{CellCoord, ClusterQuery, GridGeometry, HeapSize, Point, PointId, WindowId};
+use sgs_core::{ClusterQuery, GridGeometry, HeapSize, Point, PointId, WindowId};
 use sgs_index::ReachWalker;
 use sgs_stream::WindowConsumer;
 
-use crate::cell_store::CellStore;
+use crate::cell_store::{CellId, CellStore};
 use crate::merge;
 use crate::output::WindowOutput;
 use crate::point_store::{raise_pairs, Found, PointStore};
@@ -118,10 +118,10 @@ fn link_new(
     points: &PointStore,
     p: PointId,
     found: &[Found],
-    raise: &mut impl FnMut(&CellCoord, &CellCoord, u64, u64),
+    raise: &mut impl FnMut(CellId, CellId, u64, u64),
 ) {
-    let nbrs = found.iter().map(|(q, _)| &points.states[q]);
-    raise_pairs(&points.states[&p], nbrs, raise);
+    let nbrs = found.iter().map(|&(q, _)| points.states.state(q));
+    raise_pairs(points.states.state(p), nbrs, raise);
 }
 
 /// §5.4 step 6 (connection prolong): `q`'s core career extended, so every
@@ -130,10 +130,10 @@ fn link_new(
 fn link_extended(
     points: &PointStore,
     q: PointId,
-    raise: &mut impl FnMut(&CellCoord, &CellCoord, u64, u64),
+    raise: &mut impl FnMut(CellId, CellId, u64, u64),
 ) {
-    let q = &points.states[&q];
-    let nbrs = q.neighbors.iter().map(|r| &points.states[r]);
+    let q = points.states.state(q);
+    let nbrs = q.neighbors.iter().map(|&r| points.states.state(r));
     raise_pairs(q, nbrs, raise);
 }
 
@@ -156,11 +156,11 @@ impl WindowConsumer for CSgs {
         let theta_c = query.theta_c;
 
         // 1 + 2. Load, then the one range query search.
-        points.load(cells, id, point, expires_at);
+        let cell = points.load(cells, id, point, expires_at);
         found.clear();
         walker.for_each_neighbor(
             &points.index,
-            &points.states[&id].cell,
+            cells.coord(cell),
             &point.coords,
             query.theta_r_sq(),
             id,
@@ -181,7 +181,7 @@ impl WindowConsumer for CSgs {
 
         // 5 + 6. With every career final, raise the pair links of the new
         // object and of each extended neighbor.
-        let mut raise = |at: &CellCoord, other: &CellCoord, core_core, attach| {
+        let mut raise = |at, other, core_core, attach| {
             cells.raise_link(at, other, core_core, attach);
         };
         link_new(points, id, found, &mut raise);
@@ -214,8 +214,8 @@ impl WindowConsumer for CSgs {
         self.current = completed.next();
         let now = self.current;
         self.cells.set_window(now);
-        let (dead, listed_by) = self.points.remove_expired(&mut self.cells, now);
-        self.points.prune_dead(&listed_by, &dead);
+        let listed_by = self.points.remove_expired(&mut self.cells, now);
+        self.points.prune_dead(&listed_by);
         self.cells.gc(now);
         out
     }
@@ -225,9 +225,10 @@ impl WindowConsumer for CSgs {
 mod tests {
     use super::*;
     use crate::cell_store::CellState;
+    use crate::ExtractedCluster;
     use rand::{Rng, SeedableRng};
     use sgs_cluster::{CanonicalClustering, ExtraN, FullCluster, NaiveClusterer};
-    use sgs_core::WindowSpec;
+    use sgs_core::{CellCoord, WindowSpec};
     use sgs_stream::replay;
     use sgs_summarize::{CellStatus, MemberSet, Sgs};
 
@@ -419,6 +420,63 @@ mod tests {
         }
     }
 
+    /// The extractor, handed every id shifted by a fixed offset (wrapping).
+    struct Shifted(CSgs, u32);
+
+    impl WindowConsumer for Shifted {
+        type Output = WindowOutput;
+
+        fn insert(&mut self, id: PointId, point: &Point, expires_at: WindowId) {
+            self.0
+                .insert(PointId(id.0.wrapping_add(self.1)), point, expires_at);
+        }
+
+        fn slide(&mut self, completed: WindowId) -> WindowOutput {
+            self.0.slide(completed)
+        }
+    }
+
+    /// Ids that run past `u32::MAX` and wrap to 0 in mid-window label the
+    /// same clusters as ids from 0: the point table finds a point by its
+    /// id's wrapping offset from the oldest live one.
+    #[test]
+    fn ids_across_the_u32_wrap_give_the_clusters_of_ids_from_zero() {
+        let spec = WindowSpec::count(60, 10).unwrap();
+        let q = ClusterQuery::new(0.25, 4, 2, spec).unwrap();
+        let pts = random_stream(23, 400, 2.0);
+        let plain = replay(spec, pts.clone(), 2, &mut CSgs::new(q.clone())).unwrap();
+        let offset = u32::MAX - 50;
+        let mut shifted = Shifted(CSgs::new(q), offset);
+        let wrapped = replay(spec, pts, 2, &mut shifted).unwrap();
+        assert!(plain.iter().filter(|(_, out)| !out.is_empty()).count() > 20);
+        let relabel = |ids: &[PointId]| {
+            let mut ids: Vec<PointId> = ids
+                .iter()
+                .map(|id| PointId(id.0.wrapping_sub(offset)))
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let relabelled: Vec<(WindowId, WindowOutput)> = wrapped
+            .into_iter()
+            .map(|(w, out)| {
+                let out = out
+                    .into_iter()
+                    .map(|c| ExtractedCluster {
+                        cores: relabel(&c.cores),
+                        edges: relabel(&c.edges),
+                        sgs: c.sgs,
+                    })
+                    .collect();
+                (w, out)
+            })
+            .collect();
+        assert_eq!(relabelled, plain);
+        // The live ids straddled the wrap and then left it behind.
+        let live: Vec<u32> = shifted.0.points.states.iter().map(|(id, _)| id.0).collect();
+        assert!(!live.is_empty() && live.iter().all(|&id| id < 400));
+    }
+
     /// Run a 2-d stream through the extractor via batched pushes,
     /// collecting every window's output.
     fn run_batched(
@@ -448,15 +506,15 @@ mod tests {
         let live = csgs.live_len();
         assert!(live > 0);
         let states = &csgs.points.states;
-        for (id, st) in states {
+        for (id, st) in states.iter() {
             assert!(
                 st.neighbors.len() < live,
                 "point {id:?} holds {} neighbor ids with only {live} live points",
                 st.neighbors.len()
             );
-            for nb in &st.neighbors {
+            for &nb in &st.neighbors {
                 assert!(
-                    states.contains_key(nb),
+                    states.get(nb).is_some(),
                     "point {id:?} references expired neighbor {nb:?}"
                 );
             }
@@ -470,11 +528,11 @@ mod tests {
     fn assert_lists_in_expiry_order(csgs: &CSgs) {
         let (now, theta_c) = (csgs.current, csgs.query.theta_c);
         let states = &csgs.points.states;
-        for (id, st) in states {
+        for (id, st) in states.iter() {
             let expiries: Vec<WindowId> = st
                 .neighbors
                 .iter()
-                .map(|nb| states.get(nb).expect("listed neighbors live").expires_at)
+                .map(|&nb| states.get(nb).expect("listed neighbors live").expires_at)
                 .collect();
             assert!(expiries.is_sorted(), "{id:?} at {now}: {expiries:?}");
             assert!(expiries.first().is_none_or(|&e| e > now), "{id:?} at {now}");
@@ -496,14 +554,14 @@ mod tests {
         let bound = width.pow(csgs.geometry.dim() as u32) - 1;
         let store = &csgs.cells;
         let cells = |keep: &dyn Fn(&CellState) -> bool| {
-            let kept = store.iter().filter(|(_, cell)| keep(cell));
-            let mut cells: Vec<&CellCoord> = kept.map(|(c, _)| c).collect();
+            let kept = store.iter().filter(|(_, _, cell)| keep(cell));
+            let mut cells: Vec<&CellCoord> = kept.map(|(_, c, _)| c).collect();
             cells.sort_unstable();
             cells
         };
         let swept = cells(&|cell| cell.population > 0 || cell.core_until > now);
         assert_eq!(cells(&|_| true), swept, "at {now}");
-        for (coord, cell) in store.iter() {
+        for (_, coord, cell) in store.iter() {
             assert!(cell.links.len() <= bound, "{coord:?}: {}", cell.links.len());
         }
     }
@@ -613,7 +671,8 @@ mod tests {
 
         fn cell(&self, cell: i32) -> &crate::cell_store::CellState {
             let coord = CellCoord::new(vec![cell]);
-            self.csgs.cells.get(&coord).expect("cell exists")
+            let cells = &self.csgs.cells;
+            cells.get(cells.id_of(&coord).expect("cell exists"))
         }
     }
 
@@ -852,7 +911,7 @@ mod tests {
     #[test]
     fn out_of_order_expiries_keep_neighbor_lists_in_expiry_order() {
         let mut d = Driven::new(2);
-        let list = |d: &Driven, id: PointId| d.csgs.points.states[&id].neighbors.clone();
+        let list = |d: &Driven, id: PointId| d.csgs.points.states.state(id).neighbors.clone();
         let q = d.put(0.5, LATE);
         let a = d.put(0.6, 6);
         let b = d.put(0.7, 4); // before `a` in `q`'s list

@@ -31,9 +31,19 @@
 //!   independent of `win/slide`, which is the memory property Fig. 7
 //!   measures.
 //! * Extraction is **one sequential pass** per query, as in the paper: one
-//!   grid index, point map and cell store, each arrival inserted in
+//!   grid index, point table and cell store, each arrival inserted in
 //!   order (`DESIGN.md` §6). Parallelism comes from running queries side
 //!   by side on the runtime's scheduler pool (`DESIGN.md` §8).
+//! * State is addressed by dense handles, not by hashing coordinates. A
+//!   cell lives in a slot named by a [`cell_store::CellId`]; its
+//!   coordinate is looked up once per arrival and by the output stage's
+//!   carry-over check, and everything else — populations, careers, links
+//!   keyed by the other cell's id, the output stage's per-window indexes
+//!   — indexes slots. Point states sit in an arrival-ordered table found
+//!   by the id's offset from the oldest live point, so an expired
+//!   neighbor is a vacant slot. Slots freed by `gc` are reused; why a
+//!   stale link to a reused slot can never read live is in the
+//!   [`cell_store`] docs.
 
 pub mod algorithm;
 pub mod cell_store;

@@ -6,13 +6,13 @@
 //!    skeleton cells, core or edge, was stamped since
 //!    ([`CellState::touched`]) *is* a cluster of this one, and is moved to
 //!    the output as it stands. Nothing below sees its core cells.
-//! 2. **Live core cells** of the rest: the store is filtered for the
-//!    cells that are core at `w` and not carried; sorted, they are the
-//!    window's *dense index* — a core cell is a position from here on.
+//! 2. **Live core cells** of the rest: the store's slots are filtered
+//!    for the cells that are core at `w` and not carried; sorted, they are
+//!    the window's *dense index* — a core cell is a position from here on,
+//!    and a per-slot vector maps a cell's id to it.
 //! 3. **Link resolution** (once): every live link of every indexed core
-//!    cell is read exactly once and its far end looked up exactly once,
-//!    into a flat per-cell list of [`Resolved`] entries. Nothing after
-//!    this step looks a link up by coordinate.
+//!    cell is read exactly once and its far end's position read off the
+//!    per-slot vector, into a flat per-cell list of [`Resolved`] entries.
 //! 4. **Components**: union-find over the resolved core-core edges; the
 //!    clusters are numbered **by their smallest core cell** — the
 //!    numbering a DFS in cell order produces, whatever order the store
@@ -24,15 +24,16 @@
 //!    from the clusters' core cells, edge candidates from those and from
 //!    the attached cells. Lemma 4.1 and the `attach_until` watermark put
 //!    every edge object of a cluster in one of its skeletal cells, so no
-//!    other point is looked at.
+//!    other point is looked at. A candidate joins the cluster of each
+//!    core neighbor whose cell is in the dense index.
 //! 7. **Assembly**: the carried clusters are merged back in among the
 //!    rebuilt ones by smallest core cell.
 
 use sgs_core::{CellCoord, GridGeometry, PointId, WindowId};
-use sgs_index::{FxHashMap, FxHashSet, UnionFind};
+use sgs_index::UnionFind;
 use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
 
-use crate::cell_store::{CellState, CellStore};
+use crate::cell_store::{CellId, CellState, CellStore};
 use crate::output::{ExtractedCluster, WindowOutput};
 use crate::point_store::{PointState, PointStore};
 
@@ -42,13 +43,14 @@ const NONE: u32 = u32::MAX;
 /// A live core cell of a cluster to rebuild; its position in the sorted
 /// list of them is its dense index.
 struct CoreCell<'a> {
+    id: CellId,
     coord: &'a CellCoord,
     state: &'a CellState,
 }
 
 /// One live link of a live core cell, resolved once per window.
-struct Resolved<'a> {
-    other: &'a CellCoord,
+struct Resolved {
+    other: CellId,
     /// Dense index of `other` if it is a live core cell, else [`NONE`].
     idx: u32,
     /// Both ends are core cells and the core-core watermark is live: an
@@ -81,12 +83,23 @@ fn core_cells(cluster: &ExtractedCluster) -> impl Iterator<Item = &CellCoord> {
 /// cell that is gone was written when it emptied). Every change to a
 /// cluster stamps one of those cells, so its core cells are then still
 /// core, still connected, and connected to no other core cell — exactly
-/// one component of `w` (`DESIGN.md` §6).
-fn unchanged(prev: &ExtractedCluster, cells: &CellStore, w: WindowId) -> bool {
+/// one component of `w` (`DESIGN.md` §6). Leaves the ids of its core
+/// cells in `core_ids` when it is.
+fn unchanged(
+    prev: &ExtractedCluster,
+    cells: &CellStore,
+    w: WindowId,
+    core_ids: &mut Vec<CellId>,
+) -> bool {
+    core_ids.clear();
     prev.sgs.cells.iter().all(|cell| {
-        cells
-            .get(&cell.coord)
-            .is_some_and(|state| state.touched < w.0)
+        let Some(id) = cells.id_of(&cell.coord) else {
+            return false;
+        };
+        if cell.status == CellStatus::Core {
+            core_ids.push(id);
+        }
+        cells.get(id).touched < w.0
     })
 }
 
@@ -102,47 +115,53 @@ pub(crate) fn emit(
     prev: WindowOutput,
 ) -> (WindowOutput, usize) {
     // ---- 1. Carry-over, decided by the stamps alone.
-    let carried: Vec<ExtractedCluster> = prev
-        .into_iter()
-        .filter(|p| unchanged(p, cells, w))
-        .collect();
+    // The carried clusters' core cells, by slot.
+    let mut carried_core = vec![false; cells.slot_count()];
+    let mut core_ids = Vec::new();
+    let mut carried: Vec<ExtractedCluster> = Vec::new();
+    for cluster in prev {
+        if unchanged(&cluster, cells, w, &mut core_ids) {
+            for id in &core_ids {
+                carried_core[id.index()] = true;
+            }
+            carried.push(cluster);
+        }
+    }
     let n_carried = carried.len();
-    let carried_cores: FxHashSet<&CellCoord> = carried.iter().flat_map(core_cells).collect();
 
-    // ---- 2. Live core cells of the clusters to rebuild, in cell order. A
-    // cell written since `w − 1` belongs to no carried cluster.
+    // ---- 2. Live core cells of the clusters to rebuild, in cell order.
     let mut cores: Vec<CoreCell> = cells
         .iter()
-        .filter(|(coord, state)| {
-            state.is_core_at(w) && (state.touched >= w.0 || !carried_cores.contains(coord))
-        })
-        .map(|(coord, state)| CoreCell { coord, state })
+        .filter(|&(id, _, state)| state.is_core_at(w) && !carried_core[id.index()])
+        .map(|(id, coord, state)| CoreCell { id, coord, state })
         .collect();
     if cores.is_empty() {
         return (carried, n_carried);
     }
     cores.sort_unstable_by(|a, b| a.coord.cmp(b.coord));
     let n = cores.len();
-    let dense: FxHashMap<&CellCoord, u32> = cores
-        .iter()
-        .enumerate()
-        .map(|(d, cell)| (cell.coord, d as u32))
-        .collect();
+    // Slot → dense index.
+    let mut dense = vec![NONE; cells.slot_count()];
+    for (d, cell) in cores.iter().enumerate() {
+        dense[cell.id.index()] = d as u32;
+    }
 
     // ---- 3. Link resolution: `links[starts[d]..starts[d + 1]]` are the
     // live links of core cell `d`. A far end that is a carried cluster's
     // core cell is not in the dense index, and resolves as a cell that is
-    // not a live core cell here: an edge cell, if attached.
+    // not a live core cell here: an edge cell, if attached. A link that
+    // is not live may name a slot another cell has since taken; it is
+    // skipped before its far end is read.
     let mut links: Vec<Resolved> = Vec::new();
     let mut starts: Vec<usize> = Vec::with_capacity(n + 1);
     starts.push(0);
     for cell in &cores {
-        for (other, link) in &cell.state.links {
+        for (&other, link) in &cell.state.links {
             let (core_core, attach) = (link.core_core_until > w.0, link.attach_until > w.0);
             if !(core_core || attach) {
                 continue;
             }
-            let idx = dense.get(other).copied().unwrap_or(NONE);
+            let idx = dense[other.index()];
             links.push(Resolved {
                 other,
                 idx,
@@ -183,7 +202,7 @@ pub(crate) fn emit(
     let mut local_of = vec![NONE; n];
     // The cells, beside the rebuilt clusters' own core cells, whose
     // objects the member pass has to list.
-    let mut edge_cells: Vec<&CellCoord> = Vec::new();
+    let mut edge_cells: Vec<CellId> = Vec::new();
     let skeletal = |coord: &CellCoord, state: &CellState, status| SkeletalCell {
         coord: coord.clone(),
         population: state.population,
@@ -200,7 +219,7 @@ pub(crate) fn emit(
             for at in links_of(d) {
                 let link = &links[at];
                 if link.attach && (link.idx == NONE || gid[link.idx as usize] != g as u32) {
-                    attached.push((link.other, at));
+                    attached.push((cells.coord(link.other), at));
                 }
             }
         }
@@ -224,14 +243,12 @@ pub(crate) fn emit(
                 links[at].local = list.len() as u32;
             }
             // An attachment is live while the object it reaches is alive,
-            // so the cell exists and is populated.
-            let idx = links[first].idx;
+            // so the cell is stored and populated.
+            let Resolved { other, idx, .. } = links[first];
             let state = if idx != NONE {
                 cores[idx as usize].state
             } else {
-                cells
-                    .get(coord)
-                    .expect("a live attachment reaches a live object")
+                cells.get(other)
             };
             debug_assert!(state.population > 0);
             list.push(skeletal(coord, state, CellStatus::Edge));
@@ -240,7 +257,7 @@ pub(crate) fn emit(
             // other cell — a carried cluster's core cell among them — is
             // listed by no one unless it is listed here.
             if idx == NONE {
-                edge_cells.push(coord);
+                edge_cells.push(other);
             }
         }
         for &d in group_cells {
@@ -275,7 +292,7 @@ pub(crate) fn emit(
         .iter()
         .zip(&gid)
         .map(|(cell, &g)| (cell.coord, g))
-        .chain(edge_cells.into_iter().map(|coord| (coord, NONE)));
+        .chain(edge_cells.into_iter().map(|id| (cells.coord(id), NONE)));
     // Core objects, each with its cluster.
     let mut core_members: Vec<(u32, PointId)> = Vec::new();
     // Non-core objects: edge objects of the clusters that hold a core
@@ -283,7 +300,7 @@ pub(crate) fn emit(
     let mut candidates: Vec<(PointId, &PointState)> = Vec::new();
     for (coord, g) in visit {
         for &id in points.index.cell_points(coord).ids() {
-            let p = &points.states[&id];
+            let p = points.states.state(id);
             if p.core_until <= w.0 {
                 candidates.push((id, p));
             } else if g != NONE {
@@ -292,9 +309,13 @@ pub(crate) fn emit(
             }
         }
     }
-    // The live core objects of the rebuilt clusters: one lookup per
-    // neighbor reference during edge attachment.
-    let core_gid: FxHashMap<PointId, u32> = core_members.iter().map(|&(g, id)| (id, g)).collect();
+    // The cluster of a live core object, if it is a rebuilt one: the
+    // cluster of its cell, if that is in the dense index.
+    let core_gid = |nb: &PointId| {
+        let q = points.states.state(*nb);
+        let d = dense[q.cell.index()];
+        (q.core_until > w.0 && d != NONE).then(|| gid[d as usize])
+    };
     let mut members: Vec<(Vec<PointId>, Vec<PointId>)> = vec![Default::default(); groups.len()];
     for &(g, id) in &core_members {
         members[g as usize].0.push(id);
@@ -302,7 +323,7 @@ pub(crate) fn emit(
     let mut gs: Vec<u32> = Vec::new();
     for (id, p) in &candidates {
         gs.clear();
-        gs.extend(p.neighbors.iter().filter_map(|nb| core_gid.get(nb)));
+        gs.extend(p.neighbors.iter().filter_map(core_gid));
         gs.sort_unstable();
         gs.dedup();
         for &g in &gs {

@@ -5,16 +5,22 @@
 //! live point's state, and the expiry lists; the [`CellStore`] beside it
 //! in the extractor holds the skeletal cells. The methods here are the
 //! *steps* of §5.4 insertion and of expiry; the extractor sequences them.
+//!
+//! Point states sit in a [`PointTable`], in arrival order: a point is
+//! found by its id's offset from the oldest slot, and a point that has
+//! expired leaves a vacant slot until every older one has gone too.
 
-use sgs_core::{CellCoord, GridGeometry, HeapSize, Point, PointId, WindowId};
-use sgs_index::{FxHashMap, FxHashSet, GridIndex};
+use std::collections::VecDeque;
 
-use crate::cell_store::CellStore;
+use sgs_core::{GridGeometry, HeapSize, Point, PointId, WindowId};
+use sgs_index::{FxHashMap, GridIndex};
+
+use crate::cell_store::{CellId, CellStore};
 
 /// Per-point state retained by C-SGS.
 #[derive(Clone, Debug)]
 pub(crate) struct PointState {
-    pub cell: CellCoord,
+    pub cell: CellId,
     pub expires_at: WindowId,
     /// End of the core career (absolute window index); only ever raised.
     pub core_until: u64,
@@ -33,11 +39,101 @@ pub(crate) struct PointState {
 /// can be put in expiry order).
 pub(crate) type Found = (PointId, WindowId);
 
+/// The live points' states, by id. Ids are handed out consecutively
+/// (wrapping past `u32::MAX`), so slot `i` holds point `base + i`: the
+/// oldest slot is the front, and an arrival is pushed at the back. A slot
+/// is vacant once its point has expired; vacant slots at the front are
+/// dropped. Any id outside the table, or in a vacant slot, is dead.
+#[derive(Debug, Default)]
+pub(crate) struct PointTable {
+    /// The id of the front slot.
+    base: u32,
+    slots: VecDeque<Option<PointState>>,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl PointTable {
+    /// Number of live points.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// The slot of `id`, if it is inside the table.
+    #[inline]
+    fn offset(&self, id: PointId) -> Option<usize> {
+        let at = id.0.wrapping_sub(self.base) as usize;
+        (at < self.slots.len()).then_some(at)
+    }
+
+    /// The state of `id`, if it is live.
+    #[inline]
+    pub(crate) fn get(&self, id: PointId) -> Option<&PointState> {
+        self.slots.get(self.offset(id)?)?.as_ref()
+    }
+
+    /// The state of live point `id`.
+    #[inline]
+    pub(crate) fn state(&self, id: PointId) -> &PointState {
+        self.get(id).expect("the point is live")
+    }
+
+    /// The state of live point `id`, to write.
+    #[inline]
+    fn state_mut(&mut self, id: PointId) -> &mut PointState {
+        let at = self.offset(id);
+        let slot = at.and_then(|at| self.slots[at].as_mut());
+        slot.expect("the point is live")
+    }
+
+    /// Enter arriving point `id`: the id after the newest slot's, or any
+    /// id when the table is empty.
+    fn push(&mut self, id: PointId, state: PointState) {
+        if self.slots.is_empty() {
+            self.base = id.0;
+        }
+        assert_eq!(
+            id.0.wrapping_sub(self.base) as usize,
+            self.slots.len(),
+            "point ids arrive consecutively"
+        );
+        self.slots.push_back(Some(state));
+        self.live += 1;
+    }
+
+    /// Vacate the slot of live point `id`, returning its state.
+    fn take(&mut self, id: PointId) -> PointState {
+        let at = self.offset(id);
+        let state = at.and_then(|at| self.slots[at].take());
+        let state = state.expect("the point is live");
+        self.live -= 1;
+        state
+    }
+
+    /// Drop the vacant slots at the front.
+    fn trim(&mut self) {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base = self.base.wrapping_add(1);
+        }
+    }
+
+    /// The live points, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (PointId, &PointState)> {
+        let base = self.base;
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(move |(i, slot)| {
+            let id = PointId(base.wrapping_add(i as u32));
+            Some((id, slot.as_ref()?))
+        })
+    }
+}
+
 /// The live points of one query's window.
 #[derive(Debug)]
 pub(crate) struct PointStore {
     pub index: GridIndex,
-    pub states: FxHashMap<PointId, PointState>,
+    pub states: PointTable,
     /// Points to drop when each window becomes current.
     pub expiry: FxHashMap<u64, Vec<PointId>>,
 }
@@ -46,7 +142,7 @@ impl PointStore {
     pub(crate) fn new(geometry: GridGeometry) -> Self {
         PointStore {
             index: GridIndex::new(geometry),
-            states: FxHashMap::default(),
+            states: PointTable::default(),
             expiry: FxHashMap::default(),
         }
     }
@@ -55,13 +151,11 @@ impl PointStore {
     /// by the extractor).
     pub(crate) fn meta_bytes(&self) -> usize {
         use core::mem::size_of;
-        let pts: usize = self
-            .states
-            .values()
-            .map(|p| p.cell.0.len() * 4 + p.neighbors.capacity() * 4)
-            .sum();
+        let states = &self.states;
+        let lists: usize = states.iter().map(|(_, p)| p.neighbors.capacity() * 4).sum();
         let expiry: usize = self.expiry.values().map(|ids| ids.capacity() * 4).sum();
-        pts + self.states.capacity() * (size_of::<(PointId, PointState)>() + 1)
+        lists
+            + states.slots.capacity() * size_of::<Option<PointState>>()
             + expiry
             + self.expiry.capacity() * (size_of::<(u64, Vec<PointId>)>() + 1)
             + HeapSize::heap_size(&self.index)
@@ -69,18 +163,18 @@ impl PointStore {
 
     /// §5.4 step 1 (load): enter the point into the grid bucket, cell
     /// population and expiry list, with placeholder career state that
-    /// [`install`](Self::install) fills in after discovery.
+    /// [`install`](Self::install) fills in after discovery. Returns the
+    /// point's cell.
     pub(crate) fn load(
         &mut self,
         cells: &mut CellStore,
         id: PointId,
         point: &Point,
         expires_at: WindowId,
-    ) {
-        let cell = self.index.insert_expiring(id, point, expires_at);
-        cells.increment_population(&cell);
+    ) -> CellId {
+        let cell = cells.arrive(&self.index.insert_expiring(id, point, expires_at));
         self.expiry.entry(expires_at.0).or_default().push(id);
-        self.states.insert(
+        self.states.push(
             id,
             PointState {
                 cell,
@@ -89,6 +183,7 @@ impl PointStore {
                 neighbors: Vec::new(),
             },
         );
+        cell
     }
 
     /// §5.4 step 3: install a loaded point's discovery results — neighbor
@@ -102,7 +197,7 @@ impl PointStore {
         now: WindowId,
         theta_c: u32,
     ) {
-        let st = self.states.get_mut(&id).expect("installed after load");
+        let st = self.states.state_mut(id);
         let mut by_expiry: Vec<(WindowId, PointId)> =
             neighbors.iter().map(|&(q, expires)| (expires, q)).collect();
         by_expiry.sort_unstable_by_key(|&(expires, _)| expires);
@@ -111,7 +206,7 @@ impl PointStore {
         st.core_until = career(st.expires_at, kth, now);
         st.neighbors = by_expiry.into_iter().map(|(_, q)| q).collect();
         if st.core_until > now.0 {
-            cells.raise_core_until(&st.cell, st.core_until);
+            cells.raise_core_until(st.cell, st.core_until);
         }
     }
 
@@ -127,9 +222,9 @@ impl PointStore {
         now: WindowId,
         theta_c: u32,
     ) -> bool {
-        let st = self.states.get_mut(&q).expect("indexed points are live");
+        let st = self.states.state_mut(q);
         let (own, mut nbrs) = (st.expires_at, std::mem::take(&mut st.neighbors));
-        let expiry = |r: &PointId| self.states[r].expires_at;
+        let expiry = |r: &PointId| self.states.state(*r).expires_at;
         // After every listed neighbor that expires no later: at the end,
         // unless `p` expires before the last one (the engine hands out
         // expiries in arrival order, so only hand-driven streams do that).
@@ -141,69 +236,73 @@ impl PointStore {
         nbrs.insert(at, p);
         let kth = nbrs.len().checked_sub(theta_c as usize);
         let new_cu = career(own, kth.map(|i| expiry(&nbrs[i])), now);
-        let st = self.states.get_mut(&q).expect("indexed points are live");
+        let st = self.states.state_mut(q);
         st.neighbors = nbrs;
         // `new_cu == now` says "not core even now": no career to extend,
         // however stale the recorded end is.
         let extended = new_cu > st.core_until.max(now.0);
         if extended {
             st.core_until = new_cu;
-            cells.raise_core_until(&st.cell, new_cu);
+            cells.raise_core_until(st.cell, new_cu);
         }
         extended
     }
 
-    /// Slide: drop the points expiring at `now`. Returns their ids, and
-    /// the live points that listed them (the input to eager neighbor
-    /// pruning; a point with several dead neighbors appears once per
-    /// each). A dead point's neighbors dying with it are its list's
-    /// prefix, skipped without a lookup in the point map.
-    pub(crate) fn remove_expired(
-        &mut self,
-        cells: &mut CellStore,
-        now: WindowId,
-    ) -> (FxHashSet<PointId>, Vec<PointId>) {
+    /// Slide: drop the points expiring at `now`. Returns the live points
+    /// that listed them (the input to eager neighbor pruning; a point with
+    /// several dead neighbors appears once per each). Every dead point's
+    /// slot is vacated first, so a neighbor is dead exactly when its slot
+    /// is vacant: a dead point's neighbors dying with it are its list's
+    /// prefix of vacant slots, and are skipped.
+    pub(crate) fn remove_expired(&mut self, cells: &mut CellStore, now: WindowId) -> Vec<PointId> {
         let Some(dead) = self.expiry.remove(&now.0) else {
-            return Default::default();
+            return Vec::new();
         };
-        let dead_set: FxHashSet<PointId> = dead.iter().copied().collect();
+        let dead: Vec<(PointId, PointState)> = dead
+            .into_iter()
+            .map(|id| (id, self.states.take(id)))
+            .collect();
         let mut listed_by = Vec::new();
-        for id in dead {
-            let p = self.states.remove(&id).expect("an expiring id is live");
-            self.index.remove(id, &p.cell);
-            cells.decrement_population(&p.cell);
-            let co_dying = dead_prefix(&p.neighbors, &dead_set);
+        for (id, p) in &dead {
+            let indexed = self.index.remove(*id, cells.coord(p.cell));
+            assert!(indexed, "an expiring point is indexed in its cell");
+            cells.decrement_population(p.cell);
+            let co_dying = self.dead_prefix(&p.neighbors);
             debug_assert!(
-                !p.neighbors[co_dying..].iter().any(|r| dead_set.contains(r)),
+                p.neighbors[co_dying..]
+                    .iter()
+                    .all(|&r| self.states.get(r).is_some()),
                 "only the prefix dies at {now}"
             );
             listed_by.extend_from_slice(&p.neighbors[co_dying..]);
         }
-        (dead_set, listed_by)
+        self.states.trim();
+        listed_by
     }
 
-    /// Eagerly drop the `dead` ids from the neighbor lists of the points
-    /// in `listed_by` ([`remove_expired`]'s results): in each list they
-    /// are the prefix. Every listed point outlives the slide — it was
-    /// past the dead point's co-dying prefix — and a point visited again
-    /// has nothing left to drop.
+    /// Eagerly drop the dead ids from the neighbor lists of the points in
+    /// `listed_by` ([`remove_expired`]'s result): in each list they are
+    /// the prefix. Every listed point outlives the slide — it was past the
+    /// dead point's co-dying prefix — and a point visited again has
+    /// nothing left to drop.
     ///
     /// [`remove_expired`]: Self::remove_expired
-    pub(crate) fn prune_dead(&mut self, listed_by: &[PointId], dead: &FxHashSet<PointId>) {
-        for nb in listed_by {
-            let st = self
-                .states
-                .get_mut(nb)
-                .expect("a listed neighbor is live between slides");
-            let prefix = dead_prefix(&st.neighbors, dead);
-            st.neighbors.drain(..prefix);
+    pub(crate) fn prune_dead(&mut self, listed_by: &[PointId]) {
+        for &nb in listed_by {
+            let prefix = self.dead_prefix(&self.states.state(nb).neighbors);
+            self.states.state_mut(nb).neighbors.drain(..prefix);
         }
     }
-}
 
-/// Length of the prefix of an expiry-ordered neighbor list that is `dead`.
-fn dead_prefix(neighbors: &[PointId], dead: &FxHashSet<PointId>) -> usize {
-    neighbors.iter().take_while(|r| dead.contains(r)).count()
+    /// Length of the prefix of an expiry-ordered neighbor list that is
+    /// dead: whose slots are vacant.
+    fn dead_prefix(&self, neighbors: &[PointId]) -> usize {
+        let states = &self.states;
+        neighbors
+            .iter()
+            .take_while(|&&r| states.get(r).is_none())
+            .count()
+    }
 }
 
 /// Obs. 5.4 read off an expiry-ordered neighbor list: a point is core
@@ -231,7 +330,7 @@ fn career(own: WindowId, kth: Option<WindowId>, now: WindowId) -> u64 {
 pub(crate) fn raise_pairs<'a>(
     a: &PointState,
     nbrs: impl Iterator<Item = &'a PointState>,
-    raise: &mut impl FnMut(&CellCoord, &CellCoord, u64, u64),
+    raise: &mut impl FnMut(CellId, CellId, u64, u64),
 ) {
     // One pair's [core-core, attach a → b, attach b → a].
     let marks = |b: &PointState| {
@@ -252,8 +351,8 @@ pub(crate) fn raise_pairs<'a>(
         }
         if b.cell != a.cell {
             let [cc, a_attach, b_attach] = run;
-            raise(&a.cell, &b.cell, cc, a_attach);
-            raise(&b.cell, &a.cell, cc, b_attach);
+            raise(a.cell, b.cell, cc, a_attach);
+            raise(b.cell, a.cell, cc, b_attach);
         }
     }
 }
@@ -261,10 +360,22 @@ pub(crate) fn raise_pairs<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgs_core::CellCoord;
 
-    fn state(cell: [i32; 2], core_until: u64, expires_at: u64) -> PointState {
+    /// A store holding the six cells `[0, 3) × [0, 2)`, and their ids in
+    /// row-major order.
+    fn six_cells() -> (CellStore, Vec<CellId>) {
+        let mut store = CellStore::new();
+        let ids = (0..2)
+            .flat_map(|y| (0..3).map(move |x| CellCoord::new(vec![x, y])))
+            .map(|coord| store.arrive(&coord))
+            .collect();
+        (store, ids)
+    }
+
+    fn state(cell: CellId, core_until: u64, expires_at: u64) -> PointState {
         PointState {
-            cell: CellCoord::new(cell.to_vec()),
+            cell,
             expires_at: WindowId(expires_at),
             core_until,
             neighbors: Vec::new(),
@@ -280,9 +391,10 @@ mod tests {
     fn raise_pairs_folds_runs_to_the_pair_by_pair_result() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let (_, cells) = six_cells();
         let point = |rng: &mut rand::rngs::StdRng| {
             state(
-                [rng.gen_range(0..3), rng.gen_range(0..2)],
+                cells[rng.gen_range(0..cells.len())],
                 rng.gen_range(0..10),
                 rng.gen_range(0..10),
             )
@@ -293,23 +405,23 @@ mod tests {
             let len = rng.gen_range(0..12);
             let nbrs: Vec<PointState> = (0..len).map(|_| point(&mut rng)).collect();
 
-            let mut reference = CellStore::new();
+            let (mut reference, _) = six_cells();
             let mut pairs = 0;
             for b in nbrs.iter().filter(|b| b.cell != a.cell) {
                 let cc = a.core_until.min(b.core_until);
                 let a_attach = a.core_until.min(b.expires_at.0);
                 let b_attach = b.core_until.min(a.expires_at.0);
-                reference.raise_link(&a.cell, &b.cell, cc, a_attach);
-                reference.raise_link(&b.cell, &a.cell, cc, b_attach);
+                reference.raise_link(a.cell, b.cell, cc, a_attach);
+                reference.raise_link(b.cell, a.cell, cc, b_attach);
                 pairs += 1;
             }
 
-            let mut folded = CellStore::new();
+            let (mut folded, _) = six_cells();
             let mut calls = 0;
             raise_pairs(
                 &a,
                 nbrs.iter(),
-                &mut |at: &CellCoord, other: &CellCoord, cc, attach| {
+                &mut |at: CellId, other: CellId, cc, attach| {
                     folded.raise_link(at, other, cc, attach);
                     calls += 1;
                 },
@@ -335,26 +447,27 @@ mod tests {
     fn raise_pairs_computes_both_sides_and_skips_intra_cell_pairs() {
         // a: core until 4, expires 6; b: core until 2, expires 9; c shares
         // a's cell.
+        let (_, cells) = six_cells();
         let (a, b, c) = (
-            state([0, 0], 4, 6),
-            state([1, 0], 2, 9),
-            state([0, 0], 9, 9),
+            state(cells[0], 4, 6),
+            state(cells[1], 2, 9),
+            state(cells[0], 9, 9),
         );
         let mut raised = Vec::new();
         raise_pairs(
             &a,
             [&b, &c].into_iter(),
-            &mut |at: &CellCoord, other: &CellCoord, cc, attach| {
-                raised.push((at.clone(), other.clone(), cc, attach));
+            &mut |at: CellId, other: CellId, cc, attach| {
+                raised.push((at, other, cc, attach));
             },
         );
         assert_eq!(
             raised,
             vec![
                 // core-core min(4, 2); a core (4) ∧ b alive (9).
-                (a.cell.clone(), b.cell.clone(), 2, 4),
+                (a.cell, b.cell, 2, 4),
                 // b core (2) ∧ a alive (6).
-                (b.cell.clone(), a.cell.clone(), 2, 2),
+                (b.cell, a.cell, 2, 2),
             ]
         );
     }

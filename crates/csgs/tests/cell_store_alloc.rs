@@ -1,6 +1,7 @@
 //! `CellStore` updates to an established cell allocate nothing: the cell
-//! key (a boxed coordinate) is cloned only when a cell or a link is
-//! created — and a link is created only if it can ever be live. Counted
+//! key (a boxed coordinate) is cloned only when a cell is created, a link
+//! is keyed by the other cell's id, and a link is created only if it can
+//! ever be live. Counted
 //! with a wrapping global allocator, per thread so the harness's other
 //! threads do not disturb the count.
 
@@ -49,25 +50,25 @@ fn updates_to_established_cells_do_not_allocate() {
     );
     let mut store = CellStore::new();
     let before = allocations();
-    store.increment_population(&cell);
-    store.raise_link(&cell, &other, 1, 1);
+    let (a, b) = (store.arrive(&cell), store.arrive(&other));
+    store.raise_link(a, b, 1, 1);
     assert!(allocations() > before, "creating a cell clones its key");
 
     let before = allocations();
     for w in 2..100 {
-        store.increment_population(&cell);
-        store.raise_core_until(&cell, w);
-        store.raise_link(&cell, &other, w, w);
-        store.entry(&cell).population -= 1;
+        assert_eq!(store.arrive(&cell), a);
+        store.raise_core_until(a, w);
+        store.raise_link(a, b, w, w);
+        store.decrement_population(a);
     }
     assert_eq!(allocations() - before, 0);
-    let state = store.get(&cell).expect("established");
+    let state = store.get(a);
     assert_eq!((state.population, state.core_until), (1, 99));
 }
 
 /// A raise that reaches no window past the current one — a pair of
-/// non-core objects, most pairs of a sparse stream — creates neither the
-/// link nor the cell: nothing is cloned, inserted, or left for `gc`.
+/// non-core objects, most pairs of a sparse stream — creates no link:
+/// nothing is inserted, or left for `gc`.
 #[test]
 fn a_born_dead_raise_allocates_nothing() {
     let (cell, other) = (
@@ -75,20 +76,18 @@ fn a_born_dead_raise_allocates_nothing() {
         CellCoord::new(vec![3, -1, 4, 2]),
     );
     let mut store = CellStore::new();
+    let (a, b) = (store.arrive(&cell), store.arrive(&other));
     store.set_window(WindowId(7));
     let before = allocations();
-    store.raise_link(&cell, &other, 0, 7);
-    store.raise_link(&other, &cell, 7, 0);
+    store.raise_link(a, b, 0, 7);
+    store.raise_link(b, a, 7, 0);
     assert_eq!(allocations() - before, 0);
-    assert!(store.is_empty());
+    assert!(store.get(a).links.is_empty() && store.get(b).links.is_empty());
 
     // One watermark past the window is a link.
-    store.raise_link(&cell, &other, 0, 8);
+    store.raise_link(a, b, 0, 8);
     assert!(allocations() > before);
-    assert_eq!(
-        store.get(&cell).expect("created").links[&other].attach_until,
-        8
-    );
+    assert_eq!(store.get(a).links[&b].attach_until, 8);
 }
 
 /// A cell's first stamp in a window lists it for `gc`, and the list keeps
@@ -97,18 +96,16 @@ fn a_born_dead_raise_allocates_nothing() {
 /// window, and the `gc` that walks them allocate nothing.
 #[test]
 fn stamping_established_cells_allocates_nothing_once_the_list_is_warm() {
-    let cells: Vec<CellCoord> = (0..8).map(|i| CellCoord::new(vec![i, -1, 4, 1])).collect();
+    let coords: Vec<CellCoord> = (0..8).map(|i| CellCoord::new(vec![i, -1, 4, 1])).collect();
     let mut store = CellStore::new();
-    for cell in &cells {
-        store.increment_population(cell);
-    }
+    let cells: Vec<_> = coords.iter().map(|c| store.arrive(c)).collect();
     store.gc(WindowId(0));
 
     for w in 1..50 {
         store.set_window(WindowId(w));
         let before = allocations();
-        for cell in &cells {
-            store.increment_population(cell); // the window's first stamp
+        for (coord, &cell) in coords.iter().zip(&cells) {
+            store.arrive(coord); // the window's first stamp
             store.raise_core_until(cell, w + 5); // stamped again
             store.decrement_population(cell);
         }
@@ -116,5 +113,5 @@ fn stamping_established_cells_allocates_nothing_once_the_list_is_warm() {
         assert_eq!(allocations() - before, 0, "window {w}");
     }
     assert_eq!(store.len(), cells.len());
-    assert!(cells.iter().all(|c| store.get(c).unwrap().touched == 49));
+    assert!(cells.iter().all(|&c| store.get(c).touched == 49));
 }

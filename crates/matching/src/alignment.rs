@@ -224,6 +224,9 @@ mod tests {
         // The seed lands on the far cell at once; the steps past it
         // saturate instead of overflowing.
         assert_eq!(best_alignment(&one, &far, 64).distance, 0.0);
-        assert_eq!(best_alignment(&one, &far, 64).shift, vec![i32::MAX, i32::MAX]);
+        assert_eq!(
+            best_alignment(&one, &far, 64).shift,
+            vec![i32::MAX, i32::MAX]
+        );
     }
 }

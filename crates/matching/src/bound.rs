@@ -374,7 +374,9 @@ mod tests {
             let mut filter = AlignmentFilter::new(a);
             assert_eq!(filter.projection_bound(b, usize::MAX), 1);
             assert!(filter.query_columns.counts.len() + filter.candidate.counts.len() <= 3);
-            assert!(filter.projection_bound(b, usize::MAX) >= filter.max_offset_count(b, usize::MAX));
+            assert!(
+                filter.projection_bound(b, usize::MAX) >= filter.max_offset_count(b, usize::MAX)
+            );
             let config = MatchConfig::equal_weights(false, 0.5);
             assert!(filter.may_match(b, &b.features(), &config));
         }
