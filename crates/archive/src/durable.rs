@@ -801,8 +801,20 @@ mod tests {
             frame.extend_from_slice(&payload);
             frame
         };
-        let mut packed_insert = 7u64.to_le_bytes().to_vec();
-        packed_insert.extend_from_slice(&packed::encode(&blob(0.0, 20)));
+        // Window 7, then a 2-d one-cell summary in the retired face-bit
+        // layout: dim, level, cell count, side; then the cell's position,
+        // status, population and face mask.
+        let packed_insert = [
+            &7u64.to_le_bytes()[..],
+            &[2, 0],
+            &1u32.to_le_bytes(),
+            &0.5f64.to_le_bytes(),
+            &[0; 8],
+            &[1],
+            &20u32.to_le_bytes(),
+            &[0, 0],
+        ]
+        .concat();
         let cfg = DurableConfig::default();
         for (kind, body) in [(0x7F, &b"future"[..]), (1, &packed_insert)] {
             let (fs, _) = checkpointed(&[blob(9.0, 20)]);

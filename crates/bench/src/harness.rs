@@ -195,7 +195,7 @@ pub fn sgs_equivalent_bytes(members: &MemberSet, geometry: &sgs_core::GridGeomet
     for m in members.iter_all() {
         cells.insert(geometry.cell_of(&Point::new(m.to_vec(), 0)));
     }
-    cells.len() * packed::bytes_per_cell(geometry.dim()) + packed::HEADER_BYTES
+    packed::summary_bytes(cells.len(), geometry.dim())
 }
 
 /// One query cluster carrying all four summary formats.

@@ -21,7 +21,6 @@ use crate::point::Point;
 /// The cell with coordinate `c` on a dimension covers the half-open interval
 /// `[c * side, (c + 1) * side)`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellCoord(pub Box<[i32]>);
 
 impl CellCoord {
@@ -34,24 +33,6 @@ impl CellCoord {
     #[inline]
     pub fn dim(&self) -> usize {
         self.0.len()
-    }
-
-    /// Chebyshev (max-norm) distance to another cell coordinate — two cells
-    /// are *adjacent* iff this is exactly 1, identical iff 0.
-    pub fn chebyshev(&self, other: &CellCoord) -> u32 {
-        debug_assert_eq!(self.dim(), other.dim());
-        self.0
-            .iter()
-            .zip(other.0.iter())
-            .map(|(a, b)| a.abs_diff(*b))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Whether `other` is one of the 3^d − 1 adjacent cells.
-    #[inline]
-    pub fn is_adjacent(&self, other: &CellCoord) -> bool {
-        self.chebyshev(other) == 1
     }
 }
 
@@ -215,62 +196,6 @@ impl GridGeometry {
         }
     }
 
-    /// Enumerate the 3^d − 1 cells adjacent to `cell` (Chebyshev distance
-    /// exactly 1) — the neighborhood over which SGS connection vectors are
-    /// defined (Def. 4.4, attribute 5).
-    pub fn adjacent_cells(&self, cell: &CellCoord) -> Vec<CellCoord> {
-        let mut out = Vec::with_capacity(3usize.pow(self.dim as u32) - 1);
-        let mut offset = vec![-1i32; self.dim];
-        loop {
-            if offset.iter().any(|&o| o != 0) {
-                out.push(CellCoord(
-                    cell.0
-                        .iter()
-                        .zip(offset.iter())
-                        .map(|(c, o)| c + o)
-                        .collect(),
-                ));
-            }
-            let mut i = 0;
-            loop {
-                if i == self.dim {
-                    return out;
-                }
-                offset[i] += 1;
-                if offset[i] <= 1 {
-                    break;
-                }
-                offset[i] = -1;
-                i += 1;
-            }
-        }
-    }
-
-    /// Index of an adjacent cell within the canonical 3^d − 1 ordering used
-    /// by packed connection bitmasks. Returns `None` if `other` is not
-    /// adjacent to `cell`.
-    pub fn adjacency_slot(&self, cell: &CellCoord, other: &CellCoord) -> Option<usize> {
-        if !cell.is_adjacent(other) {
-            return None;
-        }
-        // Mixed-radix encoding of the offset vector in base 3 (offset+1 per
-        // digit), skipping the all-zero combination.
-        let mut code = 0usize;
-        for (c, o) in cell.0.iter().zip(other.0.iter()) {
-            let d = o - c;
-            debug_assert!((-1..=1).contains(&d));
-            code = code * 3 + (d + 1) as usize;
-        }
-        let center = {
-            let mut v = 0usize;
-            for _ in 0..self.dim {
-                v = v * 3 + 1;
-            }
-            v
-        };
-        Some(if code < center { code } else { code - 1 })
-    }
-
     /// Minimum possible distance between any point of `a` and any point of
     /// `b` — used to prune cell pairs that can never host a neighbor pair.
     pub fn min_cell_dist(&self, a: &CellCoord, b: &CellCoord) -> f64 {
@@ -334,41 +259,6 @@ mod tests {
         let q = Point::new(vec![0.01 - 1.0, 0.01], 0); // exactly θr away
         let qc = g.cell_of(&q);
         assert!(g.reachable_cells(&center).contains(&qc));
-    }
-
-    #[test]
-    fn adjacent_cells_count_and_membership() {
-        let g = GridGeometry::basic(2, 1.0);
-        let c = CellCoord::new(vec![5, 5]);
-        let adj = g.adjacent_cells(&c);
-        assert_eq!(adj.len(), 8);
-        assert!(adj.iter().all(|a| c.is_adjacent(a)));
-        assert!(!adj.contains(&c));
-    }
-
-    #[test]
-    fn adjacency_slots_are_unique_and_dense() {
-        let g = GridGeometry::basic(3, 1.0);
-        let c = CellCoord::new(vec![0, 0, 0]);
-        let adj = g.adjacent_cells(&c);
-        let mut seen = [false; 26];
-        for a in &adj {
-            let slot = g.adjacency_slot(&c, a).expect("adjacent");
-            assert!(!seen[slot], "slot {slot} reused");
-            seen[slot] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        // non-adjacent → None
-        assert_eq!(g.adjacency_slot(&c, &CellCoord::new(vec![2, 0, 0])), None);
-        assert_eq!(g.adjacency_slot(&c, &c), None);
-    }
-
-    #[test]
-    fn chebyshev_distance() {
-        let a = CellCoord::new(vec![0, 0]);
-        let b = CellCoord::new(vec![3, -2]);
-        assert_eq!(a.chebyshev(&b), 3);
-        assert_eq!(a.chebyshev(&a), 0);
     }
 
     #[test]

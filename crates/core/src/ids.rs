@@ -1,9 +1,9 @@
 //! Strongly-typed identifiers.
 //!
-//! Points, clusters and windows are all referred to by dense `u32`/`u64`
-//! indices throughout the workspace. Newtypes keep them from being mixed up
-//! and keep hot structures small (see the *Type Sizes* guidance: indices are
-//! stored as `u32` and widened at use sites).
+//! Points and windows are referred to by dense `u32`/`u64` indices
+//! throughout the workspace. Newtypes keep them from being mixed up and keep
+//! hot structures small (see the *Type Sizes* guidance: indices are stored
+//! as `u32` and widened at use sites).
 
 use core::fmt;
 
@@ -13,30 +13,14 @@ use core::fmt;
 /// among the live points while a window holds fewer than 2^32 arrivals,
 /// but their order is not arrival order across a wrap.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PointId(pub u32);
-
-/// Identifier of an extracted cluster. Unique within one window's output;
-/// the archive re-keys clusters with its own `PatternId`-style handles.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct ClusterId(pub u32);
 
 /// Index of a window in the stream history. `WindowId(0)` is the first
 /// complete window; lifespan arithmetic (Obs. 5.2) is done on these indices.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowId(pub u64);
 
 impl PointId {
-    /// Widen to a `usize` for slab indexing.
-    #[inline]
-    pub fn idx(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl ClusterId {
     /// Widen to a `usize` for slab indexing.
     #[inline]
     pub fn idx(self) -> usize {
@@ -68,12 +52,6 @@ impl fmt::Debug for PointId {
     }
 }
 
-impl fmt::Debug for ClusterId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "c{}", self.0)
-    }
-}
-
 impl fmt::Debug for WindowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "W{}", self.0)
@@ -81,12 +59,6 @@ impl fmt::Debug for WindowId {
 }
 
 impl fmt::Display for PointId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
-    }
-}
-
-impl fmt::Display for ClusterId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
     }
@@ -101,12 +73,6 @@ impl fmt::Display for WindowId {
 impl From<u32> for PointId {
     fn from(v: u32) -> Self {
         PointId(v)
-    }
-}
-
-impl From<u32> for ClusterId {
-    fn from(v: u32) -> Self {
-        ClusterId(v)
     }
 }
 
@@ -130,7 +96,6 @@ mod tests {
     #[test]
     fn debug_formats() {
         assert_eq!(format!("{:?}", PointId(7)), "p7");
-        assert_eq!(format!("{:?}", ClusterId(2)), "c2");
         assert_eq!(format!("{}", WindowId(9)), "W9");
     }
 

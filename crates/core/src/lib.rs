@@ -16,21 +16,10 @@
 //!   (θr, θc, win, slide — Figure 2 of the paper),
 //! * [`HeapSize`] — deterministic deep-size accounting used by every
 //!   memory-footprint experiment, and
-//! * strongly-typed identifiers ([`PointId`], [`ClusterId`], [`WindowId`]).
+//! * strongly-typed identifiers ([`PointId`], [`WindowId`]).
 //!
 //! Nothing in this crate allocates on hot paths beyond the coordinate
 //! buffers owned by the points themselves.
-
-// The `serde` feature exists so the `#[cfg_attr(feature = "serde", ...)]`
-// derives are valid cfg targets, but the offline build environment cannot
-// supply the real `serde` crate yet. Fail loudly and intentionally instead
-// of with unresolved-crate errors at every derive site.
-#[cfg(feature = "serde")]
-compile_error!(
-    "the `serde` feature requires the real `serde` crate, which this \
-     offline workspace cannot fetch; wire serde into [workspace.dependencies] \
-     (and remove this guard) once registry access exists"
-);
 
 pub mod cell;
 pub mod config;
@@ -44,7 +33,7 @@ pub mod window;
 pub use cell::{CellCoord, GridGeometry};
 pub use config::{ArchiveRetention, ClusterQuery, PoolThreads, ShardCount};
 pub use error::{Error, Result};
-pub use ids::{ClusterId, PointId, WindowId};
+pub use ids::{PointId, WindowId};
 pub use memsize::HeapSize;
 pub use point::{dist, dist_sq, Point};
 pub use window::{WindowKind, WindowSpec};

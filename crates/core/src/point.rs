@@ -15,7 +15,6 @@ use crate::memsize::HeapSize;
 /// buffer; the dimensionality is `coords.len()` and must be uniform across a
 /// stream (enforced by the stream engine).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Position in the data space.
     pub coords: Box<[f64]>,

@@ -13,7 +13,6 @@ use crate::error::{Error, Result};
 
 /// Whether window extents are measured in tuples or in timestamp units.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WindowKind {
     /// `win` and `slide` count tuples; a point's "time" is its arrival
     /// sequence number.
@@ -25,7 +24,6 @@ pub enum WindowKind {
 
 /// A periodic sliding window specification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowSpec {
     /// Window extent (tuples or time units).
     pub win: u64,

@@ -77,16 +77,20 @@ pub(crate) enum Msg {
 /// behind other ready queries — the fairness quantum of the multiplexer.
 const TASK_QUANTUM: usize = 16;
 
-/// Approximate heap size of one queued message — what per-owner input
-/// quotas meter. Points cost their payload (8 bytes per coordinate plus
-/// a 16-byte header for the timestamp and allocation); control messages
-/// are free. A shared [`Msg::Batch`] chunk is charged once per queue it
-/// sits in: the quota bounds *admitted-but-unprocessed work*, not
-/// allocator bytes.
+/// Approximate heap size of `points` in an input queue — what per-owner
+/// input quotas meter, and what the server's admission check charges a
+/// `Feed` before queueing it. A point costs its payload: 8 bytes per
+/// coordinate plus a 16-byte header for the timestamp and allocation.
+pub fn queued_bytes(points: &[Point]) -> usize {
+    points.iter().map(|p| 16 + 8 * p.dim()).sum()
+}
+
+/// [`queued_bytes`] of one queued message; control messages are free. A
+/// shared [`Msg::Batch`] chunk is charged once per queue it sits in: the
+/// quota bounds *admitted-but-unprocessed work*, not allocator bytes.
 fn msg_bytes(msg: &Msg) -> usize {
-    const POINT: usize = 16;
     match msg {
-        Msg::Batch(b, _) => b.iter().map(|p| POINT + 8 * p.dim()).sum(),
+        Msg::Batch(b, _) => queued_bytes(b),
         Msg::Barrier(_) | Msg::Stop(_) => 0,
     }
 }

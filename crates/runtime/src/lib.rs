@@ -56,6 +56,7 @@ pub mod plan;
 pub mod registry;
 pub mod runtime;
 
+pub use executor::queued_bytes;
 pub use output::{OutputNotify, PollBatch};
 pub use pipeline::StreamPipeline;
 pub use plan::{DetectPlan, MatchPlan, PlanError, Planner, QueryPlan, StreamCatalog};

@@ -411,7 +411,7 @@ impl Runtime {
     }
 
     /// Look up a bound cluster.
-    pub fn binding(&self, name: &str) -> Option<&Sgs> {
+    fn binding(&self, name: &str) -> Option<&Sgs> {
         self.bindings
             .iter()
             .find(|(n, _)| n == name)

@@ -758,7 +758,7 @@ fn feed(shared: &Shared, view: &SessionView, stream: &str, points: &[Point]) -> 
         // sitting on too many unpolled windows must poll before it may
         // feed more, so the bound is lossless without any task waiting.
         if let Some(max) = shared.limits.owner_max_queue_bytes {
-            let incoming: usize = points.iter().map(|p| 16 + 8 * p.dim()).sum();
+            let incoming = sgs_runtime::queued_bytes(points);
             let queued = rt.input_queue_bytes_for(view.owner);
             if queued.saturating_add(incoming) > max {
                 shared.metrics.quota_rejections.inc();

@@ -2,9 +2,10 @@
 //! accounting, reactor activity, transport byte counts, and the optional
 //! HTTP scrape endpoint serving the Prometheus text exposition.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
+use std::time::Duration;
 
 use sgs_obs::{labeled, registry, Counter, Gauge, Histogram};
 
@@ -130,8 +131,10 @@ impl ServerMetrics {
 /// Bind `addr` and serve the process metric registry as Prometheus text
 /// exposition (format 0.0.4) from a background thread, one connection at
 /// a time — a scrape endpoint sees one poller every few seconds, not a
-/// thundering herd. Returns the bound address (use port 0 to let the OS
-/// pick). The thread runs for the life of the process.
+/// thundering herd. A connection that stalls is dropped after a short
+/// read or write timeout, so it cannot hold the scrapes behind it.
+/// Returns the bound address (use port 0 to let the OS pick). The thread
+/// runs for the life of the process.
 ///
 /// The server is deliberately minimal (no routing, no keep-alive): any
 /// `GET` line gets `200 OK` with the exposition; anything else gets
@@ -150,8 +153,19 @@ pub fn spawn_metrics_listener(addr: impl ToSocketAddrs) -> io::Result<SocketAddr
     Ok(bound)
 }
 
-fn serve_scrape(stream: TcpStream) -> io::Result<()> {
-    let mut reader = BufReader::new(stream);
+/// How long one scrape connection may stall on a read or a write. The
+/// listener serves one connection at a time, so a client that connects
+/// and sends nothing would otherwise hold every later scrape.
+const SCRAPE_IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Most request bytes (request line and headers) read from one
+/// connection; a line with no newline ends there instead of growing.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+
+fn serve_scrape(mut stream: TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(SCRAPE_IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(SCRAPE_IO_TIMEOUT))?;
+    let mut reader = BufReader::new((&stream).take(MAX_REQUEST_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // Drain the headers so the client's write side is not reset before
@@ -162,7 +176,7 @@ fn serve_scrape(stream: TcpStream) -> io::Result<()> {
             break;
         }
     }
-    let mut stream = reader.into_inner();
+    drop(reader);
     if request_line.starts_with("GET ") {
         let body = registry().render_prometheus();
         write!(

@@ -18,8 +18,8 @@
 //!   combine θ^d level-(n−1) cells),
 //! * [`codec`] — the one lossless SGS encoding, which the wire sends and
 //!   the durable archive stores, and
-//! * [`packed`] — the paper's 23-bytes-per-cell layout, kept to reproduce
-//!   the ~98 % compression accounting of §8.2.
+//! * [`packed`] — §8.2's byte count (23 bytes per 4-d cell), the formula
+//!   behind the ~98 % compression accounting; nothing is written in it.
 
 pub mod cds;
 pub mod codec;

@@ -125,7 +125,7 @@ pub fn archived_bytes_at_level(sgs: &Sgs, theta: u32, level: u8) -> usize {
             .collect();
         parents.insert(pc);
     }
-    parents.len() * packed::bytes_per_cell(sgs.dim) + packed::HEADER_BYTES
+    packed::summary_bytes(parents.len(), sgs.dim)
 }
 
 #[cfg(test)]

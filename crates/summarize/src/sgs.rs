@@ -13,8 +13,9 @@
 //! cell connections, which is only correct if those longer-range
 //! connections are kept. We therefore record connections between any cell
 //! pair within the grid's reach. The wire and the durable archive keep
-//! all of them ([`crate::codec`]); only §8.2's byte accounting
-//! ([`crate::packed`]) counts the adjacent-cell bitmask the paper stores.
+//! all of them ([`crate::codec`]); only §8.2's byte count
+//! ([`crate::packed`]) prices a cell's connections at the paper's 2-byte
+//! bitmask.
 
 use sgs_core::{CellCoord, GridGeometry, HeapSize};
 use sgs_index::{FxHashMap, Rect};

@@ -8,8 +8,8 @@
 //! 2. an archiver thread applies budget-aware multi-resolution selection
 //!    (§6.1) and appends to a shared pattern base,
 //! 3. the main thread — the analyst — issues matching queries against the
-//!    live archive and finally inspects the packed on-disk format (§8.2's
-//!    23-bytes-per-cell layout).
+//!    live archive and finally inspects it: §8.2's 23-bytes-per-cell
+//!    count beside the lossless encoding summaries are stored in.
 //!
 //! ```text
 //! cargo run --release --example cluster_forensics

@@ -54,7 +54,7 @@
 //! | [`stream`] | window engine, lifespan analysis (Obs. 5.2–5.4) |
 //! | [`index`] | grid index, bounding rectangles, union-find |
 //! | [`cluster`] | DBSCAN ground truth, Extra-N baseline |
-//! | [`summarize`] | SGS, CRD, RSP, SkPS, multi-resolution, the SGS codec, packed byte accounting |
+//! | [`summarize`] | SGS, CRD, RSP, SkPS, multi-resolution, the SGS codec, §8.2's byte count |
 //! | [`csgs`] | the integrated C-SGS algorithm |
 //! | [`matching`] | distance metric, alignment search, GED, Chamfer |
 //! | [`archive`] | pattern archiver + pattern base |

@@ -6,12 +6,13 @@
 //! layer, internally consistent with the workload's own ground truth,
 //! and monotone across scrapes.
 //!
-//! Everything is one `#[test]`: the metric registry is process-global,
-//! so independent tests in one binary would observe each other's
-//! workloads.
+//! The workload is one `#[test]`: the metric registry is process-global,
+//! so independent workloads in one binary would observe each other. The
+//! other test runs no workload and reads no values.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use streamsum::prelude::*;
 use streamsum::runtime::DurableArchive;
@@ -50,9 +51,13 @@ fn counter(metrics: &[WireMetric], name: &str) -> u64 {
     }
 }
 
+/// Longest a scrape may take before the endpoint counts as wedged.
+const SCRAPE_DEADLINE: Duration = Duration::from_secs(10);
+
 /// One plain HTTP GET against the scrape endpoint; returns the body.
 fn http_scrape(addr: std::net::SocketAddr) -> String {
     let mut sock = TcpStream::connect(addr).unwrap();
+    sock.set_read_timeout(Some(SCRAPE_DEADLINE)).unwrap();
     write!(sock, "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
     let mut response = String::new();
     sock.read_to_string(&mut response).unwrap();
@@ -175,4 +180,17 @@ fn both_scrape_paths_see_live_consistent_monotone_metrics() {
     client.goodbye().unwrap();
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The endpoint serves one connection at a time, so a client that
+/// connects and sends nothing must not hold it: a scrape behind that
+/// client still answers within the deadline.
+#[test]
+fn a_silent_connection_does_not_wedge_the_scrape_endpoint() {
+    let http_addr = streamsum::server::spawn_metrics_listener("127.0.0.1:0").unwrap();
+    let silent = TcpStream::connect(http_addr).unwrap();
+    let start = Instant::now();
+    http_scrape(http_addr);
+    assert!(start.elapsed() < SCRAPE_DEADLINE, "{:?}", start.elapsed());
+    drop(silent);
 }

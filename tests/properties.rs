@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core invariants.
 
 use proptest::prelude::*;
-use streamsum::core::{dist, CellCoord, GridGeometry, Point, WindowSpec};
+use streamsum::core::{dist, GridGeometry, Point, WindowSpec};
 use streamsum::index::UnionFind;
 use streamsum::matching::hungarian;
 use streamsum::matching::metric::rel_diff;
@@ -41,23 +41,6 @@ proptest! {
         let q = Point::new(vec![x + r * angle.cos(), y + r * angle.sin()], 0);
         let reachable = g.reachable_cells(&g.cell_of(&p));
         prop_assert!(reachable.contains(&g.cell_of(&q)));
-    }
-
-    /// Adjacency slots form a bijection with the 3^d − 1 neighbors.
-    #[test]
-    fn adjacency_slots_bijective(dim in 1usize..4, cx in -100i32..100, cy in -100i32..100) {
-        let g = GridGeometry::basic(dim, 1.0);
-        let mut coords = vec![cx; dim];
-        if dim > 1 { coords[1] = cy; }
-        let cell = CellCoord::new(coords);
-        let adj = g.adjacent_cells(&cell);
-        let mut seen = std::collections::HashSet::new();
-        for a in &adj {
-            let slot = g.adjacency_slot(&cell, a).unwrap();
-            prop_assert!(slot < 3usize.pow(dim as u32) - 1);
-            prop_assert!(seen.insert(slot));
-        }
-        prop_assert_eq!(seen.len(), adj.len());
     }
 
     /// Window membership arithmetic: every logical time in steady state

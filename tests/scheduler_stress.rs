@@ -6,7 +6,6 @@
 use streamsum::core::PoolThreads;
 use streamsum::prelude::*;
 use streamsum::runtime::RuntimeConfig;
-use streamsum::summarize::packed;
 
 /// 32 distinct DETECT statements cycling through θ and window
 /// geometries (each a valid win = k·slide pair).
@@ -96,9 +95,8 @@ fn thirty_two_queries_on_two_workers_archive_byte_identically() {
             let concurrent = history.get(*pattern).expect("a reported id resolves");
             assert_eq!(concurrent.window, reference.window, "{id}");
             assert_eq!(
-                packed::encode(&concurrent.sgs),
-                packed::encode(&reference.sgs),
-                "{id}: archived summary bytes differ in window {}",
+                concurrent.sgs, reference.sgs,
+                "{id}: archived summary differs in window {}",
                 reference.window
             );
         }
@@ -185,10 +183,7 @@ fn pause_resume_under_load_keeps_exact_gap_semantics() {
     for (pattern, reference) in report.archived.iter().zip(solo_base.iter()) {
         let concurrent = history.get(*pattern).expect("a reported id resolves");
         assert_eq!(concurrent.window, reference.window);
-        assert_eq!(
-            packed::encode(&concurrent.sgs),
-            packed::encode(&reference.sgs)
-        );
+        assert_eq!(concurrent.sgs, reference.sgs);
     }
     // …while its never-paused peers saw everything.
     for id in peers {
