@@ -282,7 +282,7 @@ pub fn build_archive(
                 };
                 if alternatives.len() < n_archive {
                     full_repr_bytes += mf.members.full_repr_bytes();
-                    base.insert(cluster.sgs, window);
+                    base.insert(cluster.sgs.clone(), window);
                     alternatives.push(mf);
                 } else if queries.len() < n_queries {
                     queries.push(mf);

@@ -115,7 +115,7 @@ impl ExtraN {
         let pts: usize = self
             .points
             .values()
-            .map(|s| s.neighbors.capacity() * 4 + s.cell.0.len() * 4)
+            .map(|s| s.neighbors.capacity() * 4 + s.cell.heap_size())
             .sum();
         views + pts + self.index.heap_size()
     }

@@ -21,11 +21,11 @@ use crate::point::Point;
 /// The cell with coordinate `c` on a dimension covers the half-open interval
 /// `[c * side, (c + 1) * side)`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CellCoord(pub Box<[i32]>);
+pub struct CellCoord(pub Coords);
 
 impl CellCoord {
-    /// Build from a slice of per-dimension indices.
-    pub fn new(coords: impl Into<Box<[i32]>>) -> Self {
+    /// Build from per-dimension indices.
+    pub fn new(coords: impl Into<Coords>) -> Self {
         CellCoord(coords.into())
     }
 
@@ -51,7 +51,132 @@ impl core::fmt::Debug for CellCoord {
 
 impl HeapSize for CellCoord {
     fn heap_size(&self) -> usize {
-        self.0.len() * core::mem::size_of::<i32>()
+        match &self.0 .0 {
+            Layout::Inline(..) => 0,
+            Layout::Spilled(coords) => core::mem::size_of_val::<[i32]>(coords),
+        }
+    }
+}
+
+/// The per-dimension indices of a cell, read as an `[i32]`. Up to four
+/// of them are held in place — the paper's streams are 2-d (GMTI) and 4-d
+/// (STT), so a cell costs no allocation there — and more in one heap box.
+/// Comparison, equality and hashing are the slice's, so cell order does
+/// not depend on how a coordinate is held.
+#[derive(Clone)]
+pub struct Coords(Layout);
+
+/// How [`Coords`] holds its indices: `Inline(len, buf)` has `len ≤ INLINE`
+/// of them at the front of `buf` and zeros after, `Spilled` more than
+/// `INLINE`.
+#[derive(Clone)]
+enum Layout {
+    Inline(u8, [i32; Coords::INLINE]),
+    Spilled(Box<[i32]>),
+}
+
+impl Coords {
+    /// The most dimensions held without a heap box.
+    const INLINE: usize = 4;
+}
+
+impl core::ops::Deref for Coords {
+    type Target = [i32];
+
+    #[inline]
+    fn deref(&self) -> &[i32] {
+        match &self.0 {
+            Layout::Inline(len, buf) => &buf[..usize::from(*len)],
+            Layout::Spilled(coords) => coords,
+        }
+    }
+}
+
+impl core::ops::DerefMut for Coords {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [i32] {
+        match &mut self.0 {
+            Layout::Inline(len, buf) => &mut buf[..usize::from(*len)],
+            Layout::Spilled(coords) => coords,
+        }
+    }
+}
+
+impl From<&[i32]> for Coords {
+    fn from(coords: &[i32]) -> Self {
+        match coords.len() {
+            len @ 0..=Coords::INLINE => {
+                let mut buf = [0; Coords::INLINE];
+                buf[..len].copy_from_slice(coords);
+                Coords(Layout::Inline(len as u8, buf))
+            }
+            _ => Coords(Layout::Spilled(coords.into())),
+        }
+    }
+}
+
+impl From<Vec<i32>> for Coords {
+    fn from(coords: Vec<i32>) -> Self {
+        if coords.len() <= Coords::INLINE {
+            Coords::from(&coords[..])
+        } else {
+            Coords(Layout::Spilled(coords.into_boxed_slice()))
+        }
+    }
+}
+
+impl<const N: usize> From<[i32; N]> for Coords {
+    fn from(coords: [i32; N]) -> Self {
+        Coords::from(&coords[..])
+    }
+}
+
+impl FromIterator<i32> for Coords {
+    fn from_iter<I: IntoIterator<Item = i32>>(iter: I) -> Self {
+        let mut iter = iter.into_iter().fuse();
+        let mut buf = [0; Coords::INLINE];
+        let mut len = 0;
+        for (slot, c) in buf.iter_mut().zip(&mut iter) {
+            *slot = c;
+            len += 1;
+        }
+        match iter.next() {
+            None => Coords(Layout::Inline(len, buf)),
+            Some(c) => {
+                let spilled = buf.into_iter().chain([c]).chain(iter);
+                Coords(Layout::Spilled(spilled.collect()))
+            }
+        }
+    }
+}
+
+impl PartialEq for Coords {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Coords {}
+
+impl PartialOrd for Coords {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Coords {
+    #[inline]
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl core::hash::Hash for Coords {
+    #[inline]
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
     }
 }
 
@@ -269,6 +394,55 @@ mod tests {
         assert_eq!(g.min_cell_dist(&a, &b), 0.0);
         let far = CellCoord::new(vec![3, 0]);
         assert!((g.min_cell_dist(&a, &far) - 2.0 * g.side()).abs() < 1e-12);
+    }
+
+    fn hash_of<T: core::hash::Hash + ?Sized>(value: &T) -> u64 {
+        use core::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(value)
+    }
+
+    proptest::proptest! {
+        /// A coordinate reads as the slice it was built from, whichever
+        /// way it was built and on either side of the inline/spill
+        /// boundary; it orders, compares and hashes as that slice — with
+        /// every other coordinate and every prefix of itself — and a
+        /// write through it reads back.
+        #[test]
+        fn coords_behave_as_their_slice(
+            a in proptest::prop::collection::vec(-2i32..2, 1..10),
+            b in proptest::prop::collection::vec(-2i32..2, 1..10),
+            at in 0usize..9,
+            x in -9i32..9,
+        ) {
+            let mut built = vec![
+                Coords::from(a.clone()),
+                Coords::from(&a[..]),
+                a.iter().copied().collect(),
+                CellCoord::new(a.clone()).0,
+            ];
+            if let Ok(array) = <[i32; 4]>::try_from(&a[..]) {
+                built.push(Coords::from(array));
+            }
+            for c in &built {
+                proptest::prop_assert_eq!(&**c, &a[..]);
+                proptest::prop_assert!(*c == built[0]);
+            }
+            let spilled = if a.len() > Coords::INLINE { 4 * a.len() } else { 0 };
+            proptest::prop_assert_eq!(CellCoord::new(a.clone()).heap_size(), spilled);
+            let mut others: Vec<&[i32]> = (0..=a.len()).map(|k| &a[..k]).collect();
+            others.push(&b);
+            for other in others {
+                let (c, o) = (Coords::from(&a[..]), Coords::from(other));
+                proptest::prop_assert_eq!(c.cmp(&o), a[..].cmp(other));
+                proptest::prop_assert_eq!(c == o, a[..] == *other);
+                proptest::prop_assert_eq!(hash_of(&o), hash_of(other));
+            }
+            let (mut c, mut a) = (Coords::from(&a[..]), a);
+            let at = at % a.len();
+            c[at] = x;
+            a[at] = x;
+            proptest::prop_assert_eq!(&*c, &a[..]);
+        }
     }
 
     #[test]

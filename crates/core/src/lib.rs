@@ -30,7 +30,7 @@ pub mod memsize;
 pub mod point;
 pub mod window;
 
-pub use cell::{CellCoord, GridGeometry};
+pub use cell::{CellCoord, Coords, GridGeometry};
 pub use config::{ArchiveRetention, ClusterQuery, PoolThreads, ShardCount};
 pub use error::{Error, Result};
 pub use ids::{PointId, WindowId};

@@ -57,7 +57,8 @@ pub struct CSgs {
     found: Vec<Found>,
     extended: Vec<PointId>,
     /// The previous window's output: what the output stage carries the
-    /// untouched clusters over from (`DESIGN.md` §6).
+    /// untouched clusters over from (`DESIGN.md` §6). It shares its
+    /// clusters with the output the caller was handed.
     retained: WindowOutput,
     /// Number of range query searches executed (one per object, §5.3).
     pub rqs_count: u64,
@@ -98,12 +99,13 @@ impl CSgs {
     }
 
     /// Approximate bytes of retained meta-data, the previous window's
-    /// output included. Unlike Extra-N this is independent of `win/slide`
-    /// — no per-view state exists.
+    /// output included — memory it shares with the output the caller
+    /// holds, since a retained cluster is the emitted one. Unlike Extra-N
+    /// this is independent of `win/slide` — no per-view state exists.
     pub fn meta_bytes(&self) -> usize {
         self.points.meta_bytes()
             + self.cells.heap_bytes()
-            + self.retained.iter().map(HeapSize::heap_size).sum::<usize>()
+            + self.retained.iter().map(|c| c.heap_size()).sum::<usize>()
     }
 
     /// The output stage for window `w`, carrying over from `prev`.
@@ -225,12 +227,14 @@ impl WindowConsumer for CSgs {
 mod tests {
     use super::*;
     use crate::cell_store::CellState;
+    use crate::counting::allocations;
     use crate::ExtractedCluster;
     use rand::{Rng, SeedableRng};
     use sgs_cluster::{CanonicalClustering, ExtraN, FullCluster, NaiveClusterer};
     use sgs_core::{CellCoord, WindowSpec};
     use sgs_stream::replay;
     use sgs_summarize::{CellStatus, MemberSet, Sgs};
+    use std::sync::Arc;
 
     fn to_canonical(out: &WindowOutput) -> CanonicalClustering {
         CanonicalClustering::from(
@@ -243,23 +247,11 @@ mod tests {
         )
     }
 
-    fn random_stream(seed: u64, n: usize, extent: f64) -> Vec<Point> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                Point::new(
-                    vec![rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)],
-                    0,
-                )
-            })
-            .collect()
-    }
-
     #[test]
     fn matches_naive_dbscan_per_window() {
         let spec = WindowSpec::count(100, 20).unwrap();
         let q = ClusterQuery::new(0.25, 4, 2, spec).unwrap();
-        let pts = random_stream(42, 600, 3.0);
+        let pts = random_points(42, 600, 2, 3.0);
         let mut naive = NaiveClusterer::new(q.clone());
         let mut csgs = CSgs::new(q);
         let naive_out = replay(spec, pts.clone(), 2, &mut naive).unwrap();
@@ -279,7 +271,7 @@ mod tests {
     fn matches_extra_n_with_many_views() {
         let spec = WindowSpec::count(60, 2).unwrap(); // 30 views
         let q = ClusterQuery::new(0.3, 3, 2, spec).unwrap();
-        let pts = random_stream(7, 300, 2.0);
+        let pts = random_points(7, 300, 2, 2.0);
         let mut extra = ExtraN::new(q.clone());
         let mut csgs = CSgs::new(q);
         let extra_out = replay(spec, pts.clone(), 2, &mut extra).unwrap();
@@ -297,7 +289,7 @@ mod tests {
     fn incremental_sgs_matches_offline_construction() {
         let spec = WindowSpec::count(80, 16).unwrap();
         let q = ClusterQuery::new(0.3, 3, 2, spec).unwrap();
-        let pts = random_stream(13, 400, 2.5);
+        let pts = random_points(13, 400, 2, 2.5);
         let geometry = q.basic_grid();
         let mut csgs = CSgs::new(q);
         let mut engine = sgs_stream::WindowEngine::new(spec, 2);
@@ -342,7 +334,7 @@ mod tests {
     fn one_rqs_per_object_ever() {
         let spec = WindowSpec::count(50, 10).unwrap();
         let q = ClusterQuery::new(0.3, 3, 2, spec).unwrap();
-        let pts = random_stream(1, 200, 2.0);
+        let pts = random_points(1, 200, 2, 2.0);
         let mut csgs = CSgs::new(q);
         replay(spec, pts, 2, &mut csgs).unwrap();
         assert_eq!(csgs.rqs_count, 200);
@@ -372,7 +364,7 @@ mod tests {
 
     #[test]
     fn meta_bytes_independent_of_views() {
-        let pts = random_stream(5, 400, 2.0);
+        let pts = random_points(5, 400, 2, 2.0);
         let mut sizes = Vec::new();
         for slide in [50u64, 10, 2] {
             let spec = WindowSpec::count(100, slide).unwrap();
@@ -443,7 +435,7 @@ mod tests {
     fn ids_across_the_u32_wrap_give_the_clusters_of_ids_from_zero() {
         let spec = WindowSpec::count(60, 10).unwrap();
         let q = ClusterQuery::new(0.25, 4, 2, spec).unwrap();
-        let pts = random_stream(23, 400, 2.0);
+        let pts = random_points(23, 400, 2, 2.0);
         let plain = replay(spec, pts.clone(), 2, &mut CSgs::new(q.clone())).unwrap();
         let offset = u32::MAX - 50;
         let mut shifted = Shifted(CSgs::new(q), offset);
@@ -462,10 +454,12 @@ mod tests {
             .map(|(w, out)| {
                 let out = out
                     .into_iter()
-                    .map(|c| ExtractedCluster {
-                        cores: relabel(&c.cores),
-                        edges: relabel(&c.edges),
-                        sgs: c.sgs,
+                    .map(|c| {
+                        Arc::new(ExtractedCluster {
+                            cores: relabel(&c.cores),
+                            edges: relabel(&c.edges),
+                            sgs: c.sgs.clone(),
+                        })
                     })
                     .collect();
                 (w, out)
@@ -501,7 +495,7 @@ mod tests {
         // Eager pruning: after any number of windows, no point's neighbor
         // list may reference an expired point or exceed the live count.
         let spec = WindowSpec::count(40, 8).unwrap();
-        let pts = random_stream(17, 800, 1.2); // dense → large neighbor lists
+        let pts = random_points(17, 800, 2, 1.2); // dense → large neighbor lists
         let (_, csgs) = run_batched(&pts, spec, 57);
         let live = csgs.live_len();
         assert!(live > 0);
@@ -620,10 +614,17 @@ mod tests {
     /// and two objects are neighbors within distance 1 — plus a bystander
     /// cluster far away that nothing ever touches. Every slide is checked
     /// against an emit that carries nothing over: the comparison `slide`
-    /// makes itself in debug builds, made here in release builds too.
+    /// makes itself in debug builds, made here in release builds too. And
+    /// the clusters it carried are the previous window's own, the rebuilt
+    /// ones new.
     struct Driven {
         csgs: CSgs,
         next_id: u32,
+        /// The previous window's clusters, the bystander among them.
+        prev: WindowOutput,
+        /// The allocations of the last slide, less those of the
+        /// from-scratch emit a debug build checks it against.
+        slide_allocations: usize,
     }
 
     /// Expiry of the objects a scenario does not let expire.
@@ -636,6 +637,8 @@ mod tests {
             let mut driven = Driven {
                 csgs: CSgs::new(q),
                 next_id: 0,
+                prev: Vec::new(),
+                slide_allocations: 0,
             };
             for x in [50.1, 50.2, 50.3, 50.4, 50.5] {
                 driven.put(x, LATE);
@@ -658,13 +661,23 @@ mod tests {
         /// carried over; the bystander must have been, once it exists.
         fn slide(&mut self) -> (WindowOutput, u64) {
             let w = self.csgs.current;
+            let at = allocations();
             let fresh = self.csgs.emit(w, Vec::new()).0;
+            // A debug build's `slide` makes this same emit, to check itself.
+            let checked = usize::from(cfg!(debug_assertions)) * (allocations() - at);
             let before = self.csgs.carried_count;
+            let at = allocations();
             let mut out = self.csgs.slide(w);
+            self.slide_allocations = allocations() - at - checked;
             assert_eq!(out, fresh, "window {w}");
+            let carried = self.csgs.carried_count - before;
+            let prev = std::mem::replace(&mut self.prev, out.clone());
+            let shared = out
+                .iter()
+                .filter(|c| prev.iter().any(|p| Arc::ptr_eq(c, p)));
+            assert_eq!(shared.count() as u64, carried, "window {w}: shared");
             let bystander = out.pop().expect("the bystander cluster");
             assert_eq!(cells_of(&bystander), [(50, CellStatus::Core, 5)]);
-            let carried = self.csgs.carried_count - before;
             assert!(w.0 == 0 || carried >= 1, "bystander rebuilt at {w}");
             (out, carried.saturating_sub(1))
         }
@@ -689,6 +702,25 @@ mod tests {
     }
 
     use CellStatus::{Core, Edge};
+
+    /// A slide that carries every cluster over allocates nothing per
+    /// cell: as many times for a cluster of 40 cells as for one of 2.
+    #[test]
+    fn a_slide_that_carries_every_cluster_allocates_alike_whatever_their_size() {
+        let carried_slide = |cells: i32| {
+            let mut d = Driven::new(2);
+            for c in 0..cells {
+                for dx in [0.2, 0.5, 0.8] {
+                    d.put(f64::from(c) + dx, LATE);
+                }
+            }
+            let (w0, _) = d.slide();
+            assert_eq!(cells_of(&w0[0]).len(), cells as usize);
+            assert_eq!(d.slide(), (w0, 1));
+            d.slide_allocations
+        };
+        assert_eq!(carried_slide(40), carried_slide(2));
+    }
 
     /// A core career that ends because a neighbor expires — no write to
     /// the object's own cell, which stays a core cell — still rebuilds its

@@ -11,9 +11,13 @@
 //! Its coordinate is looked up once, when an object arrives in it
 //! ([`CellStore::arrive`]); every later write — a population change, a
 //! career, a link, each link keyed by the other cell's id — indexes the
-//! slot. A slot that [`CellStore::gc`] frees is handed to the next new
-//! cell. A link keyed by the freed id may outlive it, in a cell `gc` did
-//! not visit, and then names the new cell. That is harmless: a cell is
+//! slot. The coordinate is held twice, in the slot and as the map key,
+//! both inline up to four dimensions ([`sgs_core::Coords`]): a new cell of
+//! the paper's 2-d and 4-d streams allocates nothing of its own.
+//!
+//! A slot that [`CellStore::gc`] frees is handed to the next new cell. A
+//! link keyed by the freed id may outlive it, in a cell `gc` did not
+//! visit, and then names the new cell. That is harmless: a cell is
 //! collected at window `W` only when it is empty and its core career is
 //! over, so every object it held has expired by `W`, and every link into
 //! it — a minimum of careers and expiries that included one of those
@@ -34,7 +38,7 @@
 //! it empties, while a link that lapses in a cell nobody writes waits for
 //! that cell's next write.
 
-use sgs_core::{CellCoord, WindowId};
+use sgs_core::{CellCoord, HeapSize, WindowId};
 use sgs_index::FxHashMap;
 
 /// The handle of a stored cell: the index of its slot. It names the cell
@@ -177,8 +181,8 @@ impl CellStore {
     /// An object arrives in the cell at `coord`: the one lookup by
     /// coordinate an arrival makes. Creates the cell, in a vacant slot if
     /// there is one, if it is not stored; increments its population and
-    /// stamps it. Returns its id. The coordinate is cloned only when the
-    /// cell is created.
+    /// stamps it. Returns its id. The coordinate is copied only when the
+    /// cell is created, and allocates only above four dimensions.
     pub fn arrive(&mut self, coord: &CellCoord) -> CellId {
         let CellStore {
             ids,
@@ -326,8 +330,9 @@ impl CellStore {
             + self.slots.capacity() * size_of::<Option<Slot>>()
             + (self.free.capacity() + self.written.capacity()) * size_of::<CellId>();
         for (_, coord, cell) in self.iter() {
-            // The coordinate is held twice: by its slot and as its map key.
-            bytes += 2 * coord.0.len() * size_of::<i32>();
+            // The coordinate is held twice, by its slot and as its map
+            // key; on the heap only when it spills.
+            bytes += 2 * coord.heap_size();
             bytes += cell.links.capacity() * (size_of::<(CellId, Link)>() + 1);
         }
         bytes

@@ -14,7 +14,8 @@
 //! Skeletal Grid Summarization, derived together from the same cell store
 //! — by reading what the clusters hold, not what the window holds, and
 //! only for the clusters a write has touched since the previous window;
-//! the others are carried over from it (`DESIGN.md` §6).
+//! the others are carried over from it, shared rather than copied
+//! (`DESIGN.md` §6).
 //!
 //! Design notes relative to the paper (also in `DESIGN.md`):
 //!
@@ -36,8 +37,9 @@
 //!   by side on the runtime's scheduler pool (`DESIGN.md` §8).
 //! * State is addressed by dense handles, not by hashing coordinates. A
 //!   cell lives in a slot named by a [`cell_store::CellId`]; its
-//!   coordinate is looked up once per arrival and by the output stage's
-//!   carry-over check, and everything else — populations, careers, links
+//!   coordinate — held inline, not boxed, in up to four dimensions — is
+//!   looked up once per arrival and by the output stage's carry-over
+//!   check, and everything else — populations, careers, links
 //!   keyed by the other cell's id, the output stage's per-window indexes
 //!   — indexes slots. Point states sit in an arrival-ordered table found
 //!   by the id's offset from the oldest live point, so an expired
@@ -47,6 +49,9 @@
 
 pub mod algorithm;
 pub mod cell_store;
+#[cfg(test)]
+#[path = "../tests/counting/mod.rs"]
+mod counting;
 mod merge;
 pub mod output;
 mod point_store;

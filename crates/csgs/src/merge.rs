@@ -5,7 +5,8 @@
 //! 1. **Carry-over**: a cluster of the previous window none of whose
 //!    skeleton cells, core or edge, was stamped since
 //!    ([`CellState::touched`]) *is* a cluster of this one, and is moved to
-//!    the output as it stands. Nothing below sees its core cells.
+//!    the output as it stands — the same shared value, not a copy.
+//!    Nothing below sees its core cells.
 //! 2. **Live core cells** of the rest: the store's slots are filtered
 //!    for the cells that are core at `w` and not carried; sorted, they are
 //!    the window's *dense index* — a core cell is a position from here on,
@@ -28,6 +29,8 @@
 //!    core neighbor whose cell is in the dense index.
 //! 7. **Assembly**: the carried clusters are merged back in among the
 //!    rebuilt ones by smallest core cell.
+
+use std::sync::Arc;
 
 use sgs_core::{CellCoord, GridGeometry, PointId, WindowId};
 use sgs_index::UnionFind;
@@ -83,23 +86,11 @@ fn core_cells(cluster: &ExtractedCluster) -> impl Iterator<Item = &CellCoord> {
 /// cell that is gone was written when it emptied). Every change to a
 /// cluster stamps one of those cells, so its core cells are then still
 /// core, still connected, and connected to no other core cell — exactly
-/// one component of `w` (`DESIGN.md` §6). Leaves the ids of its core
-/// cells in `core_ids` when it is.
-fn unchanged(
-    prev: &ExtractedCluster,
-    cells: &CellStore,
-    w: WindowId,
-    core_ids: &mut Vec<CellId>,
-) -> bool {
-    core_ids.clear();
+/// one component of `w` (`DESIGN.md` §6).
+fn unchanged(prev: &ExtractedCluster, cells: &CellStore, w: WindowId) -> bool {
     prev.sgs.cells.iter().all(|cell| {
-        let Some(id) = cells.id_of(&cell.coord) else {
-            return false;
-        };
-        if cell.status == CellStatus::Core {
-            core_ids.push(id);
-        }
-        cells.get(id).touched < w.0
+        let id = cells.id_of(&cell.coord);
+        id.is_some_and(|id| cells.get(id).touched < w.0)
     })
 }
 
@@ -117,11 +108,13 @@ pub(crate) fn emit(
     // ---- 1. Carry-over, decided by the stamps alone.
     // The carried clusters' core cells, by slot.
     let mut carried_core = vec![false; cells.slot_count()];
-    let mut core_ids = Vec::new();
-    let mut carried: Vec<ExtractedCluster> = Vec::new();
+    let mut carried: WindowOutput = Vec::new();
     for cluster in prev {
-        if unchanged(&cluster, cells, w, &mut core_ids) {
-            for id in &core_ids {
+        if unchanged(&cluster, cells, w) {
+            for coord in core_cells(&cluster) {
+                let id = cells
+                    .id_of(coord)
+                    .expect("an unchanged cluster's cells are stored");
                 carried_core[id.index()] = true;
             }
             carried.push(cluster);
@@ -339,7 +332,7 @@ pub(crate) fn emit(
         .map(|(cells, (mut cores, mut edges))| {
             cores.sort_unstable();
             edges.sort_unstable();
-            ExtractedCluster {
+            Arc::new(ExtractedCluster {
                 cores,
                 edges,
                 sgs: Sgs {
@@ -348,7 +341,7 @@ pub(crate) fn emit(
                     level: 0,
                     cells,
                 },
-            }
+            })
         });
     let mut out = Vec::with_capacity(n_carried + groups.len());
     let mut carried = carried.into_iter().peekable();

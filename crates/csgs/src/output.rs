@@ -1,6 +1,8 @@
 //! Per-window output of the C-SGS extractor: clusters in both
 //! representations (Fig. 2 of the paper — `DensityBasedClusters(f+s)`).
 
+use std::sync::Arc;
+
 use sgs_core::{HeapSize, PointId};
 use sgs_summarize::Sgs;
 
@@ -31,5 +33,7 @@ impl HeapSize for ExtractedCluster {
     }
 }
 
-/// All clusters extracted for one window.
-pub type WindowOutput = Vec<ExtractedCluster>;
+/// All clusters extracted for one window. A cluster is shared: one the
+/// output stage carries over from the previous window is the previous
+/// window's, not a copy of it (`DESIGN.md` §6).
+pub type WindowOutput = Vec<Arc<ExtractedCluster>>;

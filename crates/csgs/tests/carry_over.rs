@@ -7,6 +7,7 @@
 //! as `Sgs::from_members` summarizes it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 use sgs_cluster::{CanonicalClustering, FullCluster, NaiveClusterer};
@@ -89,7 +90,7 @@ fn long_lived_clusters_are_carried_and_every_window_is_still_exact() {
         .collect();
     let geometry = query.basic_grid();
     for ((w, exact), out) in naive_out.into_iter().zip(&base) {
-        let full = |c: &sgs_csgs::ExtractedCluster| FullCluster {
+        let full = |c: &Arc<sgs_csgs::ExtractedCluster>| FullCluster {
             cores: c.cores.clone(),
             edges: c.edges.clone(),
         };

@@ -1,46 +1,16 @@
-//! `CellStore` updates to an established cell allocate nothing: the cell
-//! key (a boxed coordinate) is cloned only when a cell is created, a link
+//! `CellStore` updates to an established cell allocate nothing: a link
 //! is keyed by the other cell's id, and a link is created only if it can
-//! ever be live. Counted
-//! with a wrapping global allocator, per thread so the harness's other
-//! threads do not disturb the count.
+//! ever be live. Nor does a new cell of up to four dimensions, once the
+//! store has held as many: its coordinate is held inline, in its slot and
+//! as its map key, and only a higher-dimensional one spills to the heap.
+//! Counted per thread, so the harness's other threads do not disturb the
+//! count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting;
 
-use sgs_core::{CellCoord, WindowId};
+use counting::allocations;
+use sgs_core::{CellCoord, GridGeometry, Point, WindowId};
 use sgs_csgs::cell_store::CellStore;
-
-thread_local! {
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every request is passed to `System` unchanged, so its contract
-// is `System`'s. The counter is a const-initialized thread-local `Cell`
-// with no destructor: touching it neither allocates nor re-enters the
-// allocator, and `try_with` declines instead of panicking during thread
-// teardown.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn allocations() -> usize {
-    ALLOCATIONS.with(Cell::get)
-}
 
 #[test]
 fn updates_to_established_cells_do_not_allocate() {
@@ -52,7 +22,7 @@ fn updates_to_established_cells_do_not_allocate() {
     let before = allocations();
     let (a, b) = (store.arrive(&cell), store.arrive(&other));
     store.raise_link(a, b, 1, 1);
-    assert!(allocations() > before, "creating a cell clones its key");
+    assert!(allocations() > before, "the first cells size the store");
 
     let before = allocations();
     for w in 2..100 {
@@ -114,4 +84,45 @@ fn stamping_established_cells_allocates_nothing_once_the_list_is_warm() {
     }
     assert_eq!(store.len(), cells.len());
     assert!(cells.iter().all(|&c| store.get(c).touched == 49));
+}
+
+/// Once the store has held twice as many cells, arriving at new cells of
+/// up to four dimensions allocates nothing: each takes a collected cell's
+/// slot and map capacity, and its coordinate is inline in both. A 9-d
+/// coordinate spills, once in the slot and once as the key.
+#[test]
+fn a_new_cell_of_up_to_four_dimensions_allocates_nothing_once_the_store_is_warm() {
+    for (dim, per_cell) in [(1, 0), (2, 0), (3, 0), (4, 0), (9, 2)] {
+        let cell = |i: i32, round: i32| CellCoord((0..dim).map(|d| i * 7 + d - round).collect());
+        let mut store = CellStore::new();
+        let mut ids: Vec<_> = (0..16).map(|i| store.arrive(&cell(i, 0))).collect();
+        for w in 1..4 {
+            for &id in &ids {
+                store.decrement_population(id);
+            }
+            store.gc(WindowId(w as u64));
+            assert!(store.is_empty(), "{dim}-d, window {w}");
+            store.set_window(WindowId(w as u64));
+            let coords: Vec<CellCoord> = (0..8).map(|i| cell(i, w)).collect();
+            let before = allocations();
+            ids.clear();
+            ids.extend(coords.iter().map(|coord| store.arrive(coord)));
+            assert_eq!(allocations() - before, 8 * per_cell, "{dim}-d, window {w}");
+        }
+        assert_eq!(store.len(), 8);
+    }
+}
+
+/// The cell of a point is computed without an allocation in up to four
+/// dimensions, and with one — its spilled coordinate — above.
+#[test]
+fn cell_of_allocates_only_for_a_spilled_coordinate() {
+    for (dim, want) in [(1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (9, 1)] {
+        let geometry = GridGeometry::basic(dim, 0.5);
+        let p = Point::new((0..dim).map(|d| d as f64 - 2.3).collect::<Vec<_>>(), 0);
+        let before = allocations();
+        let cell = std::hint::black_box(geometry.cell_of(&p));
+        assert_eq!(allocations() - before, want, "{dim}-d");
+        assert_eq!(cell.dim(), dim);
+    }
 }

@@ -412,8 +412,9 @@ pub struct ReachWalker {
     reach: i32,
     side: f64,
     /// The cell being visited: dimensions `1..` are the odometer over the
-    /// block's rows, dimension 0 the cell the row scan is at.
-    cell: CellCoord,
+    /// block's rows, dimension 0 the cell the row scan is at. A plain
+    /// slice, so the walk's inner loop reads it without a layout branch.
+    cell: Box<[i32]>,
     /// `d` rows of `2·reach + 1`: `gaps[i·(2·reach+1) + k]` is the squared
     /// distance along dimension `i` from the query to the interval of the
     /// block's `k`-th cell in that dimension (0 where the query lies
@@ -446,7 +447,7 @@ impl ReachWalker {
         ReachWalker {
             reach,
             side: geometry.side(),
-            cell: CellCoord::new(vec![0; d]),
+            cell: vec![0; d].into(),
             gaps: vec![0.0; d * (2 * reach as usize + 1)],
         }
     }
@@ -474,18 +475,19 @@ impl ReachWalker {
         center: &CellCoord,
         coords: &[f64],
         theta_sq: f64,
-        mut f: impl FnMut(&CellCoord, &'a CellSlab),
+        mut f: impl FnMut(&[i32], &'a CellSlab),
     ) {
         if grid.is_empty() {
             return;
         }
+        let center: &[i32] = &center.0;
         let ReachWalker {
             reach,
             side,
             ref mut cell,
             ref mut gaps,
         } = *self;
-        let d = cell.0.len();
+        let d = cell.len();
         debug_assert_eq!(coords.len(), d);
         let prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
         // Saturating: a centre cell at the edge of the `i32` range (a
@@ -493,8 +495,8 @@ impl ReachWalker {
         // wrapping it to the far side of the grid.
         let block = |i: usize| {
             (
-                center.0[i].saturating_sub(reach),
-                center.0[i].saturating_add(reach),
+                center[i].saturating_sub(reach),
+                center[i].saturating_add(reach),
             )
         };
         let stride = gaps.len() / d;
@@ -513,7 +515,7 @@ impl ReachWalker {
                 };
                 *g = delta * delta;
             }
-            cell.0[i] = b_lo;
+            cell[i] = b_lo;
         }
         // A clipped block is narrower than the table's stride: entries are
         // indexed by offset from the clipped lower bound.
@@ -524,24 +526,24 @@ impl ReachWalker {
             // then to each of its cells; beside it, the row's hash.
             let (mut outer, mut h) = (0.0, 0);
             for i in 1..d {
-                outer += gap(i, cell.0[i]);
-                h = row_hash_step(h, cell.0[i]);
+                outer += gap(i, cell[i]);
+                h = row_hash_step(h, cell[i]);
             }
             if outer <= prune && grid.filter.may_hold(h) {
-                if let Some(row) = grid.rows.get(&cell.0[1..]) {
+                if let Some(row) = grid.rows.get(&cell[1..]) {
                     let first = row.partition_point(|&(x, _)| x < lo0);
                     for (x, slab) in &row[first..] {
                         if *x > hi0 {
                             break;
                         }
                         if outer + gap(0, *x) <= prune {
-                            cell.0[0] = *x;
+                            cell[0] = *x;
                             f(cell, slab);
                         }
                     }
                 }
             }
-            if !odometer_step(&mut cell.0[1..], |i| block(i + 1)) {
+            if !odometer_step(&mut cell[1..], |i| block(i + 1)) {
                 break;
             }
         }
@@ -737,7 +739,7 @@ mod tests {
                 walker.for_each_slab(&grid, &center, &q, theta_sq, |cell, slab| {
                     assert_eq!(slab.len(), 1);
                     assert_eq!(slab.expires_at(0).0, slab.id(0).0 as u64);
-                    got.push(cell.clone());
+                    got.push(CellCoord::new(cell));
                 });
                 assert_eq!(got, want, "dim {dim}, query {q:?}");
             }
@@ -762,7 +764,7 @@ mod tests {
         grid.insert(PointId(7), &at);
         let mut seen = Vec::new();
         ReachWalker::new(&geometry).for_each_slab(&grid, &corner, &q, 0.25, |cell, slab| {
-            seen.push((cell.clone(), slab.id(0)))
+            seen.push((CellCoord::new(cell), slab.id(0)))
         });
         assert_eq!(seen, [(corner, PointId(7))]);
     }

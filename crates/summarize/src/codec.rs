@@ -97,10 +97,8 @@ pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
     let n_cells = count(buf, bare_cell(dim))?;
     let mut cells = Vec::with_capacity(n_cells);
     for _ in 0..n_cells {
-        let mut coord = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            coord.push(i32::from_le_bytes(take(buf)?));
-        }
+        let coord = (0..dim).map(|_| take(buf).map(i32::from_le_bytes));
+        let coord = CellCoord(coord.collect::<Result<_, _>>()?);
         let population = u32::from_le_bytes(take(buf)?);
         let status = match take(buf)? {
             [0] => CellStatus::Edge,
@@ -117,7 +115,7 @@ pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
             connections.push(conn);
         }
         cells.push(SkeletalCell {
-            coord: CellCoord(coord.into()),
+            coord,
             population,
             status,
             connections,

@@ -5,6 +5,8 @@
 //! allocating, so a corrupt length or count can produce only a
 //! [`WireError`], never an over-read panic or an outsized allocation.
 
+use std::sync::Arc;
+
 use sgs_core::{Point, PointId, WindowId};
 use sgs_csgs::ExtractedCluster;
 use sgs_summarize::codec::{self as sgs_codec, DecodeError};
@@ -269,12 +271,12 @@ impl<'a> Rd<'a> {
         Ok(ids)
     }
 
-    fn cluster(&mut self) -> Result<ExtractedCluster, WireError> {
-        Ok(ExtractedCluster {
+    fn cluster(&mut self) -> Result<Arc<ExtractedCluster>, WireError> {
+        Ok(Arc::new(ExtractedCluster {
             cores: self.point_ids()?,
             edges: self.point_ids()?,
             sgs: sgs_codec::decode(&mut self.buf)?,
-        })
+        }))
     }
 
     fn stats(&mut self) -> Result<WireStats, WireError> {
@@ -645,11 +647,11 @@ mod tests {
         };
         let window = WireWindow {
             window: WindowId(7),
-            clusters: vec![ExtractedCluster {
+            clusters: vec![Arc::new(ExtractedCluster {
                 cores: vec![PointId(1), PointId(5)],
                 edges: vec![PointId(9)],
                 sgs,
-            }],
+            })],
         };
         let frame = Frame::Windows {
             query: 3,

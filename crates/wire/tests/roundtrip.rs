@@ -4,6 +4,8 @@
 //! more bytes; corrupted length/version/kind/payload bytes fail with the
 //! right [`WireError`] instead of panicking or over-allocating.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,18 +72,18 @@ fn rand_sgs(rng: &mut StdRng) -> Sgs {
     }
 }
 
-fn rand_cluster(rng: &mut StdRng) -> ExtractedCluster {
+fn rand_cluster(rng: &mut StdRng) -> Arc<ExtractedCluster> {
     let ids = |rng: &mut StdRng| -> Vec<PointId> {
         let n = rng.gen_range(0usize..8);
         (0..n)
             .map(|_| PointId(rng.gen_range(0u32..10_000)))
             .collect()
     };
-    ExtractedCluster {
+    Arc::new(ExtractedCluster {
         cores: ids(rng),
         edges: ids(rng),
         sgs: rand_sgs(rng),
-    }
+    })
 }
 
 fn rand_stats(rng: &mut StdRng) -> WireStats {

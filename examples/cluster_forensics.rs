@@ -40,7 +40,7 @@ fn main() -> Result<()> {
             engine.push(p, &mut csgs, &mut outs)?;
             for (w, clusters) in outs.drain(..) {
                 windows += 1;
-                let summaries: Vec<Sgs> = clusters.into_iter().map(|c| c.sgs).collect();
+                let summaries: Vec<Sgs> = clusters.iter().map(|c| c.sgs.clone()).collect();
                 if tx.send((w, summaries)).is_err() {
                     return Ok(windows);
                 }
