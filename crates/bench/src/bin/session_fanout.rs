@@ -92,7 +92,6 @@ fn main() {
                         {
                             pushed.fetch_add(batch.len() as u64, Ordering::Relaxed);
                         }
-                        drop(sub);
                         client.goodbye().expect("clean goodbye");
                     })
                 })

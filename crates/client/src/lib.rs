@@ -292,16 +292,18 @@ pub struct Session {
     /// Queries currently in push delivery — the demux key: a `Windows`
     /// frame for one of these is never a reply.
     subscribed: HashSet<u64>,
-    /// Pushed window batches that arrived while awaiting something
-    /// else, in arrival order, awaiting their [`SubscribeHandle`].
-    stash: VecDeque<(u64, Vec<WireWindow>)>,
+    /// Pushed windows not yet handed to the caller, each with its
+    /// query, in arrival order. Every pushed window enters here once and
+    /// leaves once, oldest first, to a [`SubscribeHandle`] or to
+    /// `unsubscribe`.
+    stash: VecDeque<(u64, WireWindow)>,
 }
 
 impl core::fmt::Debug for Session {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Session")
             .field("subscribed", &self.subscribed)
-            .field("stashed_batches", &self.stash.len())
+            .field("stashed_windows", &self.stash.len())
             .finish_non_exhaustive()
     }
 }
@@ -371,54 +373,60 @@ impl Session {
         }
     }
 
-    /// Read the next *reply* frame, stashing any pushed `Windows`
-    /// frames that race it (a push the server wrote before it saw our
-    /// request in transit).
-    fn recv_reply(&mut self) -> Result<Frame, ClientError> {
-        loop {
-            match read_frame(&mut self.stream)? {
-                Frame::Windows { query, windows } if self.subscribed.contains(&query) => {
-                    metrics().pushed_windows.add(windows.len() as u64);
-                    self.stash.push_back((query, windows));
-                }
-                frame => return Ok(frame),
+    /// Read one frame. A pushed `Windows` frame for a subscribed query
+    /// goes to the stash (`Ok(None)`); an `Error` frame becomes
+    /// [`ClientError::Server`] and a `GoAway` (the server is draining)
+    /// [`ClientError::GoAway`]; anything else is returned.
+    fn recv(&mut self) -> Result<Option<Frame>, ClientError> {
+        let frame = match read_frame(&mut self.stream) {
+            Ok(frame) => frame,
+            Err(e) => return Err(self.poisoned(e.into())),
+        };
+        match frame {
+            Frame::Windows { query, windows } if self.subscribed.contains(&query) => {
+                metrics().pushed_windows.add(windows.len() as u64);
+                self.stash.extend(windows.into_iter().map(|w| (query, w)));
+                Ok(None)
             }
-        }
-    }
-
-    /// One request/response exchange. A server `Error` frame becomes
-    /// [`ClientError::Server`]; a `GoAway` frame (the server is
-    /// draining) becomes [`ClientError::GoAway`].
-    ///
-    /// On a deadline or transport failure the socket is shut down: a
-    /// reply arriving after its request was abandoned would otherwise be
-    /// mistaken for the *next* request's reply (protocol desync).
-    fn call(&mut self, request: Frame) -> Result<Frame, ClientError> {
-        let exchange = (|| {
-            write_frame(&mut self.stream, &request)?;
-            self.recv_reply()
-        })();
-        match exchange {
-            Ok(Frame::Error { code, message }) => Err(ClientError::Server { code, message }),
-            Ok(Frame::GoAway {
+            Frame::Error { code, message } => Err(ClientError::Server { code, message }),
+            Frame::GoAway {
                 reason,
                 drain_millis,
-            }) => {
+            } => {
                 metrics().goaways.inc();
                 Err(ClientError::GoAway {
                     reason,
                     drain_millis,
                 })
             }
-            Ok(reply) => Ok(reply),
-            Err(e) => {
-                if matches!(
-                    e,
-                    ClientError::Timeout | ClientError::ConnectionLost | ClientError::Io(_)
-                ) {
-                    let _ = self.stream.shutdown(Shutdown::Both);
-                }
-                Err(e)
+            frame => Ok(Some(frame)),
+        }
+    }
+
+    /// Shut the socket down on a deadline or transport failure: the
+    /// stream position is unknown, and a reply arriving after its
+    /// request was abandoned would otherwise be mistaken for the *next*
+    /// request's reply (protocol desync).
+    fn poisoned(&mut self, e: ClientError) -> ClientError {
+        if matches!(
+            e,
+            ClientError::Timeout | ClientError::ConnectionLost | ClientError::Io(_)
+        ) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        e
+    }
+
+    /// One request/response exchange: pushed windows that race the
+    /// reply (a push the server wrote before it saw the request in
+    /// transit) are stashed, and the read continues.
+    fn call(&mut self, request: Frame) -> Result<Frame, ClientError> {
+        if let Err(e) = write_frame(&mut self.stream, &request) {
+            return Err(self.poisoned(e.into()));
+        }
+        loop {
+            if let Some(reply) = self.recv()? {
+                return Ok(reply);
             }
         }
     }
@@ -507,7 +515,6 @@ impl Session {
         Ok(SubscribeHandle {
             session: self,
             query: id,
-            ready: VecDeque::new(),
         })
     }
 
@@ -529,83 +536,35 @@ impl Session {
         match self.call(Frame::Unsubscribe { query: id })? {
             Frame::OkAck => {
                 self.subscribed.remove(&id);
-                let mut pushed = Vec::new();
-                self.stash.retain_mut(|(q, windows)| {
-                    if *q == id {
-                        pushed.extend(windows.drain(..).map(|w| (w.window, w.clusters)));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                Ok(pushed)
+                Ok(self.take_stashed(id))
             }
             _ => Err(ClientError::Unexpected("unsubscribe reply")),
         }
     }
 
-    /// Take the oldest stashed push batch for `query`, if any.
-    fn take_stashed(&mut self, query: u64) -> Option<Vec<WireWindow>> {
+    /// Take the oldest stashed window for `query`, if any.
+    fn take_one(&mut self, query: u64) -> Option<(WindowId, WindowOutput)> {
         let pos = self.stash.iter().position(|(q, _)| *q == query)?;
-        self.stash.remove(pos).map(|(_, windows)| windows)
+        let (_, w) = self.stash.remove(pos)?;
+        Some((w.window, w.clusters))
     }
 
-    /// Block for the next frame addressed to `query`'s subscription,
-    /// stashing pushes for other subscriptions that arrive first.
-    fn next_pushed(&mut self, query: u64) -> Result<Vec<WireWindow>, ClientError> {
-        loop {
-            if let Some(batch) = self.take_stashed(query) {
-                return Ok(batch);
-            }
-            let received = match read_frame(&mut self.stream) {
-                Ok(frame) => frame,
-                Err(e) => {
-                    let e = ClientError::from(e);
-                    if matches!(
-                        e,
-                        ClientError::Timeout | ClientError::ConnectionLost | ClientError::Io(_)
-                    ) {
-                        // A deadline mid-frame (or any transport fault)
-                        // leaves the stream position unknown; kill the
-                        // socket rather than risk a desync.
-                        let _ = self.stream.shutdown(Shutdown::Both);
-                    }
-                    return Err(e);
-                }
-            };
-            match received {
-                Frame::Windows { query: q, windows } => {
-                    metrics().pushed_windows.add(windows.len() as u64);
-                    if q == query {
-                        return Ok(windows);
-                    }
-                    if self.subscribed.contains(&q) {
-                        self.stash.push_back((q, windows));
-                    } else {
-                        return Err(ClientError::Unexpected(
-                            "pushed windows for an unsubscribed query",
-                        ));
-                    }
-                }
-                Frame::GoAway {
-                    reason,
-                    drain_millis,
-                } => {
-                    metrics().goaways.inc();
-                    return Err(ClientError::GoAway {
-                        reason,
-                        drain_millis,
-                    });
-                }
-                Frame::Error { code, message } => {
-                    return Err(ClientError::Server { code, message })
-                }
-                _ => {
-                    return Err(ClientError::Unexpected(
-                        "unsolicited frame while awaiting pushed windows",
-                    ))
-                }
-            }
+    /// Take every stashed window for `query`, oldest first.
+    fn take_stashed(&mut self, query: u64) -> Vec<(WindowId, WindowOutput)> {
+        std::iter::from_fn(|| self.take_one(query)).collect()
+    }
+
+    /// Block for the next pushed frame and stash it. Anything but a push
+    /// for a subscribed query is an error here.
+    fn await_push(&mut self) -> Result<(), ClientError> {
+        match self.recv()? {
+            None => Ok(()),
+            Some(Frame::Windows { .. }) => Err(ClientError::Unexpected(
+                "pushed windows for an unsubscribed query",
+            )),
+            Some(_) => Err(ClientError::Unexpected(
+                "unsolicited frame while awaiting pushed windows",
+            )),
         }
     }
 
@@ -767,11 +726,7 @@ impl<'s> QueryHandle<'s> {
     pub fn subscribe(self) -> Result<SubscribeHandle<'s>, ClientError> {
         let QueryHandle { session, id } = self;
         session.subscribe_inner(id)?;
-        Ok(SubscribeHandle {
-            session,
-            query: id,
-            ready: VecDeque::new(),
-        })
+        Ok(SubscribeHandle { session, query: id })
     }
 }
 
@@ -780,15 +735,16 @@ impl<'s> QueryHandle<'s> {
 ///
 /// The handle borrows the session exclusively — the wire below it
 /// carries unsolicited frames, so request/response traffic must pause
-/// while the subscription is being consumed. Dropping the handle keeps
-/// the subscription live (windows keep arriving and are stashed by the
-/// next exchange's demux; re-[`subscribe`](Session::subscribe) to
-/// resume iterating); [`SubscribeHandle::unsubscribe`] ends it.
+/// while the subscription is being consumed. It keeps no buffer of its
+/// own: every method reads the session's stash of pushed windows, oldest
+/// first, and a window leaves the stash only when it is handed out.
+/// Dropping the handle keeps the subscription live (windows keep
+/// arriving and are stashed by the next exchange's demux;
+/// re-[`subscribe`](Session::subscribe) to resume iterating where this
+/// handle stopped); [`SubscribeHandle::unsubscribe`] ends it.
 pub struct SubscribeHandle<'s> {
     session: &'s mut Session,
     query: u64,
-    /// Windows already received but not yet yielded by the iterator.
-    ready: VecDeque<(WindowId, WindowOutput)>,
 }
 
 impl SubscribeHandle<'_> {
@@ -797,39 +753,48 @@ impl SubscribeHandle<'_> {
         self.query
     }
 
-    /// Block until the next batch of pushed windows arrives (stashed
-    /// batches first). Windows already taken into the iterator's own
-    /// buffer are yielded before any new batch.
+    /// Every stashed window of this subscription, or — if none is
+    /// stashed — block until the next pushed batch arrives and return
+    /// it.
     ///
     /// Under a [`ClientConfig::request_timeout`] a silent subscription
     /// fails with [`ClientError::Timeout`] and the connection is shut
     /// down (a deadline mid-frame cannot be resynced) — prefer
     /// [`wait_windows`](Self::wait_windows) for bounded waits.
     pub fn next_windows(&mut self) -> Result<Vec<(WindowId, WindowOutput)>, ClientError> {
-        if !self.ready.is_empty() {
-            return Ok(self.ready.drain(..).collect());
+        loop {
+            let windows = self.session.take_stashed(self.query);
+            if !windows.is_empty() {
+                return Ok(windows);
+            }
+            self.session.await_push()?;
         }
-        let batch = self.session.next_pushed(self.query)?;
-        Ok(batch.into_iter().map(|w| (w.window, w.clusters)).collect())
     }
 
     /// Wait up to `timeout` for pushed windows, returning `Ok(None)` on
     /// a quiet subscription — without poisoning the connection. The
     /// probe peeks the socket, so a deadline that fires while no frame
-    /// has started consumes nothing and the session stays in sync.
+    /// has started consumes nothing and the session stays in sync. A
+    /// zero `timeout` probes without blocking.
     pub fn wait_windows(
         &mut self,
         timeout: Duration,
     ) -> Result<Option<Vec<(WindowId, WindowOutput)>>, ClientError> {
-        if !self.ready.is_empty() || self.session.stash.iter().any(|(q, _)| *q == self.query) {
+        if self.session.stash.iter().any(|(q, _)| *q == self.query) {
             return self.next_windows().map(Some);
         }
-        self.session.stream.set_read_timeout(Some(timeout))?;
+        // std refuses a zero read timeout; a zero wait peeks a
+        // non-blocking socket instead.
+        let stream = &self.session.stream;
+        if timeout.is_zero() {
+            stream.set_nonblocking(true)?;
+        } else {
+            stream.set_read_timeout(Some(timeout))?;
+        }
         let mut probe = [0u8; 1];
-        let peeked = self.session.stream.peek(&mut probe);
-        self.session
-            .stream
-            .set_read_timeout(self.session.config.request_timeout)?;
+        let peeked = stream.peek(&mut probe);
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(self.session.config.request_timeout)?;
         match peeked {
             Ok(0) => Err(ClientError::Closed),
             Ok(_) => self.next_windows().map(Some),
@@ -846,14 +811,12 @@ impl SubscribeHandle<'_> {
     }
 
     /// End push delivery and return to poll mode. Windows the server
-    /// pushed before processing the unsubscribe (including any the
-    /// iterator had buffered) are returned — they were irreversibly
-    /// drained from the server's output buffer; undelivered windows
-    /// stay buffered server-side for [`QueryHandle::poll`].
-    pub fn unsubscribe(mut self) -> Result<Vec<(WindowId, WindowOutput)>, ClientError> {
-        let mut windows: Vec<(WindowId, WindowOutput)> = self.ready.drain(..).collect();
-        windows.extend(self.session.unsubscribe_inner(self.query)?);
-        Ok(windows)
+    /// pushed before processing the unsubscribe (including any stashed
+    /// but not yet yielded) are returned — they were irreversibly
+    /// drained from the server's output buffer; undelivered windows stay
+    /// buffered server-side for [`QueryHandle::poll`].
+    pub fn unsubscribe(self) -> Result<Vec<(WindowId, WindowOutput)>, ClientError> {
+        self.session.unsubscribe_inner(self.query)
     }
 }
 
@@ -865,28 +828,13 @@ impl Iterator for SubscribeHandle<'_> {
     /// an error re-attempts the read (which fails again on a dead
     /// connection), so callers should stop on the first `Err`.
     fn next(&mut self) -> Option<Self::Item> {
-        if self.ready.is_empty() {
-            match self.next_windows() {
-                Ok(batch) => self.ready.extend(batch),
-                Err(e) => return Some(Err(e)),
+        loop {
+            if let Some(window) = self.session.take_one(self.query) {
+                return Some(Ok(window));
             }
-        }
-        self.ready.pop_front().map(Ok)
-    }
-}
-
-impl Drop for SubscribeHandle<'_> {
-    /// Windows taken into the iterator's buffer but never yielded go
-    /// back to the session stash, so a re-subscribe sees them again —
-    /// dropping the handle must not lose delivered windows.
-    fn drop(&mut self) {
-        if !self.ready.is_empty() {
-            let windows = self
-                .ready
-                .drain(..)
-                .map(|(window, clusters)| WireWindow { window, clusters })
-                .collect();
-            self.session.stash.push_front((self.query, windows));
+            if let Err(e) = self.session.await_push() {
+                return Some(Err(e));
+            }
         }
     }
 }

@@ -22,7 +22,8 @@
 //!   `parking_lot`-locked history base. See `DESIGN.md` §8.
 //! * [`output`] — the **output buffer** every query's results land in:
 //!   one lossless FIFO per query, holding each completed window until it
-//!   is read; the executor never waits on a reader.
+//!   is read; the executor never waits on a reader, and a reader takes a
+//!   page of windows that leave the buffer once, never put back.
 //! * [`pipeline`] — the single-query [`StreamPipeline`] (window engine →
 //!   C-SGS → archiver), the execution unit each query task drives; on its
 //!   own it fills a pattern base it owns, in a runtime the shared history.
@@ -32,8 +33,9 @@
 //!   ingestion path ([`StreamFeeder::push_batch`], behind
 //!   [`Runtime::push_batch`] / [`Runtime::push_stream`] and
 //!   [`Runtime::feeder`] snapshots), and results arrive through one
-//!   output buffer per query, drained by [`Runtime::poll`] /
-//!   [`Runtime::poll_batch`].
+//!   output buffer per query, read a page at a time by
+//!   [`Runtime::poll_page`] (byte-budgeted, for the network server) or
+//!   all at once by [`Runtime::poll`].
 //!
 //! ## Determinism guarantee
 //!
@@ -57,7 +59,7 @@ pub mod registry;
 pub mod runtime;
 
 pub use executor::queued_bytes;
-pub use output::{OutputNotify, PollBatch};
+pub use output::OutputNotify;
 pub use pipeline::StreamPipeline;
 pub use plan::{DetectPlan, MatchPlan, PlanError, Planner, QueryPlan, StreamCatalog};
 pub use registry::{OwnerId, QueryDescriptor, QueryId, QueryState, QueryStats};

@@ -17,7 +17,7 @@ use sgs_exec::Pool;
 use sgs_summarize::Sgs;
 
 use crate::executor::{Msg, QueryCell};
-use crate::output::{OutputBuffer, OutputNotify, PollBatch};
+use crate::output::{OutputBuffer, OutputNotify};
 use crate::plan::{DetectPlan, MatchPlan, PlanError, Planner, QueryPlan, StreamCatalog};
 use crate::registry::{
     new_shared_status, OwnerId, QueryDescriptor, QueryId, QueryState, QueryStats, SharedStatus,
@@ -486,25 +486,36 @@ impl Runtime {
         Ok(())
     }
 
-    /// Drain the buffered completed windows of a query (non-blocking).
+    /// Drain the buffered completed windows of a query (non-blocking):
+    /// [`poll_page`](Self::poll_page) with no bound of any kind.
     /// Takes `&self` — like the `push` family — so a drainer thread can
     /// run concurrently with ingestion.
     pub fn poll(&self, id: QueryId) -> Result<Vec<(WindowId, WindowOutput)>, RuntimeError> {
-        Ok(self.entry(id)?.outputs.drain())
+        Ok(self
+            .poll_page(id, 0, usize::MAX, usize::MAX)?
+            .expect("no window exceeds an unbounded cap"))
     }
 
-    /// Drain up to `max` buffered completed windows of a query as an
-    /// iterator (`max == 0` means no bound), oldest first — the unit the
-    /// network server turns into one `Windows` response frame. Each
-    /// yielded window leaves the buffer as it is yielded, and windows not
-    /// consumed stay buffered for the next call. Like
-    /// [`poll`](Self::poll), takes `&self` so drainers run concurrently
-    /// with ingestion.
-    pub fn poll_batch(&self, id: QueryId, max: usize) -> Result<PollBatch, RuntimeError> {
-        Ok(PollBatch {
-            buffer: self.entry(id)?.outputs.clone(),
-            remaining: if max == 0 { usize::MAX } else { max },
-        })
+    /// Take one page of a query's buffered completed windows, oldest
+    /// first, under one lock hold — the unit the network server turns
+    /// into one `Windows` frame. The page holds at most `max` windows
+    /// (`0` means no bound) and stops once their summed encoded size
+    /// reaches `page_bytes`; a window that would push it past the budget
+    /// stays buffered, unless it is the first, which is taken alone. A
+    /// window encoding to more than `window_cap` bytes is never taken:
+    /// at the front of the buffer it leaves the page empty and its id is
+    /// the inner `Err`, further back it ends the page. What is not taken
+    /// stays buffered for the next call; nothing taken is put back.
+    /// Like [`poll`](Self::poll), takes `&self` so drainers run
+    /// concurrently with ingestion.
+    pub fn poll_page(
+        &self,
+        id: QueryId,
+        max: usize,
+        page_bytes: usize,
+        window_cap: usize,
+    ) -> Result<Result<Vec<(WindowId, WindowOutput)>, WindowId>, RuntimeError> {
+        Ok(self.entry(id)?.outputs.take(max, page_bytes, window_cap))
     }
 
     /// Install (or, with `None`, clear) the readiness hook of a query's
@@ -1177,7 +1188,7 @@ mod tests {
     }
 
     #[test]
-    fn poll_batch_drains_incrementally_and_preserves_the_rest() {
+    fn poll_page_drains_incrementally_and_preserves_the_rest() {
         let mut rt = runtime();
         let Submission::Continuous(id) = rt.submit(DETECT).unwrap() else {
             panic!()
@@ -1186,14 +1197,17 @@ mod tests {
         rt.quiesce().unwrap();
         let total = rt.stats(id).unwrap().windows as usize;
         assert!(total > 2, "need several windows to split the drain");
-        let first: Vec<_> = rt.poll_batch(id, 2).unwrap().collect();
+        let first = rt
+            .poll_page(id, 2, usize::MAX, usize::MAX)
+            .unwrap()
+            .unwrap();
         assert_eq!(first.len(), 2);
-        let rest: Vec<_> = rt.poll_batch(id, 0).unwrap().collect();
+        let rest = rt.poll(id).unwrap();
         assert_eq!(rest.len(), total - 2);
         // Oldest-first across both drains, with no duplicates or gaps.
         let ids: Vec<u64> = first.iter().chain(rest.iter()).map(|(w, _)| w.0).collect();
         assert_eq!(ids, (0..total as u64).collect::<Vec<_>>());
-        assert!(rt.poll_batch(id, 0).unwrap().next().is_none());
+        assert!(rt.poll(id).unwrap().is_empty());
     }
 
     #[test]

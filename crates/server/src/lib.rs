@@ -59,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-use sgs_core::Point;
+use sgs_core::{Point, WindowId};
 use sgs_runtime::{
     OwnerId, QueryDescriptor, QueryId, QueryState, QueryStats, Runtime, RuntimeConfig, RuntimeError,
 };
@@ -140,6 +140,11 @@ impl Default for ServerConfig {
 /// subscription frame stops collecting once the accumulated window
 /// payload crosses it, leaving the rest buffered for the next page.
 const POLL_PAGE_BYTES: usize = 8 << 20;
+
+/// Largest window a `Windows` frame may carry: the protocol's frame cap
+/// less 1 KiB of headroom for the frame's own fields. A window beyond it
+/// is refused rather than shipped as an undecodable frame.
+const WINDOW_CAP: usize = sgs_wire::MAX_FRAME_LEN - 1024;
 
 /// The session-limit subset of [`ServerConfig`], shared with the
 /// reactor and every dispatch task.
@@ -549,20 +554,19 @@ fn dispatch(shared: &Shared, view: &SessionView, frame: Frame) -> (Frame, Effect
             match view.resolve(local) {
                 Ok(id) => {
                     let rt = shared.rt.read();
-                    match rt.poll_batch(id, max as usize) {
-                        Ok(mut batch) => match page_windows(&mut batch) {
-                            Ok(windows) => Frame::Windows {
-                                query: local,
-                                windows,
-                            },
-                            Err(oversized) => error_frame(
-                                ErrorCode::Internal,
-                                format!(
-                                    "window {oversized} encodes beyond the frame cap — \
-                                     cancel the query to discard it"
-                                ),
-                            ),
+                    match take_page(&rt, id, max as usize) {
+                        Ok(Ok(windows)) => Frame::Windows {
+                            query: local,
+                            windows,
                         },
+                        Ok(Err(oversized)) => error_frame(
+                            ErrorCode::Internal,
+                            format!(
+                                "window {} encodes beyond the frame cap — \
+                                 cancel the query to discard it",
+                                oversized.0
+                            ),
+                        ),
                         Err(e) => runtime_error_frame(&e),
                     }
                 }
@@ -686,41 +690,25 @@ fn dispatch(shared: &Shared, view: &SessionView, frame: Frame) -> (Frame, Effect
     (reply, Effect::None)
 }
 
-/// Collect one page of windows from a poll batch, bounded by
-/// [`POLL_PAGE_BYTES`]: a window that would push the page past the
-/// budget goes back into the buffer for the next page request, so a
-/// response only ever exceeds the budget when a *single* window does —
-/// and one beyond the protocol's frame cap is refused (`Err` carries
-/// its window id) rather than shipped as an undecodable frame.
-///
-/// Shared between the `Poll` reply and the subscription push path, so
-/// pushed `Windows` frames are byte-identical to what polling the same
-/// buffer would have returned.
-fn page_windows(batch: &mut sgs_runtime::PollBatch) -> Result<Vec<WireWindow>, u64> {
-    let mut windows = Vec::new();
-    let mut bytes = 0usize;
-    while let Some((window, clusters)) = batch.next() {
-        let w = WireWindow { window, clusters };
-        let cost = w.encoded_len();
-        if cost > sgs_wire::MAX_FRAME_LEN - 1024 {
-            let id = w.window.0;
-            batch.put_back(w.window, w.clusters);
-            if windows.is_empty() {
-                return Err(id);
-            }
-            break;
-        }
-        if !windows.is_empty() && bytes + cost > POLL_PAGE_BYTES {
-            batch.put_back(w.window, w.clusters);
-            break;
-        }
-        bytes += cost;
-        windows.push(w);
-        if bytes >= POLL_PAGE_BYTES {
-            break;
-        }
-    }
-    Ok(windows)
+/// Take one page of a query's buffered windows as wire windows: at
+/// most `max` (`0` = no bound), under [`POLL_PAGE_BYTES`] and with no
+/// window beyond [`WINDOW_CAP`] (`Runtime::poll_page` has the rule; an
+/// inner `Err` is the id of the over-cap window at the front). Shared
+/// between the `Poll` reply and the subscription push path, so pushed
+/// `Windows` frames are byte-identical to what polling the same buffer
+/// would have returned.
+fn take_page(
+    rt: &Runtime,
+    id: QueryId,
+    max: usize,
+) -> Result<Result<Vec<WireWindow>, WindowId>, RuntimeError> {
+    let page = rt.poll_page(id, max, POLL_PAGE_BYTES, WINDOW_CAP)?;
+    Ok(page.map(|windows| {
+        windows
+            .into_iter()
+            .map(|(window, clusters)| WireWindow { window, clusters })
+            .collect()
+    }))
 }
 
 /// `Feed` dispatch: validate against the catalog, then route through the

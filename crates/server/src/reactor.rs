@@ -41,8 +41,8 @@ use sgs_runtime::{OwnerId, QueryId, QueryState};
 use sgs_wire::{decode, write_frame, ErrorCode, Frame};
 
 use crate::{
-    dispatch, error_frame, goaway_frame, idle_timeout_frame, page_windows, Completion, Effect,
-    Seat, SessionView, Shared,
+    dispatch, error_frame, goaway_frame, idle_timeout_frame, take_page, Completion, Effect, Seat,
+    SessionView, Shared,
 };
 
 /// epoll cookie of the listening socket.
@@ -280,15 +280,7 @@ impl Reactor<'_> {
 
     fn conn_ready(&mut self, token: u64, bits: Events) {
         if bits.intersects(Events::EPOLLERR | Events::EPOLLHUP) {
-            let executing = match self.conns.get(&token) {
-                Some(conn) => conn.phase == Phase::Executing,
-                None => return,
-            };
-            if executing {
-                self.mark_gone(token);
-            } else {
-                self.teardown(token);
-            }
+            self.hang_up(token);
             return;
         }
         if bits.contains(Events::EPOLLOUT) && !self.flush_write(token) {
@@ -306,15 +298,18 @@ impl Reactor<'_> {
         }
     }
 
-    /// The peer vanished while a request executes: flag the connection
-    /// so the completion handler runs the teardown. Every request
-    /// finishes on its own (a `Feed` once the bounded input queues
-    /// drain), so nothing needs forcing.
-    fn mark_gone(&mut self, token: u64) {
+    /// The peer vanished. With no request executing the connection is
+    /// torn down now; while one executes it is flagged so the completion
+    /// handler runs the teardown. Every request finishes on its own (a
+    /// `Feed` once the bounded input queues drain), so nothing needs
+    /// forcing.
+    fn hang_up(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if !conn.gone {
+        if conn.phase != Phase::Executing {
+            self.teardown(token);
+        } else if !conn.gone {
             conn.gone = true;
             self.shared.metrics.disconnect_reaps.inc();
         }
@@ -361,15 +356,7 @@ impl Reactor<'_> {
         }
         self.advance(token);
         if eof {
-            let executing = match self.conns.get(&token) {
-                Some(conn) => conn.phase == Phase::Executing,
-                None => return,
-            };
-            if executing {
-                self.mark_gone(token);
-            } else {
-                self.teardown(token);
-            }
+            self.hang_up(token);
         }
     }
 
@@ -626,8 +613,8 @@ impl Reactor<'_> {
             }
             let page = {
                 let rt = self.shared.rt.read();
-                match rt.poll_batch(id, 0) {
-                    Ok(mut batch) => page_windows(&mut batch),
+                match take_page(&rt, id, 0) {
+                    Ok(page) => page,
                     Err(_) => {
                         // Evicted mid-subscription: nothing to push.
                         if let Some(conn) = self.conns.get_mut(&token) {
@@ -658,19 +645,19 @@ impl Reactor<'_> {
                     // A single window beyond the frame cap can never be
                     // delivered; unlike a poll (where the client decides),
                     // push mode must discard it or wedge forever.
-                    {
-                        let rt = self.shared.rt.read();
-                        if let Ok(mut batch) = rt.poll_batch(id, 1) {
-                            let _ = batch.next();
-                        }
-                    }
+                    let _ = self
+                        .shared
+                        .rt
+                        .read()
+                        .poll_page(id, 1, usize::MAX, usize::MAX);
                     self.send(
                         token,
                         &error_frame(
                             ErrorCode::Internal,
                             format!(
-                                "window {oversized} encodes beyond the frame cap — \
-                                 discarded from the subscription"
+                                "window {} encodes beyond the frame cap — \
+                                 discarded from the subscription",
+                                oversized.0
                             ),
                         ),
                     );
@@ -738,11 +725,7 @@ impl Reactor<'_> {
             )
         };
         if dead {
-            if executing {
-                self.mark_gone(token);
-            } else {
-                self.teardown(token);
-            }
+            self.hang_up(token);
             return false;
         }
         if closing && idle && !executing {

@@ -574,8 +574,6 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgs_core::CellCoord;
-    use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
 
     #[test]
     fn short_header_and_split_payload_want_more_bytes() {
@@ -621,46 +619,6 @@ mod tests {
         let len = (bytes.len() - 4) as u32;
         bytes[..4].copy_from_slice(&len.to_le_bytes());
         assert_eq!(decode(&bytes), Err(WireError::TrailingBytes { extra: 1 }));
-    }
-
-    #[test]
-    fn window_encoded_len_matches_the_encoder() {
-        use crate::frame::WireWindow;
-        let sgs = Sgs {
-            dim: 3,
-            side: 0.5,
-            level: 1,
-            cells: vec![
-                SkeletalCell {
-                    coord: CellCoord(vec![1, -2, 3].into()),
-                    population: 9,
-                    status: CellStatus::Core,
-                    connections: vec![1],
-                },
-                SkeletalCell {
-                    coord: CellCoord(vec![1, -1, 3].into()),
-                    population: 4,
-                    status: CellStatus::Edge,
-                    connections: vec![0],
-                },
-            ],
-        };
-        let window = WireWindow {
-            window: WindowId(7),
-            clusters: vec![Arc::new(ExtractedCluster {
-                cores: vec![PointId(1), PointId(5)],
-                edges: vec![PointId(9)],
-                sgs,
-            })],
-        };
-        let frame = Frame::Windows {
-            query: 3,
-            windows: vec![window.clone()],
-        };
-        // Frame overhead: 4 length prefix + version + kind + query u64 +
-        // window-sequence count u32.
-        let overhead = 4 + 1 + 1 + 8 + 4;
-        assert_eq!(frame.encode().len(), overhead + window.encoded_len());
     }
 
     #[test]

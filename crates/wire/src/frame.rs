@@ -109,21 +109,6 @@ pub struct WireWindow {
     pub clusters: WindowOutput,
 }
 
-impl WireWindow {
-    /// Exact encoded size of this window inside a [`Frame::Windows`]
-    /// body — what a server's page budget sums so a response never
-    /// exceeds [`crate::MAX_FRAME_LEN`]. Kept next to the grammar it
-    /// mirrors (and pinned to the encoder by a codec test).
-    pub fn encoded_len(&self) -> usize {
-        let mut bytes = 8 + 4; // window id + cluster count
-        for c in &self.clusters {
-            bytes += 4 + 4 * c.cores.len() + 4 + 4 * c.edges.len();
-            bytes += sgs_summarize::codec::encoded_len(&c.sgs);
-        }
-        bytes
-    }
-}
-
 /// The value of one metric in a [`Frame::MetricsReply`] — the wire
 /// mirror of `sgs_obs::MetricValue`.
 ///

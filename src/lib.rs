@@ -126,8 +126,8 @@ pub mod prelude {
         parse_any, parse_detect, parse_match, DetectQuery, MatchQueryAst, QueryAst,
     };
     pub use sgs_runtime::{
-        DetectPlan, MatchPlan, OwnerId, PollBatch, QueryId, QueryPlan, QueryReport, QueryState,
-        QueryStats, Runtime, RuntimeConfig, RuntimeError, StreamPipeline, Submission,
+        DetectPlan, MatchPlan, OwnerId, QueryId, QueryPlan, QueryReport, QueryState, QueryStats,
+        Runtime, RuntimeConfig, RuntimeError, StreamPipeline, Submission,
     };
     pub use sgs_server::{Server, ServerConfig, ServerHandle};
     pub use sgs_stream::{replay, WindowConsumer, WindowEngine};

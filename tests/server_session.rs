@@ -4,6 +4,7 @@
 //! and determinism guarantees (`DESIGN.md` §9).
 
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 use streamsum::prelude::*;
 use streamsum::wire::WireWindow;
@@ -45,23 +46,26 @@ fn window_bytes(windows: &[(WindowId, WindowOutput)]) -> Vec<u8> {
     .encode()
 }
 
+/// Ground truth: the canonical bytes of a solo in-process Runtime's
+/// windows over the same plan and data.
+fn solo_run(stream: &[Point]) -> Vec<u8> {
+    let mut rt = Runtime::new();
+    rt.register_stream("gmti", 2);
+    let Submission::Continuous(id) = rt.submit(DETECT).unwrap() else {
+        panic!("expected a continuous registration");
+    };
+    rt.push_batch(stream).unwrap();
+    rt.quiesce().unwrap();
+    let windows = rt.poll(id).unwrap();
+    assert!(!windows.is_empty());
+    window_bytes(&windows)
+}
+
 #[test]
 fn concurrent_sessions_are_isolated_and_byte_identical_to_a_solo_run() {
     let stream = gmti(4000);
 
-    // Ground truth: a solo in-process Runtime over the same plan + data.
-    let expected = {
-        let mut rt = Runtime::new();
-        rt.register_stream("gmti", 2);
-        let Submission::Continuous(id) = rt.submit(DETECT).unwrap() else {
-            panic!("expected a continuous registration");
-        };
-        rt.push_batch(&stream).unwrap();
-        rt.quiesce().unwrap();
-        let windows = rt.poll(id).unwrap();
-        assert!(!windows.is_empty());
-        window_bytes(&windows)
-    };
+    let expected = solo_run(&stream);
 
     let (addr, handle) = start_server();
     // Two concurrent sessions, each replaying the same stream into its
@@ -309,6 +313,61 @@ fn poll_max_pages_through_buffered_windows() {
     assert_eq!(rest.len() as u64, total - 2);
     let ids: Vec<u64> = first.iter().chain(rest.iter()).map(|(w, _)| w.0).collect();
     assert_eq!(ids, (0..total).collect::<Vec<_>>(), "oldest first, no gaps");
+    client.goodbye().unwrap();
+    handle.shutdown();
+}
+
+/// Windows a dropped subscription handle never yielded are not lost: a
+/// re-subscribed handle picks up exactly where the first one stopped.
+#[test]
+fn a_dropped_subscription_resumes_where_it_stopped() {
+    let stream = gmti(4000);
+    let expected = solo_run(&stream);
+    let (addr, handle) = start_server();
+    let mut client = Session::connect(addr).unwrap();
+    let q = client.detect(DETECT).unwrap();
+    client.feed("gmti", &stream).unwrap();
+    client.quiesce().unwrap();
+    let total = client.query(q).stats().unwrap().stats.windows as usize;
+    assert!(total > 3, "need windows left after the first handle");
+
+    let mut got: Vec<(WindowId, WindowOutput)> = Vec::new();
+    {
+        let mut sub = client.subscribe(q).unwrap();
+        for pushed in sub.by_ref().take(3) {
+            got.push(pushed.unwrap());
+        }
+    }
+    let mut sub = client.subscribe(q).unwrap();
+    while got.len() < total {
+        got.push(sub.next().unwrap().unwrap());
+    }
+    assert!(sub.unsubscribe().unwrap().is_empty(), "no window twice");
+    assert!(client.query(q).poll(0).unwrap().is_empty());
+    assert_eq!(window_bytes(&got), expected, "resumed windows diverged");
+    client.goodbye().unwrap();
+    handle.shutdown();
+}
+
+/// A zero wait is a non-blocking probe: a quiet subscription answers
+/// `None` at once, and the session stays usable afterwards.
+#[test]
+fn a_zero_wait_probes_a_quiet_subscription() {
+    let (addr, handle) = start_server();
+    let mut client = Session::connect(addr).unwrap();
+    let q = client.detect(DETECT).unwrap();
+    let mut sub = client.subscribe(q).unwrap();
+    assert!(sub.wait_windows(Duration::ZERO).unwrap().is_none());
+
+    client.feed("gmti", &gmti(1500)).unwrap();
+    client.quiesce().unwrap();
+    let mut sub = client.subscribe(q).unwrap();
+    let pushed = sub
+        .wait_windows(Duration::from_secs(60))
+        .unwrap()
+        .expect("fed windows are pushed");
+    assert!(!pushed.is_empty());
+    assert_eq!(client.queries().unwrap().len(), 1);
     client.goodbye().unwrap();
     handle.shutdown();
 }

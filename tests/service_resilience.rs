@@ -536,9 +536,9 @@ proptest! {
 #[test]
 fn output_buffer_byte_accounting_matches_the_wire_encoding() {
     // The runtime's per-window quota cost (`window_cost`, used by
-    // `output_bytes_for`) deliberately mirrors
-    // `WireWindow::encoded_len` without a crate dependency; this test
-    // pins the two formulas together through the public APIs.
+    // `output_bytes_for` and by every page budget) restates the
+    // `Windows` body grammar without a crate dependency; this test pins
+    // it to the frame encoder itself, one window at a time.
     let mut rt = Runtime::new();
     rt.register_stream("gmti", 2);
     let owner = rt.new_owner();
@@ -552,19 +552,26 @@ fn output_buffer_byte_accounting_matches_the_wire_encoding() {
     let accounted = rt.output_bytes_for(owner);
     assert!(accounted > 0, "workload must buffer windows");
     let windows = rt.poll(id).unwrap();
+    assert!(windows.iter().any(|(_, clusters)| !clusters.is_empty()));
+    // Frame overhead around the window sequence: 4 length prefix +
+    // version + kind + query u64 + window count u32.
+    let overhead = 4 + 1 + 1 + 8 + 4;
     let encoded: usize = windows
         .iter()
         .map(|(window, clusters)| {
-            WireWindow {
-                window: *window,
-                clusters: clusters.clone(),
-            }
-            .encoded_len()
+            let frame = Frame::Windows {
+                query: 0,
+                windows: vec![WireWindow {
+                    window: *window,
+                    clusters: clusters.clone(),
+                }],
+            };
+            frame.encode().len() - overhead
         })
         .sum();
     assert_eq!(
         accounted, encoded,
-        "runtime window_cost diverged from WireWindow::encoded_len"
+        "runtime window_cost diverged from the Windows frame encoding"
     );
     assert_eq!(rt.output_bytes_for(owner), 0, "poll must release the bytes");
 }
