@@ -51,10 +51,7 @@ impl core::fmt::Debug for CellCoord {
 
 impl HeapSize for CellCoord {
     fn heap_size(&self) -> usize {
-        match &self.0 .0 {
-            Layout::Inline(..) => 0,
-            Layout::Spilled(coords) => core::mem::size_of_val::<[i32]>(coords),
-        }
+        self.0.heap_size()
     }
 }
 
@@ -62,7 +59,8 @@ impl HeapSize for CellCoord {
 /// of them are held in place — the paper's streams are 2-d (GMTI) and 4-d
 /// (STT), so a cell costs no allocation there — and more in one heap box.
 /// Comparison, equality and hashing are the slice's, so cell order does
-/// not depend on how a coordinate is held.
+/// not depend on how a coordinate is held — and a map keyed by `Coords`
+/// is probed with a plain `&[i32]` ([`Borrow`](core::borrow::Borrow)).
 #[derive(Clone)]
 pub struct Coords(Layout);
 
@@ -88,6 +86,30 @@ impl core::ops::Deref for Coords {
         match &self.0 {
             Layout::Inline(len, buf) => &buf[..usize::from(*len)],
             Layout::Spilled(coords) => coords,
+        }
+    }
+}
+
+impl core::fmt::Debug for Coords {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// Sound because `Hash`, `Eq` and `Ord` below are the slice's.
+impl core::borrow::Borrow<[i32]> for Coords {
+    #[inline]
+    fn borrow(&self) -> &[i32] {
+        self
+    }
+}
+
+impl HeapSize for Coords {
+    /// 0 held in place, `4·d` spilled.
+    fn heap_size(&self) -> usize {
+        match &self.0 {
+            Layout::Inline(..) => 0,
+            Layout::Spilled(coords) => core::mem::size_of_val::<[i32]>(coords),
         }
     }
 }
@@ -405,8 +427,8 @@ mod tests {
         /// A coordinate reads as the slice it was built from, whichever
         /// way it was built and on either side of the inline/spill
         /// boundary; it orders, compares and hashes as that slice — with
-        /// every other coordinate and every prefix of itself — and a
-        /// write through it reads back.
+        /// every other coordinate and every prefix of itself, also as a
+        /// map key probed by slice — and a write through it reads back.
         #[test]
         fn coords_behave_as_their_slice(
             a in proptest::prop::collection::vec(-2i32..2, 1..10),
@@ -429,6 +451,9 @@ mod tests {
             }
             let spilled = if a.len() > Coords::INLINE { 4 * a.len() } else { 0 };
             proptest::prop_assert_eq!(CellCoord::new(a.clone()).heap_size(), spilled);
+            // A map keyed by coordinates is probed by slice.
+            let keys: std::collections::HashSet<Coords> = [Coords::from(&b[..])].into();
+            proptest::prop_assert_eq!(keys.contains(&a[..]), a == b);
             let mut others: Vec<&[i32]> = (0..=a.len()).map(|k| &a[..k]).collect();
             others.push(&b);
             for other in others {

@@ -26,17 +26,21 @@
 //! representation is listed cell by cell from the skeleton (cores by
 //! career watermark, edges via their live core neighbors). A cluster none
 //! of whose cells was written since the previous window is not derived
-//! again: the extractor keeps the previous output and carries it over.
+//! again: the extractor keeps the previous output, each cluster with its
+//! cells' ids, and carries it over; the new core cells are found among
+//! the cells the window wrote.
 //!
 //! The extractor is one sequential pass per query; the query is the unit
 //! of parallelism (`DESIGN.md` §6, §8).
+
+use std::sync::Arc;
 
 use sgs_core::{ClusterQuery, GridGeometry, HeapSize, Point, PointId, WindowId};
 use sgs_index::ReachWalker;
 use sgs_stream::WindowConsumer;
 
 use crate::cell_store::{CellId, CellStore};
-use crate::merge;
+use crate::merge::{self, Held};
 use crate::output::WindowOutput;
 use crate::point_store::{raise_pairs, Found, PointStore};
 
@@ -56,10 +60,11 @@ pub struct CSgs {
     /// those whose core career it extended.
     found: Vec<Found>,
     extended: Vec<PointId>,
-    /// The previous window's output: what the output stage carries the
-    /// untouched clusters over from (`DESIGN.md` §6). It shares its
-    /// clusters with the output the caller was handed.
-    retained: WindowOutput,
+    /// The previous window's output, each cluster with the ids of its
+    /// skeleton cells: what the output stage carries the untouched
+    /// clusters over from (`DESIGN.md` §6). It shares its clusters with
+    /// the output the caller was handed.
+    retained: Vec<Held>,
     /// Number of range query searches executed (one per object, §5.3).
     pub rqs_count: u64,
     /// Clusters emitted by carrying the previous window's over unchanged.
@@ -103,14 +108,35 @@ impl CSgs {
     /// holds, since a retained cluster is the emitted one. Unlike Extra-N
     /// this is independent of `win/slide` — no per-view state exists.
     pub fn meta_bytes(&self) -> usize {
+        let retained = self.retained.iter().map(|(cluster, ids)| {
+            cluster.heap_size() + ids.capacity() * core::mem::size_of::<CellId>()
+        });
         self.points.meta_bytes()
             + self.cells.heap_bytes()
-            + self.retained.iter().map(|c| c.heap_size()).sum::<usize>()
+            + self.retained.capacity() * core::mem::size_of::<Held>()
+            + retained.sum::<usize>()
     }
 
-    /// The output stage for window `w`, carrying over from `prev`.
-    fn emit(&self, w: WindowId, prev: WindowOutput) -> (WindowOutput, usize) {
-        merge::emit(&self.geometry, &self.points, &self.cells, w, prev)
+    /// The output stage for window `w`, carrying over from `prev` and
+    /// looking for new core cells among the cells stamped in `w`.
+    fn emit(&self, w: WindowId, prev: Vec<Held>) -> (Vec<Held>, usize) {
+        let seeds = self.cells.written().iter().copied();
+        merge::emit(&self.geometry, &self.points, &self.cells, w, prev, seeds)
+    }
+
+    /// Window `w`'s output built from every stored cell, carrying nothing:
+    /// the oracle a carried cluster is checked against.
+    fn emit_from_scratch(&self, w: WindowId) -> Vec<Held> {
+        let seeds = self.cells.iter().map(|(id, _, _)| id);
+        merge::emit(
+            &self.geometry,
+            &self.points,
+            &self.cells,
+            w,
+            Vec::new(),
+            seeds,
+        )
+        .0
     }
 }
 
@@ -195,17 +221,22 @@ impl WindowConsumer for CSgs {
     fn slide(&mut self, completed: WindowId) -> WindowOutput {
         debug_assert_eq!(completed, self.current);
         let prev = std::mem::take(&mut self.retained);
-        let (out, carried) = self.emit(completed, prev);
+        let (held, carried) = self.emit(completed, prev);
         // Release builds trust a carried cluster; debug builds — every
-        // test suite — rebuild the window from the cells and compare.
+        // test suite — rebuild the window from the cells and compare,
+        // the cell ids the next carry-over check reads included.
         debug_assert_eq!(
-            out,
-            self.emit(completed, Vec::new()).0,
+            held,
+            self.emit_from_scratch(completed),
             "carried clusters diverged from a from-scratch emit at {completed}"
         );
         self.carried_count += carried as u64;
-        self.rebuilt_count += (out.len() - carried) as u64;
-        self.retained = out.clone();
+        self.rebuilt_count += (held.len() - carried) as u64;
+        let out = held
+            .iter()
+            .map(|(cluster, _)| Arc::clone(cluster))
+            .collect();
+        self.retained = held;
 
         // Advance and drop expired raw data (no watermark maintenance —
         // the paper's zero-cost expiration property). Dead points' ids are
@@ -662,7 +693,9 @@ mod tests {
         fn slide(&mut self) -> (WindowOutput, u64) {
             let w = self.csgs.current;
             let at = allocations();
-            let fresh = self.csgs.emit(w, Vec::new()).0;
+            let fresh: WindowOutput = (self.csgs.emit_from_scratch(w).into_iter())
+                .map(|(cluster, _)| cluster)
+                .collect();
             // A debug build's `slide` makes this same emit, to check itself.
             let checked = usize::from(cfg!(debug_assertions)) * (allocations() - at);
             let before = self.csgs.carried_count;
@@ -934,6 +967,62 @@ mod tests {
         assert_eq!((w2.len(), carried), (1, 0));
         assert_eq!(cells_of(&w2[0]), [(0, Core, 3), (1, Core, 1)]);
         assert_eq!(ids(&w2[0].cores), [left.as_slice(), &[z.0]].concat());
+    }
+
+    /// A cluster of a core cell and an edge cell whose one object expires:
+    /// the edge cell empties and is collected, and its vacant slot is the
+    /// only trace of the change — the core cell is not written, and the
+    /// attachment lapses by its watermark. The carry-over check reads the
+    /// slot as changed, and the cluster is rebuilt without it. Returns the
+    /// harness, the first window's cluster and the collected cell's id.
+    fn an_edge_cell_collected_under_an_unwritten_cluster() -> (Driven, WindowOutput, CellId) {
+        let mut d = Driven::new(2);
+        let cores = [0.1, 0.2, 0.3].map(|x| d.put(x, LATE).0);
+        let e = d.put(1.25, 2); // the object at 0.3 only: an edge object
+        let (w0, _) = d.slide();
+        assert_eq!(
+            (ids(&w0[0].cores), ids(&w0[0].edges)),
+            (cores.to_vec(), vec![e.0])
+        );
+        assert_eq!(cells_of(&w0[0]), [(0, Core, 3), (1, Edge, 1)]);
+        let edge = d
+            .csgs
+            .cells
+            .id_of(&CellCoord::new(vec![1]))
+            .expect("stored");
+        assert_eq!(d.slide(), (w0.clone(), 1));
+        // Window 2 is current: `e` is gone, and its cell with it.
+        assert!(d.csgs.cells.stored(edge).is_none(), "the slot is vacant");
+        assert!(d.cell(0).touched < 2, "the core cell is not written");
+        (d, w0, edge)
+    }
+
+    /// The vacant slot alone rebuilds the cluster.
+    #[test]
+    fn a_collected_edge_cell_rebuilds_its_cluster_by_its_vacant_slot() {
+        let (mut d, w0, _) = an_edge_cell_collected_under_an_unwritten_cluster();
+        let (w2, carried) = d.slide();
+        assert_eq!((w2.len(), carried), (1, 0));
+        assert!(!Arc::ptr_eq(&w2[0], &w0[0]));
+        assert_eq!(cells_of(&w2[0]), [(0, Core, 3)]);
+        assert!(w2[0].edges.is_empty());
+        assert_eq!(d.slide(), (w2, 1));
+    }
+
+    /// The same, with a new cell far away taking the freed slot before
+    /// the window is out: the slot is occupied again, by a cell stamped
+    /// in this window, and the cluster is still rebuilt.
+    #[test]
+    fn a_collected_edge_cells_slot_taken_by_a_new_cell_still_rebuilds() {
+        let (mut d, w0, edge) = an_edge_cell_collected_under_an_unwritten_cluster();
+        d.put(20.5, LATE);
+        let far = d.csgs.cells.id_of(&CellCoord::new(vec![20]));
+        assert_eq!(far, Some(edge), "the new cell takes the freed slot");
+        let (w2, carried) = d.slide();
+        assert_eq!((w2.len(), carried), (1, 0));
+        assert!(!Arc::ptr_eq(&w2[0], &w0[0]));
+        assert_eq!(cells_of(&w2[0]), [(0, Core, 3)]);
+        assert!(w2[0].edges.is_empty());
     }
 
     /// Neighbors arriving with expiries out of order are inserted inside

@@ -32,11 +32,17 @@
 //! the output stage can tell which clusters it has to rebuild and which
 //! it can carry over from the previous window (`DESIGN.md` §6).
 //!
-//! The first stamp a cell takes in a window also lists it, and
-//! [`CellStore::gc`] visits the listed cells only: a cell empties by an
-//! expiry, which stamps it, so every empty cell is collected at the slide
-//! it empties, while a link that lapses in a cell nobody writes waits for
-//! that cell's next write.
+//! The first stamp a cell takes in a window also lists it
+//! ([`CellStore::written`]): the list is the cells the window changed,
+//! which the output stage reads to find new core cells without a pass
+//! over the store. [`CellStore::set_window`] drops the lapsed links of
+//! the ending window's listed cells and starts the list afresh;
+//! [`CellStore::gc`], after the new window's expiries, visits the listed
+//! cells only and keeps listed those it does not collect. A cell empties
+//! by an expiry, which stamps it, so every empty cell is collected at the
+//! slide it empties; every written cell has its links visited once its
+//! window is over, while a link that lapses in a cell nobody writes waits
+//! for that cell's next write.
 
 use sgs_core::{CellCoord, HeapSize, WindowId};
 use sgs_index::FxHashMap;
@@ -123,8 +129,8 @@ pub struct CellStore {
     slots: Vec<Option<Slot>>,
     /// The vacant slots.
     free: Vec<CellId>,
-    /// The cells [`gc`](Self::gc) visits next: each cell whose stamp moved
-    /// to the current window since the last `gc`, listed when it moved.
+    /// The cells stamped in the current window, each listed when its
+    /// stamp moved to it, less those [`gc`](Self::gc) has collected.
     written: Vec<CellId>,
     /// The current window: the stamp of every write, and the bar a link
     /// watermark has to pass to be worth storing.
@@ -173,9 +179,24 @@ impl CellStore {
     }
 
     /// Move to window `now` (the extractor calls this as soon as the
-    /// previous window's output is out).
+    /// previous window's output is out). The cells the ending window
+    /// wrote drop their links that lapse by `now`, and the list of
+    /// written cells starts afresh.
     pub fn set_window(&mut self, now: WindowId) {
+        for &id in &self.written {
+            if let Some(slot) = &mut self.slots[id.index()] {
+                drop_lapsed_links(&mut slot.state, now);
+            }
+        }
+        self.written.clear();
         self.now = now.0;
+    }
+
+    /// The cells stamped in the current window, in the order of their
+    /// first stamp: every cell whose state moved since the previous
+    /// window's output, the cells `gc` collected aside.
+    pub fn written(&self) -> &[CellId] {
+        &self.written
     }
 
     /// An object arrives in the cell at `coord`: the one lookup by
@@ -223,9 +244,16 @@ impl CellStore {
         id
     }
 
-    /// The id of the cell at `coord`, if it is stored.
+    /// The id of the cell at `coord`, if it is stored. The extractor
+    /// never needs it: it holds the ids of the cells it reads again.
     pub fn id_of(&self, coord: &CellCoord) -> Option<CellId> {
         self.ids.get(coord).copied()
+    }
+
+    /// The state of the cell in slot `id`, if one is stored there.
+    pub fn stored(&self, id: CellId) -> Option<&CellState> {
+        let slot = self.slots.get(id.index())?.as_ref()?;
+        Some(&slot.state)
     }
 
     /// The state of cell `id`, which is stored.
@@ -280,17 +308,21 @@ impl CellStore {
         stamp(cell, id, &mut self.written, self.now);
     }
 
-    /// Drop dead watermarks and empty cells among the cells written since
-    /// the last `gc`, freeing the slots of the collected cells. `now` is
-    /// the current window; links whose two watermarks are both `<= now`
-    /// can never fire again, and empty cells with no future core career
-    /// hold no information.
+    /// Drop dead watermarks and empty cells among the cells written in
+    /// the current window, freeing the slots of the collected cells and
+    /// keeping the others listed. `now` is the current window; links whose
+    /// two watermarks are both `<= now` can never fire again, and empty
+    /// cells with no future core career hold no information.
     ///
-    /// A cell that is not visited keeps its links as they are: a lapsed
-    /// one is dead weight, not a wrong answer (every reader tests
-    /// liveness), and a cell holds at most one link per other cell within
-    /// the range-query reach. An empty cell is always visited — the expiry
-    /// that emptied it stamped it, and ended its core career with it.
+    /// An empty cell is always visited — the expiry that emptied it
+    /// stamped it in the current window, and ended its core career with
+    /// it. A cell written in the previous window dropped its lapsed links
+    /// when [`set_window`](Self::set_window) moved on, so every cell
+    /// written since the last `gc` has had its links visited. A cell that
+    /// is not visited keeps its links as they are: a lapsed one is dead
+    /// weight, not a wrong answer (every reader tests liveness), and a
+    /// cell holds at most one link per other cell within the range-query
+    /// reach.
     pub fn gc(&mut self, now: WindowId) {
         let CellStore {
             ids,
@@ -299,20 +331,19 @@ impl CellStore {
             written,
             ..
         } = self;
-        for &id in written.iter() {
+        written.retain(|&id| {
             let Some(slot) = &mut slots[id.index()] else {
-                continue; // listed twice, and collected at the first
+                return false; // listed twice, and collected at the first
             };
-            let cell = &mut slot.state;
-            cell.links
-                .retain(|_, l| l.core_core_until > now.0 || l.attach_until > now.0);
-            if cell.population == 0 && cell.core_until <= now.0 {
+            drop_lapsed_links(&mut slot.state, now);
+            let collect = slot.state.population == 0 && slot.state.core_until <= now.0;
+            if collect {
                 let slot = slots[id.index()].take().expect("visited just now");
                 ids.remove(&slot.coord);
                 free.push(id);
             }
-        }
-        written.clear();
+            !collect
+        });
     }
 
     /// Iterate over all stored cells.
@@ -337,6 +368,13 @@ impl CellStore {
         }
         bytes
     }
+}
+
+/// Drop the links of `cell` whose two watermarks are both `<= now`: they
+/// can never fire again.
+fn drop_lapsed_links(cell: &mut CellState, now: WindowId) {
+    cell.links
+        .retain(|_, l| l.core_core_until > now.0 || l.attach_until > now.0);
 }
 
 /// The occupied slot of cell `id`.
@@ -451,8 +489,12 @@ mod tests {
         let mut store = CellStore::new();
         let (a, b) = (store.arrive(&cc(0, 0)), store.arrive(&cc(1, 0)));
         store.gc(WindowId(0));
-        // a's cores reach b's object until 4; a is not listed again.
+        // a's cores reach b's object until 4. The link is live when
+        // window 1 drops window 0's lapsed links, and a is not written
+        // again.
         store.raise_link(a, b, 0, 4);
+        store.set_window(WindowId(1));
+        assert!(store.get(a).links.contains_key(&b));
         store.set_window(WindowId(4));
         store.decrement_population(b); // b's object expires at 4
         store.gc(WindowId(4));
@@ -468,6 +510,35 @@ mod tests {
         let b2 = store.arrive(&cc(1, 0));
         assert_ne!(b2, c);
         assert_eq!(store.slot_count(), 3);
+    }
+
+    /// The written list holds the cells stamped in the current window: a
+    /// cell first stamped by an expiry stays on it through `gc` (a raise
+    /// to core later in the window lists it no second time), a collected
+    /// one leaves it, and the cell that takes its slot joins it.
+    /// `set_window` starts it afresh once the ending window's cells have
+    /// dropped their lapsed links.
+    #[test]
+    fn the_written_list_is_the_cells_stamped_this_window() {
+        let mut store = CellStore::new();
+        let [a, b, c] = [cc(0, 0), cc(1, 0), cc(2, 0)].map(|coord| store.arrive(&coord));
+        store.arrive(&cc(0, 0));
+        store.raise_link(a, b, 0, 3);
+        store.raise_link(c, b, 0, 9);
+        assert_eq!(store.written(), [a, b, c]);
+
+        store.set_window(WindowId(3));
+        assert!(store.written().is_empty());
+        assert!(store.get(a).links.is_empty(), "lapsed at 3");
+        assert!(store.get(c).links.contains_key(&b), "live until 9");
+        store.decrement_population(a);
+        store.decrement_population(b);
+        store.gc(WindowId(3));
+        assert_eq!(store.written(), [a], "b is collected");
+        store.raise_core_until(a, 8);
+        let d = store.arrive(&cc(7, 7));
+        assert_eq!(d, b, "the freed slot is reused");
+        assert_eq!(store.written(), [a, d]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! Skeletal Grid Summarization, derived together from the same cell store
 //! — by reading what the clusters hold, not what the window holds, and
 //! only for the clusters a write has touched since the previous window;
-//! the others are carried over from it, shared rather than copied
-//! (`DESIGN.md` §6).
+//! the others are carried over from it, shared rather than copied, and
+//! the work is found from the cells the window wrote (`DESIGN.md` §6).
 //!
 //! Design notes relative to the paper (also in `DESIGN.md`):
 //!
@@ -38,10 +38,10 @@
 //! * State is addressed by dense handles, not by hashing coordinates. A
 //!   cell lives in a slot named by a [`cell_store::CellId`]; its
 //!   coordinate — held inline, not boxed, in up to four dimensions — is
-//!   looked up once per arrival and by the output stage's carry-over
-//!   check, and everything else — populations, careers, links
-//!   keyed by the other cell's id, the output stage's per-window indexes
-//!   — indexes slots. Point states sit in an arrival-ordered table found
+//!   looked up once per arrival, and everything else — populations,
+//!   careers, links keyed by the other cell's id, the previous output's
+//!   clusters, held with their cells' ids for the carry-over check, the
+//!   output stage's per-window indexes — indexes slots. Point states sit in an arrival-ordered table found
 //!   by the id's offset from the oldest live point, so an expired
 //!   neighbor is a vacant slot. Slots freed by `gc` are reused; why a
 //!   stale link to a reused slot can never read live is in the

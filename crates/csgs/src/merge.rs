@@ -2,15 +2,20 @@
 //! of the skeletal cells whose work follows what the clusters hold and
 //! what changed since the previous window, not what the window holds.
 //!
-//! 1. **Carry-over**: a cluster of the previous window none of whose
-//!    skeleton cells, core or edge, was stamped since
-//!    ([`CellState::touched`]) *is* a cluster of this one, and is moved to
-//!    the output as it stands — the same shared value, not a copy.
-//!    Nothing below sees its core cells.
-//! 2. **Live core cells** of the rest: the store's slots are filtered
-//!    for the cells that are core at `w` and not carried; sorted, they are
-//!    the window's *dense index* — a core cell is a position from here on,
-//!    and a per-slot vector maps a cell's id to it.
+//! 1. **Carry-over**: a cluster of the previous window each of whose
+//!    skeleton cells, core or edge, still sits in its slot unstamped
+//!    since ([`CellState::touched`]) *is* a cluster of this one, and is
+//!    moved to the output as it stands — the same shared value, not a
+//!    copy. The previous output holds each cluster with its cells' ids
+//!    ([`Held`]), so the check reads slots, never a coordinate. Nothing
+//!    below sees a carried cluster's core cells.
+//! 2. **Live core cells** of the rest, found from what changed: the
+//!    previous core cells of the clusters that are not carried, and the
+//!    cells stamped in this window, kept if they are core at `w` and not
+//!    carried; sorted, they are the window's *dense index* — a core cell
+//!    is a position from here on, and a per-slot vector maps a cell's id
+//!    to it. (A from-scratch emit seeds the search with every stored
+//!    cell instead.)
 //! 3. **Link resolution** (once): every live link of every indexed core
 //!    cell is read exactly once and its far end's position read off the
 //!    per-slot vector, into a flat per-cell list of [`Resolved`] entries.
@@ -37,7 +42,7 @@ use sgs_index::UnionFind;
 use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
 
 use crate::cell_store::{CellId, CellState, CellStore};
-use crate::output::{ExtractedCluster, WindowOutput};
+use crate::output::ExtractedCluster;
 use crate::point_store::{PointState, PointStore};
 
 /// In place of a dense index or a cluster number: none.
@@ -67,67 +72,78 @@ struct Resolved {
     local: u32,
 }
 
+/// A cluster of an output, with the ids of its skeleton cells in
+/// `sgs.cells` order: how the next window's carry-over check finds them.
+pub(crate) type Held = (Arc<ExtractedCluster>, Vec<CellId>);
+
 /// The smallest core cell of a cluster: what numbers it among the
 /// clusters of its window.
 fn key_of(cluster: &ExtractedCluster) -> Option<&CellCoord> {
-    core_cells(cluster).next()
-}
-
-/// The core cells of a cluster, in cell order.
-fn core_cells(cluster: &ExtractedCluster) -> impl Iterator<Item = &CellCoord> {
     let cells = cluster.sgs.cells.iter();
     cells
         .filter(|c| c.status == CellStatus::Core)
         .map(|c| &c.coord)
-}
-
-/// Whether `prev`, a cluster of window `w − 1`, is a cluster of `w` as it
-/// stands: no cell of its skeleton, core or edge, was written since (a
-/// cell that is gone was written when it emptied). Every change to a
-/// cluster stamps one of those cells, so its core cells are then still
-/// core, still connected, and connected to no other core cell — exactly
-/// one component of `w` (`DESIGN.md` §6).
-fn unchanged(prev: &ExtractedCluster, cells: &CellStore, w: WindowId) -> bool {
-    prev.sgs.cells.iter().all(|cell| {
-        let id = cells.id_of(&cell.coord);
-        id.is_some_and(|id| cells.get(id).touched < w.0)
-    })
+        .next()
 }
 
 /// Build window `w`'s output from the live watermarks of `cells`, listing
 /// members from `points`. `prev` is the output of window `w − 1` (empty
-/// to build every cluster from the cells); the second result counts the
-/// clusters carried over from it.
+/// to build every cluster from the cells), and `seeds` the cells that may
+/// have become core since it: the cells stamped in `w`, or every stored
+/// cell for a from-scratch emit. The second result counts the clusters
+/// carried over from `prev`.
+///
+/// Every core cell of `w` is found. One that was core at `w − 1` sat in
+/// exactly one cluster of `prev`: a carried one, whose cells stay out,
+/// or one to rebuild, whose core cells are candidates. One that was not
+/// has been stamped since: only an arrival (a population from 0) or
+/// `raise_core_until` can make a cell core.
 pub(crate) fn emit(
     geometry: &GridGeometry,
     points: &PointStore,
     cells: &CellStore,
     w: WindowId,
-    prev: WindowOutput,
-) -> (WindowOutput, usize) {
-    // ---- 1. Carry-over, decided by the stamps alone.
-    // The carried clusters' core cells, by slot.
-    let mut carried_core = vec![false; cells.slot_count()];
-    let mut carried: WindowOutput = Vec::new();
-    for cluster in prev {
-        if unchanged(&cluster, cells, w) {
-            for coord in core_cells(&cluster) {
-                let id = cells
-                    .id_of(coord)
-                    .expect("an unchanged cluster's cells are stored");
-                carried_core[id.index()] = true;
+    prev: Vec<Held>,
+    seeds: impl IntoIterator<Item = CellId>,
+) -> (Vec<Held>, usize) {
+    // ---- 1. Carry-over, decided by the stamps alone. A slot another cell
+    // has taken since holds a cell stamped in `w` (its arrival), and one
+    // left vacant was stamped when its cell emptied: either way the
+    // cluster is rebuilt.
+    // By slot: the carried clusters' core cells, then every core cell
+    // found.
+    let mut taken = vec![false; cells.slot_count()];
+    let mut carried: Vec<Held> = Vec::new();
+    // The previous core cells of the clusters to rebuild.
+    let mut candidates: Vec<CellId> = Vec::new();
+    for (cluster, ids) in prev {
+        let unchanged = ids
+            .iter()
+            .all(|&id| cells.stored(id).is_some_and(|cell| cell.touched < w.0));
+        let skeleton = cluster.sgs.cells.iter().zip(&ids);
+        let cores = skeleton.filter(|(cell, _)| cell.status == CellStatus::Core);
+        if unchanged {
+            for (_, id) in cores {
+                taken[id.index()] = true;
             }
-            carried.push(cluster);
+            carried.push((cluster, ids));
+        } else {
+            candidates.extend(cores.map(|(_, &id)| id));
         }
     }
     let n_carried = carried.len();
 
     // ---- 2. Live core cells of the clusters to rebuild, in cell order.
-    let mut cores: Vec<CoreCell> = cells
-        .iter()
-        .filter(|&(id, _, state)| state.is_core_at(w) && !carried_core[id.index()])
-        .map(|(id, coord, state)| CoreCell { id, coord, state })
-        .collect();
+    let mut cores: Vec<CoreCell> = Vec::new();
+    for id in candidates.into_iter().chain(seeds) {
+        let Some(state) = cells.stored(id) else {
+            continue;
+        };
+        if state.is_core_at(w) && !std::mem::replace(&mut taken[id.index()], true) {
+            let coord = cells.coord(id);
+            cores.push(CoreCell { id, coord, state });
+        }
+    }
     if cores.is_empty() {
         return (carried, n_carried);
     }
@@ -189,8 +205,9 @@ pub(crate) fn emit(
         groups[gid[d] as usize].push(d as u32);
     }
 
-    // ---- 5. Skeletons of the clusters to rebuild.
+    // ---- 5. Skeletons of the clusters to rebuild, and their cells' ids.
     let mut skeletons: Vec<Vec<SkeletalCell>> = vec![Vec::new(); groups.len()];
+    let mut skeleton_ids: Vec<Vec<CellId>> = vec![Vec::new(); groups.len()];
     // Dense index → position in its cluster's cell list.
     let mut local_of = vec![NONE; n];
     // The cells, beside the rebuilt clusters' own core cells, whose
@@ -220,17 +237,18 @@ pub(crate) fn emit(
 
         // The cell list: core cells and attached cells merged in cell
         // order, each reference to an attached cell learning its position.
-        let list = &mut skeletons[g];
-        let mut place_core = |d: u32, list: &mut Vec<SkeletalCell>| {
+        let (list, list_ids) = (&mut skeletons[g], &mut skeleton_ids[g]);
+        let mut place_core = |d: u32, list: &mut Vec<SkeletalCell>, list_ids: &mut Vec<CellId>| {
             local_of[d as usize] = list.len() as u32;
             let core = &cores[d as usize];
             list.push(skeletal(core.coord, core.state, CellStatus::Core));
+            list_ids.push(core.id);
         };
         let mut group_cells = group.iter().peekable();
         for run in attached.chunk_by(|a, b| a.0 == b.0) {
             let (coord, first) = run[0];
             while let Some(&d) = group_cells.next_if(|&&d| cores[d as usize].coord < coord) {
-                place_core(d, list);
+                place_core(d, list, list_ids);
             }
             for &(_, at) in run {
                 links[at].local = list.len() as u32;
@@ -245,6 +263,7 @@ pub(crate) fn emit(
             };
             debug_assert!(state.population > 0);
             list.push(skeletal(coord, state, CellStatus::Edge));
+            list_ids.push(other);
             // Its objects are edge candidates. A core cell of another
             // rebuilt cluster is listed on that cluster's account; any
             // other cell — a carried cluster's core cell among them — is
@@ -254,7 +273,7 @@ pub(crate) fn emit(
             }
         }
         for &d in group_cells {
-            place_core(d, list);
+            place_core(d, list, list_ids);
         }
 
         // Connections of each core cell: to a core cell of the cluster
@@ -326,13 +345,11 @@ pub(crate) fn emit(
 
     // ---- 7. Assembly: the rebuilt clusters in component order, the
     // carried ones merged back in by smallest core cell.
-    let rebuilt = skeletons
-        .into_iter()
-        .zip(members)
-        .map(|(cells, (mut cores, mut edges))| {
+    let rebuilt = skeletons.into_iter().zip(skeleton_ids).zip(members).map(
+        |((cells, ids), (mut cores, mut edges))| {
             cores.sort_unstable();
             edges.sort_unstable();
-            Arc::new(ExtractedCluster {
+            let cluster = ExtractedCluster {
                 cores,
                 edges,
                 sgs: Sgs {
@@ -341,15 +358,17 @@ pub(crate) fn emit(
                     level: 0,
                     cells,
                 },
-            })
-        });
+            };
+            (Arc::new(cluster), ids)
+        },
+    );
     let mut out = Vec::with_capacity(n_carried + groups.len());
     let mut carried = carried.into_iter().peekable();
-    for cluster in rebuilt {
-        while let Some(c) = carried.next_if(|c| key_of(c) < key_of(&cluster)) {
+    for held in rebuilt {
+        while let Some(c) = carried.next_if(|c| key_of(&c.0) < key_of(&held.0)) {
             out.push(c);
         }
-        out.push(cluster);
+        out.push(held);
     }
     out.extend(carried);
     (out, n_carried)

@@ -20,120 +20,232 @@
 //! first: the walk probes the row map only for a row whose bucket is
 //! non-zero (`DESIGN.md` §13).
 //!
-//! Cell storage is structure-of-arrays ([`CellSlab`]): each cell keeps one
-//! contiguous coordinate slab plus parallel id/expiry columns, so the
+//! Cell storage is structure-of-arrays ([`CellSlab`]): each cell reads as
+//! one contiguous coordinate slab plus parallel id/expiry columns, so the
 //! distance pruning of an RQS feeds whole cells into the batched
-//! [`sgs_core::kernel`] with zero pointer chasing (`DESIGN.md` §13).
+//! [`sgs_core::kernel`] with zero pointer chasing. A cell of one point of
+//! up to four dimensions — most cells, and the cell most arrivals open —
+//! holds the point in place, and a row key of up to four coordinates is a
+//! [`Coords`] held inline, so opening a cell allocates nothing and opening
+//! a row allocates the row alone (`DESIGN.md` §13).
 
-use sgs_core::{kernel, CellCoord, GridGeometry, HeapSize, Point, PointId, WindowId};
+use sgs_core::{kernel, CellCoord, Coords, GridGeometry, HeapSize, Point, PointId, WindowId};
 
 use crate::fx::FxHashMap;
 
-/// The points of one grid cell, stored column-wise: `coords` holds the
-/// cell's points back to back (`dim` consecutive `f64`s per point, the
-/// same slab layout the [`sgs_core::kernel`] batch primitives consume),
-/// with `ids[j]` / `expires[j]` the id and expiry window of the point at
-/// slab position `j`. Expiry rides inline because C-SGS discovery reads
-/// every neighbor's expiry and a point's expiry is fixed at arrival
-/// (`DESIGN.md` §1) — the copy can never go stale while indexed.
-#[derive(Clone, Debug, Default)]
-pub struct CellSlab {
-    ids: Vec<PointId>,
-    expires: Vec<WindowId>,
-    coords: Vec<f64>,
+/// The points of one grid cell. A cell of one point of up to four
+/// coordinates (`ONE_POINT_DIMS`) holds it in place — most cells of the
+/// paper's streams hold one point, and most arrivals open a cell — so it
+/// costs no allocation. The second point spills the cell into three
+/// columns sized for two points, and a first point of more dimensions
+/// starts in them: `coords` holds the cell's points back to back (`dim`
+/// consecutive `f64`s per point, the same slab layout the
+/// [`sgs_core::kernel`] batch primitives consume), with `ids[j]` /
+/// `expires[j]` the id and expiry window of the point at slab position
+/// `j`. Either way every accessor reads a slice. Expiry
+/// rides inline because C-SGS discovery reads every neighbor's expiry and
+/// a point's expiry is fixed at arrival (`DESIGN.md` §1) — the copy can
+/// never go stale while indexed.
+#[derive(Clone, Debug)]
+pub struct CellSlab(Slab);
+
+/// The most coordinates a one-point cell holds in place.
+const ONE_POINT_DIMS: usize = 4;
+
+#[derive(Clone, Debug)]
+enum Slab {
+    /// One point, its coordinates in `coords[..dim]`.
+    One {
+        id: PointId,
+        expires: WindowId,
+        dim: u8,
+        coords: [f64; ONE_POINT_DIMS],
+    },
+    /// Any number of points, column-wise.
+    Columns {
+        ids: Vec<PointId>,
+        expires: Vec<WindowId>,
+        coords: Vec<f64>,
+    },
 }
 
 /// The bucket returned for cells with no live points.
-static EMPTY_SLAB: CellSlab = CellSlab {
+static EMPTY_SLAB: CellSlab = CellSlab(Slab::Columns {
     ids: Vec::new(),
     expires: Vec::new(),
     coords: Vec::new(),
-};
+});
 
 impl CellSlab {
+    /// A cell holding the one point `id`.
+    fn one(id: PointId, coords: &[f64], expires_at: WindowId) -> Self {
+        let dim = coords.len();
+        if dim <= ONE_POINT_DIMS {
+            let mut held = [0.0; ONE_POINT_DIMS];
+            held[..dim].copy_from_slice(coords);
+            return CellSlab(Slab::One {
+                id,
+                expires: expires_at,
+                dim: dim as u8,
+                coords: held,
+            });
+        }
+        let mut slab = EMPTY_SLAB.clone();
+        slab.push(id, coords, expires_at);
+        slab
+    }
+
+    /// The ids, expiry and coordinate columns, slab order.
+    #[inline]
+    fn columns(&self) -> (&[PointId], &[WindowId], &[f64]) {
+        match &self.0 {
+            Slab::One {
+                id,
+                expires,
+                dim,
+                coords,
+            } => (
+                core::slice::from_ref(id),
+                core::slice::from_ref(expires),
+                &coords[..usize::from(*dim)],
+            ),
+            Slab::Columns {
+                ids,
+                expires,
+                coords,
+            } => (ids, expires, coords),
+        }
+    }
+
+    /// The columns to write, spilling a one-point cell into them first.
+    fn columns_mut(&mut self) -> (&mut Vec<PointId>, &mut Vec<WindowId>, &mut Vec<f64>) {
+        if let Slab::One {
+            id,
+            expires,
+            dim,
+            coords,
+        } = self.0
+        {
+            // Sized for the two points a spilled cell most often holds.
+            let d = usize::from(dim);
+            let (mut ids, mut expiry) = (Vec::with_capacity(2), Vec::with_capacity(2));
+            let mut slab = Vec::with_capacity(2 * d);
+            ids.push(id);
+            expiry.push(expires);
+            slab.extend_from_slice(&coords[..d]);
+            self.0 = Slab::Columns {
+                ids,
+                expires: expiry,
+                coords: slab,
+            };
+        }
+        match &mut self.0 {
+            Slab::Columns {
+                ids,
+                expires,
+                coords,
+            } => (ids, expires, coords),
+            Slab::One { .. } => unreachable!("spilled above"),
+        }
+    }
+
     /// Number of points in the cell.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.ids().len()
     }
 
     /// Whether the cell holds no points.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.ids().is_empty()
     }
 
     /// The ids column, slab order.
     #[inline]
     pub fn ids(&self) -> &[PointId] {
-        &self.ids
+        self.columns().0
     }
 
     /// The expiry column, slab order.
     #[inline]
     pub fn expires(&self) -> &[WindowId] {
-        &self.expires
+        self.columns().1
     }
 
     /// The contiguous point-major coordinate slab.
     #[inline]
     pub fn coords(&self) -> &[f64] {
-        &self.coords
+        self.columns().2
     }
 
     /// Id of the point at slab position `j`.
     #[inline]
     pub fn id(&self, j: usize) -> PointId {
-        self.ids[j]
+        self.ids()[j]
     }
 
     /// Expiry window of the point at slab position `j`.
     #[inline]
     pub fn expires_at(&self, j: usize) -> WindowId {
-        self.expires[j]
+        self.expires()[j]
     }
 
     /// Coordinates of the point at slab position `j`.
     #[inline]
     pub fn point(&self, j: usize) -> &[f64] {
         let d = self.dim();
-        &self.coords[j * d..j * d + d]
+        &self.coords()[j * d..j * d + d]
     }
 
     /// Coordinate count per point (0 for an empty slab).
     #[inline]
     fn dim(&self) -> usize {
-        if self.ids.is_empty() {
+        let (ids, _, coords) = self.columns();
+        if ids.is_empty() {
             0
         } else {
-            self.coords.len() / self.ids.len()
+            coords.len() / ids.len()
         }
     }
 
     fn push(&mut self, id: PointId, coords: &[f64], expires_at: WindowId) {
-        self.ids.push(id);
-        self.expires.push(expires_at);
-        self.coords.extend_from_slice(coords);
+        let (ids, expires, slab) = self.columns_mut();
+        ids.push(id);
+        expires.push(expires_at);
+        slab.extend_from_slice(coords);
     }
 
-    /// Remove position `pos` by swapping the last point into the hole —
-    /// all three columns move in lockstep so slab positions stay aligned.
+    /// Remove position `pos` of a cell of two or more points by swapping
+    /// the last point into the hole — all three columns move in lockstep
+    /// so slab positions stay aligned. (A cell's last point leaves with
+    /// the cell.)
     fn swap_remove(&mut self, pos: usize) {
         let d = self.dim();
-        let last = self.ids.len() - 1;
-        self.ids.swap_remove(pos);
-        self.expires.swap_remove(pos);
+        let (ids, expires, coords) = self.columns_mut();
+        let last = ids.len() - 1;
+        ids.swap_remove(pos);
+        expires.swap_remove(pos);
         if pos != last {
-            let (head, tail) = self.coords.split_at_mut(last * d);
+            let (head, tail) = coords.split_at_mut(last * d);
             head[pos * d..pos * d + d].copy_from_slice(&tail[..d]);
         }
-        self.coords.truncate(last * d);
+        coords.truncate(last * d);
     }
 
     fn heap_bytes(&self) -> usize {
-        self.ids.capacity() * core::mem::size_of::<PointId>()
-            + self.expires.capacity() * core::mem::size_of::<WindowId>()
-            + self.coords.capacity() * core::mem::size_of::<f64>()
+        match &self.0 {
+            Slab::One { .. } => 0,
+            Slab::Columns {
+                ids,
+                expires,
+                coords,
+            } => {
+                ids.capacity() * core::mem::size_of::<PointId>()
+                    + expires.capacity() * core::mem::size_of::<WindowId>()
+                    + coords.capacity() * core::mem::size_of::<f64>()
+            }
+        }
     }
 }
 
@@ -238,8 +350,10 @@ pub struct GridIndex {
     geometry: GridGeometry,
     /// The occupied cells, by row: cell `c` lives in `rows[&c.0[1..]]`
     /// under `c.0[0]`. No row is empty and no listed cell is empty. A
-    /// 1-d grid is the single row keyed by the empty slice.
-    rows: FxHashMap<Box<[i32]>, Row>,
+    /// 1-d grid is the single row keyed by the empty slice. A key of up
+    /// to four coordinates — a grid of up to five dimensions — is held in
+    /// place, and the map is probed by slice.
+    rows: FxHashMap<Coords, Row>,
     /// Which rows may be occupied; every key of `rows` counts in it.
     filter: RowFilter,
     /// Number of occupied cells (the sum of the rows' lengths).
@@ -300,12 +414,8 @@ impl GridIndex {
     ) -> CellCoord {
         let cell = self.geometry.cell_of(point);
         let (x, key) = (cell.0[0], &cell.0[1..]);
-        let fresh = || {
-            let mut slab = CellSlab::default();
-            slab.push(id, &point.coords, expires_at);
-            (x, slab)
-        };
-        // Established rows are found by slice — the key is cloned only
+        let fresh = || (x, CellSlab::one(id, &point.coords, expires_at));
+        // Established rows are found by slice — the key is copied only
         // when the insert creates the row — and an established cell takes
         // the point with no allocation beyond its slab's own growth.
         if let Some(row) = self.rows.get_mut(key) {
@@ -318,7 +428,7 @@ impl GridIndex {
                 }
             }
         } else {
-            self.rows.insert(key.into(), vec![fresh()]);
+            self.rows.insert(Coords::from(key), vec![fresh()]);
             self.cells += 1;
             let keys = self.rows.keys().map(|key| &key[..]);
             self.filter.add_row(row_hash(key), self.rows.len(), keys);
@@ -339,11 +449,12 @@ impl GridIndex {
             return false;
         };
         let slab = &mut row[i].1;
-        let Some(pos) = slab.ids.iter().position(|&e| e == id) else {
+        let Some(pos) = slab.ids().iter().position(|&e| e == id) else {
             return false;
         };
-        slab.swap_remove(pos);
-        if slab.is_empty() {
+        if slab.len() > 1 {
+            slab.swap_remove(pos);
+        } else {
             row.remove(i);
             self.cells -= 1;
             if row.is_empty() {
@@ -569,10 +680,11 @@ impl ReachWalker {
         mut found: impl FnMut(PointId, WindowId),
     ) {
         self.for_each_slab(grid, center, coords, theta_sq, |_, slab| {
-            kernel::for_each_within(coords, &slab.coords, theta_sq, |j| {
-                let id = slab.ids[j];
+            let (ids, expires, slab) = slab.columns();
+            kernel::for_each_within(coords, slab, theta_sq, |j| {
+                let id = ids[j];
                 if id != exclude {
-                    found(id, slab.expires[j]);
+                    found(id, expires[j]);
                 }
             });
         });
@@ -581,10 +693,10 @@ impl ReachWalker {
 
 impl HeapSize for GridIndex {
     fn heap_size(&self) -> usize {
-        let mut bytes = self.rows.capacity() * (core::mem::size_of::<(Box<[i32]>, Row)>() + 1)
+        let mut bytes = self.rows.capacity() * (core::mem::size_of::<(Coords, Row)>() + 1)
             + self.filter.counts.capacity();
         for (key, row) in &self.rows {
-            bytes += core::mem::size_of_val::<[i32]>(key);
+            bytes += key.heap_size();
             bytes += row.capacity() * core::mem::size_of::<(i32, CellSlab)>();
             bytes += row.iter().map(|(_, slab)| slab.heap_bytes()).sum::<usize>();
         }
@@ -773,29 +885,99 @@ mod tests {
     /// particular order, each with its points in slab order.
     type Model = Vec<(CellCoord, Vec<PointId>)>;
 
+    /// The expiry the model scripts give point `id`: distinct per point.
+    fn expiry_of(id: PointId) -> WindowId {
+        WindowId(3 * u64::from(id.0) + 7)
+    }
+
+    /// The cell transitions a script step makes, by a cell's point count
+    /// before → after: 0→1, 1→2, 2→1, 1→0.
+    #[derive(Clone, Copy, Debug, Default)]
+    struct Transitions([usize; 4]);
+
+    impl Transitions {
+        fn count(&mut self, before: usize, after: usize) {
+            let at = match (before, after) {
+                (0, 1) => 0,
+                (1, 2) => 1,
+                (2, 1) => 2,
+                (1, 0) => 3,
+                _ => return,
+            };
+            self.0[at] += 1;
+        }
+
+        fn add(&mut self, other: Transitions) {
+            for (sum, n) in self.0.iter_mut().zip(other.0) {
+                *sum += n;
+            }
+        }
+    }
+
     /// Remove a live point from the index and from the model.
-    fn remove_from_both(index: &mut GridIndex, model: &mut Model, id: PointId, cell: &CellCoord) {
+    fn remove_from_both(
+        index: &mut GridIndex,
+        model: &mut Model,
+        id: PointId,
+        cell: &CellCoord,
+    ) -> Transitions {
+        let mut crossed = Transitions::default();
         assert!(index.remove(id, cell));
         assert!(!index.remove(id, cell), "already removed");
         let at = model.iter().position(|(c, _)| c == cell).expect("occupied");
         let ids = &mut model[at].1;
         ids.swap_remove(ids.iter().position(|p| *p == id).expect("present"));
+        crossed.count(ids.len() + 1, ids.len());
         if ids.is_empty() {
             model.swap_remove(at);
         }
+        crossed
     }
 
+    /// Every cell of the model reads back from the index column by
+    /// column: ids, expiries and coordinates, whole and per position.
+    fn assert_cells_read_as_the_model(index: &GridIndex, model: &Model, placed: &[Vec<f64>]) {
+        for (cell, ids) in model {
+            let slab = index.cell_points(cell);
+            assert_eq!(slab.ids(), &ids[..]);
+            let expiries: Vec<WindowId> = ids.iter().map(|&id| expiry_of(id)).collect();
+            assert_eq!(slab.expires(), &expiries[..]);
+            let coords: Vec<f64> = ids
+                .iter()
+                .flat_map(|id| placed[id.0 as usize].clone())
+                .collect();
+            assert_eq!(slab.coords(), &coords[..]);
+            for (j, &id) in ids.iter().enumerate() {
+                assert_eq!(slab.id(j), id);
+                assert_eq!(slab.expires_at(j), expiry_of(id));
+                assert_eq!(slab.point(j), &placed[id.0 as usize][..]);
+            }
+        }
+    }
+
+    thread_local! {
+        /// The transitions the model scripts have crossed so far, inline
+        /// (up to 4-d) and spilled, and the scripts run.
+        static CROSSED: core::cell::Cell<([Transitions; 2], usize)> = Default::default();
+    }
+
+    /// Cases the vendored `proptest!` runs per property.
+    const PROPTEST_CASES: usize = 64;
+
     proptest::proptest! {
-        /// Random insert / remove / query scripts against the model:
-        /// counts and cell contents agree after every step, a query
-        /// reports the model's neighbours in `reachable_cells` order then
-        /// slab order, and removing everything leaves no cell and no row
-        /// behind.
+        /// Random insert / remove / query scripts against the model, in
+        /// one to six dimensions — a one-point cell held in place and a
+        /// spilled one: counts and cell contents (ids, expiries,
+        /// coordinates) agree after every step, a query reports the
+        /// model's neighbours in `reachable_cells` order then slab order,
+        /// and removing everything leaves no cell and no row behind. The
+        /// scripts, together, take cells of either kind through every
+        /// transition: 0→1, 1→2, 2→1 and 1→0.
         #[test]
         fn scripts_agree_with_a_vec_scan_model(
-            dim in 1usize..6,
+            dim in 1usize..7,
             script in proptest::prop::collection::vec(
-                (0u8..4, 0usize..1000, proptest::prop::collection::vec(-1.0f64..1.0, 5)),
+                (0u8..4, 0usize..1000, proptest::prop::collection::vec(-1.0f64..1.0, 6)),
                 1..80,
             ),
         ) {
@@ -803,29 +985,44 @@ mod tests {
             let geometry = GridGeometry::basic(dim, theta);
             let mut index = GridIndex::new(geometry.clone());
             let mut model = Model::new();
+            let mut crossed = Transitions::default();
             // Coordinates of every point ever inserted, by id.
             let mut placed: Vec<Vec<f64>> = Vec::new();
             let mut live: Vec<(PointId, CellCoord)> = Vec::new();
             for (op, pick, unit) in &script {
                 // About three cells per dimension, astride the origin:
                 // cells repeat, rows fill and drain, coordinates go
-                // negative.
-                let coords: Vec<f64> =
+                // negative. An op 1 with a point live lands in that
+                // point's cell, so that cells fill in every dimension.
+                let mut coords: Vec<f64> =
                     unit[..dim].iter().map(|u| u * 1.6 * geometry.side()).collect();
+                if *op == 1 && !live.is_empty() {
+                    let corner = geometry.min_corner(&live[pick % live.len()].1);
+                    for (x, (lo, u)) in coords.iter_mut().zip(corner.iter().zip(unit)) {
+                        *x = lo + (u + 1.0) / 2.0 * 0.99 * geometry.side();
+                    }
+                }
                 match op {
                     0 | 1 => {
                         let id = PointId(placed.len() as u32);
-                        let cell = index.insert(id, &Point::new(coords.clone(), 0));
+                        let at = Point::new(coords.clone(), 0);
+                        let cell = index.insert_expiring(id, &at, expiry_of(id));
                         placed.push(coords);
                         match model.iter_mut().find(|(c, _)| *c == cell) {
-                            Some((_, ids)) => ids.push(id),
-                            None => model.push((cell.clone(), vec![id])),
+                            Some((_, ids)) => {
+                                ids.push(id);
+                                crossed.count(ids.len() - 1, ids.len());
+                            }
+                            None => {
+                                model.push((cell.clone(), vec![id]));
+                                crossed.count(0, 1);
+                            }
                         }
                         live.push((id, cell));
                     }
                     2 if !live.is_empty() => {
                         let (id, cell) = live.swap_remove(pick % live.len());
-                        remove_from_both(&mut index, &mut model, id, &cell);
+                        crossed.add(remove_from_both(&mut index, &mut model, id, &cell));
                     }
                     _ => {
                         let exclude = PointId((pick % 80) as u32);
@@ -849,9 +1046,7 @@ mod tests {
                 }
                 prop_assert_eq!(index.len(), live.len());
                 prop_assert_eq!(index.cell_count(), model.len());
-                for (cell, ids) in &model {
-                    prop_assert_eq!(index.cell_points(cell).ids(), &ids[..]);
-                }
+                assert_cells_read_as_the_model(&index, &model, &placed);
                 let buckets = index.filter.counts.len();
                 prop_assert!(buckets.is_power_of_two());
                 prop_assert!(buckets >= BUCKETS_PER_ROW * index.rows.len());
@@ -860,12 +1055,34 @@ mod tests {
                 }
             }
             for (id, cell) in live.drain(..) {
-                remove_from_both(&mut index, &mut model, id, &cell);
+                crossed.add(remove_from_both(&mut index, &mut model, id, &cell));
+                assert_cells_read_as_the_model(&index, &model, &placed);
             }
             prop_assert!(index.is_empty());
             prop_assert_eq!(index.cell_count(), 0);
             prop_assert!(index.rows.is_empty(), "a drained row was left behind");
+
+            // The coverage guard, once every case has run.
+            let (mut kinds, mut scripts) = CROSSED.get();
+            kinds[usize::from(dim > ONE_POINT_DIMS)].add(crossed);
+            scripts += 1;
+            CROSSED.set((kinds, scripts));
+            if scripts == PROPTEST_CASES {
+                for (kind, seen) in ["inline", "spilled"].iter().zip(kinds) {
+                    prop_assert!(seen.0.iter().all(|&n| n > 0), "{} cells crossed {:?}", kind, seen);
+                }
+            }
         }
+    }
+
+    /// A slab is no larger than the three columns it replaces: the row
+    /// entry a cell costs did not grow with the one-point layout.
+    #[test]
+    fn a_slab_is_the_size_of_its_three_columns() {
+        assert_eq!(
+            core::mem::size_of::<CellSlab>(),
+            3 * core::mem::size_of::<Vec<u8>>()
+        );
     }
 
     /// A bucket driven past `u8::MAX` sticks there: removing every row it
