@@ -1,30 +1,34 @@
 //! The Pattern Base (§7.1) and the cluster matching query execution (§7.2).
 //!
-//! Each archived SGS keeps its two search keys beside it: its MBR (the
-//! locational feature) and its 4-d feature vector (volume, core-cell
-//! count, avg density, avg connectivity). The filter phase is one scan
-//! over them. A position-sensitive MATCH keeps the patterns whose MBR
-//! overlaps the query's; a position-insensitive one keeps those whose
-//! features all lie in the per-dimension admissible ranges of §7.2. The
-//! scan's cost is in proportion to the base, whatever the threshold
-//! (DESIGN.md §3 item 2).
+//! Each archived SGS keeps its 4-d feature vector (volume, core-cell
+//! count, avg density, avg connectivity) beside it, and its MATCH
+//! [`Entry`] in one flat arena of every pattern's entry, in id order: the
+//! pattern's cell-space box (the locational feature, scaled by the cell
+//! side on use), then its per-column cell counts. The filter phase is
+//! one scan over them. A position-sensitive MATCH keeps the patterns
+//! whose MBR overlaps the query's; a position-insensitive one keeps
+//! those whose features all lie in the per-dimension admissible ranges
+//! of §7.2. The scan's cost is in proportion to the base, whatever the
+//! threshold (DESIGN.md §3 item 2).
 //!
 //! A matching query runs **filter-and-refine**: the scan narrows the base
 //! to candidates, the cluster-level feature metric (on the cached feature
 //! vectors) discards most of them, and only the survivors pay for the
-//! grid-cell-level match. When position-insensitive, a survivor first
-//! meets [`AlignmentFilter`]: a sound lower bound on the grid-level
-//! distance over every alignment. It checks the cell counts, then the
-//! projection bound from per-column cell counts (the query's counted once
-//! per MATCH), then the histogram of cell offsets, and only then does the
-//! anytime alignment search run. A candidate whose bound exceeds the
-//! threshold cannot match at any shift, so it skips the search and the
-//! answer is the one the search would give. [`MatchOutcome`] reports how
+//! grid-cell-level match. A survivor first meets [`AlignmentFilter`]: a
+//! sound lower bound on the grid-level distance. Position-sensitive, it
+//! checks the cell counts alone. Position-insensitive, it checks the
+//! counts, then the projection bound from the per-column cell counts of
+//! the two entries (the query's written once per MATCH), then the
+//! histogram of cell offsets, and only then does the anytime alignment
+//! search run; no cell of a candidate the counts or the projection bound
+//! prune is read. A candidate whose bound exceeds the threshold cannot
+//! match at any shift, so it skips the search and the answer is the one
+//! the search would give. [`MatchOutcome`] reports how
 //! many candidates reached each phase — the statistic behind the "only
 //! 6 % needed the grid-level match" claim of §8.2.
 
 use sgs_core::{HeapSize, WindowId};
-use sgs_index::Rect;
+use sgs_matching::bound::Entry;
 use sgs_matching::metric::feature_distance;
 use sgs_matching::{
     best_alignment, feature_ranges, grid_level_distance, AlignmentFilter, MatchConfig,
@@ -70,12 +74,15 @@ pub struct MatchOutcome {
     pub refined: usize,
 }
 
-/// The archive of extracted cluster summaries with their MBRs.
+/// The archive of extracted cluster summaries with their MATCH entries.
 #[derive(Debug, Default)]
 pub struct PatternBase {
     patterns: Vec<ArchivedPattern>,
-    /// Data-space MBR of each pattern, indexed by pattern id.
-    mbrs: Vec<Rect>,
+    /// Every pattern's [`Entry`], end to end in id order.
+    entries: Vec<u32>,
+    /// Where each pattern's entry starts in `entries`; it ends where the
+    /// next one starts.
+    starts: Vec<usize>,
     /// Packed bytes of every archived summary, summed on insert.
     archived_bytes: usize,
 }
@@ -100,10 +107,13 @@ impl PatternBase {
 
     /// Archive a summary; returns its handle. Empty summaries are rejected.
     pub fn insert(&mut self, sgs: Sgs, window: WindowId) -> Option<PatternId> {
-        let mbr = sgs.mbr()?;
+        if sgs.cells.is_empty() {
+            return None;
+        }
         let id = PatternId(self.patterns.len() as u64);
         let features = sgs.features();
-        self.mbrs.push(mbr);
+        self.starts.push(self.entries.len());
+        Entry::write(&sgs, &mut self.entries);
         self.archived_bytes += packed::archived_bytes(&sgs);
         self.patterns.push(ArchivedPattern {
             id,
@@ -116,14 +126,39 @@ impl PatternBase {
 
     /// Swap the summary under `id` for `sgs` (a retention demotion) in place,
     /// keeping handle and window; an unknown `id` or empty `sgs` is ignored.
+    /// The entry is rewritten in place; if its length changes, the
+    /// entries after it move.
     pub fn replace(&mut self, id: PatternId, sgs: Sgs) {
-        if let (Some(pattern), Some(mbr)) = (self.patterns.get_mut(id.0 as usize), sgs.mbr()) {
-            self.archived_bytes -= packed::archived_bytes(&pattern.sgs);
-            self.archived_bytes += packed::archived_bytes(&sgs);
-            self.mbrs[id.0 as usize] = mbr;
-            pattern.features = sgs.features();
-            pattern.sgs = sgs;
+        let i = id.0 as usize;
+        if i >= self.patterns.len() || sgs.cells.is_empty() {
+            return;
         }
+        let mut entry = Vec::new();
+        Entry::write(&sgs, &mut entry);
+        let old = self.starts[i]..self.end_of(i);
+        let moved = entry.len() as isize - old.len() as isize;
+        self.entries.splice(old, entry);
+        for start in &mut self.starts[i + 1..] {
+            *start = start.wrapping_add_signed(moved);
+        }
+        let pattern = &mut self.patterns[i];
+        self.archived_bytes -= packed::archived_bytes(&pattern.sgs);
+        self.archived_bytes += packed::archived_bytes(&sgs);
+        pattern.features = sgs.features();
+        pattern.sgs = sgs;
+    }
+
+    /// Where the entry of the pattern at index `i` ends.
+    fn end_of(&self, i: usize) -> usize {
+        self.starts
+            .get(i + 1)
+            .copied()
+            .unwrap_or(self.entries.len())
+    }
+
+    /// The [`Entry`] words of the pattern at index `i`.
+    fn entry(&self, i: usize) -> &[u32] {
+        &self.entries[self.starts[i]..self.end_of(i)]
     }
 
     /// Look up an archived pattern.
@@ -142,10 +177,11 @@ impl PatternBase {
         self.archived_bytes
     }
 
-    /// Heap bytes the filter scan keeps beside the patterns: the MBR
-    /// column (the feature vectors live in the patterns themselves).
+    /// Heap bytes the filter scan keeps beside the patterns: the entry
+    /// arena and its start offsets (the feature vectors live in the
+    /// patterns themselves).
     pub fn index_bytes(&self) -> usize {
-        self.mbrs.heap_size()
+        self.entries.heap_size() + self.starts.heap_size()
     }
 
     /// Execute a cluster matching query (§7.2) for `query` under `config`.
@@ -158,12 +194,13 @@ impl PatternBase {
         let ranges = feature_ranges(&query_features, &config.weights, config.threshold);
         let zero = vec![0i32; query.dim];
         let mut alignments = AlignmentFilter::new(query);
-        for (pattern, mbr) in self.patterns.iter().zip(&self.mbrs) {
+        for (i, pattern) in self.patterns.iter().enumerate() {
+            let entry = self.entry(i);
             // ---- Filter phase: the MBR overlaps the query's, or every
             // feature lies in its closed admissible range (an unbounded
             // range admits every value).
             let candidate = if config.position_sensitive {
-                mbr.intersects(&query_mbr)
+                Entry::new(&pattern.sgs, entry).overlaps(&query_mbr)
             } else {
                 pattern
                     .features
@@ -178,14 +215,18 @@ impl PatternBase {
 
             // ---- Cluster-level filter, the alignment bound, then
             // grid-level refine. A position-sensitive candidate already
-            // overlaps the query, so only the features are compared.
+            // overlaps the query, so only the features are compared, and
+            // its one alignment is bounded by the cell counts alone.
             let coarse = feature_distance(&pattern.features, &query_features, &config.weights);
             if coarse > config.threshold {
                 continue;
             }
-            if !config.position_sensitive
-                && !alignments.may_match(&pattern.sgs, &pattern.features, config)
-            {
+            let bounded_out = if config.position_sensitive {
+                alignments.counts_exclude(&pattern.features, config)
+            } else {
+                !alignments.may_match_stored(&pattern.sgs, entry, &pattern.features, config)
+            };
+            if bounded_out {
                 continue;
             }
             outcome.refined += 1;
@@ -380,6 +421,24 @@ mod tests {
         assert!(base.index_bytes() > 0);
     }
 
+    #[test]
+    fn index_bytes_count_the_entries_and_their_starts() {
+        // An L of three cells: each dimension spans two columns, counted
+        // [2, 1]. A pair at both ends of `i32`: dimension 0 spans 2³²
+        // columns, over the cap of 4·2 + 16, so only dimension 1's one
+        // column is counted.
+        let l = scripted(&[(0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1)], (0, 0));
+        let wide = scripted(&[(i32::MIN, 0, 1, 0), (i32::MAX, 0, 1, 0)], (0, 0));
+        let base = base_with(vec![l, wide]);
+        assert_eq!(base.entry(0), &[0, 1, 0, 1, 2, 1, 2, 1]);
+        assert_eq!(base.entry(1), &[i32::MIN as u32, i32::MAX as u32, 0, 0, 2]);
+        assert_eq!(base.starts, [0, 8]);
+        assert_eq!(
+            base.index_bytes(),
+            4 * base.entries.capacity() + std::mem::size_of::<usize>() * base.starts.capacity()
+        );
+    }
+
     /// A fresh base of `base`'s patterns and windows, inserted in order.
     fn base_of(base: &PatternBase) -> PatternBase {
         let mut fresh = PatternBase::new();
@@ -397,7 +456,8 @@ mod tests {
     proptest::proptest! {
         /// After every step of a script of inserts and in-place
         /// demotions (`replace`), the maintained byte total equals a
-        /// fresh scan of the patterns, and the byte total, MBRs, features
+        /// fresh scan of the patterns, and the byte total, MATCH entries
+        /// (each pattern's, and the arena they fill end to end), features
         /// and store image equal those of a fresh rebuild (`base_of`).
         #[test]
         fn maintained_bytes_and_caps_equal_a_fresh_scan(
@@ -419,7 +479,9 @@ mod tests {
                 proptest::prop_assert_eq!(base.archived_bytes(), scanned_bytes(&base));
                 let rebuilt = base_of(&base);
                 proptest::prop_assert_eq!(rebuilt.archived_bytes(), base.archived_bytes());
-                proptest::prop_assert_eq!(&rebuilt.mbrs, &base.mbrs);
+                proptest::prop_assert_eq!(&rebuilt.starts, &base.starts);
+                proptest::prop_assert!((0..base.len()).all(|i| rebuilt.entry(i) == base.entry(i)));
+                proptest::prop_assert_eq!(&rebuilt.entries, &base.entries);
                 proptest::prop_assert!(rebuilt.iter().zip(base.iter()).all(|(a, b)| a.features == b.features));
                 proptest::prop_assert_eq!(
                     crate::durable::store_image(&rebuilt, 0),

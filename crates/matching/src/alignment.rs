@@ -11,6 +11,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use sgs_core::Coords;
 use sgs_index::FxHashSet;
 use sgs_summarize::Sgs;
 
@@ -49,7 +50,7 @@ fn cell_centroid(sgs: &Sgs) -> Vec<f64> {
 #[derive(PartialEq)]
 struct Candidate {
     distance: f64,
-    shift: Vec<i32>,
+    shift: Coords,
 }
 
 impl Eq for Candidate {}
@@ -74,6 +75,11 @@ impl PartialOrd for Candidate {
 /// Search for the alignment minimizing the grid-level distance, evaluating
 /// at most `budget` alignments. The seed alignment is the rounded
 /// cell-centroid offset, which overlaps the clusters' mass centers.
+///
+/// A shift is a [`Coords`], held in place up to four dimensions, so an
+/// evaluated shift allocates nothing there: only the heap and the seen
+/// set grow. `Coords` orders and hashes as its slice does, so the shifts
+/// visited, and their order, depend on their values alone.
 pub fn best_alignment(a: &Sgs, b: &Sgs, budget: usize) -> AlignmentResult {
     let dim = a.dim.max(b.dim).max(1);
     if a.cells.is_empty() || b.cells.is_empty() {
@@ -85,25 +91,24 @@ pub fn best_alignment(a: &Sgs, b: &Sgs, budget: usize) -> AlignmentResult {
     }
     let ca = cell_centroid(a);
     let cb = cell_centroid(b);
-    let seed: Vec<i32> = ca
+    let seed: Coords = ca
         .iter()
         .zip(cb.iter())
         .map(|(x, y)| (y - x).round() as i32)
         .collect();
 
-    let mut seen: FxHashSet<Vec<i32>> = FxHashSet::default();
+    let mut seen: FxHashSet<Coords> = FxHashSet::default();
     let mut heap = BinaryHeap::new();
     let mut evaluated = 0usize;
-    let mut best = AlignmentResult {
-        shift: seed.clone(),
+    let mut best = Candidate {
         distance: f64::INFINITY,
-        evaluated: 0,
+        shift: seed.clone(),
     };
 
-    let evaluate = |shift: Vec<i32>,
-                    seen: &mut FxHashSet<Vec<i32>>,
+    let evaluate = |shift: Coords,
+                    seen: &mut FxHashSet<Coords>,
                     heap: &mut BinaryHeap<Candidate>,
-                    best: &mut AlignmentResult,
+                    best: &mut Candidate,
                     evaluated: &mut usize| {
         if !seen.insert(shift.clone()) {
             return;
@@ -137,15 +142,109 @@ pub fn best_alignment(a: &Sgs, b: &Sgs, budget: usize) -> AlignmentResult {
             break; // perfect alignment; nothing can improve
         }
     }
-    best.evaluated = evaluated;
-    best
+    AlignmentResult {
+        shift: best.shift.to_vec(),
+        distance: best.distance,
+        evaluated,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{edge_coords, summary_of};
+    use proptest::prop::collection::vec;
     use sgs_core::GridGeometry;
     use sgs_summarize::MemberSet;
+
+    /// A heap entry of [`vec_search`].
+    #[derive(PartialEq)]
+    struct VecCandidate {
+        distance: f64,
+        shift: Vec<i32>,
+    }
+
+    impl Eq for VecCandidate {}
+
+    impl Ord for VecCandidate {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .distance
+                .partial_cmp(&self.distance)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| other.shift.cmp(&self.shift))
+        }
+    }
+
+    impl PartialOrd for VecCandidate {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The search with a `Vec<i32>` per shift, as it was before shifts
+    /// became [`Coords`]: the oracle [`best_alignment`] must equal.
+    fn vec_search(a: &Sgs, b: &Sgs, budget: usize) -> AlignmentResult {
+        let dim = a.dim.max(b.dim).max(1);
+        if a.cells.is_empty() || b.cells.is_empty() {
+            return AlignmentResult {
+                shift: vec![0; dim],
+                distance: grid_level_distance(a, b, &vec![0; dim]),
+                evaluated: 1,
+            };
+        }
+        let (ca, cb) = (cell_centroid(a), cell_centroid(b));
+        let seed: Vec<i32> = ca
+            .iter()
+            .zip(cb.iter())
+            .map(|(x, y)| (y - x).round() as i32)
+            .collect();
+        let mut seen: FxHashSet<Vec<i32>> = FxHashSet::default();
+        let mut heap = BinaryHeap::new();
+        let mut evaluated = 0usize;
+        let mut best = AlignmentResult {
+            shift: seed.clone(),
+            distance: f64::INFINITY,
+            evaluated: 0,
+        };
+        let evaluate = |shift: Vec<i32>,
+                        seen: &mut FxHashSet<Vec<i32>>,
+                        heap: &mut BinaryHeap<VecCandidate>,
+                        best: &mut AlignmentResult,
+                        evaluated: &mut usize| {
+            if !seen.insert(shift.clone()) {
+                return;
+            }
+            let d = grid_level_distance(a, b, &shift);
+            *evaluated += 1;
+            if d < best.distance {
+                best.distance = d;
+                best.shift = shift.clone();
+            }
+            heap.push(VecCandidate { distance: d, shift });
+        };
+        evaluate(seed, &mut seen, &mut heap, &mut best, &mut evaluated);
+        while evaluated < budget {
+            let Some(cur) = heap.pop() else {
+                break;
+            };
+            for d in 0..dim {
+                for delta in [-1, 1] {
+                    if evaluated >= budget {
+                        break;
+                    }
+                    let mut next = cur.shift.clone();
+                    next[d] = next[d].saturating_add(delta);
+                    evaluate(next, &mut seen, &mut heap, &mut best, &mut evaluated);
+                }
+            }
+            if best.distance == 0.0 {
+                break;
+            }
+        }
+        best.evaluated = evaluated;
+        best
+    }
 
     fn shape(x0: f64, y0: f64) -> Sgs {
         // An L-shaped cluster (asymmetric, so alignment is unambiguous).
@@ -228,5 +327,47 @@ mod tests {
             best_alignment(&one, &far, 64).shift,
             vec![i32::MAX, i32::MAX]
         );
+    }
+
+    proptest::proptest! {
+        /// The search over `Coords` shifts visits what the search over
+        /// `Vec<i32>` shifts visited: equal shift, distance bits and
+        /// evaluation count at budgets 1, 16 and 64, in 2, 4 and 6
+        /// dimensions (6 spills `Coords` to the heap), with translated
+        /// twins (the search stops at distance 0) and cells at the ends
+        /// of `i32` (the ±1 step saturates).
+        #[test]
+        fn the_search_visits_what_the_vec_search_visited(
+            dims in 0usize..3,
+            cells_a in vec((vec(0i32..5, 6), 1u32..6, 0u8..6), 0..10),
+            cells_b in vec((vec(0i32..5, 6), 1u32..6, 0u8..6), 0..10),
+            at in vec(-3i32..4, 6),
+            kind in 0u8..4,
+            edge in vec(0usize..7, 6),
+        ) {
+            let dim = [2, 4, 6][dims];
+            let moved = |cells: &[(Vec<i32>, u32, u8)]| {
+                cells
+                    .iter()
+                    .map(|(c, p, k)| (c.iter().zip(&at).map(|(x, s)| x + s).collect(), *p, *k))
+                    .collect::<Vec<_>>()
+            };
+            let a = summary_of(dim, cells_a.clone());
+            let b = match kind {
+                0 => summary_of(dim, moved(&cells_b)),
+                1 => summary_of(dim, moved(&cells_a)),
+                2 => summary_of(dim, moved(&cells_b).into_iter().chain([(edge_coords(&edge), 1, 2)])),
+                _ => summary_of(dim, [(edge_coords(&edge), 1, 2)]),
+            };
+            for budget in [1, 16, 64] {
+                for (x, y) in [(&a, &b), (&b, &a)] {
+                    let got = best_alignment(x, y, budget);
+                    let expect = vec_search(x, y, budget);
+                    proptest::prop_assert_eq!(&got.shift, &expect.shift);
+                    proptest::prop_assert_eq!(got.distance.to_bits(), expect.distance.to_bits());
+                    proptest::prop_assert_eq!(got.evaluated, expect.evaluated);
+                }
+            }
+        }
     }
 }

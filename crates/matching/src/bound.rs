@@ -38,20 +38,22 @@
 //! M* ≤ min_d max_t Σ_v min(cA_d[v], cB_d[v + t]),
 //! ```
 //!
-//! which costs a pass over each summary's cells and a product of the two
-//! summaries' spans rather than of their cell counts. A dimension in
-//! which either summary spans more than `|A| + |B|` columns is left out
-//! (the bound is a minimum, so dropping a dimension keeps it sound), which
-//! keeps a summary with cells at both ends of `i32` from costing a counter
-//! per column. [`AlignmentFilter::may_match`] decides by the counts, then
-//! the projection bound, then the histogram, and only then does the
-//! search run.
+//! which costs a product of the two summaries' spans rather than of their
+//! cell counts. The counts are not taken per candidate: each summary's
+//! [`Entry`] holds them, written once when the pattern is archived (and
+//! once per MATCH for the query) as one flat run of words — the
+//! summary's cell-space box, then the cells of each column. A dimension
+//! whose span is over a cap fixed by the summary's own cell count,
+//! `4·|B| + 16`, is not counted, and the bound leaves out every dimension
+//! either side did not count: the bound is a minimum, so dropping a
+//! dimension keeps it sound, and a summary with cells at both ends of
+//! `i32` costs no counter per column. [`AlignmentFilter::may_match_stored`]
+//! decides by the counts, then the projection bound, then the histogram,
+//! and only then does the search run.
 //!
 //! [`grid_level_distance`]: crate::grid_level_distance
 
-use std::ops::Range;
-
-use sgs_index::FxHashMap;
+use sgs_index::{FxHashMap, Rect};
 use sgs_summarize::Sgs;
 
 use crate::metric::MatchConfig;
@@ -108,75 +110,106 @@ fn offset_key(a: &[i32], b: &[i32]) -> u64 {
     })
 }
 
-/// A summary's cells counted per column: in dimension `d`, how many
-/// cells have each coordinate from `lo[d]` to `hi[d]`. Coordinates are
-/// widened to `i64`, so no span overflows.
-#[derive(Debug, Default)]
-struct Columns {
-    lo: Vec<i64>,
-    hi: Vec<i64>,
-    /// Where each dimension's counts lie in `counts`; empty until counted.
-    at: Vec<Range<usize>>,
-    counts: Vec<u32>,
+/// The most columns a dimension of a summary of `cells` cells may span
+/// and still be counted in its [`Entry`].
+fn span_cap(cells: usize) -> u64 {
+    4 * cells as u64 + 16
 }
 
-impl Columns {
-    /// The first pass over `s`: each dimension's least and greatest
-    /// coordinate. Forgets every count.
-    fn measure(&mut self, s: &Sgs) {
-        self.lo.clear();
-        self.lo.resize(s.dim, i64::MAX);
-        self.hi.clear();
-        self.hi.resize(s.dim, i64::MIN);
-        for cell in &s.cells {
-            for ((lo, hi), &x) in self.lo.iter_mut().zip(&mut self.hi).zip(&*cell.coord.0) {
-                *lo = (*lo).min(x.into());
-                *hi = (*hi).max(x.into());
-            }
-        }
-        self.at.clear();
-        self.at.resize(s.dim, 0..0);
-        self.counts.clear();
-    }
+/// A summary's MATCH entry: what the filter scan and the alignment bound
+/// read of a candidate without touching its cells. The words are, for
+/// each dimension, the least and the greatest cell coordinate (an `i32`'s
+/// bits), then, for each dimension that spans at most `4·cells + 16`
+/// columns, how many cells lie in each column, lowest coordinate first. The dimension count, the cell count and the
+/// cell side are the summary's own fields, so reading an entry reads no
+/// cell.
+#[derive(Clone, Copy, Debug)]
+pub struct Entry<'e> {
+    words: &'e [u32],
+    dim: usize,
+    cells: usize,
+    side: f64,
+}
 
-    /// Columns from the least coordinate of dimension `d` to the greatest;
-    /// `u64::MAX` past the summary's dimensions, or if it has no cells.
-    fn span(&self, d: usize) -> u64 {
-        match (self.lo.get(d), self.hi.get(d)) {
-            (Some(&lo), Some(&hi)) if lo <= hi => (hi - lo + 1) as u64,
-            _ => u64::MAX,
-        }
-    }
-
-    /// The second pass over `s`, the summary last measured: counts the
-    /// cells of each column in every dimension not yet counted whose span
-    /// is at most `limit` and for which `wanted` holds. No pass runs if
-    /// there is no such dimension.
-    fn count(&mut self, s: &Sgs, limit: u64, wanted: impl Fn(usize) -> bool) {
-        let fresh = self.counts.len();
-        for d in 0..self.at.len() {
-            let span = self.span(d);
-            if self.at[d].is_empty() && span <= limit && wanted(d) {
-                self.at[d] = self.counts.len()..self.counts.len() + span as usize;
-                self.counts.resize(self.at[d].end, 0);
-            }
-        }
-        if self.counts.len() == fresh {
-            return;
+impl<'e> Entry<'e> {
+    /// Append `s`'s entry to `out`: one pass over the cells for the box,
+    /// then one per counted dimension.
+    pub fn write(s: &Sgs, out: &mut Vec<u32>) {
+        let start = out.len();
+        for _ in 0..s.dim {
+            out.extend([i32::MAX as u32, i32::MIN as u32]);
         }
         for cell in &s.cells {
-            for ((at, &lo), &x) in self.at.iter().zip(&self.lo).zip(&*cell.coord.0) {
-                if at.start >= fresh && !at.is_empty() {
-                    self.counts[at.start + (i64::from(x) - lo) as usize] += 1;
+            for (d, &x) in cell.coord.0.iter().take(s.dim).enumerate() {
+                let (lo, hi) = (start + 2 * d, start + 2 * d + 1);
+                out[lo] = (out[lo] as i32).min(x) as u32;
+                out[hi] = (out[hi] as i32).max(x) as u32;
+            }
+        }
+        for d in 0..s.dim {
+            let entry = Entry::new(s, &out[start..]);
+            let (Some(span), (lo, _)) = (entry.span(d), entry.bounds(d)) else {
+                continue;
+            };
+            let at = out.len();
+            out.resize(at + span, 0);
+            for cell in &s.cells {
+                if let Some(&x) = cell.coord.0.get(d) {
+                    out[at + (i64::from(x) - i64::from(lo)) as usize] += 1;
                 }
             }
         }
     }
 
-    /// Dimension `d`'s counts, lowest coordinate first; empty if not
-    /// counted.
-    fn of(&self, d: usize) -> &[u32] {
-        self.at.get(d).map_or(&[], |at| &self.counts[at.clone()])
+    /// The entry `words` of `s`, as [`write`](Self::write) wrote them.
+    pub fn new(s: &Sgs, words: &'e [u32]) -> Self {
+        Entry {
+            words,
+            dim: s.dim,
+            cells: s.cells.len(),
+            side: s.side,
+        }
+    }
+
+    /// Whether the data-space MBR of a summary with cells — its cell box
+    /// scaled by the side, with [`Sgs::mbr`]'s formula and so its bits —
+    /// meets `rect`, closed as [`Rect::intersects`] is.
+    pub fn overlaps(&self, rect: &Rect) -> bool {
+        (0..self.dim)
+            .zip(rect.min.iter().zip(&*rect.max))
+            .all(|(d, (&min, &max))| {
+                let (lo, hi) = self.bounds(d);
+                f64::from(lo) * self.side <= max && min <= (f64::from(hi) + 1.0) * self.side
+            })
+    }
+
+    /// Dimension `d`'s least and greatest cell coordinate.
+    fn bounds(&self, d: usize) -> (i32, i32) {
+        (self.words[2 * d] as i32, self.words[2 * d + 1] as i32)
+    }
+
+    /// Columns from dimension `d`'s least coordinate to its greatest, if
+    /// the summary has cells and they are at most [`span_cap`]; coordinates
+    /// are widened to `i64`, so no span overflows.
+    fn span(&self, d: usize) -> Option<usize> {
+        let (lo, hi) = self.bounds(d);
+        let span = i64::from(hi) - i64::from(lo) + 1;
+        (1..=span_cap(self.cells) as i64)
+            .contains(&span)
+            .then_some(span as usize)
+    }
+
+    /// Each dimension's column counts, lowest coordinate first; empty for
+    /// a dimension not counted.
+    fn columns(self) -> impl Iterator<Item = &'e [u32]> {
+        let mut at = 2 * self.dim;
+        (0..self.dim).map(move |d| match self.span(d) {
+            Some(span) => {
+                at += span;
+                &self.words[at - span..at]
+            }
+            None => &[],
+        })
     }
 }
 
@@ -200,39 +233,47 @@ fn best_overlap(a: &[u32], b: &[u32], enough: usize) -> usize {
     best
 }
 
-/// The bound for one query against many candidates. The query's column
-/// counts are kept across candidates, and the candidate's counts and the
-/// offset histogram are rebuilt in buffers kept for reuse, so one query
-/// allocates each once.
+/// The bound for one query against many candidates. The query's entry is
+/// written once, and the offset histogram is rebuilt in a map kept for
+/// reuse, so one query allocates each once.
 #[derive(Debug)]
 pub struct AlignmentFilter<'q> {
     query: &'q Sgs,
     /// The query's cell and core-cell counts.
     query_counts: (usize, usize),
-    /// The query's column counts, each dimension counted on first use.
-    query_columns: Columns,
-    candidate: Columns,
+    /// The query's [`Entry`].
+    query_entry: Vec<u32>,
     offsets: FxHashMap<u64, u32>,
 }
 
 impl<'q> AlignmentFilter<'q> {
     /// The filter for candidates of `query`.
     pub fn new(query: &'q Sgs) -> Self {
-        let mut query_columns = Columns::default();
-        query_columns.measure(query);
+        let mut query_entry = Vec::new();
+        Entry::write(query, &mut query_entry);
         AlignmentFilter {
             query,
             query_counts: (query.volume(), query.core_count()),
-            query_columns,
-            candidate: Columns::default(),
+            query_entry,
             offsets: FxHashMap::default(),
         }
+    }
+
+    /// Whether the cell and core-cell counts alone rule out a match:
+    /// `g(min(|A|, |B|))` exceeds the threshold. Sound at every shift, the
+    /// zero shift of a position-sensitive MATCH included, since no shift
+    /// pairs more than `min(|A|, |B|)` cells. `b_features` is `b`'s
+    /// [`Sgs::features`].
+    pub fn counts_exclude(&self, b_features: &[f64; 4], config: &MatchConfig) -> bool {
+        let floor = Floor::new(self.query_counts, counts(b_features));
+        floor.at(floor.max_pairs) > config.threshold + SLACK
     }
 
     /// Whether some alignment may bring the query within
     /// `config.threshold` of `b`. `false` only when the bound proves none
     /// can, so [`best_alignment`](crate::best_alignment) would find no
-    /// match. `b_features` is `b`'s [`Sgs::features`].
+    /// match. `b_entry` is `b`'s [`Entry`] and `b_features` its
+    /// [`Sgs::features`].
     ///
     /// The counts alone decide first. The offset histogram is built only
     /// when its `|A|·|B|` steps cost less than the search they can save,
@@ -240,12 +281,18 @@ impl<'q> AlignmentFilter<'q> {
     /// only when the projection bound leaves room for a match. The
     /// projection bound is at least `M*`, so it prunes only candidates
     /// the histogram would prune.
-    pub fn may_match(&mut self, b: &Sgs, b_features: &[f64; 4], config: &MatchConfig) -> bool {
-        let floor = Floor::new(self.query_counts, counts(b_features));
-        let limit = config.threshold + SLACK;
-        if floor.at(floor.max_pairs) > limit {
+    pub fn may_match_stored(
+        &mut self,
+        b: &Sgs,
+        b_entry: &[u32],
+        b_features: &[f64; 4],
+        config: &MatchConfig,
+    ) -> bool {
+        if self.counts_exclude(b_features, config) {
             return false;
         }
+        let floor = Floor::new(self.query_counts, counts(b_features));
+        let limit = config.threshold + SLACK;
         let (na, nb) = (self.query.cells.len(), b.cells.len());
         if na * nb > config.alignment_budget.saturating_mul(na + nb) {
             return true;
@@ -260,25 +307,18 @@ impl<'q> AlignmentFilter<'q> {
                 need = mid + 1;
             }
         }
-        self.projection_bound(b, need) >= need && self.max_offset_count(b, need) >= need
+        self.projection(Entry::new(b, b_entry), need) >= need
+            && self.max_offset_count(b, need) >= need
     }
 
-    /// The projection bound on `M*` (module docs), or a count of at least
-    /// `enough` as soon as every dimension's reaches it.
-    fn projection_bound(&mut self, b: &Sgs, enough: usize) -> usize {
-        let Self {
-            query,
-            query_columns,
-            candidate,
-            ..
-        } = self;
-        let mut bound = query.cells.len().min(b.cells.len());
-        let limit = (query.cells.len() + b.cells.len()) as u64;
-        candidate.measure(b);
-        candidate.count(b, limit, |d| query_columns.span(d) <= limit);
-        query_columns.count(query, limit, |d| !candidate.of(d).is_empty());
-        for d in 0..query.dim.min(b.dim) {
-            let (a, b) = (query_columns.of(d), candidate.of(d));
+    /// The projection bound on `M*` (module docs) against the candidate
+    /// entry `b`, or a count of at least `enough` as soon as every
+    /// dimension's reaches it. It stops at the first dimension that
+    /// brings it below `enough`: that count is still at least `M*`.
+    fn projection(&self, b: Entry<'_>, enough: usize) -> usize {
+        let a = Entry::new(self.query, &self.query_entry);
+        let mut bound = a.cells.min(b.cells);
+        for (a, b) in a.columns().zip(b.columns()) {
             if a.is_empty() || b.is_empty() {
                 continue;
             }
@@ -314,9 +354,91 @@ impl<'q> AlignmentFilter<'q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{cell_script, cells_at, shift_box, summary};
+    use std::collections::BTreeMap;
+
+    use crate::testkit::{cell_script, cells_at, edge_coords, shift_box, summary, summary_of};
     use crate::{best_alignment, grid_level_distance};
     use proptest::prop::collection::vec;
+
+    /// `s`'s entry, written as `PatternBase::insert` writes it.
+    fn entry_of(s: &Sgs) -> Vec<u32> {
+        let mut words = Vec::new();
+        Entry::write(s, &mut words);
+        words
+    }
+
+    /// The filter driven by summary: each candidate's entry is written by
+    /// [`Entry::write`], as the pattern base writes it on insert.
+    impl AlignmentFilter<'_> {
+        fn may_match(&mut self, b: &Sgs, b_features: &[f64; 4], config: &MatchConfig) -> bool {
+            self.may_match_stored(b, &entry_of(b), b_features, config)
+        }
+
+        fn projection_bound(&self, b: &Sgs, enough: usize) -> usize {
+            self.projection(Entry::new(b, &entry_of(b)), enough)
+        }
+    }
+
+    /// The projection bound read from the query's entry and `b`'s, over
+    /// every dimension both count (`projection` stops at the first below
+    /// what it needs).
+    fn stored_bound(filter: &AlignmentFilter<'_>, b: &Sgs) -> usize {
+        let words = entry_of(b);
+        let (a, b) = (
+            Entry::new(filter.query, &filter.query_entry),
+            Entry::new(b, &words),
+        );
+        a.columns()
+            .zip(b.columns())
+            .filter(|(x, y)| !x.is_empty() && !y.is_empty())
+            .map(|(x, y)| best_overlap(x, y, usize::MAX))
+            .fold(a.cells.min(b.cells), usize::min)
+    }
+
+    /// Each dimension's least and greatest cell coordinate, from the cells.
+    fn spans(s: &Sgs) -> Vec<(i64, i64)> {
+        (0..s.dim)
+            .map(|d| {
+                let v = s.cells.iter().map(|c| i64::from(c.coord.0[d]));
+                (v.clone().min().unwrap_or(0), v.max().unwrap_or(-1))
+            })
+            .collect()
+    }
+
+    /// The projection bound counted from the cells, with no dimension
+    /// left out: `min_d max_t Σ_v min(cA_d[v], cB_d[v + t])`, capped at
+    /// `min(|A|, |B|)`.
+    fn counted_bound(a: &Sgs, b: &Sgs) -> usize {
+        let column = |s: &Sgs, d: usize| {
+            let mut counts = BTreeMap::<i64, usize>::new();
+            for c in &s.cells {
+                *counts.entry(i64::from(c.coord.0[d])).or_default() += 1;
+            }
+            counts
+        };
+        let mut bound = a.volume().min(b.volume());
+        for d in 0..a.dim.min(b.dim) {
+            let (ca, cb) = (column(a, d), column(b, d));
+            let (Some((&lo_a, _)), Some((&hi_a, _))) = (ca.first_key_value(), ca.last_key_value())
+            else {
+                continue;
+            };
+            let (Some((&lo_b, _)), Some((&hi_b, _))) = (cb.first_key_value(), cb.last_key_value())
+            else {
+                continue;
+            };
+            let best = (lo_b - hi_a..=hi_b - lo_a)
+                .map(|t| {
+                    ca.iter()
+                        .map(|(v, &n)| n.min(cb.get(&(v + t)).copied().unwrap_or(0)))
+                        .sum::<usize>()
+                })
+                .max()
+                .unwrap_or(0);
+            bound = bound.min(best);
+        }
+        bound
+    }
 
     /// `g(M*)` itself, with no threshold to stop the histogram early.
     fn lower_bound(a: &Sgs, b: &Sgs) -> f64 {
@@ -366,14 +488,15 @@ mod tests {
     #[test]
     fn a_dimension_wider_than_both_summaries_is_left_out() {
         // Dimension 0 spans 2³² columns: counting it would allocate a
-        // counter per column. It is left out, and dimension 1 alone
-        // bounds the pairs at one.
+        // counter per column. Neither entry counts it, and dimension 1
+        // alone bounds the pairs at one.
         let wide = cells_at(&[[i32::MIN, 0], [i32::MAX, 0]]);
         let one = cells_at(&[[0, 0]]);
         for (a, b) in [(&wide, &one), (&one, &wide)] {
             let mut filter = AlignmentFilter::new(a);
             assert_eq!(filter.projection_bound(b, usize::MAX), 1);
-            assert!(filter.query_columns.counts.len() + filter.candidate.counts.len() <= 3);
+            let counted = |s: &Sgs, words: &[u32]| words.len() - 2 * s.dim;
+            assert!(counted(a, &filter.query_entry) + counted(b, &entry_of(b)) <= 3);
             assert!(
                 filter.projection_bound(b, usize::MAX) >= filter.max_offset_count(b, usize::MAX)
             );
@@ -446,6 +569,64 @@ mod tests {
                 proptest::prop_assert!(m <= bound && bound <= most, "M* {} bound {} most {}", m, bound, most);
                 if *twin == 1 {
                     proptest::prop_assert_eq!(bound, most);
+                }
+            }
+        }
+
+        /// What a stored entry answers equals what the cells answer. The
+        /// projection bound read from the entries equals the one counted
+        /// from the cells with no dimension left out whenever every span
+        /// is under its cap, and it is never below `M*` nor above
+        /// `min(|A|, |B|)`. The overlap test agrees with
+        /// `Rect::intersects` on `Sgs::mbr`, at any cell side. A cell at
+        /// either end of `i32` makes some spans wider than any cap.
+        #[test]
+        fn a_stored_entry_answers_as_the_cells_do(
+            four_d in 0u8..2,
+            script_a in vec(cell_script(), 0..12),
+            scripts_b in vec((vec(cell_script(), 0..12), 0u8..3, vec(0usize..7, 4)), 1..4),
+            edge_a in (0u8..2, vec(0usize..7, 4)),
+            at in (-3i32..4, -3i32..4, -2i32..3, -2i32..3),
+            side in 0usize..3,
+        ) {
+            let dim = if four_d == 1 { 4 } else { 2 };
+            let at = [at.0, at.1, at.2, at.3];
+            // `s` plus an edge cell at `pick`'s coordinates, every cell an
+            // edge cell (statuses play no part in what is compared here).
+            let with_edge = |s: Sgs, edge: bool, pick: &[usize]| {
+                if !edge {
+                    return s;
+                }
+                let cells = s.cells.iter().map(|c| (c.coord.0.to_vec(), c.population, 0));
+                summary_of(dim, cells.chain([(edge_coords(pick), 1, 0)]))
+            };
+            let a = with_edge(summary(dim, &script_a, [0; 4]), edge_a.0 == 1, &edge_a.1);
+            let under_cap = |s: &Sgs| {
+                let cap = 4 * s.volume() as i64 + 16;
+                spans(s).iter().all(|&(lo, hi)| hi - lo < cap)
+            };
+            let mut filter = AlignmentFilter::new(&a);
+            for (script_b, kind, pick) in &scripts_b {
+                let mut b = match kind {
+                    0 => summary(dim, script_b, at),
+                    1 => summary(dim, &script_a, at),
+                    _ => with_edge(summary(dim, script_b, at), true, pick),
+                };
+                b.side = [1.0, 0.25, 2.5][side];
+                let stored = stored_bound(&filter, &b);
+                proptest::prop_assert_eq!(filter.projection_bound(&b, stored), stored);
+                let m = filter.max_offset_count(&b, usize::MAX);
+                let most = a.volume().min(b.volume());
+                proptest::prop_assert!(m <= stored && stored <= most, "M* {} bound {} most {}", m, stored, most);
+                if under_cap(&a) && under_cap(&b) {
+                    proptest::prop_assert_eq!(stored, counted_bound(&a, &b));
+                }
+                let (words, Some(mbr)) = (entry_of(&b), b.mbr()) else {
+                    continue; // an empty summary is never archived
+                };
+                for rect in [a.mbr(), Some(mbr.clone())].into_iter().flatten() {
+                    let overlaps = Entry::new(&b, &words).overlaps(&rect);
+                    proptest::prop_assert_eq!(overlaps, mbr.intersects(&rect));
                 }
             }
         }

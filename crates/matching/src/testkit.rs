@@ -1,5 +1,6 @@
 //! Generated summaries and shift boxes shared by the proptests of
-//! [`bound`](crate::bound) and [`grid_match`](crate::grid_match).
+//! [`bound`](crate::bound), [`grid_match`](crate::grid_match) and
+//! [`alignment`](crate::alignment).
 
 use sgs_core::CellCoord;
 use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
@@ -16,15 +17,23 @@ pub fn cell_script() -> impl proptest::strategy::Strategy<Value = CellScript> {
 /// The summary a script describes, translated by `at`; cells on one
 /// coordinate collapse to the first.
 pub fn summary(dim: usize, script: &[CellScript], at: [i32; 4]) -> Sgs {
+    summary_of(
+        dim,
+        script.iter().map(|&(x, y, z, w, population, kind)| {
+            let coord = [x, y, z, w].into_iter().zip(at).map(|(c, s)| c + s);
+            (coord.collect(), population, kind)
+        }),
+    )
+}
+
+/// The summary of `(coordinates, population, kind)` cells, kinds as in
+/// [`CellScript`]; each coordinate list is cut to its first `dim`, and
+/// cells on one coordinate collapse to the first.
+pub fn summary_of(dim: usize, script: impl IntoIterator<Item = (Vec<i32>, u32, u8)>) -> Sgs {
     let mut cells: Vec<(SkeletalCell, u8)> = script
-        .iter()
-        .map(|&(x, y, z, w, population, kind)| {
-            let coord: Vec<i32> = [x, y, z, w]
-                .iter()
-                .zip(at)
-                .map(|(c, s)| c + s)
-                .take(dim)
-                .collect();
+        .into_iter()
+        .map(|(mut coord, population, kind)| {
+            coord.truncate(dim);
             let status = if kind < 2 {
                 CellStatus::Edge
             } else {
@@ -57,6 +66,13 @@ pub fn summary(dim: usize, script: &[CellScript], at: [i32; 4]) -> Sgs {
     };
     sgs.validate().unwrap();
     sgs
+}
+
+/// Coordinates at or next to the ends of `i32` and the origin: each
+/// `pick` (below 7) chooses one.
+pub fn edge_coords(pick: &[usize]) -> Vec<i32> {
+    const EDGES: [i32; 7] = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+    pick.iter().map(|&p| EDGES[p]).collect()
 }
 
 /// A summary of one status-`Core`, population-1 cell at each of
