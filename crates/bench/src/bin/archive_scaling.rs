@@ -18,9 +18,9 @@ use std::time::Instant;
 
 use sgs_archive::{DurableConfig, DurablePatternBase};
 use sgs_bench::json::JsonObject;
-use sgs_bench::obs_report::{metrics_json, parse_metrics};
+use sgs_bench::obs_report::metrics_json;
 use sgs_bench::table::print_table;
-use sgs_bench::workload::parse_scale;
+use sgs_bench::workload::Args;
 use sgs_core::{GridGeometry, WindowId};
 use sgs_summarize::{MemberSet, Sgs};
 
@@ -114,11 +114,11 @@ fn run_mode(durable: bool, summaries: &[Sgs]) -> Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale(&args);
-    let json = args.iter().any(|a| a == "--json");
-    let metrics = parse_metrics(&args);
-    let n = ((2_000.0 * scale) as usize).max(100);
+    let args = Args::from_env();
+    if args.metrics {
+        sgs_obs::enable();
+    }
+    let n = ((2_000.0 * args.scale) as usize).max(100);
 
     let mut rows = Vec::new();
     for count in [n, 2 * n] {
@@ -128,7 +128,7 @@ fn main() {
         }
     }
 
-    if json {
+    if args.json {
         let json_rows: Vec<JsonObject> = rows
             .iter()
             .map(|r| {
@@ -144,7 +144,7 @@ fn main() {
         let report = JsonObject::new()
             .str("bench", "archive_scaling")
             .u64("patterns_base", n as u64)
-            .u64("metrics_enabled", metrics as u64)
+            .u64("metrics_enabled", args.metrics as u64)
             .array("rows", &json_rows)
             .array("metrics", &metrics_json())
             .render();

@@ -24,9 +24,9 @@
 use std::time::Instant;
 
 use sgs_bench::json::JsonObject;
-use sgs_bench::obs_report::{metrics_json, parse_metrics};
+use sgs_bench::obs_report::metrics_json;
 use sgs_bench::table::print_table;
-use sgs_bench::workload::{parse_dataset, parse_scale, Dataset};
+use sgs_bench::workload::{Args, Dataset};
 use sgs_core::PoolThreads;
 use sgs_runtime::{Runtime, RuntimeConfig, Submission};
 
@@ -40,12 +40,12 @@ struct Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale(&args);
-    let dataset = parse_dataset(&args);
-    let json = args.iter().any(|a| a == "--json");
-    let metrics = parse_metrics(&args);
-    let n = ((60_000.0 * scale) as usize).max(2_000);
+    let args = Args::from_env();
+    if args.metrics {
+        sgs_obs::enable();
+    }
+    let n = ((60_000.0 * args.scale) as usize).max(2_000);
+    let dataset = args.dataset;
     let points = dataset.points(n);
     let stream_name = match dataset {
         Dataset::Gmti => "gmti",
@@ -101,7 +101,7 @@ fn main() {
         }
     }
 
-    if json {
+    if args.json {
         let json_rows: Vec<JsonObject> = rows
             .iter()
             .map(|r| {
@@ -124,7 +124,7 @@ fn main() {
                 "available_parallelism",
                 std::thread::available_parallelism().map_or(0, |p| p.get() as u64),
             )
-            .u64("metrics_enabled", metrics as u64)
+            .u64("metrics_enabled", args.metrics as u64)
             .array("rows", &json_rows)
             .array("metrics", &metrics_json())
             .render();

@@ -6,20 +6,15 @@
 //!
 //! | binary | artifact |
 //! |---|---|
-//! | `fig7_cpu` | Fig. 7 (top): per-window CPU time of Extra-N, C-SGS, Extra-N+CRD/+RSP/+SkPS |
-//! | `fig7_memory` | Fig. 7 (bottom): memory footprints of the same |
-//! | `correctness` | §8.1: C-SGS ≡ Extra-N ≡ DBSCAN cluster equivalence |
-//! | `fig8_matching` | Fig. 8 (left): matching-query response time vs archive size, + the §8.2 filter-rate statistic |
-//! | `fig8_storage` | Fig. 8 (right): summary storage vs full representation (~98 % compression) |
-//! | `fig9_quality` | Fig. 9: matching quality ("similar rate") via the ground-truth retrieval study |
-//! | `multires` | tech-report extension: multi-resolution matching efficiency/effectiveness |
-//! | `ablation` | integrated vs two-phase summarization, filter-and-refine vs exhaustive matching, alignment budget |
+//! | `fig7` | Fig. 7: per-window CPU time and peak memory of Extra-N, C-SGS, Extra-N+CRD/+RSP/+SkPS and Extra-N+SGS (two-phase; one unrepeated run per row, DESIGN.md §3) |
+//! | `fig8` | Fig. 8: matching-query response time vs archive size (filter-and-refine and exhaustive SGS, + the §8.2 filter-rate statistic), summary storage vs full representation (~98 % compression), and the anytime alignment budget |
+//! | `fig9` | Fig. 9: matching quality ("similar rate") via the ground-truth retrieval study, and SGS by resolution level (tech-report multi-resolution extension) |
 //! | `pool_scaling` | scheduler pool (`DESIGN.md` §8): tuples/sec over queries {1, 4, 8} × workers {1, 2, 4} |
 //! | `archive_scaling` | durable archive (`DESIGN.md` §10): inserts/s, checkpoint and recovery cost, memory vs durable |
 //! | `session_fanout` | reactor front-end (`DESIGN.md` §14): 8 → 128 TCP sessions with server-push on a fixed worker budget |
 //!
-//! This support library holds the shared workload definitions, timing
-//! harness, quality-study cluster shapes, the table printer, and the
+//! This support library holds the shared workload definitions and the
+//! command line every binary takes (`workload::Args`), the timing harness, quality-study cluster shapes, the table printer, and the
 //! `--json` report builder the CI artifacts use.
 
 pub mod harness;

@@ -7,17 +7,6 @@ use sgs_obs::MetricValue;
 
 use crate::json::JsonObject;
 
-/// `--metrics` from CLI args: enable the process metric registry for
-/// this run (one-way, like `RuntimeConfig::metrics`). Returns whether it
-/// was requested.
-pub fn parse_metrics(args: &[String]) -> bool {
-    let on = args.iter().any(|a| a == "--metrics");
-    if on {
-        sgs_obs::enable();
-    }
-    on
-}
-
 /// Snapshot the process registry as one JSON row per metric, in name
 /// order. Histograms flatten to their summary fields; with metrics
 /// disabled every reading is zero (the rows still document the names).

@@ -85,21 +85,69 @@ pub fn config_grid(dataset: Dataset, win: u64, slides: &[u64]) -> Vec<Config> {
     out
 }
 
-/// Scale factor from CLI args: `--scale 0.1` shrinks the stream length for
-/// quick runs; default 1.0 runs the full configured workload.
-pub fn parse_scale(args: &[String]) -> f64 {
-    args.windows(2)
-        .find(|w| w[0] == "--scale")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(1.0)
+/// Window length for a harness at `scale`: `full · scale` tuples, at least
+/// `min`, rounded down to a multiple of `step`. A harness whose slides are
+/// `win / k` for divisors `k` of `step` then always gets a valid window;
+/// the scales whose scaled window is already a multiple of `step` (1.0,
+/// 0.5, 0.2 and 0.1 for the figures) keep it.
+pub fn scaled_window(full: u64, scale: f64, min: u64, step: u64) -> u64 {
+    ((full as f64 * scale) as u64).max(min) / step * step
 }
 
-/// Dataset from CLI args (`--dataset gmti`), defaulting to STT.
-pub fn parse_dataset(args: &[String]) -> Dataset {
-    args.windows(2)
-        .find(|w| w[0] == "--dataset")
-        .and_then(|w| Dataset::parse(&w[1]))
-        .unwrap_or(Dataset::Stt)
+/// The command line every harness binary takes: `--scale <f>` shrinks
+/// the workload (default 1.0), `--dataset stt|gmti` picks the stream
+/// (default STT), `--json` asks for a machine-readable report and
+/// `--metrics` for the metric registry in it. A binary reads the fields it
+/// uses, and only one that reports metrics enables the registry.
+#[derive(Clone, Copy, Debug)]
+pub struct Args {
+    /// Workload scale factor, finite and positive.
+    pub scale: f64,
+    /// Stream to run.
+    pub dataset: Dataset,
+    /// Print one JSON report object instead of tables.
+    pub json: bool,
+    /// `--metrics` was given.
+    pub metrics: bool,
+}
+
+impl Args {
+    /// Parse the process's arguments; a bad value exits with a message.
+    pub fn from_env() -> Args {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse(&args).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse `args` (without the program name).
+    pub fn parse(args: &[String]) -> Result<Args, String> {
+        // A flag's value; a flag given last has the empty one.
+        let value = |flag: &str| {
+            let at = args.iter().position(|a| a == flag)?;
+            Some(args.get(at + 1).map_or("", String::as_str))
+        };
+        let scale = match value("--scale") {
+            None => 1.0,
+            Some(v) => v
+                .parse::<f64>()
+                .ok()
+                .filter(|s| s.is_finite() && *s > 0.0)
+                .ok_or_else(|| format!("--scale must be a finite number above 0, not {v:?}"))?,
+        };
+        let dataset = match value("--dataset") {
+            None => Dataset::Stt,
+            Some(v) => Dataset::parse(v)
+                .ok_or_else(|| format!("--dataset must be stt or gmti, not {v:?}"))?,
+        };
+        Ok(Args {
+            scale,
+            dataset,
+            json: args.iter().any(|a| a == "--json"),
+            metrics: args.iter().any(|a| a == "--metrics"),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -115,14 +163,43 @@ mod tests {
 
     #[test]
     fn parse_args() {
-        let args: Vec<String> = ["--scale", "0.25", "--dataset", "gmti"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_scale(&args), 0.25);
-        assert_eq!(parse_dataset(&args), Dataset::Gmti);
-        assert_eq!(parse_dataset(&[]), Dataset::Stt);
-        assert_eq!(parse_scale(&[]), 1.0);
+        let args =
+            |list: &[&str]| Args::parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let parsed = args(&["--scale", "0.25", "--dataset", "gmti", "--json"]).unwrap();
+        assert_eq!(parsed.scale, 0.25);
+        assert_eq!(parsed.dataset, Dataset::Gmti);
+        assert!(parsed.json && !parsed.metrics);
+        let default = args(&[]).unwrap();
+        assert_eq!((default.scale, default.dataset), (1.0, Dataset::Stt));
+        for bad in ["x", "0", "-1", "NaN", "inf"] {
+            assert!(args(&["--scale", bad]).is_err(), "--scale {bad}");
+        }
+        assert!(args(&["--scale"]).is_err());
+        assert!(args(&["--dataset", "taxi"]).is_err());
+    }
+
+    #[test]
+    fn scaled_windows_divide_by_every_slide() {
+        // fig7: slides win / {100, 10, 2}; fig8: slide win / 10.
+        let harnesses: [(u64, &[u64]); 2] = [(400, &[100, 10, 2]), (500, &[10])];
+        for scale in [1.0, 0.5, 0.2, 0.1, 0.1234, 0.0626, 0.05, 0.01, 0.3333, 1.7] {
+            for (min, divisors) in harnesses {
+                let win = scaled_window(10_000, scale, min, divisors[0]);
+                assert!(win >= min, "scale {scale}: win {win}");
+                for k in divisors {
+                    assert!(
+                        WindowSpec::count(win, win / k).is_ok(),
+                        "scale {scale}: win {win} / {k}"
+                    );
+                }
+            }
+        }
+        for scale in [1.0, 0.5, 0.2, 0.1] {
+            for (min, divisors) in harnesses {
+                let unrounded = ((10_000.0 * scale) as u64).max(min);
+                assert_eq!(scaled_window(10_000, scale, min, divisors[0]), unrounded);
+            }
+        }
     }
 
     #[test]

@@ -546,10 +546,12 @@ mod tests {
             }
         }
 
-        /// The projection bound is at least `M*` and at most
-        /// `min(|A|, |B|)`, and reaches `min(|A|, |B|)` for translated
-        /// twins. One filter serves every candidate, as in a MATCH, so
-        /// the query's columns counted for one candidate serve the next.
+        /// The projection bound, the minimum over every counted
+        /// dimension, is at least `M*` and at most `min(|A|, |B|)`, and
+        /// reaches `min(|A|, |B|)` for translated twins; `projection`
+        /// asked for that much reads it. One filter serves every
+        /// candidate, as in a MATCH, so the query's columns counted for
+        /// one candidate serve the next.
         #[test]
         fn projection_bound_is_at_least_the_histogram_max(
             four_d in 0u8..2,
@@ -564,9 +566,10 @@ mod tests {
             for (script_b, twin) in &scripts_b {
                 let b = summary(dim, if *twin == 1 { &script_a } else { script_b }, at);
                 let m = filter.max_offset_count(&b, usize::MAX);
-                let bound = filter.projection_bound(&b, usize::MAX);
+                let bound = stored_bound(&filter, &b);
                 let most = a.volume().min(b.volume());
                 proptest::prop_assert!(m <= bound && bound <= most, "M* {} bound {} most {}", m, bound, most);
+                proptest::prop_assert_eq!(filter.projection_bound(&b, bound), bound);
                 if *twin == 1 {
                     proptest::prop_assert_eq!(bound, most);
                 }

@@ -220,7 +220,11 @@ mod tests {
         let buf = buffer_of((0..5).map(window).collect());
         let two = buf.take(2, usize::MAX, usize::MAX).unwrap();
         assert_eq!(ids(&two), vec![0, 1]);
-        assert_eq!(ids(&take_all(&buf)), vec![2, 3, 4], "the rest stays buffered");
+        assert_eq!(
+            ids(&take_all(&buf)),
+            vec![2, 3, 4],
+            "the rest stays buffered"
+        );
     }
 
     #[test]

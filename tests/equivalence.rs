@@ -72,10 +72,12 @@ fn stt_case_grid() {
         ..SttConfig::default()
     });
     let mut nonempty = 0;
-    for (theta_r, theta_c) in [(0.1, 8), (0.2, 5)] {
-        let spec = WindowSpec::count(2000, 500).unwrap();
-        let q = ClusterQuery::new(theta_r, theta_c, 4, spec).unwrap();
-        nonempty += check_all(points.clone(), q);
+    for (theta_r, theta_c) in [(0.05, 10), (0.1, 8), (0.2, 5)] {
+        for slide in [200u64, 500] {
+            let spec = WindowSpec::count(2000, slide).unwrap();
+            let q = ClusterQuery::new(theta_r, theta_c, 4, spec).unwrap();
+            nonempty += check_all(points.clone(), q);
+        }
     }
     assert!(nonempty > 0, "no configuration produced clusters — vacuous");
 }
