@@ -1,8 +1,11 @@
 //! Fig. 7 — average response time per window (top) and peak memory
-//! footprint (bottom) of every alternative, from one run each: Extra-N
-//! (extraction only), C-SGS (extraction + SGS), and the two-phase
-//! Extra-N + CRD / RSP / SkPS / SGS pipelines (§8.1). The last row is the
-//! two-phase SGS that C-SGS integrates into extraction (§5.1, DESIGN.md §3).
+//! footprint (bottom) of every alternative: Extra-N (extraction only),
+//! C-SGS (extraction + SGS), and the two-phase Extra-N + CRD / RSP / SkPS
+//! / SGS pipelines (§8.1). The last row is the two-phase SGS that C-SGS
+//! integrates into extraction (§5.1, DESIGN.md §3). Every alternative
+//! runs in each of three rounds, the order rotated between rounds, and a
+//! row's time is the median of its three; the memory, cluster and window
+//! columns are the same in every round.
 //!
 //! ```text
 //! cargo run --release -p sgs-bench --bin fig7 [-- --scale 0.2 --dataset gmti]
@@ -16,9 +19,22 @@
 //! Extra-N's retained meta-data grows with the number of views (win/slide)
 //! while C-SGS's does not.
 
-use sgs_bench::harness::{run_csgs, run_extra_n, Summarizer};
+use sgs_bench::harness::{run_csgs, run_extra_n, RunStats, Summarizer};
 use sgs_bench::table::{fmt_bytes, fmt_ms, print_table};
 use sgs_bench::workload::{config_grid, scaled_window, Args};
+
+/// Timed rounds per alternative.
+const ROUNDS: usize = 3;
+
+/// The alternatives, in row order: C-SGS, or Extra-N with a summarizer.
+const ALTERNATIVES: [Option<Summarizer>; 6] = [
+    Some(Summarizer::None),
+    None,
+    Some(Summarizer::Crd),
+    Some(Summarizer::Rsp),
+    Some(Summarizer::SkPs),
+    Some(Summarizer::TwoPhaseSgs),
+];
 
 fn main() {
     let Args { scale, dataset, .. } = Args::from_env();
@@ -30,25 +46,53 @@ fn main() {
     let n_windows = 12u64;
     let configs = config_grid(dataset, win, &slides);
 
-    println!("Fig. 7: CPU time and peak memory per window — dataset {dataset:?}, win={win}");
+    println!(
+        "Fig. 7: CPU time and peak memory per window — dataset {dataset:?}, win={win}, \
+         times the median of {ROUNDS} rounds in rotated order"
+    );
     for config in configs {
         let n_points = (config.query.window.slide * n_windows) as usize + 2 * win as usize;
         let points = dataset.points(n_points);
-        let extra = run_extra_n(&config.query, &points, Summarizer::None);
-        let csgs = run_csgs(&config.query, &points);
-        let crd = run_extra_n(&config.query, &points, Summarizer::Crd);
-        let rsp = run_extra_n(&config.query, &points, Summarizer::Rsp);
-        let skps = run_extra_n(&config.query, &points, Summarizer::SkPs);
-        let two_phase = run_extra_n(&config.query, &points, Summarizer::TwoPhaseSgs);
-
-        let vs_extra = |value: f64, base: f64| format!("{:+.1}%", (value / base - 1.0) * 100.0);
-        let rows: Vec<Vec<String>> = [&extra, &csgs, &crd, &rsp, &skps, &two_phase]
+        // Round `r` starts `r·n/ROUNDS` alternatives in, so that no
+        // alternative always runs first, or always after the same one.
+        let n = ALTERNATIVES.len();
+        let mut runs: Vec<Vec<RunStats>> = vec![Vec::new(); n];
+        for round in 0..ROUNDS {
+            for k in 0..n {
+                let alt = (k + round * n / ROUNDS) % n;
+                runs[alt].push(match ALTERNATIVES[alt] {
+                    Some(summarizer) => run_extra_n(&config.query, &points, summarizer),
+                    None => run_csgs(&config.query, &points),
+                });
+            }
+        }
+        // The median time of each alternative's rounds, beside the
+        // columns every round reads alike.
+        let rows: Vec<(f64, &RunStats)> = runs
             .iter()
-            .map(|s| {
+            .map(|rounds| {
+                let first = &rounds[0];
+                let columns = |s: &RunStats| (s.peak_meta_bytes, s.clusters_per_window, s.windows);
+                assert!(
+                    rounds.iter().all(|s| columns(s) == columns(first)),
+                    "{}: a round's deterministic columns differ",
+                    first.label
+                );
+                let mut times: Vec<f64> = rounds.iter().map(|s| s.avg_response_ms).collect();
+                times.sort_by(f64::total_cmp);
+                (times[ROUNDS / 2], first)
+            })
+            .collect();
+
+        let (extra_ms, extra) = rows[0];
+        let vs_extra = |value: f64, base: f64| format!("{:+.1}%", (value / base - 1.0) * 100.0);
+        let rows: Vec<Vec<String>> = rows
+            .iter()
+            .map(|&(ms, s)| {
                 vec![
                     s.label.clone(),
-                    fmt_ms(s.avg_response_ms),
-                    vs_extra(s.avg_response_ms, extra.avg_response_ms),
+                    fmt_ms(ms),
+                    vs_extra(ms, extra_ms),
                     fmt_bytes(s.peak_meta_bytes),
                     vs_extra(s.peak_meta_bytes as f64, extra.peak_meta_bytes as f64),
                     format!("{:.1}", s.clusters_per_window),
@@ -60,7 +104,7 @@ fn main() {
             &config.label,
             &[
                 "alternative",
-                "resp/window",
+                "resp/window (median)",
                 "time vs Extra-N",
                 "peak meta",
                 "meta vs Extra-N",

@@ -6,7 +6,7 @@
 //!
 //! | binary | artifact |
 //! |---|---|
-//! | `fig7` | Fig. 7: per-window CPU time and peak memory of Extra-N, C-SGS, Extra-N+CRD/+RSP/+SkPS and Extra-N+SGS (two-phase; one unrepeated run per row, DESIGN.md §3) |
+//! | `fig7` | Fig. 7: per-window CPU time and peak memory of Extra-N, C-SGS, Extra-N+CRD/+RSP/+SkPS and Extra-N+SGS (two-phase; each row the median of three rounds in rotated order, DESIGN.md §3) |
 //! | `fig8` | Fig. 8: matching-query response time vs archive size (filter-and-refine and exhaustive SGS, + the §8.2 filter-rate statistic), summary storage vs full representation (~98 % compression), and the anytime alignment budget |
 //! | `fig9` | Fig. 9: matching quality ("similar rate") via the ground-truth retrieval study, and SGS by resolution level (tech-report multi-resolution extension) |
 //! | `pool_scaling` | scheduler pool (`DESIGN.md` §8): tuples/sec over queries {1, 4, 8} × workers {1, 2, 4} |

@@ -14,11 +14,21 @@
 //! Occupied cells are kept by *row* — the cells that agree on every
 //! coordinate but dimension 0, sorted by that coordinate — so the walk
 //! scans only cells that exist, instead of probing every cell of the
-//! block. Most rows of a block hold nothing, and a map lookup is the
-//! walk's dearest step, so a row filter — a count of
-//! occupied rows per hash bucket — answers "empty" for most of them
-//! first: the walk probes the row map only for a row whose bucket is
-//! non-zero (`DESIGN.md` §13).
+//! block. The walk over the rows is nested, one level per dimension from
+//! `d − 1` (outermost) down to 1: each level adds its squared gap to the
+//! partial distance of the levels above it and its coordinate to their
+//! partial row hash, and a partial distance past the prune threshold
+//! skips the whole sub-block below it. The grid also counts its occupied
+//! cells per coordinate of dimensions `2..d`, and the walk reads a
+//! coordinate no cell holds as an infinite gap, so a coordinate slab of
+//! the block that holds nothing is never stepped into. Dimension 1 needs
+//! no count: a row filter — a count of occupied rows per hash bucket —
+//! answers "empty" for most empty rows before the walk probes the row
+//! map, and dimension 0 is the sorted row scan. Per `stt_insert` query
+//! (4-d, 5⁴ cells) the flat row odometer this replaced stepped through
+//! all 125 rows of the block and tested 84 past its box prune; the nested
+//! walk evaluates about 85 positions over its three levels and reaches 53
+//! rows (`DESIGN.md` §13).
 //!
 //! Cell storage is structure-of-arrays ([`CellSlab`]): each cell reads as
 //! one contiguous coordinate slab plus parallel id/expiry columns, so the
@@ -273,11 +283,12 @@ fn row_hash_step(h: u64, c: i32) -> u64 {
 }
 
 /// The row hash of a row key `c₁ … c_{d−1}`: `Σᵢ cᵢ·Kᵢ` with
-/// `Kᵢ = ROW_MUL^(d−i)`, summed by Horner's rule — one add and one
-/// multiply per coordinate, which the walk runs beside the row's gap sum
+/// `Kᵢ = ROW_MUL^i`, summed by Horner's rule from the last coordinate —
+/// one add and one multiply per coordinate, which the nested walk runs
+/// level by level, outermost dimension first, beside the partial gap sum
 /// instead of hashing the key slice.
 fn row_hash(key: &[i32]) -> u64 {
-    key.iter().fold(0, |h, &c| row_hash_step(h, c))
+    key.iter().rev().fold(0, |h, &c| row_hash_step(h, c))
 }
 
 /// Buckets the [`RowFilter`] keeps per occupied row, at least.
@@ -356,6 +367,11 @@ pub struct GridIndex {
     rows: FxHashMap<Coords, Row>,
     /// Which rows may be occupied; every key of `rows` counts in it.
     filter: RowFilter,
+    /// The occupied cells per coordinate of dimensions `2..d`:
+    /// `occupied[i − 2][&c]` counts the cells whose dimension-`i`
+    /// coordinate is `c`. No count is zero. Dimension 1 is the row
+    /// filter's and dimension 0 the row scan's, so neither is counted.
+    occupied: Box<[FxHashMap<i32, u32>]>,
     /// Number of occupied cells (the sum of the rows' lengths).
     cells: usize,
     len: usize,
@@ -365,11 +381,12 @@ impl GridIndex {
     /// Empty index with the given geometry.
     pub fn new(geometry: GridGeometry) -> Self {
         GridIndex {
-            geometry,
             rows: FxHashMap::default(),
             filter: RowFilter::with_buckets(BUCKETS_PER_ROW),
+            occupied: (2..geometry.dim()).map(|_| FxHashMap::default()).collect(),
             cells: 0,
             len: 0,
+            geometry,
         }
     }
 
@@ -420,19 +437,26 @@ impl GridIndex {
         // the point with no allocation beyond its slab's own growth.
         if let Some(row) = self.rows.get_mut(key) {
             match slot_of(row, x) {
-                Ok(i) => row[i].1.push(id, &point.coords, expires_at),
+                Ok(i) => {
+                    row[i].1.push(id, &point.coords, expires_at);
+                    self.len += 1;
+                    return cell;
+                }
                 Err(i) => {
                     row.reserve_exact(1);
                     row.insert(i, fresh());
-                    self.cells += 1;
                 }
             }
         } else {
             self.rows.insert(Coords::from(key), vec![fresh()]);
-            self.cells += 1;
             let keys = self.rows.keys().map(|key| &key[..]);
             self.filter.add_row(row_hash(key), self.rows.len(), keys);
         }
+        // The point opened a cell.
+        for (counts, &c) in self.occupied.iter_mut().zip(cell.0.iter().skip(2)) {
+            *counts.entry(c).or_insert(0) += 1;
+        }
+        self.cells += 1;
         self.len += 1;
         cell
     }
@@ -460,6 +484,15 @@ impl GridIndex {
             if row.is_empty() {
                 self.rows.remove(key);
                 self.filter.remove(row_hash(key));
+            }
+            for (counts, c) in self.occupied.iter_mut().zip(cell.0.iter().skip(2)) {
+                let count = counts
+                    .get_mut(c)
+                    .expect("an open cell's coordinate is counted");
+                *count -= 1;
+                if *count == 0 {
+                    counts.remove(c);
+                }
             }
         }
         self.len -= 1;
@@ -513,41 +546,31 @@ impl GridIndex {
 ///
 /// It visits the occupied cells among the `(2·reach + 1)^d` that
 /// [`GridGeometry::reachable_cells`] yields, in that order. The walk is
-/// driven by occupancy: it steps through the block's `(2·reach + 1)^(d−1)`
-/// *rows*, probes the row map only for a row the grid's row filter does
-/// not rule out, and scans the cells the row actually holds. The odometer
-/// state and the gap table are reused across queries: a walk allocates
-/// nothing.
+/// driven by occupancy: it nests one level per dimension from `d − 1`
+/// down to 1, steps only into a coordinate slab some cell occupies and
+/// whose box may reach the query, probes the row map only for a row the
+/// grid's row filter does not rule out, and scans the cells the row
+/// actually holds. The position, the per-level partial sums and the gap
+/// table are reused across queries: a walk allocates nothing.
 #[derive(Clone, Debug)]
 pub struct ReachWalker {
     reach: i32,
     side: f64,
-    /// The cell being visited: dimensions `1..` are the odometer over the
-    /// block's rows, dimension 0 the cell the row scan is at. A plain
-    /// slice, so the walk's inner loop reads it without a layout branch.
+    /// The cell being visited: dimensions `1..` are the levels' positions
+    /// in the block, dimension 0 the cell the row scan is at. A plain
+    /// slice, so the row probe reads it without a layout branch.
     cell: Box<[i32]>,
     /// `d` rows of `2·reach + 1`: `gaps[i·(2·reach+1) + k]` is the squared
     /// distance along dimension `i` from the query to the interval of the
     /// block's `k`-th cell in that dimension (0 where the query lies
-    /// inside it). Filled once per query.
+    /// inside it), or `+∞` where no cell of the grid has that
+    /// dimension-`i` coordinate (`i ≥ 2`). Filled once per query.
     gaps: Vec<f64>,
-}
-
-/// Advance `cur` one position through the integer box whose per-dimension
-/// inclusive bounds `bounds` yields, dimension 0 fastest (the
-/// [`GridGeometry::reachable_cells`] order). Returns `false` once the box
-/// is exhausted, leaving `cur` back at its first position.
-#[inline]
-fn odometer_step(cur: &mut [i32], bounds: impl Fn(usize) -> (i32, i32)) -> bool {
-    for (i, c) in cur.iter_mut().enumerate() {
-        let (lo, hi) = bounds(i);
-        if *c < hi {
-            *c += 1;
-            return true;
-        }
-        *c = lo;
-    }
-    false
+    /// `above[i − 1]`, for level `i` in `1..d`: the partial squared
+    /// distance and the partial row hash of the levels above it —
+    /// dimensions `i + 1 .. d` at their current positions. `above[d − 2]`
+    /// is the empty sum, never written.
+    above: Box<[(f64, u64)]>,
 }
 
 impl ReachWalker {
@@ -560,6 +583,7 @@ impl ReachWalker {
             side: geometry.side(),
             cell: vec![0; d].into(),
             gaps: vec![0.0; d * (2 * reach as usize + 1)],
+            above: vec![(0.0, 0); d.saturating_sub(1)].into(),
         }
     }
 
@@ -567,19 +591,23 @@ impl ReachWalker {
     /// reachability block around `center` (the cell containing `coords`,
     /// from [`GridGeometry::cell_of`]).
     ///
-    /// Rows and cells whose bounding box provably sits farther than
-    /// `theta_sq` from the query are skipped — a row *before* its hash
-    /// probe: the block over-covers the θr-ball (its corner cells mostly
-    /// lie outside it), and a table lookup per dimension is much cheaper
-    /// than a map lookup. So is a row whose filter bucket is zero: no
-    /// occupied row hashes there. A cell's squared distance is the sum of its
-    /// per-dimension gaps, taken as `(g₁ + … + g_{d−1}) + g₀` so that the
-    /// row's share is summed once. The skip threshold carries a 16 ε
-    /// relative margin so floating-point rounding in the box arithmetic
-    /// can only ever err toward *visiting* a cell: a sum of `d`
-    /// non-negative terms is within `(d − 1) ε` relative of exact in any
-    /// order, far inside the margin for every dimensionality in use.
-    /// Pruning never changes the match set.
+    /// Sub-blocks and cells whose bounding box provably sits farther than
+    /// `theta_sq` from the query are skipped — a slab of the block as
+    /// soon as its partial sum exceeds the threshold, and so a row
+    /// *before* its hash probe: the block over-covers the θr-ball (its
+    /// corner cells mostly lie outside it), and a table lookup per level
+    /// is much cheaper than a map lookup. So is a slab no occupied cell
+    /// lies in (its gap is `+∞`), and a row whose filter bucket is zero:
+    /// no occupied row hashes there. A cell's squared distance is the sum
+    /// of its per-dimension gaps, taken as
+    /// `((g_{d−1} + g_{d−2}) + … + g₁) + g₀` so that each level's share
+    /// is summed once. Gaps are non-negative, so a partial sum past the
+    /// threshold proves every full sum below it past it too. The skip
+    /// threshold carries a 16 ε relative margin so floating-point
+    /// rounding in the box arithmetic can only ever err toward *visiting*
+    /// a cell: a sum of `d` non-negative terms is within `(d − 1) ε`
+    /// relative of exact in any order, far inside the margin for every
+    /// dimensionality in use. Pruning never changes the match set.
     fn for_each_slab<'a>(
         &mut self,
         grid: &'a GridIndex,
@@ -597,6 +625,7 @@ impl ReachWalker {
             side,
             ref mut cell,
             ref mut gaps,
+            ref mut above,
         } = *self;
         let d = cell.len();
         debug_assert_eq!(coords.len(), d);
@@ -626,37 +655,85 @@ impl ReachWalker {
                 };
                 *g = delta * delta;
             }
-            cell[i] = b_lo;
+        }
+        // A coordinate of a counted dimension that no cell holds is an
+        // empty slab of the block: an infinite gap, which the walk never
+        // steps into. Only a slab within reach needs the lookup.
+        for (i, counts) in (2..d).zip(&grid.occupied) {
+            let (b_lo, b_hi) = block(i);
+            for (g, ci) in gaps[i * stride..].iter_mut().zip(b_lo..=b_hi) {
+                if *g <= prune && !counts.contains_key(&ci) {
+                    *g = f64::INFINITY;
+                }
+            }
         }
         // A clipped block is narrower than the table's stride: entries are
         // indexed by offset from the clipped lower bound.
         let gap = |i: usize, ci: i32| gaps[i * stride + (ci - block(i).0) as usize];
-        let (lo0, hi0) = block(0);
-        loop {
-            // Minimum squared distance from the query to the row's box,
-            // then to each of its cells; beside it, the row's hash.
-            let (mut outer, mut h) = (0.0, 0);
-            for i in 1..d {
-                outer += gap(i, cell[i]);
-                h = row_hash_step(h, cell[i]);
+        let mut scan_row = |cell: &mut [i32], outer: f64, h: u64| {
+            if !grid.filter.may_hold(h) {
+                return;
             }
-            if outer <= prune && grid.filter.may_hold(h) {
-                if let Some(row) = grid.rows.get(&cell[1..]) {
-                    let first = row.partition_point(|&(x, _)| x < lo0);
-                    for (x, slab) in &row[first..] {
-                        if *x > hi0 {
-                            break;
-                        }
-                        if outer + gap(0, *x) <= prune {
-                            cell[0] = *x;
-                            f(cell, slab);
-                        }
-                    }
+            let Some(row) = grid.rows.get(&cell[1..]) else {
+                return;
+            };
+            let (lo0, hi0) = block(0);
+            let first = row.partition_point(|&(x, _)| x < lo0);
+            for (x, slab) in &row[first..] {
+                if *x > hi0 {
+                    break;
+                }
+                if outer + gap(0, *x) <= prune {
+                    cell[0] = *x;
+                    f(cell, slab);
                 }
             }
-            if !odometer_step(&mut cell[1..], |i| block(i + 1)) {
-                break;
+        };
+        if d == 1 {
+            scan_row(cell, 0.0, 0);
+            return;
+        }
+        // Levels `d − 1` down to 2 step their dimension through the block,
+        // a position within reach descending a level; level 1 runs its
+        // rows in one loop, the row's share of the distance and its hash
+        // in registers.
+        let mut i = d - 1;
+        cell[i] = block(i).0;
+        loop {
+            if i == 1 {
+                let (sum, h) = above[0];
+                let (lo1, hi1) = block(1);
+                for c1 in lo1..=hi1 {
+                    let outer = sum + gap(1, c1);
+                    if outer <= prune {
+                        cell[1] = c1;
+                        scan_row(cell, outer, row_hash_step(h, c1));
+                    }
+                }
+                // Level 1 is done: the climb below leaves it.
+                cell[1] = hi1;
+            } else {
+                let (sum, h) = above[i - 1];
+                let partial = sum + gap(i, cell[i]);
+                if partial <= prune {
+                    above[i - 2] = (partial, row_hash_step(h, cell[i]));
+                    i -= 1;
+                    if i > 1 {
+                        cell[i] = block(i).0;
+                    }
+                    continue;
+                }
             }
+            // The next position: this level's, or the first level up
+            // that has one. Compared before the increment, so the walk
+            // never steps past `i32::MAX`.
+            while cell[i] == block(i).1 {
+                i += 1;
+                if i == d {
+                    return;
+                }
+            }
+            cell[i] += 1;
         }
     }
 
@@ -694,7 +771,11 @@ impl ReachWalker {
 impl HeapSize for GridIndex {
     fn heap_size(&self) -> usize {
         let mut bytes = self.rows.capacity() * (core::mem::size_of::<(Coords, Row)>() + 1)
-            + self.filter.counts.capacity();
+            + self.filter.counts.capacity()
+            + self.occupied.len() * core::mem::size_of::<FxHashMap<i32, u32>>();
+        for counts in &self.occupied {
+            bytes += counts.capacity() * (core::mem::size_of::<(i32, u32)>() + 1);
+        }
         for (key, row) in &self.rows {
             bytes += key.heap_size();
             bytes += row.capacity() * core::mem::size_of::<(i32, CellSlab)>();
@@ -809,8 +890,8 @@ mod tests {
 
     /// The walker visits exactly the occupied cells of
     /// [`GridGeometry::reachable_cells`] whose box lies within the pruning
-    /// radius of the query (summed the way the walk sums it: the row's
-    /// dimensions first, dimension 0 last), in the `reachable_cells`
+    /// radius of the query (summed the way the walk sums it: dimension
+    /// `d − 1` down to 1, then dimension 0), in the `reachable_cells`
     /// order, in one to five dimensions — and reports each cell's points
     /// with their inline expiry.
     #[test]
@@ -843,7 +924,7 @@ mod tests {
                     .reachable_cells(&center)
                     .into_iter()
                     .filter(|cell| {
-                        let outer = (1..dim).fold(0.0, |sum, i| sum + gap(i, cell));
+                        let outer = (1..dim).rev().fold(0.0, |sum, i| sum + gap(i, cell));
                         outer + gap(0, cell) <= theta_sq + theta_sq * 16.0 * f64::EPSILON
                     })
                     .collect();
@@ -854,6 +935,140 @@ mod tests {
                     got.push(CellCoord::new(cell));
                 });
                 assert_eq!(got, want, "dim {dim}, query {q:?}");
+            }
+        }
+    }
+
+    /// The cells of the reachability block around `center`, clipped to the
+    /// `i32` range, in [`GridGeometry::reachable_cells`] order: dimension 0
+    /// fastest.
+    fn clipped_block(center: &[i32], reach: i32) -> Vec<CellCoord> {
+        let lo: Vec<i32> = center.iter().map(|c| c.saturating_sub(reach)).collect();
+        let hi: Vec<i32> = center.iter().map(|c| c.saturating_add(reach)).collect();
+        let mut cell = lo.clone();
+        let mut out = Vec::new();
+        'walk: loop {
+            out.push(CellCoord::new(&cell[..]));
+            for i in 0..cell.len() {
+                if cell[i] < hi[i] {
+                    cell[i] += 1;
+                    continue 'walk;
+                }
+                cell[i] = lo[i];
+            }
+            return out;
+        }
+    }
+
+    /// A sparse grid, in one to five dimensions: in every dimension one
+    /// coordinate slab of the block next to the query's holds no cell, a
+    /// neighbour of the query sits beyond it, and the rest of the block
+    /// is filled at random. The walker visits exactly the occupied cells
+    /// of the flat `reachable_cells` enumeration that survive the box
+    /// prune, in that order — around a cell near the origin and around
+    /// one on the rim of the `i32` range — and the empty slabs of the
+    /// counted dimensions (`2..d`) read as infinite gaps.
+    #[test]
+    fn walker_over_a_sparse_grid_visits_what_the_flat_enumeration_keeps() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let theta = 0.5;
+        for dim in 1..=5 {
+            let geometry = GridGeometry::basic(dim, theta);
+            let (side, reach, theta_sq) = (geometry.side(), geometry.reach(), theta * theta);
+            let prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
+            let mut walker = ReachWalker::new(&geometry);
+            for rim in [false, true] {
+                for _ in 0..10 {
+                    // The rim's cell is `i32::MAX` in dimension 0 and
+                    // `i32::MIN` in the last.
+                    let center: Vec<i32> = (0..dim)
+                        .map(|i| match (rim, i) {
+                            (true, 0) => i32::MAX,
+                            (true, i) if i == dim - 1 => i32::MIN,
+                            _ => rng.gen_range(-3..3),
+                        })
+                        .collect();
+                    // The empty slab's side: inward at the rim.
+                    let toward: Vec<i32> = center
+                        .iter()
+                        .map(|&c| match c {
+                            i32::MAX => -1,
+                            i32::MIN => 1,
+                            _ if rng.gen_bool(0.5) => 1,
+                            _ => -1,
+                        })
+                        .collect();
+                    // The query sits near the face of its cell toward the
+                    // empty slabs.
+                    let q: Vec<f64> = center
+                        .iter()
+                        .zip(&toward)
+                        .map(|(&c, &t)| (f64::from(c) + if t > 0 { 0.9 } else { 0.1 }) * side)
+                        .collect();
+                    let center = geometry.cell_of(&Point::new(q.clone(), 0));
+                    let empty = |cell: &[i32]| {
+                        (0..dim).any(|i| {
+                            i64::from(cell[i]) == i64::from(center.0[i]) + i64::from(toward[i])
+                        })
+                    };
+                    let mut grid = GridIndex::new(geometry.clone());
+                    let mut n = 0u32;
+                    for cell in clipped_block(&center.0, reach + 1) {
+                        if !empty(&cell.0) && rng.gen_bool(0.3) {
+                            grid.insert(PointId(n), &Point::new(geometry.center(&cell), 0));
+                            n += 1;
+                        }
+                    }
+                    // Beyond each empty slab, two cells out along one
+                    // dimension, a point at the near face of its cell:
+                    // a neighbour of the query wherever the block
+                    // reaches that far.
+                    let mut beyond = Vec::new();
+                    for i in (0..dim).filter(|_| reach >= 2) {
+                        let mut at = q.clone();
+                        let cell = f64::from(center.0[i]) + 2.0 * f64::from(toward[i]);
+                        at[i] = (cell + if toward[i] > 0 { 0.02 } else { 0.98 }) * side;
+                        assert!(sgs_core::dist_sq(&at, &q) <= theta_sq);
+                        let p = Point::new(at, 0);
+                        beyond.push(geometry.cell_of(&p));
+                        if grid.cell_points(beyond.last().unwrap()).is_empty() {
+                            grid.insert(PointId(n), &p);
+                            n += 1;
+                        }
+                    }
+                    let gap = |i: usize, cell: &CellCoord| {
+                        let lo = f64::from(cell.0[i]) * side;
+                        let delta = q[i].clamp(lo, lo + side) - q[i];
+                        delta * delta
+                    };
+                    let flat = clipped_block(&center.0, reach);
+                    if !rim {
+                        assert_eq!(flat, geometry.reachable_cells(&center));
+                    }
+                    let want: Vec<CellCoord> = flat
+                        .into_iter()
+                        .filter(|cell| !grid.cell_points(cell).is_empty())
+                        .filter(|cell| {
+                            let outer = (1..dim).rev().fold(0.0, |sum, i| sum + gap(i, cell));
+                            outer + gap(0, cell) <= prune
+                        })
+                        .collect();
+                    for cell in &beyond {
+                        assert!(want.contains(cell), "dim {dim}: {cell:?} not a neighbour");
+                    }
+                    let mut got = Vec::new();
+                    walker.for_each_slab(&grid, &center, &q, theta_sq, |cell, _| {
+                        got.push(CellCoord::new(cell))
+                    });
+                    assert_eq!(got, want, "dim {dim}, rim {rim}, query {q:?}");
+                    let stride = walker.gaps.len() / dim;
+                    let counted = center.0.iter().zip(&toward).enumerate().skip(2);
+                    for (i, (&c, &t)) in counted {
+                        let slab = (c + t - c.saturating_sub(reach)) as usize;
+                        assert_eq!(walker.gaps[i * stride + slab], f64::INFINITY, "dim {dim}");
+                    }
+                }
             }
         }
     }
@@ -1053,6 +1268,17 @@ mod tests {
                 for key in index.rows.keys() {
                     prop_assert!(index.filter.may_hold(row_hash(key)), "row {:?} hidden", key);
                 }
+                // Each counted dimension's coordinate counts are the
+                // model's occupied cells per coordinate.
+                prop_assert_eq!(index.occupied.len(), dim.saturating_sub(2));
+                for (i, counts) in (2..dim).zip(&index.occupied) {
+                    let mut want: FxHashMap<i32, u32> = FxHashMap::default();
+                    for (cell, _) in &model {
+                        *want.entry(cell.0[i]).or_insert(0) += 1;
+                    }
+                    prop_assert!(counts.values().all(|&n| n > 0), "a zero count kept");
+                    prop_assert_eq!(counts, &want, "dimension {}", i);
+                }
             }
             for (id, cell) in live.drain(..) {
                 crossed.add(remove_from_both(&mut index, &mut model, id, &cell));
@@ -1061,6 +1287,7 @@ mod tests {
             prop_assert!(index.is_empty());
             prop_assert_eq!(index.cell_count(), 0);
             prop_assert!(index.rows.is_empty(), "a drained row was left behind");
+            prop_assert!(index.occupied.iter().all(|counts| counts.is_empty()));
 
             // The coverage guard, once every case has run.
             let (mut kinds, mut scripts) = CROSSED.get();

@@ -4,8 +4,10 @@
 //!
 //! * [`GridIndex`] — the uniform in-memory grid the pattern extractor uses
 //!   for range-query searches (one per new object, §5.4): occupied cells
-//!   kept by row, walked by [`ReachWalker`], which a per-bucket count of
-//!   occupied rows spares the map probe of most empty rows,
+//!   kept by row, walked by [`ReachWalker`] one dimension per level,
+//!   which per-coordinate cell counts keep out of empty coordinate slabs
+//!   and a per-bucket count of occupied rows spares the map probe of most
+//!   empty rows,
 //! * [`Rect`] — the axis-aligned minimum bounding rectangle the pattern
 //!   base keeps per archived cluster and a position-sensitive MATCH tests
 //!   for overlap (§7.1),
