@@ -9,7 +9,9 @@ measured against (`parent`) and the commit message; each of its
 `benches` rows names the workload, the metric and its unit as
 `BENCHMARK.json` declares them, the seed, the parent's and the change's
 medians (`parent`, `value`), the interleaved pair count and the pairs
-the change won.
+the change won. A row has at least the house rule's pair floor: 5
+pairs, and 10 on `served_small`, whose runs spread the most; fewer
+pairs make a number unresolved, which is not a ledger row.
 
 Usage: python3 ci/check_ledger.py [--root .]
 """
@@ -22,6 +24,9 @@ from pathlib import Path
 
 PREFIX = "window.BENCHMARK_DATA = "
 SHA_RE = re.compile(r"^[0-9a-f]{40}$")
+# Interleaved parent/change pairs a row needs: the default, and per workload.
+MIN_PAIRS = 5
+MIN_PAIRS_OF = {"served_small": 10}
 
 
 def load(path: Path):
@@ -83,8 +88,9 @@ def check_row(at, row, workloads, units):
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             errors.append(f"{at}: {median} {value!r} is not a positive number")
     pairs, wins = row.get("pairs"), row.get("wins")
-    if not isinstance(pairs, int) or pairs < 1:
-        errors.append(f"{at}: pairs {pairs!r} is not a positive integer")
+    floor = MIN_PAIRS_OF.get(workload, MIN_PAIRS)
+    if not isinstance(pairs, int) or pairs < floor:
+        errors.append(f"{at}: pairs {pairs!r} is below the floor of {floor}")
     elif not isinstance(wins, int) or not 0 <= wins <= pairs:
         errors.append(f"{at}: wins {wins!r} is not within 0..={pairs}")
     return errors

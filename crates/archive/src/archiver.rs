@@ -161,7 +161,7 @@ mod tests {
     fn select_draws_like_observe_and_stores_nothing() {
         let s = blob(60);
         let empty = Sgs {
-            cells: vec![],
+            cells: Default::default(),
             ..s.clone()
         };
         let mut own = PatternArchiver::new(ArchivePolicy::Sample(0.5), 11);

@@ -894,7 +894,7 @@ mod tests {
             let io = Counting(fs.clone(), counts.clone());
             let mut base = DurablePatternBase::open_with(Box::new(io), cfg.clone()).unwrap();
             let empty = Sgs {
-                cells: vec![],
+                cells: Default::default(),
                 ..summaries[0].clone()
             };
             assert!(base

@@ -27,6 +27,8 @@
 //! many candidates reached each phase — the statistic behind the "only
 //! 6 % needed the grid-level match" claim of §8.2.
 
+use std::collections::HashSet;
+
 use sgs_core::{HeapSize, WindowId};
 use sgs_matching::bound::Entry;
 use sgs_matching::metric::feature_distance;
@@ -184,6 +186,23 @@ impl PatternBase {
         self.entries.heap_size() + self.starts.heap_size()
     }
 
+    /// Heap bytes the base holds: the pattern records, the entry arena
+    /// and its start offsets ([`index_bytes`](Self::index_bytes)), and
+    /// each distinct cells allocation once. A summary kept in several
+    /// windows is one allocation (a cloned [`Sgs`] shares its cells), so
+    /// this is below the sum of the patterns' own [`HeapSize`]s wherever
+    /// the base holds a summary twice.
+    pub fn heap_bytes(&self) -> usize {
+        let mut seen = HashSet::new();
+        let cells: usize = (self.patterns.iter())
+            .filter(|p| seen.insert(p.sgs.cells.as_ptr()))
+            .map(|p| p.sgs.heap_size())
+            .sum();
+        self.patterns.capacity() * std::mem::size_of::<ArchivedPattern>()
+            + self.index_bytes()
+            + cells
+    }
+
     /// Execute a cluster matching query (§7.2) for `query` under `config`.
     pub fn match_query(&self, query: &Sgs, config: &MatchConfig) -> MatchOutcome {
         let mut outcome = MatchOutcome::default();
@@ -320,13 +339,29 @@ mod tests {
     }
 
     #[test]
+    fn heap_bytes_count_a_shared_cells_allocation_once() {
+        let kept = blob(0.0, 0.0, 10);
+        let mut base = PatternBase::new();
+        for w in 0..3 {
+            base.insert(kept.clone(), WindowId(w));
+        }
+        // Equal, but built apart: a second allocation.
+        base.insert(blob(0.0, 0.0, 10), WindowId(3));
+        let records = base.patterns.capacity() * std::mem::size_of::<ArchivedPattern>();
+        assert_eq!(
+            base.heap_bytes(),
+            records + base.index_bytes() + 2 * kept.heap_size()
+        );
+    }
+
+    #[test]
     fn empty_summary_rejected() {
         let mut base = PatternBase::new();
         let empty = Sgs {
             dim: 2,
             side: 1.0,
             level: 0,
-            cells: vec![],
+            cells: Default::default(),
         };
         assert!(base.insert(empty, WindowId(0)).is_none());
     }
@@ -490,7 +525,7 @@ mod tests {
             }
             // An empty summary or an unknown id changes nothing.
             let image = crate::durable::store_image(&base, 0);
-            base.replace(PatternId(0), Sgs { cells: vec![], ..blob(0.0, 0.0, 1) });
+            base.replace(PatternId(0), Sgs { cells: Default::default(), ..blob(0.0, 0.0, 1) });
             base.replace(PatternId(base.len() as u64), blob(0.0, 0.0, 1));
             proptest::prop_assert_eq!(crate::durable::store_image(&base, 0), image);
             proptest::prop_assert_eq!(base.archived_bytes(), scanned_bytes(&base));

@@ -4,8 +4,10 @@
 //! / SGS pipelines (§8.1). The last row is the two-phase SGS that C-SGS
 //! integrates into extraction (§5.1, DESIGN.md §3). Every alternative
 //! runs in each of three rounds, the order rotated between rounds, and a
-//! row's time is the median of its three; the memory, cluster and window
-//! columns are the same in every round.
+//! row's time is the median of its three, printed beside their range.
+//! Where a row's range overlaps Extra-N's, its time against Extra-N reads
+//! `unresolved`: three rounds cannot tell that gap from noise. The memory,
+//! cluster and window columns are the same in every round.
 //!
 //! ```text
 //! cargo run --release -p sgs-bench --bin fig7 [-- --scale 0.2 --dataset gmti]
@@ -66,9 +68,9 @@ fn main() {
                 });
             }
         }
-        // The median time of each alternative's rounds, beside the
-        // columns every round reads alike.
-        let rows: Vec<(f64, &RunStats)> = runs
+        // The median time of each alternative's rounds and their range,
+        // beside the columns every round reads alike.
+        let rows: Vec<(f64, [f64; 2], &RunStats)> = runs
             .iter()
             .map(|rounds| {
                 let first = &rounds[0];
@@ -80,19 +82,27 @@ fn main() {
                 );
                 let mut times: Vec<f64> = rounds.iter().map(|s| s.avg_response_ms).collect();
                 times.sort_by(f64::total_cmp);
-                (times[ROUNDS / 2], first)
+                (times[ROUNDS / 2], [times[0], times[ROUNDS - 1]], first)
             })
             .collect();
 
-        let (extra_ms, extra) = rows[0];
+        let (extra_ms, [extra_lo, extra_hi], extra) = rows[0];
         let vs_extra = |value: f64, base: f64| format!("{:+.1}%", (value / base - 1.0) * 100.0);
         let rows: Vec<Vec<String>> = rows
             .iter()
-            .map(|&(ms, s)| {
+            .enumerate()
+            .map(|(i, &(ms, [lo, hi], s))| {
+                // A gap inside the rounds' spread is not one the run shows.
+                let time_vs_extra = if i > 0 && lo <= extra_hi && extra_lo <= hi {
+                    "unresolved".to_string()
+                } else {
+                    vs_extra(ms, extra_ms)
+                };
                 vec![
                     s.label.clone(),
                     fmt_ms(ms),
-                    vs_extra(ms, extra_ms),
+                    format!("{}–{}", fmt_ms(lo), fmt_ms(hi)),
+                    time_vs_extra,
                     fmt_bytes(s.peak_meta_bytes),
                     vs_extra(s.peak_meta_bytes as f64, extra.peak_meta_bytes as f64),
                     format!("{:.1}", s.clusters_per_window),
@@ -105,6 +115,7 @@ fn main() {
             &[
                 "alternative",
                 "resp/window (median)",
+                "min–max",
                 "time vs Extra-N",
                 "peak meta",
                 "meta vs Extra-N",

@@ -8,7 +8,9 @@
 //!   grid-level match");
 //! - (right) memory to store each archive as SGS vs the full
 //!   representation, the average cells per cluster and the compression
-//!   rate (paper: 23 B/cell, ~68 cells/cluster, ~98 % compression);
+//!   rate (paper: 23 B/cell, ~68 cells/cluster, ~98 % compression), and
+//!   beside §8.2's count the heap bytes the pattern base actually holds
+//!   (each cell list once, however many windows archived it);
 //! - the anytime alignment budget (§7.2): the distance found, the
 //!   alignments the search evaluated and the time spent as the search is
 //!   given more evaluations, on the largest archive's first two queries.
@@ -74,6 +76,7 @@ fn main() {
             storage_rows.push(vec![
                 bundle.base.len().to_string(),
                 fmt_bytes(sgs_bytes),
+                fmt_bytes(bundle.base.heap_bytes()),
                 fmt_bytes(full_bytes),
                 format!("{:.1}", cells as f64 / bundle.base.len() as f64),
                 format!("{compression:.1}%"),
@@ -163,7 +166,8 @@ fn main() {
         "storage by archive size",
         &[
             "clusters",
-            "SGS bytes",
+            "SGS bytes (§8.2)",
+            "heap bytes held",
             "full-repr bytes",
             "cells/cluster",
             "compression",

@@ -25,7 +25,8 @@
 //!    iterates in.
 //! 5. **Skeletons**: a cluster's cell list is its core cells merged with
 //!    its sorted attached cells; every connection index falls out of that
-//!    one sort.
+//!    one sort, and the list is built once, in place, as the summary's
+//!    shared [`Cells`].
 //! 6. **Members**, cell by cell through the grid index: core objects
 //!    from the clusters' core cells, edge candidates from those and from
 //!    the attached cells. Lemma 4.1 and the `attach_until` watermark put
@@ -39,7 +40,7 @@ use std::sync::Arc;
 
 use sgs_core::{CellCoord, GridGeometry, PointId, WindowId};
 use sgs_index::UnionFind;
-use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
+use sgs_summarize::{CellStatus, Cells, Sgs, SkeletalCell};
 
 use crate::cell_store::{CellId, CellState, CellStore};
 use crate::output::ExtractedCluster;
@@ -206,19 +207,17 @@ pub(crate) fn emit(
     }
 
     // ---- 5. Skeletons of the clusters to rebuild, and their cells' ids.
-    let mut skeletons: Vec<Vec<SkeletalCell>> = vec![Vec::new(); groups.len()];
+    let mut skeletons: Vec<Cells> = Vec::with_capacity(groups.len());
     let mut skeleton_ids: Vec<Vec<CellId>> = vec![Vec::new(); groups.len()];
     // Dense index → position in its cluster's cell list.
     let mut local_of = vec![NONE; n];
     // The cells, beside the rebuilt clusters' own core cells, whose
     // objects the member pass has to list.
     let mut edge_cells: Vec<CellId> = Vec::new();
-    let skeletal = |coord: &CellCoord, state: &CellState, status| SkeletalCell {
-        coord: coord.clone(),
-        population: state.population,
-        status,
-        connections: Vec::new(),
-    };
+    // One cluster's cell list before it is built: each cell's coordinate
+    // and state, and its dense index if it is a core cell of the cluster,
+    // else `NONE`.
+    let mut slots: Vec<(&CellCoord, &CellState, u32)> = Vec::new();
     for (g, group) in groups.iter().enumerate() {
         // Attached cells: what a core cell of the cluster reaches through
         // a live attachment, unless it is a core cell of the same cluster.
@@ -237,21 +236,22 @@ pub(crate) fn emit(
 
         // The cell list: core cells and attached cells merged in cell
         // order, each reference to an attached cell learning its position.
-        let (list, list_ids) = (&mut skeletons[g], &mut skeleton_ids[g]);
-        let mut place_core = |d: u32, list: &mut Vec<SkeletalCell>, list_ids: &mut Vec<CellId>| {
-            local_of[d as usize] = list.len() as u32;
+        slots.clear();
+        let list_ids = &mut skeleton_ids[g];
+        let mut place_core = |d: u32, slots: &mut Vec<_>, list_ids: &mut Vec<CellId>| {
+            local_of[d as usize] = slots.len() as u32;
             let core = &cores[d as usize];
-            list.push(skeletal(core.coord, core.state, CellStatus::Core));
+            slots.push((core.coord, core.state, d));
             list_ids.push(core.id);
         };
         let mut group_cells = group.iter().peekable();
         for run in attached.chunk_by(|a, b| a.0 == b.0) {
             let (coord, first) = run[0];
             while let Some(&d) = group_cells.next_if(|&&d| cores[d as usize].coord < coord) {
-                place_core(d, list, list_ids);
+                place_core(d, &mut slots, list_ids);
             }
             for &(_, at) in run {
-                links[at].local = list.len() as u32;
+                links[at].local = slots.len() as u32;
             }
             // An attachment is live while the object it reaches is alive,
             // so the cell is stored and populated.
@@ -262,7 +262,7 @@ pub(crate) fn emit(
                 cells.get(other)
             };
             debug_assert!(state.population > 0);
-            list.push(skeletal(coord, state, CellStatus::Edge));
+            slots.push((coord, state, NONE));
             list_ids.push(other);
             // Its objects are edge candidates. A core cell of another
             // rebuilt cluster is listed on that cluster's account; any
@@ -273,25 +273,41 @@ pub(crate) fn emit(
             }
         }
         for &d in group_cells {
-            place_core(d, list, list_ids);
+            place_core(d, &mut slots, list_ids);
         }
 
-        // Connections of each core cell: to a core cell of the cluster
-        // through a live core-core link, to any other cell of the list
-        // through a live attachment.
-        for &d in group {
-            let conns = &mut list[local_of[d as usize] as usize].connections;
-            for link in &links[links_of(d)] {
-                if link.idx != NONE && gid[link.idx as usize] == g as u32 {
-                    if link.core_core {
-                        conns.push(local_of[link.idx as usize]);
+        // The cells, built in place in the shared list. Connections of
+        // each core cell: to a core cell of the cluster through a live
+        // core-core link, to any other cell of the list through a live
+        // attachment.
+        // A core cell's list is sized by its live links, nearly all of
+        // which it keeps: an archive holds the list as built here.
+        let skeleton = slots.iter().map(|&(coord, state, d)| {
+            let (status, connections) = if d == NONE {
+                (CellStatus::Edge, Vec::new())
+            } else {
+                let links = &links[links_of(d)];
+                let mut connections = Vec::with_capacity(links.len());
+                for link in links {
+                    if link.idx != NONE && gid[link.idx as usize] == g as u32 {
+                        if link.core_core {
+                            connections.push(local_of[link.idx as usize]);
+                        }
+                    } else if link.attach {
+                        connections.push(link.local);
                     }
-                } else if link.attach {
-                    conns.push(link.local);
                 }
+                connections.sort_unstable();
+                (CellStatus::Core, connections)
+            };
+            SkeletalCell {
+                coord: coord.clone(),
+                population: state.population,
+                status,
+                connections,
             }
-            conns.sort_unstable();
-        }
+        });
+        skeletons.push(skeleton.collect());
     }
 
     // ---- 6. Members of the clusters to rebuild, cell by cell. Every

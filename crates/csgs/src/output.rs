@@ -35,5 +35,6 @@ impl HeapSize for ExtractedCluster {
 
 /// All clusters extracted for one window. A cluster is shared: one the
 /// output stage carries over from the previous window is the previous
-/// window's, not a copy of it (`DESIGN.md` §6).
+/// window's, not a copy of it, and a pattern base that keeps its summary
+/// holds the same [`Cells`](sgs_summarize::Cells) (`DESIGN.md` §6).
 pub type WindowOutput = Vec<Arc<ExtractedCluster>>;

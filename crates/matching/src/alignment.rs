@@ -288,8 +288,14 @@ mod tests {
         let side = GridGeometry::basic(2, 1.0).side();
         let a = shape(0.0, 0.0);
         // Offset by a shift the seed misses slightly (different shape mass).
-        let mut b = shape(4.0 * side, 2.0 * side);
-        b.cells.truncate(b.cells.len() - 2); // perturb so seed is off
+        let b = shape(4.0 * side, 2.0 * side);
+        // Perturb so the seed is off: the same summary less its last two cells.
+        let mut cells = b.cells.to_vec();
+        cells.truncate(cells.len() - 2);
+        let b = Sgs {
+            cells: cells.into(),
+            ..b
+        };
         let small = best_alignment(&a, &b, 4).distance;
         let large = best_alignment(&a, &b, 256).distance;
         assert!(large <= small);
@@ -301,7 +307,7 @@ mod tests {
             dim: 2,
             side: 1.0,
             level: 0,
-            cells: vec![],
+            cells: Default::default(),
         };
         let a = shape(0.0, 0.0);
         let r = best_alignment(&e, &a, 16);

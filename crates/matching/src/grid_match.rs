@@ -188,7 +188,7 @@ mod tests {
             dim: 2,
             side: 1.0,
             level: 0,
-            cells: vec![],
+            cells: Default::default(),
         };
         let a = strip(0.0, 0.0, 4);
         assert_eq!(grid_level_distance(&e, &e, &[0, 0]), 0.0);

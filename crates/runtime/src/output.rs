@@ -174,7 +174,7 @@ mod tests {
                 dim: 2,
                 side: 1.0,
                 level: 0,
-                cells: Vec::new(),
+                cells: Default::default(),
             },
         };
         (WindowId(n), vec![Arc::new(cluster)])

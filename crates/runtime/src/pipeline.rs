@@ -132,9 +132,10 @@ impl StreamPipeline {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sgs_core::WindowSpec;
+    use sgs_summarize::Cells;
 
     fn pipeline() -> StreamPipeline {
         let q = ClusterQuery::new(0.5, 2, 2, WindowSpec::count(40, 10).unwrap()).unwrap();
@@ -150,6 +151,36 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// Ten points in one cell, arriving in one slide among points spaced
+    /// far apart that form no cluster and come near nothing: the cluster
+    /// lives, untouched, in each of the four windows that hold it.
+    pub(crate) fn lasting_cluster_stream() -> Vec<Point> {
+        let noise = |k: u32| vec![10.0 * f64::from(k), 50.0];
+        let cluster = (0..10).map(|i| vec![0.05 + 0.02 * f64::from(i), 0.05]);
+        let stream = (1..=30)
+            .map(noise)
+            .chain(cluster)
+            .chain((31..=70).map(noise));
+        (stream.enumerate())
+            .map(|(t, coords)| Point::new(coords, t as u64))
+            .collect()
+    }
+
+    /// The output stage carries the cluster over from window to window,
+    /// and the archiver keeps it in each one: every pattern it became
+    /// holds the one cells allocation the output stage built.
+    #[test]
+    fn a_carried_cluster_is_archived_in_one_cells_allocation() {
+        let mut p = pipeline();
+        p.push_batch(lasting_cluster_stream()).unwrap();
+        let patterns: Vec<_> = p.base().iter().collect();
+        assert_eq!(patterns.len(), 4);
+        for (pattern, next) in patterns.iter().zip(&patterns[1..]) {
+            assert!(pattern.window < next.window);
+            assert!(Cells::ptr_eq(&pattern.sgs.cells, &next.sgs.cells));
+        }
     }
 
     #[test]

@@ -911,6 +911,34 @@ mod tests {
         assert_eq!(rt.history(2).unwrap().read().len() as u64, stats.archived);
     }
 
+    /// What the output stage carries over, the shared history stores once:
+    /// the patterns one lasting cluster became in four windows hold one
+    /// cells allocation.
+    #[test]
+    fn a_carried_cluster_is_one_cells_allocation_in_the_history() {
+        let mut rt = runtime();
+        let Submission::Continuous(id) = rt
+            .submit(
+                "DETECT DensityBasedClusters f+s FROM gmti \
+                 USING theta_range = 0.5 AND theta_cnt = 2 \
+                 IN Windows WITH win = 40 AND slide = 10",
+            )
+            .unwrap()
+        else {
+            panic!("expected a continuous registration");
+        };
+        rt.push_batch(&crate::pipeline::tests::lasting_cluster_stream())
+            .unwrap();
+        rt.quiesce().unwrap();
+        let report = rt.cancel(id).unwrap();
+        assert_eq!(report.archived.len(), 4);
+        let history = rt.history(2).unwrap().read();
+        let cells = |at: usize| &history.get(report.archived[at]).unwrap().sgs.cells;
+        for at in 1..4 {
+            assert!(sgs_summarize::Cells::ptr_eq(cells(0), cells(at)));
+        }
+    }
+
     #[test]
     fn pause_skips_points_and_resume_continues() {
         let mut rt = runtime();

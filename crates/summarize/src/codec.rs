@@ -125,7 +125,7 @@ pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
         dim,
         side,
         level,
-        cells,
+        cells: cells.into(),
     })
 }
 
@@ -251,7 +251,8 @@ mod tests {
                         status: CellStatus::Edge,
                         connections: vec![],
                     },
-                ],
+                ]
+                .into(),
             };
             assert_eq!(decode(&mut &encoded(&s)[..]), Ok(s), "dim {dim}");
         }

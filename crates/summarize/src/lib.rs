@@ -37,5 +37,5 @@ pub use member::MemberSet;
 pub use multires::coarsen;
 pub use regen::{regenerate, regeneration_error, resummarize};
 pub use rsp::Rsp;
-pub use sgs::{CellStatus, Sgs, SkeletalCell};
+pub use sgs::{CellStatus, Cells, Sgs, SkeletalCell};
 pub use skps::SkPs;

@@ -102,7 +102,7 @@ pub fn coarsen(sgs: &Sgs, theta: u32) -> Sgs {
         dim: sgs.dim,
         side: sgs.side * theta as f64,
         level: sgs.level + 1,
-        cells,
+        cells: cells.into(),
     }
 }
 

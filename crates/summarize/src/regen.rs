@@ -139,7 +139,7 @@ mod tests {
             dim: 2,
             side: 1.0,
             level: 0,
-            cells: vec![],
+            cells: Default::default(),
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let regen = regenerate(&sgs, &mut rng);

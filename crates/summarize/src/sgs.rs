@@ -17,6 +17,10 @@
 //! ([`crate::packed`]) prices a cell's connections at the paper's 2-byte
 //! bitmask.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use sgs_core::{CellCoord, GridGeometry, HeapSize};
 use sgs_index::{FxHashMap, Rect};
 
@@ -61,7 +65,75 @@ impl HeapSize for SkeletalCell {
     }
 }
 
+/// The skeletal cells of a summary: one shared, immutable list. A clone
+/// is a count bump, so every holder of one summary — the output stage,
+/// the archiver's selection, a pattern base — holds the one allocation.
+/// Dereferences to the slice; equality compares contents.
+#[derive(Clone, Default)]
+pub struct Cells(Arc<[SkeletalCell]>);
+
+impl Cells {
+    /// Whether `a` and `b` are the same allocation (equal contents need
+    /// not be).
+    #[inline]
+    pub fn ptr_eq(a: &Cells, b: &Cells) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for Cells {
+    type Target = [SkeletalCell];
+
+    #[inline]
+    fn deref(&self) -> &[SkeletalCell] {
+        &self.0
+    }
+}
+
+impl From<Vec<SkeletalCell>> for Cells {
+    fn from(cells: Vec<SkeletalCell>) -> Self {
+        Cells(cells.into())
+    }
+}
+
+impl FromIterator<SkeletalCell> for Cells {
+    fn from_iter<I: IntoIterator<Item = SkeletalCell>>(iter: I) -> Self {
+        Cells(iter.into_iter().collect())
+    }
+}
+
+impl<'a> IntoIterator for &'a Cells {
+    type Item = &'a SkeletalCell;
+    type IntoIter = std::slice::Iter<'a, SkeletalCell>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl PartialEq for Cells {
+    fn eq(&self, other: &Cells) -> bool {
+        Cells::ptr_eq(self, other) || self.0 == other.0
+    }
+}
+
+impl fmt::Debug for Cells {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl HeapSize for Cells {
+    fn heap_size(&self) -> usize {
+        self.len() * core::mem::size_of::<SkeletalCell>()
+            + self.iter().map(HeapSize::heap_size).sum::<usize>()
+    }
+}
+
 /// A Skeletal Grid Summarization of one density-based cluster.
+///
+/// A clone shares its [`Cells`] with the original: keeping a summary the
+/// output stage emitted copies no cell.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sgs {
     /// Dimensionality of the data space.
@@ -71,7 +143,7 @@ pub struct Sgs {
     /// Resolution level: 0 = basic SGS (§6.1).
     pub level: u8,
     /// Skeletal cells, sorted by coordinate (canonical order).
-    pub cells: Vec<SkeletalCell>,
+    pub cells: Cells,
 }
 
 impl Sgs {
@@ -171,7 +243,7 @@ impl Sgs {
             dim,
             side: geometry.side(),
             level: 0,
-            cells,
+            cells: cells.into(),
         }
     }
 
@@ -330,10 +402,10 @@ impl Sgs {
     }
 }
 
+/// The logical size: the cells count in full whoever else shares them.
 impl HeapSize for Sgs {
     fn heap_size(&self) -> usize {
-        self.cells.capacity() * core::mem::size_of::<SkeletalCell>()
-            + self.cells.iter().map(HeapSize::heap_size).sum::<usize>()
+        self.cells.heap_size()
     }
 }
 
@@ -438,7 +510,8 @@ mod tests {
                     population: 1,
                     status: CellStatus::Edge,
                     connections: Vec::new(),
-                }],
+                }]
+                .into(),
             };
             let mbr = edge.mbr().unwrap();
             assert!(mbr.min.iter().chain(mbr.max.iter()).all(|c| c.is_finite()));
@@ -467,6 +540,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_clone_shares_its_cells_and_equality_reads_contents() {
+        let sgs = Sgs::from_members(&sample_members(), &geo());
+        let copy = sgs.clone();
+        assert!(Cells::ptr_eq(&sgs.cells, &copy.cells));
+        // Built twice, equal, and two allocations.
+        let again = Sgs::from_members(&sample_members(), &geo());
+        assert!(!Cells::ptr_eq(&sgs.cells, &again.cells));
+        assert_eq!(sgs, again);
+        let fewer: Cells = sgs.cells[1..].to_vec().into();
+        assert_ne!(
+            sgs,
+            Sgs {
+                cells: fewer,
+                ..again
+            }
+        );
+        // The logical size, shared or not.
+        assert_eq!(copy.heap_size(), sgs.heap_size());
+    }
+
+    #[test]
+    fn cells_print_as_the_list_they_hold() {
+        let sgs = Sgs::from_members(&sample_members(), &geo());
+        let list = sgs.cells.to_vec();
+        assert_eq!(format!("{:?}", sgs.cells), format!("{list:?}"));
+        assert_eq!(format!("{:#?}", sgs.cells), format!("{list:#?}"));
+        assert_eq!(
+            format!("{sgs:?}"),
+            format!(
+                "Sgs {{ dim: 2, side: {:?}, level: 0, cells: {list:?} }}",
+                sgs.side
+            )
+        );
     }
 
     #[test]

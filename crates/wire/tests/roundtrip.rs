@@ -68,7 +68,7 @@ fn rand_sgs(rng: &mut StdRng) -> Sgs {
         dim,
         side: rng.gen_range(0.01f64..5.0),
         level: rng.gen_range(0u32..4) as u8,
-        cells,
+        cells: cells.into(),
     }
 }
 

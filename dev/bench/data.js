@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1792392628267,
+  "lastUpdate": 1792398819621,
   "entries": {
     "streamsum e2ebench": [
       {
@@ -34,7 +34,7 @@ window.BENCHMARK_DATA = {
       },
       {
         "commit": {
-          "id": null,
+          "id": "a40dfa892ca74869e1d076fb76f9d69bb9be1a85",
           "parent": "80988d5ef32662de642ff2c05bce41ce14cbb50d",
           "message": "A range query steps only through occupied coordinates: a nested, prefix-pruned reachability walk"
         },
@@ -48,6 +48,24 @@ window.BENCHMARK_DATA = {
           {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 253343, "value": 256519, "pairs": 10, "wins": 6},
           {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 373014, "value": 362004, "pairs": 10, "wins": 5},
           {"name": "match_under_ingest tuples_per_s seed 1", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 300972, "value": 289252, "pairs": 16, "wins": 6}
+        ]
+      },
+      {
+        "commit": {
+          "id": null,
+          "parent": "a40dfa892ca74869e1d076fb76f9d69bb9be1a85",
+          "message": "A carried cluster's summary is archived once: SGS cells are shared, not copied, from the output stage to the history"
+        },
+        "date": 1792398819621,
+        "tool": "e2ebench --seconds 20 --trace 0, interleaved parent/change pairs, 2-vCPU box",
+        "benches": [
+          {"name": "gmti_slide peak_rss_mb seed 1", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 90.8, "value": 78.01, "pairs": 10, "wins": 10},
+          {"name": "gmti_slide peak_rss_mb seed 2", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 2, "parent": 90.21, "value": 77.45, "pairs": 10, "wins": 10},
+          {"name": "gmti_slide peak_rss_mb seed 3", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 3, "parent": 89.51, "value": 76.8, "pairs": 6, "wins": 6},
+          {"name": "match_under_ingest peak_rss_mb seed 1", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 60.73, "value": 53.42, "pairs": 10, "wins": 10},
+          {"name": "match_under_ingest peak_rss_mb seed 2", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 2, "parent": 60.77, "value": 53.75, "pairs": 10, "wins": 10},
+          {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 265428, "value": 278712, "pairs": 10, "wins": 10},
+          {"name": "gmti_slide tuples_per_s seed 2", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 2, "parent": 267683, "value": 281915, "pairs": 10, "wins": 10}
         ]
       }
     ]

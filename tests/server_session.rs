@@ -281,7 +281,8 @@ fn a_summary_at_the_coordinate_limit_matches_without_wedging_the_session() {
             population: 1,
             status: CellStatus::Edge,
             connections: Vec::new(),
-        }],
+        }]
+        .into(),
     };
     client.bind("Cedge", &edge).unwrap();
     let reply = client.submit(
