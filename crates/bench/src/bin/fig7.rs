@@ -6,8 +6,10 @@
 //! runs in each of three rounds, the order rotated between rounds, and a
 //! row's time is the median of its three, printed beside their range.
 //! Where a row's range overlaps Extra-N's, its time against Extra-N reads
-//! `unresolved`: three rounds cannot tell that gap from noise. The memory,
-//! cluster and window columns are the same in every round.
+//! `unresolved`: three rounds cannot tell that gap from noise. Where a
+//! configuration extracts no cluster at all, a summarizer row's time
+//! reads `no clusters`: it ran Extra-N with nothing to summarize. The
+//! memory, cluster and window columns are the same in every round.
 //!
 //! ```text
 //! cargo run --release -p sgs-bench --bin fig7 [-- --scale 0.2 --dataset gmti]
@@ -92,8 +94,13 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, &(ms, [lo, hi], s))| {
-                // A gap inside the rounds' spread is not one the run shows.
-                let time_vs_extra = if i > 0 && lo <= extra_hi && extra_lo <= hi {
+                let summarizes = matches!(ALTERNATIVES[i], Some(alt) if alt != Summarizer::None);
+                // With no cluster in any window, a two-phase row runs
+                // Extra-N and nothing more: its gap is not a summary's cost.
+                let time_vs_extra = if summarizes && s.clusters_per_window == 0.0 {
+                    "no clusters".to_string()
+                } else if i > 0 && lo <= extra_hi && extra_lo <= hi {
+                    // A gap inside the rounds' spread is not one the run shows.
                     "unresolved".to_string()
                 } else {
                     vs_extra(ms, extra_ms)

@@ -6,7 +6,6 @@ use sgs_archive::PatternBase;
 use sgs_cluster::ExtraN;
 use sgs_core::{ClusterQuery, Point, PointId, WindowId};
 use sgs_csgs::CSgs;
-use sgs_index::FxHashMap;
 use sgs_stream::WindowEngine;
 use sgs_summarize::{packed, Crd, MemberSet, Rsp, Sgs, SkPs};
 
@@ -95,9 +94,6 @@ pub fn run_extra_n(query: &ClusterQuery, points: &[Point], summarizer: Summarize
     let mut engine = WindowEngine::new(spec, query.dim);
     let mut extra = ExtraN::new(query.clone());
     let mut outputs = Vec::new();
-    // Coordinate resolution for the summarizers (Extra-N returns ids).
-    let mut coords: FxHashMap<PointId, Box<[f64]>> = FxHashMap::default();
-    let mut next_id = 0u32;
     let geometry = query.basic_grid();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0xBE7C);
 
@@ -106,10 +102,6 @@ pub fn run_extra_n(query: &ClusterQuery, points: &[Point], summarizer: Summarize
     let mut peak = 0usize;
     let start = Instant::now();
     for chunk in points.chunks(spec.slide as usize) {
-        for p in chunk {
-            coords.insert(PointId(next_id), p.coords.clone());
-            next_id += 1;
-        }
         engine
             .push_batch(chunk.iter().cloned(), &mut extra, &mut outputs)
             .unwrap();
@@ -119,7 +111,7 @@ pub fn run_extra_n(query: &ClusterQuery, points: &[Point], summarizer: Summarize
             let mut summary_bytes = 0usize;
             if summarizer != Summarizer::None {
                 for cluster in &out {
-                    let members = member_set(&cluster.cores, &cluster.edges, &coords);
+                    let members = member_set(&cluster.cores, &cluster.edges, points);
                     match summarizer {
                         Summarizer::Crd => {
                             if let Some(crd) = Crd::from_members(&members) {
@@ -176,16 +168,16 @@ fn finish_stats(
     }
 }
 
-/// Resolve ids to a member set.
-pub fn member_set(
-    cores: &[PointId],
-    edges: &[PointId],
-    coords: &FxHashMap<PointId, Box<[f64]>>,
-) -> MemberSet {
-    MemberSet::new(
-        cores.iter().map(|id| coords[id].clone()).collect(),
-        edges.iter().map(|id| coords[id].clone()).collect(),
-    )
+/// Resolve ids to a member set. The window engine numbers points in
+/// arrival order from 0, so a member's id is its index into the fed
+/// `points`.
+pub fn member_set(cores: &[PointId], edges: &[PointId], points: &[Point]) -> MemberSet {
+    let resolve = |ids: &[PointId]| {
+        ids.iter()
+            .map(|id| points[id.0 as usize].coords.clone())
+            .collect()
+    };
+    MemberSet::new(resolve(cores), resolve(edges))
 }
 
 /// Bytes the basic SGS of `members` would occupy — used to size RSP
@@ -261,7 +253,6 @@ pub fn build_archive(
     let mut engine = WindowEngine::new(spec, query.dim);
     let mut csgs = CSgs::new(query.clone());
     let mut outputs: Vec<(WindowId, sgs_csgs::WindowOutput)> = Vec::new();
-    let mut coords: FxHashMap<PointId, Box<[f64]>> = FxHashMap::default();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0xA5C1);
 
     let mut base = PatternBase::new();
@@ -269,12 +260,11 @@ pub fn build_archive(
     let mut queries = Vec::new();
     let mut full_repr_bytes = 0usize;
 
-    'stream: for (next_id, p) in points.iter().enumerate() {
-        coords.insert(PointId(next_id as u32), p.coords.clone());
+    'stream: for p in points {
         engine.push(p.clone(), &mut csgs, &mut outputs).unwrap();
         for (window, out) in outputs.drain(..) {
             for cluster in out {
-                let members = member_set(&cluster.cores, &cluster.edges, &coords);
+                let members = member_set(&cluster.cores, &cluster.edges, points);
                 let Some(mf) =
                     MultiFormat::build(members, cluster.sgs.clone(), query.theta_r, &mut rng)
                 else {

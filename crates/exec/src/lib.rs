@@ -16,7 +16,9 @@
 //! ## Scheduling model
 //!
 //! Every task lands in one FIFO injector and workers take the oldest
-//! task first. Idle workers sleep on a condvar and are woken per push.
+//! task first. The injector, the count of sleeping workers and the
+//! shutdown flag share one mutex; idle workers sleep on a condvar, and a
+//! push that finds one asleep wakes it after releasing the lock.
 //! No task outranks another: a query has at most one live task and a
 //! connection at most one request in flight, so FIFO is already
 //! round-robin over ready queries and sessions (`DESIGN.md` §8).
@@ -28,7 +30,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use sgs_obs::{labeled, registry, Counter, Gauge, Histogram, SpanGuard};
@@ -73,60 +74,39 @@ impl PoolMetrics {
     }
 }
 
-/// Idle/shutdown coordination, guarded by `Inner::sleep`.
-struct SleepState {
+/// Everything the pool's threads share, under `Inner::state`.
+struct State {
+    /// Queued tasks, oldest first.
+    tasks: VecDeque<Task>,
+    /// Workers waiting on `Inner::wake`.
+    sleepers: usize,
+    /// Set when the last user-facing handle drops.
     shutdown: bool,
 }
 
 struct Inner {
-    injector: Mutex<VecDeque<Task>>,
     /// Number of worker threads.
     threads: usize,
-    sleep: Mutex<SleepState>,
+    state: Mutex<State>,
     wake: Condvar,
-    /// Tasks currently queued. Checked under the `sleep` lock before a
-    /// worker waits, which is what makes wakeups race-free: a producer
-    /// increments *before* notifying.
-    queued: AtomicUsize,
-    /// Workers currently waiting on `wake` (registered under the `sleep`
-    /// lock). Producers skip the lock-and-notify entirely while this is
-    /// zero — the common saturated case — keeping the hot spawn path off
-    /// the global mutex.
-    sleepers: AtomicUsize,
     /// Scheduler observability handles (`DESIGN.md` §11).
     metrics: PoolMetrics,
 }
 
 impl Inner {
-    /// Push a task onto the back of the injector and wake one sleeping
-    /// worker.
+    /// Push a task onto the back of the queue and wake one sleeping
+    /// worker, if any. A worker counts itself a sleeper and waits under
+    /// the same lock hold, so a push that reads no sleeper is seen by
+    /// every worker's next look at the queue.
     fn push(&self, task: Task) {
-        // Count before enqueueing: were the order reversed, a worker
-        // could pop the task and decrement first, wrapping the counter to
-        // `usize::MAX` and sending every idle worker into a busy-spin
-        // until this increment landed. Counting early only makes workers
-        // rescan a touch sooner than the task is visible.
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.injector.lock().unwrap().push_back(task);
+        let mut state = self.state.lock().unwrap();
+        state.tasks.push_back(task);
+        let wake = state.sleepers > 0;
+        drop(state);
         self.metrics.injector_depth.inc();
-        // Wake a sleeper if there is one. The order is what makes this
-        // race-free without locking on every push: a worker registers in
-        // `sleepers` *before* its final `queued` re-check (both SeqCst).
-        // If we read `sleepers == 0` here, our `queued` increment is
-        // ordered before that worker's re-check, so it will not sleep;
-        // if we read a sleeper, we notify under the lock as usual.
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.sleep.lock().unwrap();
+        if wake {
             self.wake.notify_one();
         }
-    }
-
-    /// Take the oldest queued task.
-    fn find_task(&self) -> Option<Task> {
-        let task = self.injector.lock().unwrap().pop_front()?;
-        self.queued.fetch_sub(1, Ordering::SeqCst);
-        self.metrics.injector_depth.dec();
-        Some(task)
     }
 
     /// Execute one claimed task on worker `me` with its observability
@@ -144,32 +124,21 @@ impl Inner {
 /// The persistent worker main loop: run tasks until the pool shuts down
 /// and no queued work remains.
 fn worker_loop(inner: Arc<Inner>, me: usize) {
+    let mut state = inner.state.lock().unwrap();
     loop {
-        if let Some(task) = inner.find_task() {
+        if let Some(task) = state.tasks.pop_front() {
+            drop(state);
+            inner.metrics.injector_depth.dec();
             inner.run_task(me, task);
-            continue;
-        }
-        let mut sleep = inner.sleep.lock().unwrap();
-        loop {
-            if inner.queued.load(Ordering::SeqCst) > 0 {
-                break; // rescan
-            }
-            if sleep.shutdown {
-                return;
-            }
-            // Register, then re-check `queued` before actually waiting:
-            // a producer that missed us in `sleepers` (and so skipped
-            // its notify) must have pushed before our registration, and
-            // this re-check observes its increment — no lost wakeup.
-            inner.sleepers.fetch_add(1, Ordering::SeqCst);
-            if inner.queued.load(Ordering::SeqCst) > 0 {
-                inner.sleepers.fetch_sub(1, Ordering::SeqCst);
-                break; // rescan
-            }
+            state = inner.state.lock().unwrap();
+        } else if state.shutdown {
+            return;
+        } else {
+            state.sleepers += 1;
             inner.metrics.parks.inc();
-            sleep = inner.wake.wait(sleep).unwrap();
+            state = inner.wake.wait(state).unwrap();
             inner.metrics.unparks.inc();
-            inner.sleepers.fetch_sub(1, Ordering::SeqCst);
+            state.sleepers -= 1;
         }
     }
 }
@@ -183,7 +152,7 @@ struct ShutdownGuard {
 
 impl Drop for ShutdownGuard {
     fn drop(&mut self) {
-        self.inner.sleep.lock().unwrap().shutdown = true;
+        self.inner.state.lock().unwrap().shutdown = true;
         self.inner.wake.notify_all();
     }
 }
@@ -210,12 +179,13 @@ impl Pool {
     pub fn new(threads: usize) -> Pool {
         let threads = threads.max(1);
         let inner = Arc::new(Inner {
-            injector: Mutex::new(VecDeque::new()),
             threads,
-            sleep: Mutex::new(SleepState { shutdown: false }),
+            state: Mutex::new(State {
+                tasks: VecDeque::new(),
+                sleepers: 0,
+                shutdown: false,
+            }),
             wake: Condvar::new(),
-            queued: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
             metrics: PoolMetrics::new(threads),
         });
         for me in 0..threads {
@@ -263,7 +233,7 @@ pub fn global() -> &'static Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc;
 
     #[test]

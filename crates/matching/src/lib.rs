@@ -34,5 +34,5 @@ pub use candidate::feature_ranges;
 pub use ged::graph_edit_distance;
 pub use grid_match::grid_level_distance;
 pub use hungarian::hungarian;
-pub use metric::{cluster_distance, MatchConfig};
+pub use metric::{cluster_distance, MatchConfig, DEFAULT_ALIGNMENT_BUDGET};
 pub use pointset::chamfer_distance;

@@ -13,6 +13,11 @@
 use sgs_core::{Error, Result};
 use sgs_summarize::Sgs;
 
+/// The anytime alignment search's default evaluation budget
+/// ([`MatchConfig::alignment_budget`]): what [`MatchConfig::equal_weights`]
+/// and a parsed MATCH query start from.
+pub const DEFAULT_ALIGNMENT_BUDGET: usize = 64;
+
 /// Configuration of a cluster matching query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MatchConfig {
@@ -37,7 +42,7 @@ impl MatchConfig {
             position_sensitive,
             weights: [0.25; 4],
             threshold,
-            alignment_budget: 64,
+            alignment_budget: DEFAULT_ALIGNMENT_BUDGET,
         }
     }
 

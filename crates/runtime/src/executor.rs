@@ -8,11 +8,14 @@
 //! its queue instead of buffering unboundedly, throttling ingestion to the
 //! slowest running query. An *idle* query is parked — no task exists for
 //! it, so hundreds of registered-but-quiet queries cost zero threads.
-//! The first message enqueued schedules a pool task (guarded by the
-//! cell's `scheduled` flag, so at most one task per query is ever live);
-//! the task drains the queue in bounded quanta, re-queueing itself at the
-//! back of the pool's FIFO behind other ready queries for fairness, and
-//! parks the query again when the queue runs dry.
+//! The queue's one lock guards its messages, their byte count and a
+//! `scheduled` flag, and every scheduling decision is made under it: the
+//! enqueue that finds the flag clear sets it and spawns the query's pool
+//! task, so at most one task per query is ever live. The task drains the
+//! queue in bounded quanta. A `pop` that finds the queue empty clears the
+//! flag and parks the query; at the end of a quantum the task re-queues
+//! itself at the back of the pool's FIFO, behind other ready queries,
+//! only if messages remain.
 //!
 //! Per-query execution therefore remains single-threaded over the
 //! ingestion order — the `scheduled` flag serializes the cell — which is
@@ -41,7 +44,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -99,61 +101,65 @@ fn msg_bytes(msg: &Msg) -> usize {
 /// capacity (backpressure); the query's executor task drains it.
 struct InputQueue {
     capacity: usize,
-    queue: Mutex<VecDeque<Msg>>,
-    /// [`msg_bytes`] sum of everything queued — read lock-free by the
-    /// server's per-owner quota check, updated under the queue lock.
-    bytes: AtomicUsize,
+    state: Mutex<Queued>,
     not_full: Condvar,
 }
 
+/// Lock-guarded input queue state.
+struct Queued {
+    msgs: VecDeque<Msg>,
+    /// [`msg_bytes`] sum of `msgs` — what per-owner input quotas meter.
+    bytes: usize,
+    /// True while a pool task owns this query (queued or running). The
+    /// single-owner discipline is what keeps per-query processing
+    /// single-threaded in ingestion order.
+    scheduled: bool,
+}
+
 impl InputQueue {
-    /// Enqueue, blocking while the queue is at capacity.
-    fn send(&self, msg: Msg) {
+    /// Enqueue, blocking while the queue is at capacity if `bounded`
+    /// (control messages are not: see [`QueryCell::send_control`]).
+    /// Returns true when the query had no task: the caller spawns one.
+    fn send(&self, msg: Msg, bounded: bool) -> bool {
         let cost = msg_bytes(&msg);
-        let mut q = self.queue.lock().unwrap();
-        while q.len() >= self.capacity {
+        let mut q = self.state.lock().unwrap();
+        while bounded && q.msgs.len() >= self.capacity {
             q = self.not_full.wait(q).unwrap();
         }
-        q.push_back(msg);
-        self.bytes.fetch_add(cost, Ordering::Relaxed);
+        q.msgs.push_back(msg);
+        q.bytes += cost;
+        let spawn = !std::mem::replace(&mut q.scheduled, true);
         drop(q);
         metrics().input_queue_depth.inc();
+        spawn
     }
 
-    /// Enqueue without the capacity wait — for control messages that
-    /// must never block behind backpressured data (a full queue's
-    /// producer may be unable to make progress until this very message
-    /// is processed, e.g. a stop issued under the caller's lock).
-    fn send_unbounded(&self, msg: Msg) {
-        let cost = msg_bytes(&msg);
-        let mut q = self.queue.lock().unwrap();
-        q.push_back(msg);
-        self.bytes.fetch_add(cost, Ordering::Relaxed);
-        drop(q);
-        metrics().input_queue_depth.inc();
-    }
-
+    /// Take the oldest message. An empty queue parks the query: the task
+    /// gives up `scheduled`, and the next enqueue spawns a fresh one.
     fn pop(&self) -> Option<Msg> {
-        let mut q = self.queue.lock().unwrap();
-        let was_full = q.len() >= self.capacity;
-        let msg = q.pop_front();
-        if let Some(msg) = &msg {
-            self.bytes.fetch_sub(msg_bytes(msg), Ordering::Relaxed);
-        }
-        if msg.is_some() && was_full {
-            // Producers only wait while the queue is at capacity, so
-            // notifying is needed exactly on the full → not-full edge.
+        let mut q = self.state.lock().unwrap();
+        let was_full = q.msgs.len() >= self.capacity;
+        let Some(msg) = q.msgs.pop_front() else {
+            q.scheduled = false;
+            return None;
+        };
+        q.bytes -= msg_bytes(&msg);
+        drop(q);
+        // Producers only wait while the queue is at capacity, so
+        // notifying is needed exactly on the full → not-full edge.
+        if was_full {
             self.not_full.notify_all();
         }
-        drop(q);
-        if msg.is_some() {
-            metrics().input_queue_depth.dec();
-        }
-        msg
+        metrics().input_queue_depth.dec();
+        Some(msg)
     }
 
-    fn is_empty(&self) -> bool {
-        self.queue.lock().unwrap().is_empty()
+    /// End a task's quantum: the query stays scheduled, and the caller
+    /// spawns its next task, only if messages remain; otherwise it parks.
+    fn end_quantum(&self) -> bool {
+        let mut q = self.state.lock().unwrap();
+        q.scheduled = !q.msgs.is_empty();
+        q.scheduled
     }
 }
 
@@ -167,8 +173,8 @@ struct ExecState {
     archived: Vec<PatternId>,
 }
 
-/// One registered query's executor-side record: input queue, pipeline,
-/// output buffer, and the scheduling flag that serializes its processing.
+/// One registered query's executor-side record: input queue, pipeline
+/// and output buffer.
 pub(crate) struct QueryCell {
     shared: SharedStatus,
     history: SharedPatternBase,
@@ -176,10 +182,6 @@ pub(crate) struct QueryCell {
     outputs: Arc<OutputBuffer>,
     input: InputQueue,
     exec: Mutex<ExecState>,
-    /// True while a pool task owns this query (queued or running). The
-    /// single-owner discipline is what keeps per-query processing
-    /// single-threaded in ingestion order.
-    scheduled: AtomicBool,
     pool: Pool,
 }
 
@@ -201,15 +203,17 @@ impl QueryCell {
             outputs,
             input: InputQueue {
                 capacity: capacity.max(1),
-                queue: Mutex::new(VecDeque::new()),
-                bytes: AtomicUsize::new(0),
+                state: Mutex::new(Queued {
+                    msgs: VecDeque::new(),
+                    bytes: 0,
+                    scheduled: false,
+                }),
                 not_full: Condvar::new(),
             },
             exec: Mutex::new(ExecState {
                 pipeline: Some(pipeline),
                 archived: Vec::new(),
             }),
-            scheduled: AtomicBool::new(false),
             pool,
         }))
     }
@@ -217,8 +221,9 @@ impl QueryCell {
     /// Enqueue a message (blocking on a full queue) and make sure a task
     /// is scheduled to process it.
     pub(crate) fn send(self: &Arc<Self>, msg: Msg) {
-        self.input.send(msg);
-        self.schedule();
+        if self.input.send(msg, true) {
+            self.spawn();
+        }
     }
 
     /// Enqueue a control message past the capacity bound (never blocks)
@@ -226,26 +231,19 @@ impl QueryCell {
     /// cancel must be deliverable even while the queue sits at capacity,
     /// since the caller may hold locks the draining side needs.
     pub(crate) fn send_control(self: &Arc<Self>, msg: Msg) {
-        self.input.send_unbounded(msg);
-        self.schedule();
-    }
-
-    /// [`msg_bytes`] sum of this query's queued-but-unprocessed input —
-    /// the per-query term of a per-owner input quota. Lock-free.
-    pub(crate) fn queued_bytes(&self) -> usize {
-        self.input.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Spawn the query's executor task unless one is already live.
-    fn schedule(self: &Arc<Self>) {
-        if !self.scheduled.swap(true, Ordering::SeqCst) {
-            self.respawn();
+        if self.input.send(msg, false) {
+            self.spawn();
         }
     }
 
-    /// Spawn the executor task (the `scheduled` flag must already be
-    /// held).
-    fn respawn(self: &Arc<Self>) {
+    /// [`msg_bytes`] sum of this query's queued-but-unprocessed input —
+    /// the per-query term of a per-owner input quota.
+    pub(crate) fn queued_bytes(&self) -> usize {
+        self.input.state.lock().unwrap().bytes
+    }
+
+    /// Spawn the executor task; the caller has just set `scheduled`.
+    fn spawn(self: &Arc<Self>) {
         let cell = self.clone();
         self.pool.spawn(move || run(cell));
     }
@@ -276,36 +274,10 @@ impl QueryCell {
 /// The executor task body: drain up to [`TASK_QUANTUM`] messages, then
 /// either re-queue behind other ready queries or park the query.
 fn run(cell: Arc<QueryCell>) {
-    let mut quantum = TASK_QUANTUM;
-    loop {
-        if quantum == 0 {
-            if cell.input.is_empty() {
-                // Empty at the quantum boundary: park right here instead
-                // of respawning a task whose first pop would only park it
-                // anyway (saves one spawn/wake round-trip per drained
-                // quantum). Same race protocol as the pop-None path; on a
-                // lost race the respawn restores the old behavior exactly
-                // (fresh task, fresh quantum).
-                cell.scheduled.store(false, Ordering::SeqCst);
-                if !cell.input.is_empty() && !cell.scheduled.swap(true, Ordering::SeqCst) {
-                    cell.respawn();
-                }
-                return;
-            }
-            // Yield: stay scheduled, but let other ready queries run.
-            cell.respawn();
-            return;
-        }
+    for _ in 0..TASK_QUANTUM {
         let Some(msg) = cell.input.pop() else {
-            // Park. A producer enqueueing right now either sees the flag
-            // still true (this task reclaims below) or schedules afresh.
-            cell.scheduled.store(false, Ordering::SeqCst);
-            if !cell.input.is_empty() && !cell.scheduled.swap(true, Ordering::SeqCst) {
-                continue; // Raced with a producer: reclaim the query.
-            }
-            return;
+            return; // Parked.
         };
-        quantum -= 1;
         match msg {
             Msg::Batch(b, enqueued) => cell.process(&b, enqueued),
             Msg::Barrier(ack) => {
@@ -321,6 +293,9 @@ fn run(cell: Arc<QueryCell>) {
                 // and any blocked producers get unstuck.
             }
         }
+    }
+    if cell.input.end_quantum() {
+        cell.spawn(); // Yield: stay scheduled, but let other ready queries run.
     }
 }
 

@@ -32,9 +32,6 @@ pub type OutputNotify = Arc<dyn Fn() + Send + Sync>;
 /// The buffered completed windows of one query.
 pub(crate) struct OutputBuffer {
     queue: Mutex<Buffered>,
-    /// Readiness hook ([`OutputNotify`]), swapped in by
-    /// `Runtime::set_output_notify` when a subscriber attaches.
-    notify: Mutex<Option<OutputNotify>>,
 }
 
 /// Lock-guarded buffer state.
@@ -45,6 +42,11 @@ struct Buffered {
     /// Sum of the buffered windows' costs — what per-owner output
     /// quotas meter.
     bytes: usize,
+    /// Readiness hook ([`OutputNotify`]), swapped in by
+    /// `Runtime::set_output_notify` when a subscriber attaches. Under the
+    /// same lock as `windows`, so a push either lands before the hook is
+    /// installed (and the install fires it) or sees the hook.
+    notify: Option<OutputNotify>,
 }
 
 /// Encoded size of one window inside a `Windows` frame body (window id
@@ -69,8 +71,8 @@ impl OutputBuffer {
             queue: Mutex::new(Buffered {
                 windows: VecDeque::new(),
                 bytes: 0,
+                notify: None,
             }),
-            notify: Mutex::new(None),
         }
     }
 
@@ -79,36 +81,31 @@ impl OutputBuffer {
     /// subscriber attaching late never misses the wake for what is
     /// already there.
     pub(crate) fn set_notify(&self, notify: Option<OutputNotify>) {
-        let fire_now = notify.is_some() && !self.queue.lock().unwrap().windows.is_empty();
-        let installed = {
-            let mut slot = self.notify.lock().unwrap();
-            *slot = notify;
-            slot.clone()
+        let mut q = self.queue.lock().unwrap();
+        q.notify = notify;
+        let fire_now = if q.windows.is_empty() {
+            None
+        } else {
+            q.notify.clone()
         };
-        if fire_now {
-            if let Some(cb) = installed {
-                cb();
-            }
-        }
-    }
-
-    /// Run the readiness callback, if one is installed. Never called
-    /// under the queue lock.
-    fn fire_notify(&self) {
-        let cb = self.notify.lock().unwrap().clone();
-        if let Some(cb) = cb {
+        drop(q);
+        if let Some(cb) = fire_now {
             cb();
         }
     }
 
-    /// Append one completed window. Never blocks.
+    /// Append one completed window and run the readiness callback, if
+    /// one is installed, outside the lock. Never blocks.
     pub(crate) fn push(&self, window: WindowId, out: WindowOutput) {
         let cost = window_cost(&out);
         let mut q = self.queue.lock().unwrap();
         q.windows.push_back((window, out, cost));
         q.bytes += cost;
+        let notify = q.notify.clone();
         drop(q);
-        self.fire_notify();
+        if let Some(cb) = notify {
+            cb();
+        }
     }
 
     /// Take one page of the oldest buffered windows under one lock hold,
@@ -331,5 +328,63 @@ mod tests {
         buf.set_notify(None);
         buf.push(window(2).0, window(2).1);
         assert_eq!(late.load(Ordering::SeqCst), 1, "cleared hook stays quiet");
+    }
+
+    #[test]
+    fn a_push_racing_an_attach_is_never_missed() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        // A helper pushes one window a swept number of spins after the
+        // test thread starts attaching a hook. Wherever the push lands,
+        // the window ends up buffered, so the hook must have fired: from
+        // the push if the hook was in first, from the attach otherwise.
+        // The two threads meet on spinning flags, not a blocking barrier,
+        // so the push lands within the attach's few hundred nanoseconds.
+        const OFFSETS: u32 = 128;
+        const SWEEPS: u32 = 1000;
+        let wait_for = |flag: &AtomicU32, value: u32| {
+            let mut spins = 0u32;
+            while flag.load(Ordering::Acquire) != value {
+                spins += 1;
+                if spins.is_multiple_of(64) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+        };
+        let buf = Arc::new(OutputBuffer::new());
+        let fired = Arc::new(AtomicU32::new(0));
+        let (go, done) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
+        let helper = {
+            let (buf, go, done) = (buf.clone(), go.clone(), done.clone());
+            std::thread::spawn(move || {
+                for i in 1..=OFFSETS * SWEEPS {
+                    wait_for(&go, i);
+                    for _ in 0..i % OFFSETS {
+                        std::hint::spin_loop();
+                    }
+                    buf.push(window(0).0, window(0).1);
+                    done.store(i, Ordering::Release);
+                }
+            })
+        };
+        let hook: OutputNotify = {
+            let fired = fired.clone();
+            Arc::new(move || {
+                fired.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        for i in 1..=OFFSETS * SWEEPS {
+            go.store(i, Ordering::Release);
+            buf.set_notify(Some(hook.clone()));
+            wait_for(&done, i);
+            assert!(
+                fired.swap(0, Ordering::SeqCst) > 0,
+                "iteration {i}: a window is buffered but no wake fired"
+            );
+            buf.set_notify(None);
+            assert_eq!(take_all(&buf).len(), 1);
+        }
+        helper.join().unwrap();
     }
 }

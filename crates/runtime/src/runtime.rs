@@ -533,6 +533,11 @@ impl Runtime {
     ///   windows are already buffered.
     ///
     /// It must therefore not block or call back into the runtime.
+    ///
+    /// Installing the hook and a push are ordered by the buffer's one
+    /// lock: a window pushed before the install is seen by the install's
+    /// immediate fire, and one pushed after it fires the new hook, so a
+    /// subscriber is never left with a buffered window and no wake.
     pub fn set_output_notify(
         &self,
         id: QueryId,

@@ -35,7 +35,7 @@ pub mod skps;
 pub use crd::Crd;
 pub use member::MemberSet;
 pub use multires::coarsen;
-pub use regen::{regenerate, regeneration_error, resummarize};
+pub use regen::{regenerate, regeneration_error};
 pub use rsp::Rsp;
 pub use sgs::{CellStatus, Cells, Sgs, SkeletalCell};
 pub use skps::SkPs;

@@ -9,7 +9,6 @@
 //! exact — the regeneration inherits the summary's fidelity guarantees.
 
 use rand::Rng;
-use sgs_core::GridGeometry;
 
 use crate::member::MemberSet;
 use crate::sgs::{CellStatus, Sgs};
@@ -64,19 +63,11 @@ pub fn regeneration_error(original: &MemberSet, regenerated: &MemberSet) -> f64 
     (dir(&orig, &regen) + dir(&regen, &orig)) / 2.0
 }
 
-/// Convenience: regenerate and re-summarize, verifying the roundtrip
-/// produces the identical cell decomposition (population per cell is
-/// preserved by construction; statuses survive because regenerated core
-/// cells keep their density). Returns the re-summarized SGS.
-pub fn resummarize(sgs: &Sgs, geometry: &GridGeometry, rng: &mut impl Rng) -> Sgs {
-    let members = regenerate(sgs, rng);
-    Sgs::from_members(&members, geometry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use sgs_core::GridGeometry;
 
     fn sample() -> (Sgs, MemberSet, GridGeometry) {
         let g = GridGeometry::basic(2, 1.0);
@@ -123,9 +114,11 @@ mod tests {
 
     #[test]
     fn resummarize_reproduces_cell_structure() {
+        // Population per cell is preserved by construction, so summarizing
+        // the regenerated members gives back the same cell decomposition.
         let (sgs, _, g) = sample();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let again = resummarize(&sgs, &g, &mut rng);
+        let again = Sgs::from_members(&regenerate(&sgs, &mut rng), &g);
         assert_eq!(again.volume(), sgs.volume());
         for (a, b) in sgs.cells.iter().zip(again.cells.iter()) {
             assert_eq!(a.coord, b.coord);

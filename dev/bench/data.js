@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1792398819621,
+  "lastUpdate": 1792407385570,
   "entries": {
     "streamsum e2ebench": [
       {
@@ -52,7 +52,7 @@ window.BENCHMARK_DATA = {
       },
       {
         "commit": {
-          "id": null,
+          "id": "83ce2c2fefb2b87af61ea14997ed799e861f9c33",
           "parent": "a40dfa892ca74869e1d076fb76f9d69bb9be1a85",
           "message": "A carried cluster's summary is archived once: SGS cells are shared, not copied, from the output stage to the history"
         },
@@ -66,6 +66,29 @@ window.BENCHMARK_DATA = {
           {"name": "match_under_ingest peak_rss_mb seed 2", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 2, "parent": 60.77, "value": 53.75, "pairs": 10, "wins": 10},
           {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 265428, "value": 278712, "pairs": 10, "wins": 10},
           {"name": "gmti_slide tuples_per_s seed 2", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 2, "parent": 267683, "value": 281915, "pairs": 10, "wins": 10}
+        ]
+      },
+      {
+        "commit": {
+          "id": null,
+          "parent": "83ce2c2fefb2b87af61ea14997ed799e861f9c33",
+          "message": "One lock per hand-off: the scheduler pool, a query's input queue and its output buffer each keep their state under one mutex, and a subscribe can no longer lose a window's wake-up"
+        },
+        "date": 1792407385570,
+        "tool": "e2ebench --seconds 20 --trace 0, interleaved parent/change pairs, 2-vCPU box; no gain claimed",
+        "benches": [
+          {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 382038, "value": 377969, "pairs": 40, "wins": 18},
+          {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.228, "value": 0.238, "pairs": 40, "wins": 18},
+          {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.327, "value": 0.333, "pairs": 40, "wins": 19},
+          {"name": "served_small tuples_per_s seed 2", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 2, "parent": 393637, "value": 418015, "pairs": 10, "wins": 6},
+          {"name": "served_small response_p50_ms seed 2", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 2, "parent": 0.21, "value": 0.209, "pairs": 10, "wins": 6},
+          {"name": "match_under_ingest tuples_per_s seed 1", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 331582, "value": 339242, "pairs": 10, "wins": 4},
+          {"name": "match_under_ingest response_p50_ms seed 1", "workload": "match_under_ingest", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.377, "value": 0.379, "pairs": 10, "wins": 5},
+          {"name": "match_under_ingest response_p90_ms seed 1", "workload": "match_under_ingest", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.809, "value": 0.798, "pairs": 10, "wins": 6},
+          {"name": "stt_insert tuples_per_s seed 1", "workload": "stt_insert", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 209278, "value": 214377, "pairs": 5, "wins": 4},
+          {"name": "stt_insert response_p50_ms seed 1", "workload": "stt_insert", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 4.634, "value": 4.499, "pairs": 5, "wins": 3},
+          {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 299520, "value": 298710, "pairs": 5, "wins": 3},
+          {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.313, "value": 0.311, "pairs": 5, "wins": 3}
         ]
       }
     ]

@@ -18,21 +18,22 @@ fn archive_from_stream() -> (StreamPipeline, Vec<MemberSet>) {
         ..GmtiConfig::default()
     });
     // Run the pipeline while also keeping member coordinates for the
-    // fidelity comparison (ids are resolved through a side map).
-    let mut coords: std::collections::HashMap<PointId, Box<[f64]>> = Default::default();
+    // fidelity comparison. The engine numbers points in arrival order
+    // from 0, so an id indexes the stream.
+    let coords = |ids: &[PointId]| -> Vec<Box<[f64]>> {
+        ids.iter()
+            .map(|id| stream[id.0 as usize].coords.clone())
+            .collect()
+    };
     let mut members_per_cluster = Vec::new();
     let mut outs = Vec::new();
-    for (next, p) in stream.into_iter().enumerate() {
-        coords.insert(PointId(next as u32), p.coords.clone());
+    for p in &stream {
         pipeline.push(p.clone()).unwrap();
-        engine.push(p, &mut csgs, &mut outs).unwrap();
+        engine.push(p.clone(), &mut csgs, &mut outs).unwrap();
         for (_, clusters) in outs.drain(..) {
             for c in clusters {
                 if c.population() >= 60 {
-                    members_per_cluster.push(MemberSet::new(
-                        c.cores.iter().map(|id| coords[id].clone()).collect(),
-                        c.edges.iter().map(|id| coords[id].clone()).collect(),
-                    ));
+                    members_per_cluster.push(MemberSet::new(coords(&c.cores), coords(&c.edges)));
                 }
             }
         }
