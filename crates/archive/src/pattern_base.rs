@@ -1,19 +1,37 @@
 //! The Pattern Base (§7.1) and the cluster matching query execution (§7.2).
 //!
-//! Each archived SGS keeps its 4-d feature vector (volume, core-cell
-//! count, avg density, avg connectivity) beside it, and its MATCH
-//! [`Entry`] in one flat arena of every pattern's entry, in id order: the
-//! pattern's cell-space box (the locational feature, scaled by the cell
-//! side on use), then its per-column cell counts. The filter phase is
-//! one scan over them. A position-sensitive MATCH keeps the patterns
-//! whose MBR overlaps the query's; a position-insensitive one keeps
-//! those whose features all lie in the per-dimension admissible ranges
-//! of §7.2. The scan's cost is in proportion to the base, whatever the
-//! threshold (DESIGN.md §3 item 2).
+//! The base keeps **one record per distinct summary**. A cluster the
+//! output stage carries over K windows is archived as K patterns (K ids,
+//! K windows) that share one [`Cells`] allocation, and they join one
+//! record. A record holds the summary's 4-d feature vector (volume,
+//! core-cell count, avg density, avg connectivity), its dimensionality,
+//! and where its MATCH [`Entry`] starts in one flat arena of every
+//! record's entry: the summary's cell-space box (the locational feature,
+//! scaled by the cell side on use), then its per-column cell counts. The
+//! members hang off the record as a chain in id order: the record keeps
+//! the first and the last, each pattern the next, so a record of one
+//! pattern allocates nothing of its own.
 //!
-//! A matching query runs **filter-and-refine**: the scan narrows the base
-//! to candidates, the cluster-level feature metric (on the cached feature
-//! vectors) discards most of them, and only the survivors pay for the
+//! `insert` joins a pattern to a record only when its cells are the
+//! allocation of a member the base still holds ([`Cells::ptr_eq`]) and
+//! its dimensionality, side bits and level are equal; then every feature,
+//! entry word and distance of the two is equal too. The record is looked
+//! up by the cells' address, but an address alone never decides a join:
+//! once nothing holds an allocation, the allocator may hand its address
+//! to an unrelated summary. Everything else opens a record, so summaries
+//! that are equal but built apart stay apart, which costs an evaluation,
+//! never an answer. `replace` (a retention demotion) moves its pattern
+//! into a record of its own.
+//!
+//! A matching query runs **filter-and-refine** over the records, each
+//! once, then reports every member with the one distance. The filter
+//! phase is one scan: a position-sensitive MATCH keeps the records whose
+//! MBR overlaps the query's; a position-insensitive one keeps those whose
+//! features all lie in the per-dimension admissible ranges of §7.2. The
+//! scan's cost is in proportion to the distinct summaries, whatever the
+//! threshold (DESIGN.md §3 item 2). A record of another dimensionality is
+//! no match. The cluster-level feature metric (on the stored feature
+//! vectors) discards most candidates, and only the survivors pay for the
 //! grid-cell-level match. A survivor first meets [`AlignmentFilter`]: a
 //! sound lower bound on the grid-level distance. Position-sensitive, it
 //! checks the cell counts alone. Position-insensitive, it checks the
@@ -23,23 +41,28 @@
 //! search run; no cell of a candidate the counts or the projection bound
 //! prune is read. A candidate whose bound exceeds the threshold cannot
 //! match at any shift, so it skips the search and the answer is the one
-//! the search would give. [`MatchOutcome`] reports how
-//! many candidates reached each phase — the statistic behind the "only
-//! 6 % needed the grid-level match" claim of §8.2.
-
-use std::collections::HashSet;
+//! the search would give. [`MatchOutcome`] reports how many candidates
+//! reached each phase — the statistic behind the "only 6 % needed the
+//! grid-level match" claim of §8.2. Its `candidates` and `refined` count
+//! patterns, a record adding its member count, so they read as they did
+//! when every pattern was scanned on its own; `evaluated` counts the
+//! records refined.
 
 use sgs_core::{HeapSize, WindowId};
+use sgs_index::FxHashMap;
 use sgs_matching::bound::Entry;
 use sgs_matching::metric::feature_distance;
 use sgs_matching::{
     best_alignment, feature_ranges, grid_level_distance, AlignmentFilter, MatchConfig,
 };
-use sgs_summarize::{packed, Sgs};
+use sgs_summarize::{packed, Cells, Sgs};
 
 /// Handle of an archived pattern.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PatternId(pub u64);
+
+/// The end of a record's member chain.
+const NONE: u32 = u32::MAX;
 
 /// One archived cluster summary.
 #[derive(Clone, Debug)]
@@ -50,8 +73,27 @@ pub struct ArchivedPattern {
     pub window: WindowId,
     /// The archived summary (basic or coarsened resolution).
     pub sgs: Sgs,
-    /// Cached feature vector (volume, cores, density, connectivity).
-    pub features: [f64; 4],
+    /// Index of the record this pattern is a member of.
+    record: u32,
+    /// The record's next member, or [`NONE`].
+    next: u32,
+}
+
+/// One distinct summary: what MATCH reads of it, and its member patterns.
+#[derive(Clone, Debug)]
+struct Record {
+    /// Feature vector (volume, cores, density, connectivity).
+    features: [f64; 4],
+    /// Where the record's [`Entry`] starts in the arena; it ends where the
+    /// next record's starts.
+    start: usize,
+    /// Dimensionality of the summary.
+    dim: usize,
+    /// First and last member, in id order.
+    first: u32,
+    last: u32,
+    /// Number of members, never 0.
+    members: u32,
 }
 
 /// One match found by a cluster matching query.
@@ -68,25 +110,33 @@ pub struct MatchResult {
 pub struct MatchOutcome {
     /// Matches with distance ≤ threshold, sorted ascending by distance.
     pub matches: Vec<MatchResult>,
-    /// Candidates produced by the filter scan.
+    /// Candidate patterns produced by the filter scan.
     pub candidates: usize,
-    /// Candidates that survived the cluster-level filter and paid for the
-    /// grid-level match: position-insensitive ones also survived the
-    /// alignment bound and paid for the alignment search.
+    /// Candidate patterns that survived the cluster-level filter and paid
+    /// for the grid-level match: position-insensitive ones also survived
+    /// the alignment bound and paid for the alignment search.
     pub refined: usize,
+    /// Grid-level matches computed: one per distinct summary refined,
+    /// shared by every pattern that holds it.
+    pub evaluated: usize,
 }
 
 /// The archive of extracted cluster summaries with their MATCH entries.
 #[derive(Debug, Default)]
 pub struct PatternBase {
     patterns: Vec<ArchivedPattern>,
-    /// Every pattern's [`Entry`], end to end in id order.
+    records: Vec<Record>,
+    /// Every record's [`Entry`], end to end in record order.
     entries: Vec<u32>,
-    /// Where each pattern's entry starts in `entries`; it ends where the
-    /// next one starts.
-    starts: Vec<usize>,
+    /// The record a cells allocation may join, by the allocation's address.
+    by_cells: FxHashMap<usize, u32>,
     /// Packed bytes of every archived summary, summed on insert.
     archived_bytes: usize,
+}
+
+/// The address [`PatternBase::by_cells`] files `cells` under.
+fn address(cells: &Cells) -> usize {
+    cells.as_ptr() as usize
 }
 
 impl PatternBase {
@@ -108,59 +158,144 @@ impl PatternBase {
     }
 
     /// Archive a summary; returns its handle. Empty summaries are rejected.
+    /// A summary whose cells a held pattern shares, on the same grid,
+    /// joins that pattern's record; any other opens a record.
     pub fn insert(&mut self, sgs: Sgs, window: WindowId) -> Option<PatternId> {
         if sgs.cells.is_empty() {
             return None;
         }
-        let id = PatternId(self.patterns.len() as u64);
-        let features = sgs.features();
-        self.starts.push(self.entries.len());
-        Entry::write(&sgs, &mut self.entries);
+        let index = u32::try_from(self.patterns.len())
+            .ok()
+            .filter(|&i| i != NONE)
+            .expect("a pattern base holds fewer than u32::MAX patterns");
         self.archived_bytes += packed::archived_bytes(&sgs);
+        let joined = self
+            .by_cells
+            .get(&address(&sgs.cells))
+            .copied()
+            .filter(|&r| {
+                let held = &self.patterns[self.records[r as usize].first as usize].sgs;
+                Cells::ptr_eq(&held.cells, &sgs.cells)
+                    && held.dim == sgs.dim
+                    && held.side.to_bits() == sgs.side.to_bits()
+                    && held.level == sgs.level
+            });
+        let record = match joined {
+            Some(r) => {
+                let record = &mut self.records[r as usize];
+                self.patterns[record.last as usize].next = index;
+                record.last = index;
+                record.members += 1;
+                r
+            }
+            None => {
+                let r = self.open_record(&sgs, index);
+                self.by_cells.insert(address(&sgs.cells), r);
+                r
+            }
+        };
         self.patterns.push(ArchivedPattern {
-            id,
+            id: PatternId(u64::from(index)),
             window,
             sgs,
-            features,
+            record,
+            next: NONE,
         });
-        Some(id)
+        Some(PatternId(u64::from(index)))
+    }
+
+    /// Open a record of `sgs` whose one member is the pattern at `index`;
+    /// returns its index.
+    fn open_record(&mut self, sgs: &Sgs, index: u32) -> u32 {
+        let r = self.records.len() as u32;
+        self.records.push(Record {
+            features: sgs.features(),
+            start: self.entries.len(),
+            dim: sgs.dim,
+            first: index,
+            last: index,
+            members: 1,
+        });
+        Entry::write(sgs, &mut self.entries);
+        r
     }
 
     /// Swap the summary under `id` for `sgs` (a retention demotion) in place,
     /// keeping handle and window; an unknown `id` or empty `sgs` is ignored.
-    /// The entry is rewritten in place; if its length changes, the
+    /// The pattern leaves its record for one of its own. If it was the
+    /// record's only member, the record itself becomes the new summary's:
+    /// its entry is rewritten in place, and if its length changes, the
     /// entries after it move.
     pub fn replace(&mut self, id: PatternId, sgs: Sgs) {
         let i = id.0 as usize;
         if i >= self.patterns.len() || sgs.cells.is_empty() {
             return;
         }
-        let mut entry = Vec::new();
-        Entry::write(&sgs, &mut entry);
-        let old = self.starts[i]..self.end_of(i);
-        let moved = entry.len() as isize - old.len() as isize;
-        self.entries.splice(old, entry);
-        for start in &mut self.starts[i + 1..] {
-            *start = start.wrapping_add_signed(moved);
-        }
-        let pattern = &mut self.patterns[i];
-        self.archived_bytes -= packed::archived_bytes(&pattern.sgs);
+        self.archived_bytes -= packed::archived_bytes(&self.patterns[i].sgs);
         self.archived_bytes += packed::archived_bytes(&sgs);
-        pattern.features = sgs.features();
-        pattern.sgs = sgs;
+        let r = self.patterns[i].record as usize;
+        if self.records[r].members == 1 {
+            let old = address(&self.patterns[i].sgs.cells);
+            if self.by_cells.get(&old) == Some(&(r as u32)) {
+                self.by_cells.remove(&old);
+            }
+            let mut entry = Vec::new();
+            Entry::write(&sgs, &mut entry);
+            let span = self.records[r].start..self.end_of(r);
+            let moved = entry.len() as isize - span.len() as isize;
+            self.entries.splice(span, entry);
+            for record in &mut self.records[r + 1..] {
+                record.start = record.start.wrapping_add_signed(moved);
+            }
+            let record = &mut self.records[r];
+            record.features = sgs.features();
+            record.dim = sgs.dim;
+        } else {
+            self.unlink(i as u32);
+            self.patterns[i].record = self.open_record(&sgs, i as u32);
+        }
+        self.patterns[i].sgs = sgs;
     }
 
-    /// Where the entry of the pattern at index `i` ends.
-    fn end_of(&self, i: usize) -> usize {
-        self.starts
-            .get(i + 1)
-            .copied()
-            .unwrap_or(self.entries.len())
+    /// Take the pattern at `index` out of its record's chain, which keeps
+    /// at least one other member.
+    fn unlink(&mut self, index: u32) {
+        let pattern = &mut self.patterns[index as usize];
+        let next = std::mem::replace(&mut pattern.next, NONE);
+        let record = &mut self.records[pattern.record as usize];
+        record.members -= 1;
+        if record.first == index {
+            record.first = next;
+            return;
+        }
+        let mut before = record.first;
+        while self.patterns[before as usize].next != index {
+            before = self.patterns[before as usize].next;
+        }
+        self.patterns[before as usize].next = next;
+        if record.last == index {
+            record.last = before;
+        }
     }
 
-    /// The [`Entry`] words of the pattern at index `i`.
-    fn entry(&self, i: usize) -> &[u32] {
-        &self.entries[self.starts[i]..self.end_of(i)]
+    /// Where the entry of the record at index `r` ends.
+    fn end_of(&self, r: usize) -> usize {
+        self.records
+            .get(r + 1)
+            .map_or(self.entries.len(), |next| next.start)
+    }
+
+    /// The [`Entry`] words of the record at index `r`.
+    fn entry(&self, r: usize) -> &[u32] {
+        &self.entries[self.records[r].start..self.end_of(r)]
+    }
+
+    /// The member patterns of `record`, in id order.
+    fn members<'a>(&'a self, record: &Record) -> impl Iterator<Item = &'a ArchivedPattern> {
+        let first = &self.patterns[record.first as usize];
+        std::iter::successors(Some(first), |p| {
+            (p.next != NONE).then(|| &self.patterns[p.next as usize])
+        })
     }
 
     /// Look up an archived pattern.
@@ -174,29 +309,28 @@ impl PatternBase {
     }
 
     /// Total bytes of the archived summaries in packed form (the §8.2
-    /// storage accounting).
+    /// storage accounting), one count per pattern however many share a
+    /// summary.
     pub fn archived_bytes(&self) -> usize {
         self.archived_bytes
     }
 
-    /// Heap bytes the filter scan keeps beside the patterns: the entry
-    /// arena and its start offsets (the feature vectors live in the
-    /// patterns themselves).
+    /// Heap bytes the base keeps beside the patterns to scan and group
+    /// them: the records, the entry arena and the address map.
     pub fn index_bytes(&self) -> usize {
-        self.entries.heap_size() + self.starts.heap_size()
+        self.records.capacity() * std::mem::size_of::<Record>()
+            + self.entries.heap_size()
+            + self.by_cells.capacity() * (std::mem::size_of::<(usize, u32)>() + 1)
     }
 
-    /// Heap bytes the base holds: the pattern records, the entry arena
-    /// and its start offsets ([`index_bytes`](Self::index_bytes)), and
-    /// each distinct cells allocation once. A summary kept in several
-    /// windows is one allocation (a cloned [`Sgs`] shares its cells), so
-    /// this is below the sum of the patterns' own [`HeapSize`]s wherever
-    /// the base holds a summary twice.
+    /// Heap bytes the base holds: the patterns, what
+    /// [`index_bytes`](Self::index_bytes) counts, and each record's cells
+    /// once. A summary kept in several windows is one record (a cloned
+    /// [`Sgs`] shares its cells), so this is below the sum of the
+    /// patterns' own [`HeapSize`]s wherever the base holds a summary twice.
     pub fn heap_bytes(&self) -> usize {
-        let mut seen = HashSet::new();
-        let cells: usize = (self.patterns.iter())
-            .filter(|p| seen.insert(p.sgs.cells.as_ptr()))
-            .map(|p| p.sgs.heap_size())
+        let cells: usize = (self.records.iter())
+            .map(|r| self.patterns[r.first as usize].sgs.heap_size())
             .sum();
         self.patterns.capacity() * std::mem::size_of::<ArchivedPattern>()
             + self.index_bytes()
@@ -213,52 +347,57 @@ impl PatternBase {
         let ranges = feature_ranges(&query_features, &config.weights, config.threshold);
         let zero = vec![0i32; query.dim];
         let mut alignments = AlignmentFilter::new(query);
-        for (i, pattern) in self.patterns.iter().enumerate() {
-            let entry = self.entry(i);
+        for (r, record) in self.records.iter().enumerate() {
+            // A summary of another dimensionality is no match.
+            if record.dim != query.dim {
+                continue;
+            }
+            let sgs = &self.patterns[record.first as usize].sgs;
+            let entry = self.entry(r);
             // ---- Filter phase: the MBR overlaps the query's, or every
             // feature lies in its closed admissible range (an unbounded
             // range admits every value).
             let candidate = if config.position_sensitive {
-                Entry::new(&pattern.sgs, entry).overlaps(&query_mbr)
+                Entry::new(sgs, entry).overlaps(&query_mbr)
             } else {
-                pattern
-                    .features
-                    .iter()
+                (record.features.iter())
                     .zip(&ranges)
                     .all(|(x, (lo, hi))| lo <= x && x <= hi)
             };
             if !candidate {
                 continue;
             }
-            outcome.candidates += 1;
+            let members = record.members as usize;
+            outcome.candidates += members;
 
             // ---- Cluster-level filter, the alignment bound, then
             // grid-level refine. A position-sensitive candidate already
             // overlaps the query, so only the features are compared, and
             // its one alignment is bounded by the cell counts alone.
-            let coarse = feature_distance(&pattern.features, &query_features, &config.weights);
+            let coarse = feature_distance(&record.features, &query_features, &config.weights);
             if coarse > config.threshold {
                 continue;
             }
             let bounded_out = if config.position_sensitive {
-                alignments.counts_exclude(&pattern.features, config)
+                alignments.counts_exclude(&record.features, config)
             } else {
-                !alignments.may_match_stored(&pattern.sgs, entry, &pattern.features, config)
+                !alignments.may_match_stored(sgs, entry, &record.features, config)
             };
             if bounded_out {
                 continue;
             }
-            outcome.refined += 1;
+            outcome.refined += members;
+            outcome.evaluated += 1;
             let distance = if config.position_sensitive {
-                grid_level_distance(query, &pattern.sgs, &zero)
+                grid_level_distance(query, sgs, &zero)
             } else {
-                best_alignment(query, &pattern.sgs, config.alignment_budget).distance
+                best_alignment(query, sgs, config.alignment_budget).distance
             };
             if distance <= config.threshold {
-                outcome.matches.push(MatchResult {
-                    id: pattern.id,
-                    distance,
-                });
+                let found = self
+                    .members(record)
+                    .map(|p| MatchResult { id: p.id, distance });
+                outcome.matches.extend(found);
             }
         }
         outcome
@@ -267,9 +406,9 @@ impl PatternBase {
         outcome
     }
 
-    /// Brute-force matching (no filter, no alignment bound, every pattern
-    /// refined) — the correctness oracle for `match_query` and the
-    /// baseline that shows what the filter saves.
+    /// Brute-force matching (no filter, no alignment bound, no sharing:
+    /// every pattern refined on its own) — the correctness oracle for
+    /// `match_query` and the baseline that shows what the filter saves.
     pub fn match_query_exhaustive(&self, query: &Sgs, config: &MatchConfig) -> MatchOutcome {
         let mut outcome = MatchOutcome {
             candidates: self.patterns.len(),
@@ -277,6 +416,7 @@ impl PatternBase {
         };
         for pattern in &self.patterns {
             outcome.refined += 1;
+            outcome.evaluated += 1;
             let distance = if config.position_sensitive {
                 if sgs_matching::metric::location_distance(query, &pattern.sgs) > 0.0 {
                     continue;
@@ -335,7 +475,7 @@ mod tests {
         assert_eq!(base.len(), 1);
         let p = base.get(id).unwrap();
         assert_eq!(p.window, WindowId(3));
-        assert_eq!(p.features, p.sgs.features());
+        assert_eq!(features_of(&base, 0), p.sgs.features());
     }
 
     #[test]
@@ -347,11 +487,111 @@ mod tests {
         }
         // Equal, but built apart: a second allocation.
         base.insert(blob(0.0, 0.0, 10), WindowId(3));
-        let records = base.patterns.capacity() * std::mem::size_of::<ArchivedPattern>();
+        assert_eq!(base.records.len(), 2);
+        let patterns = base.patterns.capacity() * std::mem::size_of::<ArchivedPattern>();
         assert_eq!(
             base.heap_bytes(),
-            records + base.index_bytes() + 2 * kept.heap_size()
+            patterns + base.index_bytes() + 2 * kept.heap_size()
         );
+    }
+
+    #[test]
+    fn a_carried_summary_is_evaluated_once_and_answered_for_every_window() {
+        let kept = blob(0.0, 0.0, 12);
+        let mut base = PatternBase::new();
+        for w in 0..3 {
+            base.insert(kept.clone(), WindowId(w));
+        }
+        base.insert(blob(0.0, 0.0, 12), WindowId(3));
+        for ps in [true, false] {
+            let out = base.match_query(&kept, &MatchConfig::equal_weights(ps, 0.2));
+            let ids: Vec<u64> = out.matches.iter().map(|m| m.id.0).collect();
+            assert_eq!(ids, [0, 1, 2, 3], "ps={ps}");
+            assert_eq!(
+                (out.candidates, out.refined, out.evaluated),
+                (4, 4, 2),
+                "ps={ps}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pattern_of_another_dimensionality_is_no_match() {
+        let geometry = GridGeometry::basic(3, 1.0);
+        let cube = |x0: f64, n: usize| {
+            let cores: Vec<Box<[f64]>> = (0..n)
+                .map(|i| vec![x0 + (i % 4) as f64 * 0.3, (i / 4) as f64 * 0.3, 0.1].into())
+                .collect();
+            Sgs::from_members(&MemberSet::new(cores, vec![]), &geometry)
+        };
+        let side = GridGeometry::basic(2, 1.0).side();
+        let flat: Vec<Sgs> = (0..6)
+            .map(|i| blob(i as f64 * 7.0 * side, 0.0, 12))
+            .collect();
+        // The 3-d patterns sit between the 2-d ones, as wide as them and
+        // at the same place, so only the dimensionality tells them apart.
+        let mut mixed = PatternBase::new();
+        let mut ids = Vec::new();
+        for (i, sgs) in flat.iter().enumerate() {
+            ids.push(mixed.insert(sgs.clone(), WindowId(i as u64)).unwrap());
+            mixed.insert(cube(i as f64 * 7.0 * side, 12), WindowId(i as u64));
+        }
+        let alone = base_with(flat.clone());
+        for ps in [true, false] {
+            let cfg = MatchConfig::equal_weights(ps, 0.5);
+            for query in [&flat[0], &flat[3], &blob(0.0, 0.0, 20)] {
+                let got = mixed.match_query(query, &cfg);
+                let expect = alone.match_query(query, &cfg);
+                assert!(!expect.matches.is_empty(), "ps={ps}");
+                let expect: Vec<MatchResult> = (expect.matches.into_iter())
+                    .map(|m| MatchResult {
+                        id: ids[m.id.0 as usize],
+                        ..m
+                    })
+                    .collect();
+                assert_eq!(got.matches, expect, "ps={ps}");
+            }
+            // A 3-d query over the same base answers too.
+            let out = mixed.match_query(&cube(0.0, 12), &cfg);
+            assert!(out.matches.iter().all(|m| m.id.0 % 2 == 1), "ps={ps}");
+        }
+    }
+
+    #[test]
+    fn a_fresh_summary_never_joins_a_demoted_record() {
+        let mut base = PatternBase::new();
+        base.insert(blob(0.0, 0.0, 8), WindowId(0));
+        let kept = blob(0.0, 0.0, 30);
+        let copy = kept.cells.to_vec();
+        let old = address(&kept.cells);
+        base.insert(kept.clone(), WindowId(1));
+        let demoted = base.patterns[1].record;
+        // Demote the record's only member, then drop the last other
+        // holder of the old cells: their address is free for reuse.
+        let coarse = sgs_summarize::coarsen(&kept, 2);
+        base.replace(PatternId(1), coarse);
+        let (dim, side, level) = (kept.dim, kept.side, kept.level);
+        let fresh = |cells: Vec<SkeletalCell>| Sgs {
+            dim,
+            side,
+            level,
+            cells: cells.into(),
+        };
+        drop(kept);
+        // Equal summaries on the same grid, each a new allocation of the
+        // old one's size: the allocator may hand out the freed address.
+        let mut reused = false;
+        for w in 2..40 {
+            let sgs = fresh(copy.clone());
+            reused |= address(&sgs.cells) == old;
+            base.insert(sgs, WindowId(w));
+        }
+        assert_eq!(base.records.len(), base.len(), "address reused: {reused}");
+        for p in &base.patterns[2..] {
+            assert_ne!(p.record, demoted);
+            assert_eq!(base.records[p.record as usize].members, 1);
+        }
+        assert_records_hold_their_members(&base);
     }
 
     #[test]
@@ -467,10 +707,15 @@ mod tests {
         let base = base_with(vec![l, wide]);
         assert_eq!(base.entry(0), &[0, 1, 0, 1, 2, 1, 2, 1]);
         assert_eq!(base.entry(1), &[i32::MIN as u32, i32::MAX as u32, 0, 0, 2]);
-        assert_eq!(base.starts, [0, 8]);
+        assert_eq!(
+            base.records.iter().map(|r| r.start).collect::<Vec<_>>(),
+            [0, 8]
+        );
         assert_eq!(
             base.index_bytes(),
-            4 * base.entries.capacity() + std::mem::size_of::<usize>() * base.starts.capacity()
+            std::mem::size_of::<Record>() * base.records.capacity()
+                + 4 * base.entries.capacity()
+                + (std::mem::size_of::<(usize, u32)>() + 1) * base.by_cells.capacity()
         );
     }
 
@@ -488,12 +733,76 @@ mod tests {
         base.iter().map(|p| packed::archived_bytes(&p.sgs)).sum()
     }
 
+    /// The entry of the pattern at index `i`: its record's.
+    fn entry_of(base: &PatternBase, i: usize) -> &[u32] {
+        base.entry(base.patterns[i].record as usize)
+    }
+
+    /// The features of the pattern at index `i`: its record's.
+    fn features_of(base: &PatternBase, i: usize) -> [f64; 4] {
+        base.records[base.patterns[i].record as usize].features
+    }
+
+    /// An unshared base: a deep copy of every pattern of `base`, in order.
+    fn unshared(base: &PatternBase) -> PatternBase {
+        let mut copy = PatternBase::new();
+        for p in base.iter() {
+            let cells = p.sgs.cells.iter().cloned().collect();
+            copy.insert(
+                Sgs {
+                    cells,
+                    ..p.sgs.clone()
+                },
+                p.window,
+            );
+        }
+        copy
+    }
+
+    /// Every record's chain lists, in id order, exactly the patterns that
+    /// name it, and they hold one allocation on one grid; the arena's
+    /// entries follow the records end to end; no record is empty.
+    fn assert_records_hold_their_members(base: &PatternBase) {
+        let mut seen = 0;
+        for (r, record) in base.records.iter().enumerate() {
+            let members: Vec<&ArchivedPattern> = base.members(record).collect();
+            assert_eq!(members.len(), record.members as usize);
+            assert_eq!(members.last().unwrap().id.0, u64::from(record.last));
+            assert!(members.windows(2).all(|w| w[0].id < w[1].id));
+            let first = &members[0].sgs;
+            for p in &members {
+                assert_eq!(p.record as usize, r);
+                assert!(Cells::ptr_eq(&p.sgs.cells, &first.cells));
+                assert_eq!(
+                    (p.sgs.dim, p.sgs.side.to_bits(), p.sgs.level),
+                    (first.dim, first.side.to_bits(), first.level)
+                );
+            }
+            assert_eq!(record.features, first.features());
+            assert_eq!(record.dim, first.dim);
+            let mut words = Vec::new();
+            Entry::write(first, &mut words);
+            assert_eq!(base.entry(r), &words[..]);
+            seen += members.len();
+        }
+        assert_eq!(seen, base.len());
+        assert_eq!(
+            base.records
+                .last()
+                .map_or(0, |r| r.start + base.entry(base.records.len() - 1).len()),
+            base.entries.len()
+        );
+    }
+
     proptest::proptest! {
-        /// After every step of a script of inserts and in-place
-        /// demotions (`replace`), the maintained byte total equals a
-        /// fresh scan of the patterns, and the byte total, MATCH entries
-        /// (each pattern's, and the arena they fill end to end), features
-        /// and store image equal those of a fresh rebuild (`base_of`).
+        /// After every step of a script of inserts, carried repeats (a
+        /// clone of a held pattern) and in-place demotions (`replace`),
+        /// the maintained byte total equals a fresh scan of the patterns,
+        /// and the byte total, each pattern's MATCH entry and features and
+        /// the store image equal those of a fresh rebuild (`base_of`).
+        /// After a demotion of a shared summary the records may come in
+        /// another order than the rebuild's, so the arenas are compared
+        /// pattern by pattern.
         #[test]
         fn maintained_bytes_and_caps_equal_a_fresh_scan(
             script in proptest::prop::collection::vec((0u8..4, 0u8..40, 0u8..40, 0usize..50), 0..40),
@@ -501,23 +810,29 @@ mod tests {
             let side = GridGeometry::basic(2, 1.0).side();
             let mut base = PatternBase::new();
             for (k, &(op, x, y, n)) in script.iter().enumerate() {
-                if op == 0 && !base.is_empty() {
-                    // Demote one pattern a level, as retention does.
-                    let id = PatternId(x as u64 % base.len() as u64);
-                    let coarse = sgs_summarize::coarsen(&base.get(id).unwrap().sgs, 2);
-                    base.replace(id, coarse);
-                } else {
-                    // n == 0 is an empty summary: rejected, so it must
-                    // leave the total alone.
-                    base.insert(blob(x as f64 * side, y as f64 * side, n), WindowId(k as u64));
+                let held = (!base.is_empty()).then(|| PatternId(x as u64 % base.len() as u64));
+                match (op, held) {
+                    (0, Some(id)) => {
+                        // Demote one pattern a level, as retention does.
+                        let coarse = sgs_summarize::coarsen(&base.get(id).unwrap().sgs, 2);
+                        base.replace(id, coarse);
+                    }
+                    (1, Some(id)) => {
+                        let carried = base.get(id).unwrap().sgs.clone();
+                        base.insert(carried, WindowId(k as u64));
+                    }
+                    _ => {
+                        // n == 0 is an empty summary: rejected, so it must
+                        // leave the total alone.
+                        base.insert(blob(x as f64 * side, y as f64 * side, n), WindowId(k as u64));
+                    }
                 }
                 proptest::prop_assert_eq!(base.archived_bytes(), scanned_bytes(&base));
                 let rebuilt = base_of(&base);
                 proptest::prop_assert_eq!(rebuilt.archived_bytes(), base.archived_bytes());
-                proptest::prop_assert_eq!(&rebuilt.starts, &base.starts);
-                proptest::prop_assert!((0..base.len()).all(|i| rebuilt.entry(i) == base.entry(i)));
-                proptest::prop_assert_eq!(&rebuilt.entries, &base.entries);
-                proptest::prop_assert!(rebuilt.iter().zip(base.iter()).all(|(a, b)| a.features == b.features));
+                proptest::prop_assert!((0..base.len()).all(|i| entry_of(&rebuilt, i) == entry_of(&base, i)));
+                proptest::prop_assert!((0..base.len()).all(|i| features_of(&rebuilt, i) == features_of(&base, i)));
+                assert_records_hold_their_members(&base);
                 proptest::prop_assert_eq!(
                     crate::durable::store_image(&rebuilt, 0),
                     crate::durable::store_image(&base, 0)
@@ -562,6 +877,62 @@ mod tests {
                 });
                 let got = base.match_query(&query, &cfg).matches;
                 proptest::prop_assert_eq!(answer(&got), answer(&expect), "ps={}", ps);
+            }
+        }
+
+        /// Grouping repeats changes no answer and no count. A base of
+        /// fresh summaries, carried repeats (clones), equal summaries
+        /// built apart, clones on another grid side and demotions answers
+        /// every MATCH as an unshared base of deep copies does, down to
+        /// the distance bits, with equal `candidates` and `refined`.
+        #[test]
+        fn records_answer_as_an_unshared_base(
+            script in proptest::prop::collection::vec((0u8..6, 0u8..30, 0u8..30, 1usize..40), 1..40),
+            queries in proptest::prop::collection::vec((0u8..30, 0u8..30, 1usize..40), 1..4),
+            threshold in 0.05f64..0.6,
+        ) {
+            let side = GridGeometry::basic(2, 1.0).side();
+            let mut base = PatternBase::new();
+            for (k, &(op, x, y, n)) in script.iter().enumerate() {
+                let window = WindowId(k as u64);
+                let held = (!base.is_empty())
+                    .then(|| base.get(PatternId(x as u64 % base.len() as u64)).unwrap().sgs.clone());
+                match (op, held) {
+                    (1 | 2, Some(sgs)) => {
+                        base.insert(sgs, window);
+                    }
+                    (3, Some(sgs)) => {
+                        let cells = sgs.cells.iter().cloned().collect();
+                        base.insert(Sgs { cells, ..sgs }, window);
+                    }
+                    (4, Some(sgs)) => {
+                        base.insert(Sgs { side: sgs.side * 2.0, ..sgs }, window);
+                    }
+                    (5, Some(_)) => {
+                        let id = PatternId(y as u64 % base.len() as u64);
+                        let coarse = sgs_summarize::coarsen(&base.get(id).unwrap().sgs, 2);
+                        base.replace(id, coarse);
+                    }
+                    _ => {
+                        base.insert(blob(x as f64 * side, y as f64 * side, n), window);
+                    }
+                }
+            }
+            assert_records_hold_their_members(&base);
+            let copy = unshared(&base);
+            proptest::prop_assert_eq!(copy.records.len(), copy.len());
+            for &(x, y, n) in &queries {
+                let query = blob(x as f64 * side, y as f64 * side, n);
+                for ps in [true, false] {
+                    let cfg = MatchConfig::equal_weights(ps, threshold);
+                    let got = base.match_query(&query, &cfg);
+                    let expect = copy.match_query(&query, &cfg);
+                    proptest::prop_assert_eq!(answer(&got.matches), answer(&expect.matches), "ps={}", ps);
+                    proptest::prop_assert_eq!(got.candidates, expect.candidates, "ps={}", ps);
+                    proptest::prop_assert_eq!(got.refined, expect.refined, "ps={}", ps);
+                    proptest::prop_assert_eq!(expect.evaluated, expect.refined, "ps={}", ps);
+                    proptest::prop_assert!(got.evaluated <= got.refined, "ps={}", ps);
+                }
             }
         }
     }

@@ -5,6 +5,10 @@
 //! integrates into extraction (§5.1, DESIGN.md §3). Every alternative
 //! runs in each of three rounds, the order rotated between rounds, and a
 //! row's time is the median of its three, printed beside their range.
+//! Each run is a process of its own: the bin runs itself once per
+//! alternative and round, and the child prints one result line. So no
+//! row runs on a heap or caches another row left behind, and what one
+//! alternative allocates cannot move another's time.
 //! Where a row's range overlaps Extra-N's, its time against Extra-N reads
 //! `unresolved`: three rounds cannot tell that gap from noise. Where a
 //! configuration extracts no cluster at all, a summarizer row's time
@@ -23,12 +27,18 @@
 //! Extra-N's retained meta-data grows with the number of views (win/slide)
 //! while C-SGS's does not.
 
+use std::process::{Command, Stdio};
+
 use sgs_bench::harness::{run_csgs, run_extra_n, RunStats, Summarizer};
 use sgs_bench::table::{fmt_bytes, fmt_ms, print_table};
-use sgs_bench::workload::{config_grid, scaled_window, Args};
+use sgs_bench::workload::{config_grid, scaled_window, Args, Config, Dataset};
 
 /// Timed rounds per alternative.
 const ROUNDS: usize = 3;
+
+/// Set in a child's environment to `<configuration>,<alternative>`, the
+/// indices of the one run it makes.
+const ROW_VAR: &str = "SGS_FIG7_ROW";
 
 /// The alternatives, in row order: C-SGS, or Extra-N with a summarizer.
 const ALTERNATIVES: [Option<Summarizer>; 6] = [
@@ -40,23 +50,77 @@ const ALTERNATIVES: [Option<Summarizer>; 6] = [
     Some(Summarizer::TwoPhaseSgs),
 ];
 
+/// Run alternative `alt` once on `config`'s stream.
+fn run(config: &Config, dataset: Dataset, alt: usize) -> RunStats {
+    // Paper: averaged over many windows; twelve slides past two windows.
+    let win = config.query.window.win as usize;
+    let n_points = (config.query.window.slide * 12) as usize + 2 * win;
+    let points = dataset.points(n_points);
+    match ALTERNATIVES[alt] {
+        Some(summarizer) => run_extra_n(&config.query, &points, summarizer),
+        None => run_csgs(&config.query, &points),
+    }
+}
+
+/// Run alternative `alt` on configuration `config` in a child process,
+/// with this process's arguments, and read back its one result line:
+/// windows, time, peak meta, clusters per window, then the label.
+fn run_child(config: usize, alt: usize) -> RunStats {
+    let output = Command::new(std::env::current_exe().expect("the bin's own path"))
+        .args(std::env::args_os().skip(1))
+        .env(ROW_VAR, format!("{config},{alt}"))
+        .stderr(Stdio::inherit())
+        .output()
+        .expect("a fig7 child starts");
+    assert!(output.status.success(), "fig7 child {config},{alt} failed");
+    let line = String::from_utf8(output.stdout).expect("a child prints UTF-8");
+    parse_row(&line).unwrap_or_else(|| panic!("fig7 child {config},{alt} printed {line:?}"))
+}
+
+/// The [`RunStats`] of a child's result line.
+fn parse_row(line: &str) -> Option<RunStats> {
+    let mut fields = line.trim_end().splitn(5, ' ');
+    Some(RunStats {
+        windows: fields.next()?.parse().ok()?,
+        avg_response_ms: fields.next()?.parse().ok()?,
+        peak_meta_bytes: fields.next()?.parse().ok()?,
+        clusters_per_window: fields.next()?.parse().ok()?,
+        label: fields.next()?.to_string(),
+    })
+}
+
 fn main() {
     let Args { scale, dataset, .. } = Args::from_env();
 
-    // Paper: win = 10K tuples, slides 0.1K / 1K / 5K, averaged over many
-    // windows. Scaled so the default run finishes in a few minutes.
+    // Paper: win = 10K tuples, slides 0.1K / 1K / 5K. Scaled so the
+    // default run finishes in a few minutes.
     let win = scaled_window(10_000, scale, 400, 100);
     let slides = [win / 100, win / 10, win / 2];
-    let n_windows = 12u64;
     let configs = config_grid(dataset, win, &slides);
+
+    if let Ok(row) = std::env::var(ROW_VAR) {
+        let parsed = row
+            .split_once(',')
+            .and_then(|(c, a)| Some((c.parse().ok()?, a.parse().ok()?)));
+        let Some((config, alt)) =
+            parsed.filter(|&(c, a): &(usize, usize)| c < configs.len() && a < ALTERNATIVES.len())
+        else {
+            panic!("{ROW_VAR}={row:?} names no run");
+        };
+        let s = run(&configs[config], dataset, alt);
+        // `{}` prints an `f64` that parses back to the same bits.
+        println!(
+            "{} {} {} {} {}",
+            s.windows, s.avg_response_ms, s.peak_meta_bytes, s.clusters_per_window, s.label
+        );
+        return;
+    }
 
     println!(
         "Fig. 7: CPU time and peak memory per window — dataset {dataset:?}, win={win}, \
-         times the median of {ROUNDS} rounds in rotated order"
+         times the median of {ROUNDS} rounds in rotated order, one process per run"
     );
-    for config in configs {
-        let n_points = (config.query.window.slide * n_windows) as usize + 2 * win as usize;
-        let points = dataset.points(n_points);
+    for (c, config) in configs.iter().enumerate() {
         // Round `r` starts `r·n/ROUNDS` alternatives in, so that no
         // alternative always runs first, or always after the same one.
         let n = ALTERNATIVES.len();
@@ -64,10 +128,7 @@ fn main() {
         for round in 0..ROUNDS {
             for k in 0..n {
                 let alt = (k + round * n / ROUNDS) % n;
-                runs[alt].push(match ALTERNATIVES[alt] {
-                    Some(summarizer) => run_extra_n(&config.query, &points, summarizer),
-                    None => run_csgs(&config.query, &points),
-                });
+                runs[alt].push(run_child(c, alt));
             }
         }
         // The median time of each alternative's rounds and their range,

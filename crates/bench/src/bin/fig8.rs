@@ -5,7 +5,9 @@
 //!   summarization format, SGS both filtered and refined exhaustively
 //!   (§7.2's filter-and-refine ablation, DESIGN.md §3), plus the
 //!   filter-effectiveness statistic ("only ~6 % of candidates needed the
-//!   grid-level match");
+//!   grid-level match"), with the refined patterns per query beside the
+//!   grid-level matches evaluated, one per distinct summary however many
+//!   windows archived it;
 //! - (right) memory to store each archive as SGS vs the full
 //!   representation, the average cells per cluster and the compression
 //!   rate (paper: 23 B/cell, ~68 cells/cluster, ~98 % compression), and
@@ -96,16 +98,20 @@ fn main() {
         let queries = &bundle.queries;
         let per_query = |total: usize| total as f64 / queries.len() as f64;
 
-        let (mut total_candidates, mut total_refined, mut total_matches) = (0, 0, 0);
+        let (mut total_candidates, mut total_refined, mut total_evaluated, mut total_matches) =
+            (0, 0, 0, 0);
         let sgs_ms = per_query_ms(queries, |q| {
             let outcome = bundle.base.match_query(&q.sgs, &config);
             total_candidates += outcome.candidates;
             total_refined += outcome.refined;
+            total_evaluated += outcome.evaluated;
             total_matches += outcome.matches.len();
         });
-        let mut exhaustive_refined = 0;
+        let (mut exhaustive_refined, mut exhaustive_evaluated) = (0, 0);
         let exhaustive_ms = per_query_ms(queries, |q| {
-            exhaustive_refined += bundle.base.match_query_exhaustive(&q.sgs, &config).refined;
+            let outcome = bundle.base.match_query_exhaustive(&q.sgs, &config);
+            exhaustive_refined += outcome.refined;
+            exhaustive_evaluated += outcome.evaluated;
         });
         // CRD: linear scan of three subtractions.
         let crd_ms = per_query_ms(queries, |q| {
@@ -131,19 +137,31 @@ fn main() {
                 "SGS (filter+refine)".into(),
                 fmt_ms(sgs_ms),
                 format!("{:.1}", per_query(total_refined)),
+                format!("{:.1}", per_query(total_evaluated)),
             ],
             vec![
                 "SGS (exhaustive refine)".into(),
                 fmt_ms(exhaustive_ms),
                 format!("{:.1}", per_query(exhaustive_refined)),
+                format!("{:.1}", per_query(exhaustive_evaluated)),
             ],
-            vec!["CRD (scan)".into(), fmt_ms(crd_ms), "-".into()],
-            vec!["RSP (scan)".into(), fmt_ms(rsp_ms), "-".into()],
-            vec!["SkPS (scan)".into(), fmt_ms(skps_ms), "-".into()],
+            vec!["CRD (scan)".into(), fmt_ms(crd_ms), "-".into(), "-".into()],
+            vec!["RSP (scan)".into(), fmt_ms(rsp_ms), "-".into(), "-".into()],
+            vec![
+                "SkPS (scan)".into(),
+                fmt_ms(skps_ms),
+                "-".into(),
+                "-".into(),
+            ],
         ];
         print_table(
             &format!("archive size {n}"),
-            &["format", "avg query time", "refined/query"],
+            &[
+                "format",
+                "avg query time",
+                "refined/query",
+                "evaluated/query",
+            ],
             &rows,
         );
         println!(

@@ -335,15 +335,20 @@ impl Sgs {
     /// Fidelity check for Lemma 4.3: every cell's data-space box is within
     /// θr of a member (trivially true by construction — each cell contains
     /// a member). Exposed for property tests: verifies cells are non-empty
-    /// and sorted.
+    /// and sorted, and that the cell populations sum to at most
+    /// `u32::MAX`, so [`population`](Self::population) cannot wrap.
     pub fn validate(&self) -> Result<(), String> {
         if !self.cells.windows(2).all(|w| w[0].coord < w[1].coord) {
             return Err("cells not sorted by coordinate".into());
         }
+        let mut population = 0u32;
         for (i, c) in self.cells.iter().enumerate() {
             if c.population == 0 {
                 return Err(format!("cell {i} has zero population"));
             }
+            population = population
+                .checked_add(c.population)
+                .ok_or_else(|| format!("cell populations up to cell {i} sum above u32::MAX"))?;
             if c.status == CellStatus::Edge && !c.connections.is_empty() {
                 return Err(format!("edge cell {i} carries connection indicators"));
             }
@@ -586,5 +591,44 @@ mod tests {
         assert_eq!(sgs.avg_density(), 0.0);
         assert_eq!(sgs.avg_connectivity(), 0.0);
         sgs.validate().unwrap();
+    }
+
+    #[test]
+    fn populations_summing_past_u32_max_are_refused() {
+        // Edge cells along one row with the given populations, as a wire
+        // `Bind` may carry them.
+        let row = |populations: &[u32]| Sgs {
+            dim: 2,
+            side: 1.0,
+            level: 0,
+            cells: (populations.iter().enumerate())
+                .map(|(x, &population)| SkeletalCell {
+                    coord: CellCoord::new(vec![x as i32, 0]),
+                    population,
+                    status: CellStatus::Edge,
+                    connections: Vec::new(),
+                })
+                .collect(),
+        };
+        for over in [
+            &[u32::MAX, 1][..],
+            &[u32::MAX - 1, 2],
+            &[u32::MAX / 2 + 1, u32::MAX / 2 + 1],
+            &[u32::MAX, u32::MAX, u32::MAX],
+        ] {
+            assert!(row(over).validate().is_err(), "{over:?}");
+        }
+        for at_most in [
+            &[u32::MAX][..],
+            &[u32::MAX - 1, 1],
+            &[u32::MAX / 2, u32::MAX / 2 + 1],
+        ] {
+            let sgs = row(at_most);
+            sgs.validate().unwrap();
+            assert_eq!(
+                u64::from(sgs.population()),
+                at_most.iter().map(|&p| u64::from(p)).sum::<u64>()
+            );
+        }
     }
 }

@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1792407385570,
+  "lastUpdate": 1792425292416,
   "entries": {
     "streamsum e2ebench": [
       {
@@ -70,7 +70,7 @@ window.BENCHMARK_DATA = {
       },
       {
         "commit": {
-          "id": null,
+          "id": "149d73a38fac537e5d6d40f5c7df198a6aae0dd9",
           "parent": "83ce2c2fefb2b87af61ea14997ed799e861f9c33",
           "message": "One lock per hand-off: the scheduler pool, a query's input queue and its output buffer each keep their state under one mutex, and a subscribe can no longer lose a window's wake-up"
         },
@@ -89,6 +89,39 @@ window.BENCHMARK_DATA = {
           {"name": "stt_insert response_p50_ms seed 1", "workload": "stt_insert", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 4.634, "value": 4.499, "pairs": 5, "wins": 3},
           {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 299520, "value": 298710, "pairs": 5, "wins": 3},
           {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.313, "value": 0.311, "pairs": 5, "wins": 3}
+        ]
+      },
+      {
+        "commit": {
+          "id": null,
+          "parent": "2307fd0c3d42b12130c12120ee65a4ac22442d28",
+          "message": "MATCH evaluates each distinct summary once: the pattern base groups a carried cluster's repeats into one record"
+        },
+        "date": 1792425292416,
+        "tool": "e2ebench --seconds 20 --trace 0, interleaved parent/change pairs, 2-vCPU box",
+        "benches": [
+          {"name": "match_under_ingest response_p90_ms seed 1", "workload": "match_under_ingest", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.907, "value": 0.414, "pairs": 10, "wins": 10},
+          {"name": "match_under_ingest response_p50_ms seed 1", "workload": "match_under_ingest", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.422, "value": 0.209, "pairs": 10, "wins": 10},
+          {"name": "match_under_ingest tuples_per_s seed 1", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 295585, "value": 333343, "pairs": 10, "wins": 9},
+          {"name": "match_under_ingest peak_rss_mb seed 1", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 53.49, "value": 52.96, "pairs": 10, "wins": 10},
+          {"name": "match_under_ingest response_p90_ms seed 2", "workload": "match_under_ingest", "metric": "response_p90_ms", "unit": "ms", "seed": 2, "parent": 0.779, "value": 0.382, "pairs": 10, "wins": 10},
+          {"name": "match_under_ingest response_p50_ms seed 2", "workload": "match_under_ingest", "metric": "response_p50_ms", "unit": "ms", "seed": 2, "parent": 0.422, "value": 0.221, "pairs": 10, "wins": 10},
+          {"name": "match_under_ingest tuples_per_s seed 2", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 2, "parent": 306092, "value": 333322, "pairs": 10, "wins": 10},
+          {"name": "match_under_ingest peak_rss_mb seed 2", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 2, "parent": 53.72, "value": 52.97, "pairs": 10, "wins": 8},
+          {"name": "stt_insert peak_rss_mb seed 1", "workload": "stt_insert", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 80.53, "value": 80.37, "pairs": 6, "wins": 6},
+          {"name": "stt_insert tuples_per_s seed 1", "workload": "stt_insert", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 212707, "value": 211993, "pairs": 6, "wins": 4},
+          {"name": "stt_insert response_p50_ms seed 1", "workload": "stt_insert", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 4.542, "value": 4.529, "pairs": 6, "wins": 4},
+          {"name": "stt_insert peak_rss_mb seed 2", "workload": "stt_insert", "metric": "peak_rss_mb", "unit": "MB", "seed": 2, "parent": 80.53, "value": 80.42, "pairs": 5, "wins": 5},
+          {"name": "stt_insert tuples_per_s seed 2", "workload": "stt_insert", "metric": "tuples_per_s", "unit": "1/s", "seed": 2, "parent": 216252, "value": 218121, "pairs": 5, "wins": 4},
+          {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 276804, "value": 281900, "pairs": 5, "wins": 3},
+          {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.34, "value": 0.336, "pairs": 5, "wins": 2},
+          {"name": "gmti_slide peak_rss_mb seed 1", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 77.94, "value": 77.76, "pairs": 5, "wins": 5},
+          {"name": "gmti_slide tuples_per_s seed 2", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 2, "parent": 286645, "value": 290757, "pairs": 5, "wins": 4},
+          {"name": "gmti_slide peak_rss_mb seed 2", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 2, "parent": 77.51, "value": 76.84, "pairs": 5, "wins": 5},
+          {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 379733, "value": 391322, "pairs": 20, "wins": 12},
+          {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.246, "value": 0.236, "pairs": 20, "wins": 11},
+          {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.322, "value": 0.319, "pairs": 20, "wins": 10},
+          {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 37.9, "value": 38.33, "pairs": 20, "wins": 0}
         ]
       }
     ]
