@@ -415,6 +415,10 @@ impl PatternBase {
             ..Default::default()
         };
         for pattern in &self.patterns {
+            // A summary of another dimensionality is no match.
+            if pattern.sgs.dim != query.dim {
+                continue;
+            }
             outcome.refined += 1;
             outcome.evaluated += 1;
             let distance = if config.position_sensitive {
@@ -550,10 +554,15 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(got.matches, expect, "ps={ps}");
+                let oracle = mixed.match_query_exhaustive(query, &cfg);
+                assert_eq!(oracle.matches, got.matches, "ps={ps}");
             }
             // A 3-d query over the same base answers too.
-            let out = mixed.match_query(&cube(0.0, 12), &cfg);
+            let solid = cube(0.0, 12);
+            let out = mixed.match_query(&solid, &cfg);
             assert!(out.matches.iter().all(|m| m.id.0 % 2 == 1), "ps={ps}");
+            let oracle = mixed.match_query_exhaustive(&solid, &cfg);
+            assert_eq!(oracle.matches, out.matches, "ps={ps}");
         }
     }
 
@@ -937,16 +946,92 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// MATCH and `coarsen` are total over what a wire `Bind` can
+        /// carry: summaries `Sgs::validate` accepts, with coordinates at
+        /// the ends of `i32` (-4 and -3 stand for the two least, 3 and 4
+        /// for the two greatest), cell populations summing to near or
+        /// exactly `u32::MAX`, sides from 1e-300 to 1e300, levels past 0
+        /// and dimensionalities mixed in one base. In a debug build an
+        /// overflow panics.
+        #[test]
+        fn extreme_summaries_match_and_coarsen_without_panic(
+            summaries in proptest::prop::collection::vec(
+                (
+                    1usize..7,
+                    proptest::prop::collection::vec(
+                        (proptest::prop::collection::vec(-4i32..5, 6), 1u32..4, 0u8..5),
+                        1..10,
+                    ),
+                    0u8..3,
+                    (-300.0f64..300.0, 0u8..5),
+                    0u8..3,
+                ),
+                1..8,
+            ),
+        ) {
+            let edge = |k: i32| match k {
+                -4 | -3 => i32::MIN + (k + 4),
+                3 | 4 => i32::MAX - (4 - k),
+                k => k,
+            };
+            let mut base = PatternBase::new();
+            let mut queries = Vec::new();
+            for (k, (dim, cells, heavy, (exp, level), keep)) in summaries.into_iter().enumerate() {
+                let n = cells.len() as u32;
+                let cells = cells.into_iter().enumerate().map(|(i, (coord, population, kind))| {
+                    let population = match (heavy, i) {
+                        (1, _) => u32::MAX / n,
+                        (2, 0) => u32::MAX - (n - 1),
+                        (2, _) => 1,
+                        _ => population,
+                    };
+                    (coord.into_iter().map(edge).collect(), population, kind)
+                });
+                let sgs = Sgs { side: 10f64.powf(exp), level, ..summary_of(dim, cells) };
+                proptest::prop_assert_eq!(sgs.validate(), Ok(()));
+                if keep > 0 {
+                    base.insert(sgs.clone(), WindowId(k as u64));
+                }
+                queries.push(sgs);
+            }
+            for query in &queries {
+                for theta in [2, 3] {
+                    let coarse = sgs_summarize::coarsen(query, theta);
+                    proptest::prop_assert_eq!(coarse.population(), query.population());
+                }
+                for threshold in [0.1, 1.0] {
+                    for ps in [true, false] {
+                        let cfg = MatchConfig::equal_weights(ps, threshold);
+                        let got = base.match_query(query, &cfg);
+                        let all = base.match_query_exhaustive(query, &cfg);
+                        proptest::prop_assert!(got.matches.len() <= all.matches.len(), "ps={}", ps);
+                    }
+                }
+            }
+        }
+    }
+
     /// A 2-d summary from `(x, y, population, kind)` cells translated by
-    /// `at`: kind 0 is an edge cell, `k ≥ 1` a core cell linked to the
-    /// next `k − 1` cells in canonical order. Cells on one coordinate
-    /// collapse to the first.
+    /// `at`, as [`summary_of`] builds it.
     fn scripted(script: &[(i32, i32, u32, u8)], at: (i32, i32)) -> Sgs {
-        let mut cells: Vec<(SkeletalCell, u8)> = script
+        let cells = script
             .iter()
-            .map(|&(x, y, population, kind)| {
+            .map(|&(x, y, population, kind)| (vec![x + at.0, y + at.1], population, kind));
+        summary_of(2, cells)
+    }
+
+    /// A summary of side 1 at level 0 from `(coordinates, population,
+    /// kind)` cells, each cut to its first `dim` coordinates: kind 0 is
+    /// an edge cell, `k ≥ 1` a core cell linked to the next `k − 1` cells
+    /// in canonical order. Cells on one coordinate collapse to the first.
+    fn summary_of(dim: usize, script: impl IntoIterator<Item = (Vec<i32>, u32, u8)>) -> Sgs {
+        let mut cells: Vec<(SkeletalCell, u8)> = script
+            .into_iter()
+            .map(|(mut coord, population, kind)| {
+                coord.truncate(dim);
                 let cell = SkeletalCell {
-                    coord: CellCoord::new(vec![x + at.0, y + at.1]),
+                    coord: CellCoord::new(coord),
                     population,
                     status: if kind == 0 {
                         CellStatus::Edge
@@ -969,7 +1054,7 @@ mod tests {
             }
         }
         Sgs {
-            dim: 2,
+            dim,
             side: 1.0,
             level: 0,
             cells: cells.into_iter().map(|(cell, _)| cell).collect(),

@@ -6,9 +6,8 @@
 //! and density distribution — which is what the quality study (Fig. 9)
 //! demonstrates.
 
-use sgs_core::HeapSize;
-
-use crate::member::MemberSet;
+use sgs_core::kernel::rel_diff;
+use sgs_summarize::MemberSet;
 
 /// Centroid + radius + density summary of one cluster.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,12 +26,24 @@ pub struct Crd {
 impl Crd {
     /// Summarize a member set. Returns `None` for an empty cluster.
     pub fn from_members(members: &MemberSet) -> Option<Crd> {
-        let centroid = members.centroid()?;
+        let n = members.population();
+        if n == 0 {
+            return None;
+        }
+        let mut centroid = vec![0.0; members.dim()];
+        for p in members.iter_all() {
+            for (a, x) in centroid.iter_mut().zip(p) {
+                *a += x;
+            }
+        }
+        for a in &mut centroid {
+            *a /= n as f64;
+        }
         let radius = members
             .iter_all()
             .map(|p| sgs_core::dist(p, &centroid))
             .fold(0.0f64, f64::max);
-        let population = members.population() as u32;
+        let population = n as u32;
         let dim = members.dim() as i32;
         // Volume of a d-ball up to the constant factor — comparisons divide
         // it out, so r^d is sufficient and avoids Γ-function plumbing.
@@ -63,22 +74,6 @@ impl Crd {
     }
 }
 
-/// Relative difference `|a-b| / max(a,b)` clamped to `[0,1]`.
-pub(crate) fn rel_diff(a: f64, b: f64) -> f64 {
-    let m = a.abs().max(b.abs());
-    if m <= f64::EPSILON {
-        0.0
-    } else {
-        ((a - b).abs() / m).min(1.0)
-    }
-}
-
-impl HeapSize for Crd {
-    fn heap_size(&self) -> usize {
-        self.centroid.len() * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +95,13 @@ mod tests {
         assert!((crd.centroid[1] - 5.0).abs() < 1e-9);
         assert!((crd.radius - 1.0).abs() < 1e-9);
         assert_eq!(crd.population, 8);
+    }
+
+    #[test]
+    fn centroid_averages_all_members() {
+        let cores = vec![vec![0.0, 0.0].into(), vec![2.0, 0.0].into()];
+        let m = MemberSet::new(cores, vec![vec![1.0, 3.0].into()]);
+        assert_eq!(Crd::from_members(&m).unwrap().centroid[..], [1.0, 1.0]);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! cost. Local edge structure enters through per-node degree differences —
 //! the standard "node + adjacent edges" cost model.
 
-use sgs_summarize::SkPs;
-
-use crate::hungarian::hungarian;
+use super::hungarian::hungarian;
+use super::skps::SkPs;
 
 /// Normalized (0–1) approximate graph edit distance between two SkPS
 /// summaries.
@@ -62,18 +61,12 @@ pub fn graph_edit_distance(a: &SkPs, b: &SkPs) -> f64 {
     let size = n + m;
     const FORBIDDEN: f64 = 1e12;
     let mut cost = vec![FORBIDDEN; size * size];
-    // Substitutions: flatten `b`'s nodes into one slab once, then build
-    // each row in a single fused pass over the batched distance kernel
-    // (bit-identical to the former per-pair `sgs_core::dist` — `sqrt` of
-    // an identical square).
-    let b_slab: Vec<f64> = b.points.iter().flat_map(|p| p.iter().copied()).collect();
+    // Substitutions in the top-left block.
     for i in 0..n {
-        let row = &mut cost[i * size..(i + 1) * size];
-        let da_i = da[i];
-        sgs_core::kernel::for_each_dist_sq(&a.points[i], &b_slab, |j, d| {
-            let pos = (d.sqrt() / scale).min(1.0);
-            row[j] = pos + (da_i - db[j]).abs() / 2.0;
-        });
+        for j in 0..m {
+            let pos = (sgs_core::dist(&a.points[i], &b.points[j]) / scale).min(1.0);
+            cost[i * size + j] = pos + (da[i] - db[j]).abs() / 2.0;
+        }
     }
     // Deletions (node i of a → ε) on the diagonal of the top-right block.
     for i in 0..n {

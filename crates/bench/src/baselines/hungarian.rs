@@ -1,6 +1,6 @@
 //! The Hungarian algorithm (Kuhn–Munkres) for minimum-cost assignment —
 //! the substrate under the bipartite graph-edit-distance approximation of
-//! [`crate::ged`].
+//! [`super::ged`].
 //!
 //! Implementation: the O(n³) shortest-augmenting-path formulation with
 //! dual potentials (Jonker–Volgenant style), operating on a dense square
@@ -172,5 +172,24 @@ mod tests {
         let (assignment, total) = hungarian(&[7.5], 1);
         assert_eq!(assignment, vec![0]);
         assert_eq!(total, 7.5);
+    }
+
+    proptest::proptest! {
+        /// The result is a permutation whose cost never exceeds the
+        /// identity assignment.
+        #[test]
+        fn hungarian_beats_identity(n in 1usize..7, seed in 0u64..1000) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let cost: Vec<f64> = (0..n * n).map(|_| rng.gen_range(0.0..10.0)).collect();
+            let (assignment, total) = hungarian(&cost, n);
+            let mut seen = vec![false; n];
+            for &c in &assignment {
+                proptest::prop_assert!(!seen[c]);
+                seen[c] = true;
+            }
+            let identity: f64 = (0..n).map(|i| cost[i * n + i]).sum();
+            proptest::prop_assert!(total <= identity + 1e-9);
+        }
     }
 }

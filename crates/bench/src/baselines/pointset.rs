@@ -7,7 +7,7 @@
 //! spread so it lands in `[0, 1]` — the same O(n·m) cost profile that makes
 //! RSP matching slow in Fig. 8.
 
-use sgs_summarize::Rsp;
+use super::rsp::Rsp;
 
 /// Normalized symmetric Chamfer distance between two point samples.
 pub fn chamfer_distance(a: &Rsp, b: &Rsp) -> f64 {

@@ -9,9 +9,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use sgs_core::HeapSize;
-
-use crate::member::MemberSet;
+use sgs_summarize::MemberSet;
 
 /// A random-sample summary of one cluster.
 #[derive(Clone, Debug, PartialEq)]
@@ -50,29 +48,10 @@ impl Rsp {
         Self::from_members(members, k.max(1), rng)
     }
 
-    /// Number of sampled points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.sample.len()
-    }
-
-    /// Whether the sample is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.sample.is_empty()
-    }
-
     /// Bytes needed to archive the sample.
     pub fn archived_bytes(&self) -> usize {
         let dim = self.sample.first().map_or(0, |s| s.len());
         self.sample.len() * dim * 8 + 4
-    }
-}
-
-impl HeapSize for Rsp {
-    fn heap_size(&self) -> usize {
-        self.sample.capacity() * core::mem::size_of::<Box<[f64]>>()
-            + self.sample.iter().map(|s| s.len() * 8).sum::<usize>()
     }
 }
 
@@ -89,8 +68,8 @@ mod tests {
     fn sample_size_is_min_of_k_and_population() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let m = members(10);
-        assert_eq!(Rsp::from_members(&m, 4, &mut rng).len(), 4);
-        assert_eq!(Rsp::from_members(&m, 100, &mut rng).len(), 10);
+        assert_eq!(Rsp::from_members(&m, 4, &mut rng).sample.len(), 4);
+        assert_eq!(Rsp::from_members(&m, 100, &mut rng).sample.len(), 10);
     }
 
     #[test]
@@ -110,7 +89,7 @@ mod tests {
         let m = members(100);
         // dim 2 → 16 bytes per sample; 160-byte budget → 10 samples.
         let rsp = Rsp::from_members_with_budget(&m, 160, &mut rng);
-        assert_eq!(rsp.len(), 10);
+        assert_eq!(rsp.sample.len(), 10);
         assert!(rsp.archived_bytes() <= 160 + 4);
     }
 
@@ -126,6 +105,6 @@ mod tests {
     fn budget_always_keeps_at_least_one() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let rsp = Rsp::from_members_with_budget(&members(5), 1, &mut rng);
-        assert_eq!(rsp.len(), 1);
+        assert_eq!(rsp.sample.len(), 1);
     }
 }

@@ -4,16 +4,16 @@
 //! An SkPS is a minimal set of connected core objects whose neighborhoods
 //! cover every cluster member, with the neighbor relations among them as
 //! edges (Def. 4.1). Exact minimality is NP-complete, so [`SkPs::from_members`]
-//! uses the greedy connected-dominating-set approximation of [`crate::cds`].
+//! uses the greedy connected-dominating-set approximation of [`super::cds`].
 //! Its flaws — weak density description, expensive construction, and
 //! non-determinism (different member orders give structurally different
 //! summaries) — are reproduced faithfully; they are what Figs. 7–9 measure.
 
-use sgs_core::{HeapSize, Point, PointId};
+use sgs_core::{Point, PointId};
 use sgs_index::GridIndex;
+use sgs_summarize::MemberSet;
 
-use crate::cds::greedy_cds;
-use crate::member::MemberSet;
+use super::cds::greedy_cds;
 
 /// Graph summary: skeletal points (selected cores) and the neighbor
 /// relations among them.
@@ -106,40 +106,14 @@ impl SkPs {
 
     /// Number of skeletal points.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.points.len()
-    }
-
-    /// Whether the summary is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Degree sequence (sorted descending) — a cheap graph invariant used
-    /// by the matcher's candidate filter.
-    pub fn degree_sequence(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.points.len()];
-        for (a, b) in &self.edges {
-            deg[*a as usize] += 1;
-            deg[*b as usize] += 1;
-        }
-        deg.sort_unstable_by(|a, b| b.cmp(a));
-        deg
     }
 
     /// Bytes needed to archive the summary.
     pub fn archived_bytes(&self) -> usize {
         let dim = self.points.first().map_or(0, |p| p.len());
         self.points.len() * dim * 8 + self.edges.len() * 8 + 4
-    }
-}
-
-impl HeapSize for SkPs {
-    fn heap_size(&self) -> usize {
-        self.points.capacity() * core::mem::size_of::<Box<[f64]>>()
-            + self.points.iter().map(|p| p.len() * 8).sum::<usize>()
-            + self.edges.capacity() * 8
     }
 }
 
@@ -211,7 +185,7 @@ mod tests {
     fn coreless_cluster_gives_empty_summary() {
         let m = MemberSet::new(vec![], vec![vec![1.0, 1.0].into()]);
         let s = SkPs::from_members(&m, 1.0);
-        assert!(s.is_empty());
+        assert!(s.points.is_empty());
         assert_eq!(s.population, 1);
     }
 
@@ -228,13 +202,5 @@ mod tests {
         let s2 = SkPs::from_members(&m2, 1.0);
         assert!(coverage_holds(&s1, &m1, 1.0));
         assert!(coverage_holds(&s2, &m2, 1.0));
-    }
-
-    #[test]
-    fn degree_sequence_sorted() {
-        let s = SkPs::from_members(&chain(20), 1.0);
-        let d = s.degree_sequence();
-        assert!(d.windows(2).all(|w| w[0] >= w[1]));
-        assert_eq!(d.len(), s.len());
     }
 }

@@ -27,11 +27,12 @@
 
 use std::time::Instant;
 
+use sgs_bench::baselines::{chamfer_distance, graph_edit_distance};
 use sgs_bench::harness::build_archive;
 use sgs_bench::table::{fmt_bytes, fmt_ms, print_table};
 use sgs_bench::workload::{scaled_window, Args};
 use sgs_core::{ClusterQuery, WindowSpec};
-use sgs_matching::{best_alignment, chamfer_distance, graph_edit_distance, MatchConfig};
+use sgs_matching::{best_alignment, MatchConfig};
 use sgs_summarize::{packed, Sgs};
 
 /// Mean wall-clock milliseconds per query of calling `f` on each query.

@@ -26,13 +26,14 @@
 use std::time::Instant;
 
 use rand::SeedableRng;
+use sgs_bench::baselines::{graph_edit_distance, pointset, Crd, Rsp, SkPs};
 use sgs_bench::harness::MultiFormat;
 use sgs_bench::quality::{build_study, Relation, StudyEntry};
 use sgs_bench::table::{fmt_bytes, fmt_ms, print_table};
 use sgs_bench::workload::Args;
+use sgs_matching::best_alignment;
 use sgs_matching::metric::rel_diff;
-use sgs_matching::{best_alignment, graph_edit_distance, pointset};
-use sgs_summarize::{coarsen, packed, Rsp, Sgs, SkPs};
+use sgs_summarize::{coarsen, packed, Sgs};
 
 /// Retrievals scored per query.
 const TOP_K: usize = 3;
@@ -63,7 +64,7 @@ fn centered(points: &[Box<[f64]>]) -> Vec<Box<[f64]>> {
 /// Structural (location-free) CRD distance: radius, density and
 /// population only — the three aggregates CRD actually summarizes shape
 /// with.
-fn crd_structural(a: &sgs_summarize::Crd, b: &sgs_summarize::Crd) -> f64 {
+fn crd_structural(a: &Crd, b: &Crd) -> f64 {
     (rel_diff(a.radius, b.radius)
         + rel_diff(a.density, b.density)
         + rel_diff(a.population as f64, b.population as f64))

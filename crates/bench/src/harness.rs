@@ -7,7 +7,9 @@ use sgs_cluster::ExtraN;
 use sgs_core::{ClusterQuery, Point, PointId, WindowId};
 use sgs_csgs::CSgs;
 use sgs_stream::WindowEngine;
-use sgs_summarize::{packed, Crd, MemberSet, Rsp, Sgs, SkPs};
+use sgs_summarize::{packed, MemberSet, Sgs};
+
+use crate::baselines::{Crd, Rsp, SkPs};
 
 /// Which summarization (if any) to bolt onto Extra-N — the "two-phase"
 /// alternatives of §8.1.

@@ -13,10 +13,14 @@
 //! | `archive_scaling` | durable archive (`DESIGN.md` §10): inserts/s, checkpoint and recovery cost, memory vs durable |
 //! | `session_fanout` | reactor front-end (`DESIGN.md` §14): 8 → 128 TCP sessions with server-push on a fixed worker budget |
 //!
-//! This support library holds the shared workload definitions and the
-//! command line every binary takes (`workload::Args`), the timing harness, quality-study cluster shapes, the table printer, and the
-//! `--json` report builder the CI artifacts use.
+//! This support library holds the [`baselines`] the figures compare SGS
+//! against (CRD, RSP and SkPS with their distances), the shared workload
+//! definitions and the command line every binary takes
+//! (`workload::Args`), the timing harness, quality-study cluster shapes,
+//! the table printer, and the `--json` report builder the CI artifacts
+//! use.
 
+pub mod baselines;
 pub mod harness;
 pub mod json;
 pub mod obs_report;

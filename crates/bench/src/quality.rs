@@ -243,7 +243,7 @@ pub fn build_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgs_summarize::Crd;
+    use crate::baselines::Crd;
 
     #[test]
     fn study_counts() {

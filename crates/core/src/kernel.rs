@@ -129,16 +129,6 @@ pub fn dist_sq_batch(query: &[f64], slab: &[f64], out: &mut Vec<f64>) {
     visit_dists(query, slab, |_, d| out.push(d));
 }
 
-/// Call `f(index, dist_sq)` for every slab point, in slab order — the
-/// fused form of [`dist_sq_batch`] for consumers (like the GED cost
-/// matrix) that transform each distance in place; skipping the
-/// intermediate buffer keeps small rows from losing the batching win to
-/// per-element `Vec` pushes.
-#[inline]
-pub fn for_each_dist_sq(query: &[f64], slab: &[f64], f: impl FnMut(usize, f64)) {
-    visit_dists(query, slab, f);
-}
-
 /// Call `f(index)` for every slab point within `theta_sq` of `query`
 /// (squared-threshold comparison, inclusive — the Def. 3.1 neighbor
 /// predicate), in slab order.

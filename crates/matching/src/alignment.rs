@@ -80,8 +80,18 @@ impl PartialOrd for Candidate {
 /// evaluated shift allocates nothing there: only the heap and the seen
 /// set grow. `Coords` orders and hashes as its slice does, so the shifts
 /// visited, and their order, depend on their values alone.
+///
+/// Summaries of different dimensionality share no grid: no shift is
+/// evaluated, and the distance is infinite, so no threshold admits it.
 pub fn best_alignment(a: &Sgs, b: &Sgs, budget: usize) -> AlignmentResult {
     let dim = a.dim.max(b.dim).max(1);
+    if a.dim != b.dim {
+        return AlignmentResult {
+            shift: vec![0; dim],
+            distance: f64::INFINITY,
+            evaluated: 0,
+        };
+    }
     if a.cells.is_empty() || b.cells.is_empty() {
         return AlignmentResult {
             shift: vec![0; dim],
@@ -314,6 +324,15 @@ mod tests {
         assert_eq!(r.distance, 1.0);
         let r = best_alignment(&e, &e, 16);
         assert_eq!(r.distance, 0.0);
+    }
+
+    #[test]
+    fn summaries_of_another_dimensionality_never_align() {
+        let cells = |dim| summary_of(dim, (0..6).map(|i| (vec![i % 3, i / 3, 0], 2, 3)));
+        for (a, b) in [(cells(2), cells(3)), (cells(3), cells(2))] {
+            let r = best_alignment(&a, &b, 64);
+            assert_eq!((r.distance, r.evaluated), (f64::INFINITY, 0));
+        }
     }
 
     #[test]

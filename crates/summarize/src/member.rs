@@ -5,8 +5,6 @@
 //! their core/edge labels; summarizers only need positions and labels, not
 //! stream identities, so [`MemberSet`] owns plain coordinate buffers.
 
-use sgs_core::HeapSize;
-
 /// Positions of one cluster's members, split by label.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MemberSet {
@@ -50,50 +48,6 @@ impl MemberSet {
     pub fn full_repr_bytes(&self) -> usize {
         self.population() * (self.dim() * core::mem::size_of::<f64>() + 4)
     }
-
-    /// Centroid of all members. Returns `None` for an empty set.
-    pub fn centroid(&self) -> Option<Vec<f64>> {
-        let n = self.population();
-        if n == 0 {
-            return None;
-        }
-        let dim = self.dim();
-        let mut acc = vec![0.0; dim];
-        for p in self.iter_all() {
-            for (a, x) in acc.iter_mut().zip(p.iter()) {
-                *a += x;
-            }
-        }
-        for a in &mut acc {
-            *a /= n as f64;
-        }
-        Some(acc)
-    }
-
-    /// Axis-aligned bounding box `(min, max)`. `None` when empty.
-    pub fn bounds(&self) -> Option<(Vec<f64>, Vec<f64>)> {
-        let mut it = self.iter_all();
-        let first = it.next()?;
-        let mut lo = first.to_vec();
-        let mut hi = first.to_vec();
-        for p in it {
-            for d in 0..lo.len() {
-                lo[d] = lo[d].min(p[d]);
-                hi[d] = hi[d].max(p[d]);
-            }
-        }
-        Some((lo, hi))
-    }
-}
-
-impl HeapSize for MemberSet {
-    fn heap_size(&self) -> usize {
-        let per = |v: &Vec<Box<[f64]>>| {
-            v.capacity() * core::mem::size_of::<Box<[f64]>>()
-                + v.iter().map(|b| b.len() * 8).sum::<usize>()
-        };
-        per(&self.cores) + per(&self.edges)
-    }
 }
 
 #[cfg(test)]
@@ -113,20 +67,6 @@ mod tests {
         assert_eq!(m.population(), 3);
         assert_eq!(m.dim(), 2);
         assert_eq!(MemberSet::default().dim(), 0);
-    }
-
-    #[test]
-    fn centroid_averages_all_members() {
-        let c = ms().centroid().unwrap();
-        assert_eq!(c, vec![1.0, 1.0]);
-        assert!(MemberSet::default().centroid().is_none());
-    }
-
-    #[test]
-    fn bounds_cover_all() {
-        let (lo, hi) = ms().bounds().unwrap();
-        assert_eq!(lo, vec![0.0, 0.0]);
-        assert_eq!(hi, vec![2.0, 3.0]);
     }
 
     #[test]

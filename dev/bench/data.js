@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1792425292416,
+  "lastUpdate": 1792429257110,
   "entries": {
     "streamsum e2ebench": [
       {
@@ -93,7 +93,7 @@ window.BENCHMARK_DATA = {
       },
       {
         "commit": {
-          "id": null,
+          "id": "55d93bb8bf35fb39428f568ac68baba4ea588e52",
           "parent": "2307fd0c3d42b12130c12120ee65a4ac22442d28",
           "message": "MATCH evaluates each distinct summary once: the pattern base groups a carried cluster's repeats into one record"
         },
@@ -122,6 +122,33 @@ window.BENCHMARK_DATA = {
           {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.246, "value": 0.236, "pairs": 20, "wins": 11},
           {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.322, "value": 0.319, "pairs": 20, "wins": 10},
           {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 37.9, "value": 38.33, "pairs": 20, "wins": 0}
+        ]
+      },
+      {
+        "commit": {
+          "id": null,
+          "parent": "55d93bb8bf35fb39428f568ac68baba4ea588e52",
+          "message": "The product crates hold only what the product runs: the paper's baselines move into sgs-bench, and the API only they carried goes"
+        },
+        "date": 1792429257110,
+        "tool": "e2ebench --seconds 20 --trace 0, interleaved parent/change pairs, 2-vCPU box; no gain claimed",
+        "benches": [
+          {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 374831, "value": 355630, "pairs": 20, "wins": 9},
+          {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.251, "value": 0.257, "pairs": 20, "wins": 10},
+          {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.333, "value": 0.335, "pairs": 20, "wins": 12},
+          {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 38.37, "value": 38.35, "pairs": 20, "wins": 12},
+          {"name": "match_under_ingest tuples_per_s seed 1", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 328465, "value": 329088, "pairs": 6, "wins": 3},
+          {"name": "match_under_ingest response_p50_ms seed 1", "workload": "match_under_ingest", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.215, "value": 0.217, "pairs": 6, "wins": 3},
+          {"name": "match_under_ingest response_p90_ms seed 1", "workload": "match_under_ingest", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.391, "value": 0.406, "pairs": 6, "wins": 3},
+          {"name": "match_under_ingest peak_rss_mb seed 1", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 52.91, "value": 52.94, "pairs": 6, "wins": 2},
+          {"name": "stt_insert tuples_per_s seed 1", "workload": "stt_insert", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 208924, "value": 212898, "pairs": 6, "wins": 4},
+          {"name": "stt_insert response_p50_ms seed 1", "workload": "stt_insert", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 4.631, "value": 4.533, "pairs": 6, "wins": 6},
+          {"name": "stt_insert response_p90_ms seed 1", "workload": "stt_insert", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 6.306, "value": 6.189, "pairs": 6, "wins": 3},
+          {"name": "stt_insert peak_rss_mb seed 1", "workload": "stt_insert", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 80.54, "value": 80.57, "pairs": 6, "wins": 2},
+          {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 292998, "value": 287976, "pairs": 6, "wins": 2},
+          {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.323, "value": 0.326, "pairs": 6, "wins": 4},
+          {"name": "gmti_slide response_p90_ms seed 1", "workload": "gmti_slide", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.44, "value": 0.45, "pairs": 6, "wins": 2},
+          {"name": "gmti_slide peak_rss_mb seed 1", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 77.81, "value": 77.78, "pairs": 6, "wins": 3}
         ]
       }
     ]

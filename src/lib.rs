@@ -131,7 +131,7 @@ pub mod prelude {
     };
     pub use sgs_server::{Server, ServerConfig, ServerHandle};
     pub use sgs_stream::{replay, WindowConsumer, WindowEngine};
-    pub use sgs_summarize::{Crd, MemberSet, Rsp, Sgs, SkPs};
+    pub use sgs_summarize::{MemberSet, Sgs};
     pub use sgs_wire::{
         Frame, WireMetric, WireMetricValue, WireQuery, WireQueryState, WireStats, WIRE_VERSION,
     };
