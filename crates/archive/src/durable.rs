@@ -604,7 +604,7 @@ mod tests {
     fn has_a_non_face_connection(sgs: &Sgs) -> bool {
         sgs.cells.iter().any(|cell| {
             cell.connections.iter().any(|&j| {
-                let other = &sgs.cells[j as usize].coord.0;
+                let other = &sgs.cells.get(j as usize).unwrap().coord.0;
                 let steps = cell.coord.0.iter().zip(other.iter());
                 steps.map(|(a, b)| a.abs_diff(*b)).sum::<u32>() > 1
             })

@@ -128,15 +128,11 @@ pub struct PatternBase {
     records: Vec<Record>,
     /// Every record's [`Entry`], end to end in record order.
     entries: Vec<u32>,
-    /// The record a cells allocation may join, by the allocation's address.
+    /// The record a cells allocation may join, by its address
+    /// ([`Cells::addr`]).
     by_cells: FxHashMap<usize, u32>,
     /// Packed bytes of every archived summary, summed on insert.
     archived_bytes: usize,
-}
-
-/// The address [`PatternBase::by_cells`] files `cells` under.
-fn address(cells: &Cells) -> usize {
-    cells.as_ptr() as usize
 }
 
 impl PatternBase {
@@ -169,17 +165,13 @@ impl PatternBase {
             .filter(|&i| i != NONE)
             .expect("a pattern base holds fewer than u32::MAX patterns");
         self.archived_bytes += packed::archived_bytes(&sgs);
-        let joined = self
-            .by_cells
-            .get(&address(&sgs.cells))
-            .copied()
-            .filter(|&r| {
-                let held = &self.patterns[self.records[r as usize].first as usize].sgs;
-                Cells::ptr_eq(&held.cells, &sgs.cells)
-                    && held.dim == sgs.dim
-                    && held.side.to_bits() == sgs.side.to_bits()
-                    && held.level == sgs.level
-            });
+        let joined = self.by_cells.get(&sgs.cells.addr()).copied().filter(|&r| {
+            let held = &self.patterns[self.records[r as usize].first as usize].sgs;
+            Cells::ptr_eq(&held.cells, &sgs.cells)
+                && held.dim == sgs.dim
+                && held.side.to_bits() == sgs.side.to_bits()
+                && held.level == sgs.level
+        });
         let record = match joined {
             Some(r) => {
                 let record = &mut self.records[r as usize];
@@ -190,7 +182,7 @@ impl PatternBase {
             }
             None => {
                 let r = self.open_record(&sgs, index);
-                self.by_cells.insert(address(&sgs.cells), r);
+                self.by_cells.insert(sgs.cells.addr(), r);
                 r
             }
         };
@@ -235,7 +227,7 @@ impl PatternBase {
         self.archived_bytes += packed::archived_bytes(&sgs);
         let r = self.patterns[i].record as usize;
         if self.records[r].members == 1 {
-            let old = address(&self.patterns[i].sgs.cells);
+            let old = self.patterns[i].sgs.cells.addr();
             if self.by_cells.get(&old) == Some(&(r as u32)) {
                 self.by_cells.remove(&old);
             }
@@ -572,7 +564,7 @@ mod tests {
         base.insert(blob(0.0, 0.0, 8), WindowId(0));
         let kept = blob(0.0, 0.0, 30);
         let copy = kept.cells.to_vec();
-        let old = address(&kept.cells);
+        let old = kept.cells.addr();
         base.insert(kept.clone(), WindowId(1));
         let demoted = base.patterns[1].record;
         // Demote the record's only member, then drop the last other
@@ -592,7 +584,7 @@ mod tests {
         let mut reused = false;
         for w in 2..40 {
             let sgs = fresh(copy.clone());
-            reused |= address(&sgs.cells) == old;
+            reused |= sgs.cells.addr() == old;
             base.insert(sgs, WindowId(w));
         }
         assert_eq!(base.records.len(), base.len(), "address reused: {reused}");
@@ -756,7 +748,7 @@ mod tests {
     fn unshared(base: &PatternBase) -> PatternBase {
         let mut copy = PatternBase::new();
         for p in base.iter() {
-            let cells = p.sgs.cells.iter().cloned().collect();
+            let cells = p.sgs.cells.to_vec().into();
             copy.insert(
                 Sgs {
                     cells,
@@ -911,7 +903,7 @@ mod tests {
                         base.insert(sgs, window);
                     }
                     (3, Some(sgs)) => {
-                        let cells = sgs.cells.iter().cloned().collect();
+                        let cells = sgs.cells.to_vec().into();
                         base.insert(Sgs { cells, ..sgs }, window);
                     }
                     (4, Some(sgs)) => {

@@ -65,6 +65,8 @@ pub struct CSgs {
     /// clusters over from (`DESIGN.md` §6). It shares its clusters with
     /// the output the caller was handed.
     retained: Vec<Held>,
+    /// The output stage's buffers, reused across windows.
+    scratch: merge::Scratch,
     /// Number of range query searches executed (one per object, §5.3).
     pub rqs_count: u64,
     /// Clusters emitted by carrying the previous window's over unchanged.
@@ -87,6 +89,7 @@ impl CSgs {
             geometry,
             current: WindowId(0),
             retained: Vec::new(),
+            scratch: merge::Scratch::default(),
             rqs_count: 0,
             carried_count: 0,
             rebuilt_count: 0,
@@ -107,6 +110,9 @@ impl CSgs {
     /// output included — memory it shares with the output the caller
     /// holds, since a retained cluster is the emitted one. Unlike Extra-N
     /// this is independent of `win/slide` — no per-view state exists.
+    /// The working buffers kept across calls — the range-query walker's,
+    /// the insert's and the output stage's — hold no state between calls
+    /// and are not counted.
     pub fn meta_bytes(&self) -> usize {
         let retained = self.retained.iter().map(|(cluster, ids)| {
             cluster.heap_size() + ids.capacity() * core::mem::size_of::<CellId>()
@@ -119,24 +125,27 @@ impl CSgs {
 
     /// The output stage for window `w`, carrying over from `prev` and
     /// looking for new core cells among the cells stamped in `w`.
-    fn emit(&self, w: WindowId, prev: Vec<Held>) -> (Vec<Held>, usize) {
+    fn emit(&mut self, w: WindowId, prev: Vec<Held>) -> (Vec<Held>, usize) {
         let seeds = self.cells.written().iter().copied();
-        merge::emit(&self.geometry, &self.points, &self.cells, w, prev, seeds)
-    }
-
-    /// Window `w`'s output built from every stored cell, carrying nothing:
-    /// the oracle a carried cluster is checked against.
-    fn emit_from_scratch(&self, w: WindowId) -> Vec<Held> {
-        let seeds = self.cells.iter().map(|(id, _, _)| id);
         merge::emit(
             &self.geometry,
             &self.points,
             &self.cells,
             w,
-            Vec::new(),
+            prev,
             seeds,
+            &mut self.scratch,
         )
-        .0
+    }
+
+    /// Window `w`'s output built from every stored cell, carrying nothing,
+    /// in buffers of its own: the oracle a carried cluster is checked
+    /// against.
+    fn emit_from_scratch(&self, w: WindowId) -> Vec<Held> {
+        let seeds = self.cells.iter().map(|(id, _, _)| id);
+        let scratch = &mut merge::Scratch::default();
+        let (points, cells) = (&self.points, &self.cells);
+        merge::emit(&self.geometry, points, cells, w, Vec::new(), seeds, scratch).0
     }
 }
 
@@ -755,6 +764,55 @@ mod tests {
         assert_eq!(carried_slide(40), carried_slide(2));
     }
 
+    /// A slide that rebuilds a cluster allocates per cluster, not per
+    /// cell: as many times for a cluster of 40 core cells as for one of
+    /// 2. Its summary is two blocks and its member lists are copied out
+    /// at their length; every other buffer is the extractor's, sized by
+    /// the windows before.
+    #[test]
+    fn a_slide_that_rebuilds_a_cluster_allocates_alike_whatever_its_size() {
+        let rebuilt_slide = |cells: i32| {
+            let mut d = Driven::new(2);
+            for c in 0..cells {
+                for dx in [0.2, 0.5, 0.8] {
+                    d.put(f64::from(c) + dx, LATE);
+                }
+            }
+            let (w0, _) = d.slide();
+            assert_eq!(d.slide(), (w0.clone(), 1));
+            d.put(0.3, LATE); // a write to the first cell
+            let (w2, carried) = d.slide();
+            assert_eq!((w2.len(), carried), (1, 0));
+            assert_eq!(cells_of(&w2[0]).len(), cells as usize);
+            assert_eq!(w2[0].cores.len(), 3 * cells as usize + 1);
+            d.slide_allocations
+        };
+        assert_eq!(rebuilt_slide(40), rebuilt_slide(2));
+    }
+
+    /// A steady-state insert — its cell, its expiry list and its
+    /// neighbors' lists all have room — allocates once: for the neighbor
+    /// list the new object keeps.
+    #[test]
+    fn a_steady_state_insert_allocates_once_for_the_list_it_keeps() {
+        let mut d = Driven::new(2);
+        // Four objects that stay, and four that leave with window 1,
+        // leaving room behind them in the cell and in every list.
+        for x in [0.1, 0.2, 0.3, 0.4] {
+            d.put(x, LATE);
+        }
+        for x in [0.5, 0.6, 0.7, 0.8] {
+            d.put(x, 1);
+        }
+        d.slide();
+        let (p, point) = (PointId(d.next_id), Point::new(vec![0.45], 0));
+        let at = allocations();
+        d.csgs.insert(p, &point, WindowId(LATE));
+        assert_eq!(allocations() - at, 1);
+        let list = &d.csgs.points.states.state(p).neighbors;
+        assert_eq!((list.len(), list.capacity()), (4, 4));
+    }
+
     /// A core career that ends because a neighbor expires — no write to
     /// the object's own cell, which stays a core cell — still rebuilds its
     /// cluster: the neighbor's cell is a cell of the same skeleton, and it
@@ -865,7 +923,7 @@ mod tests {
         let (w2, carried) = d.slide();
         assert_eq!((w2.len(), carried), (1, 0));
         assert_eq!(cells_of(&w2[0]), [(0, Core, 4), (1, Core, 3)]);
-        assert_eq!(w2[0].sgs.cells[0].connections, [1]);
+        assert_eq!(w2[0].sgs.cells.get(0).unwrap().connections, [1]);
         assert_eq!(w2[0].cores.len(), 7);
         assert_eq!(d.slide(), (w2, 1));
         // Window 4: the bridge is gone.

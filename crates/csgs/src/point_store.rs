@@ -136,6 +136,9 @@ pub(crate) struct PointStore {
     pub states: PointTable,
     /// Points to drop when each window becomes current.
     pub expiry: FxHashMap<u64, Vec<PointId>>,
+    /// Where [`install`](Self::install) puts an arrival's neighbors in
+    /// expiry order, kept across arrivals.
+    by_expiry: Vec<(WindowId, PointId)>,
 }
 
 impl PointStore {
@@ -144,6 +147,7 @@ impl PointStore {
             index: GridIndex::new(geometry),
             states: PointTable::default(),
             expiry: FxHashMap::default(),
+            by_expiry: Vec::new(),
         }
     }
 
@@ -188,7 +192,9 @@ impl PointStore {
 
     /// §5.4 step 3: install a loaded point's discovery results — neighbor
     /// list (put in expiry order) and the core career read off it — and
-    /// promote its cell's status if the career is live.
+    /// promote its cell's status if the career is live. The list is the
+    /// one allocation: it is sorted in a buffer the store keeps, and
+    /// copied out at its exact length.
     pub(crate) fn install(
         &mut self,
         cells: &mut CellStore,
@@ -197,14 +203,15 @@ impl PointStore {
         now: WindowId,
         theta_c: u32,
     ) {
-        let st = self.states.state_mut(id);
-        let mut by_expiry: Vec<(WindowId, PointId)> =
-            neighbors.iter().map(|&(q, expires)| (expires, q)).collect();
+        let by_expiry = &mut self.by_expiry;
+        by_expiry.clear();
+        by_expiry.extend(neighbors.iter().map(|&(q, expires)| (expires, q)));
         by_expiry.sort_unstable_by_key(|&(expires, _)| expires);
+        let st = self.states.state_mut(id);
         let kth = by_expiry.len().checked_sub(theta_c as usize);
         let kth = kth.map(|i| by_expiry[i].0);
         st.core_until = career(st.expires_at, kth, now);
-        st.neighbors = by_expiry.into_iter().map(|(_, q)| q).collect();
+        st.neighbors = by_expiry.iter().map(|&(_, q)| q).collect();
         if st.core_until > now.0 {
             cells.raise_core_until(st.cell, st.core_until);
         }

@@ -27,6 +27,14 @@ impl UnionFind {
         }
     }
 
+    /// Make the forest `n` singleton sets again, keeping its room.
+    pub fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.rank.clear();
+        self.rank.resize(n, 0);
+    }
+
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -129,6 +137,15 @@ mod tests {
         assert!(!uf.union(0, 2)); // already merged
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
+    }
+
+    #[test]
+    fn reset_makes_singletons_again() {
+        let mut uf = UnionFind::with_len(5);
+        uf.union(0, 4);
+        uf.reset(3);
+        assert_eq!(uf.len(), 3);
+        assert!((0..3).all(|i| uf.find(i) == i));
     }
 
     #[test]

@@ -17,11 +17,11 @@
 use std::cmp::Ordering;
 
 use sgs_core::kernel::rel_diff;
-use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
+use sgs_summarize::{CellStatus, CellView, Sgs};
 
 /// Per-cell-pair difference in `[0, 1]`: mean of status mismatch,
 /// relative population difference and relative connectivity difference.
-fn cell_diff(a: &SkeletalCell, b: &SkeletalCell) -> f64 {
+fn cell_diff(a: CellView<'_>, b: CellView<'_>) -> f64 {
     let status = if a.status == b.status { 0.0 } else { 1.0 };
     let density = rel_diff(a.population as f64, b.population as f64);
     let conn = match (a.status, b.status) {
@@ -64,15 +64,17 @@ pub fn grid_level_distance(a: &Sgs, b: &Sgs, shift: &[i32]) -> f64 {
     // It also keeps `a`'s canonical order, so one forward walk over `b`
     // meets every counterpart in turn.
     let mut matched = 0usize;
-    let mut j = 0;
+    let mut rest = b.cells.iter().peekable();
     for cell in &a.cells {
         let mut diff = 1.0;
-        while let Some(other) = b.cells.get(j) {
+        while let Some(&other) = rest.peek() {
             match cmp_shifted(&other.coord.0, &cell.coord.0, shift) {
-                Ordering::Less => j += 1,
+                Ordering::Less => {
+                    rest.next();
+                }
                 Ordering::Equal => {
                     matched += 1;
-                    j += 1;
+                    rest.next();
                     diff = cell_diff(cell, other);
                     break;
                 }
@@ -100,8 +102,9 @@ mod tests {
     /// match bit for bit. Its `x + s` overflows at the ends of `i32`, so
     /// it is run only on small coordinates.
     fn binary_search_distance(a: &Sgs, b: &Sgs, shift: &[i32]) -> f64 {
+        let b_cells: Vec<CellView> = b.cells.iter().collect();
         let index_of_shifted = |coord: &[i32]| {
-            b.cells
+            b_cells
                 .binary_search_by(|c| {
                     c.coord
                         .0
@@ -123,7 +126,7 @@ mod tests {
             match index_of_shifted(&cell.coord.0) {
                 Some(j) => {
                     matched += 1;
-                    total += cell_diff(cell, &b.cells[j]);
+                    total += cell_diff(cell, b_cells[j]);
                 }
                 None => total += 1.0,
             }

@@ -13,7 +13,7 @@
 
 use sgs_core::CellCoord;
 
-use crate::sgs::{CellStatus, Sgs, SkeletalCell};
+use crate::sgs::{CellStatus, Cells, Entry, Sgs};
 
 /// Why a byte sequence is not an encoded summary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub fn encode(sgs: &Sgs, out: &mut Vec<u8>) {
             CellStatus::Edge => 0,
         });
         out.extend_from_slice(&(cell.connections.len() as u32).to_le_bytes());
-        for &conn in &cell.connections {
+        for &conn in cell.connections {
             out.extend_from_slice(&conn.to_le_bytes());
         }
     }
@@ -82,8 +82,18 @@ fn count(buf: &mut &[u8], min_elem_bytes: usize) -> Result<usize, DecodeError> {
     Ok(n)
 }
 
+/// The next `N` bytes of `buf`, which [`decode`]'s first pass has
+/// checked are there.
+fn read<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    take(buf).expect("checked by the first pass")
+}
+
 /// Decode one summary off the front of `buf`, advancing it past the
 /// summary's bytes. Whatever follows is left for the caller.
+///
+/// A first pass checks every field and counts the connections; a second
+/// reads the checked bytes twice over, once into the cell array and once
+/// into the connection array, each allocated once at its exact length.
 pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
     let dim = u16::from_le_bytes(take(buf)?) as usize;
     if dim == 0 {
@@ -95,37 +105,66 @@ pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
         return Err(DecodeError::Invalid("non-positive cell side"));
     }
     let n_cells = count(buf, bare_cell(dim))?;
-    let mut cells = Vec::with_capacity(n_cells);
+    let body = *buf;
+    let mut n_conns = 0usize;
     for _ in 0..n_cells {
-        let coord = (0..dim).map(|_| take(buf).map(i32::from_le_bytes));
-        let coord = CellCoord(coord.collect::<Result<_, _>>()?);
-        let population = u32::from_le_bytes(take(buf)?);
-        let status = match take(buf)? {
-            [0] => CellStatus::Edge,
-            [1] => CellStatus::Core,
-            _ => return Err(DecodeError::Invalid("cell status code")),
-        };
-        let n_conns = count(buf, 4)?;
-        let mut connections = Vec::with_capacity(n_conns);
-        for _ in 0..n_conns {
-            let conn = u32::from_le_bytes(take(buf)?);
-            if conn as usize >= n_cells {
+        // Past the coordinate and the population, which any bytes are.
+        *buf = buf.get(4 * dim + 4..).ok_or(DecodeError::Truncated)?;
+        if !matches!(take(buf)?, [0 | 1]) {
+            return Err(DecodeError::Invalid("cell status code"));
+        }
+        let n = count(buf, 4)?;
+        for _ in 0..n {
+            if u32::from_le_bytes(take(buf)?) as usize >= n_cells {
                 return Err(DecodeError::Invalid("connection index out of range"));
             }
-            connections.push(conn);
         }
-        cells.push(SkeletalCell {
+        n_conns += n;
+    }
+    if u32::try_from(n_conns).is_err() {
+        return Err(DecodeError::Invalid("2^32 connections or more"));
+    }
+
+    let (mut at, mut end) = (body, 0u32);
+    let entries = (0..n_cells).map(|_| {
+        let coord = CellCoord(
+            (0..dim)
+                .map(|_| i32::from_le_bytes(read(&mut at)))
+                .collect(),
+        );
+        let population = u32::from_le_bytes(read(&mut at));
+        let status = match read(&mut at) {
+            [1] => CellStatus::Core,
+            _ => CellStatus::Edge,
+        };
+        let n = u32::from_le_bytes(read(&mut at));
+        at = &at[4 * n as usize..];
+        end += n;
+        Entry {
             coord,
             population,
             status,
-            connections,
-        });
-    }
+            end,
+        }
+    });
+    let entries = entries.collect();
+    // The connections, each cell's run read after skipping the cells
+    // before it that have none left.
+    let (mut at, mut left) = (body, 0u32);
+    let connections = (0..n_conns).map(|_| {
+        while left == 0 {
+            at = &at[bare_cell(dim) - 4..];
+            left = u32::from_le_bytes(read(&mut at));
+        }
+        left -= 1;
+        u32::from_le_bytes(read(&mut at))
+    });
+    let cells = Cells::from_parts(entries, connections.collect());
     Ok(Sgs {
         dim,
         side,
         level,
-        cells: cells.into(),
+        cells,
     })
 }
 
@@ -133,6 +172,7 @@ pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
 mod tests {
     use super::*;
     use crate::member::MemberSet;
+    use crate::sgs::SkeletalCell;
     use sgs_core::GridGeometry;
 
     /// A 2-d summary whose connections reach past face neighbours: the
@@ -156,7 +196,7 @@ mod tests {
         let s = sample();
         let diagonal = s.cells.iter().any(|c| {
             c.connections.iter().any(|&j| {
-                let other = &s.cells[j as usize].coord.0;
+                let other = &s.cells.get(j as usize).unwrap().coord.0;
                 let steps: i32 = c
                     .coord
                     .0
@@ -218,7 +258,7 @@ mod tests {
         // The first connection of the first cell, pointed past the last cell.
         let conn_at = status_at + 1 + 4;
         let past = (s.cells.len() as u32).to_le_bytes();
-        assert!(!s.cells[0].connections.is_empty());
+        assert!(!s.cells.get(0).unwrap().connections.is_empty());
         assert!(matches!(
             patched(conn_at, &past),
             Err(DecodeError::Invalid(_))

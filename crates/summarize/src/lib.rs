@@ -19,10 +19,8 @@ pub mod codec;
 pub mod member;
 pub mod multires;
 pub mod packed;
-pub mod regen;
 pub mod sgs;
 
 pub use member::MemberSet;
 pub use multires::coarsen;
-pub use regen::{regenerate, regeneration_error};
-pub use sgs::{CellStatus, Cells, Sgs, SkeletalCell};
+pub use sgs::{CellStatus, CellView, Cells, CellsBuilder, Sgs, SkeletalCell};

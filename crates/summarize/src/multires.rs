@@ -44,7 +44,7 @@ pub fn coarsen(sgs: &Sgs, theta: u32) -> Sgs {
     let mut parents: FxHashMap<CellCoord, Agg> = FxHashMap::default();
     let mut parent_coord_of_child: Vec<CellCoord> = Vec::with_capacity(sgs.cells.len());
     for cell in &sgs.cells {
-        let pc = parent_of(&cell.coord);
+        let pc = parent_of(cell.coord);
         let agg = parents.entry(pc.clone()).or_default();
         agg.population += cell.population;
         agg.core |= cell.status == CellStatus::Core;
@@ -86,7 +86,7 @@ pub fn coarsen(sgs: &Sgs, theta: u32) -> Sgs {
             continue;
         }
         let pi = index_of[&parent_coord_of_child[child_idx]];
-        for &conn in &cell.connections {
+        for &conn in cell.connections {
             let pj = index_of[&parent_coord_of_child[conn as usize]];
             if pi != pj {
                 cells[pi as usize].connections.push(pj);

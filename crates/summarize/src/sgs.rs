@@ -18,7 +18,6 @@
 //! bitmask.
 
 use std::fmt;
-use std::ops::Deref;
 use std::sync::Arc;
 
 use sgs_core::{CellCoord, GridGeometry, HeapSize};
@@ -35,7 +34,9 @@ pub enum CellStatus {
     Edge,
 }
 
-/// One skeletal grid cell (Def. 4.4).
+/// One skeletal grid cell (Def. 4.4), owned: the form a list is built
+/// from. A [`Cells`] list holds its cells flat and lends each one out as
+/// a [`CellView`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SkeletalCell {
     /// Integer cell coordinate; the location vector of Def. 4.4 is
@@ -51,7 +52,33 @@ pub struct SkeletalCell {
     pub connections: Vec<u32>,
 }
 
-impl SkeletalCell {
+impl From<CellView<'_>> for SkeletalCell {
+    fn from(cell: CellView<'_>) -> Self {
+        SkeletalCell {
+            coord: cell.coord.clone(),
+            population: cell.population,
+            status: cell.status,
+            connections: cell.connections.to_vec(),
+        }
+    }
+}
+
+/// One cell of a [`Cells`] list, borrowed: the fields of a
+/// [`SkeletalCell`], its connections a run of the list's one connection
+/// array. Prints as the [`SkeletalCell`] it reads as.
+#[derive(Clone, Copy, PartialEq)]
+pub struct CellView<'a> {
+    /// Integer cell coordinate ([`SkeletalCell::coord`]).
+    pub coord: &'a CellCoord,
+    /// Number of cluster member objects inside the cell.
+    pub population: u32,
+    /// Core or edge.
+    pub status: CellStatus,
+    /// Indices (into the list) of connected cells; empty on an edge cell.
+    pub connections: &'a [u32],
+}
+
+impl CellView<'_> {
     /// Connection degree.
     #[inline]
     pub fn connectivity(&self) -> usize {
@@ -59,61 +86,226 @@ impl SkeletalCell {
     }
 }
 
-impl HeapSize for SkeletalCell {
-    fn heap_size(&self) -> usize {
-        self.coord.heap_size() + self.connections.capacity() * 4
+impl fmt::Debug for CellView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SkeletalCell")
+            .field("coord", self.coord)
+            .field("population", &self.population)
+            .field("status", &self.status)
+            .field("connections", &self.connections)
+            .finish()
     }
 }
 
-/// The skeletal cells of a summary: one shared, immutable list. A clone
-/// is a count bump, so every holder of one summary — the output stage,
-/// the archiver's selection, a pattern base — holds the one allocation.
-/// Dereferences to the slice; equality compares contents.
+/// A cell of a [`Cells`] list but its connections, which are the run of
+/// the list's connection array that ends at `end` and starts where the
+/// previous cell's ends (at 0 for the first cell).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Entry {
+    pub(crate) coord: CellCoord,
+    pub(crate) population: u32,
+    pub(crate) status: CellStatus,
+    pub(crate) end: u32,
+}
+
+impl Entry {
+    /// The cell, its connections being `connections`.
+    #[inline]
+    fn view<'a>(&'a self, connections: &'a [u32]) -> CellView<'a> {
+        CellView {
+            coord: &self.coord,
+            population: self.population,
+            status: self.status,
+            connections,
+        }
+    }
+}
+
+/// The skeletal cells of a summary, flat and shared: one array of cells
+/// and one of every cell's connections, each cell's a run of it in cell
+/// order, so a summary is two heap blocks whatever its cell count. A
+/// clone bumps two counts, so every holder of one summary — the output
+/// stage, the archiver's selection, a pattern base — holds the same two
+/// blocks. Cells are read as [`CellView`]s ([`iter`](Self::iter),
+/// [`get`](Self::get)) and built from [`SkeletalCell`]s or by a
+/// [`CellsBuilder`]; equality compares the list of cells, and `Debug`
+/// prints it as a list of [`SkeletalCell`]s.
 #[derive(Clone, Default)]
-pub struct Cells(Arc<[SkeletalCell]>);
+pub struct Cells {
+    entries: Arc<[Entry]>,
+    connections: Arc<[u32]>,
+}
 
 impl Cells {
+    /// The list of `entries`, whose connection runs cover `connections`.
+    pub(crate) fn from_parts(entries: Arc<[Entry]>, connections: Arc<[u32]>) -> Cells {
+        debug_assert_eq!(
+            entries.last().map_or(0, |e| e.end as usize),
+            connections.len()
+        );
+        Cells {
+            entries,
+            connections,
+        }
+    }
+
     /// Whether `a` and `b` are the same allocation (equal contents need
     /// not be).
     #[inline]
     pub fn ptr_eq(a: &Cells, b: &Cells) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        Arc::ptr_eq(&a.entries, &b.entries)
+    }
+
+    /// The address of the list's cell array: the same for every clone,
+    /// and distinct from any other list's while this one is held.
+    #[inline]
+    pub fn addr(&self) -> usize {
+        Arc::as_ptr(&self.entries).cast::<Entry>() as usize
+    }
+
+    /// Number of cells.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the list holds no cell.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Cell `i`, if the list has one.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<CellView<'_>> {
+        let entry = self.entries.get(i)?;
+        let start = i.checked_sub(1).map_or(0, |p| self.entries[p].end as usize);
+        Some(entry.view(&self.connections[start..entry.end as usize]))
+    }
+
+    /// The cells in list order.
+    #[inline]
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            entries: self.entries.iter(),
+            connections: &self.connections,
+            start: 0,
+        }
+    }
+
+    /// The cells, owned.
+    pub fn to_vec(&self) -> Vec<SkeletalCell> {
+        self.iter().map(SkeletalCell::from).collect()
     }
 }
 
-impl Deref for Cells {
-    type Target = [SkeletalCell];
+/// The cells of a [`Cells`] list in order, as [`CellView`]s.
+#[derive(Clone)]
+pub struct Iter<'a> {
+    entries: std::slice::Iter<'a, Entry>,
+    connections: &'a [u32],
+    /// Where the next cell's connection run starts.
+    start: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = CellView<'a>;
 
     #[inline]
-    fn deref(&self) -> &[SkeletalCell] {
-        &self.0
+    fn next(&mut self) -> Option<CellView<'a>> {
+        let entry = self.entries.next()?;
+        let end = entry.end as usize;
+        let cell = entry.view(&self.connections[self.start..end]);
+        self.start = end;
+        Some(cell)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a Cells {
+    type Item = CellView<'a>;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// A [`Cells`] list under construction, kept to build many: each cell is
+/// pushed with its connections, and [`build`](Self::build) copies what
+/// was pushed into the list's two blocks and empties the buffers for the
+/// next list, keeping their room.
+#[derive(Debug, Default)]
+pub struct CellsBuilder {
+    entries: Vec<Entry>,
+    connections: Vec<u32>,
+}
+
+impl CellsBuilder {
+    /// Append a cell; returns its connections as stored, for the caller
+    /// to put in order.
+    ///
+    /// # Panics
+    /// Panics if the list would hold 2^32 connections or more.
+    pub fn push(
+        &mut self,
+        coord: CellCoord,
+        population: u32,
+        status: CellStatus,
+        connections: impl IntoIterator<Item = u32>,
+    ) -> &mut [u32] {
+        let start = self.connections.len();
+        self.connections.extend(connections);
+        let end = u32::try_from(self.connections.len())
+            .expect("a summary holds fewer than 2^32 connections");
+        self.entries.push(Entry {
+            coord,
+            population,
+            status,
+            end,
+        });
+        &mut self.connections[start..]
+    }
+
+    /// The list of the cells pushed since the last build, in push order.
+    pub fn build(&mut self) -> Cells {
+        let cells = Cells::from_parts(
+            self.entries.drain(..).collect(),
+            Arc::from(&self.connections[..]),
+        );
+        self.connections.clear();
+        cells
     }
 }
 
 impl From<Vec<SkeletalCell>> for Cells {
     fn from(cells: Vec<SkeletalCell>) -> Self {
-        Cells(cells.into())
+        cells.into_iter().collect()
     }
 }
 
 impl FromIterator<SkeletalCell> for Cells {
     fn from_iter<I: IntoIterator<Item = SkeletalCell>>(iter: I) -> Self {
-        Cells(iter.into_iter().collect())
-    }
-}
-
-impl<'a> IntoIterator for &'a Cells {
-    type Item = &'a SkeletalCell;
-    type IntoIter = std::slice::Iter<'a, SkeletalCell>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        let mut list = CellsBuilder::default();
+        for cell in iter {
+            list.push(cell.coord, cell.population, cell.status, cell.connections);
+        }
+        list.build()
     }
 }
 
 impl PartialEq for Cells {
+    /// Every list is laid out the one way, each cell's run right after
+    /// the previous cell's, so equal arrays are equal lists.
     fn eq(&self, other: &Cells) -> bool {
-        Cells::ptr_eq(self, other) || self.0 == other.0
+        Cells::ptr_eq(self, other)
+            || (self.entries == other.entries && self.connections == other.connections)
     }
 }
 
@@ -123,10 +315,17 @@ impl fmt::Debug for Cells {
     }
 }
 
+/// The flat size: the cell array, the coordinates' own heap, and the
+/// connection array.
 impl HeapSize for Cells {
     fn heap_size(&self) -> usize {
-        self.len() * core::mem::size_of::<SkeletalCell>()
-            + self.iter().map(HeapSize::heap_size).sum::<usize>()
+        self.entries.len() * core::mem::size_of::<Entry>()
+            + self
+                .entries
+                .iter()
+                .map(|e| e.coord.heap_size())
+                .sum::<usize>()
+            + self.connections.len() * core::mem::size_of::<u32>()
     }
 }
 
@@ -288,7 +487,7 @@ impl Sgs {
             .cells
             .iter()
             .filter(|c| c.status == CellStatus::Core)
-            .map(SkeletalCell::connectivity)
+            .map(|c| c.connectivity())
             .sum();
         total as f64 / cores as f64
     }
@@ -309,7 +508,7 @@ impl Sgs {
     /// The upper corner is computed in `f64`, so a cell at `i32::MAX`
     /// yields a finite, non-inverted rectangle.
     pub fn mbr(&self) -> Option<Rect> {
-        let first = self.cells.first()?;
+        let first = self.cells.get(0)?;
         let dim = first.coord.dim();
         let mut lo = vec![i32::MAX; dim];
         let mut hi = vec![i32::MIN; dim];
@@ -329,7 +528,8 @@ impl Sgs {
 
     /// Index of the cell at `coord`, if present (cells are kept sorted).
     pub fn index_of(&self, coord: &CellCoord) -> Option<usize> {
-        self.cells.binary_search_by(|c| c.coord.cmp(coord)).ok()
+        let entries = &self.cells.entries;
+        entries.binary_search_by(|e| e.coord.cmp(coord)).ok()
     }
 
     /// Fidelity check for Lemma 4.3: every cell's data-space box is within
@@ -338,7 +538,8 @@ impl Sgs {
     /// and sorted, and that the cell populations sum to at most
     /// `u32::MAX`, so [`population`](Self::population) cannot wrap.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.cells.windows(2).all(|w| w[0].coord < w[1].coord) {
+        let coords = self.cells.iter().map(|c| c.coord);
+        if !coords.clone().zip(coords.skip(1)).all(|(a, b)| a < b) {
             return Err("cells not sorted by coordinate".into());
         }
         let mut population = 0u32;
@@ -352,7 +553,7 @@ impl Sgs {
             if c.status == CellStatus::Edge && !c.connections.is_empty() {
                 return Err(format!("edge cell {i} carries connection indicators"));
             }
-            for &j in &c.connections {
+            for &j in c.connections {
                 if j as usize >= self.cells.len() {
                     return Err(format!("cell {i} connects to out-of-range {j}"));
                 }
@@ -372,8 +573,9 @@ impl Sgs {
         let mut comp = vec![usize::MAX; n];
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut stack = Vec::new();
+        let cell = |i: usize| self.cells.get(i).expect("a connection names a cell");
         for start in 0..n {
-            if comp[start] != usize::MAX || self.cells[start].status != CellStatus::Core {
+            if comp[start] != usize::MAX || cell(start).status != CellStatus::Core {
                 continue;
             }
             let gid = groups.len();
@@ -382,9 +584,9 @@ impl Sgs {
             stack.push(start);
             while let Some(i) = stack.pop() {
                 groups[gid].push(i);
-                for &j in &self.cells[i].connections {
+                for &j in cell(i).connections {
                     let j = j as usize;
-                    match self.cells[j].status {
+                    match cell(j).status {
                         CellStatus::Core => {
                             if comp[j] == usize::MAX {
                                 comp[j] = gid;
@@ -461,12 +663,13 @@ mod tests {
         let c0 = sgs.index_of(&CellCoord::new(vec![0, 0])).unwrap();
         let c1 = sgs.index_of(&CellCoord::new(vec![1, 0])).unwrap();
         let c2 = sgs.index_of(&CellCoord::new(vec![2, 0])).unwrap();
-        assert!(sgs.cells[c0].connections.contains(&(c1 as u32)));
-        assert!(sgs.cells[c1].connections.contains(&(c0 as u32)));
+        let connections = |i: usize| sgs.cells.get(i).unwrap().connections;
+        assert!(connections(c0).contains(&(c1 as u32)));
+        assert!(connections(c1).contains(&(c0 as u32)));
         // Edge cell attached to core cell 1: (1.6,0.1)-(0.9,0.1) = 0.7 ≤ 1.
-        assert!(sgs.cells[c1].connections.contains(&(c2 as u32)));
+        assert!(connections(c1).contains(&(c2 as u32)));
         // Edge cells carry no indicators.
-        assert!(sgs.cells[c2].connections.is_empty());
+        assert!(connections(c2).is_empty());
     }
 
     #[test]
@@ -556,7 +759,7 @@ mod tests {
         let again = Sgs::from_members(&sample_members(), &geo());
         assert!(!Cells::ptr_eq(&sgs.cells, &again.cells));
         assert_eq!(sgs, again);
-        let fewer: Cells = sgs.cells[1..].to_vec().into();
+        let fewer: Cells = sgs.cells.iter().skip(1).map(SkeletalCell::from).collect();
         assert_ne!(
             sgs,
             Sgs {

@@ -1,0 +1,65 @@
+//! Decoding a summary allocates per summary, not per cell: its cells and
+//! its connections are each read into one block at their exact length.
+//! Counted per thread, so the harness's other threads do not disturb the
+//! count.
+
+mod counting;
+
+use counting::allocations;
+use sgs_core::CellCoord;
+use sgs_summarize::codec::{decode, encode};
+use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
+
+/// A 2-d row of `n` cells, each core cell linked to its neighbours in the
+/// row, every third cell an edge cell.
+fn row(n: u32) -> Sgs {
+    let cells = (0..n).map(|x| {
+        let core = x % 3 != 2;
+        SkeletalCell {
+            coord: CellCoord::new(vec![x as i32, 7]),
+            population: 1 + x % 5,
+            status: if core {
+                CellStatus::Core
+            } else {
+                CellStatus::Edge
+            },
+            connections: if core {
+                (x.saturating_sub(1)..(x + 2).min(n))
+                    .filter(|&j| j != x)
+                    .collect()
+            } else {
+                Vec::new()
+            },
+        }
+    });
+    let sgs = Sgs {
+        dim: 2,
+        side: 0.5,
+        level: 0,
+        cells: cells.collect(),
+    };
+    sgs.validate().unwrap();
+    sgs
+}
+
+/// The allocations of decoding `sgs`, and the decoded summary.
+fn decoded(sgs: &Sgs) -> (usize, Sgs) {
+    let mut bytes = Vec::new();
+    encode(sgs, &mut bytes);
+    let at = allocations();
+    let back = decode(&mut &bytes[..]).unwrap();
+    (allocations() - at, back)
+}
+
+#[test]
+fn decode_allocates_alike_for_2_cells_and_for_200() {
+    let (small, large) = (row(2), row(200));
+    let (small_allocations, small_back) = decoded(&small);
+    let (large_allocations, large_back) = decoded(&large);
+    assert_eq!((small_back, large_back), (small, large));
+    assert_eq!(small_allocations, large_allocations);
+    assert_eq!(
+        large_allocations, 2,
+        "the cell array and the connection array"
+    );
+}

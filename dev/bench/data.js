@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1792429257110,
+  "lastUpdate": 1792438753522,
   "entries": {
     "streamsum e2ebench": [
       {
@@ -126,7 +126,7 @@ window.BENCHMARK_DATA = {
       },
       {
         "commit": {
-          "id": null,
+          "id": "c83045341f5418a6ecbf73b60c13ddbc5fcab1cf",
           "parent": "55d93bb8bf35fb39428f568ac68baba4ea588e52",
           "message": "The product crates hold only what the product runs: the paper's baselines move into sgs-bench, and the API only they carried goes"
         },
@@ -149,6 +149,36 @@ window.BENCHMARK_DATA = {
           {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.323, "value": 0.326, "pairs": 6, "wins": 4},
           {"name": "gmti_slide response_p90_ms seed 1", "workload": "gmti_slide", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.44, "value": 0.45, "pairs": 6, "wins": 2},
           {"name": "gmti_slide peak_rss_mb seed 1", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 77.81, "value": 77.78, "pairs": 6, "wins": 3}
+        ]
+      },
+      {
+        "commit": {
+          "id": null,
+          "parent": "c83045341f5418a6ecbf73b60c13ddbc5fcab1cf",
+          "message": "A kept summary is two blocks, not one per core cell: SGS connections live in one array per summary, and C-SGS keeps its output buffers across windows"
+        },
+        "date": 1792438753522,
+        "tool": "e2ebench --seconds 20 --trace 0, interleaved parent/change pairs, 2-vCPU box; claim: gmti_slide peak_rss_mb",
+        "benches": [
+          {"name": "gmti_slide peak_rss_mb seed 1", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 77.79, "value": 72.18, "pairs": 10, "wins": 10},
+          {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 261291, "value": 279076, "pairs": 10, "wins": 10},
+          {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.365, "value": 0.34, "pairs": 10, "wins": 9},
+          {"name": "gmti_slide response_p90_ms seed 1", "workload": "gmti_slide", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.48, "value": 0.462, "pairs": 10, "wins": 8},
+          {"name": "gmti_slide peak_rss_mb seed 2", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 2, "parent": 76.86, "value": 71.64, "pairs": 5, "wins": 5},
+          {"name": "gmti_slide tuples_per_s seed 2", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 2, "parent": 275050, "value": 273639, "pairs": 5, "wins": 2},
+          {"name": "stt_insert tuples_per_s seed 1", "workload": "stt_insert", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 205038, "value": 210982, "pairs": 6, "wins": 6},
+          {"name": "stt_insert response_p50_ms seed 1", "workload": "stt_insert", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 4.757, "value": 4.61, "pairs": 6, "wins": 5},
+          {"name": "stt_insert response_p90_ms seed 1", "workload": "stt_insert", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 6.419, "value": 6.289, "pairs": 6, "wins": 5},
+          {"name": "stt_insert peak_rss_mb seed 1", "workload": "stt_insert", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 80.51, "value": 80.46, "pairs": 6, "wins": 5},
+          {"name": "stt_insert setup_s seed 1", "workload": "stt_insert", "metric": "setup_s", "unit": "s", "seed": 1, "parent": 0.1688, "value": 0.1683, "pairs": 6, "wins": 4},
+          {"name": "match_under_ingest tuples_per_s seed 1", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 322550, "value": 333413, "pairs": 10, "wins": 7},
+          {"name": "match_under_ingest response_p50_ms seed 1", "workload": "match_under_ingest", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.224, "value": 0.223, "pairs": 10, "wins": 4},
+          {"name": "match_under_ingest response_p90_ms seed 1", "workload": "match_under_ingest", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.436, "value": 0.441, "pairs": 10, "wins": 5},
+          {"name": "match_under_ingest peak_rss_mb seed 1", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 52.99, "value": 49.58, "pairs": 10, "wins": 10},
+          {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 354018, "value": 354640, "pairs": 10, "wins": 8},
+          {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.274, "value": 0.271, "pairs": 10, "wins": 8},
+          {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.346, "value": 0.347, "pairs": 10, "wins": 6},
+          {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 38.33, "value": 36.76, "pairs": 10, "wins": 10}
         ]
       }
     ]
