@@ -87,13 +87,20 @@ struct Record {
     /// Where the record's [`Entry`] starts in the arena; it ends where the
     /// next record's starts.
     start: usize,
-    /// Dimensionality of the summary.
-    dim: usize,
+    /// Dimensionality of the summary ([`Record::dim_of`]).
+    dim: u32,
     /// First and last member, in id order.
     first: u32,
     last: u32,
     /// Number of members, never 0.
     members: u32,
+}
+
+impl Record {
+    /// The `dim` field of a record of `sgs`.
+    fn dim_of(sgs: &Sgs) -> u32 {
+        u32::try_from(sgs.dim).expect("a summary has fewer than 2^32 dimensions")
+    }
 }
 
 /// One match found by a cluster matching query.
@@ -203,7 +210,7 @@ impl PatternBase {
         self.records.push(Record {
             features: sgs.features(),
             start: self.entries.len(),
-            dim: sgs.dim,
+            dim: Record::dim_of(sgs),
             first: index,
             last: index,
             members: 1,
@@ -241,7 +248,7 @@ impl PatternBase {
             }
             let record = &mut self.records[r];
             record.features = sgs.features();
-            record.dim = sgs.dim;
+            record.dim = Record::dim_of(&sgs);
         } else {
             self.unlink(i as u32);
             self.patterns[i].record = self.open_record(&sgs, i as u32);
@@ -341,7 +348,7 @@ impl PatternBase {
         let mut alignments = AlignmentFilter::new(query);
         for (r, record) in self.records.iter().enumerate() {
             // A summary of another dimensionality is no match.
-            if record.dim != query.dim {
+            if record.dim as usize != query.dim {
                 continue;
             }
             let sgs = &self.patterns[record.first as usize].sgs;
@@ -441,7 +448,17 @@ mod tests {
     use super::*;
     use sgs_core::{CellCoord, GridGeometry};
     use sgs_matching::cluster_distance;
-    use sgs_summarize::{CellStatus, MemberSet, SkeletalCell};
+    use sgs_summarize::{CellStatus, Cells, CellsBuilder, MemberSet};
+
+    /// A copy of `cells` in blocks of its own.
+    fn deep_copy(cells: &Cells) -> Cells {
+        let mut list = CellsBuilder::default();
+        for c in cells {
+            let connections = c.connections.iter().copied();
+            list.push(c.coord.clone(), c.population, c.status, connections);
+        }
+        list.build()
+    }
 
     fn blob(x0: f64, y0: f64, n: usize) -> Sgs {
         let cores: Vec<Box<[f64]>> = (0..n)
@@ -472,6 +489,12 @@ mod tests {
         let p = base.get(id).unwrap();
         assert_eq!(p.window, WindowId(3));
         assert_eq!(features_of(&base, 0), p.sgs.features());
+    }
+
+    #[test]
+    fn a_record_is_56_bytes() {
+        // Four features, the arena offset, then four `u32`s: no padding.
+        assert_eq!(std::mem::size_of::<Record>(), 56);
     }
 
     #[test]
@@ -563,7 +586,7 @@ mod tests {
         let mut base = PatternBase::new();
         base.insert(blob(0.0, 0.0, 8), WindowId(0));
         let kept = blob(0.0, 0.0, 30);
-        let copy = kept.cells.to_vec();
+        let copy = deep_copy(&kept.cells);
         let old = kept.cells.addr();
         base.insert(kept.clone(), WindowId(1));
         let demoted = base.patterns[1].record;
@@ -572,18 +595,18 @@ mod tests {
         let coarse = sgs_summarize::coarsen(&kept, 2);
         base.replace(PatternId(1), coarse);
         let (dim, side, level) = (kept.dim, kept.side, kept.level);
-        let fresh = |cells: Vec<SkeletalCell>| Sgs {
+        let fresh = || Sgs {
             dim,
             side,
             level,
-            cells: cells.into(),
+            cells: deep_copy(&copy),
         };
         drop(kept);
         // Equal summaries on the same grid, each a new allocation of the
         // old one's size: the allocator may hand out the freed address.
         let mut reused = false;
         for w in 2..40 {
-            let sgs = fresh(copy.clone());
+            let sgs = fresh();
             reused |= sgs.cells.addr() == old;
             base.insert(sgs, WindowId(w));
         }
@@ -748,7 +771,7 @@ mod tests {
     fn unshared(base: &PatternBase) -> PatternBase {
         let mut copy = PatternBase::new();
         for p in base.iter() {
-            let cells = p.sgs.cells.to_vec().into();
+            let cells = deep_copy(&p.sgs.cells);
             copy.insert(
                 Sgs {
                     cells,
@@ -780,7 +803,7 @@ mod tests {
                 );
             }
             assert_eq!(record.features, first.features());
-            assert_eq!(record.dim, first.dim);
+            assert_eq!(record.dim as usize, first.dim);
             let mut words = Vec::new();
             Entry::write(first, &mut words);
             assert_eq!(base.entry(r), &words[..]);
@@ -903,7 +926,7 @@ mod tests {
                         base.insert(sgs, window);
                     }
                     (3, Some(sgs)) => {
-                        let cells = sgs.cells.to_vec().into();
+                        let cells = deep_copy(&sgs.cells);
                         base.insert(Sgs { cells, ..sgs }, window);
                     }
                     (4, Some(sgs)) => {
@@ -1018,38 +1041,31 @@ mod tests {
     /// an edge cell, `k ≥ 1` a core cell linked to the next `k − 1` cells
     /// in canonical order. Cells on one coordinate collapse to the first.
     fn summary_of(dim: usize, script: impl IntoIterator<Item = (Vec<i32>, u32, u8)>) -> Sgs {
-        let mut cells: Vec<(SkeletalCell, u8)> = script
+        let mut cells: Vec<(CellCoord, u32, u8)> = script
             .into_iter()
             .map(|(mut coord, population, kind)| {
                 coord.truncate(dim);
-                let cell = SkeletalCell {
-                    coord: CellCoord::new(coord),
-                    population,
-                    status: if kind == 0 {
-                        CellStatus::Edge
-                    } else {
-                        CellStatus::Core
-                    },
-                    connections: Vec::new(),
-                };
-                (cell, kind)
+                (CellCoord::new(coord), population, kind)
             })
             .collect();
-        cells.sort_by(|p, q| p.0.coord.cmp(&q.0.coord));
-        cells.dedup_by(|p, q| p.0.coord == q.0.coord);
+        cells.sort_by(|p, q| p.0.cmp(&q.0));
+        cells.dedup_by(|p, q| p.0 == q.0);
         let n = cells.len();
-        for (i, (cell, kind)) in cells.iter_mut().enumerate() {
-            if cell.status == CellStatus::Core {
-                let links = usize::from(*kind - 1).min(n - 1);
-                cell.connections = (1..=links).map(|k| ((i + k) % n) as u32).collect();
-                cell.connections.sort_unstable();
+        let mut list = CellsBuilder::default();
+        for (i, (coord, population, kind)) in cells.into_iter().enumerate() {
+            if kind == 0 {
+                list.push(coord, population, CellStatus::Edge, []);
+            } else {
+                let links = usize::from(kind - 1).min(n - 1);
+                let connections = (1..=links).map(|k| ((i + k) % n) as u32);
+                list.push(coord, population, CellStatus::Core, connections);
             }
         }
         Sgs {
             dim,
             side: 1.0,
             level: 0,
-            cells: cells.into_iter().map(|(cell, _)| cell).collect(),
+            cells: list.build(),
         }
     }
 

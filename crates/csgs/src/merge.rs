@@ -26,7 +26,8 @@
 //!    iterates in.
 //! 5. **Skeletons**: a cluster's cell list is its core cells merged with
 //!    its sorted attached cells; every connection index falls out of that
-//!    one sort. The cells and their connections are written into buffers
+//!    one sort, and the builder puts each cell's run in ascending order.
+//!    The cells and their connections are written into buffers
 //!    kept across windows ([`Scratch`]) and copied once into the
 //!    summary's shared [`Cells`](sgs_summarize::Cells): two blocks
 //!    whatever the cluster's size.
@@ -357,8 +358,7 @@ pub(crate) fn emit(
                     link.attach.then_some(link.local)
                 }
             });
-            list.push(coord, population, CellStatus::Core, connections)
-                .sort_unstable();
+            list.push(coord, population, CellStatus::Core, connections);
         }
         let sgs = Sgs {
             dim: geometry.dim(),

@@ -165,7 +165,7 @@ mod tests {
     use crate::testkit::{edge_coords, summary_of};
     use proptest::prop::collection::vec;
     use sgs_core::GridGeometry;
-    use sgs_summarize::MemberSet;
+    use sgs_summarize::{CellsBuilder, MemberSet};
 
     /// A heap entry of [`vec_search`].
     #[derive(PartialEq)]
@@ -300,10 +300,13 @@ mod tests {
         // Offset by a shift the seed misses slightly (different shape mass).
         let b = shape(4.0 * side, 2.0 * side);
         // Perturb so the seed is off: the same summary less its last two cells.
-        let mut cells = b.cells.to_vec();
-        cells.truncate(cells.len() - 2);
+        let mut list = CellsBuilder::default();
+        for c in b.cells.iter().take(b.cells.len() - 2) {
+            let connections = c.connections.iter().copied();
+            list.push(c.coord.clone(), c.population, c.status, connections);
+        }
         let b = Sgs {
-            cells: cells.into(),
+            cells: list.build(),
             ..b
         };
         let small = best_alignment(&a, &b, 4).distance;

@@ -3,7 +3,7 @@
 //! [`alignment`](crate::alignment).
 
 use sgs_core::CellCoord;
-use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
+use sgs_summarize::{CellStatus, CellsBuilder, Sgs};
 
 /// One generated cell: coordinates (the first `dim` are used),
 /// population, and a kind — 0 or 1 is an edge cell, `k ≥ 2` a core
@@ -30,39 +30,31 @@ pub fn summary(dim: usize, script: &[CellScript], at: [i32; 4]) -> Sgs {
 /// [`CellScript`]; each coordinate list is cut to its first `dim`, and
 /// cells on one coordinate collapse to the first.
 pub fn summary_of(dim: usize, script: impl IntoIterator<Item = (Vec<i32>, u32, u8)>) -> Sgs {
-    let mut cells: Vec<(SkeletalCell, u8)> = script
+    let mut cells: Vec<(CellCoord, u32, u8)> = script
         .into_iter()
         .map(|(mut coord, population, kind)| {
             coord.truncate(dim);
-            let status = if kind < 2 {
-                CellStatus::Edge
-            } else {
-                CellStatus::Core
-            };
-            let cell = SkeletalCell {
-                coord: CellCoord::new(coord),
-                population,
-                status,
-                connections: Vec::new(),
-            };
-            (cell, kind)
+            (CellCoord::new(coord), population, kind)
         })
         .collect();
-    cells.sort_by(|x, y| x.0.coord.cmp(&y.0.coord));
-    cells.dedup_by(|x, y| x.0.coord == y.0.coord);
+    cells.sort_by(|x, y| x.0.cmp(&y.0));
+    cells.dedup_by(|x, y| x.0 == y.0);
     let n = cells.len();
-    for (i, (cell, kind)) in cells.iter_mut().enumerate() {
-        if cell.status == CellStatus::Core {
-            let links = usize::from(kind.saturating_sub(2)).min(n - 1);
-            cell.connections = (1..=links).map(|k| ((i + k) % n) as u32).collect();
-            cell.connections.sort_unstable();
+    let mut list = CellsBuilder::default();
+    for (i, (coord, population, kind)) in cells.into_iter().enumerate() {
+        if kind < 2 {
+            list.push(coord, population, CellStatus::Edge, []);
+        } else {
+            let links = usize::from(kind - 2).min(n - 1);
+            let connections = (1..=links).map(|k| ((i + k) % n) as u32);
+            list.push(coord, population, CellStatus::Core, connections);
         }
     }
     let sgs = Sgs {
         dim,
         side: 1.0,
         level: 0,
-        cells: cells.into_iter().map(|(cell, _)| cell).collect(),
+        cells: list.build(),
     };
     sgs.validate().unwrap();
     sgs
@@ -78,19 +70,15 @@ pub fn edge_coords(pick: &[usize]) -> Vec<i32> {
 /// A summary of one status-`Core`, population-1 cell at each of
 /// `coords`, which must be sorted and distinct.
 pub fn cells_at(coords: &[[i32; 2]]) -> Sgs {
+    let mut list = CellsBuilder::default();
+    for c in coords {
+        list.push(CellCoord::new(c.to_vec()), 1, CellStatus::Core, []);
+    }
     let sgs = Sgs {
         dim: 2,
         side: 1.0,
         level: 0,
-        cells: coords
-            .iter()
-            .map(|c| SkeletalCell {
-                coord: CellCoord::new(c.to_vec()),
-                population: 1,
-                status: CellStatus::Core,
-                connections: Vec::new(),
-            })
-            .collect(),
+        cells: list.build(),
     };
     sgs.validate().unwrap();
     sgs

@@ -9,24 +9,20 @@ mod counting;
 use counting::allocations;
 use sgs_core::CellCoord;
 use sgs_matching::best_alignment;
-use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
+use sgs_summarize::{CellStatus, CellsBuilder, Sgs};
 
 /// A 2-d summary of one population-`p` core cell at each `(x, y, p)`,
 /// which must be sorted and distinct.
 fn cells(coords: &[(i32, i32, u32)]) -> Sgs {
+    let mut list = CellsBuilder::default();
+    for &(x, y, population) in coords {
+        list.push(CellCoord::new(vec![x, y]), population, CellStatus::Core, []);
+    }
     let sgs = Sgs {
         dim: 2,
         side: 1.0,
         level: 0,
-        cells: coords
-            .iter()
-            .map(|&(x, y, population)| SkeletalCell {
-                coord: CellCoord::new(vec![x, y]),
-                population,
-                status: CellStatus::Core,
-                connections: Vec::new(),
-            })
-            .collect(),
+        cells: list.build(),
     };
     sgs.validate().unwrap();
     sgs

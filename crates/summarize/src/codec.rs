@@ -172,7 +172,7 @@ pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
 mod tests {
     use super::*;
     use crate::member::MemberSet;
-    use crate::sgs::SkeletalCell;
+    use crate::sgs::CellsBuilder;
     use sgs_core::GridGeometry;
 
     /// A 2-d summary whose connections reach past face neighbours: the
@@ -274,27 +274,46 @@ mod tests {
     fn any_dimensionality_roundtrips() {
         for dim in [1usize, 4, 9, 16] {
             let coord = |k: i32| CellCoord((0..dim as i32).map(|d| k + d).collect());
+            let mut list = CellsBuilder::default();
+            list.push(coord(0), 3, CellStatus::Core, [1]);
+            list.push(coord(2), 1, CellStatus::Edge, []);
             let s = Sgs {
                 dim,
                 side: 0.25,
                 level: 2,
-                cells: vec![
-                    SkeletalCell {
-                        coord: coord(0),
-                        population: 3,
-                        status: CellStatus::Core,
-                        connections: vec![1],
-                    },
-                    SkeletalCell {
-                        coord: coord(2),
-                        population: 1,
-                        status: CellStatus::Edge,
-                        connections: vec![],
-                    },
-                ]
-                .into(),
+                cells: list.build(),
             };
             assert_eq!(decode(&mut &encoded(&s)[..]), Ok(s), "dim {dim}");
+        }
+    }
+
+    #[test]
+    fn runs_out_of_order_decode_but_do_not_validate() {
+        // Three 1-d core cells; cell 0 connects to cells 1 and 2 through
+        // `run`, the others to cell 0.
+        let bytes = |run: [u32; 2]| {
+            let mut b = Vec::new();
+            b.extend_from_slice(&1u16.to_le_bytes());
+            b.push(0);
+            b.extend_from_slice(&1.0f64.to_le_bytes());
+            b.extend_from_slice(&3u32.to_le_bytes());
+            let runs: [&[u32]; 3] = [&run, &[0], &[0]];
+            for (x, run) in (0i32..).zip(runs) {
+                b.extend_from_slice(&x.to_le_bytes());
+                b.extend_from_slice(&1u32.to_le_bytes());
+                b.push(1);
+                b.extend_from_slice(&(run.len() as u32).to_le_bytes());
+                for &j in run {
+                    b.extend_from_slice(&j.to_le_bytes());
+                }
+            }
+            b
+        };
+        decode(&mut &bytes([1, 2])[..]).unwrap().validate().unwrap();
+        for run in [[2, 1], [1, 1]] {
+            let sgs = decode(&mut &bytes(run)[..]).unwrap();
+            assert_eq!(sgs.cells.get(0).unwrap().connections, run, "kept as sent");
+            assert!(sgs.validate().is_err(), "{run:?}");
         }
     }
 }

@@ -23,4 +23,4 @@ pub mod sgs;
 
 pub use member::MemberSet;
 pub use multires::coarsen;
-pub use sgs::{CellStatus, CellView, Cells, CellsBuilder, Sgs, SkeletalCell};
+pub use sgs::{CellStatus, CellView, Cells, CellsBuilder, Sgs};

@@ -19,7 +19,7 @@ use sgs_core::CellCoord;
 use sgs_index::FxHashMap;
 
 use crate::packed;
-use crate::sgs::{CellStatus, Sgs, SkeletalCell};
+use crate::sgs::{CellStatus, CellsBuilder, Sgs};
 
 /// Combine an SGS one level up with compression rate `theta` (θ ≥ 2):
 /// every θ-sized hypercube of cells becomes one coarser cell.
@@ -60,27 +60,11 @@ pub fn coarsen(sgs: &Sgs, theta: u32) -> Sgs {
         .map(|(i, c)| (c.clone(), i as u32))
         .collect();
 
-    let mut cells: Vec<SkeletalCell> = coords
-        .iter()
-        .map(|c| {
-            let agg = &parents[c];
-            SkeletalCell {
-                coord: c.clone(),
-                population: agg.population,
-                status: if agg.core {
-                    CellStatus::Core
-                } else {
-                    CellStatus::Edge
-                },
-                connections: Vec::new(),
-            }
-        })
-        .collect();
-
     // Lift child connections across parent boundaries (§6.1: decided by the
     // boundary children). Connections live on core cells; the child list is
     // mutual for core-core pairs and one-sided for attachments, so lifting
     // each entry preserves the convention.
+    let mut lifted: Vec<(u32, u32)> = Vec::new();
     for (child_idx, cell) in sgs.cells.iter().enumerate() {
         if cell.status != CellStatus::Core {
             continue;
@@ -89,20 +73,32 @@ pub fn coarsen(sgs: &Sgs, theta: u32) -> Sgs {
         for &conn in cell.connections {
             let pj = index_of[&parent_coord_of_child[conn as usize]];
             if pi != pj {
-                cells[pi as usize].connections.push(pj);
+                lifted.push((pi, pj));
             }
         }
     }
-    for cell in &mut cells {
-        cell.connections.sort_unstable();
-        cell.connections.dedup();
+    // Grouped by parent; `push` puts each parent's run in order.
+    lifted.sort_unstable_by_key(|&(pi, _)| pi);
+
+    let mut list = CellsBuilder::default();
+    let mut runs = lifted.as_slice();
+    for (i, coord) in (0u32..).zip(coords) {
+        let agg = &parents[&coord];
+        let status = if agg.core {
+            CellStatus::Core
+        } else {
+            CellStatus::Edge
+        };
+        let (run, rest) = runs.split_at(runs.partition_point(|&(pi, _)| pi == i));
+        runs = rest;
+        list.push(coord, agg.population, status, run.iter().map(|&(_, pj)| pj));
     }
 
     Sgs {
         dim: sgs.dim,
         side: sgs.side * theta as f64,
         level: sgs.level + 1,
-        cells: cells.into(),
+        cells: list.build(),
     }
 }
 

@@ -34,47 +34,22 @@ pub enum CellStatus {
     Edge,
 }
 
-/// One skeletal grid cell (Def. 4.4), owned: the form a list is built
-/// from. A [`Cells`] list holds its cells flat and lends each one out as
-/// a [`CellView`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct SkeletalCell {
+/// One skeletal grid cell (Def. 4.4) of a [`Cells`] list, borrowed: its
+/// connections are a run of the list's one connection array. The side
+/// length is held once, on the [`Sgs`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CellView<'a> {
     /// Integer cell coordinate; the location vector of Def. 4.4 is
     /// `coord * side` per dimension.
-    pub coord: CellCoord,
+    pub coord: &'a CellCoord,
     /// Number of cluster member objects inside the cell.
     pub population: u32,
     /// Core or edge (noise cells never appear in a summary).
     pub status: CellStatus,
-    /// Indices (into [`Sgs::cells`]) of connected cells. Populated on core
-    /// cells only — a core cell lists directly-connected core cells and
-    /// attached edge cells; edge cells carry no indicators (Def. 4.4).
-    pub connections: Vec<u32>,
-}
-
-impl From<CellView<'_>> for SkeletalCell {
-    fn from(cell: CellView<'_>) -> Self {
-        SkeletalCell {
-            coord: cell.coord.clone(),
-            population: cell.population,
-            status: cell.status,
-            connections: cell.connections.to_vec(),
-        }
-    }
-}
-
-/// One cell of a [`Cells`] list, borrowed: the fields of a
-/// [`SkeletalCell`], its connections a run of the list's one connection
-/// array. Prints as the [`SkeletalCell`] it reads as.
-#[derive(Clone, Copy, PartialEq)]
-pub struct CellView<'a> {
-    /// Integer cell coordinate ([`SkeletalCell::coord`]).
-    pub coord: &'a CellCoord,
-    /// Number of cluster member objects inside the cell.
-    pub population: u32,
-    /// Core or edge.
-    pub status: CellStatus,
-    /// Indices (into the list) of connected cells; empty on an edge cell.
+    /// Indices (into the list) of connected cells, ascending and without
+    /// repeats. Populated on core cells only: a core cell lists
+    /// directly-connected core cells and attached edge cells; edge cells
+    /// carry no indicators (Def. 4.4).
     pub connections: &'a [u32],
 }
 
@@ -83,17 +58,6 @@ impl CellView<'_> {
     #[inline]
     pub fn connectivity(&self) -> usize {
         self.connections.len()
-    }
-}
-
-impl fmt::Debug for CellView<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SkeletalCell")
-            .field("coord", self.coord)
-            .field("population", &self.population)
-            .field("status", &self.status)
-            .field("connections", &self.connections)
-            .finish()
     }
 }
 
@@ -127,9 +91,9 @@ impl Entry {
 /// clone bumps two counts, so every holder of one summary — the output
 /// stage, the archiver's selection, a pattern base — holds the same two
 /// blocks. Cells are read as [`CellView`]s ([`iter`](Self::iter),
-/// [`get`](Self::get)) and built from [`SkeletalCell`]s or by a
-/// [`CellsBuilder`]; equality compares the list of cells, and `Debug`
-/// prints it as a list of [`SkeletalCell`]s.
+/// [`get`](Self::get)) and built only by a [`CellsBuilder`] (or decoded,
+/// [`crate::codec::decode`]); equality compares the list of cells, and
+/// `Debug` prints it as a list of [`CellView`]s.
 #[derive(Clone, Default)]
 pub struct Cells {
     entries: Arc<[Entry]>,
@@ -192,11 +156,6 @@ impl Cells {
             start: 0,
         }
     }
-
-    /// The cells, owned.
-    pub fn to_vec(&self) -> Vec<SkeletalCell> {
-        self.iter().map(SkeletalCell::from).collect()
-    }
 }
 
 /// The cells of a [`Cells`] list in order, as [`CellView`]s.
@@ -240,7 +199,8 @@ impl<'a> IntoIterator for &'a Cells {
 /// A [`Cells`] list under construction, kept to build many: each cell is
 /// pushed with its connections, and [`build`](Self::build) copies what
 /// was pushed into the list's two blocks and empties the buffers for the
-/// next list, keeping their room.
+/// next list, keeping their room. The builder is the one place that puts
+/// a connection run in its canonical order: ascending, without repeats.
 #[derive(Debug, Default)]
 pub struct CellsBuilder {
     entries: Vec<Entry>,
@@ -248,8 +208,8 @@ pub struct CellsBuilder {
 }
 
 impl CellsBuilder {
-    /// Append a cell; returns its connections as stored, for the caller
-    /// to put in order.
+    /// Append a cell; its connections are stored ascending, each index
+    /// once.
     ///
     /// # Panics
     /// Panics if the list would hold 2^32 connections or more.
@@ -259,9 +219,21 @@ impl CellsBuilder {
         population: u32,
         status: CellStatus,
         connections: impl IntoIterator<Item = u32>,
-    ) -> &mut [u32] {
+    ) {
         let start = self.connections.len();
         self.connections.extend(connections);
+        let run = &mut self.connections[start..];
+        run.sort_unstable();
+        // Repeats go within this run only: the previous run may end on
+        // the index this one starts with.
+        let mut kept = 0;
+        for i in 0..run.len() {
+            if kept == 0 || run[i] != run[kept - 1] {
+                run[kept] = run[i];
+                kept += 1;
+            }
+        }
+        self.connections.truncate(start + kept);
         let end = u32::try_from(self.connections.len())
             .expect("a summary holds fewer than 2^32 connections");
         self.entries.push(Entry {
@@ -270,7 +242,6 @@ impl CellsBuilder {
             status,
             end,
         });
-        &mut self.connections[start..]
     }
 
     /// The list of the cells pushed since the last build, in push order.
@@ -281,22 +252,6 @@ impl CellsBuilder {
         );
         self.connections.clear();
         cells
-    }
-}
-
-impl From<Vec<SkeletalCell>> for Cells {
-    fn from(cells: Vec<SkeletalCell>) -> Self {
-        cells.into_iter().collect()
-    }
-}
-
-impl FromIterator<SkeletalCell> for Cells {
-    fn from_iter<I: IntoIterator<Item = SkeletalCell>>(iter: I) -> Self {
-        let mut list = CellsBuilder::default();
-        for cell in iter {
-            list.push(cell.coord, cell.population, cell.status, cell.connections);
-        }
-        list.build()
     }
 }
 
@@ -381,22 +336,13 @@ impl Sgs {
             .map(|(i, c)| (c.clone(), i as u32))
             .collect();
 
-        let mut cells: Vec<SkeletalCell> = coords
-            .iter()
-            .map(|coord| {
-                let b = &buckets[coord];
-                SkeletalCell {
-                    coord: coord.clone(),
-                    population: (b.cores.len() + b.edges.len()) as u32,
-                    status: if b.cores.is_empty() {
-                        CellStatus::Edge
-                    } else {
-                        CellStatus::Core
-                    },
-                    connections: Vec::new(),
-                }
-            })
-            .collect();
+        let status = |b: &Bucket| {
+            if b.cores.is_empty() {
+                CellStatus::Edge
+            } else {
+                CellStatus::Core
+            }
+        };
 
         // Connections (Def. 4.3): probe each core cell against reachable
         // cells; a core-core pair connects if some core objects are
@@ -406,43 +352,36 @@ impl Sgs {
             a.iter()
                 .any(|x| b.iter().any(|y| sgs_core::dist_sq(x, y) <= theta_sq))
         };
-        for (i, coord) in coords.iter().enumerate() {
-            if cells[i].status != CellStatus::Core {
-                continue;
-            }
-            for other in geometry.reachable_cells(coord) {
-                let Some(&j) = index_of.get(&other) else {
-                    continue;
-                };
-                let j = j as usize;
-                if j == i {
-                    continue;
+        let mut list = CellsBuilder::default();
+        for coord in &coords {
+            let bi = &buckets[coord];
+            let connections = match status(bi) {
+                CellStatus::Edge => Vec::new(),
+                CellStatus::Core => geometry.reachable_cells(coord),
+            };
+            let connections = connections.into_iter().filter_map(|other| {
+                let &j = index_of.get(&other)?;
+                if other == *coord || geometry.min_cell_dist(coord, &other) > geometry.theta_r() {
+                    return None;
                 }
-                if geometry.min_cell_dist(coord, &other) > geometry.theta_r() {
-                    continue;
-                }
-                let (bi, bj) = (&buckets[coord], &buckets[&other]);
-                let connected = match cells[j].status {
+                let bj = &buckets[&other];
+                let connected = match status(bj) {
                     CellStatus::Core => any_pair(&bi.cores, &bj.cores),
-                    // Attachment: any object (core or edge) of the edge
-                    // cell neighboring one of our core objects.
-                    CellStatus::Edge => {
-                        any_pair(&bi.cores, &bj.cores) || any_pair(&bi.cores, &bj.edges)
-                    }
+                    // Attachment: an object of the edge cell (which holds
+                    // no core object) neighboring one of our core objects.
+                    CellStatus::Edge => any_pair(&bi.cores, &bj.edges),
                 };
-                if connected {
-                    cells[i].connections.push(j as u32);
-                }
-            }
-            cells[i].connections.sort_unstable();
-            cells[i].connections.dedup();
+                connected.then_some(j)
+            });
+            let population = (bi.cores.len() + bi.edges.len()) as u32;
+            list.push(coord.clone(), population, status(bi), connections);
         }
 
         Sgs {
             dim,
             side: geometry.side(),
             level: 0,
-            cells: cells.into(),
+            cells: list.build(),
         }
     }
 
@@ -535,8 +474,9 @@ impl Sgs {
     /// Fidelity check for Lemma 4.3: every cell's data-space box is within
     /// θr of a member (trivially true by construction — each cell contains
     /// a member). Exposed for property tests: verifies cells are non-empty
-    /// and sorted, and that the cell populations sum to at most
-    /// `u32::MAX`, so [`population`](Self::population) cannot wrap.
+    /// and sorted, that each connection run is ascending without repeats
+    /// and names another cell, and that the cell populations sum to at
+    /// most `u32::MAX`, so [`population`](Self::population) cannot wrap.
     pub fn validate(&self) -> Result<(), String> {
         let coords = self.cells.iter().map(|c| c.coord);
         if !coords.clone().zip(coords.skip(1)).all(|(a, b)| a < b) {
@@ -552,6 +492,9 @@ impl Sgs {
                 .ok_or_else(|| format!("cell populations up to cell {i} sum above u32::MAX"))?;
             if c.status == CellStatus::Edge && !c.connections.is_empty() {
                 return Err(format!("edge cell {i} carries connection indicators"));
+            }
+            if !c.connections.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("cell {i}'s connections are not strictly ascending"));
             }
             for &j in c.connections {
                 if j as usize >= self.cells.len() {
@@ -709,17 +652,13 @@ mod tests {
         // A cell at either end of the coordinate range, as `Bind` accepts
         // over the wire: the rectangle is finite and not inverted.
         for v in [i32::MAX, i32::MIN] {
+            let mut list = CellsBuilder::default();
+            list.push(CellCoord::new(vec![v, 0]), 1, CellStatus::Edge, []);
             let edge = Sgs {
                 dim: 2,
                 side,
                 level: 0,
-                cells: vec![SkeletalCell {
-                    coord: CellCoord::new(vec![v, 0]),
-                    population: 1,
-                    status: CellStatus::Edge,
-                    connections: Vec::new(),
-                }]
-                .into(),
+                cells: list.build(),
             };
             let mbr = edge.mbr().unwrap();
             assert!(mbr.min.iter().chain(mbr.max.iter()).all(|c| c.is_finite()));
@@ -759,7 +698,12 @@ mod tests {
         let again = Sgs::from_members(&sample_members(), &geo());
         assert!(!Cells::ptr_eq(&sgs.cells, &again.cells));
         assert_eq!(sgs, again);
-        let fewer: Cells = sgs.cells.iter().skip(1).map(SkeletalCell::from).collect();
+        let mut list = CellsBuilder::default();
+        for c in sgs.cells.iter().skip(1) {
+            let connections = c.connections.iter().copied();
+            list.push(c.coord.clone(), c.population, c.status, connections);
+        }
+        let fewer = list.build();
         assert_ne!(
             sgs,
             Sgs {
@@ -772,18 +716,19 @@ mod tests {
     }
 
     #[test]
-    fn cells_print_as_the_list_they_hold() {
-        let sgs = Sgs::from_members(&sample_members(), &geo());
-        let list = sgs.cells.to_vec();
-        assert_eq!(format!("{:?}", sgs.cells), format!("{list:?}"));
-        assert_eq!(format!("{:#?}", sgs.cells), format!("{list:#?}"));
-        assert_eq!(
-            format!("{sgs:?}"),
-            format!(
-                "Sgs {{ dim: 2, side: {:?}, level: 0, cells: {list:?} }}",
-                sgs.side
-            )
-        );
+    fn a_pushed_run_is_stored_ascending_without_repeats() {
+        let mut list = CellsBuilder::default();
+        let cell = |x: i32| CellCoord::new(vec![x, 0]);
+        list.push(cell(0), 1, CellStatus::Core, [2, 1, 2]);
+        // Starts on the index the previous run ends on: both keep it.
+        list.push(cell(1), 1, CellStatus::Core, [3, 0, 0]);
+        list.push(cell(2), 1, CellStatus::Core, [3]);
+        list.push(cell(3), 1, CellStatus::Edge, []);
+        let cells = list.build();
+        let runs: Vec<&[u32]> = cells.iter().map(|c| c.connections).collect();
+        assert_eq!(runs, [&[1, 2][..], &[0, 3], &[3], &[]]);
+        // The builder is empty again, its room kept.
+        assert!(list.build().is_empty());
     }
 
     #[test]
@@ -804,14 +749,13 @@ mod tests {
             dim: 2,
             side: 1.0,
             level: 0,
-            cells: (populations.iter().enumerate())
-                .map(|(x, &population)| SkeletalCell {
-                    coord: CellCoord::new(vec![x as i32, 0]),
-                    population,
-                    status: CellStatus::Edge,
-                    connections: Vec::new(),
-                })
-                .collect(),
+            cells: {
+                let mut list = CellsBuilder::default();
+                for (x, &population) in (0..).zip(populations) {
+                    list.push(CellCoord::new(vec![x, 0]), population, CellStatus::Edge, []);
+                }
+                list.build()
+            },
         };
         for over in [
             &[u32::MAX, 1][..],

@@ -8,35 +8,26 @@ mod counting;
 use counting::allocations;
 use sgs_core::CellCoord;
 use sgs_summarize::codec::{decode, encode};
-use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
+use sgs_summarize::{CellStatus, CellsBuilder, Sgs};
 
 /// A 2-d row of `n` cells, each core cell linked to its neighbours in the
 /// row, every third cell an edge cell.
 fn row(n: u32) -> Sgs {
-    let cells = (0..n).map(|x| {
-        let core = x % 3 != 2;
-        SkeletalCell {
-            coord: CellCoord::new(vec![x as i32, 7]),
-            population: 1 + x % 5,
-            status: if core {
-                CellStatus::Core
-            } else {
-                CellStatus::Edge
-            },
-            connections: if core {
-                (x.saturating_sub(1)..(x + 2).min(n))
-                    .filter(|&j| j != x)
-                    .collect()
-            } else {
-                Vec::new()
-            },
+    let mut list = CellsBuilder::default();
+    for x in 0..n {
+        let coord = CellCoord::new(vec![x as i32, 7]);
+        if x % 3 == 2 {
+            list.push(coord, 1 + x % 5, CellStatus::Edge, []);
+        } else {
+            let neighbours = (x.saturating_sub(1)..(x + 2).min(n)).filter(|&j| j != x);
+            list.push(coord, 1 + x % 5, CellStatus::Core, neighbours);
         }
-    });
+    }
     let sgs = Sgs {
         dim: 2,
         side: 0.5,
         level: 0,
-        cells: cells.collect(),
+        cells: list.build(),
     };
     sgs.validate().unwrap();
     sgs

@@ -1,12 +1,12 @@
-//! A flat [`Cells`] list is the list of [`SkeletalCell`]s it was built
-//! from: every field reads back through its views, it compares and
-//! prints as the list does, and a summary of it survives the codec and
-//! coarsening as a valid summary.
+//! A flat [`Cells`] list holds the cells pushed into its builder: every
+//! field reads back through its views, each connection run ascending and
+//! without repeats, it compares as the list of cells does, and a summary
+//! of it survives the codec and coarsening as a valid summary.
 
 use proptest::prelude::*;
 use sgs_core::CellCoord;
 use sgs_summarize::codec::{decode, encode};
-use sgs_summarize::{coarsen, CellStatus, Cells, CellsBuilder, Sgs, SkeletalCell};
+use sgs_summarize::{coarsen, CellStatus, Cells, CellsBuilder, Sgs};
 
 /// One generated cell: its step along the first axis from the previous
 /// cell (so a list is sorted and distinct), its second coordinate, its
@@ -25,10 +25,14 @@ fn cell_script() -> impl Strategy<Value = CellScript> {
     )
 }
 
+/// A modelled cell: coordinate, population, status and connections as
+/// pushed, in any order and possibly repeated.
+type Cell = (CellCoord, u32, CellStatus, Vec<u32>);
+
 /// The valid `dim`-dimensional cell list (`dim ≥ 2`) a script describes;
 /// the coordinates past the second repeat the step, so lists of more
 /// than four dimensions hold spilled coordinates.
-fn list(dim: usize, script: &[CellScript]) -> Vec<SkeletalCell> {
+fn list(dim: usize, script: &[CellScript]) -> Vec<Cell> {
     let n = script.len() as u32;
     let mut x = 0;
     let cells = script.iter().enumerate();
@@ -46,58 +50,70 @@ fn list(dim: usize, script: &[CellScript]) -> Vec<SkeletalCell> {
                     targets.filter(|&j| j as usize != i).collect(),
                 )
             };
-            SkeletalCell {
-                coord: CellCoord::new(coord),
-                population: *population,
-                status,
-                connections,
-            }
+            (CellCoord::new(coord), *population, status, connections)
         })
         .collect()
 }
 
+/// A run as the builder stores it: ascending, each index once.
+fn canonical(run: &[u32]) -> Vec<u32> {
+    let mut run = run.to_vec();
+    run.sort_unstable();
+    run.dedup();
+    run
+}
+
+/// The model with every run in its stored order.
+fn stored(list: &[Cell]) -> Vec<Cell> {
+    let cells = list.iter().cloned();
+    cells
+        .map(|(c, p, s, run)| (c, p, s, canonical(&run)))
+        .collect()
+}
+
+/// The cells of `list` pushed into `builder`, built.
+fn build(builder: &mut CellsBuilder, list: &[Cell]) -> Cells {
+    for (coord, population, status, connections) in list {
+        builder.push(
+            coord.clone(),
+            *population,
+            *status,
+            connections.iter().copied(),
+        );
+    }
+    builder.build()
+}
+
 proptest! {
-    /// Every field of every cell reads back through `get` and `iter`, the
-    /// list comes back whole, the three ways to build one agree, and it
-    /// prints as the list of cells it holds.
+    /// Every field of every cell reads back through `get` and `iter`,
+    /// each run in its stored order, and a build empties the builder.
     #[test]
     fn a_flat_list_reads_back_as_the_cells_it_was_built_from(
         dim in 2usize..7,
         script in prop::collection::vec(cell_script(), 0..40),
     ) {
         let list = list(dim, &script);
-        let cells = Cells::from(list.clone());
+        let mut builder = CellsBuilder::default();
+        let cells = build(&mut builder, &list);
         prop_assert_eq!((cells.len(), cells.is_empty()), (list.len(), list.is_empty()));
         prop_assert_eq!(cells.iter().len(), list.len());
-        for (i, (cell, walked)) in list.iter().zip(&cells).enumerate() {
+        for (i, ((coord, population, status, run), walked)) in list.iter().zip(&cells).enumerate() {
+            let run = canonical(run);
             for view in [cells.get(i).unwrap(), walked] {
-                prop_assert_eq!(view.coord, &cell.coord);
-                prop_assert_eq!(view.population, cell.population);
-                prop_assert_eq!(view.status, cell.status);
-                prop_assert_eq!(view.connections, &cell.connections[..]);
-                prop_assert_eq!(view.connectivity(), cell.connections.len());
+                prop_assert_eq!(view.coord, coord);
+                prop_assert_eq!(view.population, *population);
+                prop_assert_eq!(view.status, *status);
+                prop_assert_eq!(view.connections, &run[..]);
+                prop_assert_eq!(view.connectivity(), run.len());
             }
         }
         prop_assert!(cells.get(list.len()).is_none());
-        prop_assert_eq!(cells.to_vec(), list.clone());
-
-        prop_assert_eq!(list.iter().cloned().collect::<Cells>(), cells.clone());
-        let mut builder = CellsBuilder::default();
-        for _ in 0..2 {
-            for c in &list {
-                let connections = c.connections.iter().copied();
-                builder.push(c.coord.clone(), c.population, c.status, connections);
-            }
-            prop_assert_eq!(builder.build(), cells.clone(), "a build empties the builder");
-        }
-
-        prop_assert_eq!(format!("{cells:?}"), format!("{list:?}"));
-        prop_assert_eq!(format!("{cells:#?}"), format!("{list:#?}"));
+        prop_assert_eq!(build(&mut builder, &list), cells, "a build empties the builder");
     }
 
-    /// Two flat lists are equal exactly when the lists of cells are,
-    /// lists whose connections concatenate alike but split between the
-    /// cells differently included.
+    /// Two flat lists are equal exactly when the lists of cells they
+    /// store are, lists whose connection runs split between the cells
+    /// differently included.
     #[test]
     fn flat_lists_compare_as_the_lists_of_cells_do(
         dim in 2usize..7,
@@ -108,30 +124,31 @@ proptest! {
         let mut b = a.clone();
         let (kind, i, by) = (edit.0, edit.1 % a.len(), edit.2);
         match kind {
-            1 => b[i].population += by,
+            1 => b[i].1 += by,
             2 => {
-                b[i].status = match b[i].status {
+                b[i].2 = match b[i].2 {
                     CellStatus::Core => CellStatus::Edge,
                     CellStatus::Edge => CellStatus::Core,
                 }
             }
-            3 => b[i].connections.push(by),
+            3 => b[i].3.push(by),
             4 if i + 1 < b.len() => {
-                // The same connection array, its last run boundary moved.
-                if let Some(moved) = b[i].connections.pop() {
-                    b[i + 1].connections.insert(0, moved);
+                // A run boundary moved.
+                if let Some(moved) = b[i].3.pop() {
+                    b[i + 1].3.insert(0, moved);
                 }
             }
             5 => b.truncate(i),
             _ => {}
         }
-        let (flat_a, flat_b) = (Cells::from(a.clone()), Cells::from(b.clone()));
-        prop_assert_eq!(flat_a == flat_b, a == b, "edit {:?}", edit);
+        let mut builder = CellsBuilder::default();
+        let (flat_a, flat_b) = (build(&mut builder, &a), build(&mut builder, &b));
+        prop_assert_eq!(flat_a == flat_b, stored(&a) == stored(&b), "edit {:?}", edit);
         prop_assert_eq!(flat_a.clone(), flat_a);
     }
 
     /// A valid summary of a flat list encodes and decodes to itself, and
-    /// it and its coarsening pass `Sgs::validate`.
+    /// it and its coarsening pass `Sgs::validate`, runs in order included.
     #[test]
     fn a_flat_summary_survives_the_codec_and_coarsening(
         dim in 2usize..7,
@@ -143,7 +160,7 @@ proptest! {
             dim,
             side: 0.25,
             level,
-            cells: list(dim, &script).into(),
+            cells: build(&mut CellsBuilder::default(), &list(dim, &script)),
         };
         sgs.validate().unwrap();
         let mut bytes = Vec::new();

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sgs_core::{CellCoord, Point, PointId, WindowId};
 use sgs_csgs::ExtractedCluster;
-use sgs_summarize::{CellStatus, Sgs, SkeletalCell};
+use sgs_summarize::{CellStatus, CellsBuilder, Sgs};
 use sgs_wire::{
     decode, ErrorCode, Frame, WireError, WireMatch, WireMetric, WireMetricValue, WireQuery,
     WireQueryState, WireStats, WireWindow,
@@ -46,29 +46,26 @@ fn rand_point(rng: &mut StdRng) -> Point {
 fn rand_sgs(rng: &mut StdRng) -> Sgs {
     let dim = rng.gen_range(1usize..4);
     let n_cells = rng.gen_range(0usize..6);
-    let cells: Vec<SkeletalCell> = (0..n_cells)
-        .map(|_| {
-            let coord: Vec<i32> = (0..dim).map(|_| rng.gen_range(-50i32..50)).collect();
-            let n_conns = rng.gen_range(0usize..n_cells.max(1));
-            SkeletalCell {
-                coord: CellCoord(coord.into()),
-                population: rng.gen_range(1u32..500),
-                status: if rng.gen_bool(0.5) {
-                    CellStatus::Core
-                } else {
-                    CellStatus::Edge
-                },
-                connections: (0..n_conns)
-                    .map(|_| rng.gen_range(0u32..n_cells as u32))
-                    .collect(),
-            }
-        })
-        .collect();
+    let mut list = CellsBuilder::default();
+    for _ in 0..n_cells {
+        let coord: Vec<i32> = (0..dim).map(|_| rng.gen_range(-50i32..50)).collect();
+        let n_conns = rng.gen_range(0usize..n_cells.max(1));
+        let population = rng.gen_range(1u32..500);
+        let status = if rng.gen_bool(0.5) {
+            CellStatus::Core
+        } else {
+            CellStatus::Edge
+        };
+        let connections: Vec<u32> = (0..n_conns)
+            .map(|_| rng.gen_range(0u32..n_cells as u32))
+            .collect();
+        list.push(CellCoord(coord.into()), population, status, connections);
+    }
     Sgs {
         dim,
         side: rng.gen_range(0.01f64..5.0),
         level: rng.gen_range(0u32..4) as u8,
-        cells: cells.into(),
+        cells: list.build(),
     }
 }
 

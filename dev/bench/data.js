@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1792438753522,
+  "lastUpdate": 1792448294547,
   "entries": {
     "streamsum e2ebench": [
       {
@@ -153,7 +153,7 @@ window.BENCHMARK_DATA = {
       },
       {
         "commit": {
-          "id": null,
+          "id": "a6515c6c6276723632dc4d62f540eb1dc7b72064",
           "parent": "c83045341f5418a6ecbf73b60c13ddbc5fcab1cf",
           "message": "A kept summary is two blocks, not one per core cell: SGS connections live in one array per summary, and C-SGS keeps its output buffers across windows"
         },
@@ -179,6 +179,33 @@ window.BENCHMARK_DATA = {
           {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.274, "value": 0.271, "pairs": 10, "wins": 8},
           {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.346, "value": 0.347, "pairs": 10, "wins": 6},
           {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 38.33, "value": 36.76, "pairs": 10, "wins": 10}
+        ]
+      },
+      {
+        "commit": {
+          "id": null,
+          "parent": "a6515c6c6276723632dc4d62f540eb1dc7b72064",
+          "message": "A summary's cells have one form: SkeletalCell and its conversions go, and CellsBuilder is the one way to make a cell list"
+        },
+        "date": 1792448294547,
+        "tool": "e2ebench --seconds 20 --trace 0, interleaved parent/change pairs, 2-vCPU box; no gain claimed",
+        "benches": [
+          {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 286546, "value": 280826, "pairs": 10, "wins": 5},
+          {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.327, "value": 0.338, "pairs": 10, "wins": 4},
+          {"name": "gmti_slide response_p90_ms seed 1", "workload": "gmti_slide", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.464, "value": 0.466, "pairs": 10, "wins": 6},
+          {"name": "gmti_slide peak_rss_mb seed 1", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 72.16, "value": 72.02, "pairs": 10, "wins": 10},
+          {"name": "stt_insert tuples_per_s seed 1", "workload": "stt_insert", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 205626, "value": 210677, "pairs": 5, "wins": 4},
+          {"name": "stt_insert response_p50_ms seed 1", "workload": "stt_insert", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 4.7, "value": 4.552, "pairs": 5, "wins": 4},
+          {"name": "stt_insert response_p90_ms seed 1", "workload": "stt_insert", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 6.551, "value": 6.43, "pairs": 5, "wins": 4},
+          {"name": "stt_insert peak_rss_mb seed 1", "workload": "stt_insert", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 80.57, "value": 80.46, "pairs": 5, "wins": 5},
+          {"name": "match_under_ingest tuples_per_s seed 1", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 296596, "value": 290881, "pairs": 5, "wins": 2},
+          {"name": "match_under_ingest response_p50_ms seed 1", "workload": "match_under_ingest", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.27, "value": 0.273, "pairs": 5, "wins": 1},
+          {"name": "match_under_ingest response_p90_ms seed 1", "workload": "match_under_ingest", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.545, "value": 0.525, "pairs": 5, "wins": 2},
+          {"name": "match_under_ingest peak_rss_mb seed 1", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 49.57, "value": 49.56, "pairs": 5, "wins": 2},
+          {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 370869, "value": 370305, "pairs": 10, "wins": 4},
+          {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.259, "value": 0.246, "pairs": 10, "wins": 5},
+          {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.344, "value": 0.347, "pairs": 10, "wins": 5},
+          {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 36.85, "value": 36.68, "pairs": 10, "wins": 7}
         ]
       }
     ]

@@ -5,8 +5,11 @@
 //! Ward — VLDB 2011): the Skeletal Grid Summarization (SGS), the integrated
 //! C-SGS extraction + summarization algorithm with lifespan analysis, the
 //! pattern archive, and the filter-and-refine cluster matching engine that
-//! filters it on locational and non-locational features — together with every
-//! baseline the paper evaluates against (Extra-N, CRD, RSP, SkPS).
+//! filters it on locational and non-locational features — together with the
+//! Extra-N baseline and DBSCAN ground truth. The other formats and
+//! distances the evaluation compares against (CRD, RSP, SkPS, GED,
+//! Hungarian, Chamfer) live with the figures that measure them, in the
+//! `sgs-bench` crate, which this facade does not re-export.
 //!
 //! ## Quick start
 //!
@@ -54,9 +57,9 @@
 //! | [`stream`] | window engine, lifespan analysis (Obs. 5.2–5.4) |
 //! | [`index`] | grid index, bounding rectangles, union-find |
 //! | [`cluster`] | DBSCAN ground truth, Extra-N baseline |
-//! | [`summarize`] | SGS, CRD, RSP, SkPS, multi-resolution, the SGS codec, §8.2's byte count |
+//! | [`summarize`] | SGS, multi-resolution, the SGS codec, §8.2's byte count |
 //! | [`csgs`] | the integrated C-SGS algorithm |
-//! | [`matching`] | distance metric, alignment search, GED, Chamfer |
+//! | [`matching`] | distance metric, grid-level match, alignment search and its bound |
 //! | [`archive`] | pattern archiver + pattern base |
 //! | [`query`] | DETECT/MATCH query language (lexer, parser, AST) |
 //! | [`runtime`] | multi-query planner, registry, pool-multiplexed executor, the `Runtime` surface |

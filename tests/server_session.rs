@@ -267,22 +267,18 @@ fn a_loose_threshold_answers_promptly_over_the_wire() {
 #[test]
 fn a_summary_at_the_coordinate_limit_matches_without_wedging_the_session() {
     use streamsum::core::CellCoord;
-    use streamsum::summarize::{CellStatus, SkeletalCell};
+    use streamsum::summarize::{CellStatus, CellsBuilder};
 
     let (addr, handle) = start_server();
     let mut client = connect_with_deadline(addr);
     client.detect(DETECT).unwrap();
+    let mut list = CellsBuilder::default();
+    list.push(CellCoord::new(vec![i32::MAX, 0]), 1, CellStatus::Edge, []);
     let edge = Sgs {
         dim: 2,
         side: 1.0,
         level: 0,
-        cells: vec![SkeletalCell {
-            coord: CellCoord::new(vec![i32::MAX, 0]),
-            population: 1,
-            status: CellStatus::Edge,
-            connections: Vec::new(),
-        }]
-        .into(),
+        cells: list.build(),
     };
     client.bind("Cedge", &edge).unwrap();
     let reply = client.submit(
