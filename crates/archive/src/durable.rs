@@ -604,8 +604,8 @@ mod tests {
     fn has_a_non_face_connection(sgs: &Sgs) -> bool {
         sgs.cells.iter().any(|cell| {
             cell.connections.iter().any(|&j| {
-                let other = &sgs.cells.get(j as usize).unwrap().coord.0;
-                let steps = cell.coord.0.iter().zip(other.iter());
+                let other = sgs.cells.get(j as usize).unwrap().coord;
+                let steps = cell.coord.iter().zip(other);
                 steps.map(|(a, b)| a.abs_diff(*b)).sum::<u32>() > 1
             })
         })

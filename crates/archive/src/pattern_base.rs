@@ -446,7 +446,7 @@ impl PatternBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgs_core::{CellCoord, GridGeometry};
+    use sgs_core::GridGeometry;
     use sgs_matching::cluster_distance;
     use sgs_summarize::{CellStatus, Cells, CellsBuilder, MemberSet};
 
@@ -455,7 +455,7 @@ mod tests {
         let mut list = CellsBuilder::default();
         for c in cells {
             let connections = c.connections.iter().copied();
-            list.push(c.coord.clone(), c.population, c.status, connections);
+            list.push(c.coord, c.population, c.status, connections);
         }
         list.build()
     }
@@ -495,6 +495,14 @@ mod tests {
     fn a_record_is_56_bytes() {
         // Four features, the arena offset, then four `u32`s: no padding.
         assert_eq!(std::mem::size_of::<Record>(), 56);
+    }
+
+    #[test]
+    fn a_pattern_is_80_bytes() {
+        // Id and window, the summary's header and its two block
+        // pointers, then the record and the next member: a list's
+        // dimensionality lives in its word block, not here.
+        assert_eq!(std::mem::size_of::<ArchivedPattern>(), 80);
     }
 
     #[test]
@@ -1041,11 +1049,11 @@ mod tests {
     /// an edge cell, `k ≥ 1` a core cell linked to the next `k − 1` cells
     /// in canonical order. Cells on one coordinate collapse to the first.
     fn summary_of(dim: usize, script: impl IntoIterator<Item = (Vec<i32>, u32, u8)>) -> Sgs {
-        let mut cells: Vec<(CellCoord, u32, u8)> = script
+        let mut cells: Vec<(Vec<i32>, u32, u8)> = script
             .into_iter()
             .map(|(mut coord, population, kind)| {
                 coord.truncate(dim);
-                (CellCoord::new(coord), population, kind)
+                (coord, population, kind)
             })
             .collect();
         cells.sort_by(|p, q| p.0.cmp(&q.0));
@@ -1054,11 +1062,11 @@ mod tests {
         let mut list = CellsBuilder::default();
         for (i, (coord, population, kind)) in cells.into_iter().enumerate() {
             if kind == 0 {
-                list.push(coord, population, CellStatus::Edge, []);
+                list.push(&coord, population, CellStatus::Edge, []);
             } else {
                 let links = usize::from(kind - 1).min(n - 1);
                 let connections = (1..=links).map(|k| ((i + k) % n) as u32);
-                list.push(coord, population, CellStatus::Core, connections);
+                list.push(&coord, population, CellStatus::Core, connections);
             }
         }
         Sgs {

@@ -115,23 +115,13 @@ fn visit_dists(query: &[f64], slab: &[f64], mut f: impl FnMut(usize, f64)) {
     }
 }
 
-/// Squared distances from `query` to every point of a contiguous slab.
-///
-/// `slab` is point-major: `slab.len() / query.len()` candidate points of
-/// `query.len()` coordinates each. Results are appended to `out` in slab
-/// order, each bit-identical to `dist_sq(query, candidate)`.
-pub fn dist_sq_batch(query: &[f64], slab: &[f64], out: &mut Vec<f64>) {
-    out.reserve(if query.is_empty() {
-        0
-    } else {
-        slab.len() / query.len()
-    });
-    visit_dists(query, slab, |_, d| out.push(d));
-}
-
 /// Call `f(index)` for every slab point within `theta_sq` of `query`
 /// (squared-threshold comparison, inclusive — the Def. 3.1 neighbor
 /// predicate), in slab order.
+///
+/// `slab` is point-major: `slab.len() / query.len()` candidate points of
+/// `query.len()` coordinates each, and each distance compared is
+/// bit-identical to `dist_sq(query, candidate)`.
 ///
 /// The threshold test happens *after* the batched distance evaluation, so
 /// the per-candidate loop the caller used to run (distance + id-exclusion
@@ -143,13 +133,6 @@ pub fn for_each_within(query: &[f64], slab: &[f64], theta_sq: f64, mut f: impl F
             f(j);
         }
     });
-}
-
-/// Whether any slab point lies within `theta_sq` of `query`.
-pub fn any_within(query: &[f64], slab: &[f64], theta_sq: f64) -> bool {
-    let mut hit = false;
-    visit_dists(query, slab, |_, d| hit |= d <= theta_sq);
-    hit
 }
 
 /// Bounded relative difference `|a − b| / max(|a|, |b|)`, 0 when both are
@@ -186,6 +169,23 @@ mod tests {
         points.iter().flatten().copied().collect()
     }
 
+    /// Whether the batched distance to `point` has the bits of the
+    /// scalar one: within its own scalar distance, and not within the
+    /// next smaller threshold, so a one-ulp difference either way tells.
+    /// A NaN scalar distance must be NaN batched: within no threshold.
+    fn batched_has_scalar_bits(q: &[f64], slab: &[f64], j: usize, want: f64) -> bool {
+        let within = |theta_sq: f64| {
+            let mut hit = false;
+            for_each_within(q, slab, theta_sq, |k| hit |= k == j);
+            hit
+        };
+        if want.is_nan() {
+            !within(f64::INFINITY)
+        } else {
+            within(want) && !within(want.next_down())
+        }
+    }
+
     #[test]
     fn batch_matches_scalar_bitwise_all_dims() {
         for dim in 1..=6usize {
@@ -199,13 +199,9 @@ mod tests {
                 })
                 .collect();
             let slab = slab_of(&pts);
-            let mut got = Vec::new();
-            dist_sq_batch(&q, &slab, &mut got);
-            assert_eq!(got.len(), pts.len());
             for (j, p) in pts.iter().enumerate() {
-                assert_eq!(
-                    got[j].to_bits(),
-                    dist_sq(&q, p).to_bits(),
+                assert!(
+                    batched_has_scalar_bits(&q, &slab, j, dist_sq(&q, p)),
                     "dim {dim}, point {j}"
                 );
             }
@@ -223,15 +219,11 @@ mod tests {
             vec![0.0, 0.0],
         ];
         let slab = slab_of(&pts);
-        let mut got = Vec::new();
-        dist_sq_batch(&q, &slab, &mut got);
         for (j, p) in pts.iter().enumerate() {
-            let want = dist_sq(&q, p);
-            if want.is_nan() {
-                assert!(got[j].is_nan(), "point {j}");
-            } else {
-                assert_eq!(got[j].to_bits(), want.to_bits(), "point {j}");
-            }
+            assert!(
+                batched_has_scalar_bits(&q, &slab, j, dist_sq(&q, p)),
+                "point {j}"
+            );
         }
     }
 
@@ -250,15 +242,12 @@ mod tests {
             .map(|(j, _)| j)
             .collect();
         assert_eq!(got, want);
-        assert_eq!(any_within(&q, &slab, theta_sq), !want.is_empty());
-        assert!(!any_within(&q, &slab, -1.0));
+        for_each_within(&q, &slab, -1.0, |_| panic!("no distance is negative"));
     }
 
     #[test]
     fn empty_slab_is_a_no_op() {
-        let mut out = Vec::new();
-        dist_sq_batch(&[1.0, 2.0], &[], &mut out);
-        assert!(out.is_empty());
+        for_each_within(&[1.0, 2.0], &[], f64::INFINITY, |_| panic!("no candidates"));
         for_each_within(&[1.0], &[], 10.0, |_| panic!("no candidates"));
     }
 

@@ -4,7 +4,7 @@
 //! right, the 98 % compression rate of §8.2) is reproduced here by *counting
 //! bytes of retained state* rather than sampling allocator statistics: the
 //! result is exact, portable, and noise-free. [`HeapSize`] reports the heap
-//! bytes owned by a value; [`total_size`] adds the inline size.
+//! bytes owned by a value.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
@@ -13,11 +13,6 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 pub trait HeapSize {
     /// Heap bytes owned by `self`.
     fn heap_size(&self) -> usize;
-}
-
-/// Inline size plus owned heap bytes.
-pub fn total_size<T: HeapSize>(value: &T) -> usize {
-    core::mem::size_of::<T>() + value.heap_size()
 }
 
 macro_rules! impl_heapsize_pod {
@@ -171,15 +166,6 @@ mod tests {
         let o: Option<Vec<u8>> = Some(vec![0; 16]);
         assert_eq!(o.heap_size(), 16);
         assert_eq!(None::<Vec<u8>>.heap_size(), 0);
-    }
-
-    #[test]
-    fn total_size_adds_inline() {
-        let v = vec![1u8; 3];
-        assert_eq!(
-            total_size(&v),
-            core::mem::size_of::<Vec<u8>>() + v.capacity()
-        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The bit-exactness contract of the batched distance kernels
 //! (`DESIGN.md` §13): for arbitrary dimensionalities, candidate counts,
-//! and inputs, `kernel::dist_sq_batch` returns exactly the bits
+//! and inputs, `kernel::for_each_within` compares exactly the bits
 //! `dist_sq` would — with NaN results compared as NaN-for-NaN, since
 //! IEEE 754 leaves NaN sign/payload bits unspecified and the optimizer
-//! may pick different ones per code path — and the threshold filter
-//! selects exactly the scalar path's matches.
+//! may pick different ones per code path — and so selects exactly the
+//! scalar path's matches.
 
 use proptest::prelude::*;
 use sgs_core::{dist_sq, kernel};
@@ -22,11 +22,15 @@ fn specialize(x: f64, sel: u8) -> f64 {
 }
 
 proptest! {
-    /// Batched squared distances are `to_bits`-identical to scalar
-    /// `dist_sq` across dims 1–8 and slab lengths 0–257, with NaN/∞
-    /// sprinkled over both query and candidates.
+    /// Every distance the batched threshold filter compares is
+    /// `to_bits`-identical to scalar `dist_sq` across dims 1–8 and slab
+    /// lengths 0–257, with NaN/∞ sprinkled over both query and
+    /// candidates. Each threshold is a candidate's own scalar distance or
+    /// the next smaller one, so a one-ulp difference in any candidate's
+    /// batched distance flips it in or out of the filter; the infinite
+    /// threshold tells a NaN from a number.
     #[test]
-    fn dist_sq_batch_is_bit_identical_to_scalar(
+    fn for_each_within_is_bit_identical_to_scalar(
         dim in 1usize..9,
         n in 0usize..258,
         raw in prop::collection::vec(-1e3f64..1e3, 8),
@@ -39,22 +43,15 @@ proptest! {
         let slab: Vec<f64> = (0..n * dim)
             .map(|k| specialize(slab_raw[k], (sels[k % 16] >> (k % 5)) as u8 % 32))
             .collect();
-        let mut got = Vec::new();
-        kernel::dist_sq_batch(&query, &slab, &mut got);
-        prop_assert_eq!(got.len(), n);
-        for j in 0..n {
-            let candidate = &slab[j * dim..j * dim + dim];
-            let want = dist_sq(&query, candidate);
-            if want.is_nan() {
-                prop_assert!(got[j].is_nan(), "dim {} point {}: batched {:?} vs NaN", dim, j, got[j]);
-            } else {
-                prop_assert_eq!(
-                    got[j].to_bits(),
-                    want.to_bits(),
-                    "dim {} point {}: batched {:?} vs scalar {:?}",
-                    dim, j, got[j], want
-                );
-            }
+        let scalar: Vec<f64> = (0..n)
+            .map(|j| dist_sq(&query, &slab[j * dim..j * dim + dim]))
+            .collect();
+        let thresholds = scalar.iter().flat_map(|&d| [d, d.next_down()]);
+        for theta_sq in thresholds.chain([f64::INFINITY]) {
+            let mut got = Vec::new();
+            kernel::for_each_within(&query, &slab, theta_sq, |j| got.push(j));
+            let want: Vec<usize> = (0..n).filter(|&j| scalar[j] <= theta_sq).collect();
+            prop_assert_eq!(&got, &want, "dim {} threshold {:?}", dim, theta_sq);
         }
     }
 
@@ -82,9 +79,5 @@ proptest! {
             .filter(|&j| dist_sq(&query, &slab[j * dim..j * dim + dim]) <= theta_sq)
             .collect();
         prop_assert_eq!(&got, &want);
-        prop_assert_eq!(
-            kernel::any_within(&query, &slab, theta_sq),
-            !want.is_empty()
-        );
     }
 }

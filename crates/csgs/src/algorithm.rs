@@ -735,7 +735,7 @@ mod tests {
     fn cells_of(cluster: &crate::ExtractedCluster) -> Vec<(i32, CellStatus, u32)> {
         let cells = cluster.sgs.cells.iter();
         cells
-            .map(|c| (c.coord.0[0], c.status, c.population))
+            .map(|c| (c.coord[0], c.status, c.population))
             .collect()
     }
 

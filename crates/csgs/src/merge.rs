@@ -43,7 +43,7 @@
 
 use std::sync::Arc;
 
-use sgs_core::{CellCoord, GridGeometry, PointId, WindowId};
+use sgs_core::{GridGeometry, PointId, WindowId};
 use sgs_index::UnionFind;
 use sgs_summarize::{CellStatus, CellsBuilder, Sgs};
 
@@ -126,7 +126,7 @@ pub(crate) struct Scratch {
 
 /// The smallest core cell of a cluster: what numbers it among the
 /// clusters of its window.
-fn key_of(cluster: &ExtractedCluster) -> Option<&CellCoord> {
+fn key_of(cluster: &ExtractedCluster) -> Option<&[i32]> {
     let cells = cluster.sgs.cells.iter();
     cells
         .filter(|c| c.status == CellStatus::Core)
@@ -346,7 +346,7 @@ pub(crate) fn emit(
         // cell of the list through a live attachment. They are built in
         // the kept buffers and copied into the summary once.
         for &(id, d) in slots.iter() {
-            let (coord, population) = (cells.coord(id).clone(), cells.get(id).population);
+            let (coord, population) = (&cells.coord(id).0, cells.get(id).population);
             if d == NONE {
                 list.push(coord, population, CellStatus::Edge, []);
                 continue;

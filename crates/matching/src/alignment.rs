@@ -36,8 +36,8 @@ fn cell_centroid(sgs: &Sgs) -> Vec<f64> {
     if sgs.cells.is_empty() {
         return acc;
     }
-    for c in &sgs.cells {
-        for (a, coord) in acc.iter_mut().zip(c.coord.0.iter()) {
+    for c in sgs.cells.coords() {
+        for (a, coord) in acc.iter_mut().zip(c) {
             *a += *coord as f64;
         }
     }
@@ -303,7 +303,7 @@ mod tests {
         let mut list = CellsBuilder::default();
         for c in b.cells.iter().take(b.cells.len() - 2) {
             let connections = c.connections.iter().copied();
-            list.push(c.coord.clone(), c.population, c.status, connections);
+            list.push(c.coord, c.population, c.status, connections);
         }
         let b = Sgs {
             cells: list.build(),

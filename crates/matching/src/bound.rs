@@ -139,8 +139,8 @@ impl<'e> Entry<'e> {
         for _ in 0..s.dim {
             out.extend([i32::MAX as u32, i32::MIN as u32]);
         }
-        for cell in &s.cells {
-            for (d, &x) in cell.coord.0.iter().take(s.dim).enumerate() {
+        for coord in s.cells.coords() {
+            for (d, &x) in coord.iter().take(s.dim).enumerate() {
                 let (lo, hi) = (start + 2 * d, start + 2 * d + 1);
                 out[lo] = (out[lo] as i32).min(x) as u32;
                 out[hi] = (out[hi] as i32).max(x) as u32;
@@ -153,8 +153,8 @@ impl<'e> Entry<'e> {
             };
             let at = out.len();
             out.resize(at + span, 0);
-            for cell in &s.cells {
-                if let Some(&x) = cell.coord.0.get(d) {
+            for coord in s.cells.coords() {
+                if let Some(&x) = coord.get(d) {
                     out[at + (i64::from(x) - i64::from(lo)) as usize] += 1;
                 }
             }
@@ -293,7 +293,9 @@ impl<'q> AlignmentFilter<'q> {
         }
         let floor = Floor::new(self.query_counts, counts(b_features));
         let limit = config.threshold + SLACK;
-        let (na, nb) = (self.query.cells.len(), b.cells.len());
+        // Counts from the features, not the cell list, so nothing reads
+        // a candidate's cells before the offset histogram.
+        let (na, nb) = (self.query_counts.0, counts(b_features).0);
         if na * nb > config.alignment_budget.saturating_mul(na + nb) {
             return true;
         }
@@ -307,8 +309,13 @@ impl<'q> AlignmentFilter<'q> {
                 need = mid + 1;
             }
         }
-        self.projection(Entry::new(b, b_entry), need) >= need
-            && self.max_offset_count(b, need) >= need
+        let b_entry = Entry {
+            words: b_entry,
+            dim: b.dim,
+            cells: nb,
+            side: b.side,
+        };
+        self.projection(b_entry, need) >= need && self.max_offset_count(b, need) >= need
     }
 
     /// The projection bound on `M*` (module docs) against the candidate
@@ -334,12 +341,9 @@ impl<'q> AlignmentFilter<'q> {
     fn max_offset_count(&mut self, b: &Sgs, enough: usize) -> usize {
         self.offsets.clear();
         let mut best = 0;
-        for ca in &self.query.cells {
-            for cb in &b.cells {
-                let count = self
-                    .offsets
-                    .entry(offset_key(&ca.coord.0, &cb.coord.0))
-                    .or_insert(0);
+        for ca in self.query.cells.coords() {
+            for cb in b.cells.coords() {
+                let count = self.offsets.entry(offset_key(ca, cb)).or_insert(0);
                 *count += 1;
                 best = best.max(*count as usize);
                 if best >= enough {
@@ -399,7 +403,7 @@ mod tests {
     fn spans(s: &Sgs) -> Vec<(i64, i64)> {
         (0..s.dim)
             .map(|d| {
-                let v = s.cells.iter().map(|c| i64::from(c.coord.0[d]));
+                let v = s.cells.iter().map(|c| i64::from(c.coord[d]));
                 (v.clone().min().unwrap_or(0), v.max().unwrap_or(-1))
             })
             .collect()
@@ -412,7 +416,7 @@ mod tests {
         let column = |s: &Sgs, d: usize| {
             let mut counts = BTreeMap::<i64, usize>::new();
             for c in &s.cells {
-                *counts.entry(i64::from(c.coord.0[d])).or_default() += 1;
+                *counts.entry(i64::from(c.coord[d])).or_default() += 1;
             }
             counts
         };
@@ -600,7 +604,7 @@ mod tests {
                 if !edge {
                     return s;
                 }
-                let cells = s.cells.iter().map(|c| (c.coord.0.to_vec(), c.population, 0));
+                let cells = s.cells.iter().map(|c| (c.coord.to_vec(), c.population, 0));
                 summary_of(dim, cells.chain([(edge_coords(pick), 1, 0)]))
             };
             let a = with_edge(summary(dim, &script_a, [0; 4]), edge_a.0 == 1, &edge_a.1);

@@ -68,7 +68,7 @@ pub fn grid_level_distance(a: &Sgs, b: &Sgs, shift: &[i32]) -> f64 {
     for cell in &a.cells {
         let mut diff = 1.0;
         while let Some(&other) = rest.peek() {
-            match cmp_shifted(&other.coord.0, &cell.coord.0, shift) {
+            match cmp_shifted(other.coord, cell.coord, shift) {
                 Ordering::Less => {
                     rest.next();
                 }
@@ -107,7 +107,6 @@ mod tests {
             b_cells
                 .binary_search_by(|c| {
                     c.coord
-                        .0
                         .iter()
                         .copied()
                         .cmp(coord.iter().zip(shift).map(|(x, s)| x + s))
@@ -123,7 +122,7 @@ mod tests {
         let mut total = 0.0;
         let mut matched = 0usize;
         for cell in &a.cells {
-            match index_of_shifted(&cell.coord.0) {
+            match index_of_shifted(cell.coord) {
                 Some(j) => {
                     matched += 1;
                     total += cell_diff(cell, b_cells[j]);

@@ -2,7 +2,6 @@
 //! [`bound`](crate::bound), [`grid_match`](crate::grid_match) and
 //! [`alignment`](crate::alignment).
 
-use sgs_core::CellCoord;
 use sgs_summarize::{CellStatus, CellsBuilder, Sgs};
 
 /// One generated cell: coordinates (the first `dim` are used),
@@ -30,11 +29,11 @@ pub fn summary(dim: usize, script: &[CellScript], at: [i32; 4]) -> Sgs {
 /// [`CellScript`]; each coordinate list is cut to its first `dim`, and
 /// cells on one coordinate collapse to the first.
 pub fn summary_of(dim: usize, script: impl IntoIterator<Item = (Vec<i32>, u32, u8)>) -> Sgs {
-    let mut cells: Vec<(CellCoord, u32, u8)> = script
+    let mut cells: Vec<(Vec<i32>, u32, u8)> = script
         .into_iter()
         .map(|(mut coord, population, kind)| {
             coord.truncate(dim);
-            (CellCoord::new(coord), population, kind)
+            (coord, population, kind)
         })
         .collect();
     cells.sort_by(|x, y| x.0.cmp(&y.0));
@@ -43,11 +42,11 @@ pub fn summary_of(dim: usize, script: impl IntoIterator<Item = (Vec<i32>, u32, u
     let mut list = CellsBuilder::default();
     for (i, (coord, population, kind)) in cells.into_iter().enumerate() {
         if kind < 2 {
-            list.push(coord, population, CellStatus::Edge, []);
+            list.push(&coord, population, CellStatus::Edge, []);
         } else {
             let links = usize::from(kind - 2).min(n - 1);
             let connections = (1..=links).map(|k| ((i + k) % n) as u32);
-            list.push(coord, population, CellStatus::Core, connections);
+            list.push(&coord, population, CellStatus::Core, connections);
         }
     }
     let sgs = Sgs {
@@ -72,7 +71,7 @@ pub fn edge_coords(pick: &[usize]) -> Vec<i32> {
 pub fn cells_at(coords: &[[i32; 2]]) -> Sgs {
     let mut list = CellsBuilder::default();
     for c in coords {
-        list.push(CellCoord::new(c.to_vec()), 1, CellStatus::Core, []);
+        list.push(c, 1, CellStatus::Core, []);
     }
     let sgs = Sgs {
         dim: 2,
@@ -88,7 +87,7 @@ pub fn cells_at(coords: &[[i32; 2]]) -> Sgs {
 /// plus one ring of shifts with no overlap at all.
 pub fn shift_box(a: &Sgs, b: &Sgs) -> Vec<Vec<i32>> {
     let span = |s: &Sgs, d: usize| {
-        let v = s.cells.iter().map(|c| c.coord.0[d]);
+        let v = s.cells.iter().map(|c| c.coord[d]);
         (v.clone().min().unwrap_or(0), v.max().unwrap_or(0))
     };
     let mut shifts = vec![Vec::new()];

@@ -7,7 +7,6 @@
 mod counting;
 
 use counting::allocations;
-use sgs_core::CellCoord;
 use sgs_matching::best_alignment;
 use sgs_summarize::{CellStatus, CellsBuilder, Sgs};
 
@@ -16,7 +15,7 @@ use sgs_summarize::{CellStatus, CellsBuilder, Sgs};
 fn cells(coords: &[(i32, i32, u32)]) -> Sgs {
     let mut list = CellsBuilder::default();
     for &(x, y, population) in coords {
-        list.push(CellCoord::new(vec![x, y]), population, CellStatus::Core, []);
+        list.push(&[x, y], population, CellStatus::Core, []);
     }
     let sgs = Sgs {
         dim: 2,

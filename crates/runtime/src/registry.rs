@@ -78,15 +78,6 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Mean processing latency per emitted window, in milliseconds.
-    pub fn avg_window_ms(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.busy_nanos as f64 / 1e6 / self.windows as f64
-        }
-    }
-
     /// Mean clusters per emitted window.
     pub fn clusters_per_window(&self) -> f64 {
         if self.windows == 0 {
@@ -134,12 +125,9 @@ mod tests {
     #[test]
     fn stats_derived_rates() {
         let mut s = QueryStats::default();
-        assert_eq!(s.avg_window_ms(), 0.0);
         assert_eq!(s.clusters_per_window(), 0.0);
         s.windows = 4;
         s.clusters = 10;
-        s.busy_nanos = 8_000_000;
-        assert!((s.avg_window_ms() - 2.0).abs() < 1e-12);
         assert!((s.clusters_per_window() - 2.5).abs() < 1e-12);
     }
 

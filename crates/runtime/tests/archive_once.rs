@@ -54,7 +54,7 @@ const ALLOWANCE: usize = 128 << 10;
 #[test]
 fn a_runtime_query_retains_one_copy_of_its_archive() {
     let stream: Vec<Point> = generate_gmti(&GmtiConfig {
-        n_records: 40_000,
+        n_records: 60_000,
         ..GmtiConfig::default()
     });
     let mut rt = Runtime::new();

@@ -11,9 +11,7 @@
 //! `status` is `1` for core, `0` for edge. Decoding never panics, and it
 //! bounds every count by the bytes left before allocating.
 
-use sgs_core::CellCoord;
-
-use crate::sgs::{CellStatus, Cells, Entry, Sgs};
+use crate::sgs::{end_word, CellStatus, Cells, Sgs, CORE};
 
 /// Why a byte sequence is not an encoded summary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +48,7 @@ pub fn encode(sgs: &Sgs, out: &mut Vec<u8>) {
     out.extend_from_slice(&sgs.side.to_le_bytes());
     out.extend_from_slice(&(sgs.cells.len() as u32).to_le_bytes());
     for cell in &sgs.cells {
-        for &c in cell.coord.0.iter() {
+        for &c in cell.coord {
             out.extend_from_slice(&c.to_le_bytes());
         }
         out.extend_from_slice(&cell.population.to_le_bytes());
@@ -91,9 +89,10 @@ fn read<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
 /// Decode one summary off the front of `buf`, advancing it past the
 /// summary's bytes. Whatever follows is left for the caller.
 ///
-/// A first pass checks every field and counts the connections; a second
-/// reads the checked bytes twice over, once into the cell array and once
-/// into the connection array, each allocated once at its exact length.
+/// A first pass checks every field and counts the connections; then the
+/// checked bytes are read twice over, once into the coordinate column and
+/// once into the word block of the cells and their connections, each
+/// allocated once at its exact length.
 pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
     let dim = u16::from_le_bytes(take(buf)?) as usize;
     if dim == 0 {
@@ -121,17 +120,36 @@ pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
         }
         n_conns += n;
     }
-    if u32::try_from(n_conns).is_err() {
-        return Err(DecodeError::Invalid("2^32 connections or more"));
+    if n_conns >= CORE as usize {
+        return Err(DecodeError::Invalid("2^31 connections or more"));
     }
 
-    let (mut at, mut end) = (body, 0u32);
-    let entries = (0..n_cells).map(|_| {
-        let coord = CellCoord(
-            (0..dim)
-                .map(|_| i32::from_le_bytes(read(&mut at)))
-                .collect(),
-        );
+    // The dimensionality, then the coordinates, each cell's read after
+    // skipping the rest of the cell before it.
+    let (dim_word, n_word) = (n_cells > 0)
+        .then_some((dim as i32, n_cells as u32))
+        .unzip();
+    let (mut at, mut left) = (body, dim);
+    let coords = (0..n_cells * dim).map(|_| {
+        if left == 0 {
+            at = &at[4 + 1..];
+            let n = u32::from_le_bytes(read(&mut at));
+            at = &at[4 * n as usize..];
+            left = dim;
+        }
+        left -= 1;
+        i32::from_le_bytes(read(&mut at))
+    });
+    let coords = dim_word.into_iter().chain(coords).collect();
+    // The cell count, each cell's population and run-end word, then the
+    // connections, each cell's run read after skipping the cells before
+    // it that have none left.
+    let (mut at, mut end, mut run_end) = (body, 0u32, None);
+    let cell_words = (0..2 * n_cells).map(|_| {
+        if let Some(word) = run_end.take() {
+            return word;
+        }
+        at = &at[4 * dim..];
         let population = u32::from_le_bytes(read(&mut at));
         let status = match read(&mut at) {
             [1] => CellStatus::Core,
@@ -140,16 +158,9 @@ pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
         let n = u32::from_le_bytes(read(&mut at));
         at = &at[4 * n as usize..];
         end += n;
-        Entry {
-            coord,
-            population,
-            status,
-            end,
-        }
+        run_end = Some(end_word(end, status));
+        population
     });
-    let entries = entries.collect();
-    // The connections, each cell's run read after skipping the cells
-    // before it that have none left.
     let (mut at, mut left) = (body, 0u32);
     let connections = (0..n_conns).map(|_| {
         while left == 0 {
@@ -159,7 +170,8 @@ pub fn decode(buf: &mut &[u8]) -> Result<Sgs, DecodeError> {
         left -= 1;
         u32::from_le_bytes(read(&mut at))
     });
-    let cells = Cells::from_parts(entries, connections.collect());
+    let words = n_word.into_iter().chain(cell_words).chain(connections);
+    let cells = Cells::from_parts(coords, words.collect());
     Ok(Sgs {
         dim,
         side,
@@ -196,10 +208,9 @@ mod tests {
         let s = sample();
         let diagonal = s.cells.iter().any(|c| {
             c.connections.iter().any(|&j| {
-                let other = &s.cells.get(j as usize).unwrap().coord.0;
+                let other = s.cells.get(j as usize).unwrap().coord;
                 let steps: i32 = c
                     .coord
-                    .0
                     .iter()
                     .zip(other.iter())
                     .map(|(a, b)| (a - b).abs())
@@ -273,10 +284,10 @@ mod tests {
     #[test]
     fn any_dimensionality_roundtrips() {
         for dim in [1usize, 4, 9, 16] {
-            let coord = |k: i32| CellCoord((0..dim as i32).map(|d| k + d).collect());
+            let coord = |k: i32| (0..dim as i32).map(|d| k + d).collect::<Vec<_>>();
             let mut list = CellsBuilder::default();
-            list.push(coord(0), 3, CellStatus::Core, [1]);
-            list.push(coord(2), 1, CellStatus::Edge, []);
+            list.push(&coord(0), 3, CellStatus::Core, [1]);
+            list.push(&coord(2), 1, CellStatus::Edge, []);
             let s = Sgs {
                 dim,
                 side: 0.25,

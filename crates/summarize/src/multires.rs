@@ -31,9 +31,8 @@ pub fn coarsen(sgs: &Sgs, theta: u32) -> Sgs {
     let t = theta as i32;
 
     // Map child cell index -> parent coordinate.
-    let parent_of = |coord: &CellCoord| -> CellCoord {
-        CellCoord(coord.0.iter().map(|c| c.div_euclid(t)).collect())
-    };
+    let parent_of =
+        |coord: &[i32]| -> CellCoord { CellCoord(coord.iter().map(|c| c.div_euclid(t)).collect()) };
 
     // Aggregate population and status per parent.
     #[derive(Default)]
@@ -91,7 +90,12 @@ pub fn coarsen(sgs: &Sgs, theta: u32) -> Sgs {
         };
         let (run, rest) = runs.split_at(runs.partition_point(|&(pi, _)| pi == i));
         runs = rest;
-        list.push(coord, agg.population, status, run.iter().map(|&(_, pj)| pj));
+        list.push(
+            &coord.0,
+            agg.population,
+            status,
+            run.iter().map(|&(_, pj)| pj),
+        );
     }
 
     Sgs {
@@ -115,7 +119,6 @@ pub fn archived_bytes_at_level(sgs: &Sgs, theta: u32, level: u8) -> usize {
     for cell in &sgs.cells {
         let pc: Box<[i64]> = cell
             .coord
-            .0
             .iter()
             .map(|&c| (c as i64).div_euclid(factor))
             .collect();
@@ -208,10 +211,7 @@ mod tests {
         assert_eq!(coarse.population(), base.population());
         coarse.validate().unwrap();
         // div_euclid semantics: -1 / 2 → -1, not 0
-        assert!(coarse
-            .cells
-            .iter()
-            .any(|c| c.coord.0.iter().any(|&v| v < 0)));
+        assert!(coarse.cells.iter().any(|c| c.coord.iter().any(|&v| v < 0)));
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! [`crate::codec`]. This count is what the archive *reports*
 //! (`archive_bytes_per_cluster`) and what the byte-budget retention
 //! compares against.
+//!
+//! A summary held in memory ([`crate::Cells`]) comes close to this
+//! count: `4·d + 8` bytes per cell, the same position and population,
+//! with a 4-byte connection run end in place of the 2-byte bitmask and
+//! the status in that word's top bit, plus 4 bytes per connection in
+//! the run itself.
 
 use crate::sgs::Sgs;
 

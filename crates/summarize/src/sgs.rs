@@ -35,13 +35,14 @@ pub enum CellStatus {
 }
 
 /// One skeletal grid cell (Def. 4.4) of a [`Cells`] list, borrowed: its
-/// connections are a run of the list's one connection array. The side
-/// length is held once, on the [`Sgs`].
+/// coordinate is a run of the list's coordinate column and its
+/// connections a run of the list's word block. The side length is held
+/// once, on the [`Sgs`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CellView<'a> {
-    /// Integer cell coordinate; the location vector of Def. 4.4 is
-    /// `coord * side` per dimension.
-    pub coord: &'a CellCoord,
+    /// Integer cell coordinate, one `i32` per dimension; the location
+    /// vector of Def. 4.4 is `coord * side` per dimension.
+    pub coord: &'a [i32],
     /// Number of cluster member objects inside the cell.
     pub population: u32,
     /// Core or edge (noise cells never appear in a summary).
@@ -61,98 +62,155 @@ impl CellView<'_> {
     }
 }
 
-/// A cell of a [`Cells`] list but its connections, which are the run of
-/// the list's connection array that ends at `end` and starts where the
-/// previous cell's ends (at 0 for the first cell).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Entry {
-    pub(crate) coord: CellCoord,
-    pub(crate) population: u32,
-    pub(crate) status: CellStatus,
-    pub(crate) end: u32,
-}
+/// The bit of a cell's run-end word set on a core cell: a list holds
+/// fewer than 2^31 connections, so a run end never reaches it.
+pub(crate) const CORE: u32 = 1 << 31;
 
-impl Entry {
-    /// The cell, its connections being `connections`.
-    #[inline]
-    fn view<'a>(&'a self, connections: &'a [u32]) -> CellView<'a> {
-        CellView {
-            coord: &self.coord,
-            population: self.population,
-            status: self.status,
-            connections,
-        }
+/// The word of a cell's status and connection run end.
+#[inline]
+pub(crate) fn end_word(end: u32, status: CellStatus) -> u32 {
+    match status {
+        CellStatus::Core => end | CORE,
+        CellStatus::Edge => end,
     }
 }
 
-/// The skeletal cells of a summary, flat and shared: one array of cells
-/// and one of every cell's connections, each cell's a run of it in cell
-/// order, so a summary is two heap blocks whatever its cell count. A
-/// clone bumps two counts, so every holder of one summary — the output
-/// stage, the archiver's selection, a pattern base — holds the same two
-/// blocks. Cells are read as [`CellView`]s ([`iter`](Self::iter),
+/// The cell whose coordinate is `coord`, whose population and end word
+/// are `cell`, and whose connections are `connections`.
+#[inline]
+fn view<'a>(coord: &'a [i32], cell: [u32; 2], connections: &'a [u32]) -> CellView<'a> {
+    let [population, end] = cell;
+    CellView {
+        coord,
+        population,
+        status: if end & CORE == 0 {
+            CellStatus::Edge
+        } else {
+            CellStatus::Core
+        },
+        connections,
+    }
+}
+
+/// The skeletal cells of a summary, flat and shared in two blocks
+/// whatever the cell count and dimensionality:
+///
+/// - a block of `i32`s: the list's dimensionality, then the coordinate
+///   column, `dim` per cell in cell order;
+/// - a block of `u32` words: the list's cell count, then two words per
+///   cell — its population, and the end of its connection run with the
+///   status in the top bit — then every cell's connection run in cell
+///   order, each starting where the previous cell's ends.
+///
+/// Each block leads with the count its readers need, so a reader of
+/// coordinates alone touches one block, and neither count is a division.
+/// A cell costs `4·dim + 8` bytes plus 4 per connection: 16 B in 2-d and
+/// 24 B in 4-d. An empty list holds no word at all. A clone bumps two
+/// counts, so every holder of one summary — the output stage, the
+/// archiver's selection, a pattern base — holds the same two blocks.
+/// Cells are read as [`CellView`]s ([`iter`](Self::iter),
 /// [`get`](Self::get)) and built only by a [`CellsBuilder`] (or decoded,
 /// [`crate::codec::decode`]); equality compares the list of cells, and
 /// `Debug` prints it as a list of [`CellView`]s.
 #[derive(Clone, Default)]
 pub struct Cells {
-    entries: Arc<[Entry]>,
-    connections: Arc<[u32]>,
+    coords: Arc<[i32]>,
+    words: Arc<[u32]>,
 }
 
 impl Cells {
-    /// The list of `entries`, whose connection runs cover `connections`.
-    pub(crate) fn from_parts(entries: Arc<[Entry]>, connections: Arc<[u32]>) -> Cells {
-        debug_assert_eq!(
-            entries.last().map_or(0, |e| e.end as usize),
-            connections.len()
-        );
-        Cells {
-            entries,
-            connections,
+    /// The list of the coordinate column `coords` and the word block
+    /// `words`, laid out as [`Cells`] describes.
+    pub(crate) fn from_parts(coords: Arc<[i32]>, words: Arc<[u32]>) -> Cells {
+        let cells = Cells { coords, words };
+        if cfg!(debug_assertions) {
+            let dim = cells.dim().unwrap_or(1);
+            assert!(dim > 0 && cells.column().len() == dim * cells.len());
+            assert_eq!(cells.coords.is_empty(), cells.words.is_empty());
+            let (per_cell, runs) = cells.split();
+            assert_eq!(per_cell.len(), cells.len());
+            let last_end = per_cell.last().map_or(0, |c| c[1] & !CORE);
+            assert_eq!(last_end as usize, runs.len(), "the runs end the word block");
         }
+        cells
     }
 
     /// Whether `a` and `b` are the same allocation (equal contents need
     /// not be).
     #[inline]
     pub fn ptr_eq(a: &Cells, b: &Cells) -> bool {
-        Arc::ptr_eq(&a.entries, &b.entries)
+        Arc::ptr_eq(&a.words, &b.words)
     }
 
-    /// The address of the list's cell array: the same for every clone,
+    /// The address of the list's word block: the same for every clone,
     /// and distinct from any other list's while this one is held.
     #[inline]
     pub fn addr(&self) -> usize {
-        Arc::as_ptr(&self.entries).cast::<Entry>() as usize
+        Arc::as_ptr(&self.words).cast::<u32>() as usize
+    }
+
+    /// The length of every coordinate of the list; `None` for an empty
+    /// list.
+    #[inline]
+    pub fn dim(&self) -> Option<usize> {
+        self.coords.first().map(|&dim| dim as usize)
     }
 
     /// Number of cells.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.words.first().map_or(0, |&n| n as usize)
     }
 
     /// Whether the list holds no cell.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.words.is_empty()
+    }
+
+    /// The coordinate column, past the dimensionality.
+    #[inline]
+    fn column(&self) -> &[i32] {
+        self.coords.get(1..).unwrap_or_default()
+    }
+
+    /// The per-cell words and the connection runs after them, past the
+    /// cell count.
+    #[inline]
+    fn split(&self) -> (&[[u32; 2]], &[u32]) {
+        let words = self.words.get(1..).unwrap_or_default();
+        let (cells, connections) = words.split_at(2 * self.len());
+        (cells.as_chunks().0, connections)
     }
 
     /// Cell `i`, if the list has one.
     #[inline]
     pub fn get(&self, i: usize) -> Option<CellView<'_>> {
-        let entry = self.entries.get(i)?;
-        let start = i.checked_sub(1).map_or(0, |p| self.entries[p].end as usize);
-        Some(entry.view(&self.connections[start..entry.end as usize]))
+        let dim = self.dim()?;
+        let coord = self.column().get(i * dim..(i + 1) * dim)?;
+        let (cells, connections) = self.split();
+        let start = i
+            .checked_sub(1)
+            .map_or(0, |p| (cells[p][1] & !CORE) as usize);
+        let end = (cells[i][1] & !CORE) as usize;
+        Some(view(coord, cells[i], &connections[start..end]))
+    }
+
+    /// Each cell's coordinate in list order: the coordinate column alone,
+    /// for a reader that needs no other field of a cell.
+    #[inline]
+    pub fn coords(&self) -> std::slice::ChunksExact<'_, i32> {
+        self.column().chunks_exact(self.dim().unwrap_or(1))
     }
 
     /// The cells in list order.
     #[inline]
     pub fn iter(&self) -> Iter<'_> {
+        let (cells, connections) = self.split();
         Iter {
-            entries: self.entries.iter(),
-            connections: &self.connections,
+            coords: self.coords(),
+            cells: cells.iter(),
+            connections,
             start: 0,
         }
     }
@@ -161,7 +219,8 @@ impl Cells {
 /// The cells of a [`Cells`] list in order, as [`CellView`]s.
 #[derive(Clone)]
 pub struct Iter<'a> {
-    entries: std::slice::Iter<'a, Entry>,
+    coords: std::slice::ChunksExact<'a, i32>,
+    cells: std::slice::Iter<'a, [u32; 2]>,
     connections: &'a [u32],
     /// Where the next cell's connection run starts.
     start: usize,
@@ -172,16 +231,17 @@ impl<'a> Iterator for Iter<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<CellView<'a>> {
-        let entry = self.entries.next()?;
-        let end = entry.end as usize;
-        let cell = entry.view(&self.connections[self.start..end]);
+        let &cell = self.cells.next()?;
+        let coord = self.coords.next()?;
+        let end = (cell[1] & !CORE) as usize;
+        let cell = view(coord, cell, &self.connections[self.start..end]);
         self.start = end;
         Some(cell)
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.entries.size_hint()
+        self.cells.size_hint()
     }
 }
 
@@ -197,14 +257,20 @@ impl<'a> IntoIterator for &'a Cells {
 }
 
 /// A [`Cells`] list under construction, kept to build many: each cell is
-/// pushed with its connections, and [`build`](Self::build) copies what
-/// was pushed into the list's two blocks and empties the buffers for the
-/// next list, keeping their room. The builder is the one place that puts
-/// a connection run in its canonical order: ascending, without repeats.
+/// pushed with its coordinate and its connections, and
+/// [`build`](Self::build) copies what was pushed into the list's two
+/// blocks and empties the buffers for the next list, keeping their room.
+/// The first coordinate pushed fixes the list's dimensionality. The
+/// builder is the one place that puts a connection run in its canonical
+/// order: ascending, without repeats.
 #[derive(Debug, Default)]
 pub struct CellsBuilder {
-    entries: Vec<Entry>,
+    coords: Vec<i32>,
+    /// Each cell's population and run-end word.
+    cells: Vec<u32>,
     connections: Vec<u32>,
+    /// The length of the first coordinate pushed since the last build.
+    dim: usize,
 }
 
 impl CellsBuilder {
@@ -212,14 +278,25 @@ impl CellsBuilder {
     /// once.
     ///
     /// # Panics
-    /// Panics if the list would hold 2^32 connections or more.
+    /// Panics if `coord` is empty or differs in length from the first
+    /// coordinate pushed since the last build, or if the list would hold
+    /// 2^31 connections or more.
     pub fn push(
         &mut self,
-        coord: CellCoord,
+        coord: &[i32],
         population: u32,
         status: CellStatus,
         connections: impl IntoIterator<Item = u32>,
     ) {
+        assert!(!coord.is_empty(), "a cell has at least one coordinate");
+        if self.cells.is_empty() {
+            self.dim = coord.len();
+        }
+        assert_eq!(
+            coord.len(),
+            self.dim,
+            "a cell's coordinate differs in length from the list's first"
+        );
         let start = self.connections.len();
         self.connections.extend(connections);
         let run = &mut self.connections[start..];
@@ -235,32 +312,32 @@ impl CellsBuilder {
         }
         self.connections.truncate(start + kept);
         let end = u32::try_from(self.connections.len())
-            .expect("a summary holds fewer than 2^32 connections");
-        self.entries.push(Entry {
-            coord,
-            population,
-            status,
-            end,
-        });
+            .ok()
+            .filter(|&end| end < CORE)
+            .expect("a summary holds fewer than 2^31 connections");
+        self.coords.extend_from_slice(coord);
+        self.cells.extend([population, end_word(end, status)]);
     }
 
     /// The list of the cells pushed since the last build, in push order.
     pub fn build(&mut self) -> Cells {
-        let cells = Cells::from_parts(
-            self.entries.drain(..).collect(),
-            Arc::from(&self.connections[..]),
-        );
-        self.connections.clear();
-        cells
+        let n = u32::try_from(self.cells.len() / 2).expect("a summary holds fewer than 2^32 cells");
+        let dim = i32::try_from(self.dim).expect("a cell has fewer than 2^31 coordinates");
+        let (dim, n) = (n > 0).then_some((dim, n)).unzip();
+        let coords = dim.into_iter().chain(self.coords.drain(..)).collect();
+        let words = n.into_iter();
+        let words = words
+            .chain(self.cells.drain(..))
+            .chain(self.connections.drain(..));
+        Cells::from_parts(coords, words.collect())
     }
 }
 
 impl PartialEq for Cells {
     /// Every list is laid out the one way, each cell's run right after
-    /// the previous cell's, so equal arrays are equal lists.
+    /// the previous cell's, so equal blocks are equal lists.
     fn eq(&self, other: &Cells) -> bool {
-        Cells::ptr_eq(self, other)
-            || (self.entries == other.entries && self.connections == other.connections)
+        Cells::ptr_eq(self, other) || (self.coords == other.coords && self.words == other.words)
     }
 }
 
@@ -270,17 +347,13 @@ impl fmt::Debug for Cells {
     }
 }
 
-/// The flat size: the cell array, the coordinates' own heap, and the
-/// connection array.
+/// The cells' bytes: the coordinate column, two words per cell and the
+/// connection runs. The two blocks' leading counts, like their reference
+/// counts, are a constant per list and not counted.
 impl HeapSize for Cells {
     fn heap_size(&self) -> usize {
-        self.entries.len() * core::mem::size_of::<Entry>()
-            + self
-                .entries
-                .iter()
-                .map(|e| e.coord.heap_size())
-                .sum::<usize>()
-            + self.connections.len() * core::mem::size_of::<u32>()
+        let words = self.coords.len() + self.words.len();
+        core::mem::size_of::<u32>() * words.saturating_sub(2)
     }
 }
 
@@ -374,7 +447,7 @@ impl Sgs {
                 connected.then_some(j)
             });
             let population = (bi.cores.len() + bi.edges.len()) as u32;
-            list.push(coord.clone(), population, status(bi), connections);
+            list.push(&coord.0, population, status(bi), connections);
         }
 
         Sgs {
@@ -447,14 +520,13 @@ impl Sgs {
     /// The upper corner is computed in `f64`, so a cell at `i32::MAX`
     /// yields a finite, non-inverted rectangle.
     pub fn mbr(&self) -> Option<Rect> {
-        let first = self.cells.get(0)?;
-        let dim = first.coord.dim();
-        let mut lo = vec![i32::MAX; dim];
-        let mut hi = vec![i32::MIN; dim];
-        for c in &self.cells {
-            for d in 0..dim {
-                lo[d] = lo[d].min(c.coord.0[d]);
-                hi[d] = hi[d].max(c.coord.0[d]);
+        let first = self.cells.coords().next()?;
+        let mut lo = first.to_vec();
+        let mut hi = first.to_vec();
+        for coord in self.cells.coords() {
+            for (d, &x) in coord.iter().enumerate() {
+                lo[d] = lo[d].min(x);
+                hi[d] = hi[d].max(x);
             }
         }
         Some(Rect::new(
@@ -465,19 +537,20 @@ impl Sgs {
         ))
     }
 
-    /// Index of the cell at `coord`, if present (cells are kept sorted).
-    pub fn index_of(&self, coord: &CellCoord) -> Option<usize> {
-        let entries = &self.cells.entries;
-        entries.binary_search_by(|e| e.coord.cmp(coord)).ok()
-    }
-
     /// Fidelity check for Lemma 4.3: every cell's data-space box is within
     /// θr of a member (trivially true by construction — each cell contains
-    /// a member). Exposed for property tests: verifies cells are non-empty
-    /// and sorted, that each connection run is ascending without repeats
-    /// and names another cell, and that the cell populations sum to at
-    /// most `u32::MAX`, so [`population`](Self::population) cannot wrap.
+    /// a member). Exposed for property tests: verifies that the cells are
+    /// [`dim`](Self::dim)-dimensional, non-empty and sorted, that each
+    /// connection run is ascending without repeats and names another
+    /// cell, and that the cell populations sum to at most `u32::MAX`, so
+    /// [`population`](Self::population) cannot wrap.
     pub fn validate(&self) -> Result<(), String> {
+        if let Some(dim) = self.cells.dim().filter(|&d| d != self.dim) {
+            return Err(format!(
+                "{dim}-dimensional cells in a {}-dimensional summary",
+                self.dim
+            ));
+        }
         let coords = self.cells.iter().map(|c| c.coord);
         if !coords.clone().zip(coords.skip(1)).all(|(a, b)| a < b) {
             return Err("cells not sorted by coordinate".into());
@@ -603,9 +676,8 @@ mod tests {
         let sgs = Sgs::from_members(&sample_members(), &geo());
         // Core cell 0 (x bucket 0) ↔ core cell 1 (x bucket 1): cores (0.2,0.1)
         // and (0.9,0.1) are 0.7 apart ≤ 1 → connected.
-        let c0 = sgs.index_of(&CellCoord::new(vec![0, 0])).unwrap();
-        let c1 = sgs.index_of(&CellCoord::new(vec![1, 0])).unwrap();
-        let c2 = sgs.index_of(&CellCoord::new(vec![2, 0])).unwrap();
+        let index_of = |coord: [i32; 2]| sgs.cells.iter().position(|c| c.coord == coord).unwrap();
+        let (c0, c1, c2) = (index_of([0, 0]), index_of([1, 0]), index_of([2, 0]));
         let connections = |i: usize| sgs.cells.get(i).unwrap().connections;
         assert!(connections(c0).contains(&(c1 as u32)));
         assert!(connections(c1).contains(&(c0 as u32)));
@@ -653,7 +725,7 @@ mod tests {
         // over the wire: the rectangle is finite and not inverted.
         for v in [i32::MAX, i32::MIN] {
             let mut list = CellsBuilder::default();
-            list.push(CellCoord::new(vec![v, 0]), 1, CellStatus::Edge, []);
+            list.push(&[v, 0], 1, CellStatus::Edge, []);
             let edge = Sgs {
                 dim: 2,
                 side,
@@ -701,7 +773,7 @@ mod tests {
         let mut list = CellsBuilder::default();
         for c in sgs.cells.iter().skip(1) {
             let connections = c.connections.iter().copied();
-            list.push(c.coord.clone(), c.population, c.status, connections);
+            list.push(c.coord, c.population, c.status, connections);
         }
         let fewer = list.build();
         assert_ne!(
@@ -718,12 +790,11 @@ mod tests {
     #[test]
     fn a_pushed_run_is_stored_ascending_without_repeats() {
         let mut list = CellsBuilder::default();
-        let cell = |x: i32| CellCoord::new(vec![x, 0]);
-        list.push(cell(0), 1, CellStatus::Core, [2, 1, 2]);
+        list.push(&[0, 0], 1, CellStatus::Core, [2, 1, 2]);
         // Starts on the index the previous run ends on: both keep it.
-        list.push(cell(1), 1, CellStatus::Core, [3, 0, 0]);
-        list.push(cell(2), 1, CellStatus::Core, [3]);
-        list.push(cell(3), 1, CellStatus::Edge, []);
+        list.push(&[1, 0], 1, CellStatus::Core, [3, 0, 0]);
+        list.push(&[2, 0], 1, CellStatus::Core, [3]);
+        list.push(&[3, 0], 1, CellStatus::Edge, []);
         let cells = list.build();
         let runs: Vec<&[u32]> = cells.iter().map(|c| c.connections).collect();
         assert_eq!(runs, [&[1, 2][..], &[0, 3], &[3], &[]]);
@@ -752,7 +823,7 @@ mod tests {
             cells: {
                 let mut list = CellsBuilder::default();
                 for (x, &population) in (0..).zip(populations) {
-                    list.push(CellCoord::new(vec![x, 0]), population, CellStatus::Edge, []);
+                    list.push(&[x, 0], population, CellStatus::Edge, []);
                 }
                 list.build()
             },
@@ -777,5 +848,68 @@ mod tests {
                 at_most.iter().map(|&p| u64::from(p)).sum::<u64>()
             );
         }
+    }
+
+    #[test]
+    fn a_summary_over_cells_of_another_dimensionality_is_refused() {
+        let mut list = CellsBuilder::default();
+        list.push(&[0, 0], 1, CellStatus::Edge, []);
+        list.push(&[1, 0], 1, CellStatus::Edge, []);
+        let cells = list.build();
+        assert_eq!(cells.dim(), Some(2));
+        let sgs = |dim| Sgs {
+            dim,
+            side: 1.0,
+            level: 0,
+            cells: cells.clone(),
+        };
+        sgs(2).validate().unwrap();
+        assert!(sgs(3).validate().is_err());
+        assert!(sgs(1).validate().is_err());
+        // An empty list has no dimensionality to disagree with.
+        let empty = Sgs {
+            cells: list.build(),
+            ..sgs(3)
+        };
+        assert_eq!(empty.cells.dim(), None);
+        empty.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "differs in length")]
+    fn a_coordinate_of_another_length_is_refused_by_the_builder() {
+        let mut list = CellsBuilder::default();
+        list.push(&[0, 0], 1, CellStatus::Edge, []);
+        list.push(&[1, 0, 0], 1, CellStatus::Edge, []);
+    }
+
+    #[test]
+    fn a_build_lets_the_next_list_take_another_dimensionality() {
+        let mut list = CellsBuilder::default();
+        list.push(&[0, 0], 1, CellStatus::Edge, []);
+        assert_eq!(list.build().dim(), Some(2));
+        list.push(&[0, 0, 0, 0], 1, CellStatus::Edge, []);
+        assert_eq!(list.build().dim(), Some(4));
+    }
+
+    #[test]
+    fn a_cell_costs_its_coordinate_and_two_words_and_a_word_per_connection() {
+        for (dim, per_cell) in [(2, 16), (4, 24), (9, 44)] {
+            // 30 cells in a row, every third an edge cell, each core cell
+            // linked to the next cell: 20 connections.
+            let mut list = CellsBuilder::default();
+            let mut coord = vec![0; dim];
+            for x in 0..30u32 {
+                coord[0] = x as i32;
+                if x % 3 == 2 {
+                    list.push(&coord, 1, CellStatus::Edge, []);
+                } else {
+                    list.push(&coord, 1, CellStatus::Core, [(x + 1) % 30]);
+                }
+            }
+            let cells = list.build();
+            assert_eq!(cells.heap_size(), per_cell * 30 + 4 * 20, "{dim}-d");
+        }
+        assert_eq!(Cells::default().heap_size(), 0);
     }
 }

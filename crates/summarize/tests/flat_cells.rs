@@ -4,7 +4,6 @@
 //! of it survives the codec and coarsening as a valid summary.
 
 use proptest::prelude::*;
-use sgs_core::CellCoord;
 use sgs_summarize::codec::{decode, encode};
 use sgs_summarize::{coarsen, CellStatus, Cells, CellsBuilder, Sgs};
 
@@ -27,11 +26,10 @@ fn cell_script() -> impl Strategy<Value = CellScript> {
 
 /// A modelled cell: coordinate, population, status and connections as
 /// pushed, in any order and possibly repeated.
-type Cell = (CellCoord, u32, CellStatus, Vec<u32>);
+type Cell = (Vec<i32>, u32, CellStatus, Vec<u32>);
 
 /// The valid `dim`-dimensional cell list (`dim ≥ 2`) a script describes;
-/// the coordinates past the second repeat the step, so lists of more
-/// than four dimensions hold spilled coordinates.
+/// the coordinates past the second repeat the step.
 fn list(dim: usize, script: &[CellScript]) -> Vec<Cell> {
     let n = script.len() as u32;
     let mut x = 0;
@@ -50,7 +48,7 @@ fn list(dim: usize, script: &[CellScript]) -> Vec<Cell> {
                     targets.filter(|&j| j as usize != i).collect(),
                 )
             };
-            (CellCoord::new(coord), *population, status, connections)
+            (coord, *population, status, connections)
         })
         .collect()
 }
@@ -74,12 +72,7 @@ fn stored(list: &[Cell]) -> Vec<Cell> {
 /// The cells of `list` pushed into `builder`, built.
 fn build(builder: &mut CellsBuilder, list: &[Cell]) -> Cells {
     for (coord, population, status, connections) in list {
-        builder.push(
-            coord.clone(),
-            *population,
-            *status,
-            connections.iter().copied(),
-        );
+        builder.push(coord, *population, *status, connections.iter().copied());
     }
     builder.build()
 }
@@ -100,7 +93,7 @@ proptest! {
         for (i, ((coord, population, status, run), walked)) in list.iter().zip(&cells).enumerate() {
             let run = canonical(run);
             for view in [cells.get(i).unwrap(), walked] {
-                prop_assert_eq!(view.coord, coord);
+                prop_assert_eq!(view.coord, &coord[..]);
                 prop_assert_eq!(view.population, *population);
                 prop_assert_eq!(view.status, *status);
                 prop_assert_eq!(view.connections, &run[..]);

@@ -97,19 +97,9 @@ impl<T> FaultTransport<T> {
         self
     }
 
-    /// Bytes read so far (inbound cursor).
-    pub fn read_pos(&self) -> u64 {
-        self.read_pos
-    }
-
     /// Bytes written so far (outbound cursor).
     pub fn write_pos(&self) -> u64 {
         self.write_pos
-    }
-
-    /// The wrapped transport.
-    pub fn get_ref(&self) -> &T {
-        &self.inner
     }
 
     /// Unwrap.
@@ -308,6 +298,6 @@ mod tests {
         let err = write_frame(&mut t, &hello()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         assert_eq!(t.write_pos(), 3);
-        assert_eq!(t.get_ref().len(), 3);
+        assert_eq!(t.into_inner().len(), 3);
     }
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sgs_core::{CellCoord, Point, PointId, WindowId};
+use sgs_core::{Point, PointId, WindowId};
 use sgs_csgs::ExtractedCluster;
 use sgs_summarize::{CellStatus, CellsBuilder, Sgs};
 use sgs_wire::{
@@ -59,7 +59,7 @@ fn rand_sgs(rng: &mut StdRng) -> Sgs {
         let connections: Vec<u32> = (0..n_conns)
             .map(|_| rng.gen_range(0u32..n_cells as u32))
             .collect();
-        list.push(CellCoord(coord.into()), population, status, connections);
+        list.push(&coord, population, status, connections);
     }
     Sgs {
         dim,

@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1792448294547,
+  "lastUpdate": 1792483200000,
   "entries": {
     "streamsum e2ebench": [
       {
@@ -183,7 +183,7 @@ window.BENCHMARK_DATA = {
       },
       {
         "commit": {
-          "id": null,
+          "id": "7040fc220c9c98713fec78c3ba8c5734370a4a53",
           "parent": "a6515c6c6276723632dc4d62f540eb1dc7b72064",
           "message": "A summary's cells have one form: SkeletalCell and its conversions go, and CellsBuilder is the one way to make a cell list"
         },
@@ -206,6 +206,38 @@ window.BENCHMARK_DATA = {
           {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.259, "value": 0.246, "pairs": 10, "wins": 5},
           {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.344, "value": 0.347, "pairs": 10, "wins": 5},
           {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 36.85, "value": 36.68, "pairs": 10, "wins": 7}
+        ]
+      },
+      {
+        "commit": {
+          "id": null,
+          "parent": "05812a75dead6f8d1cbc4c0568bf837c68f55581",
+          "message": "A summary's cell is the paper's 8.2 cell: coordinates live in one i32 block, so a 2-d cell is 16 B instead of 40"
+        },
+        "date": 1792483200000,
+        "tool": "e2ebench --seconds 20 --trace 0, interleaved parent/change pairs alternating which runs first, 2-vCPU box; claim: gmti_slide peak_rss_mb",
+        "benches": [
+          {"name": "gmti_slide peak_rss_mb seed 1", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 72.09, "value": 66.24, "pairs": 10, "wins": 10},
+          {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 284282, "value": 294290, "pairs": 10, "wins": 10},
+          {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.333, "value": 0.32, "pairs": 10, "wins": 8},
+          {"name": "gmti_slide response_p90_ms seed 1", "workload": "gmti_slide", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.439, "value": 0.426, "pairs": 10, "wins": 6},
+          {"name": "gmti_slide peak_rss_mb seed 2", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 2, "parent": 71.55, "value": 66.43, "pairs": 5, "wins": 5},
+          {"name": "gmti_slide tuples_per_s seed 2", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 2, "parent": 287481, "value": 283163, "pairs": 5, "wins": 3},
+          {"name": "gmti_slide response_p50_ms seed 2", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 2, "parent": 0.333, "value": 0.337, "pairs": 5, "wins": 3},
+          {"name": "gmti_slide response_p90_ms seed 2", "workload": "gmti_slide", "metric": "response_p90_ms", "unit": "ms", "seed": 2, "parent": 0.451, "value": 0.448, "pairs": 5, "wins": 4},
+          {"name": "match_under_ingest peak_rss_mb seed 1", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 49.57, "value": 45.84, "pairs": 10, "wins": 10},
+          {"name": "match_under_ingest tuples_per_s seed 1", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 279845, "value": 282379, "pairs": 10, "wins": 6},
+          {"name": "match_under_ingest response_p50_ms seed 1", "workload": "match_under_ingest", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.249, "value": 0.251, "pairs": 10, "wins": 5},
+          {"name": "match_under_ingest response_p90_ms seed 1", "workload": "match_under_ingest", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.477, "value": 0.507, "pairs": 10, "wins": 3},
+          {"name": "stt_insert peak_rss_mb seed 1", "workload": "stt_insert", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 80.62, "value": 80.66, "pairs": 6, "wins": 3},
+          {"name": "stt_insert tuples_per_s seed 1", "workload": "stt_insert", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 214862, "value": 213018, "pairs": 6, "wins": 2},
+          {"name": "stt_insert response_p50_ms seed 1", "workload": "stt_insert", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 4.536, "value": 4.533, "pairs": 6, "wins": 4},
+          {"name": "stt_insert response_p90_ms seed 1", "workload": "stt_insert", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 6.145, "value": 6.185, "pairs": 6, "wins": 3},
+          {"name": "stt_insert setup_s seed 1", "workload": "stt_insert", "metric": "setup_s", "unit": "s", "seed": 1, "parent": 0.1697, "value": 0.1674, "pairs": 6, "wins": 5},
+          {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 36.76, "value": 34.61, "pairs": 10, "wins": 10},
+          {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 360364, "value": 370958, "pairs": 10, "wins": 8},
+          {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.265, "value": 0.255, "pairs": 10, "wins": 7},
+          {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.348, "value": 0.339, "pairs": 10, "wins": 6}
         ]
       }
     ]

@@ -118,10 +118,7 @@ fn negative_coordinates_work_end_to_end() {
         .unwrap();
     assert!(!pipeline.base().is_empty());
     let recent = &outs.last().unwrap().1[0].sgs;
-    assert!(recent
-        .cells
-        .iter()
-        .all(|c| c.coord.0.iter().all(|&v| v < 0)));
+    assert!(recent.cells.iter().all(|c| c.coord.iter().all(|&v| v < 0)));
     let outcome = pipeline
         .base()
         .match_query(recent, &MatchConfig::equal_weights(true, 0.2));

@@ -266,14 +266,13 @@ fn a_loose_threshold_answers_promptly_over_the_wire() {
 /// panicked on: the MATCH gets its reply and the session stays usable.
 #[test]
 fn a_summary_at_the_coordinate_limit_matches_without_wedging_the_session() {
-    use streamsum::core::CellCoord;
     use streamsum::summarize::{CellStatus, CellsBuilder};
 
     let (addr, handle) = start_server();
     let mut client = connect_with_deadline(addr);
     client.detect(DETECT).unwrap();
     let mut list = CellsBuilder::default();
-    list.push(CellCoord::new(vec![i32::MAX, 0]), 1, CellStatus::Edge, []);
+    list.push(&[i32::MAX, 0], 1, CellStatus::Edge, []);
     let edge = Sgs {
         dim: 2,
         side: 1.0,
