@@ -5,11 +5,10 @@
 //! selection (archive a fraction of the detected clusters) and
 //! feature-based selection (archive only clusters reaching a population
 //! or volume bar). What it selects is stored at full resolution (level
-//! 0): §6.1 coarsening happens in one place, the durable base's
-//! byte-budget retention (`durable.rs`), which demotes the oldest
-//! patterns first. [`choose_level`] is the §6.1 budget computation for a
-//! caller that coarsens a summary itself — the space cost of any level
-//! is exactly computable without materializing it.
+//! 0), and stays so: no product path coarsens an archived pattern.
+//! [`choose_level`] is the §6.1 budget computation for a caller that
+//! coarsens a summary itself — the space cost of any level is exactly
+//! computable without materializing it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,13 +1,12 @@
 //! The durable tiered pattern base (`DESIGN.md` §10).
 //!
 //! [`DurablePatternBase`] wraps the in-memory [`PatternBase`] with a
-//! write-ahead log, periodic checkpoints, and retention that **coarsens
-//! instead of dropping** (§6.1): when a byte budget is exceeded, the
-//! oldest patterns are demoted one multi-resolution level at a time, so
-//! MATCH keeps answering over the full history at degraded granularity.
+//! write-ahead log and periodic checkpoints. The base is append-only: an
+//! archived pattern keeps the summary, and so the resolution, it was
+//! archived with, and the one mutation is an insert.
 //!
 //! Both files speak one format, the CRC'd frames of [`wal`]: the WAL
-//! logs every mutation, and a checkpoint store is that log compacted —
+//! logs every insert, and a checkpoint store is that log compacted —
 //! one `Insert` frame per pattern in insertion order, then a `Seal`. An
 //! insert logs the summary in the lossless encoding the wire sends
 //! (`sgs_summarize::codec`), and the base stores exactly the summary it
@@ -16,11 +15,9 @@
 //! summaries by construction. The recovery invariant — *replay ⇒
 //! byte-identical* — rests on three rules:
 //!
-//! 1. every mutation is a WAL record fsynced **before** it is applied in
-//!    memory (an insert logs the pattern's summary; a retention demotion
-//!    logs the pattern's index). A batch of inserts and the demotions it
-//!    causes is one commit — one append, one `fsync` — so a torn commit
-//!    recovers as a prefix of its records;
+//! 1. every insert is a WAL record fsynced **before** it is applied in
+//!    memory. A batch of inserts is one commit — one append, one `fsync`
+//!    — so a torn commit recovers as a prefix of its records;
 //! 2. a checkpoint atomically replaces the store file before truncating
 //!    the log. The store's frames are numbered so its seal carries the
 //!    sequence number the next WAL record will carry (`applied_seq`), and
@@ -31,12 +28,11 @@
 //!    is reopened: the torn bytes stay in the log, replay stops at them,
 //!    and a record appended behind them would be acknowledged and lost.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use sgs_core::{ArchiveRetention, WindowId};
-use sgs_summarize::{multires, packed, Sgs};
+use sgs_core::WindowId;
+use sgs_summarize::Sgs;
 
 use crate::io::{ArchiveIo, DiskIo};
 use crate::pattern_base::{PatternBase, PatternId};
@@ -80,13 +76,11 @@ impl std::error::Error for PersistError {
     }
 }
 
-/// Configuration of a durable pattern base: when to coarsen and when to
-/// checkpoint. Recovery itself has no knobs — it is one
-/// sequential pass over the checkpoint, then the WAL tail.
+/// Configuration of a durable pattern base: when to checkpoint.
+/// Recovery itself has no knobs — it is one sequential pass over the
+/// checkpoint, then the WAL tail.
 #[derive(Clone, Debug)]
 pub struct DurableConfig {
-    /// What happens as the archive grows ([`ArchiveRetention`]).
-    pub retention: ArchiveRetention,
     /// Checkpoint once the WAL exceeds this many bytes.
     pub checkpoint_wal_bytes: u64,
 }
@@ -94,7 +88,6 @@ pub struct DurableConfig {
 impl Default for DurableConfig {
     fn default() -> Self {
         DurableConfig {
-            retention: ArchiveRetention::Unbounded,
             checkpoint_wal_bytes: 1 << 20,
         }
     }
@@ -111,13 +104,6 @@ pub struct PoolStats {
     /// Always 0.
     pub misses: u64,
 }
-
-/// Multi-resolution compression rate θ retention coarsens by (§6.1). A
-/// constant, not a setting: WAL replay must demote exactly as the live
-/// base did, so the θ a store was written with is the one it replays with.
-const RETENTION_THETA: u32 = 2;
-/// Coarsest level retention demotes a pattern to.
-pub const RETENTION_MAX_LEVEL: u8 = 4;
 
 struct Storage {
     io: Box<dyn ArchiveIo>,
@@ -148,22 +134,14 @@ impl Storage {
         Ok(result?)
     }
 
-    /// Append the `Insert` records of `staged`, then the `Coarsen`
-    /// records of `demotions`, to the WAL as one batch and fsync it — the
-    /// commit point of every mutation.
-    fn commit(
-        &mut self,
-        staged: &[(Sgs, WindowId)],
-        demotions: &[u64],
-    ) -> Result<(), PersistError> {
+    /// Append the `Insert` records of `staged` to the WAL as one batch
+    /// and fsync it — the commit point of every insert.
+    fn commit(&mut self, staged: &[(Sgs, WindowId)]) -> Result<(), PersistError> {
         self.usable()?;
         let mut seqs = self.next_seq..;
         let mut batch = Vec::new();
         for ((sgs, window), seq) in staged.iter().zip(&mut seqs) {
             batch.extend_from_slice(&wal::insert_frame(seq, *window, sgs));
-        }
-        for (&index, seq) in demotions.iter().zip(&mut seqs) {
-            batch.extend_from_slice(&wal::encode_frame(seq, &WalRecord::Coarsen { index }));
         }
         let m = crate::metrics::metrics();
         let start = std::time::Instant::now();
@@ -180,10 +158,10 @@ impl Storage {
     }
 }
 
-/// A pattern base whose mutations survive process crashes.
+/// A pattern base whose inserts survive process crashes.
 ///
 /// Dereferences to [`PatternBase`] for all read paths (`len`, `get`,
-/// `match_query`, …); mutation goes through
+/// `match_query`, …); every insert goes through
 /// [`try_insert_all`](Self::try_insert_all), which write-ahead-logs
 /// before touching memory. With no storage
 /// attached ([`memory`](Self::memory)) it behaves exactly like the plain
@@ -199,63 +177,6 @@ impl std::ops::Deref for DurablePatternBase {
     fn deref(&self) -> &PatternBase {
         &self.base
     }
-}
-
-/// One retention demotion: `sgs` a multi-resolution level coarser. Live
-/// retention and WAL replay both go through here, so a replayed `Coarsen`
-/// reproduces the live result bit for bit. `None` if coarsening left
-/// nothing to archive.
-fn demote(sgs: &Sgs) -> Option<Sgs> {
-    Some(multires::coarsen(sgs, RETENTION_THETA)).filter(|coarse| !coarse.cells.is_empty())
-}
-
-/// The demotions that bring `base` plus `staged` within `retention`'s
-/// budget: the demoted indices in order onto `demotions`, each demoted
-/// pattern's final form by index. Oldest-first passes demote a pattern at
-/// most one level each, so resolution degrades evenly; a batch within
-/// budget copies nothing.
-fn plan_retention(
-    base: &PatternBase,
-    staged: &[(Sgs, WindowId)],
-    retention: &ArchiveRetention,
-    demotions: &mut Vec<u64>,
-) -> BTreeMap<usize, Sgs> {
-    let mut demoted = BTreeMap::new();
-    let ArchiveRetention::ByteBudget(budget) = *retention else {
-        return demoted;
-    };
-    let mut total = base.archived_bytes();
-    for (sgs, _) in staged {
-        total += packed::archived_bytes(sgs);
-    }
-    'outer: while total > budget {
-        let mut progressed = false;
-        for i in 0..base.len() + staged.len() {
-            if total <= budget {
-                break 'outer;
-            }
-            let sgs = match (demoted.get(&i), base.get(PatternId(i as u64))) {
-                (Some(sgs), _) => sgs,
-                (None, Some(pattern)) => &pattern.sgs,
-                (None, None) => &staged[i - base.len()].0,
-            };
-            if sgs.level >= RETENTION_MAX_LEVEL {
-                continue;
-            }
-            let before = packed::archived_bytes(sgs);
-            let Some(coarse) = demote(sgs) else {
-                continue;
-            };
-            total = total - before + packed::archived_bytes(&coarse);
-            demoted.insert(i, coarse);
-            demotions.push(i as u64);
-            progressed = true;
-        }
-        if !progressed {
-            break; // everything is at the coarsest level already
-        }
-    }
-    demoted
 }
 
 /// The store image of `base`: one `Insert` frame per pattern in
@@ -277,15 +198,6 @@ fn apply(base: &mut PatternBase, seq: u64, record: WalRecord) -> Result<(), Pers
             base.insert(sgs, window)
                 .ok_or_else(|| PersistError::Corrupt(format!("insert {seq} is empty")))?;
         }
-        WalRecord::Coarsen { index } => {
-            let pattern = base.get(PatternId(index)).ok_or_else(|| {
-                PersistError::Corrupt(format!("coarsen {seq} targets missing pattern {index}"))
-            })?;
-            let coarse = demote(&pattern.sgs).ok_or_else(|| {
-                PersistError::Corrupt(format!("coarsen {seq} emptied pattern {index}"))
-            })?;
-            base.replace(PatternId(index), coarse);
-        }
         WalRecord::Seal => {
             return Err(PersistError::Corrupt(format!("seal {seq} inside a log")));
         }
@@ -300,7 +212,7 @@ impl Default for DurablePatternBase {
 }
 
 impl DurablePatternBase {
-    /// Memory-only base: no WAL, no checkpoints, no retention — the
+    /// Memory-only base: no WAL, no checkpoints — the
     /// pre-durability behavior, byte-for-byte.
     pub fn memory() -> DurablePatternBase {
         DurablePatternBase {
@@ -383,8 +295,8 @@ impl DurablePatternBase {
         self.storage.as_ref().map(|s| s.wal_len)
     }
 
-    /// Archive a batch as one commit — one WAL append and one `fsync` for
-    /// it and the demotions it causes — and return the handles, skipping
+    /// Archive a batch as one commit — one WAL append and one `fsync` —
+    /// and return the handles, skipping
     /// empty summaries. On `Ok` the batch is durable. On `Err` memory is
     /// untouched, recovery yields the previous state plus a prefix of the
     /// batch (all of it if the checkpoint after the commit failed), and the
@@ -406,22 +318,13 @@ impl DurablePatternBase {
         if staged.is_empty() {
             return Ok(Vec::new());
         }
-        let mut demotions = Vec::new();
-        let demoted = plan_retention(&self.base, &staged, &storage.cfg.retention, &mut demotions);
-
         // WAL first, memory second.
-        storage.commit(&staged, &demotions)?;
+        storage.commit(&staged)?;
         let checkpoint_due = storage.wal_len >= storage.cfg.checkpoint_wal_bytes;
-        crate::metrics::metrics()
-            .coarsenings
-            .add(demotions.len() as u64);
         let inserted = staged
             .into_iter()
             .map(|(sgs, window)| self.base.insert(sgs, window));
         let ids = inserted.flatten().collect();
-        for (index, sgs) in demoted {
-            self.base.replace(PatternId(index as u64), sgs);
-        }
         if checkpoint_due {
             self.checkpoint()?;
         }
@@ -473,7 +376,7 @@ mod tests {
     use crate::io::{FaultFs, FaultMode, FaultPlan};
     use sgs_core::GridGeometry;
     use sgs_matching::MatchConfig;
-    use sgs_summarize::MemberSet;
+    use sgs_summarize::{multires, MemberSet};
 
     fn blob(x0: f64, n: usize) -> Sgs {
         let cores: Vec<Box<[f64]>> = (0..n)
@@ -513,7 +416,6 @@ mod tests {
     fn tiny_checkpoint_cfg() -> DurableConfig {
         DurableConfig {
             checkpoint_wal_bytes: 512,
-            ..DurableConfig::default()
         }
     }
 
@@ -615,54 +517,6 @@ mod tests {
     fn assert_holds(base: &DurablePatternBase, inserted: &[Sgs]) {
         let held: Vec<&Sgs> = base.iter().map(|p| &p.sgs).collect();
         assert_eq!(held, inserted.iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn byte_budget_coarsens_oldest_never_drops() {
-        let fs = FaultFs::new();
-        let mut base = DurablePatternBase::open_with(
-            Box::new(fs.clone()),
-            DurableConfig {
-                retention: ArchiveRetention::ByteBudget(700),
-                ..DurableConfig::default()
-            },
-        )
-        .unwrap();
-        let inserted: Vec<Sgs> = (0..10).map(|k| blob(k as f64 * 9.0, 30)).collect();
-        for (k, sgs) in (0..).zip(&inserted) {
-            base.try_insert(sgs.clone(), WindowId(k)).unwrap();
-        }
-        assert_eq!(base.len(), 10, "retention must never drop patterns");
-        // A demoted pattern is what coarsening the inserted summary gives,
-        // one level per demotion, and nothing else.
-        let demoted: Vec<Sgs> = base
-            .iter()
-            .zip(&inserted)
-            .map(|(p, sgs)| {
-                (0..p.sgs.level).fold(sgs.clone(), |s, _| multires::coarsen(&s, RETENTION_THETA))
-            })
-            .collect();
-        assert_holds(&base, &demoted);
-        assert!(base.archived_bytes() <= 700);
-        // Oldest-first: the first pattern is at least as coarse as the last.
-        let levels: Vec<u8> = base.iter().map(|p| p.sgs.level).collect();
-        assert!(levels[0] >= *levels.last().unwrap());
-        assert!(
-            levels.iter().any(|&l| l > 0),
-            "something must have coarsened"
-        );
-        // And the demotions are WAL-logged: recovery reproduces them.
-        let want = base.snapshot_bytes();
-        let b = DurablePatternBase::open_with(
-            Box::new(fs),
-            DurableConfig {
-                retention: ArchiveRetention::ByteBudget(700),
-                ..DurableConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(b.snapshot_bytes(), want);
-        assert_holds(&b, &demoted);
     }
 
     #[test]
@@ -787,9 +641,10 @@ mod tests {
 
     /// A frame that passes its CRC was written whole, so a record kind
     /// this build does not know — the retired kind-1 packed insert an
-    /// older format wrote included — is corruption. Opening fails and
-    /// leaves both files as they were, instead of cutting the log at that
-    /// frame and opening as a shorter base.
+    /// older format wrote and the retired kind-2 coarsening included — is
+    /// corruption. Opening fails and leaves both files as they were,
+    /// instead of cutting the log at that frame and opening as a shorter
+    /// base.
     #[test]
     fn a_checksummed_frame_of_an_unknown_kind_is_corrupt_and_changes_nothing() {
         let frame = |seq: u64, kind: u8, body: &[u8]| {
@@ -815,8 +670,14 @@ mod tests {
             &[0, 0],
         ]
         .concat();
+        // The coarsening of the pattern at insertion index 0.
+        let index = 0u64;
         let cfg = DurableConfig::default();
-        for (kind, body) in [(0x7F, &b"future"[..]), (1, &packed_insert)] {
+        for (kind, body) in [
+            (0x7F, &b"future"[..]),
+            (1, &packed_insert),
+            (2, &index.to_le_bytes()),
+        ] {
             let (fs, _) = checkpointed(&[blob(9.0, 20)]);
             let mut base = reopen(&fs, &cfg);
             base.try_insert(blob(18.0, 20), WindowId(1)).unwrap();
@@ -844,6 +705,22 @@ mod tests {
         assert_eq!(fs.contents(STORE_FILE).unwrap(), store);
     }
 
+    /// A store whose `Insert`s hold coarsened summaries opens as it is:
+    /// the level is part of the summary an insert logs, so recovery holds
+    /// each pattern at the resolution it was archived at.
+    #[test]
+    fn a_store_of_coarsened_inserts_opens_as_it_is() {
+        let coarse: Vec<Sgs> = (0..4)
+            .map(|k| (0..k % 3).fold(blob(k as f64 * 9.0, 24), |s, _| multires::coarsen(&s, 2)))
+            .collect();
+        assert!(coarse.iter().any(|sgs| sgs.level > 0));
+        let (fs, base) = checkpointed(&coarse);
+        assert_eq!(base.wal_bytes(), Some(0));
+        let reopened = reopen(&fs, &DurableConfig::default());
+        assert_eq!(reopened.snapshot_bytes(), base.snapshot_bytes());
+        assert_holds(&reopened, &coarse);
+    }
+
     /// A `FaultFs` that counts WAL appends and fsyncs.
     struct Counting(FaultFs, std::sync::Arc<[std::sync::atomic::AtomicUsize; 2]>);
 
@@ -867,9 +744,8 @@ mod tests {
         }
     }
 
-    /// A batch is one commit — one append, one fsync — for its inserts
-    /// and the demotions they cause, and the base it leaves is the one
-    /// recovery rebuilds. Without retention it logs exactly the bytes the
+    /// A batch is one commit — one append, one fsync — and the base it
+    /// leaves is the one recovery rebuilds. It logs exactly the bytes the
     /// same inserts make one at a time.
     #[test]
     fn a_batch_is_one_commit() {
@@ -880,49 +756,33 @@ mod tests {
                 .zip(summaries.clone())
                 .map(|(w, s)| (s, w))
         };
-        let budget = summaries.iter().map(packed::archived_bytes).sum::<usize>() / 2;
-        for retention in [
-            ArchiveRetention::Unbounded,
-            ArchiveRetention::ByteBudget(budget),
-        ] {
-            let cfg = DurableConfig {
-                retention,
-                ..DurableConfig::default()
-            };
-            let fs = FaultFs::new();
-            let counts = std::sync::Arc::new([0, 0].map(std::sync::atomic::AtomicUsize::new));
-            let io = Counting(fs.clone(), counts.clone());
-            let mut base = DurablePatternBase::open_with(Box::new(io), cfg.clone()).unwrap();
-            let empty = Sgs {
-                cells: Default::default(),
-                ..summaries[0].clone()
-            };
-            assert!(base
-                .try_insert_all([(empty, WindowId(9))])
-                .unwrap()
-                .is_empty());
-            let ids = base.try_insert_all(batch()).unwrap();
-            assert_eq!(ids, (0..6).map(PatternId).collect::<Vec<_>>());
-            let counted = counts
-                .each_ref()
-                .map(|c| c.load(std::sync::atomic::Ordering::Relaxed));
-            assert_eq!(counted, [1, 1], "{retention:?}: (appends, fsyncs)");
-            let reopened =
-                DurablePatternBase::open_with(Box::new(fs.clone()), cfg.clone()).unwrap();
-            assert_eq!(reopened.snapshot_bytes(), base.snapshot_bytes());
-            if retention == ArchiveRetention::Unbounded {
-                let one_by_one = FaultFs::new();
-                let mut single =
-                    DurablePatternBase::open_with(Box::new(one_by_one.clone()), cfg).unwrap();
-                for (sgs, window) in batch() {
-                    single.try_insert(sgs, window).unwrap();
-                }
-                assert_eq!(one_by_one.contents(WAL_FILE), fs.contents(WAL_FILE));
-            } else {
-                assert!(base.archived_bytes() <= budget);
-                assert!(base.iter().any(|p| p.sgs.level > 0), "nothing demoted");
-            }
+        let cfg = DurableConfig::default();
+        let fs = FaultFs::new();
+        let counts = std::sync::Arc::new([0, 0].map(std::sync::atomic::AtomicUsize::new));
+        let io = Counting(fs.clone(), counts.clone());
+        let mut base = DurablePatternBase::open_with(Box::new(io), cfg.clone()).unwrap();
+        let empty = Sgs {
+            cells: Default::default(),
+            ..summaries[0].clone()
+        };
+        assert!(base
+            .try_insert_all([(empty, WindowId(9))])
+            .unwrap()
+            .is_empty());
+        let ids = base.try_insert_all(batch()).unwrap();
+        assert_eq!(ids, (0..6).map(PatternId).collect::<Vec<_>>());
+        let counted = counts
+            .each_ref()
+            .map(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+        assert_eq!(counted, [1, 1], "(appends, fsyncs)");
+        let reopened = DurablePatternBase::open_with(Box::new(fs.clone()), cfg.clone()).unwrap();
+        assert_eq!(reopened.snapshot_bytes(), base.snapshot_bytes());
+        let one_by_one = FaultFs::new();
+        let mut single = DurablePatternBase::open_with(Box::new(one_by_one.clone()), cfg).unwrap();
+        for (sgs, window) in batch() {
+            single.try_insert(sgs, window).unwrap();
         }
+        assert_eq!(one_by_one.contents(WAL_FILE), fs.contents(WAL_FILE));
     }
 
     /// A checkpointed and reopened base answers MATCH as the live one did.
@@ -940,50 +800,42 @@ mod tests {
     }
 
     /// A durable insert costs the same into a large base as into an empty
-    /// one: while retention has nothing to demote — `Unbounded`, or a byte
-    /// budget not yet reached — nothing may touch the patterns already
-    /// archived. (A ratio, so machine speed cancels; copying the base per
-    /// insert put it near 8.)
+    /// one: nothing may touch the patterns already archived. (A ratio, so
+    /// machine speed cancels; copying the base per insert put it near 8.)
     #[test]
     fn insert_cost_does_not_grow_with_the_base() {
-        for retention in [
-            ArchiveRetention::Unbounded,
-            ArchiveRetention::ByteBudget(usize::MAX / 2),
-        ] {
-            let mut base = DurablePatternBase::open_with(
-                Box::new(FaultFs::new()),
-                DurableConfig {
-                    retention,
-                    checkpoint_wal_bytes: u64::MAX,
-                },
-            )
-            .unwrap();
-            // Seconds per insert over the quietest 100-insert stretch of
-            // `range`: a shared box only ever adds time, so the minimum is
-            // the estimate least disturbed by it.
-            let mut cost = |range: std::ops::Range<u64>| {
-                let mut best = f64::INFINITY;
-                for chunk in range.step_by(100) {
-                    let summaries: Vec<Sgs> = (chunk..chunk + 100)
-                        .map(|k| blob(k as f64 * 9.0, 20 + (k % 7) as usize))
-                        .collect();
-                    let start = std::time::Instant::now();
-                    for (k, sgs) in (chunk..).zip(summaries) {
-                        base.try_insert(sgs, WindowId(k)).unwrap();
-                    }
-                    best = best.min(start.elapsed().as_secs_f64() / 100.0);
+        let mut base = DurablePatternBase::open_with(
+            Box::new(FaultFs::new()),
+            DurableConfig {
+                checkpoint_wal_bytes: u64::MAX,
+            },
+        )
+        .unwrap();
+        // Seconds per insert over the quietest 100-insert stretch of
+        // `range`: a shared box only ever adds time, so the minimum is the
+        // estimate least disturbed by it.
+        let mut cost = |range: std::ops::Range<u64>| {
+            let mut best = f64::INFINITY;
+            for chunk in range.step_by(100) {
+                let summaries: Vec<Sgs> = (chunk..chunk + 100)
+                    .map(|k| blob(k as f64 * 9.0, 20 + (k % 7) as usize))
+                    .collect();
+                let start = std::time::Instant::now();
+                for (k, sgs) in (chunk..).zip(summaries) {
+                    base.try_insert(sgs, WindowId(k)).unwrap();
                 }
-                best
-            };
-            let early = cost(0..500);
-            cost(500..2000);
-            let late = cost(2000..2500);
-            assert!(
-                late < 3.0 * early,
-                "{retention:?}: insert {:.1} us into a 2k base vs {:.1} us into an empty one",
-                late * 1e6,
-                early * 1e6
-            );
-        }
+                best = best.min(start.elapsed().as_secs_f64() / 100.0);
+            }
+            best
+        };
+        let early = cost(0..500);
+        cost(500..2000);
+        let late = cost(2000..2500);
+        assert!(
+            late < 3.0 * early,
+            "insert {:.1} us into a 2k base vs {:.1} us into an empty one",
+            late * 1e6,
+            early * 1e6
+        );
     }
 }

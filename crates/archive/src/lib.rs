@@ -3,8 +3,10 @@
 //! The **Pattern Archiver** (§6) and **Pattern Base** (§7.1):
 //!
 //! * [`PatternArchiver`] — only decides *which* clusters to keep
-//!   (sampling- or feature-based selection, §6.2); §6.1's coarsening is
-//!   [`DurablePatternBase`]'s byte-budget retention,
+//!   (sampling- or feature-based selection, §6.2) and stores them at the
+//!   resolution they were built at; §6.1's multi-resolution hierarchy is
+//!   storage accounting ([`choose_level`]), never applied to a stored
+//!   pattern,
 //! * [`PatternBase`] — stores the archived summaries with each one's MBR
 //!   and 4-d feature vector (volume, core-cell count, average density,
 //!   average connectivity), and executes **cluster matching queries** with
@@ -17,7 +19,8 @@
 //!   CRC-framed write-ahead log whose checkpoint is the same log
 //!   compacted, so every stored byte is checksummed and recovery is one
 //!   replay of the store and then of the log's tail. Its one write,
-//!   [`DurablePatternBase::try_insert_all`], commits a batch in one `fsync`.
+//!   [`DurablePatternBase::try_insert_all`], commits a batch in one `fsync`,
+//!   and nothing changes a pattern after its insert.
 
 pub mod archiver;
 pub mod durable;

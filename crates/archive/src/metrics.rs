@@ -17,8 +17,6 @@ pub(crate) struct ArchiveMetrics {
     pub checkpoint_nanos: Arc<Histogram>,
     /// Checkpoints taken.
     pub checkpoints: Arc<Counter>,
-    /// Retention demotions applied (one pattern coarsened one level).
-    pub coarsenings: Arc<Counter>,
 }
 
 pub(crate) fn metrics() -> &'static ArchiveMetrics {
@@ -30,7 +28,6 @@ pub(crate) fn metrics() -> &'static ArchiveMetrics {
             wal_fsync_nanos: r.histogram("sgs_archive_wal_fsync_nanos"),
             checkpoint_nanos: r.histogram("sgs_archive_checkpoint_nanos"),
             checkpoints: r.counter("sgs_archive_checkpoints_total"),
-            coarsenings: r.counter("sgs_archive_coarsenings_total"),
         }
     })
 }

@@ -13,15 +13,14 @@
 //! pattern allocates nothing of its own.
 //!
 //! `insert` joins a pattern to a record only when its cells are the
-//! allocation of a member the base still holds ([`Cells::ptr_eq`]) and
-//! its dimensionality, side bits and level are equal; then every feature,
+//! allocation of a member the base holds ([`Cells::ptr_eq`]) and its
+//! dimensionality, side bits and level are equal; then every feature,
 //! entry word and distance of the two is equal too. The record is looked
-//! up by the cells' address, but an address alone never decides a join:
-//! once nothing holds an allocation, the allocator may hand its address
-//! to an unrelated summary. Everything else opens a record, so summaries
-//! that are equal but built apart stay apart, which costs an evaluation,
-//! never an answer. `replace` (a retention demotion) moves its pattern
-//! into a record of its own.
+//! up by the cells' address; the grid check stays because [`Sgs`]'s
+//! fields are public, so one allocation may come with another grid.
+//! Everything else opens a record, so summaries that are equal but built
+//! apart stay apart, which costs an evaluation, never an answer. The base
+//! is append-only: no pattern, record or entry changes after its insert.
 //!
 //! A matching query runs **filter-and-refine** over the records, each
 //! once, then reports every member with the one distance. The filter
@@ -73,9 +72,7 @@ pub struct ArchivedPattern {
     pub window: WindowId,
     /// The archived summary (basic or coarsened resolution).
     pub sgs: Sgs,
-    /// Index of the record this pattern is a member of.
-    record: u32,
-    /// The record's next member, or [`NONE`].
+    /// The next member of this pattern's record, or [`NONE`].
     next: u32,
 }
 
@@ -179,25 +176,22 @@ impl PatternBase {
                 && held.side.to_bits() == sgs.side.to_bits()
                 && held.level == sgs.level
         });
-        let record = match joined {
+        match joined {
             Some(r) => {
                 let record = &mut self.records[r as usize];
                 self.patterns[record.last as usize].next = index;
                 record.last = index;
                 record.members += 1;
-                r
             }
             None => {
                 let r = self.open_record(&sgs, index);
                 self.by_cells.insert(sgs.cells.addr(), r);
-                r
             }
-        };
+        }
         self.patterns.push(ArchivedPattern {
             id: PatternId(u64::from(index)),
             window,
             sgs,
-            record,
             next: NONE,
         });
         Some(PatternId(u64::from(index)))
@@ -217,64 +211,6 @@ impl PatternBase {
         });
         Entry::write(sgs, &mut self.entries);
         r
-    }
-
-    /// Swap the summary under `id` for `sgs` (a retention demotion) in place,
-    /// keeping handle and window; an unknown `id` or empty `sgs` is ignored.
-    /// The pattern leaves its record for one of its own. If it was the
-    /// record's only member, the record itself becomes the new summary's:
-    /// its entry is rewritten in place, and if its length changes, the
-    /// entries after it move.
-    pub fn replace(&mut self, id: PatternId, sgs: Sgs) {
-        let i = id.0 as usize;
-        if i >= self.patterns.len() || sgs.cells.is_empty() {
-            return;
-        }
-        self.archived_bytes -= packed::archived_bytes(&self.patterns[i].sgs);
-        self.archived_bytes += packed::archived_bytes(&sgs);
-        let r = self.patterns[i].record as usize;
-        if self.records[r].members == 1 {
-            let old = self.patterns[i].sgs.cells.addr();
-            if self.by_cells.get(&old) == Some(&(r as u32)) {
-                self.by_cells.remove(&old);
-            }
-            let mut entry = Vec::new();
-            Entry::write(&sgs, &mut entry);
-            let span = self.records[r].start..self.end_of(r);
-            let moved = entry.len() as isize - span.len() as isize;
-            self.entries.splice(span, entry);
-            for record in &mut self.records[r + 1..] {
-                record.start = record.start.wrapping_add_signed(moved);
-            }
-            let record = &mut self.records[r];
-            record.features = sgs.features();
-            record.dim = Record::dim_of(&sgs);
-        } else {
-            self.unlink(i as u32);
-            self.patterns[i].record = self.open_record(&sgs, i as u32);
-        }
-        self.patterns[i].sgs = sgs;
-    }
-
-    /// Take the pattern at `index` out of its record's chain, which keeps
-    /// at least one other member.
-    fn unlink(&mut self, index: u32) {
-        let pattern = &mut self.patterns[index as usize];
-        let next = std::mem::replace(&mut pattern.next, NONE);
-        let record = &mut self.records[pattern.record as usize];
-        record.members -= 1;
-        if record.first == index {
-            record.first = next;
-            return;
-        }
-        let mut before = record.first;
-        while self.patterns[before as usize].next != index {
-            before = self.patterns[before as usize].next;
-        }
-        self.patterns[before as usize].next = next;
-        if record.last == index {
-            record.last = before;
-        }
     }
 
     /// Where the entry of the record at index `r` ends.
@@ -500,7 +436,7 @@ mod tests {
     #[test]
     fn a_pattern_is_80_bytes() {
         // Id and window, the summary's header and its two block
-        // pointers, then the record and the next member: a list's
+        // pointers, then the next member and 4 bytes of padding: a list's
         // dimensionality lives in its word block, not here.
         assert_eq!(std::mem::size_of::<ArchivedPattern>(), 80);
     }
@@ -590,39 +526,17 @@ mod tests {
     }
 
     #[test]
-    fn a_fresh_summary_never_joins_a_demoted_record() {
-        let mut base = PatternBase::new();
-        base.insert(blob(0.0, 0.0, 8), WindowId(0));
-        let kept = blob(0.0, 0.0, 30);
-        let copy = deep_copy(&kept.cells);
-        let old = kept.cells.addr();
-        base.insert(kept.clone(), WindowId(1));
-        let demoted = base.patterns[1].record;
-        // Demote the record's only member, then drop the last other
-        // holder of the old cells: their address is free for reuse.
-        let coarse = sgs_summarize::coarsen(&kept, 2);
-        base.replace(PatternId(1), coarse);
-        let (dim, side, level) = (kept.dim, kept.side, kept.level);
-        let fresh = || Sgs {
-            dim,
-            side,
-            level,
-            cells: deep_copy(&copy),
+    fn a_shared_allocation_at_another_level_opens_its_own_record() {
+        let kept = blob(0.0, 0.0, 12);
+        let relabelled = Sgs {
+            level: 1,
+            ..kept.clone()
         };
-        drop(kept);
-        // Equal summaries on the same grid, each a new allocation of the
-        // old one's size: the allocator may hand out the freed address.
-        let mut reused = false;
-        for w in 2..40 {
-            let sgs = fresh();
-            reused |= sgs.cells.addr() == old;
-            base.insert(sgs, WindowId(w));
-        }
-        assert_eq!(base.records.len(), base.len(), "address reused: {reused}");
-        for p in &base.patterns[2..] {
-            assert_ne!(p.record, demoted);
-            assert_eq!(base.records[p.record as usize].members, 1);
-        }
+        assert!(Cells::ptr_eq(&kept.cells, &relabelled.cells));
+        // The clone at level 1 opens a record; a clone of it joins that.
+        let base = base_with(vec![kept, relabelled.clone(), relabelled]);
+        let records: Vec<usize> = (0..3).map(|i| record_of(&base, i)).collect();
+        assert_eq!(records, [0, 1, 1]);
         assert_records_hold_their_members(&base);
     }
 
@@ -765,14 +679,20 @@ mod tests {
         base.iter().map(|p| packed::archived_bytes(&p.sgs)).sum()
     }
 
+    /// The index of the record whose chain holds the pattern at index `i`.
+    fn record_of(base: &PatternBase, i: usize) -> usize {
+        let holds = |record: &Record| base.members(record).any(|p| p.id.0 == i as u64);
+        base.records.iter().position(holds).unwrap()
+    }
+
     /// The entry of the pattern at index `i`: its record's.
     fn entry_of(base: &PatternBase, i: usize) -> &[u32] {
-        base.entry(base.patterns[i].record as usize)
+        base.entry(record_of(base, i))
     }
 
     /// The features of the pattern at index `i`: its record's.
     fn features_of(base: &PatternBase, i: usize) -> [f64; 4] {
-        base.records[base.patterns[i].record as usize].features
+        base.records[record_of(base, i)].features
     }
 
     /// An unshared base: a deep copy of every pattern of `base`, in order.
@@ -791,11 +711,11 @@ mod tests {
         copy
     }
 
-    /// Every record's chain lists, in id order, exactly the patterns that
-    /// name it, and they hold one allocation on one grid; the arena's
-    /// entries follow the records end to end; no record is empty.
+    /// Every pattern is in exactly one record's chain; a chain lists its
+    /// members in id order, and they hold one allocation on one grid; the
+    /// arena's entries follow the records end to end; no record is empty.
     fn assert_records_hold_their_members(base: &PatternBase) {
-        let mut seen = 0;
+        let mut seen = Vec::new();
         for (r, record) in base.records.iter().enumerate() {
             let members: Vec<&ArchivedPattern> = base.members(record).collect();
             assert_eq!(members.len(), record.members as usize);
@@ -803,7 +723,6 @@ mod tests {
             assert!(members.windows(2).all(|w| w[0].id < w[1].id));
             let first = &members[0].sgs;
             for p in &members {
-                assert_eq!(p.record as usize, r);
                 assert!(Cells::ptr_eq(&p.sgs.cells, &first.cells));
                 assert_eq!(
                     (p.sgs.dim, p.sgs.side.to_bits(), p.sgs.level),
@@ -815,9 +734,10 @@ mod tests {
             let mut words = Vec::new();
             Entry::write(first, &mut words);
             assert_eq!(base.entry(r), &words[..]);
-            seen += members.len();
+            seen.extend(members.iter().map(|p| p.id.0));
         }
-        assert_eq!(seen, base.len());
+        seen.sort_unstable();
+        assert!(seen.into_iter().eq(0..base.len() as u64));
         assert_eq!(
             base.records
                 .last()
@@ -827,28 +747,20 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// After every step of a script of inserts, carried repeats (a
-        /// clone of a held pattern) and in-place demotions (`replace`),
-        /// the maintained byte total equals a fresh scan of the patterns,
-        /// and the byte total, each pattern's MATCH entry and features and
-        /// the store image equal those of a fresh rebuild (`base_of`).
-        /// After a demotion of a shared summary the records may come in
-        /// another order than the rebuild's, so the arenas are compared
-        /// pattern by pattern.
+        /// After every step of a script of inserts and carried repeats (a
+        /// clone of a held pattern), the maintained byte total equals a
+        /// fresh scan of the patterns, and the byte total, each pattern's
+        /// MATCH entry and features and the store image equal those of a
+        /// fresh rebuild (`base_of`).
         #[test]
         fn maintained_bytes_and_caps_equal_a_fresh_scan(
-            script in proptest::prop::collection::vec((0u8..4, 0u8..40, 0u8..40, 0usize..50), 0..40),
+            script in proptest::prop::collection::vec((0u8..3, 0u8..40, 0u8..40, 0usize..50), 0..40),
         ) {
             let side = GridGeometry::basic(2, 1.0).side();
             let mut base = PatternBase::new();
             for (k, &(op, x, y, n)) in script.iter().enumerate() {
                 let held = (!base.is_empty()).then(|| PatternId(x as u64 % base.len() as u64));
                 match (op, held) {
-                    (0, Some(id)) => {
-                        // Demote one pattern a level, as retention does.
-                        let coarse = sgs_summarize::coarsen(&base.get(id).unwrap().sgs, 2);
-                        base.replace(id, coarse);
-                    }
                     (1, Some(id)) => {
                         let carried = base.get(id).unwrap().sgs.clone();
                         base.insert(carried, WindowId(k as u64));
@@ -870,12 +782,6 @@ mod tests {
                     crate::durable::store_image(&base, 0)
                 );
             }
-            // An empty summary or an unknown id changes nothing.
-            let image = crate::durable::store_image(&base, 0);
-            base.replace(PatternId(0), Sgs { cells: Default::default(), ..blob(0.0, 0.0, 1) });
-            base.replace(PatternId(base.len() as u64), blob(0.0, 0.0, 1));
-            proptest::prop_assert_eq!(crate::durable::store_image(&base, 0), image);
-            proptest::prop_assert_eq!(base.archived_bytes(), scanned_bytes(&base));
         }
 
         /// The alignment bound removes no match. Over archives of
@@ -914,12 +820,12 @@ mod tests {
 
         /// Grouping repeats changes no answer and no count. A base of
         /// fresh summaries, carried repeats (clones), equal summaries
-        /// built apart, clones on another grid side and demotions answers
+        /// built apart and clones on another grid side answers
         /// every MATCH as an unshared base of deep copies does, down to
         /// the distance bits, with equal `candidates` and `refined`.
         #[test]
         fn records_answer_as_an_unshared_base(
-            script in proptest::prop::collection::vec((0u8..6, 0u8..30, 0u8..30, 1usize..40), 1..40),
+            script in proptest::prop::collection::vec((0u8..5, 0u8..30, 0u8..30, 1usize..40), 1..40),
             queries in proptest::prop::collection::vec((0u8..30, 0u8..30, 1usize..40), 1..4),
             threshold in 0.05f64..0.6,
         ) {
@@ -939,11 +845,6 @@ mod tests {
                     }
                     (4, Some(sgs)) => {
                         base.insert(Sgs { side: sgs.side * 2.0, ..sgs }, window);
-                    }
-                    (5, Some(_)) => {
-                        let id = PatternId(y as u64 % base.len() as u64);
-                        let coarse = sgs_summarize::coarsen(&base.get(id).unwrap().sgs, 2);
-                        base.replace(id, coarse);
                     }
                     _ => {
                         base.insert(blob(x as f64 * side, y as f64 * side, n), window);

@@ -1,6 +1,6 @@
 //! The pattern base's write-ahead log (`DESIGN.md` §10).
 //!
-//! Every mutation of a [`DurablePatternBase`](crate::DurablePatternBase)
+//! Every insert into a [`DurablePatternBase`](crate::DurablePatternBase)
 //! is framed, checksummed, appended, and fsynced *before* it touches the
 //! in-memory base. The frame format is
 //!
@@ -9,13 +9,13 @@
 //! payload = seq: u64le | kind: u8 | body
 //! ```
 //!
-//! with three record kinds: `Insert` (kind 4; body `window: u64le` then
+//! with two record kinds: `Insert` (kind 4; body `window: u64le` then
 //! the summary in `sgs_summarize::codec`, the encoding the wire sends), an
-//! archived pattern; `Coarsen` (kind 2; body `index: u64le`), retention
-//! demoted a pattern one multi-resolution level; and `Seal` (kind 3; empty
-//! body), the end of a checkpoint store, which is this same log compacted
-//! to one `Insert` per pattern. Kind 1, an insert in the face-bit packed
-//! layout an older format wrote, is retired.
+//! archived pattern; and `Seal` (kind 3; empty body), the end of a
+//! checkpoint store, which is this same log compacted to one `Insert` per
+//! pattern. Two kinds are retired: kind 1, an insert in the face-bit
+//! packed layout an older format wrote, and kind 2, the in-place
+//! coarsening of an archived pattern that byte-budget retention logged.
 //!
 //! The CRC plus a strictly increasing `seq` give torn-write protection:
 //! replay stops at the first frame whose length, checksum, or sequence is
@@ -40,6 +40,7 @@ const PAYLOAD_PREFIX: usize = 9;
 
 /// Retired: an insert in the face-bit packed layout.
 const KIND_PACKED_INSERT: u8 = 1;
+/// Retired: byte-budget retention coarsened an archived pattern in place.
 const KIND_COARSEN: u8 = 2;
 const KIND_SEAL: u8 = 3;
 const KIND_INSERT: u8 = 4;
@@ -85,11 +86,6 @@ pub enum WalRecord {
         /// The summary, exactly as archived.
         sgs: Sgs,
     },
-    /// Retention coarsened the pattern at this insertion index one level.
-    Coarsen {
-        /// Index of the pattern in insertion order.
-        index: u64,
-    },
     /// The last frame of a checkpoint store: every pattern precedes it,
     /// and its `seq` is the one the next WAL record carries. Never
     /// appended to the WAL itself.
@@ -123,9 +119,6 @@ pub fn insert_frame(seq: u64, window: WindowId, sgs: &Sgs) -> Vec<u8> {
 pub fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
     match record {
         WalRecord::Insert { window, sgs } => insert_frame(seq, *window, sgs),
-        WalRecord::Coarsen { index } => frame(seq, KIND_COARSEN, |out| {
-            out.extend_from_slice(&index.to_le_bytes())
-        }),
         WalRecord::Seal => frame(seq, KIND_SEAL, |_| {}),
     }
 }
@@ -142,12 +135,16 @@ fn parse(seq: u64, kind: u8, body: &[u8]) -> Result<WalRecord, PersistError> {
             window: WindowId(window),
             sgs,
         }),
-        (KIND_COARSEN, Some(index)) => Some(WalRecord::Coarsen { index }),
         (KIND_SEAL, None) => Some(WalRecord::Seal),
-        (KIND_INSERT | KIND_COARSEN | KIND_SEAL, _) => None,
+        (KIND_INSERT | KIND_SEAL, _) => None,
         (KIND_PACKED_INSERT, _) => {
             return Err(corrupt(
                 "is a retired kind-1 insert: an older format wrote it".into(),
+            ))
+        }
+        (KIND_COARSEN, _) => {
+            return Err(corrupt(
+                "is a retired kind-2 coarsening: an --archive-budget server wrote it".into(),
             ))
         }
         _ => return Err(corrupt(format!("has unknown kind {kind:#04x}"))),
@@ -229,7 +226,6 @@ mod tests {
                 window: WindowId(7),
                 sgs: summary(7),
             },
-            WalRecord::Coarsen { index: 0 },
             WalRecord::Insert {
                 window: WindowId(8),
                 sgs: summary(8),
@@ -322,8 +318,8 @@ mod tests {
 
     #[test]
     fn seq_discontinuity_stops_replay() {
-        let mut log = encode_frame(3, &WalRecord::Coarsen { index: 1 });
-        log.extend_from_slice(&encode_frame(5, &WalRecord::Coarsen { index: 2 }));
+        let mut log = encode_frame(3, &WalRecord::Seal);
+        log.extend_from_slice(&encode_frame(5, &WalRecord::Seal));
         let replayed = replay(&log).unwrap();
         assert_eq!(replayed.records.len(), 1);
         assert_eq!(replayed.records[0].0, 3);
@@ -331,7 +327,7 @@ mod tests {
 
     #[test]
     fn absurd_length_header_is_a_torn_tail() {
-        let mut log = encode_frame(0, &WalRecord::Coarsen { index: 0 });
+        let mut log = encode_frame(0, &WalRecord::Seal);
         let good_len = log.len() as u64;
         log.extend_from_slice(&u32::MAX.to_le_bytes());
         log.extend_from_slice(&[0u8; 12]);
@@ -345,15 +341,15 @@ mod tests {
     /// tail to cut off with everything behind it.
     #[test]
     fn a_checksummed_frame_of_an_unknown_kind_is_corrupt() {
-        let good = encode_frame(0, &WalRecord::Coarsen { index: 0 });
-        for kind in [0x7F, KIND_PACKED_INSERT, 0] {
+        let good = encode_frame(0, &WalRecord::Seal);
+        for kind in [0x7F, KIND_PACKED_INSERT, KIND_COARSEN, 0] {
             let mut log = good.clone();
             log.extend_from_slice(&frame(1, kind, |out| out.extend_from_slice(&[0; 22])));
             let err = replay(&log).unwrap_err().to_string();
             assert!(err.contains("record 1"), "kind {kind}: {err}");
         }
         let mut log = good.clone();
-        log.extend_from_slice(&frame(1, KIND_COARSEN, |out| out.push(1)));
+        log.extend_from_slice(&frame(1, KIND_SEAL, |out| out.push(1)));
         assert!(replay(&log).is_err(), "a malformed body of a known kind");
         let mut log = good;
         log.extend_from_slice(&encode_frame(1, &sample_records()[0])[..20]);

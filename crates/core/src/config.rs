@@ -56,23 +56,6 @@ impl PoolThreads {
     }
 }
 
-/// Retention policy of a durable pattern base (see `DESIGN.md` §10):
-/// what happens to the archive as it grows. Eviction never *drops* a
-/// pattern — it coarsens it to the next multi-resolution level (§6.1),
-/// so MATCH keeps answering over the whole history, just at degraded
-/// granularity for the oldest/cheapest patterns.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ArchiveRetention {
-    /// Keep every pattern at the resolution it was archived at.
-    #[default]
-    Unbounded,
-    /// Bound the archive's packed byte footprint: when exceeded, the
-    /// oldest patterns are coarsened (one level at a time, oldest
-    /// first) until the base fits again or everything has reached the
-    /// coarsest allowed level.
-    ByteBudget(usize),
-}
-
 /// Parameters of a continuous density-based clustering query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterQuery {

@@ -31,7 +31,7 @@ pub mod point;
 pub mod window;
 
 pub use cell::{CellCoord, Coords, GridGeometry};
-pub use config::{ArchiveRetention, ClusterQuery, PoolThreads, ShardCount};
+pub use config::{ClusterQuery, PoolThreads, ShardCount};
 pub use error::{Error, Result};
 pub use ids::{PointId, WindowId};
 pub use memsize::HeapSize;

@@ -67,7 +67,7 @@ pub struct QueryStats {
     pub clusters: u64,
     /// Clusters this query's archiver admitted to the shared history.
     pub archived: u64,
-    /// Packed bytes of those summaries as archived (before any retention).
+    /// Packed bytes of those summaries as archived.
     pub archive_bytes: usize,
     /// Worker-side processing time (extraction + summarization +
     /// archival), in nanoseconds. Excludes time spent waiting for input.

@@ -37,7 +37,7 @@ const BATCH_CHUNK: usize = 256;
 pub struct DurableArchive {
     /// Root directory; each dimensionality gets a `dim{N}` subdirectory.
     pub dir: PathBuf,
-    /// Retention and checkpoint settings shared by every history base.
+    /// Checkpoint settings shared by every history base.
     pub config: DurableConfig,
 }
 
@@ -76,9 +76,8 @@ pub struct RuntimeConfig {
     /// exactly that many workers. Scheduling never affects results, only
     /// wall-clock.
     pub pool_threads: PoolThreads,
-    /// When set, shared history bases are durable: WAL-backed,
-    /// checkpointed, and retention-bounded under this directory
-    /// (`DESIGN.md` §10). `None` (the default) keeps them in memory
+    /// When set, shared history bases are durable: WAL-backed and
+    /// checkpointed under this directory (`DESIGN.md` §10). `None` (the default) keeps them in memory
     /// only.
     pub durable_archive: Option<DurableArchive>,
     /// Turn on metric recording (`DESIGN.md` §11) for the whole process.
@@ -124,7 +123,7 @@ pub struct QueryReport {
     /// Handles, strictly increasing, of what this query archived: each
     /// resolves in the shared history MATCH reads ([`Runtime::history`])
     /// to the summary a solo [`StreamPipeline`](crate::StreamPipeline) run
-    /// of the same plan archives, as retention has since left it.
+    /// of the same plan archives.
     pub archived: Vec<PatternId>,
 }
 

@@ -4,7 +4,7 @@
 //! ```text
 //! streamsum-server [--addr 127.0.0.1:7878] [--stream name:dim]...
 //!                  [--channel-capacity N] [--pool-threads N] [--seed N]
-//!                  [--archive-dir PATH] [--archive-budget BYTES]
+//!                  [--archive-dir PATH]
 //!                  [--metrics-addr HOST:PORT]
 //!                  [--idle-timeout SECS] [--drain-timeout SECS]
 //!                  [--owner-max-queries N] [--owner-max-queue-bytes N]
@@ -29,7 +29,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Duration;
 
-use sgs_core::{ArchiveRetention, PoolThreads};
+use sgs_core::PoolThreads;
 use sgs_runtime::{DurableArchive, RuntimeConfig};
 use sgs_server::{Server, ServerConfig};
 
@@ -42,8 +42,6 @@ usage: streamsum-server [options]
   --seed N                  archiver RNG seed (default 0)
   --archive-dir PATH        persist the shared history there (WAL + checkpoints;
                             recovers on restart; default: memory-only)
-  --archive-budget BYTES    retention byte budget — over it, the oldest patterns
-                            are coarsened, never dropped (default: unbounded)
   --metrics-addr HOST:PORT  also serve Prometheus text exposition over HTTP
                             there (port 0 = OS-assigned; enables metrics)
   --idle-timeout SECS       close sessions with no complete request for SECS
@@ -172,7 +170,6 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
     let mut runtime = RuntimeConfig::default();
     let mut streams: Vec<(String, usize)> = Vec::new();
     let mut archive_dir: Option<String> = None;
-    let mut archive_budget: Option<usize> = None;
     let mut idle_timeout: Option<Duration> = None;
     let mut drain_timeout = Duration::from_secs(10);
     let mut owner_max_queries: Option<usize> = None;
@@ -280,29 +277,10 @@ fn parse_args(args: &[String]) -> Result<Option<Parsed>, String> {
                 dispatch_threads = Some(n.max(1));
             }
             "--archive-dir" => archive_dir = Some(value("--archive-dir")?),
-            "--archive-budget" => {
-                archive_budget = Some(
-                    value("--archive-budget")?
-                        .parse()
-                        .map_err(|_| "bad --archive-budget".to_string())?,
-                );
-            }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    match archive_dir {
-        Some(dir) => {
-            let mut durable = DurableArchive::at(dir);
-            if let Some(budget) = archive_budget {
-                durable.config.retention = ArchiveRetention::ByteBudget(budget);
-            }
-            runtime.durable_archive = Some(durable);
-        }
-        None if archive_budget.is_some() => {
-            return Err("--archive-budget requires --archive-dir".to_string());
-        }
-        None => {}
-    }
+    runtime.durable_archive = archive_dir.map(DurableArchive::at);
     let mut config = ServerConfig {
         runtime,
         idle_timeout,

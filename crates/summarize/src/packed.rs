@@ -8,8 +8,8 @@
 //! cells cannot hold a summary's connections, which reach further (see
 //! [`crate::sgs`]), so summaries are stored and sent losslessly in
 //! [`crate::codec`]. This count is what the archive *reports*
-//! (`archive_bytes_per_cluster`) and what the byte-budget retention
-//! compares against.
+//! (`archive_bytes_per_cluster`) and what §6.1's level choice
+//! ([`crate::multires::archived_bytes_at_level`]) budgets against.
 //!
 //! A summary held in memory ([`crate::Cells`]) comes close to this
 //! count: `4·d + 8` bytes per cell, the same position and population,

@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1792483200000,
+  "lastUpdate": 1792513566383,
   "entries": {
     "streamsum e2ebench": [
       {
@@ -210,7 +210,7 @@ window.BENCHMARK_DATA = {
       },
       {
         "commit": {
-          "id": null,
+          "id": "f9dc2b38f66918edcda3c91172692ccc30e5c104",
           "parent": "05812a75dead6f8d1cbc4c0568bf837c68f55581",
           "message": "A summary's cell is the paper's 8.2 cell: coordinates live in one i32 block, so a 2-d cell is 16 B instead of 40"
         },
@@ -238,6 +238,33 @@ window.BENCHMARK_DATA = {
           {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 360364, "value": 370958, "pairs": 10, "wins": 8},
           {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.265, "value": 0.255, "pairs": 10, "wins": 7},
           {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.348, "value": 0.339, "pairs": 10, "wins": 6}
+        ]
+      },
+      {
+        "commit": {
+          "id": null,
+          "parent": "f9dc2b38f66918edcda3c91172692ccc30e5c104",
+          "message": "Delete byte-budget retention: an archived pattern keeps the resolution it was archived at, the WAL has two record kinds, and PatternBase is append-only"
+        },
+        "date": 1792513566383,
+        "tool": "e2ebench --seconds 20 --trace 0, interleaved parent/change pairs alternating which runs first, 2-vCPU box; no gain claimed",
+        "benches": [
+          {"name": "stt_insert tuples_per_s seed 1", "workload": "stt_insert", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 213073, "value": 211311, "pairs": 5, "wins": 2},
+          {"name": "stt_insert response_p50_ms seed 1", "workload": "stt_insert", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 4.586, "value": 4.548, "pairs": 5, "wins": 2},
+          {"name": "stt_insert response_p90_ms seed 1", "workload": "stt_insert", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 6.154, "value": 6.301, "pairs": 5, "wins": 1},
+          {"name": "stt_insert peak_rss_mb seed 1", "workload": "stt_insert", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 80.56, "value": 80.36, "pairs": 5, "wins": 5},
+          {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 267643, "value": 268763, "pairs": 5, "wins": 2},
+          {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.357, "value": 0.357, "pairs": 5, "wins": 2},
+          {"name": "gmti_slide response_p90_ms seed 1", "workload": "gmti_slide", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.471, "value": 0.479, "pairs": 5, "wins": 2},
+          {"name": "gmti_slide peak_rss_mb seed 1", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 66.27, "value": 66.22, "pairs": 5, "wins": 2},
+          {"name": "match_under_ingest tuples_per_s seed 1", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 251518, "value": 270915, "pairs": 5, "wins": 3},
+          {"name": "match_under_ingest response_p50_ms seed 1", "workload": "match_under_ingest", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.268, "value": 0.27, "pairs": 5, "wins": 2},
+          {"name": "match_under_ingest response_p90_ms seed 1", "workload": "match_under_ingest", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.571, "value": 0.565, "pairs": 5, "wins": 3},
+          {"name": "match_under_ingest peak_rss_mb seed 1", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 45.86, "value": 45.79, "pairs": 5, "wins": 5},
+          {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 397211, "value": 389766, "pairs": 10, "wins": 4},
+          {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.234, "value": 0.234, "pairs": 10, "wins": 5},
+          {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.316, "value": 0.321, "pairs": 10, "wins": 3},
+          {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 34.66, "value": 34.62, "pairs": 10, "wins": 5}
         ]
       }
     ]

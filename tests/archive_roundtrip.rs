@@ -1,14 +1,12 @@
 //! Archive-layer integration: multi-resolution archival, budget selection,
 //! shared (concurrent) pattern base, matching through coarser levels, and
 //! the durable tier's crash-injection suite (`DESIGN.md` §10): every
-//! mutation is recoverable to the longest durable prefix, checkpoints are
-//! atomic, and retention coarsens instead of dropping.
+//! insert is recoverable to the longest durable prefix, and checkpoints
+//! are atomic.
 
 use proptest::prelude::*;
-use sgs_archive::durable::RETENTION_MAX_LEVEL;
 use sgs_archive::{DurableConfig, DurablePatternBase, FaultFs, FaultMode, FaultPlan};
 use streamsum::archive::{choose_level, shared_pattern_base};
-use streamsum::core::ArchiveRetention;
 use streamsum::matching::MatchConfig;
 use streamsum::prelude::*;
 use streamsum::summarize::{coarsen, codec, multires, packed};
@@ -198,7 +196,7 @@ fn prefix_snapshots(cfg: &DurableConfig, summaries: &[Sgs]) -> Vec<Vec<u8>> {
 #[test]
 fn crash_sweep_recovers_longest_durable_prefix() {
     let summaries = study_summaries(6);
-    let cfg = DurableConfig::default(); // unbounded: the sweep is exact
+    let cfg = DurableConfig::default();
     let prefixes = prefix_snapshots(&cfg, &summaries);
 
     // A fault-free dry run sizes the sweep range.
@@ -396,68 +394,6 @@ fn checkpoint_crash_sweep_preserves_state() {
             );
         }
     }
-}
-
-/// Retention property: under a byte budget the base never exceeds it
-/// (unless every pattern is already at the coarsest level), never drops
-/// a pattern, demotes oldest-first, keeps every pattern findable by
-/// MATCH, and recovery reproduces the demotions from the WAL.
-#[test]
-fn byte_budget_eviction_coarsens_and_stays_matchable() {
-    let summaries = study_summaries(16);
-    let total_basic: usize = summaries.iter().map(packed::archived_bytes).sum();
-    let budget = total_basic / 2;
-
-    let fs = FaultFs::new();
-    let cfg = DurableConfig {
-        retention: ArchiveRetention::ByteBudget(budget),
-        ..DurableConfig::default()
-    };
-    let mut base = durable_open(&fs, &cfg);
-    for (k, s) in summaries.iter().enumerate() {
-        base.try_insert(s.clone(), WindowId(k as u64)).unwrap();
-        assert_eq!(base.len(), k + 1, "eviction must never drop a pattern");
-        let within = base.archived_bytes() <= budget;
-        let exhausted = base.iter().all(|p| p.sgs.level >= RETENTION_MAX_LEVEL);
-        assert!(
-            within || exhausted,
-            "after insert {k}: {} bytes over budget {budget}",
-            base.archived_bytes()
-        );
-    }
-    assert!(
-        base.iter().any(|p| p.sgs.level > 0),
-        "the budget must have forced demotions"
-    );
-    let levels: Vec<u8> = base.iter().map(|p| p.sgs.level).collect();
-    assert!(
-        levels[0] >= *levels.last().unwrap(),
-        "coarsening must hit the oldest patterns first: {levels:?}"
-    );
-
-    // Every pattern — demoted or not — is still found by MATCH.
-    let match_cfg = MatchConfig::equal_weights(false, 0.2);
-    for p in base.iter() {
-        let outcome = base.match_query(&p.sgs, &match_cfg);
-        assert!(
-            outcome
-                .matches
-                .iter()
-                .any(|m| m.id == p.id && m.distance < 1e-9),
-            "pattern {:?} (level {}) unfindable after eviction",
-            p.id,
-            p.sgs.level
-        );
-    }
-
-    // The demotions are WAL-logged: a fresh open reproduces them.
-    let want = base.snapshot_bytes();
-    drop(base);
-    let recovered = durable_open(&fs, &cfg);
-    assert!(
-        recovered.snapshot_bytes() == want,
-        "recovered eviction state diverged"
-    );
 }
 
 proptest! {

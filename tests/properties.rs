@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use streamsum::core::{dist, GridGeometry, Point, WindowSpec};
 use streamsum::index::UnionFind;
 use streamsum::matching::metric::rel_diff;
-use streamsum::summarize::{coarsen, MemberSet, Sgs};
+use streamsum::summarize::{coarsen, CellStatus, MemberSet, Sgs};
 
 proptest! {
     /// Lemma 4.1 precondition: any two points mapped to the same basic
@@ -101,6 +101,39 @@ proptest! {
         prop_assert!(sgs.validate().is_ok());
         prop_assert_eq!(sgs.population() as usize, members.population());
         prop_assert!(sgs.core_count() <= sgs.volume());
+    }
+
+    /// A built summary lists every core–core connection in both cells'
+    /// runs: Def. 4.3's connection is symmetric between core cells. An
+    /// encoding that keeps each mirrored pair once rests on this;
+    /// `coarsen`'s output does not keep it.
+    #[test]
+    fn from_members_mirrors_every_core_core_connection(
+        dim in 2usize..5,
+        cores in prop::collection::vec(prop::collection::vec(-4.0f64..4.0, 4), 1..60),
+        edges in prop::collection::vec(prop::collection::vec(-4.0f64..4.0, 4), 0..20),
+        theta_r in 0.5f64..2.5,
+    ) {
+        let cut = |points: &[Vec<f64>]| points.iter().map(|p| p[..dim].into()).collect();
+        let members = MemberSet::new(cut(&cores), cut(&edges));
+        let sgs = Sgs::from_members(&members, &GridGeometry::basic(dim, theta_r));
+        let mut links = 0;
+        for (i, cell) in sgs.cells.iter().enumerate() {
+            if cell.status != CellStatus::Core {
+                continue;
+            }
+            for &j in cell.connections {
+                let other = sgs.cells.get(j as usize).unwrap();
+                if other.status == CellStatus::Core {
+                    links += 1;
+                    prop_assert!(
+                        other.connections.contains(&(i as u32)),
+                        "core cell {} lists {}, which does not list it", i, j
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(links % 2, 0);
     }
 
     /// Multi-resolution coarsening preserves population and never

@@ -102,7 +102,7 @@ fn concurrent_queries_archive_byte_identically_to_solo_runs() {
     );
 }
 
-/// With no retention pressure, a durable-backed shared history is
+/// A durable-backed shared history is
 /// **byte-identical** to the memory-only one — and reopening the archive
 /// directory recovers exactly those bytes (`DESIGN.md` §10).
 #[test]
