@@ -53,6 +53,7 @@ use sgs_matching::bound::Entry;
 use sgs_matching::metric::feature_distance;
 use sgs_matching::{
     best_alignment, feature_ranges, grid_level_distance, AlignmentFilter, MatchConfig,
+    DEFAULT_ALIGNMENT_BUDGET,
 };
 use sgs_summarize::{packed, Cells, Sgs};
 
@@ -326,7 +327,7 @@ impl PatternBase {
             let distance = if config.position_sensitive {
                 grid_level_distance(query, sgs, &zero)
             } else {
-                best_alignment(query, sgs, config.alignment_budget).distance
+                best_alignment(query, sgs, DEFAULT_ALIGNMENT_BUDGET).distance
             };
             if distance <= config.threshold {
                 let found = self
@@ -363,7 +364,7 @@ impl PatternBase {
                 let zero = vec![0i32; query.dim];
                 grid_level_distance(query, &pattern.sgs, &zero)
             } else {
-                best_alignment(query, &pattern.sgs, config.alignment_budget).distance
+                best_alignment(query, &pattern.sgs, DEFAULT_ALIGNMENT_BUDGET).distance
             };
             if distance <= config.threshold {
                 outcome.matches.push(MatchResult {

@@ -77,9 +77,7 @@ pub fn run_csgs(query: &ClusterQuery, points: &[Point]) -> RunStats {
     let mut peak = 0usize;
     let start = Instant::now();
     for chunk in points.chunks(spec.slide as usize) {
-        engine
-            .push_batch(chunk.iter().cloned(), &mut csgs, &mut outputs)
-            .unwrap();
+        engine.push_batch(chunk, &mut csgs, &mut outputs).unwrap();
         for (_, out) in outputs.drain(..) {
             windows += 1;
             clusters += out.len();
@@ -104,9 +102,7 @@ pub fn run_extra_n(query: &ClusterQuery, points: &[Point], summarizer: Summarize
     let mut peak = 0usize;
     let start = Instant::now();
     for chunk in points.chunks(spec.slide as usize) {
-        engine
-            .push_batch(chunk.iter().cloned(), &mut extra, &mut outputs)
-            .unwrap();
+        engine.push_batch(chunk, &mut extra, &mut outputs).unwrap();
         for (_, out) in outputs.drain(..) {
             windows += 1;
             clusters += out.len();
@@ -263,7 +259,7 @@ pub fn build_archive(
     let mut full_repr_bytes = 0usize;
 
     'stream: for p in points {
-        engine.push(p.clone(), &mut csgs, &mut outputs).unwrap();
+        engine.push(p, &mut csgs, &mut outputs).unwrap();
         for (window, out) in outputs.drain(..) {
             for cluster in out {
                 let members = member_set(&cluster.cores, &cluster.edges, points);

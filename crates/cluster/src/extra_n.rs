@@ -312,7 +312,7 @@ mod tests {
         let q = ClusterQuery::new(theta_r, theta_c, 2, spec).unwrap();
         let mut naive = NaiveClusterer::new(q.clone());
         let mut extra = ExtraN::new(q);
-        let naive_out = replay(spec, points.clone(), 2, &mut naive).unwrap();
+        let naive_out = replay(spec, &points, 2, &mut naive).unwrap();
         let extra_out = replay(spec, points, 2, &mut extra).unwrap();
         assert_eq!(naive_out.len(), extra_out.len());
         naive_out
@@ -390,7 +390,7 @@ mod tests {
             let spec = WindowSpec::count(100, slide).unwrap();
             let q = ClusterQuery::new(0.3, 3, 2, spec).unwrap();
             let mut extra = ExtraN::new(q);
-            replay(spec, pts.clone(), 2, &mut extra).unwrap();
+            replay(spec, &pts, 2, &mut extra).unwrap();
             sizes.push(extra.meta_bytes());
         }
         // More views (smaller slide) → more retained meta-data.

@@ -294,7 +294,7 @@ mod tests {
         let pts = random_points(42, 600, 2, 3.0);
         let mut naive = NaiveClusterer::new(q.clone());
         let mut csgs = CSgs::new(q);
-        let naive_out = replay(spec, pts.clone(), 2, &mut naive).unwrap();
+        let naive_out = replay(spec, &pts, 2, &mut naive).unwrap();
         let csgs_out = replay(spec, pts, 2, &mut csgs).unwrap();
         assert_eq!(naive_out.len(), csgs_out.len());
         for ((w1, a), (w2, b)) in naive_out.iter().zip(csgs_out.iter()) {
@@ -314,7 +314,7 @@ mod tests {
         let pts = random_points(7, 300, 2, 2.0);
         let mut extra = ExtraN::new(q.clone());
         let mut csgs = CSgs::new(q);
-        let extra_out = replay(spec, pts.clone(), 2, &mut extra).unwrap();
+        let extra_out = replay(spec, &pts, 2, &mut extra).unwrap();
         let csgs_out = replay(spec, pts, 2, &mut csgs).unwrap();
         for ((w, a), (_, b)) in extra_out.iter().zip(csgs_out.iter()) {
             assert_eq!(
@@ -390,9 +390,7 @@ mod tests {
         let mut rest = &pts[..];
         for chunk in [1, 7, 64, 33, 150].into_iter().cycle() {
             let (batch, tail) = rest.split_at(chunk.min(rest.len()));
-            engine
-                .push_batch(batch.iter().cloned(), &mut csgs, &mut outs)
-                .unwrap();
+            engine.push_batch(batch, &mut csgs, &mut outs).unwrap();
             rest = tail;
             if rest.is_empty() {
                 break;
@@ -410,7 +408,7 @@ mod tests {
             let spec = WindowSpec::count(100, slide).unwrap();
             let q = ClusterQuery::new(0.3, 3, 2, spec).unwrap();
             let mut csgs = CSgs::new(q);
-            replay(spec, pts.clone(), 2, &mut csgs).unwrap();
+            replay(spec, &pts, 2, &mut csgs).unwrap();
             sizes.push(csgs.meta_bytes() as f64);
         }
         // C-SGS meta-data must not grow with view count (Fig. 7): allow
@@ -476,7 +474,7 @@ mod tests {
         let spec = WindowSpec::count(60, 10).unwrap();
         let q = ClusterQuery::new(0.25, 4, 2, spec).unwrap();
         let pts = random_points(23, 400, 2, 2.0);
-        let plain = replay(spec, pts.clone(), 2, &mut CSgs::new(q.clone())).unwrap();
+        let plain = replay(spec, &pts, 2, &mut CSgs::new(q.clone())).unwrap();
         let offset = u32::MAX - 50;
         let mut shifted = Shifted(CSgs::new(q), offset);
         let wrapped = replay(spec, pts, 2, &mut shifted).unwrap();
@@ -523,9 +521,7 @@ mod tests {
         let mut engine = sgs_stream::WindowEngine::new(spec, 2);
         let mut outs = Vec::new();
         for c in pts.chunks(chunk) {
-            engine
-                .push_batch(c.iter().cloned(), &mut csgs, &mut outs)
-                .unwrap();
+            engine.push_batch(c, &mut csgs, &mut outs).unwrap();
         }
         (outs, csgs)
     }
@@ -641,9 +637,7 @@ mod tests {
             let mut engine = sgs_stream::WindowEngine::new(spec, dim);
             let mut outs = Vec::new();
             for c in pts.chunks(97) {
-                engine
-                    .push_batch(c.iter().cloned(), &mut checked, &mut outs)
-                    .unwrap();
+                engine.push_batch(c, &mut checked, &mut outs).unwrap();
             }
             assert!(outs.iter().any(|(_, o)| !o.is_empty()), "{dim}-d clusters");
             assert!(checked.0.live_len() > 0);

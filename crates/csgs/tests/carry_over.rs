@@ -48,9 +48,7 @@ fn run(pts: &[Point], query: &ClusterQuery) -> (Vec<WindowOutput>, CSgs) {
     let mut engine = WindowEngine::new(query.window, 2);
     let mut outs = Vec::new();
     for chunk in pts.chunks(64) {
-        engine
-            .push_batch(chunk.iter().cloned(), &mut csgs, &mut outs)
-            .unwrap();
+        engine.push_batch(chunk, &mut csgs, &mut outs).unwrap();
     }
     (outs.into_iter().map(|(_, out)| out).collect(), csgs)
 }
@@ -73,7 +71,7 @@ fn long_lived_clusters_are_carried_and_every_window_is_still_exact() {
     // Whether a cluster changed does not depend on how the arrivals were
     // batched: one point at a time.
     let mut per_point = CSgs::new(query.clone());
-    let out = replay(spec, pts.clone(), 2, &mut per_point).unwrap();
+    let out = replay(spec, &pts, 2, &mut per_point).unwrap();
     assert_eq!(out.into_iter().map(|(_, o)| o).collect::<Vec<_>>(), base);
     assert_eq!(
         (per_point.carried_count, per_point.rebuilt_count),
@@ -82,7 +80,7 @@ fn long_lived_clusters_are_carried_and_every_window_is_still_exact() {
 
     // The clustering: a from-scratch DBSCAN of every window.
     let mut naive = NaiveClusterer::new(query.clone());
-    let naive_out = replay(spec, pts.clone(), 2, &mut naive).unwrap();
+    let naive_out = replay(spec, &pts, 2, &mut naive).unwrap();
     assert_eq!(naive_out.len(), base.len());
     let coords_of: HashMap<PointId, Box<[f64]>> = (0u32..)
         .map(PointId)

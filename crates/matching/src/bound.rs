@@ -2,10 +2,10 @@
 //! (§7.2, position-insensitive refine).
 //!
 //! [`best_alignment`](crate::best_alignment) pays for up to
-//! `alignment_budget` evaluations of [`grid_level_distance`]. The bound
-//! here shows, before any of them runs, that no alignment at all brings
-//! two summaries within the threshold, so the search can be skipped
-//! without changing an answer. Under a shift `s` only
+//! [`DEFAULT_ALIGNMENT_BUDGET`] evaluations of [`grid_level_distance`].
+//! The bound here shows, before any of them runs, that no alignment at
+//! all brings two summaries within the threshold, so the search can be
+//! skipped without changing an answer. Under a shift `s` only
 //! `m(s) = #{(i, j) : b_j − a_i = s}` cells pair up, and every term of the
 //! distance has a floor:
 //!
@@ -56,7 +56,7 @@
 use sgs_index::{FxHashMap, Rect};
 use sgs_summarize::Sgs;
 
-use crate::metric::MatchConfig;
+use crate::metric::{MatchConfig, DEFAULT_ALIGNMENT_BUDGET};
 
 /// How far a bound may exceed the threshold and still admit a candidate,
 /// so float rounding in the bound or in the distance never turns a true
@@ -296,7 +296,7 @@ impl<'q> AlignmentFilter<'q> {
         // Counts from the features, not the cell list, so nothing reads
         // a candidate's cells before the offset histogram.
         let (na, nb) = (self.query_counts.0, counts(b_features).0);
-        if na * nb > config.alignment_budget.saturating_mul(na + nb) {
+        if na * nb > DEFAULT_ALIGNMENT_BUDGET.saturating_mul(na + nb) {
             return true;
         }
         // The fewest paired cells at which `g` admits a match.
@@ -541,7 +541,7 @@ mod tests {
                 proptest::prop_assert!(bound <= d + 1e-12, "bound {} > {} at {:?}", bound, d, shift);
             }
             let config = MatchConfig::equal_weights(false, threshold);
-            let best = best_alignment(&a, &b, config.alignment_budget).distance;
+            let best = best_alignment(&a, &b, DEFAULT_ALIGNMENT_BUDGET).distance;
             proptest::prop_assert!(bound <= best + 1e-12, "bound {} > search {}", bound, best);
             let may = AlignmentFilter::new(&a).may_match(&b, &b.features(), &config);
             proptest::prop_assert_eq!(may, bound <= threshold + SLACK);

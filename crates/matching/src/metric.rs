@@ -13,9 +13,9 @@
 use sgs_core::{Error, Result};
 use sgs_summarize::Sgs;
 
-/// The anytime alignment search's default evaluation budget
-/// ([`MatchConfig::alignment_budget`]): what [`MatchConfig::equal_weights`]
-/// and a parsed MATCH query start from.
+/// The anytime alignment search's evaluation budget (number of candidate
+/// alignments examined) in the non-position-sensitive refine phase of
+/// every matching query.
 pub const DEFAULT_ALIGNMENT_BUDGET: usize = 64;
 
 /// Configuration of a cluster matching query.
@@ -29,10 +29,6 @@ pub struct MatchConfig {
     pub weights: [f64; 4],
     /// Maximum distance for a cluster to count as a match.
     pub threshold: f64,
-    /// Evaluation budget for the anytime alignment search (number of
-    /// candidate alignments examined) in the non-position-sensitive refine
-    /// phase.
-    pub alignment_budget: usize,
 }
 
 impl MatchConfig {
@@ -42,7 +38,6 @@ impl MatchConfig {
             position_sensitive,
             weights: [0.25; 4],
             threshold,
-            alignment_budget: DEFAULT_ALIGNMENT_BUDGET,
         }
     }
 

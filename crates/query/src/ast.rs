@@ -1,7 +1,7 @@
 //! Parsed query representations.
 
 use sgs_core::{ClusterQuery, Result, WindowSpec};
-use sgs_matching::{MatchConfig, DEFAULT_ALIGNMENT_BUDGET};
+use sgs_matching::MatchConfig;
 
 /// Which representations a continuous query returns (Fig. 2's `f+s`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,7 +96,6 @@ impl MatchQueryAst {
             position_sensitive: self.position_sensitive,
             weights: self.weights,
             threshold: self.threshold,
-            alignment_budget: DEFAULT_ALIGNMENT_BUDGET,
         };
         config.validate()?;
         Ok(config)

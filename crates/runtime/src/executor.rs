@@ -65,7 +65,7 @@ use crate::registry::{QueryState, SharedStatus};
 pub(crate) enum Msg {
     /// A batch of points to process as one unit. Shared (`Arc`) so the
     /// ingest thread materializes each broadcast chunk once, not once per
-    /// query; tasks pay the per-point clone on the pool.
+    /// query; each query's window engine reads the points in place.
     Batch(Arc<[Point]>, Instant),
     /// Synchronization barrier: acked once every message queued before
     /// this one has been fully processed.
@@ -305,7 +305,7 @@ fn process_batch(cell: &QueryCell, exec: &mut ExecState, points: &[Point], enque
         return; // Stopped: drain-and-drop whatever was queued behind.
     };
     let start = Instant::now();
-    let (outputs, selected, fed) = pipeline.push_batch_selecting(points.iter().cloned());
+    let (outputs, selected, fed) = pipeline.push_batch_selecting(points);
     // One commit under one write lock, taken once extraction is over.
     let bytes: usize = selected
         .iter()

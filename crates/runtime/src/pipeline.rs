@@ -10,6 +10,8 @@
 //!
 //! [`Runtime`]: crate::runtime::Runtime
 
+use std::borrow::Borrow;
+
 use sgs_archive::{ArchivePolicy, PatternArchiver, PatternBase, PatternId};
 use sgs_core::{ClusterQuery, Point, Result, WindowId};
 use sgs_csgs::{CSgs, WindowOutput};
@@ -50,11 +52,11 @@ impl StreamPipeline {
     /// Feed one point — [`push_batch`](Self::push_batch) of a single
     /// element; returns the outputs of any windows that completed
     /// (time-based streams can complete several per push).
-    pub fn push(&mut self, point: Point) -> Result<Vec<(WindowId, WindowOutput)>> {
+    pub fn push(&mut self, point: impl Borrow<Point>) -> Result<Vec<(WindowId, WindowOutput)>> {
         self.push_batch([point])
     }
 
-    /// Feed a batch of points through the window engine
+    /// Feed a batch of points, owned or borrowed, through the window engine
     /// ([`WindowEngine::push_batch`]); returns the outputs of the windows
     /// they completed, oldest first — the last element is the most
     /// recently completed window. Outputs — and the archive state — do
@@ -67,7 +69,7 @@ impl StreamPipeline {
     /// outputs are dropped with the error.
     pub fn push_batch(
         &mut self,
-        points: impl IntoIterator<Item = Point>,
+        points: impl IntoIterator<Item = impl Borrow<Point>>,
     ) -> Result<Vec<(WindowId, WindowOutput)>> {
         let mut outputs = Vec::new();
         let fed = self
@@ -85,7 +87,7 @@ impl StreamPipeline {
     /// back alongside an error, since a runtime delivers every window.
     pub(crate) fn push_batch_selecting(
         &mut self,
-        points: impl IntoIterator<Item = Point>,
+        points: impl IntoIterator<Item = impl Borrow<Point>>,
     ) -> (Windows, Vec<(Sgs, WindowId)>, Result<u64>) {
         let mut outputs = Vec::new();
         let fed = self
@@ -216,14 +218,14 @@ pub(crate) mod tests {
 
         let mut solo = pipeline();
         let mut solo_outs = Vec::new();
-        for p in stream.clone() {
+        for p in &stream {
             solo_outs.extend(solo.push(p).unwrap());
         }
 
         let mut batched = pipeline();
         let mut batch_outs = Vec::new();
         for chunk in stream.chunks(23) {
-            batch_outs.extend(batched.push_batch(chunk.to_vec()).unwrap());
+            batch_outs.extend(batched.push_batch(chunk).unwrap());
         }
 
         assert_eq!(solo_outs, batch_outs);

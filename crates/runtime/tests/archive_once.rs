@@ -67,7 +67,7 @@ fn a_runtime_query_retains_one_copy_of_its_archive() {
     let before = live_bytes();
     let mut bare = StreamPipeline::new(plan.query.clone(), plan.policy.clone(), plan.seed).unwrap();
     for chunk in stream.chunks(500) {
-        drop(bare.push_batch(chunk.iter().cloned()).unwrap());
+        drop(bare.push_batch(chunk).unwrap());
     }
     let bare_growth = live_bytes() - before;
     let archived = bare.base().len();

@@ -1,14 +1,16 @@
 //! The window engine: drives a clustering algorithm over a stream.
 //!
 //! The engine owns nothing but the window bookkeeping. Algorithms implement
-//! [`WindowConsumer`]; the engine hands every run of arriving points
-//! between two window boundaries to
-//! [`insert_batch`](WindowConsumer::insert_batch) (each point tagged with
-//! its pre-computed expiry window, Obs. 5.2) and calls
-//! [`slide`](WindowConsumer::slide) whenever a window completes, collecting
-//! the per-window outputs.
+//! [`WindowConsumer`]; for each arriving point the engine completes every
+//! window that closes before it ([`slide`](WindowConsumer::slide),
+//! collecting the per-window outputs) and then hands the point to
+//! [`insert`](WindowConsumer::insert) by reference, tagged with its
+//! pre-computed expiry window (Obs. 5.2) — one point at a time, as §5.4
+//! handles each arrival.
 
 use crate::lifespan::expires_at;
+use std::borrow::Borrow;
+
 use sgs_core::{Error, Point, PointId, Result, WindowId, WindowKind, WindowSpec};
 
 /// A sliding-window clustering algorithm, driven by [`WindowEngine`].
@@ -21,10 +23,11 @@ pub trait WindowConsumer {
     /// from the engine's current window up to `expires_at - 1`.
     fn insert(&mut self, id: PointId, point: &Point, expires_at: WindowId);
 
-    /// A run of points that all arrive between two window boundaries (no
-    /// slide occurs inside the batch), in arrival order. The default
-    /// implementation loops over [`insert`](Self::insert); a consumer that
-    /// can take a run at once overrides it.
+    /// [`insert`](Self::insert) for each item, in order. [`WindowEngine`]
+    /// never calls it: every arrival goes through `insert`. Kept solely
+    /// because the frozen benchmark's `e2ebench/src/traced.rs` overrides
+    /// it, as [`ShardCount`](sgs_core::ShardCount) is kept for its
+    /// workloads.
     fn insert_batch(&mut self, items: &[(PointId, Point, WindowId)]) {
         for (id, point, expires_at) in items {
             self.insert(*id, point, *expires_at);
@@ -152,7 +155,7 @@ impl WindowEngine {
     /// into `outputs`, then inserts the point into the consumer.
     pub fn push<C: WindowConsumer>(
         &mut self,
-        point: Point,
+        point: impl Borrow<Point>,
         consumer: &mut C,
         outputs: &mut Vec<(WindowId, C::Output)>,
     ) -> Result<PointId> {
@@ -160,64 +163,41 @@ impl WindowEngine {
         Ok(PointId((self.seq - 1) as u32))
     }
 
-    /// Feed a batch of points. Returns the number of points accepted.
+    /// Feed a batch of points, owned or borrowed. Returns the number of
+    /// points accepted.
     ///
-    /// The batch is cut into *segments* — maximal runs of points between
-    /// two window boundaries — and each segment is handed to the consumer
-    /// in one [`insert_batch`](WindowConsumer::insert_batch) call. The
-    /// sequence of consumer `insert`/`slide` effects — and thus every
-    /// output — does not depend on how a stream is cut into batches.
+    /// Each point in turn is admitted, completes the windows that close
+    /// before it, and is passed to [`insert`](WindowConsumer::insert) by
+    /// reference; nothing is copied or buffered. The sequence of consumer
+    /// `insert`/`slide` calls — and thus every output — does not depend on
+    /// how a stream is cut into batches.
     ///
     /// On error (dimension mismatch, invalid coordinate, out-of-order
     /// timestamp), points before the failing one are already inserted and
     /// any windows they completed are already in `outputs`.
     pub fn push_batch<C: WindowConsumer>(
         &mut self,
-        points: impl IntoIterator<Item = Point>,
+        points: impl IntoIterator<Item = impl Borrow<Point>>,
         consumer: &mut C,
         outputs: &mut Vec<(WindowId, C::Output)>,
     ) -> Result<u64> {
-        let mut accepted = 0u64;
+        let start = self.seq;
         let mut boundary = self.spec.window_end(self.current);
-        let mut segment: Vec<(PointId, Point, WindowId)> = Vec::new();
         for point in points {
-            if let Err(e) = self.admit(&point) {
-                if !segment.is_empty() {
-                    consumer.insert_batch(&segment);
-                }
-                return Err(e);
-            }
-            let t = self.logical_time(&point);
-            if t >= boundary {
-                if !segment.is_empty() {
-                    consumer.insert_batch(&segment);
-                    segment.clear();
-                }
-                while t >= boundary {
-                    let out = consumer.slide(WindowId(self.current));
-                    outputs.push((WindowId(self.current), out));
-                    self.current += 1;
-                    boundary = self.spec.window_end(self.current);
-                }
+            let point = point.borrow();
+            self.admit(point)?;
+            let t = self.logical_time(point);
+            while t >= boundary {
+                let out = consumer.slide(WindowId(self.current));
+                outputs.push((WindowId(self.current), out));
+                self.current += 1;
+                boundary = self.spec.window_end(self.current);
             }
             let id = PointId(self.seq as u32);
             self.seq += 1;
-            segment.push((id, point, expires_at(&self.spec, t)));
-            accepted += 1;
+            consumer.insert(id, point, expires_at(&self.spec, t));
         }
-        if !segment.is_empty() {
-            consumer.insert_batch(&segment);
-        }
-        Ok(accepted)
-    }
-
-    /// Force-complete the current window (end-of-stream flush). Returns the
-    /// output of the window that was closed.
-    pub fn flush<C: WindowConsumer>(&mut self, consumer: &mut C) -> (WindowId, C::Output) {
-        let w = WindowId(self.current);
-        let out = consumer.slide(w);
-        self.current += 1;
-        (w, out)
+        Ok(self.seq - start)
     }
 }
 
@@ -306,21 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_completes_partial_window() {
-        let spec = WindowSpec::count(4, 2).unwrap();
-        let mut eng = WindowEngine::new(spec, 1);
-        let mut rec = Recorder::default();
-        let mut outs = Vec::new();
-        for i in 0..5 {
-            eng.push(pt(i as f64, 0), &mut rec, &mut outs).unwrap();
-        }
-        assert_eq!(outs.len(), 1);
-        let (w, members) = eng.flush(&mut rec);
-        assert_eq!(w, WindowId(1));
-        assert_eq!(members, vec![PointId(2), PointId(3), PointId(4)]);
-    }
-
-    #[test]
     fn time_windows_can_close_many_at_once() {
         let spec = WindowSpec::time(10, 5).unwrap();
         let mut eng = WindowEngine::new(spec, 1);
@@ -375,7 +340,7 @@ mod tests {
             let mut solo_eng = WindowEngine::new(spec, 1);
             let mut solo_rec = Recorder::default();
             let mut solo_outs = Vec::new();
-            for p in points.clone() {
+            for p in &points {
                 solo_eng.push(p, &mut solo_rec, &mut solo_outs).unwrap();
             }
 
@@ -385,7 +350,7 @@ mod tests {
             let mut fed = 0u64;
             for chunk in points.chunks(7) {
                 fed += batch_eng
-                    .push_batch(chunk.to_vec(), &mut batch_rec, &mut batch_outs)
+                    .push_batch(chunk, &mut batch_rec, &mut batch_outs)
                     .unwrap();
             }
 
@@ -394,44 +359,6 @@ mod tests {
             assert_eq!(solo_eng.current_window(), batch_eng.current_window());
             assert_eq!(solo_eng.accepted(), batch_eng.accepted());
         }
-    }
-
-    #[test]
-    fn insert_batch_segments_never_span_boundaries() {
-        /// Consumer that records the id runs handed to `insert_batch`.
-        #[derive(Default)]
-        struct Segments {
-            runs: Vec<Vec<u32>>,
-            slides: u64,
-        }
-        impl WindowConsumer for Segments {
-            type Output = ();
-            fn insert(&mut self, id: PointId, _p: &Point, _e: WindowId) {
-                self.runs.push(vec![id.0]);
-            }
-            fn insert_batch(&mut self, items: &[(PointId, Point, WindowId)]) {
-                self.runs
-                    .push(items.iter().map(|(id, _, _)| id.0).collect());
-            }
-            fn slide(&mut self, _completed: WindowId) {
-                self.slides += 1;
-            }
-        }
-        let spec = WindowSpec::count(6, 3).unwrap();
-        let mut eng = WindowEngine::new(spec, 1);
-        let mut seg = Segments::default();
-        let mut outs = Vec::new();
-        let points: Vec<Point> = (0..14).map(|i| pt(i as f64, 0)).collect();
-        eng.push_batch(points, &mut seg, &mut outs).unwrap();
-        // Boundaries fall at t = 6, 9, 12 → runs 0..=5, 6..=8, 9..=11, 12..=13.
-        let expect: Vec<Vec<u32>> = vec![
-            (0..6).collect(),
-            (6..9).collect(),
-            (9..12).collect(),
-            (12..14).collect(),
-        ];
-        assert_eq!(seg.runs, expect);
-        assert_eq!(seg.slides, 3);
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! Replaying a finite stream through a window engine.
 
+use std::borrow::Borrow;
+
 use crate::engine::{WindowConsumer, WindowEngine};
 use sgs_core::{Point, Result, WindowId, WindowSpec};
 
 /// Run a consumer over an entire finite stream, returning every completed
-/// window's output. Does **not** flush the final partial window — the
-/// outputs correspond exactly to the windows the CQL semantics would emit.
+/// window's output, owned or borrowed points alike. The final partial
+/// window is not emitted — the outputs correspond exactly to the windows
+/// the CQL semantics would emit.
 pub fn replay<C: WindowConsumer>(
     spec: WindowSpec,
-    points: impl IntoIterator<Item = Point>,
+    points: impl IntoIterator<Item = impl Borrow<Point>>,
     dim: usize,
     consumer: &mut C,
 ) -> Result<Vec<(WindowId, C::Output)>> {
-    let mut engine = WindowEngine::new(spec, dim);
     let mut outputs = Vec::new();
-    for p in points {
-        engine.push(p, consumer, &mut outputs)?;
-    }
+    WindowEngine::new(spec, dim).push_batch(points, consumer, &mut outputs)?;
     Ok(outputs)
 }
 

@@ -1,5 +1,5 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1792513566383,
+  "lastUpdate": 1792706109369,
   "entries": {
     "streamsum e2ebench": [
       {
@@ -242,7 +242,7 @@ window.BENCHMARK_DATA = {
       },
       {
         "commit": {
-          "id": null,
+          "id": "834c76eb3010d928386e2380c094fe7216ac32e8",
           "parent": "f9dc2b38f66918edcda3c91172692ccc30e5c104",
           "message": "Delete byte-budget retention: an archived pattern keeps the resolution it was archived at, the WAL has two record kinds, and PatternBase is append-only"
         },
@@ -265,6 +265,33 @@ window.BENCHMARK_DATA = {
           {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.234, "value": 0.234, "pairs": 10, "wins": 5},
           {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.316, "value": 0.321, "pairs": 10, "wins": 3},
           {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 34.66, "value": 34.62, "pairs": 10, "wins": 5}
+        ]
+      },
+      {
+        "commit": {
+          "id": null,
+          "parent": "834c76eb3010d928386e2380c094fe7216ac32e8",
+          "message": "The window engine passes each point to insert by reference: the segment buffer, WindowEngine::flush and the per-tuple clones in front of C-SGS go"
+        },
+        "date": 1792706109369,
+        "tool": "e2ebench --seconds 20 --trace 0, interleaved parent/change pairs alternating which runs first, 2-vCPU box; no gain claimed",
+        "benches": [
+          {"name": "stt_insert tuples_per_s seed 1", "workload": "stt_insert", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 223210, "value": 223279, "pairs": 10, "wins": 5},
+          {"name": "stt_insert response_p50_ms seed 1", "workload": "stt_insert", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 4.336, "value": 4.325, "pairs": 10, "wins": 4},
+          {"name": "stt_insert response_p90_ms seed 1", "workload": "stt_insert", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 5.922, "value": 5.951, "pairs": 10, "wins": 3},
+          {"name": "stt_insert peak_rss_mb seed 1", "workload": "stt_insert", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 80.58, "value": 80.45, "pairs": 10, "wins": 8},
+          {"name": "gmti_slide tuples_per_s seed 1", "workload": "gmti_slide", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 299730, "value": 299865, "pairs": 10, "wins": 4},
+          {"name": "gmti_slide response_p50_ms seed 1", "workload": "gmti_slide", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.318, "value": 0.316, "pairs": 10, "wins": 4},
+          {"name": "gmti_slide response_p90_ms seed 1", "workload": "gmti_slide", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.433, "value": 0.431, "pairs": 10, "wins": 7},
+          {"name": "gmti_slide peak_rss_mb seed 1", "workload": "gmti_slide", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 66.2, "value": 66.05, "pairs": 10, "wins": 10},
+          {"name": "match_under_ingest tuples_per_s seed 1", "workload": "match_under_ingest", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 274042, "value": 279704, "pairs": 10, "wins": 5},
+          {"name": "match_under_ingest response_p50_ms seed 1", "workload": "match_under_ingest", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.278, "value": 0.28, "pairs": 10, "wins": 5},
+          {"name": "match_under_ingest response_p90_ms seed 1", "workload": "match_under_ingest", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.571, "value": 0.578, "pairs": 10, "wins": 4},
+          {"name": "match_under_ingest peak_rss_mb seed 1", "workload": "match_under_ingest", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 45.85, "value": 45.72, "pairs": 10, "wins": 7},
+          {"name": "served_small tuples_per_s seed 1", "workload": "served_small", "metric": "tuples_per_s", "unit": "1/s", "seed": 1, "parent": 405169, "value": 440034, "pairs": 10, "wins": 6},
+          {"name": "served_small response_p50_ms seed 1", "workload": "served_small", "metric": "response_p50_ms", "unit": "ms", "seed": 1, "parent": 0.235, "value": 0.212, "pairs": 10, "wins": 7},
+          {"name": "served_small response_p90_ms seed 1", "workload": "served_small", "metric": "response_p90_ms", "unit": "ms", "seed": 1, "parent": 0.308, "value": 0.283, "pairs": 10, "wins": 7},
+          {"name": "served_small peak_rss_mb seed 1", "workload": "served_small", "metric": "peak_rss_mb", "unit": "MB", "seed": 1, "parent": 34.59, "value": 34.73, "pairs": 10, "wins": 3}
         ]
       }
     ]

@@ -62,7 +62,6 @@ fn main() -> Result<()> {
         position_sensitive: false,
         weights: [0.15, 0.15, 0.4, 0.3],
         threshold: 0.3,
-        alignment_budget: 96,
     };
     config.validate()?;
     let outcome = pipeline.base().match_query(&current.sgs, &config);

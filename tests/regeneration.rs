@@ -156,8 +156,8 @@ fn archive_from_stream() -> (StreamPipeline, Vec<MemberSet>) {
     let mut members_per_cluster = Vec::new();
     let mut outs = Vec::new();
     for p in &stream {
-        pipeline.push(p.clone()).unwrap();
-        engine.push(p.clone(), &mut csgs, &mut outs).unwrap();
+        pipeline.push(p).unwrap();
+        engine.push(p, &mut csgs, &mut outs).unwrap();
         for (_, clusters) in outs.drain(..) {
             for c in clusters {
                 if c.population() >= 60 {
